@@ -54,5 +54,5 @@ pub mod wire;
 
 pub use axum::{Router, StatusCode};
 pub use error::ApiError;
-pub use registry::{RegistryConfig, SessionRegistry};
+pub use registry::{RegistryConfig, SessionRegistry, MAX_LIBRARY_DECKS};
 pub use service::{router, App};

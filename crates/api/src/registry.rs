@@ -150,13 +150,22 @@ pub struct SessionRegistry {
     next_id: AtomicU64,
     active_requests: Arc<AtomicUsize>,
     counters: Counters,
-    /// Shared library sessions keyed by deck source: batch verification
-    /// over the same deck reuses one content-keyed cache across
-    /// requests (and across concurrent requests — the cache is
+    /// Shared library sessions keyed by deck source, least recently
+    /// used first and at most [`MAX_LIBRARY_DECKS`] of them: batch
+    /// verification over the same deck reuses one content-keyed cache
+    /// across requests (and across concurrent requests — the cache is
     /// internally concurrent).
-    libraries: Mutex<HashMap<String, Arc<LibraryEntry>>>,
+    libraries: Mutex<Vec<(String, Arc<LibraryEntry>)>>,
     epoch: Instant,
 }
+
+/// How many distinct decks keep a shared [`LibrarySession`] alive at
+/// once. A deck is a few KB of client-supplied text and its session's
+/// cache grows with every batch, so the map must not grow with the
+/// number of distinct texts ever posted; past the cap the least
+/// recently used deck is dropped and simply recompiles (cold cache,
+/// same reports) if it is posted again.
+pub const MAX_LIBRARY_DECKS: usize = 8;
 
 /// A shared batch-verification context for one compiled deck.
 pub struct LibraryEntry {
@@ -175,7 +184,7 @@ impl SessionRegistry {
             next_id: AtomicU64::new(0),
             active_requests: Arc::new(AtomicUsize::new(0)),
             counters: Counters::default(),
-            libraries: Mutex::new(HashMap::new()),
+            libraries: Mutex::new(Vec::new()),
             epoch: Instant::now(),
         }
     }
@@ -361,26 +370,37 @@ impl SessionRegistry {
     }
 
     /// The shared library context for a deck source, compiling it on
-    /// first use. The error carries the caret-rendered deck diagnostic.
+    /// first use (and again after [`MAX_LIBRARY_DECKS`] other decks
+    /// pushed it out; a request still holding an evicted entry
+    /// finishes against it). The error carries the caret-rendered deck
+    /// diagnostic.
     pub fn library_for_deck(&self, deck_source: &str) -> Result<Arc<LibraryEntry>, ApiError> {
-        {
-            let libraries = self.libraries.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(entry) = libraries.get(deck_source) {
-                return Ok(Arc::clone(entry));
-            }
+        // A hit moves the deck to the most-recently-used end.
+        let touch = |libraries: &mut Vec<(String, Arc<LibraryEntry>)>| {
+            let at = libraries.iter().position(|(deck, _)| deck == deck_source)?;
+            let hit = libraries.remove(at);
+            let entry = Arc::clone(&hit.1);
+            libraries.push(hit);
+            Some(entry)
+        };
+        if let Some(entry) = touch(&mut self.libraries.lock().unwrap_or_else(|p| p.into_inner())) {
+            return Ok(entry);
         }
         // Compile outside the lock; a racing duplicate compile is
-        // harmless (last insert wins, both entries are equivalent).
+        // harmless (the first insert wins, both entries are equivalent).
         let tech = diic_deck::compile_str(deck_source)
             .map_err(|e| ApiError::bad_deck(e.render("deck", deck_source)))?;
         let session = LibrarySession::new(&tech);
         let entry = Arc::new(LibraryEntry { tech, session });
         let mut libraries = self.libraries.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(Arc::clone(
-            libraries
-                .entry(deck_source.to_string())
-                .or_insert_with(|| Arc::clone(&entry)),
-        ))
+        if let Some(raced) = touch(&mut libraries) {
+            return Ok(raced);
+        }
+        if libraries.len() == MAX_LIBRARY_DECKS {
+            libraries.remove(0);
+        }
+        libraries.push((deck_source.to_string(), Arc::clone(&entry)));
+        Ok(entry)
     }
 
     /// Default options for a batch-verification request.
@@ -400,15 +420,16 @@ impl SessionRegistry {
             }
             (sessions.len(), bytes)
         };
-        let libraries = {
+        let (library_decks, libraries) = {
             let libraries = self.libraries.lock().unwrap_or_else(|p| p.into_inner());
-            Value::array(libraries.values().map(|l| {
+            let caches = Value::array(libraries.iter().map(|(_, l)| {
                 Value::object([
                     ("cache_entries", Value::from(l.session.cache.len())),
                     ("cache_hits", Value::from(l.session.cache.hits())),
                     ("cache_misses", Value::from(l.session.cache.misses())),
                 ])
-            }))
+            }));
+            (libraries.len(), caches)
         };
         Value::object([
             ("open_sessions", Value::from(open)),
@@ -433,7 +454,36 @@ impl SessionRegistry {
                 "active_requests",
                 Value::from(self.active_requests.load(Ordering::Relaxed)),
             ),
+            ("library_decks", Value::from(library_decks)),
             ("libraries", libraries),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn library_decks_evict_least_recently_used() {
+        let registry = SessionRegistry::new(RegistryConfig::default());
+        let deck = |n: usize| format!("{}\n# deck {n}\n", diic_deck::NMOS_DECK);
+        let entry = |n: usize| registry.library_for_deck(&deck(n)).unwrap();
+        let decks = || registry.libraries.lock().unwrap().len();
+
+        let first: Vec<_> = (0..MAX_LIBRARY_DECKS).map(entry).collect();
+        assert_eq!(decks(), MAX_LIBRARY_DECKS);
+        // A hit returns the shared entry and makes deck 0 the most
+        // recently used, so the next new deck pushes out deck 1.
+        assert!(Arc::ptr_eq(&entry(0), &first[0]));
+        entry(MAX_LIBRARY_DECKS);
+        assert_eq!(decks(), MAX_LIBRARY_DECKS);
+        assert!(Arc::ptr_eq(&entry(0), &first[0]), "deck 0 was just used");
+        assert!(
+            !Arc::ptr_eq(&entry(1), &first[1]),
+            "deck 1 was evicted and compiled afresh"
+        );
+        assert_eq!(entry(1).tech, first[1].tech);
+        assert_eq!(decks(), MAX_LIBRARY_DECKS);
     }
 }

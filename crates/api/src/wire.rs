@@ -18,7 +18,9 @@
 
 use crate::error::ApiError;
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
-use diic_core::{category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, Violation};
+use diic_core::{
+    category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, Violation,
+};
 use diic_geom::{Orientation, Point, Rect, Transform, Vector};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -451,7 +453,20 @@ pub fn edit_stats_to_json(stats: &EditStats) -> Value {
         ("retracted", Value::from(stats.retracted)),
         ("spliced", Value::from(stats.spliced)),
         ("full_rebuild", Value::from(stats.full_rebuild)),
+        (
+            "rebuild_reason",
+            match stats.rebuild_reason {
+                None => Value::Null,
+                Some(RebuildReason::DirtyFraction { dirty, total }) => Value::object([
+                    ("kind", Value::from("dirty_fraction")),
+                    ("dirty", Value::from(dirty)),
+                    ("total", Value::from(total)),
+                ]),
+            },
+        ),
         ("netlist_reused", Value::from(stats.netlist_reused)),
+        ("nets_respliced", Value::from(stats.nets_respliced)),
+        ("nodes_respliced", Value::from(stats.nodes_respliced)),
         ("index_compacted", Value::from(stats.index_compacted)),
     ])
 }

@@ -31,20 +31,28 @@
 //!   so pairs among the *seed set* (dirty elements plus everything
 //!   whose bbox touches the dirty core) re-check while every other
 //!   pair's cached verdict and merge survive.
-//! * **the net graph is patched, the net list reassembled** — net keys
+//! * **the net graph is patched, the net list spliced** — net keys
 //!   are interned once into stable integer nodes
-//!   ([`crate::netgen::NetParts`]); the edit swaps the dirty rows and
-//!   re-folds the graph through the same canonical
-//!   [`diic_netlist::assemble_netlist`] a full build uses. Cost is
-//!   integer union-find plus net construction, not string re-interning.
+//!   ([`crate::netgen::NetParts`]); the edit swaps the dirty rows,
+//!   noting every node at which the graph changed, and
+//!   [`crate::netgen::NetParts::splice`] rebuilds only the nets those
+//!   nodes belong to — the same canonicalisation
+//!   ([`diic_netlist::canonical_nets`]) a full build runs, over the
+//!   affected components alone. Every other net and every surviving
+//!   device is *moved* from the cached net list, ids rewritten in
+//!   place. Cost follows the nets the edit touched, not the chip; in
+//!   debug builds the result is asserted equal to the from-scratch
+//!   [`crate::netgen::NetParts::assemble`].
 //! * **net-wide effects are caught by a name diff** — connectivity is
-//!   global (one added strap merges two nets chip-wide), so after
-//!   reassembly every surviving element whose net's canonical name
+//!   global (one added strap merges two nets chip-wide), so after the
+//!   splice every surviving element whose net's canonical name
 //!   changed, and every device whose terminal-net names changed, adds
-//!   its footprint to the dirty core. A merge or split always renames
-//!   at least one side (the canonical name is the minimum alias), so
-//!   every pair whose same-net/relatedness verdict could have flipped
-//!   now has a dirty endpoint.
+//!   its footprint to the dirty core (only elements and terminals on a
+//!   freshly built net can have — the moved nets kept their names). A
+//!   merge or split always renames at least one side (the canonical
+//!   name is the minimum alias), so every pair whose
+//!   same-net/relatedness verdict could have flipped now has a dirty
+//!   endpoint.
 //! * **interactions re-run inside the halo only** — the dirty core is
 //!   inflated by the technology's rule reach
 //!   ([`crate::interact::max_rule_range`], the same reach that sizes
@@ -57,8 +65,8 @@
 //!   [`crate::report::canonical_sort`], which is the order
 //!   [`canonical_check`] reports in — hence byte equality.
 //!
-//! What is *not* invalidated incrementally: the net list and ERC are
-//! recomputed every edit (the graph patch makes that cheap), and
+//! What is *not* invalidated incrementally: ERC and the net-list
+//! comparison re-run over the whole (spliced) net list every edit, and
 //! per-definition checks re-run in full. `tests/incremental.rs` holds
 //! the differential oracle: random edit sequences where the session
 //! report must equal a from-scratch check at every step, serial and
@@ -97,7 +105,9 @@ use crate::connect::check_connections_among;
 use crate::element_checks::check_elements;
 use crate::engine::{composition_violations, DiagnosticSink, Sink};
 use crate::interact::{check_interactions, check_same_mask, max_rule_range};
-use crate::netgen::{element_is_netted, BindIndex, NetParts, NetgenResult};
+use crate::netgen::{
+    element_is_netted, BindIndex, DeviceParts, NetParts, NetgenResult, TerminalNets,
+};
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation};
@@ -267,12 +277,21 @@ pub struct EditStats {
     /// fell back to a full rebuild (still byte-identical — just not
     /// faster than a from-scratch check).
     pub full_rebuild: bool,
+    /// Why the session fell back to a full rebuild; `None` when it
+    /// patched.
+    pub rebuild_reason: Option<RebuildReason>,
     /// True when the edit was *net-neutral* — the patched net graph
     /// proved bit-identical to the cached one (same nodes, edges, and
     /// bindings), so the cached net list was reused without
     /// reassembly. Moving geometry with declared nets, or whole
     /// instances (auto keys are instance-local), typically qualifies.
     pub netlist_reused: bool,
+    /// Nets the net-list splice built fresh (the components a changed
+    /// graph row could reach); every other net was moved across from
+    /// the cached list. Zero on a reused list and on a full rebuild.
+    pub nets_respliced: usize,
+    /// Live graph nodes in those components.
+    pub nodes_respliced: usize,
     /// True when this apply compacted the session's persistent spatial
     /// index ([`diic_geom::GridIndex::compact`]) — tombstones from
     /// edit churn had come to outnumber the live elements.
@@ -281,7 +300,7 @@ pub struct EditStats {
     pub t_view: std::time::Duration,
     /// Wall clock of the scoped connection pass.
     pub t_conn: std::time::Duration,
-    /// Wall clock of the net-graph patch + reassembly + name diff.
+    /// Wall clock of the net-graph patch + net-list splice + name diff.
     pub t_net: std::time::Duration,
     /// Wall clock of the scoped interaction pass.
     pub t_interact: std::time::Duration,
@@ -290,6 +309,24 @@ pub struct EditStats {
     pub t_global: std::time::Duration,
     /// Wall clock of the report retract/splice/sort.
     pub t_patch: std::time::Duration,
+    /// Wall clock of the commit: installing the new artefacts, dropping
+    /// the ones they replace, and the occasional index compaction.
+    /// With it the `t_*` fields add up to `apply`'s wall clock (on a
+    /// full rebuild all of it is in `t_view`).
+    pub t_commit: std::time::Duration,
+}
+
+/// Why an edit was not patched but re-checked from scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// The edit dirtied at least 30 % of the chip's elements, where
+    /// patching costs more than recomputing.
+    DirtyFraction {
+        /// Elements of the removed and re-instantiated items.
+        dirty: usize,
+        /// Elements of the chip before the edit.
+        total: usize,
+    },
 }
 
 /// Per-item instantiation run lengths (the unit of view reuse).
@@ -332,7 +369,7 @@ pub struct CheckSession {
     merges: Vec<(usize, usize)>,
     parts: NetParts,
     element_net: Vec<Option<diic_netlist::NetId>>,
-    device_terminal_nets: Vec<Vec<diic_netlist::NetId>>,
+    device_terminal_nets: TerminalNets,
     /// Persistent spatial index over element bboxes (the
     /// [`diic_geom::GridIndex`] incremental-update path): dirty-region
     /// queries cost the neighbourhood, not a whole-chip scan.
@@ -416,7 +453,7 @@ impl CheckSession {
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
-        let parts = NetParts::build_parallel(
+        let mut parts = NetParts::build_parallel(
             &mut view,
             &tech,
             &conn.merges,
@@ -495,6 +532,22 @@ impl CheckSession {
     /// Applies an edit batch and patches the cached report. On error
     /// the session (including the layout) is untouched.
     pub fn apply(&mut self, edits: &EditSet) -> Result<EditStats, EditError> {
+        let (mut stats, commit_start) = self.apply_phases(edits)?;
+        // Read the clock out here so the commit also pays for dropping
+        // what the phases left behind (the old view's columns, the
+        // retired nets).
+        if let Some(t0) = commit_start {
+            stats.t_commit = t0.elapsed();
+        }
+        Ok(stats)
+    }
+
+    /// [`CheckSession::apply`]'s phases A–M; returns when the commit
+    /// phase started (`None` on the full-rebuild fallback).
+    fn apply_phases(
+        &mut self,
+        edits: &EditSet,
+    ) -> Result<(EditStats, Option<std::time::Instant>), EditError> {
         let t_start = std::time::Instant::now();
         // -- Phase A: validate and simulate slot bookkeeping. ---------
         let n_old = self.layout.top_items().len();
@@ -581,13 +634,18 @@ impl CheckSession {
             apply_layout_edits(&mut self.layout, edits);
             let layout = std::mem::take(&mut self.layout);
             *self = CheckSession::new(layout, &self.tech, &self.options);
-            return Ok(EditStats {
+            let stats = EditStats {
                 dirty_items,
                 dirty_elements: dirty_old,
                 full_rebuild: true,
+                rebuild_reason: Some(RebuildReason::DirtyFraction {
+                    dirty: dirty_old,
+                    total: total_old,
+                }),
                 t_view: t_start.elapsed(),
                 ..EditStats::default()
-            });
+            };
+            return Ok((stats, None));
         }
 
         // -- Phase B: old footprints (from the cached view's runs), and
@@ -752,7 +810,11 @@ impl CheckSession {
         let t0 = std::time::Instant::now();
         let seeds: Vec<usize> = (0..n_new).filter(|&i| seed[i]).collect();
         stats.seed_elements = seeds.len();
-        let scoped_conn = check_connections_among(&view, &self.tech, &seeds);
+        let mut scoped_conn = check_connections_among(&view, &self.tech, &seeds);
+        scoped_conn.merges.sort_unstable();
+        // The cached merges among seed elements, which the scoped
+        // pass's verdicts replace (kept for the net graph's edge diff).
+        let mut old_seed_merges: Vec<(usize, usize)> = Vec::new();
         let mut merges: Vec<(usize, usize)> = self
             .merges
             .iter()
@@ -762,36 +824,64 @@ impl CheckSession {
                 };
                 // Pairs fully inside the seed set are the scoped pass's
                 // verdicts; everything else is provably unchanged.
-                (!(seed[ni] && seed[nj])).then_some((ni, nj))
+                if seed[ni] && seed[nj] {
+                    old_seed_merges.push((ni, nj));
+                    return None;
+                }
+                Some((ni, nj))
             })
             .collect();
         merges.extend_from_slice(&scoped_conn.merges);
         merges.sort_unstable();
         stats.t_conn = t0.elapsed();
 
-        // -- Phase G: patch the net graph and reassemble. -------------
+        // -- Phase G: patch the net graph and splice the net list. ----
+        // `touched` collects the nodes at which the graph changes — the
+        // contract of `NetParts::splice`.
         let t0 = std::time::Instant::now();
+        let mut touched: Vec<u32> = Vec::new();
         let old_element_node = std::mem::take(&mut self.parts.element_node);
         let mut element_node: Vec<Option<u32>> = vec![None; n_new];
         for (old, new) in old_to_new.iter().enumerate() {
-            if let Some(new) = new {
-                element_node[*new] = old_element_node[old];
+            match new {
+                Some(new) => element_node[*new] = old_element_node[old],
+                None => touched.extend(old_element_node[old]),
             }
         }
         // Nodes are the view interner's raw indices, so patching them is
         // a handle read — no string ever re-interns here.
         for &id in &rekeyed {
             // Re-keyed survivors keep their netted-ness; fresh elements
-            // are handled below.
-            if element_node[id].is_some() {
-                element_node[id] = Some(view.elements.net_keys()[id].index());
+            // are handled below. A kept merge of a re-keyed survivor
+            // moves one edge end from the old node to the new: both are
+            // touched, and the far end shared the old node's net.
+            if let Some(node) = &mut element_node[id] {
+                touched.push(*node);
+                *node = view.elements.net_keys()[id].index();
+                touched.push(*node);
             }
         }
         for id in 0..n_new {
             if dirty_elem[id] {
                 element_node[id] =
                     element_is_netted(&view, id).then(|| view.elements.net_keys()[id].index());
+                touched.extend(element_node[id]);
             }
+        }
+        // Connection edges that appeared or vanished among surviving
+        // seed elements (a merge that lost an end to a removed element
+        // is covered by that element's node above).
+        old_seed_merges.sort_unstable();
+        let new_seed_merges = &scoped_conn.merges;
+        let gone = old_seed_merges
+            .iter()
+            .filter(|pair| new_seed_merges.binary_search(pair).is_err());
+        let came = new_seed_merges
+            .iter()
+            .filter(|pair| old_seed_merges.binary_search(pair).is_err());
+        for &(i, j) in gone.chain(came) {
+            touched.extend(element_node[i]);
+            touched.extend(element_node[j]);
         }
         // Net-neutral fast-path candidate: an edit that provably leaves
         // the net graph bit-identical (same item structure, no re-keyed
@@ -838,22 +928,30 @@ impl CheckSession {
         // the point's bbox changed — i.e. the point touches `d_bind`;
         // a device also re-rows when one of its own elements was
         // re-keyed (its join/bind edges reference the stale node).
+        // The region's bounding box screens out the far-away points
+        // (nearly all of them) before the hashed grid lookup.
+        let d_bind_bounds = foot
+            .iter()
+            .copied()
+            .chain(rekeyed.iter().map(|&id| view.elements.bboxes()[id]))
+            .reduce(|a, b| a.bounding_union(&b));
         let point_rect = |p: diic_geom::Point| Rect::new(p.x, p.y, p.x, p.y);
+        let in_d_bind = |p: diic_geom::Point| {
+            d_bind_bounds.is_some_and(|b| b.contains_point(p))
+                && d_bind_grid.touches_any(&point_rect(p))
+        };
         let rerow: Vec<bool> = (0..view.devices.len())
             .map(|di| {
                 let dev = &view.devices[di];
                 dev_old_of_new[di].is_none()
                     || dev.element_ids.iter().any(|&eid| rekeyed_flags[eid])
-                    || dev
-                        .terminals
-                        .iter()
-                        .any(|(_, _, p)| d_bind_grid.touches_any(&point_rect(*p)))
+                    || dev.terminals.iter().any(|(_, _, p)| in_d_bind(*p))
             })
             .collect();
         let relabel: Vec<bool> = self
             .labels
             .iter()
-            .map(|(label, _)| d_bind_grid.touches_any(&point_rect(label.position)))
+            .map(|(label, _)| in_d_bind(label.position))
             .collect();
 
         // The scoped bind index must be complete at **every** re-bound
@@ -894,22 +992,18 @@ impl CheckSession {
             None
         };
 
-        // Device rows: reuse survivors, recompute the rest.
-        let mut old_rows: Vec<Option<crate::netgen::DeviceParts>> =
-            std::mem::take(&mut self.parts.devices)
-                .into_iter()
-                .map(Some)
-                .collect();
-        let mut new_rows: Vec<crate::netgen::DeviceParts> = Vec::with_capacity(view.devices.len());
+        // Device rows: reuse survivors, recompute the rest. A row that
+        // was added, removed, or re-derived to something else touches
+        // every node it names.
+        let mut old_rows: Vec<Option<DeviceParts>> = std::mem::take(&mut self.parts.devices)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut new_rows: Vec<DeviceParts> = Vec::with_capacity(view.devices.len());
         for di in 0..view.devices.len() {
-            let reusable = if rerow[di] {
-                None
-            } else {
-                dev_old_of_new[di].and_then(|od| old_rows[od].take())
-            };
-            match reusable {
-                Some(row) => new_rows.push(row),
-                None => {
+            let row = match dev_old_of_new[di].and_then(|od| old_rows[od].take()) {
+                Some(row) if !rerow[di] => row,
+                old_row => {
                     // invariant: the bind index is built up front
                     // whenever any row is marked for re-derivation.
                     let b = bind
@@ -918,16 +1012,24 @@ impl CheckSession {
                     let row = self.parts.device_parts(&mut view, di, b);
                     if net_neutral {
                         // Under `aligned`, device di corresponds to old
-                        // device di.
-                        net_neutral = old_rows
-                            .get(di)
-                            .and_then(|r| r.as_ref())
-                            .is_some_and(|old| *old == row);
+                        // device di: a survivor's row was just taken, a
+                        // re-instantiated device's is still in place.
+                        let old = old_row
+                            .as_ref()
+                            .or_else(|| old_rows.get(di).and_then(Option::as_ref));
+                        net_neutral = old == Some(&row);
                     }
-                    new_rows.push(row);
+                    if old_row.as_ref() != Some(&row) {
+                        touched.extend(row.nodes());
+                        touched.extend(old_row.iter().flat_map(DeviceParts::nodes));
+                    }
+                    row
                 }
-            }
+            };
+            new_rows.push(row);
         }
+        // What is left belonged to removed or re-instantiated devices.
+        touched.extend(old_rows.iter().flatten().flat_map(DeviceParts::nodes));
         self.parts.devices = new_rows;
 
         // Label rows: re-bind those whose point sits in the rebinding
@@ -940,11 +1042,21 @@ impl CheckSession {
                     .as_ref()
                     .expect("bind index built when anything re-binds");
                 let row = self.parts.label_parts(&mut view, label, *layer, b);
-                net_neutral &= self.parts.labels[li] == row;
-                self.parts.labels[li] = row;
+                if self.parts.labels[li] != row {
+                    net_neutral = false;
+                    touched.extend(row.nodes());
+                    touched.extend(self.parts.labels[li].nodes());
+                    self.parts.labels[li] = row;
+                }
             }
         }
 
+        // -- Phase H: net-identity diff extends the dirty core. -------
+        // A spliced net list moved every net outside the affected
+        // components across unchanged, so only elements and terminals
+        // on a fresh net can have changed identity — and their old net
+        // is among the ones the splice retired.
+        let mut int_foot = foot;
         let nets_new = if net_neutral {
             stats.netlist_reused = true;
             NetgenResult {
@@ -954,21 +1066,29 @@ impl CheckSession {
                 violations: Vec::new(),
             }
         } else {
-            self.parts.assemble(&view)
-        };
-
-        // -- Phase H: net-identity diff extends the dirty core. -------
-        let mut int_foot = foot;
-        if !net_neutral {
-            let old_name = |id: Option<diic_netlist::NetId>| -> Option<&str> {
-                id.map(|id| self.report.netlist.net(id).name.as_str())
-            };
-            let new_name = |id: Option<diic_netlist::NetId>| -> Option<&str> {
-                id.map(|id| nets_new.netlist.net(id).name.as_str())
+            let old_netlist = std::mem::take(&mut self.report.netlist);
+            let splice = self.parts.splice(
+                &view,
+                old_netlist,
+                &self.device_terminal_nets,
+                &touched,
+                &dev_old_of_new,
+            );
+            stats.nets_respliced = splice.fresh.iter().filter(|f| **f).count();
+            stats.nodes_respliced = splice.nodes;
+            // True if something that was on old net `old` and is on new
+            // net `new` kept its net's canonical name.
+            let same_name = |old: Option<diic_netlist::NetId>, new: diic_netlist::NetId| {
+                !splice.fresh[new.0 as usize]
+                    || old.and_then(|o| splice.retired_name(o))
+                        == Some(splice.nets.netlist.net(new).name.as_str())
             };
             for (old, new) in old_to_new.iter().enumerate() {
                 let Some(new) = *new else { continue };
-                if old_name(self.element_net[old]) != new_name(nets_new.element_net[new]) {
+                let Some(net) = splice.nets.element_net[new] else {
+                    continue;
+                };
+                if !same_name(self.element_net[old], net) {
                     int_foot.push(view.elements.bboxes()[new]);
                     stats.net_dirty_elements += 1;
                 }
@@ -976,19 +1096,20 @@ impl CheckSession {
             for (di, old_di) in dev_old_of_new.iter().enumerate() {
                 let Some(old_di) = *old_di else { continue };
                 let old_terms = &self.device_terminal_nets[old_di];
-                let new_terms = &nets_new.device_terminal_nets[di];
+                let new_terms = &splice.nets.device_terminal_nets[di];
                 let same = old_terms.len() == new_terms.len()
                     && old_terms
                         .iter()
                         .zip(new_terms)
-                        .all(|(&o, &n)| old_name(Some(o)) == new_name(Some(n)));
+                        .all(|(&o, &n)| same_name(Some(o), n));
                 if !same {
                     for &eid in &view.devices[di].element_ids {
                         int_foot.push(view.elements.bboxes()[eid]);
                     }
                 }
             }
-        }
+            splice.nets
+        };
         let d_halo = Region::from_rects(int_foot).inflate(self.halo);
         // One grid serves both the scoped search's marker filter and
         // Phase K's retraction predicate — they must agree bit for bit.
@@ -1105,6 +1226,7 @@ impl CheckSession {
         stats.t_patch = t0.elapsed();
 
         // -- Phase L: commit. -----------------------------------------
+        let t_commit = std::time::Instant::now();
         self.binding = binding;
         self.view = view;
         self.runs = runs;
@@ -1138,7 +1260,7 @@ impl CheckSession {
         if self.elem_index.tombstones() > self.elem_index.len().max(64) {
             stats.index_compacted = self.compact_spatial_index();
         }
-        Ok(stats)
+        Ok((stats, Some(t_commit)))
     }
 
     /// Rebuilds the spatial index without its tombstones and remaps
@@ -1202,6 +1324,7 @@ impl CheckSession {
             })
             .sum();
         let graph = self.parts.element_node.len() * size_of::<Option<u32>>()
+            + self.parts.resolution_bytes()
             + self.parts.conn_edges.len() * size_of::<(u32, u32)>()
             + self
                 .parts
@@ -1266,24 +1389,16 @@ impl CheckSession {
             mark(*a);
             mark(*b);
         }
-        for d in &self.parts.devices {
-            for (_, node) in &d.terms {
-                mark(*node);
-            }
-            for (a, b) in &d.edges {
-                mark(*a);
-                mark(*b);
-            }
-        }
-        for l in &self.parts.labels {
-            if let Some(node) = l.node {
-                mark(node);
-            }
-            for (a, b) in &l.edges {
-                mark(*a);
-                mark(*b);
-            }
-        }
+        self.parts
+            .devices
+            .iter()
+            .flat_map(|d| d.nodes())
+            .for_each(&mut mark);
+        self.parts
+            .labels
+            .iter()
+            .flat_map(|l| l.nodes())
+            .for_each(&mut mark);
 
         let remap = self.view.strings.compact(|id, _| keep[id.index() as usize]);
         self.view.elements.remap_strings(&remap);
@@ -1434,6 +1549,260 @@ mod tests {
         assert_eq!(session.report().element_count, full.element_count);
         assert_eq!(session.report().device_count, full.device_count);
         assert_eq!(session.report().waived_devices, full.waived_devices);
+    }
+
+    /// The splice oracle, spelled out so it also runs in release builds
+    /// (where `NetParts::splice`'s own `debug_assert_eq!` is compiled
+    /// out): every net artefact the session caches equals a
+    /// from-scratch assembly of its patched graph.
+    fn assert_nets_match_scratch(session: &CheckSession) {
+        let (scratch, node_net) = session.parts.assemble_from_scratch(&session.view);
+        assert_eq!(session.report.netlist, scratch.netlist);
+        assert_eq!(session.element_net, scratch.element_net);
+        assert_eq!(session.device_terminal_nets, scratch.device_terminal_nets);
+        // The cached table may stop short of strings interned since.
+        let cached = session.parts.node_net();
+        assert!(cached.len() <= node_net.len());
+        for (node, want) in node_net.iter().enumerate() {
+            assert_eq!(cached.get(node).copied().flatten(), *want, "node {node}");
+        }
+    }
+
+    /// Applies `edits`, requiring the net-list **splice** to have run
+    /// (not the reuse fast path, not the rebuild fallback), and holds
+    /// the result to both oracles.
+    fn apply_spliced(session: &mut CheckSession, edits: &EditSet) -> EditStats {
+        let stats = session.apply(edits).unwrap();
+        assert!(!stats.full_rebuild, "edit must stay under the threshold");
+        assert_eq!(stats.rebuild_reason, None);
+        assert!(!stats.netlist_reused, "edit must change the net graph");
+        assert!(stats.nets_respliced > 0 || stats.nodes_respliced == 0);
+        assert_nets_match_scratch(session);
+        assert_matches_full(session);
+        stats
+    }
+
+    /// Six parallel metal rails on nets A–F, far enough apart to be
+    /// clean; rail `i` spans y = 3000 i .. 3000 i + 750.
+    fn rails() -> CheckSession {
+        let mut cif = String::new();
+        for (i, name) in ["A", "B", "C", "D", "E", "F"].iter().enumerate() {
+            cif.push_str(&format!(
+                "L NM; 9N {name}; B 20000 750 10000 {};\n",
+                375 + i * 3000
+            ));
+        }
+        cif.push('E');
+        CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options())
+    }
+
+    fn net_names(session: &CheckSession) -> Vec<&str> {
+        let nets = session.report().netlist.nets();
+        nets.iter().map(|n| n.name.as_str()).collect()
+    }
+
+    #[test]
+    fn bridging_wire_merges_nets_and_its_removal_splits_them() {
+        let mut session = rails();
+        assert_eq!(net_names(&session), ["A", "B", "C", "D", "E", "F"]);
+
+        // A strap across rails C and D on net "0": the merged net takes
+        // the strap's name and sorts first, so every net id shifts.
+        let mut bridge = EditSet::new();
+        bridge.add_box("NM", Rect::new(500, 6000, 1250, 9750), Some("0"));
+        let stats = apply_spliced(&mut session, &bridge);
+        assert_eq!(net_names(&session), ["0", "A", "B", "E", "F"]);
+        assert_eq!(stats.nets_respliced, 1);
+        assert_eq!(stats.nodes_respliced, 3, "C, D and the strap");
+        let merged = &session.report().netlist.nets()[0];
+        assert_eq!(merged.aliases, ["0", "C", "D"]);
+
+        let mut unbridge = EditSet::new();
+        unbridge.remove(6);
+        let stats = apply_spliced(&mut session, &unbridge);
+        assert_eq!(net_names(&session), ["A", "B", "C", "D", "E", "F"]);
+        assert_eq!(stats.nets_respliced, 2);
+        assert_eq!(stats.nodes_respliced, 2);
+    }
+
+    #[test]
+    fn wire_onto_a_rail_resplices_the_largest_net() {
+        // A VDD rail with twelve stubs hanging off it is one big net;
+        // rails A–F stand beside it.
+        let mut cif = String::from("L NM; 9N VDD; B 40000 750 20000 -2625;\n");
+        for i in 0..12 {
+            cif.push_str(&format!("L NM; B 750 2750 {} -3625;\n", 1000 + i * 3000));
+        }
+        for (i, name) in ["A", "B", "C", "D", "E", "F"].iter().enumerate() {
+            cif.push_str(&format!(
+                "L NM; 9N {name}; B 20000 750 10000 {};\n",
+                375 + i * 3000
+            ));
+        }
+        cif.push('E');
+        let mut session = CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options());
+        let vdd = session.report().netlist.net_by_name("VDD").unwrap();
+        assert_eq!(session.report().netlist.net(vdd).aliases.len(), 13);
+
+        // A strap from rail A down onto the VDD rail shorts the two.
+        let mut short = EditSet::new();
+        short.add_box("NM", Rect::new(17000, -3000, 17750, 750), Some("X"));
+        let stats = apply_spliced(&mut session, &short);
+        assert_eq!(stats.nets_respliced, 1);
+        assert_eq!(stats.nodes_respliced, 13 + 2, "VDD's nodes, A and X");
+        let a = session.report().netlist.net_by_name("A").unwrap();
+        assert_eq!(session.report().netlist.net_by_name("VDD"), Some(a));
+        assert_eq!(session.report().netlist.net(a).name, "A");
+
+        let mut unshort = EditSet::new();
+        unshort.remove(19);
+        apply_spliced(&mut session, &unshort);
+        assert_eq!(session.report().netlist.net_by_name("VDD"), Some(vdd));
+    }
+
+    /// Six placements of a cell holding one transistor and its three
+    /// wires (nets `i<k>.in` / `.gnd` / `.out`), and one placement of a
+    /// plain two-wire cell.
+    fn transistor_row() -> CheckSession {
+        let mut cif = String::from(
+            "DS 1; 9D NMOS_ENH;
+             9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+             L NP; B 1500 500 250 0;
+             L ND; B 500 2500 250 0;
+             DF;
+             DS 2; C 1 T 0 0;
+             L NP; 9N in; W 500 -375 0 -3000 0;
+             L ND; 9N gnd; W 500 250 -1000 250 -4000;
+             L ND; 9N out; W 500 250 1000 250 4000;
+             DF;
+             DS 3; L NM; 9N p; B 2000 750 1000 375; L NM; 9N q; B 2000 750 1000 3375; DF;\n",
+        );
+        for i in 0..6 {
+            cif.push_str(&format!("C 2 T {} 0;\n", i * 20000));
+        }
+        cif.push_str("C 3 T 0 30000;\nE");
+        CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options())
+    }
+
+    #[test]
+    fn adding_and_removing_device_cells_renumbers_kept_terminals() {
+        let mut session = transistor_row();
+        assert_eq!(session.report().device_count, 6);
+        let cell = session.layout().symbol_by_cif_id(2).unwrap();
+
+        let mut add = EditSet::new();
+        add.add_call(cell, Transform::translate(Vector::new(120_000, 0)), "late");
+        apply_spliced(&mut session, &add);
+        assert_eq!(session.report().device_count, 7);
+        let on_late = session.report().netlist.net_by_name("late.in").unwrap();
+        assert_eq!(
+            session.report().netlist.net(on_late).terminals,
+            [(diic_netlist::DeviceId(6), "G".to_string())]
+        );
+
+        // Dropping the first placement shifts every device id; the
+        // other cells' nets are untouched and only renumber.
+        let mut drop_first = EditSet::new();
+        drop_first.remove(0);
+        let stats = apply_spliced(&mut session, &drop_first);
+        assert_eq!(session.report().device_count, 6);
+        assert_eq!(stats.nets_respliced, 0, "removal builds no net");
+        let on_late = session.report().netlist.net_by_name("late.in").unwrap();
+        assert_eq!(
+            session.report().netlist.net(on_late).terminals,
+            [(diic_netlist::DeviceId(5), "G".to_string())]
+        );
+
+        let mut drop_late = EditSet::new();
+        drop_late.remove(6);
+        apply_spliced(&mut session, &drop_late);
+        assert_eq!(session.report().device_count, 5);
+    }
+
+    #[test]
+    fn replace_symbol_below_the_threshold_splices() {
+        let mut session = transistor_row();
+        let before = session.report().netlist.net_count();
+        // The two-wire cell's second wire moves onto the first: its
+        // two nets become one.
+        let sym = session.layout().symbol_by_cif_id(3).unwrap();
+        let joined =
+            parse("DS 9; L NM; 9N p; B 2000 750 1000 375; L NM; 9N q; B 2000 750 2500 375; DF; E")
+                .unwrap();
+        let mut edits = EditSet::new();
+        edits.replace_symbol(sym, joined.symbols()[0].items.clone());
+        let stats = apply_spliced(&mut session, &edits);
+        assert_eq!(stats.nets_respliced, 1);
+        assert_eq!(session.report().netlist.net_count(), before - 1);
+    }
+
+    #[test]
+    fn splice_survives_interner_compaction() {
+        // Churn, compact (which renumbers every node, so the cached
+        // node → net table must move with them), then splice again.
+        let mut session = rails();
+        for step in 0..12i64 {
+            let mut add = EditSet::new();
+            add.add_box(
+                "NM",
+                Rect::new(30_000, step * 3000, 32_000, step * 3000 + 750),
+                None,
+            );
+            apply_spliced(&mut session, &add);
+            let mut remove = EditSet::new();
+            remove.remove(6);
+            apply_spliced(&mut session, &remove);
+        }
+        let compaction = session.compact_memory();
+        assert!(compaction.strings_evicted > 0, "{compaction:?}");
+        assert_nets_match_scratch(&session);
+
+        let mut bridge = EditSet::new();
+        bridge.add_box("NM", Rect::new(500, 6000, 1250, 9750), Some("0"));
+        apply_spliced(&mut session, &bridge);
+        assert_eq!(net_names(&session), ["0", "A", "B", "E", "F"]);
+        session.compact_memory();
+        assert_nets_match_scratch(&session);
+        let mut unbridge = EditSet::new();
+        unbridge.remove(6);
+        apply_spliced(&mut session, &unbridge);
+        assert_eq!(net_names(&session), ["A", "B", "C", "D", "E", "F"]);
+    }
+
+    #[test]
+    fn phase_times_account_for_the_whole_apply() {
+        let mut session = transistor_row();
+        let cell = session.layout().symbol_by_cif_id(2).unwrap();
+        let mut add = EditSet::new();
+        add.add_call(cell, Transform::translate(Vector::new(120_000, 0)), "late");
+        let t0 = std::time::Instant::now();
+        let stats = session.apply(&add).unwrap();
+        let wall = t0.elapsed();
+        let phases = stats.t_view
+            + stats.t_conn
+            + stats.t_net
+            + stats.t_interact
+            + stats.t_global
+            + stats.t_patch
+            + stats.t_commit;
+        assert!(stats.t_commit > std::time::Duration::ZERO);
+        assert!(phases <= wall, "{phases:?} of {wall:?}");
+    }
+
+    #[test]
+    fn full_rebuild_names_its_reason() {
+        let mut session = rails();
+        let mut edits = EditSet::new();
+        edits.translate(0, 0, -5000).translate(1, 0, -5000);
+        let stats = session.apply(&edits).unwrap();
+        assert!(stats.full_rebuild);
+        assert_eq!(
+            stats.rebuild_reason,
+            Some(RebuildReason::DirtyFraction { dirty: 2, total: 6 })
+        );
+        assert_eq!((stats.nets_respliced, stats.nodes_respliced), (0, 0));
+        assert_nets_match_scratch(&session);
+        assert_matches_full(&session);
     }
 
     #[test]

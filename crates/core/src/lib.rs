@@ -146,7 +146,8 @@ pub use engine::{
 };
 pub use flat::{flat_check, FlatLayers, FlatOptions};
 pub use incremental::{
-    canonical_check, CheckSession, Edit, EditError, EditSet, EditStats, SessionCompaction,
+    canonical_check, CheckSession, Edit, EditError, EditSet, EditStats, RebuildReason,
+    SessionCompaction,
 };
 pub use interact::{
     check_same_mask, interaction_cell_size, max_rule_range, InteractOptions, InteractStats,
@@ -155,7 +156,7 @@ pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
     LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
 };
-pub use netgen::{generate_netlist, generate_netlist_parallel, NetgenResult};
+pub use netgen::{generate_netlist, generate_netlist_parallel, NetgenResult, TerminalNets};
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{
     account, canonical_sort, category_of, format_report, merge_canonical, ErrorRegions,

@@ -43,8 +43,16 @@
 //! seventh differential-oracle leg in `tests/differential.rs` pins it).
 //! The assembly itself ([`NetParts::assemble`] →
 //! [`assemble_netlist`]) stays serial: it is a global union-find plus
-//! canonical naming, the same fold the incremental session re-runs after
-//! patching rows.
+//! canonical naming.
+//!
+//! # Splicing
+//!
+//! An edit session patches the graph's rows and then does **not**
+//! re-run that fold: [`NetParts::splice`] re-derives only the connected
+//! components a changed row can reach and moves every other net and
+//! device out of the previous net list, so an edit's net phase costs
+//! the nets it touched rather than the chip's strings. The from-scratch
+//! assembly is the splice's reference (asserted equal in debug builds).
 
 use crate::binding::{ChipView, Istr, StringInterner};
 use crate::connect::is_joining_class;
@@ -52,11 +60,13 @@ use crate::parallel::run_chunked;
 use crate::violations::Violation;
 use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
-use diic_netlist::{assemble_netlist, AssembleDevice, NetId, Netlist};
+use diic_netlist::{
+    assemble_netlist, canonical_nets, AssembleDevice, Device, DeviceId, Net, NetId, Netlist,
+};
 use diic_tech::{DeviceClass, LayerId, Technology};
 
 /// Output of net-list generation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetgenResult {
     /// The extracted net list.
     pub netlist: Netlist,
@@ -64,10 +74,45 @@ pub struct NetgenResult {
     /// device internals (gates, resistor bodies).
     pub element_net: Vec<Option<NetId>>,
     /// Terminal nets per device instance (index = device id).
-    pub device_terminal_nets: Vec<Vec<NetId>>,
+    pub device_terminal_nets: TerminalNets,
     /// Violations (currently none are produced here; reserved for
     /// extraction anomalies).
     pub violations: Vec<Violation>,
+}
+
+/// The terminal nets of every device, flattened: `terminal_nets[d]` is
+/// device `d`'s nets in terminal order, one contiguous run of a single
+/// allocation (an edit session rebuilds and drops this table on every
+/// edit, and the interaction stage's relatedness test scans a run per
+/// device-element pair).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TerminalNets {
+    /// `starts[d]..starts[d + 1]` is device `d`'s run in `nets`.
+    starts: Vec<u32>,
+    nets: Vec<NetId>,
+}
+
+impl TerminalNets {
+    /// Resolves every device row's terminal nodes through a node → net
+    /// table.
+    fn gather(rows: &[DeviceParts], node_net: &[Option<NetId>]) -> TerminalNets {
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        let mut nets = Vec::with_capacity(rows.iter().map(|r| r.terms.len()).sum());
+        starts.push(0);
+        for row in rows {
+            nets.extend(row.terms.iter().filter_map(|(_, n)| node_net[*n as usize]));
+            starts.push(nets.len() as u32);
+        }
+        TerminalNets { starts, nets }
+    }
+}
+
+impl std::ops::Index<usize> for TerminalNets {
+    type Output = [NetId];
+
+    fn index(&self, device: usize) -> &[NetId] {
+        &self.nets[self.starts[device] as usize..self.starts[device + 1] as usize]
+    }
 }
 
 /// True if the element carries a net: interconnect and joining
@@ -149,6 +194,15 @@ pub struct DeviceParts {
     pub edges: Vec<(u32, u32)>,
 }
 
+impl DeviceParts {
+    /// Every node the row names: its terminals and both ends of its
+    /// edges (with repeats).
+    pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
+        let terms = self.terms.iter().map(|&(_, n)| n);
+        terms.chain(self.edges.iter().flat_map(|&(a, b)| [a, b]))
+    }
+}
+
 /// One label's rows: its net node (None if the label's layer is unknown)
 /// and its binding edges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -157,6 +211,14 @@ pub struct LabelParts {
     pub node: Option<u32>,
     /// Label-to-covering-element edges.
     pub edges: Vec<(u32, u32)>,
+}
+
+impl LabelParts {
+    /// Every node the row names (with repeats).
+    pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
+        let node = self.node.into_iter();
+        node.chain(self.edges.iter().flat_map(|&(a, b)| [a, b]))
+    }
 }
 
 /// The int-keyed net graph behind net-list generation.
@@ -173,6 +235,14 @@ pub struct LabelParts {
 /// [`crate::incremental::CheckSession`] produces a net list
 /// byte-identical to a from-scratch build even where the two interned
 /// the keys in different orders.
+///
+/// The graph also remembers the **node → net resolution of its last
+/// assembly**. That table is what lets a session's ordinary edits
+/// [`NetParts::splice`] the cached net list — rebuild only the nets a
+/// changed row can reach, move every other net and device across —
+/// instead of re-assembling the whole chip's strings;
+/// [`NetParts::assemble`] stays the from-scratch reference the splice
+/// is asserted against in debug builds.
 #[derive(Debug, Clone, Default)]
 pub struct NetParts {
     /// Node per element id; `None` for un-netted device internals.
@@ -184,6 +254,39 @@ pub struct NetParts {
     /// Per-label rows, aligned with the label list given to
     /// [`NetParts::build`].
     pub labels: Vec<LabelParts>,
+    /// Net of each node as of the last [`NetParts::assemble`] /
+    /// [`NetParts::splice`], indexed by node id: `Some` exactly for the
+    /// nodes that were live then. Nodes interned since lie past its end.
+    node_net: Vec<Option<NetId>>,
+}
+
+/// What [`NetParts::splice`] produced: the new resolution plus what
+/// the caller needs to diff net identities without the old net list.
+#[derive(Debug)]
+pub struct NetSplice {
+    /// The spliced resolution — equal to a from-scratch
+    /// [`NetParts::assemble`] of the patched graph.
+    pub nets: NetgenResult,
+    /// Per new net id: true for the nets built fresh from the affected
+    /// components. Every other net was moved across unchanged (same
+    /// name, aliases and terminals, up to id renumbering).
+    pub fresh: Vec<bool>,
+    /// The old nets the splice dissolved, with their old ids,
+    /// ascending. An element or terminal whose new net is fresh had
+    /// its old net among these.
+    pub retired: Vec<(NetId, Net)>,
+    /// Live nodes in the affected components (the splice's work).
+    pub nodes: usize,
+}
+
+impl NetSplice {
+    /// Canonical name of a dissolved old net.
+    pub fn retired_name(&self, old: NetId) -> Option<&str> {
+        self.retired
+            .binary_search_by_key(&old, |(id, _)| *id)
+            .ok()
+            .map(|k| self.retired[k].1.name.as_str())
+    }
 }
 
 impl NetParts {
@@ -228,6 +331,27 @@ impl NetParts {
                 *b = map(*b);
             }
         }
+        // The cached resolution is indexed by node id: move each live
+        // entry to its node's new position (evicted strings were dead
+        // nodes, whose entries are `None` already).
+        let mut node_net = vec![None; remap.iter().flatten().count()];
+        for (old, net) in self.node_net.iter().enumerate() {
+            if let (Some(net), Some(new)) = (net, remap[old]) {
+                node_net[new.index() as usize] = Some(*net);
+            }
+        }
+        self.node_net = node_net;
+    }
+
+    /// The cached node → net resolution.
+    #[cfg(test)]
+    pub(crate) fn node_net(&self) -> &[Option<NetId>] {
+        &self.node_net
+    }
+
+    /// Heap bytes of the cached node → net resolution.
+    pub fn resolution_bytes(&self) -> usize {
+        self.node_net.len() * std::mem::size_of::<Option<NetId>>()
     }
 
     /// Builds the full graph for a view, serially —
@@ -395,32 +519,83 @@ impl NetParts {
         }
     }
 
+    /// Every node the element and label rows, and the device rows
+    /// `open` selects by device id, reference (with repeats).
+    fn live_nodes<'a>(
+        &'a self,
+        open: impl Fn(usize) -> bool + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let elements = self.element_node.iter().flatten().copied();
+        let terminals = self
+            .devices
+            .iter()
+            .enumerate()
+            .filter(move |(di, _)| open(*di))
+            .flat_map(|(_, d)| d.terms.iter().map(|&(_, n)| n));
+        let labels = self.labels.iter().filter_map(|l| l.node);
+        elements.chain(terminals).chain(labels)
+    }
+
+    /// Every edge of the graph bar the unopened device rows':
+    /// connection merges, then device rows, then label rows.
+    fn edges<'a>(
+        &'a self,
+        open: impl Fn(usize) -> bool + 'a,
+    ) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let devices = self
+            .devices
+            .iter()
+            .enumerate()
+            .filter(move |(di, _)| open(*di))
+            .flat_map(|(_, d)| d.edges.iter().copied());
+        let labels = self.labels.iter().flat_map(|l| l.edges.iter().copied());
+        self.conn_edges.iter().copied().chain(devices).chain(labels)
+    }
+
+    /// The per-element / per-terminal resolutions of a node → net table.
+    fn resolve(&self, netlist: Netlist, node_net: &[Option<NetId>]) -> NetgenResult {
+        NetgenResult {
+            netlist,
+            element_net: self
+                .element_node
+                .iter()
+                .map(|n| n.and_then(|n| node_net[n as usize]))
+                .collect(),
+            device_terminal_nets: TerminalNets::gather(&self.devices, node_net),
+            violations: Vec::new(),
+        }
+    }
+
     /// Assembles the canonical net list and per-element / per-terminal
-    /// resolutions from the current graph. Node keys render through the
-    /// view's interner (the only key table there is).
-    pub fn assemble(&self, view: &ChipView) -> NetgenResult {
-        // Live nodes: whatever the element/device/label rows reference.
-        let mut live: Vec<u32> = self.element_node.iter().flatten().copied().collect();
-        for d in &self.devices {
-            live.extend(d.terms.iter().map(|&(_, n)| n));
-        }
-        for l in &self.labels {
-            live.extend(l.node);
-        }
+    /// resolutions from the current graph, **from scratch**
+    /// ([`assemble_netlist`] over every live node), and remembers the
+    /// node → net resolution for a later [`NetParts::splice`]. Node
+    /// keys render through the view's interner (the only key table
+    /// there is).
+    ///
+    /// This is what a batch check, a session's open and its
+    /// full-rebuild fallback run, and the reference the splice must
+    /// equal.
+    pub fn assemble(&mut self, view: &ChipView) -> NetgenResult {
+        let (nets, node_net) = self.assemble_from_scratch(view);
+        self.node_net = node_net;
+        nets
+    }
+
+    /// [`NetParts::assemble`] without touching the cached resolution:
+    /// the result and the dense node → net table it implies.
+    pub(crate) fn assemble_from_scratch(
+        &self,
+        view: &ChipView,
+    ) -> (NetgenResult, Vec<Option<NetId>>) {
+        let mut live: Vec<u32> = self.live_nodes(|_| true).collect();
         live.sort_unstable();
         live.dedup();
         let nodes: Vec<(u32, &str)> = live
             .iter()
             .map(|&n| (n, view.strings.get(Istr::from_index(n))))
             .collect();
-
-        let mut edges: Vec<(u32, u32)> = self.conn_edges.clone();
-        for d in &self.devices {
-            edges.extend_from_slice(&d.edges);
-        }
-        for l in &self.labels {
-            edges.extend_from_slice(&l.edges);
-        }
+        let edges: Vec<(u32, u32)> = self.edges(|_| true).collect();
 
         let devices: Vec<AssembleDevice<'_>> = view
             .devices
@@ -436,33 +611,234 @@ impl NetParts {
 
         let (netlist, node_nets) = assemble_netlist(&nodes, &edges, &devices);
         // Dense node → net map (nodes are view-interner indices).
-        let mut node_to_net: Vec<Option<NetId>> = vec![None; view.strings.len()];
-        for (&(node, _), &net) in nodes.iter().zip(&node_nets) {
-            node_to_net[node as usize] = Some(net);
+        let mut node_net: Vec<Option<NetId>> = vec![None; view.strings.len()];
+        for (&node, &net) in live.iter().zip(&node_nets) {
+            node_net[node as usize] = Some(net);
         }
+        (self.resolve(netlist, &node_net), node_net)
+    }
 
-        let element_net: Vec<Option<NetId>> = self
-            .element_node
+    /// Brings the net list of the last assembly up to date with the
+    /// patched graph by **splicing**: only the nets a changed row can
+    /// reach are rebuilt; every other [`Net`] and every surviving
+    /// [`Device`] is moved out of `old` — no string is copied,
+    /// re-rendered or dropped for them.
+    ///
+    /// `touched` names the nodes at which the graph changed since the
+    /// last assembly. It must hold
+    ///
+    /// * every node a removed, added or re-keyed **element** row
+    ///   referenced (before and after);
+    /// * **both** endpoints of every edge that was added, and at least
+    ///   one endpoint of every edge that was removed;
+    /// * every node (terminals and edge endpoints) of every **device or
+    ///   label row** that was added, removed or changed, before and
+    ///   after.
+    ///
+    /// `dev_old_of_new[d]` is the old id of new device `d`, `None` for a
+    /// device instantiated since; surviving devices keep their relative
+    /// order. `old_terminal_nets` is the last assembly's
+    /// [`NetgenResult::device_terminal_nets`].
+    ///
+    /// # Why the splice is exact
+    ///
+    /// Let `D_old` be the old nets holding a touched node and `D` the
+    /// live nodes that either had no net (new nodes — all touched) or
+    /// had one in `D_old`. No edge of the patched graph leaves `D`: an
+    /// edge `(a, b)` with `a ∈ D`, `b ∉ D` is either new — then `b` is
+    /// touched, so its old net is in `D_old` — or old, and then `a` and
+    /// `b` shared an old net, which `a ∈ D` puts in `D_old`. Either
+    /// way `b ∈ D`. So the components of `D` under the edges incident
+    /// to `D` are whole nets of the patched graph, and a net outside
+    /// `D_old` lost no node (a dead node is touched), gained none (that
+    /// takes a crossing edge), lost no edge and kept its terminal rows:
+    /// it is the same net, up to the renumbering of net and device ids
+    /// — which is rewritten here through the old → new id maps. By the
+    /// same token a surviving device none of whose old terminal nets is
+    /// in `D_old` has an unchanged row that names no node of `D` (its
+    /// edges run from a terminal's key to elements on that terminal's
+    /// net), so the splice never opens it.
+    ///
+    /// In debug builds the result is asserted equal to
+    /// [`NetParts::assemble`] from scratch.
+    pub fn splice(
+        &mut self,
+        view: &ChipView,
+        old: Netlist,
+        old_terminal_nets: &TerminalNets,
+        touched: &[u32],
+        dev_old_of_new: &[Option<usize>],
+    ) -> NetSplice {
+        let (old_nets, old_devices) = old.into_parts();
+
+        // Affected old nets, and the live nodes they and the new nodes
+        // make up.
+        let mut affected = vec![false; old_nets.len()];
+        for &t in touched {
+            if let Some(Some(net)) = self.node_net.get(t as usize) {
+                affected[net.0 as usize] = true;
+            }
+        }
+        let cached = &self.node_net;
+        let in_d = |n: u32| match cached.get(n as usize) {
+            Some(Some(net)) => affected[net.0 as usize],
+            _ => true,
+        };
+        // The device rows that can name a node of `D`.
+        let opened: Vec<bool> = dev_old_of_new
             .iter()
-            .map(|n| n.and_then(|n| node_to_net[n as usize]))
-            .collect();
-        let device_terminal_nets: Vec<Vec<NetId>> = self
-            .devices
-            .iter()
-            .map(|row| {
-                row.terms
-                    .iter()
-                    .filter_map(|(_, n)| node_to_net[*n as usize])
-                    .collect()
+            .map(|od| {
+                od.is_none_or(|od| {
+                    old_terminal_nets[od]
+                        .iter()
+                        .any(|net| affected[net.0 as usize])
+                })
             })
             .collect();
+        let mut d_nodes: Vec<u32> = self
+            .live_nodes(|di| opened[di])
+            .filter(|&n| in_d(n))
+            .collect();
+        d_nodes.sort_unstable();
+        d_nodes.dedup();
+        let nodes: Vec<(u32, &str)> = d_nodes
+            .iter()
+            .map(|&n| (n, view.strings.get(Istr::from_index(n))))
+            .collect();
+        let edges: Vec<(u32, u32)> = self
+            .edges(|di| opened[di])
+            .filter(|&(a, _)| in_d(a))
+            .collect();
+        debug_assert!(
+            self.edges(|_| true).all(|(a, b)| in_d(a) == in_d(b)),
+            "an edge crosses out of the affected components: `touched` is incomplete"
+        );
+        let (fresh_nets, d_node_nets) = canonical_nets(&nodes, &edges);
 
-        NetgenResult {
-            netlist,
-            element_net,
-            device_terminal_nets,
-            violations: Vec::new(),
+        // Merge the kept nets (already in canonical-name order) with
+        // the fresh ones. Names cannot collide: a name is a node key,
+        // and a node is in exactly one net.
+        let mut net_new_of_old = vec![None; old_nets.len()];
+        let mut renumbered = false;
+        let mut new_of_fresh = Vec::with_capacity(fresh_nets.len());
+        let mut retired = Vec::new();
+        let mut nets: Vec<Net> = Vec::with_capacity(old_nets.len() + fresh_nets.len());
+        let mut fresh: Vec<bool> = Vec::with_capacity(nets.capacity());
+        let mut fresh_nets = fresh_nets.into_iter().peekable();
+        for (old_id, net) in old_nets.into_iter().enumerate() {
+            if affected[old_id] {
+                retired.push((NetId(old_id as u32), net));
+                continue;
+            }
+            while let Some(f) = fresh_nets.next_if(|f| f.name < net.name) {
+                new_of_fresh.push(NetId(nets.len() as u32));
+                nets.push(f);
+                fresh.push(true);
+            }
+            renumbered |= nets.len() != old_id;
+            net_new_of_old[old_id] = Some(NetId(nets.len() as u32));
+            nets.push(net);
+            fresh.push(false);
         }
+        for f in fresh_nets {
+            new_of_fresh.push(NetId(nets.len() as u32));
+            nets.push(f);
+            fresh.push(true);
+        }
+
+        // The node → net table: kept nets renumber, dissolved nets'
+        // entries clear (their dead nodes stay cleared), and the
+        // affected nodes take their fresh nets.
+        self.node_net.resize(view.strings.len(), None);
+        for entry in &mut self.node_net {
+            *entry = entry.and_then(|net| net_new_of_old[net.0 as usize]);
+        }
+        for (&node, &local) in d_nodes.iter().zip(&d_node_nets) {
+            self.node_net[node as usize] = Some(new_of_fresh[local.0 as usize]);
+        }
+
+        // Devices: survivors move across (their strings untouched),
+        // fresh instances render theirs. An opened device re-reads its
+        // terminals' nets, and the fresh nets collect their terminals
+        // in device order; an unopened one is on kept nets only, which
+        // at most renumbered.
+        let mut dev_new_of_old = vec![None; old_devices.len()];
+        let mut old_devices = old_devices.into_iter().enumerate();
+        let mut devices: Vec<Device> = Vec::with_capacity(view.devices.len());
+        for (di, (dev, row)) in view.devices.iter().zip(&self.devices).enumerate() {
+            let mut device = match dev_old_of_new[di] {
+                Some(od) => {
+                    dev_new_of_old[od] = Some(DeviceId(di as u32));
+                    // invariant: survivors keep their relative order,
+                    // so the skipped devices are exactly the removed.
+                    let (_, device) = old_devices
+                        .find(|(i, _)| *i == od)
+                        .expect("surviving devices keep their relative order");
+                    device
+                }
+                None => Device {
+                    name: view.str(dev.path).to_string(),
+                    device_type: view.str(dev.device_type).to_string(),
+                    class: dev.class.unwrap_or(DeviceClass::Capacitor),
+                    terminals: row
+                        .terms
+                        .iter()
+                        .map(|(t, _)| (t.clone(), NetId(u32::MAX)))
+                        .collect(),
+                },
+            };
+            if opened[di] {
+                debug_assert_eq!(device.terminals.len(), row.terms.len());
+                for ((tname, net), (_, node)) in device.terminals.iter_mut().zip(&row.terms) {
+                    // invariant: terminal nodes are live, and every
+                    // live node was resolved above.
+                    *net = self.node_net[*node as usize].expect("terminal nodes are live");
+                    if fresh[net.0 as usize] {
+                        nets[net.0 as usize]
+                            .terminals
+                            .push((DeviceId(di as u32), tname.clone()));
+                    }
+                }
+            } else if renumbered {
+                for (_, net) in &mut device.terminals {
+                    // invariant: an unopened device's nets were kept.
+                    *net =
+                        net_new_of_old[net.0 as usize].expect("unopened devices sit on kept nets");
+                }
+            }
+            devices.push(device);
+        }
+
+        // Kept nets name their devices by id: rewrite them if adding or
+        // removing instances shifted any.
+        let shifted = dev_new_of_old
+            .iter()
+            .enumerate()
+            .any(|(od, nd)| *nd != Some(DeviceId(od as u32)));
+        if shifted {
+            for (net, _) in nets.iter_mut().zip(&fresh).filter(|(_, f)| !**f) {
+                for (device, _) in &mut net.terminals {
+                    // invariant: a removed device's terminal nodes are
+                    // touched, so none of its nets was kept.
+                    *device = dev_new_of_old[device.0 as usize]
+                        .expect("kept nets carry surviving devices only");
+                }
+            }
+        }
+
+        let spliced = NetSplice {
+            nets: self.resolve(Netlist::from_parts(nets, devices), &self.node_net),
+            fresh,
+            retired,
+            nodes: d_nodes.len(),
+        };
+        #[cfg(debug_assertions)]
+        {
+            let (scratch, node_net) = self.assemble_from_scratch(view);
+            debug_assert_eq!(spliced.nets, scratch, "splice diverged from assembly");
+            debug_assert_eq!(self.node_net, node_net, "cached node nets diverged");
+        }
+        spliced
     }
 }
 

@@ -116,6 +116,28 @@ impl Netlist {
     pub fn device_count(&self) -> usize {
         self.devices.len()
     }
+
+    /// Takes the net list apart **by value**, so a caller that owns it
+    /// can move nets and devices into a successor instead of cloning
+    /// their strings (the edit session's splice —
+    /// `diic_core::netgen::NetParts::splice`).
+    pub fn into_parts(self) -> (Vec<Net>, Vec<Device>) {
+        (self.nets, self.devices)
+    }
+
+    /// Reassembles a net list from parts that are **already in
+    /// canonical form** — nets ordered by canonical name with sorted
+    /// aliases, every `NetId` / `DeviceId` back-reference an index
+    /// into these very vectors, terminals in device order. Nothing is
+    /// re-derived or checked here; [`assemble_netlist`] is the
+    /// reference construction a spliced list must equal.
+    pub fn from_parts(nets: Vec<Net>, devices: Vec<Device>) -> Netlist {
+        Netlist {
+            nets,
+            devices,
+            by_name: std::sync::OnceLock::new(),
+        }
+    }
 }
 
 /// A device staged in the builder: path, type, class, and terminal
@@ -135,26 +157,24 @@ pub struct AssembleDevice<'a> {
     pub terminals: Vec<(&'a str, u32)>,
 }
 
-/// Assembles a canonical [`Netlist`] from an explicit node/edge/device
-/// graph, returning it together with the per-node net resolution
-/// (aligned with the `nodes` slice).
+/// The canonical nets of a node graph, **without terminals**, plus
+/// the per-node net resolution (aligned with `nodes`): the connected
+/// components, each named by its shortest (then lexicographically
+/// smallest) alias, aliases sorted, nets ordered by canonical name.
 ///
-/// This is the single canonicalisation path: [`NetlistBuilder::finish`]
-/// is a thin wrapper over it, and the incremental checker calls it
-/// directly with a persistently interned graph — which is why a patched
-/// session netlist is byte-identical to a from-scratch build: both are
-/// this one pure function of (live nodes, connectivity, devices).
-///
-/// Canonical form: nets are the connected components of the node graph;
-/// a net's canonical name is its shortest (then lexicographically
-/// smallest) alias; `aliases` are sorted; nets are ordered by canonical
-/// name; terminals appear in device order. Node ids may be sparse —
-/// edge/terminal endpoints must all appear in `nodes`.
-pub fn assemble_netlist(
-    nodes: &[(u32, &str)],
-    edges: &[(u32, u32)],
-    devices: &[AssembleDevice<'_>],
-) -> (Netlist, Vec<NetId>) {
+/// This is the one place the naming and ordering rules live.
+/// [`assemble_netlist`] runs it over the whole graph; the edit
+/// session's splice runs it over the affected components only and
+/// merges the result into the nets it kept. Node ids may be sparse —
+/// every edge endpoint must appear in `nodes`.
+pub fn canonical_nets(nodes: &[(u32, &str)], edges: &[(u32, u32)]) -> (Vec<Net>, Vec<NetId>) {
+    let (nets, node_nets, _) = components(nodes, edges);
+    (nets, node_nets)
+}
+
+/// [`canonical_nets`] plus the dense node-id → position-in-`nodes`
+/// table it resolved edges through (`u32::MAX` for absent ids).
+fn components(nodes: &[(u32, &str)], edges: &[(u32, u32)]) -> (Vec<Net>, Vec<NetId>, Vec<u32>) {
     // Dense remap so union-find stays compact under sparse node ids.
     let max_node = nodes.iter().map(|&(n, _)| n).max().map_or(0, |n| n + 1);
     let mut dense: Vec<u32> = vec![u32::MAX; max_node as usize];
@@ -200,11 +220,46 @@ pub fn assemble_netlist(
         });
     }
 
+    let node_nets: Vec<NetId> = nodes
+        .iter()
+        .map(|&(node, _)| root_to_net[uf.find(dense[node as usize]) as usize])
+        .collect();
+    (nets, node_nets, dense)
+}
+
+/// Assembles a canonical [`Netlist`] from an explicit node/edge/device
+/// graph, returning it together with the per-node net resolution
+/// (aligned with the `nodes` slice).
+///
+/// This is the single **from-scratch** canonicalisation:
+/// [`NetlistBuilder::finish`] is a thin wrapper over it, and the batch
+/// engine, an edit session's open and its full-rebuild fallback all
+/// call it with a persistently interned graph. A session's ordinary
+/// edits splice instead (`diic_core::netgen::NetParts::splice`: the
+/// same [`canonical_nets`] over the affected components, everything
+/// else moved across through [`Netlist::into_parts`] /
+/// [`Netlist::from_parts`]) and in debug builds assert the spliced list
+/// equal to this function's — a pure function of (live nodes,
+/// connectivity, devices) — which is why a patched session net list is
+/// byte-identical to a from-scratch build.
+///
+/// Canonical form: nets are the connected components of the node graph;
+/// a net's canonical name is its shortest (then lexicographically
+/// smallest) alias; `aliases` are sorted; nets are ordered by canonical
+/// name; terminals appear in device order. Node ids may be sparse —
+/// edge/terminal endpoints must all appear in `nodes`.
+pub fn assemble_netlist(
+    nodes: &[(u32, &str)],
+    edges: &[(u32, u32)],
+    devices: &[AssembleDevice<'_>],
+) -> (Netlist, Vec<NetId>) {
+    let (mut nets, node_nets, dense) = components(nodes, edges);
+
     let mut out_devices: Vec<Device> = Vec::with_capacity(devices.len());
     for (di, dev) in devices.iter().enumerate() {
         let mut terminals = Vec::with_capacity(dev.terminals.len());
         for (tname, node) in &dev.terminals {
-            let net = root_to_net[uf.find(dense[*node as usize]) as usize];
+            let net = node_nets[dense[*node as usize] as usize];
             nets[net.0 as usize]
                 .terminals
                 .push((DeviceId(di as u32), (*tname).to_string()));
@@ -218,19 +273,7 @@ pub fn assemble_netlist(
         });
     }
 
-    let node_nets: Vec<NetId> = nodes
-        .iter()
-        .map(|&(node, _)| root_to_net[uf.find(dense[node as usize]) as usize])
-        .collect();
-
-    (
-        Netlist {
-            nets,
-            devices: out_devices,
-            by_name: std::sync::OnceLock::new(),
-        },
-        node_nets,
-    )
+    (Netlist::from_parts(nets, out_devices), node_nets)
 }
 
 /// Builder: intern net keys, merge them as connections are discovered, add

@@ -28,6 +28,7 @@ pub mod unionfind;
 pub use compare::{compare_by_structure, NetlistDiff};
 pub use erc::{check_erc, ErcRule, ErcViolation};
 pub use graph::{
-    assemble_netlist, AssembleDevice, Device, DeviceId, Net, NetId, Netlist, NetlistBuilder,
+    assemble_netlist, canonical_nets, AssembleDevice, Device, DeviceId, Net, NetId, Netlist,
+    NetlistBuilder,
 };
 pub use unionfind::UnionFind;

@@ -32,7 +32,7 @@
 
 use axum::{Body, Method, Request, Response, Router, StatusCode};
 use diic::api::wire;
-use diic::api::{router, App, RegistryConfig};
+use diic::api::{router, App, RegistryConfig, MAX_LIBRARY_DECKS};
 use diic::core::incremental::CheckSession;
 use diic::core::{canonical_check, env_parallelism, CheckOptions, Violation};
 use diic::gen::{cell_library, generate, random_edit_set, ChipSpec, ErrorKind};
@@ -243,6 +243,50 @@ proptest! {
         let hits = libraries[0].get("cache_hits").and_then(Value::as_i64).unwrap();
         prop_assert!(hits > 0, "the repeat batch must hit the shared cache");
     }
+}
+
+/// The `/library` deck map is bounded: one deck more than the cap
+/// leaves the cap's worth of entries, and the deck that was pushed out
+/// recompiles to the same per-cell reports when it comes back.
+#[test]
+fn library_deck_map_is_bounded_lru() {
+    let lib = cell_library(4, 7);
+    let cells_json = Value::array(lib.cells.iter().map(|c| Value::from(c.cif.as_str())));
+    let post_deck = |app: &Router, n: usize| -> Vec<Vec<String>> {
+        // Distinct texts, one technology: a trailing comment.
+        let deck = format!("{}\n# deck {n}\n", diic::deck::NMOS_DECK);
+        let body = format!(
+            r#"{{"cells": {cells_json}, "deck": {}}}"#,
+            Value::from(deck)
+        );
+        let resp = post(app, "/library", body);
+        assert_eq!(resp.status, StatusCode::OK, "deck {n}");
+        let reply = json_body(resp);
+        let cells = reply.get("cells").and_then(Value::as_array).unwrap();
+        cells.iter().map(|c| string_vec(c, "report")).collect()
+    };
+    let library_decks = |app: &Router| {
+        let stats = json_body(get(app, "/stats"));
+        stats.get("library_decks").and_then(Value::as_i64).unwrap() as usize
+    };
+
+    let app = service();
+    let first = post_deck(&app, 0);
+    assert!(
+        first.iter().any(|r| !r.is_empty()),
+        "a faulted library reports something"
+    );
+    for n in 1..MAX_LIBRARY_DECKS {
+        assert_eq!(post_deck(&app, n), first);
+    }
+    assert_eq!(library_decks(&app), MAX_LIBRARY_DECKS);
+    // Deck 0 is the least recently used: one more distinct deck drops
+    // it (the registry's own unit test pins which entry goes), and it
+    // recompiles to the same reports when it comes back.
+    assert_eq!(post_deck(&app, MAX_LIBRARY_DECKS), first);
+    assert_eq!(library_decks(&app), MAX_LIBRARY_DECKS);
+    assert_eq!(post_deck(&app, 0), first);
+    assert_eq!(library_decks(&app), MAX_LIBRARY_DECKS);
 }
 
 // ---------------------------------------------------------------------

@@ -10,8 +10,16 @@
 //! to a from-scratch [`canonical_check`] of the edited layout, under
 //! both a serial session and one running at the `CHECK_PARALLELISM`
 //! worker count (CI forces 1 and `$(nproc)` in separate steps).
+//!
+//! Beside it stands a **metamorphic** leg that needs no second checker:
+//! an edit followed by its exact inverse must put back the report bytes
+//! and the net list the session had before
+//! (`edit_then_inverse_restores_report_and_netlist`). The differential
+//! leg shows the session agrees with the batch engine; this one would
+//! still catch a state leak that both happened to share.
 
-use diic::core::incremental::{CheckSession, EditSet};
+use diic::cif::Layout;
+use diic::core::incremental::{CheckSession, Edit, EditSet};
 use diic::core::{canonical_check, env_parallelism, CheckOptions, CheckReport};
 use diic::gen::{generate, random_edit_set, ChipSpec, ErrorKind};
 use diic::geom::Rect;
@@ -106,6 +114,127 @@ proptest! {
                 ctx
             );
             prop_assert_eq!(&wide.report().netlist, &full.netlist, "{}", ctx);
+        }
+    }
+}
+
+/// The exact inverse of `edits` against `before`, or `None` if the
+/// batch has none: a removed item can only be re-added at the end of
+/// the top-level list, which is a different layout.
+fn inverse_of(before: &Layout, edits: &EditSet) -> Option<EditSet> {
+    let mut len = before.top_items().len();
+    let mut bodies: Vec<_> = before.symbols().iter().map(|s| s.items.clone()).collect();
+    let mut undo = Vec::new();
+    for edit in &edits.edits {
+        undo.push(match edit {
+            Edit::AddElement { .. } | Edit::AddCall { .. } => {
+                len += 1;
+                Edit::RemoveItem { index: len - 1 }
+            }
+            Edit::MoveItem { index, by } => Edit::MoveItem {
+                index: *index,
+                by: -*by,
+            },
+            Edit::ReplaceSymbol { symbol, items } => Edit::ReplaceSymbol {
+                symbol: *symbol,
+                items: std::mem::replace(&mut bodies[symbol.0 as usize], items.clone()),
+            },
+            Edit::RemoveItem { .. } => return None,
+        });
+    }
+    undo.reverse();
+    Some(EditSet { edits: undo })
+}
+
+/// What an edit and its inverse must put back.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    layout: Layout,
+    report: String,
+    netlist: diic::netlist::Netlist,
+    elements: usize,
+    devices: usize,
+}
+
+fn snapshot(session: &CheckSession) -> Snapshot {
+    let report = session.report();
+    Snapshot {
+        layout: session.layout().clone(),
+        report: report
+            .violations
+            .iter()
+            .map(|v| format!("{v:?}\n"))
+            .collect(),
+        netlist: report.netlist.clone(),
+        elements: report.element_count,
+        devices: report.device_count,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The metamorphic leg (the do/undo invariant the benchmark's edit
+    /// stream relies on): do, maybe do a second edit and undo it, undo
+    /// — each undo restores the snapshot taken before its do, serial
+    /// and wide.
+    #[test]
+    fn edit_then_inverse_restores_report_and_netlist(
+        nx in 2usize..4,
+        ny in 1usize..3,
+        seed in 0u64..1_000_000,
+        mask in 1u16..512,
+    ) {
+        let tech = nmos_technology();
+        let errors: Vec<ErrorKind> = ErrorKind::ALL
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, k)| *k)
+            .take(nx * ny)
+            .collect();
+        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
+        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
+        let wide_options = CheckOptions {
+            parallelism: wide_workers(),
+            ..CheckOptions::default()
+        };
+        let mut sessions = [
+            CheckSession::new(layout.clone(), &tech, &CheckOptions::default()),
+            CheckSession::new(layout, &tech, &wide_options),
+        ];
+
+        let bounds = Rect::new(-2500, -6000, nx as i64 * 6750 + 2500, ny as i64 * 10000 + 2500);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1D1C);
+        let mut step = 0;
+        // An invertible batch against the serial session's layout (the
+        // two layouts are equal throughout).
+        let mut draw = |layout: &Layout| loop {
+            step += 1;
+            let edits = random_edit_set(layout, bounds, step, &mut rng);
+            if let Some(undo) = inverse_of(layout, &edits) {
+                return (edits, undo);
+            }
+        };
+        for round in 0..6 {
+            let outer = snapshot(&sessions[0]);
+            let (edits, undo) = draw(sessions[0].layout());
+            for s in &mut sessions {
+                s.apply(&edits).expect("generated edits are valid");
+            }
+            if round % 2 == 1 {
+                let inner = snapshot(&sessions[0]);
+                let (edits, undo) = draw(sessions[0].layout());
+                for s in &mut sessions {
+                    s.apply(&edits).expect("generated edits are valid");
+                    s.apply(&undo).expect("inverses are valid");
+                    prop_assert_eq!(&snapshot(s), &inner, "round {}: inner undo", round);
+                }
+            }
+            for s in &mut sessions {
+                s.apply(&undo).expect("inverses are valid");
+                prop_assert_eq!(&snapshot(s), &outer, "round {}: outer undo", round);
+            }
         }
     }
 }
