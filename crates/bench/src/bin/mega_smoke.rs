@@ -107,6 +107,7 @@ fn main() {
         "candidate pairs {} — peak candidate buffer {} (tiled)",
         report.interact_stats.candidate_pairs, report.interact_stats.peak_candidate_buffer
     );
+    println!("instantiate: {}", report.instantiate_stats);
     for s in &report.stage_profile {
         println!(
             "  {:<12} {:>8.1} ms",

@@ -782,7 +782,7 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
     let threads = cores.clamp(2, 8);
     let _ = writeln!(
         out,
-        "{:>9} {:>9} {:>11} {:>11} {:>8} {:>10}",
+        "{:>9} {:>9} {:>11} {:>11} {:>8} {:>10}  instantiate (parallel run)",
         "cells", "pairs", "serial ms", "par ms", "speedup", "identical"
     );
     let sizes = if scale.quick {
@@ -815,13 +815,14 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
             && serial.interact_stats == parallel.interact_stats;
         let _ = writeln!(
             out,
-            "{:>9} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}",
+            "{:>9} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}  {}",
             nx * ny,
             serial.interact_stats.candidate_pairs,
             t_serial.as_secs_f64() * 1e3,
             t_parallel.as_secs_f64() * 1e3,
             t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9),
-            if identical { "yes" } else { "NO" }
+            if identical { "yes" } else { "NO" },
+            parallel.instantiate_stats
         );
     }
     let _ = writeln!(
@@ -956,7 +957,7 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
     });
     let klayout = diic_cif::parse(&kchip.cif).unwrap();
     let (kbinding, _) = diic_core::LayerBinding::bind(&klayout, &tech);
-    let kview = diic_core::instantiate_parallel(&klayout, &tech, &kbinding, 1);
+    let (kview, _) = diic_core::instantiate(&klayout, &tech, &kbinding, 1, Default::default());
     let cols = &kview.elements;
     let n = cols.len();
     const WINDOW: usize = 32;
@@ -1243,7 +1244,7 @@ pub fn e18_memory(scale: Scale) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10} {:>10}",
+        "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10} {:>10}  instantiate",
         "elements", "cells", "pairs", "buffered pk", "tiled pk", "int ms", "identical"
     );
     let tech = nmos_technology();
@@ -1279,14 +1280,15 @@ pub fn e18_memory(scale: Scale) -> String {
             && tiled.interact_stats.distance_checks == buffered.interact_stats.distance_checks;
         let _ = writeln!(
             out,
-            "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10.1} {:>10}",
+            "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10.1} {:>10}  {}",
             tiled.element_count,
             chip.cell_count,
             tiled.interact_stats.candidate_pairs,
             buffered.interact_stats.peak_candidate_buffer,
             tiled.interact_stats.peak_candidate_buffer,
             tiled.timings.interactions.as_secs_f64() * 1e3,
-            if identical { "yes" } else { "NO" }
+            if identical { "yes" } else { "NO" },
+            tiled.instantiate_stats
         );
 
         // The interned-view delta: what the ChipView's string floor
@@ -1294,13 +1296,14 @@ pub fn e18_memory(scale: Scale) -> String {
         // handle per reference, against what the same strings cost as
         // the per-element `String` copies the view used to hold.
         let (binding, _) = diic_core::LayerBinding::bind(&layout, &tech);
-        // instantiate_parallel takes a literal worker count (no 0 =
-        // auto resolution — that is CheckOptions' convention).
-        let view = diic_core::instantiate_parallel(
+        // instantiate takes a literal worker count (no 0 = auto
+        // resolution — that is CheckOptions' convention).
+        let (view, _) = diic_core::instantiate(
             &layout,
             &tech,
             &binding,
             diic_core::effective_parallelism(0),
+            Default::default(),
         );
         let handle_refs = view.elements.len() * 2 + view.devices.len() * 2;
         let interned = view.strings.heap_bytes() + handle_refs * 4;

@@ -8,7 +8,7 @@
 
 use crate::error::{CifError, CifErrorKind};
 use crate::layout::{Item, Layout, SymbolId};
-use diic_geom::Rect;
+use diic_geom::{Orientation, Rect};
 use std::collections::HashMap;
 
 /// Verifies that symbol calls form a DAG.
@@ -81,21 +81,45 @@ pub struct HierarchyStats {
     /// Bounding box of each symbol's own + called geometry (None if empty).
     pub symbol_bbox: HashMap<SymbolId, Option<Rect>>,
     /// How many times each symbol is instantiated on the chip in total
-    /// (through all hierarchy paths).
+    /// (through all hierarchy paths). Saturates at `u64::MAX`.
     pub instance_counts: HashMap<SymbolId, u64>,
+    /// [`Self::instance_counts`] split by the instance's **absolute**
+    /// orientation (the composition of every call transform on its
+    /// hierarchy path), indexed by `SymbolId.0` then `Orientation as
+    /// usize` — read it through [`Self::placements`]. Instances counted
+    /// in one entry differ by a translation only. Saturates at
+    /// `u64::MAX`.
+    pub placement_counts: Vec<[u64; 8]>,
+    /// Flat-equivalent element count of one instance of each symbol
+    /// (its own elements plus those of everything it calls), indexed by
+    /// `SymbolId.0`. Saturates at `u64::MAX`.
+    pub flat_elements: Vec<u64>,
     /// Chip bounding box.
     pub chip_bbox: Option<Rect>,
     /// Flat-equivalent element count (elements × instantiations).
+    /// Saturates at `u64::MAX`.
     pub flat_element_count: u64,
     /// Hierarchical (as-stored) element count.
     pub stored_element_count: u64,
 }
 
+impl HierarchyStats {
+    /// How many times `symbol` is instantiated on the chip under the
+    /// absolute orientation `orient`.
+    pub fn placements(&self, symbol: SymbolId, orient: Orientation) -> u64 {
+        self.placement_counts[symbol.0 as usize][orient as usize]
+    }
+}
+
 /// Computes hierarchy statistics bottom-up without flattening.
+///
+/// Every count saturates: a call chain multiplies instances per level
+/// (symbol *n* calling *n − 1* twice is 2ⁿ of the leaf in a few hundred
+/// bytes of CIF), so the sums are input-controlled.
 pub fn stats(layout: &Layout) -> HierarchyStats {
     let order = topological_order(layout);
     let mut symbol_bbox: HashMap<SymbolId, Option<Rect>> = HashMap::new();
-    let mut flat_elems: HashMap<SymbolId, u64> = HashMap::new();
+    let mut flat_elements: Vec<u64> = vec![0; layout.symbols().len()];
 
     for id in &order {
         let sym = layout.symbol(*id);
@@ -106,40 +130,53 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
                 Item::Element(e) => {
                     let b = e.shape.bbox();
                     bbox = Some(bbox.map_or(b, |acc| acc.bounding_union(&b)));
-                    elems += 1;
+                    elems = elems.saturating_add(1);
                 }
                 Item::Call(c) => {
                     if let Some(child) = symbol_bbox.get(&c.target).copied().flatten() {
                         let tb = c.transform.apply_rect(&child);
                         bbox = Some(bbox.map_or(tb, |acc| acc.bounding_union(&tb)));
                     }
-                    elems += flat_elems.get(&c.target).copied().unwrap_or(0);
+                    elems = elems.saturating_add(flat_elements[c.target.0 as usize]);
                 }
             }
         }
         symbol_bbox.insert(*id, bbox);
-        flat_elems.insert(*id, elems);
+        flat_elements[id.0 as usize] = elems;
     }
 
-    // Instance counts: push multiplicities down the DAG, parents before
-    // children (reverse topological order), starting from the top level.
-    let mut mult: HashMap<SymbolId, u64> = HashMap::new();
+    // Placement counts: push multiplicities down the DAG, parents before
+    // children (reverse topological order), starting from the top level,
+    // composing orientations along the way.
+    let mut placement_counts: Vec<[u64; 8]> = vec![[0; 8]; layout.symbols().len()];
     for item in layout.top_items() {
         if let Item::Call(c) = item {
-            *mult.entry(c.target).or_insert(0) += 1;
+            let n = &mut placement_counts[c.target.0 as usize][c.transform.orient as usize];
+            *n = n.saturating_add(1);
         }
     }
     for id in order.iter().rev() {
-        let m = mult.get(id).copied().unwrap_or(0);
-        if m == 0 {
-            continue;
-        }
-        for call in layout.symbol(*id).calls() {
-            *mult.entry(call.target).or_insert(0) += m;
+        let counts = placement_counts[id.0 as usize];
+        for (orient, m) in Orientation::ALL.into_iter().zip(counts) {
+            if m == 0 {
+                continue;
+            }
+            for call in layout.symbol(*id).calls() {
+                let child = orient.after(call.transform.orient);
+                let n = &mut placement_counts[call.target.0 as usize][child as usize];
+                *n = n.saturating_add(m);
+            }
         }
     }
-    let instance_counts: HashMap<SymbolId, u64> =
-        mult.into_iter().filter(|&(_, m)| m > 0).collect();
+    let instance_counts: HashMap<SymbolId, u64> = placement_counts
+        .iter()
+        .enumerate()
+        .map(|(i, counts)| {
+            let total = counts.iter().fold(0u64, |a, &m| a.saturating_add(m));
+            (SymbolId(i as u32), total)
+        })
+        .filter(|&(_, m)| m > 0)
+        .collect();
 
     let mut chip_bbox: Option<Rect> = None;
     let mut flat_element_count: u64 = 0;
@@ -153,7 +190,7 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
             Item::Element(e) => {
                 let b = e.shape.bbox();
                 chip_bbox = Some(chip_bbox.map_or(b, |acc| acc.bounding_union(&b)));
-                flat_element_count += 1;
+                flat_element_count = flat_element_count.saturating_add(1);
                 stored_element_count += 1;
             }
             Item::Call(c) => {
@@ -161,7 +198,8 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
                     let tb = c.transform.apply_rect(&child);
                     chip_bbox = Some(chip_bbox.map_or(tb, |acc| acc.bounding_union(&tb)));
                 }
-                flat_element_count += flat_elems.get(&c.target).copied().unwrap_or(0);
+                flat_element_count =
+                    flat_element_count.saturating_add(flat_elements[c.target.0 as usize]);
             }
         }
     }
@@ -169,6 +207,8 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
     HierarchyStats {
         symbol_bbox,
         instance_counts,
+        placement_counts,
+        flat_elements,
         chip_bbox,
         flat_element_count,
         stored_element_count,
@@ -209,6 +249,54 @@ mod tests {
         assert_eq!(s.instance_counts.get(&leaf), Some(&6));
         assert_eq!(s.instance_counts.get(&mid), Some(&3));
         assert_eq!(s.flat_element_count, 6);
+        assert_eq!(s.stored_element_count, 1);
+    }
+
+    #[test]
+    fn stats_placement_counts_compose_orientations() {
+        // leaf under mid at R90; mid at top once plain and twice mirrored:
+        // the leaf's absolute orientations are R90 (x1) and MX∘R90 (x2).
+        let l = parse(
+            "DS 1; L ND; B 2 2 0 0; DF;
+             DS 2; C 1 R 0 1; B 2 2 9 9; DF;
+             C 2; C 2 MX T 100 0; C 2 MX T 200 0; E",
+        )
+        .unwrap();
+        let s = stats(&l);
+        let leaf = l.symbol_by_cif_id(1).unwrap();
+        let mid = l.symbol_by_cif_id(2).unwrap();
+        assert_eq!(s.placements(mid, Orientation::R0), 1);
+        assert_eq!(s.placements(mid, Orientation::MR0), 2);
+        let mirrored = Orientation::MR0.after(Orientation::R90);
+        assert_eq!(s.placements(leaf, Orientation::R90), 1);
+        assert_eq!(s.placements(leaf, mirrored), 2);
+        let nonzero = s.placement_counts.iter().flatten().filter(|&&m| m > 0);
+        assert_eq!(nonzero.count(), 4);
+        assert_eq!(s.instance_counts.get(&leaf), Some(&3));
+        assert_eq!(s.instance_counts.get(&mid), Some(&3));
+        assert_eq!(s.flat_elements[mid.0 as usize], 2);
+        assert_eq!(s.flat_elements[leaf.0 as usize], 1);
+    }
+
+    #[test]
+    fn stats_saturate_on_a_doubling_call_chain() {
+        // Symbol n calls n-1 twice, 70 deep: 2^69 leaves from a few
+        // hundred bytes. The counts must pin at u64::MAX — no debug
+        // panic, no release wrap-around.
+        let mut cif = String::from("DS 1; L ND; B 2 2 0 0; DF;\n");
+        for n in 2..=70 {
+            cif.push_str(&format!("DS {n}; C {}; C {}; DF;\n", n - 1, n - 1));
+        }
+        cif.push_str("C 70; E");
+        let l = parse(&cif).unwrap();
+        let s = stats(&l);
+        let leaf = l.symbol_by_cif_id(1).unwrap();
+        let top = l.symbol_by_cif_id(70).unwrap();
+        assert_eq!(s.flat_element_count, u64::MAX);
+        assert_eq!(s.flat_elements[top.0 as usize], u64::MAX);
+        assert_eq!(s.instance_counts.get(&leaf), Some(&u64::MAX));
+        assert_eq!(s.placements(leaf, Orientation::R0), u64::MAX);
+        assert_eq!(s.instance_counts.get(&top), Some(&1));
         assert_eq!(s.stored_element_count, 1);
     }
 

@@ -33,6 +33,15 @@
 //!   [`diic_geom::batch`] kernels); anything that wants one element's
 //!   fields together borrows a zero-cost [`ElementRef`] view.
 //!
+//! # Instantiation: derive once, stamp by translation
+//!
+//! [`instantiate`] derives each repeated definition's geometry and key
+//! text once, into a `Template`, and builds the view by stamping
+//! templates (columns copied, the call's offset added, its instance
+//! path spliced into the strings); the recursive walk remains the only
+//! geometry derivation — it builds the templates and handles whatever is
+//! used once. See [`instantiate`] for the rule and the worker model.
+//!
 //! The boxed record form, [`ChipElement`], remains as the staging and
 //! materialisation type: the instantiation walk builds one per element
 //! and [`ElementColumns::push`] scatters it into the columns;
@@ -41,11 +50,14 @@
 //! leg (`tests/differential.rs`) pins it on generated chips.
 
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::{Item, LayerRef, Layout, Shape, SymbolId};
+use diic_cif::hierarchy::{self, HierarchyStats};
+use diic_cif::{Call, Item, LayerRef, Layout, Shape, SymbolId};
 use diic_geom::skeleton::Skeleton;
-use diic_geom::{Point, Rect, Region, Transform};
+use diic_geom::{Orientation, Point, Rect, Region, Transform, Vector};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// A `u32`-keyed handle into a [`StringInterner`]: the interned form of
 /// an element's `path` / `net_key` and a [`DeviceInstance`]'s
@@ -68,6 +80,27 @@ impl Istr {
     }
 }
 
+/// Passes a `u64` key through unchanged: the interner's bucket map is
+/// keyed by string hashes (`StringInterner::hash_of`) already computed
+/// and mixed, so hashing them again would only cost time.
+#[derive(Debug, Clone, Copy, Default)]
+struct PrehashedKey(u64);
+
+impl Hasher for PrehashedKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        // invariant: the only key type of the map is `u64`.
+        unreachable!("the bucket map is keyed by u64 string hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// An append-only hash-consing table: each distinct string is stored
 /// exactly once and addressed by a stable [`Istr`] handle.
 ///
@@ -78,16 +111,25 @@ impl Istr {
 /// however many elements reference them. Handles are never invalidated:
 /// an edit session keeps one interner alive across applies and stale
 /// strings simply stop being referenced.
-#[derive(Debug, Clone, Default)]
+///
+/// Every string is hashed **once**, a machine word at a time, and the
+/// bucket map takes that hash as is. The strings come from outside the
+/// program (call names, net names), so the hash is keyed per table with
+/// process-random bits: a file cannot be prepared ahead of time to pile
+/// its strings into one bucket. Nothing observable depends on hash values — handles are
+/// numbered by insertion order.
+#[derive(Debug, Clone)]
 pub struct StringInterner {
     strings: Vec<Box<str>>,
     /// String hash → first id with that hash. Full-`u64` collisions are
     /// vanishingly rare, so the common case costs one flat map entry
     /// per distinct string; the rare extra ids live in `overflow`.
-    first: HashMap<u64, u32>,
+    first: HashMap<u64, u32, BuildHasherDefault<PrehashedKey>>,
     /// `(hash, id)` pairs beyond the first per hash — scanned only when
     /// the first id's string mismatches.
     overflow: Vec<(u64, u32)>,
+    /// This table's hash key (see the type docs).
+    key: u64,
     /// Current usage epoch (see [`StringInterner::advance_epoch`]).
     epoch: u32,
     /// Epoch each string was last interned in, parallel to `strings` —
@@ -95,18 +137,58 @@ pub struct StringInterner {
     last_used: Vec<u32>,
 }
 
+impl Default for StringInterner {
+    fn default() -> Self {
+        StringInterner {
+            strings: Vec::new(),
+            first: HashMap::default(),
+            overflow: Vec::new(),
+            key: std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish(),
+            epoch: 0,
+            last_used: Vec::new(),
+        }
+    }
+}
+
 impl StringInterner {
-    fn hash_of(s: &str) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
+    /// Rotate-xor-multiply over 8-byte words (the tail zero-padded, the
+    /// length folded into the start state), then an avalanche so both
+    /// the low bits (the map's bucket) and the top seven (its control
+    /// tag) depend on every input bit.
+    fn hash_of(&self, s: &str) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mix =
+            |h: u64, word: [u8; 8]| (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        let mut h = self.key ^ s.len() as u64;
+        let mut words = s.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            // invariant: `chunks_exact(8)` yields 8-byte slices.
+            h = mix(h, word.try_into().expect("an 8-byte chunk"));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            h = mix(h, word);
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(K);
+        h ^ (h >> 29)
     }
 
     /// Interns a string, returning the stable handle of its single
     /// stored copy.
     pub fn intern(&mut self, s: &str) -> Istr {
-        let id = match self.find_or_reserve(s) {
+        let hash = self.hash_of(s);
+        self.intern_hashed(s, hash)
+    }
+
+    /// [`StringInterner::intern`] with the hash supplied (tests force
+    /// equal hashes through here; nothing else picks its own).
+    fn intern_hashed(&mut self, s: &str, hash: u64) -> Istr {
+        let id = match self.find_or_reserve(s, hash) {
             Ok(id) => id,
             Err(id) => {
                 self.strings.push(s.into());
@@ -119,9 +201,10 @@ impl StringInterner {
 
     /// [`StringInterner::intern`] taking ownership — a miss moves the
     /// box into the table instead of re-allocating it (the shard-stitch
-    /// path, where every shard's strings migrate into the merged view).
+    /// path, where a shard's strings migrate into the merged view).
     pub fn intern_owned(&mut self, s: Box<str>) -> Istr {
-        let id = match self.find_or_reserve(&s) {
+        let hash = self.hash_of(&s);
+        let id = match self.find_or_reserve(&s, hash) {
             Ok(id) => id,
             Err(id) => {
                 self.strings.push(s);
@@ -143,61 +226,41 @@ impl StringInterner {
         }
     }
 
-    /// Below this many strings the table stays index-free (pure linear
-    /// scan): the sharded instantiation walk creates one interner per
-    /// top-level item, and a typical cell interns a couple of dozen
-    /// strings — a hash map per shard would dominate the very memory
-    /// the interner exists to save.
-    const LINEAR_LIMIT: usize = 32;
-
-    /// `Ok(existing)` on a hit; on a miss, records the next id in the
-    /// hash tables and returns it as `Err` — the caller must push the
-    /// string.
-    fn find_or_reserve(&mut self, s: &str) -> Result<Istr, Istr> {
-        if self.strings.len() < Self::LINEAR_LIMIT && self.first.is_empty() {
-            for (i, t) in self.strings.iter().enumerate() {
-                if &**t == s {
-                    return Ok(Istr(i as u32));
-                }
-            }
-            return Err(Istr(self.strings.len() as u32));
-        }
-        // Hash mode: index the linear backlog on first entry.
-        if self.first.is_empty() {
-            for i in 0..self.strings.len() as u32 {
-                let h = Self::hash_of(&self.strings[i as usize]);
-                match self.first.entry(h) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                    }
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        // Strings are distinct by construction, so an
-                        // occupied slot is a true hash collision.
-                        self.overflow.push((h, i));
-                    }
-                }
-            }
-        }
-        let h = Self::hash_of(s);
+    /// `Ok(existing)` on a hit; on a miss, records the next id under
+    /// `hash` and returns it as `Err` — the caller must push the string.
+    fn find_or_reserve(&mut self, s: &str, hash: u64) -> Result<Istr, Istr> {
         let id = self.strings.len() as u32;
-        match self.first.entry(h) {
+        match self.first.entry(hash) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(id);
             }
             std::collections::hash_map::Entry::Occupied(e) => {
-                let first = *e.get();
-                if &*self.strings[first as usize] == s {
-                    return Ok(Istr(first));
+                if let Some(hit) = Self::find_from(&self.strings, &self.overflow, *e.get(), s, hash)
+                {
+                    return Ok(hit);
                 }
-                for &(oh, oid) in &self.overflow {
-                    if oh == h && &*self.strings[oid as usize] == s {
-                        return Ok(Istr(oid));
-                    }
-                }
-                self.overflow.push((h, id));
+                self.overflow.push((hash, id));
             }
         }
         Err(Istr(id))
+    }
+
+    /// The stored copy of `s` among the ids sharing `hash`: the
+    /// bucket's `first` id, then the overflow list.
+    fn find_from(
+        strings: &[Box<str>],
+        overflow: &[(u64, u32)],
+        first: u32,
+        s: &str,
+        hash: u64,
+    ) -> Option<Istr> {
+        if &*strings[first as usize] == s {
+            return Some(Istr(first));
+        }
+        overflow
+            .iter()
+            .find(|&&(oh, oid)| oh == hash && &*strings[oid as usize] == s)
+            .map(|&(_, oid)| Istr(oid))
     }
 
     /// The string behind a handle.
@@ -208,22 +271,13 @@ impl StringInterner {
     /// The handle a string is already interned under, if any (read-only
     /// — [`StringInterner::intern`] to insert).
     pub fn lookup(&self, s: &str) -> Option<Istr> {
-        if self.first.is_empty() {
-            return self
-                .strings
-                .iter()
-                .position(|t| &**t == s)
-                .map(|i| Istr(i as u32));
-        }
-        let h = Self::hash_of(s);
-        let first = *self.first.get(&h)?;
-        if &*self.strings[first as usize] == s {
-            return Some(Istr(first));
-        }
-        self.overflow
-            .iter()
-            .find(|&&(oh, oid)| oh == h && &*self.strings[oid as usize] == s)
-            .map(|&(_, oid)| Istr(oid))
+        self.lookup_hashed(s, self.hash_of(s))
+    }
+
+    /// [`StringInterner::lookup`] with the hash supplied.
+    fn lookup_hashed(&self, s: &str, hash: u64) -> Option<Istr> {
+        let first = *self.first.get(&hash)?;
+        Self::find_from(&self.strings, &self.overflow, first, s, hash)
     }
 
     /// Number of distinct strings stored.
@@ -408,6 +462,16 @@ impl BitColumn {
 /// (a `u32` index column beats `Vec<Option<usize>>` by 12 bytes per
 /// element and keeps the column densely comparable).
 const NONE_U32: u32 = u32::MAX;
+
+/// A block-local device column entry renumbered to follow the `before`
+/// devices already in the destination view.
+fn device_after(before: usize, d: u32) -> u32 {
+    if d == NONE_U32 {
+        NONE_U32
+    } else {
+        d + before as u32
+    }
+}
 
 /// Struct-of-arrays storage for the instantiated elements.
 ///
@@ -594,36 +658,42 @@ impl ElementColumns {
         self.net_key[id] = key;
     }
 
-    /// Appends a whole shard's columns, offsetting device indices by
-    /// `d_off` and remapping interner handles through `remap` — the
-    /// sharded-instantiation stitch, one column `extend` at a time
-    /// instead of one push per element.
-    pub(crate) fn append_remapped(&mut self, shard: ElementColumns, d_off: usize, remap: &[Istr]) {
-        self.layer.extend_from_slice(&shard.layer);
-        self.bbox.extend_from_slice(&shard.bbox);
+    /// Appends a whole block of columns translated by `by`, one column
+    /// `extend` at a time instead of one push per element — a template
+    /// stamp, or (with `by` zero) a worker shard's stitch. `strings[h]`
+    /// is this view's handle for the block's string handle `h` (filled
+    /// for every handle the block's columns hold) and `device` maps the
+    /// block's device column. Skeleton rectangles live in the doubled
+    /// grid, so they move by `2 * by`.
+    fn append_translated(
+        &mut self,
+        block: &ElementColumns,
+        by: Vector,
+        strings: &[Istr],
+        device: impl Fn(u32) -> u32,
+    ) {
+        self.layer.extend_from_slice(&block.layer);
+        self.bbox.extend(block.bbox.iter().map(|r| r.translate(by)));
         self.net_key
-            .extend(shard.net_key.iter().map(|k| remap[k.0 as usize]));
+            .extend(block.net_key.iter().map(|k| strings[k.0 as usize]));
         self.path
-            .extend(shard.path.iter().map(|p| remap[p.0 as usize]));
-        for i in 0..shard.net_declared.len {
-            self.net_declared.push(shard.net_declared.get(i));
+            .extend(block.path.iter().map(|p| strings[p.0 as usize]));
+        for i in 0..block.net_declared.len {
+            self.net_declared.push(block.net_declared.get(i));
         }
-        self.device.extend(shard.device.iter().map(|&d| {
-            if d == NONE_U32 {
-                NONE_U32
-            } else {
-                d + d_off as u32
-            }
-        }));
-        self.source.extend_from_slice(&shard.source);
+        self.device.extend(block.device.iter().map(|&d| device(d)));
+        self.source.extend_from_slice(&block.source);
         let r0 = self.rects.len() as u32;
-        self.rects.extend_from_slice(&shard.rects);
+        self.rects
+            .extend(block.rects.iter().map(|r| r.translate(by)));
         self.rect_range
-            .extend(shard.rect_range.iter().map(|&(o, l)| (o + r0, l)));
+            .extend(block.rect_range.iter().map(|&(o, l)| (o + r0, l)));
         let s0 = self.skel.len() as u32;
-        self.skel.extend_from_slice(&shard.skel);
+        let by2 = by * 2;
+        self.skel
+            .extend(block.skel.iter().map(|r| r.translate(by2)));
         self.skel_range
-            .extend(shard.skel_range.iter().map(|&(o, l)| (o + s0, l)));
+            .extend(block.skel_range.iter().map(|&(o, l)| (o + s0, l)));
     }
 
     /// Copies a contiguous run of elements from `other` (the incremental
@@ -812,6 +882,9 @@ pub struct ChipView {
     /// node keys too (one table end to end; see
     /// [`crate::netgen::NetParts`]).
     pub strings: StringInterner,
+    /// How [`instantiate`] built this view. (A view an edit session
+    /// patched counts only the items that patch re-walked.)
+    pub instantiate_stats: InstantiateStats,
 }
 
 impl ChipView {
@@ -826,136 +899,398 @@ impl ChipView {
     }
 }
 
-/// Instantiates the layout against a technology.
+/// Exact counters of one [`instantiate`] call — what the template cache
+/// was worth: `elements_stamped` out of the view's element count is the
+/// share of the chip that arrived by copy, and `elements_walked` is
+/// every derivation that was actually paid for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InstantiateStats {
+    /// Templates derived: one per `(symbol, orientation)` pair that
+    /// [`diic_cif::hierarchy::stats`] counts more than once.
+    pub templates_built: usize,
+    /// Calls answered by stamping a template into the view (a stamp
+    /// brings the whole instance, nested calls included — those are not
+    /// counted again).
+    pub instances_stamped: usize,
+    /// View elements that arrived by a stamp.
+    pub elements_stamped: usize,
+    /// Elements whose geometry the walk derived — once per template for
+    /// a templated definition, once per instance otherwise.
+    pub elements_walked: usize,
+    /// Distinct strings this call added to the view's table (a seeded
+    /// table's earlier entries are not counted).
+    pub strings_interned: usize,
+    /// Worker chunks walked into a private view and stitched on; chunk 0
+    /// walks straight into the view, so one worker stitches nothing.
+    pub shards_stitched: usize,
+}
+
+impl std::fmt::Display for InstantiateStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} templates built, {} instances stamped, {} elements stamped + {} walked, \
+             {} strings interned, {} shards stitched",
+            self.templates_built,
+            self.instances_stamped,
+            self.elements_stamped,
+            self.elements_walked,
+            self.strings_interned,
+            self.shards_stitched
+        )
+    }
+}
+
+/// Instantiates the layout against a technology: the view, and the
+/// `(elements, devices)` run length of each top-level item (the unit of
+/// reuse the incremental session's view patching is built on; other
+/// callers drop it).
 ///
 /// Elements on unknown layers are skipped (the binding already reported
 /// them). Device symbols instantiate a [`DeviceInstance`] per call;
-/// elements inside them are tagged with it. Serial —
-/// [`instantiate_parallel`] with one worker.
-pub fn instantiate(layout: &Layout, tech: &Technology, binding: &LayerBinding) -> ChipView {
-    instantiate_parallel(layout, tech, binding, 1)
-}
-
-/// [`instantiate`] with the per-top-item shard walks spread across
-/// `workers` scoped threads — the sharded front end that lets
-/// [`ChipView`] construction parallelise like the rest of the pipeline.
+/// elements inside them are tagged with it. Auto net keys are final on
+/// return.
 ///
-/// Each top-level item is one shard job: a pure walk of that item into
-/// a private [`ChipView`] with shard-local ids. The shards are stitched
-/// in item order by concatenating their columns — which renumbers
-/// element positions (= ids) exactly as a serial walk would — while
-/// offsetting device indices and the device → element back-references,
-/// so any worker count yields a byte-identical view. Auto net keys are
-/// assigned over the stitched columns (they are global: duplicate
-/// ordinals may span shards).
-pub fn instantiate_parallel(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    workers: usize,
-) -> ChipView {
-    instantiate_parallel_seeded(layout, tech, binding, workers, StringInterner::default())
-}
-
-/// [`instantiate_parallel`] with the view's string table **seeded** from
-/// an existing interner — the library batch driver's warm-dictionary
-/// path: a worker's session interner (carrying the shared paths, net
-/// names, and device types of the cells it already checked) becomes the
-/// base table, so repeated strings re-intern into existing entries
-/// instead of re-allocating per cell. Handle *values* then differ from a
-/// cold run, which is invisible in rendered output: violations carry
-/// resolved strings and the net-list assembly canonicalises purely by
-/// key strings ([`crate::netgen`]).
-pub(crate) fn instantiate_parallel_seeded(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    workers: usize,
-    seed: StringInterner,
-) -> ChipView {
-    let (mut view, _) = instantiate_sharded_seeded(layout, tech, binding, workers, seed);
-    assign_auto_net_keys(&mut view.elements, &mut view.strings, None);
-    view
-}
-
-/// The sharded walk behind [`instantiate_parallel`]: builds the view
-/// one top-level item at a time on the worker pool and returns, along
-/// with the stitched view, the per-item `(elements, devices)` run
-/// lengths — the unit of reuse the incremental session's view patching
-/// is built on. Auto net keys are **not** assigned here.
-pub(crate) fn instantiate_sharded(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    workers: usize,
-) -> (ChipView, Vec<(usize, usize)>) {
-    instantiate_sharded_seeded(layout, tech, binding, workers, StringInterner::default())
-}
-
-/// [`instantiate_sharded`] stitching into a **seeded** string table
-/// (see [`instantiate_parallel_seeded`]).
-pub(crate) fn instantiate_sharded_seeded(
+/// **Each definition is derived once.** For every `(symbol,
+/// orientation)` pair the hierarchy instantiates more than once
+/// ([`diic_cif::hierarchy::stats`]) the walk runs one time, at offset
+/// zero, into a private `Template`; every call to such a pair — at any
+/// depth, inside other templates too — then *stamps* the template:
+/// columns copied with the call's offset added to every coordinate and
+/// its instance path spliced into every string. Only translation is ever
+/// applied to derived geometry (slab decomposition and wire rectangles
+/// do not commute with rotation, so the orientation is part of the
+/// template's key, never of the stamp). Symbols used once and loose
+/// top-level elements take the plain walk; there is no other derivation.
+/// Templates live for this call only.
+///
+/// **Workers.** The top-level items are cut into at most `workers`
+/// contiguous chunks of near-equal flattened element count. Chunk 0
+/// walks straight into the returned view; each other chunk walks on its
+/// own thread into a private view and is stitched on in item order —
+/// columns concatenated (which renumbers element positions exactly as
+/// one walk would), device indices and back-references offset, strings
+/// moved into the view's table in the order the chunk first used them.
+/// That is the order one serial walk would have met them in, so ids,
+/// device indices and string handles are all independent of `workers`.
+///
+/// **Seed.** `seed` becomes the view's string table — pass
+/// `StringInterner::default()` to start cold. The library batch driver
+/// passes a worker's session interner (the paths, net names and device
+/// types of the cells it already checked) so repeated strings re-intern
+/// into existing entries. Handle *values* then differ from a cold run,
+/// which is invisible in rendered output: violations carry resolved
+/// strings and the net-list assembly canonicalises purely by key strings
+/// ([`crate::netgen`]).
+pub fn instantiate(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
     workers: usize,
     seed: StringInterner,
 ) -> (ChipView, Vec<(usize, usize)>) {
+    let hier = hierarchy::stats(layout);
+    let templates = build_templates(layout, tech, binding, &hier);
+    let walker = Walker {
+        layout,
+        tech,
+        binding,
+        templates: &templates,
+    };
     let items = layout.top_items();
-    let shards: Vec<ChipView> = crate::parallel::run_ordered(items.len(), workers, |k| {
-        let mut shard = ChipView::default();
-        walk(
-            layout,
-            tech,
-            binding,
-            &items[k],
-            &Transform::IDENTITY,
-            "",
-            None,
-            None,
-            &mut shard,
-        );
-        shard
-    });
+    let weights: Vec<u64> = items
+        .iter()
+        .map(|item| match item {
+            Item::Element(_) => 1,
+            Item::Call(c) => hier.flat_elements[c.target.0 as usize].max(1),
+        })
+        .collect();
+    let chunks = balanced_chunks(&weights, workers);
+    let seeded = seed.len();
     let mut view = ChipView {
         strings: seed,
         ..ChipView::default()
     };
-    let mut runs = Vec::with_capacity(shards.len());
-    for mut shard in shards {
-        let (e_off, d_off) = (view.elements.len(), view.devices.len());
-        runs.push((shard.elements.len(), shard.devices.len()));
-        view.violations.append(&mut shard.violations);
-        // Each shard interned into a private table; its distinct
-        // strings **move** into the stitched view's table (no string is
-        // re-allocated — only duplicates already present are dropped)
-        // and the handles are remapped. The stitch is sequential in
-        // item order, so the merged numbering — like everything else
-        // here — is independent of the worker count.
+    let mut runs = Vec::with_capacity(items.len());
+    std::thread::scope(|s| {
+        let shards: Vec<_> = chunks
+            .iter()
+            .skip(1)
+            .map(|chunk| {
+                let (walker, chunk) = (&walker, &items[chunk.clone()]);
+                s.spawn(move || {
+                    let (mut shard, mut runs) = (ChipView::default(), Vec::new());
+                    walker.walk_items(chunk, &mut shard, &mut runs);
+                    (shard, runs)
+                })
+            })
+            .collect();
+        if let Some(chunk) = chunks.first() {
+            walker.walk_items(&items[chunk.clone()], &mut view, &mut runs);
+        }
+        for shard in shards {
+            // invariant: propagating a worker panic, not creating one —
+            // join only fails if the walk itself panicked.
+            let (shard, shard_runs) = shard.join().expect("instantiate worker panicked");
+            view.stitch(shard);
+            runs.extend(shard_runs);
+        }
+    });
+    number_fresh_auto_keys(&mut view.elements, &mut view.strings);
+    let stats = &mut view.instantiate_stats;
+    stats.templates_built = templates.len();
+    stats.elements_walked += templates
+        .values()
+        .map(|t| t.block.instantiate_stats.elements_walked)
+        .sum::<usize>();
+    stats.strings_interned = view.strings.len() - seeded;
+    stats.shards_stitched = chunks.len().saturating_sub(1);
+    (view, runs)
+}
+
+/// Cuts `weights` into at most `chunks` contiguous, non-empty ranges of
+/// near-equal total weight: range *k* ends where the running weight
+/// first reaches *k*/`chunks` of the total (always taking one item, and
+/// leaving one for each range after it).
+fn balanced_chunks(weights: &[u64], chunks: usize) -> Vec<Range<usize>> {
+    let chunks = chunks.clamp(1, weights.len().max(1));
+    let total: u128 = weights.iter().map(|&w| w as u128).sum();
+    let mut out = Vec::with_capacity(chunks);
+    let (mut lo, mut run) = (0usize, 0u128);
+    for k in 1..=chunks {
+        let goal = total * k as u128 / chunks as u128;
+        let last = weights.len() - (chunks - k);
+        let mut hi = lo;
+        while hi < last && (hi == lo || run < goal) {
+            run += weights[hi] as u128;
+            hi += 1;
+        }
+        if hi > lo {
+            out.push(lo..hi);
+        }
+        lo = hi;
+    }
+    out
+}
+
+impl ChipView {
+    /// Appends a worker chunk's private view: its distinct strings
+    /// **move** into this view's table (no string is re-allocated — only
+    /// duplicates already present are dropped) and its handles, device
+    /// indices and element back-references are renumbered to follow
+    /// what is already here.
+    fn stitch(&mut self, mut shard: ChipView) {
+        let (e_off, d_off) = (self.elements.len(), self.devices.len());
+        self.violations.append(&mut shard.violations);
         let remap: Vec<Istr> = shard
             .strings
             .take_strings()
             .into_iter()
-            .map(|s| view.strings.intern_owned(s))
+            .map(|s| self.strings.intern_owned(s))
             .collect();
-        view.elements.append_remapped(shard.elements, d_off, &remap);
+        self.elements
+            .append_translated(&shard.elements, Vector::ZERO, &remap, |d| {
+                device_after(d_off, d)
+            });
         for mut dv in shard.devices {
             for id in &mut dv.element_ids {
                 *id += e_off;
             }
             dv.path = remap[dv.path.0 as usize];
             dv.device_type = remap[dv.device_type.0 as usize];
-            view.devices.push(dv);
+            self.devices.push(dv);
+        }
+        let (stats, shard) = (&mut self.instantiate_stats, shard.instantiate_stats);
+        stats.instances_stamped += shard.instances_stamped;
+        stats.elements_stamped += shard.elements_stamped;
+        stats.elements_walked += shard.elements_walked;
+    }
+
+    /// A handle-free rendering of the elements from `e0` and the devices
+    /// from `d0` on, with ids and device indices relative to those
+    /// starts — equal for two views exactly when the walk and a stamp
+    /// (or two worker counts, or two interners) produced the same thing.
+    #[cfg(any(test, debug_assertions))]
+    fn resolved_tail(&self, e0: usize, d0: usize) -> Vec<String> {
+        let elements = (e0..self.elements.len()).map(|id| {
+            let e = self.elements.get(id);
+            format!(
+                "{:?}",
+                (
+                    (e.layer(), e.bbox(), e.rects(), e.skeleton()),
+                    (self.str(e.net_key()), e.net_declared(), self.str(e.path())),
+                    (e.device().map(|d| d as i64 - d0 as i64), e.source()),
+                )
+            )
+        });
+        let devices = self.devices[d0..].iter().map(|d| {
+            let ids: Vec<i64> = d
+                .element_ids
+                .iter()
+                .map(|&id| id as i64 - e0 as i64)
+                .collect();
+            format!(
+                "{:?}",
+                (
+                    (self.str(d.path), d.symbol, self.str(d.device_type)),
+                    (d.class, d.checked, &d.terminals, ids, d.transform),
+                )
+            )
+        });
+        elements.chain(devices).collect()
+    }
+}
+
+/// The instance path a [`Template`] is walked under. Any non-empty
+/// string would do: the walk branches on whether a path is empty, never
+/// on what it says, so under this root it takes exactly the branches it
+/// takes under a real (non-empty) instance path, and a stamp swaps the
+/// root for that path **by position**, never by searching for it.
+const TEMPLATE_ROOT: &str = "~";
+
+/// One definition, derived once: the walk of a call of `symbol` under
+/// `Transform::new(orient, Vector::ZERO)` and the instance path
+/// [`TEMPLATE_ROOT`], kept as a private view. Its geometry is the
+/// instance's at offset zero; its path strings read `~` + *relative
+/// path*, its declared keys `~.` + *…name*, its auto keys `#~` +
+/// *relative path* + `:{layer}:{x1},{y1},{x2},{y2}` — each the
+/// instance's own string with the root where the instance path goes.
+struct Template {
+    block: ChipView,
+    /// The handles of `block.strings` that elements and devices use as
+    /// paths, each once — a stamp interns one string per distinct path,
+    /// not one per element.
+    paths: Vec<Istr>,
+    /// Set by the first stamp, which is checked against a plain walk of
+    /// the same call.
+    #[cfg(debug_assertions)]
+    verified: std::sync::atomic::AtomicBool,
+}
+
+type Templates = HashMap<(SymbolId, Orientation), Template>;
+
+/// Derives a template for every `(symbol, orientation)` the hierarchy
+/// instantiates more than once, children before parents — so a parent's
+/// walk finds its children's templates and stamps them, and total work
+/// is one derivation per definition plus copying.
+fn build_templates(
+    layout: &Layout,
+    tech: &Technology,
+    binding: &LayerBinding,
+    hier: &HierarchyStats,
+) -> Templates {
+    let mut templates = Templates::new();
+    for symbol in hierarchy::topological_order(layout) {
+        for orient in Orientation::ALL {
+            if hier.placements(symbol, orient) < 2 {
+                continue;
+            }
+            let walker = Walker {
+                layout,
+                tech,
+                binding,
+                templates: &templates,
+            };
+            let call = Item::Call(Call {
+                target: symbol,
+                transform: Transform::new(orient, Vector::ZERO),
+                name: TEMPLATE_ROOT.to_string(),
+            });
+            let mut block = ChipView::default();
+            walker.walk(&call, Scope::TOP, &mut block);
+            let mut seen = vec![false; block.strings.len()];
+            let paths = (block.elements.paths().iter())
+                .chain(block.devices.iter().map(|d| &d.path))
+                .filter(|p| !std::mem::replace(&mut seen[p.0 as usize], true))
+                .copied()
+                .collect();
+            let template = Template {
+                block,
+                paths,
+                #[cfg(debug_assertions)]
+                verified: Default::default(),
+            };
+            templates.insert((symbol, orient), template);
         }
     }
-    (view, runs)
+    templates
+}
+
+impl Template {
+    /// Appends one instance to `view`: the block translated by `offset`,
+    /// `path` (non-empty) in place of the root in every string. Under an
+    /// enclosing `device` the instance's elements join that device and
+    /// its own device rows are dropped — what the walk does with devices
+    /// nested in a device.
+    fn stamp(&self, path: &str, offset: Vector, device: Option<usize>, view: &mut ChipView) {
+        let block = &self.block;
+        let (e0, d0) = (view.elements.len(), view.devices.len());
+        let count = block.elements.len();
+
+        // `head` bytes (the `#` of an auto key) precede the root.
+        let mut text = String::new();
+        let mut rerooted = |h: Istr, head: usize, table: &mut StringInterner| {
+            let s = block.str(h);
+            text.clear();
+            text.push_str(&s[..head]);
+            text.push_str(path);
+            text.push_str(&s[head + TEMPLATE_ROOT.len()..]);
+            table.intern(&text)
+        };
+        let mut handles = vec![Istr(NONE_U32); block.strings.len()];
+        for &p in &self.paths {
+            handles[p.0 as usize] = rerooted(p, 0, &mut view.strings);
+        }
+        for e in block.elements.iter() {
+            // A declared key can be a path's text; it then re-roots to
+            // the same string, so one table serves both.
+            let slot = &mut handles[e.net_key().0 as usize];
+            if slot.0 == NONE_U32 {
+                let head = if e.net_declared() { 0 } else { 1 };
+                *slot = rerooted(e.net_key(), head, &mut view.strings);
+            }
+        }
+
+        match device {
+            Some(d) => {
+                view.elements
+                    .append_translated(&block.elements, offset, &handles, |_| d as u32);
+                view.devices[d].element_ids.extend(e0..e0 + count);
+            }
+            None => {
+                view.elements
+                    .append_translated(&block.elements, offset, &handles, |d| device_after(d0, d));
+                for dv in &block.devices {
+                    let terminals = (dv.terminals.iter())
+                        .map(|(name, layer, at)| (name.clone(), *layer, *at + offset))
+                        .collect();
+                    view.devices.push(DeviceInstance {
+                        path: handles[dv.path.0 as usize],
+                        symbol: dv.symbol,
+                        device_type: view.strings.intern(block.str(dv.device_type)),
+                        class: dv.class,
+                        checked: dv.checked,
+                        terminals,
+                        element_ids: dv.element_ids.iter().map(|id| id + e0).collect(),
+                        transform: Transform::new(
+                            dv.transform.orient,
+                            dv.transform.offset + offset,
+                        ),
+                    });
+                }
+            }
+        }
+        view.violations.extend(block.violations.iter().cloned());
+        view.instantiate_stats.instances_stamped += 1;
+        view.instantiate_stats.elements_stamped += count;
+    }
 }
 
 /// Instantiates a single top-level item, appending its elements and
 /// device instances to `view` (the incremental checker's entry point for
-/// regenerating one dirty item's run). Auto net keys are **not**
-/// assigned here — run [`assign_auto_net_keys`] over the assembled
-/// columns afterwards.
+/// regenerating one dirty item's run) by the plain walk, no templates.
+/// Auto net keys are **not** assigned here — run
+/// [`assign_auto_net_keys`] over the assembled columns afterwards.
 pub(crate) fn instantiate_item(
     layout: &Layout,
     tech: &Technology,
@@ -963,17 +1298,13 @@ pub(crate) fn instantiate_item(
     item: &Item,
     view: &mut ChipView,
 ) {
-    walk(
+    let walker = Walker {
         layout,
         tech,
         binding,
-        item,
-        &Transform::IDENTITY,
-        "",
-        None,
-        None,
-        view,
-    );
+        templates: &Templates::new(),
+    };
+    walker.walk(item, Scope::TOP, view);
 }
 
 /// The ordinal-free base of an auto net key: strips a trailing `:<n>`
@@ -989,9 +1320,31 @@ fn auto_key_base(key: &str) -> &str {
     key
 }
 
-/// Finalises the auto (undeclared) net keys over the finished element
-/// columns — appending ordinals where exact duplicates share a key base
-/// — and returns the ids whose key changed.
+/// Appends duplicate ordinals to the auto net keys of columns **fresh
+/// from the walk**, where every undeclared element's key is still its
+/// base (see [`assign_auto_net_keys`] for what a key is): equal bases
+/// share one handle, so duplicates are counted per handle and only the
+/// `:n` keys are ever formatted.
+fn number_fresh_auto_keys(elements: &mut ElementColumns, strings: &mut StringInterner) {
+    let mut seen = vec![0u32; strings.len()];
+    for id in 0..elements.len() {
+        let e = elements.get(id);
+        if e.net_declared() {
+            continue;
+        }
+        let base = e.net_key();
+        let n = seen[base.0 as usize];
+        seen[base.0 as usize] += 1;
+        if n > 0 {
+            let key = format!("{}:{n}", strings.get(base));
+            elements.set_net_key(id, strings.intern(&key));
+        }
+    }
+}
+
+/// Re-derives the auto (undeclared) net keys of the identity groups an
+/// edit touched — appending ordinals where exact duplicates share a key
+/// base — and returns the ids whose key changed.
 ///
 /// The key is a pure function of the element's *identity* — instance
 /// path, layer, and definition-local bounding box (the base the walk
@@ -1003,44 +1356,37 @@ fn auto_key_base(key: &str) -> &str {
 /// moving an instance does not rename its internals at all (local
 /// coordinates).
 ///
-/// `changed` (when given) marks the elements whose identity may have
-/// changed since keys were last assigned — only identity groups with a
-/// changed member are re-derived, so an edit session pays for the edit,
-/// not for re-formatting every auto key on the chip. The mask must
-/// cover every element sharing a (chip) bounding box with changed or
-/// removed geometry: duplicate ordinals shift only within one identity
-/// group, and duplicates by definition share path, layer, and bbox.
+/// `changed` marks the elements whose identity may have changed since
+/// keys were last assigned — only identity groups with a changed member
+/// are re-derived, so an edit session pays for the edit, not for
+/// re-formatting every auto key on the chip. The mask must cover every
+/// element sharing a (chip) bounding box with changed or removed
+/// geometry: duplicate ordinals shift only within one identity group,
+/// and duplicates by definition share path, layer, and bbox.
 pub(crate) fn assign_auto_net_keys(
     elements: &mut ElementColumns,
     strings: &mut StringInterner,
-    changed: Option<&[bool]>,
+    changed: &[bool],
 ) -> Vec<usize> {
     use std::collections::HashSet;
     // Pre-filter: the (layer, chip bbox) cells of changed undeclared
     // elements — a superset of the affected identity groups (exact
     // grouping is by key base below; a spurious match just re-derives
     // an unchanged key). A column sweep: layer/bbox/flag reads only.
-    let hot: Option<HashSet<(diic_tech::LayerId, Rect)>> = changed.map(|mask| {
-        elements
-            .iter()
-            .filter(|e| !e.net_declared() && mask[e.id()])
-            .map(|e| (e.layer(), e.bbox()))
-            .collect()
-    });
-    if hot.as_ref().is_some_and(|h| h.is_empty()) {
+    let hot: HashSet<(diic_tech::LayerId, Rect)> = elements
+        .iter()
+        .filter(|e| !e.net_declared() && changed[e.id()])
+        .map(|e| (e.layer(), e.bbox()))
+        .collect();
+    if hot.is_empty() {
         return Vec::new();
     }
     let mut ordinals: HashMap<String, u32> = HashMap::new();
     let mut rekeyed = Vec::new();
     for id in 0..elements.len() {
         let e = elements.get(id);
-        if e.net_declared() {
+        if e.net_declared() || !hot.contains(&(e.layer(), e.bbox())) {
             continue;
-        }
-        if let Some(h) = &hot {
-            if !h.contains(&(e.layer(), e.bbox())) {
-                continue;
-            }
         }
         // Derive the desired key while borrowing the current string,
         // then intern only when it actually changed — an unchanged key
@@ -1072,146 +1418,233 @@ pub(crate) fn assign_auto_net_keys(
     rekeyed
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    item: &Item,
-    t: &Transform,
-    path: &str,
+/// Where the walk stands: the accumulated transform, the instance path,
+/// the enclosing device instance and the enclosing symbol.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    t: Transform,
+    path: &'a str,
     device: Option<usize>,
     source: Option<SymbolId>,
-    view: &mut ChipView,
-) {
-    match item {
-        Item::Element(e) => {
-            let Some(layer) = binding.layer(e.layer) else {
-                return; // unknown layer, already reported
-            };
-            // Auto-key base in *local* (definition) coordinates: stable
-            // under instance moves, so dragging a call does not rename
-            // its internal nets.
-            let local_bbox = e.shape.bbox();
-            let shape = e.shape.transformed(t);
-            let rects: Vec<Rect> = match &shape {
-                Shape::Box(r) => vec![*r],
-                Shape::Wire(w) => w.to_rects(),
-                Shape::Polygon(p) => match p.to_rects() {
-                    Ok(rs) => rs,
-                    Err(_) => vec![p.bbox()], // non-rectilinear: bbox cover
-                },
-            };
-            let bbox = shape.bbox();
-            let half = tech.layer(layer).half_min_width();
-            let skeleton = match &shape {
-                Shape::Box(r) => Skeleton::of_rect(r, half),
-                Shape::Wire(w) => Skeleton::of_wire(w, half),
-                Shape::Polygon(_) => {
-                    Skeleton::of_region(&Region::from_rects(rects.iter().copied()), half)
-                }
-            };
-            let id = view.elements.len();
-            // Undeclared elements get their key *base* (path, layer and
-            // local bbox — never the element's position in the columns);
-            // `assign_auto_net_keys` appends ordinals where exact
-            // duplicates collide once the element list is complete.
-            let (net_key, net_declared) = match &e.net {
-                Some(n) if path.is_empty() => (n.clone(), true),
-                Some(n) => (format!("{path}.{n}"), true),
-                None => (
-                    format!(
-                        "#{}:{}:{},{},{},{}",
-                        path, layer.0, local_bbox.x1, local_bbox.y1, local_bbox.x2, local_bbox.y2
+}
+
+impl Scope<'static> {
+    /// The top level of the chip.
+    const TOP: Scope<'static> = Scope {
+        t: Transform::IDENTITY,
+        path: "",
+        device: None,
+        source: None,
+    };
+}
+
+/// The instantiation walk — the one place element geometry is derived.
+/// With templates it stamps the calls they cover; without
+/// ([`instantiate_item`], and the reference the tests compare against)
+/// it is the plain recursive walk.
+#[derive(Clone, Copy)]
+struct Walker<'a> {
+    layout: &'a Layout,
+    tech: &'a Technology,
+    binding: &'a LayerBinding,
+    templates: &'a Templates,
+}
+
+impl Walker<'_> {
+    /// Walks top-level `items` into `view`, recording each item's
+    /// `(elements, devices)` run length.
+    fn walk_items(&self, items: &[Item], view: &mut ChipView, runs: &mut Vec<(usize, usize)>) {
+        for item in items {
+            let (e0, d0) = (view.elements.len(), view.devices.len());
+            self.walk(item, Scope::TOP, view);
+            runs.push((view.elements.len() - e0, view.devices.len() - d0));
+        }
+    }
+
+    fn walk(&self, item: &Item, scope: Scope<'_>, view: &mut ChipView) {
+        let Scope {
+            t,
+            path,
+            device,
+            source,
+        } = scope;
+        match item {
+            Item::Element(e) => {
+                let Some(layer) = self.binding.layer(e.layer) else {
+                    return; // unknown layer, already reported
+                };
+                // Auto-key base in *local* (definition) coordinates: stable
+                // under instance moves, so dragging a call does not rename
+                // its internal nets.
+                let local_bbox = e.shape.bbox();
+                let shape = e.shape.transformed(&t);
+                let rects: Vec<Rect> = match &shape {
+                    Shape::Box(r) => vec![*r],
+                    Shape::Wire(w) => w.to_rects(),
+                    Shape::Polygon(p) => match p.to_rects() {
+                        Ok(rs) => rs,
+                        Err(_) => vec![p.bbox()], // non-rectilinear: bbox cover
+                    },
+                };
+                let bbox = shape.bbox();
+                let half = self.tech.layer(layer).half_min_width();
+                let skeleton = match &shape {
+                    Shape::Box(r) => Skeleton::of_rect(r, half),
+                    Shape::Wire(w) => Skeleton::of_wire(w, half),
+                    Shape::Polygon(_) => {
+                        Skeleton::of_region(&Region::from_rects(rects.iter().copied()), half)
+                    }
+                };
+                let id = view.elements.len();
+                // Undeclared elements get their key *base* (path, layer and
+                // local bbox — never the element's position in the columns);
+                // the ordinal pass appends `:n` where exact duplicates
+                // collide once the element list is complete.
+                let (net_key, net_declared) = match &e.net {
+                    Some(n) if path.is_empty() => (n.clone(), true),
+                    Some(n) => (format!("{path}.{n}"), true),
+                    None => (
+                        format!(
+                            "#{}:{}:{},{},{},{}",
+                            path,
+                            layer.0,
+                            local_bbox.x1,
+                            local_bbox.y1,
+                            local_bbox.x2,
+                            local_bbox.y2
+                        ),
+                        false,
                     ),
-                    false,
-                ),
-            };
-            let net_key = view.strings.intern(&net_key);
-            let path = view.strings.intern(path);
-            view.elements.push(ChipElement {
-                id,
-                layer,
-                rects,
-                bbox,
-                skeleton,
-                net_key,
-                net_declared,
-                path,
-                device,
-                source,
-            });
-            if let Some(d) = device {
-                view.devices[d].element_ids.push(id);
-            }
-        }
-        Item::Call(c) => {
-            let sym = layout.symbol(c.target);
-            let child_path = if path.is_empty() {
-                c.name.clone()
-            } else {
-                format!("{path}.{}", c.name)
-            };
-            let child_t = t.after(&c.transform);
-            let child_device = if let Some(decl) = &sym.device {
-                // A nested device inside a device keeps the outermost
-                // instance (the paper's primitive symbols contain only
-                // geometry; nesting is reported by primitive checks).
-                if device.is_some() {
-                    device
-                } else {
-                    let idx = view.devices.len();
-                    let terminals = decl
-                        .terminals
-                        .iter()
-                        .filter_map(|term| {
-                            let layer = binding.layer(term.layer)?;
-                            Some((term.name.clone(), layer, child_t.apply_point(term.position)))
-                        })
-                        .collect();
-                    view.devices.push(DeviceInstance {
-                        path: view.strings.intern(&child_path),
-                        symbol: c.target,
-                        device_type: view.strings.intern(&decl.device_type),
-                        class: tech.device(&decl.device_type).map(|a| a.class),
-                        checked: decl.checked,
-                        terminals,
-                        element_ids: Vec::new(),
-                        transform: child_t,
-                    });
-                    Some(idx)
+                };
+                let net_key = view.strings.intern(&net_key);
+                let path = view.strings.intern(path);
+                view.elements.push(ChipElement {
+                    id,
+                    layer,
+                    rects,
+                    bbox,
+                    skeleton,
+                    net_key,
+                    net_declared,
+                    path,
+                    device,
+                    source,
+                });
+                if let Some(d) = device {
+                    view.devices[d].element_ids.push(id);
                 }
-            } else {
-                device
-            };
-            for child in &sym.items {
-                walk(
-                    layout,
-                    tech,
-                    binding,
-                    child,
-                    &child_t,
-                    &child_path,
-                    child_device,
-                    Some(c.target),
-                    view,
-                );
+                view.instantiate_stats.elements_walked += 1;
+            }
+            Item::Call(c) => {
+                let sym = self.layout.symbol(c.target);
+                let child_path = if path.is_empty() {
+                    c.name.clone()
+                } else {
+                    format!("{path}.{}", c.name)
+                };
+                let child_t = t.after(&c.transform);
+                // A stamp splices the instance path in where the walk
+                // took its non-empty-path branches, so an instance whose
+                // path is empty (an unnamed call at the top) is walked.
+                if !child_path.is_empty() {
+                    if let Some(template) = self.templates.get(&(c.target, child_t.orient)) {
+                        #[cfg(debug_assertions)]
+                        let start = (view.elements.len(), view.devices.len());
+                        template.stamp(&child_path, child_t.offset, device, view);
+                        #[cfg(debug_assertions)]
+                        self.verify_first_stamp(template, item, scope, view, start);
+                        return;
+                    }
+                }
+                let child_device = if let Some(decl) = &sym.device {
+                    // A nested device inside a device keeps the outermost
+                    // instance (the paper's primitive symbols contain only
+                    // geometry; nesting is reported by primitive checks).
+                    if device.is_some() {
+                        device
+                    } else {
+                        let idx = view.devices.len();
+                        let terminals = decl
+                            .terminals
+                            .iter()
+                            .filter_map(|term| {
+                                let layer = self.binding.layer(term.layer)?;
+                                Some((term.name.clone(), layer, child_t.apply_point(term.position)))
+                            })
+                            .collect();
+                        view.devices.push(DeviceInstance {
+                            path: view.strings.intern(&child_path),
+                            symbol: c.target,
+                            device_type: view.strings.intern(&decl.device_type),
+                            class: self.tech.device(&decl.device_type).map(|a| a.class),
+                            checked: decl.checked,
+                            terminals,
+                            element_ids: Vec::new(),
+                            transform: child_t,
+                        });
+                        Some(idx)
+                    }
+                } else {
+                    device
+                };
+                let child = Scope {
+                    t: child_t,
+                    path: &child_path,
+                    device: child_device,
+                    source: Some(c.target),
+                };
+                for item in &sym.items {
+                    self.walk(item, child, view);
+                }
             }
         }
+    }
+
+    /// The debug-build oracle: the first stamp of every template must
+    /// equal the plain walk of the call it answered. (A stamp under an
+    /// enclosing device is left to the next one — its device indices
+    /// point outside the stamped run.)
+    #[cfg(debug_assertions)]
+    fn verify_first_stamp(
+        &self,
+        template: &Template,
+        call: &Item,
+        scope: Scope<'_>,
+        view: &ChipView,
+        (e0, d0): (usize, usize),
+    ) {
+        use std::sync::atomic::Ordering;
+        if scope.device.is_some() || template.verified.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        let plain = Walker {
+            templates: &Templates::new(),
+            ..*self
+        };
+        let mut walked = ChipView::default();
+        plain.walk(call, scope, &mut walked);
+        debug_assert_eq!(
+            view.resolved_tail(e0, d0),
+            walked.resolved_tail(0, 0),
+            "a stamped instance must equal the walk of its call"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diic_cif::parse;
+    use diic_cif::{parse, DeviceDecl, Element, Symbol, Terminal};
+    use diic_geom::{Polygon, Wire};
     use diic_tech::nmos::nmos_technology;
+    use proptest::prelude::*;
 
     fn view_of(cif: &str) -> (ChipView, Vec<Violation>) {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, v) = LayerBinding::bind(&layout, &tech);
-        (instantiate(&layout, &tech, &binding), v)
+        let (view, _) = instantiate(&layout, &tech, &binding, 1, StringInterner::default());
+        (view, v)
     }
 
     #[test]
@@ -1270,46 +1703,140 @@ mod tests {
         assert_eq!(view.str(view.elements.get(0).net_key()), "i0.i0.out");
     }
 
+    /// The plain recursive walk of every top-level item, no templates,
+    /// with ordinals from the string-grouped pass over the whole view —
+    /// what [`instantiate`] must equal.
+    fn reference_view(layout: &Layout, tech: &Technology, binding: &LayerBinding) -> ChipView {
+        let plain = Walker {
+            layout,
+            tech,
+            binding,
+            templates: &Templates::new(),
+        };
+        let mut view = ChipView::default();
+        for item in layout.top_items() {
+            plain.walk(item, Scope::TOP, &mut view);
+        }
+        let all = vec![true; view.elements.len()];
+        assign_auto_net_keys(&mut view.elements, &mut view.strings, &all);
+        view
+    }
+
+    /// A table that already holds strings (some of them the view's own),
+    /// as a library worker's session interner does.
+    fn warm_interner() -> StringInterner {
+        let mut t = StringInterner::default();
+        for s in [
+            "i0",
+            "i1",
+            "CONTACT_D",
+            "#i0:3:0,0,500,500",
+            "unrelated",
+            "",
+        ] {
+            t.intern(s);
+        }
+        t
+    }
+
     #[test]
     fn sharded_instantiation_is_byte_identical() {
         // Mixed top level (device calls, nested calls, loose geometry,
-        // duplicate shapes whose auto-key ordinals span shards): the
-        // stitched parallel view must equal the serial walk exactly —
-        // ids, device indices, back-references, net keys.
+        // duplicate shapes whose auto-key ordinals span chunks): every
+        // worker count must build the view one worker builds — ids,
+        // device indices, back-references, string handles — from a cold
+        // table and from a warm one, and both must equal the plain walk.
         let cif = "
         DS 1; 9 ct; 9D CONTACT_D; 9T A NM 250 250; 9T B ND 250 250;
         L NC; B 500 500 250 250; L ND; B 1000 1000 250 250; L NM; B 1000 1000 250 250; DF;
         DS 2; C 1 T 0 0; L NM; B 1000 750 3000 0; DF;
         C 1 T 0 0; C 2 T 8000 0; C 1 T 16000 0;
         L NM; B 1000 750 24000 0; L NM; B 1000 750 24000 0;
+        C 2 T 30000 0; C 1 MX T 40000 0;
         E";
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let serial = instantiate(&layout, &tech, &binding);
-        assert!(!serial.elements.is_empty() && !serial.devices.is_empty());
-        for workers in [2usize, 3, 8] {
-            let par = instantiate_parallel(&layout, &tech, &binding, workers);
-            // The whole columnar store must be identical — ids are
-            // positions, so column equality covers the id contract.
-            assert_eq!(par.elements, serial.elements, "workers={workers}");
-            for (a, b) in serial.elements.iter().zip(par.elements.iter()) {
-                // Handles come from per-run interners: compare the
-                // rendered strings too (the stitch numbering must also
-                // be worker-count independent).
+        let reference = reference_view(&layout, &tech, &binding).resolved_tail(0, 0);
+        for seed in [
+            StringInterner::default as fn() -> StringInterner,
+            warm_interner,
+        ] {
+            let (serial, serial_runs) = instantiate(&layout, &tech, &binding, 1, seed());
+            assert!(!serial.elements.is_empty() && !serial.devices.is_empty());
+            assert_eq!(serial.resolved_tail(0, 0), reference);
+            assert_eq!(serial.instantiate_stats.shards_stitched, 0);
+            for workers in [2usize, 3, 7] {
+                let (par, runs) = instantiate(&layout, &tech, &binding, workers, seed());
+                // The whole columnar store must be identical — ids are
+                // positions and handles are numbered by first use, so
+                // column equality covers both contracts.
+                assert_eq!(par.elements, serial.elements, "workers={workers}");
+                assert_eq!(par.resolved_tail(0, 0), reference, "workers={workers}");
+                assert_eq!(runs, serial_runs, "workers={workers}");
+                assert_eq!(par.strings.len(), serial.strings.len());
+                let (a, b) = (par.instantiate_stats, serial.instantiate_stats);
+                assert_eq!(b.shards_stitched, 0);
+                assert_eq!(a.shards_stitched, workers.min(layout.top_items().len()) - 1);
                 assert_eq!(
-                    serial.str(a.net_key()),
-                    par.str(b.net_key()),
+                    InstantiateStats {
+                        shards_stitched: 0,
+                        ..a
+                    },
+                    b,
                     "workers={workers}"
                 );
-                assert_eq!(serial.str(a.path()), par.str(b.path()), "workers={workers}");
-            }
-            assert_eq!(par.devices.len(), serial.devices.len());
-            for (a, b) in serial.devices.iter().zip(&par.devices) {
-                assert_eq!(serial.str(a.path), par.str(b.path), "workers={workers}");
-                assert_eq!(a.element_ids, b.element_ids, "workers={workers}");
             }
         }
+    }
+
+    #[test]
+    fn repeated_definitions_are_derived_once_and_stamped() {
+        // 3 x cell, each cell = 2 contacts + a strap; one loose box.
+        let cif = "
+        DS 1; 9 ct; 9D CONTACT_D; 9T A NM 250 250;
+        L NC; B 500 500 250 250; L NM; B 1000 1000 250 250; DF;
+        DS 2; C 1 T 0 0; C 1 T 4000 0; L NM; B 5000 750 2250 250; DF;
+        DS 3; L NP; B 500 500 0 0; DF;
+        C 2 T 0 0; C 2 T 0 9000; C 2 T 0 18000; C 3 T 90000 0;
+        L NM; B 1000 750 50000 0;
+        E";
+        let layout = parse(cif).unwrap();
+        let tech = nmos_technology();
+        let (binding, _) = LayerBinding::bind(&layout, &tech);
+        let (view, runs) = instantiate(&layout, &tech, &binding, 1, StringInterner::default());
+        assert_eq!(runs, vec![(5, 2), (5, 2), (5, 2), (1, 0), (1, 0)]);
+        assert_eq!(
+            view.instantiate_stats,
+            InstantiateStats {
+                templates_built: 2,   // the cell and the contact, both at R0
+                instances_stamped: 3, // the three top-level cells
+                elements_stamped: 15,
+                // contact (2) + the cell's own strap (1) + the symbol
+                // used once (1) + the loose box (1)
+                elements_walked: 5,
+                strings_interned: view.strings.len(),
+                shards_stitched: 0,
+            }
+        );
+        assert_eq!(
+            view.resolved_tail(0, 0),
+            reference_view(&layout, &tech, &binding).resolved_tail(0, 0)
+        );
+    }
+
+    #[test]
+    fn balanced_chunks_cover_the_items_in_order() {
+        assert!(balanced_chunks(&[], 4).is_empty());
+        assert_eq!(balanced_chunks(&[5, 5, 5], 1), vec![0..3]);
+        assert_eq!(balanced_chunks(&[1; 10], 3), vec![0..3, 3..6, 6..10]);
+        // Fewer items than workers: one item each.
+        assert_eq!(balanced_chunks(&[9, 1], 7), vec![0..1, 1..2]);
+        // One heavy item cannot starve the ranges after it.
+        assert_eq!(balanced_chunks(&[100, 1, 1], 3), vec![0..1, 1..2, 2..3]);
+        assert_eq!(balanced_chunks(&[1, 1, 100, 1], 2), vec![0..3, 3..4]);
+        // Saturated weights (a call bomb's flat count) do not overflow.
+        assert_eq!(balanced_chunks(&[u64::MAX; 4], 2), vec![0..2, 2..4]);
     }
 
     #[test]
@@ -1346,10 +1873,7 @@ mod tests {
     }
 
     #[test]
-    fn interner_dedups_across_the_linear_to_hash_transition() {
-        // The table starts index-free (per-shard interners stay tiny)
-        // and builds its hash index past LINEAR_LIMIT strings; handles
-        // must stay stable and deduplication exact through the switch.
+    fn interner_dedups_and_keeps_handles_stable() {
         let mut t = StringInterner::default();
         let first = t.intern("s0");
         let ids: Vec<Istr> = (0..100).map(|i| t.intern(&format!("s{i}"))).collect();
@@ -1365,6 +1889,37 @@ mod tests {
         let owned = t.intern_owned("fresh".into());
         assert_eq!(t.get(owned), "fresh");
         assert!(t.heap_bytes() >= 100 * 2);
+        // Strings that differ only past a word boundary, or only in
+        // length of a shared zero-padded tail, stay distinct.
+        let a = t.intern("12345678");
+        let b = t.intern("12345678\0");
+        let c = t.intern("123456789");
+        assert!(a != b && b != c && a != c);
+    }
+
+    #[test]
+    fn interner_resolves_equal_hashes_through_the_overflow_list() {
+        // Every string under one hash: the first owns the bucket, the
+        // rest live in `overflow` and are found by full compare.
+        const H: u64 = 0xDEAD_BEEF;
+        let mut t = StringInterner::default();
+        let ids: Vec<Istr> = (0..20)
+            .map(|i| t.intern_hashed(&format!("k{i}"), H))
+            .collect();
+        assert_eq!(t.len(), 20);
+        assert_eq!(t.first.len(), 1);
+        assert_eq!(t.overflow.len(), 19);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(id.index() as usize, i);
+            assert_eq!(
+                t.intern_hashed(&format!("k{i}"), H),
+                id,
+                "hit, not a new entry"
+            );
+            assert_eq!(t.lookup_hashed(&format!("k{i}"), H), Some(id));
+        }
+        assert_eq!(t.len(), 20);
+        assert_eq!(t.lookup_hashed("absent", H), None);
     }
 
     #[test]
@@ -1433,5 +1988,192 @@ mod tests {
         let cif2 = "DS 1; 9D FROB; L NP; B 500 500 0 0; DF; C 1; E";
         let (view2, _) = view_of(cif2);
         assert_eq!(view2.devices[0].class, None);
+    }
+    /// A random two- or three-level layout built through the `Layout`
+    /// API (so call names can repeat, be empty or contain dots, which
+    /// the CIF parser never produces): leaf symbols of boxes, odd-width
+    /// wires, rectilinear and non-rectilinear polygons with declared
+    /// and auto keys and exact duplicates, some of them devices; mid
+    /// symbols calling leaves (and earlier mids) under any orientation,
+    /// some of them devices too, so devices nest in plain symbols and
+    /// in devices; a top level of calls at offsets up to ±2⁴⁰ and loose
+    /// elements.
+    fn random_layout(rng: &mut TestRng) -> Layout {
+        let mut layout = Layout::new();
+        let layers: Vec<LayerRef> = ["NM", "NP", "ND", "NC", "XX"]
+            .iter()
+            .map(|name| layout.intern_layer(name))
+            .collect();
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let coord = |rng: &mut TestRng| rng.below(6000) as i64 - 3000;
+        let element = |rng: &mut TestRng| {
+            let at = Point::new(coord(rng), coord(rng));
+            let shape = match pick(rng, 4) {
+                0 => {
+                    let (w, h) = (100 + rng.below(2500) as i64, 100 + rng.below(2500) as i64);
+                    Shape::Box(Rect::new(at.x, at.y, at.x + w, at.y + h))
+                }
+                1 => {
+                    let width = [299, 500, 751, 1001][pick(rng, 4)];
+                    let mut points = vec![at];
+                    for k in 0..pick(rng, 4) {
+                        let last = points[k];
+                        let step = 500 + rng.below(3000) as i64;
+                        points.push(if k % 2 == 0 {
+                            Point::new(last.x + step, last.y)
+                        } else {
+                            Point::new(last.x, last.y - step)
+                        });
+                    }
+                    Shape::Wire(Wire::new(width, points).unwrap())
+                }
+                2 => {
+                    // An L: rectilinear, decomposes into two slabs.
+                    let (a, b) = (800 + rng.below(2000) as i64, 800 + rng.below(2000) as i64);
+                    let (c, d) = (a / 2, b + 600 + rng.below(1500) as i64);
+                    let pts = [(0, 0), (a, 0), (a, b), (c, b), (c, d), (0, d)];
+                    let pts = pts.iter().map(|&(x, y)| Point::new(at.x + x, at.y + y));
+                    Shape::Polygon(Polygon::new(pts.collect()).unwrap())
+                }
+                _ => {
+                    let pts = [(0, 0), (2000, 0), (700, 1500)];
+                    let pts = pts.iter().map(|&(x, y)| Point::new(at.x + x, at.y + y));
+                    Shape::Polygon(Polygon::new(pts.collect()).unwrap())
+                }
+            };
+            Element {
+                layer: layers[pick(rng, layers.len())],
+                shape,
+                net: (pick(rng, 3) == 0).then(|| format!("n{}", pick(rng, 2))),
+            }
+        };
+        let elements = |rng: &mut TestRng, max: usize| {
+            let mut items = Vec::new();
+            for _ in 0..pick(rng, max + 1) {
+                let e = element(rng);
+                if pick(rng, 4) == 0 {
+                    items.push(Item::Element(e.clone())); // an exact duplicate
+                }
+                items.push(Item::Element(e));
+            }
+            items
+        };
+        let device = |rng: &mut TestRng| {
+            (pick(rng, 3) == 0).then(|| DeviceDecl {
+                device_type: ["NMOS_ENH", "CONTACT_D", "FROB"][pick(rng, 3)].to_string(),
+                checked: pick(rng, 2) == 0,
+                terminals: (0..pick(rng, 3))
+                    .map(|k| Terminal {
+                        name: format!("T{k}"),
+                        layer: layers[pick(rng, layers.len())],
+                        position: Point::new(coord(rng), coord(rng)),
+                    })
+                    .collect(),
+            })
+        };
+        let call = |rng: &mut TestRng, targets: &[SymbolId], k: usize, reach: i64| {
+            let name = match pick(rng, 8) {
+                0 => "dup".to_string(),
+                1 => String::new(),
+                2 => format!("a.{k}"),
+                _ => format!("i{k}"),
+            };
+            let offset = Vector::new(
+                rng.below(2 * reach as u64) as i64 - reach,
+                rng.below(2 * reach as u64) as i64 - reach,
+            );
+            Item::Call(Call {
+                target: targets[pick(rng, targets.len())],
+                transform: Transform::new(Orientation::ALL[pick(rng, 8)], offset),
+                name,
+            })
+        };
+
+        let mut symbols: Vec<SymbolId> = Vec::new();
+        for n in 0..2 + pick(rng, 3) {
+            let mut items = elements(rng, 4);
+            items.push(Item::Element(element(rng)));
+            symbols.push(layout.add_symbol(Symbol {
+                cif_id: n as u32 + 1,
+                name: None,
+                device: device(rng),
+                items,
+            }));
+        }
+        for n in 0..1 + pick(rng, 3) {
+            let mut items = elements(rng, 2);
+            for k in 0..2 + pick(rng, 3) {
+                // Targets include earlier mids: a third level.
+                items.push(call(rng, &symbols, k, 20_000));
+            }
+            let id = layout.add_symbol(Symbol {
+                cif_id: 100 + n as u32,
+                name: None,
+                device: device(rng),
+                items,
+            });
+            symbols.push(id);
+        }
+        for k in 0..2 + pick(rng, 6) {
+            let reach = if pick(rng, 3) == 0 { 1 << 40 } else { 100_000 };
+            layout.push_top(call(rng, &symbols, k, reach));
+            for item in elements(rng, 1) {
+                layout.push_top(item);
+            }
+        }
+        layout
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Stamped ≡ walked: columns, arenas, devices and every
+        /// resolved string of the templated view equal the plain
+        /// recursive walk's, for any worker count — in release builds
+        /// too, where the first-stamp `debug_assert` is compiled out.
+        #[test]
+        fn stamped_view_equals_the_plain_walk(seed in 0u64..u64::MAX) {
+            let layout = random_layout(&mut TestRng::for_case(seed, 0));
+            let tech = nmos_technology();
+            let (binding, _) = LayerBinding::bind(&layout, &tech);
+            let reference = reference_view(&layout, &tech, &binding);
+            let want = reference.resolved_tail(0, 0);
+            let (view, runs) = instantiate(&layout, &tech, &binding, 1, StringInterner::default());
+            prop_assert_eq!(view.resolved_tail(0, 0), want.clone());
+            prop_assert_eq!(view.violations.len(), reference.violations.len());
+            prop_assert_eq!(runs.len(), layout.top_items().len());
+            prop_assert_eq!(
+                runs.iter().fold((0, 0), |a, r| (a.0 + r.0, a.1 + r.1)),
+                (view.elements.len(), view.devices.len())
+            );
+            let stats = view.instantiate_stats;
+            prop_assert!(stats.elements_stamped <= view.elements.len());
+            prop_assert_eq!(stats.templates_built == 0, stats.instances_stamped == 0);
+            for workers in [2usize, 3, 7] {
+                let (wide, wide_runs) = instantiate(&layout, &tech, &binding, workers, warm_interner());
+                prop_assert_eq!(wide.resolved_tail(0, 0), want.clone(), "workers={}", workers);
+                prop_assert_eq!(&wide_runs, &runs);
+            }
+        }
+
+        /// Counting duplicate ordinals per handle (the fresh-walk pass)
+        /// names every element exactly as grouping them by key string
+        /// (the masked pass, here with everything marked) does.
+        #[test]
+        fn handle_counted_ordinals_equal_string_grouped(seed in 0u64..u64::MAX) {
+            let layout = random_layout(&mut TestRng::for_case(seed, 0));
+            let tech = nmos_technology();
+            let (binding, _) = LayerBinding::bind(&layout, &tech);
+            let plain = Walker { layout: &layout, tech: &tech, binding: &binding, templates: &Templates::new() };
+            let mut by_handle = ChipView::default();
+            for item in layout.top_items() {
+                plain.walk(item, Scope::TOP, &mut by_handle);
+            }
+            let mut by_string = by_handle.clone();
+            number_fresh_auto_keys(&mut by_handle.elements, &mut by_handle.strings);
+            let all = vec![true; by_string.elements.len()];
+            assign_auto_net_keys(&mut by_string.elements, &mut by_string.strings, &all);
+            prop_assert_eq!(by_handle.resolved_tail(0, 0), by_string.resolved_tail(0, 0));
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! breakdown. To run a custom stage set (extra lint stages, the flat
 //! baseline, ablated pipelines) use [`check_with_engine`].
 
+use crate::binding::InstantiateStats;
 use crate::engine::{CheckContext, StageEngine, StageTime};
 use crate::interact::InteractStats;
 use crate::violations::{CheckStage, Violation};
@@ -159,6 +160,11 @@ pub struct CheckReport {
     pub element_count: usize,
     /// Number of device instances.
     pub device_count: usize,
+    /// How the view was instantiated: templates built, instances and
+    /// elements stamped, elements walked, strings interned, shards
+    /// stitched. An edit session reports its last whole instantiation
+    /// (its open, or its latest full rebuild).
+    pub instantiate_stats: InstantiateStats,
 }
 
 impl CheckReport {

@@ -299,7 +299,7 @@ mod tests {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let view = instantiate(&layout, &tech, &binding);
+        let view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
         check_connections(&view, &tech)
     }
 

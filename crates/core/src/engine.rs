@@ -727,11 +727,11 @@ impl<'a> CheckContext<'a> {
     /// streaming or counting one.
     pub fn into_report(mut self, profile: Vec<StageTime>) -> CheckReport {
         let timings = StageTimings::from_profile(&profile);
-        let (element_count, device_count) = self
+        let (element_count, device_count, instantiate_stats) = self
             .view
             .as_ref()
-            .map(|v| (v.elements.len(), v.devices.len()))
-            .unwrap_or((0, 0));
+            .map(|v| (v.elements.len(), v.devices.len(), v.instantiate_stats))
+            .unwrap_or_default();
         CheckReport {
             violations: self.sink.take_buffered(),
             netlist: self
@@ -744,6 +744,7 @@ impl<'a> CheckContext<'a> {
             waived_devices: self.waived_devices,
             element_count,
             device_count,
+            instantiate_stats,
         }
     }
 }
@@ -859,11 +860,11 @@ impl std::fmt::Debug for StageEngine {
 }
 
 /// Binds layers and instantiates the chip view (the pipeline's front
-/// end; not one of the paper's numbered checking stages). The view is
-/// built **sharded**: one walk job per top-level item, run across the
-/// scoped worker pool ([`CheckOptions::parallelism`]) and stitched with
-/// stable element/device ids — byte-identical to a serial walk for any
-/// worker count.
+/// end; not one of the paper's numbered checking stages) through
+/// [`crate::binding::instantiate`]: each repeated definition derived
+/// once and stamped, the top-level items walked in one chunk per worker
+/// ([`CheckOptions::parallelism`]) — byte-identical for any worker
+/// count.
 pub struct InstantiateStage;
 
 impl PipelineStage for InstantiateStage {
@@ -875,12 +876,9 @@ impl PipelineStage for InstantiateStage {
         let (binding, bind_violations) = LayerBinding::bind(ctx.layout, ctx.tech);
         ctx.sink.absorb(bind_violations);
         let workers = effective_parallelism(ctx.options.parallelism);
-        let mut view = match ctx.seed_strings.take() {
-            Some(seed) => crate::binding::instantiate_parallel_seeded(
-                ctx.layout, ctx.tech, &binding, workers, seed,
-            ),
-            None => crate::binding::instantiate_parallel(ctx.layout, ctx.tech, &binding, workers),
-        };
+        let seed = ctx.seed_strings.take().unwrap_or_default();
+        let (mut view, _) =
+            crate::binding::instantiate(ctx.layout, ctx.tech, &binding, workers, seed);
         ctx.sink.append(&mut view.violations);
         ctx.binding = Some(binding);
         ctx.view = Some(view);

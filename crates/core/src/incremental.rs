@@ -97,9 +97,7 @@
 //! );
 //! ```
 
-use crate::binding::{
-    assign_auto_net_keys, instantiate_item, instantiate_sharded, ChipView, LayerBinding,
-};
+use crate::binding::{assign_auto_net_keys, instantiate, instantiate_item, ChipView, LayerBinding};
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::check_connections_among;
 use crate::element_checks::check_elements;
@@ -393,16 +391,20 @@ impl CheckSession {
         let halo = max_rule_range(&tech);
 
         let (binding, bind_violations) = LayerBinding::bind(&layout, &tech);
-        // Sharded instantiation: the per-item walks the session's view
-        // patching is built on are exactly the shard jobs, so opening a
-        // session parallelises like an engine run.
-        let (mut view, run_lens) =
-            instantiate_sharded(&layout, &tech, &binding, options.effective_parallelism());
+        // The engine's front end, so opening a session stamps templates
+        // and parallelises like an engine run; the per-item run lengths
+        // it records are the unit the view patching reuses.
+        let (mut view, run_lens) = instantiate(
+            &layout,
+            &tech,
+            &binding,
+            options.effective_parallelism(),
+            Default::default(),
+        );
         let runs: Vec<ItemRun> = run_lens
             .into_iter()
             .map(|(elems, devices)| ItemRun { elems, devices })
             .collect();
-        assign_auto_net_keys(&mut view.elements, &mut view.strings, None);
         let mut instantiate_violations = std::mem::take(&mut view.violations);
         // The patch path cannot regenerate *clean* items' instantiation
         // violations (it never re-walks them), which is sound today only
@@ -486,6 +488,7 @@ impl CheckSession {
             waived_devices,
             element_count: view.elements.len(),
             device_count: view.devices.len(),
+            instantiate_stats: view.instantiate_stats,
         };
 
         CheckSession {
@@ -803,7 +806,7 @@ impl CheckSession {
         // Auto net keys: re-derive only identity groups with a changed
         // member (the seed mask covers removed duplicates — they share
         // their bbox with their survivors by definition).
-        let rekeyed = assign_auto_net_keys(&mut view.elements, &mut view.strings, Some(&seed));
+        let rekeyed = assign_auto_net_keys(&mut view.elements, &mut view.strings, &seed);
         stats.t_view = t_start.elapsed();
 
         // -- Phase F: patch connections. ------------------------------
@@ -1249,6 +1252,9 @@ impl CheckSession {
             waived_devices,
             element_count: self.view.elements.len(),
             device_count: self.view.devices.len(),
+            // Still the session's last whole instantiation (its open or
+            // its latest full rebuild): a patch re-walks dirty items only.
+            instantiate_stats: self.report.instantiate_stats,
         };
 
         // -- Phase M: compact the spatial index after heavy churn. ----

@@ -1419,7 +1419,7 @@ mod tests {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let mut view = instantiate(&layout, &tech, &binding);
+        let mut view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
         let conn = check_connections(&view, &tech);
         let labels: Vec<_> = layout
             .labels()
@@ -1452,7 +1452,7 @@ mod tests {
     ) -> (ChipView, crate::netgen::NetgenResult, diic_cif::Layout) {
         let layout = parse(cif).unwrap();
         let (binding, _) = LayerBinding::bind(&layout, tech);
-        let mut view = instantiate(&layout, tech, &binding);
+        let mut view = instantiate(&layout, tech, &binding, 1, Default::default()).0;
         let conn = check_connections(&view, tech);
         let labels: Vec<_> = layout
             .labels()

@@ -16,8 +16,10 @@
 //!
 //! The paths that ride this pool, in pipeline order:
 //!
-//! * **sharded instantiation** — one walk job per top-level item,
-//!   stitched with stable ids ([`crate::binding::instantiate_parallel`]);
+//! * **instantiation** — one contiguous chunk of top-level items per
+//!   worker, chunk 0 walked straight into the view and the rest stitched
+//!   on with stable ids ([`crate::binding::instantiate`]; it spawns its
+//!   own scoped threads, since its first job writes into the result);
 //! * the **connection stage**'s tile-sharded pair scan
 //!   ([`crate::connect::check_connections_parallel`] — each pair owned
 //!   by its lower element's tile);

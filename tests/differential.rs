@@ -68,7 +68,7 @@
 
 use diic::core::{
     account, check_cif, check_connections, check_connections_parallel, env_parallelism, flat_check,
-    generate_netlist, generate_netlist_parallel, instantiate_parallel, CheckOptions, CheckReport,
+    generate_netlist, generate_netlist_parallel, instantiate, CheckOptions, CheckReport,
     ElementColumns, FlatOptions, LayerBinding, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
@@ -277,7 +277,7 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let mut view = instantiate_parallel(&layout, &tech, &binding, 1);
+        let (mut view, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
         let labels: Vec<_> = layout
             .labels()
             .iter()
@@ -335,8 +335,14 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let serial = instantiate_parallel(&layout, &tech, &binding, 1);
-        let wide = instantiate_parallel(&layout, &tech, &binding, wide_workers().max(2));
+        let (serial, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
+        let (wide, _) = instantiate(
+            &layout,
+            &tech,
+            &binding,
+            wide_workers().max(2),
+            Default::default(),
+        );
 
         let mut distinct = std::collections::HashSet::new();
         for e in &serial.elements {
@@ -392,7 +398,7 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let view = instantiate_parallel(&layout, &tech, &binding, 1);
+        let (view, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
 
         let boxed = view.elements.to_elements();
         prop_assert_eq!(boxed.len(), view.elements.len());
