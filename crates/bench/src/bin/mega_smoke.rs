@@ -108,6 +108,7 @@ fn main() {
         report.interact_stats.candidate_pairs, report.interact_stats.peak_candidate_buffer
     );
     println!("instantiate: {}", report.instantiate_stats);
+    println!("scopes: {}", report.scope_stats);
     for s in &report.stage_profile {
         println!(
             "  {:<12} {:>8.1} ms",

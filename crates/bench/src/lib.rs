@@ -782,7 +782,7 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
     let threads = cores.clamp(2, 8);
     let _ = writeln!(
         out,
-        "{:>9} {:>9} {:>11} {:>11} {:>8} {:>10}  instantiate (parallel run)",
+        "{:>9} {:>9} {:>11} {:>11} {:>8} {:>10}  instantiate; scopes (parallel run)",
         "cells", "pairs", "serial ms", "par ms", "speedup", "identical"
     );
     let sizes = if scale.quick {
@@ -815,14 +815,15 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
             && serial.interact_stats == parallel.interact_stats;
         let _ = writeln!(
             out,
-            "{:>9} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}  {}",
+            "{:>9} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}  {}; {}",
             nx * ny,
             serial.interact_stats.candidate_pairs,
             t_serial.as_secs_f64() * 1e3,
             t_parallel.as_secs_f64() * 1e3,
             t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9),
             if identical { "yes" } else { "NO" },
-            parallel.instantiate_stats
+            parallel.instantiate_stats,
+            parallel.scope_stats
         );
     }
     let _ = writeln!(
@@ -832,8 +833,8 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
     );
 
     // The connections + netgen stages, parallelised in the same
-    // discipline (tile-sharded connection scan; netgen per-scope union
-    // phase as symbolic draft rows). Timed from the engine's classic
+    // discipline (the connection stage's row fills and loose scan, tiled;
+    // netgen per-scope union phase as symbolic draft rows). Timed from the engine's classic
     // stage buckets; identity covers the stage outputs end to end
     // (violations and the assembled net list).
     let _ = writeln!(out, "\nconnections + netgen stages:");
@@ -1244,7 +1245,7 @@ pub fn e18_memory(scale: Scale) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10} {:>10}  instantiate",
+        "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10} {:>10}  instantiate; scopes",
         "elements", "cells", "pairs", "buffered pk", "tiled pk", "int ms", "identical"
     );
     let tech = nmos_technology();
@@ -1280,7 +1281,7 @@ pub fn e18_memory(scale: Scale) -> String {
             && tiled.interact_stats.distance_checks == buffered.interact_stats.distance_checks;
         let _ = writeln!(
             out,
-            "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10.1} {:>10}  {}",
+            "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10.1} {:>10}  {}; {}",
             tiled.element_count,
             chip.cell_count,
             tiled.interact_stats.candidate_pairs,
@@ -1288,7 +1289,8 @@ pub fn e18_memory(scale: Scale) -> String {
             tiled.interact_stats.peak_candidate_buffer,
             tiled.timings.interactions.as_secs_f64() * 1e3,
             if identical { "yes" } else { "NO" },
-            tiled.instantiate_stats
+            tiled.instantiate_stats,
+            tiled.scope_stats
         );
 
         // The interned-view delta: what the ChipView's string floor

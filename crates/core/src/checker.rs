@@ -16,6 +16,7 @@
 use crate::binding::InstantiateStats;
 use crate::engine::{CheckContext, StageEngine, StageTime};
 use crate::interact::InteractStats;
+use crate::scope::ScopeStats;
 use crate::violations::{CheckStage, Violation};
 use diic_cif::Layout;
 use diic_geom::SizingMode;
@@ -165,6 +166,12 @@ pub struct CheckReport {
     /// stitched. An edit session reports its last whole instantiation
     /// (its open, or its latest full rebuild).
     pub instantiate_stats: InstantiateStats,
+    /// What the scope table was worth: scopes, neighbour-search cost,
+    /// connection verdict rows built and stamped, and the share of the
+    /// chip in repeated scopes. An edit session reports its last whole
+    /// check (its open, or its latest full rebuild); the flat baseline,
+    /// which builds no view, reports zeros.
+    pub scope_stats: ScopeStats,
 }
 
 impl CheckReport {
@@ -344,6 +351,32 @@ mod tests {
         assert_eq!(hier.violations.len(), flat.violations.len());
         assert!(hier.interact_stats.cache_hits > 0);
         assert_eq!(flat.interact_stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn scope_stats_count_a_linear_neighbour_search_and_one_row() {
+        // 400 instances of one cell in a row, each far from the next:
+        // every scope is repeated, one verdict row answers all of them,
+        // and finding that no two are near costs a few bounding-box
+        // tests per scope (testing every pair would make 79 800).
+        let tech = nmos_technology();
+        let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 2200 375; DF;\n");
+        for i in 0..400 {
+            cif.push_str(&format!("C 1 T {} 0;\n", i * 20_000));
+        }
+        cif.push('E');
+        let options = CheckOptions {
+            erc: false,
+            ..Default::default()
+        };
+        let stats = check_cif(&cif, &tech, &options).unwrap().scope_stats;
+        assert_eq!(stats.scopes, 401, "400 calls and the loose scope");
+        assert_eq!(stats.neighbour_pairs, 0);
+        assert!(stats.neighbour_tests <= 16 * stats.scopes as u64, "{stats}");
+        assert_eq!(stats.elements_in_repeated_scopes, 800);
+        assert_eq!((stats.conn_rows_built, stats.conn_rows_stamped), (1, 399));
+        assert_eq!(stats.conn_pairs_scored, 1);
+        assert_eq!(stats.conn_pairs_stamped, 399);
     }
 
     #[test]

@@ -13,34 +13,59 @@
 //! the accidental crossing of poly and diffusion as an error since it
 //! forms a legal transistor".
 //!
-//! # Parallelism
+//! # One verdict per definition
 //!
 //! A connection verdict (touch + skeletal connectivity, or the Fig. 8
-//! cross-layer overlap test) is a pure function of one element pair, so
-//! the stage shards like the interaction search: the elements are
-//! indexed once in one [`GridIndex`], the index's insertion-order
-//! [`GridIndex::tiles`] partition the id space, and each worker scans
-//! one tile's elements against the shared index
-//! ([`check_connections_parallel`], driven by
-//! [`CheckOptions::parallelism`](crate::CheckOptions::parallelism)). A
-//! pair spanning two tiles is owned by its **lower element's tile** (the
-//! scan keeps only `j > i` — the same ownership rule the tiled
-//! interaction search uses), so every candidate pair is scored exactly
-//! once, and the per-tile results — violations, merges,
-//! `pairs_examined` — merge positionally
-//! ([`run_ordered`]): any worker count is
-//! byte-identical to serial, which the seventh differential-oracle leg
-//! (`tests/differential.rs`) pins on generated chips.
+//! cross-layer overlap test) is a pure function of one element pair —
+//! its layers, rectangles, skeletons and device classes. Translating both
+//! elements by one offset changes none of them, and
+//! [`crate::instantiate`] only ever translates what it derived per
+//! `(symbol, orientation)`. So [`check_connections`] reads the chip
+//! through its [`ScopeTable`] and scores
+//!
+//! * a scope's interior **once per `(symbol, orientation)`**, and
+//! * two touching scopes **once per `(symbol, symbol, orientation,
+//!   relative placement)`**
+//!
+//! into a *verdict row* — `(local i, local j, verdict)` entries plus the
+//! row's `pairs_examined` — by running the per-pair body (`score_pair`)
+//! over the first instance. Every other instance is an id-offset stamp
+//! of the row; its violations are rendered per instance, from its own
+//! elements. The orientation is in both keys because rectangle and
+//! skeleton decompositions are translation- but not rotation-
+//! equivariant. Pairs with a loose top-level element on either side are
+//! scored directly, by the same body. Rows live for one call.
+//!
+//! The direct scan — every element against one grid over all of them —
+//! is the base case of this path, not a second one: a chip that is one
+//! scope (all loose, or one top-level call) builds exactly that one
+//! index and scans it tile by tile, and the result for any chip is
+//! **byte-identical** to [`check_connections_among`] over all ids
+//! (violations, merges and `pairs_examined`, in ascending `(i, j)`
+//! order), which a proptest pins in debug and release builds.
+//!
+//! # Parallelism
+//!
+//! The scans that fill the rows, and the loose scan, are cut into tiles
+//! of at most 512 scanned elements and run across
+//! `workers` scoped threads ([`run_ordered`]); a pair is scored exactly
+//! once whatever the tiling, and the assembly orders verdicts by their
+//! element ids, not by which worker found them, so any worker count
+//! yields the same bytes — the seventh differential-oracle leg
+//! (`tests/differential.rs`) pins it on generated chips. Stamping is
+//! serial: it is a copy.
 //!
 //! The incremental checker's scoped pass ([`check_connections_among`])
 //! stays serial — its seed sets are already edit-sized.
 
 use crate::binding::ChipView;
 use crate::parallel::run_ordered;
+use crate::scope::{ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_geom::{batch, GridIndex};
+use diic_cif::SymbolId;
+use diic_geom::{batch, GridIndex, Orientation, Rect, Transform};
 use diic_tech::{DeviceClass, InternalRule, LayerId, Technology};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Output of the connection-checking stage.
 #[derive(Debug, Clone, Default)]
@@ -83,121 +108,127 @@ pub fn device_forming_pairs(tech: &Technology) -> HashSet<(LayerId, LayerId)> {
     out
 }
 
-/// Elements per tile for [`check_connections_parallel`] — the same
-/// insertion-order tile width the tiled interaction search defaults to,
-/// for the same reason: small enough that a tile is cache-friendly,
-/// large enough that tile bookkeeping is noise.
+/// Scanned elements per tile — the same width the tiled interaction
+/// search defaults to, for the same reason: small enough that a tile is
+/// cache-friendly, large enough that tile bookkeeping is noise.
 const CONNECT_TILE_ELEMENTS: usize = crate::interact::DEFAULT_TILE_ELEMENTS;
 
-/// Runs the connection checks over the instantiated chip, serially —
-/// [`check_connections_parallel`] with one worker.
-pub fn check_connections(view: &ChipView, tech: &Technology) -> ConnectionResult {
-    check_connections_parallel(view, tech, 1)
+/// What the stage concluded about one touching element pair. (A pair it
+/// is silent about — transistor geometry touching interconnect, a
+/// cross-layer touch that forms nothing — has no verdict.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Legally connected: one net.
+    Merge,
+    /// Same-layer interconnect touching without skeletal connectivity.
+    IllegalConnection,
+    /// Interconnect overlapping on a device-forming layer pair.
+    ImpliedDevice,
 }
 
-/// [`check_connections`] with the element scan sharded by grid tile
-/// across `workers` scoped threads.
-///
-/// One [`GridIndex`] over every element is built and shared; its
-/// insertion-order [`GridIndex::tiles`] are the work units. Each tile
-/// job scans its elements against the whole index, keeping only pairs
-/// `j > i` — a pair spanning tiles is owned by its lower element's tile,
-/// so every pair is scored exactly once — and the per-tile results merge
-/// positionally: **any worker count yields a byte-identical
-/// [`ConnectionResult`]** (violations, merges, and `pairs_examined`).
-pub fn check_connections_parallel(
-    view: &ChipView,
-    tech: &Technology,
-    workers: usize,
-) -> ConnectionResult {
-    let forming = device_forming_pairs(tech);
-    let mut index: GridIndex<usize> = GridIndex::new(crate::interact::interaction_cell_size(tech));
-    // One pass down the dense bbox column — no per-element structs.
-    for (id, bbox) in view.elements.bboxes().iter().enumerate() {
-        index.insert(*bbox, id);
+/// The verdicts of one scan — a row, when the scan covered a
+/// definition — with element ids `i < j` (chip ids out of a scan, ids
+/// local to the two scopes once [`Scored::localize`]d into a row), in
+/// ascending `(i, j)` order.
+#[derive(Debug, Default)]
+struct Scored {
+    verdicts: Vec<(usize, usize, Verdict)>,
+    /// Same-layer touching pairs among the scored ones.
+    examined: usize,
+    /// Candidate pairs handed to [`ScanCx::score_pair`].
+    scored: u64,
+}
+
+impl Scored {
+    fn append(&mut self, mut other: Scored) {
+        self.verdicts.append(&mut other.verdicts);
+        self.examined += other.examined;
+        self.scored += other.scored;
     }
-    // Slots are element ids (inserted in id order), so the tile ranges
-    // partition the id space in ascending order.
-    let tiles: Vec<std::ops::Range<u32>> = index.tiles(CONNECT_TILE_ELEMENTS).collect();
-    let shards = run_ordered(tiles.len(), workers, |k| {
-        let mut shard = ConnectionResult::default();
-        for i in tiles[k].clone() {
-            scan_element(view, tech, &index, &forming, i as usize, &mut shard);
+
+    /// Rebases chip ids to scope-local ones: `i` in the scope starting
+    /// at `i0`, `j` in the one starting at `j0`.
+    fn localize(&mut self, (i0, j0): (usize, usize)) {
+        for (i, j, _) in &mut self.verdicts {
+            *i -= i0;
+            *j -= j0;
         }
-        shard
-    });
-    let mut result = ConnectionResult::default();
-    for mut shard in shards {
-        result.violations.append(&mut shard.violations);
-        result.merges.append(&mut shard.merges);
-        result.pairs_examined += shard.pairs_examined;
     }
-    result
 }
 
-/// Runs the connection checks over the pairs **among** the given
-/// elements only (ascending ids). This is the incremental checker's
-/// scoped pass: a connection verdict (touch + skeletal connectivity) is
-/// a pure pair function, so pairs with an endpoint outside the seed set
-/// keep their cached verdicts, and every pair whose verdict could have
-/// changed has both endpoints in the seed set (any element whose
-/// geometry changed — or that sits inside the dirty footprint a changed
-/// element left behind — is a seed).
-pub fn check_connections_among(
-    view: &ChipView,
-    tech: &Technology,
-    ids: &[usize],
-) -> ConnectionResult {
-    let mut result = ConnectionResult::default();
-    let forming = device_forming_pairs(tech);
-
-    // Index the seed elements by bbox, with cells sized from the
-    // technology's rule reach (see `interact::interaction_cell_size`).
-    let mut index: GridIndex<usize> = GridIndex::new(crate::interact::interaction_cell_size(tech));
-    for &id in ids {
-        index.insert(view.elements.bboxes()[id], id);
-    }
-
-    for &i in ids {
-        scan_element(view, tech, &index, &forming, i, &mut result);
-    }
-    result
+/// Read-only state of one run of the stage.
+struct ScanCx<'a> {
+    view: &'a ChipView,
+    tech: &'a Technology,
+    forming: HashSet<(LayerId, LayerId)>,
 }
 
-/// Scores every candidate pair `(i, j)` with `j > i` for one element —
-/// the **single** scan body behind the serial scoped pass
-/// ([`check_connections_among`]) and the tiled parallel one
-/// ([`check_connections_parallel`]), so the byte-identity contract
-/// between them cannot drift. [`GridIndex::query`] returns ids in
-/// ascending insertion order, so each element's pairs come out sorted.
-fn scan_element(
-    view: &ChipView,
-    tech: &Technology,
-    index: &GridIndex<usize>,
-    forming: &HashSet<(LayerId, LayerId)>,
-    i: usize,
-    result: &mut ConnectionResult,
-) {
-    let a = view.elements.get(i);
-    for &j in index.query(&a.bbox()) {
-        if j <= i {
-            continue;
+impl<'a> ScanCx<'a> {
+    fn new(view: &'a ChipView, tech: &'a Technology) -> Self {
+        ScanCx {
+            view,
+            tech,
+            forming: device_forming_pairs(tech),
         }
+    }
+
+    /// A grid over the bounding boxes of `ids` (ascending), those
+    /// touching `clip` only, with cells sized from the technology's rule
+    /// reach (see `interact::interaction_cell_size`). Payloads are the
+    /// element ids; inserted in ascending order, so queries return them
+    /// ascending.
+    fn index(&self, ids: ScopeIds<'_>, clip: Option<Rect>) -> GridIndex<usize> {
+        let bboxes = self.view.elements.bboxes();
+        let mut index = GridIndex::new(crate::interact::interaction_cell_size(self.tech));
+        for id in ids.iter() {
+            if clip.is_none_or(|c| c.touches(&bboxes[id])) {
+                index.insert(bboxes[id], id);
+            }
+        }
+        index
+    }
+
+    /// Scores element `i` against every indexed element its bounding
+    /// box touches — the **single** scan body behind the scoped pass
+    /// ([`check_connections_among`]) and every scan of the whole-chip
+    /// one ([`check_connections`]), so the byte-identity contract
+    /// between them cannot drift. `within` says `i`'s own set is the
+    /// indexed one, where each pair must be kept from its lower end
+    /// only; against a disjoint set every hit is a new pair.
+    /// [`GridIndex::query`] returns ids in ascending insertion order, so
+    /// each element's pairs come out sorted.
+    fn scan_element(&self, index: &GridIndex<usize>, i: usize, within: bool, out: &mut Scored) {
+        for &j in index.query(&self.view.elements.bboxes()[i]) {
+            if within && j <= i {
+                continue;
+            }
+            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+            out.scored += 1;
+            let (examined, verdict) = self.score_pair(lo, hi);
+            out.examined += examined as usize;
+            if let Some(verdict) = verdict {
+                out.verdicts.push((lo, hi, verdict));
+            }
+        }
+    }
+
+    /// The stage's judgement of one pair `i < j` with touching bounding
+    /// boxes: whether it counts as examined (same layer, touching) and
+    /// the verdict, if there is one.
+    fn score_pair(&self, i: usize, j: usize) -> (bool, Option<Verdict>) {
+        let view = self.view;
+        let a = view.elements.get(i);
         let b = view.elements.get(j);
         // Pairs within one device instance are stage-3 territory.
         if a.device().is_some() && a.device() == b.device() {
-            continue;
+            return (false, None);
         }
         // The covered rectangles are contiguous arena runs — the touch
         // test is a batch pair sweep over two plain slices.
         if !batch::any_touch(a.rects(), b.rects()) {
-            continue;
+            return (false, None);
         }
-
-        if a.layer() == b.layer() {
-            result.pairs_examined += 1;
-            handle_same_layer(view, tech, i, j, result);
-        } else {
+        if a.layer() != b.layer() {
             // Cross-layer overlap on a device-forming pair = implied
             // device (Fig. 8), unless it is a device's own geometry
             // overlapping — the declared-device case handled above by
@@ -208,67 +239,296 @@ fn scan_element(
             } else {
                 (b.layer(), a.layer())
             };
-            if forming.contains(&key) && batch::any_overlap(a.rects(), b.rects()) {
-                result.violations.push(Violation {
-                    stage: CheckStage::Connections,
-                    kind: ViolationKind::ImpliedDevice {
-                        layer_a: tech.layer(a.layer()).name.clone(),
-                        layer_b: tech.layer(b.layer()).name.clone(),
-                    },
-                    location: overlap_bbox(view, i, j),
-                    context: context_of(view, i, j),
-                });
-            }
+            let implied = self.forming.contains(&key) && batch::any_overlap(a.rects(), b.rects());
+            return (false, implied.then_some(Verdict::ImpliedDevice));
         }
-    }
-}
-
-fn handle_same_layer(
-    view: &ChipView,
-    tech: &Technology,
-    i: usize,
-    j: usize,
-    result: &mut ConnectionResult,
-) {
-    let a = view.elements.get(i);
-    let b = view.elements.get(j);
-    let a_join = a
-        .device()
-        .map(|d| is_joining_class(view.devices[d].class))
-        .unwrap_or(false);
-    let b_join = b
-        .device()
-        .map(|d| is_joining_class(view.devices[d].class))
-        .unwrap_or(false);
-
-    match (a.device().is_some(), b.device().is_some()) {
-        (false, false) => {
+        let joins = |d: Option<usize>| d.is_some_and(|d| is_joining_class(view.devices[d].class));
+        let verdict = match (a.device().is_some(), b.device().is_some()) {
             // Interconnect ↔ interconnect: skeletal connectivity
             // decides — an overlap sweep over the two skeleton arena
             // runs (an empty run is an under-width element, which
             // cannot legally connect; `any_overlap` is vacuously false).
-            let connected = batch::any_overlap(a.skeleton(), b.skeleton());
-            if connected {
-                result.merges.push((i, j));
+            (false, false) => Some(if batch::any_overlap(a.skeleton(), b.skeleton()) {
+                Verdict::Merge
             } else {
-                result.violations.push(Violation {
-                    stage: CheckStage::Connections,
-                    kind: ViolationKind::IllegalConnection {
-                        layer: tech.layer(a.layer()).name.clone(),
-                    },
-                    location: overlap_bbox(view, i, j),
-                    context: context_of(view, i, j),
+                Verdict::IllegalConnection
+            }),
+            // A contact-class device joins everything it touches on its layers.
+            (true, false) if joins(a.device()) => Some(Verdict::Merge),
+            (false, true) if joins(b.device()) => Some(Verdict::Merge),
+            (true, true) if joins(a.device()) && joins(b.device()) => Some(Verdict::Merge),
+            // Transistor/resistor geometry connects only through declared
+            // terminals (net-list generation handles those); silent here.
+            _ => None,
+        };
+        (true, verdict)
+    }
+
+    /// Records one verdict in the result: a merge as the id pair, a
+    /// fault rendered from the two elements it is about.
+    fn render(&self, (i, j, verdict): (usize, usize, Verdict), result: &mut ConnectionResult) {
+        let layer_name = |id: usize| {
+            let layer = self.view.elements.layers()[id];
+            self.tech.layer(layer).name.clone()
+        };
+        let kind = match verdict {
+            Verdict::Merge => return result.merges.push((i, j)),
+            Verdict::IllegalConnection => ViolationKind::IllegalConnection {
+                layer: layer_name(i),
+            },
+            Verdict::ImpliedDevice => ViolationKind::ImpliedDevice {
+                layer_a: layer_name(i),
+                layer_b: layer_name(j),
+            },
+        };
+        result.violations.push(Violation {
+            stage: CheckStage::Connections,
+            kind,
+            location: overlap_bbox(self.view, i, j),
+            context: context_of(self.view, i, j),
+        });
+    }
+}
+
+/// One scan of the whole-chip pass: the elements of `ids` whose bounding
+/// box touches `clip`, each scored against `indexes[index]`.
+struct Scan<'a> {
+    ids: ScopeIds<'a>,
+    clip: Option<Rect>,
+    index: usize,
+    /// The scanned set is the indexed one (see [`ScanCx::scan_element`]).
+    within: bool,
+    /// Where the two scopes of a row's scan start (a row holds ids
+    /// local to them); zero for the loose scans, which keep chip ids.
+    base: (usize, usize),
+}
+
+/// Runs the connection checks over the instantiated chip, read through
+/// its scope table (see the module docs): each definition's interior and
+/// each distinct placement of two touching definitions scored once and
+/// stamped, everything involving a loose element scored directly, the
+/// scans tiled across `workers` threads.
+///
+/// Returns the result — **byte-identical, for any worker count, to
+/// [`check_connections_among`] over every id** — and the table's
+/// [`ScopeStats`] with this run's row-cache counters filled in.
+pub fn check_connections(
+    view: &ChipView,
+    tech: &Technology,
+    scopes: &ScopeTable,
+    workers: usize,
+) -> (ConnectionResult, ScopeStats) {
+    let cx = ScanCx::new(view, tech);
+    let calls = scopes.calls();
+    let loose = scopes.loose_index();
+    let mut stats = scopes.stats();
+
+    // Plan: one row per distinct key, built from the first scope (pair)
+    // presenting it. A row's scan and its index share the row's number.
+    let bbox_of = |s: usize| scopes.scopes()[s].bbox;
+    let mut scans: Vec<Scan<'_>> = Vec::new();
+    let mut index_specs: Vec<(ScopeIds<'_>, Option<Rect>)> = Vec::new();
+    let mut intra_row: Vec<Option<usize>> = Vec::with_capacity(calls.len());
+    for (s, scope) in calls.iter().enumerate() {
+        let first = scope.first_of_definition();
+        let row = if first < s {
+            intra_row[first]
+        } else if scopes.ids(s).len() < 2 {
+            None
+        } else {
+            scans.push(Scan {
+                ids: scopes.ids(s),
+                clip: None,
+                index: scans.len(),
+                within: true,
+                base: (scope.run().start, scope.run().start),
+            });
+            index_specs.push((scopes.ids(s), None));
+            Some(scans.len() - 1)
+        };
+        intra_row.push(row);
+    }
+    type CrossKey = (SymbolId, SymbolId, Orientation, Transform);
+    let mut cross_rows: HashMap<CrossKey, usize> = HashMap::new();
+    // `(si, sj, row)` for every touching pair of call scopes, ascending.
+    let mut cross: Vec<(usize, usize, usize)> = Vec::new();
+    // The touching pairs are among the near ones.
+    let touching = |&&(si, sj): &&(usize, usize)| {
+        let boxes = bbox_of(si).zip(bbox_of(sj));
+        sj != loose && boxes.is_some_and(|(a, b)| a.touches(&b))
+    };
+    for &(si, sj) in scopes.near().iter().filter(touching) {
+        let (a, b) = (&calls[si], &calls[sj]);
+        // invariant: call scopes carry their symbol.
+        let key = (
+            a.symbol.expect("a call scope"),
+            b.symbol.expect("a call scope"),
+            a.transform.orient,
+            a.transform.inverse().after(&b.transform),
+        );
+        let row = *cross_rows.entry(key).or_insert_with(|| {
+            // Only elements reaching into the other scope's box can
+            // touch one of its elements.
+            scans.push(Scan {
+                ids: scopes.ids(si),
+                clip: bbox_of(sj),
+                index: scans.len(),
+                within: false,
+                base: (a.run().start, b.run().start),
+            });
+            index_specs.push((scopes.ids(sj), bbox_of(si)));
+            scans.len() - 1
+        });
+        cross.push((si, sj, row));
+    }
+    let rows_built = scans.len();
+
+    // The loose scan: the loose elements among themselves, and every
+    // call scope reaching into their box against them.
+    if let Some(loose_bbox) = bbox_of(loose) {
+        let index = index_specs.len();
+        index_specs.push((scopes.ids(loose), None));
+        scans.push(Scan {
+            ids: scopes.ids(loose),
+            clip: None,
+            index,
+            within: true,
+            base: (0, 0),
+        });
+        for (s, scope) in calls.iter().enumerate() {
+            if scope.bbox.is_some_and(|b| b.touches(&loose_bbox)) {
+                scans.push(Scan {
+                    ids: scopes.ids(s),
+                    clip: Some(loose_bbox),
+                    index,
+                    within: false,
+                    base: (0, 0),
                 });
             }
         }
-        // A contact-class device joins everything it touches on its layers.
-        (true, false) if a_join => result.merges.push((i, j)),
-        (false, true) if b_join => result.merges.push((i, j)),
-        (true, true) if a_join && b_join => result.merges.push((i, j)),
-        // Transistor/resistor geometry connects only through declared
-        // terminals (net-list generation handles those); silent here.
-        _ => {}
     }
+
+    // Fill: build the indexes, then scan tile by tile.
+    let indexes = run_ordered(index_specs.len(), workers, |k| {
+        cx.index(index_specs[k].0, index_specs[k].1)
+    });
+    let tiles: Vec<(usize, usize)> = scans
+        .iter()
+        .enumerate()
+        .flat_map(|(k, scan)| {
+            (0..scan.ids.len())
+                .step_by(CONNECT_TILE_ELEMENTS)
+                .map(move |lo| (k, lo))
+        })
+        .collect();
+    let bboxes = view.elements.bboxes();
+    let parts = run_ordered(tiles.len(), workers, |t| {
+        let (k, lo) = tiles[t];
+        let scan = &scans[k];
+        let mut part = Scored::default();
+        for local in lo..(lo + CONNECT_TILE_ELEMENTS).min(scan.ids.len()) {
+            let i = scan.ids.get(local);
+            if scan.clip.is_none_or(|c| c.touches(&bboxes[i])) {
+                cx.scan_element(&indexes[scan.index], i, scan.within, &mut part);
+            }
+        }
+        part
+    });
+    drop(indexes);
+    let mut rows: Vec<Scored> = (0..rows_built).map(|_| Scored::default()).collect();
+    let mut loose_scored = Scored::default();
+    for (&(k, _), part) in tiles.iter().zip(parts) {
+        stats.conn_pairs_scored += part.scored;
+        rows.get_mut(k).unwrap_or(&mut loose_scored).append(part);
+    }
+    for (row, scan) in rows.iter_mut().zip(&scans) {
+        row.localize(scan.base);
+    }
+    // A scope scanned against the loose elements finds pairs on both
+    // sides of itself.
+    let by_ids = |v: &(usize, usize, Verdict)| (v.0, v.1);
+    if !loose_scored.verdicts.is_sorted_by_key(by_ids) {
+        loose_scored.verdicts.sort_unstable_by_key(by_ids);
+    }
+
+    // Assemble in ascending (i, j): call scopes ascend with their ids,
+    // so each scope's verdicts — its interior row, then its rows with
+    // later scopes — follow the previous scope's, and the loose
+    // verdicts merge in by id.
+    let mut result = ConnectionResult {
+        pairs_examined: loose_scored.examined,
+        ..ConnectionResult::default()
+    };
+    let mut loose_verdicts = loose_scored.verdicts.into_iter().peekable();
+    let mut stamped: Vec<(usize, usize, Verdict)> = Vec::new();
+    let mut used = vec![false; rows_built];
+    let mut cross = cross.into_iter().peekable();
+    for (s, row) in intra_row.iter().enumerate() {
+        stamped.clear();
+        let mut stamp = |row: usize, i0: usize, j0: usize| {
+            // The first use of a row is the instance that was scored.
+            if std::mem::replace(&mut used[row], true) {
+                stats.conn_rows_stamped += 1;
+                stats.conn_pairs_stamped += rows[row].scored;
+            }
+            let row = &rows[row];
+            stamped.extend(row.verdicts.iter().map(|&(i, j, v)| (i + i0, j + j0, v)));
+            result.pairs_examined += row.examined;
+        };
+        let start = calls[s].run().start;
+        if let Some(row) = *row {
+            stamp(row, start, start);
+        }
+        while let Some(&(_, sj, row)) = cross.peek().filter(|c| c.0 == s) {
+            stamp(row, start, calls[sj].run().start);
+            cross.next();
+        }
+        if !stamped.is_sorted_by_key(by_ids) {
+            stamped.sort_unstable_by_key(by_ids);
+        }
+        for &verdict in &stamped {
+            while let Some(first) = loose_verdicts.next_if(|l| by_ids(l) < by_ids(&verdict)) {
+                cx.render(first, &mut result);
+            }
+            cx.render(verdict, &mut result);
+        }
+    }
+    for verdict in loose_verdicts {
+        cx.render(verdict, &mut result);
+    }
+    stats.conn_rows_built = rows_built;
+    (result, stats)
+}
+
+/// Runs the connection checks over the pairs **among** the given
+/// elements only (ascending ids), serially, by the direct scan: one grid
+/// over the elements, each scored against it. This is the incremental
+/// checker's scoped pass: a connection verdict (touch + skeletal
+/// connectivity) is a pure pair function, so pairs with an endpoint
+/// outside the seed set keep their cached verdicts, and every pair whose
+/// verdict could have changed has both endpoints in the seed set (any
+/// element whose geometry changed — or that sits inside the dirty
+/// footprint a changed element left behind — is a seed). Over every id
+/// it is the reference [`check_connections`] is held to.
+pub fn check_connections_among(
+    view: &ChipView,
+    tech: &Technology,
+    ids: &[usize],
+) -> ConnectionResult {
+    let cx = ScanCx::new(view, tech);
+    let index = cx.index(ScopeIds::List(ids), None);
+    let mut scored = Scored::default();
+    for &i in ids {
+        cx.scan_element(&index, i, true, &mut scored);
+    }
+    let mut result = ConnectionResult {
+        pairs_examined: scored.examined,
+        ..ConnectionResult::default()
+    };
+    for verdict in scored.verdicts {
+        cx.render(verdict, &mut result);
+    }
+    result
 }
 
 fn overlap_bbox(view: &ChipView, i: usize, j: usize) -> Option<diic_geom::Rect> {
@@ -292,15 +552,43 @@ fn context_of(view: &ChipView, i: usize, j: usize) -> String {
 mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
-    use diic_cif::parse;
+    use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
+    use diic_geom::{Point, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
+    use proptest::prelude::*;
+
+    /// The table-driven result of a layout at each of `workers`, each
+    /// asserted equal — field for field, in order — to the direct scan
+    /// over all ids; returns the direct scan's result and the stats of
+    /// the last table-driven run.
+    fn run_layout(
+        layout: &diic_cif::Layout,
+        tech: &Technology,
+        workers: &[usize],
+    ) -> (ConnectionResult, ScopeStats) {
+        let (binding, _) = LayerBinding::bind(layout, tech);
+        let (view, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|run| run.0),
+            view.elements.bboxes(),
+            crate::interact::max_rule_range(tech),
+        );
+        let all: Vec<usize> = (0..view.elements.len()).collect();
+        let direct = check_connections_among(&view, tech, &all);
+        let mut stats = ScopeStats::default();
+        for &w in workers {
+            let (tabled, s) = check_connections(&view, tech, &scopes, w);
+            assert_eq!(tabled.violations, direct.violations, "workers={w}");
+            assert_eq!(tabled.merges, direct.merges, "workers={w}");
+            assert_eq!(tabled.pairs_examined, direct.pairs_examined, "workers={w}");
+            stats = s;
+        }
+        (direct, stats)
+    }
 
     fn run(cif: &str) -> ConnectionResult {
-        let layout = parse(cif).unwrap();
-        let tech = nmos_technology();
-        let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
-        check_connections(&view, &tech)
+        run_layout(&parse(cif).unwrap(), &nmos_technology(), &[1, 2]).0
     }
 
     #[test]
@@ -399,5 +687,215 @@ mod tests {
             r.violations[0].kind,
             ViolationKind::IllegalConnection { .. }
         ));
+    }
+
+    #[test]
+    fn a_row_of_abutting_cells_is_scored_once_and_stamped() {
+        // A metal rail butting into the next cell's (an illegal
+        // connection across every boundary), overlapping metal boxes (a
+        // merge inside every cell), and one loose wire into cell 2's rail.
+        let mut cif = String::from(
+            "DS 1; L NM; B 4000 750 2000 375; B 2000 750 1000 2000; B 2000 750 2200 2000; DF;\n",
+        );
+        for i in 0..5 {
+            cif.push_str(&format!("C 1 T {} 0;\n", i * 4000));
+        }
+        cif.push_str("L NM; W 750 9000 400 9000 -2000;\nE");
+        let (r, stats) = run_layout(&parse(&cif).unwrap(), &nmos_technology(), &[1, 3]);
+        assert_eq!(r.merges.len(), 5 + 1, "one per cell, one with the wire");
+        assert_eq!(r.violations.len(), 4, "{:?}", r.violations);
+        assert_eq!(stats.scopes, 6);
+        assert_eq!(stats.elements_in_repeated_scopes, 15);
+        assert_eq!(stats.conn_rows_built, 2, "one interior, one boundary");
+        assert_eq!(stats.conn_rows_stamped, 4 + 3);
+        assert!(stats.conn_pairs_stamped > stats.conn_pairs_scored);
+    }
+
+    /// A random two-level layout for the stamped ≡ scanned oracle: a few
+    /// 4000 × 4000 cells of boxes (some under width), odd-width wires,
+    /// butted pairs, poly × diffusion crossings, a rail reaching both
+    /// cell edges, exact duplicates and calls of contact and transistor
+    /// device symbols; a top level that places them under any
+    /// orientation on a pitch that makes neighbours abut, overlap,
+    /// coincide or stand apart, with loose boxes and chip-crossing wires
+    /// between the calls.
+    fn random_layout(rng: &mut TestRng) -> Layout {
+        const CELL: i64 = 4000;
+        let mut layout = Layout::new();
+        let [nm, np, nd, nc] = ["NM", "NP", "ND", "NC"].map(|name| layout.intern_layer(name));
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let within = |rng: &mut TestRng, span: i64| rng.below(span as u64) as i64;
+        let on = |layer, shape| {
+            Item::Element(Element {
+                layer,
+                shape,
+                net: None,
+            })
+        };
+        let wire = |width: i64, points: &[(i64, i64)]| {
+            let points = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            Shape::Wire(Wire::new(width, points).unwrap())
+        };
+        let contact = layout.add_symbol(Symbol {
+            cif_id: 90,
+            name: None,
+            device: Some(DeviceDecl {
+                device_type: "CONTACT_D".into(),
+                checked: true,
+                terminals: Vec::new(),
+            }),
+            items: vec![
+                on(nc, Shape::Box(Rect::new(-250, -250, 250, 250))),
+                on(nd, Shape::Box(Rect::new(-500, -500, 500, 500))),
+                on(nm, Shape::Box(Rect::new(-500, -500, 500, 500))),
+            ],
+        });
+        let transistor = layout.add_symbol(Symbol {
+            cif_id: 91,
+            name: None,
+            device: Some(DeviceDecl {
+                device_type: "NMOS_ENH".into(),
+                checked: true,
+                terminals: vec![Terminal {
+                    name: "G".into(),
+                    layer: np,
+                    position: Point::new(-375, 0),
+                }],
+            }),
+            items: vec![
+                on(np, Shape::Box(Rect::new(-500, -250, 1000, 250))),
+                on(nd, Shape::Box(Rect::new(0, -1250, 500, 1250))),
+            ],
+        });
+        let place = |rng: &mut TestRng, target, at: Vector, name: String| {
+            // Half the placements upright, so definitions repeat under
+            // one orientation; the rest under any of the eight.
+            let orient = match pick(rng, 2) {
+                0 => Orientation::R0,
+                _ => Orientation::ALL[pick(rng, 8)],
+            };
+            Item::Call(Call {
+                target,
+                transform: Transform::new(orient, at),
+                name,
+            })
+        };
+
+        let mut cells = vec![contact, transistor];
+        for n in 0..1 + pick(rng, 3) {
+            let layer = |rng: &mut TestRng| [nm, np, nd][pick(rng, 3)];
+            // The rail: abutting neighbours butt it, overlapping ones
+            // merge it.
+            let mut items = vec![on(nm, Shape::Box(Rect::new(0, 0, CELL, 750)))];
+            for k in 0..2 + pick(rng, 5) {
+                let (x, y) = (within(rng, CELL - 500), 1000 + within(rng, CELL - 1500));
+                let item = match pick(rng, 6) {
+                    0 => {
+                        // Under-width stubs included.
+                        let (w, h) = (300 + within(rng, 2200), 300 + within(rng, 1200));
+                        on(layer(rng), Shape::Box(Rect::new(x, y, x + w, y + h)))
+                    }
+                    1 => {
+                        let width = [299, 500, 751, 1001][pick(rng, 4)];
+                        let bend = (x + 500 + within(rng, 2500), y);
+                        let end = (bend.0, y - 500 - within(rng, 2000));
+                        on(layer(rng), wire(width, &[(x, y), bend, end]))
+                    }
+                    2 => {
+                        // A butted pair: the second box follows.
+                        let l = layer(rng);
+                        items.push(on(l, Shape::Box(Rect::new(x, y, x + 1000, y + 750))));
+                        on(l, Shape::Box(Rect::new(x + 1000, y, x + 2000, y + 750)))
+                    }
+                    3 => {
+                        // Poly crossing diffusion inside the definition.
+                        items.push(on(np, wire(500, &[(x - 800, y), (x + 800, y)])));
+                        on(nd, wire(500, &[(x, y - 800), (x, y + 800)]))
+                    }
+                    4 => place(rng, contact, Vector::new(x, y), format!("c{k}")),
+                    _ => place(rng, transistor, Vector::new(x, y), format!("t{k}")),
+                };
+                if pick(rng, 5) == 0 {
+                    items.push(item.clone()); // an exact duplicate
+                }
+                items.push(item);
+            }
+            cells.push(layout.add_symbol(Symbol {
+                cif_id: n as u32 + 1,
+                name: None,
+                device: None,
+                items,
+            }));
+        }
+
+        let pitch = [CELL, CELL - 750, CELL / 2, 3 * CELL][pick(rng, 4)];
+        let columns = 2 + pick(rng, 4);
+        let span = pitch * columns as i64 + CELL;
+        for k in 0..3 + pick(rng, 10) {
+            // Mostly the plain cells; a slot can be taken twice.
+            let target = cells[cells.len() - 1 - pick(rng, cells.len().min(3))];
+            let slot = pick(rng, 2 * columns);
+            let at = Vector::new(
+                (slot % columns) as i64 * pitch,
+                (slot / columns) as i64 * pitch,
+            );
+            layout.push_top(place(rng, target, at, format!("i{k}")));
+            for _ in 0..pick(rng, 3) {
+                let (x, y) = (within(rng, span), within(rng, 2 * pitch + CELL));
+                let layer = [nm, np, nd][pick(rng, 3)];
+                let shape = match pick(rng, 3) {
+                    0 => Shape::Box(Rect::new(x, y, x + 300 + within(rng, 3000), y + 750)),
+                    1 => wire(751, &[(-1000, y), (span, y)]),
+                    _ => wire(500, &[(x, -1000), (x, 2 * pitch + CELL)]),
+                };
+                layout.push_top(on(layer, shape));
+            }
+        }
+        layout
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Stamped ≡ scanned: the table-driven result equals the direct
+        /// scan over all ids — violations, merges and `pairs_examined`,
+        /// in order — for any worker count, in release builds too.
+        #[test]
+        fn table_driven_connections_equal_the_direct_scan(seed in 0u64..u64::MAX) {
+            let layout = random_layout(&mut TestRng::for_case(seed, 0));
+            run_layout(&layout, &nmos_technology(), &[1, 2, 3, 7]);
+        }
+    }
+
+    #[test]
+    fn the_random_layouts_exercise_every_path() {
+        // The oracle above is only as good as its inputs: over its first
+        // cases, rows must be stamped, pairs scored directly, and both
+        // kinds of fault and merges found.
+        let (mut stamped, mut scored, mut merges) = (0, 0, 0);
+        let (mut illegal, mut implied) = (0, 0);
+        for case in 0..48 {
+            let layout = random_layout(&mut TestRng::for_case(7, case));
+            let (r, stats) = run_layout(&layout, &nmos_technology(), &[1]);
+            stamped += stats.conn_rows_stamped;
+            scored += stats.conn_pairs_scored;
+            merges += r.merges.len();
+            for v in &r.violations {
+                match v.kind {
+                    ViolationKind::IllegalConnection { .. } => illegal += 1,
+                    ViolationKind::ImpliedDevice { .. } => implied += 1,
+                    _ => unreachable!("not a connection-stage violation: {v:?}"),
+                }
+            }
+        }
+        assert!(stamped > 100, "rows stamped: {stamped}");
+        assert!(
+            scored > 1000 && merges > 100,
+            "scored {scored}, merges {merges}"
+        );
+        assert!(
+            illegal > 50 && implied > 50,
+            "illegal {illegal}, implied {implied}"
+        );
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::binding::{ChipView, LayerBinding};
 use crate::checker::{CheckOptions, CheckReport, StageTimings};
-use crate::connect::{check_connections_parallel, ConnectionResult};
+use crate::connect::{check_connections, ConnectionResult};
 use crate::element_checks::check_elements;
 use crate::flat::{
     flat_gate_checks, flat_spacing_checks, flat_width_checks, FlatLayers, FlatOptions,
@@ -37,6 +37,7 @@ use crate::interact::{check_interactions, InteractStats};
 use crate::netgen::{generate_netlist_parallel, NetgenResult};
 use crate::parallel::effective_parallelism;
 use crate::primitive_checks::check_primitive_symbols;
+use crate::scope::{ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
 use diic_netlist::{check_erc, compare_by_structure, NetlistBuilder};
@@ -552,6 +553,13 @@ pub struct CheckContext<'a> {
     /// Instantiated chip view, set by the instantiate stage (its
     /// `violations` have been moved into the sink).
     pub view: Option<ChipView>,
+    /// The view's top-level scopes, set by the instantiate stage from the
+    /// run lengths it instantiated — what the connection stage and the
+    /// hierarchical interaction search read the hierarchy from.
+    pub scopes: Option<ScopeTable>,
+    /// What the scope table was worth to this run: the table's own
+    /// counts, plus the connection stage's row-cache counters.
+    pub scope_stats: ScopeStats,
     /// Connection-stage output (merges for net-list generation; its
     /// `violations` have been moved into the sink).
     pub connections: Option<ConnectionResult>,
@@ -625,6 +633,8 @@ impl<'a> CheckContext<'a> {
             sink,
             binding: None,
             view: None,
+            scopes: None,
+            scope_stats: ScopeStats::default(),
             connections: None,
             nets: None,
             flat_layers: None,
@@ -692,6 +702,13 @@ impl<'a> CheckContext<'a> {
             .expect("chip view not available: run the instantiate stage first")
     }
 
+    /// The view's top-level scopes (requires the instantiate stage).
+    pub fn scopes(&self) -> &ScopeTable {
+        self.scopes
+            .as_ref()
+            .expect("scope table not available: run the instantiate stage first")
+    }
+
     /// Mutable chip view (the net-list stage interns its fresh node
     /// keys into the view's string table).
     pub fn view_mut(&mut self) -> &mut ChipView {
@@ -745,6 +762,7 @@ impl<'a> CheckContext<'a> {
             element_count,
             device_count,
             instantiate_stats,
+            scope_stats: self.scope_stats,
         }
     }
 }
@@ -864,7 +882,8 @@ impl std::fmt::Debug for StageEngine {
 /// [`crate::binding::instantiate`]: each repeated definition derived
 /// once and stamped, the top-level items walked in one chunk per worker
 /// ([`CheckOptions::parallelism`]) — byte-identical for any worker
-/// count.
+/// count. The per-item run lengths it returns become the context's
+/// [`ScopeTable`].
 pub struct InstantiateStage;
 
 impl PipelineStage for InstantiateStage {
@@ -877,9 +896,20 @@ impl PipelineStage for InstantiateStage {
         ctx.sink.absorb(bind_violations);
         let workers = effective_parallelism(ctx.options.parallelism);
         let seed = ctx.seed_strings.take().unwrap_or_default();
-        let (mut view, _) =
+        let (mut view, runs) =
             crate::binding::instantiate(ctx.layout, ctx.tech, &binding, workers, seed);
         ctx.sink.append(&mut view.violations);
+        let scopes = ScopeTable::build(
+            ctx.layout.top_items(),
+            runs.iter().map(|&(elements, _)| elements),
+            view.elements.bboxes(),
+            match ctx.library {
+                Some((bound, _)) => bound.max_rule_range(),
+                None => crate::interact::max_rule_range(ctx.tech),
+            },
+        );
+        ctx.scope_stats = scopes.stats();
+        ctx.scopes = Some(scopes);
         ctx.binding = Some(binding);
         ctx.view = Some(view);
     }
@@ -924,10 +954,11 @@ impl PipelineStage for PrimitivesStage {
 }
 
 /// Stage 4 — "check legal connections": skeletal connectivity and
-/// undeclared-device detection. The element scan is sharded by grid
-/// tile across the scoped worker pool ([`CheckOptions::parallelism`]) —
-/// each candidate pair owned by its lower element's tile, results
-/// merged positionally — byte-identical to serial for any worker count.
+/// undeclared-device detection, read through the scope table — each
+/// definition's interior and each distinct placement of two touching
+/// definitions scored once and stamped, the scans tiled across the
+/// scoped worker pool ([`CheckOptions::parallelism`]) — byte-identical
+/// to the direct scan for any worker count.
 pub struct ConnectionsStage;
 
 impl PipelineStage for ConnectionsStage {
@@ -941,8 +972,9 @@ impl PipelineStage for ConnectionsStage {
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
         let workers = effective_parallelism(ctx.options.parallelism);
-        let mut conn = check_connections_parallel(ctx.view(), ctx.tech, workers);
+        let (mut conn, stats) = check_connections(ctx.view(), ctx.tech, ctx.scopes(), workers);
         ctx.sink.append(&mut conn.violations);
+        ctx.scope_stats = stats;
         ctx.connections = Some(conn);
     }
 }
@@ -1008,7 +1040,7 @@ impl PipelineStage for InteractionsStage {
                     ctx.view(),
                     ctx.tech,
                     ctx.nets(),
-                    ctx.layout,
+                    ctx.scopes(),
                     &interact_options,
                     bound,
                     cache,
@@ -1017,7 +1049,7 @@ impl PipelineStage for InteractionsStage {
                     ctx.view(),
                     ctx.tech,
                     ctx.nets(),
-                    ctx.layout,
+                    ctx.scopes(),
                     &interact_options,
                 ),
             },

@@ -99,7 +99,7 @@
 
 use crate::binding::{assign_auto_net_keys, instantiate, instantiate_item, ChipView, LayerBinding};
 use crate::checker::{check, CheckOptions, CheckReport};
-use crate::connect::check_connections_among;
+use crate::connect::{check_connections, check_connections_among};
 use crate::element_checks::check_elements;
 use crate::engine::{composition_violations, DiagnosticSink, Sink};
 use crate::interact::{check_interactions, check_same_mask, max_rule_range};
@@ -108,6 +108,7 @@ use crate::netgen::{
 };
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
+use crate::scope::ScopeTable;
 use crate::violations::{CheckStage, Violation};
 use diic_cif::{Call, Element, Item, Layout, NetLabel, Shape, SymbolId};
 use diic_geom::{Rect, Region, Transform, Vector};
@@ -439,15 +440,19 @@ impl CheckSession {
         let waived_devices = prim.waived;
         sink.absorb(prim.violations);
 
-        // The session opens with the same parallel connection scan and
-        // netgen union phase an engine run uses (both byte-identical to
-        // serial); the patch paths below stay serial — they are
-        // edit-sized.
-        let conn = crate::connect::check_connections_parallel(
-            &view,
-            &tech,
-            options.effective_parallelism(),
+        // The session opens with the same scope-table connection pass
+        // and netgen union phase an engine run uses (both byte-identical
+        // to serial); the patch paths below stay serial and read no
+        // scopes — they are edit-sized. The table lives for this open
+        // (or rebuild) only.
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|run| run.elems),
+            view.elements.bboxes(),
+            halo,
         );
+        let (conn, scope_stats) =
+            check_connections(&view, &tech, &scopes, options.effective_parallelism());
         sink.absorb(conn.violations);
 
         let labels: Vec<(NetLabel, Option<LayerId>)> = layout
@@ -466,7 +471,7 @@ impl CheckSession {
         sink.append(&mut nets.violations);
 
         let interact_options = options.interact_options();
-        let (ivs, stats) = check_interactions(&view, &tech, &nets, &layout, &interact_options);
+        let (ivs, stats) = check_interactions(&view, &tech, &nets, &scopes, &interact_options);
         sink.absorb(ivs);
 
         sink.absorb(composition_violations(&nets.netlist, &tech, &options));
@@ -489,6 +494,7 @@ impl CheckSession {
             element_count: view.elements.len(),
             device_count: view.devices.len(),
             instantiate_stats: view.instantiate_stats,
+            scope_stats,
         };
 
         CheckSession {
@@ -1255,6 +1261,7 @@ impl CheckSession {
             // Still the session's last whole instantiation (its open or
             // its latest full rebuild): a patch re-walks dirty items only.
             instantiate_stats: self.report.instantiate_stats,
+            scope_stats: self.report.scope_stats,
         };
 
         // -- Phase M: compact the spatial index after heavy churn. ----

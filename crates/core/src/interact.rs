@@ -74,14 +74,15 @@
 //! which is how the incremental session recomputes the (global, and
 //! therefore un-clippable) property after an edit.
 
-use crate::binding::ChipView;
+use crate::binding::{ChipView, Istr};
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
 use crate::netgen::NetgenResult;
 use crate::parallel::{effective_parallelism, run_ordered};
+use crate::scope::{ScopeIds, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::{Item, Layout, SymbolId};
+use diic_cif::SymbolId;
 use diic_geom::{Coord, GridIndex, Rect, SizingMode, Transform};
-use diic_tech::{LayerId, Technology};
+use diic_tech::{DeviceArchetype, LayerId, Technology};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -227,15 +228,18 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
     max_rule_range(tech).saturating_mul(4).max(1000)
 }
 
-/// Runs the interaction checks.
+/// Runs the interaction checks. The hierarchical search reads the
+/// top-level hierarchy from `scopes`, which must have been built for
+/// this technology's rule reach ([`max_rule_range`]); the flat search
+/// does not look at it.
 pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
     nets: &NetgenResult,
-    layout: &Layout,
+    scopes: &ScopeTable,
     options: &InteractOptions,
 ) -> (Vec<Violation>, InteractStats) {
-    check_interactions_impl(view, tech, nets, layout, options, None)
+    check_interactions_impl(view, tech, nets, scopes, options, None)
 }
 
 /// Library-mode [`check_interactions`]: the technology constants come
@@ -249,19 +253,19 @@ pub fn check_interactions_shared(
     view: &ChipView,
     tech: &Technology,
     nets: &NetgenResult,
-    layout: &Layout,
+    scopes: &ScopeTable,
     options: &InteractOptions,
     bound: &BoundTechnology,
     cache: &LibraryCache,
 ) -> (Vec<Violation>, InteractStats) {
-    check_interactions_impl(view, tech, nets, layout, options, Some((bound, cache)))
+    check_interactions_impl(view, tech, nets, scopes, options, Some((bound, cache)))
 }
 
 fn check_interactions_impl(
     view: &ChipView,
     tech: &Technology,
     nets: &NetgenResult,
-    layout: &Layout,
+    scopes: &ScopeTable,
     options: &InteractOptions,
     shared: Option<(&BoundTechnology, &LibraryCache)>,
 ) -> (Vec<Violation>, InteractStats) {
@@ -286,12 +290,13 @@ fn check_interactions_impl(
         nets,
         options,
         forming,
+        archetypes: device_archetypes(view, tech, 0..view.devices.len()),
     };
     let shared_cache = shared.map(|(bound, cache)| (cache, bound.revision()));
     let (mut violations, edges) = if options.hierarchical {
         let plan = hierarchical_plan_fill(
             view,
-            layout,
+            scopes,
             max_range,
             cell,
             workers,
@@ -395,7 +400,7 @@ pub fn check_interactions_among_clipped(
     let cell = interaction_cell_size(tech);
     let workers = effective_parallelism(options.parallelism);
 
-    let local = local_candidates(view, ids, max_range, cell);
+    let local = local_candidates(view, ScopeIds::List(ids), max_range, cell);
     let pairs: Vec<(usize, usize)> = local
         .into_iter()
         .map(|(li, lj)| (ids[li], ids[lj]))
@@ -410,6 +415,13 @@ pub fn check_interactions_among_clipped(
         nets,
         options,
         forming: Cow::Owned(crate::connect::device_forming_pairs(tech)),
+        // The devices of the candidate elements only: this pass must
+        // cost the edit, not the chip.
+        archetypes: device_archetypes(
+            view,
+            tech,
+            ids.iter().filter_map(|&id| view.elements.get(id).device()),
+        ),
     };
     // Same-mask edges are discarded here: bipartiteness is a *global*
     // property of the conflict graph — a clip-local edge subset cannot
@@ -548,23 +560,14 @@ fn evaluate_tile(
     (vs, edges, tile_stats)
 }
 
-/// A top-level scope: one top-level call (with all elements instantiated
-/// beneath it) or the loose top-level elements.
-struct Scope {
-    symbol: Option<SymbolId>,
-    transform: Transform,
-    element_ids: Vec<usize>,
-    bbox: Option<Rect>,
-}
-
 /// The planned-and-filled hierarchical search, before pair assembly:
 /// the scopes, which filled cache row feeds each scope (`intra_source`)
 /// and each near scope pair (`inter_source`), and the filled rows
 /// themselves (shard-local index pairs). A buffered run assembles the
 /// full global pair list from this ([`assemble_pairs`]); a tiled run
 /// streams one row at a time ([`hierarchical_tiled`]).
-struct HierPlan {
-    scopes: Vec<Scope>,
+struct HierPlan<'a> {
+    scopes: &'a ScopeTable,
     intra_source: Vec<usize>,
     inter_source: Vec<(usize, usize, usize)>,
     /// Filled rows sit behind [`Arc`] so library-mode cache hits share
@@ -579,10 +582,15 @@ struct HierPlan {
 /// output order is canonical: intra-scope pairs in scope walk order,
 /// then inter-scope pairs over the upper-triangular scope matrix.
 ///
+/// The scopes — which element belongs to which top-level instance, and
+/// which instances come within rule reach of one another — are read
+/// from the [`ScopeTable`]; this function looks at no path string and
+/// walks no scope pair that is not near.
+///
 /// The search runs in three deterministic steps so the cache fills can
 /// be shared across threads:
 ///
-/// 1. **plan** (serial, cheap) — walk the scopes and scope pairs in
+/// 1. **plan** (serial, cheap) — walk the scopes and near scope pairs in
 ///    canonical order, deduplicating cache keys into an ordered job
 ///    list and recording which job feeds each scope / scope pair (the
 ///    first occurrence of a key is the cache miss, later ones the
@@ -592,57 +600,16 @@ struct HierPlan {
 ///    element sets, so parallel fills return exactly the serial values;
 /// 3. **assemble** (serial, cheap) — emit the canonical pair list from
 ///    the filled caches.
-fn hierarchical_plan_fill(
+fn hierarchical_plan_fill<'a>(
     view: &ChipView,
-    layout: &Layout,
+    table: &'a ScopeTable,
     max_range: Coord,
     cell: Coord,
     workers: usize,
     stats: &mut InteractStats,
     shared: Option<(&LibraryCache, u64)>,
-) -> HierPlan {
-    // Group elements by top-level scope, in walk order (deterministic:
-    // walk order is identical for every instance of the same symbol).
-    let mut scopes: Vec<Scope> = Vec::new();
-    let mut loose: Vec<usize> = Vec::new();
-    let mut call_idx = 0usize;
-    let mut path_to_scope: HashMap<String, usize> = HashMap::new();
-    for item in layout.top_items() {
-        if let Item::Call(c) = item {
-            scopes.push(Scope {
-                symbol: Some(c.target),
-                transform: c.transform,
-                element_ids: Vec::new(),
-                bbox: None,
-            });
-            path_to_scope.insert(c.name.clone(), call_idx);
-            call_idx += 1;
-        }
-    }
-    for e in view.elements.iter() {
-        let top = view.str(e.path()).split('.').next().unwrap_or("");
-        if top.is_empty() {
-            loose.push(e.id());
-        } else if let Some(&s) = path_to_scope.get(top) {
-            scopes[s].element_ids.push(e.id());
-        } else {
-            loose.push(e.id());
-        }
-    }
-    scopes.push(Scope {
-        symbol: None,
-        transform: Transform::IDENTITY,
-        element_ids: loose,
-        bbox: None,
-    });
-    for s in &mut scopes {
-        let mut bb: Option<Rect> = None;
-        for &id in &s.element_ids {
-            let b = view.elements.bboxes()[id];
-            bb = Some(bb.map_or(b, |acc| acc.bounding_union(&b)));
-        }
-        s.bbox = bb;
-    }
+) -> HierPlan<'a> {
+    let scopes = table.scopes();
 
     // Step 1 — plan. Cache keys express "same geometry up to rigid
     // motion"; the first scope (pair) presenting a key owns the fill
@@ -678,42 +645,29 @@ fn hierarchical_plan_fill(
         }
     }
 
-    // Inter-scope plan: upper-triangular walk over scope pairs whose
-    // inflated bboxes touch.
+    // Inter-scope plan: the scope pairs within rule reach of one
+    // another, in ascending order.
     let mut inter_key_to_job: HashMap<(SymbolId, SymbolId, Transform), usize> = HashMap::new();
-    let mut inter_source: Vec<(usize, usize, usize)> = Vec::new(); // (si, sj, job)
-    for si in 0..scopes.len() {
-        for sj in (si + 1)..scopes.len() {
-            let (sa, sb) = (&scopes[si], &scopes[sj]);
-            let (Some(ba), Some(bb)) = (sa.bbox, sb.bbox) else {
-                continue;
-            };
-            // invariant: non-negative range, as above.
-            let near = ba
-                .inflate(max_range)
-                .expect("inflate cannot fail")
-                .touches(&bb);
-            if !near {
-                continue;
-            }
-            match (sa.symbol, sb.symbol) {
-                (Some(x), Some(y)) => {
-                    let rel = sa.transform.inverse().after(&sb.transform);
-                    let key = (x, y, rel);
-                    if let Some(&job) = inter_key_to_job.get(&key) {
-                        stats.cache_hits += 1;
-                        inter_source.push((si, sj, job));
-                    } else {
-                        stats.cache_misses += 1;
-                        inter_key_to_job.insert(key, jobs.len());
-                        inter_source.push((si, sj, jobs.len()));
-                        jobs.push(FillJob::Cross(si, sj));
-                    }
-                }
-                _ => {
+    let mut inter_source: Vec<(usize, usize, usize)> = Vec::with_capacity(table.near().len());
+    for &(si, sj) in table.near() {
+        let (sa, sb) = (&scopes[si], &scopes[sj]);
+        match (sa.symbol, sb.symbol) {
+            (Some(x), Some(y)) => {
+                let rel = sa.transform.inverse().after(&sb.transform);
+                let key = (x, y, rel);
+                if let Some(&job) = inter_key_to_job.get(&key) {
+                    stats.cache_hits += 1;
+                    inter_source.push((si, sj, job));
+                } else {
+                    stats.cache_misses += 1;
+                    inter_key_to_job.insert(key, jobs.len());
                     inter_source.push((si, sj, jobs.len()));
                     jobs.push(FillJob::Cross(si, sj));
                 }
+            }
+            _ => {
+                inter_source.push((si, sj, jobs.len()));
+                jobs.push(FillJob::Cross(si, sj));
             }
         }
     }
@@ -729,27 +683,19 @@ fn hierarchical_plan_fill(
     // grow the cache with rows no sibling can hit.
     let filled: Vec<Arc<Vec<(usize, usize)>>> = run_ordered(jobs.len(), workers, |k| {
         let compute = || match jobs[k] {
-            FillJob::Intra(si) => local_candidates(view, &scopes[si].element_ids, max_range, cell),
-            FillJob::Cross(si, sj) => cross_candidates(
-                view,
-                &scopes[si].element_ids,
-                &scopes[sj].element_ids,
-                max_range,
-                cell,
-            ),
+            FillJob::Intra(si) => local_candidates(view, table.ids(si), max_range, cell),
+            FillJob::Cross(si, sj) => {
+                cross_candidates(view, table.ids(si), table.ids(sj), max_range, cell)
+            }
         };
         let key = shared.and_then(|(_, revision)| match jobs[k] {
             FillJob::Intra(si) => scopes[si]
                 .symbol
-                .map(|_| intra_content_key(view, &scopes[si].element_ids, revision)),
-            FillJob::Cross(si, sj) => scopes[si].symbol.and(scopes[sj].symbol).map(|_| {
-                cross_content_key(
-                    view,
-                    &scopes[si].element_ids,
-                    &scopes[sj].element_ids,
-                    revision,
-                )
-            }),
+                .map(|_| intra_content_key(view, table.ids(si), revision)),
+            FillJob::Cross(si, sj) => scopes[si]
+                .symbol
+                .and(scopes[sj].symbol)
+                .map(|_| cross_content_key(view, table.ids(si), table.ids(sj), revision)),
         });
         match (shared, key) {
             (Some((cache, _)), Some(key)) => cache.get_or_fill(key, compute),
@@ -758,18 +704,18 @@ fn hierarchical_plan_fill(
     });
 
     HierPlan {
-        scopes,
+        scopes: table,
         intra_source,
         inter_source,
         filled,
     }
 }
 
-impl HierPlan {
+impl HierPlan<'_> {
     /// Number of assembly units: one per scope (intra pairs), then one
     /// per near scope pair (inter pairs).
     fn unit_count(&self) -> usize {
-        self.scopes.len() + self.inter_source.len()
+        self.scopes.scopes().len() + self.inter_source.len()
     }
 
     /// Unit `k`'s global candidate pairs — the **single** cache-row to
@@ -779,27 +725,24 @@ impl HierPlan {
     /// the two paths cannot drift. Units walk in canonical order:
     /// scopes first, then the near scope pairs.
     fn unit_pairs(&self, k: usize) -> Vec<(usize, usize)> {
-        if k < self.scopes.len() {
-            let (scope, job) = (&self.scopes[k], self.intra_source[k]);
-            self.filled[job]
-                .iter()
-                .map(|&(li, lj)| (scope.element_ids[li], scope.element_ids[lj]))
-                .collect()
+        let scopes = self.scopes.scopes().len();
+        let (si, sj, job) = if k < scopes {
+            (k, k, self.intra_source[k])
         } else {
-            let (si, sj, job) = self.inter_source[k - self.scopes.len()];
-            let (sa, sb) = (&self.scopes[si], &self.scopes[sj]);
-            self.filled[job]
-                .iter()
-                .map(|&(la, lb)| (sa.element_ids[la], sb.element_ids[lb]))
-                .collect()
-        }
+            self.inter_source[k - scopes]
+        };
+        let (a, b) = (self.scopes.ids(si), self.scopes.ids(sj));
+        self.filled[job]
+            .iter()
+            .map(|&(la, lb)| (a.get(la), b.get(lb)))
+            .collect()
     }
 }
 
 /// Assembles the canonical global pair list from a filled plan (the
 /// buffered path — O(total pairs) of memory): every unit's pairs in
 /// unit order.
-fn assemble_pairs(plan: &HierPlan) -> Vec<(usize, usize)> {
+fn assemble_pairs(plan: &HierPlan<'_>) -> Vec<(usize, usize)> {
     (0..plan.unit_count())
         .flat_map(|k| plan.unit_pairs(k))
         .collect()
@@ -815,7 +758,7 @@ fn assemble_pairs(plan: &HierPlan) -> Vec<(usize, usize)> {
 /// evaluation.
 fn hierarchical_tiled(
     cx: &EvalCx<'_>,
-    plan: &HierPlan,
+    plan: &HierPlan<'_>,
     workers: usize,
     stats: &mut InteractStats,
 ) -> (Vec<Violation>, Vec<MaskEdge>) {
@@ -836,17 +779,17 @@ fn hierarchical_tiled(
 /// Candidate close pairs within one element set (sorted local indices).
 fn local_candidates(
     view: &ChipView,
-    ids: &[usize],
+    ids: ScopeIds<'_>,
     max_range: Coord,
     cell: Coord,
 ) -> Vec<(usize, usize)> {
     let bboxes = view.elements.bboxes();
     let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (local, &id) in ids.iter().enumerate() {
+    for (local, id) in ids.iter().enumerate() {
         index.insert(bboxes[id], local);
     }
     let mut out = Vec::new();
-    for (li, &id) in ids.iter().enumerate() {
+    for (li, id) in ids.iter().enumerate() {
         // invariant: non-negative range, as above.
         let query = bboxes[id].inflate(max_range).expect("inflate cannot fail");
         // Ascending-query-order results keep `out` lexicographically
@@ -865,18 +808,18 @@ fn local_candidates(
 /// pairs).
 fn cross_candidates(
     view: &ChipView,
-    a: &[usize],
-    b: &[usize],
+    a: ScopeIds<'_>,
+    b: ScopeIds<'_>,
     max_range: Coord,
     cell: Coord,
 ) -> Vec<(usize, usize)> {
     let bboxes = view.elements.bboxes();
     let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (local, &id) in b.iter().enumerate() {
+    for (local, id) in b.iter().enumerate() {
         index.insert(bboxes[id], local);
     }
     let mut out = Vec::new();
-    for (la, &id) in a.iter().enumerate() {
+    for (la, id) in a.iter().enumerate() {
         // invariant: non-negative range, as above.
         let query = bboxes[id].inflate(max_range).expect("inflate cannot fail");
         // Ascending-query-order results keep `out` lexicographically
@@ -900,17 +843,18 @@ fn cross_candidates(
 /// Bboxes are the *complete* input of [`local_candidates`] (layers and
 /// shapes only matter at evaluation, which stays per-cell), so equal
 /// keys imply byte-equal fills.
-fn intra_content_key(view: &ChipView, ids: &[usize], revision: u64) -> (u64, u64) {
+fn intra_content_key(view: &ChipView, ids: ScopeIds<'_>, revision: u64) -> (u64, u64) {
     let bboxes = view.elements.bboxes();
     let mut h = ContentHash::new();
     h.word(revision);
     h.word(1); // domain tag: intra
     h.word(ids.len() as u64);
     let (rx, ry) = ids
-        .first()
-        .map(|&id| (bboxes[id].x1, bboxes[id].y1))
+        .iter()
+        .next()
+        .map(|id| (bboxes[id].x1, bboxes[id].y1))
         .unwrap_or((0, 0));
-    for &id in ids {
+    for id in ids.iter() {
         let b = bboxes[id];
         h.coord(b.x1 - rx);
         h.coord(b.y1 - ry);
@@ -925,7 +869,12 @@ fn intra_content_key(view: &ChipView, ids: &[usize], revision: u64) -> (u64, u64
 /// the key captures the pair's **relative placement** exactly like the
 /// per-run `(SymbolId, SymbolId, relative transform)` key, but by
 /// content. See [`intra_content_key`] for why bboxes suffice.
-fn cross_content_key(view: &ChipView, a: &[usize], b: &[usize], revision: u64) -> (u64, u64) {
+fn cross_content_key(
+    view: &ChipView,
+    a: ScopeIds<'_>,
+    b: ScopeIds<'_>,
+    revision: u64,
+) -> (u64, u64) {
     let bboxes = view.elements.bboxes();
     let mut h = ContentHash::new();
     h.word(revision);
@@ -933,10 +882,11 @@ fn cross_content_key(view: &ChipView, a: &[usize], b: &[usize], revision: u64) -
     h.word(a.len() as u64);
     h.word(b.len() as u64);
     let (rx, ry) = a
-        .first()
-        .map(|&id| (bboxes[id].x1, bboxes[id].y1))
+        .iter()
+        .next()
+        .map(|id| (bboxes[id].x1, bboxes[id].y1))
         .unwrap_or((0, 0));
-    for &id in a.iter().chain(b) {
+    for id in a.iter().chain(b.iter()) {
         let bb = bboxes[id];
         h.coord(bb.x1 - rx);
         h.coord(bb.y1 - ry);
@@ -961,6 +911,28 @@ struct EvalCx<'a> {
     /// connection stage) — computed once per run, or borrowed from the
     /// batch's [`BoundTechnology`] in library mode.
     forming: Cow<'a, HashSet<(LayerId, LayerId)>>,
+    /// The archetype behind each distinct device type among the devices
+    /// this run can meet (a handful), resolved once: the pair loop finds
+    /// a device's archetype by comparing interned handles instead of
+    /// hashing its type name per pair.
+    archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
+}
+
+/// Resolves the distinct device types of `devices` (indices into
+/// `view.devices`) against the technology, once each.
+fn device_archetypes<'a>(
+    view: &ChipView,
+    tech: &'a Technology,
+    devices: impl IntoIterator<Item = usize>,
+) -> Vec<(Istr, Option<&'a DeviceArchetype>)> {
+    let mut out: Vec<(Istr, Option<&'a DeviceArchetype>)> = Vec::new();
+    for d in devices {
+        let ty = view.devices[d].device_type;
+        if !out.iter().any(|(known, _)| *known == ty) {
+            out.push((ty, tech.device(view.str(ty))));
+        }
+    }
+    out
 }
 
 /// Evaluates the candidate list, splitting it into contiguous chunks
@@ -1053,7 +1025,11 @@ fn evaluate_pair(
     for (own, other) in [(i, j), (j, i)] {
         let eo = view.elements.get(own);
         let Some(d) = eo.device() else { continue };
-        let Some(arch) = tech.device(view.str(view.devices[d].device_type)) else {
+        let ty = view.devices[d].device_type;
+        // invariant: `archetypes` covers every device this run's
+        // candidate elements belong to (see the two `EvalCx` builders).
+        let resolved = cx.archetypes.iter().find(|(known, _)| *known == ty);
+        let Some(arch) = resolved.expect("device type resolved up front").1 else {
             continue;
         };
         if let Some(o) = arch.find_override(eo.layer(), view.elements.layers()[other]) {
@@ -1416,18 +1392,9 @@ mod tests {
     use diic_tech::nmos::nmos_technology;
 
     fn run_with(cif: &str, options: InteractOptions) -> (Vec<Violation>, InteractStats) {
-        let layout = parse(cif).unwrap();
         let tech = nmos_technology();
-        let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let mut view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
-        let conn = check_connections(&view, &tech);
-        let labels: Vec<_> = layout
-            .labels()
-            .iter()
-            .map(|l| (l.clone(), binding.layer(l.layer)))
-            .collect();
-        let nets = generate_netlist(&mut view, &tech, &conn.merges, &labels);
-        check_interactions(&view, &tech, &nets, &layout, &options)
+        let (view, nets, scopes) = build(cif, &tech);
+        check_interactions(&view, &tech, &nets, &scopes, &options)
     }
 
     fn run(cif: &str) -> (Vec<Violation>, InteractStats) {
@@ -1449,18 +1416,30 @@ mod tests {
     fn build(
         cif: &str,
         tech: &diic_tech::Technology,
-    ) -> (ChipView, crate::netgen::NetgenResult, diic_cif::Layout) {
-        let layout = parse(cif).unwrap();
-        let (binding, _) = LayerBinding::bind(&layout, tech);
-        let mut view = instantiate(&layout, tech, &binding, 1, Default::default()).0;
-        let conn = check_connections(&view, tech);
+    ) -> (ChipView, crate::netgen::NetgenResult, ScopeTable) {
+        build_layout(&parse(cif).unwrap(), tech)
+    }
+
+    fn build_layout(
+        layout: &diic_cif::Layout,
+        tech: &diic_tech::Technology,
+    ) -> (ChipView, crate::netgen::NetgenResult, ScopeTable) {
+        let (binding, _) = LayerBinding::bind(layout, tech);
+        let (mut view, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|run| run.0),
+            view.elements.bboxes(),
+            max_rule_range(tech),
+        );
+        let (conn, _) = check_connections(&view, tech, &scopes, 1);
         let labels: Vec<_> = layout
             .labels()
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
         let nets = generate_netlist(&mut view, tech, &conn.merges, &labels);
-        (view, nets, layout)
+        (view, nets, scopes)
     }
 
     /// Triangle of metal boxes with pairwise gaps 950 / 1000 / 1000:
@@ -1478,7 +1457,7 @@ mod tests {
     #[test]
     fn odd_cycle_flagged_in_every_search_shape() {
         let tech = mp_tech();
-        let (view, nets, layout) = build(ODD_TRIANGLE, &tech);
+        let (view, nets, scopes) = build(ODD_TRIANGLE, &tech);
         let mut reference: Option<Vec<Violation>> = None;
         for hierarchical in [false, true] {
             for tiled in [false, true] {
@@ -1489,7 +1468,7 @@ mod tests {
                         parallelism,
                         ..Default::default()
                     };
-                    let (v, _) = check_interactions(&view, &tech, &nets, &layout, &options);
+                    let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &options);
                     let mask: Vec<&Violation> = v
                         .iter()
                         .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1524,8 +1503,8 @@ mod tests {
     #[test]
     fn even_ring_is_two_mask_decomposable() {
         let tech = mp_tech();
-        let (view, nets, layout) = build(EVEN_RING, &tech);
-        let (v, _) = check_interactions(&view, &tech, &nets, &layout, &InteractOptions::default());
+        let (view, nets, scopes) = build(EVEN_RING, &tech);
+        let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &InteractOptions::default());
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1537,9 +1516,9 @@ mod tests {
     fn standalone_check_matches_inline_collection() {
         let tech = mp_tech();
         for cif in [ODD_TRIANGLE, EVEN_RING] {
-            let (view, nets, layout) = build(cif, &tech);
+            let (view, nets, scopes) = build(cif, &tech);
             let options = InteractOptions::default();
-            let (v, _) = check_interactions(&view, &tech, &nets, &layout, &options);
+            let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &options);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1566,8 +1545,8 @@ mod tests {
         let cif = "L NM; B 2000 750 1000 375; B 2000 750 2950 375; \
                    B 2950 750 2475 2125; E";
         let tech = mp_tech();
-        let (view, nets, layout) = build(cif, &tech);
-        let (v, _) = check_interactions(&view, &tech, &nets, &layout, &InteractOptions::default());
+        let (view, nets, scopes) = build(cif, &tech);
+        let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &InteractOptions::default());
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1701,6 +1680,48 @@ mod tests {
         assert_eq!(flat.len(), hier.len());
         assert_eq!(flat.len(), 6); // one violation per instance
         assert!(stats.cache_hits >= 5, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn scopes_are_positional_whatever_the_calls_are_named() {
+        // Three instances of a cell with one internal spacing fault,
+        // the first two close enough to fault across their boundary;
+        // the top-level calls renamed to dotted, empty and repeated
+        // names. Keyed by name, the hierarchical search lost the
+        // renamed scopes' elements (1 of 3, 1 of 3, 0 of 3 internal
+        // faults) or indexed out of bounds (the last naming).
+        let tech = nmos_technology();
+        let cif = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;
+                   C 1 T 0 0; C 1 T 2500 0; C 1 T 10000 0; E";
+        for names in [
+            ["i0", "i1", "i2"],
+            ["a.b", "i1", "i2"],
+            ["", "i1", "i2"],
+            ["x", "x", "i2"],
+            ["i1", "x", "x"],
+        ] {
+            let mut layout = parse(cif).unwrap();
+            for (k, name) in names.iter().enumerate() {
+                match layout.top_item_mut(k) {
+                    diic_cif::Item::Call(c) => c.name = name.to_string(),
+                    item => unreachable!("a call: {item:?}"),
+                }
+            }
+            let (view, nets, scopes) = build_layout(&layout, &tech);
+            let run = |hierarchical: bool| {
+                let options = InteractOptions {
+                    hierarchical,
+                    ..Default::default()
+                };
+                let (v, stats) = check_interactions(&view, &tech, &nets, &scopes, &options);
+                let mut rendered: Vec<String> = v.iter().map(|x| format!("{x:?}")).collect();
+                rendered.sort();
+                (rendered, stats.candidate_pairs)
+            };
+            let (flat, hier) = (run(false), run(true));
+            assert_eq!(flat, hier, "{names:?}");
+            assert_eq!(flat.0.len(), 3 + 4, "{names:?}: {:#?}", flat.0);
+        }
     }
 
     #[test]

@@ -35,8 +35,10 @@
 //! worker discipline (module [`parallel`]: ordered job list,
 //! work-stealing pool, positional merge — byte-identical for any worker
 //! count, all behind [`CheckOptions::parallelism`]): instantiation walks
-//! one chunk of top-level items per worker, the connection scan is
-//! sharded by grid tile (each pair owned by its lower element's tile),
+//! one chunk of top-level items per worker, the connection stage scores
+//! each definition's interior and each distinct placement of two
+//! touching definitions once (module [`scope`] describes the top-level
+//! hierarchy) in tiled scans and stamps the rest,
 //! the netgen union phase fans out per device/label as symbolic draft
 //! rows interned serially in canonical order, the interaction search
 //! enumerates
@@ -132,6 +134,7 @@ pub mod netgen;
 pub mod parallel;
 pub mod primitive_checks;
 pub mod report;
+pub mod scope;
 pub mod spill;
 pub mod violations;
 
@@ -142,7 +145,7 @@ pub use binding::{
 pub use checker::{
     check, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckReport, StageTimings,
 };
-pub use connect::{check_connections, check_connections_parallel, ConnectionResult};
+pub use connect::{check_connections, check_connections_among, ConnectionResult};
 pub use engine::{
     CheckContext, CountingSink, DiagnosticSink, PipelineStage, Sink, SpillStats, SpillingSink,
     StageEngine, StageTime, StreamingSink,
@@ -165,6 +168,7 @@ pub use report::{
     account, canonical_sort, category_of, format_report, merge_canonical, ErrorRegions,
     InjectedError,
 };
+pub use scope::{Neighbours, Scope, ScopeIds, ScopeStats, ScopeTable};
 pub use spill::SpillFile;
 pub use violations::{CheckStage, Violation, ViolationKind};
 

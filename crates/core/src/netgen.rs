@@ -967,7 +967,7 @@ pub fn generate_netlist_parallel(
 mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
-    use crate::connect::check_connections;
+    use crate::connect::check_connections_among;
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
@@ -976,7 +976,8 @@ mod tests {
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
         let mut view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
-        let conn = check_connections(&view, &tech);
+        let all: Vec<usize> = (0..view.elements.len()).collect();
+        let conn = check_connections_among(&view, &tech, &all);
         let labels: Vec<(NetLabel, Option<LayerId>)> = layout
             .labels()
             .iter()

@@ -20,9 +20,10 @@
 //!   worker, chunk 0 walked straight into the view and the rest stitched
 //!   on with stable ids ([`crate::binding::instantiate`]; it spawns its
 //!   own scoped threads, since its first job writes into the result);
-//! * the **connection stage**'s tile-sharded pair scan
-//!   ([`crate::connect::check_connections_parallel`] — each pair owned
-//!   by its lower element's tile);
+//! * the **connection stage**'s tiled scans — one per distinct verdict
+//!   row, plus the loose elements'
+//!   ([`crate::connect::check_connections`] — each pair scored once,
+//!   verdicts ordered by element ids at assembly);
 //! * the **netgen union phase** — per-device / per-label draft rows,
 //!   interned serially in canonical order
 //!   ([`crate::netgen::NetParts::build_parallel`]);

@@ -12,6 +12,84 @@
 
 use crate::{Coord, Rect};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+
+/// Hashes a grid cell's `(x, y)` key with two folded multiplies: `x`
+/// masked with the first key word is multiplied out to 128 bits and
+/// folded onto itself, `y` masked with the second key word is xor-ed
+/// in, and the sum is multiplied and folded once more.
+///
+/// Cell coordinates come from outside the program (CIF text, edit
+/// JSON), so the hash is **keyed per index with process-random bits**
+/// ([`std::collections::hash_map::RandomState`], as the string
+/// interner's is): what a changed coordinate bit does to the first
+/// product depends on the carries of a masked word nobody outside can
+/// read, so no difference in `y` can be prepared ahead of time to
+/// cancel it, and a file cannot pile its cells into one bucket. Every
+/// output bit depends on every bit of both coordinates, which the map
+/// needs of its low bits (the bucket) and its top seven (the control
+/// tag) alike — also under a degenerate key, which the unit test
+/// forces. This is not a PRF as the standard library's SipHash is — it
+/// does not claim to resist a caller who can *measure* the key — and it
+/// is several times cheaper per lookup, which every insert, query and
+/// remove pays per covered cell. Nothing iterates the map, so no order
+/// can leak.
+#[derive(Debug, Clone)]
+struct CellKeyHash([u64; 2]);
+
+impl CellKeyHash {
+    fn new_random() -> Self {
+        let word = || {
+            std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish()
+        };
+        CellKeyHash([word(), word()])
+    }
+}
+
+impl BuildHasher for CellKeyHash {
+    type Hasher = CellKeyHasher;
+
+    fn build_hasher(&self) -> CellKeyHasher {
+        CellKeyHasher {
+            words: self.0,
+            next: 0,
+        }
+    }
+}
+
+/// See [`CellKeyHash`]: `words` starts as the key and takes the two
+/// coordinates xor-ed in.
+struct CellKeyHasher {
+    words: [u64; 2],
+    next: usize,
+}
+
+impl Hasher for CellKeyHasher {
+    fn finish(&self) -> u64 {
+        let fold = |a: u64, b: u64| {
+            let product = a as u128 * b as u128;
+            product as u64 ^ (product >> 64) as u64
+        };
+        let x = fold(self.words[0], 0x9E37_79B9_7F4A_7C15);
+        fold(x ^ self.words[1], 0xD6E8_FEB8_6659_FD93)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        // invariant: the only key type of the map is `(Coord, Coord)`.
+        unreachable!("the cell map is keyed by coordinate pairs only")
+    }
+
+    fn write_u64(&mut self, coordinate: u64) {
+        self.words[self.next & 1] ^= coordinate;
+        self.next += 1;
+    }
+
+    fn write_i64(&mut self, coordinate: i64) {
+        self.write_u64(coordinate as u64);
+    }
+}
 
 /// A uniform-grid spatial index mapping rectangles to payload values.
 ///
@@ -30,7 +108,7 @@ pub struct GridIndex<T> {
     cell: Coord,
     items: Vec<(Rect, Option<T>)>,
     alive: usize,
-    cells: HashMap<(Coord, Coord), Vec<u32>>,
+    cells: HashMap<(Coord, Coord), Vec<u32>, CellKeyHash>,
 }
 
 impl<T> GridIndex<T> {
@@ -41,7 +119,7 @@ impl<T> GridIndex<T> {
             cell: cell_size.max(1),
             items: Vec::new(),
             alive: 0,
-            cells: HashMap::new(),
+            cells: HashMap::with_hasher(CellKeyHash::new_random()),
         }
     }
 
@@ -197,12 +275,12 @@ impl<T> GridIndex<T> {
         false
     }
 
-    /// Item ids (ascending, deduplicated) whose rectangles touch the
-    /// query. Work is proportional to the covered cells' occupancy, not
-    /// to the total item count, so hot query loops stay cheap on large
-    /// indexes. Removed items never appear (their ids were scrubbed from
-    /// the cells).
-    fn matching_ids(&self, query: &Rect) -> Vec<u32> {
+    /// Handles (ascending, deduplicated) of the live items that share a
+    /// grid cell with the query — a superset of the items touching it,
+    /// for a caller that applies its own test to each
+    /// ([`GridIndex::get`] resolves a handle) and wants to know how many
+    /// it made.
+    pub fn candidates(&self, query: &Rect) -> Vec<u32> {
         let mut ids: Vec<u32> = Vec::new();
         for key in self.cover_keys(query) {
             if let Some(cell) = self.cells.get(&key) {
@@ -211,6 +289,16 @@ impl<T> GridIndex<T> {
         }
         ids.sort_unstable();
         ids.dedup();
+        ids
+    }
+
+    /// Item ids (ascending, deduplicated) whose rectangles touch the
+    /// query. Work is proportional to the covered cells' occupancy, not
+    /// to the total item count, so hot query loops stay cheap on large
+    /// indexes. Removed items never appear (their ids were scrubbed from
+    /// the cells).
+    fn matching_ids(&self, query: &Rect) -> Vec<u32> {
+        let mut ids = self.candidates(query);
         ids.retain(|&id| self.items[id as usize].0.touches(query));
         ids
     }
@@ -241,6 +329,41 @@ mod tests {
         let idx: GridIndex<u32> = GridIndex::new(100);
         assert!(idx.is_empty());
         assert!(idx.query(&Rect::new(0, 0, 10, 10)).is_empty());
+    }
+
+    #[test]
+    fn cell_hash_is_keyed_per_index_and_spreads_a_dense_grid() {
+        let hash = |key: &CellKeyHash, cell: (Coord, Coord)| key.hash_one(cell);
+        let (a, b) = (CellKeyHash::new_random(), CellKeyHash::new_random());
+        assert_ne!(a.0, b.0, "two indexes must not share a key");
+        assert_ne!(hash(&a, (3, 4)), hash(&b, (3, 4)));
+        assert_ne!(hash(&a, (3, 4)), hash(&a, (4, 3)));
+        // A dense 64 × 64 block of cells (what a chip is) over 256
+        // buckets and over the 128 control tags: no bucket or tag may
+        // collect more than a few times its share of 16 / 32.
+        for key in [a, b, CellKeyHash([1, 1]), CellKeyHash([0, u64::MAX])] {
+            let (mut buckets, mut tags) = ([0u32; 256], [0u32; 128]);
+            for x in -32..32 {
+                for y in -32..32 {
+                    let h = hash(&key, (x, y));
+                    buckets[(h & 255) as usize] += 1;
+                    tags[(h >> 57) as usize] += 1;
+                }
+            }
+            assert!(buckets.iter().all(|&n| n < 64), "{key:?}: {buckets:?}");
+            assert!(tags.iter().all(|&n| n < 128), "{key:?}: {tags:?}");
+        }
+    }
+
+    #[test]
+    fn candidates_are_a_superset_of_the_query() {
+        let mut idx = GridIndex::new(100);
+        let near = idx.insert(Rect::new(0, 0, 10, 10), 'a');
+        let same_cell = idx.insert(Rect::new(60, 60, 70, 70), 'b');
+        idx.insert(Rect::new(500, 500, 510, 510), 'c');
+        let query = Rect::new(0, 0, 20, 20);
+        assert_eq!(idx.candidates(&query), vec![near, same_cell]);
+        assert_eq!(idx.query(&query), vec![&'a']);
     }
 
     #[test]

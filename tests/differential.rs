@@ -35,10 +35,12 @@
 //! peak it exists to bound.
 //!
 //! The **seventh leg** (`parallel_connections_and_netgen_equal_serial`)
-//! pins the two stages parallelised after the interaction search: the
-//! tile-sharded connection scan and the netgen per-scope union phase
-//! must produce byte-identical results — violations, merges,
-//! `pairs_examined`, and the assembled net list — for any worker count.
+//! pins the two stages between instantiation and the interaction
+//! search: the scope-table connection pass (verdict rows scored once
+//! per definition and stamped) must equal the direct scan over every
+//! element — violations, merges and `pairs_examined`, in order — at one
+//! worker and at any other count, and the netgen per-scope union phase
+//! must assemble a byte-identical net list for any worker count.
 //! Alongside it, `interned_strings_round_trip` proves the `ChipView`
 //! string interner is a pure storage decision: every rendered
 //! `path` / `net_key` string resolves back to its own handle, parallel
@@ -67,9 +69,10 @@
 //! tighten rules never lose injected faults.
 
 use diic::core::{
-    account, check_cif, check_connections, check_connections_parallel, env_parallelism, flat_check,
-    generate_netlist, generate_netlist_parallel, instantiate, CheckOptions, CheckReport,
-    ElementColumns, FlatOptions, LayerBinding, Violation,
+    account, check_cif, check_connections, check_connections_among, effective_parallelism,
+    env_parallelism, flat_check, generate_netlist, generate_netlist_parallel, instantiate,
+    max_rule_range, CheckOptions, CheckReport, ElementColumns, FlatOptions, LayerBinding,
+    ScopeTable, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
@@ -253,12 +256,12 @@ proptest! {
         }
     }
 
-    /// The **seventh leg**: the tile-sharded connection scan and the
-    /// netgen per-scope union phase must be byte-identical to their
-    /// serial forms for any worker count — stage outputs compared
-    /// directly (violations, merges, pairs examined, the assembled net
-    /// list and per-element / per-terminal resolutions), not just the
-    /// end-to-end report.
+    /// The **seventh leg**: the scope-table connection pass must equal
+    /// the direct scan over every element at one worker and at any other
+    /// count, and the netgen per-scope union phase its serial form —
+    /// stage outputs compared directly (violations, merges, pairs
+    /// examined, the assembled net list and per-element / per-terminal
+    /// resolutions), not just the end-to-end report.
     #[test]
     fn parallel_connections_and_netgen_equal_serial(
         nx in 2usize..5,
@@ -277,18 +280,25 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (mut view, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
+        let (mut view, runs) = instantiate(&layout, &tech, &binding, 1, Default::default());
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|run| run.0),
+            view.elements.bboxes(),
+            max_rule_range(&tech),
+        );
         let labels: Vec<_> = layout
             .labels()
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
 
-        let conn_serial = check_connections(&view, &tech);
+        let all: Vec<usize> = (0..view.elements.len()).collect();
+        let conn_serial = check_connections_among(&view, &tech, &all);
         let nets_serial = generate_netlist(&mut view, &tech, &conn_serial.merges, &labels);
-        let wide = wide_workers();
-        for workers in [2usize, 3, wide] {
-            let conn = check_connections_parallel(&view, &tech, workers);
+        let wide = effective_parallelism(wide_workers());
+        for workers in [1usize, 2, 3, wide] {
+            let (conn, _) = check_connections(&view, &tech, &scopes, workers);
             prop_assert_eq!(
                 &conn.violations, &conn_serial.violations,
                 "connections: {} workers diverge (nx={} ny={} seed={} mask={:#b})",

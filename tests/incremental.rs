@@ -20,9 +20,10 @@
 
 use diic::cif::Layout;
 use diic::core::incremental::{CheckSession, Edit, EditSet};
+use diic::core::ViolationKind;
 use diic::core::{canonical_check, env_parallelism, CheckOptions, CheckReport};
 use diic::gen::{generate, random_edit_set, ChipSpec, ErrorKind};
-use diic::geom::Rect;
+use diic::geom::{Rect, Transform, Vector};
 use diic::tech::nmos::nmos_technology;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -335,4 +336,62 @@ fn small_edit_rechecks_a_small_neighbourhood() {
         full_pairs
     );
     assert!(stats.dirty_items == 1, "{stats:?}");
+}
+
+/// Instance names are the client's to choose (`EditSet::add_call`, the
+/// wire's `add_call.name`): dotted, empty and repeated ones must not
+/// change which scope an element belongs to. Three instances of a cell
+/// with one internal spacing fault, the first two close enough to fault
+/// across their boundary — the session, patched and reopened (an open
+/// and a rebuild read the hierarchy from the scope table), must report
+/// exactly what the flat search does, under every naming. The name-keyed grouping this
+/// replaced reported 1 of the 3 internal faults for the second and third
+/// naming, none for the fourth, and indexed out of bounds on the fifth.
+#[test]
+fn call_names_do_not_decide_scope_membership() {
+    let tech = nmos_technology();
+    let options = CheckOptions {
+        erc: false,
+        ..CheckOptions::default()
+    };
+    assert!(options.hierarchical);
+    let cell = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF; E";
+    for names in [
+        ["i0", "i1", "i2"],
+        ["a.b", "i1", "i2"],
+        ["", "i1", "i2"],
+        ["x", "x", "i2"],
+        ["i1", "x", "x"],
+    ] {
+        let layout = diic::cif::parse(cell).unwrap();
+        let symbol = layout.symbol_by_cif_id(1).unwrap();
+        let mut session = CheckSession::new(layout, &tech, &options);
+        let mut edits = EditSet::new();
+        for (name, x) in names.iter().zip([0, 2500, 10_000]) {
+            edits.add_call(symbol, Transform::translate(Vector::new(x, 0)), name);
+        }
+        session.apply(&edits).unwrap();
+        let full = assert_matches_full(&session, &format!("{names:?}"));
+        let reopened = CheckSession::new(session.layout().clone(), &tech, &options);
+        assert_matches_full(&reopened, &format!("{names:?}, reopened"));
+        let flat = canonical_check(
+            session.layout(),
+            &tech,
+            &CheckOptions {
+                hierarchical: false,
+                ..options.clone()
+            },
+        );
+        assert_eq!(full.violations, flat.violations, "{names:?}");
+        assert_eq!(
+            full.interact_stats.candidate_pairs, flat.interact_stats.candidate_pairs,
+            "{names:?}"
+        );
+        let spacing = |v: &&diic::core::Violation| matches!(v.kind, ViolationKind::Spacing { .. });
+        assert_eq!(
+            full.violations.iter().filter(spacing).count(),
+            3 + 4,
+            "{names:?}: three internal faults, four across the first boundary"
+        );
+    }
 }
