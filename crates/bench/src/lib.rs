@@ -834,7 +834,7 @@ pub fn e16_parallel_speedup(scale: Scale) -> String {
 
     // The connections + netgen stages, parallelised in the same
     // discipline (the connection stage's row fills and loose scan, tiled;
-    // netgen per-scope union phase as symbolic draft rows). Timed from the engine's classic
+    // netgen's bind phase through the scope table). Timed from the engine's classic
     // stage buckets; identity covers the stage outputs end to end
     // (violations and the assembled net list).
     let _ = writeln!(out, "\nconnections + netgen stages:");

@@ -215,6 +215,15 @@ impl StringInterner {
         id
     }
 
+    /// Makes room for `additional` fresh strings, so a caller that knows
+    /// how many it is about to intern pays for the growth once — not for
+    /// a rehash of everything the table already holds half-way through.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.strings.reserve(additional);
+        self.first.reserve(additional);
+        self.last_used.reserve(additional);
+    }
+
     /// Stamps a handle as used in the current epoch (growing the stamp
     /// column for a fresh push).
     fn touch(&mut self, id: Istr) {
@@ -858,8 +867,10 @@ pub struct DeviceInstance {
     pub class: Option<DeviceClass>,
     /// Immunity flag (`9C`).
     pub checked: bool,
-    /// Terminals in chip coordinates.
-    pub terminals: Vec<(String, LayerId, Point)>,
+    /// Terminals in chip coordinates; the name is interned in the owning
+    /// view, beside `path` and `device_type` (an instance carries a
+    /// handle, not a copy of each name).
+    pub terminals: Vec<(Istr, LayerId, Point)>,
     /// Ids of this instance's elements in [`ChipView::elements`].
     pub element_ids: Vec<usize>,
     /// Placement transform (chip ← symbol).
@@ -1098,6 +1109,9 @@ impl ChipView {
             }
             dv.path = remap[dv.path.0 as usize];
             dv.device_type = remap[dv.device_type.0 as usize];
+            for (name, _, _) in &mut dv.terminals {
+                *name = remap[name.0 as usize];
+            }
             self.devices.push(dv);
         }
         let (stats, shard) = (&mut self.instantiate_stats, shard.instantiate_stats);
@@ -1129,11 +1143,14 @@ impl ChipView {
                 .iter()
                 .map(|&id| id as i64 - e0 as i64)
                 .collect();
+            let terminals: Vec<_> = (d.terminals.iter())
+                .map(|&(name, layer, at)| (self.str(name), layer, at))
+                .collect();
             format!(
                 "{:?}",
                 (
                     (self.str(d.path), d.symbol, self.str(d.device_type)),
-                    (d.class, d.checked, &d.terminals, ids, d.transform),
+                    (d.class, d.checked, terminals, ids, d.transform),
                 )
             )
         });
@@ -1260,14 +1277,27 @@ impl Template {
             None => {
                 view.elements
                     .append_translated(&block.elements, offset, &handles, |d| device_after(d0, d));
+                // Device types and terminal names go across as they are,
+                // each interned once per stamp — in a table of their own,
+                // since a name may spell a path.
+                let mut verbatim = vec![Istr(NONE_U32); block.strings.len()];
+                let mut as_is = |h: Istr, table: &mut StringInterner| {
+                    let slot = &mut verbatim[h.0 as usize];
+                    if slot.0 == NONE_U32 {
+                        *slot = table.intern(block.str(h));
+                    }
+                    *slot
+                };
                 for dv in &block.devices {
                     let terminals = (dv.terminals.iter())
-                        .map(|(name, layer, at)| (name.clone(), *layer, *at + offset))
+                        .map(|&(name, layer, at)| {
+                            (as_is(name, &mut view.strings), layer, at + offset)
+                        })
                         .collect();
                     view.devices.push(DeviceInstance {
                         path: handles[dv.path.0 as usize],
                         symbol: dv.symbol,
-                        device_type: view.strings.intern(block.str(dv.device_type)),
+                        device_type: as_is(dv.device_type, &mut view.strings),
                         class: dv.class,
                         checked: dv.checked,
                         terminals,
@@ -1569,7 +1599,8 @@ impl Walker<'_> {
                             .iter()
                             .filter_map(|term| {
                                 let layer = self.binding.layer(term.layer)?;
-                                Some((term.name.clone(), layer, child_t.apply_point(term.position)))
+                                let name = view.strings.intern(&term.name);
+                                Some((name, layer, child_t.apply_point(term.position)))
                             })
                             .collect();
                         view.devices.push(DeviceInstance {
@@ -1682,9 +1713,10 @@ mod tests {
         assert_eq!(view.str(view.devices[1].path), "i1");
         assert_eq!(view.devices[0].element_ids.len(), 3);
         // Terminal transformed to chip coords.
-        let (name, _, pos) = &view.devices[1].terminals[0];
+        let (name, _, pos) = view.devices[1].terminals[0];
+        let name = view.str(name);
         assert_eq!(name, "A");
-        assert_eq!(*pos, Point::new(5250, 250));
+        assert_eq!(pos, Point::new(5250, 250));
         // Elements tagged with the device.
         for &eid in &view.devices[1].element_ids {
             assert_eq!(view.elements.get(eid).device(), Some(1));

@@ -549,7 +549,7 @@ fn context_of(view: &ChipView, i: usize, j: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
     use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
@@ -719,7 +719,7 @@ mod tests {
     /// orientation on a pitch that makes neighbours abut, overlap,
     /// coincide or stand apart, with loose boxes and chip-crossing wires
     /// between the calls.
-    fn random_layout(rng: &mut TestRng) -> Layout {
+    pub(crate) fn random_layout(rng: &mut TestRng) -> Layout {
         const CELL: i64 = 4000;
         let mut layout = Layout::new();
         let [nm, np, nd, nc] = ["NM", "NP", "ND", "NC"].map(|name| layout.intern_layer(name));

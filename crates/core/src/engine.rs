@@ -34,7 +34,7 @@ use crate::flat::{
     flat_gate_checks, flat_spacing_checks, flat_width_checks, FlatLayers, FlatOptions,
 };
 use crate::interact::{check_interactions, InteractStats};
-use crate::netgen::{generate_netlist_parallel, NetgenResult};
+use crate::netgen::{NetParts, NetgenResult};
 use crate::parallel::effective_parallelism;
 use crate::primitive_checks::check_primitive_symbols;
 use crate::scope::{ScopeStats, ScopeTable};
@@ -979,11 +979,12 @@ impl PipelineStage for ConnectionsStage {
     }
 }
 
-/// Stage 5 — "generate hierarchical net list". The per-device /
-/// per-label union phase fans out over the scoped worker pool
-/// ([`CheckOptions::parallelism`]) as symbolic draft rows; the serial
-/// canonical assembly interns them in device/label order, so any worker
-/// count yields a byte-identical net list.
+/// Stage 5 — "generate hierarchical net list". Terminal and label
+/// points bind through the scope table — one index per definition, not
+/// one over the chip — across the scoped worker pool
+/// ([`CheckOptions::parallelism`]), which returns element ids only; the
+/// serial fold builds the rows and interns their keys in device/label
+/// order, so any worker count yields a byte-identical net list.
 pub struct NetgenStage;
 
 impl PipelineStage for NetgenStage {
@@ -996,16 +997,28 @@ impl PipelineStage for NetgenStage {
     }
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
-        let labels: Vec<_> = ctx
-            .layout
-            .labels()
-            .iter()
-            .map(|l| (l.clone(), ctx.binding().layer(l.layer)))
-            .collect();
         let workers = effective_parallelism(ctx.options.parallelism);
-        let merges = ctx.connections().merges.clone();
-        let tech = ctx.tech;
-        let mut nets = generate_netlist_parallel(ctx.view_mut(), tech, &merges, &labels, workers);
+        // Field by field, not through the accessors: the view is
+        // borrowed mutably (fresh node keys intern into its table)
+        // beside the merges, labels and scopes the stage only reads.
+        let (Some(view), Some(binding), Some(scopes), Some(conn)) = (
+            ctx.view.as_mut(),
+            ctx.binding.as_ref(),
+            ctx.scopes.as_ref(),
+            ctx.connections.as_ref(),
+        ) else {
+            // invariant: the stage-order contract (see the accessors).
+            panic!(
+                "net-list inputs not available: run the instantiate and connections stages first"
+            )
+        };
+        let labels: Vec<_> = (ctx.layout.labels().iter())
+            .map(|l| (l, binding.layer(l.layer)))
+            .collect();
+        let (mut parts, stats) =
+            NetParts::build(view, ctx.tech, &conn.merges, &labels, scopes, workers);
+        let mut nets = parts.assemble(view);
+        ctx.scope_stats = ctx.scope_stats.with_binding_of(stats);
         ctx.sink.append(&mut nets.violations);
         ctx.nets = Some(nets);
     }

@@ -97,7 +97,9 @@
 //! );
 //! ```
 
-use crate::binding::{assign_auto_net_keys, instantiate, instantiate_item, ChipView, LayerBinding};
+use crate::binding::{
+    assign_auto_net_keys, instantiate, instantiate_item, ChipView, Istr, LayerBinding,
+};
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::{check_connections, check_connections_among};
 use crate::element_checks::check_elements;
@@ -441,7 +443,7 @@ impl CheckSession {
         sink.absorb(prim.violations);
 
         // The session opens with the same scope-table connection pass
-        // and netgen union phase an engine run uses (both byte-identical
+        // and netgen bind phase an engine run uses (both byte-identical
         // to serial); the patch paths below stay serial and read no
         // scopes — they are edit-sized. The table lives for this open
         // (or rebuild) only.
@@ -460,13 +462,15 @@ impl CheckSession {
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
-        let mut parts = NetParts::build_parallel(
+        let (mut parts, bind_stats) = NetParts::build(
             &mut view,
             &tech,
             &conn.merges,
             &labels,
+            &scopes,
             options.effective_parallelism(),
         );
+        let scope_stats = scope_stats.with_binding_of(bind_stats);
         let mut nets = parts.assemble(&view);
         sink.append(&mut nets.violations);
 
@@ -1331,8 +1335,7 @@ impl CheckSession {
             .iter()
             .map(|d| {
                 size_of_val(d)
-                    + d.terminals.len()
-                        * size_of::<(String, diic_tech::LayerId, diic_geom::Point)>()
+                    + d.terminals.len() * size_of::<(Istr, diic_tech::LayerId, diic_geom::Point)>()
                     + d.element_ids.len() * size_of::<usize>()
             })
             .sum();
@@ -1345,7 +1348,7 @@ impl CheckSession {
                 .iter()
                 .map(|d| {
                     size_of_val(d)
-                        + d.terms.iter().map(|(t, _)| t.len() + 28).sum::<usize>()
+                        + d.terms.len() * size_of::<(Istr, u32)>()
                         + d.edges.len() * size_of::<(u32, u32)>()
                 })
                 .sum::<usize>()
@@ -1394,6 +1397,9 @@ impl CheckSession {
         for d in &self.view.devices {
             mark(d.path.index());
             mark(d.device_type.index());
+            d.terminals
+                .iter()
+                .for_each(|(name, _, _)| mark(name.index()));
         }
         for node in self.parts.element_node.iter().flatten() {
             mark(*node);
@@ -1402,11 +1408,10 @@ impl CheckSession {
             mark(*a);
             mark(*b);
         }
-        self.parts
-            .devices
-            .iter()
-            .flat_map(|d| d.nodes())
-            .for_each(&mut mark);
+        for d in &self.parts.devices {
+            d.names().for_each(|name| mark(name.index()));
+            d.nodes().for_each(&mut mark);
+        }
         self.parts
             .labels
             .iter()
@@ -1420,6 +1425,9 @@ impl CheckSession {
             d.path = remap[d.path.index() as usize].expect("device path survives compaction");
             d.device_type =
                 remap[d.device_type.index() as usize].expect("device type survives compaction");
+            for (name, _, _) in &mut d.terminals {
+                *name = remap[name.index() as usize].expect("terminal name survives compaction");
+            }
         }
         self.parts.remap_strings(&remap);
 
@@ -1609,6 +1617,30 @@ mod tests {
         CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options())
     }
 
+    /// Symbol 1 a three-terminal transistor, symbol 2 a cell calling it
+    /// with a wire on each terminal — definitions only, for edits (or a
+    /// caller's own `C 2 …` lines) to call.
+    const TRANSISTOR_CELL: &str = "DS 1; 9D NMOS_ENH;
+         9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+         L NP; B 1500 500 250 0;
+         L ND; B 500 2500 250 0;
+         DF;
+         DS 2; C 1 T 0 0;
+         L NP; 9N in; W 500 -375 0 -3000 0;
+         L ND; 9N gnd; W 500 250 -1000 250 -4000;
+         L ND; 9N out; W 500 250 1000 250 4000;
+         DF;\n";
+
+    /// `definitions`, then `rails` undeclared metal rails 3000 apart.
+    fn rails_beside(definitions: &str, rails: usize) -> CheckSession {
+        let mut cif = String::from(definitions);
+        for i in 0..rails {
+            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
+        }
+        cif.push('E');
+        CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options())
+    }
+
     fn net_names(session: &CheckSession) -> Vec<&str> {
         let nets = session.report().netlist.nets();
         nets.iter().map(|n| n.name.as_str()).collect()
@@ -1677,18 +1709,9 @@ mod tests {
     /// wires (nets `i<k>.in` / `.gnd` / `.out`), and one placement of a
     /// plain two-wire cell.
     fn transistor_row() -> CheckSession {
-        let mut cif = String::from(
-            "DS 1; 9D NMOS_ENH;
-             9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
-             L NP; B 1500 500 250 0;
-             L ND; B 500 2500 250 0;
-             DF;
-             DS 2; C 1 T 0 0;
-             L NP; 9N in; W 500 -375 0 -3000 0;
-             L ND; 9N gnd; W 500 250 -1000 250 -4000;
-             L ND; 9N out; W 500 250 1000 250 4000;
-             DF;
-             DS 3; L NM; 9N p; B 2000 750 1000 375; L NM; 9N q; B 2000 750 1000 3375; DF;\n",
+        let mut cif = String::from(TRANSISTOR_CELL);
+        cif.push_str(
+            "DS 3; L NM; 9N p; B 2000 750 1000 375; L NM; 9N q; B 2000 750 1000 3375; DF;\n",
         );
         for i in 0..6 {
             cif.push_str(&format!("C 2 T {} 0;\n", i * 20000));
@@ -1753,19 +1776,22 @@ mod tests {
     fn splice_survives_interner_compaction() {
         // Churn, compact (which renumbers every node, so the cached
         // node → net table must move with them), then splice again.
+        let churn = |session: &mut CheckSession, top_items: usize| {
+            for step in 0..12i64 {
+                let mut add = EditSet::new();
+                add.add_box(
+                    "NM",
+                    Rect::new(30_000, step * 3000, 32_000, step * 3000 + 750),
+                    None,
+                );
+                apply_spliced(session, &add);
+                let mut remove = EditSet::new();
+                remove.remove(top_items);
+                apply_spliced(session, &remove);
+            }
+        };
         let mut session = rails();
-        for step in 0..12i64 {
-            let mut add = EditSet::new();
-            add.add_box(
-                "NM",
-                Rect::new(30_000, step * 3000, 32_000, step * 3000 + 750),
-                None,
-            );
-            apply_spliced(&mut session, &add);
-            let mut remove = EditSet::new();
-            remove.remove(6);
-            apply_spliced(&mut session, &remove);
-        }
+        churn(&mut session, 6);
         let compaction = session.compact_memory();
         assert!(compaction.strings_evicted > 0, "{compaction:?}");
         assert_nets_match_scratch(&session);
@@ -1780,6 +1806,40 @@ mod tests {
         unbridge.remove(6);
         apply_spliced(&mut session, &unbridge);
         assert_eq!(net_names(&session), ["A", "B", "C", "D", "E", "F"]);
+
+        // With transistors: a device row's terminal names are interner
+        // handles too, and a splice that opens the device renders them.
+        // The cells arrive after the churn, so their names sit above its
+        // garbage and the compaction renumbers them: a name that missed
+        // the keep set, or a holder the remap forgot, fails here.
+        let mut session = rails_beside(TRANSISTOR_CELL, 12);
+        churn(&mut session, 12);
+        let cell = session.layout().symbol_by_cif_id(2).unwrap();
+        let add_cell = |session: &mut CheckSession, name: &str, x: i64| {
+            let mut add = EditSet::new();
+            add.add_call(cell, Transform::translate(Vector::new(x, 0)), name);
+            apply_spliced(session, &add);
+        };
+        add_cell(&mut session, "early", 100_000);
+        let compaction = session.compact_memory();
+        assert!(compaction.strings_evicted > 0, "{compaction:?}");
+        assert_nets_match_scratch(&session);
+        assert_matches_full(&session);
+        // A fresh device renders its names through the remapped handles;
+        // a poly stub on the end of the first cell's `in` wire opens the
+        // row of the device that went through the compaction.
+        add_cell(&mut session, "late", 120_000);
+        let mut stub = EditSet::new();
+        stub.add_box("NP", Rect::new(94_000, -250, 97_500, 250), None);
+        apply_spliced(&mut session, &stub);
+        session.compact_memory();
+        assert_nets_match_scratch(&session);
+        for index in [14, 12] {
+            let mut remove = EditSet::new();
+            remove.remove(index);
+            apply_spliced(&mut session, &remove);
+        }
+        assert_eq!(session.report().device_count, 1);
     }
 
     #[test]
@@ -2058,19 +2118,15 @@ mod tests {
         // Add-then-remove churn leaves orphaned net keys and paths in
         // the interner (each added element at a distinct bbox interns a
         // fresh auto key). compact_memory must evict them, renumber
-        // every live handle (columns, devices, net-graph nodes), and
-        // leave the rendered report and the edit loop byte-identical.
+        // every live handle (columns, devices and their terminal names,
+        // net-graph nodes), and leave the rendered report and the edit
+        // loop byte-identical.
         // The base chip is wide enough that one-box churn stays under
         // the full-rebuild threshold (a rebuild resets the interner and
         // would hide the garbage this test is about).
-        let mut cif = String::new();
-        for i in 0..40 {
-            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
-        }
-        cif.push('E');
-        let layout = parse(&cif).unwrap();
-        let tech = nmos_technology();
-        let mut session = CheckSession::new(layout, &tech, &options());
+        let contact = "DS 4; 9D CONTACT_D;
+             L NC; B 500 500 0 0; L ND; B 1000 1000 0 0; L NM; B 1000 1000 0 0; DF;\n";
+        let mut session = rails_beside(&format!("{TRANSISTOR_CELL}{contact}"), 40);
         for step in 0..24i64 {
             let mut add = EditSet::new();
             add.add_box(
@@ -2084,6 +2140,18 @@ mod tests {
             remove.remove(40);
             session.apply(&remove).unwrap();
         }
+        // A wired transistor arrives after the churn: its terminal names
+        // — handles in the view's device instances and in the net graph's
+        // device rows — sit above the garbage and must renumber with it.
+        // So must the `A` of a contact that declares no terminal, which
+        // only its row holds.
+        for (cif_id, y, name) in [(2, 0, "t"), (4, 50_000, "c")] {
+            let symbol = session.layout().symbol_by_cif_id(cif_id).unwrap();
+            let mut add = EditSet::new();
+            add.add_call(symbol, Transform::translate(Vector::new(100_000, y)), name);
+            session.apply(&add).unwrap();
+        }
+        assert_eq!(session.report().device_count, 2);
         let before = session.memory_bytes();
         let compaction = session.compact_memory();
         assert!(
@@ -2100,9 +2168,15 @@ mod tests {
         session.apply(&add).unwrap();
         assert_eq!(session.report().violations.len(), 1);
         assert_matches_full(&session);
-        let again = session.compact_memory();
+        session.compact_memory();
         assert_matches_full(&session);
-        let _ = again;
+        // … including one that re-binds the device instantiated before
+        // the compactions: a diffusion strap over its drain wire.
+        let mut strap = EditSet::new();
+        strap.add_box("ND", Rect::new(100_000, 2000, 100_500, 6000), None);
+        let stats = session.apply(&strap).unwrap();
+        assert!(!stats.full_rebuild && !stats.netlist_reused, "{stats:?}");
+        assert_matches_full(&session);
     }
 
     #[test]

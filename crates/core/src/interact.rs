@@ -1438,7 +1438,7 @@ mod tests {
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
-        let nets = generate_netlist(&mut view, tech, &conn.merges, &labels);
+        let nets = generate_netlist(&mut view, tech, &conn.merges, &labels, &scopes, 1);
         (view, nets, scopes)
     }
 

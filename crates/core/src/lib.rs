@@ -39,9 +39,10 @@
 //! each definition's interior and each distinct placement of two
 //! touching definitions once (module [`scope`] describes the top-level
 //! hierarchy) in tiled scans and stamps the rest,
-//! the netgen union phase fans out per device/label as symbolic draft
-//! rows interned serially in canonical order, the interaction search
-//! enumerates
+//! the netgen bind phase binds terminal and label points through the
+//! same table — one index per definition — and returns element ids to a
+//! serial fold that builds the rows in canonical order, the interaction
+//! search enumerates
 //! (hierarchically cached per symbol and per relative placement — with
 //! the distinct cache fills shared across threads — or from one flat
 //! grid index) and evaluates candidates across the pool, and the flat
@@ -162,7 +163,7 @@ pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
     LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
 };
-pub use netgen::{generate_netlist, generate_netlist_parallel, NetgenResult, TerminalNets};
+pub use netgen::{generate_netlist, NetgenResult, TerminalNets};
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{
     account, canonical_sort, category_of, format_report, merge_canonical, ErrorRegions,

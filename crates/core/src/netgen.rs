@@ -21,29 +21,54 @@
 //! because [`assemble_netlist`] canonicalises purely by key *strings*:
 //! net identity, aliases, and ordering never see the raw ids.
 //!
+//! # Binding through the scope table
+//!
+//! A transistor terminal or a `9L` label names the net of whatever
+//! netted element covers its point. [`NetParts::build`] finds those
+//! elements through the chip's [`ScopeTable`] — its third consumer,
+//! after the connection scan and the interaction search: the table says
+//! which top-level scopes' boxes cover the point
+//! ([`ScopeTable::covering`], a single-cell lookup), and each covering
+//! scope is asked through **one [`BindIndex`] per definition** — built
+//! over the netted elements of the *first* scope presenting that
+//! `(symbol, orientation)`, queried at the point translated into that
+//! first scope's frame (every scope of the group is a translated copy of
+//! the first; [`crate::instantiate`] only ever translates what it
+//! derived). The candidates are tested on the scope's own elements, and
+//! the answers of the covering scopes merge ascending by element id, so
+//! a terminal binds to a neighbour's wire or a loose one exactly as it
+//! would through one grid over every netted element of the chip — which
+//! is what a chip that is one scope, or all loose, builds. That direct
+//! binder, one [`BindIndex::build_among`] over an id set, is what an
+//! edit session re-binds a halo with, and over every netted id it is the
+//! reference the table-driven binder is held to row for row (a proptest,
+//! in debug and release builds).
+//!
 //! # Parallelism
 //!
-//! Net-list generation splits into a **per-scope union phase** and a
-//! serial canonical assembly. The element-node map is a read-only
-//! column sweep (`net_key` handle + device class per element), so it
-//! fans out over the worker pool, as does the netted filter behind
-//! [`BindIndex::build_parallel`] — the last serial build steps. The
-//! terminal/label union phase — binding each device's terminals and
-//! each label's point to the elements covering them — is a pure
-//! function per device/label of the (read-only) view and the shared
-//! [`BindIndex`], so it fans out too
-//! ([`crate::parallel::run_chunked`]) as symbolic **draft rows**: the
-//! covering element ids plus the fresh key *strings* a serial build
-//! would intern, in intern order. The serial fold then interns the
-//! drafts in device/label order — exactly the order a serial
-//! [`NetParts::build`] interns in — so the int-keyed graph is numbered
-//! identically and the assembled net list is **byte-identical for any
-//! worker count** ([`NetParts::build_parallel`], driven by
+//! Net-list generation splits into a **bind phase** and a serial fold
+//! and assembly. The element-node map is a read-only column sweep
+//! (`net_key` handle + device class per element), so it fans out over
+//! the worker pool, as do the per-definition index builds. The bind
+//! phase — each terminal's and each label's point to the ids of the
+//! elements covering it — is a pure function per point of the
+//! (read-only) view, the table and the shared indexes, so it fans out
+//! too, in contiguous chunks of the device and label lists
+//! ([`crate::parallel::run_ordered`]), and returns **element ids only**:
+//! no key string is formatted and no row is built on a worker. The
+//! serial fold then walks the devices and labels in order with one row
+//! builder — each fresh key (`{path}.{terminal}`, `{path}.#`, a label's
+//! net) formatted into a reused buffer and interned by reference, each
+//! row's `terms` and `edges` allocated once at their final size — in the
+//! order a one-worker build interns in, so the int-keyed graph is
+//! numbered identically and the assembled net list is **byte-identical
+//! for any worker count** ([`NetParts::build`], driven by
 //! [`CheckOptions::parallelism`](crate::CheckOptions::parallelism); the
 //! seventh differential-oracle leg in `tests/differential.rs` pins it).
-//! The assembly itself ([`NetParts::assemble`] →
-//! [`assemble_netlist`]) stays serial: it is a global union-find plus
-//! canonical naming.
+//! The same builder serves an edit session's re-rows
+//! ([`NetParts::device_parts`], [`NetParts::label_parts`]). The assembly
+//! itself ([`NetParts::assemble`] → [`assemble_netlist`]) stays serial:
+//! it is a global union-find plus canonical naming.
 //!
 //! # Splicing
 //!
@@ -54,9 +79,10 @@
 //! the nets it touched rather than the chip's strings. The from-scratch
 //! assembly is the splice's reference (asserted equal in debug builds).
 
-use crate::binding::{ChipView, Istr, StringInterner};
+use crate::binding::{ChipView, DeviceInstance, Istr, StringInterner};
 use crate::connect::is_joining_class;
-use crate::parallel::run_chunked;
+use crate::parallel::{run_chunked, run_ordered};
+use crate::scope::{ScopeStats, ScopeTable};
 use crate::violations::Violation;
 use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
@@ -64,6 +90,7 @@ use diic_netlist::{
     assemble_netlist, canonical_nets, AssembleDevice, Device, DeviceId, Net, NetId, Netlist,
 };
 use diic_tech::{DeviceClass, LayerId, Technology};
+use std::borrow::Borrow;
 
 /// Output of net-list generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,38 +152,24 @@ pub fn element_is_netted(view: &ChipView, id: usize) -> bool {
     }
 }
 
-/// Spatial index over the bindable (netted) elements, for terminal and
-/// label point binding. Cells are sized from the technology's rule reach
-/// rather than a magic constant.
+/// True if element `id` lies on `layer` and covers point `p`.
+fn covers(view: &ChipView, id: usize, layer: LayerId, p: Point) -> bool {
+    let e = view.elements.get(id);
+    e.layer() == layer && e.rects().iter().any(|r| r.contains_point(p))
+}
+
+/// Spatial index over a set of bindable (netted) elements, for terminal
+/// and label point binding. Cells are sized from the technology's rule
+/// reach rather than a magic constant.
 #[derive(Debug)]
 pub struct BindIndex {
     index: GridIndex<usize>,
 }
 
 impl BindIndex {
-    /// Indexes every netted element of the view, serially —
-    /// [`BindIndex::build_parallel`] with one worker.
-    pub fn build(view: &ChipView, tech: &Technology) -> BindIndex {
-        BindIndex::build_parallel(view, tech, 1)
-    }
-
-    /// [`BindIndex::build`] with the netted filter — a device-column
-    /// and class sweep per element — fanned out over `workers` scoped
-    /// threads. The chunked results flatten in id order, so the index
-    /// insertion order (and every ascending-id query answer) is
-    /// byte-identical for any worker count.
-    pub fn build_parallel(view: &ChipView, tech: &Technology, workers: usize) -> BindIndex {
-        let ids: Vec<usize> = run_chunked(view.elements.len(), workers, |id| {
-            element_is_netted(view, id).then_some(id)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        BindIndex::build_among(view, tech, &ids)
-    }
-
-    /// Indexes only the given elements (the incremental checker's scoped
-    /// variant — callers must pass netted elements; only they can bind).
+    /// Indexes the given elements (ascending ids — callers must pass
+    /// netted elements; only they can bind): an edit session's halo, or
+    /// one definition's elements for the table-driven binder.
     pub fn build_among(view: &ChipView, tech: &Technology, ids: &[usize]) -> BindIndex {
         let mut index: GridIndex<usize> =
             GridIndex::new(crate::interact::interaction_cell_size(tech));
@@ -167,17 +180,323 @@ impl BindIndex {
         BindIndex { index }
     }
 
-    /// Ids (ascending) of netted elements covering point `p` on `layer`.
-    pub fn elements_at(&self, view: &ChipView, layer: LayerId, p: Point) -> Vec<usize> {
-        self.index
-            .query(&diic_geom::Rect::new(p.x, p.y, p.x, p.y))
+    /// Appends to `out` the ids (ascending) of the indexed elements
+    /// covering point `p` on `layer` — a single-cell lookup
+    /// ([`GridIndex::at`]) into the caller's buffer; nothing is
+    /// allocated per point.
+    pub fn elements_at(&self, view: &ChipView, layer: LayerId, p: Point, out: &mut Vec<usize>) {
+        out.extend(
+            self.index
+                .at(p)
+                .copied()
+                .filter(|&id| covers(view, id, layer, p)),
+        );
+    }
+}
+
+/// What the bind phase asks of an index: the netted elements covering a
+/// point. Implemented by the direct [`BindIndex`] and by the
+/// table-driven `ScopeBinder`, which must agree.
+trait PointBinder: Sync {
+    /// Appends to `out` the ids (ascending) of the elements covering `p`
+    /// on `layer` and returns the index lookups it made; `scopes` is
+    /// scratch.
+    fn bind(
+        &self,
+        view: &ChipView,
+        layer: LayerId,
+        p: Point,
+        scopes: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) -> u64;
+}
+
+impl PointBinder for BindIndex {
+    fn bind(
+        &self,
+        view: &ChipView,
+        layer: LayerId,
+        p: Point,
+        _: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) -> u64 {
+        self.elements_at(view, layer, p, out);
+        1
+    }
+}
+
+/// The table-driven binder (see the module docs): one [`BindIndex`] per
+/// distinct definition-and-orientation, over the first scope presenting
+/// it, plus one over the loose scope — none for a scope without a netted
+/// element.
+struct ScopeBinder<'a> {
+    scopes: &'a ScopeTable,
+    indexes: Vec<BindIndex>,
+    /// Per scope that is the first of its definition (or the loose one):
+    /// its index in `indexes`.
+    index_of: Vec<Option<u32>>,
+    /// Elements the indexes hold between them.
+    entries: usize,
+}
+
+impl<'a> ScopeBinder<'a> {
+    fn build(
+        view: &ChipView,
+        tech: &Technology,
+        scopes: &'a ScopeTable,
+        element_node: &[Option<u32>],
+        workers: usize,
+    ) -> Self {
+        let all = scopes.scopes();
+        let owners: Vec<usize> = (0..all.len())
+            .filter(|&s| all[s].first_of_definition() == s)
+            .collect();
+        let built = run_ordered(owners.len(), workers, |k| {
+            let netted: Vec<usize> = (scopes.ids(owners[k]).iter())
+                .filter(|&id| element_node[id].is_some())
+                .collect();
+            (!netted.is_empty())
+                .then(|| (netted.len(), BindIndex::build_among(view, tech, &netted)))
+        });
+        let mut binder = ScopeBinder {
+            scopes,
+            indexes: Vec::new(),
+            index_of: vec![None; all.len()],
+            entries: 0,
+        };
+        for (owner, (len, index)) in owners
             .into_iter()
-            .copied()
-            .filter(|&id| {
-                let e = view.elements.get(id);
-                e.layer() == layer && e.rects().iter().any(|r| r.contains_point(p))
-            })
-            .collect()
+            .zip(built)
+            .filter_map(|(o, b)| Some((o, b?)))
+        {
+            binder.index_of[owner] = Some(binder.indexes.len() as u32);
+            binder.indexes.push(index);
+            binder.entries += len;
+        }
+        binder
+    }
+}
+
+impl PointBinder for ScopeBinder<'_> {
+    fn bind(
+        &self,
+        view: &ChipView,
+        layer: LayerId,
+        p: Point,
+        covering: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) -> u64 {
+        self.scopes.covering(p, covering);
+        let all = self.scopes.scopes();
+        let (from, mut probes) = (out.len(), 0);
+        for &s in covering.iter() {
+            let scope = &all[s];
+            let home = &all[scope.first_of_definition()];
+            let Some(k) = self.index_of[scope.first_of_definition()] else {
+                continue;
+            };
+            probes += 1;
+            // The scope is its home translated: look `p` up where it falls
+            // in the home's frame (wrapping, as the point it lands on is
+            // inside the home's box whenever `p` is inside the scope's),
+            // and test the candidates' counterparts in this scope.
+            let (to, at) = (scope.transform.offset, home.transform.offset);
+            let q = Point::new(
+                p.x.wrapping_sub(to.x.wrapping_sub(at.x)),
+                p.y.wrapping_sub(to.y.wrapping_sub(at.y)),
+            );
+            let shift = scope.run().start - home.run().start;
+            let candidates = self.indexes[k as usize].index.at(q);
+            out.extend(
+                candidates
+                    .map(|&id| id + shift)
+                    .filter(|&id| covers(view, id, layer, p)),
+            );
+        }
+        // Each scope answers ascending; loose ids interleave with the
+        // call runs, and so may the runs of overlapping scopes.
+        if probes > 1 && !out[from..].is_sorted() {
+            out[from..].sort_unstable();
+        }
+        probes
+    }
+}
+
+/// What the bind phase found: for every bound point, in point order —
+/// each terminal of each terminal-separated device in device order, then
+/// each label whose layer is known — the ids (ascending) of the netted
+/// elements covering it, end to end in one buffer.
+#[derive(Debug, Default)]
+struct Bound {
+    ids: Vec<usize>,
+    /// `ends[k]` is where point `k`'s run in `ids` ends.
+    ends: Vec<usize>,
+    /// Index lookups made.
+    probes: u64,
+}
+
+impl Bound {
+    fn bind(
+        &mut self,
+        binder: &impl PointBinder,
+        view: &ChipView,
+        (layer, p): (LayerId, Point),
+        scratch: &mut Vec<usize>,
+    ) {
+        self.probes += binder.bind(view, layer, p, scratch, &mut self.ids);
+        self.ends.push(self.ids.len());
+    }
+
+    /// Binds every terminal of a terminal-separated device (a joining
+    /// device binds nothing: its own geometry is its net).
+    fn bind_device(
+        &mut self,
+        binder: &impl PointBinder,
+        view: &ChipView,
+        dev: &DeviceInstance,
+        scratch: &mut Vec<usize>,
+    ) {
+        if !is_joining_class(dev.class) {
+            for &(_, layer, pos) in &dev.terminals {
+                self.bind(binder, view, (layer, pos), scratch);
+            }
+        }
+    }
+
+    fn append(&mut self, other: Bound) {
+        let base = self.ids.len();
+        self.ids.extend(other.ids);
+        self.ends
+            .extend(other.ends.into_iter().map(|end| base + end));
+        self.probes += other.probes;
+    }
+
+    /// The ids bound at points `points.start .. points.end`.
+    fn span(&self, points: std::ops::Range<usize>) -> &[usize] {
+        let start = |k: usize| k.checked_sub(1).map_or(0, |k| self.ends[k]);
+        &self.ids[start(points.start)..start(points.end)]
+    }
+}
+
+/// Runs `bind(i, …)` for `i` in `0..n` over the worker pool in contiguous
+/// chunks — each chunk filling one [`Bound`] of its own — and joins the
+/// chunks in index order, so the result is the same for any worker
+/// count.
+fn bind_chunked(
+    n: usize,
+    workers: usize,
+    bind: impl Fn(usize, &mut Bound, &mut Vec<usize>) + Sync,
+) -> Bound {
+    let chunk = match workers {
+        0 | 1 => n,
+        _ => n.div_ceil(workers * 4),
+    }
+    .max(1);
+    let chunks = run_ordered(n.div_ceil(chunk), workers, |k| {
+        let (mut bound, mut scratch) = (Bound::default(), Vec::new());
+        for i in k * chunk..((k + 1) * chunk).min(n) {
+            bind(i, &mut bound, &mut scratch);
+        }
+        bound
+    });
+    let mut chunks = chunks.into_iter();
+    let mut bound = chunks.next().unwrap_or_default();
+    chunks.for_each(|chunk| bound.append(chunk));
+    bound
+}
+
+/// The serial half of row building, shared by the whole-chip fold and an
+/// edit session's re-rows: consumes a [`Bound`] point by point, formats
+/// each fresh key into one reused buffer and interns it by reference (a
+/// hit allocates nothing), and allocates each row's vectors once, at
+/// their final size.
+struct RowBuilder<'a> {
+    element_node: &'a [Option<u32>],
+    bound: &'a Bound,
+    /// The next point of `bound` to consume.
+    next: usize,
+    key: String,
+}
+
+impl<'a> RowBuilder<'a> {
+    fn new(element_node: &'a [Option<u32>], bound: &'a Bound) -> Self {
+        RowBuilder {
+            element_node,
+            bound,
+            next: 0,
+            key: String::new(),
+        }
+    }
+
+    /// The node of the key `{path}.{tail}` (`{path}.#` without one).
+    fn node(&mut self, strings: &mut StringInterner, path: Istr, tail: Option<Istr>) -> u32 {
+        self.key.clear();
+        self.key.push_str(strings.get(path));
+        self.key.push('.');
+        self.key.push_str(tail.map_or("#", |t| strings.get(t)));
+        strings.intern(&self.key).index()
+    }
+
+    /// The node of an element a row joins or binds to.
+    fn element(&self, eid: usize) -> u32 {
+        // invariant: joining-class geometry is netted, and only netted
+        // elements are indexed for binding.
+        self.element_node[eid].expect("joined and bound elements are netted")
+    }
+
+    /// One device's row; a terminal-separated device consumes one bound
+    /// point per terminal.
+    fn device(&mut self, strings: &mut StringInterner, dev: &DeviceInstance) -> DeviceParts {
+        if is_joining_class(dev.class) {
+            // One net for the whole device.
+            let node = self.node(strings, dev.path, None);
+            let terms = match dev.terminals.is_empty() {
+                // Still a device on its single net.
+                true => vec![(strings.intern("A"), node)],
+                false => dev.terminals.iter().map(|&(t, _, _)| (t, node)).collect(),
+            };
+            let joined = dev.element_ids.iter();
+            return DeviceParts {
+                terms,
+                edges: joined.map(|&eid| (node, self.element(eid))).collect(),
+            };
+        }
+        // Terminal-separated device: each terminal is its own key, bound
+        // to the elements covering it.
+        let points = self.next..self.next + dev.terminals.len();
+        self.next = points.end;
+        let mut row = DeviceParts {
+            terms: Vec::with_capacity(dev.terminals.len()),
+            edges: Vec::with_capacity(self.bound.span(points.clone()).len()),
+        };
+        for (&(tname, _, _), k) in dev.terminals.iter().zip(points) {
+            let node = self.node(strings, dev.path, Some(tname));
+            row.terms.push((tname, node));
+            let bound = self.bound.span(k..k + 1).iter();
+            row.edges
+                .extend(bound.map(|&eid| (node, self.element(eid))));
+        }
+        row
+    }
+
+    /// One label's row; a label whose layer is known consumes one bound
+    /// point.
+    fn label(
+        &mut self,
+        strings: &mut StringInterner,
+        label: &NetLabel,
+        layer: Option<LayerId>,
+    ) -> LabelParts {
+        if layer.is_none() {
+            return LabelParts::default();
+        }
+        let node = strings.intern(&label.net).index();
+        let bound = self.bound.span(self.next..self.next + 1).iter();
+        self.next += 1;
+        LabelParts {
+            node: Some(node),
+            edges: bound.map(|&eid| (node, self.element(eid))).collect(),
+        }
     }
 }
 
@@ -188,13 +507,22 @@ impl BindIndex {
 /// untouched devices into a patched graph.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceParts {
-    /// `(terminal-name, node)` pairs, in terminal order.
-    pub terms: Vec<(String, u32)>,
+    /// `(terminal-name, node)` pairs, in terminal order. The name is a
+    /// handle in the owning view's interner, like the node beside it —
+    /// a row owns no string, and both follow every interner remap.
+    pub terms: Vec<(Istr, u32)>,
     /// Node-pair edges (device join edges or terminal bindings).
     pub edges: Vec<(u32, u32)>,
 }
 
 impl DeviceParts {
+    /// The terminal-name handles the row holds (with repeats) — with
+    /// [`DeviceParts::nodes`], every string of the view's interner the
+    /// row keeps alive.
+    pub fn names(&self) -> impl Iterator<Item = Istr> + '_ {
+        self.terms.iter().map(|&(name, _)| name)
+    }
+
     /// Every node the row names: its terminals and both ends of its
     /// edges (with repeats).
     pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
@@ -294,16 +622,18 @@ impl NetParts {
     /// ([`crate::binding::StringInterner::compact`]): nodes are raw
     /// interner indices, so when the owning view's table is compacted
     /// (a long-lived service session shedding edit-churn garbage) the
-    /// whole graph renumbers with it. The caller must keep every node
-    /// key alive in the compaction — the remap is dense and
+    /// whole graph renumbers with it, and so do the terminal-name handles
+    /// its device rows carry. The caller must keep every node key and
+    /// terminal name alive in the compaction — the remap is dense and
     /// order-preserving, so the graph stays isomorphic and
     /// [`NetParts::assemble`] (which canonicalises by the node
     /// *strings*) produces byte-identical net lists.
     pub fn remap_strings(&mut self, remap: &[Option<crate::binding::Istr>]) {
         let map = |n: u32| -> u32 {
-            // invariant: the compaction keep set includes every node.
+            // invariant: the compaction keep set includes every node
+            // and every terminal name.
             remap[n as usize]
-                .expect("live net nodes survive compaction")
+                .expect("live net nodes and terminal names survive compaction")
                 .index()
         };
         for node in self.element_node.iter_mut().flatten() {
@@ -314,7 +644,8 @@ impl NetParts {
             *b = map(*b);
         }
         for device in &mut self.devices {
-            for (_, node) in &mut device.terms {
+            for (name, node) in &mut device.terms {
+                *name = Istr::from_index(map(name.index()));
                 *node = map(*node);
             }
             for (a, b) in &mut device.edges {
@@ -354,70 +685,117 @@ impl NetParts {
         self.node_net.len() * std::mem::size_of::<Option<NetId>>()
     }
 
-    /// Builds the full graph for a view, serially —
-    /// [`NetParts::build_parallel`] with one worker.
+    /// Builds the full graph for a view, binding terminal and label
+    /// points through the scope table (see the module docs), and returns
+    /// it with the table's [`ScopeStats`], this build's `bind_*`
+    /// counters filled in.
     ///
-    /// Needs the view mutably: fresh terminal / joining-device / label
-    /// keys intern into the view's own table (the graph has no key
-    /// store of its own).
-    pub fn build(
+    /// The element-node map, the per-definition index builds and the
+    /// bind phase fan out over `workers` scoped threads; they are
+    /// read-only and return element ids. The serial fold then builds
+    /// every row, interning its fresh keys into the **view's** interner
+    /// (hence the mutable view: the graph has no key store of its own)
+    /// in device-then-label order, so node numbering, rows, and the
+    /// assembled net list are **byte-identical for any worker count**.
+    /// `labels` pairs each label — owned or borrowed — with its bound
+    /// layer.
+    pub fn build<L: Borrow<NetLabel> + Sync>(
         view: &mut ChipView,
         tech: &Technology,
         merges: &[(usize, usize)],
-        labels: &[(NetLabel, Option<LayerId>)],
-    ) -> NetParts {
-        NetParts::build_parallel(view, tech, merges, labels, 1)
+        labels: &[(L, Option<LayerId>)],
+        scopes: &ScopeTable,
+        workers: usize,
+    ) -> (NetParts, ScopeStats) {
+        let mut parts = NetParts::of_elements(view, merges, workers);
+        let binder = ScopeBinder::build(view, tech, scopes, &parts.element_node, workers);
+        let bound = parts.bind_and_fold(view, labels, &binder, workers);
+        let stats = ScopeStats {
+            bind_indexes_built: binder.indexes.len(),
+            bind_index_entries: binder.entries,
+            bind_points: bound.ends.len() as u64,
+            bind_probes: bound.probes,
+            ..scopes.stats()
+        };
+        (parts, stats)
     }
 
-    /// [`NetParts::build`] with the element-node map, the
-    /// [`BindIndex`] filter, and the per-device / per-label union phase
-    /// fanned out over `workers` scoped threads.
-    ///
-    /// The parallel jobs are read-only: the element-node map is a
-    /// column sweep (an element's node is its `net_key` handle index),
-    /// and the device/label jobs compute symbolic `DeviceDraft` /
-    /// `LabelDraft` rows (covering-element ids plus fresh key strings
-    /// in intern order). The serial fold then interns the drafts into
-    /// the **view's** interner in device/label order — the same
-    /// first-occurrence order a serial build interns in — so node
-    /// numbering, rows, and the assembled net list are **byte-identical
-    /// for any worker count**.
-    pub fn build_parallel(
+    /// [`NetParts::build`] through the direct binder: one [`BindIndex`]
+    /// over every netted element of the chip — the reference the
+    /// table-driven build must equal row for row.
+    #[cfg(test)]
+    pub(crate) fn build_direct<L: Borrow<NetLabel> + Sync>(
         view: &mut ChipView,
         tech: &Technology,
         merges: &[(usize, usize)],
-        labels: &[(NetLabel, Option<LayerId>)],
+        labels: &[(L, Option<LayerId>)],
         workers: usize,
     ) -> NetParts {
-        let mut parts = NetParts::default();
-        // Element nodes: a parallel read-only sweep of the net-key and
-        // device columns. The node *is* the interned key's index — no
-        // interner traffic at all.
-        let ro: &ChipView = view;
-        parts.element_node = run_chunked(ro.elements.len(), workers, |id| {
-            element_is_netted(ro, id).then(|| ro.elements.net_keys()[id].index())
-        });
-        parts.set_conn_edges(merges);
-        let bind = BindIndex::build_parallel(ro, tech, workers);
-        // Union phase: chunked draft jobs over the device and label
-        // lists (one contiguous chunk per job keeps run_ordered's
-        // per-job overhead off the per-device scale).
-        let dev_drafts = run_chunked(ro.devices.len(), workers, |di| device_draft(ro, di, &bind));
-        let label_drafts = run_chunked(labels.len(), workers, |li| {
-            let (label, layer) = &labels[li];
-            label_draft(ro, label, *layer, &bind)
-        });
-        // Serial fold: intern fresh keys into the view's table in
-        // device/label order.
-        for draft in dev_drafts {
-            let row = parts.intern_device_draft(&mut view.strings, draft);
-            parts.devices.push(row);
-        }
-        for draft in label_drafts {
-            let row = parts.intern_label_draft(&mut view.strings, draft);
-            parts.labels.push(row);
-        }
+        let mut parts = NetParts::of_elements(view, merges, workers);
+        let netted: Vec<usize> = (0..view.elements.len())
+            .filter(|&id| parts.element_node[id].is_some())
+            .collect();
+        let binder = BindIndex::build_among(view, tech, &netted);
+        parts.bind_and_fold(view, labels, &binder, workers);
         parts
+    }
+
+    /// The graph's element half: the element-node map — a parallel
+    /// read-only sweep of the net-key and device columns; a node *is*
+    /// its interned key's index, so no interner traffic at all — and the
+    /// connection-merge edges over it.
+    fn of_elements(view: &ChipView, merges: &[(usize, usize)], workers: usize) -> NetParts {
+        let mut parts = NetParts {
+            element_node: run_chunked(view.elements.len(), workers, |id| {
+                element_is_netted(view, id).then(|| view.elements.net_keys()[id].index())
+            }),
+            ..NetParts::default()
+        };
+        parts.set_conn_edges(merges);
+        parts
+    }
+
+    /// The graph's device and label half: the parallel bind phase
+    /// through `binder`, then the serial fold into rows. Returns what
+    /// was bound.
+    fn bind_and_fold<L: Borrow<NetLabel> + Sync>(
+        &mut self,
+        view: &mut ChipView,
+        labels: &[(L, Option<LayerId>)],
+        binder: &impl PointBinder,
+        workers: usize,
+    ) -> Bound {
+        let ro: &ChipView = view;
+        let mut bound = bind_chunked(ro.devices.len(), workers, |di, bound, scratch| {
+            bound.bind_device(binder, ro, &ro.devices[di], scratch);
+        });
+        bound.append(bind_chunked(labels.len(), workers, |li, bound, scratch| {
+            let (label, layer) = &labels[li];
+            if let Some(layer) = *layer {
+                bound.bind(binder, ro, (layer, label.borrow().position), scratch);
+            }
+        }));
+
+        // The fold's fresh keys are counted before it starts — one per
+        // joining device, one per terminal otherwise, one per bound label
+        // — so the view's table grows once, not mid-fold with a rehash of
+        // every string it already holds.
+        let device_keys = |d: &DeviceInstance| match is_joining_class(d.class) {
+            true => 1,
+            false => d.terminals.len(),
+        };
+        let fresh_keys = view.devices.iter().map(device_keys).sum::<usize>()
+            + labels.iter().filter(|(_, layer)| layer.is_some()).count();
+        view.strings.reserve(fresh_keys);
+        let mut rows = RowBuilder::new(&self.element_node, &bound);
+        self.devices = (view.devices.iter())
+            .map(|dev| rows.device(&mut view.strings, dev))
+            .collect();
+        self.labels = (labels.iter())
+            .map(|(label, layer)| rows.label(&mut view.strings, label.borrow(), *layer))
+            .collect();
+        debug_assert_eq!(rows.next, bound.ends.len(), "every bound point is consumed");
+        bound
     }
 
     /// Recomputes the connection-merge edges from element-id pairs.
@@ -433,90 +811,29 @@ impl NetParts {
         }
     }
 
-    /// Computes one device's row (used for initial build and for
-    /// re-binding a device whose neighbourhood changed) — the draft
-    /// computation plus an immediate intern into the view's table, so
-    /// the incremental session's re-rows and the parallel build share
-    /// one emission order.
-    pub fn device_parts(
-        &mut self,
-        view: &mut ChipView,
-        di: usize,
-        bind: &BindIndex,
-    ) -> DeviceParts {
-        let draft = device_draft(view, di, bind);
-        self.intern_device_draft(&mut view.strings, draft)
+    /// Computes one device's row against a scoped bind index — an edit
+    /// session re-binding a device whose neighbourhood changed — with
+    /// the row builder the whole-chip fold uses, so a re-row and a
+    /// rebuild intern in one order and produce equal rows.
+    pub fn device_parts(&self, view: &mut ChipView, di: usize, bind: &BindIndex) -> DeviceParts {
+        let mut bound = Bound::default();
+        bound.bind_device(bind, view, &view.devices[di], &mut Vec::new());
+        RowBuilder::new(&self.element_node, &bound).device(&mut view.strings, &view.devices[di])
     }
 
     /// Computes one label's row (see [`NetParts::device_parts`]).
     pub fn label_parts(
-        &mut self,
+        &self,
         view: &mut ChipView,
         label: &NetLabel,
         layer: Option<LayerId>,
         bind: &BindIndex,
     ) -> LabelParts {
-        let draft = label_draft(view, label, layer, bind);
-        self.intern_label_draft(&mut view.strings, draft)
-    }
-
-    /// Resolves a symbolic device draft against the view interner and
-    /// the element-node map, in the draft's recorded intern order.
-    /// Fresh keys are interned **by move** — a miss keeps the draft's
-    /// own allocation instead of copying it.
-    fn intern_device_draft(
-        &mut self,
-        strings: &mut StringInterner,
-        draft: DeviceDraft,
-    ) -> DeviceParts {
-        let nodes: Vec<u32> = draft
-            .keys
-            .into_iter()
-            .map(|k| strings.intern_owned(k.into()).index())
-            .collect();
-        DeviceParts {
-            terms: draft
-                .terms
-                .into_iter()
-                .map(|(tname, ki)| (tname, nodes[ki]))
-                .collect(),
-            edges: draft
-                .edges
-                .into_iter()
-                .map(|(ki, eid)| {
-                    // invariant: drafts only reference elements the
-                    // union phase netted (message supplied per draft).
-                    let node = self.element_node[eid].expect(draft.expect);
-                    (nodes[ki], node)
-                })
-                .collect(),
+        let mut bound = Bound::default();
+        if let Some(layer) = layer {
+            bound.bind(bind, view, (layer, label.position), &mut Vec::new());
         }
-    }
-
-    /// Resolves a symbolic label draft (see
-    /// [`NetParts::intern_device_draft`]).
-    fn intern_label_draft(
-        &mut self,
-        strings: &mut StringInterner,
-        draft: LabelDraft,
-    ) -> LabelParts {
-        let Some(draft) = draft.0 else {
-            return LabelParts::default();
-        };
-        let node = strings.intern_owned(draft.key.into()).index();
-        LabelParts {
-            node: Some(node),
-            edges: draft
-                .bound
-                .into_iter()
-                .map(|id| {
-                    // invariant: a label binds only to elements the
-                    // union phase assigned a node.
-                    let elem = self.element_node[id].expect("bindable elements are netted");
-                    (node, elem)
-                })
-                .collect(),
-        }
+        RowBuilder::new(&self.element_node, &bound).label(&mut view.strings, label, layer)
     }
 
     /// Every node the element and label rows, and the device rows
@@ -605,7 +922,7 @@ impl NetParts {
                 name: view.str(dev.path),
                 device_type: view.str(dev.device_type),
                 class: dev.class.unwrap_or(DeviceClass::Capacitor),
-                terminals: row.terms.iter().map(|(t, n)| (t.as_str(), *n)).collect(),
+                terminals: row.terms.iter().map(|&(t, n)| (view.str(t), n)).collect(),
             })
             .collect();
 
@@ -783,7 +1100,7 @@ impl NetParts {
                     terminals: row
                         .terms
                         .iter()
-                        .map(|(t, _)| (t.clone(), NetId(u32::MAX)))
+                        .map(|&(t, _)| (view.str(t).to_string(), NetId(u32::MAX)))
                         .collect(),
                 },
             };
@@ -842,88 +1159,7 @@ impl NetParts {
     }
 }
 
-/// One device's symbolic row before interning: the fresh node keys in
-/// the exact order a serial build interns them, with terminals and
-/// edges referencing key indices and covering-element ids. Pure data —
-/// computable on any worker without touching the shared interner.
-#[derive(Debug, Clone, Default)]
-struct DeviceDraft {
-    /// Fresh node keys, in serial intern order (one for a joining
-    /// device, one per terminal otherwise).
-    keys: Vec<String>,
-    /// `(terminal-name, key index)` pairs, in terminal order.
-    terms: Vec<(String, usize)>,
-    /// `(key index, element id)` edges, in serial emission order.
-    edges: Vec<(usize, usize)>,
-    /// The element-node expectation message (differs between joining
-    /// and terminal-separated rows).
-    expect: &'static str,
-}
-
-/// One label's symbolic row before interning; `None` when the label's
-/// layer is unknown.
-#[derive(Debug, Clone, Default)]
-struct LabelDraft(Option<LabelDraftInner>);
-
-#[derive(Debug, Clone)]
-struct LabelDraftInner {
-    key: String,
-    bound: Vec<usize>,
-}
-
-/// Computes one device's symbolic draft row (read-only — the parallel
-/// union phase's job body).
-fn device_draft(view: &ChipView, di: usize, bind: &BindIndex) -> DeviceDraft {
-    let dev = &view.devices[di];
-    let mut draft = DeviceDraft::default();
-    if is_joining_class(dev.class) {
-        // One net for the whole device.
-        draft.expect = "joining device geometry is netted";
-        draft.keys.push(format!("{}.#", view.str(dev.path)));
-        for &eid in &dev.element_ids {
-            draft.edges.push((0, eid));
-        }
-        for (tname, _, _) in &dev.terminals {
-            draft.terms.push((tname.clone(), 0));
-        }
-        if dev.terminals.is_empty() {
-            // Still a device on its single net.
-            draft.terms.push(("A".to_string(), 0));
-        }
-    } else {
-        // Terminal-separated device: each terminal is its own key,
-        // bound to covering elements.
-        draft.expect = "bindable elements are netted";
-        for (tname, layer, pos) in &dev.terminals {
-            let ki = draft.keys.len();
-            draft.keys.push(format!("{}.{}", view.str(dev.path), tname));
-            for id in bind.elements_at(view, *layer, *pos) {
-                draft.edges.push((ki, id));
-            }
-            draft.terms.push((tname.clone(), ki));
-        }
-    }
-    draft
-}
-
-/// Computes one label's symbolic draft row (read-only).
-fn label_draft(
-    view: &ChipView,
-    label: &NetLabel,
-    layer: Option<LayerId>,
-    bind: &BindIndex,
-) -> LabelDraft {
-    let Some(layer) = layer else {
-        return LabelDraft(None);
-    };
-    LabelDraft(Some(LabelDraftInner {
-        key: label.net.clone(),
-        bound: bind.elements_at(view, layer, label.position),
-    }))
-}
-
-/// Generates the hierarchical net list, serially —
-/// [`generate_netlist_parallel`] with one worker.
+/// Generates the hierarchical net list.
 ///
 /// * interconnect elements get their declared (`9N`, path-qualified) or
 ///   auto net keys;
@@ -937,30 +1173,22 @@ fn label_draft(
 /// joining-device, and label nets) intern into the view's own string
 /// table — the graph shares that one interner end to end.
 ///
-/// This is [`NetParts::build`] + [`NetParts::assemble`]; an edit session
+/// This is [`NetParts::build`] — points bound through `scopes`, the bind
+/// phase fanned out over `workers` scoped threads — followed by
+/// [`NetParts::assemble`], which is serial and canonical, so any worker
+/// count produces a byte-identical [`NetgenResult`]. An edit session
 /// keeps the [`NetParts`] graph alive and patches it instead of
 /// rebuilding.
-pub fn generate_netlist(
+pub fn generate_netlist<L: Borrow<NetLabel> + Sync>(
     view: &mut ChipView,
     tech: &Technology,
     merges: &[(usize, usize)],
-    labels: &[(NetLabel, Option<LayerId>)],
-) -> NetgenResult {
-    generate_netlist_parallel(view, tech, merges, labels, 1)
-}
-
-/// [`generate_netlist`] with the per-scope union phase fanned out over
-/// `workers` scoped threads ([`NetParts::build_parallel`]) — the
-/// assembly stays serial and canonical, so any worker count produces a
-/// byte-identical [`NetgenResult`].
-pub fn generate_netlist_parallel(
-    view: &mut ChipView,
-    tech: &Technology,
-    merges: &[(usize, usize)],
-    labels: &[(NetLabel, Option<LayerId>)],
+    labels: &[(L, Option<LayerId>)],
+    scopes: &ScopeTable,
     workers: usize,
 ) -> NetgenResult {
-    NetParts::build_parallel(view, tech, merges, labels, workers).assemble(view)
+    let (mut parts, _) = NetParts::build(view, tech, merges, labels, scopes, workers);
+    parts.assemble(view)
 }
 
 #[cfg(test)]
@@ -968,23 +1196,69 @@ mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
     use crate::connect::check_connections_among;
-    use diic_cif::parse;
+    use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
+    use diic_geom::{Orientation, Rect, Transform, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
+    use proptest::prelude::*;
+
+    /// What one layout's net-list generation produced, by both binders.
+    struct Extracted {
+        nets: NetgenResult,
+        /// The table-driven graph at the last worker count.
+        parts: NetParts,
+        view: ChipView,
+        scopes: ScopeTable,
+        stats: ScopeStats,
+    }
+
+    /// The table-driven graph and net list of a layout at each of
+    /// `workers`, each from a pristine view and each asserted equal —
+    /// rows, node numbering and result, field for field — to the direct
+    /// binder's (one index over every netted element, one worker).
+    fn extract_layout(layout: &Layout, tech: &Technology, workers: &[usize]) -> Extracted {
+        let (binding, _) = LayerBinding::bind(layout, tech);
+        let (pristine, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|run| run.0),
+            pristine.elements.bboxes(),
+            crate::interact::max_rule_range(tech),
+        );
+        let all: Vec<usize> = (0..pristine.elements.len()).collect();
+        let conn = check_connections_among(&pristine, tech, &all);
+        let labels: Vec<(&NetLabel, Option<LayerId>)> = (layout.labels().iter())
+            .map(|l| (l, binding.layer(l.layer)))
+            .collect();
+
+        let mut direct_view = pristine.clone();
+        let mut direct = NetParts::build_direct(&mut direct_view, tech, &conn.merges, &labels, 1);
+        let direct_nets = direct.assemble(&direct_view);
+        let mut last = None;
+        for &w in workers {
+            let mut view = pristine.clone();
+            let (mut parts, stats) =
+                NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, w);
+            assert_eq!(parts.devices, direct.devices, "workers={w}");
+            assert_eq!(parts.labels, direct.labels, "workers={w}");
+            assert_eq!(parts.element_node, direct.element_node, "workers={w}");
+            assert_eq!(parts.conn_edges, direct.conn_edges, "workers={w}");
+            assert_eq!(view.strings.len(), direct_view.strings.len(), "workers={w}");
+            assert_eq!(parts.assemble(&view), direct_nets, "workers={w}");
+            last = Some((parts, view, stats));
+        }
+        let (parts, view, stats) = last.expect("at least one worker count");
+        Extracted {
+            nets: direct_nets,
+            parts,
+            view,
+            scopes,
+            stats,
+        }
+    }
 
     fn extract(cif: &str) -> (NetgenResult, ChipView) {
-        let layout = parse(cif).unwrap();
-        let tech = nmos_technology();
-        let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let mut view = instantiate(&layout, &tech, &binding, 1, Default::default()).0;
-        let all: Vec<usize> = (0..view.elements.len()).collect();
-        let conn = check_connections_among(&view, &tech, &all);
-        let labels: Vec<(NetLabel, Option<LayerId>)> = layout
-            .labels()
-            .iter()
-            .map(|l| (l.clone(), binding.layer(l.layer)))
-            .collect();
-        let r = generate_netlist(&mut view, &tech, &conn.merges, &labels);
-        (r, view)
+        let x = extract_layout(&parse(cif).unwrap(), &nmos_technology(), &[1, 2]);
+        (x.nets, x.view)
     }
 
     #[test]
@@ -1088,6 +1362,249 @@ mod tests {
         assert!(
             view.strings.lookup("i0.#").is_some(),
             "joining-device key interned into the view table"
+        );
+    }
+
+    /// [`crate::connect`]'s random two-level layouts (all eight
+    /// orientations; abutting, overlapping, coincident and far
+    /// placements; duplicates; loose elements between the calls), with
+    /// what point binding turns on added at the top level: three-terminal
+    /// transistors called directly, each declaring a fourth terminal far
+    /// outside its own geometry (and so outside its own scope's box);
+    /// loose wires and a neighbouring cell's boxes over those terminals;
+    /// a cell holding nothing but a transistor (a definition without a
+    /// netted element); and labels inside one scope, on the shared edge
+    /// of two abutting ones, outside every scope, scattered over the
+    /// array, and on a layer the technology does not know.
+    fn bindable_layout(rng: &mut TestRng) -> Layout {
+        let mut layout = crate::connect::tests::random_layout(rng);
+        let [nm, np, nd] = ["NM", "NP", "ND"].map(|name| layout.intern_layer(name));
+        let unknown = layout.intern_layer("ZZ");
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let on = |layer, shape| {
+            Item::Element(Element {
+                layer,
+                shape,
+                net: None,
+            })
+        };
+        let terminal = |name: &str, layer, x, y| Terminal {
+            name: name.into(),
+            layer,
+            position: Point::new(x, y),
+        };
+        let transistor = layout.add_symbol(Symbol {
+            cif_id: 80,
+            name: None,
+            device: Some(DeviceDecl {
+                device_type: "NMOS_ENH".into(),
+                checked: true,
+                terminals: vec![
+                    terminal("G", np, -375, 0),
+                    terminal("S", nd, 250, -1000),
+                    terminal("D", nd, 250, 1000),
+                    terminal("X", nm, 4500, 375),
+                ],
+            }),
+            items: vec![
+                on(np, Shape::Box(Rect::new(-500, -250, 1000, 250))),
+                on(nd, Shape::Box(Rect::new(0, -1250, 500, 1250))),
+            ],
+        });
+        // Poly below, metal above: put where a terminal falls on a box.
+        let pad = layout.add_symbol(Symbol {
+            cif_id: 81,
+            name: None,
+            device: None,
+            items: vec![
+                on(np, Shape::Box(Rect::new(0, 0, 2000, 1500))),
+                on(nm, Shape::Box(Rect::new(0, 2000, 2000, 2750))),
+            ],
+        });
+        let call = |target, orient, at: Vector, name: String| {
+            Item::Call(Call {
+                target,
+                transform: Transform::new(orient, at),
+                name,
+            })
+        };
+        let bare = layout.add_symbol(Symbol {
+            cif_id: 82,
+            name: None,
+            device: None,
+            items: vec![call(transistor, Orientation::R0, Vector::ZERO, "t".into())],
+        });
+        let spot =
+            |rng: &mut TestRng| Vector::new(250 * pick(rng, 64) as i64, 250 * pick(rng, 40) as i64);
+
+        let mut pads: Vec<Vector> = Vec::new();
+        for k in 0..2 + pick(rng, 3) {
+            let orient = match pick(rng, 2) {
+                0 => Orientation::R0,
+                _ => Orientation::ALL[pick(rng, 8)],
+            };
+            let t = Transform::new(orient, spot(rng));
+            layout.push_top(call(transistor, orient, t.offset, format!("x{k}")));
+            let gate = t.apply_point(Point::new(-375, 0));
+            let far = t.apply_point(Point::new(4500, 375));
+            if pick(rng, 2) == 0 {
+                // A loose wire ending on the gate terminal.
+                let from = Point::new(gate.x - 2000, gate.y);
+                let wire = Wire::new(500, vec![from, gate]).unwrap();
+                layout.push_top(on(np, Shape::Wire(wire)));
+            }
+            if pick(rng, 2) == 0 {
+                // A neighbour's poly over the gate terminal …
+                pads.push(Vector::new(gate.x - 1000, gate.y - 700));
+            }
+            if pick(rng, 3) > 0 {
+                // … and one's metal under the far terminal.
+                pads.push(Vector::new(far.x - 1000, far.y - 2375));
+            }
+        }
+        // Two pads abutting along x = edge.x.
+        let edge = spot(rng);
+        pads.extend([edge - Vector::new(2000, 0), edge]);
+        for (k, at) in pads.iter().enumerate() {
+            layout.push_top(call(pad, Orientation::R0, *at, format!("p{k}")));
+            if pick(rng, 3) == 0 {
+                let at = spot(rng);
+                layout.push_top(on(
+                    nm,
+                    Shape::Box(Rect::new(at.x, at.y, at.x + 3000, at.y + 750)),
+                ));
+            }
+        }
+        for k in 0..pick(rng, 3) {
+            // Sometimes on a pad, so the pad's poly takes the gate.
+            let at = match pick(rng, 2) {
+                0 => pads[pick(rng, pads.len())] + Vector::new(1375, 700),
+                _ => spot(rng),
+            };
+            layout.push_top(call(bare, Orientation::R0, at, format!("b{k}")));
+        }
+
+        let mut label = |name: &str, layer, at: Vector| {
+            layout.push_label(NetLabel {
+                net: name.into(),
+                layer,
+                position: Point::new(at.x, at.y),
+            })
+        };
+        label("INSIDE", nm, pads[0] + Vector::new(1000, 2375));
+        label("EDGE", nm, edge + Vector::new(0, 2375));
+        label("NOWHERE", nm, Vector::new(-90_000, -90_000));
+        label("UNKNOWN", unknown, pads[0] + Vector::new(1000, 2375));
+        for _ in 0..pick(rng, 5) {
+            // A name twice joins two nets; the rails run along y < 750.
+            let name = ["VDD", "GND", "INSIDE"][pick(rng, 3)];
+            let at = Vector::new(250 * pick(rng, 64) as i64, 375);
+            label(name, [nm, np, nd][pick(rng, 3)], at);
+        }
+        layout
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Table-driven ≡ direct: binding through the scope table — one
+        /// index per definition, points translated into the first
+        /// scope's frame, the covering scopes' answers merged by id —
+        /// produces the rows, the node numbering and the net list of one
+        /// index over every netted element, for any worker count, in
+        /// release builds too.
+        #[test]
+        fn table_driven_netgen_equals_the_direct_binder(seed in 0u64..u64::MAX) {
+            let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
+            extract_layout(&layout, &nmos_technology(), &[1, 2, 3, 7]);
+        }
+    }
+
+    #[test]
+    fn the_bindable_layouts_exercise_every_binding() {
+        // The oracle above is only as good as its inputs: over its first
+        // cases, terminals must bind to elements of their own scope, of
+        // another call scope (through a translated lookup) and of the
+        // loose scope; points must fall in several scopes at once and in
+        // none; definitions must go without an index; labels must bind
+        // and fail to.
+        let tech = nmos_technology();
+        let (mut own, mut other, mut translated, mut loose) = (0, 0, 0, 0);
+        let (mut multi, mut unbound_terminals) = (0, 0);
+        let (mut labels_bound, mut labels_unbound, mut labels_on_two) = (0, 0, 0);
+        let (mut definitions, mut indexes) = (0, 0);
+        for case in 0..48 {
+            let layout = bindable_layout(&mut TestRng::for_case(11, case));
+            let x = extract_layout(&layout, &tech, &[1]);
+            let scope_of = |id: usize| {
+                let calls = x.scopes.calls();
+                let s = calls.partition_point(|c| c.run().end <= id);
+                match calls.get(s) {
+                    Some(c) if c.run().contains(&id) => s,
+                    _ => x.scopes.loose_index(),
+                }
+            };
+            let element_of = |node: u32| {
+                (x.parts.element_node.iter())
+                    .position(|n| *n == Some(node))
+                    .expect("an element node")
+            };
+            let mut covering = Vec::new();
+            for (dev, row) in x.view.devices.iter().zip(&x.parts.devices) {
+                if is_joining_class(dev.class) {
+                    continue;
+                }
+                let home = scope_of(dev.element_ids[0]);
+                for &(_, _, p) in &dev.terminals {
+                    x.scopes.covering(p, &mut covering);
+                    multi += (covering.len() > 1) as usize;
+                }
+                unbound_terminals += row.terms.len() - {
+                    let mut bound: Vec<u32> = row.edges.iter().map(|e| e.0).collect();
+                    bound.dedup();
+                    bound.len()
+                };
+                for &(_, node) in &row.edges {
+                    let s = scope_of(element_of(node));
+                    if s == x.scopes.loose_index() {
+                        loose += 1;
+                    } else if s == home {
+                        own += 1;
+                    } else {
+                        other += 1;
+                        translated += (x.scopes.calls()[s].first_of_definition() != s) as usize;
+                    }
+                }
+            }
+            for row in &x.parts.labels {
+                match row.edges.len() {
+                    0 => labels_unbound += 1,
+                    1 => labels_bound += 1,
+                    _ => labels_on_two += 1,
+                }
+            }
+            let calls = x.scopes.calls();
+            definitions += (0..calls.len())
+                .filter(|&s| calls[s].first_of_definition() == s)
+                .count();
+            indexes += x.stats.bind_indexes_built;
+            assert!(x.stats.bind_probes >= x.stats.bind_index_entries.min(1) as u64);
+        }
+        assert!(
+            own > 10 && other > 50 && translated > 20 && loose > 50,
+            "own {own}, other {other} ({translated} translated), loose {loose}"
+        );
+        assert!(
+            multi > 100 && unbound_terminals > 50,
+            "multi-scope points {multi}, unbound terminals {unbound_terminals}"
+        );
+        assert!(
+            labels_bound > 40 && labels_unbound > 48 && labels_on_two > 40,
+            "labels: bound {labels_bound}, unbound {labels_unbound}, on two {labels_on_two}"
+        );
+        assert!(
+            indexes < definitions,
+            "{indexes} indexes for {definitions} definitions"
         );
     }
 }

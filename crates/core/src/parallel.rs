@@ -24,9 +24,9 @@
 //!   row, plus the loose elements'
 //!   ([`crate::connect::check_connections`] — each pair scored once,
 //!   verdicts ordered by element ids at assembly);
-//! * the **netgen union phase** — per-device / per-label draft rows,
-//!   interned serially in canonical order
-//!   ([`crate::netgen::NetParts::build_parallel`]);
+//! * the **netgen bind phase** — chunks of the device and label lists
+//!   bound to covering element ids, folded into rows serially in
+//!   canonical order ([`crate::netgen::NetParts::build`]);
 //! * the **interaction stage**'s candidate enumeration (flat tile walk
 //!   or hierarchical cache fills) and pair evaluation
 //!   ([`crate::interact`]);
@@ -169,13 +169,13 @@ where
 
 /// Runs `job(0)`, …, `job(n - 1)` across the worker pool in contiguous
 /// **chunks** and returns the results in index order — the fan-out
-/// shape for fine-grained per-item work (e.g. the netgen union phase's
-/// per-device draft rows), where one [`run_ordered`] slot per item
-/// would drown the work in bookkeeping. A few chunks per worker keep
-/// unevenly sized items balanced; like [`run_ordered`], the positional
-/// merge makes any worker count byte-identical. (Jobs that carry
-/// per-chunk state of their own — the interaction stage's stat-folding
-/// chunks — use [`run_ordered`] directly.)
+/// shape for fine-grained per-item work (e.g. the netgen element-node
+/// sweep), where one [`run_ordered`] slot per item would drown the work
+/// in bookkeeping. A few chunks per worker keep unevenly sized items
+/// balanced; like [`run_ordered`], the positional merge makes any worker
+/// count byte-identical. (Jobs that carry per-chunk state of their own —
+/// the interaction stage's stat-folding chunks, the netgen bind phase's
+/// id buffers — use [`run_ordered`] directly.)
 pub fn run_chunked<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
 where
     T: Send,

@@ -2,11 +2,12 @@
 //! stages that exploit it.
 //!
 //! The paper's cost claim is that hierarchy confines work: a definition
-//! instantiated a thousand times should be understood once. Two stages
-//! consume the hierarchy — the connection scan ([`crate::connect`]) and
-//! the hierarchical interaction search ([`crate::interact`]) — and both
-//! read it from here, so they cannot disagree on which element belongs
-//! to which instance.
+//! instantiated a thousand times should be understood once. Three stages
+//! consume the hierarchy — the connection scan ([`crate::connect`]), the
+//! net-list stage's point binding ([`crate::netgen`]) and the
+//! hierarchical interaction search ([`crate::interact`]) — and all read
+//! it from here, so they cannot disagree on which element belongs to
+//! which instance.
 //!
 //! A **scope** is one top-level call with everything instantiated
 //! beneath it, or the *loose* scope holding the top-level elements that
@@ -23,10 +24,13 @@
 //! when it is built, from a grid over the scope bounding boxes
 //! ([`ScopeTable::neighbours`]); testing every pair of scopes, as the
 //! interaction search used to, is quadratic in the instance count and
-//! was the whole of its superlinear cost at 10⁷ elements.
+//! was the whole of its superlinear cost at 10⁷ elements. The table
+//! keeps that grid: the net-list stage asks it which scopes cover a
+//! terminal or label point ([`ScopeTable::covering`]) and then looks the
+//! point up in an index built once per definition, not once per chip.
 
 use diic_cif::{Item, SymbolId};
-use diic_geom::{Coord, GridIndex, Orientation, Rect, Transform};
+use diic_geom::{Coord, GridIndex, Orientation, Point, Rect, Transform};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -117,8 +121,9 @@ pub struct Neighbours {
 
 /// Exact counters of what the scope table was worth to one check: how
 /// much of the chip sits in repeated definitions, what the neighbour
-/// searches cost, and how much of the connection stage was answered by
-/// stamping a verdict row instead of scoring pairs.
+/// searches cost, how much of the connection stage was answered by
+/// stamping a verdict row instead of scoring pairs, and what the
+/// net-list stage indexed to bind its terminal and label points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScopeStats {
     /// Scopes in the table: one per top-level call, plus the loose
@@ -145,6 +150,32 @@ pub struct ScopeStats {
     /// more than once at the top level — the share of the chip the row
     /// cache can apply to.
     pub elements_in_repeated_scopes: usize,
+    /// Bind indexes the net-list stage built: one per distinct
+    /// definition-and-orientation with a netted element, one over the
+    /// loose scope's.
+    pub bind_indexes_built: usize,
+    /// Elements those indexes hold between them (a chip-wide bind grid
+    /// would hold every netted element).
+    pub bind_index_entries: usize,
+    /// Terminal and label points the net-list stage bound.
+    pub bind_points: u64,
+    /// Index lookups made for them: one per scope covering a point.
+    pub bind_probes: u64,
+}
+
+impl ScopeStats {
+    /// These counters with the net-list stage's (`bind_*`) taken from
+    /// `netgen` — what [`crate::netgen::NetParts::build`] returned.
+    #[must_use]
+    pub fn with_binding_of(self, netgen: ScopeStats) -> ScopeStats {
+        ScopeStats {
+            bind_indexes_built: netgen.bind_indexes_built,
+            bind_index_entries: netgen.bind_index_entries,
+            bind_points: netgen.bind_points,
+            bind_probes: netgen.bind_probes,
+            ..self
+        }
+    }
 }
 
 impl std::fmt::Display for ScopeStats {
@@ -153,7 +184,8 @@ impl std::fmt::Display for ScopeStats {
             f,
             "{} scopes, {} neighbour tests -> {} neighbour pairs, \
              {} connection rows built + {} stamped, {} pairs scored + {} stamped, \
-             {} elements in repeated scopes",
+             {} elements in repeated scopes, \
+             {} bind indexes built over {} entries, {} bind points -> {} bind probes",
             self.scopes,
             self.neighbour_tests,
             self.neighbour_pairs,
@@ -161,24 +193,46 @@ impl std::fmt::Display for ScopeStats {
             self.conn_rows_stamped,
             self.conn_pairs_scored,
             self.conn_pairs_stamped,
-            self.elements_in_repeated_scopes
+            self.elements_in_repeated_scopes,
+            self.bind_indexes_built,
+            self.bind_index_entries,
+            self.bind_points,
+            self.bind_probes
         )
     }
 }
 
+/// The grid over the scope bounding boxes behind
+/// [`ScopeTable::neighbours`] and [`ScopeTable::covering`].
+#[derive(Debug, Clone)]
+struct ScopeGrid {
+    /// The live scopes kept out of the grid and tested directly,
+    /// ascending: the wide ones (see [`ScopeTable::neighbours`]), or all
+    /// of them when there are fewer than two.
+    direct: Vec<(usize, Rect)>,
+    /// Every other live scope's bounding box, payload the scope index,
+    /// inserted ascending.
+    grid: GridIndex<usize>,
+    /// The reach the cells were sized and the wide scopes chosen for
+    /// (never negative).
+    reach: Coord,
+}
+
 /// The top-level scopes of one instantiated chip (see the module docs).
-/// Built once per check, read by the connection and interaction stages,
-/// dropped with the check; an edit session builds one when it opens or
-/// rebuilds and does not keep it (an ordinary edit re-checks a halo, not
-/// scopes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Built once per check, read by the connection, net-list and
+/// interaction stages, dropped with the check; an edit session builds
+/// one when it opens or rebuilds and does not keep it (an ordinary edit
+/// re-checks a halo, not scopes).
+#[derive(Debug, Clone)]
 pub struct ScopeTable {
     /// Call scopes in top-item order, then the loose scope.
     scopes: Vec<Scope>,
     /// The loose scope's element ids, ascending.
     loose: Vec<usize>,
     repeated_elements: usize,
-    /// [`ScopeTable::neighbours`] at the reach the table was built for.
+    /// The scope grid at the reach the table was built for.
+    grid: ScopeGrid,
+    /// [`ScopeTable::neighbours`] at that reach.
     near: Neighbours,
 }
 
@@ -238,14 +292,15 @@ impl ScopeTable {
             run: 0..0,
             first: scopes.len(),
         });
-        let mut table = ScopeTable {
+        let grid = ScopeGrid::over(&scopes, reach);
+        let near = grid.neighbours(&scopes);
+        ScopeTable {
             scopes,
             loose,
             repeated_elements,
-            near: Neighbours::default(),
-        };
-        table.near = table.neighbours(reach);
-        table
+            grid,
+            near,
+        }
     }
 
     /// Every scope: the call scopes in top-item order, then the loose
@@ -304,86 +359,24 @@ impl ScopeTable {
     /// `Coord::MAX`) stays out of the grid and is compared with every
     /// scope directly — the cheaper of the two by then.
     pub fn neighbours(&self, reach: Coord) -> Neighbours {
-        let reach = reach.max(0);
-        let live: Vec<(usize, Rect)> = self
-            .scopes
-            .iter()
-            .enumerate()
-            .filter_map(|(s, scope)| Some((s, scope.bbox?)))
-            .collect();
-        let mut out = Neighbours::default();
-        if live.len() < 2 {
-            return out;
-        }
-        let near = |a: &Rect, b: &Rect| {
-            let (dx, dy) = a.gap(b);
-            dx <= reach && dy <= reach
-        };
-        // Cells the size of the mean scope (or the reach, when that is
-        // larger): a scope then covers a handful of cells and so does a
-        // query.
-        let side_sum: i128 = live
-            .iter()
-            .map(|(_, b)| b.width().max(b.height()) as i128)
-            .sum();
-        let mean_side = Coord::try_from(side_sum / live.len() as i128).unwrap_or(Coord::MAX);
-        let cell = mean_side.max(reach).max(1);
-        let cells_of = |r: &Rect| {
-            let span =
-                |lo: Coord, hi: Coord| (hi.div_euclid(cell) - lo.div_euclid(cell)) as i128 + 1;
-            span(r.x1, r.x2) * span(r.y1, r.y2)
-        };
+        ScopeGrid::over(&self.scopes, reach).neighbours(&self.scopes)
+    }
 
-        // A scope is *wide* when its query — its box grown by the reach
-        // — covers more cells than there are scopes.
-        let query_of = |a: &Rect| Rect {
-            x1: a.x1.saturating_sub(reach),
-            y1: a.y1.saturating_sub(reach),
-            x2: a.x2.saturating_add(reach),
-            y2: a.y2.saturating_add(reach),
-        };
-        let mut grid: GridIndex<usize> = GridIndex::new(cell);
-        let mut wide: Vec<(usize, Rect)> = Vec::new();
-        for &(s, bbox) in &live {
-            if cells_of(&query_of(&bbox)) > live.len() as i128 {
-                wide.push((s, bbox));
-            } else {
-                grid.insert(bbox, s);
-            }
+    /// The scopes whose bounding box contains `p` (closed-sense), into
+    /// `out`, ascending — a single-cell lookup in the grid
+    /// [`ScopeTable::neighbours`] searched, plus a direct test of the
+    /// scopes that grid leaves out. An element covering `p` belongs to
+    /// one of these scopes; `out` is the caller's buffer, so binding a
+    /// point allocates nothing.
+    pub fn covering(&self, p: Point, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.grid.grid.at(p).copied());
+        let direct = self.grid.direct.iter();
+        out.extend(direct.filter(|(_, b)| b.contains_point(p)).map(|&(s, _)| s));
+        // Each source ascends; a wide scope among gridded ones interleaves.
+        if !out.is_sorted() {
+            out.sort_unstable();
         }
-
-        for &(si, a) in &live {
-            let mut test = |sj: usize, b: &Rect| {
-                out.tests += 1;
-                if near(&a, b) {
-                    out.pairs.push((si, sj));
-                }
-            };
-            if wide.binary_search_by_key(&si, |&(s, _)| s).is_ok() {
-                // Against everything later; an earlier scope pairs with
-                // this one from its own side.
-                for (sj, b) in live.iter().filter(|(sj, _)| *sj > si) {
-                    test(*sj, b);
-                }
-                continue;
-            }
-            for (sj, b) in wide.iter().filter(|(sj, _)| *sj > si) {
-                test(*sj, b);
-            }
-            for handle in grid.candidates(&query_of(&a)) {
-                let (b, &sj) = grid.get(handle).expect("candidates are live");
-                if sj > si {
-                    test(sj, b);
-                }
-            }
-        }
-        // Each source emits ascending pairs; with wide scopes about, the
-        // sources interleave.
-        if !wide.is_empty() {
-            out.pairs.sort_unstable();
-        }
-        debug_assert!(out.pairs.windows(2).all(|w| w[0] < w[1]));
-        out
     }
 
     /// The double loop [`ScopeTable::neighbours`] replaces — the
@@ -403,6 +396,113 @@ impl ScopeTable {
             }
         }
         out
+    }
+}
+
+impl ScopeGrid {
+    /// Indexes the bounding boxes of `scopes` for searches at `reach`.
+    fn over(scopes: &[Scope], reach: Coord) -> ScopeGrid {
+        let reach = reach.max(0);
+        let live: Vec<(usize, Rect)> = live_boxes(scopes).collect();
+        if live.len() < 2 {
+            return ScopeGrid {
+                direct: live,
+                grid: GridIndex::new(1),
+                reach,
+            };
+        }
+        // Cells the size of the mean scope (or the reach, when that is
+        // larger): a scope then covers a handful of cells and so does a
+        // query.
+        let side_sum: i128 = live
+            .iter()
+            .map(|(_, b)| b.width().max(b.height()) as i128)
+            .sum();
+        let mean_side = Coord::try_from(side_sum / live.len() as i128).unwrap_or(Coord::MAX);
+        let cell = mean_side.max(reach).max(1);
+        let cells_of = |r: &Rect| {
+            let span =
+                |lo: Coord, hi: Coord| (hi.div_euclid(cell) - lo.div_euclid(cell)) as i128 + 1;
+            span(r.x1, r.x2) * span(r.y1, r.y2)
+        };
+        // A scope is *wide* when its query — its box grown by the reach
+        // — covers more cells than there are scopes.
+        let mut grid: GridIndex<usize> = GridIndex::new(cell);
+        let mut direct: Vec<(usize, Rect)> = Vec::new();
+        for &(s, bbox) in &live {
+            if cells_of(&grown(&bbox, reach)) > live.len() as i128 {
+                direct.push((s, bbox));
+            } else {
+                grid.insert(bbox, s);
+            }
+        }
+        ScopeGrid {
+            direct,
+            grid,
+            reach,
+        }
+    }
+
+    /// [`ScopeTable::neighbours`] of the scopes this grid was built
+    /// over, at the reach it was built for.
+    fn neighbours(&self, scopes: &[Scope]) -> Neighbours {
+        let reach = self.reach;
+        let mut out = Neighbours::default();
+        if live_boxes(scopes).nth(1).is_none() {
+            return out;
+        }
+        let near = |a: &Rect, b: &Rect| {
+            let (dx, dy) = a.gap(b);
+            dx <= reach && dy <= reach
+        };
+        let wide = &self.direct;
+        for (si, a) in live_boxes(scopes) {
+            let mut test = |sj: usize, b: &Rect| {
+                out.tests += 1;
+                if near(&a, b) {
+                    out.pairs.push((si, sj));
+                }
+            };
+            if wide.binary_search_by_key(&si, |&(s, _)| s).is_ok() {
+                // Against everything later; an earlier scope pairs with
+                // this one from its own side.
+                for (sj, b) in live_boxes(scopes).filter(|(sj, _)| *sj > si) {
+                    test(sj, &b);
+                }
+                continue;
+            }
+            for (sj, b) in wide.iter().filter(|(sj, _)| *sj > si) {
+                test(*sj, b);
+            }
+            for handle in self.grid.candidates(&grown(&a, reach)) {
+                let (b, &sj) = self.grid.get(handle).expect("candidates are live");
+                if sj > si {
+                    test(sj, b);
+                }
+            }
+        }
+        // Each source emits ascending pairs; with wide scopes about, the
+        // sources interleave.
+        if !wide.is_empty() {
+            out.pairs.sort_unstable();
+        }
+        debug_assert!(out.pairs.windows(2).all(|w| w[0] < w[1]));
+        out
+    }
+}
+
+/// The scopes that have elements, with their bounding boxes.
+fn live_boxes(scopes: &[Scope]) -> impl Iterator<Item = (usize, Rect)> + '_ {
+    (scopes.iter().enumerate()).filter_map(|(s, scope)| Some((s, scope.bbox?)))
+}
+
+/// `a` grown by `reach` on every side, saturating.
+fn grown(a: &Rect, reach: Coord) -> Rect {
+    Rect {
+        x1: a.x1.saturating_sub(reach),
+        y1: a.y1.saturating_sub(reach),
+        x2: a.x2.saturating_add(reach),
+        y2: a.y2.saturating_add(reach),
     }
 }
 
@@ -473,7 +573,7 @@ mod tests {
     /// A table over explicit bounding boxes: scope `k` holds one element
     /// with bbox `k`, the last box is the loose scope's; `None` leaves a
     /// scope empty.
-    fn table_of(bboxes: &[Option<Rect>]) -> ScopeTable {
+    fn table_of(bboxes: &[Option<Rect>], reach: Coord) -> ScopeTable {
         let (calls, loose) = bboxes.split_at(bboxes.len() - 1);
         let mut items: Vec<Item> = (0..calls.len())
             .map(|k| call(k as u32, Orientation::R0, "c"))
@@ -485,7 +585,7 @@ mod tests {
             .map(|b| b.is_some() as usize)
             .collect();
         let column: Vec<Rect> = bboxes.iter().flatten().copied().collect();
-        ScopeTable::build(&items, runs, &column, 0)
+        ScopeTable::build(&items, runs, &column, reach)
     }
 
     fn arb_bbox() -> impl Strategy<Value = Option<Rect>> {
@@ -520,10 +620,31 @@ mod tests {
                 .get(pick)
                 .copied()
                 .unwrap_or(small_reach);
-            let table = table_of(&bboxes);
+            let table = table_of(&bboxes, 0);
             let near = table.neighbours(reach);
             prop_assert_eq!(&near.pairs, &table.neighbours_reference(reach));
             prop_assert!(near.tests >= near.pairs.len() as u64);
+        }
+
+        #[test]
+        fn covering_equals_a_scan_of_the_boxes(
+            bboxes in proptest::collection::vec(arb_bbox(), 1..40),
+            reach in 0i64..200,
+            points in proptest::collection::vec((-45i64..90, -45i64..90), 1..40),
+        ) {
+            // Whatever reach the kept grid was sized for, and whichever
+            // scopes it left out as wide (or all of them: one live scope).
+            let table = table_of(&bboxes, reach);
+            let mut got = vec![usize::MAX];
+            for (x, y) in points {
+                // On box corners and edges (multiples of 10) and off them.
+                let p = Point::new(x * 5, y * 5);
+                table.covering(p, &mut got);
+                let want: Vec<usize> = (0..bboxes.len())
+                    .filter(|&s| bboxes[s].is_some_and(|b| b.contains_point(p)))
+                    .collect();
+                prop_assert_eq!(&got, &want, "{:?}", p);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! `Sync` whenever `T` is) — the parallel interaction search builds the
 //! index once and fans queries out over a scoped thread pool.
 
-use crate::{Coord, Rect};
+use crate::{Coord, Point, Rect};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
@@ -275,6 +275,22 @@ impl<T> GridIndex<T> {
         false
     }
 
+    /// Payloads of the live items whose rectangle contains `p`
+    /// (closed-sense), in insertion order — exactly what
+    /// [`GridIndex::query`] answers for the degenerate rectangle at `p`,
+    /// without allocating: a point lies in one cell, and a cell lists its
+    /// items once each in insertion order, so there is nothing to merge,
+    /// sort or deduplicate.
+    pub fn at(&self, p: Point) -> impl Iterator<Item = &T> + '_ {
+        let key = (p.x.div_euclid(self.cell), p.y.div_euclid(self.cell));
+        let cell = self.cells.get(&key).map_or(&[][..], Vec::as_slice);
+        cell.iter().filter_map(move |&id| {
+            let (rect, value) = &self.items[id as usize];
+            // Cells hold live items only.
+            value.as_ref().filter(|_| rect.contains_point(p))
+        })
+    }
+
     /// Handles (ascending, deduplicated) of the live items that share a
     /// grid cell with the query — a superset of the items touching it,
     /// for a caller that applies its own test to each
@@ -364,6 +380,54 @@ mod tests {
         let query = Rect::new(0, 0, 20, 20);
         assert_eq!(idx.candidates(&query), vec![near, same_cell]);
         assert_eq!(idx.query(&query), vec![&'a']);
+    }
+
+    #[test]
+    fn at_visits_what_a_point_query_returns() {
+        // Random rects (many spanning several cells, some degenerate)
+        // around the origin, probed on cell boundaries and at negative
+        // coordinates — fresh, after removals, and after a compaction.
+        use proptest::TestRng;
+        let agree = |idx: &GridIndex<u32>, rng: &mut TestRng, stage: &str| {
+            let mut hits = 0;
+            for k in 0..400 {
+                let coord = |rng: &mut TestRng| match k % 3 {
+                    0 => (rng.below(13) as i64 - 6) * 25, // a cell boundary
+                    _ => rng.below(300) as i64 - 150,
+                };
+                let p = Point::new(coord(rng), coord(rng));
+                let visited: Vec<u32> = idx.at(p).copied().collect();
+                let queried: Vec<u32> = (idx.query(&Rect::new(p.x, p.y, p.x, p.y)).into_iter())
+                    .copied()
+                    .collect();
+                assert_eq!(visited, queried, "{stage}: {p:?}");
+                hits += visited.len();
+            }
+            assert!(
+                hits > 200,
+                "{stage}: the probes must hit something ({hits})"
+            );
+        };
+        for case in 0..16 {
+            let rng = &mut TestRng::for_case(0xA7, case);
+            let mut idx = GridIndex::new(25);
+            let handles: Vec<u32> = (0..120)
+                .map(|v| {
+                    let (x, y) = (rng.below(300) as i64 - 150, rng.below(300) as i64 - 150);
+                    let (w, h) = (rng.below(80) as i64, rng.below(80) as i64);
+                    idx.insert(Rect::new(x, y, x + w, y + h), v)
+                })
+                .collect();
+            agree(&idx, rng, "fresh");
+            for &h in handles.iter().filter(|&&h| h % 3 == 0) {
+                idx.remove(h);
+            }
+            agree(&idx, rng, "after remove");
+            idx.compact();
+            agree(&idx, rng, "after compact");
+        }
+        let empty: GridIndex<u32> = GridIndex::new(25);
+        assert_eq!(empty.at(Point::new(0, 0)).count(), 0);
     }
 
     #[test]

@@ -1,0 +1,113 @@
+//! A counted budget for building the net graph: allocator calls per flat
+//! element, not a timing. The net-list stage used to draft every device
+//! row twice and to carry four owned strings per transistor; what it
+//! costs now is its rows and its fresh keys, and this test keeps it
+//! there. One test in the file, counted on its own thread at one worker,
+//! so the counts repeat exactly from run to run.
+
+use diic::cif::NetLabel;
+use diic::core::netgen::NetParts;
+use diic::core::{check_connections, instantiate, max_rule_range, LayerBinding, ScopeTable};
+use diic::tech::nmos::nmos_technology;
+use diic::tech::LayerId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls (allocations and reallocations) this thread made.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls each thread makes.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread's last frees may run after its locals are gone.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn building_the_net_graph_stays_within_its_allocation_budget() {
+    let tech = nmos_technology();
+    let chip = diic::gen::mega_chip(10_000);
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let (binding, _) = LayerBinding::bind(&layout, &tech);
+    let labels: Vec<(&NetLabel, Option<LayerId>)> = (layout.labels().iter())
+        .map(|l| (l, binding.layer(l.layer)))
+        .collect();
+
+    // Twice from scratch: the counts must repeat exactly.
+    let runs: Vec<(usize, u64, u64)> = (0..2)
+        .map(|_| {
+            let (mut view, runs) = instantiate(&layout, &tech, &binding, 1, Default::default());
+            let scopes = ScopeTable::build(
+                layout.top_items(),
+                runs.iter().map(|run| run.0),
+                view.elements.bboxes(),
+                max_rule_range(&tech),
+            );
+            let (conn, _) = check_connections(&view, &tech, &scopes, 1);
+            let (build, (mut parts, stats)) =
+                counted(|| NetParts::build(&mut view, &tech, &conn.merges, &labels, &scopes, 1));
+            let (assemble, nets) = counted(|| parts.assemble(&view));
+            assert_eq!(nets.netlist.device_count(), view.devices.len());
+            assert_eq!(stats.bind_indexes_built, 1, "one cell, no loose element");
+            (view.elements.len(), build, assemble)
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "the counts repeat exactly");
+
+    let (elements, build, assemble) = runs[0];
+    let per_element = |calls: u64| calls as f64 / elements as f64;
+    println!(
+        "{elements} elements: NetParts::build {build} allocator calls ({:.2} per element), \
+         assemble {assemble} ({:.2}), together {:.2}",
+        per_element(build),
+        per_element(assemble),
+        per_element(build + assemble),
+    );
+    assert!(per_element(build) <= 1.2, "NetParts::build: {build} calls");
+    assert!(
+        per_element(build + assemble) <= 4.3,
+        "build + assemble: {build} + {assemble} calls"
+    );
+}

@@ -39,8 +39,10 @@
 //! search: the scope-table connection pass (verdict rows scored once
 //! per definition and stamped) must equal the direct scan over every
 //! element — violations, merges and `pairs_examined`, in order — at one
-//! worker and at any other count, and the netgen per-scope union phase
-//! must assemble a byte-identical net list for any worker count.
+//! worker and at any other count, and net-list generation binding its
+//! terminal and label points through the scope table (one index per
+//! definition) must assemble, at any worker count, the net list the
+//! direct binder (one index over every netted element) assembles.
 //! Alongside it, `interned_strings_round_trip` proves the `ChipView`
 //! string interner is a pure storage decision: every rendered
 //! `path` / `net_key` string resolves back to its own handle, parallel
@@ -68,13 +70,14 @@
 //! added) and re-runs the recall oracle under them: rule decks that
 //! tighten rules never lose injected faults.
 
+use diic::cif::{Element, Item, LayerRef, Shape};
 use diic::core::{
     account, check_cif, check_connections, check_connections_among, effective_parallelism,
-    env_parallelism, flat_check, generate_netlist, generate_netlist_parallel, instantiate,
-    max_rule_range, CheckOptions, CheckReport, ElementColumns, FlatOptions, LayerBinding,
-    ScopeTable, Violation,
+    env_parallelism, flat_check, generate_netlist, instantiate, max_rule_range, CheckOptions,
+    CheckReport, ElementColumns, FlatOptions, LayerBinding, ScopeTable, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
+use diic::geom::Rect;
 use diic::tech::nmos::nmos_technology;
 use diic::tech::Technology;
 use proptest::prelude::*;
@@ -258,8 +261,9 @@ proptest! {
 
     /// The **seventh leg**: the scope-table connection pass must equal
     /// the direct scan over every element at one worker and at any other
-    /// count, and the netgen per-scope union phase its serial form —
-    /// stage outputs compared directly (violations, merges, pairs
+    /// count, and net-list generation through the scope table the
+    /// direct binder's, at any worker count — stage outputs compared
+    /// directly (violations, merges, pairs
     /// examined, the assembled net list and per-element / per-terminal
     /// resolutions), not just the end-to-end report.
     #[test]
@@ -295,7 +299,22 @@ proptest! {
 
         let all: Vec<usize> = (0..view.elements.len()).collect();
         let conn_serial = check_connections_among(&view, &tech, &all);
-        let nets_serial = generate_netlist(&mut view, &tech, &conn_serial.merges, &labels);
+        // The reference: a table that calls the whole chip one loose
+        // scope builds the direct binder — one index over every netted
+        // element — and nothing per definition.
+        let whole_chip = [Item::Element(Element {
+            layer: LayerRef(0),
+            shape: Shape::Box(Rect::new(0, 0, 1, 1)),
+            net: None,
+        })];
+        let one_scope = ScopeTable::build(
+            &whole_chip,
+            [view.elements.len()],
+            view.elements.bboxes(),
+            max_rule_range(&tech),
+        );
+        let nets_serial =
+            generate_netlist(&mut view, &tech, &conn_serial.merges, &labels, &one_scope, 1);
         let wide = effective_parallelism(wide_workers());
         for workers in [1usize, 2, 3, wide] {
             let (conn, _) = check_connections(&view, &tech, &scopes, workers);
@@ -307,7 +326,8 @@ proptest! {
             prop_assert_eq!(&conn.merges, &conn_serial.merges, "workers={}", workers);
             prop_assert_eq!(conn.pairs_examined, conn_serial.pairs_examined);
 
-            let nets = generate_netlist_parallel(&mut view, &tech, &conn.merges, &labels, workers);
+            let nets =
+                generate_netlist(&mut view, &tech, &conn.merges, &labels, &scopes, workers);
             prop_assert_eq!(
                 &nets.netlist, &nets_serial.netlist,
                 "netgen: {} workers diverge (nx={} ny={} seed={} mask={:#b})",
