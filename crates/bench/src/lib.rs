@@ -1194,7 +1194,7 @@ pub fn e17_incremental(scale: Scale) -> String {
         out,
         "(small edits re-check a neighbourhood — net-neutral moves reuse the\n\
          cached net list outright, other edits splice it: `nets` is how many\n\
-         nets were rebuilt, every other one moved across untouched; moving a\n\
+         nets were rebuilt, every other one copied across in runs; moving a\n\
          *connected* cell rips its nets apart; a replaced definition\n\
          invalidates every instance and falls back to a full rebuild)"
     );

@@ -19,7 +19,12 @@
 //!   device type), so the view stores them once in a [`StringInterner`]
 //!   and elements / [`DeviceInstance`]s carry 4-byte [`Istr`] handles
 //!   instead of owned `String`s. Handles from one view compare equal iff
-//!   the strings are equal; render them with [`ChipView::str`].
+//!   the strings are equal; render them with [`ChipView::str`]. The
+//!   table itself is an arena: its strings lie end to end in one text
+//!   buffer behind a column of end offsets, so a distinct string costs
+//!   its bytes, an offset and a bucket — never a heap object of its own
+//!   (at a million elements that was 1.4 million small allocations, and
+//!   as many frees when the view dropped).
 //!
 //! * **Columnar elements.** Elements live in [`ElementColumns`] — a
 //!   struct-of-arrays store with one dense, fixed-width column per
@@ -104,13 +109,21 @@ impl Hasher for PrehashedKey {
 /// An append-only hash-consing table: each distinct string is stored
 /// exactly once and addressed by a stable [`Istr`] handle.
 ///
+/// **Layout.** The strings lie end to end, in handle order, in one text
+/// buffer; `ends[i]` is where string `i` stops (it starts where string
+/// `i − 1` stopped, string 0 at byte 0). The text and its offsets are
+/// two buffers however many strings the table holds: a miss appends, a
+/// read slices (bounds- and boundary-checked — the table has no `unsafe`).
+/// Offsets are `u32`, **checked**: a table whose text would pass 4 GiB
+/// panics instead of wrapping.
+///
 /// Lookup is by hash bucket with a full-string compare (no second copy
 /// of the key inside a map), so unique strings — auto net keys are
-/// mostly unique — cost one `Box<str>` plus bucket bookkeeping, while
-/// shared strings (instance paths, device types) collapse to one entry
-/// however many elements reference them. Handles are never invalidated:
-/// an edit session keeps one interner alive across applies and stale
-/// strings simply stop being referenced.
+/// mostly unique — cost their bytes plus an offset and bucket
+/// bookkeeping, while shared strings (instance paths, device types)
+/// collapse to one entry however many elements reference them. Handles
+/// are never invalidated: an edit session keeps one interner alive
+/// across applies and stale strings simply stop being referenced.
 ///
 /// Every string is hashed **once**, a machine word at a time, and the
 /// bucket map takes that hash as is. The strings come from outside the
@@ -120,7 +133,10 @@ impl Hasher for PrehashedKey {
 /// numbered by insertion order.
 #[derive(Debug, Clone)]
 pub struct StringInterner {
-    strings: Vec<Box<str>>,
+    /// Every string, end to end, in handle order.
+    text: String,
+    /// End offset in `text` of each string.
+    ends: Vec<u32>,
     /// String hash → first id with that hash. Full-`u64` collisions are
     /// vanishingly rare, so the common case costs one flat map entry
     /// per distinct string; the rare extra ids live in `overflow`.
@@ -132,15 +148,21 @@ pub struct StringInterner {
     key: u64,
     /// Current usage epoch (see [`StringInterner::advance_epoch`]).
     epoch: u32,
-    /// Epoch each string was last interned in, parallel to `strings` —
+    /// Epoch each string was last interned in, parallel to `ends` —
     /// the liveness signal [`StringInterner::compact_stale`] retains by.
     last_used: Vec<u32>,
+    /// Tests replace the hash to pile strings into a few buckets, so
+    /// every path that hashes — compaction and the stitch too — runs
+    /// through the overflow list.
+    #[cfg(test)]
+    forced_hash: Option<fn(&str) -> u64>,
 }
 
 impl Default for StringInterner {
     fn default() -> Self {
         StringInterner {
-            strings: Vec::new(),
+            text: String::new(),
+            ends: Vec::new(),
             first: HashMap::default(),
             overflow: Vec::new(),
             key: std::collections::hash_map::RandomState::new()
@@ -148,8 +170,20 @@ impl Default for StringInterner {
                 .finish(),
             epoch: 0,
             last_used: Vec::new(),
+            #[cfg(test)]
+            forced_hash: None,
         }
     }
+}
+
+/// String `id` of a table laid out as `text` / `ends` (see
+/// [`StringInterner`]).
+fn slice_of<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
+    let start = match id {
+        0 => 0,
+        _ => ends[id as usize - 1],
+    };
+    &text[start as usize..ends[id as usize] as usize]
 }
 
 impl StringInterner {
@@ -158,6 +192,10 @@ impl StringInterner {
     /// the low bits (the map's bucket) and the top seven (its control
     /// tag) depend on every input bit.
     fn hash_of(&self, s: &str) -> u64 {
+        #[cfg(test)]
+        if let Some(forced) = self.forced_hash {
+            return forced(s);
+        }
         const K: u64 = 0x9E37_79B9_7F4A_7C15;
         let mix =
             |h: u64, word: [u8; 8]| (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
@@ -188,93 +226,75 @@ impl StringInterner {
     /// [`StringInterner::intern`] with the hash supplied (tests force
     /// equal hashes through here; nothing else picks its own).
     fn intern_hashed(&mut self, s: &str, hash: u64) -> Istr {
-        let id = match self.find_or_reserve(s, hash) {
-            Ok(id) => id,
-            Err(id) => {
-                self.strings.push(s.into());
-                id
+        let id = self.ends.len() as u32;
+        match self.first.entry(hash) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(id);
             }
-        };
-        self.touch(id);
-        id
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let hit =
+                    Self::find_from(&self.text, &self.ends, &self.overflow, *e.get(), s, hash);
+                if let Some(hit) = hit {
+                    self.last_used[hit.0 as usize] = self.epoch;
+                    return hit;
+                }
+                self.overflow.push((hash, id));
+            }
+        }
+        // The check that keeps the offsets honest: past 4 GiB of text
+        // this stops, it does not wrap.
+        let end = u32::try_from(self.text.len() + s.len())
+            .expect("an interner holds less than 4 GiB of text");
+        self.text.push_str(s);
+        self.ends.push(end);
+        self.last_used.push(self.epoch);
+        Istr(id)
     }
 
-    /// [`StringInterner::intern`] taking ownership — a miss moves the
-    /// box into the table instead of re-allocating it (the shard-stitch
-    /// path, where a shard's strings migrate into the merged view).
-    pub fn intern_owned(&mut self, s: Box<str>) -> Istr {
-        let hash = self.hash_of(&s);
-        let id = match self.find_or_reserve(&s, hash) {
-            Ok(id) => id,
-            Err(id) => {
-                self.strings.push(s);
-                id
-            }
-        };
-        self.touch(id);
-        id
+    /// Interns every string of `other`, in its handle order, and returns
+    /// the handle each went to, indexed by its handle in `other` — the
+    /// shard stitch: a worker's strings are read out of its buffer by
+    /// reference, so only the ones this table lacks are copied.
+    pub(crate) fn intern_all(&mut self, other: &StringInterner) -> Vec<Istr> {
+        other.iter().map(|s| self.intern(s)).collect()
     }
 
     /// Makes room for `additional` fresh strings, so a caller that knows
     /// how many it is about to intern pays for the growth once — not for
     /// a rehash of everything the table already holds half-way through.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.strings.reserve(additional);
+        self.ends.reserve(additional);
         self.first.reserve(additional);
         self.last_used.reserve(additional);
-    }
-
-    /// Stamps a handle as used in the current epoch (growing the stamp
-    /// column for a fresh push).
-    fn touch(&mut self, id: Istr) {
-        let i = id.0 as usize;
-        if self.last_used.len() <= i {
-            self.last_used.resize(i + 1, self.epoch);
-        } else {
-            self.last_used[i] = self.epoch;
-        }
-    }
-
-    /// `Ok(existing)` on a hit; on a miss, records the next id under
-    /// `hash` and returns it as `Err` — the caller must push the string.
-    fn find_or_reserve(&mut self, s: &str, hash: u64) -> Result<Istr, Istr> {
-        let id = self.strings.len() as u32;
-        match self.first.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                if let Some(hit) = Self::find_from(&self.strings, &self.overflow, *e.get(), s, hash)
-                {
-                    return Ok(hit);
-                }
-                self.overflow.push((hash, id));
-            }
-        }
-        Err(Istr(id))
     }
 
     /// The stored copy of `s` among the ids sharing `hash`: the
     /// bucket's `first` id, then the overflow list.
     fn find_from(
-        strings: &[Box<str>],
+        text: &str,
+        ends: &[u32],
         overflow: &[(u64, u32)],
         first: u32,
         s: &str,
         hash: u64,
     ) -> Option<Istr> {
-        if &*strings[first as usize] == s {
+        if slice_of(text, ends, first) == s {
             return Some(Istr(first));
         }
         overflow
             .iter()
-            .find(|&&(oh, oid)| oh == hash && &*strings[oid as usize] == s)
+            .find(|&&(oh, oid)| oh == hash && slice_of(text, ends, oid) == s)
             .map(|&(_, oid)| Istr(oid))
     }
 
     /// The string behind a handle.
     pub fn get(&self, id: Istr) -> &str {
-        &self.strings[id.0 as usize]
+        slice_of(&self.text, &self.ends, id.0)
+    }
+
+    /// Every stored string, in handle order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone {
+        (0..self.ends.len() as u32).map(|id| slice_of(&self.text, &self.ends, id))
     }
 
     /// The handle a string is already interned under, if any (read-only
@@ -286,33 +306,36 @@ impl StringInterner {
     /// [`StringInterner::lookup`] with the hash supplied.
     fn lookup_hashed(&self, s: &str, hash: u64) -> Option<Istr> {
         let first = *self.first.get(&hash)?;
-        Self::find_from(&self.strings, &self.overflow, first, s, hash)
+        Self::find_from(&self.text, &self.ends, &self.overflow, first, s, hash)
     }
 
     /// Number of distinct strings stored.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Heap bytes held by the stored strings themselves (the payload the
-    /// e18 memory table compares against per-element `String` copies;
-    /// excludes bucket bookkeeping).
+    /// Bytes of the stored strings themselves — exactly the length of
+    /// the text buffer (the payload the e18 memory table compares
+    /// against per-element `String` copies, and what the library
+    /// driver's interner budget is read against; bookkeeping is
+    /// [`StringInterner::table_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.strings.iter().map(|s| s.len()).sum()
+        self.text.len()
     }
 
-    /// Drains the stored strings (the shard-stitch path: a shard's
-    /// distinct strings move into the merged view's table).
-    pub(crate) fn take_strings(&mut self) -> Vec<Box<str>> {
-        self.first.clear();
-        self.overflow.clear();
-        self.last_used.clear();
-        std::mem::take(&mut self.strings)
+    /// Bytes of the bookkeeping around the text: the offset and epoch
+    /// columns, the bucket map's slots (a key, an id and a control byte
+    /// each) and the overflow list, as allocated.
+    pub fn table_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.ends.capacity() + self.last_used.capacity()) * size_of::<u32>()
+            + self.first.capacity() * (size_of::<(u64, u32)>() + 1)
+            + self.overflow.capacity() * size_of::<(u64, u32)>()
     }
 
     /// The current usage epoch. Epochs segment interner traffic into
@@ -343,21 +366,7 @@ impl StringInterner {
     where
         F: FnMut(Istr, &str) -> bool,
     {
-        let old_strings = std::mem::take(&mut self.strings);
-        let old_used = std::mem::take(&mut self.last_used);
-        self.first.clear();
-        self.overflow.clear();
-        let mut map = vec![None; old_strings.len()];
-        for (old_id, s) in old_strings.into_iter().enumerate() {
-            if keep(Istr(old_id as u32), &s) {
-                // invariant: the table was emptied above, so every kept
-                // string is a miss and ids come out dense in old order.
-                let id = self.intern_owned(s);
-                self.last_used[id.0 as usize] = old_used[old_id];
-                map[old_id] = Some(id);
-            }
-        }
-        map
+        self.rebuild(|id, s, _| keep(id, s))
     }
 
     /// [`StringInterner::compact`] keeping strings used within the last
@@ -368,8 +377,29 @@ impl StringInterner {
     /// one-off keys from older cells are evicted.
     pub fn compact_stale(&mut self, keep_epochs: u32) -> Vec<Option<Istr>> {
         let cutoff = self.epoch.saturating_sub(keep_epochs);
-        let used = self.last_used.clone();
-        self.compact(|id, _| used[id.index() as usize] >= cutoff)
+        self.rebuild(|_, _, last_used| last_used >= cutoff)
+    }
+
+    /// The compaction itself: a fresh text buffer holding the strings
+    /// `keep(handle, string, last-used epoch)` approves, in old order.
+    fn rebuild(&mut self, mut keep: impl FnMut(Istr, &str, u32) -> bool) -> Vec<Option<Istr>> {
+        let old_text = std::mem::take(&mut self.text);
+        let old_ends = std::mem::take(&mut self.ends);
+        let old_used = std::mem::take(&mut self.last_used);
+        self.first.clear();
+        self.overflow.clear();
+        let mut map = vec![None; old_ends.len()];
+        for (old_id, &used) in old_used.iter().enumerate() {
+            let s = slice_of(&old_text, &old_ends, old_id as u32);
+            if keep(Istr(old_id as u32), s, used) {
+                // invariant: the table was emptied above, so every kept
+                // string is a miss and ids come out dense in old order.
+                let id = self.intern(s);
+                self.last_used[id.0 as usize] = used;
+                map[old_id] = Some(id);
+            }
+        }
+        map
     }
 }
 
@@ -1085,20 +1115,15 @@ fn balanced_chunks(weights: &[u64], chunks: usize) -> Vec<Range<usize>> {
 }
 
 impl ChipView {
-    /// Appends a worker chunk's private view: its distinct strings
-    /// **move** into this view's table (no string is re-allocated — only
-    /// duplicates already present are dropped) and its handles, device
-    /// indices and element back-references are renumbered to follow
-    /// what is already here.
+    /// Appends a worker chunk's private view: its distinct strings are
+    /// interned into this view's table straight out of the shard's text
+    /// buffer (only the ones not already here are copied) and its
+    /// handles, device indices and element back-references are
+    /// renumbered to follow what is already here.
     fn stitch(&mut self, mut shard: ChipView) {
         let (e_off, d_off) = (self.elements.len(), self.devices.len());
         self.violations.append(&mut shard.violations);
-        let remap: Vec<Istr> = shard
-            .strings
-            .take_strings()
-            .into_iter()
-            .map(|s| self.strings.intern_owned(s))
-            .collect();
+        let remap = self.strings.intern_all(&shard.strings);
         self.elements
             .append_translated(&shard.elements, Vector::ZERO, &remap, |d| {
                 device_after(d_off, d)
@@ -1186,6 +1211,19 @@ struct Template {
 
 type Templates = HashMap<(SymbolId, Orientation), Template>;
 
+/// The buffers a [`Template::stamp`] fills and leaves behind — the text
+/// of the string being re-rooted and the two handle tables — kept by the
+/// walk from one stamp to the next, so a stamp allocates for what it
+/// adds to the view and nothing else.
+#[derive(Default)]
+struct StampScratch {
+    text: String,
+    /// Per string of the block: its re-rooted handle in the view.
+    handles: Vec<Istr>,
+    /// Per string of the block: its handle in the view as it is.
+    verbatim: Vec<Istr>,
+}
+
 /// Derives a template for every `(symbol, orientation)` the hierarchy
 /// instantiates more than once, children before parents — so a parent's
 /// walk finds its children's templates and stamps them, and total work
@@ -1239,22 +1277,34 @@ impl Template {
     /// enclosing `device` the instance's elements join that device and
     /// its own device rows are dropped — what the walk does with devices
     /// nested in a device.
-    fn stamp(&self, path: &str, offset: Vector, device: Option<usize>, view: &mut ChipView) {
+    fn stamp(
+        &self,
+        path: &str,
+        offset: Vector,
+        device: Option<usize>,
+        view: &mut ChipView,
+        scratch: &mut StampScratch,
+    ) {
         let block = &self.block;
         let (e0, d0) = (view.elements.len(), view.devices.len());
         let count = block.elements.len();
+        let StampScratch {
+            text,
+            handles,
+            verbatim,
+        } = scratch;
 
         // `head` bytes (the `#` of an auto key) precede the root.
-        let mut text = String::new();
         let mut rerooted = |h: Istr, head: usize, table: &mut StringInterner| {
             let s = block.str(h);
             text.clear();
             text.push_str(&s[..head]);
             text.push_str(path);
             text.push_str(&s[head + TEMPLATE_ROOT.len()..]);
-            table.intern(&text)
+            table.intern(text)
         };
-        let mut handles = vec![Istr(NONE_U32); block.strings.len()];
+        handles.clear();
+        handles.resize(block.strings.len(), Istr(NONE_U32));
         for &p in &self.paths {
             handles[p.0 as usize] = rerooted(p, 0, &mut view.strings);
         }
@@ -1271,16 +1321,17 @@ impl Template {
         match device {
             Some(d) => {
                 view.elements
-                    .append_translated(&block.elements, offset, &handles, |_| d as u32);
+                    .append_translated(&block.elements, offset, handles, |_| d as u32);
                 view.devices[d].element_ids.extend(e0..e0 + count);
             }
             None => {
                 view.elements
-                    .append_translated(&block.elements, offset, &handles, |d| device_after(d0, d));
+                    .append_translated(&block.elements, offset, handles, |d| device_after(d0, d));
                 // Device types and terminal names go across as they are,
                 // each interned once per stamp — in a table of their own,
                 // since a name may spell a path.
-                let mut verbatim = vec![Istr(NONE_U32); block.strings.len()];
+                verbatim.clear();
+                verbatim.resize(block.strings.len(), Istr(NONE_U32));
                 let mut as_is = |h: Istr, table: &mut StringInterner| {
                     let slot = &mut verbatim[h.0 as usize];
                     if slot.0 == NONE_U32 {
@@ -1484,14 +1535,25 @@ impl Walker<'_> {
     /// Walks top-level `items` into `view`, recording each item's
     /// `(elements, devices)` run length.
     fn walk_items(&self, items: &[Item], view: &mut ChipView, runs: &mut Vec<(usize, usize)>) {
+        let mut scratch = StampScratch::default();
         for item in items {
             let (e0, d0) = (view.elements.len(), view.devices.len());
-            self.walk(item, Scope::TOP, view);
+            self.walk_with(item, Scope::TOP, view, &mut scratch);
             runs.push((view.elements.len() - e0, view.devices.len() - d0));
         }
     }
 
     fn walk(&self, item: &Item, scope: Scope<'_>, view: &mut ChipView) {
+        self.walk_with(item, scope, view, &mut StampScratch::default());
+    }
+
+    fn walk_with(
+        &self,
+        item: &Item,
+        scope: Scope<'_>,
+        view: &mut ChipView,
+        scratch: &mut StampScratch,
+    ) {
         let Scope {
             t,
             path,
@@ -1580,7 +1642,7 @@ impl Walker<'_> {
                     if let Some(template) = self.templates.get(&(c.target, child_t.orient)) {
                         #[cfg(debug_assertions)]
                         let start = (view.elements.len(), view.devices.len());
-                        template.stamp(&child_path, child_t.offset, device, view);
+                        template.stamp(&child_path, child_t.offset, device, view, scratch);
                         #[cfg(debug_assertions)]
                         self.verify_first_stamp(template, item, scope, view, start);
                         return;
@@ -1625,7 +1687,7 @@ impl Walker<'_> {
                     source: Some(c.target),
                 };
                 for item in &sym.items {
-                    self.walk(item, child, view);
+                    self.walk_with(item, child, view, scratch);
                 }
             }
         }
@@ -1917,10 +1979,9 @@ mod tests {
             assert_eq!(t.intern(&format!("s{i}")), id, "no duplicate entry");
         }
         assert_eq!(t.lookup("never-interned"), None);
-        assert_eq!(t.intern_owned("s7".into()), ids[7], "owned hit dedups");
-        let owned = t.intern_owned("fresh".into());
-        assert_eq!(t.get(owned), "fresh");
-        assert!(t.heap_bytes() >= 100 * 2);
+        // s0..s9 are two bytes each, s10..s99 three: the text is exact.
+        assert_eq!(t.heap_bytes(), 10 * 2 + 90 * 3);
+        assert!(t.table_bytes() >= 100 * 2 * std::mem::size_of::<u32>());
         // Strings that differ only past a word boundary, or only in
         // length of a shared zero-padded tail, stay distinct.
         let a = t.intern("12345678");
@@ -2156,6 +2217,54 @@ mod tests {
         layout
     }
 
+    /// What a [`StringInterner`] must behave as: strings in insertion
+    /// order, the id of each, the epoch each was last interned in.
+    #[derive(Default)]
+    struct InternerModel {
+        ids: HashMap<String, u32>,
+        strings: Vec<String>,
+        last_used: Vec<u32>,
+        epoch: u32,
+    }
+
+    impl InternerModel {
+        fn intern(&mut self, s: &str) -> u32 {
+            let id = *self.ids.entry(s.to_string()).or_insert_with(|| {
+                self.strings.push(s.to_string());
+                self.last_used.push(0);
+                self.strings.len() as u32 - 1
+            });
+            self.last_used[id as usize] = self.epoch;
+            id
+        }
+
+        /// Keeps what `keep(id, last used)` approves, in order; the
+        /// old id → new id map.
+        fn compact(&mut self, keep: impl Fn(u32, u32) -> bool) -> Vec<Option<u32>> {
+            let old = std::mem::take(self);
+            self.epoch = old.epoch;
+            let kept = |id: &usize| keep(*id as u32, old.last_used[*id]);
+            (0..old.strings.len())
+                .map(|id| {
+                    kept(&id).then(|| {
+                        let new = self.intern(&old.strings[id]);
+                        self.last_used[new as usize] = old.last_used[id];
+                        new
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// A short string over a small alphabet — so repeats are common —
+    /// of one- to four-byte characters; sometimes empty.
+    fn random_name(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 8] = ["a", "b", ".", "é", "ß", "日", "🦀", "ab"];
+        (0..rng.below(4))
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -2185,6 +2294,86 @@ mod tests {
                 let (wide, wide_runs) = instantiate(&layout, &tech, &binding, workers, warm_interner());
                 prop_assert_eq!(wide.resolved_tail(0, 0), want.clone(), "workers={}", workers);
                 prop_assert_eq!(&wide_runs, &runs);
+            }
+        }
+
+        /// The interner against a `HashMap<String, u32>` + `Vec<String>`
+        /// model, under random sequences of every operation it has:
+        /// handles are dense in insertion order, every string reads back
+        /// (the empty one, and multi-byte ones lying side by side in the
+        /// buffer), the text is exact, compaction's remap is the model's
+        /// and keeps order, epoch stamps survive it, and a stitch from a
+        /// second table lands where interning its strings one by one
+        /// would. Every other case piles all strings into two hash
+        /// buckets, so the same holds through the overflow list.
+        #[test]
+        fn interner_matches_its_model(seed in 0u64..u64::MAX) {
+            let rng = &mut TestRng::for_case(seed, 0);
+            let collide = rng.below(2) == 0;
+            let table = || {
+                let mut t = StringInterner::default();
+                if collide {
+                    t.forced_hash = Some(|s| s.len() as u64 % 2);
+                }
+                t
+            };
+            let mut t = table();
+            let mut model = InternerModel::default();
+            for _ in 0..48 {
+                match rng.below(10) {
+                    0..=3 => {
+                        let s = random_name(rng);
+                        let id = t.intern(&s);
+                        prop_assert_eq!(id.index(), model.intern(&s), "intern {:?}", s);
+                    }
+                    4 => {
+                        let s = random_name(rng);
+                        let want = model.ids.get(&s).copied();
+                        prop_assert_eq!(t.lookup(&s).map(Istr::index), want, "lookup {:?}", s);
+                    }
+                    5 => t.reserve(rng.below(40) as usize),
+                    6 => {
+                        t.advance_epoch();
+                        model.epoch += 1;
+                    }
+                    7 => {
+                        let mask = rng.next_u64();
+                        let keep = |id: u32| mask >> (id % 64) & 1 == 1;
+                        let remap = t.compact(|id, s| {
+                            assert_eq!(s, model.strings[id.index() as usize]);
+                            keep(id.index())
+                        });
+                        let want = model.compact(|id, _| keep(id));
+                        prop_assert_eq!(remap.iter().map(|n| n.map(Istr::index)).collect::<Vec<_>>(), want);
+                    }
+                    8 => {
+                        let keep_epochs = rng.below(3) as u32;
+                        let cutoff = model.epoch.saturating_sub(keep_epochs);
+                        let remap = t.compact_stale(keep_epochs);
+                        let want = model.compact(|_, used| used >= cutoff);
+                        prop_assert_eq!(remap.iter().map(|n| n.map(Istr::index)).collect::<Vec<_>>(), want);
+                    }
+                    _ => {
+                        let mut shard = table();
+                        for _ in 0..rng.below(8) {
+                            shard.intern(&random_name(rng));
+                        }
+                        let landed = t.intern_all(&shard);
+                        let want: Vec<u32> = shard.iter().map(|s| model.intern(s)).collect();
+                        prop_assert_eq!(landed.iter().map(|id| id.index()).collect::<Vec<_>>(), want);
+                    }
+                }
+                prop_assert_eq!(t.len(), model.strings.len());
+                prop_assert_eq!(t.is_empty(), model.strings.is_empty());
+                prop_assert!(t.iter().eq(model.strings.iter().map(String::as_str)));
+                for (id, s) in model.strings.iter().enumerate() {
+                    prop_assert_eq!(t.get(Istr(id as u32)), s);
+                    prop_assert_eq!(t.lookup(s), Some(Istr(id as u32)));
+                }
+                prop_assert_eq!(t.heap_bytes(), model.strings.iter().map(String::len).sum::<usize>());
+                prop_assert_eq!(&t.last_used, &model.last_used);
+                prop_assert_eq!(t.epoch(), model.epoch);
+                prop_assert!(!collide || t.first.len() <= 2);
             }
         }
 

@@ -1084,7 +1084,7 @@ pub fn composition_violations(
     let mut out = Vec::new();
     if options.erc {
         for e in check_erc(netlist, tech) {
-            let context = netlist.net(e.net).name.clone();
+            let context = netlist.net(e.net).name().to_string();
             out.push(Violation {
                 stage: CheckStage::Composition,
                 kind: ViolationKind::Erc {

@@ -38,9 +38,11 @@
 //!   [`crate::netgen::NetParts::splice`] rebuilds only the nets those
 //!   nodes belong to — the same canonicalisation
 //!   ([`diic_netlist::canonical_nets`]) a full build runs, over the
-//!   affected components alone. Every other net and every surviving
-//!   device is *moved* from the cached net list, ids rewritten in
-//!   place. Cost follows the nets the edit touched, not the chip; in
+//!   affected components alone. Every other net's rows, and every
+//!   surviving device's that sits on kept nets only, are copied from
+//!   the cached net list in runs (a net list is flat columns over one
+//!   text buffer), ids rewritten as they land. Canonicalisation follows
+//!   the nets the edit touched, not the chip; in
 //!   debug builds the result is asserted equal to the from-scratch
 //!   [`crate::netgen::NetParts::assemble`].
 //! * **net-wide effects are caught by a name diff** — connectivity is
@@ -48,7 +50,7 @@
 //!   splice every surviving element whose net's canonical name
 //!   changed, and every device whose terminal-net names changed, adds
 //!   its footprint to the dirty core (only elements and terminals on a
-//!   freshly built net can have — the moved nets kept their names). A
+//!   freshly built net can have — the copied nets kept their names). A
 //!   merge or split always renames at least one side (the canonical
 //!   name is the minimum alias), so every pair whose
 //!   same-net/relatedness verdict could have flipped now has a dirty
@@ -288,7 +290,7 @@ pub struct EditStats {
     /// instances (auto keys are instance-local), typically qualifies.
     pub netlist_reused: bool,
     /// Nets the net-list splice built fresh (the components a changed
-    /// graph row could reach); every other net was moved across from
+    /// graph row could reach); every other net was copied across from
     /// the cached list. Zero on a reused list and on a full rebuild.
     pub nets_respliced: usize,
     /// Live graph nodes in those components.
@@ -1094,7 +1096,7 @@ impl CheckSession {
             let same_name = |old: Option<diic_netlist::NetId>, new: diic_netlist::NetId| {
                 !splice.fresh[new.0 as usize]
                     || old.and_then(|o| splice.retired_name(o))
-                        == Some(splice.nets.netlist.net(new).name.as_str())
+                        == Some(splice.nets.netlist.net(new).name())
             };
             for (old, new) in old_to_new.iter().enumerate() {
                 let Some(new) = *new else { continue };
@@ -1320,15 +1322,17 @@ impl CheckSession {
     }
 
     /// An estimate of the session's resident heap, in bytes: the
-    /// columnar element store, the string table, device instances, the
-    /// persistent net graph, the cached canonical report, and the
-    /// spatial-index bookkeeping. Payload bytes, not allocator-exact —
-    /// the number a session *pool* budgets and evicts against (and the
-    /// denominator of the e21 sessions-per-GB figure).
+    /// columnar element store, the string table (its text and its
+    /// bookkeeping, both exact — each is a handful of flat buffers),
+    /// device instances, the persistent net graph, the cached canonical
+    /// report, and the spatial-index bookkeeping. Payload bytes
+    /// elsewhere, not allocator-exact — the number a session *pool*
+    /// budgets and evicts against (and the denominator of the e21
+    /// sessions-per-GB figure).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         let elements = self.view.elements.heap_bytes();
-        let strings = self.view.strings.heap_bytes();
+        let strings = self.view.strings.heap_bytes() + self.view.strings.table_bytes();
         let devices: usize = self
             .view
             .devices
@@ -1642,8 +1646,7 @@ mod tests {
     }
 
     fn net_names(session: &CheckSession) -> Vec<&str> {
-        let nets = session.report().netlist.nets();
-        nets.iter().map(|n| n.name.as_str()).collect()
+        session.report().netlist.nets().map(|n| n.name()).collect()
     }
 
     #[test]
@@ -1659,8 +1662,8 @@ mod tests {
         assert_eq!(net_names(&session), ["0", "A", "B", "E", "F"]);
         assert_eq!(stats.nets_respliced, 1);
         assert_eq!(stats.nodes_respliced, 3, "C, D and the strap");
-        let merged = &session.report().netlist.nets()[0];
-        assert_eq!(merged.aliases, ["0", "C", "D"]);
+        let merged = session.report().netlist.net(diic_netlist::NetId(0));
+        assert!(merged.aliases().eq(["0", "C", "D"]));
 
         let mut unbridge = EditSet::new();
         unbridge.remove(6);
@@ -1687,7 +1690,7 @@ mod tests {
         cif.push('E');
         let mut session = CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options());
         let vdd = session.report().netlist.net_by_name("VDD").unwrap();
-        assert_eq!(session.report().netlist.net(vdd).aliases.len(), 13);
+        assert_eq!(session.report().netlist.net(vdd).aliases().len(), 13);
 
         // A strap from rail A down onto the VDD rail shorts the two.
         let mut short = EditSet::new();
@@ -1697,7 +1700,7 @@ mod tests {
         assert_eq!(stats.nodes_respliced, 13 + 2, "VDD's nodes, A and X");
         let a = session.report().netlist.net_by_name("A").unwrap();
         assert_eq!(session.report().netlist.net_by_name("VDD"), Some(a));
-        assert_eq!(session.report().netlist.net(a).name, "A");
+        assert_eq!(session.report().netlist.net(a).name(), "A");
 
         let mut unshort = EditSet::new();
         unshort.remove(19);
@@ -1731,10 +1734,8 @@ mod tests {
         apply_spliced(&mut session, &add);
         assert_eq!(session.report().device_count, 7);
         let on_late = session.report().netlist.net_by_name("late.in").unwrap();
-        assert_eq!(
-            session.report().netlist.net(on_late).terminals,
-            [(diic_netlist::DeviceId(6), "G".to_string())]
-        );
+        let on_net = session.report().netlist.net(on_late).terminals();
+        assert!(on_net.eq([(diic_netlist::DeviceId(6), "G")]));
 
         // Dropping the first placement shifts every device id; the
         // other cells' nets are untouched and only renumber.
@@ -1744,10 +1745,8 @@ mod tests {
         assert_eq!(session.report().device_count, 6);
         assert_eq!(stats.nets_respliced, 0, "removal builds no net");
         let on_late = session.report().netlist.net_by_name("late.in").unwrap();
-        assert_eq!(
-            session.report().netlist.net(on_late).terminals,
-            [(diic_netlist::DeviceId(5), "G".to_string())]
-        );
+        let on_net = session.report().netlist.net(on_late).terminals();
+        assert!(on_net.eq([(diic_netlist::DeviceId(5), "G")]));
 
         let mut drop_late = EditSet::new();
         drop_late.remove(6);

@@ -74,10 +74,13 @@
 //!
 //! An edit session patches the graph's rows and then does **not**
 //! re-run that fold: [`NetParts::splice`] re-derives only the connected
-//! components a changed row can reach and moves every other net and
-//! device out of the previous net list, so an edit's net phase costs
-//! the nets it touched rather than the chip's strings. The from-scratch
-//! assembly is the splice's reference (asserted equal in debug builds).
+//! components a changed row can reach and copies every other net and
+//! device row across from the previous net list in runs — a net list is
+//! flat columns over one text buffer ([`diic_netlist::Netlist`]), so a
+//! run of kept rows is one copy of its text and a shift of its spans —
+//! so an edit's net phase canonicalises only the nets it touched. The
+//! from-scratch assembly is the splice's reference (asserted equal in
+//! debug builds, and by this module's tests in release builds).
 
 use crate::binding::{ChipView, DeviceInstance, Istr, StringInterner};
 use crate::connect::is_joining_class;
@@ -87,7 +90,7 @@ use crate::violations::Violation;
 use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
 use diic_netlist::{
-    assemble_netlist, canonical_nets, AssembleDevice, Device, DeviceId, Net, NetId, Netlist,
+    assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, NetlistWriter,
 };
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
@@ -589,31 +592,31 @@ pub struct NetParts {
 }
 
 /// What [`NetParts::splice`] produced: the new resolution plus what
-/// the caller needs to diff net identities without the old net list.
+/// the caller needs to diff net identities against the old net list.
 #[derive(Debug)]
 pub struct NetSplice {
     /// The spliced resolution — equal to a from-scratch
     /// [`NetParts::assemble`] of the patched graph.
     pub nets: NetgenResult,
     /// Per new net id: true for the nets built fresh from the affected
-    /// components. Every other net was moved across unchanged (same
+    /// components. Every other net was copied across unchanged (same
     /// name, aliases and terminals, up to id renumbering).
     pub fresh: Vec<bool>,
-    /// The old nets the splice dissolved, with their old ids,
+    /// The old nets the splice dissolved, as ids into the old list,
     /// ascending. An element or terminal whose new net is fresh had
     /// its old net among these.
-    pub retired: Vec<(NetId, Net)>,
+    pub retired: Vec<NetId>,
     /// Live nodes in the affected components (the splice's work).
     pub nodes: usize,
+    /// The list that was spliced, kept for the retired nets' names.
+    old: Netlist,
 }
 
 impl NetSplice {
     /// Canonical name of a dissolved old net.
     pub fn retired_name(&self, old: NetId) -> Option<&str> {
-        self.retired
-            .binary_search_by_key(&old, |(id, _)| *id)
-            .ok()
-            .map(|k| self.retired[k].1.name.as_str())
+        let retired = self.retired.binary_search(&old).is_ok();
+        retired.then(|| self.old.net(old).name())
     }
 }
 
@@ -905,31 +908,36 @@ impl NetParts {
         &self,
         view: &ChipView,
     ) -> (NetgenResult, Vec<Option<NetId>>) {
-        let mut live: Vec<u32> = self.live_nodes(|_| true).collect();
-        live.sort_unstable();
-        live.dedup();
-        let nodes: Vec<(u32, &str)> = live
-            .iter()
-            .map(|&n| (n, view.strings.get(Istr::from_index(n))))
-            .collect();
+        // The live nodes, ascending and once each: a bitmap over the
+        // interner (nodes are its indices), each one's key resolved once.
+        let mut live = vec![0u64; view.strings.len().div_ceil(64)];
+        let mut count = 0;
+        for n in self.live_nodes(|_| true) {
+            let (word, bit) = (&mut live[n as usize / 64], 1u64 << (n % 64));
+            count += (*word & bit == 0) as usize;
+            *word |= bit;
+        }
+        let mut nodes: Vec<(u32, &str)> = Vec::with_capacity(count);
+        for (w, mut word) in live.into_iter().enumerate() {
+            while word != 0 {
+                let n = w as u32 * 64 + word.trailing_zeros();
+                nodes.push((n, view.strings.get(Istr::from_index(n))));
+                word &= word - 1;
+            }
+        }
         let edges: Vec<(u32, u32)> = self.edges(|_| true).collect();
 
-        let devices: Vec<AssembleDevice<'_>> = view
-            .devices
-            .iter()
-            .zip(&self.devices)
-            .map(|(dev, row)| AssembleDevice {
-                name: view.str(dev.path),
-                device_type: view.str(dev.device_type),
-                class: dev.class.unwrap_or(DeviceClass::Capacitor),
-                terminals: row.terms.iter().map(|&(t, n)| (view.str(t), n)).collect(),
-            })
-            .collect();
+        let devices = (view.devices.iter().zip(&self.devices)).map(|(dev, row)| AssembleDevice {
+            name: view.str(dev.path),
+            device_type: view.str(dev.device_type),
+            class: dev.class.unwrap_or(DeviceClass::Capacitor),
+            terminals: row.terms.iter().map(|&(t, n)| (view.str(t), n)),
+        });
 
-        let (netlist, node_nets) = assemble_netlist(&nodes, &edges, &devices);
+        let (netlist, node_nets) = assemble_netlist(&nodes, &edges, devices);
         // Dense node → net map (nodes are view-interner indices).
         let mut node_net: Vec<Option<NetId>> = vec![None; view.strings.len()];
-        for (&node, &net) in live.iter().zip(&node_nets) {
+        for (&(node, _), &net) in nodes.iter().zip(&node_nets) {
             node_net[node as usize] = Some(net);
         }
         (self.resolve(netlist, &node_net), node_net)
@@ -937,9 +945,12 @@ impl NetParts {
 
     /// Brings the net list of the last assembly up to date with the
     /// patched graph by **splicing**: only the nets a changed row can
-    /// reach are rebuilt; every other [`Net`] and every surviving
-    /// [`Device`] is moved out of `old` — no string is copied,
-    /// re-rendered or dropped for them.
+    /// reach are canonicalised anew; every other net's rows, and every
+    /// surviving device's that has no terminal on an affected net, are
+    /// copied out of `old` in runs of neighbours — one copy of a run's
+    /// text, no name compared, sorted or resolved for them. `old` rides
+    /// along in the result, where the retired nets' names are read from
+    /// ([`NetSplice::retired_name`]).
     ///
     /// `touched` names the nodes at which the graph changed since the
     /// last assembly. It must hold
@@ -986,11 +997,9 @@ impl NetParts {
         touched: &[u32],
         dev_old_of_new: &[Option<usize>],
     ) -> NetSplice {
-        let (old_nets, old_devices) = old.into_parts();
-
         // Affected old nets, and the live nodes they and the new nodes
         // make up.
-        let mut affected = vec![false; old_nets.len()];
+        let mut affected = vec![false; old.net_count()];
         for &t in touched {
             if let Some(Some(net)) = self.node_net.get(t as usize) {
                 affected[net.0 as usize] = true;
@@ -1033,35 +1042,41 @@ impl NetParts {
         let (fresh_nets, d_node_nets) = canonical_nets(&nodes, &edges);
 
         // Merge the kept nets (already in canonical-name order) with
-        // the fresh ones. Names cannot collide: a name is a node key,
-        // and a node is in exactly one net.
-        let mut net_new_of_old = vec![None; old_nets.len()];
-        let mut renumbered = false;
-        let mut new_of_fresh = Vec::with_capacity(fresh_nets.len());
+        // the fresh ones: the new order first, as `(fresh?, id in its
+        // own list)`. Names cannot collide: a name is a node key, and a
+        // node is in exactly one net.
         let mut retired = Vec::new();
-        let mut nets: Vec<Net> = Vec::with_capacity(old_nets.len() + fresh_nets.len());
-        let mut fresh: Vec<bool> = Vec::with_capacity(nets.capacity());
-        let mut fresh_nets = fresh_nets.into_iter().peekable();
-        for (old_id, net) in old_nets.into_iter().enumerate() {
-            if affected[old_id] {
-                retired.push((NetId(old_id as u32), net));
+        let mut order: Vec<(bool, u32)> =
+            Vec::with_capacity(old.net_count() + fresh_nets.net_count());
+        let mut fresh_ids = fresh_nets.nets().peekable();
+        for net in old.nets() {
+            if affected[net.id().0 as usize] {
+                retired.push(net.id());
                 continue;
             }
-            while let Some(f) = fresh_nets.next_if(|f| f.name < net.name) {
-                new_of_fresh.push(NetId(nets.len() as u32));
-                nets.push(f);
-                fresh.push(true);
+            while let Some(f) = fresh_ids.next_if(|f| f.name() < net.name()) {
+                order.push((true, f.id().0));
             }
-            renumbered |= nets.len() != old_id;
-            net_new_of_old[old_id] = Some(NetId(nets.len() as u32));
-            nets.push(net);
-            fresh.push(false);
+            order.push((false, net.id().0));
         }
-        for f in fresh_nets {
-            new_of_fresh.push(NetId(nets.len() as u32));
-            nets.push(f);
-            fresh.push(true);
+        order.extend(fresh_ids.map(|f| (true, f.id().0)));
+        let mut net_new_of_old = vec![None; old.net_count()];
+        let mut new_of_fresh = vec![NetId(u32::MAX); fresh_nets.net_count()];
+        for (new, &(is_fresh, id)) in order.iter().enumerate() {
+            match is_fresh {
+                true => new_of_fresh[id as usize] = NetId(new as u32),
+                false => net_new_of_old[id as usize] = Some(NetId(new as u32)),
+            }
         }
+        // Then the rows, a run of neighbours from one list at a time.
+        let mut list = NetlistWriter::new();
+        list.reserve_text(old.text_bytes());
+        for run in order.chunk_by(|a, b| a.0 == b.0 && a.1 + 1 == b.1) {
+            let (is_fresh, first) = run[0];
+            let from = if is_fresh { &fresh_nets } else { &old };
+            list.copy_nets(from, first..first + run.len() as u32);
+        }
+        let fresh: Vec<bool> = order.iter().map(|&(is_fresh, _)| is_fresh).collect();
 
         // The node → net table: kept nets renumber, dissolved nets'
         // entries clear (their dead nodes stay cleared), and the
@@ -1074,80 +1089,46 @@ impl NetParts {
             self.node_net[node as usize] = Some(new_of_fresh[local.0 as usize]);
         }
 
-        // Devices: survivors move across (their strings untouched),
-        // fresh instances render theirs. An opened device re-reads its
-        // terminals' nets, and the fresh nets collect their terminals
-        // in device order; an unopened one is on kept nets only, which
-        // at most renumbered.
-        let mut dev_new_of_old = vec![None; old_devices.len()];
-        let mut old_devices = old_devices.into_iter().enumerate();
-        let mut devices: Vec<Device> = Vec::with_capacity(view.devices.len());
-        for (di, (dev, row)) in view.devices.iter().zip(&self.devices).enumerate() {
-            let mut device = match dev_old_of_new[di] {
-                Some(od) => {
-                    dev_new_of_old[od] = Some(DeviceId(di as u32));
-                    // invariant: survivors keep their relative order,
-                    // so the skipped devices are exactly the removed.
-                    let (_, device) = old_devices
-                        .find(|(i, _)| *i == od)
-                        .expect("surviving devices keep their relative order");
-                    device
-                }
-                None => Device {
-                    name: view.str(dev.path).to_string(),
-                    device_type: view.str(dev.device_type).to_string(),
-                    class: dev.class.unwrap_or(DeviceClass::Capacitor),
-                    terminals: row
-                        .terms
-                        .iter()
-                        .map(|&(t, _)| (view.str(t).to_string(), NetId(u32::MAX)))
-                        .collect(),
-                },
-            };
-            if opened[di] {
-                debug_assert_eq!(device.terminals.len(), row.terms.len());
-                for ((tname, net), (_, node)) in device.terminals.iter_mut().zip(&row.terms) {
-                    // invariant: terminal nodes are live, and every
-                    // live node was resolved above.
-                    *net = self.node_net[*node as usize].expect("terminal nodes are live");
-                    if fresh[net.0 as usize] {
-                        nets[net.0 as usize]
-                            .terminals
-                            .push((DeviceId(di as u32), tname.clone()));
-                    }
-                }
-            } else if renumbered {
-                for (_, net) in &mut device.terminals {
-                    // invariant: an unopened device's nets were kept.
-                    *net =
-                        net_new_of_old[net.0 as usize].expect("unopened devices sit on kept nets");
+        // Devices. An unopened survivor is on kept nets only, which at
+        // most renumbered: its row is copied across, neighbours in one
+        // run. An opened device — fresh, or with a terminal on an
+        // affected net — is written from the view, its terminals' nets
+        // re-read. (Which devices sit on a net, kept nets included, the
+        // writer derives from the device rows when it finishes.)
+        let kept_net = |net: NetId| {
+            // invariant: an unopened device's nets were kept.
+            net_new_of_old[net.0 as usize].expect("unopened devices sit on kept nets")
+        };
+        let copy_of: Vec<Option<u32>> = (opened.iter().zip(dev_old_of_new))
+            .map(|(opened, od)| od.filter(|_| !opened).map(|od| od as u32))
+            .collect();
+        let mut di = 0;
+        for run in copy_of.chunk_by(|a, b| a.is_some() && a.map(|od| od + 1) == *b) {
+            if let Some(first) = run[0] {
+                list.copy_devices(&old, first..first + run.len() as u32, kept_net);
+            } else {
+                let (dev, row) = (&view.devices[di], &self.devices[di]);
+                list.device(
+                    view.str(dev.path),
+                    view.str(dev.device_type),
+                    dev.class.unwrap_or(DeviceClass::Capacitor),
+                );
+                for &(tname, node) in &row.terms {
+                    // invariant: terminal nodes are live, and every live
+                    // node was resolved above.
+                    let net = self.node_net[node as usize].expect("terminal nodes are live");
+                    list.terminal(view.str(tname), net);
                 }
             }
-            devices.push(device);
-        }
-
-        // Kept nets name their devices by id: rewrite them if adding or
-        // removing instances shifted any.
-        let shifted = dev_new_of_old
-            .iter()
-            .enumerate()
-            .any(|(od, nd)| *nd != Some(DeviceId(od as u32)));
-        if shifted {
-            for (net, _) in nets.iter_mut().zip(&fresh).filter(|(_, f)| !**f) {
-                for (device, _) in &mut net.terminals {
-                    // invariant: a removed device's terminal nodes are
-                    // touched, so none of its nets was kept.
-                    *device = dev_new_of_old[device.0 as usize]
-                        .expect("kept nets carry surviving devices only");
-                }
-            }
+            di += run.len();
         }
 
         let spliced = NetSplice {
-            nets: self.resolve(Netlist::from_parts(nets, devices), &self.node_net),
+            nets: self.resolve(list.finish(), &self.node_net),
             fresh,
             retired,
             nodes: d_nodes.len(),
+            old,
         };
         #[cfg(debug_assertions)]
         {
@@ -1286,12 +1267,12 @@ mod tests {
              E",
         );
         assert_eq!(r.netlist.device_count(), 1);
-        let dev = &r.netlist.devices()[0];
-        assert_eq!(dev.device_type, "NMOS_ENH");
+        let dev = r.netlist.device(diic_netlist::DeviceId(0));
+        assert_eq!(dev.device_type(), "NMOS_ENH");
         let g = r.netlist.net_by_name("in").unwrap();
         let s = r.netlist.net_by_name("gnd").unwrap();
         let d = r.netlist.net_by_name("out").unwrap();
-        let find = |t: &str| dev.terminals.iter().find(|(n, _)| n == t).unwrap().1;
+        let find = |t: &str| dev.terminals().find(|(n, _)| *n == t).unwrap().1;
         assert_eq!(find("G"), g);
         assert_eq!(find("S"), s);
         assert_eq!(find("D"), d);
@@ -1321,7 +1302,7 @@ mod tests {
         assert!(r.netlist.net_by_name("VDD").is_some());
         // The rail element's net carries the VDD alias.
         let vdd = r.netlist.net_by_name("VDD").unwrap();
-        assert!(r.netlist.net(vdd).aliases.iter().any(|a| a == "VDD"));
+        assert!(r.netlist.net(vdd).aliases().any(|a| a == "VDD"));
         assert!(r.element_net[0] == Some(vdd));
     }
 
@@ -1517,6 +1498,88 @@ mod tests {
         fn table_driven_netgen_equals_the_direct_binder(seed in 0u64..u64::MAX) {
             let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
             extract_layout(&layout, &nmos_technology(), &[1, 2, 3, 7]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Spliced ≡ from scratch, where it counts: `splice`'s own check
+        /// is a `debug_assert`, so this one runs in release builds too.
+        /// The graph of a random layout is patched four times over — two
+        /// elements joined, a connection cut, a device dropped (ids
+        /// shift), a device inserted with keys of its own — and after
+        /// each patch the spliced list, the resolutions beside it and the
+        /// cached node → net table equal an assembly of the patched graph
+        /// from nothing; each splice starts from the one before it.
+        #[test]
+        fn a_spliced_net_list_equals_one_assembled_from_scratch(seed in 0u64..u64::MAX) {
+            let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
+            let x = extract_layout(&layout, &nmos_technology(), &[1]);
+            let (mut parts, mut view, mut nets) = (x.parts, x.view, x.nets);
+            let rng = &mut TestRng::for_case(seed, 1);
+            let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+            let netted: Vec<u32> = parts.element_node.iter().flatten().copied().collect();
+            let (mut respliced, mut retired) = (0, 0);
+            for step in 0..4 {
+                let mut touched: Vec<u32> = Vec::new();
+                let mut dev_old_of_new: Vec<Option<usize>> =
+                    (0..view.devices.len()).map(Some).collect();
+                match pick(rng, 4) {
+                    0 if !parts.conn_edges.is_empty() => {
+                        let cut = parts.conn_edges.remove(pick(rng, parts.conn_edges.len()));
+                        touched.push(cut.0);
+                    }
+                    1 if !view.devices.is_empty() => {
+                        let di = pick(rng, view.devices.len());
+                        view.devices.remove(di);
+                        dev_old_of_new.remove(di);
+                        touched.extend(parts.devices.remove(di).nodes());
+                    }
+                    2 if !view.devices.is_empty() => {
+                        let at = pick(rng, view.devices.len() + 1);
+                        let mut dev = view.devices[pick(rng, view.devices.len())].clone();
+                        dev.path = view.strings.intern(&format!("late{step}"));
+                        let name = view.strings.intern("G");
+                        let key = view.strings.intern(&format!("late{step}.G")).index();
+                        let row = DeviceParts {
+                            terms: vec![(name, key)],
+                            edges: vec![(key, netted[pick(rng, netted.len())])],
+                        };
+                        touched.extend(row.nodes());
+                        view.devices.insert(at, dev);
+                        parts.devices.insert(at, row);
+                        dev_old_of_new.insert(at, None);
+                    }
+                    _ => {
+                        let join = (netted[pick(rng, netted.len())], netted[pick(rng, netted.len())]);
+                        parts.conn_edges.push(join);
+                        touched.extend([join.0, join.1]);
+                    }
+                }
+                let splice = parts.splice(
+                    &view,
+                    nets.netlist,
+                    &nets.device_terminal_nets,
+                    &touched,
+                    &dev_old_of_new,
+                );
+                let (scratch, node_net) = parts.assemble_from_scratch(&view);
+                prop_assert_eq!(&splice.nets, &scratch, "step {}", step);
+                // The cached table may stop short of strings interned since.
+                prop_assert!(parts.node_net().len() <= node_net.len());
+                for (node, want) in node_net.iter().enumerate() {
+                    prop_assert_eq!(parts.node_net().get(node).copied().flatten(), *want);
+                }
+                prop_assert_eq!(splice.fresh.len(), scratch.netlist.net_count());
+                prop_assert!(splice.retired.is_sorted());
+                prop_assert!(splice.retired.iter().all(|&old| splice.retired_name(old).is_some()));
+                respliced += splice.fresh.iter().filter(|fresh| **fresh).count();
+                retired += splice.retired.len();
+                nets = splice.nets;
+            }
+            // Every patch above touches a live net or makes one.
+            prop_assert!(respliced > 0 && retired > 0);
         }
     }
 

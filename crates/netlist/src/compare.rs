@@ -46,20 +46,18 @@ pub fn compare_by_names(extracted: &Netlist, intended: &Netlist) -> NetlistDiff 
     let sig = |n: &Netlist, id: crate::graph::NetId| -> Vec<String> {
         let mut v: Vec<String> = n
             .net(id)
-            .terminals
-            .iter()
-            .map(|(d, t)| format!("{}:{}", n.device(*d).device_type, t))
+            .terminals()
+            .map(|(d, t)| format!("{}:{}", n.device(d).device_type(), t))
             .collect();
         v.sort();
         v
     };
-    let mut names: Vec<&String> = extracted
+    let mut names: Vec<&str> = extracted
         .nets()
-        .iter()
-        .chain(intended.nets().iter())
-        .map(|n| &n.name)
+        .chain(intended.nets())
+        .map(|n| n.name())
         .collect();
-    names.sort();
+    names.sort_unstable();
     names.dedup();
     for name in names {
         match (extracted.net_by_name(name), intended.net_by_name(name)) {
@@ -140,25 +138,15 @@ struct Colors {
 }
 
 fn refine(n: &Netlist, rounds: usize) -> Colors {
-    let mut dev: Vec<u64> = n
-        .devices()
-        .iter()
-        .map(|d| hash_one(&d.device_type))
-        .collect();
-    let mut net: Vec<u64> = n
-        .nets()
-        .iter()
-        .map(|x| hash_one(&x.terminals.len()))
-        .collect();
+    let mut dev: Vec<u64> = n.devices().map(|d| hash_one(&d.device_type())).collect();
+    let mut net: Vec<u64> = n.nets().map(|x| hash_one(&x.terminals().len())).collect();
     for _ in 0..rounds {
         let new_net: Vec<u64> = n
             .nets()
-            .iter()
             .enumerate()
             .map(|(i, x)| {
                 let mut parts: Vec<u64> = x
-                    .terminals
-                    .iter()
+                    .terminals()
                     .map(|(d, t)| hash_one(&(dev[d.0 as usize], t)))
                     .collect();
                 parts.sort_unstable();
@@ -167,12 +155,10 @@ fn refine(n: &Netlist, rounds: usize) -> Colors {
             .collect();
         let new_dev: Vec<u64> = n
             .devices()
-            .iter()
             .enumerate()
             .map(|(i, d)| {
                 let mut parts: Vec<u64> = d
-                    .terminals
-                    .iter()
+                    .terminals()
                     .map(|(t, x)| hash_one(&(t, net[x.0 as usize])))
                     .collect();
                 parts.sort_unstable();
@@ -213,8 +199,8 @@ fn describe_mismatch(a: &Netlist, b: &Netlist, ca: &[u64], cb: &[u64]) -> String
         if ma.get(c) != mb.get(c) {
             return format!(
                 "device '{}' ({}) has no structural counterpart",
-                a.device(crate::graph::DeviceId(i as u32)).name,
-                a.device(crate::graph::DeviceId(i as u32)).device_type
+                a.device(crate::graph::DeviceId(i as u32)).name(),
+                a.device(crate::graph::DeviceId(i as u32)).device_type()
             );
         }
     }
@@ -222,8 +208,8 @@ fn describe_mismatch(a: &Netlist, b: &Netlist, ca: &[u64], cb: &[u64]) -> String
         if mb.get(c) != ma.get(c) {
             return format!(
                 "device '{}' ({}) has no structural counterpart",
-                b.device(crate::graph::DeviceId(i as u32)).name,
-                b.device(crate::graph::DeviceId(i as u32)).device_type
+                b.device(crate::graph::DeviceId(i as u32)).name(),
+                b.device(crate::graph::DeviceId(i as u32)).device_type()
             );
         }
     }

@@ -62,24 +62,28 @@ pub fn check_erc(netlist: &Netlist, tech: &Technology) -> Vec<ErcViolation> {
     // semantics (an auto key that happens to embed an `IO_`-named
     // instance path must not exempt a dangling net), this skips the
     // bulk of a big chip's aliases.
-    fn named(net: &crate::graph::Net) -> impl Iterator<Item = &str> {
-        net.aliases
-            .iter()
-            .filter(|a| !a.starts_with('#'))
-            .map(|a| local_name(a))
-    }
-    for (i, net) in netlist.nets().iter().enumerate() {
-        let id = NetId(i as u32);
-        let is_power = named(net).any(|a| tech.is_power(a));
-        let is_ground = named(net).any(|a| tech.is_ground(a));
-        let bus_alias = named(net).find(|a| tech.is_bus(a));
+    for net in netlist.nets() {
+        let id = net.id();
+        // One pass over the aliases answers all four questions: each
+        // alias is sliced out of the list's text once.
+        let (mut is_power, mut is_ground, mut is_io) = (false, false, false);
+        let mut bus_alias = None;
+        let named = net.aliases().filter(|a| !a.starts_with('#'));
+        for a in named.map(local_name) {
+            is_power |= tech.is_power(a);
+            is_ground |= tech.is_ground(a);
+            is_io |= tech.is_io(a);
+            if bus_alias.is_none() && tech.is_bus(a) {
+                bus_alias = Some(a);
+            }
+        }
 
         // Rule 2: power/ground short.
         if is_power && is_ground {
             out.push(ErcViolation {
                 rule: ErcRule::PowerGroundShort,
                 net: id,
-                detail: format!("net '{}' carries both power and ground aliases", net.name),
+                detail: format!("net '{}' carries both power and ground aliases", net.name()),
             });
         }
 
@@ -92,7 +96,7 @@ pub fn check_erc(netlist: &Netlist, tech: &Technology) -> Vec<ErcViolation> {
                     detail: format!(
                         "bus '{bus}' is connected to {} net '{}'",
                         if is_power { "power" } else { "ground" },
-                        net.name
+                        net.name()
                     ),
                 });
             }
@@ -101,30 +105,31 @@ pub fn check_erc(netlist: &Netlist, tech: &Technology) -> Vec<ErcViolation> {
         // Rule 1: dangling net. Power/ground rails and chip I/O ports are
         // exempt — they connect off chip; the paper's rule is about
         // internal signal nets.
-        let is_io = named(net).any(|a| tech.is_io(a));
-        if !is_power && !is_ground && !is_io && net.terminals.len() < 2 {
+        if !is_power && !is_ground && !is_io && net.terminals().len() < 2 {
             out.push(ErcViolation {
                 rule: ErcRule::DanglingNet,
                 net: id,
                 detail: format!(
                     "net '{}' has {} device terminal(s)",
-                    net.name,
-                    net.terminals.len()
+                    net.name(),
+                    net.terminals().len()
                 ),
             });
         }
 
         // Rule 4: depletion device to ground.
         if is_ground {
-            for (dev_id, term) in &net.terminals {
-                let dev = netlist.device(*dev_id);
-                if dev.class == DeviceClass::MosDepletion {
+            for (dev_id, term) in net.terminals() {
+                let dev = netlist.device(dev_id);
+                if dev.class() == DeviceClass::MosDepletion {
                     out.push(ErcViolation {
                         rule: ErcRule::DepletionToGround,
                         net: id,
                         detail: format!(
                             "depletion device '{}' terminal {} on ground net '{}'",
-                            dev.name, term, net.name
+                            dev.name(),
+                            term,
+                            net.name()
                         ),
                     });
                 }
@@ -287,6 +292,6 @@ mod tests {
         let v = check_erc(&n, &tech);
         assert!(v
             .iter()
-            .all(|v| !(v.rule == ErcRule::DanglingNet && n.net(v.net).name == "VDD")));
+            .all(|v| !(v.rule == ErcRule::DanglingNet && n.net(v.net).name() == "VDD")));
     }
 }

@@ -10,8 +10,16 @@
 //! This crate provides:
 //!
 //! * [`UnionFind`] — the merge structure under net-identifier unification;
-//! * [`NetlistBuilder`]/[`Netlist`] — nets (with dot-notation aliases),
-//!   devices and terminals;
+//! * [`Netlist`] — nets (with dot-notation aliases), devices and
+//!   terminals as flat columns of spans over **one text buffer**: no
+//!   `String` per name; read through [`Netlist::net`] /
+//!   [`Netlist::device`] ([`NetRef`], [`DeviceRef`]: `&str` accessors),
+//!   equal when the content is (see [`graph`] for the layout);
+//! * [`assemble_netlist`] — the single from-scratch canonicalisation
+//!   (components, canonical names, canonical order), [`NetlistBuilder`]
+//!   its string-keyed front end, [`canonical_nets`] its net half, and
+//!   [`NetlistWriter`] the one way rows are written — what an edit
+//!   session's splice copies its kept rows through;
 //! * [`compare`] — net-list consistency checking (extracted vs intended),
 //!   both name-based and structural (iterative refinement);
 //! * [`erc`] — the paper's non-geometric construction rules:
@@ -28,7 +36,7 @@ pub mod unionfind;
 pub use compare::{compare_by_structure, NetlistDiff};
 pub use erc::{check_erc, ErcRule, ErcViolation};
 pub use graph::{
-    assemble_netlist, canonical_nets, AssembleDevice, Device, DeviceId, Net, NetId, Netlist,
-    NetlistBuilder,
+    assemble_netlist, canonical_nets, AssembleDevice, DeviceId, DeviceRef, NetId, NetRef, Netlist,
+    NetlistBuilder, NetlistWriter,
 };
 pub use unionfind::UnionFind;

@@ -26,6 +26,14 @@ impl UnionFind {
         UnionFind::default()
     }
 
+    /// Creates a forest of `nodes` singletons, ids `0..nodes`.
+    pub fn with_nodes(nodes: usize) -> Self {
+        UnionFind {
+            parent: (0..nodes as u32).collect(),
+            rank: vec![0; nodes],
+        }
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.parent.len()

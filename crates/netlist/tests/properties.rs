@@ -1,8 +1,12 @@
 //! Property tests for net-list construction and comparison.
 
-use diic_netlist::{compare_by_structure, NetlistBuilder, UnionFind};
+use diic_netlist::{
+    assemble_netlist, canonical_nets, compare_by_structure, AssembleDevice, DeviceId, NetId,
+    Netlist, NetlistBuilder, NetlistWriter, UnionFind,
+};
 use diic_tech::DeviceClass;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -48,12 +52,8 @@ proptest! {
         prop_assert_eq!(forward.net_count(), backward.net_count());
         // Same partitions: identical alias groupings.
         for net in forward.nets() {
-            let id = backward.net_by_name(&net.name).unwrap();
-            let mut a = net.aliases.clone();
-            let mut b = backward.net(id).aliases.clone();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
+            let id = backward.net_by_name(net.name()).unwrap();
+            prop_assert!(net.aliases().eq(backward.net(id).aliases()));
         }
     }
 
@@ -131,6 +131,255 @@ proptest! {
             .min_by_key(|s| (s.len(), s.as_str()))
             .unwrap();
         prop_assert_eq!(n.net_count(), 1);
-        prop_assert_eq!(&n.nets()[0].name, expect);
+        prop_assert_eq!(n.net(NetId(0)).name(), expect);
+    }
+}
+
+/// A device of a [`Graph`]: `(name, type, class, [(terminal, node)])`.
+type GraphDevice = (String, &'static str, DeviceClass, Vec<(&'static str, u32)>);
+
+/// A net of an [`Expected`] list: aliases (sorted) and `(device,
+/// terminal)` pairs.
+type ExpectedNet = (BTreeSet<String>, Vec<(u32, &'static str)>);
+
+/// A random node / edge / device graph the way the checker hands one to
+/// [`assemble_netlist`]: sparse node ids in no particular order, every
+/// node name distinct, edges and terminals between known nodes.
+struct Graph {
+    nodes: Vec<(u32, String)>,
+    edges: Vec<(u32, u32)>,
+    devices: Vec<GraphDevice>,
+}
+
+impl Graph {
+    fn random(rng: &mut TestRng) -> Graph {
+        const PIECES: [&str; 8] = ["a", "b", ".", "#", "é", "日", "VDD", "i0"];
+        const TYPES: [(&str, DeviceClass); 3] = [
+            ("NMOS_ENH", DeviceClass::MosEnhancement),
+            ("NMOS_DEP", DeviceClass::MosDepletion),
+            ("CONTACT_D", DeviceClass::Contact),
+        ];
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let mut names = BTreeSet::new();
+        let mut ids = BTreeSet::new();
+        for _ in 0..1 + pick(rng, 24) {
+            let name: String = (0..1 + pick(rng, 4))
+                .map(|_| PIECES[pick(rng, PIECES.len())])
+                .collect();
+            names.insert(name);
+            ids.insert(rng.below(400) as u32);
+        }
+        // Pair names with ids in an order of neither.
+        let mut nodes: Vec<(u32, String)> = ids.into_iter().zip(names).collect();
+        for k in (1..nodes.len()).rev() {
+            nodes.swap(k, pick(rng, k + 1));
+        }
+        let node = |rng: &mut TestRng| nodes[pick(rng, nodes.len())].0;
+        let edges = (0..pick(rng, nodes.len() + 2))
+            .map(|_| (node(rng), node(rng)))
+            .collect();
+        let devices = (0..pick(rng, 8))
+            .map(|k| {
+                let (ty, class) = TYPES[pick(rng, 3)];
+                let terminals = (0..pick(rng, 5))
+                    .map(|_| (["G", "S", "D", "A"][pick(rng, 4)], node(rng)))
+                    .collect();
+                (format!("i{}.t{k}", pick(rng, 3)), ty, class, terminals)
+            })
+            .collect();
+        Graph {
+            nodes,
+            edges,
+            devices,
+        }
+    }
+
+    fn assemble(&self) -> (Netlist, Vec<NetId>) {
+        let nodes: Vec<(u32, &str)> = (self.nodes.iter())
+            .map(|(id, name)| (*id, name.as_str()))
+            .collect();
+        let devices = (self.devices.iter()).map(|(name, ty, class, terminals)| AssembleDevice {
+            name,
+            device_type: ty,
+            class: *class,
+            terminals: terminals.iter().copied(),
+        });
+        assemble_netlist(&nodes, &self.edges, devices)
+    }
+}
+
+/// What the net list of a [`Graph`] must be, worked out the slow way and
+/// with nothing of `graph.rs`: components by flood fill over an
+/// adjacency map, each net's aliases a sorted set, its name the shortest
+/// then smallest of them, the nets in name order, terminals gathered
+/// device by device.
+struct Expected {
+    nets: Vec<ExpectedNet>,
+    /// Net index of each node id.
+    net_of: BTreeMap<u32, usize>,
+}
+
+impl Expected {
+    fn of(graph: &Graph) -> Expected {
+        let mut adjacent: BTreeMap<u32, BTreeSet<u32>> = graph
+            .nodes
+            .iter()
+            .map(|(id, _)| (*id, BTreeSet::new()))
+            .collect();
+        for &(a, b) in &graph.edges {
+            adjacent.get_mut(&a).unwrap().insert(b);
+            adjacent.get_mut(&b).unwrap().insert(a);
+        }
+        let name_of: BTreeMap<u32, &String> = graph.nodes.iter().map(|(id, n)| (*id, n)).collect();
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        let mut components: Vec<BTreeSet<u32>> = Vec::new();
+        for &start in adjacent.keys() {
+            if seen.contains(&start) {
+                continue;
+            }
+            let mut component = BTreeSet::new();
+            let mut frontier = vec![start];
+            while let Some(node) = frontier.pop() {
+                if component.insert(node) {
+                    frontier.extend(&adjacent[&node]);
+                }
+            }
+            seen.extend(&component);
+            components.push(component);
+        }
+        let name = |component: &BTreeSet<u32>| {
+            let aliases = component.iter().map(|id| name_of[id].clone());
+            aliases
+                .min_by_key(|alias| (alias.len(), alias.clone()))
+                .unwrap()
+        };
+        components.sort_by_key(name);
+        let net_of: BTreeMap<u32, usize> = (components.iter().enumerate())
+            .flat_map(|(net, component)| component.iter().map(move |id| (*id, net)))
+            .collect();
+        let mut nets: Vec<ExpectedNet> = (components.iter())
+            .map(|c| (c.iter().map(|id| name_of[id].clone()).collect(), Vec::new()))
+            .collect();
+        for (device, (_, _, _, terminals)) in graph.devices.iter().enumerate() {
+            for &(terminal, node) in terminals {
+                nets[net_of[&node]].1.push((device as u32, terminal));
+            }
+        }
+        Expected { nets, net_of }
+    }
+}
+
+/// `list` rewritten through a [`NetlistWriter`] the way an edit
+/// session's splice writes a successor: its nets copied in two runs cut
+/// at `net_cut`, its devices in two runs cut at `device_cut`.
+fn copied_in_runs(list: &Netlist, net_cut: u32, device_cut: u32) -> Netlist {
+    let (nets, devices) = (list.net_count() as u32, list.device_count() as u32);
+    let mut copy = NetlistWriter::new();
+    copy.copy_nets(list, 0..net_cut);
+    copy.copy_nets(list, net_cut..nets);
+    copy.copy_devices(list, 0..device_cut, |net| net);
+    copy.copy_devices(list, device_cut..devices, |net| net);
+    copy.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat net list against the naive one: every accessor, the
+    /// per-node resolution, `net_by_name` for every alias, `Clone`, and
+    /// equality — which is of content: the same list reached from a
+    /// permuted graph or copied across in runs is equal, a list that
+    /// differs in one name, one terminal's net or one class is not.
+    #[test]
+    fn flat_net_list_matches_the_naive_one(seed in 0u64..u64::MAX) {
+        let rng = &mut TestRng::for_case(seed, 0);
+        let graph = Graph::random(rng);
+        let want = Expected::of(&graph);
+        let (list, node_nets) = graph.assemble();
+
+        prop_assert_eq!(list.net_count(), want.nets.len());
+        prop_assert_eq!(list.device_count(), graph.devices.len());
+        prop_assert_eq!(list.alias_count(), graph.nodes.len());
+        for (net, (aliases, terminals)) in list.nets().zip(&want.nets) {
+            let name = aliases.iter().min_by_key(|a| (a.len(), a.as_str())).unwrap();
+            prop_assert_eq!(net.name(), name);
+            prop_assert!(net.aliases().eq(aliases.iter().map(String::as_str)));
+            prop_assert_eq!(net.aliases().len(), aliases.len());
+            prop_assert!(net.terminals().eq(terminals.iter().map(|&(d, t)| (DeviceId(d), t))));
+            for alias in aliases {
+                prop_assert_eq!(list.net_by_name(alias), Some(net.id()), "{:?}", alias);
+            }
+            prop_assert_eq!(list.net(net.id()).name(), net.name());
+        }
+        prop_assert!(list.nets().map(|n| n.name()).is_sorted());
+        prop_assert_eq!(list.net_by_name("no such net"), None);
+        for (device, (name, ty, class, terminals)) in list.devices().zip(&graph.devices) {
+            prop_assert_eq!(device.name(), name);
+            prop_assert_eq!(device.device_type(), *ty);
+            prop_assert_eq!(device.class(), *class);
+            let nets = terminals.iter().map(|&(t, node)| (t, NetId(want.net_of[&node] as u32)));
+            prop_assert!(device.terminals().eq(nets));
+            prop_assert_eq!(list.device(device.id()).name(), name);
+        }
+        for ((id, _), net) in graph.nodes.iter().zip(&node_nets) {
+            prop_assert_eq!(net.0 as usize, want.net_of[id]);
+        }
+        let text: usize = graph.nodes.iter().map(|(_, name)| name.len()).sum::<usize>()
+            + (graph.devices.iter())
+                .map(|(name, ty, _, ts)| name.len() + ty.len() + ts.iter().map(|t| t.0.len()).sum::<usize>())
+                .sum::<usize>();
+        prop_assert_eq!(list.text_bytes(), text, "the text holds each name once and nothing else");
+
+        // The nets alone are the same nets.
+        let nodes: Vec<(u32, &str)> = graph.nodes.iter().map(|(id, n)| (*id, n.as_str())).collect();
+        let (bare, bare_nets) = canonical_nets(&nodes, &graph.edges);
+        prop_assert_eq!(&bare_nets, &node_nets);
+        prop_assert_eq!(bare.device_count(), 0);
+        for (a, b) in bare.nets().zip(list.nets()) {
+            prop_assert!(a.aliases().eq(b.aliases()) && a.name() == b.name());
+            prop_assert_eq!(a.terminals().len(), 0);
+        }
+
+        // A clone is equal and answers by name (its index is its own).
+        let clone = list.clone();
+        prop_assert_eq!(&clone, &list);
+        let (_, probe) = &graph.nodes[0];
+        prop_assert_eq!(clone.net_by_name(probe), list.net_by_name(probe));
+
+        // Reached another way, the same list: from the graph with its
+        // nodes, edges and edge ends the other way round …
+        let mut mirrored = Graph {
+            nodes: graph.nodes.iter().rev().cloned().collect(),
+            edges: graph.edges.iter().rev().map(|&(a, b)| (b, a)).collect(),
+            devices: graph.devices.clone(),
+        };
+        prop_assert_eq!(&mirrored.assemble().0, &list);
+        // … and copied across in runs, spans shifted as they land.
+        let net_cut = rng.below(list.net_count() as u64 + 1) as u32;
+        let device_cut = rng.below(list.device_count() as u64 + 1) as u32;
+        let copied = copied_in_runs(&list, net_cut, device_cut);
+        prop_assert_eq!(&copied, &list);
+        prop_assert_eq!(copied.text_bytes(), list.text_bytes());
+        prop_assert_eq!(copied.net_by_name(probe), list.net_by_name(probe));
+
+        // One difference in content is a difference.
+        mirrored.nodes[0].1.push('~');
+        prop_assert_ne!(&mirrored.assemble().0, &list, "an alias renamed");
+        mirrored.nodes[0].1.pop();
+        if !graph.devices.is_empty() {
+            mirrored.devices[0].2 = DeviceClass::Resistor;
+            prop_assert_ne!(&mirrored.assemble().0, &list, "a class changed");
+            mirrored.devices[0].2 = graph.devices[0].2;
+            mirrored.devices[0].1 = "OTHER";
+            prop_assert_ne!(&mirrored.assemble().0, &list, "a type changed");
+            mirrored.devices[0].1 = graph.devices[0].1;
+        }
+        if want.nets.len() > 1 {
+            if let Some(terminal) = mirrored.devices.iter_mut().find_map(|d| d.3.first_mut()) {
+                let elsewhere = graph.nodes.iter().find(|(id, _)| want.net_of[id] != want.net_of[&terminal.1]);
+                terminal.1 = elsewhere.unwrap().0;
+                prop_assert_ne!(&mirrored.assemble().0, &list, "a terminal moved to another net");
+            }
+        }
     }
 }

@@ -49,9 +49,9 @@ fn main() {
     for net in report.netlist.nets() {
         println!(
             "  {:<10} ({} terminal(s), aliases: {})",
-            net.name,
-            net.terminals.len(),
-            net.aliases.join(", ")
+            net.name(),
+            net.terminals().len(),
+            net.aliases().collect::<Vec<_>>().join(", ")
         );
     }
 }

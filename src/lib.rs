@@ -43,6 +43,11 @@
 //!     &CheckOptions { erc: false, ..CheckOptions::default() },
 //! )?;
 //! assert!(report.is_clean());
+//! // The net list is read through accessors: names are `&str`s sliced
+//! // out of its one text buffer.
+//! let vdd = report.netlist.net_by_name("VDD").expect("the rail is a net");
+//! assert_eq!(report.netlist.net(vdd).name(), "VDD");
+//! assert!(report.netlist.nets().map(|net| net.name()).eq(["GND", "VDD"]));
 //! # Ok::<(), diic::cif::CifError>(())
 //! ```
 

@@ -1,13 +1,19 @@
-//! A counted budget for building the net graph: allocator calls per flat
-//! element, not a timing. The net-list stage used to draft every device
-//! row twice and to carry four owned strings per transistor; what it
-//! costs now is its rows and its fresh keys, and this test keeps it
-//! there. One test in the file, counted on its own thread at one worker,
-//! so the counts repeat exactly from run to run.
+//! Counted budgets, not timings: allocator calls per flat element for
+//! instantiation, for building the net graph, for assembling the net
+//! list, and for a whole check. A name used to be a heap object of its
+//! own — a `Box<str>` per interned string, a `String` per net-list
+//! name, alias and terminal — and the net-list stage used to draft every
+//! device row twice; what the pipeline allocates now is its columns, its
+//! per-device rows and its text buffers, and this test keeps it there.
+//! One test in the file, counted on its own thread at one worker, so the
+//! counts repeat exactly from run to run.
 
 use diic::cif::NetLabel;
 use diic::core::netgen::NetParts;
-use diic::core::{check_connections, instantiate, max_rule_range, LayerBinding, ScopeTable};
+use diic::core::{
+    check_connections, check_with_sink, instantiate, max_rule_range, CheckOptions, CountingSink,
+    LayerBinding, ScopeTable, StageEngine,
+};
 use diic::tech::nmos::nmos_technology;
 use diic::tech::LayerId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,11 +80,17 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
     let labels: Vec<(&NetLabel, Option<LayerId>)> = (layout.labels().iter())
         .map(|l| (l, binding.layer(l.layer)))
         .collect();
+    let engine = StageEngine::diic_pipeline();
+    let options = CheckOptions {
+        parallelism: 1,
+        ..CheckOptions::default()
+    };
 
     // Twice from scratch: the counts must repeat exactly.
-    let runs: Vec<(usize, u64, u64)> = (0..2)
+    let runs: Vec<(usize, [u64; 4])> = (0..2)
         .map(|_| {
-            let (mut view, runs) = instantiate(&layout, &tech, &binding, 1, Default::default());
+            let (instantiate, (mut view, runs)) =
+                counted(|| instantiate(&layout, &tech, &binding, 1, Default::default()));
             let scopes = ScopeTable::build(
                 layout.top_items(),
                 runs.iter().map(|run| run.0),
@@ -91,23 +103,35 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
             let (assemble, nets) = counted(|| parts.assemble(&view));
             assert_eq!(nets.netlist.device_count(), view.devices.len());
             assert_eq!(stats.bind_indexes_built, 1, "one cell, no loose element");
-            (view.elements.len(), build, assemble)
+            let (check, report) = counted(|| {
+                check_with_sink(&engine, &layout, &tech, &options, &mut CountingSink::new())
+            });
+            assert_eq!(report.element_count, view.elements.len());
+            (view.elements.len(), [instantiate, build, assemble, check])
         })
         .collect();
     assert_eq!(runs[0], runs[1], "the counts repeat exactly");
 
-    let (elements, build, assemble) = runs[0];
+    let (elements, [instantiate, build, assemble, check]) = runs[0];
     let per_element = |calls: u64| calls as f64 / elements as f64;
     println!(
-        "{elements} elements: NetParts::build {build} allocator calls ({:.2} per element), \
-         assemble {assemble} ({:.2}), together {:.2}",
+        "{elements} elements: instantiate {instantiate} allocator calls ({:.2} per element), \
+         NetParts::build {build} ({:.2}), assemble {assemble} ({:.2}), build + assemble {:.2}, \
+         whole check {check} ({:.2})",
+        per_element(instantiate),
         per_element(build),
         per_element(assemble),
         per_element(build + assemble),
+        per_element(check),
+    );
+    assert!(
+        per_element(instantiate) <= 0.75,
+        "instantiate: {instantiate} calls"
     );
     assert!(per_element(build) <= 1.2, "NetParts::build: {build} calls");
     assert!(
-        per_element(build + assemble) <= 4.3,
+        per_element(build + assemble) <= 0.6,
         "build + assemble: {build} + {assemble} calls"
     );
+    assert!(per_element(check) <= 1.5, "check_with_sink: {check} calls");
 }
