@@ -270,17 +270,10 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
         for (key, v) in pairs {
             match key.as_str() {
                 "parallelism" => {
-                    options.parallelism = v
-                        .as_i64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| {
-                            ApiError::bad_request_shape("`options.parallelism` must be an integer")
-                        })?
+                    options.parallelism = wire::as_worker_count(v, "options.parallelism")?
                 }
                 "shared_interner" => {
-                    options.shared_interner = v.as_bool().ok_or_else(|| {
-                        ApiError::bad_request_shape("`options.shared_interner` must be a boolean")
-                    })?
+                    options.shared_interner = wire::as_bool(v, "options.shared_interner")?
                 }
                 other => {
                     return Err(ApiError::bad_request_shape(format!(

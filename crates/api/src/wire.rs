@@ -56,7 +56,16 @@ fn as_usize(v: &Value, what: &str) -> Result<usize, ApiError> {
         .map_err(|_| ApiError::bad_request_shape(format!("`{what}` must be non-negative")))
 }
 
-fn as_bool(v: &Value, what: &str) -> Result<bool, ApiError> {
+/// A worker count from the wire, clamped to the machine's cores: the
+/// stages spawn up to that many threads each and reports are
+/// byte-identical for any count, so a request can ask for no more
+/// threads than there are cores to run them (`0`, "all cores", passes
+/// through).
+pub(crate) fn as_worker_count(v: &Value, what: &str) -> Result<usize, ApiError> {
+    Ok(as_usize(v, what)?.min(diic_core::effective_parallelism(0)))
+}
+
+pub(crate) fn as_bool(v: &Value, what: &str) -> Result<bool, ApiError> {
     v.as_bool()
         .ok_or_else(|| ApiError::bad_request_shape(format!("`{what}` must be a boolean")))
 }
@@ -75,14 +84,11 @@ pub fn check_options_from_json(options: Option<&Value>) -> Result<CheckOptions, 
     };
     for (key, v) in pairs {
         match key.as_str() {
-            "parallelism" => out.parallelism = as_usize(v, "options.parallelism")?,
+            "parallelism" => out.parallelism = as_worker_count(v, "options.parallelism")?,
             "erc" => out.erc = as_bool(v, "options.erc")?,
             "hierarchical" => out.hierarchical = as_bool(v, "options.hierarchical")?,
             "same_net_suppression" => {
                 out.same_net_suppression = as_bool(v, "options.same_net_suppression")?
-            }
-            "tiled_interactions" => {
-                out.tiled_interactions = as_bool(v, "options.tiled_interactions")?
             }
             other => {
                 return Err(ApiError::bad_request_shape(format!(

@@ -1,11 +1,9 @@
-//! Bounded-memory bench: tiled streaming vs buffered interaction
-//! evaluation, and buffering vs streaming/counting sinks, on a
-//! mega-chip slice — the memory-model knobs PR 4 added — plus a
-//! wall-clock gate over the tiled end-to-end check, so a batch-kernel
-//! or candidate-search regression fails the bench run loudly instead
-//! of drifting in unread medians.
+//! Bounded-memory bench: the buffering sink vs the counting and
+//! spilling sinks on a mega-chip slice, plus a wall-clock gate over the
+//! end-to-end check, so a batch-kernel or candidate-search regression
+//! fails the bench run loudly instead of drifting in unread medians.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, Criterion};
 use diic_core::{check, check_with_sink, CheckOptions, CountingSink, SpillingSink, StageEngine};
 use diic_tech::nmos::nmos_technology;
 
@@ -15,26 +13,19 @@ fn bench(c: &mut Criterion) {
     let layout = diic_cif::parse(&chip.cif).unwrap();
     let mut g = c.benchmark_group("fig_mega");
     g.sample_size(10);
-    for (label, tiled) in [("buffered", false), ("tiled", true)] {
-        g.bench_with_input(
-            BenchmarkId::new("interactions", label),
-            &tiled,
-            |b, &tiled| {
-                b.iter(|| {
-                    check(
-                        &layout,
-                        &tech,
-                        &CheckOptions {
-                            erc: false,
-                            tiled_interactions: tiled,
-                            parallelism: 0,
-                            ..CheckOptions::default()
-                        },
-                    )
-                })
-            },
-        );
-    }
+    g.bench_function("buffering-sink", |b| {
+        b.iter(|| {
+            check(
+                &layout,
+                &tech,
+                &CheckOptions {
+                    erc: false,
+                    parallelism: 0,
+                    ..CheckOptions::default()
+                },
+            )
+        })
+    });
     g.bench_function("counting-sink", |b| {
         b.iter(|| {
             let mut sink = CountingSink::new();
@@ -80,7 +71,7 @@ fn bench(c: &mut Criterion) {
 
 criterion_group!(benches, bench);
 
-/// The wall-clock assertion: the tiled check of a 20k-element mega
+/// The wall-clock assertion: the check of a 20k-element mega
 /// slice must finish within `FIG_MEGA_MAX_MS` milliseconds (default
 /// 10 000 — generous against runner noise, loud against algorithmic
 /// regressions in the columnar batch kernels or the candidate search,
@@ -97,7 +88,7 @@ fn wall_clock_gate() {
     let opts = CheckOptions {
         erc: false,
         parallelism: 0,
-        ..CheckOptions::default() // tiled interactions are the default
+        ..CheckOptions::default()
     };
     let best = (0..3)
         .map(|_| {
@@ -108,12 +99,12 @@ fn wall_clock_gate() {
         .min()
         .expect("three timed runs");
     println!(
-        "fig_mega wall-clock gate: best tiled check {:.1} ms (ceiling {max_ms} ms)",
+        "fig_mega wall-clock gate: best check {:.1} ms (ceiling {max_ms} ms)",
         best.as_secs_f64() * 1e3
     );
     assert!(
         best.as_millis() as u64 <= max_ms,
-        "tiled mega check took {:.1} ms, over the {max_ms} ms ceiling — \
+        "mega check took {:.1} ms, over the {max_ms} ms ceiling — \
          a kernel or candidate-search regression",
         best.as_secs_f64() * 1e3
     );

@@ -47,14 +47,6 @@ fn main() {
         ("e13", Box::new(diic_bench::e13_relational_rule)),
         ("e14", Box::new(diic_bench::e14_self_sufficiency)),
         ("e15", Box::new(diic_bench::e15_composition_rules)),
-        (
-            "e16",
-            Box::new(move || diic_bench::e16_parallel_speedup(scale)),
-        ),
-        ("e17", Box::new(move || diic_bench::e17_incremental(scale))),
-        ("e18", Box::new(move || diic_bench::e18_memory(scale))),
-        ("e19", Box::new(move || diic_bench::e19_spill(scale))),
-        ("e20", Box::new(move || diic_bench::e20_library(scale))),
         ("e21", Box::new(move || diic_bench::e21_service_load(scale))),
     ];
 

@@ -76,7 +76,7 @@ fn main() {
         // produces it with same-net suppression off (every intra-net
         // spacing pair reports).
         same_net_suppression: mode != "spill",
-        ..CheckOptions::default() // tiled interactions are the default
+        ..CheckOptions::default()
     };
     let engine = StageEngine::diic_pipeline().with_stage(Box::new(InternerProbe));
 

@@ -7,10 +7,7 @@
 //! See `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
 //! recorded results.
 
-use diic_core::{
-    account, check_cif, check_with_engine, flat_check, CheckOptions, FlatOptions, InteractOptions,
-    StageEngine,
-};
+use diic_core::{account, check_cif, flat_check, CheckOptions, FlatOptions};
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_geom::{Polygon, Rect, Region, SizingMode};
 use diic_process::{exposure_spacing_check, ExposureModel};
@@ -765,630 +762,6 @@ pub fn e15_composition_rules() -> String {
     out
 }
 
-/// E16 — stage engine: serial vs parallel paths. The interaction
-/// search's candidate enumeration/evaluation and the flat baseline's
-/// per-layer Boolean work are embarrassingly parallel; this prints
-/// wall-clock speedups for both (from the engine's per-stage timings)
-/// and verifies the reports stay byte-identical.
-pub fn e16_parallel_speedup(scale: Scale) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "E16: parallel interaction stage — speedup over serial");
-    let tech = nmos_technology();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Always exercise at least two workers so the byte-identical claim is
-    // tested even on single-core hosts (where no speedup is possible).
-    let threads = cores.clamp(2, 8);
-    let _ = writeln!(
-        out,
-        "{:>9} {:>9} {:>11} {:>11} {:>8} {:>10}  instantiate; scopes (parallel run)",
-        "cells", "pairs", "serial ms", "par ms", "speedup", "identical"
-    );
-    let sizes = if scale.quick {
-        vec![(4, 2), (8, 4)]
-    } else {
-        vec![(8, 4), (12, 8), (16, 12)]
-    };
-    for (nx, ny) in sizes {
-        let chip = generate(&ChipSpec {
-            demo_cells: false,
-            ..ChipSpec::clean(nx, ny)
-        });
-        let layout = diic_cif::parse(&chip.cif).unwrap();
-        let serial_opts = CheckOptions {
-            erc: false,
-            ..CheckOptions::default()
-        };
-        let par_opts = CheckOptions {
-            parallelism: threads,
-            ..serial_opts.clone()
-        };
-        let serial = diic_core::check(&layout, &tech, &serial_opts);
-        let parallel = diic_core::check(&layout, &tech, &par_opts);
-        // Compare the interaction stage itself, not the whole pipeline —
-        // the other six stages are serial either way and would dilute
-        // the ratio.
-        let t_serial = serial.timings.interactions;
-        let t_parallel = parallel.timings.interactions;
-        let identical = serial.violations == parallel.violations
-            && serial.interact_stats == parallel.interact_stats;
-        let _ = writeln!(
-            out,
-            "{:>9} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}  {}; {}",
-            nx * ny,
-            serial.interact_stats.candidate_pairs,
-            t_serial.as_secs_f64() * 1e3,
-            t_parallel.as_secs_f64() * 1e3,
-            t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9),
-            if identical { "yes" } else { "NO" },
-            parallel.instantiate_stats,
-            parallel.scope_stats
-        );
-    }
-    let _ = writeln!(
-        out,
-        "({threads} workers on {cores} core(s); reports must stay byte-identical \
-         across worker counts; speedup needs >1 core)"
-    );
-
-    // The connections + netgen stages, parallelised in the same
-    // discipline (the connection stage's row fills and loose scan, tiled;
-    // netgen's bind phase through the scope table). Timed from the engine's classic
-    // stage buckets; identity covers the stage outputs end to end
-    // (violations and the assembled net list).
-    let _ = writeln!(out, "\nconnections + netgen stages:");
-    let _ = writeln!(
-        out,
-        "{:>9} {:>11} {:>11} {:>11} {:>11} {:>8} {:>10}",
-        "cells", "conn s ms", "conn p ms", "net s ms", "net p ms", "speedup", "identical"
-    );
-    let conn_sizes = if scale.quick {
-        vec![(4, 2), (8, 4)]
-    } else {
-        vec![(8, 4), (12, 8), (16, 12)]
-    };
-    for (nx, ny) in conn_sizes {
-        let chip = generate(&ChipSpec {
-            demo_cells: false,
-            ..ChipSpec::clean(nx, ny)
-        });
-        let layout = diic_cif::parse(&chip.cif).unwrap();
-        let serial_opts = CheckOptions {
-            erc: false,
-            ..CheckOptions::default()
-        };
-        let par_opts = CheckOptions {
-            parallelism: threads,
-            ..serial_opts.clone()
-        };
-        let serial = diic_core::check(&layout, &tech, &serial_opts);
-        let parallel = diic_core::check(&layout, &tech, &par_opts);
-        let (cs, cp) = (serial.timings.connections, parallel.timings.connections);
-        let (ns, np) = (serial.timings.netlist, parallel.timings.netlist);
-        let identical =
-            serial.violations == parallel.violations && serial.netlist == parallel.netlist;
-        let _ = writeln!(
-            out,
-            "{:>9} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>10}",
-            nx * ny,
-            cs.as_secs_f64() * 1e3,
-            cp.as_secs_f64() * 1e3,
-            ns.as_secs_f64() * 1e3,
-            np.as_secs_f64() * 1e3,
-            (cs + ns).as_secs_f64() / (cp + np).as_secs_f64().max(1e-9),
-            if identical { "yes" } else { "NO" }
-        );
-    }
-
-    // The flat baseline's per-layer Boolean work, parallelised the same
-    // way (per-layer width jobs, per-component spacing jobs). Timed
-    // from the engine's stage profile — width + spacing only, since the
-    // flatten/union front end (flat-union) is serial either way and
-    // would dilute the ratio just like the other pipeline stages above.
-    let _ = writeln!(out, "\nflat baseline — per-layer Boolean work:");
-    let _ = writeln!(
-        out,
-        "{:>9} {:>11} {:>11} {:>8} {:>10}",
-        "cells", "serial ms", "par ms", "speedup", "identical"
-    );
-    let flat_sizes = if scale.quick {
-        vec![(4, 2), (8, 4)]
-    } else {
-        vec![(8, 4), (12, 8), (16, 12)]
-    };
-    let flat_engine = StageEngine::flat_baseline(FlatOptions::default());
-    let boolean_work = |report: &diic_core::CheckReport| {
-        report
-            .stage_profile
-            .iter()
-            .filter(|s| s.name == "flat-width" || s.name == "flat-spacing")
-            .map(|s| s.duration)
-            .sum::<std::time::Duration>()
-    };
-    for (nx, ny) in flat_sizes {
-        let chip = generate(&ChipSpec {
-            demo_cells: false,
-            ..ChipSpec::clean(nx, ny)
-        });
-        let layout = diic_cif::parse(&chip.cif).unwrap();
-        let tech = nmos_technology();
-        let serial_opts = CheckOptions {
-            erc: false,
-            ..CheckOptions::default()
-        };
-        let par_opts = CheckOptions {
-            parallelism: threads,
-            ..serial_opts.clone()
-        };
-        let serial = check_with_engine(&flat_engine, &layout, &tech, &serial_opts);
-        let parallel = check_with_engine(&flat_engine, &layout, &tech, &par_opts);
-        let t_serial = boolean_work(&serial);
-        let t_parallel = boolean_work(&parallel);
-        let _ = writeln!(
-            out,
-            "{:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}",
-            nx * ny,
-            t_serial.as_secs_f64() * 1e3,
-            t_parallel.as_secs_f64() * 1e3,
-            t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9),
-            if serial.violations == parallel.violations {
-                "yes"
-            } else {
-                "NO"
-            }
-        );
-    }
-
-    // The columnar batch kernels themselves: throughput of the
-    // branch-free geometry sweeps the connection and interaction
-    // stages now run over contiguous column slices. Pairs come from a
-    // fixed neighbour window over the element order — the same
-    // contiguous-run access pattern a grid tile presents.
-    let _ = writeln!(out, "\nbatch geometry kernels over the columnar store:");
-    let _ = writeln!(
-        out,
-        "{:>18} {:>11} {:>10} {:>9} {:>9}",
-        "kernel", "pairs", "total ms", "ns/pair", "hits"
-    );
-    let (knx, kny) = if scale.quick { (8, 4) } else { (16, 12) };
-    let kchip = generate(&ChipSpec {
-        demo_cells: false,
-        ..ChipSpec::clean(knx, kny)
-    });
-    let klayout = diic_cif::parse(&kchip.cif).unwrap();
-    let (kbinding, _) = diic_core::LayerBinding::bind(&klayout, &tech);
-    let (kview, _) = diic_core::instantiate(&klayout, &tech, &kbinding, 1, Default::default());
-    let cols = &kview.elements;
-    let n = cols.len();
-    const WINDOW: usize = 32;
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (i + 1..(i + 1 + WINDOW).min(n)).map(move |j| (i, j)))
-        .collect();
-    let kernel_row =
-        |out: &mut String, name: &str, total: std::time::Duration, m: usize, hits: usize| {
-            let _ = writeln!(
-                out,
-                "{:>18} {:>11} {:>10.2} {:>9.1} {:>9}",
-                name,
-                m,
-                total.as_secs_f64() * 1e3,
-                total.as_nanos() as f64 / m.max(1) as f64,
-                hits
-            );
-        };
-
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for &(i, j) in &pairs {
-        hits += usize::from(diic_geom::batch::any_touch(
-            cols.rects_of(i),
-            cols.rects_of(j),
-        ));
-    }
-    kernel_row(
-        &mut out,
-        "any_touch",
-        t0.elapsed(),
-        pairs.len(),
-        std::hint::black_box(hits),
-    );
-
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for &(i, j) in &pairs {
-        hits += usize::from(diic_geom::batch::any_overlap(
-            cols.skeleton_of(i),
-            cols.skeleton_of(j),
-        ));
-    }
-    kernel_row(
-        &mut out,
-        "any_overlap(skel)",
-        t0.elapsed(),
-        pairs.len(),
-        std::hint::black_box(hits),
-    );
-
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for &(i, j) in &pairs {
-        hits += usize::from(
-            diic_geom::batch::closest_approach(
-                cols.rects_of(i),
-                cols.rects_of(j),
-                SizingMode::Euclidean,
-            )
-            .is_some(),
-        );
-    }
-    kernel_row(
-        &mut out,
-        "closest_approach",
-        t0.elapsed(),
-        pairs.len(),
-        std::hint::black_box(hits),
-    );
-
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    let mut candidates = 0usize;
-    let mut scratch: Vec<u32> = Vec::with_capacity(WINDOW);
-    let bboxes = cols.bboxes();
-    for i in 0..n {
-        let end = (i + 1 + WINDOW).min(n);
-        let run = &bboxes[i + 1..end];
-        candidates += run.len();
-        scratch.clear();
-        diic_geom::batch::touching_in_run(run, &bboxes[i], (i + 1) as u32, &mut scratch);
-        hits += scratch.len();
-    }
-    kernel_row(
-        &mut out,
-        "touching_in_run",
-        t0.elapsed(),
-        candidates,
-        std::hint::black_box(hits),
-    );
-    let _ = writeln!(
-        out,
-        "({n} elements, neighbour window {WINDOW}; rect/skeleton runs read straight\n\
-         from the shared arenas, bbox runs from the contiguous bbox column)"
-    );
-    out
-}
-
-/// E17 — incremental re-check: edit-session speedup over full re-check,
-/// across edit sizes, plus the `Region::components` grid-pass ablation.
-/// Every row also verifies the patched report is byte-identical to the
-/// from-scratch check.
-pub fn e17_incremental(scale: Scale) -> String {
-    use diic_core::incremental::{CheckSession, EditSet};
-    let mut out = String::new();
-    let (nx, ny) = if scale.quick { (6, 4) } else { (16, 12) };
-    let _ = writeln!(
-        out,
-        "E17: incremental re-check vs full re-check ({nx}x{ny} array)"
-    );
-    let tech = nmos_technology();
-    let chip = generate(&ChipSpec {
-        demo_cells: false,
-        ..ChipSpec::clean(nx, ny)
-    });
-    let layout = diic_cif::parse(&chip.cif).unwrap();
-    let options = CheckOptions::default();
-
-    let t0 = Instant::now();
-    let mut session = CheckSession::new(layout, &tech, &options);
-    let t_open = t0.elapsed();
-    let _ = writeln!(
-        out,
-        "session open (initial full check): {:.2} ms, {} elements",
-        t_open.as_secs_f64() * 1e3,
-        session.report().element_count
-    );
-    let _ = writeln!(
-        out,
-        "{:<26} {:>6} {:>8} {:>6} {:>9} {:>9} {:>8} {:>10}",
-        "edit", "dirty", "pairs", "nets", "incr ms", "full ms", "speedup", "identical"
-    );
-
-    // Edit workloads of growing blast radius, each repeated a few times
-    // on the live session (best-of-reps to tame single-shot timer
-    // noise). Each rep times the patched re-check against a
-    // from-scratch check of the same edited layout and verifies byte
-    // equality.
-    let probe = session.layout().top_items().len();
-    let inv = session
-        .layout()
-        .symbol_by_name("inv")
-        .or_else(|| session.layout().symbol_by_cif_id(5))
-        .expect("generated chips define the inverter");
-    let nudged: Vec<diic_cif::Item> = session.layout().symbol(inv).items.clone();
-    let reps = if scale.quick { 2 } else { 4 };
-    // Warm the session (first applies pay one-time allocator churn),
-    // leaving a probe wire at `probe` for the move rows.
-    let mut add = EditSet::new();
-    add.add_box(
-        "NM",
-        diic_geom::Rect::new(0, -20000, 2000, -19250),
-        Some("IO_PROBE"),
-    );
-    session.apply(&add).expect("bench edits are valid");
-    let rows: Vec<(&str, Vec<EditSet>)> = vec![
-        ("add + remove one wire", {
-            (0..reps)
-                .flat_map(|_| {
-                    let mut add = EditSet::new();
-                    add.add_box(
-                        "NM",
-                        diic_geom::Rect::new(5000, -20000, 7000, -19250),
-                        Some("IO_PROBE2"),
-                    );
-                    let mut rm = EditSet::new();
-                    rm.remove(probe + 1);
-                    [add, rm]
-                })
-                .collect()
-        }),
-        ("move one wire", {
-            (0..reps)
-                .map(|i| {
-                    let mut mv = EditSet::new();
-                    mv.translate(probe, if i % 2 == 0 { 2500 } else { -2500 }, 0);
-                    mv
-                })
-                .collect()
-        }),
-        ("move one cell instance", {
-            (0..reps)
-                .map(|i| {
-                    let mut mv = EditSet::new();
-                    mv.translate(0, 0, if i % 2 == 0 { -250 } else { 250 });
-                    mv
-                })
-                .collect()
-        }),
-        ("replace cell definition", {
-            (0..reps)
-                .map(|_| {
-                    let mut rep = EditSet::new();
-                    rep.replace_symbol(inv, nudged.clone());
-                    rep
-                })
-                .collect()
-        }),
-    ];
-
-    for (name, edit_reps) in rows {
-        let mut best_incr = f64::INFINITY;
-        let mut best_full = f64::INFINITY;
-        let mut last_stats = Default::default();
-        let mut identical = true;
-        for edits in &edit_reps {
-            let t0 = Instant::now();
-            let stats = session.apply(edits).expect("bench edits are valid");
-            best_incr = best_incr.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let full = session.full_check();
-            best_full = best_full.min(t0.elapsed().as_secs_f64());
-            identical &= session.report().violations == full.violations
-                && session.report().netlist == full.netlist;
-            last_stats = stats;
-        }
-        let stats: diic_core::EditStats = last_stats;
-        let _ = writeln!(
-            out,
-            "{:<26} {:>6} {:>8} {:>6} {:>9.2} {:>9.2} {:>7.1}x {:>10}",
-            name,
-            stats.dirty_elements,
-            stats.rechecked_pairs,
-            stats.nets_respliced,
-            best_incr * 1e3,
-            best_full * 1e3,
-            best_full / best_incr.max(1e-9),
-            if identical { "yes" } else { "NO" }
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(small edits re-check a neighbourhood — net-neutral moves reuse the\n\
-         cached net list outright, other edits splice it: `nets` is how many\n\
-         nets were rebuilt, every other one copied across in runs; moving a\n\
-         *connected* cell rips its nets apart; a replaced definition\n\
-         invalidates every instance and falls back to a full rebuild)"
-    );
-
-    // Ablation: Region::components — the grid+union-find pass vs the
-    // quadratic all-pairs scan it replaced, on the chip's flattened
-    // metal layer.
-    let flat_layers = diic_core::FlatLayers::build(&diic_cif::parse(&chip.cif).unwrap(), &tech);
-    let metal = tech.layer_by_cif("NM").unwrap();
-    let region = flat_layers.get(metal).expect("metal is drawn");
-    let t0 = Instant::now();
-    let comps = region.components();
-    let t_grid = t0.elapsed();
-    let t0 = Instant::now();
-    let slow = region.components_count_pairwise();
-    let t_pairs = t0.elapsed();
-    assert_eq!(comps.len(), slow, "ablation reference disagrees");
-    let _ = writeln!(
-        out,
-        "components ablation (metal union, {} rects -> {} components): \
-         grid {:.2} ms vs pairwise {:.2} ms ({:.1}x)",
-        region.rect_count(),
-        comps.len(),
-        t_grid.as_secs_f64() * 1e3,
-        t_pairs.as_secs_f64() * 1e3,
-        t_pairs.as_secs_f64() / t_grid.as_secs_f64().max(1e-9)
-    );
-    out
-}
-
-/// E18 — bounded-memory pipeline: the tiled streaming interaction
-/// stage's candidate-buffer peak vs the buffered baseline's, at
-/// `mega_chip` scale, with byte-identity and throughput. The buffered
-/// run holds the whole pair list; the tiled run's peak must be bounded
-/// by the widest tile — the number that makes million-element chips
-/// checkable in O(tile) candidate memory.
-pub fn e18_memory(scale: Scale) -> String {
-    use diic_core::{check_with_sink, CountingSink};
-    let mut out = String::new();
-    let targets: Vec<u64> = if scale.quick {
-        vec![2_000, 20_000]
-    } else {
-        vec![20_000, 200_000, 1_000_000]
-    };
-    let _ = writeln!(
-        out,
-        "E18: bounded-memory tiled interactions — candidate buffer peak"
-    );
-    let _ = writeln!(
-        out,
-        "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10} {:>10}  instantiate; scopes",
-        "elements", "cells", "pairs", "buffered pk", "tiled pk", "int ms", "identical"
-    );
-    let tech = nmos_technology();
-    let mut intern_rows: Vec<String> = Vec::new();
-    let mut store_rows: Vec<String> = Vec::new();
-    for target in targets {
-        let chip = diic_gen::mega_chip(target);
-        let layout = diic_cif::parse(&chip.cif).unwrap();
-        let buffered_opts = CheckOptions {
-            erc: false,
-            tiled_interactions: false,
-            parallelism: 0,
-            ..CheckOptions::default()
-        };
-        let tiled_opts = CheckOptions {
-            tiled_interactions: true,
-            ..buffered_opts.clone()
-        };
-        let buffered = diic_core::check(&layout, &tech, &buffered_opts);
-        // The tiled leg also streams its (empty — the chip is clean)
-        // report through a counting sink: the whole run then buffers
-        // nothing violation-shaped at all.
-        let mut counting = CountingSink::new();
-        let tiled = check_with_sink(
-            &StageEngine::diic_pipeline(),
-            &layout,
-            &tech,
-            &tiled_opts,
-            &mut counting,
-        );
-        let identical = counting.total() == buffered.violations.len()
-            && tiled.interact_stats.candidate_pairs == buffered.interact_stats.candidate_pairs
-            && tiled.interact_stats.distance_checks == buffered.interact_stats.distance_checks;
-        let _ = writeln!(
-            out,
-            "{:>9} {:>9} {:>11} {:>12} {:>12} {:>10.1} {:>10}  {}; {}",
-            tiled.element_count,
-            chip.cell_count,
-            tiled.interact_stats.candidate_pairs,
-            buffered.interact_stats.peak_candidate_buffer,
-            tiled.interact_stats.peak_candidate_buffer,
-            tiled.timings.interactions.as_secs_f64() * 1e3,
-            if identical { "yes" } else { "NO" },
-            tiled.instantiate_stats,
-            tiled.scope_stats
-        );
-
-        // The interned-view delta: what the ChipView's string floor
-        // costs with one interner entry per distinct string + a u32
-        // handle per reference, against what the same strings cost as
-        // the per-element `String` copies the view used to hold.
-        let (binding, _) = diic_core::LayerBinding::bind(&layout, &tech);
-        // instantiate takes a literal worker count (no 0 = auto
-        // resolution — that is CheckOptions' convention).
-        let (view, _) = diic_core::instantiate(
-            &layout,
-            &tech,
-            &binding,
-            diic_core::effective_parallelism(0),
-            Default::default(),
-        );
-        let handle_refs = view.elements.len() * 2 + view.devices.len() * 2;
-        let interned = view.strings.heap_bytes() + handle_refs * 4;
-        let copies: usize = view
-            .elements
-            .iter()
-            .map(|e| view.str(e.path()).len() + view.str(e.net_key()).len() + 2 * 24)
-            .sum::<usize>()
-            + view
-                .devices
-                .iter()
-                .map(|d| view.str(d.path).len() + view.str(d.device_type).len() + 2 * 24)
-                .sum::<usize>();
-        intern_rows.push(format!(
-            "  view of {:>9} elements: {:>8} distinct strings, {:>6.1} MB interned vs {:>6.1} MB \
-             as owned copies ({:.1}x)",
-            view.elements.len(),
-            view.strings.len(),
-            interned as f64 / 1e6,
-            copies as f64 / 1e6,
-            copies as f64 / (interned as f64).max(1.0),
-        ));
-
-        // The columnar-store delta: bytes per element as struct-of-
-        // arrays columns + shared arenas, against what the same data
-        // costs as the boxed `ChipElement` records the view used to
-        // hold (per-record struct incl. Vec/Option headers + its own
-        // rect and skeleton heap allocations).
-        use std::mem::size_of;
-        let n = view.elements.len();
-        let columnar = view.elements.heap_bytes();
-        let boxed: usize = n * size_of::<diic_core::ChipElement>()
-            + view
-                .elements
-                .iter()
-                .map(|e| (e.rects().len() + e.skeleton().len()) * size_of::<Rect>())
-                .sum::<usize>();
-        let (arena_rects, arena_skel) = view.elements.arena_rects();
-        store_rows.push(format!(
-            "  store of {:>9} elements: boxed {:>6.1} B/elem vs columnar {:>6.1} B/elem \
-             ({:.2}x; arenas {arena_rects} rect + {arena_skel} skeleton)",
-            n,
-            boxed as f64 / n.max(1) as f64,
-            columnar as f64 / n.max(1) as f64,
-            boxed as f64 / (columnar as f64).max(1.0),
-        ));
-    }
-    let _ = writeln!(
-        out,
-        "(buffered peak = the whole materialised pair list; tiled peak = the widest\n\
-         tile — the hierarchical search's widest scope/scope-pair cache row — which\n\
-         stays flat as the array grows while total pairs grow with the chip)"
-    );
-    let _ = writeln!(
-        out,
-        "interned ChipView strings (path / net key / device type):"
-    );
-    for row in intern_rows {
-        let _ = writeln!(out, "{row}");
-    }
-    let _ = writeln!(
-        out,
-        "(owned copies = 24-byte String headers + per-element heap duplicates, the\n\
-         pre-interning view floor; interned = one entry per distinct string + 4-byte\n\
-         handles — the delta the tightened mega-smoke RSS ceiling banks on)"
-    );
-    let _ = writeln!(
-        out,
-        "columnar element store (struct-of-arrays vs boxed records):"
-    );
-    for row in store_rows {
-        let _ = writeln!(out, "{row}");
-    }
-    let _ = writeln!(
-        out,
-        "(boxed = one ChipElement record per element — struct incl. Vec/Option\n\
-         headers plus its own rect/skeleton allocations; columnar = fixed-width\n\
-         columns + two shared (offset,len)-addressed arenas. The per-element delta\n\
-         is what ratchets the mega-smoke RSS ceiling below the PR 5 baseline)"
-    );
-    out
-}
-
 /// Peak resident set size (`VmHWM` from `/proc/self/status`) in
 /// kilobytes; `0` where the proc interface is unavailable.
 pub fn peak_rss_kb() -> u64 {
@@ -1464,226 +837,6 @@ impl std::io::Write for FnvWriter {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// E19 — the spilled report path: peak RSS and wall-clock, buffered
-/// canonical report vs [`diic_core::SpillingSink`], by element count. Same-net
-/// suppression is disabled so the rule-clean array actually produces
-/// report volume (every intra-net spacing pair reports —
-/// O(interactions) violations, the regime the spill path exists for).
-/// Both legs stream their final bytes through an [`FnvWriter`], so
-/// byte-identity is checked without a second in-memory copy.
-pub fn e19_spill(scale: Scale) -> String {
-    use diic_core::{canonical_sort, check_with_sink, SpillingSink};
-    use std::io::Write as _;
-    let mut out = String::new();
-    // The budget is deliberately far below the violation volume so the
-    // merge is genuinely k-way (quick: a few hundred violations per
-    // run; full: 64k — about the chunk a production caller would pick).
-    let (targets, budget): (Vec<u64>, usize) = if scale.quick {
-        (vec![2_000, 20_000], 256)
-    } else {
-        (vec![20_000, 200_000, 1_000_000], 64 * 1024)
-    };
-    let _ = writeln!(
-        out,
-        "E19: spilled report path — RSS and wall-clock, buffered vs spilling sink"
-    );
-    let _ = writeln!(
-        out,
-        "{:>9} {:>10} {:>6} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10}",
-        "elements",
-        "violations",
-        "runs",
-        "spill MB",
-        "buf ms",
-        "spill ms",
-        "buf RSSMB",
-        "spill RSSMB",
-        "identical"
-    );
-    let tech = nmos_technology();
-    let engine = StageEngine::diic_pipeline();
-    for target in targets {
-        let chip = diic_gen::mega_chip(target);
-        let layout = diic_cif::parse(&chip.cif).unwrap();
-        let options = CheckOptions {
-            erc: false,
-            parallelism: 0,
-            same_net_suppression: false,
-            ..CheckOptions::default()
-        };
-
-        reset_peak_rss();
-        let t0 = Instant::now();
-        let mut buffered = check_with_engine(&engine, &layout, &tech, &options);
-        canonical_sort(&mut buffered.violations);
-        let mut want = FnvWriter::new();
-        for v in &buffered.violations {
-            let _ = writeln!(want, "{v:?}");
-        }
-        let t_buf = t0.elapsed();
-        let rss_buf = peak_rss_kb();
-
-        reset_peak_rss();
-        let t0 = Instant::now();
-        let mut sink = SpillingSink::new(FnvWriter::new(), budget);
-        check_with_sink(&engine, &layout, &tech, &options, &mut sink);
-        let (got, stats) = sink.finish().expect("hash writes cannot fail");
-        let t_spill = t0.elapsed();
-        let rss_spill = peak_rss_kb();
-
-        let identical = got.digest() == want.digest() && stats.written == buffered.violations.len();
-        let _ = writeln!(
-            out,
-            "{:>9} {:>10} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1} {:>10}",
-            buffered.element_count,
-            stats.written,
-            stats.runs,
-            stats.spilled_bytes as f64 / 1e6,
-            t_buf.as_secs_f64() * 1e3,
-            t_spill.as_secs_f64() * 1e3,
-            rss_buf as f64 / 1e3,
-            rss_spill as f64 / 1e3,
-            if identical { "yes" } else { "NO" }
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(buffered = whole report sorted in RAM; spilling = sorted {budget}-violation\n\
-         runs on disk, k-way merged to the writer at finish — the report's RAM\n\
-         footprint is one run plus one merge cursor per run, whatever the chip\n\
-         size. RSS is VmHWM bracketed per leg via /proc/self/clear_refs)"
-    );
-    out
-}
-
-/// E20 — library mode: cells/second over a generated variant library,
-/// a loop of standalone `check()` calls against `check_library`'s
-/// shared content-keyed caches, serial and wide. Every batch leg
-/// streams its per-cell violations (input order) through an
-/// [`FnvWriter`], so the "identical" column is a byte-level comparison
-/// against the standalone loop, not a count.
-pub fn e20_library(scale: Scale) -> String {
-    use diic_core::{check, check_library_buffered, LibraryOptions, LibraryReport};
-    use std::io::Write as _;
-
-    let mut out = String::new();
-    let cells = if scale.quick { 60 } else { 1000 };
-    let lib = diic_gen::cell_library_with(&diic_gen::LibrarySpec {
-        shared_fraction: 0.5,
-        error_rate: 0.1,
-        ..diic_gen::LibrarySpec::new(cells, 20)
-    });
-    let layouts: Vec<diic_cif::Layout> = lib
-        .cells
-        .iter()
-        .map(|c| diic_cif::parse(&c.cif).unwrap())
-        .collect();
-    let tech = nmos_technology();
-    let options = LibraryOptions::default();
-    let _ = writeln!(
-        out,
-        "E20: library mode — {} cells ({} with shared subcell content, {} faulted)",
-        cells, lib.shared_cells, lib.faulted_cells
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:>8} {:>9} {:>9} {:>7} {:>10} {:>10}",
-        "mode", "ms", "cells/s", "bytes/cell", "hit %", "compact", "identical"
-    );
-
-    // Baseline: a loop of standalone checks, one cold interner and one
-    // run-local candidate cache per cell.
-    reset_peak_rss();
-    let t0 = Instant::now();
-    let mut want = FnvWriter::new();
-    for layout in &layouts {
-        let report = check(layout, &tech, &options.cell);
-        for v in &report.violations {
-            let _ = writeln!(want, "{v:?}");
-        }
-    }
-    let t_loop = t0.elapsed();
-    let rss_loop = peak_rss_kb();
-    let _ = writeln!(
-        out,
-        "{:<22} {:>8.1} {:>9.0} {:>9.0}K {:>7} {:>10} {:>10}",
-        "standalone loop",
-        t_loop.as_secs_f64() * 1e3,
-        cells as f64 / t_loop.as_secs_f64(),
-        rss_loop as f64 / cells as f64,
-        "-",
-        "-",
-        "(baseline)"
-    );
-
-    let mut batch_row = |label: &str, opts: &LibraryOptions| -> (std::time::Duration, bool) {
-        reset_peak_rss();
-        let t0 = Instant::now();
-        let batch: LibraryReport<_> = check_library_buffered(&layouts, &tech, opts);
-        let elapsed = t0.elapsed();
-        let rss = peak_rss_kb();
-        let mut got = FnvWriter::new();
-        for report in &batch.reports {
-            for v in &report.violations {
-                let _ = writeln!(got, "{v:?}");
-            }
-        }
-        let identical = got.digest() == want.digest();
-        let (h, m) = (
-            batch.stats.shared_cache_hits,
-            batch.stats.shared_cache_misses,
-        );
-        let _ = writeln!(
-            out,
-            "{:<22} {:>8.1} {:>9.0} {:>9.0}K {:>6.1}% {:>10} {:>10}",
-            label,
-            elapsed.as_secs_f64() * 1e3,
-            cells as f64 / elapsed.as_secs_f64(),
-            rss as f64 / cells as f64,
-            100.0 * h as f64 / (h + m).max(1) as f64,
-            batch.stats.interner_compactions,
-            if identical { "yes" } else { "NO" }
-        );
-        (elapsed, identical)
-    };
-
-    let (t_serial, id_serial) = batch_row(
-        "batch shared, serial",
-        &LibraryOptions {
-            parallelism: 1,
-            ..options.clone()
-        },
-    );
-    let (t_wide, id_wide) = batch_row("batch shared, wide", &options);
-    let (_, id_compact) = batch_row(
-        "batch, tight interner",
-        &LibraryOptions {
-            interner_budget_bytes: 0,
-            interner_keep_epochs: 1,
-            ..options.clone()
-        },
-    );
-
-    let _ = writeln!(
-        out,
-        "speedup vs standalone loop: serial ×{:.2}, wide ×{:.2}  (identical reports: {})",
-        t_loop.as_secs_f64() / t_serial.as_secs_f64(),
-        t_loop.as_secs_f64() / t_wide.as_secs_f64(),
-        if id_serial && id_wide && id_compact {
-            "all"
-        } else {
-            "NO"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "(shared caches: BoundTechnology constants + content-keyed candidate fills\n\
-         + per-worker session interners with epoch compaction; hit % is the\n\
-         cross-cell fill cache; bytes/cell is peak RSS over the leg / cells)"
-    );
-    out
 }
 
 /// E21 — check-as-a-service load: edit latency and session density.
@@ -1861,11 +1014,6 @@ pub fn run_all(scale: Scale) -> String {
         e13_relational_rule(),
         e14_self_sufficiency(),
         e15_composition_rules(),
-        e16_parallel_speedup(scale),
-        e17_incremental(scale),
-        e18_memory(scale),
-        e19_spill(scale),
-        e20_library(scale),
         e21_service_load(scale),
     ];
     parts.join("\n")
@@ -1873,22 +1021,10 @@ pub fn run_all(scale: Scale) -> String {
 
 /// Ablation helper for benches: run the interaction stage with given options
 /// on a generated clean chip; returns violation count.
-pub fn interact_violations(nx: usize, ny: usize, options: InteractOptions) -> usize {
+pub fn interact_violations(nx: usize, ny: usize, options: &CheckOptions) -> usize {
     let tech = nmos_technology();
     let chip = generate(&ChipSpec::clean(nx, ny));
-    let report = check_cif(
-        &chip.cif,
-        &tech,
-        &CheckOptions {
-            same_net_suppression: options.same_net_suppression,
-            metric: options.metric,
-            hierarchical: options.hierarchical,
-            parallelism: options.parallelism,
-            erc: false,
-            ..CheckOptions::default()
-        },
-    )
-    .unwrap();
+    let report = check_cif(&chip.cif, &tech, options).unwrap();
     report.violations.len()
 }
 
@@ -1922,7 +1058,6 @@ mod tests {
             e13_relational_rule(),
             e14_self_sufficiency(),
             e15_composition_rules(),
-            e16_parallel_speedup(QUICK),
         ]
         .iter()
         .enumerate()
@@ -1965,69 +1100,5 @@ mod tests {
     fn e14_verdicts() {
         let t = e14_self_sufficiency();
         assert!(t.contains("0 violation(s) [expect 0"), "{t}");
-    }
-
-    #[test]
-    fn e16_includes_flat_rows_and_identity() {
-        let t = e16_parallel_speedup(QUICK);
-        assert!(t.contains("flat baseline"), "{t}");
-        assert!(t.contains("yes"), "{t}");
-        assert!(!t.contains(" NO"), "a parallel run diverged: {t}");
-    }
-
-    #[test]
-    fn e18_tiled_peak_is_bounded_and_identical() {
-        let t = e18_memory(QUICK);
-        assert!(t.contains("yes"), "{t}");
-        assert!(!t.contains(" NO"), "a tiled run diverged: {t}");
-        assert!(t.contains("vs columnar"), "missing store rows: {t}");
-        // The tiled peak must be strictly below the buffered peak on
-        // every row (the buffered peak is the total pair count).
-        for line in t
-            .lines()
-            .filter(|l| l.trim_start().starts_with(char::is_numeric))
-        {
-            let cols: Vec<&str> = line.split_whitespace().collect();
-            let buffered: u64 = cols[3].parse().unwrap();
-            let tiled: u64 = cols[4].parse().unwrap();
-            assert!(
-                tiled < buffered,
-                "tiled peak {tiled} not below buffered {buffered}: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn e19_spilled_report_is_identical_and_multi_run() {
-        let t = e19_spill(QUICK);
-        assert!(!t.contains(" NO"), "a spilled report diverged: {t}");
-        // Every row must have merged more than one run (the budget is
-        // far below the same-net violation volume) and verified
-        // byte-identity against the buffered canonical report.
-        for line in t
-            .lines()
-            .filter(|l| l.trim_start().starts_with(char::is_numeric))
-        {
-            let cols: Vec<&str> = line.split_whitespace().collect();
-            let runs: u64 = cols[2].parse().unwrap();
-            assert!(runs > 1, "expected a multi-run merge: {line}");
-            assert_eq!(*cols.last().unwrap(), "yes", "{line}");
-        }
-    }
-
-    #[test]
-    fn e20_batch_reports_identical_to_standalone() {
-        let t = e20_library(QUICK);
-        assert!(
-            t.contains("identical reports: all"),
-            "a batch leg diverged from the standalone loop: {t}"
-        );
-        for label in [
-            "standalone loop",
-            "batch shared, serial",
-            "batch shared, wide",
-        ] {
-            assert!(t.contains(label), "missing row {label:?}: {t}");
-        }
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! The stages themselves live in [`crate::engine`] as
 //! [`PipelineStage`](crate::engine::PipelineStage) implementations;
-//! [`check`] assembles the standard stage set and folds the engine's
-//! generic per-stage profile into the classic [`StageTimings`]
-//! breakdown. To run a custom stage set (extra lint stages, the flat
-//! baseline, ablated pipelines) use [`check_with_engine`].
+//! [`check`] assembles the standard stage set and returns the engine's
+//! per-stage profile in [`CheckReport::stage_profile`]. To run a custom
+//! stage set (extra lint stages, the flat baseline, ablated pipelines)
+//! use [`check_with_engine`].
 
 use crate::binding::InstantiateStats;
 use crate::engine::{CheckContext, StageEngine, StageTime};
@@ -22,7 +22,6 @@ use diic_cif::Layout;
 use diic_geom::SizingMode;
 use diic_netlist::Netlist;
 use diic_tech::Technology;
-use std::time::Duration;
 
 /// Configuration of a full check run.
 #[derive(Debug, Clone)]
@@ -37,17 +36,11 @@ pub struct CheckOptions {
     pub erc: bool,
     /// Compare the extracted net list against an intended one.
     pub intended_netlist: Option<Netlist>,
-    /// Worker threads for the interaction search. `1` (the default)
-    /// runs serially; `0` uses all available cores; any other value
-    /// spawns that many scoped workers. Serial and parallel runs
-    /// produce byte-identical reports.
+    /// Worker threads for the connection, net-list and interaction
+    /// stages. `1` (the default) runs serially; `0` uses all available
+    /// cores; any other value spawns that many scoped workers. Serial
+    /// and parallel runs produce byte-identical reports.
     pub parallelism: usize,
-    /// Stream interaction candidates tile by tile (the default) instead
-    /// of materialising the full pair list — peak candidate memory is
-    /// then bounded by one tile **per live worker** (`parallelism` ×
-    /// widest tile), not by the chip's total pair count, with
-    /// byte-identical reports either way (the sixth differential leg).
-    pub tiled_interactions: bool,
 }
 
 impl Default for CheckOptions {
@@ -59,7 +52,6 @@ impl Default for CheckOptions {
             erc: true,
             intended_netlist: None,
             parallelism: 1,
-            tiled_interactions: true,
         }
     }
 }
@@ -72,73 +64,6 @@ impl CheckOptions {
     pub fn effective_parallelism(&self) -> usize {
         crate::parallel::effective_parallelism(self.parallelism)
     }
-
-    /// The interaction-stage options this run implies — the **single**
-    /// mapping the engine's interaction stage and the incremental
-    /// session both use, so a new interaction knob is wired once, here,
-    /// or nowhere.
-    pub fn interact_options(&self) -> crate::interact::InteractOptions {
-        crate::interact::InteractOptions {
-            same_net_suppression: self.same_net_suppression,
-            metric: self.metric,
-            hierarchical: self.hierarchical,
-            parallelism: self.parallelism,
-            tiled: self.tiled_interactions,
-            ..crate::interact::InteractOptions::default()
-        }
-    }
-}
-
-/// Per-stage wall-clock timings (Fig. 9/10 cost profile).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// Binding + instantiation.
-    pub instantiate: Duration,
-    /// Stage 2: element checks.
-    pub elements: Duration,
-    /// Stage 3: primitive symbol checks.
-    pub primitives: Duration,
-    /// Stage 4: connection checks.
-    pub connections: Duration,
-    /// Stage 5: net-list generation.
-    pub netlist: Duration,
-    /// Stage 6: interaction checks.
-    pub interactions: Duration,
-    /// Composition rules (ERC) + netlist comparison.
-    pub composition: Duration,
-}
-
-impl StageTimings {
-    /// Total pipeline time.
-    pub fn total(&self) -> Duration {
-        self.instantiate
-            + self.elements
-            + self.primitives
-            + self.connections
-            + self.netlist
-            + self.interactions
-            + self.composition
-    }
-
-    /// Folds an engine profile into the named buckets. Stages the
-    /// classic breakdown does not know (custom stages, the flat
-    /// baseline) stay visible in [`CheckReport::stage_profile`] only.
-    pub fn from_profile(profile: &[StageTime]) -> Self {
-        let mut t = StageTimings::default();
-        for s in profile {
-            match s.name.as_str() {
-                "instantiate" => t.instantiate += s.duration,
-                "elements" => t.elements += s.duration,
-                "primitives" => t.primitives += s.duration,
-                "connections" => t.connections += s.duration,
-                "netlist" => t.netlist += s.duration,
-                "interactions" => t.interactions += s.duration,
-                "composition" => t.composition += s.duration,
-                _ => {}
-            }
-        }
-        t
-    }
 }
 
 /// The result of a full check.
@@ -150,10 +75,9 @@ pub struct CheckReport {
     pub netlist: Netlist,
     /// Interaction-stage statistics (pruning counters, cache hits).
     pub interact_stats: InteractStats,
-    /// Wall-clock per classic pipeline stage.
-    pub timings: StageTimings,
-    /// Generic per-stage profile in engine order, including custom
-    /// stages the classic breakdown does not know.
+    /// Wall clock and violation count per executed stage, in engine
+    /// order (custom stages included). Empty for an edit session's
+    /// report, which runs no engine.
     pub stage_profile: Vec<StageTime>,
     /// Devices waived by the immunity flag.
     pub waived_devices: Vec<String>,
@@ -162,8 +86,7 @@ pub struct CheckReport {
     /// Number of device instances.
     pub device_count: usize,
     /// How the view was instantiated: templates built, instances and
-    /// elements stamped, elements walked, strings interned, shards
-    /// stitched. An edit session reports its last whole instantiation
+    /// elements stamped, elements walked, strings interned. An edit session reports its last whole instantiation
     /// (its open, or its latest full rebuild).
     pub instantiate_stats: InstantiateStats,
     /// What the scope table was worth: scopes, neighbour-search cost,
@@ -222,8 +145,8 @@ pub fn check_with_engine(
 /// [`StreamingSink`](crate::engine::StreamingSink) or
 /// [`CountingSink`](crate::engine::CountingSink) the run holds at most
 /// one sink chunk of diagnostics at any time; the returned report then
-/// carries empty `violations` (the sink saw every one) but full
-/// timings, statistics, and counts. [`CheckReport::is_clean`] stays
+/// carries empty `violations` (the sink saw every one) but the full
+/// stage profile, statistics, and counts. [`CheckReport::is_clean`] stays
 /// trustworthy (it also reads the per-stage counts), but
 /// [`CheckReport::by_stage`] and [`crate::report::format_report`] only
 /// see what was buffered — read the sink for content.
@@ -380,16 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn timings_populated() {
+    fn stage_profile_populated() {
         let tech = nmos_technology();
         let r = check_cif("L NM; B 2000 750 0 0; E", &tech, &CheckOptions::default()).unwrap();
-        assert!(r.timings.total() > Duration::ZERO);
         assert_eq!(r.stage_profile.len(), 7, "{:?}", r.stage_profile);
-        assert_eq!(
-            r.timings.total(),
-            r.stage_profile.iter().map(|s| s.duration).sum(),
-            "classic buckets must cover the whole standard profile"
-        );
+        let total: std::time::Duration = r.stage_profile.iter().map(|s| s.duration).sum();
+        assert!(total > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -567,7 +567,7 @@ pub(crate) mod tests {
         workers: &[usize],
     ) -> (ConnectionResult, ScopeStats) {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (view, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let (view, runs) = instantiate(layout, tech, &binding, Default::default());
         let scopes = ScopeTable::build(
             layout.top_items(),
             runs.iter().map(|run| run.0),

@@ -9,7 +9,7 @@
 //! context's [`DiagnosticSink`], so no stage ever clones its violation
 //! vector. The engine times every stage generically and returns a
 //! [`StageTime`] profile, which [`crate::checker::check_with_engine`]
-//! folds into the classic [`StageTimings`] cost breakdown.
+//! returns in [`CheckReport::stage_profile`].
 //!
 //! Two stage sets ship with the crate:
 //!
@@ -27,13 +27,14 @@
 //! appear in the per-stage profile like the built-in ones.
 
 use crate::binding::{ChipView, LayerBinding};
-use crate::checker::{CheckOptions, CheckReport, StageTimings};
+use crate::checker::{CheckOptions, CheckReport};
 use crate::connect::{check_connections, ConnectionResult};
 use crate::element_checks::check_elements;
 use crate::flat::{
     flat_gate_checks, flat_spacing_checks, flat_width_checks, FlatLayers, FlatOptions,
 };
 use crate::interact::{check_interactions, InteractStats};
+use crate::library::{BoundTechnology, LibraryCache, LibrarySession};
 use crate::netgen::{NetParts, NetgenResult};
 use crate::parallel::effective_parallelism;
 use crate::primitive_checks::check_primitive_symbols;
@@ -42,6 +43,7 @@ use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
 use diic_netlist::{check_erc, compare_by_structure, NetlistBuilder};
 use diic_tech::Technology;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Where stages deposit violations, by move.
@@ -573,23 +575,15 @@ pub struct CheckContext<'a> {
     pub interact_stats: InteractStats,
     /// Devices waived by the `9C` immunity flag.
     pub waived_devices: Vec<String>,
-    /// Optional clip region: stages that support scoping (interactions,
-    /// flat width/spacing) restrict their search to geometry within rule
-    /// reach of this region and report only violations anchored inside
-    /// it. `None` (the default) checks the whole chip. This is the
-    /// engine hook the incremental re-check subsystem drives; see
-    /// [`crate::incremental`].
-    pub clip: Option<diic_geom::Region>,
-    /// Library-mode shared state: the batch's precomputed technology
-    /// constants and its cross-cell content-keyed candidate cache.
-    /// `None` (the default) re-derives the constants per run and keeps
-    /// candidate fills run-local — the standalone [`crate::check`]
-    /// behaviour. Set by [`crate::library::check_library`]; either way
-    /// the run's output bytes are identical.
-    pub(crate) library: Option<(
-        &'a crate::library::BoundTechnology,
-        &'a crate::library::LibraryCache,
-    )>,
+    /// The technology's interaction-scale constants (rule reach, grid
+    /// cell size, device-forming pairs): built once when the context
+    /// is, or borrowed from the library batch's session.
+    pub(crate) bound: Cow<'a, BoundTechnology>,
+    /// The library batch's cross-cell content-keyed candidate cache.
+    /// `None` keeps candidate fills run-local — the standalone
+    /// [`crate::check`] behaviour; either way the run's output bytes
+    /// are identical.
+    pub(crate) cache: Option<&'a LibraryCache>,
     /// A warm [`StringInterner`] the instantiate stage seeds the view's
     /// string table from (the library batch driver's per-worker session
     /// dictionary). `None` starts cold. Handle *values* differ between
@@ -603,7 +597,9 @@ impl<'a> CheckContext<'a> {
     /// A fresh context with no stage artefacts yet, buffering its
     /// violations in an owned [`DiagnosticSink`].
     pub fn new(layout: &'a Layout, tech: &'a Technology, options: &'a CheckOptions) -> Self {
-        CheckContext::with_sink(layout, tech, options, Box::new(DiagnosticSink::new()))
+        let bound = Cow::Owned(BoundTechnology::new(tech));
+        let sink = Box::new(DiagnosticSink::new());
+        CheckContext::with_sink(layout, tech, options, sink, bound, None)
     }
 
     /// A fresh context emitting through a borrowed [`Sink`] — the
@@ -617,7 +613,23 @@ impl<'a> CheckContext<'a> {
         options: &'a CheckOptions,
         sink: &'a mut dyn Sink,
     ) -> Self {
-        CheckContext::with_sink(layout, tech, options, Box::new(sink))
+        let bound = Cow::Owned(BoundTechnology::new(tech));
+        CheckContext::with_sink(layout, tech, options, Box::new(sink), bound, None)
+    }
+
+    /// A fresh context for one cell of a library batch: the technology
+    /// constants and the cross-cell candidate cache come from the
+    /// batch's `session`, which must have been built for `tech`.
+    pub(crate) fn in_library(
+        layout: &'a Layout,
+        tech: &'a Technology,
+        options: &'a CheckOptions,
+        sink: &'a mut dyn Sink,
+        session: &'a LibrarySession,
+    ) -> Self {
+        let bound = Cow::Borrowed(&session.bound);
+        let cache = Some(&session.cache);
+        CheckContext::with_sink(layout, tech, options, Box::new(sink), bound, cache)
     }
 
     fn with_sink(
@@ -625,6 +637,8 @@ impl<'a> CheckContext<'a> {
         tech: &'a Technology,
         options: &'a CheckOptions,
         sink: Box<dyn Sink + 'a>,
+        bound: Cow<'a, BoundTechnology>,
+        cache: Option<&'a LibraryCache>,
     ) -> Self {
         CheckContext {
             layout,
@@ -640,29 +654,10 @@ impl<'a> CheckContext<'a> {
             flat_layers: None,
             interact_stats: InteractStats::default(),
             waived_devices: Vec::new(),
-            clip: None,
-            library: None,
+            bound,
+            cache,
             seed_strings: None,
         }
-    }
-
-    /// Builder-style clip region (see [`CheckContext::clip`]).
-    #[must_use]
-    pub fn with_clip(mut self, clip: diic_geom::Region) -> Self {
-        self.clip = Some(clip);
-        self
-    }
-
-    /// Builder-style library-mode shared state (see
-    /// [`CheckContext::library`]).
-    #[must_use]
-    pub(crate) fn with_library(
-        mut self,
-        bound: &'a crate::library::BoundTechnology,
-        cache: &'a crate::library::LibraryCache,
-    ) -> Self {
-        self.library = Some((bound, cache));
-        self
     }
 
     /// Builder-style warm interner seed (see
@@ -743,7 +738,6 @@ impl<'a> CheckContext<'a> {
     /// memory — everything for a buffering context, nothing for a
     /// streaming or counting one.
     pub fn into_report(mut self, profile: Vec<StageTime>) -> CheckReport {
-        let timings = StageTimings::from_profile(&profile);
         let (element_count, device_count, instantiate_stats) = self
             .view
             .as_ref()
@@ -756,7 +750,6 @@ impl<'a> CheckContext<'a> {
                 .map(|n| n.netlist)
                 .unwrap_or_else(|| NetlistBuilder::new().finish()),
             interact_stats: self.interact_stats,
-            timings,
             stage_profile: profile,
             waived_devices: self.waived_devices,
             element_count,
@@ -880,10 +873,8 @@ impl std::fmt::Debug for StageEngine {
 /// Binds layers and instantiates the chip view (the pipeline's front
 /// end; not one of the paper's numbered checking stages) through
 /// [`crate::binding::instantiate`]: each repeated definition derived
-/// once and stamped, the top-level items walked in one chunk per worker
-/// ([`CheckOptions::parallelism`]) — byte-identical for any worker
-/// count. The per-item run lengths it returns become the context's
-/// [`ScopeTable`].
+/// once and stamped. The per-item run lengths it returns become the
+/// context's [`ScopeTable`].
 pub struct InstantiateStage;
 
 impl PipelineStage for InstantiateStage {
@@ -894,19 +885,14 @@ impl PipelineStage for InstantiateStage {
     fn run(&self, ctx: &mut CheckContext<'_>) {
         let (binding, bind_violations) = LayerBinding::bind(ctx.layout, ctx.tech);
         ctx.sink.absorb(bind_violations);
-        let workers = effective_parallelism(ctx.options.parallelism);
         let seed = ctx.seed_strings.take().unwrap_or_default();
-        let (mut view, runs) =
-            crate::binding::instantiate(ctx.layout, ctx.tech, &binding, workers, seed);
+        let (mut view, runs) = crate::binding::instantiate(ctx.layout, ctx.tech, &binding, seed);
         ctx.sink.append(&mut view.violations);
         let scopes = ScopeTable::build(
             ctx.layout.top_items(),
             runs.iter().map(|&(elements, _)| elements),
             view.elements.bboxes(),
-            match ctx.library {
-                Some((bound, _)) => bound.max_rule_range(),
-                None => crate::interact::max_rule_range(ctx.tech),
-            },
+            ctx.bound.max_rule_range(),
         );
         ctx.scope_stats = scopes.stats();
         ctx.scopes = Some(scopes);
@@ -1039,34 +1025,15 @@ impl PipelineStage for InteractionsStage {
     }
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
-        let interact_options = ctx.options.interact_options();
-        let (ivs, stats) = match &ctx.clip {
-            Some(clip) => crate::interact::check_interactions_clipped(
-                ctx.view(),
-                ctx.tech,
-                ctx.nets(),
-                &interact_options,
-                clip,
-            ),
-            None => match ctx.library {
-                Some((bound, cache)) => crate::interact::check_interactions_shared(
-                    ctx.view(),
-                    ctx.tech,
-                    ctx.nets(),
-                    ctx.scopes(),
-                    &interact_options,
-                    bound,
-                    cache,
-                ),
-                None => check_interactions(
-                    ctx.view(),
-                    ctx.tech,
-                    ctx.nets(),
-                    ctx.scopes(),
-                    &interact_options,
-                ),
-            },
-        };
+        let (ivs, stats) = check_interactions(
+            ctx.view(),
+            ctx.tech,
+            &ctx.bound,
+            ctx.nets(),
+            ctx.scopes(),
+            ctx.options,
+            ctx.cache,
+        );
         ctx.sink.absorb(ivs);
         ctx.interact_stats = stats;
     }
@@ -1147,7 +1114,7 @@ impl PipelineStage for FlatUnionStage {
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
         let workers = flat_stage_workers(&self.options, ctx);
-        ctx.flat_layers = Some(FlatLayers::build_parallel(ctx.layout, ctx.tech, workers));
+        ctx.flat_layers = Some(FlatLayers::build(ctx.layout, ctx.tech, workers));
     }
 }
 
@@ -1181,13 +1148,7 @@ impl PipelineStage for FlatWidthStage {
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
         let workers = flat_stage_workers(&self.options, ctx);
-        let vs = flat_width_checks(
-            ctx.flat_layers(),
-            ctx.tech,
-            &self.options,
-            workers,
-            ctx.clip.as_ref(),
-        );
+        let vs = flat_width_checks(ctx.flat_layers(), ctx.tech, &self.options, workers);
         ctx.sink.absorb(vs);
     }
 }
@@ -1210,13 +1171,7 @@ impl PipelineStage for FlatSpacingStage {
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
         let workers = flat_stage_workers(&self.options, ctx);
-        let vs = flat_spacing_checks(
-            ctx.flat_layers(),
-            ctx.tech,
-            &self.options,
-            workers,
-            ctx.clip.as_ref(),
-        );
+        let vs = flat_spacing_checks(ctx.flat_layers(), ctx.tech, &self.options, workers);
         ctx.sink.absorb(vs);
     }
 }
@@ -1239,14 +1194,7 @@ impl PipelineStage for FlatGateStage {
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
         if self.options.contact_over_gate_rule {
-            // The gate rule is a handful of whole-layer Booleans — cheap
-            // enough to evaluate in full even under a clip (which keeps
-            // violation content exact: no component is ever truncated at
-            // the clip boundary); only the reported set is clipped.
-            let mut vs = flat_gate_checks(ctx.flat_layers(), ctx.tech);
-            if let Some(clip) = &ctx.clip {
-                vs.retain(|v| v.location.is_none_or(|l| clip.touches_rect(&l)));
-            }
+            let vs = flat_gate_checks(ctx.flat_layers(), ctx.tech);
             ctx.sink.absorb(vs);
         }
     }

@@ -94,19 +94,12 @@ pub struct FlatLayers {
 
 impl FlatLayers {
     /// Flattens the layout and unions its geometry per mask layer: all
-    /// topology discarded, exactly what a mask-level checker sees.
-    /// Serial — [`FlatLayers::build_parallel`] with one worker.
-    pub fn build(layout: &Layout, tech: &Technology) -> FlatLayers {
-        FlatLayers::build_parallel(layout, tech, 1)
-    }
-
-    /// [`FlatLayers::build`] with the per-layer union jobs spread across
-    /// `workers` scoped threads ([`run_ordered`]). The flatten walk is
-    /// serial (it is a fraction of the Boolean work); each layer's union
-    /// is an independent pure job and the jobs run in ascending layer-id
-    /// order, so any worker count produces a byte-identical artefact —
-    /// this was the flat path's last serial bottleneck.
-    pub fn build_parallel(layout: &Layout, tech: &Technology, workers: usize) -> FlatLayers {
+    /// topology discarded, exactly what a mask-level checker sees. The
+    /// flatten walk is serial (it is a fraction of the Boolean work);
+    /// each layer's union is an independent pure job spread across
+    /// `workers` scoped threads ([`run_ordered`]) in ascending layer-id
+    /// order, so any worker count produces a byte-identical artefact.
+    pub fn build(layout: &Layout, tech: &Technology, workers: usize) -> FlatLayers {
         let flat = flatten(layout);
         let mut rects_per_layer: HashMap<LayerId, Vec<Rect>> = HashMap::new();
         for e in &flat {
@@ -161,47 +154,21 @@ impl FlatLayers {
 
 /// Width phase: shrink-expand-compare per layer, one job per eligible
 /// layer, merged in layer order.
-///
-/// With a `clip`, only the connected components within reach of the clip
-/// are checked and only violations anchored inside it are reported —
-/// sound because a width sliver lies inside its component, and exact
-/// because components are taken whole (never truncated at the clip
-/// boundary).
 pub fn flat_width_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
     workers: usize,
-    clip: Option<&Region>,
 ) -> Vec<Violation> {
-    // Unclipped runs (the common baseline path) borrow the layer unions
-    // as-is; only clipped runs materialise scoped sub-regions.
-    let eligible: Vec<(LayerId, std::borrow::Cow<'_, Region>)> = layers
+    let eligible: Vec<(LayerId, &Region)> = layers
         .iter()
-        .filter(|(layer, _)| {
+        .filter(|(layer, region)| {
             let info = tech.layer(*layer);
-            info.kind.is_interconnect() || info.kind == LayerKind::Contact
-        })
-        .filter_map(|(layer, region)| {
-            let region: std::borrow::Cow<'_, Region> = match clip {
-                None => std::borrow::Cow::Borrowed(region),
-                Some(clip) => {
-                    let scope = clip.inflate(tech.layer(layer).min_width.max(1) * 2);
-                    let kept: Vec<Rect> = region
-                        .components()
-                        .into_iter()
-                        .filter(|c| c.bbox().map(|b| scope.touches_rect(&b)).unwrap_or(false))
-                        .flat_map(|c| c.rects().to_vec())
-                        .collect();
-                    std::borrow::Cow::Owned(Region::from_rects(kept))
-                }
-            };
-            (!region.is_empty()).then_some((layer, region))
+            (info.kind.is_interconnect() || info.kind == LayerKind::Contact) && !region.is_empty()
         })
         .collect();
     run_ordered(eligible.len(), workers, |k| {
-        let (layer, region) = &eligible[k];
-        let (layer, region) = (*layer, region.as_ref());
+        let (layer, region) = eligible[k];
         let info = tech.layer(layer);
         let min_w = info.min_width;
         let mut out = Vec::new();
@@ -236,9 +203,6 @@ pub fn flat_width_checks(
                 }
             }
         }
-        if let Some(clip) = clip {
-            out.retain(|v| v.location.is_none_or(|l| clip.touches_rect(&l)));
-        }
         out
     })
     .into_iter()
@@ -247,7 +211,7 @@ pub fn flat_width_checks(
 }
 
 /// One unit of the spacing phase's deterministic job list.
-enum SpacingJob {
+enum SpacingJob<'a> {
     /// Check component `i` of a same-layer entry against components
     /// `i+1..` (indices into the per-entry component store).
     Same {
@@ -256,12 +220,13 @@ enum SpacingJob {
         required: Coord,
         i: usize,
     },
-    /// Check one disjoint cross-layer rule entry (index into the
-    /// precomputed, possibly clip-scoped region pair store).
+    /// Check one disjoint cross-layer rule entry over the two layers'
+    /// unions.
     Cross {
-        entry: usize,
         a: LayerId,
         b: LayerId,
+        ra: &'a Region,
+        rb: &'a Region,
         required: Coord,
     },
 }
@@ -271,50 +236,23 @@ enum SpacingJob {
 /// No net information exists. Jobs follow the matrix's deterministic
 /// entry order — per-component for same-layer entries (the quadratic
 /// part), per-entry for cross-layer ones — and merge in job order.
-///
-/// With a `clip`, only features within the rule's reach of the clip are
-/// paired and only violations whose gap marker touches the clip are
-/// reported — sound because a marker lies within the required spacing of
-/// **both** offending features.
 pub fn flat_spacing_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
     workers: usize,
-    clip: Option<&Region>,
 ) -> Vec<Violation> {
     // Connected components per same-layer entry, computed once up front
     // and shared read-only by the jobs.
     let mut components: Vec<Vec<Region>> = Vec::new();
     let mut jobs: Vec<SpacingJob> = Vec::new();
-    // Unclipped runs borrow the layer unions; clipped runs own scoped
-    // sub-regions.
-    let mut cross_scoped: Vec<(std::borrow::Cow<'_, Region>, std::borrow::Cow<'_, Region>)> =
-        Vec::new();
-    // A feature can only produce a marker inside the clip if it lies
-    // within `required` of it.
-    let near = |region: &Region, clip: &Region, required: Coord| -> Region {
-        let scope = clip.inflate(required.max(1));
-        Region::from_rects(
-            region
-                .rects()
-                .iter()
-                .filter(|r| scope.touches_rect(r))
-                .copied()
-                .collect::<Vec<_>>(),
-        )
-    };
     for (a, b, rule) in tech.rules().entries() {
         let required = rule.diff_net;
         if a == b {
             let Some(region) = layers.get(a) else {
                 continue;
             };
-            let mut comps = region.components();
-            if let Some(clip) = clip {
-                let scope = clip.inflate(required.max(1));
-                comps.retain(|c| c.bbox().map(|bb| scope.touches_rect(&bb)).unwrap_or(false));
-            }
+            let comps = region.components();
             let entry = components.len();
             jobs.extend(
                 (0..comps.len().saturating_sub(1)).map(|i| SpacingJob::Same {
@@ -325,34 +263,17 @@ pub fn flat_spacing_checks(
                 }),
             );
             components.push(comps);
-        } else {
-            let (Some(ra), Some(rb)) = (layers.get(a), layers.get(b)) else {
-                continue;
-            };
-            let (ra, rb) = match clip {
-                None => (
-                    std::borrow::Cow::Borrowed(ra),
-                    std::borrow::Cow::Borrowed(rb),
-                ),
-                Some(clip) => {
-                    let (ra, rb) = (near(ra, clip, required), near(rb, clip, required));
-                    if ra.is_empty() || rb.is_empty() {
-                        continue;
-                    }
-                    (std::borrow::Cow::Owned(ra), std::borrow::Cow::Owned(rb))
-                }
-            };
-            let entry = cross_scoped.len();
-            cross_scoped.push((ra, rb));
+        } else if let (Some(ra), Some(rb)) = (layers.get(a), layers.get(b)) {
             jobs.push(SpacingJob::Cross {
-                entry,
                 a,
                 b,
+                ra,
+                rb,
                 required,
             });
         }
     }
-    let mut violations: Vec<Violation> = run_ordered(jobs.len(), workers, |k| {
+    run_ordered(jobs.len(), workers, |k| {
         let mut out = Vec::new();
         match jobs[k] {
             SpacingJob::Same {
@@ -369,12 +290,12 @@ pub fn flat_spacing_checks(
                 }
             }
             SpacingJob::Cross {
-                entry,
                 a,
                 b,
+                ra,
+                rb,
                 required,
             } => {
-                let (ra, rb) = &cross_scoped[entry];
                 // Overlapping cross-layer geometry is assumed intentional (a
                 // transistor, a contact): the mask-level checker cannot know
                 // better. Only disjoint features are spacing-checked — so it
@@ -388,11 +309,7 @@ pub fn flat_spacing_checks(
     })
     .into_iter()
     .flatten()
-    .collect();
-    if let Some(clip) = clip {
-        violations.retain(|v| v.location.is_none_or(|l| clip.touches_rect(&l)));
-    }
-    violations
+    .collect()
 }
 
 /// The mask-level Fig. 7 rule: no contact over the "active gate",
@@ -425,9 +342,9 @@ pub fn flat_gate_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation
 /// [`FlatOptions::parallelism`].
 pub fn flat_check(layout: &Layout, tech: &Technology, options: &FlatOptions) -> Vec<Violation> {
     let workers = options.effective_parallelism();
-    let layers = FlatLayers::build_parallel(layout, tech, workers);
-    let mut violations = flat_width_checks(&layers, tech, options, workers, None);
-    violations.extend(flat_spacing_checks(&layers, tech, options, workers, None));
+    let layers = FlatLayers::build(layout, tech, workers);
+    let mut violations = flat_width_checks(&layers, tech, options, workers);
+    violations.extend(flat_spacing_checks(&layers, tech, options, workers));
     if options.contact_over_gate_rule {
         violations.extend(flat_gate_checks(&layers, tech));
     }
@@ -544,7 +461,7 @@ mod tests {
     fn flat_layers_sorted_and_queryable() {
         let layout = parse("L NM; B 1000 750 0 0; L NP; B 1000 500 5000 0; E").unwrap();
         let tech = nmos_technology();
-        let layers = FlatLayers::build(&layout, &tech);
+        let layers = FlatLayers::build(&layout, &tech, 1);
         assert_eq!(layers.len(), 2);
         let ids: Vec<LayerId> = layers.iter().map(|(l, _)| l).collect();
         let mut sorted = ids.clone();

@@ -56,10 +56,11 @@
 //!   same-net/relatedness verdict could have flipped now has a dirty
 //!   endpoint.
 //! * **interactions re-run inside the halo only** — the dirty core is
-//!   inflated by the technology's rule reach
-//!   ([`crate::interact::max_rule_range`], the same reach that sizes
-//!   [`crate::interact::interaction_cell_size`]) and handed to
-//!   [`crate::interact::check_interactions_clipped`]. Spacing markers
+//!   inflated by the technology's rule reach (the session's
+//!   [`BoundTechnology`], built once at open), the elements within one
+//!   more reach of it come out of the session's persistent index, and
+//!   [`crate::interact::check_interactions_among`] searches that set.
+//!   Spacing markers
 //!   are tight gap boxes (within the pair's gap of *both* elements), so
 //!   cached violations whose marker misses the halo are provably
 //!   unchanged and are kept; everything anchored inside the halo is
@@ -106,7 +107,8 @@ use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::{check_connections, check_connections_among};
 use crate::element_checks::check_elements;
 use crate::engine::{composition_violations, DiagnosticSink, Sink};
-use crate::interact::{check_interactions, check_same_mask, max_rule_range};
+use crate::interact::{check_interactions, check_interactions_among, check_same_mask};
+use crate::library::BoundTechnology;
 use crate::netgen::{
     element_is_netted, BindIndex, DeviceParts, NetParts, NetgenResult, TerminalNets,
 };
@@ -259,7 +261,7 @@ impl std::fmt::Display for EditError {
 impl std::error::Error for EditError {}
 
 /// What one [`CheckSession::apply`] did — the observability handle the
-/// `fig_incremental` bench and the e17 experiment table read.
+/// benchmark's `edit-session` workload reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EditStats {
     /// Top-level items re-instantiated (dirty).
@@ -364,7 +366,9 @@ pub struct CheckSession {
     layout: Layout,
     tech: Technology,
     options: CheckOptions,
-    halo: i64,
+    /// The technology's rule reach (the halo width), index cell size
+    /// and device-forming pairs, derived once at open.
+    bound: BoundTechnology,
     binding: LayerBinding,
     labels: Vec<(NetLabel, Option<LayerId>)>,
     view: ChipView,
@@ -393,19 +397,13 @@ impl CheckSession {
     pub fn new(layout: Layout, tech: &Technology, options: &CheckOptions) -> CheckSession {
         let tech = tech.clone();
         let options = options.clone();
-        let halo = max_rule_range(&tech);
+        let bound = BoundTechnology::new(&tech);
 
         let (binding, bind_violations) = LayerBinding::bind(&layout, &tech);
         // The engine's front end, so opening a session stamps templates
         // and parallelises like an engine run; the per-item run lengths
         // it records are the unit the view patching reuses.
-        let (mut view, run_lens) = instantiate(
-            &layout,
-            &tech,
-            &binding,
-            options.effective_parallelism(),
-            Default::default(),
-        );
+        let (mut view, run_lens) = instantiate(&layout, &tech, &binding, Default::default());
         let runs: Vec<ItemRun> = run_lens
             .into_iter()
             .map(|(elems, devices)| ItemRun { elems, devices })
@@ -422,8 +420,7 @@ impl CheckSession {
              CheckSession::apply would silently drop them for clean items"
         );
 
-        let mut elem_index =
-            diic_geom::GridIndex::new(crate::interact::interaction_cell_size(&tech));
+        let mut elem_index = diic_geom::GridIndex::new(bound.cell_size());
         let mut elem_tags = Vec::with_capacity(view.elements.len());
         let mut next_tag = 0u32;
         for &bbox in view.elements.bboxes() {
@@ -453,7 +450,7 @@ impl CheckSession {
             layout.top_items(),
             runs.iter().map(|run| run.elems),
             view.elements.bboxes(),
-            halo,
+            bound.max_rule_range(),
         );
         let (conn, scope_stats) =
             check_connections(&view, &tech, &scopes, options.effective_parallelism());
@@ -476,8 +473,7 @@ impl CheckSession {
         let mut nets = parts.assemble(&view);
         sink.append(&mut nets.violations);
 
-        let interact_options = options.interact_options();
-        let (ivs, stats) = check_interactions(&view, &tech, &nets, &scopes, &interact_options);
+        let (ivs, stats) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
         sink.absorb(ivs);
 
         sink.absorb(composition_violations(&nets.netlist, &tech, &options));
@@ -494,7 +490,6 @@ impl CheckSession {
             violations,
             netlist,
             interact_stats: stats,
-            timings: Default::default(),
             stage_profile: Vec::new(),
             waived_devices,
             element_count: view.elements.len(),
@@ -507,7 +502,7 @@ impl CheckSession {
             layout,
             tech,
             options,
-            halo,
+            bound,
             binding,
             labels,
             view,
@@ -531,9 +526,8 @@ impl CheckSession {
 
     /// The cached report for the current layout, in canonical order —
     /// violations, net list and counts are byte-identical to
-    /// [`CheckSession::full_check`]. `interact_stats` and timings
-    /// describe the *incremental* work of the last apply, not a full
-    /// run.
+    /// [`CheckSession::full_check`]. `interact_stats` describes the
+    /// *incremental* work of the last apply, not a full run.
     pub fn report(&self) -> &CheckReport {
         &self.report
     }
@@ -796,7 +790,7 @@ impl CheckSession {
             }
         }
         let d_conn = Region::from_rects(foot.iter().copied());
-        let cell = crate::interact::interaction_cell_size(&self.tech);
+        let cell = self.bound.cell_size();
         let d_conn_grid = region_grid(&d_conn, cell);
         // Refresh the tag → element-id map (stale tags are never read:
         // the index only returns live ones).
@@ -1125,7 +1119,8 @@ impl CheckSession {
             }
             splice.nets
         };
-        let d_halo = Region::from_rects(int_foot).inflate(self.halo);
+        let reach = self.bound.max_rule_range();
+        let d_halo = Region::from_rects(int_foot).inflate(reach);
         // One grid serves both the scoped search's marker filter and
         // Phase K's retraction predicate — they must agree bit for bit.
         let d_halo_grid = region_grid(&d_halo, cell);
@@ -1133,13 +1128,12 @@ impl CheckSession {
 
         // -- Phase I: scoped interactions inside the halo. ------------
         let t0 = std::time::Instant::now();
-        let interact_options = self.options.interact_options();
         // Candidate elements (one rule reach around the halo) from the
         // persistent index: bbox ⊕ reach touches the halo ⇔ bbox
         // touches a halo rect ⊕ reach.
         let mut halo_ids: Vec<usize> = Vec::new();
         for r in d_halo.rects() {
-            if let Some(q) = r.inflate(self.halo) {
+            if let Some(q) = r.inflate(reach) {
                 halo_ids.extend(
                     self.elem_index
                         .query(&q)
@@ -1150,11 +1144,12 @@ impl CheckSession {
         }
         halo_ids.sort_unstable();
         halo_ids.dedup();
-        let (ivs, istats) = crate::interact::check_interactions_among_clipped(
+        let (ivs, istats) = check_interactions_among(
             &view,
             &self.tech,
+            &self.bound,
             &nets_new,
-            &interact_options,
+            &self.options,
             &halo_ids,
             &d_halo_grid,
         );
@@ -1218,7 +1213,12 @@ impl CheckSession {
         // Global recompute of the same-mask conflict graph (the scoped
         // interaction pass above discards its clip-local edges): free
         // when the technology declares no same_mask rules.
-        fresh_sink.absorb(check_same_mask(&view, &self.tech, &interact_options));
+        fresh_sink.absorb(check_same_mask(
+            &view,
+            &self.tech,
+            &self.bound,
+            self.options.metric,
+        ));
         let mut fresh = fresh_sink.into_violations();
         stats.spliced = fresh.len();
         // Only the fresh side pays a sort; the combined list is a
@@ -1259,7 +1259,6 @@ impl CheckSession {
             violations,
             netlist,
             interact_stats: istats,
-            timings: Default::default(),
             stage_profile: Vec::new(),
             waived_devices,
             element_count: self.view.elements.len(),

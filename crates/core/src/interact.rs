@@ -25,23 +25,23 @@
 //!    [`GridIndex`], and the hierarchical search plans its distinct
 //!    cache fills up front (one job per unique symbol / unique
 //!    symbol-pair-with-relative-placement), fills them across the
-//!    worker pool, and assembles the canonical pair list from the
-//!    filled caches — every fill is a pure function of its scope's
-//!    element sets, so the cache contents match a serial run exactly.
+//!    worker pool, and streams each scope's and scope pair's pairs
+//!    from the filled caches — every fill is a pure function of its
+//!    scope's element sets, so the cache contents match a serial run
+//!    exactly.
 //! 2. **pair evaluation** — the rule-matrix subcases and distance
-//!    checks, embarrassingly parallel over the candidate list. With
-//!    [`InteractOptions::parallelism`] > 1 the list is split into
-//!    contiguous chunks evaluated on a scoped thread pool; chunk
-//!    results are re-joined in chunk order, so serial and parallel
-//!    runs yield **byte-identical** violation lists and statistics.
+//!    checks, embarrassingly parallel over the candidate tiles. With
+//!    [`CheckOptions::parallelism`] > 1 the tiles are evaluated on a
+//!    scoped thread pool and re-joined in tile order, so serial and
+//!    parallel runs yield **byte-identical** violation lists and
+//!    statistics.
 //!
 //! # Tiled streaming (bounded candidate memory)
 //!
-//! Materialising the full candidate-pair list costs O(total pairs) of
-//! memory — the binding constraint at million-element scale. With
-//! [`InteractOptions::tiled`] (the default) the stage never holds the
-//! whole list: the flat search walks a **deterministic tile iterator**
-//! over the [`GridIndex`] ([`GridIndex::tiles`] — contiguous
+//! Materialising the full candidate-pair list would cost O(total pairs)
+//! of memory — the binding constraint at million-element scale — so the
+//! stage never holds it: the flat search walks a **deterministic tile
+//! iterator** over the [`GridIndex`] ([`GridIndex::tiles`] — contiguous
 //! insertion-order element ranges), and each worker owns one tile,
 //! enumerates its pairs, evaluates them, and discards the buffer before
 //! taking the next tile. A pair spanning two tiles is owned by its
@@ -49,11 +49,12 @@
 //! every pair is enumerated and counted exactly once across tiles. The
 //! hierarchical search streams the same way with its natural tiles —
 //! one filled cache row per scope / scope pair. Tile results merge
-//! positionally ([`run_ordered`]), and within a tile pairs come out in
-//! the same canonical order the buffered list would hold, so tiled and
-//! buffered runs — serial or parallel — are **byte-identical**; only
-//! [`InteractStats::peak_candidate_buffer`] records the difference:
-//! the widest tile instead of the total pair count.
+//! positionally ([`run_ordered`]), so any worker count is
+//! **byte-identical**, and [`InteractStats::peak_candidate_buffer`]
+//! records the widest tile. The two tilings share only the per-tile
+//! evaluator, so their equal `candidate_pairs` on every generated chip
+//! (`tests/differential.rs`, beside a brute-force count) is what says
+//! each counts every pair once.
 //!
 //! # Same-mask conflict graphs (multi-patterning)
 //!
@@ -68,13 +69,14 @@
 //! reported as one [`ViolationKind::MaskOddCycle`] anchored at the odd
 //! component's closest conflicting edge. Edges are collected during
 //! the normal pair evaluation (geometrically — net topology and device
-//! membership do not excuse a mask conflict) in every search shape
-//! (flat/hierarchical × tiled/buffered), then analysed once at the end
-//! of the run; [`check_same_mask`] runs the same analysis standalone,
-//! which is how the incremental session recomputes the (global, and
-//! therefore un-clippable) property after an edit.
+//! membership do not excuse a mask conflict) in both search shapes
+//! (flat and hierarchical), then analysed once at the end of the run;
+//! [`check_same_mask`] runs the same analysis standalone, which is how
+//! the incremental session recomputes the (global, and therefore
+//! un-clippable) property after an edit.
 
 use crate::binding::{ChipView, Istr};
+use crate::checker::CheckOptions;
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
 use crate::netgen::NetgenResult;
 use crate::parallel::{effective_parallelism, run_ordered};
@@ -83,68 +85,13 @@ use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::SymbolId;
 use diic_geom::{Coord, GridIndex, Rect, SizingMode, Transform};
 use diic_tech::{DeviceArchetype, LayerId, Technology};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Options for the interaction stage (ablation knobs).
-#[derive(Debug, Clone, Copy)]
-pub struct InteractOptions {
-    /// Suppress checks between same-net elements (the DIIC behaviour).
-    /// Off = check every pair like a topology-blind checker (Fig. 5a's
-    /// false errors return).
-    pub same_net_suppression: bool,
-    /// Distance metric: Euclidean (the physical intent) or orthogonal
-    /// (the L∞ expand-check-overlap baseline with its Fig. 4 corner
-    /// pathology).
-    pub metric: SizingMode,
-    /// Use the hierarchical candidate cache.
-    pub hierarchical: bool,
-    /// Worker threads for candidate evaluation. `1` = serial, `0` = all
-    /// available cores. Any value produces identical reports.
-    pub parallelism: usize,
-    /// Stream candidate pairs tile by tile instead of materialising the
-    /// full pair list (see the module docs) — candidate memory is then
-    /// bounded by one tile per live worker (`parallelism` × the widest
-    /// tile), not by the chip's total pair count. On by default; either
-    /// setting produces byte-identical violations and (peak buffer
-    /// aside) statistics.
-    pub tiled: bool,
-    /// Elements per tile for the tiled **flat** search (`0` = the
-    /// built-in default). The hierarchical search tiles by scope /
-    /// scope pair regardless.
-    pub tile_elements: usize,
-}
-
-impl Default for InteractOptions {
-    fn default() -> Self {
-        InteractOptions {
-            same_net_suppression: true,
-            metric: SizingMode::Euclidean,
-            hierarchical: false,
-            parallelism: 1,
-            tiled: true,
-            tile_elements: 0,
-        }
-    }
-}
-
-/// Elements per tile when [`InteractOptions::tile_elements`] is left at
-/// `0`: small enough that a tile's pair buffer stays cache-friendly,
-/// large enough that tile bookkeeping is noise.
+/// Elements per tile of the flat search (and of the connection stage's
+/// tiled scans): small enough that a tile's pair buffer stays
+/// cache-friendly, large enough that tile bookkeeping is noise.
 pub const DEFAULT_TILE_ELEMENTS: usize = 512;
-
-impl InteractOptions {
-    /// The effective flat-search tile width (`0` resolved to
-    /// [`DEFAULT_TILE_ELEMENTS`]).
-    pub fn effective_tile_elements(&self) -> usize {
-        if self.tile_elements == 0 {
-            DEFAULT_TILE_ELEMENTS
-        } else {
-            self.tile_elements
-        }
-    }
-}
 
 /// Counters exposing how much work the topology saves (Fig. 12 pruning).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -169,11 +116,11 @@ pub struct InteractStats {
     /// Hierarchical cache misses (instance pairs searched geometrically).
     pub cache_misses: u64,
     /// The largest **single** candidate-pair buffer held at any point:
-    /// the full pair count for a buffered run, the widest tile for a
-    /// tiled one — the number the bounded-memory refactor bounds. In a
-    /// parallel tiled run, up to `parallelism` such buffers are alive
-    /// concurrently (one per worker), so total concurrent candidate
-    /// memory is bounded by workers × this value.
+    /// the widest tile of a whole-chip search, the (halo-bounded) pair
+    /// list of a session re-check. In a parallel run, up to
+    /// `parallelism` tile buffers are alive concurrently (one per
+    /// worker), so total concurrent candidate memory is bounded by
+    /// workers × this value.
     pub peak_candidate_buffer: u64,
 }
 
@@ -228,167 +175,99 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
     max_rule_range(tech).saturating_mul(4).max(1000)
 }
 
-/// Runs the interaction checks. The hierarchical search reads the
-/// top-level hierarchy from `scopes`, which must have been built for
-/// this technology's rule reach ([`max_rule_range`]); the flat search
-/// does not look at it.
+/// Runs the interaction checks over the whole chip. `bound` must be
+/// `tech`'s binding — the rule reach, cell size and device-forming pairs
+/// come from it — and `scopes`, which the hierarchical search
+/// ([`CheckOptions::hierarchical`]) reads the top-level hierarchy from
+/// and the flat search does not look at, must have been built for that
+/// reach.
+///
+/// With a `cache` (library mode) the hierarchical candidate fills are
+/// shared **across cells** through the content-keyed [`LibraryCache`];
+/// the violation list and the statistics are byte-identical either way
+/// — cross-cell cache traffic is counted on the cache itself, not in
+/// [`InteractStats`].
 pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
-    nets: &NetgenResult,
-    scopes: &ScopeTable,
-    options: &InteractOptions,
-) -> (Vec<Violation>, InteractStats) {
-    check_interactions_impl(view, tech, nets, scopes, options, None)
-}
-
-/// Library-mode [`check_interactions`]: the technology constants come
-/// precomputed from the [`BoundTechnology`] (equal by construction to
-/// the per-run values) and the hierarchical candidate fills are shared
-/// **across cells** through the content-keyed [`LibraryCache`]. The
-/// violation list and the per-cell statistics are byte-identical to
-/// [`check_interactions`] — cross-cell cache traffic is counted on the
-/// cache itself, not in [`InteractStats`].
-pub fn check_interactions_shared(
-    view: &ChipView,
-    tech: &Technology,
-    nets: &NetgenResult,
-    scopes: &ScopeTable,
-    options: &InteractOptions,
     bound: &BoundTechnology,
-    cache: &LibraryCache,
-) -> (Vec<Violation>, InteractStats) {
-    check_interactions_impl(view, tech, nets, scopes, options, Some((bound, cache)))
-}
-
-fn check_interactions_impl(
-    view: &ChipView,
-    tech: &Technology,
     nets: &NetgenResult,
     scopes: &ScopeTable,
-    options: &InteractOptions,
-    shared: Option<(&BoundTechnology, &LibraryCache)>,
+    options: &CheckOptions,
+    cache: Option<&LibraryCache>,
 ) -> (Vec<Violation>, InteractStats) {
-    let mut stats = InteractStats::default();
-    let (max_range, cell, forming) = match shared {
-        Some((bound, _)) => (
-            bound.max_rule_range(),
-            bound.cell_size(),
-            Cow::Borrowed(bound.forming()),
-        ),
-        None => (
-            max_rule_range(tech),
-            interaction_cell_size(tech),
-            Cow::Owned(crate::connect::device_forming_pairs(tech)),
-        ),
-    };
-    let workers = effective_parallelism(options.parallelism);
-
-    let cx = EvalCx {
+    check_interactions_tiled(
         view,
         tech,
+        bound,
+        nets,
+        scopes,
+        options,
+        cache,
+        DEFAULT_TILE_ELEMENTS,
+    )
+}
+
+/// [`check_interactions`] with the flat search's tile width spelled out
+/// (the unit tests drive widths of 1 and 2 through it).
+#[allow(clippy::too_many_arguments)]
+fn check_interactions_tiled(
+    view: &ChipView,
+    tech: &Technology,
+    bound: &BoundTechnology,
+    nets: &NetgenResult,
+    scopes: &ScopeTable,
+    options: &CheckOptions,
+    cache: Option<&LibraryCache>,
+    tile_width: usize,
+) -> (Vec<Violation>, InteractStats) {
+    let mut stats = InteractStats::default();
+    let workers = effective_parallelism(options.parallelism);
+    let cx = EvalCx::new(
+        view,
+        tech,
+        bound,
         nets,
         options,
-        forming,
-        archetypes: device_archetypes(view, tech, 0..view.devices.len()),
-    };
-    let shared_cache = shared.map(|(bound, cache)| (cache, bound.revision()));
+        device_archetypes(view, tech, 0..view.devices.len()),
+    );
     let (mut violations, edges) = if options.hierarchical {
-        let plan = hierarchical_plan_fill(
-            view,
-            scopes,
-            max_range,
-            cell,
-            workers,
-            &mut stats,
-            shared_cache,
-        );
-        if options.tiled {
-            hierarchical_tiled(&cx, &plan, workers, &mut stats)
-        } else {
-            let pairs = assemble_pairs(&plan);
-            stats.candidate_pairs = pairs.len() as u64;
-            stats.peak_candidate_buffer = pairs.len() as u64;
-            evaluate_candidates(&cx, &pairs, workers, &mut stats)
-        }
-    } else if options.tiled {
-        flat_tiled(&cx, max_range, cell, workers, &mut stats)
+        let plan = hierarchical_plan_fill(view, scopes, bound, workers, &mut stats, cache);
+        hierarchical_tiled(&cx, &plan, workers, &mut stats)
     } else {
-        let pairs = flat_candidates(view, max_range, cell, workers);
-        stats.candidate_pairs = pairs.len() as u64;
-        stats.peak_candidate_buffer = pairs.len() as u64;
-        evaluate_candidates(&cx, &pairs, workers, &mut stats)
+        flat_tiled(&cx, bound, workers, tile_width, &mut stats)
     };
     violations.extend(mask_cycle_violations(view, tech, options.metric, edges));
     stats.violations = violations.len() as u64;
     (violations, stats)
 }
 
-/// Runs the interaction checks **scoped to a clip region**: only element
-/// pairs within rule reach of the clip are searched and evaluated, and
-/// only violations whose marker touches the clip are reported.
-///
-/// The scoping is *sound* for incremental re-checking because of two
-/// reach bounds: a spacing violation's marker lies within the pair's gap
-/// distance (≤ [`max_rule_range`]) of **both** elements, so every
-/// violation anchored in the clip comes from a pair whose elements both
-/// sit within one rule reach of it — exactly the element set searched
-/// here. Conversely, violations whose marker misses the clip are
-/// dropped: in an edit session their unchanged copies live on in the
-/// cached report. Candidates are enumerated with the flat grid search;
-/// the violation *multiset* equals the hierarchical search's (the
-/// four-way differential guarantee), so a canonically sorted patched
-/// report matches a full run under either engine.
-pub fn check_interactions_clipped(
-    view: &ChipView,
-    tech: &Technology,
-    nets: &NetgenResult,
-    options: &InteractOptions,
-    clip: &diic_geom::Region,
-) -> (Vec<Violation>, InteractStats) {
-    if clip.is_empty() {
-        return (Vec::new(), InteractStats::default());
-    }
-    let max_range = max_rule_range(tech);
-    let cell = interaction_cell_size(tech);
-
-    // Grid over the clip's rects: bbox-vs-clip tests run against the
-    // local neighbourhood instead of scanning every clip rect (a
-    // whole-chip clip region can hold thousands).
-    let mut clip_grid: GridIndex<()> = GridIndex::new(cell);
-    for r in clip.rects() {
-        clip_grid.insert(*r, ());
-    }
-
-    // Elements within one rule reach of the clip, in ascending id order
-    // — a sweep down the dense bbox column.
-    let ids: Vec<usize> = view
-        .elements
-        .bboxes()
-        .iter()
-        .enumerate()
-        .filter(|(_, bbox)| {
-            bbox.inflate(max_range)
-                .map(|b| clip_grid.touches_any(&b))
-                .unwrap_or(false)
-        })
-        .map(|(id, _)| id)
-        .collect();
-    check_interactions_among_clipped(view, tech, nets, options, &ids, &clip_grid)
-}
-
-/// The pre-scoped form of [`check_interactions_clipped`]: the caller
-/// supplies the candidate element set (ascending ids — every element
-/// within one rule reach of the clip; the incremental session derives
-/// it from its persistent spatial index instead of scanning the whole
-/// element list) **and** the grid over the clip's rects — which the
+/// Runs the interaction checks **among a given element set**, for the
+/// edit session's halo re-check: `ids` (ascending) is every element
+/// within one rule reach of the dirty halo — the session derives it from
+/// its persistent spatial index instead of scanning the whole element
+/// list — and `clip_grid` is the grid over the halo's rects, which the
 /// session also uses for its retraction predicate, so the two sides of
-/// the retract/splice partition share one object by construction.
-pub fn check_interactions_among_clipped(
+/// the retract/splice partition share one object by construction. Only
+/// violations whose marker touches the halo are reported.
+///
+/// The scoping is *sound* because of two reach bounds: a spacing
+/// violation's marker lies within the pair's gap distance
+/// (≤ [`max_rule_range`]) of **both** elements, so every violation
+/// anchored in the halo comes from a pair whose elements both sit
+/// within one rule reach of it — exactly the element set searched here.
+/// Conversely, violations whose marker misses the halo are dropped:
+/// their unchanged copies live on in the cached report. Candidates are
+/// enumerated with one grid search over the set; the violation
+/// *multiset* equals the whole-chip search's (`tests/incremental.rs`),
+/// so a canonically sorted patched report matches a full run under
+/// either engine.
+pub fn check_interactions_among(
     view: &ChipView,
     tech: &Technology,
+    bound: &BoundTechnology,
     nets: &NetgenResult,
-    options: &InteractOptions,
+    options: &CheckOptions,
     ids: &[usize],
     clip_grid: &GridIndex<()>,
 ) -> (Vec<Violation>, InteractStats) {
@@ -396,41 +275,44 @@ pub fn check_interactions_among_clipped(
     if ids.is_empty() {
         return (Vec::new(), stats);
     }
-    let max_range = max_rule_range(tech);
-    let cell = interaction_cell_size(tech);
     let workers = effective_parallelism(options.parallelism);
 
-    let local = local_candidates(view, ScopeIds::List(ids), max_range, cell);
+    let local = local_candidates(
+        view,
+        ScopeIds::List(ids),
+        bound.max_rule_range(),
+        bound.cell_size(),
+    );
     let pairs: Vec<(usize, usize)> = local
         .into_iter()
         .map(|(li, lj)| (ids[li], ids[lj]))
         .collect();
-    stats.candidate_pairs = pairs.len() as u64;
-    // The clipped search buffers its (already clip-bounded) pair list.
-    stats.peak_candidate_buffer = pairs.len() as u64;
-
-    let cx = EvalCx {
+    let cx = EvalCx::new(
         view,
         tech,
+        bound,
         nets,
         options,
-        forming: Cow::Owned(crate::connect::device_forming_pairs(tech)),
         // The devices of the candidate elements only: this pass must
         // cost the edit, not the chip.
-        archetypes: device_archetypes(
+        device_archetypes(
             view,
             tech,
             ids.iter().filter_map(|&id| view.elements.get(id).device()),
         ),
-    };
+    );
     // Same-mask edges are discarded here: bipartiteness is a *global*
-    // property of the conflict graph — a clip-local edge subset cannot
-    // decide odd-cycle membership, and a marker-in-clip filter would
-    // retract/splice the wrong cycles. Callers that need the
-    // multi-patterning verdict after a scoped run recompute it with
-    // [`check_same_mask`] (the incremental session does exactly that).
-    let (mut violations, _edges) = evaluate_candidates(&cx, &pairs, workers, &mut stats);
-    // Location-less violations count as inside every clip (they cannot
+    // property of the conflict graph — a halo-local edge subset cannot
+    // decide odd-cycle membership, and a marker-in-halo filter would
+    // retract/splice the wrong cycles. The session recomputes the
+    // multi-patterning verdict with [`check_same_mask`].
+    let chunks: Vec<&[(usize, usize)]> =
+        pairs.chunks(pairs.len().div_ceil(workers).max(1)).collect();
+    let results = run_ordered(chunks.len(), workers, |k| evaluate_tile(&cx, chunks[k]));
+    let (mut violations, _edges) = merge_tiles(results, &mut stats);
+    // The halo search buffers its (already halo-bounded) pair list whole.
+    stats.peak_candidate_buffer = pairs.len() as u64;
+    // Location-less violations count as inside every halo (they cannot
     // be anchored, so retraction and splicing must agree on them).
     violations.retain(|v| v.location.is_none_or(|l| clip_grid.touches_any(&l)));
     stats.violations = violations.len() as u64;
@@ -440,33 +322,6 @@ pub fn check_interactions_among_clipped(
 // ---------------------------------------------------------------------
 // Phase 1: candidate enumeration.
 // ---------------------------------------------------------------------
-
-/// Flat candidate search: one shared grid index over every instantiated
-/// element, queried in parallel over contiguous element-id ranges. Each
-/// range worker emits ascending `(i, j)` pairs with `i < j`; ranges are
-/// concatenated in order, so the list is globally sorted and identical
-/// for any worker count.
-fn flat_candidates(
-    view: &ChipView,
-    max_range: Coord,
-    cell: Coord,
-    workers: usize,
-) -> Vec<(usize, usize)> {
-    let index = element_grid(view, cell);
-    let n = view.elements.len();
-    if workers <= 1 || n < 2 {
-        return enumerate_range_pairs(view, &index, max_range, 0..n);
-    }
-    let chunk = n.div_ceil(workers);
-    let chunks = n.div_ceil(chunk);
-    run_ordered(chunks, workers, |k| {
-        let lo = k * chunk;
-        enumerate_range_pairs(view, &index, max_range, lo..(lo + chunk).min(n))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
 
 /// One grid index over every instantiated element's bbox, payload = id.
 fn element_grid(view: &ChipView, cell: Coord) -> GridIndex<usize> {
@@ -478,10 +333,7 @@ fn element_grid(view: &ChipView, cell: Coord) -> GridIndex<usize> {
 }
 
 /// Candidate pairs `(a.id, j)` with `j > a.id` for every element in
-/// `range`, queried against the shared grid index — the **single**
-/// enumeration body behind both the buffered per-worker ranges
-/// ([`flat_candidates`]) and the tiled per-tile walks ([`flat_tiled`]),
-/// so the byte-identity contract between the two paths cannot drift.
+/// `range`, queried against the shared grid index.
 ///
 /// [`GridIndex::query`] returns ids in ascending insertion order
 /// (documented and tested there), so the pairs come out already sorted
@@ -506,29 +358,37 @@ fn enumerate_range_pairs(
     out
 }
 
-/// Tiled flat search: the same grid index as [`flat_candidates`], walked
+/// Flat search: one grid index over every instantiated element, walked
 /// through [`GridIndex::tiles`] — each tile job enumerates its element
 /// range's pairs into a tile-local buffer, evaluates them, and drops the
-/// buffer before the worker takes its next tile. Pairs come out in the
-/// identical canonical order the buffered list holds (ascending
-/// `(i, j)`, each pair owned by its lower element's tile), and the
-/// positional tile merge keeps any worker count byte-identical.
+/// buffer before the worker takes its next tile. Pairs come out in
+/// ascending `(i, j)` order, each pair owned by its lower element's
+/// tile, and the positional tile merge keeps any worker count
+/// byte-identical.
 fn flat_tiled(
     cx: &EvalCx<'_>,
-    max_range: Coord,
-    cell: Coord,
+    bound: &BoundTechnology,
     workers: usize,
+    tile_width: usize,
     stats: &mut InteractStats,
 ) -> (Vec<Violation>, Vec<MaskEdge>) {
     let view = cx.view;
-    let index = element_grid(view, cell);
-    let tiles: Vec<std::ops::Range<u32>> =
-        index.tiles(cx.options.effective_tile_elements()).collect();
+    let index = element_grid(view, bound.cell_size());
+    let tiles: Vec<std::ops::Range<u32>> = index.tiles(tile_width).collect();
     let results = run_ordered(tiles.len(), workers, |k| {
         let range = (tiles[k].start as usize)..(tiles[k].end as usize);
-        let pairs = enumerate_range_pairs(view, &index, max_range, range);
+        let pairs = enumerate_range_pairs(view, &index, bound.max_rule_range(), range);
         evaluate_tile(cx, &pairs)
     });
+    merge_tiles(results, stats)
+}
+
+/// Folds per-tile results, in tile order, into one violation list, one
+/// edge list and the run's counters.
+fn merge_tiles(
+    results: Vec<(Vec<Violation>, Vec<MaskEdge>, InteractStats)>,
+    stats: &mut InteractStats,
+) -> (Vec<Violation>, Vec<MaskEdge>) {
     let mut out = Vec::new();
     let mut edges = Vec::new();
     for (vs, es, tile_stats) in results {
@@ -560,12 +420,10 @@ fn evaluate_tile(
     (vs, edges, tile_stats)
 }
 
-/// The planned-and-filled hierarchical search, before pair assembly:
-/// the scopes, which filled cache row feeds each scope (`intra_source`)
-/// and each near scope pair (`inter_source`), and the filled rows
-/// themselves (shard-local index pairs). A buffered run assembles the
-/// full global pair list from this ([`assemble_pairs`]); a tiled run
-/// streams one row at a time ([`hierarchical_tiled`]).
+/// The planned-and-filled hierarchical search: the scopes, which filled
+/// cache row feeds each scope (`intra_source`) and each near scope pair
+/// (`inter_source`), and the filled rows themselves (scope-local index
+/// pairs), which [`hierarchical_tiled`] streams one row at a time.
 struct HierPlan<'a> {
     scopes: &'a ScopeTable,
     intra_source: Vec<usize>,
@@ -598,18 +456,18 @@ struct HierPlan<'a> {
 /// 2. **fill** — run the distinct geometric searches across the worker
 ///    pool ([`run_ordered`]); each is a pure function of its scope's
 ///    element sets, so parallel fills return exactly the serial values;
-/// 3. **assemble** (serial, cheap) — emit the canonical pair list from
-///    the filled caches.
+/// 3. **stream** — [`hierarchical_tiled`] maps one filled row at a time
+///    to global ids and evaluates it.
 fn hierarchical_plan_fill<'a>(
     view: &ChipView,
     table: &'a ScopeTable,
-    max_range: Coord,
-    cell: Coord,
+    bound: &BoundTechnology,
     workers: usize,
     stats: &mut InteractStats,
-    shared: Option<(&LibraryCache, u64)>,
+    cache: Option<&LibraryCache>,
 ) -> HierPlan<'a> {
     let scopes = table.scopes();
+    let (max_range, cell, revision) = (bound.max_rule_range(), bound.cell_size(), bound.revision());
 
     // Step 1 — plan. Cache keys express "same geometry up to rigid
     // motion"; the first scope (pair) presenting a key owns the fill
@@ -688,18 +546,21 @@ fn hierarchical_plan_fill<'a>(
                 cross_candidates(view, table.ids(si), table.ids(sj), max_range, cell)
             }
         };
-        let key = shared.and_then(|(_, revision)| match jobs[k] {
-            FillJob::Intra(si) => scopes[si]
-                .symbol
-                .map(|_| intra_content_key(view, table.ids(si), revision)),
-            FillJob::Cross(si, sj) => scopes[si]
-                .symbol
-                .and(scopes[sj].symbol)
-                .map(|_| cross_content_key(view, table.ids(si), table.ids(sj), revision)),
+        let keyed = cache.and_then(|cache| {
+            let key = match jobs[k] {
+                FillJob::Intra(si) => scopes[si]
+                    .symbol
+                    .map(|_| intra_content_key(view, table.ids(si), revision)),
+                FillJob::Cross(si, sj) => scopes[si]
+                    .symbol
+                    .and(scopes[sj].symbol)
+                    .map(|_| cross_content_key(view, table.ids(si), table.ids(sj), revision)),
+            };
+            key.map(|key| (cache, key))
         });
-        match (shared, key) {
-            (Some((cache, _)), Some(key)) => cache.get_or_fill(key, compute),
-            _ => Arc::new(compute()),
+        match keyed {
+            Some((cache, key)) => cache.get_or_fill(key, compute),
+            None => Arc::new(compute()),
         }
     });
 
@@ -718,12 +579,9 @@ impl HierPlan<'_> {
         self.scopes.scopes().len() + self.inter_source.len()
     }
 
-    /// Unit `k`'s global candidate pairs — the **single** cache-row to
-    /// global-id mapping behind both the buffered assembly
-    /// ([`assemble_pairs`]) and the tiled streaming walk
-    /// ([`hierarchical_tiled`]), so the byte-identity contract between
-    /// the two paths cannot drift. Units walk in canonical order:
-    /// scopes first, then the near scope pairs.
+    /// Unit `k`'s global candidate pairs: its filled cache row mapped
+    /// to global ids. Units walk in canonical order: scopes first, then
+    /// the near scope pairs.
     fn unit_pairs(&self, k: usize) -> Vec<(usize, usize)> {
         let scopes = self.scopes.scopes().len();
         let (si, sj, job) = if k < scopes {
@@ -739,23 +597,11 @@ impl HierPlan<'_> {
     }
 }
 
-/// Assembles the canonical global pair list from a filled plan (the
-/// buffered path — O(total pairs) of memory): every unit's pairs in
-/// unit order.
-fn assemble_pairs(plan: &HierPlan<'_>) -> Vec<(usize, usize)> {
-    (0..plan.unit_count())
-        .flat_map(|k| plan.unit_pairs(k))
-        .collect()
-}
-
-/// Tiled evaluation of a filled hierarchical plan: the natural tiles
-/// are the assembly units themselves — one per scope (intra pairs),
-/// one per near scope pair (inter pairs) — walked in exactly
-/// [`assemble_pairs`]'s order, so the streamed violation list is
-/// byte-identical to evaluating the assembled buffer. Each unit maps
-/// its cache row to global ids in a unit-local buffer (bounded by the
-/// widest scope, not the instance count) and discards it after
-/// evaluation.
+/// Evaluation of a filled hierarchical plan, streamed: the tiles are
+/// the plan's units — one per scope (intra pairs), one per near scope
+/// pair (inter pairs) — walked in unit order. Each unit maps its cache
+/// row to global ids in a unit-local buffer (bounded by the widest
+/// scope, not the instance count) and discards it after evaluation.
 fn hierarchical_tiled(
     cx: &EvalCx<'_>,
     plan: &HierPlan<'_>,
@@ -766,14 +612,7 @@ fn hierarchical_tiled(
         let pairs = plan.unit_pairs(k);
         evaluate_tile(cx, &pairs)
     });
-    let mut out = Vec::new();
-    let mut edges = Vec::new();
-    for (vs, es, tile_stats) in results {
-        out.extend(vs);
-        edges.extend(es);
-        stats.absorb(&tile_stats);
-    }
-    (out, edges)
+    merge_tiles(results, stats)
 }
 
 /// Candidate close pairs within one element set (sorted local indices).
@@ -897,7 +736,7 @@ fn cross_content_key(
 }
 
 // ---------------------------------------------------------------------
-// Phase 2: pair evaluation (serial or scoped-parallel).
+// Phase 2: pair evaluation.
 // ---------------------------------------------------------------------
 
 /// Read-only state shared by every evaluation worker.
@@ -905,17 +744,40 @@ struct EvalCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
     nets: &'a NetgenResult,
-    options: &'a InteractOptions,
+    /// [`CheckOptions::same_net_suppression`].
+    same_net_suppression: bool,
+    /// [`CheckOptions::metric`].
+    metric: SizingMode,
     /// Device-forming layer pairs (touching cross-layer pairs on these
     /// layers were already reported as implied devices by the
-    /// connection stage) — computed once per run, or borrowed from the
-    /// batch's [`BoundTechnology`] in library mode.
-    forming: Cow<'a, HashSet<(LayerId, LayerId)>>,
+    /// connection stage), from the [`BoundTechnology`].
+    forming: &'a HashSet<(LayerId, LayerId)>,
     /// The archetype behind each distinct device type among the devices
     /// this run can meet (a handful), resolved once: the pair loop finds
     /// a device's archetype by comparing interned handles instead of
     /// hashing its type name per pair.
     archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
+}
+
+impl<'a> EvalCx<'a> {
+    fn new(
+        view: &'a ChipView,
+        tech: &'a Technology,
+        bound: &'a BoundTechnology,
+        nets: &'a NetgenResult,
+        options: &CheckOptions,
+        archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
+    ) -> Self {
+        EvalCx {
+            view,
+            tech,
+            nets,
+            same_net_suppression: options.same_net_suppression,
+            metric: options.metric,
+            forming: bound.forming(),
+            archetypes,
+        }
+    }
 }
 
 /// Resolves the distinct device types of `devices` (indices into
@@ -933,45 +795,6 @@ fn device_archetypes<'a>(
         }
     }
     out
-}
-
-/// Evaluates the candidate list, splitting it into contiguous chunks
-/// across a scoped thread pool when `workers > 1`. Workers collect into
-/// private vectors and counters; results are merged in chunk order, so
-/// the outcome is byte-identical to a serial evaluation.
-fn evaluate_candidates(
-    cx: &EvalCx<'_>,
-    pairs: &[(usize, usize)],
-    workers: usize,
-    stats: &mut InteractStats,
-) -> (Vec<Violation>, Vec<MaskEdge>) {
-    if workers <= 1 || pairs.len() < 2 {
-        let mut out = Vec::new();
-        let mut edges = Vec::new();
-        for &(i, j) in pairs {
-            evaluate_pair(cx, i, j, &mut out, &mut edges, stats);
-        }
-        return (out, edges);
-    }
-    let chunk = pairs.len().div_ceil(workers);
-    let chunks: Vec<&[(usize, usize)]> = pairs.chunks(chunk).collect();
-    let results = run_ordered(chunks.len(), workers, |k| {
-        let mut local = Vec::new();
-        let mut local_edges = Vec::new();
-        let mut local_stats = InteractStats::default();
-        for &(i, j) in chunks[k] {
-            evaluate_pair(cx, i, j, &mut local, &mut local_edges, &mut local_stats);
-        }
-        (local, local_edges, local_stats)
-    });
-    let mut merged = Vec::new();
-    let mut edges = Vec::new();
-    for (local, local_edges, local_stats) in results {
-        merged.extend(local);
-        edges.extend(local_edges);
-        stats.absorb(&local_stats);
-    }
-    (merged, edges)
 }
 
 /// Decides and applies the rule for one element pair.
@@ -994,7 +817,7 @@ fn evaluate_pair(
     if a.layer() == b.layer() {
         if let Some(threshold) = tech.rules().same_mask(a.layer()) {
             if let Some((dist, _)) =
-                diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.options.metric)
+                diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.metric)
             {
                 if dist > 0 && dist < threshold {
                     edges.push(MaskEdge {
@@ -1086,7 +909,7 @@ fn evaluate_pair(
         let req = match required {
             Some(r) => r,
             None => {
-                if same_net && cx.options.same_net_suppression {
+                if same_net && cx.same_net_suppression {
                     match matrix.for_same_net() {
                         None => {
                             stats.same_net_suppressed += 1;
@@ -1114,8 +937,7 @@ fn evaluate_pair(
     // bounding-union marker could stretch arbitrarily far from the gap
     // along a long wire).
     stats.distance_checks += 1;
-    let Some((dist, gap_loc)) =
-        diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.options.metric)
+    let Some((dist, gap_loc)) = diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.metric)
     else {
         return;
     };
@@ -1334,8 +1156,8 @@ fn odd_cycle_len(
 /// whole chip: enumerates conflicting same-layer pairs from one flat
 /// grid index and hands the edge set to the same odd-cycle analysis
 /// the interaction stage runs — so the violations are byte-identical
-/// to the ones [`check_interactions`] appends. Returns nothing when
-/// the technology declares no `same_mask` rules.
+/// to the ones [`check_interactions`] appends under the same `metric`.
+/// Returns nothing when the technology declares no `same_mask` rules.
 ///
 /// This is the incremental session's recompute path: bipartiteness is
 /// global, so after any edit the conflict verdict is re-derived from
@@ -1343,14 +1165,14 @@ fn odd_cycle_len(
 pub fn check_same_mask(
     view: &ChipView,
     tech: &Technology,
-    options: &InteractOptions,
+    bound: &BoundTechnology,
+    metric: SizingMode,
 ) -> Vec<Violation> {
     if !tech.rules().has_same_mask() {
         return Vec::new();
     }
-    let max_range = max_rule_range(tech);
-    let cell = interaction_cell_size(tech);
-    let index = element_grid(view, cell);
+    let max_range = bound.max_rule_range();
+    let index = element_grid(view, bound.cell_size());
     let bboxes = view.elements.bboxes();
     let layers = view.elements.layers();
     let mut edges = Vec::new();
@@ -1367,7 +1189,7 @@ pub fn check_same_mask(
             let a = view.elements.get(i);
             let b = view.elements.get(j);
             if let Some((dist, _)) =
-                diic_geom::batch::closest_approach(a.rects(), b.rects(), options.metric)
+                diic_geom::batch::closest_approach(a.rects(), b.rects(), metric)
             {
                 if dist > 0 && dist < threshold {
                     edges.push(MaskEdge {
@@ -1379,7 +1201,7 @@ pub fn check_same_mask(
             }
         }
     }
-    mask_cycle_violations(view, tech, options.metric, edges)
+    mask_cycle_violations(view, tech, metric, edges)
 }
 
 #[cfg(test)]
@@ -1391,14 +1213,24 @@ mod tests {
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
-    fn run_with(cif: &str, options: InteractOptions) -> (Vec<Violation>, InteractStats) {
-        let tech = nmos_technology();
-        let (view, nets, scopes) = build(cif, &tech);
-        check_interactions(&view, &tech, &nets, &scopes, &options)
+    /// Options selecting the flat or the hierarchical search.
+    fn search(hierarchical: bool) -> CheckOptions {
+        CheckOptions {
+            hierarchical,
+            ..CheckOptions::default()
+        }
     }
 
+    fn run_with(cif: &str, options: CheckOptions) -> (Vec<Violation>, InteractStats) {
+        let tech = nmos_technology();
+        let (view, nets, scopes) = build(cif, &tech);
+        let bound = BoundTechnology::new(&tech);
+        check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None)
+    }
+
+    /// The flat search with default options.
     fn run(cif: &str) -> (Vec<Violation>, InteractStats) {
-        run_with(cif, InteractOptions::default())
+        run_with(cif, search(false))
     }
 
     /// A one-metal technology with a `same_mask` rule: spacing 750,
@@ -1425,7 +1257,7 @@ mod tests {
         tech: &diic_tech::Technology,
     ) -> (ChipView, crate::netgen::NetgenResult, ScopeTable) {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (mut view, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let (mut view, runs) = instantiate(layout, tech, &binding, Default::default());
         let scopes = ScopeTable::build(
             layout.top_items(),
             runs.iter().map(|run| run.0),
@@ -1458,43 +1290,38 @@ mod tests {
     fn odd_cycle_flagged_in_every_search_shape() {
         let tech = mp_tech();
         let (view, nets, scopes) = build(ODD_TRIANGLE, &tech);
+        let bound = BoundTechnology::new(&tech);
         let mut reference: Option<Vec<Violation>> = None;
         for hierarchical in [false, true] {
-            for tiled in [false, true] {
-                for parallelism in [1usize, 3] {
-                    let options = InteractOptions {
-                        hierarchical,
-                        tiled,
-                        parallelism,
-                        ..Default::default()
-                    };
-                    let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &options);
-                    let mask: Vec<&Violation> = v
-                        .iter()
-                        .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
-                        .collect();
-                    assert_eq!(mask.len(), 1, "hier={hierarchical} tiled={tiled}: {v:?}");
-                    assert!(
-                        matches!(
-                            &mask[0].kind,
-                            ViolationKind::MaskOddCycle {
-                                measured: 1000,
-                                required: 1250,
-                                cycle: 3,
-                                ..
-                            }
-                        ),
-                        "{:?}",
-                        mask[0].kind
-                    );
-                    assert!(mask[0].location.is_some());
-                    match &reference {
-                        None => reference = Some(v),
-                        Some(r) => assert_eq!(
-                            r, &v,
-                            "hier={hierarchical} tiled={tiled} workers={parallelism}"
-                        ),
-                    }
+            for parallelism in [1usize, 3] {
+                let options = CheckOptions {
+                    parallelism,
+                    ..search(hierarchical)
+                };
+                let (v, _) =
+                    check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+                let mask: Vec<&Violation> = v
+                    .iter()
+                    .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
+                    .collect();
+                assert_eq!(mask.len(), 1, "hier={hierarchical}: {v:?}");
+                assert!(
+                    matches!(
+                        &mask[0].kind,
+                        ViolationKind::MaskOddCycle {
+                            measured: 1000,
+                            required: 1250,
+                            cycle: 3,
+                            ..
+                        }
+                    ),
+                    "{:?}",
+                    mask[0].kind
+                );
+                assert!(mask[0].location.is_some());
+                match &reference {
+                    None => reference = Some(v),
+                    Some(r) => assert_eq!(r, &v, "hier={hierarchical} workers={parallelism}"),
                 }
             }
         }
@@ -1504,7 +1331,8 @@ mod tests {
     fn even_ring_is_two_mask_decomposable() {
         let tech = mp_tech();
         let (view, nets, scopes) = build(EVEN_RING, &tech);
-        let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &InteractOptions::default());
+        let bound = BoundTechnology::new(&tech);
+        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &search(false), None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1517,13 +1345,14 @@ mod tests {
         let tech = mp_tech();
         for cif in [ODD_TRIANGLE, EVEN_RING] {
             let (view, nets, scopes) = build(cif, &tech);
-            let options = InteractOptions::default();
-            let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &options);
+            let bound = BoundTechnology::new(&tech);
+            let options = search(false);
+            let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
                 .collect();
-            let standalone = check_same_mask(&view, &tech, &options);
+            let standalone = check_same_mask(&view, &tech, &bound, options.metric);
             assert_eq!(inline, standalone, "cif={cif}");
         }
     }
@@ -1534,7 +1363,8 @@ mod tests {
         // early-outs and the triangle is clean.
         let tech = nmos_technology();
         let (view, _, _) = build(ODD_TRIANGLE, &tech);
-        assert!(check_same_mask(&view, &tech, &InteractOptions::default()).is_empty());
+        let bound = BoundTechnology::new(&tech);
+        assert!(check_same_mask(&view, &tech, &bound, SizingMode::Euclidean).is_empty());
     }
 
     #[test]
@@ -1546,7 +1376,8 @@ mod tests {
                    B 2950 750 2475 2125; E";
         let tech = mp_tech();
         let (view, nets, scopes) = build(cif, &tech);
-        let (v, _) = check_interactions(&view, &tech, &nets, &scopes, &InteractOptions::default());
+        let bound = BoundTechnology::new(&tech);
+        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &search(false), None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1589,9 +1420,9 @@ mod tests {
 
     #[test]
     fn ablation_without_suppression_flags_same_net() {
-        let opts = InteractOptions {
+        let opts = CheckOptions {
             same_net_suppression: false,
-            ..Default::default()
+            ..search(false)
         };
         let (v, _) = run_with(
             "L NM; 9N A; B 2000 750 1000 375; 9N A; B 2000 750 1000 1625; E",
@@ -1617,9 +1448,9 @@ mod tests {
         assert!(euclid.0.is_empty(), "{:?}", euclid.0);
         let orth = run_with(
             "L NM; B 1000 750 500 375; B 1000 750 2050 1675; E",
-            InteractOptions {
+            CheckOptions {
                 metric: SizingMode::Orthogonal,
-                ..Default::default()
+                ..search(false)
             },
         );
         assert_eq!(orth.0.len(), 1, "orthogonal metric over-flags the corner");
@@ -1670,13 +1501,7 @@ mod tests {
         }
         cif.push('E');
         let (flat, _) = run(&cif);
-        let (hier, stats) = run_with(
-            &cif,
-            InteractOptions {
-                hierarchical: true,
-                ..Default::default()
-            },
-        );
+        let (hier, stats) = run_with(&cif, search(true));
         assert_eq!(flat.len(), hier.len());
         assert_eq!(flat.len(), 6); // one violation per instance
         assert!(stats.cache_hits >= 5, "stats: {stats:?}");
@@ -1708,12 +1533,11 @@ mod tests {
                 }
             }
             let (view, nets, scopes) = build_layout(&layout, &tech);
+            let bound = BoundTechnology::new(&tech);
             let run = |hierarchical: bool| {
-                let options = InteractOptions {
-                    hierarchical,
-                    ..Default::default()
-                };
-                let (v, stats) = check_interactions(&view, &tech, &nets, &scopes, &options);
+                let options = search(hierarchical);
+                let (v, stats) =
+                    check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
                 let mut rendered: Vec<String> = v.iter().map(|x| format!("{x:?}")).collect();
                 rendered.sort();
                 (rendered, stats.candidate_pairs)
@@ -1734,13 +1558,7 @@ mod tests {
         }
         cif.push('E');
         let (flat, _) = run(&cif);
-        let (hier, stats) = run_with(
-            &cif,
-            InteractOptions {
-                hierarchical: true,
-                ..Default::default()
-            },
-        );
+        let (hier, stats) = run_with(&cif, search(true));
         assert_eq!(flat.len(), 4, "{flat:?}");
         assert_eq!(hier.len(), 4);
         // 4 identical adjacent pairs: 1 miss + 3 hits.
@@ -1756,20 +1574,13 @@ mod tests {
         }
         cif.push('E');
         for hierarchical in [false, true] {
-            let serial = run_with(
-                &cif,
-                InteractOptions {
-                    hierarchical,
-                    ..Default::default()
-                },
-            );
+            let serial = run_with(&cif, search(hierarchical));
             for workers in [2usize, 3, 8, 0] {
                 let parallel = run_with(
                     &cif,
-                    InteractOptions {
-                        hierarchical,
+                    CheckOptions {
                         parallelism: workers,
-                        ..Default::default()
+                        ..search(hierarchical)
                     },
                 );
                 assert_eq!(
@@ -1785,98 +1596,90 @@ mod tests {
     }
 
     #[test]
-    fn tiled_counts_each_pair_once_and_matches_buffered() {
-        // Satellite guarantee: under tiling, `candidate_pairs` counts
-        // every enumerated pair exactly once — a pair spanning two
-        // tiles is owned by its lower element's tile — pinned against
-        // the buffered flat search on a known chip. Tiny tiles (1
-        // element) force every cross-element pair to span a tile
-        // boundary.
-        // 5 wires in a 500-pitch row: every adjacent and next-adjacent
-        // pair is within the rule reach, a known candidate structure.
+    fn flat_tiles_count_each_pair_once() {
+        // Under tiling, `candidate_pairs` counts every enumerated pair
+        // exactly once — a pair spanning two tiles is owned by its lower
+        // element's tile — pinned against a brute-force count for every
+        // tile width and worker count. Tiny tiles (1 element) force
+        // every pair to span a tile boundary.
+        // 5 wires in a 1250-pitch column: adjacent wires are within the
+        // rule reach of one another.
         let mut cif = String::new();
         for i in 0..5 {
             cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 1250));
         }
         cif.push('E');
-        let buffered = run_with(
-            &cif,
-            InteractOptions {
-                tiled: false,
-                ..Default::default()
-            },
-        );
-        assert!(buffered.1.candidate_pairs > 0);
-        assert_eq!(
-            buffered.1.peak_candidate_buffer, buffered.1.candidate_pairs,
-            "a buffered run holds the whole pair list"
-        );
-        for tile_elements in [1usize, 2, 512] {
-            for workers in [1usize, 3] {
-                let tiled = run_with(
-                    &cif,
-                    InteractOptions {
-                        tiled: true,
-                        tile_elements,
-                        parallelism: workers,
-                        ..Default::default()
-                    },
+        let tech = nmos_technology();
+        let (view, nets, scopes) = build(&cif, &tech);
+        let bound = BoundTechnology::new(&tech);
+        let reach = bound.max_rule_range();
+        let bboxes = view.elements.bboxes();
+        let within = |a: Rect, b: Rect| {
+            (a.x1 - b.x2)
+                .max(b.x1 - a.x2)
+                .max(a.y1 - b.y2)
+                .max(b.y1 - a.y2)
+                <= reach
+        };
+        // The pairs each element owns: the higher elements within reach.
+        let owned: Vec<u64> = (0..bboxes.len())
+            .map(|i| {
+                let higher = bboxes[i + 1..].iter();
+                higher.filter(|&&b| within(bboxes[i], b)).count() as u64
+            })
+            .collect();
+        let total: u64 = owned.iter().sum();
+        assert!(total > 0);
+        let mut reference: Option<(Vec<Violation>, u64)> = None;
+        for tile_width in [1usize, 2, 512] {
+            let widest = (owned.chunks(tile_width).map(|t| t.iter().sum::<u64>()))
+                .max()
+                .unwrap();
+            assert!(tile_width >= 5 || widest < total);
+            for workers in [1usize, 2, 3, 7] {
+                let options = CheckOptions {
+                    parallelism: workers,
+                    ..search(false)
+                };
+                let (v, stats) = check_interactions_tiled(
+                    &view, &tech, &bound, &nets, &scopes, &options, None, tile_width,
                 );
+                let at = format!("tile={tile_width} workers={workers}");
                 assert_eq!(
-                    tiled.0, buffered.0,
-                    "tile={tile_elements} workers={workers}: violations diverge"
+                    stats.candidate_pairs, total,
+                    "{at}: pairs double- or under-counted"
                 );
-                assert_eq!(
-                    tiled.1.candidate_pairs, buffered.1.candidate_pairs,
-                    "tile={tile_elements} workers={workers}: pairs double- or under-counted"
-                );
-                assert_eq!(tiled.1.distance_checks, buffered.1.distance_checks);
-                if tile_elements < 5 {
-                    assert!(
-                        tiled.1.peak_candidate_buffer < buffered.1.candidate_pairs,
-                        "tile={tile_elements}: peak {} not bounded below total {}",
-                        tiled.1.peak_candidate_buffer,
-                        buffered.1.candidate_pairs
-                    );
+                assert_eq!(stats.peak_candidate_buffer, widest, "{at}");
+                match &reference {
+                    None => reference = Some((v, stats.distance_checks)),
+                    Some((rv, checks)) => {
+                        assert_eq!(rv, &v, "{at}: violations diverge");
+                        assert_eq!(*checks, stats.distance_checks, "{at}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn hierarchical_tiled_streams_per_scope() {
-        // The hierarchical search's tiles are its assembly units; the
-        // peak buffer must be the widest scope's pair list, not the
-        // total across instances — with identical violations.
+    fn hierarchical_search_streams_per_scope() {
+        // The hierarchical search's tiles are its scopes and near scope
+        // pairs; the peak buffer must be the widest of them, not the
+        // total across instances — the same pairs the flat search
+        // counts.
         let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;\n");
         for i in 0..8 {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2500));
         }
         cif.push('E');
-        let buffered = run_with(
-            &cif,
-            InteractOptions {
-                hierarchical: true,
-                tiled: false,
-                ..Default::default()
-            },
-        );
-        let tiled = run_with(
-            &cif,
-            InteractOptions {
-                hierarchical: true,
-                tiled: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(tiled.0, buffered.0);
-        assert_eq!(tiled.1.candidate_pairs, buffered.1.candidate_pairs);
-        assert_eq!(tiled.1.cache_hits, buffered.1.cache_hits);
+        let (flat, hier) = (run(&cif), run_with(&cif, search(true)));
+        assert_eq!(hier.1.candidate_pairs, flat.1.candidate_pairs);
+        assert!(hier.1.cache_hits > 0);
         assert!(
-            tiled.1.peak_candidate_buffer < buffered.1.peak_candidate_buffer,
-            "peak {} vs buffered {}",
-            tiled.1.peak_candidate_buffer,
-            buffered.1.peak_candidate_buffer
+            hier.1.peak_candidate_buffer < hier.1.candidate_pairs,
+            "peak {} vs total {}",
+            hier.1.peak_candidate_buffer,
+            hier.1.candidate_pairs
         );
     }
 
@@ -1957,21 +1760,14 @@ mod tests {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2300));
         }
         cif.push_str("L NM; B 2000 700 1000 9000;\nE");
-        let serial = run_with(
-            &cif,
-            InteractOptions {
-                hierarchical: true,
-                ..Default::default()
-            },
-        );
+        let serial = run_with(&cif, search(true));
         assert!(serial.1.cache_hits > 0 && serial.1.cache_misses > 0);
         for workers in [2usize, 5, 0] {
             let parallel = run_with(
                 &cif,
-                InteractOptions {
-                    hierarchical: true,
+                CheckOptions {
                     parallelism: workers,
-                    ..Default::default()
+                    ..search(true)
                 },
             );
             assert_eq!(serial.0, parallel.0, "workers={workers}");

@@ -34,20 +34,19 @@
 //! Every heavy stage is **parallel and deterministic** on one shared
 //! worker discipline (module [`parallel`]: ordered job list,
 //! work-stealing pool, positional merge — byte-identical for any worker
-//! count, all behind [`CheckOptions::parallelism`]): instantiation walks
-//! one chunk of top-level items per worker, the connection stage scores
-//! each definition's interior and each distinct placement of two
-//! touching definitions once (module [`scope`] describes the top-level
-//! hierarchy) in tiled scans and stamps the rest,
-//! the netgen bind phase binds terminal and label points through the
-//! same table — one index per definition — and returns element ids to a
-//! serial fold that builds the rows in canonical order, the interaction
-//! search enumerates
-//! (hierarchically cached per symbol and per relative placement — with
-//! the distinct cache fills shared across threads — or from one flat
-//! grid index) and evaluates candidates across the pool, and the flat
-//! baseline's per-layer Boolean work parallelises the same way
-//! ([`FlatOptions::parallelism`]). The flat and hierarchical
+//! count, all behind [`CheckOptions::parallelism`]): the connection
+//! stage scores each definition's interior and each distinct placement
+//! of two touching definitions once (module [`scope`] describes the
+//! top-level hierarchy) in tiled scans and stamps the rest, the netgen
+//! bind phase binds terminal and label points through the same table —
+//! one index per definition — and returns element ids to a serial fold
+//! that builds the rows in canonical order, the interaction search
+//! enumerates (hierarchically cached per symbol and per relative
+//! placement — with the distinct cache fills shared across threads — or
+//! from one flat grid index) and evaluates candidates across the pool,
+//! and the flat baseline's per-layer Boolean work parallelises the same
+//! way ([`FlatOptions::parallelism`]). Instantiation stamps templates
+//! on the calling thread. The flat and hierarchical
 //! interaction searches agree on the violation *set* — the four-way
 //! guarantee `tests/differential.rs` checks on generated chips with
 //! injected faults; its seventh leg pins the parallel
@@ -62,10 +61,8 @@
 //! that floor): instantiation derives each repeated definition once and
 //! stamps its instances ([`binding::instantiate`] — the templates are a
 //! few KB per definition and live for that call), the interaction stage
-//! streams
-//! candidate pairs tile by tile — one tile buffer per live worker —
-//! instead of materialising the all-pairs list
-//! ([`CheckOptions::tiled_interactions`], the default — peak buffer
+//! streams candidate pairs tile by tile — one tile buffer per live
+//! worker — and never materialises the all-pairs list (peak buffer
 //! recorded in [`InteractStats::peak_candidate_buffer`]), and every
 //! stage emits diagnostics through the [`Sink`] trait, whose
 //! [`StreamingSink`] / [`CountingSink`] implementations retain at most
@@ -74,10 +71,10 @@
 //! [`SpillingSink`]: past its budget, canonically sorted chunks spill
 //! as length-prefixed runs into one unlinked temp file (module
 //! [`spill`]) and `finish()` k-way merges them straight into the
-//! writer, holding one chunk plus a small cursor buffer per run. All
-//! of it byte-identical to the buffered paths — the sixth and ninth
-//! differential legs (`tests/differential.rs`, `tests/sinks.rs`) prove
-//! it on generated chips, the spilled leg at budgets down to 1.
+//! writer, holding one chunk plus a small cursor buffer per run. Every
+//! sink is byte-identical to the buffering one — the ninth differential
+//! leg (`tests/sinks.rs`) proves it on generated chips, the spilled leg
+//! at budgets down to 1.
 //!
 //! The full architecture — object model, parallelism model, memory
 //! model, and the test-oracle map — is documented in
@@ -144,7 +141,7 @@ pub use binding::{
     InstantiateStats, Istr, LayerBinding, StringInterner,
 };
 pub use checker::{
-    check, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckReport, StageTimings,
+    check, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckReport,
 };
 pub use connect::{check_connections, check_connections_among, ConnectionResult};
 pub use engine::{
@@ -156,9 +153,7 @@ pub use incremental::{
     canonical_check, CheckSession, Edit, EditError, EditSet, EditStats, RebuildReason,
     SessionCompaction,
 };
-pub use interact::{
-    check_same_mask, interaction_cell_size, max_rule_range, InteractOptions, InteractStats,
-};
+pub use interact::{check_same_mask, interaction_cell_size, max_rule_range, InteractStats};
 pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
     LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
@@ -174,14 +169,15 @@ pub use spill::SpillFile;
 pub use violations::{CheckStage, Violation, ViolationKind};
 
 /// [`instantiate`] under the name and signature the frozen repo
-/// benchmark (`benchmark/`, which a change may not edit) calls it by.
-/// Not an entry point of its own: nothing else uses it.
+/// benchmark (`benchmark/`, which a change may not edit) calls it by;
+/// the worker count is ignored. Not an entry point of its own: nothing
+/// else uses it.
 #[doc(hidden)]
 pub fn instantiate_parallel(
     layout: &diic_cif::Layout,
     tech: &diic_tech::Technology,
     binding: &LayerBinding,
-    workers: usize,
+    _workers: usize,
 ) -> ChipView {
-    instantiate(layout, tech, binding, workers, StringInterner::default()).0
+    instantiate(layout, tech, binding, StringInterner::default()).0
 }

@@ -67,8 +67,9 @@ use std::time::{Duration, Instant};
 /// A technology with its interaction-scale constants precomputed: rule
 /// reach ([`max_rule_range`]), grid cell size
 /// ([`interaction_cell_size`]), and the device-forming layer pairs —
-/// everything `check_interactions` otherwise re-derives by walking the
-/// rule deck on every call.
+/// what the scope table, the interaction searches and an edit session's
+/// halo are sized by. A standalone check builds one per run; a library
+/// batch builds one per technology.
 ///
 /// Each binding carries a process-unique `revision` (a monotone
 /// counter) that the content-keyed [`LibraryCache`] folds into its
@@ -490,8 +491,8 @@ where
             let t0 = Instant::now();
             let mut sink = make_sink(i);
             let engine = StageEngine::diic_pipeline();
-            let mut ctx = CheckContext::new_with_sink(&layouts[i], tech, &options.cell, &mut sink)
-                .with_library(&session.bound, &session.cache);
+            let mut ctx =
+                CheckContext::in_library(&layouts[i], tech, &options.cell, &mut sink, session);
             if options.shared_interner {
                 // Hand the worker's warm dictionary to this cell; it
                 // comes back (with the cell's additions) after the run.

@@ -1198,7 +1198,7 @@ mod tests {
     /// binder's (one index over every netted element, one worker).
     fn extract_layout(layout: &Layout, tech: &Technology, workers: &[usize]) -> Extracted {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (pristine, runs) = instantiate(layout, tech, &binding, 1, Default::default());
+        let (pristine, runs) = instantiate(layout, tech, &binding, Default::default());
         let scopes = ScopeTable::build(
             layout.top_items(),
             runs.iter().map(|run| run.0),

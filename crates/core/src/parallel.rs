@@ -16,10 +16,6 @@
 //!
 //! The paths that ride this pool, in pipeline order:
 //!
-//! * **instantiation** — one contiguous chunk of top-level items per
-//!   worker, chunk 0 walked straight into the view and the rest stitched
-//!   on with stable ids ([`crate::binding::instantiate`]; it spawns its
-//!   own scoped threads, since its first job writes into the result);
 //! * the **connection stage**'s tiled scans — one per distinct verdict
 //!   row, plus the loose elements'
 //!   ([`crate::connect::check_connections`] — each pair scored once,

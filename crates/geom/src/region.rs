@@ -259,9 +259,8 @@ impl Region {
 
     /// Reference quadratic connectivity scan — the all-pairs algorithm
     /// [`Region::components`] replaced — returning the component count
-    /// only. Kept (doc-hidden) so the bench ablation and the unit-test
-    /// oracle share one reference implementation instead of drifting
-    /// copies.
+    /// only. Kept (doc-hidden) as the unit-test oracle's reference
+    /// implementation.
     #[doc(hidden)]
     pub fn components_count_pairwise(&self) -> usize {
         let rs = &self.rects;
@@ -401,8 +400,7 @@ mod tests {
         rects.push(Rect::new(-500, 990, 1500, 995)); // bar under the row
         let region = Region::from_rects(rects);
         let comps = region.components();
-        // Reference: the quadratic all-pairs scan (shared with the e17
-        // bench ablation).
+        // Reference: the quadratic all-pairs scan.
         assert_eq!(comps.len(), region.components_count_pairwise());
         // Every component's area sums back to the region.
         assert_eq!(comps.iter().map(|c| c.area()).sum::<i128>(), region.area());

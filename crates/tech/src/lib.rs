@@ -26,13 +26,14 @@
 //!   process (λ = 250 centimicrons = 2.5 µm), the process family the
 //!   paper's examples use;
 //! * [`bipolar::bipolar_technology`] — a minimal bipolar process exercising
-//!   the device-dependent rules of Fig. 6;
-//! * [`dsl`] — a small text format for rule files, so rules can "become
-//!   increasingly more specific" without recompiling.
+//!   the device-dependent rules of Fig. 6.
+//!
+//! The textual rule language — so rules can "become increasingly more
+//! specific" without recompiling — is the `diic-deck` crate, which
+//! compiles a deck into a [`Technology`].
 
 pub mod bipolar;
 pub mod device;
-pub mod dsl;
 pub mod layer;
 pub mod nmos;
 pub mod rules;

@@ -1,33 +1,36 @@
-//! Rule files and device-dependent rules: serialise the built-in NMOS
-//! technology to the rule-file DSL, read it back, tighten a rule, and show
-//! the Fig. 6 device-dependent verdicts under the bipolar technology.
+//! Rule decks and device-dependent rules: compile the checked-in NMOS
+//! deck, tighten a rule in its text, show the rendered diagnostic a
+//! typo gets, and show the Fig. 6 device-dependent verdicts under the
+//! bipolar technology.
 //!
 //! ```text
 //! cargo run --example rule_files
 //! ```
 
 use diic::core::{check_cif, CheckOptions};
+use diic::deck::{compile_str, NMOS_DECK};
 use diic::tech::bipolar::bipolar_technology;
-use diic::tech::dsl::{parse_rules, to_rules};
-use diic::tech::nmos::nmos_technology;
 
 fn main() {
-    // Round-trip the NMOS technology through the rule-file format.
-    let nmos = nmos_technology();
-    let text = to_rules(&nmos);
-    println!("== nmos rule file ({} lines) ==", text.lines().count());
-    for line in text.lines().take(14) {
+    // The checked-in deck is the NMOS technology's source text.
+    println!("== nmos.deck ({} lines) ==", NMOS_DECK.lines().count());
+    for line in NMOS_DECK.lines().skip(8).take(14) {
         println!("  {line}");
     }
     println!("  ...");
-    let reparsed = parse_rules(&text).expect("round-trip parses");
-    assert_eq!(reparsed, nmos);
-    println!("  round-trip: identical technology\n");
+    let nmos = compile_str(NMOS_DECK).expect("the checked-in deck compiles");
+    println!(
+        "  compiled: technology `{}`, {} layers, {} spacing rules\n",
+        nmos.name(),
+        nmos.layers().len(),
+        nmos.rules().len()
+    );
 
     // Tighten metal spacing from 3λ to 4λ and watch a pair flip verdict.
-    let mut tightened = text.clone();
-    tightened = tightened.replace("space metal metal 750", "space metal metal 1000");
-    let tight = parse_rules(&tightened).unwrap();
+    let relaxed_rule = "space metal metal 3 lambda;";
+    assert!(NMOS_DECK.contains(relaxed_rule));
+    let tightened = NMOS_DECK.replace(relaxed_rule, "space metal metal 4 lambda;");
+    let tight = compile_str(&tightened).expect("the edited deck compiles");
     let pair = "L NM; B 2000 750 1000 375; B 2000 750 1000 2000; E"; // 875 apart
     let relaxed_report = check_cif(
         pair,
@@ -56,6 +59,13 @@ fn main() {
         "  under 4λ rule: {} violation(s)\n",
         tight_report.violations.len()
     );
+
+    // A typo in a deck is a rendered diagnostic, not a panic.
+    let typo = NMOS_DECK.replace(relaxed_rule, "space metal metl 3 lambda;");
+    let error = compile_str(&typo).expect_err("`metl` names no layer");
+    println!("== a typo in the deck ==");
+    print!("{}", error.render("nmos.deck", &typo));
+    println!();
 
     // Fig. 6 under the bipolar technology.
     let bip = bipolar_technology();

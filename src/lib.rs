@@ -13,7 +13,7 @@
 //!   types `9D`, immunity `9C`, terminals `9T`, labels `9L`), hierarchy
 //!   tools and the flattener;
 //! * [`tech`] — technologies: layers, the Fig. 12 interaction matrix,
-//!   device archetypes, rule-file DSL, default NMOS and bipolar processes;
+//!   device archetypes, default NMOS and bipolar processes;
 //! * [`deck`] — the rule-deck language: lexer, parser, spanned
 //!   diagnostics, canonical printer, and compilation to a [`tech`]
 //!   `Technology` (the built-in NMOS process ships as a checked-in

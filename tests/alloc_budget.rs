@@ -90,7 +90,7 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
     let runs: Vec<(usize, [u64; 4])> = (0..2)
         .map(|_| {
             let (instantiate, (mut view, runs)) =
-                counted(|| instantiate(&layout, &tech, &binding, 1, Default::default()));
+                counted(|| instantiate(&layout, &tech, &binding, Default::default()));
             let scopes = ScopeTable::build(
                 layout.top_items(),
                 runs.iter().map(|run| run.0),

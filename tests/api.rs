@@ -607,13 +607,27 @@ fn malformed_bodies_are_4xx_never_panics() {
         "expected a caret-rendered deck diagnostic, got: {detail}"
     );
 
-    // Unknown option key.
-    let resp = post(
-        &app,
-        "/sessions",
-        r#"{"cif": "E", "options": {"paralellism": 2}}"#.to_string(),
-    );
-    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
+    // Unknown option keys: a typo, and a retired knob (its name split
+    // so a search for users of it finds none).
+    let retired = format!(r#"{{"tiled_{}": false}}"#, "interactions");
+    for options in [r#"{"paralellism": 2}"#, retired.as_str()] {
+        let resp = post(
+            &app,
+            "/sessions",
+            format!(r#"{{"cif": "E", "options": {options}}}"#),
+        );
+        assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY, "{options}");
+        let detail = json_body(resp)
+            .get("detail")
+            .and_then(Value::as_str)
+            .map(str::to_string);
+        assert!(
+            detail
+                .as_deref()
+                .is_some_and(|d| d.contains("unknown option")),
+            "{options}: {detail:?}"
+        );
+    }
 
     // Bad edit bodies against a real session.
     let id = open_session(&app, "L NM; B 2000 750 1000 375; E", "{}");
@@ -640,6 +654,49 @@ fn malformed_bodies_are_4xx_never_panics() {
         get(&app, &format!("/sessions/{id}/report")).status,
         StatusCode::OK
     );
+}
+
+/// A worker count from the wire is clamped to the machine's cores where
+/// it is decoded (taken literally, a million would be a thread per job
+/// in every stage), and the clamp is invisible in what comes back.
+#[test]
+fn wire_worker_count_is_clamped_to_the_cores() {
+    let cores = diic::core::effective_parallelism(0);
+    let huge: Value = serde_json::from_str(r#"{"parallelism": 1000000}"#).unwrap();
+    let decoded = wire::check_options_from_json(Some(&huge)).unwrap();
+    assert_eq!(decoded.parallelism, cores);
+
+    let chip = generate(&ChipSpec::with_errors(
+        3,
+        2,
+        vec![ErrorKind::NarrowWire, ErrorKind::CloseSpacing],
+        7,
+    ));
+    let app = service();
+    let reports: Vec<Vec<u8>> = [1usize, 1_000_000]
+        .iter()
+        .map(|workers| {
+            let id = open_session(&app, &chip.cif, &format!(r#"{{"parallelism": {workers}}}"#));
+            let resp = get(&app, &format!("/sessions/{id}/report"));
+            assert_eq!(resp.status, StatusCode::OK);
+            resp.into_bytes().unwrap()
+        })
+        .collect();
+    assert!(!reports[0].is_empty(), "the faulted chip reports something");
+    assert_eq!(reports[0], reports[1]);
+
+    // `/library` decodes its worker count through the same function.
+    let cells = Value::array([Value::from(chip.cif.as_str()), Value::from("E")]);
+    let batches: Vec<Value> = [1usize, 1_000_000]
+        .iter()
+        .map(|workers| {
+            let body = format!(r#"{{"cells": {cells}, "options": {{"parallelism": {workers}}}}}"#);
+            let resp = post(&app, "/library", body);
+            assert_eq!(resp.status, StatusCode::OK);
+            json_body(resp).get("cells").cloned().expect("cells")
+        })
+        .collect();
+    assert_eq!(batches[0], batches[1]);
 }
 
 #[test]

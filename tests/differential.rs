@@ -18,21 +18,24 @@
 //! Within one search engine, serial and parallel reports must be
 //! **byte-identical** (ordered lists and statistics). Across engines,
 //! the reports must be identical **after a canonical sort** (the two
-//! searches enumerate candidates in different walk orders). On top of
-//! the equivalence, every injected fault must be recalled by all four
-//! paths (region 1 of the paper's Fig. 1 accounting stays empty).
+//! searches enumerate candidates in different walk orders) — and both
+//! must report the same `candidate_pairs`, equal to a brute-force count
+//! of the element pairs within rule reach: the two searches tile the
+//! pair space differently (element ranges of one grid; scopes and near
+//! scope pairs) and share only the per-tile evaluator, so the three-way
+//! agreement says each counts every pair exactly once. On top of the
+//! equivalence, every injected fault must be recalled by all four paths
+//! (region 1 of the paper's Fig. 1 accounting stays empty).
 //!
 //! The "wide" worker count honours the `CHECK_PARALLELISM` environment
 //! variable (CI forces it to `1` and to `$(nproc)` in separate steps),
 //! defaulting to all available cores.
 //!
-//! On top of the four paths, the **sixth differential leg**
-//! (`tiled_streaming_equals_buffered`; the fifth is the incremental
-//! oracle in `tests/incremental.rs`) pins the bounded-memory pipeline:
-//! the tiled streaming interaction search must be byte-identical to the
-//! buffered all-pairs baseline under both engines and both worker
-//! counts, with identical statistics apart from the candidate-buffer
-//! peak it exists to bound.
+//! (The fifth leg is the incremental oracle in `tests/incremental.rs`.
+//! The sixth compared the tiled search to a buffered all-pairs path and
+//! was retired with that path: *each pair counted once* is the count
+//! assertion above, *bounded memory* is `peak_candidate_buffer <
+//! candidate_pairs` in `tests/pipeline.rs` and `mega_smoke`.)
 //!
 //! The **seventh leg** (`parallel_connections_and_netgen_equal_serial`)
 //! pins the two stages between instantiation and the interaction
@@ -45,9 +48,9 @@
 //! direct binder (one index over every netted element) assembles.
 //! Alongside it, `interned_strings_round_trip` proves the `ChipView`
 //! string interner is a pure storage decision: every rendered
-//! `path` / `net_key` string resolves back to its own handle, parallel
-//! instantiation renders the same strings as serial, and shared paths
-//! collapse to single interner entries.
+//! `path` / `net_key` string resolves back to its own handle, a view
+//! built over a warm table renders the same strings as a cold one, and
+//! shared paths collapse to single interner entries.
 //!
 //! The **eighth leg** (`columnar_equals_boxed`) pins the columnar
 //! element store the same way: the struct-of-arrays `ElementColumns`
@@ -74,7 +77,7 @@ use diic::cif::{Element, Item, LayerRef, Shape};
 use diic::core::{
     account, check_cif, check_connections, check_connections_among, effective_parallelism,
     env_parallelism, flat_check, generate_netlist, instantiate, max_rule_range, CheckOptions,
-    CheckReport, ElementColumns, FlatOptions, LayerBinding, ScopeTable, Violation,
+    CheckReport, ElementColumns, FlatOptions, LayerBinding, ScopeTable, StringInterner, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::Rect;
@@ -108,6 +111,28 @@ fn run(cif: &str, tech: &Technology, hierarchical: bool, parallelism: usize) -> 
     .expect("generated chips always parse")
 }
 
+/// The element pairs whose bounding boxes come within the technology's
+/// rule reach of one another, counted over every pair — what either
+/// interaction search must enumerate, by a route that shares no code
+/// with them.
+fn brute_force_pairs(chip_cif: &str, tech: &Technology) -> u64 {
+    let layout = diic::cif::parse(chip_cif).expect("generated chips always parse");
+    let (binding, _) = LayerBinding::bind(&layout, tech);
+    let (view, _) = instantiate(&layout, tech, &binding, Default::default());
+    let reach = max_rule_range(tech);
+    let boxes = view.elements.bboxes();
+    let within = |a: &Rect, b: &Rect| {
+        (a.x1 - b.x2)
+            .max(b.x1 - a.x2)
+            .max(a.y1 - b.y2)
+            .max(b.y1 - a.y2)
+            <= reach
+    };
+    (boxes.iter().enumerate())
+        .map(|(i, a)| boxes[i + 1..].iter().filter(|b| within(a, b)).count() as u64)
+        .sum()
+}
+
 /// Checks the four-way contract for one generated chip; returns the
 /// reports for further assertions.
 fn assert_four_way(chip_cif: &str, tech: &Technology) -> [CheckReport; 4] {
@@ -134,6 +159,16 @@ fn assert_four_way(chip_cif: &str, tech: &Technology) -> [CheckReport; 4] {
         canonical(&flat_serial.violations),
         canonical(&hier_serial.violations),
         "flat and hierarchical searches disagree on the violation set"
+    );
+    // Each pair counted once, by both tilings.
+    assert_eq!(
+        flat_serial.interact_stats.candidate_pairs, hier_serial.interact_stats.candidate_pairs,
+        "flat and hierarchical searches disagree on the candidate-pair count"
+    );
+    assert_eq!(
+        flat_serial.interact_stats.candidate_pairs,
+        brute_force_pairs(chip_cif, tech),
+        "the searches' candidate-pair count is not the brute-force count"
     );
     [flat_serial, flat_parallel, hier_serial, hier_parallel]
 }
@@ -176,89 +211,6 @@ proptest! {
         }
     }
 
-    /// The **sixth leg**: the tiled streaming pipeline (bounded
-    /// candidate memory — the default) is byte-identical to the
-    /// buffered baseline that materialises the full pair list, under
-    /// both search engines, serial and wide — and the buffered peak
-    /// actually buffers the whole list while the tiled one is bounded
-    /// by a tile. ≥ 32 proptest chips with injected faults.
-    #[test]
-    fn tiled_streaming_equals_buffered(
-        nx in 2usize..5,
-        ny in 1usize..3,
-        seed in 0u64..1_000_000,
-        mask in 1u16..512,
-    ) {
-        let tech = nmos_technology();
-        let errors: Vec<ErrorKind> = ErrorKind::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, k)| *k)
-            .take(nx * ny)
-            .collect();
-        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
-        let wide = wide_workers();
-        for hierarchical in [false, true] {
-            for parallelism in [1usize, wide] {
-                let opts = CheckOptions {
-                    hierarchical,
-                    parallelism,
-                    ..CheckOptions::default()
-                };
-                let buffered = check_cif(
-                    &chip.cif,
-                    &tech,
-                    &CheckOptions {
-                        tiled_interactions: false,
-                        ..opts.clone()
-                    },
-                )
-                .expect("generated chips always parse");
-                let tiled = check_cif(
-                    &chip.cif,
-                    &tech,
-                    &CheckOptions {
-                        tiled_interactions: true,
-                        ..opts
-                    },
-                )
-                .expect("generated chips always parse");
-                prop_assert_eq!(
-                    &tiled.violations, &buffered.violations,
-                    "hier={} workers={}: tiled diverges from buffered \
-                     (nx={} ny={} seed={} mask={:#b})",
-                    hierarchical, parallelism, nx, ny, seed, mask
-                );
-                // Identical statistics modulo the peak, which is the
-                // point of the refactor: every pair still enumerated
-                // and counted exactly once.
-                let flatten_peak = |s: &diic::core::InteractStats| diic::core::InteractStats {
-                    peak_candidate_buffer: 0,
-                    ..*s
-                };
-                prop_assert_eq!(
-                    flatten_peak(&tiled.interact_stats),
-                    flatten_peak(&buffered.interact_stats),
-                    "hier={} workers={}: stats diverge",
-                    hierarchical, parallelism
-                );
-                prop_assert_eq!(
-                    buffered.interact_stats.peak_candidate_buffer,
-                    buffered.interact_stats.candidate_pairs,
-                    "the buffered run must hold the whole pair list"
-                );
-                prop_assert!(
-                    tiled.interact_stats.peak_candidate_buffer
-                        <= buffered.interact_stats.peak_candidate_buffer,
-                    "tiled peak above buffered: {} > {}",
-                    tiled.interact_stats.peak_candidate_buffer,
-                    buffered.interact_stats.peak_candidate_buffer
-                );
-            }
-        }
-    }
-
     /// The **seventh leg**: the scope-table connection pass must equal
     /// the direct scan over every element at one worker and at any other
     /// count, and net-list generation through the scope table the
@@ -284,7 +236,7 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (mut view, runs) = instantiate(&layout, &tech, &binding, 1, Default::default());
+        let (mut view, runs) = instantiate(&layout, &tech, &binding, Default::default());
         let scopes = ScopeTable::build(
             layout.top_items(),
             runs.iter().map(|run| run.0),
@@ -341,9 +293,9 @@ proptest! {
     /// The interner round-trip oracle: interning `path` / `net_key` /
     /// device-type strings behind `u32` handles must not change a
     /// single rendered string. Every handle resolves back to itself
-    /// through a read-only lookup, parallel (sharded) instantiation
-    /// renders exactly the serial strings, and elements sharing an
-    /// instance share one interned path entry.
+    /// through a read-only lookup, a view built over a warm table (other
+    /// handle values) renders exactly the cold view's strings, and
+    /// elements sharing an instance share one interned path entry.
     #[test]
     fn interned_strings_round_trip(
         nx in 2usize..5,
@@ -365,14 +317,15 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (serial, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
-        let (wide, _) = instantiate(
-            &layout,
-            &tech,
-            &binding,
-            wide_workers().max(2),
-            Default::default(),
-        );
+        let (serial, _) = instantiate(&layout, &tech, &binding, Default::default());
+        // A table that already holds the chip's strings, in another
+        // order: every handle value differs from the cold view's.
+        let mut warm = StringInterner::default();
+        let cold: Vec<&str> = serial.strings.iter().collect();
+        for text in cold.iter().rev() {
+            warm.intern(text);
+        }
+        let (seeded, _) = instantiate(&layout, &tech, &binding, warm);
 
         let mut distinct = std::collections::HashSet::new();
         for e in &serial.elements {
@@ -389,16 +342,16 @@ proptest! {
             distinct.len() < serial.elements.len() || serial.elements.len() <= 1,
             "generated chips share instance paths; interning found none shared"
         );
-        // Parallel instantiation renders the same strings element for
-        // element, device for device.
-        prop_assert_eq!(serial.elements.len(), wide.elements.len());
-        for (a, b) in serial.elements.iter().zip(&wide.elements) {
-            prop_assert_eq!(serial.str(a.net_key()), wide.str(b.net_key()));
-            prop_assert_eq!(serial.str(a.path()), wide.str(b.path()));
+        // The warm view renders the same strings element for element,
+        // device for device.
+        prop_assert_eq!(serial.elements.len(), seeded.elements.len());
+        for (a, b) in serial.elements.iter().zip(&seeded.elements) {
+            prop_assert_eq!(serial.str(a.net_key()), seeded.str(b.net_key()));
+            prop_assert_eq!(serial.str(a.path()), seeded.str(b.path()));
         }
-        for (a, b) in serial.devices.iter().zip(&wide.devices) {
-            prop_assert_eq!(serial.str(a.path), wide.str(b.path));
-            prop_assert_eq!(serial.str(a.device_type), wide.str(b.device_type));
+        for (a, b) in serial.devices.iter().zip(&seeded.devices) {
+            prop_assert_eq!(serial.str(a.path), seeded.str(b.path));
+            prop_assert_eq!(serial.str(a.device_type), seeded.str(b.device_type));
         }
     }
 
@@ -428,7 +381,7 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (view, _) = instantiate(&layout, &tech, &binding, 1, Default::default());
+        let (view, _) = instantiate(&layout, &tech, &binding, Default::default());
 
         let boxed = view.elements.to_elements();
         prop_assert_eq!(boxed.len(), view.elements.len());

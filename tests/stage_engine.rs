@@ -95,57 +95,3 @@ fn custom_noop_stage_is_registered_and_timed() {
     assert_eq!(report.violations, baseline.violations);
     assert_eq!(report.stage_profile.len(), baseline.stage_profile.len() + 1);
 }
-
-/// The clip hook: running a stage set with `CheckContext::clip` scopes
-/// the stages that support it — the interaction stage in the DIIC
-/// pipeline, and the width/spacing/gate phases of the flat baseline —
-/// to exactly the full run's violations anchored inside the clip.
-/// Stages without clip support (they are cheap and global) still run in
-/// full.
-#[test]
-fn clipped_runs_report_the_full_runs_in_clip_violations() {
-    use diic::core::{CheckStage, FlatOptions, StageEngine};
-    use diic::geom::{Rect, Region};
-
-    let tech = nmos_technology();
-    // Two widely separated spacing-fault clusters (500 gaps, rule 750),
-    // plus one narrow wire in the left cluster.
-    let cif = "L NM; B 2000 700 1000 350;
-         L NM; B 2000 750 1000 2000; B 2000 750 1000 3250;
-         L NM; B 2000 750 90000 2000; B 2000 750 90000 3250;
-         E";
-    let layout = diic::cif::parse(cif).unwrap();
-    let options = CheckOptions {
-        erc: false,
-        ..CheckOptions::default()
-    };
-    let clip = Region::from_rect(Rect::new(-5000, -5000, 10000, 10000)); // left cluster only
-
-    for (scopes_all, engine) in [
-        (false, StageEngine::diic_pipeline()), // interactions scoped, rest global
-        (true, StageEngine::flat_baseline(FlatOptions::default())), // every phase scoped
-    ] {
-        let full = check_with_engine(&engine, &layout, &tech, &options);
-        let expected: Vec<_> = full
-            .violations
-            .iter()
-            .filter(|v| {
-                (!scopes_all && v.stage != CheckStage::Interactions)
-                    || v.location.is_none_or(|l| clip.touches_rect(&l))
-            })
-            .cloned()
-            .collect();
-        assert!(
-            !expected.is_empty() && expected.len() < full.violations.len(),
-            "clip must split the violation set: {expected:?}"
-        );
-
-        let mut ctx = CheckContext::new(&layout, &tech, &options).with_clip(clip.clone());
-        let profile = engine.run(&mut ctx);
-        let clipped = ctx.into_report(profile);
-        assert_eq!(
-            clipped.violations, expected,
-            "clipped run must report exactly the in-clip violations"
-        );
-    }
-}
