@@ -35,13 +35,13 @@ use crate::flat::{
 };
 use crate::interact::{check_interactions, InteractStats};
 use crate::library::{BoundTechnology, LibraryCache, LibrarySession};
-use crate::netgen::{NetParts, NetgenResult};
+use crate::netgen::{NetParts, NetgenResult, TerminalNets};
 use crate::parallel::effective_parallelism;
 use crate::primitive_checks::check_primitive_symbols;
 use crate::scope::{ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
-use diic_netlist::{check_erc, compare_by_structure, NetlistBuilder};
+use diic_netlist::{check_erc, compare_by_structure, NetId, NetlistBuilder};
 use diic_tech::Technology;
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -568,6 +568,12 @@ pub struct CheckContext<'a> {
     /// Net-list generation output (its `violations` have been moved
     /// into the sink).
     pub nets: Option<NetgenResult>,
+    /// Per top-level item `(elements, devices)` run lengths, kept by the
+    /// instantiate stage: the unit an edit session re-instantiates by.
+    pub(crate) runs: Vec<(usize, usize)>,
+    /// The net graph the net-list stage assembled `nets` from, kept for
+    /// an edit session to patch.
+    pub(crate) net_parts: Option<NetParts>,
     /// Per-layer mask unions, set by the flat-union stage (the flat
     /// baseline's counterpart of the instantiate stage).
     pub flat_layers: Option<FlatLayers>,
@@ -651,6 +657,8 @@ impl<'a> CheckContext<'a> {
             scope_stats: ScopeStats::default(),
             connections: None,
             nets: None,
+            runs: Vec::new(),
+            net_parts: None,
             flat_layers: None,
             interact_stats: InteractStats::default(),
             waived_devices: Vec::new(),
@@ -738,6 +746,32 @@ impl<'a> CheckContext<'a> {
     /// memory — everything for a buffering context, nothing for a
     /// streaming or counting one.
     pub fn into_report(mut self, profile: Vec<StageTime>) -> CheckReport {
+        self.take_report(profile)
+    }
+
+    /// [`Self::into_report`] without a stage profile, plus the artefacts
+    /// an edit session patches from then on: the one way a
+    /// [`crate::incremental::CheckSession`] opens and rebuilds. Requires
+    /// a finished [`StageEngine::diic_pipeline`] run.
+    pub(crate) fn into_session_parts(mut self) -> (CheckReport, SessionArtefacts) {
+        let report = self.take_report(Vec::new());
+        // invariant: the stage-order contract, as for the accessors.
+        let missing = "session artefacts not available: run the DIIC pipeline first";
+        let nets = self.nets.expect(missing);
+        let artefacts = SessionArtefacts {
+            bound: self.bound.into_owned(),
+            binding: self.binding.expect(missing),
+            view: self.view.expect(missing),
+            runs: self.runs,
+            merges: self.connections.expect(missing).merges,
+            parts: self.net_parts.expect(missing),
+            element_net: nets.element_net,
+            device_terminal_nets: nets.device_terminal_nets,
+        };
+        (report, artefacts)
+    }
+
+    fn take_report(&mut self, profile: Vec<StageTime>) -> CheckReport {
         let (element_count, device_count, instantiate_stats) = self
             .view
             .as_ref()
@@ -745,19 +779,33 @@ impl<'a> CheckContext<'a> {
             .unwrap_or_default();
         CheckReport {
             violations: self.sink.take_buffered(),
-            netlist: self
-                .nets
-                .map(|n| n.netlist)
+            netlist: (self.nets.as_mut())
+                .map(|n| std::mem::take(&mut n.netlist))
                 .unwrap_or_else(|| NetlistBuilder::new().finish()),
             interact_stats: self.interact_stats,
             stage_profile: profile,
-            waived_devices: self.waived_devices,
+            waived_devices: std::mem::take(&mut self.waived_devices),
             element_count,
             device_count,
             instantiate_stats,
             scope_stats: self.scope_stats,
         }
     }
+}
+
+/// What a finished [`StageEngine::diic_pipeline`] run leaves an edit
+/// session beside the report.
+#[derive(Debug)]
+pub(crate) struct SessionArtefacts {
+    pub bound: BoundTechnology,
+    pub binding: LayerBinding,
+    pub view: ChipView,
+    /// Per top-level item `(elements, devices)` run lengths.
+    pub runs: Vec<(usize, usize)>,
+    pub merges: Vec<(usize, usize)>,
+    pub parts: NetParts,
+    pub element_net: Vec<Option<NetId>>,
+    pub device_terminal_nets: TerminalNets,
 }
 
 /// One stage of a checking pipeline.
@@ -896,6 +944,7 @@ impl PipelineStage for InstantiateStage {
         );
         ctx.scope_stats = scopes.stats();
         ctx.scopes = Some(scopes);
+        ctx.runs = runs;
         ctx.binding = Some(binding);
         ctx.view = Some(view);
     }
@@ -1007,6 +1056,7 @@ impl PipelineStage for NetgenStage {
         ctx.scope_stats = ctx.scope_stats.with_binding_of(stats);
         ctx.sink.append(&mut nets.violations);
         ctx.nets = Some(nets);
+        ctx.net_parts = Some(parts);
     }
 }
 

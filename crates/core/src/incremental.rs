@@ -57,7 +57,7 @@
 //!   endpoint.
 //! * **interactions re-run inside the halo only** — the dirty core is
 //!   inflated by the technology's rule reach (the session's
-//!   [`BoundTechnology`], built once at open), the elements within one
+//!   [`BoundTechnology`], the open's own), the elements within one
 //!   more reach of it come out of the session's persistent index, and
 //!   [`crate::interact::check_interactions_among`] searches that set.
 //!   Spacing markers
@@ -74,6 +74,48 @@
 //! the differential oracle: random edit sequences where the session
 //! report must equal a from-scratch check at every step, serial and
 //! parallel.
+//!
+//! # One way in, one plan per edit
+//!
+//! **Opening** a session ([`CheckSession::new`]) — and the full rebuild
+//! an edit falls back to when it dirties ≥ 30 % of the chip — *is* an
+//! engine run: [`StageEngine::diic_pipeline`] over a [`CheckContext`],
+//! whose artefacts (binding, view, per-item run lengths, merges, net
+//! graph, net resolution) the session then keeps. There is no second
+//! copy of the pipeline here; a stage registered there runs at open.
+//!
+//! **An edit** ([`CheckSession::apply`]) first becomes an `EditPlan`: a
+//! pure function of the layout, the per-item run lengths and the
+//! [`EditSet`] that validates every index *as the edits before it left
+//! the list*, simulates the slot list (where each surviving item came
+//! from, which re-instantiate), closes the replaced symbols over their
+//! callers, and counts dirty against total elements (the 30 % rule).
+//! **Every rejection happens there, before anything is mutated** —
+//! out-of-bounds items, unknown symbols, and `replace_symbol` bodies
+//! that would leave the symbol table dangling or recursive (the first
+//! hierarchy walk of a recursive table overflows the stack). A planned
+//! edit cannot fail. The steps then run in order, each returning a named
+//! product the next ones borrow, each under the [`EditStats`] clock in
+//! brackets:
+//!
+//! 1. `evict_footprints` \[`t_view`\] — old footprints of every run that
+//!    leaves the view, out of the element index;
+//! 2. `patch_view` \[`t_view`\] — re-bind layers, reuse clean runs,
+//!    re-instantiate dirty items, seed mask, re-keyed auto net keys;
+//! 3. `patch_connections` \[`t_conn`\] — scoped pass over the seed set;
+//! 4. `patch_net_graph` \[`t_net`\] — element nodes, connection edges,
+//!    the touched nodes;
+//! 5. `rebind_rows` \[`t_net`\] — device and label rows near the edit;
+//! 6. `splice_nets` \[`t_net`\] — the cached net list reused (a
+//!    net-neutral edit) or spliced; the name diff; the halo;
+//! 7. `recheck_halo` \[`t_interact`\] — interactions inside the halo;
+//! 8. `rerun_global_stages` \[`t_global`\] — the cheap stages, in full;
+//! 9. `patch_report` \[`t_patch`\] — retract, splice, merge;
+//! 10. `commit` \[`t_commit`\] — install the products, compact the
+//!     element index after heavy churn.
+//!
+//! No step is longer than 150 lines (`clippy::too_many_lines` is denied
+//! in this file, the threshold is in the root `clippy.toml`).
 //!
 //! # Example
 //!
@@ -100,26 +142,24 @@
 //! );
 //! ```
 
-use crate::binding::{
-    assign_auto_net_keys, instantiate, instantiate_item, ChipView, Istr, LayerBinding,
-};
+#![deny(clippy::too_many_lines)]
+
+use crate::binding::{assign_auto_net_keys, instantiate_item, ChipView, Istr, LayerBinding};
 use crate::checker::{check, CheckOptions, CheckReport};
-use crate::connect::{check_connections, check_connections_among};
+use crate::connect::{check_connections_among, ConnectionResult};
 use crate::element_checks::check_elements;
-use crate::engine::{composition_violations, DiagnosticSink, Sink};
-use crate::interact::{check_interactions, check_interactions_among, check_same_mask};
+use crate::engine::{composition_violations, CheckContext, SessionArtefacts, Sink, StageEngine};
+use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
 use crate::library::BoundTechnology;
 use crate::netgen::{
     element_is_netted, BindIndex, DeviceParts, NetParts, NetgenResult, TerminalNets,
 };
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
-use crate::scope::ScopeTable;
-use crate::violations::{CheckStage, Violation};
-use diic_cif::{Call, Element, Item, Layout, NetLabel, Shape, SymbolId};
-use diic_geom::{Rect, Region, Transform, Vector};
-use diic_tech::{LayerId, Technology};
-use std::collections::HashSet;
+use crate::violations::{CheckStage, Violation, ViolationKind};
+use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
+use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector};
+use diic_tech::Technology;
 
 /// One edit against the top level of a layout or its symbol table.
 #[derive(Debug, Clone)]
@@ -243,8 +283,13 @@ pub enum EditError {
         /// The top-item count at that point.
         len: usize,
     },
-    /// A replaced symbol id does not exist.
+    /// A called or replaced symbol id does not exist — an
+    /// [`Edit::AddCall`]'s or [`Edit::ReplaceSymbol`]'s symbol, or the
+    /// target of a call in a replacement body.
     UnknownSymbol(SymbolId),
+    /// With the set's [`Edit::ReplaceSymbol`] bodies in place, calls
+    /// would form a cycle through this symbol.
+    RecursiveSymbol(SymbolId),
 }
 
 impl std::fmt::Display for EditError {
@@ -254,6 +299,9 @@ impl std::fmt::Display for EditError {
                 write!(f, "top-level item index {index} out of bounds (len {len})")
             }
             EditError::UnknownSymbol(s) => write!(f, "unknown symbol id {}", s.0),
+            EditError::RecursiveSymbol(s) => {
+                write!(f, "replace_symbol makes symbol id {} call itself", s.0)
+            }
         }
     }
 }
@@ -334,28 +382,186 @@ pub enum RebuildReason {
     },
 }
 
-/// Per-item instantiation run lengths (the unit of view reuse).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ItemRun {
-    elems: usize,
-    devices: usize,
-}
-
 /// A slot in the edited top-item list: where it came from and whether
 /// it must re-instantiate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     origin: Option<usize>,
     dirty: bool,
 }
 
-/// An element's entry in the session's persistent spatial index: a
-/// session-unique tag (the index payload) and the grid handle for
-/// removal.
-#[derive(Debug, Clone, Copy)]
-struct ElemTag {
-    tag: u32,
-    handle: u32,
+/// One [`EditSet`] resolved against the layout and the per-item runs it
+/// is about to change: what [`CheckSession::apply`]'s steps read instead
+/// of the edits. A pure function of its inputs, built before anything
+/// is mutated — a set is rejected here or not at all.
+#[derive(Debug)]
+struct EditPlan {
+    /// The top-item list as the set leaves it, in order.
+    slots: Vec<Slot>,
+    /// Old indices of the removed items, in removal order.
+    removed: Vec<usize>,
+    /// `(element, device)` id at which each old item's run starts.
+    offsets: Vec<(usize, usize)>,
+    /// Elements of the removed and the re-instantiated old items.
+    dirty_elements: usize,
+    /// Elements of the chip before the edit.
+    total_elements: usize,
+}
+
+impl EditPlan {
+    /// Validates `edits` in sequence — an index addresses the list as
+    /// the edits before it left it — and simulates the slot list.
+    /// `runs` are the `(elements, devices)` run lengths of `layout`'s
+    /// top-level items.
+    fn new(
+        layout: &Layout,
+        runs: &[(usize, usize)],
+        edits: &EditSet,
+    ) -> Result<EditPlan, EditError> {
+        let symbols = layout.symbols().len();
+        let known = |symbol: SymbolId| {
+            let known = (symbol.0 as usize) < symbols;
+            (known.then_some(symbol.0 as usize)).ok_or(EditError::UnknownSymbol(symbol))
+        };
+        let in_bounds = |index: usize, len: usize| {
+            (index < len)
+                .then_some(index)
+                .ok_or(EditError::ItemOutOfBounds { index, len })
+        };
+        let fresh = Slot {
+            origin: None,
+            dirty: true,
+        };
+        let mut slots: Vec<Slot> = (0..layout.top_items().len())
+            .map(|i| Slot {
+                origin: Some(i),
+                dirty: false,
+            })
+            .collect();
+        let mut removed = Vec::new();
+        // The body each replaced symbol ends up with (the last of
+        // several replaces wins); empty until the set replaces one.
+        let mut bodies: Vec<Option<&[Item]>> = Vec::new();
+        for edit in &edits.edits {
+            match edit {
+                Edit::AddElement { .. } => slots.push(fresh),
+                Edit::AddCall { symbol, .. } => {
+                    known(*symbol)?;
+                    slots.push(fresh);
+                }
+                Edit::RemoveItem { index } => {
+                    removed.extend(slots.remove(in_bounds(*index, slots.len())?).origin);
+                }
+                Edit::MoveItem { index, .. } => {
+                    let index = in_bounds(*index, slots.len())?;
+                    slots[index].dirty = true;
+                }
+                Edit::ReplaceSymbol { symbol, items } => {
+                    bodies.resize(symbols, None);
+                    bodies[known(*symbol)?] = Some(items);
+                }
+            }
+        }
+        if !bodies.is_empty() {
+            check_replaced_bodies(layout, &bodies)?;
+            let dirty_symbols = dirty_symbol_closure(layout, &bodies);
+            for slot in &mut slots {
+                if let Some(Item::Call(c)) = slot.origin.map(|o| &layout.top_items()[o]) {
+                    slot.dirty |= dirty_symbols[c.target.0 as usize];
+                }
+            }
+        }
+        let mut plan = EditPlan {
+            slots,
+            removed,
+            offsets: run_offsets(runs),
+            dirty_elements: 0,
+            total_elements: runs.iter().map(|run| run.0).sum(),
+        };
+        plan.dirty_elements = plan.stale_origins().map(|o| runs[o].0).sum();
+        Ok(plan)
+    }
+
+    /// The old items whose runs leave the view: the removed ones, then
+    /// the ones that re-instantiate.
+    fn stale_origins(&self) -> impl Iterator<Item = usize> + '_ {
+        let dirty = self.slots.iter().filter(|s| s.dirty);
+        (self.removed.iter().copied()).chain(dirty.filter_map(|s| s.origin))
+    }
+
+    /// Degradation guard: when the edit dirties a large fraction of the
+    /// chip (a definition instantiated everywhere, a shuffled
+    /// floorplan), patching costs more than recomputing — the halo
+    /// covers everything and every cache misses. Rebuild instead; the
+    /// result is the same canonical report either way.
+    fn rebuild_reason(&self) -> Option<RebuildReason> {
+        let (dirty, total) = (self.dirty_elements, self.total_elements);
+        (total > 0 && dirty * 10 >= total * 3)
+            .then_some(RebuildReason::DirtyFraction { dirty, total })
+    }
+}
+
+/// What the view patch hands the later steps: the new view and runs,
+/// how old ids map onto it, and what the edit disturbed.
+#[derive(Debug)]
+struct ViewPatch {
+    binding: LayerBinding,
+    /// Layer-binding violations, then the dirty items' instantiation
+    /// violations: the head of the re-run global stages' output.
+    violations: Vec<Violation>,
+    view: ChipView,
+    runs: Vec<(usize, usize)>,
+    /// Old element id → new (`None` for a removed or re-instantiated one).
+    old_to_new: Vec<Option<usize>>,
+    /// New device id → old (`None` for a re-instantiated one).
+    dev_old_of_new: Vec<Option<usize>>,
+    /// Per new element: belongs to a re-instantiated item.
+    dirty: Vec<bool>,
+    /// Per new element: dirty, or touching a dirty footprint — the
+    /// elements whose pair verdicts, duplicate-key ordinals or bindings
+    /// could have changed.
+    seed: Vec<bool>,
+    /// Elements whose auto net key was re-derived.
+    rekeyed: Vec<usize>,
+    /// Old and new footprints of every dirty element: the connection
+    /// dirty region, as rects and as the grid the steps test against.
+    foot: Vec<Rect>,
+    d_conn_grid: GridIndex<()>,
+    /// Every item kept its slot and its run lengths.
+    aligned: bool,
+}
+
+/// What the connection patch hands the net steps and the report patch.
+#[derive(Debug)]
+struct ConnPatch {
+    /// The chip's merges, kept ones renumbered, ascending.
+    merges: Vec<(usize, usize)>,
+    /// The scoped pass over the seed set (merges ascending).
+    scoped: ConnectionResult,
+    /// The cached merges among seed elements, which the scoped pass's
+    /// verdicts replace, as new ids, ascending.
+    old_seed_merges: Vec<(usize, usize)>,
+}
+
+/// The net graph's change so far: the nodes at which it changed — the
+/// contract of [`NetParts::splice`] — and whether it still provably
+/// equals the cached graph.
+#[derive(Debug)]
+struct GraphPatch {
+    touched: Vec<u32>,
+    net_neutral: bool,
+}
+
+/// What the net steps hand the halo re-check and the report patch.
+#[derive(Debug)]
+struct NetPatch {
+    nets: NetgenResult,
+    /// The interaction halo: every dirty or net-dirty footprint
+    /// inflated by the rule reach. One grid serves the scoped search's
+    /// marker filter and the report patch's retraction predicate — they
+    /// must agree bit for bit.
+    d_halo: Region,
+    d_halo_grid: GridIndex<()>,
 }
 
 /// An edit session: a layout under interactive editing with its cached,
@@ -370,9 +576,10 @@ pub struct CheckSession {
     /// and device-forming pairs, derived once at open.
     bound: BoundTechnology,
     binding: LayerBinding,
-    labels: Vec<(NetLabel, Option<LayerId>)>,
     view: ChipView,
-    runs: Vec<ItemRun>,
+    /// Per top-level item `(elements, devices)` run lengths: the unit
+    /// of view reuse.
+    runs: Vec<(usize, usize)>,
     merges: Vec<(usize, usize)>,
     parts: NetParts,
     element_net: Vec<Option<diic_netlist::NetId>>,
@@ -380,141 +587,59 @@ pub struct CheckSession {
     /// Persistent spatial index over element bboxes (the
     /// [`diic_geom::GridIndex`] incremental-update path): dirty-region
     /// queries cost the neighbourhood, not a whole-chip scan.
-    elem_index: diic_geom::GridIndex<u32>,
-    elem_tags: Vec<ElemTag>,
-    next_tag: u32,
-    /// Tag → current element id. Stale (removed) tags keep garbage
-    /// values; only live tags — which the index queries return — are
-    /// ever read.
-    tag_owner: Vec<usize>,
+    elem_index: GridIndex<()>,
+    /// Element id → its handle in `elem_index`.
+    elem_handles: Vec<u32>,
+    /// Handle → current element id, one slot per handle the index has
+    /// issued since its last compaction (which shrinks this table with
+    /// it). Dead handles keep garbage; only live ones — which the index
+    /// queries return — are ever read.
+    handle_owner: Vec<usize>,
     report: CheckReport,
 }
 
 impl CheckSession {
-    /// Opens a session: runs a full check and caches every artefact.
-    /// The session owns the layout; edits go through
-    /// [`CheckSession::apply`].
+    /// Opens a session: runs a full check —
+    /// [`StageEngine::diic_pipeline`], the one pipeline there is — and
+    /// keeps every artefact. The session owns the layout; edits go
+    /// through [`CheckSession::apply`].
     pub fn new(layout: Layout, tech: &Technology, options: &CheckOptions) -> CheckSession {
-        let tech = tech.clone();
-        let options = options.clone();
-        let bound = BoundTechnology::new(&tech);
-
-        let (binding, bind_violations) = LayerBinding::bind(&layout, &tech);
-        // The engine's front end, so opening a session stamps templates
-        // and parallelises like an engine run; the per-item run lengths
-        // it records are the unit the view patching reuses.
-        let (mut view, run_lens) = instantiate(&layout, &tech, &binding, Default::default());
-        let runs: Vec<ItemRun> = run_lens
-            .into_iter()
-            .map(|(elems, devices)| ItemRun { elems, devices })
-            .collect();
-        let mut instantiate_violations = std::mem::take(&mut view.violations);
-        // The patch path cannot regenerate *clean* items' instantiation
-        // violations (it never re-walks them), which is sound today only
-        // because the walk produces none. If `ChipView::violations` ever
-        // gains a producer, teach the session to cache them per item run
-        // before relying on report patching.
-        debug_assert!(
-            instantiate_violations.is_empty(),
-            "instantiate-time violations are not cached per item run yet; \
-             CheckSession::apply would silently drop them for clean items"
-        );
-
-        let mut elem_index = diic_geom::GridIndex::new(bound.cell_size());
-        let mut elem_tags = Vec::with_capacity(view.elements.len());
-        let mut next_tag = 0u32;
-        for &bbox in view.elements.bboxes() {
-            let tag = next_tag;
-            next_tag += 1;
-            let handle = elem_index.insert(bbox, tag);
-            elem_tags.push(ElemTag { tag, handle });
-        }
-
-        // The open-time stages emit through the Sink trait like any
-        // engine run; a session just buffers (it must own its canonical
-        // report — patching retracts and splices against it).
-        let mut sink = DiagnosticSink::new();
-        sink.absorb(bind_violations);
-        sink.append(&mut instantiate_violations);
-        sink.absorb(check_elements(&layout, &tech, &binding));
-        let prim = check_primitive_symbols(&layout, &tech, &binding);
-        let waived_devices = prim.waived;
-        sink.absorb(prim.violations);
-
-        // The session opens with the same scope-table connection pass
-        // and netgen bind phase an engine run uses (both byte-identical
-        // to serial); the patch paths below stay serial and read no
-        // scopes — they are edit-sized. The table lives for this open
-        // (or rebuild) only.
-        let scopes = ScopeTable::build(
-            layout.top_items(),
-            runs.iter().map(|run| run.elems),
-            view.elements.bboxes(),
-            bound.max_rule_range(),
-        );
-        let (conn, scope_stats) =
-            check_connections(&view, &tech, &scopes, options.effective_parallelism());
-        sink.absorb(conn.violations);
-
-        let labels: Vec<(NetLabel, Option<LayerId>)> = layout
-            .labels()
-            .iter()
-            .map(|l| (l.clone(), binding.layer(l.layer)))
-            .collect();
-        let (mut parts, bind_stats) = NetParts::build(
-            &mut view,
-            &tech,
-            &conn.merges,
-            &labels,
-            &scopes,
-            options.effective_parallelism(),
-        );
-        let scope_stats = scope_stats.with_binding_of(bind_stats);
-        let mut nets = parts.assemble(&view);
-        sink.append(&mut nets.violations);
-
-        let (ivs, stats) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
-        sink.absorb(ivs);
-
-        sink.absorb(composition_violations(&nets.netlist, &tech, &options));
-        let mut violations = sink.into_violations();
-        canonical_sort(&mut violations);
-
-        let NetgenResult {
-            netlist,
-            element_net,
-            device_terminal_nets,
-            ..
-        } = nets;
-        let report = CheckReport {
-            violations,
-            netlist,
-            interact_stats: stats,
-            stage_profile: Vec::new(),
-            waived_devices,
-            element_count: view.elements.len(),
-            device_count: view.devices.len(),
-            instantiate_stats: view.instantiate_stats,
-            scope_stats,
-        };
-
-        CheckSession {
-            layout,
-            tech,
-            options,
+        let mut ctx = CheckContext::new(&layout, tech, options);
+        // The stage profile is dropped: `CheckReport::is_clean` reads
+        // its per-stage counts, and a patched report would carry the
+        // open's stale ones.
+        StageEngine::diic_pipeline().run(&mut ctx);
+        let (mut report, artefacts) = ctx.into_session_parts();
+        canonical_sort(&mut report.violations);
+        let SessionArtefacts {
             bound,
             binding,
-            labels,
             view,
             runs,
-            merges: conn.merges,
+            merges,
+            parts,
+            element_net,
+            device_terminal_nets,
+        } = artefacts;
+        let mut elem_index = GridIndex::new(bound.cell_size());
+        let elem_handles: Vec<u32> = (view.elements.bboxes().iter())
+            .map(|&bbox| elem_index.insert(bbox, ()))
+            .collect();
+        CheckSession {
+            layout,
+            tech: tech.clone(),
+            options: options.clone(),
+            bound,
+            binding,
+            view,
+            runs,
+            merges,
             parts,
             element_net,
             device_terminal_nets,
             elem_index,
-            elem_tags,
-            next_tag,
-            tag_owner: (0..next_tag as usize).collect(),
+            handle_owner: (0..elem_handles.len()).collect(),
+            elem_handles,
             report,
         }
     }
@@ -538,400 +663,316 @@ impl CheckSession {
         canonical_check(&self.layout, &self.tech, &self.options)
     }
 
-    /// Applies an edit batch and patches the cached report. On error
-    /// the session (including the layout) is untouched.
+    /// Applies an edit batch and patches the cached report: an
+    /// `EditPlan`, then the steps below in order, each under the
+    /// [`EditStats`] clock named beside it (the module docs list them).
+    /// On error the session (including the layout) is untouched.
     pub fn apply(&mut self, edits: &EditSet) -> Result<EditStats, EditError> {
-        let (mut stats, commit_start) = self.apply_phases(edits)?;
-        // Read the clock out here so the commit also pays for dropping
-        // what the phases left behind (the old view's columns, the
-        // retired nets).
-        if let Some(t0) = commit_start {
-            stats.t_commit = t0.elapsed();
-        }
-        Ok(stats)
-    }
-
-    /// [`CheckSession::apply`]'s phases A–M; returns when the commit
-    /// phase started (`None` on the full-rebuild fallback).
-    fn apply_phases(
-        &mut self,
-        edits: &EditSet,
-    ) -> Result<(EditStats, Option<std::time::Instant>), EditError> {
-        let t_start = std::time::Instant::now();
-        // -- Phase A: validate and simulate slot bookkeeping. ---------
-        let n_old = self.layout.top_items().len();
-        let mut slots: Vec<Slot> = (0..n_old)
-            .map(|i| Slot {
-                origin: Some(i),
-                dirty: false,
-            })
-            .collect();
-        let mut removed_origins: Vec<usize> = Vec::new();
-        let mut replaced: Vec<SymbolId> = Vec::new();
-        for edit in &edits.edits {
-            match edit {
-                Edit::AddElement { .. } => slots.push(Slot {
-                    origin: None,
-                    dirty: true,
-                }),
-                Edit::AddCall { symbol, .. } => {
-                    if symbol.0 as usize >= self.layout.symbols().len() {
-                        return Err(EditError::UnknownSymbol(*symbol));
-                    }
-                    slots.push(Slot {
-                        origin: None,
-                        dirty: true,
-                    });
-                }
-                Edit::RemoveItem { index } => {
-                    if *index >= slots.len() {
-                        return Err(EditError::ItemOutOfBounds {
-                            index: *index,
-                            len: slots.len(),
-                        });
-                    }
-                    if let Some(o) = slots.remove(*index).origin {
-                        removed_origins.push(o);
-                    }
-                }
-                Edit::MoveItem { index, .. } => {
-                    if *index >= slots.len() {
-                        return Err(EditError::ItemOutOfBounds {
-                            index: *index,
-                            len: slots.len(),
-                        });
-                    }
-                    slots[*index].dirty = true;
-                }
-                Edit::ReplaceSymbol { symbol, .. } => {
-                    if symbol.0 as usize >= self.layout.symbols().len() {
-                        return Err(EditError::UnknownSymbol(*symbol));
-                    }
-                    replaced.push(*symbol);
-                }
-            }
-        }
-
-        // Dirty-symbol closure: a replaced definition invalidates every
-        // symbol that (transitively) calls it. Ancestry edges come from
-        // *other* symbols' bodies, which no edit touches, so the closure
-        // is the same before and after application.
-        let dirty_symbols = dirty_symbol_closure(&self.layout, &replaced);
-        for slot in &mut slots {
-            let Some(o) = slot.origin else { continue };
-            if let Item::Call(c) = &self.layout.top_items()[o] {
-                if dirty_symbols.contains(&c.target) {
-                    slot.dirty = true;
-                }
-            }
-        }
-
-        // Degradation guard: when the edit dirties a large fraction of
-        // the chip (a definition instantiated everywhere, a shuffled
-        // floorplan), patching costs more than recomputing — the halo
-        // covers everything and every cache misses. Rebuild instead;
-        // the result is the same canonical report either way.
-        let total_old = self.view.elements.len();
-        let dirty_old: usize = removed_origins
-            .iter()
-            .copied()
-            .chain(slots.iter().filter(|s| s.dirty).filter_map(|s| s.origin))
-            .map(|o| self.runs[o].elems)
-            .sum();
-        if total_old > 0 && dirty_old * 10 >= total_old * 3 {
-            let dirty_items = slots.iter().filter(|s| s.dirty).count();
+        let clock = std::time::Instant::now;
+        let t0 = clock();
+        let plan = EditPlan::new(&self.layout, &self.runs, edits)?;
+        let mut stats = EditStats::default();
+        if let Some(reason) = plan.rebuild_reason() {
             apply_layout_edits(&mut self.layout, edits);
             let layout = std::mem::take(&mut self.layout);
             *self = CheckSession::new(layout, &self.tech, &self.options);
-            let stats = EditStats {
-                dirty_items,
-                dirty_elements: dirty_old,
-                full_rebuild: true,
-                rebuild_reason: Some(RebuildReason::DirtyFraction {
-                    dirty: dirty_old,
-                    total: total_old,
-                }),
-                t_view: t_start.elapsed(),
-                ..EditStats::default()
-            };
-            return Ok((stats, None));
+            stats.dirty_items = plan.slots.iter().filter(|s| s.dirty).count();
+            stats.dirty_elements = plan.dirty_elements;
+            (stats.full_rebuild, stats.rebuild_reason) = (true, Some(reason));
+            stats.t_view = t0.elapsed();
+            return Ok(stats);
         }
+        let foot = self.evict_footprints(&plan);
+        apply_layout_edits(&mut self.layout, edits);
+        let mut view = self.patch_view(&plan, foot, &mut stats);
+        stats.t_view = t0.elapsed();
 
-        // -- Phase B: old footprints (from the cached view's runs), and
-        // eviction of the stale entries from the persistent element
-        // index (survivor entries stay put — their bboxes are
-        // unchanged).
-        let mut stats = EditStats::default();
-        // Removed items never reach the new view's dirty loop below, but
-        // their evicted footprints drive retraction and halo re-checks
-        // all the same — count them as dirty work.
-        stats.dirty_items += removed_origins.len();
-        stats.dirty_elements += removed_origins
-            .iter()
-            .map(|&o| self.runs[o].elems)
-            .sum::<usize>();
-        let old_offsets = run_offsets(&self.runs);
-        let mut foot: Vec<Rect> = Vec::new();
-        for o in removed_origins
-            .iter()
-            .copied()
-            .chain(slots.iter().filter(|s| s.dirty).filter_map(|s| s.origin))
-        {
-            let (e0, _) = old_offsets[o];
-            let run_bboxes = &self.view.elements.bboxes()[e0..e0 + self.runs[o].elems];
-            for (&bbox, t) in run_bboxes
-                .iter()
-                .zip(&self.elem_tags[e0..e0 + self.runs[o].elems])
-            {
-                foot.push(bbox);
-                self.elem_index.remove(t.handle);
+        let t0 = clock();
+        let mut conn = self.patch_connections(&view, &mut stats);
+        stats.t_conn = t0.elapsed();
+
+        let t0 = clock();
+        let mut graph = self.patch_net_graph(&view, &conn);
+        self.rebind_rows(&mut view, &mut graph);
+        let nets = self.splice_nets(&mut view, graph, &mut stats);
+        stats.t_net = t0.elapsed();
+
+        let t0 = clock();
+        let (interactions, interact_stats) = self.recheck_halo(&view, &nets);
+        stats.rechecked_pairs = interact_stats.candidate_pairs;
+        stats.t_interact = t0.elapsed();
+
+        let t0 = clock();
+        let (global, waived_devices) = self.rerun_global_stages(&mut view, &nets);
+        stats.t_global = t0.elapsed();
+
+        let t0 = clock();
+        let connections = std::mem::take(&mut conn.scoped.violations);
+        let violations =
+            self.patch_report(global, connections, interactions, &view, &nets, &mut stats);
+        stats.t_patch = t0.elapsed();
+
+        // Consumes the products, so the commit also pays for dropping
+        // what the steps left behind.
+        let t0 = clock();
+        stats.index_compacted =
+            self.commit(view, conn, nets, violations, interact_stats, waived_devices);
+        stats.t_commit = t0.elapsed();
+        Ok(stats)
+    }
+
+    /// The ids of the elements whose bbox touches `r`, ascending by
+    /// index handle, from the persistent index: cost follows the query,
+    /// not the chip.
+    fn elements_touching<'a>(&'a self, r: &Rect) -> impl Iterator<Item = usize> + 'a {
+        let handles = self.elem_index.query_handles(r).into_iter();
+        handles.map(|h| self.handle_owner[h as usize])
+    }
+
+    /// Step 1 (`t_view`): the footprints of every run that leaves the
+    /// view, read from the cached view and evicted from the element
+    /// index (survivor entries stay put — their bboxes are unchanged).
+    fn evict_footprints(&mut self, plan: &EditPlan) -> Vec<Rect> {
+        let mut foot = Vec::new();
+        for o in plan.stale_origins() {
+            let run = plan.offsets[o].0..plan.offsets[o].0 + self.runs[o].0;
+            foot.extend_from_slice(&self.view.elements.bboxes()[run.clone()]);
+            for &handle in &self.elem_handles[run] {
+                self.elem_index.remove(handle);
             }
         }
+        foot
+    }
 
-        // -- Phase C: apply the edits to the layout. ------------------
-        apply_layout_edits(&mut self.layout, edits);
-        debug_assert_eq!(slots.len(), self.layout.top_items().len());
-
-        // -- Phase D: re-bind layers (the name set may have grown). ---
-        let (binding, bind_violations) = LayerBinding::bind(&self.layout, &self.tech);
-
-        // -- Phase E: patch the view, reusing clean runs. -------------
+    /// Step 2 (`t_view`), on the edited layout: re-binds layers (the
+    /// name set may have grown) and rebuilds the view — clean items keep
+    /// their element and device runs, renumbered in place; dirty ones
+    /// re-instantiate and enter the element index — then derives what
+    /// the edit disturbed: `foot` grows by the new footprints, the seed
+    /// mask comes out of the index, auto net keys re-derive.
+    fn patch_view(
+        &mut self,
+        plan: &EditPlan,
+        mut foot: Vec<Rect>,
+        stats: &mut EditStats,
+    ) -> ViewPatch {
+        let (binding, mut violations) = LayerBinding::bind(&self.layout, &self.tech);
         let mut old_view = std::mem::take(&mut self.view);
         let old_runs = std::mem::take(&mut self.runs);
-        let old_tags = std::mem::take(&mut self.elem_tags);
-        let old_element_count = old_view.elements.len();
+        let old_handles = std::mem::take(&mut self.elem_handles);
         // The interner survives the patch: it is append-only, so the
         // reused runs' `Istr` handles stay valid and fresh items intern
         // into the same table (stale strings simply stop being
         // referenced — compaction is not worth a whole-view rewrite per
         // edit, and the rebuild fallback resets the table anyway).
-        let strings = std::mem::take(&mut old_view.strings);
+        let mut view = ChipView {
+            strings: std::mem::take(&mut old_view.strings),
+            ..ChipView::default()
+        };
         // Survivor element runs copy across as whole column runs (ids
         // renumber implicitly to their new positions); devices still
         // move one record at a time for the back-reference rewrite.
         let old_cols = old_view.elements;
-        let mut old_devs: Vec<Option<crate::binding::DeviceInstance>> =
-            old_view.devices.into_iter().map(Some).collect();
-
-        let mut view = ChipView {
-            strings,
-            ..ChipView::default()
-        };
-        let mut tags: Vec<ElemTag> = Vec::with_capacity(old_element_count);
-        let mut runs: Vec<ItemRun> = Vec::with_capacity(slots.len());
-        let mut old_to_new: Vec<Option<usize>> = vec![None; old_element_count];
-        // Device alignment for the terminal-net diff: new device id →
-        // old device id (survivor runs only).
-        let mut dev_old_of_new: Vec<Option<usize>> = Vec::new();
-        for (k, slot) in slots.iter().enumerate() {
+        let mut old_devs: Vec<_> = old_view.devices.into_iter().map(Some).collect();
+        let mut runs = Vec::with_capacity(plan.slots.len());
+        let mut old_to_new = vec![None; old_cols.len()];
+        let mut dev_old_of_new = Vec::new();
+        let mut dirty = Vec::with_capacity(old_cols.len());
+        // Removed items never reach the loop below, but their evicted
+        // footprints drive retraction and halo re-checks all the same —
+        // count them as dirty work.
+        stats.dirty_items = plan.removed.len();
+        stats.dirty_elements = plan.removed.iter().map(|&o| old_runs[o].0).sum();
+        for (k, slot) in plan.slots.iter().enumerate() {
             let (e0, d0) = (view.elements.len(), view.devices.len());
-            match (slot.dirty, slot.origin) {
-                (false, Some(o)) => {
-                    let (oe, od) = old_offsets[o];
-                    let run = old_runs[o];
-                    view.elements.append_run_from(
-                        &old_cols,
-                        oe..oe + run.elems,
-                        d0 as i64 - od as i64,
-                    );
-                    for t in 0..run.elems {
-                        old_to_new[oe + t] = Some(e0 + t);
-                        tags.push(old_tags[oe + t]);
-                    }
-                    for t in 0..run.devices {
-                        // invariant: each old device index belongs to
-                        // exactly one reused run, so it is taken once.
-                        let mut dv = old_devs[od + t].take().expect("runs are disjoint");
-                        for id in dv.element_ids.iter_mut() {
-                            *id = *id - oe + e0;
-                        }
-                        dev_old_of_new.push(Some(od + t));
-                        view.devices.push(dv);
-                    }
-                    runs.push(run);
+            if let (false, Some(o)) = (slot.dirty, slot.origin) {
+                let ((oe, od), (elems, devices)) = (plan.offsets[o], old_runs[o]);
+                let shift = d0 as i64 - od as i64;
+                view.elements
+                    .append_run_from(&old_cols, oe..oe + elems, shift);
+                for t in 0..elems {
+                    old_to_new[oe + t] = Some(e0 + t);
                 }
-                _ => {
-                    stats.dirty_items += 1;
-                    instantiate_item(
-                        &self.layout,
-                        &self.tech,
-                        &binding,
-                        &self.layout.top_items()[k],
-                        &mut view,
-                    );
-                    for &bbox in &view.elements.bboxes()[e0..] {
-                        let tag = self.next_tag;
-                        self.next_tag += 1;
-                        let handle = self.elem_index.insert(bbox, tag);
-                        tags.push(ElemTag { tag, handle });
+                self.elem_handles
+                    .extend_from_slice(&old_handles[oe..oe + elems]);
+                for t in 0..devices {
+                    // invariant: each old device index belongs to
+                    // exactly one reused run, so it is taken once.
+                    let mut dv = old_devs[od + t].take().expect("runs are disjoint");
+                    for id in dv.element_ids.iter_mut() {
+                        *id = *id - oe + e0;
                     }
-                    dev_old_of_new.extend(std::iter::repeat_n(None, view.devices.len() - d0));
-                    runs.push(ItemRun {
-                        elems: view.elements.len() - e0,
-                        devices: view.devices.len() - d0,
-                    });
+                    dev_old_of_new.push(Some(od + t));
+                    view.devices.push(dv);
                 }
+            } else {
+                let item = &self.layout.top_items()[k];
+                instantiate_item(&self.layout, &self.tech, &binding, item, &mut view);
+                let fresh = &view.elements.bboxes()[e0..];
+                foot.extend_from_slice(fresh);
+                let index = &mut self.elem_index;
+                self.elem_handles
+                    .extend(fresh.iter().map(|&bbox| index.insert(bbox, ())));
+                dev_old_of_new.resize(view.devices.len(), None);
+                stats.dirty_items += 1;
+                stats.dirty_elements += fresh.len();
             }
+            dirty.resize(view.elements.len(), slot.dirty);
+            runs.push((view.elements.len() - e0, view.devices.len() - d0));
         }
-        let mut fresh_instantiate_violations = std::mem::take(&mut view.violations);
+        // The patch cannot regenerate *clean* items' instantiation
+        // violations (it never re-walks them), which is sound only
+        // because the walk produces none. If `ChipView::violations` ever
+        // gains a producer, cache them per item run before relying on
+        // report patching.
+        debug_assert!(
+            view.violations.is_empty(),
+            "instantiate-time violations are not cached per item run yet; \
+             CheckSession::apply would silently drop them for clean items"
+        );
+        violations.append(&mut view.violations);
 
-        // New footprints + dirty element flags.
-        let n_new = view.elements.len();
-        let mut dirty_elem = vec![false; n_new];
-        let new_offsets = run_offsets(&runs);
-        for (slot, (&(e0, _), run)) in slots.iter().zip(new_offsets.iter().zip(&runs)) {
-            if slot.dirty {
-                let run_bboxes = &view.elements.bboxes()[e0..e0 + run.elems];
-                for (&bbox, dirty) in run_bboxes.iter().zip(&mut dirty_elem[e0..e0 + run.elems]) {
-                    foot.push(bbox);
-                    *dirty = true;
-                    stats.dirty_elements += 1;
-                }
-            }
-        }
         let d_conn = Region::from_rects(foot.iter().copied());
-        let cell = self.bound.cell_size();
-        let d_conn_grid = region_grid(&d_conn, cell);
-        // Refresh the tag → element-id map (stale tags are never read:
-        // the index only returns live ones).
-        self.tag_owner.resize(self.next_tag as usize, usize::MAX);
-        for (id, t) in tags.iter().enumerate() {
-            self.tag_owner[t.tag as usize] = id;
+        let slots = self.elem_index.len() + self.elem_index.tombstones();
+        self.handle_owner.resize(slots, usize::MAX);
+        for (id, &handle) in self.elem_handles.iter().enumerate() {
+            self.handle_owner[handle as usize] = id;
         }
-        let tag_owner = &self.tag_owner;
-        // Seed set: dirty elements plus everything touching the dirty
-        // footprints — the elements whose pair verdicts, duplicate-key
-        // ordinals, or bindings could have changed. Queried from the
-        // persistent index: cost follows the edit, not the chip.
-        let mut seed = dirty_elem.clone();
-        for r in d_conn.rects() {
-            for &tag in self.elem_index.query(r) {
-                seed[tag_owner[tag as usize]] = true;
-            }
+        let mut seed = dirty.clone();
+        for id in d_conn
+            .rects()
+            .iter()
+            .flat_map(|r| self.elements_touching(r))
+        {
+            seed[id] = true;
         }
         // Auto net keys: re-derive only identity groups with a changed
         // member (the seed mask covers removed duplicates — they share
         // their bbox with their survivors by definition).
         let rekeyed = assign_auto_net_keys(&mut view.elements, &mut view.strings, &seed);
-        stats.t_view = t_start.elapsed();
+        let kept_slot = |(i, s): (usize, &Slot)| s.origin == Some(i);
+        ViewPatch {
+            binding,
+            violations,
+            view,
+            aligned: runs == old_runs && plan.slots.iter().enumerate().all(kept_slot),
+            runs,
+            old_to_new,
+            dev_old_of_new,
+            dirty,
+            seed,
+            rekeyed,
+            d_conn_grid: region_grid(&d_conn, self.bound.cell_size()),
+            foot,
+        }
+    }
 
-        // -- Phase F: patch connections. ------------------------------
-        let t0 = std::time::Instant::now();
-        let seeds: Vec<usize> = (0..n_new).filter(|&i| seed[i]).collect();
+    /// Step 3 (`t_conn`): re-scores the pairs among the seed elements
+    /// ([`check_connections_among`]); every other cached merge is
+    /// provably unchanged and only renumbers.
+    fn patch_connections(&self, vp: &ViewPatch, stats: &mut EditStats) -> ConnPatch {
+        let seeds: Vec<usize> = (0..vp.seed.len()).filter(|&i| vp.seed[i]).collect();
         stats.seed_elements = seeds.len();
-        let mut scoped_conn = check_connections_among(&view, &self.tech, &seeds);
-        scoped_conn.merges.sort_unstable();
-        // The cached merges among seed elements, which the scoped
-        // pass's verdicts replace (kept for the net graph's edge diff).
-        let mut old_seed_merges: Vec<(usize, usize)> = Vec::new();
-        let mut merges: Vec<(usize, usize)> = self
-            .merges
-            .iter()
+        let mut scoped = check_connections_among(&vp.view, &self.tech, &seeds);
+        scoped.merges.sort_unstable();
+        let mut old_seed_merges = Vec::new();
+        let mut merges: Vec<(usize, usize)> = (self.merges.iter())
             .filter_map(|&(i, j)| {
-                let (Some(ni), Some(nj)) = (old_to_new[i], old_to_new[j]) else {
-                    return None;
-                };
+                let (ni, nj) = (vp.old_to_new[i]?, vp.old_to_new[j]?);
                 // Pairs fully inside the seed set are the scoped pass's
-                // verdicts; everything else is provably unchanged.
-                if seed[ni] && seed[nj] {
+                // verdicts.
+                if vp.seed[ni] && vp.seed[nj] {
                     old_seed_merges.push((ni, nj));
                     return None;
                 }
                 Some((ni, nj))
             })
             .collect();
-        merges.extend_from_slice(&scoped_conn.merges);
+        merges.extend_from_slice(&scoped.merges);
         merges.sort_unstable();
-        stats.t_conn = t0.elapsed();
+        old_seed_merges.sort_unstable();
+        ConnPatch {
+            merges,
+            scoped,
+            old_seed_merges,
+        }
+    }
 
-        // -- Phase G: patch the net graph and splice the net list. ----
-        // `touched` collects the nodes at which the graph changes — the
-        // contract of `NetParts::splice`.
-        let t0 = std::time::Instant::now();
+    /// Step 4 (`t_net`): the net graph's element nodes and connection
+    /// edges. Nodes are the view interner's raw indices, so patching
+    /// them is a handle read — no string ever re-interns here.
+    fn patch_net_graph(&mut self, vp: &ViewPatch, cp: &ConnPatch) -> GraphPatch {
+        let keys = vp.view.elements.net_keys();
         let mut touched: Vec<u32> = Vec::new();
         let old_element_node = std::mem::take(&mut self.parts.element_node);
-        let mut element_node: Vec<Option<u32>> = vec![None; n_new];
-        for (old, new) in old_to_new.iter().enumerate() {
+        let mut element_node: Vec<Option<u32>> = vec![None; vp.dirty.len()];
+        for (old, new) in vp.old_to_new.iter().enumerate() {
             match new {
                 Some(new) => element_node[*new] = old_element_node[old],
                 None => touched.extend(old_element_node[old]),
             }
         }
-        // Nodes are the view interner's raw indices, so patching them is
-        // a handle read — no string ever re-interns here.
-        for &id in &rekeyed {
+        for &id in &vp.rekeyed {
             // Re-keyed survivors keep their netted-ness; fresh elements
             // are handled below. A kept merge of a re-keyed survivor
             // moves one edge end from the old node to the new: both are
             // touched, and the far end shared the old node's net.
             if let Some(node) = &mut element_node[id] {
                 touched.push(*node);
-                *node = view.elements.net_keys()[id].index();
+                *node = keys[id].index();
                 touched.push(*node);
             }
         }
-        for id in 0..n_new {
-            if dirty_elem[id] {
-                element_node[id] =
-                    element_is_netted(&view, id).then(|| view.elements.net_keys()[id].index());
-                touched.extend(element_node[id]);
-            }
+        let dirty_ids = || (0..vp.dirty.len()).filter(|&id| vp.dirty[id]);
+        for id in dirty_ids() {
+            element_node[id] = element_is_netted(&vp.view, id).then(|| keys[id].index());
+            touched.extend(element_node[id]);
         }
         // Connection edges that appeared or vanished among surviving
         // seed elements (a merge that lost an end to a removed element
         // is covered by that element's node above).
-        old_seed_merges.sort_unstable();
-        let new_seed_merges = &scoped_conn.merges;
-        let gone = old_seed_merges
-            .iter()
-            .filter(|pair| new_seed_merges.binary_search(pair).is_err());
-        let came = new_seed_merges
-            .iter()
-            .filter(|pair| old_seed_merges.binary_search(pair).is_err());
+        let (old, new) = (&cp.old_seed_merges, &cp.scoped.merges);
+        let gone = old.iter().filter(|pair| new.binary_search(pair).is_err());
+        let came = new.iter().filter(|pair| old.binary_search(pair).is_err());
         for &(i, j) in gone.chain(came) {
             touched.extend(element_node[i]);
             touched.extend(element_node[j]);
         }
-        // Net-neutral fast-path candidate: an edit that provably leaves
-        // the net graph bit-identical (same item structure, no re-keyed
-        // elements, every dirty element kept its node, and — checked
-        // below — identical connection edges and device/label rows)
-        // reuses the cached net list instead of reassembling it. A
-        // moved instance (auto keys are instance-local) or a dragged
-        // declared-net wire in free space is the common hit.
-        let aligned = slots.len() == old_runs.len()
-            && slots.iter().enumerate().all(|(i, s)| s.origin == Some(i))
-            && runs == old_runs;
-        let mut net_neutral = aligned
-            && rekeyed.is_empty()
-            && (0..n_new)
-                .filter(|&i| dirty_elem[i])
-                .all(|i| element_node[i] == old_element_node[i]);
+        // Net-neutral candidate (see `splice_nets`): same item
+        // structure, no re-keyed element, every dirty element kept its
+        // node, identical connection edges — and, checked as they
+        // re-derive, identical device and label rows.
+        let mut net_neutral = vp.aligned
+            && vp.rekeyed.is_empty()
+            && dirty_ids().all(|id| element_node[id] == old_element_node[id]);
         self.parts.element_node = element_node;
         let old_conn_edges = net_neutral.then(|| self.parts.conn_edges.clone());
-        self.parts.set_conn_edges(&merges);
-        if let Some(old_edges) = &old_conn_edges {
-            net_neutral &= *old_edges == self.parts.conn_edges;
+        self.parts.set_conn_edges(&cp.merges);
+        net_neutral &= old_conn_edges.is_none_or(|old| old == self.parts.conn_edges);
+        GraphPatch {
+            touched,
+            net_neutral,
         }
+    }
 
+    /// Step 5 (`t_net`): re-derives the device and label rows whose
+    /// binding the edit could have changed, reusing every other row. A
+    /// row that was added, removed, or re-derived to something else
+    /// touches every node it names.
+    fn rebind_rows(&mut self, vp: &mut ViewPatch, gp: &mut GraphPatch) {
+        let bboxes = vp.view.elements.bboxes();
         // Rebinding region: geometry changes plus re-keyed elements
         // (their interned node changed even though nothing moved). With
         // no surviving re-keys it is exactly the connection dirty
         // region, whose grid already exists.
-        let d_bind_grid_wide = rekeyed.iter().any(|&id| !dirty_elem[id]).then(|| {
-            let mut rects = foot.clone();
-            rects.extend(rekeyed.iter().map(|&id| view.elements.bboxes()[id]));
-            region_grid(&Region::from_rects(rects), cell)
-        });
-        let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&d_conn_grid);
-        let rekeyed_flags = {
-            let mut f = vec![false; n_new];
-            for &id in &rekeyed {
-                f[id] = true;
-            }
-            f
-        };
-
+        let d_bind = || (vp.foot.iter().copied()).chain(vp.rekeyed.iter().map(|&id| bboxes[id]));
+        let d_bind_grid_wide = (vp.rekeyed.iter().any(|&id| !vp.dirty[id]))
+            .then(|| region_grid(&Region::from_rects(d_bind()), self.bound.cell_size()));
+        let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&vp.d_conn_grid);
+        let mut rekeyed_flags = vec![false; bboxes.len()];
+        for &id in &vp.rekeyed {
+            rekeyed_flags[id] = true;
+        }
         // Decide which devices and labels re-bind. A binding (point →
         // covering elements) can only have changed if geometry inside
         // the point's bbox changed — i.e. the point touches `d_bind`;
@@ -939,98 +980,65 @@ impl CheckSession {
         // re-keyed (its join/bind edges reference the stale node).
         // The region's bounding box screens out the far-away points
         // (nearly all of them) before the hashed grid lookup.
-        let d_bind_bounds = foot
-            .iter()
-            .copied()
-            .chain(rekeyed.iter().map(|&id| view.elements.bboxes()[id]))
-            .reduce(|a, b| a.bounding_union(&b));
-        let point_rect = |p: diic_geom::Point| Rect::new(p.x, p.y, p.x, p.y);
-        let in_d_bind = |p: diic_geom::Point| {
+        let d_bind_bounds = d_bind().reduce(|a, b| a.bounding_union(&b));
+        let in_d_bind = |p: Point| {
             d_bind_bounds.is_some_and(|b| b.contains_point(p))
-                && d_bind_grid.touches_any(&point_rect(p))
+                && d_bind_grid.touches_any(&Rect::new(p.x, p.y, p.x, p.y))
         };
-        let rerow: Vec<bool> = (0..view.devices.len())
-            .map(|di| {
-                let dev = &view.devices[di];
-                dev_old_of_new[di].is_none()
+        let rerow: Vec<bool> = (vp.view.devices.iter().zip(&vp.dev_old_of_new))
+            .map(|(dev, old)| {
+                old.is_none()
                     || dev.element_ids.iter().any(|&eid| rekeyed_flags[eid])
                     || dev.terminals.iter().any(|(_, _, p)| in_d_bind(*p))
             })
             .collect();
-        let relabel: Vec<bool> = self
-            .labels
-            .iter()
-            .map(|(label, _)| in_d_bind(label.position))
-            .collect();
+        let labels = self.layout.labels();
+        let relabel: Vec<bool> = labels.iter().map(|l| in_d_bind(l.position)).collect();
 
         // The scoped bind index must be complete at **every** re-bound
         // point — a device re-rows all of its terminals even when only
         // one sits in the dirty region, so the scope is the union of
         // the re-bound points themselves (an element can only bind if
         // its bbox covers the point).
-        let bind: Option<BindIndex> = if rerow.iter().any(|&b| b) || relabel.iter().any(|&b| b) {
-            let mut pts: Vec<Rect> = Vec::new();
-            for (di, &r) in rerow.iter().enumerate() {
-                if r {
-                    for (_, _, p) in &view.devices[di].terminals {
-                        // 1-unit pad: Region drops zero-area rects.
-                        pts.push(Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1));
-                    }
-                }
-            }
-            for ((label, _), &r) in self.labels.iter().zip(&relabel) {
-                if r {
-                    let p = label.position;
-                    pts.push(Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1));
-                }
-            }
-            let mut ids: Vec<usize> = Vec::new();
-            for r in Region::from_rects(pts).rects() {
-                ids.extend(
-                    self.elem_index
-                        .query(r)
-                        .into_iter()
-                        .map(|&tag| tag_owner[tag as usize]),
-                );
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            ids.retain(|&id| element_is_netted(&view, id));
-            Some(BindIndex::build_among(&view, &self.tech, &ids))
-        } else {
-            None
-        };
+        let rerowed = vp.view.devices.iter().zip(&rerow).filter(|(_, &r)| r);
+        let relabelled = labels.iter().zip(&relabel).filter(|(_, &r)| r);
+        let points = rerowed
+            .flat_map(|(dev, _)| dev.terminals.iter().map(|(_, _, p)| *p))
+            .chain(relabelled.map(|(label, _)| label.position));
+        // 1-unit pad: Region drops zero-area rects.
+        let pads = points.map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1));
+        let scope = Region::from_rects(pads);
+        let mut ids: Vec<usize> = (scope.rects().iter())
+            .flat_map(|r| self.elements_touching(r))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|&id| element_is_netted(&vp.view, id));
+        let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
 
-        // Device rows: reuse survivors, recompute the rest. A row that
-        // was added, removed, or re-derived to something else touches
-        // every node it names.
         let mut old_rows: Vec<Option<DeviceParts>> = std::mem::take(&mut self.parts.devices)
             .into_iter()
             .map(Some)
             .collect();
-        let mut new_rows: Vec<DeviceParts> = Vec::with_capacity(view.devices.len());
-        for di in 0..view.devices.len() {
-            let row = match dev_old_of_new[di].and_then(|od| old_rows[od].take()) {
-                Some(row) if !rerow[di] => row,
+        let mut new_rows: Vec<DeviceParts> = Vec::with_capacity(rerow.len());
+        for (di, &rerow) in rerow.iter().enumerate() {
+            let row = match vp.dev_old_of_new[di].and_then(|od| old_rows[od].take()) {
+                Some(row) if !rerow => row,
                 old_row => {
-                    // invariant: the bind index is built up front
-                    // whenever any row is marked for re-derivation.
-                    let b = bind
-                        .as_ref()
-                        .expect("bind index built when anything re-rows");
-                    let row = self.parts.device_parts(&mut view, di, b);
-                    if net_neutral {
+                    let row = self.parts.device_parts(&mut vp.view, di, &bind);
+                    if gp.net_neutral {
                         // Under `aligned`, device di corresponds to old
                         // device di: a survivor's row was just taken, a
                         // re-instantiated device's is still in place.
                         let old = old_row
                             .as_ref()
                             .or_else(|| old_rows.get(di).and_then(Option::as_ref));
-                        net_neutral = old == Some(&row);
+                        gp.net_neutral = old == Some(&row);
                     }
                     if old_row.as_ref() != Some(&row) {
-                        touched.extend(row.nodes());
-                        touched.extend(old_row.iter().flat_map(DeviceParts::nodes));
+                        gp.touched.extend(row.nodes());
+                        gp.touched
+                            .extend(old_row.iter().flat_map(DeviceParts::nodes));
                     }
                     row
                 }
@@ -1038,50 +1046,62 @@ impl CheckSession {
             new_rows.push(row);
         }
         // What is left belonged to removed or re-instantiated devices.
-        touched.extend(old_rows.iter().flatten().flat_map(DeviceParts::nodes));
+        gp.touched
+            .extend(old_rows.iter().flatten().flat_map(DeviceParts::nodes));
         self.parts.devices = new_rows;
 
-        // Label rows: re-bind those whose point sits in the rebinding
-        // region.
-        for (li, (label, layer)) in self.labels.iter().enumerate() {
-            if relabel[li] {
-                // invariant: same up-front construction as the device
-                // rows — relabel[li] implies the index exists.
-                let b = bind
-                    .as_ref()
-                    .expect("bind index built when anything re-binds");
-                let row = self.parts.label_parts(&mut view, label, *layer, b);
-                if self.parts.labels[li] != row {
-                    net_neutral = false;
-                    touched.extend(row.nodes());
-                    touched.extend(self.parts.labels[li].nodes());
-                    self.parts.labels[li] = row;
-                }
+        for (li, label) in labels.iter().enumerate().filter(|&(li, _)| relabel[li]) {
+            let layer = vp.binding.layer(label.layer);
+            let row = self.parts.label_parts(&mut vp.view, label, layer, &bind);
+            if self.parts.labels[li] != row {
+                gp.net_neutral = false;
+                gp.touched.extend(row.nodes());
+                gp.touched.extend(self.parts.labels[li].nodes());
+                self.parts.labels[li] = row;
             }
         }
+    }
 
-        // -- Phase H: net-identity diff extends the dirty core. -------
-        // A spliced net list moved every net outside the affected
-        // components across unchanged, so only elements and terminals
-        // on a fresh net can have changed identity — and their old net
-        // is among the ones the splice retired.
-        let mut int_foot = foot;
-        let nets_new = if net_neutral {
-            stats.netlist_reused = true;
+    /// Step 6 (`t_net`): the new net list, and the halo its changes
+    /// widen the dirty core to. A graph that provably equals the cached
+    /// one reuses the cached list — a moved instance (auto keys are
+    /// instance-local) or a declared-net wire dragged through free
+    /// space is the common hit; anything else splices
+    /// ([`NetParts::splice`]), and then only elements and terminals on
+    /// a freshly built net can have changed identity (their old net is
+    /// among the ones the splice retired): each adds its footprint.
+    ///
+    /// Both paths stay because each wins on edits the benchmark has:
+    /// 2.1 % of `edit-session`'s edits (1 445, seed 1) reuse, and with
+    /// the reuse forced off (six alternating 20 s pairs at 64cdfd9)
+    /// `op_p50_ms` read 1.612 → 1.644, slower in 6/6, `service-mix`
+    /// 1.767 → 1.811 — a real 2.0 % for a flag the graph patch computes
+    /// anyway.
+    fn splice_nets(
+        &mut self,
+        vp: &mut ViewPatch,
+        gp: GraphPatch,
+        stats: &mut EditStats,
+    ) -> NetPatch {
+        let mut int_foot = std::mem::take(&mut vp.foot);
+        let old_netlist = std::mem::take(&mut self.report.netlist);
+        let old_element_net = std::mem::take(&mut self.element_net);
+        let old_terminal_nets = std::mem::take(&mut self.device_terminal_nets);
+        stats.netlist_reused = gp.net_neutral;
+        let nets = if gp.net_neutral {
             NetgenResult {
-                netlist: std::mem::take(&mut self.report.netlist),
-                element_net: std::mem::take(&mut self.element_net),
-                device_terminal_nets: std::mem::take(&mut self.device_terminal_nets),
+                netlist: old_netlist,
+                element_net: old_element_net,
+                device_terminal_nets: old_terminal_nets,
                 violations: Vec::new(),
             }
         } else {
-            let old_netlist = std::mem::take(&mut self.report.netlist);
             let splice = self.parts.splice(
-                &view,
+                &vp.view,
                 old_netlist,
-                &self.device_terminal_nets,
-                &touched,
-                &dev_old_of_new,
+                &old_terminal_nets,
+                &gp.touched,
+                &vp.dev_old_of_new,
             );
             stats.nets_respliced = splice.fresh.iter().filter(|f| **f).count();
             stats.nodes_respliced = splice.nodes;
@@ -1092,134 +1112,124 @@ impl CheckSession {
                     || old.and_then(|o| splice.retired_name(o))
                         == Some(splice.nets.netlist.net(new).name())
             };
-            for (old, new) in old_to_new.iter().enumerate() {
+            let bboxes = vp.view.elements.bboxes();
+            for (old, new) in vp.old_to_new.iter().enumerate() {
                 let Some(new) = *new else { continue };
                 let Some(net) = splice.nets.element_net[new] else {
                     continue;
                 };
-                if !same_name(self.element_net[old], net) {
-                    int_foot.push(view.elements.bboxes()[new]);
+                if !same_name(old_element_net[old], net) {
+                    int_foot.push(bboxes[new]);
                     stats.net_dirty_elements += 1;
                 }
             }
-            for (di, old_di) in dev_old_of_new.iter().enumerate() {
+            for (di, old_di) in vp.dev_old_of_new.iter().enumerate() {
                 let Some(old_di) = *old_di else { continue };
-                let old_terms = &self.device_terminal_nets[old_di];
+                let old_terms = &old_terminal_nets[old_di];
                 let new_terms = &splice.nets.device_terminal_nets[di];
                 let same = old_terms.len() == new_terms.len()
-                    && old_terms
-                        .iter()
-                        .zip(new_terms)
-                        .all(|(&o, &n)| same_name(Some(o), n));
+                    && (old_terms.iter().zip(new_terms)).all(|(&o, &n)| same_name(Some(o), n));
                 if !same {
-                    for &eid in &view.devices[di].element_ids {
-                        int_foot.push(view.elements.bboxes()[eid]);
-                    }
+                    int_foot.extend(
+                        vp.view.devices[di]
+                            .element_ids
+                            .iter()
+                            .map(|&eid| bboxes[eid]),
+                    );
                 }
             }
             splice.nets
         };
-        let reach = self.bound.max_rule_range();
-        let d_halo = Region::from_rects(int_foot).inflate(reach);
-        // One grid serves both the scoped search's marker filter and
-        // Phase K's retraction predicate — they must agree bit for bit.
-        let d_halo_grid = region_grid(&d_halo, cell);
-        stats.t_net = t0.elapsed();
-
-        // -- Phase I: scoped interactions inside the halo. ------------
-        let t0 = std::time::Instant::now();
-        // Candidate elements (one rule reach around the halo) from the
-        // persistent index: bbox ⊕ reach touches the halo ⇔ bbox
-        // touches a halo rect ⊕ reach.
-        let mut halo_ids: Vec<usize> = Vec::new();
-        for r in d_halo.rects() {
-            if let Some(q) = r.inflate(reach) {
-                halo_ids.extend(
-                    self.elem_index
-                        .query(&q)
-                        .into_iter()
-                        .map(|&tag| tag_owner[tag as usize]),
-                );
-            }
+        let d_halo = Region::from_rects(int_foot).inflate(self.bound.max_rule_range());
+        NetPatch {
+            nets,
+            d_halo_grid: region_grid(&d_halo, self.bound.cell_size()),
+            d_halo,
         }
+    }
+
+    /// Step 7 (`t_interact`): the interaction search among the elements
+    /// within one rule reach of the halo — bbox ⊕ reach touches the halo
+    /// ⇔ bbox touches a halo rect ⊕ reach.
+    fn recheck_halo(&self, vp: &ViewPatch, np: &NetPatch) -> (Vec<Violation>, InteractStats) {
+        let reach = self.bound.max_rule_range();
+        let mut halo_ids: Vec<usize> = (np.d_halo.rects().iter())
+            .filter_map(|r| r.inflate(reach))
+            .flat_map(|q| self.elements_touching(&q))
+            .collect();
         halo_ids.sort_unstable();
         halo_ids.dedup();
-        let (ivs, istats) = check_interactions_among(
-            &view,
+        check_interactions_among(
+            &vp.view,
             &self.tech,
             &self.bound,
-            &nets_new,
+            &np.nets,
             &self.options,
             &halo_ids,
-            &d_halo_grid,
-        );
-        stats.rechecked_pairs = istats.candidate_pairs;
-        stats.t_interact = t0.elapsed();
+            &np.d_halo_grid,
+        )
+    }
 
-        // -- Phase J: global stages re-run in full, emitted through the
-        // Sink trait like any engine run. -----------------------------
-        let t0 = std::time::Instant::now();
-        let mut fresh_sink = DiagnosticSink::new();
-        fresh_sink.absorb(bind_violations);
-        fresh_sink.append(&mut fresh_instantiate_violations);
-        fresh_sink.absorb(check_elements(&self.layout, &self.tech, &binding));
-        let prim = check_primitive_symbols(&self.layout, &self.tech, &binding);
-        let waived_devices = prim.waived;
-        fresh_sink.absorb(prim.violations);
-        fresh_sink.absorb(nets_new.violations.to_vec());
-        fresh_sink.absorb(composition_violations(
-            &nets_new.netlist,
-            &self.tech,
-            &self.options,
-        ));
-        stats.t_global = t0.elapsed();
+    /// Step 8 (`t_global`): the stages that re-run in full — element
+    /// and primitive-symbol checks per definition, the net list's own
+    /// violations, and the composition tail over the whole net list —
+    /// behind the layer-binding and instantiation violations the view
+    /// patch produced. Returns them with the waived devices.
+    fn rerun_global_stages(
+        &self,
+        vp: &mut ViewPatch,
+        np: &NetPatch,
+    ) -> (Vec<Violation>, Vec<String>) {
+        let mut fresh = std::mem::take(&mut vp.violations);
+        fresh.extend(check_elements(&self.layout, &self.tech, &vp.binding));
+        let prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
+        fresh.extend(prim.violations);
+        fresh.extend_from_slice(&np.nets.violations);
+        let netlist = &np.nets.netlist;
+        fresh.extend(composition_violations(netlist, &self.tech, &self.options));
+        (fresh, prim.waived)
+    }
 
-        // -- Phase K: patch the report by merge-splice. ---------------
-        let t0 = std::time::Instant::now();
-        let anchored_in = |v: &Violation, grid: &diic_geom::GridIndex<()>| -> bool {
+    /// Step 9 (`t_patch`): the new report by merge-splice — the cached
+    /// violations the edit cannot have changed, merged with the fresh
+    /// ones.
+    fn patch_report(
+        &self,
+        mut fresh: Vec<Violation>,
+        connections: Vec<Violation>,
+        interactions: Vec<Violation>,
+        vp: &ViewPatch,
+        np: &NetPatch,
+        stats: &mut EditStats,
+    ) -> Vec<Violation> {
+        let anchored_in = |v: &Violation, grid: &GridIndex<()>| -> bool {
             v.location.is_none_or(|l| grid.touches_any(&l))
+        };
+        let keep = |v: &&Violation| match v.stage {
+            CheckStage::Connections => !anchored_in(v, &vp.d_conn_grid),
+            // Mask odd cycles are a global (conflict-graph) verdict: an
+            // edit anywhere can open or close a cycle whose witness
+            // marker lies far outside the halo, so they are always
+            // retracted and recomputed from scratch below.
+            CheckStage::Interactions => {
+                !matches!(v.kind, ViolationKind::MaskOddCycle { .. })
+                    && !anchored_in(v, &np.d_halo_grid)
+            }
+            _ => false, // replaced wholesale by the fresh global runs
         };
         // The kept violations are a subsequence of the cached canonical
         // report, hence already canonically sorted.
-        let mut kept: Vec<Violation> = Vec::with_capacity(self.report.violations.len());
-        for v in &self.report.violations {
-            let keep = match v.stage {
-                CheckStage::Connections => !anchored_in(v, &d_conn_grid),
-                // Mask odd cycles are a global (conflict-graph) verdict:
-                // an edit anywhere can open or close a cycle whose
-                // witness marker lies far outside the halo, so they are
-                // always retracted and recomputed from scratch below.
-                CheckStage::Interactions => {
-                    !matches!(
-                        v.kind,
-                        crate::violations::ViolationKind::MaskOddCycle { .. }
-                    ) && !anchored_in(v, &d_halo_grid)
-                }
-                _ => false, // replaced wholesale by the fresh global runs
-            };
-            if keep {
-                kept.push(v.clone());
-            }
-        }
-        stats.retracted = self.report.violations.len() - kept.len();
-        fresh_sink.absorb(
-            scoped_conn
-                .violations
-                .into_iter()
-                .filter(|v| anchored_in(v, &d_conn_grid))
-                .collect(),
-        );
-        fresh_sink.absorb(ivs);
+        let cached = &self.report.violations;
+        let kept: Vec<Violation> = cached.iter().filter(keep).cloned().collect();
+        stats.retracted = cached.len() - kept.len();
+        let anchored = |v: &Violation| anchored_in(v, &vp.d_conn_grid);
+        fresh.extend(connections.into_iter().filter(anchored));
+        fresh.extend(interactions);
         // Global recompute of the same-mask conflict graph (the scoped
-        // interaction pass above discards its clip-local edges): free
-        // when the technology declares no same_mask rules.
-        fresh_sink.absorb(check_same_mask(
-            &view,
-            &self.tech,
-            &self.bound,
-            self.options.metric,
-        ));
-        let mut fresh = fresh_sink.into_violations();
+        // interaction pass discards its clip-local edges): free when
+        // the technology declares no same_mask rules.
+        let metric = self.options.metric;
+        fresh.extend(check_same_mask(&vp.view, &self.tech, &self.bound, metric));
         stats.spliced = fresh.len();
         // Only the fresh side pays a sort; the combined list is a
         // linear merge of the two sorted halves instead of re-sorting
@@ -1238,27 +1248,35 @@ impl CheckSession {
             violations, sort_oracle,
             "merge-splice diverged from canonical_sort"
         );
-        stats.t_patch = t0.elapsed();
+        violations
+    }
 
-        // -- Phase L: commit. -----------------------------------------
-        let t_commit = std::time::Instant::now();
-        self.binding = binding;
-        self.view = view;
-        self.runs = runs;
-        self.elem_tags = tags;
-        self.merges = merges;
-        let NetgenResult {
-            netlist,
-            element_net,
-            device_terminal_nets,
-            ..
-        } = nets_new;
-        self.element_net = element_net;
-        self.device_terminal_nets = device_terminal_nets;
+    /// Step 10 (`t_commit`): installs the products (dropping what they
+    /// replace) and compacts the element index after heavy churn.
+    /// Tombstones and cell bookkeeping grow monotonically under edits;
+    /// once the dead slots outnumber the live elements (with a floor so
+    /// small sessions never bother), rebuild the index and remap the
+    /// retained handles. Queries answer the same before and after, so no
+    /// other state is touched. True if it compacted.
+    fn commit(
+        &mut self,
+        vp: ViewPatch,
+        cp: ConnPatch,
+        np: NetPatch,
+        violations: Vec<Violation>,
+        interact_stats: InteractStats,
+        waived_devices: Vec<String>,
+    ) -> bool {
+        self.binding = vp.binding;
+        self.view = vp.view;
+        self.runs = vp.runs;
+        self.merges = cp.merges;
+        self.element_net = np.nets.element_net;
+        self.device_terminal_nets = np.nets.device_terminal_nets;
         self.report = CheckReport {
             violations,
-            netlist,
-            interact_stats: istats,
+            netlist: np.nets.netlist,
+            interact_stats,
             stage_profile: Vec::new(),
             waived_devices,
             element_count: self.view.elements.len(),
@@ -1268,30 +1286,23 @@ impl CheckSession {
             instantiate_stats: self.report.instantiate_stats,
             scope_stats: self.report.scope_stats,
         };
-
-        // -- Phase M: compact the spatial index after heavy churn. ----
-        // Tombstones and cell bookkeeping grow monotonically under
-        // edits; once the dead slots outnumber the live elements (with
-        // a floor so small sessions never bother), rebuild the index
-        // and remap the retained handles. Queries return identical
-        // results before and after, so no downstream state is touched.
-        if self.elem_index.tombstones() > self.elem_index.len().max(64) {
-            stats.index_compacted = self.compact_spatial_index();
-        }
-        Ok((stats, Some(t_commit)))
+        self.elem_index.tombstones() > self.elem_index.len().max(64) && self.compact_spatial_index()
     }
 
-    /// Rebuilds the spatial index without its tombstones and remaps
-    /// the retained handles. True if anything was dropped.
+    /// Rebuilds the spatial index without its tombstones, remapping the
+    /// retained handles and shrinking the owner table to them. True if
+    /// anything was dropped.
     fn compact_spatial_index(&mut self) -> bool {
         if self.elem_index.tombstones() == 0 {
             return false;
         }
         let remap = self.elem_index.compact();
-        for t in &mut self.elem_tags {
+        self.handle_owner.truncate(self.elem_index.len());
+        for (id, handle) in self.elem_handles.iter_mut().enumerate() {
             // invariant: compaction only drops tombstoned handles,
-            // and every tag references a live element.
-            t.handle = remap[t.handle as usize].expect("live elements keep live handles");
+            // and every element holds a live one.
+            *handle = remap[*handle as usize].expect("live elements keep live handles");
+            self.handle_owner[*handle as usize] = id;
         }
         true
     }
@@ -1323,8 +1334,9 @@ impl CheckSession {
     /// An estimate of the session's resident heap, in bytes: the
     /// columnar element store, the string table (its text and its
     /// bookkeeping, both exact — each is a handful of flat buffers),
-    /// device instances, the persistent net graph, the cached canonical
-    /// report, and the spatial-index bookkeeping. Payload bytes
+    /// device instances, the persistent net graph
+    /// ([`NetParts::heap_bytes`]), the cached canonical report, and the
+    /// spatial index with its handle and owner tables. Payload bytes
     /// elsewhere, not allocator-exact — the number a session *pool*
     /// budgets and evicts against (and the denominator of the e21
     /// sessions-per-GB figure).
@@ -1338,37 +1350,19 @@ impl CheckSession {
             .iter()
             .map(|d| {
                 size_of_val(d)
-                    + d.terminals.len() * size_of::<(Istr, diic_tech::LayerId, diic_geom::Point)>()
+                    + d.terminals.len() * size_of::<(Istr, diic_tech::LayerId, Point)>()
                     + d.element_ids.len() * size_of::<usize>()
             })
             .sum();
-        let graph = self.parts.element_node.len() * size_of::<Option<u32>>()
-            + self.parts.resolution_bytes()
-            + self.parts.conn_edges.len() * size_of::<(u32, u32)>()
-            + self
-                .parts
-                .devices
-                .iter()
-                .map(|d| {
-                    size_of_val(d)
-                        + d.terms.len() * size_of::<(Istr, u32)>()
-                        + d.edges.len() * size_of::<(u32, u32)>()
-                })
-                .sum::<usize>()
-            + self
-                .parts
-                .labels
-                .iter()
-                .map(|l| size_of_val(l) + l.edges.len() * size_of::<(u32, u32)>())
-                .sum::<usize>();
         let report: usize = self
             .report
             .violations
             .iter()
             .map(|v| size_of_val(v) + v.context.len())
             .sum();
-        let index = self.elem_tags.len() * (size_of::<ElemTag>() + size_of::<(Rect, u32)>());
-        elements + strings + devices + graph + report + index
+        let index = self.elem_handles.len() * (size_of::<u32>() + size_of::<(Rect, u32)>())
+            + self.handle_owner.len() * size_of::<usize>();
+        elements + strings + devices + self.parts.heap_bytes() + report + index
     }
 
     /// Compacts the session's long-lived memory in place: rebuilds the
@@ -1377,9 +1371,10 @@ impl CheckSession {
     /// ([`crate::binding::StringInterner::compact`] — removed elements
     /// and replaced definitions leave dead paths and net keys behind),
     /// remapping every live handle: the element columns, the device
-    /// instances, and the net graph's node indices
-    /// ([`NetParts::remap_strings`]). The session pool fires this on
-    /// eviction pressure; rendered reports before and after are
+    /// instances, and the net graph's
+    /// ([`NetParts::for_each_string`] marks what
+    /// [`NetParts::remap_strings`] rewrites). The session pool fires
+    /// this on eviction pressure; rendered reports before and after are
     /// byte-identical (`service_sessions_survive_compaction` in
     /// `tests/api.rs` and [`mod@self`]'s own unit test pin it).
     pub fn compact_memory(&mut self) -> SessionCompaction {
@@ -1404,22 +1399,7 @@ impl CheckSession {
                 .iter()
                 .for_each(|(name, _, _)| mark(name.index()));
         }
-        for node in self.parts.element_node.iter().flatten() {
-            mark(*node);
-        }
-        for (a, b) in &self.parts.conn_edges {
-            mark(*a);
-            mark(*b);
-        }
-        for d in &self.parts.devices {
-            d.names().for_each(|name| mark(name.index()));
-            d.nodes().for_each(&mut mark);
-        }
-        self.parts
-            .labels
-            .iter()
-            .flat_map(|l| l.nodes())
-            .for_each(&mut mark);
+        self.parts.for_each_string(&mut mark);
 
         let remap = self.view.strings.compact(|id, _| keep[id.index() as usize]);
         self.view.elements.remap_strings(&remap);
@@ -1519,34 +1499,88 @@ fn region_grid(region: &Region, cell: i64) -> diic_geom::GridIndex<()> {
     grid
 }
 
-/// Prefix sums of the per-item runs: `(element_start, device_start)`.
-fn run_offsets(runs: &[ItemRun]) -> Vec<(usize, usize)> {
+/// Prefix sums of the per-item `(elements, devices)` run lengths: the
+/// `(element, device)` id each run starts at.
+fn run_offsets(runs: &[(usize, usize)]) -> Vec<(usize, usize)> {
     let mut out = Vec::with_capacity(runs.len());
     let (mut e, mut d) = (0usize, 0usize);
-    for r in runs {
+    for &(elems, devices) in runs {
         out.push((e, d));
-        e += r.elems;
-        d += r.devices;
+        e += elems;
+        d += devices;
     }
     out
 }
 
-/// The replaced symbols plus everything that transitively calls them.
-fn dirty_symbol_closure(layout: &Layout, replaced: &[SymbolId]) -> HashSet<SymbolId> {
-    let mut callers: Vec<Vec<SymbolId>> = vec![Vec::new(); layout.symbols().len()];
+/// The symbols with a body in `bodies` — the replaced ones — plus
+/// everything that transitively calls them, as a flag per symbol.
+/// Ancestry edges that matter come from *other* symbols' bodies, which
+/// no edit touches (a replaced symbol is dirty whatever it calls), so
+/// the closure is the same before and after application.
+fn dirty_symbol_closure(layout: &Layout, bodies: &[Option<&[Item]>]) -> Vec<bool> {
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); bodies.len()];
     for (si, sym) in layout.symbols().iter().enumerate() {
         for call in sym.calls() {
-            callers[call.target.0 as usize].push(SymbolId(si as u32));
+            callers[call.target.0 as usize].push(si);
         }
     }
-    let mut dirty: HashSet<SymbolId> = HashSet::new();
-    let mut queue: Vec<SymbolId> = replaced.to_vec();
+    let mut dirty = vec![false; bodies.len()];
+    let mut queue: Vec<usize> = (0..bodies.len()).filter(|&s| bodies[s].is_some()).collect();
     while let Some(s) = queue.pop() {
-        if dirty.insert(s) {
-            queue.extend(callers[s.0 as usize].iter().copied());
+        if !std::mem::replace(&mut dirty[s], true) {
+            queue.extend_from_slice(&callers[s]);
         }
     }
     dirty
+}
+
+/// Rejects a symbol table that `bodies` — each replaced symbol's final
+/// body — would leave calling a symbol it does not hold, or recursive:
+/// the first walk of either (`hierarchy::stats`, the template build)
+/// indexes past the table or recurses until the stack overflows, which
+/// no caller can catch. The rule is the CIF parser's
+/// ([`diic_cif::hierarchy::check_acyclic`]); the layout satisfied it
+/// before the edit, so a new cycle passes through a replaced symbol, and
+/// the walk from those keeps its chain on the heap.
+fn check_replaced_bodies(layout: &Layout, bodies: &[Option<&[Item]>]) -> Result<(), EditError> {
+    let calls = |symbol: usize| {
+        let items = bodies[symbol].unwrap_or(&layout.symbols()[symbol].items);
+        items.iter().filter_map(|item| match item {
+            Item::Call(call) => Some(call.target),
+            Item::Element(_) => None,
+        })
+    };
+    let replaced = || (0..bodies.len()).filter(|&s| bodies[s].is_some());
+    let dangling = |target: &SymbolId| target.0 as usize >= bodies.len();
+    if let Some(target) = replaced().flat_map(calls).find(dangling) {
+        return Err(EditError::UnknownSymbol(target));
+    }
+    // 0 = not reached, 1 = on the current call chain, 2 = done.
+    let mut mark = vec![0u8; bodies.len()];
+    for root in replaced() {
+        if mark[root] != 0 {
+            continue;
+        }
+        mark[root] = 1;
+        let mut chain = vec![(root, calls(root))];
+        while let Some((symbol, rest)) = chain.last_mut() {
+            let Some(target) = rest.next() else {
+                mark[*symbol] = 2;
+                chain.pop();
+                continue;
+            };
+            let callee = target.0 as usize;
+            match mark[callee] {
+                0 => {
+                    mark[callee] = 1;
+                    chain.push((callee, calls(callee)));
+                }
+                1 => return Err(EditError::RecursiveSymbol(target)),
+                _ => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1646,6 +1680,236 @@ mod tests {
 
     fn net_names(session: &CheckSession) -> Vec<&str> {
         session.report().netlist.nets().map(|n| n.name()).collect()
+    }
+
+    /// Four definitions — 1 a leaf, 2 calling 1, 3 calling 2, 4 an
+    /// unrelated leaf — placed as `C 3`, `C 4`, `C 2`, `C 1` and one
+    /// loose box.
+    const CALL_CHAIN: &str = "DS 1; L NM; B 2000 750 1000 375; DF;
+         DS 2; C 1 T 0 0; DF;
+         DS 3; C 2 T 0 0; DF;
+         DS 4; L NM; B 2000 750 1000 375; DF;
+         C 3 T 0 0; C 4 T 0 10000; C 2 T 0 20000; C 1 T 0 30000;
+         L NM; B 2000 750 1000 50375; E";
+
+    /// A plan over `layout` with every item a run of one element.
+    fn plan(layout: &Layout, edits: &EditSet) -> Result<EditPlan, EditError> {
+        EditPlan::new(layout, &vec![(1, 0); layout.top_items().len()], edits)
+    }
+
+    fn call(target: SymbolId) -> Item {
+        Item::Call(Call {
+            target,
+            transform: Transform::IDENTITY,
+            name: "c".to_string(),
+        })
+    }
+
+    fn kept(origin: usize, dirty: bool) -> Slot {
+        Slot {
+            origin: Some(origin),
+            dirty,
+        }
+    }
+
+    #[test]
+    fn plan_indices_are_positional_within_the_set() {
+        let layout = parse(CALL_CHAIN).unwrap();
+        let before = layout.clone();
+        // `move 0` after `remove 0` addresses the old item 1.
+        let mut edits = EditSet::new();
+        edits.remove(0).translate(0, 500, 0);
+        let p = plan(&layout, &edits).unwrap();
+        assert_eq!(p.removed, [0]);
+        let expected = [
+            kept(1, true),
+            kept(2, false),
+            kept(3, false),
+            kept(4, false),
+        ];
+        assert_eq!(p.slots, expected);
+        assert_eq!((p.dirty_elements, p.total_elements), (2, 5));
+        assert_eq!(p.offsets[4], (4, 0));
+
+        // An index valid before an earlier remove is rejected after it,
+        // with the length at that point; nothing was touched.
+        let mut edits = EditSet::new();
+        edits.remove(2).translate(4, 500, 0);
+        let err = plan(&layout, &edits).unwrap_err();
+        assert_eq!(err, EditError::ItemOutOfBounds { index: 4, len: 4 });
+        assert_eq!(layout, before);
+
+        // A fresh slot added and removed again leaves no trace.
+        let mut edits = EditSet::new();
+        edits
+            .add_box("NM", Rect::new(0, 0, 2000, 750), None)
+            .remove(5);
+        let p = plan(&layout, &edits).unwrap();
+        assert!(p.removed.is_empty());
+        assert_eq!(p.slots, [0, 1, 2, 3, 4].map(|i| kept(i, false)));
+        assert_eq!(p.stale_origins().count(), 0);
+        assert_eq!(p.rebuild_reason(), None);
+    }
+
+    #[test]
+    fn plan_closure_dirties_exactly_the_callers_of_a_replaced_symbol() {
+        let layout = parse(CALL_CHAIN).unwrap();
+        let leaf = layout.symbol_by_cif_id(1).unwrap();
+        let mut edits = EditSet::new();
+        edits.replace_symbol(leaf, layout.symbol(leaf).items.clone());
+        let p = plan(&layout, &edits).unwrap();
+        // `C 3` reaches the leaf through two calls; `C 4` and the box
+        // do not reach it at all.
+        let dirty: Vec<bool> = p.slots.iter().map(|s| s.dirty).collect();
+        assert_eq!(dirty, [true, false, true, true, false]);
+        assert!(p.removed.is_empty());
+    }
+
+    #[test]
+    fn plan_rebuilds_from_thirty_percent_dirty() {
+        let layout = parse("L NM; B 2000 750 1000 375; B 2000 750 1000 3375; E").unwrap();
+        let mut edits = EditSet::new();
+        edits.translate(0, 500, 0);
+        let p = EditPlan::new(&layout, &[(3, 0), (7, 1)], &edits).unwrap();
+        let reason = RebuildReason::DirtyFraction {
+            dirty: 3,
+            total: 10,
+        };
+        assert_eq!(p.rebuild_reason(), Some(reason));
+        let p = EditPlan::new(&layout, &[(2, 0), (8, 1)], &edits).unwrap();
+        assert_eq!((p.dirty_elements, p.total_elements), (2, 10));
+        assert_eq!(p.rebuild_reason(), None);
+        let p = EditPlan::new(&layout, &[(0, 0), (0, 0)], &edits).unwrap();
+        assert_eq!(p.rebuild_reason(), None, "an empty chip patches");
+    }
+
+    #[test]
+    fn plan_rejects_recursive_and_dangling_bodies() {
+        let layout = parse(CALL_CHAIN).unwrap();
+        let id = |cif| layout.symbol_by_cif_id(cif).unwrap();
+        let replace = |bodies: &[(u32, u32)]| {
+            let mut edits = EditSet::new();
+            for &(symbol, callee) in bodies {
+                edits.replace_symbol(id(symbol), vec![call(id(callee))]);
+            }
+            plan(&layout, &edits).map(|_| ())
+        };
+        // A body calling its own symbol; one calling a caller (3 → 2 →
+        // 1 → 3); a cycle only the two replaces together close.
+        assert_eq!(replace(&[(1, 1)]), Err(EditError::RecursiveSymbol(id(1))));
+        assert_eq!(replace(&[(1, 3)]), Err(EditError::RecursiveSymbol(id(1))));
+        let err = replace(&[(1, 4), (4, 1)]).unwrap_err();
+        assert!(matches!(err, EditError::RecursiveSymbol(_)), "{err:?}");
+        // The last body of a symbol wins: a second replace that breaks
+        // the cycle the first would make is accepted, in either order.
+        assert_eq!(replace(&[(1, 3), (1, 4)]), Ok(()));
+        assert_eq!(replace(&[(1, 4), (1, 3)]).ok(), None);
+        assert_eq!(replace(&[(4, 3), (2, 4), (4, 1)]), Ok(()));
+        // A call to a symbol the table does not hold.
+        let mut edits = EditSet::new();
+        edits.replace_symbol(id(4), vec![call(SymbolId(99))]);
+        let err = plan(&layout, &edits).unwrap_err();
+        assert_eq!(err, EditError::UnknownSymbol(SymbolId(99)));
+    }
+
+    #[test]
+    fn recursive_replace_is_rejected_and_leaves_the_session_untouched() {
+        // Symbol 2 calls symbol 1; replacing 1 with a call of 2 closes
+        // the cycle. Unchecked, the next hierarchy walk overflows the
+        // stack and aborts the process.
+        let cif = "DS 1; L NM; B 2000 750 1000 375; DF; DS 2; C 1 T 0 0; DF; C 2 T 0 0; E";
+        let mut session = CheckSession::new(parse(cif).unwrap(), &nmos_technology(), &options());
+        let layout = session.layout().clone();
+        let report = format!("{:?}", session.report());
+        let (callee, caller) = (SymbolId(0), SymbolId(1));
+        let mut edits = EditSet::new();
+        edits
+            .translate(0, 500, 0)
+            .replace_symbol(callee, vec![call(caller)]);
+        let err = session.apply(&edits).unwrap_err();
+        assert_eq!(err, EditError::RecursiveSymbol(callee));
+        assert_eq!(*session.layout(), layout);
+        assert_eq!(format!("{:?}", session.report()), report);
+        assert_matches_full(&session);
+        // Through the rebuild path too (a body item past the table).
+        let mut edits = EditSet::new();
+        edits.replace_symbol(callee, vec![call(SymbolId(7))]);
+        let err = session.apply(&edits).unwrap_err();
+        assert_eq!(err, EditError::UnknownSymbol(SymbolId(7)));
+        assert_eq!(*session.layout(), layout);
+        assert_eq!(format!("{:?}", session.report()), report);
+    }
+
+    #[test]
+    fn net_neutral_edits_reuse_the_net_list() {
+        let reused = |session: &mut CheckSession, edits: &EditSet| {
+            let stats = session.apply(edits).unwrap();
+            assert!(!stats.full_rebuild);
+            assert_nets_match_scratch(session);
+            assert_matches_full(session);
+            (stats.netlist_reused, stats.nets_respliced)
+        };
+        // An isolated instance moves: its keys are instance-local.
+        let mut session = transistor_row();
+        let mut edits = EditSet::new();
+        edits.translate(5, 0, 50_000);
+        assert_eq!(reused(&mut session, &edits), (true, 0));
+        // A declared-net wire dragged through free space …
+        let mut session = rails();
+        let mut edits = EditSet::new();
+        edits.translate(5, 0, 1000);
+        assert_eq!(reused(&mut session, &edits), (true, 0));
+        // … until it lands on a rail: E and F merge.
+        let mut edits = EditSet::new();
+        edits.translate(5, 0, -4000);
+        assert_eq!(reused(&mut session, &edits), (false, 1));
+        assert_eq!(net_names(&session), ["A", "B", "C", "D", "E"]);
+        // An isolated instance beside undeclared rails: the rails' auto
+        // keys are not in play, the net list is reused all the same.
+        let mut session = rails_beside(TRANSISTOR_CELL, 12);
+        let cell = session.layout().symbol_by_cif_id(2).unwrap();
+        let mut add = EditSet::new();
+        add.add_call(cell, Transform::translate(Vector::new(100_000, 0)), "t");
+        assert!(!reused(&mut session, &add).0);
+        let mut edits = EditSet::new();
+        edits.translate(12, 0, 20_000);
+        assert_eq!(reused(&mut session, &edits), (true, 0));
+    }
+
+    #[test]
+    fn owner_table_stays_bounded_under_endless_churn() {
+        // One 8-element cell moved there and back 3 000 times: every
+        // edit re-inserts its elements under fresh index handles, and
+        // the handle → element table must not outgrow the index it
+        // describes (it once grew by 8 bytes per re-inserted element per
+        // edit for ever, invisibly to `memory_bytes`).
+        let mut cif = String::from("DS 1;\n");
+        for i in 0..8 {
+            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
+        }
+        cif.push_str("DF;\n");
+        for i in 0..40 {
+            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
+        }
+        cif.push_str("C 1 T 50000 0;\nE");
+        let mut session = CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options());
+        let live = session.report().element_count;
+        let mut bytes_at_100 = 0;
+        for step in 1..=3000 {
+            let mut churn = EditSet::new();
+            churn.translate(40, if step % 2 == 1 { 2500 } else { -2500 }, 0);
+            let stats = session.apply(&churn).unwrap();
+            assert!(!stats.full_rebuild, "churn edits must stay incremental");
+            let owners = session.handle_owner.len();
+            assert!(owners <= 2 * live + 64, "step {step}: {owners} owner slots");
+            if step == 100 {
+                bytes_at_100 = session.memory_bytes();
+            }
+        }
+        let bytes = session.memory_bytes();
+        let drift = bytes.abs_diff(bytes_at_100);
+        assert!(drift * 20 <= bytes_at_100, "{bytes_at_100} → {bytes} bytes");
+        assert_matches_full(&session);
     }
 
     #[test]

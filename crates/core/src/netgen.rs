@@ -519,13 +519,6 @@ pub struct DeviceParts {
 }
 
 impl DeviceParts {
-    /// The terminal-name handles the row holds (with repeats) — with
-    /// [`DeviceParts::nodes`], every string of the view's interner the
-    /// row keeps alive.
-    pub fn names(&self) -> impl Iterator<Item = Istr> + '_ {
-        self.terms.iter().map(|&(name, _)| name)
-    }
-
     /// Every node the row names: its terminals and both ends of its
     /// edges (with repeats).
     pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
@@ -626,45 +619,19 @@ impl NetParts {
     /// interner indices, so when the owning view's table is compacted
     /// (a long-lived service session shedding edit-churn garbage) the
     /// whole graph renumbers with it, and so do the terminal-name handles
-    /// its device rows carry. The caller must keep every node key and
-    /// terminal name alive in the compaction — the remap is dense and
-    /// order-preserving, so the graph stays isomorphic and
-    /// [`NetParts::assemble`] (which canonicalises by the node
-    /// *strings*) produces byte-identical net lists.
+    /// its device rows carry. The caller must keep every string
+    /// [`NetParts::for_each_string`] visits alive in the compaction —
+    /// the remap is dense and order-preserving, so the graph stays
+    /// isomorphic and [`NetParts::assemble`] (which canonicalises by the
+    /// node *strings*) produces byte-identical net lists.
     pub fn remap_strings(&mut self, remap: &[Option<crate::binding::Istr>]) {
-        let map = |n: u32| -> u32 {
+        self.map_strings(&mut |n| {
             // invariant: the compaction keep set includes every node
             // and every terminal name.
             remap[n as usize]
                 .expect("live net nodes and terminal names survive compaction")
                 .index()
-        };
-        for node in self.element_node.iter_mut().flatten() {
-            *node = map(*node);
-        }
-        for (a, b) in &mut self.conn_edges {
-            *a = map(*a);
-            *b = map(*b);
-        }
-        for device in &mut self.devices {
-            for (name, node) in &mut device.terms {
-                *name = Istr::from_index(map(name.index()));
-                *node = map(*node);
-            }
-            for (a, b) in &mut device.edges {
-                *a = map(*a);
-                *b = map(*b);
-            }
-        }
-        for label in &mut self.labels {
-            if let Some(node) = &mut label.node {
-                *node = map(*node);
-            }
-            for (a, b) in &mut label.edges {
-                *a = map(*a);
-                *b = map(*b);
-            }
-        }
+        });
         // The cached resolution is indexed by node id: move each live
         // entry to its node's new position (evicted strings were dead
         // nodes, whose entries are `None` already).
@@ -677,15 +644,63 @@ impl NetParts {
         self.node_net = node_net;
     }
 
+    /// Visits (with repeats) every string of the owning view's interner
+    /// the graph references — nodes and terminal names: the keep set of
+    /// a compaction, and by construction exactly the handles
+    /// [`NetParts::remap_strings`] rewrites (one walker serves both,
+    /// hence `&mut self`; a visit writes each handle back unchanged).
+    pub fn for_each_string(&mut self, visit: &mut impl FnMut(u32)) {
+        self.map_strings(&mut |n| {
+            visit(n);
+            n
+        });
+    }
+
+    /// Rewrites every interner handle the graph holds through `f`.
+    fn map_strings(&mut self, f: &mut impl FnMut(u32) -> u32) {
+        fn map_edges(edges: &mut [(u32, u32)], f: &mut impl FnMut(u32) -> u32) {
+            for (a, b) in edges {
+                (*a, *b) = (f(*a), f(*b));
+            }
+        }
+        for node in self.element_node.iter_mut().flatten() {
+            *node = f(*node);
+        }
+        map_edges(&mut self.conn_edges, f);
+        for device in &mut self.devices {
+            for (name, node) in &mut device.terms {
+                *name = Istr::from_index(f(name.index()));
+                *node = f(*node);
+            }
+            map_edges(&mut device.edges, f);
+        }
+        for label in &mut self.labels {
+            if let Some(node) = &mut label.node {
+                *node = f(*node);
+            }
+            map_edges(&mut label.edges, f);
+        }
+    }
+
     /// The cached node → net resolution.
     #[cfg(test)]
     pub(crate) fn node_net(&self) -> &[Option<NetId>] {
         &self.node_net
     }
 
-    /// Heap bytes of the cached node → net resolution.
-    pub fn resolution_bytes(&self) -> usize {
-        self.node_net.len() * std::mem::size_of::<Option<NetId>>()
+    /// Heap bytes of the graph — rows, edges and the cached node → net
+    /// resolution — as payload bytes: what a session pool budgets.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let edge = size_of::<(u32, u32)>();
+        let devices = self.devices.iter().map(|d| {
+            size_of_val(d) + d.terms.len() * size_of::<(Istr, u32)>() + d.edges.len() * edge
+        });
+        let labels = (self.labels.iter()).map(|l| size_of_val(l) + l.edges.len() * edge);
+        self.element_node.len() * size_of::<Option<u32>>()
+            + self.node_net.len() * size_of::<Option<NetId>>()
+            + self.conn_edges.len() * edge
+            + devices.chain(labels).sum::<usize>()
     }
 
     /// Builds the full graph for a view, binding terminal and label

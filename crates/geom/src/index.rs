@@ -236,7 +236,7 @@ impl<T> GridIndex<T> {
     /// **touches** the query rectangle (closed-sense). Each item is
     /// returned once, in insertion order.
     pub fn query(&self, query: &Rect) -> Vec<&T> {
-        self.matching_ids(query)
+        self.query_handles(query)
             .into_iter()
             .map(|id| {
                 self.items[id as usize]
@@ -249,7 +249,7 @@ impl<T> GridIndex<T> {
 
     /// Like [`GridIndex::query`] but returns `(rect, payload)` pairs.
     pub fn query_pairs(&self, query: &Rect) -> Vec<(&Rect, &T)> {
-        self.matching_ids(query)
+        self.query_handles(query)
             .into_iter()
             .map(|id| {
                 let (rect, value) = &self.items[id as usize];
@@ -308,12 +308,13 @@ impl<T> GridIndex<T> {
         ids
     }
 
-    /// Item ids (ascending, deduplicated) whose rectangles touch the
-    /// query. Work is proportional to the covered cells' occupancy, not
-    /// to the total item count, so hot query loops stay cheap on large
-    /// indexes. Removed items never appear (their ids were scrubbed from
-    /// the cells).
-    fn matching_ids(&self, query: &Rect) -> Vec<u32> {
+    /// Handles (ascending, deduplicated) of the live items whose
+    /// rectangles touch the query — [`GridIndex::query`] for a caller
+    /// that keys its own table by handle. Work is proportional to the
+    /// covered cells' occupancy, not to the total item count, so hot
+    /// query loops stay cheap on large indexes. Removed items never
+    /// appear (their handles were scrubbed from the cells).
+    pub fn query_handles(&self, query: &Rect) -> Vec<u32> {
         let mut ids = self.candidates(query);
         ids.retain(|&id| self.items[id as usize].0.touches(query));
         ids

@@ -33,10 +33,11 @@
 use axum::{Body, Method, Request, Response, Router, StatusCode};
 use diic::api::wire;
 use diic::api::{router, App, RegistryConfig, MAX_LIBRARY_DECKS};
-use diic::core::incremental::CheckSession;
+use diic::cif::{Call, Item, SymbolId};
+use diic::core::incremental::{CheckSession, EditSet};
 use diic::core::{canonical_check, env_parallelism, CheckOptions, Violation};
 use diic::gen::{cell_library, generate, random_edit_set, ChipSpec, ErrorKind};
-use diic::geom::Rect;
+use diic::geom::{Rect, Transform};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -654,6 +655,37 @@ fn malformed_bodies_are_4xx_never_panics() {
         get(&app, &format!("/sessions/{id}/report")).status,
         StatusCode::OK
     );
+
+    // A well-formed `replace_symbol` whose body calls the symbol's own
+    // caller: every id is in range, but the definition would be
+    // recursive, and the first hierarchy walk of it would overflow the
+    // stack and abort the whole process. `422`, and the session keeps
+    // the report bytes it had.
+    let cif = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;
+               DS 2; C 1 T 0 0; DF; C 2 T 0 0; E";
+    let id = open_session(&app, cif, "{}");
+    let report = |app: &Router| {
+        let resp = get(app, &format!("/sessions/{id}/report"));
+        assert_eq!(resp.status, StatusCode::OK);
+        resp.into_bytes().unwrap()
+    };
+    let before = report(&app);
+    assert!(!before.is_empty(), "the two boxes are too close");
+    let layout = diic::cif::parse(cif).unwrap();
+    let (callee, caller) = (SymbolId(0), SymbolId(1));
+    let mut edits = EditSet::new();
+    let body = vec![Item::Call(Call {
+        target: caller,
+        transform: Transform::IDENTITY,
+        name: "loop".to_string(),
+    })];
+    edits.replace_symbol(callee, body);
+    let body = wire::edit_set_to_json(&edits, &layout).to_string();
+    let resp = post(&app, &format!("/sessions/{id}/edits"), body);
+    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
+    let body = json_body(resp);
+    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-edit"));
+    assert_eq!(report(&app), before);
 }
 
 /// A worker count from the wire is clamped to the machine's cores where

@@ -66,6 +66,28 @@ fn assert_matches_full(session: &CheckSession, context: &str) -> CheckReport {
     full
 }
 
+/// *Open ≡ engine*: a session that has just opened — or just rebuilt —
+/// went through the engine's one pipeline, so its report equals a
+/// from-scratch canonical check in **every** field but the stage
+/// profile (which a session leaves empty: a patched report could not
+/// keep its per-stage counts current).
+fn assert_open_equals_engine(session: &CheckSession, context: &str) {
+    let mut full = assert_matches_full(session, context);
+    let mut opened = session.report().clone();
+    assert!(opened.stage_profile.is_empty(), "{context}");
+    if session.options().effective_parallelism() != 1 {
+        // Counts candidates buffered by the workers live at once.
+        full.interact_stats.peak_candidate_buffer = 0;
+        opened.interact_stats.peak_candidate_buffer = 0;
+    }
+    assert_eq!(opened.interact_stats, full.interact_stats, "{context}");
+    assert_eq!(
+        opened.instantiate_stats, full.instantiate_stats,
+        "{context}"
+    );
+    assert_eq!(opened.scope_stats, full.scope_stats, "{context}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -97,7 +119,8 @@ proptest! {
         };
         let mut serial = CheckSession::new(layout.clone(), &tech, &serial_options);
         let mut wide = CheckSession::new(layout, &tech, &wide_options);
-        assert_matches_full(&serial, "step 0 (serial)");
+        assert_open_equals_engine(&serial, "step 0 (serial)");
+        assert_open_equals_engine(&wide, "step 0 (wide)");
 
         // Both sessions see the same edit stream.
         let bounds = Rect::new(-2500, -6000, nx as i64 * 6750 + 2500, ny as i64 * 10000 + 2500);
@@ -115,6 +138,18 @@ proptest! {
                 ctx
             );
             prop_assert_eq!(&wide.report().netlist, &full.netlist, "{}", ctx);
+        }
+
+        // Moving every item (by nothing) dirties the whole chip: the
+        // rebuild fallback is the open again.
+        let mut all = EditSet::new();
+        for index in 0..serial.layout().top_items().len() {
+            all.translate(index, 0, 0);
+        }
+        for (session, name) in [(&mut serial, "serial"), (&mut wide, "wide")] {
+            let stats = session.apply(&all).expect("in-bounds moves");
+            prop_assert!(stats.full_rebuild, "{}: {:?}", name, stats);
+            assert_open_equals_engine(session, &format!("rebuilt ({name})"));
         }
     }
 }
