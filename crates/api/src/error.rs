@@ -9,7 +9,20 @@
 //! below the allocator watermark was once live).
 
 use axum::{Response, StatusCode};
+use diic_cif::Diagnostic;
 use serde_json::Value;
+
+/// The text front ends a request passes through; each rejection is a
+/// [`Diagnostic`] with its own code and status (the wire contract).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrontEnd {
+    /// `400 bad-json`: the body is not UTF-8 JSON.
+    Json,
+    /// `422 bad-cif`: a CIF source failed to parse.
+    Cif,
+    /// `422 bad-deck`: the rule deck failed to compile.
+    Deck,
+}
 
 /// A handler failure: status plus a machine-readable code and a
 /// human-readable detail (the rendered parse diagnostic, the eviction
@@ -34,26 +47,23 @@ impl ApiError {
         }
     }
 
-    /// `400`: the request body is not valid JSON.
-    pub fn bad_json(detail: impl Into<String>) -> ApiError {
-        ApiError::new(StatusCode::BAD_REQUEST, "bad-json", detail)
+    /// The front end `from` rejected `source` — the text the request
+    /// calls `file` (`"body"`, `"cif"`, `"cells[3]"`, `"deck"`); the
+    /// detail is `diagnostic`'s caret rendering. The one door for every
+    /// text front end's failure.
+    pub fn rejected(from: FrontEnd, file: &str, source: &str, diagnostic: &Diagnostic) -> ApiError {
+        let (status, code) = match from {
+            FrontEnd::Json => (StatusCode::BAD_REQUEST, "bad-json"),
+            FrontEnd::Cif => (StatusCode::UNPROCESSABLE_ENTITY, "bad-cif"),
+            FrontEnd::Deck => (StatusCode::UNPROCESSABLE_ENTITY, "bad-deck"),
+        };
+        ApiError::new(status, code, diagnostic.render(file, source))
     }
 
     /// `422`: well-formed JSON that does not decode to the expected
     /// shape (missing field, wrong type, unknown enum tag, …).
     pub fn bad_request_shape(detail: impl Into<String>) -> ApiError {
         ApiError::new(StatusCode::UNPROCESSABLE_ENTITY, "bad-shape", detail)
-    }
-
-    /// `422`: the CIF source failed to parse.
-    pub fn bad_cif(detail: impl Into<String>) -> ApiError {
-        ApiError::new(StatusCode::UNPROCESSABLE_ENTITY, "bad-cif", detail)
-    }
-
-    /// `422`: the rule deck failed to compile; `detail` carries the
-    /// caret-rendered [`diic_deck::DeckError`] diagnostic.
-    pub fn bad_deck(detail: impl Into<String>) -> ApiError {
-        ApiError::new(StatusCode::UNPROCESSABLE_ENTITY, "bad-deck", detail)
     }
 
     /// `422`: the edit set was rejected by the session (the session is

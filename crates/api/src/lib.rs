@@ -53,6 +53,6 @@ pub mod service;
 pub mod wire;
 
 pub use axum::{Router, StatusCode};
-pub use error::ApiError;
+pub use error::{ApiError, FrontEnd};
 pub use registry::{RegistryConfig, SessionRegistry, MAX_LIBRARY_DECKS};
 pub use service::{router, App};

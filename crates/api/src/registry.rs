@@ -30,7 +30,7 @@
 //! budget (or over the session-count cap) does the LRU session get
 //! evicted outright.
 
-use crate::error::ApiError;
+use crate::error::{ApiError, FrontEnd};
 use diic_core::{CheckSession, LibraryOptions, LibrarySession};
 use diic_tech::Technology;
 use serde_json::Value;
@@ -389,7 +389,7 @@ impl SessionRegistry {
         // Compile outside the lock; a racing duplicate compile is
         // harmless (the first insert wins, both entries are equivalent).
         let tech = diic_deck::compile_str(deck_source)
-            .map_err(|e| ApiError::bad_deck(e.render("deck", deck_source)))?;
+            .map_err(|e| ApiError::rejected(FrontEnd::Deck, "deck", deck_source, &e))?;
         let session = LibrarySession::new(&tech);
         let entry = Arc::new(LibraryEntry { tech, session });
         let mut libraries = self.libraries.lock().unwrap_or_else(|p| p.into_inner());

@@ -23,7 +23,7 @@
 //! chunk. A client hanging up mid-stream latches as the sink's I/O
 //! error inside the closure; the pin drops, the registry is untouched.
 
-use crate::error::{json_response, ApiError};
+use crate::error::{json_response, ApiError, FrontEnd};
 use crate::registry::{RegistryConfig, SessionRegistry};
 use crate::wire;
 use axum::{delete, get, post, Request, Response, Router, StatusCode};
@@ -124,14 +124,15 @@ fn open_session(app: &App, req: &Request) -> Result<Response, ApiError> {
         .as_str()
         .ok_or_else(|| ApiError::bad_request_shape("`cif` must be a string"))?;
     let options = wire::check_options_from_json(body.get("options"))?;
-    let tech =
-        match body.get("deck").and_then(Value::as_str) {
-            Some(deck) => diic_deck::compile_str(deck)
-                .map_err(|e| ApiError::bad_deck(e.render("deck", deck)))?,
-            None => diic_deck::compile_str(diic_deck::NMOS_DECK)
-                .expect("the built-in deck always compiles"),
-        };
-    let layout = diic_cif::parse(cif).map_err(|e| ApiError::bad_cif(e.to_string()))?;
+    let tech = match body.get("deck").and_then(Value::as_str) {
+        Some(deck) => diic_deck::compile_str(deck)
+            .map_err(|e| ApiError::rejected(FrontEnd::Deck, "deck", deck, &e))?,
+        None => {
+            diic_deck::compile_str(diic_deck::NMOS_DECK).expect("the built-in deck always compiles")
+        }
+    };
+    let layout =
+        diic_cif::parse(cif).map_err(|e| ApiError::rejected(FrontEnd::Cif, "cif", cif, &e))?;
     let session = CheckSession::new(layout, &tech, &options);
     let summary = wire::report_summary(session.report());
     let id = app.registry.open(session);
@@ -289,8 +290,9 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
         let cif = cell
             .as_str()
             .ok_or_else(|| ApiError::bad_request_shape(format!("cells[{i}] must be a string")))?;
-        layouts
-            .push(diic_cif::parse(cif).map_err(|e| ApiError::bad_cif(format!("cells[{i}]: {e}")))?);
+        let cell = diic_cif::parse(cif)
+            .map_err(|e| ApiError::rejected(FrontEnd::Cif, &format!("cells[{i}]"), cif, &e))?;
+        layouts.push(cell);
     }
 
     let library = app.registry.library_for_deck(&deck_source)?;

@@ -16,8 +16,8 @@
 //! definition is rejected as a shape error rather than silently
 //! binding to nothing.
 
-use crate::error::ApiError;
-use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
+use crate::error::{ApiError, FrontEnd};
+use diic_cif::{Call, Diagnostic, Element, Item, Layout, Shape, Span, SymbolId};
 use diic_core::{
     category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, Violation,
 };
@@ -25,13 +25,19 @@ use diic_geom::{Orientation, Point, Rect, Transform, Vector};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
-/// Parses a request body as JSON (`400` with the parse offset on
-/// failure).
+/// Parses a request body as JSON (`400` with a caret at the offending
+/// byte on failure).
 pub fn parse_body(body: &[u8]) -> Result<Value, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|e| ApiError::bad_json(format!("body is not UTF-8: {e}")))?;
-    serde_json::from_str(text)
-        .map_err(|e| ApiError::bad_json(format!("{} at byte {}", e.message, e.offset)))
+    let rejected = |message: String, at: usize, text: &str| {
+        let diagnostic = Diagnostic::new(message, Span::new(at, at));
+        ApiError::rejected(FrontEnd::Json, "body", text, &diagnostic)
+    };
+    let text = std::str::from_utf8(body).map_err(|e| {
+        // Bytes before the first invalid one survive the lossy copy.
+        let lossy = String::from_utf8_lossy(body);
+        rejected(format!("body is not UTF-8: {e}"), e.valid_up_to(), &lossy)
+    })?;
+    serde_json::from_str(text).map_err(|e| rejected(e.message, e.offset, text))
 }
 
 /// Looks up a required object member.

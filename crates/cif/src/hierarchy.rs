@@ -6,49 +6,63 @@
 //! counts (how many times each symbol is ultimately instantiated on the
 //! chip — the flat-equivalent size).
 
-use crate::error::{CifError, CifErrorKind};
 use crate::layout::{Item, Layout, SymbolId};
 use diic_geom::{Orientation, Rect};
 use std::collections::HashMap;
 
-/// Verifies that symbol calls form a DAG.
+/// The longest call chain a symbol table may hold, in symbols. Every
+/// hierarchy walk after the parse ([`topological_order`], [`stats`], the
+/// checker's template build) recurses once per level, and a service
+/// connection's 2 MiB thread overflows at a few thousand (≈ 3 000 in
+/// release, ≈ 1 000 in debug): the parser and the edit session reject
+/// deeper tables where they enter.
+pub const MAX_CALL_DEPTH: usize = 256;
+
+/// Verifies, on a heap stack, that the calls of a symbol table form a
+/// DAG — `calls(s)` lists the callees of symbol `s`, each below
+/// `symbols` — and returns each symbol's longest call chain (1 for a
+/// symbol that calls nothing).
 ///
 /// # Errors
 ///
-/// [`CifErrorKind::RecursiveSymbol`] naming a symbol on a call cycle.
-pub fn check_acyclic(layout: &Layout) -> Result<(), CifError> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let n = layout.symbols().len();
-    let mut marks = vec![Mark::White; n];
-
-    fn visit(layout: &Layout, id: SymbolId, marks: &mut [Mark]) -> Result<(), CifError> {
-        match marks[id.0 as usize] {
-            Mark::Black => return Ok(()),
-            Mark::Grey => {
-                return Err(CifError::new(
-                    0,
-                    CifErrorKind::RecursiveSymbol(layout.symbol(id).cif_id),
-                ))
+/// A symbol on a call cycle.
+pub fn check_acyclic<I: Iterator<Item = SymbolId>>(
+    symbols: usize,
+    calls: impl Fn(usize) -> I,
+) -> Result<Vec<usize>, SymbolId> {
+    // 0 = not reached, ON_CHAIN = on the current call chain, otherwise
+    // the finished symbol's depth.
+    const ON_CHAIN: usize = usize::MAX;
+    let mut depth = vec![0; symbols];
+    for root in 0..symbols {
+        if depth[root] != 0 {
+            continue;
+        }
+        depth[root] = ON_CHAIN;
+        // (symbol, its callees not yet visited, its depth so far)
+        let mut chain = vec![(root, calls(root), 1)];
+        while let Some((symbol, rest, deepest)) = chain.last_mut() {
+            let Some(target) = rest.next() else {
+                let done = *deepest;
+                depth[*symbol] = done;
+                chain.pop();
+                if let Some((_, _, caller)) = chain.last_mut() {
+                    *caller = (*caller).max(done + 1);
+                }
+                continue;
+            };
+            let callee = target.0 as usize;
+            match depth[callee] {
+                0 => {
+                    depth[callee] = ON_CHAIN;
+                    chain.push((callee, calls(callee), 1));
+                }
+                ON_CHAIN => return Err(target),
+                done => *deepest = (*deepest).max(done + 1),
             }
-            Mark::White => {}
         }
-        marks[id.0 as usize] = Mark::Grey;
-        for call in layout.symbol(id).calls() {
-            visit(layout, call.target, marks)?;
-        }
-        marks[id.0 as usize] = Mark::Black;
-        Ok(())
     }
-
-    for i in 0..n {
-        visit(layout, SymbolId(i as u32), &mut marks)?;
-    }
-    Ok(())
+    Ok(depth)
 }
 
 /// Returns the symbols in topological order: every symbol appears after all
@@ -232,6 +246,21 @@ mod tests {
         };
         assert!(pos(1) < pos(2));
         assert!(pos(2) < pos(3));
+    }
+
+    #[test]
+    fn check_acyclic_measures_chains_and_finds_cycles() {
+        // 0 → 1 → 2, 0 → 2, 3 alone.
+        let edges: [&[u32]; 4] = [&[1, 2], &[2], &[], &[]];
+        let calls = |s: usize| edges[s].iter().map(|&t| SymbolId(t));
+        assert_eq!(check_acyclic(4, calls), Ok(vec![3, 2, 1, 1]));
+        let cycle: [&[u32]; 3] = [&[1], &[2], &[0]];
+        let calls = |s: usize| cycle[s].iter().map(|&t| SymbolId(t));
+        assert_eq!(check_acyclic(3, calls), Err(SymbolId(0)));
+        // A million-deep chain walks on the heap, not the stack.
+        let n = 1_000_000;
+        let chain = |s: usize| (s + 1 < n).then_some(SymbolId(s as u32 + 1)).into_iter();
+        assert_eq!(check_acyclic(n, chain).unwrap()[0], n);
     }
 
     #[test]

@@ -27,8 +27,15 @@
 //!   [`Call`]) in which "the chip is never fully instantiated" — plus an
 //!   explicit [`flatten()`](flatten::flatten) pass used only by the *baseline* flat checker the
 //!   paper critiques;
-//! * hierarchy validation (undefined symbols, call cycles) and statistics;
+//! * hierarchy validation (undefined symbols, call cycles, call chains
+//!   deeper than [`MAX_CALL_DEPTH`](hierarchy::MAX_CALL_DEPTH)) and
+//!   statistics;
 //! * a writer producing round-trippable CIF text.
+//!
+//! Every parse error — hostile input included: numbers past `i64`,
+//! overflowing `DS` scales, box corners, call translations — is a
+//! [`Diagnostic`] spanning the command it is about, the error type the
+//! rule-deck compiler shares (`diic_diag`, re-exported here).
 //!
 //! Per the DIIC design style, calls may be rotated only by the four axis
 //! directions (`R 1 0`, `R 0 1`, `R -1 0`, `R 0 -1`); arbitrary-angle
@@ -49,10 +56,13 @@
 //! let layout = diic_cif::parse(text)?;
 //! assert_eq!(layout.symbols().len(), 1);
 //! assert_eq!(layout.top_items().len(), 2);
-//! # Ok::<(), diic_cif::CifError>(())
+//!
+//! let error = diic_cif::parse("C 1; C 2; E").unwrap_err();
+//! assert_eq!(error.message, "call references undefined symbol 1");
+//! assert!(error.render("chip.cif", "C 1; C 2; E").contains("chip.cif:1:1"));
+//! # Ok::<(), diic_cif::Diagnostic>(())
 //! ```
 
-pub mod error;
 pub mod flatten;
 pub mod hierarchy;
 pub mod layout;
@@ -60,7 +70,7 @@ pub mod parse;
 pub mod token;
 pub mod write;
 
-pub use error::CifError;
+pub use diic_diag::{Diagnostic, Span};
 pub use flatten::{flatten, FlatElement};
 pub use layout::{
     Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol, SymbolId, Terminal,

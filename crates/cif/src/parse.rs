@@ -1,413 +1,492 @@
 //! CIF parser: token stream → [`Layout`].
+//!
+//! Every error is a [`Diagnostic`] anchored to the command it is about.
+//! Errors found after the last token — an undefined call target, a
+//! recursive or too-deep definition — point into the source too: the
+//! parser keeps the span of each `C` and `DS` it reads (the [`Layout`]
+//! itself carries no spans).
+//!
+//! The input is untrusted, so this module denies
+//! `clippy::arithmetic_side_effects`: `DS` scaling, box corners and
+//! call translations are checked, and every coordinate the parser hands
+//! on lies in `±Coord::MAX`, so mirrors and rotations can negate it.
 
-use crate::error::{CifError, CifErrorKind};
+#![deny(clippy::arithmetic_side_effects)]
+
+use crate::hierarchy::{check_acyclic, MAX_CALL_DEPTH};
 use crate::layout::{
     Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol, SymbolId, Terminal,
 };
-use crate::token::{lex, Spanned, Token};
+use crate::token::{Lexer, Spanned, Token};
+use diic_diag::{Diagnostic, Span};
 use diic_geom::{Coord, Orientation, Point, Polygon, Rect, Transform, Vector, Wire};
+use std::fmt::Write as _;
 
 /// Parses extended-CIF text into a validated [`Layout`].
 ///
-/// Validation performed here: syntax, duplicate/undefined symbol ids,
-/// non-Manhattan rotations, malformed shapes and extensions, and call
-/// cycles. Geometry/design-rule checking is the job of `diic-core`.
+/// Validation performed here: syntax, numbers and coordinates that
+/// overflow, duplicate/undefined symbol ids, non-Manhattan rotations,
+/// malformed shapes and extensions, call cycles, and call chains deeper
+/// than [`MAX_CALL_DEPTH`]. Geometry/design-rule checking is the job of
+/// `diic-core`.
 ///
 /// # Errors
 ///
-/// [`CifError`] with a line number and a specific [`CifErrorKind`].
-pub fn parse(input: &str) -> Result<Layout, CifError> {
-    let tokens = lex(input)?;
-    Parser::new(tokens).run()
+/// A [`Diagnostic`] spanning the offending command; render it against
+/// `input` with [`Diagnostic::render`].
+pub fn parse(input: &str) -> Result<Layout, Diagnostic> {
+    Parser {
+        tokens: Lexer::new(input),
+        peeked: None,
+        last: 0,
+        len: input.len(),
+        layout: Layout::new(),
+        current: None,
+        definitions: Vec::new(),
+        calls: Vec::new(),
+        pending_net: None,
+        current_layer: None,
+        top_calls: 0,
+    }
+    .run()
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// A `DS` being read.
+struct Definition {
+    /// The id the symbol gets at its `DF`.
+    id: SymbolId,
+    symbol: Symbol,
+    /// The `a / b` scale applied to the coordinates in the body.
+    scale: (Coord, Coord),
+    /// `DS <id>`.
+    span: Span,
+    /// Calls read so far (they are named `i0`, `i1`, …).
+    calls: usize,
+}
+
+/// A call read but not yet resolved: where it sits (`None` = top
+/// level), the CIF id it names, and the span of `C <id>`.
+struct CallSite {
+    scope: Option<SymbolId>,
+    item: usize,
+    cif_id: u32,
+    span: Span,
+}
+
+struct Parser<'a> {
+    tokens: Lexer<'a>,
+    /// The next token, once looked at.
+    peeked: Option<Spanned<'a>>,
+    /// End of the last token read.
+    last: usize,
+    /// Length of the source.
+    len: usize,
     layout: Layout,
-    /// Symbol currently being defined, with its scale numerator/denominator.
-    current: Option<(Symbol, Coord, Coord, usize)>, // (symbol, a, b, start_line)
+    current: Option<Definition>,
+    /// The span of each symbol's `DS <id>`, by [`SymbolId`].
+    definitions: Vec<Span>,
+    calls: Vec<CallSite>,
     /// Net identifier pending for the next primitive element.
     pending_net: Option<String>,
     /// Current layer, per CIF (persists across symbol boundaries).
     current_layer: Option<LayerRef>,
-    /// Per-scope instance counters for generated call names.
+    /// Top-level calls read so far.
     top_calls: usize,
-    /// Calls store the *CIF id* in `SymbolId` until resolution.
-    done: bool,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>) -> Self {
-        Parser {
-            tokens,
-            pos: 0,
-            layout: Layout::new(),
-            current: None,
-            pending_net: None,
-            current_layer: None,
-            top_calls: 0,
-            done: false,
+/// `v` if it is a coordinate the parser hands on: in `±Coord::MAX`.
+fn coordinate(v: Option<Coord>) -> Option<Coord> {
+    v.filter(|&v| v != Coord::MIN)
+}
+
+fn fail<T>(message: impl Into<String>, span: Span) -> Result<T, Diagnostic> {
+    Err(Diagnostic::new(message, span))
+}
+
+fn not_manhattan(a: i64, b: i64, span: Span) -> Diagnostic {
+    let message = format!(
+        "rotation direction ({a}, {b}) is not an axis direction (DIIC layouts are Manhattan)"
+    );
+    Diagnostic::new(message, span)
+}
+
+impl<'a> Parser<'a> {
+    /// Reads the next token; a lexical error surfaces here, in source
+    /// order with the parser's own.
+    fn bump(&mut self) -> Result<Option<Spanned<'a>>, Diagnostic> {
+        let token = match self.peeked.take() {
+            Some(token) => Some(token),
+            None => self.tokens.next().transpose().map_err(|e| *e)?,
+        };
+        if let Some(token) = &token {
+            self.last = token.span.end;
         }
+        Ok(token)
     }
 
-    fn line(&self) -> usize {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|s| s.line)
-            .unwrap_or(0)
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
-        if t.is_some() {
-            self.pos += 1;
+    fn peek(&mut self) -> Result<Option<&Token<'a>>, Diagnostic> {
+        if self.peeked.is_none() {
+            self.peeked = self.tokens.next().transpose().map_err(|e| *e)?;
         }
-        t
+        Ok(self.peeked.as_ref().map(|t| &t.token))
     }
 
-    fn err(&self, kind: CifErrorKind) -> CifError {
-        CifError::new(self.line(), kind)
+    /// From `start` to the end of the last token read.
+    fn since(&self, start: usize) -> Span {
+        Span::new(start, self.last)
     }
 
-    fn expect_number(&mut self, ctx: &str) -> Result<i64, CifError> {
-        match self.next() {
-            Some(Token::Number(n)) => Ok(n),
-            _ => Err(CifError::new(
-                self.line(),
-                CifErrorKind::ExpectedNumber(ctx.into()),
-            )),
+    /// The span of the token last peeked at, or the end of the source.
+    fn next_span(&self) -> Span {
+        let end = Span::new(self.len, self.len);
+        self.peeked.as_ref().map_or(end, |t| t.span)
+    }
+
+    fn number(&mut self, what: &str) -> Result<(i64, Span), Diagnostic> {
+        if let Some(&Token::Number(n)) = self.peek()? {
+            let span = self.next_span();
+            self.bump()?;
+            return Ok((n, span));
         }
+        fail(format!("expected a number for {what}"), self.next_span())
     }
 
-    fn expect_semi(&mut self, ctx: &str) -> Result<(), CifError> {
-        match self.next() {
-            Some(Token::Semi) => Ok(()),
-            _ => Err(CifError::new(
-                self.line(),
-                CifErrorKind::ExpectedSemicolon(ctx.into()),
-            )),
+    /// A coordinate: a number, scaled by the enclosing `DS`'s `a / b`.
+    fn coord(&mut self, what: &str) -> Result<Coord, Diagnostic> {
+        let (v, span) = self.number(what)?;
+        let Some(Definition { scale: (a, b), .. }) = self.current else {
+            return Ok(v); // the lexer's numbers already negate
+        };
+        coordinate(v.checked_mul(a).and_then(|v| v.checked_div(b)))
+            .ok_or_else(|| Diagnostic::new(format!("{what} {v} scaled by {a}/{b} overflows"), span))
+    }
+
+    fn symbol_id(&mut self, what: &str) -> Result<u32, Diagnostic> {
+        let (n, span) = self.number(what)?;
+        u32::try_from(n).map_err(|_| {
+            let message = format!("symbol id {n} is out of range (0 to {})", u32::MAX);
+            Diagnostic::new(message, span)
+        })
+    }
+
+    fn semi(&mut self, what: &str) -> Result<(), Diagnostic> {
+        if self.peek()? == Some(&Token::Semi) {
+            self.bump()?;
+            return Ok(());
         }
+        fail(format!("expected ';' after {what}"), self.next_span())
     }
 
-    fn scale(&self, v: i64) -> Coord {
-        match &self.current {
-            Some((_, a, b, _)) => v * a / b,
-            None => v,
-        }
-    }
-
-    fn run(mut self) -> Result<Layout, CifError> {
-        while let Some(tok) = self.next() {
-            if self.done {
-                break;
-            }
-            match tok {
+    fn run(mut self) -> Result<Layout, Diagnostic> {
+        while let Some(Spanned { token, span }) = self.bump()? {
+            let start = span.start;
+            match token {
                 Token::Semi => {} // empty command
-                Token::Letter('D') => match self.next() {
-                    Some(Token::Letter('S')) => self.cmd_ds()?,
-                    Some(Token::Letter('F')) => self.cmd_df()?,
+                Token::Letter('D') => match self.bump()?.map(|t| t.token) {
+                    Some(Token::Letter('S')) => self.cmd_ds(start)?,
+                    Some(Token::Letter('F')) => self.cmd_df(start)?,
                     Some(Token::Letter('D')) => {
                         // "DD n;" (delete definitions) — accepted and ignored.
-                        while !matches!(self.peek(), Some(Token::Semi) | None) {
-                            self.next();
+                        while !matches!(self.peek()?, Some(Token::Semi) | None) {
+                            self.bump()?;
                         }
-                        self.expect_semi("DD")?;
+                        self.semi("DD")?;
                     }
-                    _ => return Err(self.err(CifErrorKind::UnknownCommand('D'))),
+                    _ => return fail("`D` must begin DS, DF or DD", self.since(start)),
                 },
-                Token::Letter('C') => self.cmd_call()?,
-                Token::Letter('L') => self.cmd_layer()?,
-                Token::Letter('B') => self.cmd_box()?,
-                Token::Letter('W') => self.cmd_wire()?,
-                Token::Letter('P') => self.cmd_polygon()?,
-                Token::Letter('E') => {
-                    self.done = true;
-                }
-                Token::Letter(c) => return Err(self.err(CifErrorKind::UnknownCommand(c))),
+                Token::Letter('C') => self.cmd_call(start)?,
+                Token::Letter('L') => self.cmd_layer(start)?,
+                Token::Letter('B') => self.cmd_box(start)?,
+                Token::Letter('W') => self.cmd_wire(start)?,
+                Token::Letter('P') => self.cmd_polygon(start)?,
+                Token::Letter('E') => break,
+                Token::Letter(c) => return fail(format!("unknown command {c:?}"), span),
                 Token::Extension(digit, body) => {
-                    self.cmd_extension(digit, &body)?;
-                    self.expect_semi("extension")?;
+                    self.cmd_extension(digit, body, span)?;
+                    self.semi("extension")?;
                 }
-                Token::Number(_) => {
-                    return Err(self.err(CifErrorKind::ExpectedSemicolon("command".into())))
-                }
+                Token::Number(_) => return fail("expected a command, found a number", span),
             }
         }
-        if let Some((sym, _, _, line)) = self.current.take() {
-            return Err(CifError::new(
-                line,
-                CifErrorKind::UnclosedDefinition(sym.cif_id),
-            ));
+        if let Some(def) = self.current.take() {
+            let message = format!("symbol {} never closed with DF", def.symbol.cif_id);
+            return fail(message, def.span);
         }
         self.resolve_calls()?;
-        crate::hierarchy::check_acyclic(&self.layout)?;
+        let symbols = self.layout.symbols();
+        let (cif_id, at) = (|s: usize| symbols[s].cif_id, |s: usize| self.definitions[s]);
+        let depth = match check_acyclic(symbols.len(), |s| symbols[s].calls().map(|c| c.target)) {
+            Ok(depth) => depth,
+            Err(SymbolId(s)) => {
+                let message = format!("recursive calls through symbol {}", cif_id(s as usize));
+                return fail(message, at(s as usize));
+            }
+        };
+        if let Some(s) = depth.iter().position(|&d| d > MAX_CALL_DEPTH) {
+            let (id, d) = (cif_id(s), depth[s]);
+            let message =
+                format!("symbol {id} nests calls {d} deep; the limit is {MAX_CALL_DEPTH}");
+            return fail(message, at(s));
+        }
         Ok(self.layout)
     }
 
-    fn cmd_ds(&mut self) -> Result<(), CifError> {
+    fn cmd_ds(&mut self, start: usize) -> Result<(), Diagnostic> {
         if self.current.is_some() {
-            return Err(self.err(CifErrorKind::NestedDefinition));
+            let message = "DS inside DS: symbol definitions cannot nest";
+            return fail(message, self.since(start));
         }
-        let line = self.line();
-        let id = self.expect_number("DS id")? as u32;
-        if self.layout.symbol_by_cif_id(id).is_some() {
-            return Err(self.err(CifErrorKind::DuplicateSymbol(id)));
+        let cif_id = self.symbol_id("DS id")?;
+        let span = self.since(start);
+        if self.layout.symbol_by_cif_id(cif_id).is_some() {
+            return fail(format!("symbol {cif_id} defined twice"), span);
         }
-        let (a, b) = match self.peek() {
+        let scale = match self.peek()? {
             Some(Token::Number(_)) => {
-                let a = self.expect_number("DS scale a")?;
-                let b = self.expect_number("DS scale b")?;
+                let (a, _) = self.number("DS scale a")?;
+                let (b, _) = self.number("DS scale b")?;
                 if a <= 0 || b <= 0 {
-                    return Err(self.err(CifErrorKind::MalformedShape(
-                        "DS scale factors must be positive".into(),
-                    )));
+                    return fail("DS scale factors must be positive", self.since(start));
                 }
                 (a, b)
             }
             _ => (1, 1),
         };
-        self.expect_semi("DS")?;
-        self.current = Some((
-            Symbol {
-                cif_id: id,
+        self.semi("DS")?;
+        self.current = Some(Definition {
+            id: SymbolId(self.layout.symbols().len() as u32),
+            symbol: Symbol {
+                cif_id,
                 name: None,
                 device: None,
                 items: Vec::new(),
             },
-            a,
-            b,
-            line,
-        ));
+            scale,
+            span,
+            calls: 0,
+        });
         Ok(())
     }
 
-    fn cmd_df(&mut self) -> Result<(), CifError> {
-        let Some((symbol, _, _, _)) = self.current.take() else {
-            return Err(self.err(CifErrorKind::UnmatchedEnd));
+    fn cmd_df(&mut self, start: usize) -> Result<(), Diagnostic> {
+        let Some(def) = self.current.take() else {
+            return fail("DF without matching DS", self.since(start));
         };
-        self.expect_semi("DF")?;
+        self.semi("DF")?;
+        self.definitions.push(def.span);
+        // A layout lives as long as its check: trim what growth left.
+        let mut symbol = def.symbol;
+        symbol.items.shrink_to_fit();
+        if let Some(device) = &mut symbol.device {
+            device.terminals.shrink_to_fit();
+        }
         self.layout.add_symbol(symbol);
         Ok(())
     }
 
-    fn cmd_call(&mut self) -> Result<(), CifError> {
-        let target = self.expect_number("C symbol id")? as u32;
-        let mut t = Transform::IDENTITY;
+    fn cmd_call(&mut self, start: usize) -> Result<(), Diagnostic> {
+        let cif_id = self.symbol_id("C symbol id")?;
+        let span = self.since(start);
+        let mut transform = Transform::IDENTITY;
         loop {
-            match self.peek() {
+            let op = self.bump()?;
+            let op_span = op
+                .as_ref()
+                .map_or(Span::new(self.len, self.len), |t| t.span);
+            let orient = match op.map(|t| t.token) {
+                Some(Token::Semi) => break,
                 Some(Token::Letter('T')) => {
-                    self.next();
-                    let x = self.expect_number("T x")?;
-                    let y = self.expect_number("T y")?;
-                    let op = Transform::translate(Vector::new(self.scale(x), self.scale(y)));
-                    t = op.after(&t);
-                }
-                Some(Token::Letter('M')) => {
-                    self.next();
-                    let axis = self.next();
-                    let op = match axis {
-                        Some(Token::Letter('X')) => Transform::new(Orientation::MR0, Vector::ZERO),
-                        Some(Token::Letter('Y')) => {
-                            Transform::new(Orientation::MR180, Vector::ZERO)
-                        }
-                        _ => return Err(self.err(CifErrorKind::UnknownCommand('M'))),
+                    let x = self.coord("T x")?;
+                    let y = self.coord("T y")?;
+                    // `Transform::translate(..).after(&transform)`, checked.
+                    let offset = transform.offset;
+                    let x = coordinate(offset.x.checked_add(x));
+                    let y = coordinate(offset.y.checked_add(y));
+                    let (Some(x), Some(y)) = (x, y) else {
+                        return fail("call translation overflows", self.since(op_span.start));
                     };
-                    t = op.after(&t);
+                    transform.offset = Vector::new(x, y);
+                    continue;
                 }
+                Some(Token::Letter('M')) => match self.bump()?.map(|t| t.token) {
+                    Some(Token::Letter('X')) => Orientation::MR0,
+                    Some(Token::Letter('Y')) => Orientation::MR180,
+                    _ => {
+                        return fail("a mirror is `MX` or `MY`", self.since(op_span.start));
+                    }
+                },
                 Some(Token::Letter('R')) => {
-                    self.next();
-                    let a = self.expect_number("R a")?;
-                    let b = self.expect_number("R b")?;
-                    let Some(orient) = Orientation::from_cif_direction(a, b) else {
-                        return Err(self.err(CifErrorKind::NonManhattanRotation(a, b)));
-                    };
-                    let op = Transform::new(orient, Vector::ZERO);
-                    t = op.after(&t);
+                    let (a, _) = self.number("R a")?;
+                    let (b, _) = self.number("R b")?;
+                    Orientation::from_cif_direction(a, b)
+                        .ok_or_else(|| not_manhattan(a, b, self.since(op_span.start)))?
                 }
-                Some(Token::Semi) => {
-                    self.next();
-                    break;
-                }
-                _ => return Err(self.err(CifErrorKind::ExpectedSemicolon("call".into()))),
-            }
+                _ => return fail("expected ';' after call", op_span),
+            };
+            transform = Transform::new(orient, Vector::ZERO).after(&transform);
         }
-        let name = match &mut self.current {
-            Some((sym, ..)) => format!("i{}", sym.calls().count()),
-            None => {
-                let n = format!("i{}", self.top_calls);
-                self.top_calls += 1;
-                n
-            }
+        let count = match &mut self.current {
+            Some(def) => &mut def.calls,
+            None => &mut self.top_calls,
         };
-        // Store the raw CIF id; resolve_calls patches it to a SymbolId.
+        let name = format!("i{count}");
+        // Counts are bounded by the input length.
+        *count = count.saturating_add(1);
+        // The CIF id stands in for the target until resolve_calls.
         let call = Item::Call(Call {
-            target: SymbolId(target),
-            transform: t,
+            target: SymbolId(cif_id),
+            transform,
             name,
         });
-        self.push_item(call);
+        let (scope, item) = self.push_item(call);
+        self.calls.push(CallSite {
+            scope,
+            item,
+            cif_id,
+            span,
+        });
         Ok(())
     }
 
-    fn cmd_layer(&mut self) -> Result<(), CifError> {
+    fn cmd_layer(&mut self, start: usize) -> Result<(), Diagnostic> {
         let mut name = String::new();
         loop {
-            match self.peek() {
-                Some(Token::Letter(c)) => {
-                    name.push(*c);
-                    self.next();
-                }
+            match self.peek()? {
+                Some(Token::Letter(c)) => name.push(*c),
                 Some(Token::Number(n)) if !name.is_empty() => {
-                    name.push_str(&n.to_string());
-                    self.next();
+                    let _ = write!(name, "{n}");
                 }
                 _ => break,
             }
+            self.bump()?;
         }
         if name.is_empty() {
-            return Err(self.err(CifErrorKind::MissingLayer));
+            return fail("L command with no layer name", self.since(start));
         }
-        self.expect_semi("L")?;
+        self.semi("L")?;
         self.current_layer = Some(self.layout.intern_layer(&name));
         Ok(())
     }
 
-    fn take_net(&mut self) -> Option<String> {
-        self.pending_net.take()
+    fn current_layer(&self, start: usize) -> Result<LayerRef, Diagnostic> {
+        self.current_layer.ok_or_else(|| {
+            Diagnostic::new("element before any L layer selection", self.since(start))
+        })
     }
 
-    fn current_layer(&self) -> Result<LayerRef, CifError> {
-        self.current_layer
-            .ok_or_else(|| self.err(CifErrorKind::NoCurrentLayer))
-    }
-
-    fn cmd_box(&mut self) -> Result<(), CifError> {
-        let layer = self.current_layer()?;
-        let length = self.expect_number("B length")?;
-        let length = self.scale(length);
-        let width = self.expect_number("B width")?;
-        let width = self.scale(width);
-        let cx = self.expect_number("B cx")?;
-        let cx = self.scale(cx);
-        let cy = self.expect_number("B cy")?;
-        let cy = self.scale(cy);
+    fn cmd_box(&mut self, start: usize) -> Result<(), Diagnostic> {
+        let layer = self.current_layer(start)?;
+        let length = self.coord("B length")?;
+        let width = self.coord("B width")?;
+        let cx = self.coord("B cx")?;
+        let cy = self.coord("B cy")?;
         if length <= 0 || width <= 0 {
-            return Err(self.err(CifErrorKind::MalformedShape(format!(
-                "box dimensions must be positive, got {length}x{width}"
-            ))));
+            let message = format!("box dimensions must be positive, got {length}x{width}");
+            return fail(message, self.since(start));
         }
         // Optional direction: rotates the length axis.
-        let (length, width) = match self.peek() {
+        let (length, width) = match self.peek()? {
             Some(Token::Number(_)) => {
-                let dx = self.expect_number("B direction x")?;
-                let dy = self.expect_number("B direction y")?;
+                let (dx, _) = self.number("B direction x")?;
+                let (dy, _) = self.number("B direction y")?;
                 match Orientation::from_cif_direction(dx, dy) {
                     Some(Orientation::R0) | Some(Orientation::R180) => (length, width),
                     Some(Orientation::R90) | Some(Orientation::R270) => (width, length),
-                    _ => return Err(self.err(CifErrorKind::NonManhattanRotation(dx, dy))),
+                    _ => return Err(not_manhattan(dx, dy, self.since(start))),
                 }
             }
             _ => (length, width),
         };
-        self.expect_semi("B")?;
-        let net = self.take_net();
-        self.push_item(Item::Element(Element {
-            layer,
-            shape: Shape::Box(Rect::from_center(Point::new(cx, cy), length, width)),
-            net,
-        }));
+        self.semi("B")?;
+        // `Rect::from_center`'s corners, checked: odd sides truncate
+        // toward the centre.
+        let corners = |centre: Coord, side: Coord| {
+            let low = coordinate(centre.checked_sub(side / 2))?;
+            Some((low, coordinate(low.checked_add(side))?))
+        };
+        let (Some((x1, x2)), Some((y1, y2))) = (corners(cx, length), corners(cy, width)) else {
+            let message = "box corners overflow the coordinate range";
+            return fail(message, self.since(start));
+        };
+        self.push_element(layer, Shape::Box(Rect::new(x1, y1, x2, y2)));
         Ok(())
     }
 
-    fn cmd_wire(&mut self) -> Result<(), CifError> {
-        let layer = self.current_layer()?;
-        let width = self.expect_number("W width")?;
-        let width = self.scale(width);
-        let mut pts = Vec::new();
-        while let Some(Token::Number(_)) = self.peek() {
-            let x = self.expect_number("W x")?;
-            let y = self.expect_number("W y")?;
-            pts.push(Point::new(self.scale(x), self.scale(y)));
+    /// The `x y` pairs of a `W` or `P` command.
+    fn points(&mut self, what: [&str; 2]) -> Result<Vec<Point>, Diagnostic> {
+        let mut points = Vec::new();
+        while let Some(Token::Number(_)) = self.peek()? {
+            let x = self.coord(what[0])?;
+            let y = self.coord(what[1])?;
+            points.push(Point::new(x, y));
         }
-        self.expect_semi("W")?;
-        let wire = Wire::new(width, pts)
-            .map_err(|e| self.err(CifErrorKind::MalformedShape(e.to_string())))?;
-        let net = self.take_net();
-        self.push_item(Item::Element(Element {
-            layer,
-            shape: Shape::Wire(wire),
-            net,
-        }));
+        points.shrink_to_fit();
+        Ok(points)
+    }
+
+    fn cmd_wire(&mut self, start: usize) -> Result<(), Diagnostic> {
+        let layer = self.current_layer(start)?;
+        let width = self.coord("W width")?;
+        let points = self.points(["W x", "W y"])?;
+        self.semi("W")?;
+        let wire = Wire::new(width, points)
+            .map_err(|e| Diagnostic::new(format!("malformed shape: {e}"), self.since(start)))?;
+        self.push_element(layer, Shape::Wire(wire));
         Ok(())
     }
 
-    fn cmd_polygon(&mut self) -> Result<(), CifError> {
-        let layer = self.current_layer()?;
-        let mut pts = Vec::new();
-        while let Some(Token::Number(_)) = self.peek() {
-            let x = self.expect_number("P x")?;
-            let y = self.expect_number("P y")?;
-            pts.push(Point::new(self.scale(x), self.scale(y)));
-        }
-        self.expect_semi("P")?;
-        let poly =
-            Polygon::new(pts).map_err(|e| self.err(CifErrorKind::MalformedShape(e.to_string())))?;
-        let net = self.take_net();
-        self.push_item(Item::Element(Element {
-            layer,
-            shape: Shape::Polygon(poly),
-            net,
-        }));
+    fn cmd_polygon(&mut self, start: usize) -> Result<(), Diagnostic> {
+        let layer = self.current_layer(start)?;
+        let points = self.points(["P x", "P y"])?;
+        self.semi("P")?;
+        let polygon = Polygon::new(points)
+            .map_err(|e| Diagnostic::new(format!("malformed shape: {e}"), self.since(start)))?;
+        self.push_element(layer, Shape::Polygon(polygon));
         Ok(())
     }
 
-    fn cmd_extension(&mut self, digit: char, body: &str) -> Result<(), CifError> {
+    fn cmd_extension(&mut self, digit: char, body: &str, span: Span) -> Result<(), Diagnostic> {
         if digit != '9' {
             return Ok(()); // other user extensions are ignored
         }
+        let malformed =
+            |message: &str| Diagnostic::new(format!("malformed extension: {message}"), span);
         if let Some(rest) = body.strip_prefix(' ') {
             // `9 <name>` — symbol name.
             let name = rest.trim();
             if name.is_empty() {
-                return Err(self.err(CifErrorKind::MalformedExtension(
-                    "9 <name> requires a name".into(),
-                )));
+                return Err(malformed("9 <name> requires a name"));
             }
-            if let Some((sym, ..)) = &mut self.current {
-                sym.name = Some(name.to_string());
+            if let Some(def) = &mut self.current {
+                def.symbol.name = Some(name.to_string());
             }
             return Ok(());
         }
         let mut chars = body.chars();
         let sub = chars.next().unwrap_or(' ');
         let rest = chars.as_str().trim();
+        let outside = || Diagnostic::new(format!("9{sub} outside a symbol definition"), span);
+        let int = |s: &str| {
+            coordinate(s.parse().ok()).ok_or_else(|| {
+                Diagnostic::new(format!("expected a number in extension field {s:?}"), span)
+            })
+        };
         match sub {
             'N' => {
                 if rest.is_empty() {
-                    return Err(self.err(CifErrorKind::MalformedExtension(
-                        "9N requires a net name".into(),
-                    )));
+                    return Err(malformed("9N requires a net name"));
                 }
                 self.pending_net = Some(rest.to_string());
             }
             'D' => {
                 if rest.is_empty() {
-                    return Err(self.err(CifErrorKind::MalformedExtension(
-                        "9D requires a device type".into(),
-                    )));
+                    return Err(malformed("9D requires a device type"));
                 }
-                let Some((sym, ..)) = &mut self.current else {
-                    return Err(self.err(CifErrorKind::DeviceOutsideSymbol));
-                };
-                match &mut sym.device {
+                let def = self.current.as_mut().ok_or_else(outside)?;
+                match &mut def.symbol.device {
                     Some(d) => d.device_type = rest.to_string(),
                     None => {
-                        sym.device = Some(DeviceDecl {
+                        def.symbol.device = Some(DeviceDecl {
                             device_type: rest.to_string(),
                             checked: false,
                             terminals: Vec::new(),
@@ -416,142 +495,102 @@ impl Parser {
                 }
             }
             'C' => {
-                let Some((sym, ..)) = &mut self.current else {
-                    return Err(self.err(CifErrorKind::DeviceOutsideSymbol));
+                let def = self.current.as_mut().ok_or_else(outside)?;
+                let Some(device) = &mut def.symbol.device else {
+                    return Err(malformed("9C must follow a 9D device declaration"));
                 };
-                match &mut sym.device {
-                    Some(d) => d.checked = true,
-                    None => {
-                        return Err(self.err(CifErrorKind::MalformedExtension(
-                            "9C must follow a 9D device declaration".into(),
-                        )))
-                    }
-                }
+                device.checked = true;
             }
             'T' => {
                 // 9T <name> <layer> <x> <y>
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 let [name, layer, x, y] = parts.as_slice() else {
-                    return Err(self.err(CifErrorKind::MalformedExtension(
-                        "9T wants: name layer x y".into(),
-                    )));
+                    return Err(malformed("9T wants: name layer x y"));
                 };
-                let (x, y) = (parse_int(x, self)?, parse_int(y, self)?);
+                let position = Point::new(int(x)?, int(y)?);
                 let layer = self.layout.intern_layer(layer);
-                let Some((sym, ..)) = &mut self.current else {
-                    return Err(self.err(CifErrorKind::DeviceOutsideSymbol));
+                let def = self.current.as_mut().ok_or_else(outside)?;
+                let Some(device) = &mut def.symbol.device else {
+                    return Err(malformed("9T must follow a 9D device declaration"));
                 };
-                match &mut sym.device {
-                    Some(d) => d.terminals.push(Terminal {
-                        name: name.to_string(),
-                        layer,
-                        position: Point::new(x, y),
-                    }),
-                    None => {
-                        return Err(self.err(CifErrorKind::MalformedExtension(
-                            "9T must follow a 9D device declaration".into(),
-                        )))
-                    }
-                }
+                device.terminals.push(Terminal {
+                    name: name.to_string(),
+                    layer,
+                    position,
+                });
             }
             'L' => {
                 // 9L <net> <layer> <x> <y> — top-level net label.
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 let [net, layer, x, y] = parts.as_slice() else {
-                    return Err(self.err(CifErrorKind::MalformedExtension(
-                        "9L wants: net layer x y".into(),
-                    )));
+                    return Err(malformed("9L wants: net layer x y"));
                 };
-                let (x, y) = (parse_int(x, self)?, parse_int(y, self)?);
+                let position = Point::new(int(x)?, int(y)?);
                 let layer = self.layout.intern_layer(layer);
                 self.layout.push_label(NetLabel {
                     net: net.to_string(),
                     layer,
-                    position: Point::new(x, y),
+                    position,
                 });
             }
-            other => {
-                return Err(self.err(CifErrorKind::MalformedExtension(format!(
-                    "unknown 9{other} extension"
-                ))));
-            }
+            other => return Err(malformed(&format!("unknown 9{other} extension"))),
         }
         Ok(())
     }
 
-    fn push_item(&mut self, item: Item) {
+    fn push_element(&mut self, layer: LayerRef, shape: Shape) {
+        let net = self.pending_net.take();
+        self.push_item(Item::Element(Element { layer, shape, net }));
+    }
+
+    /// Appends `item` to the symbol being defined, or to the top level;
+    /// returns where it went.
+    fn push_item(&mut self, item: Item) -> (Option<SymbolId>, usize) {
         match &mut self.current {
-            Some((sym, ..)) => sym.items.push(item),
-            None => self.layout.push_top(item),
+            Some(def) => {
+                let index = def.symbol.items.len();
+                def.symbol.items.push(item);
+                (Some(def.id), index)
+            }
+            None => {
+                let index = self.layout.top_items().len();
+                self.layout.push_top(item);
+                (None, index)
+            }
         }
     }
 
-    /// Rewrites `Call.target` from raw CIF ids to [`SymbolId`]s.
-    fn resolve_calls(&mut self) -> Result<(), CifError> {
-        let map: Vec<(u32, SymbolId)> = self
-            .layout
-            .symbols()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.cif_id, SymbolId(i as u32)))
-            .collect();
-        let lookup = |cif: u32| -> Result<SymbolId, CifError> {
-            map.iter()
-                .find(|(c, _)| *c == cif)
-                .map(|(_, id)| *id)
-                .ok_or(CifError::new(0, CifErrorKind::UndefinedSymbol(cif)))
-        };
-        let n = self.layout.symbols().len();
-        for i in 0..n {
-            let sym = self.layout.symbol_mut(SymbolId(i as u32));
-            for item in &mut sym.items {
-                if let Item::Call(c) = item {
-                    c.target = lookup(c.target.0)?;
-                }
+    /// Points every call at the [`SymbolId`] of the CIF id it names,
+    /// through the layout's own index.
+    fn resolve_calls(&mut self) -> Result<(), Diagnostic> {
+        for site in &self.calls {
+            let Some(target) = self.layout.symbol_by_cif_id(site.cif_id) else {
+                let message = format!("call references undefined symbol {}", site.cif_id);
+                return fail(message, site.span);
+            };
+            let item = match site.scope {
+                Some(symbol) => &mut self.layout.symbol_mut(symbol).items[site.item],
+                None => self.layout.top_item_mut(site.item),
+            };
+            if let Item::Call(call) = item {
+                call.target = target;
             }
         }
-        // Top-level items: rebuild in place.
-        let mut top: Vec<Item> = self.layout.top_items().to_vec();
-        for item in &mut top {
-            if let Item::Call(c) = item {
-                c.target = lookup(c.target.0)?;
-            }
-        }
-        // Replace the top list.
-        let layout = std::mem::take(&mut self.layout);
-        self.layout = rebuild_with_top(layout, top);
         Ok(())
     }
-}
-
-fn rebuild_with_top(layout: Layout, top: Vec<Item>) -> Layout {
-    let mut out = Layout::new();
-    for name in layout.layer_names() {
-        out.intern_layer(name);
-    }
-    for sym in layout.symbols() {
-        out.add_symbol(sym.clone());
-    }
-    for item in top {
-        out.push_top(item);
-    }
-    for label in layout.labels() {
-        out.push_label(label.clone());
-    }
-    out
-}
-
-fn parse_int(s: &str, p: &Parser) -> Result<i64, CifError> {
-    s.parse::<i64>().map_err(|_| {
-        p.err(CifErrorKind::ExpectedNumber(format!(
-            "extension field {s:?}"
-        )))
-    })
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
+
+    /// The rejection of `input`, and the source text it spans.
+    fn reject(input: &str) -> (Diagnostic, &str) {
+        let e = parse(input).unwrap_err();
+        let spanned = &input[e.span.start..e.span.end];
+        (e, spanned)
+    }
 
     #[test]
     fn minimal_box() {
@@ -572,6 +611,16 @@ mod tests {
         };
         // Rotated 90°: length axis vertical.
         assert_eq!(e.shape.bbox(), Rect::new(-10, -20, 10, 20));
+    }
+
+    #[test]
+    fn odd_box_sides_truncate_like_from_center() {
+        let l = parse("L NM; B 5 3 10 -10; E").unwrap();
+        let Item::Element(e) = &l.top_items()[0] else {
+            panic!()
+        };
+        let want = Rect::from_center(Point::new(10, -10), 5, 3);
+        assert_eq!(e.shape.bbox(), want);
     }
 
     #[test]
@@ -622,9 +671,30 @@ mod tests {
     }
 
     #[test]
+    fn transform_list_composes_like_after() {
+        let l = parse("DS 1; DF; C 1 T 3 4 R 0 1 T -7 2 MY T 1 1; E").unwrap();
+        let Item::Call(c) = &l.top_items()[0] else {
+            panic!()
+        };
+        let t = |x, y| Transform::translate(Vector::new(x, y));
+        let r = |o| Transform::new(o, Vector::ZERO);
+        let want = [
+            t(3, 4),
+            r(Orientation::R90),
+            t(-7, 2),
+            r(Orientation::MR180),
+        ]
+        .into_iter()
+        .chain([t(1, 1)])
+        .fold(Transform::IDENTITY, |acc, op| op.after(&acc));
+        assert_eq!(c.transform, want);
+    }
+
+    #[test]
     fn rotation_must_be_manhattan() {
-        let err = parse("DS 1 1 1; DF; C 1 R 1 1; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::NonManhattanRotation(1, 1)));
+        let (e, spanned) = reject("DS 1 1 1; DF; C 1 R 1 1; E");
+        assert!(e.message.contains("(1, 1)"), "{}", e.message);
+        assert_eq!(spanned, "R 1 1");
     }
 
     #[test]
@@ -637,33 +707,129 @@ mod tests {
     }
 
     #[test]
-    fn undefined_symbol_rejected() {
-        let err = parse("C 42; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::UndefinedSymbol(42)));
+    fn calls_resolve_in_every_scope() {
+        let l = parse("DS 7; DF; DS 3; C 7; L ND; B 2 2 0 0; C 7; DF; C 3; C 7; E").unwrap();
+        let targets = |items: &[Item]| -> Vec<SymbolId> {
+            let calls = items.iter().filter_map(|item| match item {
+                Item::Call(c) => Some(c.target),
+                Item::Element(_) => None,
+            });
+            calls.collect()
+        };
+        assert_eq!(targets(&l.symbol(SymbolId(1)).items), [SymbolId(0); 2]);
+        assert_eq!(targets(l.top_items()), [SymbolId(1), SymbolId(0)]);
+    }
+
+    #[test]
+    fn undefined_symbol_points_at_its_call() {
+        let (e, spanned) = reject("DS 1; DF; C 1; C 42 T 0 0; E");
+        assert_eq!(e.message, "call references undefined symbol 42");
+        assert_eq!(spanned, "C 42");
     }
 
     #[test]
     fn duplicate_symbol_rejected() {
-        let err = parse("DS 1; DF; DS 1; DF; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::DuplicateSymbol(1)));
+        let (e, spanned) = reject("DS 1; DF; DS 1; DF; E");
+        assert_eq!(e.message, "symbol 1 defined twice");
+        assert_eq!((e.span.start, spanned), (10, "DS 1"));
     }
 
     #[test]
     fn nested_ds_rejected() {
-        let err = parse("DS 1; DS 2; DF; DF; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::NestedDefinition));
+        let (e, spanned) = reject("DS 1; DS 2; DF; DF; E");
+        assert!(e.message.contains("cannot nest"));
+        assert_eq!(spanned, "DS");
     }
 
     #[test]
     fn unclosed_ds_rejected() {
-        let err = parse("DS 1; L ND; B 2 2 0 0; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::UnclosedDefinition(1)));
+        let (e, spanned) = reject("DS 1; L ND; B 2 2 0 0; E");
+        assert_eq!(e.message, "symbol 1 never closed with DF");
+        assert_eq!(spanned, "DS 1");
     }
 
     #[test]
-    fn recursion_rejected() {
-        let err = parse("DS 1; C 2; DF; DS 2; C 1; DF; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::RecursiveSymbol(_)));
+    fn recursion_points_at_a_definition_on_the_cycle() {
+        let (e, spanned) = reject("DS 1; C 2; DF; DS 2; C 1; DF; E");
+        assert_eq!(e.message, "recursive calls through symbol 1");
+        assert_eq!(spanned, "DS 1");
+    }
+
+    /// `DS 0; C 1; DF; DS 1; C 2; DF; …` — a chain of `n` symbols,
+    /// called once from the top.
+    fn call_chain(n: usize) -> String {
+        let mut cif: String = (0..n - 1)
+            .map(|i| format!("DS {i}; C {}; DF;\n", i + 1))
+            .collect();
+        cif.push_str(&format!("DS {}; L NM; B 2 2 0 0; DF;\nC 0; E", n - 1));
+        cif
+    }
+
+    #[test]
+    fn call_depth_is_bounded_at_the_offending_definition() {
+        assert!(parse(&call_chain(MAX_CALL_DEPTH)).is_ok());
+        let too_deep = call_chain(MAX_CALL_DEPTH + 1);
+        let (e, spanned) = reject(&too_deep);
+        assert_eq!(e.message, "symbol 0 nests calls 257 deep; the limit is 256");
+        assert_eq!(spanned, "DS 0");
+        // Measured on a heap stack: a chain that would overflow any
+        // recursive walk is just another diagnostic.
+        let (e, _) = reject(&call_chain(10_000));
+        assert!(e.message.contains("10000 deep"), "{}", e.message);
+    }
+
+    #[test]
+    fn symbol_ids_outside_u32_are_diagnostics() {
+        // `C 4294967297` used to call symbol 1, `DS -1` to define
+        // symbol 4294967295.
+        let (e, spanned) = reject("DS 1; DF; C 4294967297; E");
+        assert!(e.message.contains("out of range"), "{}", e.message);
+        assert_eq!(spanned, "4294967297");
+        let (_, spanned) = reject("DS -1; DF; E");
+        assert_eq!(spanned, "-1");
+    }
+
+    // One test per input that panicked a debug build (and wrapped to
+    // wrong geometry in release) before the front end checked its
+    // arithmetic.
+
+    #[test]
+    fn twenty_digit_box_side_is_too_large() {
+        let (e, spanned) = reject("L NM; B 99999999999999999999 2 0 0; E");
+        assert_eq!(e.message, "number `99999999999999999999` is too large");
+        assert_eq!(spanned, "99999999999999999999");
+    }
+
+    #[test]
+    fn i64_min_coordinate_is_too_large() {
+        let (e, spanned) = reject("L NM; B 2 2 -9223372036854775808 0; E");
+        assert!(e.message.ends_with("is too large"), "{}", e.message);
+        assert_eq!(spanned, "-9223372036854775808");
+    }
+
+    #[test]
+    fn box_centred_at_i64_max_overflows_its_corners() {
+        let (e, spanned) = reject("L NM; B 2 2 9223372036854775807 0; E");
+        assert_eq!(e.message, "box corners overflow the coordinate range");
+        assert_eq!(spanned, "B 2 2 9223372036854775807 0;");
+    }
+
+    #[test]
+    fn ds_scale_overflow_is_a_diagnostic() {
+        let (e, spanned) = reject("DS 1 9223372036854775807 1; L NM; B 2 2 0 0; DF; E");
+        assert_eq!(
+            e.message,
+            "B length 2 scaled by 9223372036854775807/1 overflows"
+        );
+        assert_eq!(spanned, "2");
+    }
+
+    #[test]
+    fn composed_call_translation_overflow_is_a_diagnostic() {
+        let cif = "DS 1; DF; C 1 T 9223372036854775807 0 T 9223372036854775807 0; E";
+        let (e, spanned) = reject(cif);
+        assert_eq!(e.message, "call translation overflows");
+        assert_eq!(spanned, "T 9223372036854775807 0");
     }
 
     #[test]
@@ -696,8 +862,9 @@ mod tests {
 
     #[test]
     fn device_outside_symbol_rejected() {
-        let err = parse("9D NMOS;").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::DeviceOutsideSymbol));
+        let (e, spanned) = reject("9D NMOS;");
+        assert_eq!(e.message, "9D outside a symbol definition");
+        assert_eq!(spanned, "9D NMOS");
     }
 
     #[test]
@@ -710,8 +877,9 @@ mod tests {
 
     #[test]
     fn element_without_layer_rejected() {
-        let err = parse("B 2 2 0 0; E").unwrap_err();
-        assert!(matches!(err.kind, CifErrorKind::NoCurrentLayer));
+        let (e, spanned) = reject("B 2 2 0 0; E");
+        assert_eq!(e.message, "element before any L layer selection");
+        assert_eq!(spanned, "B");
     }
 
     #[test]

@@ -166,13 +166,14 @@ pub fn check_with_sink(
 ///
 /// # Errors
 ///
-/// Returns the CIF parse error if the text is malformed; rule violations
-/// are reported in the [`CheckReport`], not as errors.
+/// Returns the parser's [`diic_cif::Diagnostic`] if the text is
+/// malformed (render it against `cif` for the caret view); rule
+/// violations are reported in the [`CheckReport`], not as errors.
 pub fn check_cif(
     cif: &str,
     tech: &Technology,
     options: &CheckOptions,
-) -> Result<CheckReport, diic_cif::CifError> {
+) -> Result<CheckReport, diic_cif::Diagnostic> {
     let layout = diic_cif::parse(cif)?;
     Ok(check(&layout, tech, options))
 }

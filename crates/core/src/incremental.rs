@@ -92,8 +92,9 @@
 //! callers, and counts dirty against total elements (the 30 % rule).
 //! **Every rejection happens there, before anything is mutated** —
 //! out-of-bounds items, unknown symbols, and `replace_symbol` bodies
-//! that would leave the symbol table dangling or recursive (the first
-//! hierarchy walk of a recursive table overflows the stack). A planned
+//! that would leave the symbol table dangling, recursive or deeper than
+//! [`MAX_CALL_DEPTH`] (the first hierarchy walk of such a table
+//! overflows the stack). A planned
 //! edit cannot fail. The steps then run in order, each returning a named
 //! product the next ones borrow, each under the [`EditStats`] clock in
 //! brackets:
@@ -157,6 +158,7 @@ use crate::netgen::{
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation, ViolationKind};
+use diic_cif::hierarchy::{check_acyclic, MAX_CALL_DEPTH};
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
 use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector};
 use diic_tech::Technology;
@@ -290,6 +292,15 @@ pub enum EditError {
     /// With the set's [`Edit::ReplaceSymbol`] bodies in place, calls
     /// would form a cycle through this symbol.
     RecursiveSymbol(SymbolId),
+    /// With the set's [`Edit::ReplaceSymbol`] bodies in place, this
+    /// symbol's longest call chain would be `depth` symbols long, past
+    /// [`MAX_CALL_DEPTH`] — the CIF parser's bound.
+    TooDeep {
+        /// The first symbol (by id) past the bound.
+        symbol: SymbolId,
+        /// Its longest call chain.
+        depth: usize,
+    },
 }
 
 impl std::fmt::Display for EditError {
@@ -302,6 +313,12 @@ impl std::fmt::Display for EditError {
             EditError::RecursiveSymbol(s) => {
                 write!(f, "replace_symbol makes symbol id {} call itself", s.0)
             }
+            EditError::TooDeep { symbol, depth } => write!(
+                f,
+                "replace_symbol makes symbol id {} nest calls {depth} deep; the limit is \
+                 {MAX_CALL_DEPTH}",
+                symbol.0
+            ),
         }
     }
 }
@@ -1535,13 +1552,12 @@ fn dirty_symbol_closure(layout: &Layout, bodies: &[Option<&[Item]>]) -> Vec<bool
 }
 
 /// Rejects a symbol table that `bodies` — each replaced symbol's final
-/// body — would leave calling a symbol it does not hold, or recursive:
-/// the first walk of either (`hierarchy::stats`, the template build)
-/// indexes past the table or recurses until the stack overflows, which
-/// no caller can catch. The rule is the CIF parser's
-/// ([`diic_cif::hierarchy::check_acyclic`]); the layout satisfied it
-/// before the edit, so a new cycle passes through a replaced symbol, and
-/// the walk from those keeps its chain on the heap.
+/// body — would leave calling a symbol it does not hold, recursive, or
+/// nested deeper than [`MAX_CALL_DEPTH`]: the first walk of any of them
+/// (`hierarchy::stats`, the template build) indexes past the table or
+/// recurses until the stack overflows, which no caller can catch. The
+/// rules and the walk are the CIF parser's
+/// ([`diic_cif::hierarchy::check_acyclic`]).
 fn check_replaced_bodies(layout: &Layout, bodies: &[Option<&[Item]>]) -> Result<(), EditError> {
     let calls = |symbol: usize| {
         let items = bodies[symbol].unwrap_or(&layout.symbols()[symbol].items);
@@ -1550,37 +1566,19 @@ fn check_replaced_bodies(layout: &Layout, bodies: &[Option<&[Item]>]) -> Result<
             Item::Element(_) => None,
         })
     };
-    let replaced = || (0..bodies.len()).filter(|&s| bodies[s].is_some());
+    let replaced = (0..bodies.len()).filter(|&s| bodies[s].is_some());
     let dangling = |target: &SymbolId| target.0 as usize >= bodies.len();
-    if let Some(target) = replaced().flat_map(calls).find(dangling) {
+    if let Some(target) = replaced.flat_map(calls).find(dangling) {
         return Err(EditError::UnknownSymbol(target));
     }
-    // 0 = not reached, 1 = on the current call chain, 2 = done.
-    let mut mark = vec![0u8; bodies.len()];
-    for root in replaced() {
-        if mark[root] != 0 {
-            continue;
-        }
-        mark[root] = 1;
-        let mut chain = vec![(root, calls(root))];
-        while let Some((symbol, rest)) = chain.last_mut() {
-            let Some(target) = rest.next() else {
-                mark[*symbol] = 2;
-                chain.pop();
-                continue;
-            };
-            let callee = target.0 as usize;
-            match mark[callee] {
-                0 => {
-                    mark[callee] = 1;
-                    chain.push((callee, calls(callee)));
-                }
-                1 => return Err(EditError::RecursiveSymbol(target)),
-                _ => {}
-            }
-        }
+    let depth = check_acyclic(bodies.len(), calls).map_err(EditError::RecursiveSymbol)?;
+    match depth.iter().position(|&d| d > MAX_CALL_DEPTH) {
+        Some(s) => Err(EditError::TooDeep {
+            symbol: SymbolId(s as u32),
+            depth: depth[s],
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1810,6 +1808,39 @@ mod tests {
         edits.replace_symbol(id(4), vec![call(SymbolId(99))]);
         let err = plan(&layout, &edits).unwrap_err();
         assert_eq!(err, EditError::UnknownSymbol(SymbolId(99)));
+    }
+
+    #[test]
+    fn plan_bounds_the_call_depth_a_replace_would_leave() {
+        // A chain as deep as the parser allows (symbol i calls i + 1),
+        // plus one spare leaf: replacing the chain's leaf with a call of
+        // the spare makes the chain one level too deep.
+        let leaf = MAX_CALL_DEPTH - 1;
+        let mut cif: String = (0..leaf)
+            .map(|i| format!("DS {i}; C {};DF;", i + 1))
+            .collect();
+        for spare in [leaf, leaf + 1] {
+            cif.push_str(&format!("DS {spare}; L NM; B 2000 750 1000 375; DF;"));
+        }
+        cif.push_str("C 0; E");
+        let layout = parse(&cif).unwrap();
+        let id = |cif| layout.symbol_by_cif_id(cif).unwrap();
+        let mut edits = EditSet::new();
+        edits.replace_symbol(id(leaf as u32), vec![call(id(leaf as u32 + 1))]);
+        let err = plan(&layout, &edits).unwrap_err();
+        let depth = MAX_CALL_DEPTH + 1;
+        assert_eq!(
+            err,
+            EditError::TooDeep {
+                symbol: id(0),
+                depth
+            }
+        );
+        assert!(err.to_string().contains("257 deep"), "{err}");
+        // The same call one level up stays inside the bound.
+        let mut edits = EditSet::new();
+        edits.replace_symbol(id(leaf as u32 - 1), vec![call(id(leaf as u32 + 1))]);
+        assert!(plan(&layout, &edits).is_ok());
     }
 
     #[test]

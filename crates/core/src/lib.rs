@@ -116,7 +116,12 @@
 //!     &options,
 //! )?;
 //! assert_eq!(report.violations.len(), 1);
-//! # Ok::<(), diic_cif::CifError>(())
+//!
+//! // Malformed text is a spanned diagnostic, not a report.
+//! let error = check_cif("L NM; B 2000 wide 1000 350; E", &tech, &options).unwrap_err();
+//! assert_eq!(error.message, "expected a number for B width");
+//! assert!(error.render("wire.cif", "L NM; B 2000 wide 1000 350; E").contains('^'));
+//! # Ok::<(), diic_cif::Diagnostic>(())
 //! ```
 
 pub mod binding;

@@ -8,7 +8,7 @@
 //! their source order; layer declaration order is load-bearing (it fixes
 //! `LayerId` assignment at compile).
 
-use crate::diag::Span;
+use diic_diag::Span;
 use diic_tech::{DeviceClass, LayerKind};
 
 /// A node plus the source span it was parsed from.

@@ -4,13 +4,13 @@
 //! [`diic_tech::LayerId`] assignment, and later rules may reference
 //! layers declared after them), then everything else in source order.
 //! Every semantic error — unknown layer, duplicate rule, a fractional
-//! distance that does not land on a database unit — is a [`DeckError`]
+//! distance that does not land on a database unit — is a [`Diagnostic`]
 //! anchored to the offending span, so `render` points at deck source,
 //! not at compiled-in Rust.
 
 use crate::ast::{Deck, DeviceItem, Dist, Spanned, Stmt};
-use crate::diag::DeckError;
 use crate::parser::parse;
+use diic_diag::Diagnostic;
 use diic_tech::{
     DeviceArchetype, InteractionOverride, InternalRule, Layer, LayerId, SpacingRule, Technology,
 };
@@ -19,8 +19,8 @@ use diic_tech::{
 ///
 /// # Errors
 ///
-/// Any [`DeckError`] from [`parse`] or [`compile`].
-pub fn compile_str(source: &str) -> Result<Technology, DeckError> {
+/// Any [`Diagnostic`] from [`parse`] or [`compile`].
+pub fn compile_str(source: &str) -> Result<Technology, Diagnostic> {
     compile(&parse(source)?)
 }
 
@@ -28,13 +28,13 @@ pub fn compile_str(source: &str) -> Result<Technology, DeckError> {
 ///
 /// # Errors
 ///
-/// [`DeckError`] on semantic problems: duplicate layers, rules, or
+/// [`Diagnostic`] on semantic problems: duplicate layers, rules, or
 /// devices; unknown layer references; distances that do not resolve to
 /// whole database units.
-pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
+pub fn compile(deck: &Deck) -> Result<Technology, Diagnostic> {
     let lambda = deck.lambda.node;
     if lambda <= 0 {
-        return Err(DeckError::new(
+        return Err(Diagnostic::new(
             "lambda must be a positive number of database units",
             deck.lambda.span,
         ));
@@ -45,13 +45,13 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
     for stmt in &deck.statements {
         let Stmt::Layer(l) = stmt else { continue };
         if tech.layer_by_name(&l.name.node).is_some() {
-            return Err(DeckError::new(
+            return Err(Diagnostic::new(
                 format!("duplicate layer `{}`", l.name.node),
                 l.name.span,
             ));
         }
         if tech.layer_by_cif(&l.cif.node).is_some() {
-            return Err(DeckError::new(
+            return Err(Diagnostic::new(
                 format!("duplicate CIF layer name `{}`", l.cif.node),
                 l.cif.span,
             ));
@@ -68,7 +68,7 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
                 let a = layer_id(&tech, &sp.a)?;
                 let b = layer_id(&tech, &sp.b)?;
                 if tech.rules().spacing(a, b).is_some() {
-                    return Err(DeckError::new(
+                    return Err(Diagnostic::new(
                         format!(
                             "duplicate spacing rule for `{}` / `{}`",
                             sp.a.node, sp.b.node
@@ -86,7 +86,7 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
             Stmt::SameMask(m) => {
                 let layer = layer_id(&tech, &m.layer)?;
                 if tech.rules().same_mask(layer).is_some() {
-                    return Err(DeckError::new(
+                    return Err(Diagnostic::new(
                         format!("duplicate same_mask rule for `{}`", m.layer.node),
                         m.span,
                     ));
@@ -96,7 +96,7 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
             }
             Stmt::Device(decl) => {
                 if tech.device(&decl.name.node).is_some() {
-                    return Err(DeckError::new(
+                    return Err(Diagnostic::new(
                         format!("duplicate device `{}`", decl.name.node),
                         decl.name.span,
                     ));
@@ -210,7 +210,7 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
         if let Some(rule) = tech.rules().spacing(layer, layer) {
             let d = resolve(&m.min_space, lambda)?;
             if d <= rule.diff_net {
-                return Err(DeckError::new(
+                return Err(Diagnostic::new(
                     format!(
                         "same_mask distance {d} on `{}` does not exceed its spacing \
                          rule ({}): every conflict it could flag already violates \
@@ -225,23 +225,23 @@ pub fn compile(deck: &Deck) -> Result<Technology, DeckError> {
     Ok(tech)
 }
 
-fn layer_id(tech: &Technology, name: &Spanned<String>) -> Result<LayerId, DeckError> {
+fn layer_id(tech: &Technology, name: &Spanned<String>) -> Result<LayerId, Diagnostic> {
     tech.layer_by_name(&name.node)
-        .ok_or_else(|| DeckError::new(format!("unknown layer `{}`", name.node), name.span))
+        .ok_or_else(|| Diagnostic::new(format!("unknown layer `{}`", name.node), name.span))
 }
 
 /// Resolves a distance literal to database units.
-fn resolve(d: &Dist, lambda: i64) -> Result<i64, DeckError> {
+fn resolve(d: &Dist, lambda: i64) -> Result<i64, Diagnostic> {
     if d.den == 0 {
-        return Err(DeckError::new("zero denominator in distance", d.span));
+        return Err(Diagnostic::new("zero denominator in distance", d.span));
     }
     let unit = if d.lambda { lambda } else { 1 };
     let scaled = d
         .num
         .checked_mul(unit)
-        .ok_or_else(|| DeckError::new("distance overflows database units", d.span))?;
+        .ok_or_else(|| Diagnostic::new("distance overflows database units", d.span))?;
     if scaled % d.den != 0 {
-        return Err(DeckError::new(
+        return Err(Diagnostic::new(
             format!(
                 "distance does not resolve to whole database units \
                  ({scaled} is not divisible by {}; lambda = {lambda})",
@@ -253,7 +253,7 @@ fn resolve(d: &Dist, lambda: i64) -> Result<i64, DeckError> {
     Ok(scaled / d.den)
 }
 
-fn opt(d: &Option<Dist>, lambda: i64) -> Result<Option<i64>, DeckError> {
+fn opt(d: &Option<Dist>, lambda: i64) -> Result<Option<i64>, Diagnostic> {
     d.as_ref().map(|d| resolve(d, lambda)).transpose()
 }
 

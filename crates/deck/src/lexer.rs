@@ -7,7 +7,7 @@
 //! what lets it offer expected-token hints instead of a generic
 //! "reserved word" error. `#` and `//` start line comments.
 
-use crate::diag::{DeckError, Span};
+use diic_diag::{Diagnostic, Span};
 
 /// Kind of a lexical token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +43,9 @@ pub struct Token {
 ///
 /// # Errors
 ///
-/// [`DeckError`] on an unterminated string literal or a character
+/// [`Diagnostic`] on an unterminated string literal or a character
 /// outside the language.
-pub fn lex(source: &str) -> Result<Vec<Token>, DeckError> {
+pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -91,7 +91,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DeckError> {
                     i += 1;
                 }
                 if bytes.get(i) != Some(&b'"') {
-                    return Err(DeckError::new(
+                    return Err(Diagnostic::new(
                         "unterminated string literal",
                         Span::new(start, i),
                     ));
@@ -114,7 +114,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DeckError> {
                 push(TokenKind::Ident, start, i);
             }
             other => {
-                return Err(DeckError::new(
+                return Err(Diagnostic::new(
                     format!("unexpected character `{}`", other as char),
                     Span::new(i, i + 1),
                 ))

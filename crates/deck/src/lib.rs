@@ -20,7 +20,9 @@
 //! * a lexer and recursive-descent [`parser`] producing a span-carrying
 //!   AST ([`ast`]);
 //! * rustc-style diagnostics — source line, caret underline,
-//!   expected-token hints ([`DeckError::render`]);
+//!   expected-token hints: the workspace's one [`Diagnostic`] type
+//!   (`diic_diag`, re-exported here), which the CIF parser reports too,
+//!   rendered by [`Diagnostic::render`];
 //! * a canonical [`printer`] with the round-trip property
 //!   `parse ∘ print ∘ parse = parse` (up to spans);
 //! * a [`compile()`] pass lowering a deck to the
@@ -41,12 +43,11 @@
 //! let tech = compile_str(NMOS_DECK)?;
 //! assert_eq!(tech.name(), "nmos");
 //! assert_eq!(tech.lambda(), 250);
-//! # Ok::<(), diic_deck::DeckError>(())
+//! # Ok::<(), diic_deck::Diagnostic>(())
 //! ```
 
 pub mod ast;
 pub mod compile;
-pub mod diag;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
@@ -55,7 +56,7 @@ pub use ast::{
     Deck, DeviceDecl, DeviceItem, Dist, LayerDecl, SameMaskDecl, SpaceDecl, Spanned, Stmt,
 };
 pub use compile::{compile, compile_str};
-pub use diag::{DeckError, Span};
+pub use diic_diag::{Diagnostic, Span};
 pub use parser::parse;
 pub use printer::print;
 

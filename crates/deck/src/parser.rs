@@ -2,7 +2,7 @@
 //!
 //! One token of lookahead, no backtracking: every production knows the
 //! full set of constructs legal at its position, which is what feeds the
-//! `expected …` hints in [`DeckError`]. Keywords are matched as
+//! `expected …` hints in [`Diagnostic`]. Keywords are matched as
 //! identifier text (the lexer reserves nothing), so `layer layer { … }`
 //! is legal and an unknown statement can be reported with the complete
 //! list of alternatives.
@@ -10,8 +10,8 @@
 use crate::ast::{
     Deck, DeviceDecl, DeviceItem, Dist, LayerDecl, SameMaskDecl, SpaceDecl, Spanned, Stmt,
 };
-use crate::diag::DeckError;
 use crate::lexer::{lex, Token, TokenKind};
+use diic_diag::Diagnostic;
 use diic_tech::{DeviceClass, LayerKind};
 
 /// The statements legal at the top level of a `tech` block.
@@ -45,9 +45,9 @@ const DEVICE_ALTERNATIVES: [&str; 10] = [
 ///
 /// # Errors
 ///
-/// [`DeckError`] with the span of the offending token and, for syntax
+/// [`Diagnostic`] with the span of the offending token and, for syntax
 /// errors, the constructs that would have been accepted there.
-pub fn parse(source: &str) -> Result<Deck, DeckError> {
+pub fn parse(source: &str) -> Result<Deck, Diagnostic> {
     let tokens = lex(source)?;
     let mut p = Parser {
         source,
@@ -93,9 +93,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn unexpected(&self, expected: &[&str]) -> DeckError {
+    fn unexpected(&self, expected: &[&str]) -> Diagnostic {
         let t = self.peek();
-        DeckError::new(
+        Diagnostic::new(
             format!(
                 "expected {}, found {}",
                 expected.join(" or "),
@@ -106,7 +106,7 @@ impl<'a> Parser<'a> {
         .expecting(expected.iter().copied())
     }
 
-    fn punct(&mut self, kind: TokenKind, name: &str) -> Result<Token, DeckError> {
+    fn punct(&mut self, kind: TokenKind, name: &str) -> Result<Token, Diagnostic> {
         if self.peek().kind == kind {
             Ok(self.bump())
         } else {
@@ -114,7 +114,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn semi(&mut self) -> Result<Token, DeckError> {
+    fn semi(&mut self) -> Result<Token, Diagnostic> {
         self.punct(TokenKind::Semi, "`;`")
     }
 
@@ -123,7 +123,7 @@ impl<'a> Parser<'a> {
         t.kind == TokenKind::Ident && self.text(t) == kw
     }
 
-    fn keyword(&mut self, kw: &'static str) -> Result<Token, DeckError> {
+    fn keyword(&mut self, kw: &'static str) -> Result<Token, Diagnostic> {
         if self.at_kw(kw) {
             Ok(self.bump())
         } else {
@@ -132,7 +132,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<Spanned<String>, DeckError> {
+    fn ident(&mut self, what: &str) -> Result<Spanned<String>, Diagnostic> {
         let t = self.peek();
         if t.kind == TokenKind::Ident {
             self.bump();
@@ -142,7 +142,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<Spanned<String>, DeckError> {
+    fn string(&mut self, what: &str) -> Result<Spanned<String>, Diagnostic> {
         let t = self.peek();
         if t.kind == TokenKind::Str {
             self.bump();
@@ -153,20 +153,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Spanned<i64>, DeckError> {
+    fn number(&mut self) -> Result<Spanned<i64>, Diagnostic> {
         let t = self.peek();
         if t.kind != TokenKind::Number {
             return Err(self.unexpected(&["a number"]));
         }
         self.bump();
         let n: i64 = self.text(t).parse().map_err(|_| {
-            DeckError::new(format!("number `{}` is too large", self.text(t)), t.span)
+            Diagnostic::new(format!("number `{}` is too large", self.text(t)), t.span)
         })?;
         Ok(Spanned::new(n, t.span))
     }
 
     /// `NUMBER [/ NUMBER] [lambda]`
-    fn dist(&mut self) -> Result<Dist, DeckError> {
+    fn dist(&mut self) -> Result<Dist, Diagnostic> {
         let num = self.number()?;
         let mut span = num.span;
         let mut den = 1;
@@ -191,7 +191,7 @@ impl<'a> Parser<'a> {
     }
 
     /// One or more identifiers, up to the terminating `;`.
-    fn name_list(&mut self, what: &str) -> Result<Vec<Spanned<String>>, DeckError> {
+    fn name_list(&mut self, what: &str) -> Result<Vec<Spanned<String>>, Diagnostic> {
         let mut names = vec![self.ident(what)?];
         while self.peek().kind == TokenKind::Ident {
             names.push(self.ident(what)?);
@@ -199,7 +199,7 @@ impl<'a> Parser<'a> {
         Ok(names)
     }
 
-    fn deck(&mut self) -> Result<Deck, DeckError> {
+    fn deck(&mut self) -> Result<Deck, Diagnostic> {
         self.keyword("tech")?;
         let name = self.string("a technology name string")?;
         self.punct(TokenKind::LBrace, "`{`")?;
@@ -224,7 +224,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, DeckError> {
+    fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let t = self.peek();
         if t.kind != TokenKind::Ident {
             return Err(self.unexpected(&STMT_ALTERNATIVES));
@@ -259,14 +259,14 @@ impl<'a> Parser<'a> {
                 Ok(Stmt::IoPrefix(p))
             }
             other => Err(
-                DeckError::new(format!("unknown statement `{other}`"), t.span)
+                Diagnostic::new(format!("unknown statement `{other}`"), t.span)
                     .expecting(STMT_ALTERNATIVES.iter().copied()),
             ),
         }
     }
 
     /// `layer name { cif "…"; kind k; min_width d; }`
-    fn layer_decl(&mut self) -> Result<LayerDecl, DeckError> {
+    fn layer_decl(&mut self) -> Result<LayerDecl, Diagnostic> {
         let kw = self.bump();
         let name = self.ident("a layer name")?;
         self.punct(TokenKind::LBrace, "`{`")?;
@@ -282,7 +282,7 @@ impl<'a> Parser<'a> {
             }
             let field = self.text(t);
             let dup = |p: &Parser<'_>| {
-                DeckError::new(
+                Diagnostic::new(
                     format!("duplicate `{field}` in layer `{}`", name.node),
                     p.peek().span,
                 )
@@ -306,7 +306,7 @@ impl<'a> Parser<'a> {
                 "cif" | "kind" | "min_width" => return Err(dup(self)),
                 other => {
                     return Err(
-                        DeckError::new(format!("unknown layer field `{other}`"), t.span)
+                        Diagnostic::new(format!("unknown layer field `{other}`"), t.span)
                             .expecting(FIELDS.iter().copied()),
                     )
                 }
@@ -315,7 +315,7 @@ impl<'a> Parser<'a> {
         let rb = self.bump(); // the closing `}`
         let span = kw.span.to(rb.span);
         let missing = |what: &str| {
-            DeckError::new(
+            Diagnostic::new(
                 format!("layer `{}` is missing its `{what}` field", name.node),
                 span,
             )
@@ -329,7 +329,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn layer_kind(&mut self) -> Result<Spanned<LayerKind>, DeckError> {
+    fn layer_kind(&mut self) -> Result<Spanned<LayerKind>, Diagnostic> {
         let t = self.peek();
         let name = self.ident("a layer kind")?;
         let kind = match name.node.as_str() {
@@ -345,7 +345,7 @@ impl<'a> Parser<'a> {
             "glass" => LayerKind::Glass,
             other => {
                 return Err(
-                    DeckError::new(format!("unknown layer kind `{other}`"), t.span).expecting([
+                    Diagnostic::new(format!("unknown layer kind `{other}`"), t.span).expecting([
                         "`diffusion`",
                         "`poly`",
                         "`metal`",
@@ -364,7 +364,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `space a b d;` or `space a b d { same_net d; unrelated_device d; }`
-    fn space_decl(&mut self) -> Result<SpaceDecl, DeckError> {
+    fn space_decl(&mut self) -> Result<SpaceDecl, Diagnostic> {
         let kw = self.bump();
         let a = self.ident("a layer name")?;
         let b = self.ident("a layer name")?;
@@ -393,13 +393,13 @@ impl<'a> Parser<'a> {
                         self.semi()?;
                     }
                     dup @ ("same_net" | "unrelated_device") => {
-                        return Err(DeckError::new(
+                        return Err(Diagnostic::new(
                             format!("duplicate `{dup}` in space rule"),
                             t.span,
                         ))
                     }
                     other => {
-                        return Err(DeckError::new(
+                        return Err(Diagnostic::new(
                             format!("unknown space option `{other}`"),
                             t.span,
                         )
@@ -422,7 +422,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `same_mask layer d;`
-    fn same_mask_decl(&mut self) -> Result<SameMaskDecl, DeckError> {
+    fn same_mask_decl(&mut self) -> Result<SameMaskDecl, Diagnostic> {
         let kw = self.bump();
         let layer = self.ident("a layer name")?;
         let min_space = self.dist()?;
@@ -435,7 +435,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `device NAME class { item… }`
-    fn device_decl(&mut self) -> Result<DeviceDecl, DeckError> {
+    fn device_decl(&mut self) -> Result<DeviceDecl, Diagnostic> {
         let kw = self.bump();
         let name = self.ident("a device type name")?;
         let class = self.device_class()?;
@@ -460,7 +460,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn device_class(&mut self) -> Result<Spanned<DeviceClass>, DeckError> {
+    fn device_class(&mut self) -> Result<Spanned<DeviceClass>, Diagnostic> {
         let t = self.peek();
         let name = self.ident("a device class")?;
         let class = match name.node.as_str() {
@@ -474,7 +474,7 @@ impl<'a> Parser<'a> {
             "capacitor" => DeviceClass::Capacitor,
             other => {
                 return Err(
-                    DeckError::new(format!("unknown device class `{other}`"), t.span).expecting([
+                    Diagnostic::new(format!("unknown device class `{other}`"), t.span).expecting([
                         "`mos_enhancement`",
                         "`mos_depletion`",
                         "`resistor`",
@@ -490,7 +490,7 @@ impl<'a> Parser<'a> {
         Ok(Spanned::new(class, name.span))
     }
 
-    fn device_item(&mut self) -> Result<DeviceItem, DeckError> {
+    fn device_item(&mut self) -> Result<DeviceItem, Diagnostic> {
         let t = self.peek();
         let item = match self.text(t) {
             "requires_overlap" => {
@@ -581,7 +581,7 @@ impl<'a> Parser<'a> {
             }
             other => {
                 return Err(
-                    DeckError::new(format!("unknown device item `{other}`"), t.span)
+                    Diagnostic::new(format!("unknown device item `{other}`"), t.span)
                         .expecting(DEVICE_ALTERNATIVES.iter().copied()),
                 )
             }

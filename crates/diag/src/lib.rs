@@ -1,14 +1,15 @@
-//! Source spans and rustc-style diagnostics.
+//! Source spans and rustc-style diagnostics: the one error type of the
+//! CIF parser, the rule-deck compiler and the service's JSON bodies.
 //!
-//! Every AST node carries the byte range it was parsed from, and every
-//! [`DeckError`] — lexical, syntactic, or semantic (compile-time) —
-//! points at one. [`DeckError::render`] turns that into the familiar
-//! three-line `error: … / --> file:line:col / caret underline` shape, so
-//! a malformed deck reads like a malformed Rust file.
+//! Every [`Diagnostic`] — lexical, syntactic, or semantic — points at
+//! a byte [`Span`] of the text it rejects. [`Diagnostic::render`] turns
+//! that into the familiar three-line `error: … / --> file:line:col /
+//! caret underline` shape, so a malformed layout or deck reads like a
+//! malformed Rust file.
 
 use std::fmt;
 
-/// A half-open byte range into the deck source.
+/// A half-open byte range into a source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct Span {
     /// Byte offset of the first byte.
@@ -35,10 +36,10 @@ impl Span {
     }
 }
 
-/// An error in a deck: a message anchored to a source span, plus the
+/// An error in a source text: a message anchored to a span, plus the
 /// constructs the parser would have accepted at that point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeckError {
+pub struct Diagnostic {
     /// What went wrong.
     pub message: String,
     /// Where in the source.
@@ -47,10 +48,10 @@ pub struct DeckError {
     pub expected: Vec<String>,
 }
 
-impl DeckError {
+impl Diagnostic {
     /// Creates an error with no expected-token hints.
     pub fn new(message: impl Into<String>, span: Span) -> Self {
-        DeckError {
+        Diagnostic {
             message: message.into(),
             span,
             expected: Vec::new(),
@@ -64,7 +65,7 @@ impl DeckError {
     }
 
     /// 1-based `(line, column)` of the span start in `source`. Columns
-    /// count bytes (deck sources are ASCII in practice).
+    /// count bytes (the front ends' sources are ASCII in practice).
     pub fn line_column(&self, source: &str) -> (usize, usize) {
         let start = self.span.start.min(source.len());
         let before = &source[..start];
@@ -111,7 +112,7 @@ impl DeckError {
     }
 }
 
-impl fmt::Display for DeckError {
+impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.message)?;
         if !self.expected.is_empty() {
@@ -121,7 +122,7 @@ impl fmt::Display for DeckError {
     }
 }
 
-impl std::error::Error for DeckError {}
+impl std::error::Error for Diagnostic {}
 
 #[cfg(test)]
 mod tests {
@@ -130,16 +131,16 @@ mod tests {
     #[test]
     fn line_column_counts_from_one() {
         let src = "abc\ndef\n";
-        let e = DeckError::new("x", Span::new(5, 6));
+        let e = Diagnostic::new("x", Span::new(5, 6));
         assert_eq!(e.line_column(src), (2, 2));
-        let first = DeckError::new("x", Span::new(0, 1));
+        let first = Diagnostic::new("x", Span::new(0, 1));
         assert_eq!(first.line_column(src), (1, 1));
     }
 
     #[test]
     fn render_shape() {
         let src = "tech \"x\" {\n    lambda;\n}\n";
-        let e = DeckError::new("expected a number, found `;`", Span::new(21, 22))
+        let e = Diagnostic::new("expected a number, found `;`", Span::new(21, 22))
             .expecting(["a number"]);
         let out = e.render("t.deck", src);
         assert_eq!(
@@ -155,7 +156,7 @@ mod tests {
     #[test]
     fn render_clamps_past_eof() {
         let src = "tech";
-        let e = DeckError::new("unexpected end of file", Span::new(4, 4));
+        let e = Diagnostic::new("unexpected end of file", Span::new(4, 4));
         let out = e.render("t.deck", src);
         assert!(out.contains("t.deck:1:5"));
         assert!(out.contains('^'));

@@ -11,7 +11,8 @@
 //!   spacing algorithms, skeletal connectivity, rasters, spatial index);
 //! * [`cif`] — extended CIF parser/writer (net identifiers `9N`, device
 //!   types `9D`, immunity `9C`, terminals `9T`, labels `9L`), hierarchy
-//!   tools and the flattener;
+//!   tools and the flattener; its errors, like the deck's, are the one
+//!   spanned, caret-rendered `Diagnostic` type;
 //! * [`tech`] — technologies: layers, the Fig. 12 interaction matrix,
 //!   device archetypes, default NMOS and bipolar processes;
 //! * [`deck`] — the rule-deck language: lexer, parser, spanned
@@ -48,7 +49,7 @@
 //! let vdd = report.netlist.net_by_name("VDD").expect("the rail is a net");
 //! assert_eq!(report.netlist.net(vdd).name(), "VDD");
 //! assert!(report.netlist.nets().map(|net| net.name()).eq(["GND", "VDD"]));
-//! # Ok::<(), diic::cif::CifError>(())
+//! # Ok::<(), diic::cif::Diagnostic>(())
 //! ```
 
 pub use diic_api as api;

@@ -572,41 +572,73 @@ fn service_sessions_survive_compaction() {
 fn malformed_bodies_are_4xx_never_panics() {
     let app = service();
 
-    // Not JSON at all.
+    // Every front end's failure is its code plus a caret-rendered
+    // diagnostic naming the text it points into.
+    let rejected = |resp: Response, status: StatusCode, code: &str, file: &str| {
+        assert_eq!(resp.status, status, "{code}");
+        let body = json_body(resp);
+        assert_eq!(body.get("error").and_then(Value::as_str), Some(code));
+        let detail = body.get("detail").and_then(Value::as_str).unwrap();
+        assert!(
+            detail.contains(&format!(" --> {file}:")) && detail.contains('^'),
+            "expected a caret-rendered {code} diagnostic, got: {detail}"
+        );
+    };
+
+    // Not JSON at all, or not UTF-8.
     let resp = post(&app, "/sessions", "{not json".to_string());
-    assert_eq!(resp.status, StatusCode::BAD_REQUEST);
-    let body = json_body(resp);
-    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-json"));
+    rejected(resp, StatusCode::BAD_REQUEST, "bad-json", "body");
+    let resp = app.oneshot(Request::new(Method::Post, "/sessions").with_body(vec![b'{', 0xff]));
+    rejected(resp, StatusCode::BAD_REQUEST, "bad-json", "body");
 
     // JSON of the wrong shape.
     let resp = post(&app, "/sessions", r#"{"cif": 42}"#.to_string());
     assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
 
-    // Malformed CIF: a rendered parse diagnostic, not a panic.
-    let resp = post(
-        &app,
-        "/sessions",
-        r#"{"cif": "L NM; B oops; E"}"#.to_string(),
-    );
-    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
-    let body = json_body(resp);
-    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-cif"));
+    // Malformed CIF: a rendered parse diagnostic, not a panic — and
+    // each input that overflowed the front end's arithmetic (a debug
+    // panic in the handler, wrong geometry in release), and a call
+    // chain deep enough to overflow a connection thread's stack.
+    let chain: String = (0..10_000)
+        .map(|i| format!("DS {i}; C {};DF;", i + 1))
+        .collect();
+    let deep = format!("{chain}DS 10000; DF; C 0; E");
+    for cif in [
+        "L NM; B oops; E",
+        "L NM; B 99999999999999999999 750 0 0; E",
+        "L NM; B 2 2 -9223372036854775808 0; E",
+        "L NM; B 2 2 9223372036854775807 0; E",
+        "DS 1 9223372036854775807 1; L NM; B 2 2 0 0; DF; C 1; E",
+        "DS 1; DF; C 1 T 9223372036854775807 0 T 9223372036854775807 0; E",
+        &deep,
+    ] {
+        let body = Value::object([("cif", Value::from(cif))]).to_string();
+        rejected(
+            post(&app, "/sessions", body),
+            StatusCode::UNPROCESSABLE_ENTITY,
+            "bad-cif",
+            "cif",
+        );
+    }
 
-    // Malformed deck: the body carries the caret-rendered DeckError.
+    // A `/library` cell names its index.
+    let body = r#"{"cells": ["E", "L NM; B 2 2 9223372036854775807 0; E"]}"#;
+    let resp = post(&app, "/library", body.to_string());
+    rejected(
+        resp,
+        StatusCode::UNPROCESSABLE_ENTITY,
+        "bad-cif",
+        "cells[1]",
+    );
+
+    // Malformed deck.
     let resp = post(
         &app,
         "/sessions",
         r#"{"cif": "L NM; B 2000 750 1000 375; E", "deck": "layer NM metal {\n  width 750\n"}"#
             .to_string(),
     );
-    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
-    let body = json_body(resp);
-    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-deck"));
-    let detail = body.get("detail").and_then(Value::as_str).unwrap();
-    assert!(
-        detail.contains("deck") && detail.contains('^'),
-        "expected a caret-rendered deck diagnostic, got: {detail}"
-    );
+    rejected(resp, StatusCode::UNPROCESSABLE_ENTITY, "bad-deck", "deck");
 
     // Unknown option keys: a typo, and a retired knob (its name split
     // so a search for users of it finds none).
@@ -686,6 +718,31 @@ fn malformed_bodies_are_4xx_never_panics() {
     let body = json_body(resp);
     assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-edit"));
     assert_eq!(report(&app), before);
+}
+
+/// The deepest call chain the parser accepts (`MAX_CALL_DEPTH`) opens —
+/// parse, instantiate, the whole check — on a thread with the 2 MiB
+/// stack `axum::serve` gives a connection, in a debug build too. A chain
+/// of a few thousand aborted the process there before the bound.
+#[test]
+fn deepest_accepted_call_chain_fits_a_connection_stack() {
+    let depth = diic::cif::hierarchy::MAX_CALL_DEPTH;
+    let chain: String = (1..depth)
+        .map(|i| format!("DS {}; C {i}; DF;", i - 1))
+        .collect();
+    let cif = format!(
+        "{chain}DS {}; L NM; B 2000 750 1000 375; DF; C 0; E",
+        depth - 1
+    );
+    let body = Value::object([("cif", Value::from(cif.as_str()))]).to_string();
+    let app = service();
+    let status = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || post(&app, "/sessions", body).status)
+        .unwrap()
+        .join()
+        .expect("the open fits the stack");
+    assert_eq!(status, StatusCode::CREATED);
 }
 
 /// A worker count from the wire is clamped to the machine's cores where
