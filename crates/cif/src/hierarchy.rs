@@ -15,23 +15,33 @@ use std::collections::HashMap;
 /// checker's template build) recurses once per level, and a service
 /// connection's 2 MiB thread overflows at a few thousand (≈ 3 000 in
 /// release, ≈ 1 000 in debug): the parser and the edit session reject
-/// deeper tables where they enter.
+/// deeper tables where they enter, through [`check_acyclic`].
 pub const MAX_CALL_DEPTH: usize = 256;
 
+/// Why a symbol table is not a hierarchy the checker can walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HierarchyError {
+    /// A symbol on a call cycle.
+    Cycle(SymbolId),
+    /// A symbol whose longest call chain is more than [`MAX_CALL_DEPTH`]
+    /// symbols long.
+    TooDeep(SymbolId),
+}
+
 /// Verifies, on a heap stack, that the calls of a symbol table form a
-/// DAG — `calls(s)` lists the callees of symbol `s`, each below
-/// `symbols` — and returns each symbol's longest call chain (1 for a
-/// symbol that calls nothing).
+/// DAG no more than [`MAX_CALL_DEPTH`] symbols deep — `calls(s)` lists
+/// the callees of symbol `s`, each below `symbols`.
 ///
 /// # Errors
 ///
-/// A symbol on a call cycle.
+/// The first cycle or over-deep chain the walk meets; it stops there.
 pub fn check_acyclic<I: Iterator<Item = SymbolId>>(
     symbols: usize,
     calls: impl Fn(usize) -> I,
-) -> Result<Vec<usize>, SymbolId> {
+) -> Result<(), HierarchyError> {
     // 0 = not reached, ON_CHAIN = on the current call chain, otherwise
-    // the finished symbol's depth.
+    // the finished symbol's longest chain (1 for a symbol that calls
+    // nothing).
     const ON_CHAIN: usize = usize::MAX;
     let mut depth = vec![0; symbols];
     for root in 0..symbols {
@@ -52,17 +62,25 @@ pub fn check_acyclic<I: Iterator<Item = SymbolId>>(
                 continue;
             };
             let callee = target.0 as usize;
-            match depth[callee] {
+            // The root's chain through `callee`, if it is finished.
+            let through = match depth[callee] {
                 0 => {
                     depth[callee] = ON_CHAIN;
                     chain.push((callee, calls(callee), 1));
+                    chain.len()
                 }
-                ON_CHAIN => return Err(target),
-                done => *deepest = (*deepest).max(done + 1),
+                ON_CHAIN => return Err(HierarchyError::Cycle(target)),
+                done => {
+                    *deepest = (*deepest).max(done + 1);
+                    chain.len() + done
+                }
+            };
+            if through > MAX_CALL_DEPTH {
+                return Err(HierarchyError::TooDeep(SymbolId(root as u32)));
             }
         }
     }
-    Ok(depth)
+    Ok(())
 }
 
 /// Returns the symbols in topological order: every symbol appears after all
@@ -249,18 +267,38 @@ mod tests {
     }
 
     #[test]
-    fn check_acyclic_measures_chains_and_finds_cycles() {
+    fn check_acyclic_finds_cycles_and_over_deep_chains() {
         // 0 → 1 → 2, 0 → 2, 3 alone.
         let edges: [&[u32]; 4] = [&[1, 2], &[2], &[], &[]];
         let calls = |s: usize| edges[s].iter().map(|&t| SymbolId(t));
-        assert_eq!(check_acyclic(4, calls), Ok(vec![3, 2, 1, 1]));
+        assert_eq!(check_acyclic(4, calls), Ok(()));
         let cycle: [&[u32]; 3] = [&[1], &[2], &[0]];
         let calls = |s: usize| cycle[s].iter().map(|&t| SymbolId(t));
-        assert_eq!(check_acyclic(3, calls), Err(SymbolId(0)));
-        // A million-deep chain walks on the heap, not the stack.
-        let n = 1_000_000;
-        let chain = |s: usize| (s + 1 < n).then_some(SymbolId(s as u32 + 1)).into_iter();
-        assert_eq!(check_acyclic(n, chain).unwrap()[0], n);
+        assert_eq!(
+            check_acyclic(3, calls),
+            Err(HierarchyError::Cycle(SymbolId(0)))
+        );
+        // Symbol s calls s + 1: n symbols make a chain n deep.
+        let chain = |n: usize| move |s: usize| (s + 1 < n).then_some(SymbolId(s as u32 + 1));
+        let deep = |n| check_acyclic(n, |s| chain(n)(s).into_iter());
+        assert_eq!(deep(MAX_CALL_DEPTH), Ok(()));
+        let too_deep = Err(HierarchyError::TooDeep(SymbolId(0)));
+        assert_eq!(deep(MAX_CALL_DEPTH + 1), too_deep);
+        // A million-deep chain stops at the bound, on the heap.
+        assert_eq!(deep(1_000_000), too_deep);
+        // A chain that passes the bound through a finished callee: the
+        // walk from 0 finishes 0 → 1 → … (as deep as allowed) before
+        // root `last` calls 0.
+        let last = MAX_CALL_DEPTH;
+        let extended = |s: usize| match s {
+            _ if s == last => Some(SymbolId(0)),
+            _ => chain(last)(s),
+        };
+        let extended = check_acyclic(last + 1, |s| extended(s).into_iter());
+        assert_eq!(
+            extended,
+            Err(HierarchyError::TooDeep(SymbolId(last as u32)))
+        );
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //! * a writer producing round-trippable CIF text.
 //!
 //! Every parse error — hostile input included: numbers past `i64`,
-//! overflowing `DS` scales, box corners, call translations — is a
-//! [`Diagnostic`] spanning the command it is about, the error type the
-//! rule-deck compiler shares (`diic_diag`, re-exported here).
+//! coordinates, `DS` scales, box corners and call translations outside
+//! `±`[`MAX_COORD`](diic_geom::MAX_COORD) — is a [`Diagnostic`]
+//! spanning the command it is about, the error type the rule-deck
+//! compiler shares (`diic_diag`, re-exported here).
 //!
 //! Per the DIIC design style, calls may be rotated only by the four axis
 //! directions (`R 1 0`, `R 0 1`, `R -1 0`, `R 0 -1`); arbitrary-angle

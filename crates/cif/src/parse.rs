@@ -9,17 +9,18 @@
 //! The input is untrusted, so this module denies
 //! `clippy::arithmetic_side_effects`: `DS` scaling, box corners and
 //! call translations are checked, and every coordinate the parser hands
-//! on lies in `±Coord::MAX`, so mirrors and rotations can negate it.
+//! on lies within `±`[`MAX_COORD`], which leaves the checker headroom to
+//! compose [`MAX_CALL_DEPTH`] levels of calls without overflow.
 
 #![deny(clippy::arithmetic_side_effects)]
 
-use crate::hierarchy::{check_acyclic, MAX_CALL_DEPTH};
+use crate::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
 use crate::layout::{
     Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol, SymbolId, Terminal,
 };
 use crate::token::{Lexer, Spanned, Token};
 use diic_diag::{Diagnostic, Span};
-use diic_geom::{Coord, Orientation, Point, Polygon, Rect, Transform, Vector, Wire};
+use diic_geom::{Coord, Orientation, Point, Polygon, Rect, Transform, Vector, Wire, MAX_COORD};
 use std::fmt::Write as _;
 
 /// Parses extended-CIF text into a validated [`Layout`].
@@ -94,13 +95,19 @@ struct Parser<'a> {
     top_calls: usize,
 }
 
-/// `v` if it is a coordinate the parser hands on: in `±Coord::MAX`.
+/// `v` if it is a coordinate the parser hands on: within
+/// `±`[`MAX_COORD`].
 fn coordinate(v: Option<Coord>) -> Option<Coord> {
-    v.filter(|&v| v != Coord::MIN)
+    v.filter(|v| (-MAX_COORD..=MAX_COORD).contains(v))
 }
 
 fn fail<T>(message: impl Into<String>, span: Span) -> Result<T, Diagnostic> {
     Err(Diagnostic::new(message, span))
+}
+
+fn out_of_range(what: String, span: Span) -> Diagnostic {
+    let message = format!("{what} is outside the coordinate range ±{MAX_COORD}");
+    Diagnostic::new(message, span)
 }
 
 fn not_manhattan(a: i64, b: i64, span: Span) -> Diagnostic {
@@ -154,11 +161,14 @@ impl<'a> Parser<'a> {
     /// A coordinate: a number, scaled by the enclosing `DS`'s `a / b`.
     fn coord(&mut self, what: &str) -> Result<Coord, Diagnostic> {
         let (v, span) = self.number(what)?;
-        let Some(Definition { scale: (a, b), .. }) = self.current else {
-            return Ok(v); // the lexer's numbers already negate
-        };
-        coordinate(v.checked_mul(a).and_then(|v| v.checked_div(b)))
-            .ok_or_else(|| Diagnostic::new(format!("{what} {v} scaled by {a}/{b} overflows"), span))
+        let (a, b) = self.current.as_ref().map_or((1, 1), |def| def.scale);
+        coordinate(v.checked_mul(a).and_then(|v| v.checked_div(b))).ok_or_else(|| {
+            let scaled = match (a, b) {
+                (1, 1) => String::new(),
+                _ => format!(" scaled by {a}/{b}"),
+            };
+            out_of_range(format!("{what} {v}{scaled}"), span)
+        })
     }
 
     fn symbol_id(&mut self, what: &str) -> Result<u32, Diagnostic> {
@@ -214,21 +224,22 @@ impl<'a> Parser<'a> {
         }
         self.resolve_calls()?;
         let symbols = self.layout.symbols();
-        let (cif_id, at) = (|s: usize| symbols[s].cif_id, |s: usize| self.definitions[s]);
-        let depth = match check_acyclic(symbols.len(), |s| symbols[s].calls().map(|c| c.target)) {
-            Ok(depth) => depth,
-            Err(SymbolId(s)) => {
-                let message = format!("recursive calls through symbol {}", cif_id(s as usize));
-                return fail(message, at(s as usize));
+        let calls = |s: usize| symbols[s].calls().map(|c| c.target);
+        let cif_id = |s: SymbolId| symbols[s.0 as usize].cif_id;
+        let (s, message) = match check_acyclic(symbols.len(), calls) {
+            Ok(()) => return Ok(self.layout),
+            Err(HierarchyError::Cycle(s)) => {
+                (s, format!("recursive calls through symbol {}", cif_id(s)))
+            }
+            Err(HierarchyError::TooDeep(s)) => {
+                let id = cif_id(s);
+                (
+                    s,
+                    format!("symbol {id} nests calls more than {MAX_CALL_DEPTH} deep"),
+                )
             }
         };
-        if let Some(s) = depth.iter().position(|&d| d > MAX_CALL_DEPTH) {
-            let (id, d) = (cif_id(s), depth[s]);
-            let message =
-                format!("symbol {id} nests calls {d} deep; the limit is {MAX_CALL_DEPTH}");
-            return fail(message, at(s));
-        }
-        Ok(self.layout)
+        fail(message, self.definitions[s.0 as usize])
     }
 
     fn cmd_ds(&mut self, start: usize) -> Result<(), Diagnostic> {
@@ -303,7 +314,8 @@ impl<'a> Parser<'a> {
                     let x = coordinate(offset.x.checked_add(x));
                     let y = coordinate(offset.y.checked_add(y));
                     let (Some(x), Some(y)) = (x, y) else {
-                        return fail("call translation overflows", self.since(op_span.start));
+                        let span = self.since(op_span.start);
+                        return Err(out_of_range("call translation".into(), span));
                     };
                     transform.offset = Vector::new(x, y);
                     continue;
@@ -405,8 +417,7 @@ impl<'a> Parser<'a> {
             Some((low, coordinate(low.checked_add(side))?))
         };
         let (Some((x1, x2)), Some((y1, y2))) = (corners(cx, length), corners(cy, width)) else {
-            let message = "box corners overflow the coordinate range";
-            return fail(message, self.since(start));
+            return Err(out_of_range("a box corner".into(), self.since(start)));
         };
         self.push_element(layer, Shape::Box(Rect::new(x1, y1, x2, y2)));
         Ok(())
@@ -468,7 +479,8 @@ impl<'a> Parser<'a> {
         let outside = || Diagnostic::new(format!("9{sub} outside a symbol definition"), span);
         let int = |s: &str| {
             coordinate(s.parse().ok()).ok_or_else(|| {
-                Diagnostic::new(format!("expected a number in extension field {s:?}"), span)
+                let message = format!("expected a coordinate in extension field {s:?}");
+                Diagnostic::new(message, span)
             })
         };
         match sub {
@@ -770,12 +782,16 @@ mod tests {
         assert!(parse(&call_chain(MAX_CALL_DEPTH)).is_ok());
         let too_deep = call_chain(MAX_CALL_DEPTH + 1);
         let (e, spanned) = reject(&too_deep);
-        assert_eq!(e.message, "symbol 0 nests calls 257 deep; the limit is 256");
+        assert_eq!(e.message, "symbol 0 nests calls more than 256 deep");
         assert_eq!(spanned, "DS 0");
-        // Measured on a heap stack: a chain that would overflow any
+        // Walked on a heap stack: a chain that would overflow any
         // recursive walk is just another diagnostic.
-        let (e, _) = reject(&call_chain(10_000));
-        assert!(e.message.contains("10000 deep"), "{}", e.message);
+        let deepest = call_chain(10_000);
+        let (e, spanned) = reject(&deepest);
+        assert_eq!(
+            (e.message.as_str(), spanned),
+            ("symbol 0 nests calls more than 256 deep", "DS 0")
+        );
     }
 
     #[test]
@@ -808,19 +824,27 @@ mod tests {
     }
 
     #[test]
-    fn box_centred_at_i64_max_overflows_its_corners() {
+    fn box_centred_at_i64_max_is_out_of_range() {
         let (e, spanned) = reject("L NM; B 2 2 9223372036854775807 0; E");
-        assert_eq!(e.message, "box corners overflow the coordinate range");
-        assert_eq!(spanned, "B 2 2 9223372036854775807 0;");
+        let want = "B cx 9223372036854775807 is outside the coordinate range ±4503599627370496";
+        assert_eq!(e.message, want);
+        assert_eq!(spanned, "9223372036854775807");
+        // A centre in range whose corners are not.
+        let (e, spanned) = reject("L NM; B 4 2 4503599627370496 0; E");
+        assert_eq!(
+            e.message,
+            "a box corner is outside the coordinate range ±4503599627370496"
+        );
+        assert_eq!(spanned, "B 4 2 4503599627370496 0;");
+        assert!(parse("L NM; B 4 2 4503599627370494 0; E").is_ok());
     }
 
     #[test]
     fn ds_scale_overflow_is_a_diagnostic() {
         let (e, spanned) = reject("DS 1 9223372036854775807 1; L NM; B 2 2 0 0; DF; E");
-        assert_eq!(
-            e.message,
-            "B length 2 scaled by 9223372036854775807/1 overflows"
-        );
+        let want = "B length 2 scaled by 9223372036854775807/1 is outside the coordinate range \
+                    ±4503599627370496";
+        assert_eq!(e.message, want);
         assert_eq!(spanned, "2");
     }
 
@@ -828,8 +852,36 @@ mod tests {
     fn composed_call_translation_overflow_is_a_diagnostic() {
         let cif = "DS 1; DF; C 1 T 9223372036854775807 0 T 9223372036854775807 0; E";
         let (e, spanned) = reject(cif);
-        assert_eq!(e.message, "call translation overflows");
-        assert_eq!(spanned, "T 9223372036854775807 0");
+        assert!(
+            e.message.starts_with("T x 9223372036854775807 is outside"),
+            "{}",
+            e.message
+        );
+        assert_eq!(spanned, "9223372036854775807");
+        // Two translations in range whose sum is not.
+        let (e, spanned) = reject("DS 1; DF; C 1 T 0 4503599627370496 MX T 0 1; E");
+        let want = "call translation is outside the coordinate range ±4503599627370496";
+        assert_eq!((e.message.as_str(), spanned), (want, "T 0 1"));
+    }
+
+    #[test]
+    fn coordinates_past_the_bound_are_diagnostics_everywhere() {
+        // Parses cleanly with an i64 per coordinate, but 2⁶³ − 1 as a
+        // translation overflows the checker's composition.
+        let (e, _) = reject("DS 1; L NM; B 2 2 0 0; DF; C 1 T 9223372036854775807 0; E");
+        assert!(
+            e.message.contains("outside the coordinate range"),
+            "{}",
+            e.message
+        );
+        for cif in [
+            "L NM; W 4503599627370497 0 0 10 0; E",
+            "L NM; P 0 0 10 0 0 -4503599627370497; E",
+            "DS 1; 9D D; 9T G NP 4503599627370497 0; DF; E",
+            "9L VDD NM 0 -4503599627370497; E",
+        ] {
+            assert!(parse(cif).is_err(), "{cif}");
+        }
     }
 
     #[test]

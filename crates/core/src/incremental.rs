@@ -158,7 +158,7 @@ use crate::netgen::{
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::hierarchy::{check_acyclic, MAX_CALL_DEPTH};
+use diic_cif::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
 use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector};
 use diic_tech::Technology;
@@ -293,14 +293,9 @@ pub enum EditError {
     /// would form a cycle through this symbol.
     RecursiveSymbol(SymbolId),
     /// With the set's [`Edit::ReplaceSymbol`] bodies in place, this
-    /// symbol's longest call chain would be `depth` symbols long, past
-    /// [`MAX_CALL_DEPTH`] — the CIF parser's bound.
-    TooDeep {
-        /// The first symbol (by id) past the bound.
-        symbol: SymbolId,
-        /// Its longest call chain.
-        depth: usize,
-    },
+    /// symbol's longest call chain would be more than [`MAX_CALL_DEPTH`]
+    /// symbols long — the CIF parser's bound.
+    TooDeep(SymbolId),
 }
 
 impl std::fmt::Display for EditError {
@@ -313,11 +308,10 @@ impl std::fmt::Display for EditError {
             EditError::RecursiveSymbol(s) => {
                 write!(f, "replace_symbol makes symbol id {} call itself", s.0)
             }
-            EditError::TooDeep { symbol, depth } => write!(
+            EditError::TooDeep(s) => write!(
                 f,
-                "replace_symbol makes symbol id {} nest calls {depth} deep; the limit is \
-                 {MAX_CALL_DEPTH}",
-                symbol.0
+                "replace_symbol makes symbol id {} nest calls more than {MAX_CALL_DEPTH} deep",
+                s.0
             ),
         }
     }
@@ -1571,14 +1565,10 @@ fn check_replaced_bodies(layout: &Layout, bodies: &[Option<&[Item]>]) -> Result<
     if let Some(target) = replaced.flat_map(calls).find(dangling) {
         return Err(EditError::UnknownSymbol(target));
     }
-    let depth = check_acyclic(bodies.len(), calls).map_err(EditError::RecursiveSymbol)?;
-    match depth.iter().position(|&d| d > MAX_CALL_DEPTH) {
-        Some(s) => Err(EditError::TooDeep {
-            symbol: SymbolId(s as u32),
-            depth: depth[s],
-        }),
-        None => Ok(()),
-    }
+    check_acyclic(bodies.len(), calls).map_err(|e| match e {
+        HierarchyError::Cycle(s) => EditError::RecursiveSymbol(s),
+        HierarchyError::TooDeep(s) => EditError::TooDeep(s),
+    })
 }
 
 #[cfg(test)]
@@ -1828,15 +1818,8 @@ mod tests {
         let mut edits = EditSet::new();
         edits.replace_symbol(id(leaf as u32), vec![call(id(leaf as u32 + 1))]);
         let err = plan(&layout, &edits).unwrap_err();
-        let depth = MAX_CALL_DEPTH + 1;
-        assert_eq!(
-            err,
-            EditError::TooDeep {
-                symbol: id(0),
-                depth
-            }
-        );
-        assert!(err.to_string().contains("257 deep"), "{err}");
+        assert_eq!(err, EditError::TooDeep(id(0)));
+        assert!(err.to_string().contains("more than 256 deep"), "{err}");
         // The same call one level up stays inside the bound.
         let mut edits = EditSet::new();
         edits.replace_symbol(id(leaf as u32 - 1), vec![call(id(leaf as u32 + 1))]);

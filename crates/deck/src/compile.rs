@@ -11,6 +11,7 @@
 use crate::ast::{Deck, DeviceItem, Dist, Spanned, Stmt};
 use crate::parser::parse;
 use diic_diag::Diagnostic;
+use diic_geom::MAX_COORD;
 use diic_tech::{
     DeviceArchetype, InteractionOverride, InternalRule, Layer, LayerId, SpacingRule, Technology,
 };
@@ -30,7 +31,7 @@ pub fn compile_str(source: &str) -> Result<Technology, Diagnostic> {
 ///
 /// [`Diagnostic`] on semantic problems: duplicate layers, rules, or
 /// devices; unknown layer references; distances that do not resolve to
-/// whole database units.
+/// whole database units within `±`[`MAX_COORD`].
 pub fn compile(deck: &Deck) -> Result<Technology, Diagnostic> {
     let lambda = deck.lambda.node;
     if lambda <= 0 {
@@ -230,7 +231,8 @@ fn layer_id(tech: &Technology, name: &Spanned<String>) -> Result<LayerId, Diagno
         .ok_or_else(|| Diagnostic::new(format!("unknown layer `{}`", name.node), name.span))
 }
 
-/// Resolves a distance literal to database units.
+/// Resolves a distance literal to database units, within the checker's
+/// coordinate range (`±`[`MAX_COORD`]).
 fn resolve(d: &Dist, lambda: i64) -> Result<i64, Diagnostic> {
     if d.den == 0 {
         return Err(Diagnostic::new("zero denominator in distance", d.span));
@@ -239,7 +241,11 @@ fn resolve(d: &Dist, lambda: i64) -> Result<i64, Diagnostic> {
     let scaled = d
         .num
         .checked_mul(unit)
-        .ok_or_else(|| Diagnostic::new("distance overflows database units", d.span))?;
+        .filter(|v| (-MAX_COORD..=MAX_COORD).contains(&(v / d.den)))
+        .ok_or_else(|| {
+            let message = format!("distance is outside the coordinate range ±{MAX_COORD}");
+            Diagnostic::new(message, d.span)
+        })?;
     if scaled % d.den != 0 {
         return Err(Diagnostic::new(
             format!(
@@ -290,6 +296,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("whole database units"), "{e}");
+    }
+
+    #[test]
+    fn distances_past_the_coordinate_range_are_errors() {
+        // A spacing of 2⁶³ − 1 compiled, then overflowed the checker's
+        // rule inflation.
+        let deck = |d: &str| {
+            format!(
+                "tech \"t\" {{ lambda 250; layer m {{ cif \"M\"; kind metal; min_width 1; }} \
+                 space m m {d}; }}"
+            )
+        };
+        for d in [
+            "9223372036854775807",
+            "4503599627370497",
+            "18014398509481985/4 lambda",
+        ] {
+            let src = deck(d);
+            let e = compile_str(&src).unwrap_err();
+            assert_eq!(&src[e.span.start..e.span.end], d);
+            assert!(e.message.contains("outside the coordinate range"), "{e}");
+        }
+        assert!(compile_str(&deck("4503599627370496")).is_ok());
     }
 
     #[test]

@@ -65,9 +65,11 @@ impl Diagnostic {
     }
 
     /// 1-based `(line, column)` of the span start in `source`. Columns
-    /// count bytes (the front ends' sources are ASCII in practice).
+    /// count bytes (the front ends' sources are ASCII in practice); a
+    /// start past the end, or inside a multi-byte character, counts from
+    /// the character boundary before it.
     pub fn line_column(&self, source: &str) -> (usize, usize) {
-        let start = self.span.start.min(source.len());
+        let start = source.floor_char_boundary(self.span.start);
         let before = &source[..start];
         let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
         let column = start - before.rfind('\n').map(|i| i + 1).unwrap_or(0) + 1;
@@ -76,27 +78,34 @@ impl Diagnostic {
 
     /// Renders the error rustc-style: message, `file:line:col`, the
     /// offending source line, and a caret underline carrying the
-    /// expected-token hint.
+    /// expected-token hint. A line reaching more than 60 bytes either
+    /// side of the caret (a one-line JSON body, say) is clipped to that
+    /// window, marked `...`, so the rendering stays small whatever the
+    /// source.
     pub fn render(&self, file: &str, source: &str) -> String {
         use std::fmt::Write as _;
         let (line, column) = self.line_column(source);
-        let line_start = self.span.start.min(source.len()) - (column - 1);
+        let line_start = source.floor_char_boundary(self.span.start) - (column - 1);
         let line_text = source[line_start..].lines().next().unwrap_or("");
+        // The window around the caret, at byte `column - 1` of the line.
+        let from = line_text.floor_char_boundary((column - 1).saturating_sub(CONTEXT));
+        let to = line_text.floor_char_boundary(column - 1 + CONTEXT);
+        let head = if from > 0 { "..." } else { "" };
+        let tail = if to < line_text.len() { "..." } else { "" };
         let mut s = String::new();
         let _ = writeln!(s, "error: {}", self.message);
         let _ = writeln!(s, " --> {file}:{line}:{column}");
         let gutter = line.to_string();
         let pad = " ".repeat(gutter.len());
         let _ = writeln!(s, "{pad} |");
-        let _ = writeln!(s, "{gutter} | {line_text}");
-        // Underline the span, clipped to the rendered line; always at
+        let _ = writeln!(s, "{gutter} | {head}{}{tail}", &line_text[from..to]);
+        // Underline the span, clipped to the rendered text; always at
         // least one caret (end-of-file errors point past the last byte).
-        let avail = line_text.len().saturating_sub(column - 1).max(1);
         let carets = self
             .span
             .end
             .saturating_sub(self.span.start)
-            .clamp(1, avail);
+            .clamp(1, (to + 1).saturating_sub(column).max(1));
         let hint = if self.expected.is_empty() {
             String::new()
         } else {
@@ -105,12 +114,16 @@ impl Diagnostic {
         let _ = writeln!(
             s,
             "{pad} | {}{}{hint}",
-            " ".repeat(column - 1),
+            " ".repeat(head.len() + column - 1 - from),
             "^".repeat(carets)
         );
         s
     }
 }
+
+/// Bytes of the offending line [`Diagnostic::render`] prints either side
+/// of the caret.
+const CONTEXT: usize = 60;
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -160,5 +173,26 @@ mod tests {
         let out = e.render("t.deck", src);
         assert!(out.contains("t.deck:1:5"));
         assert!(out.contains('^'));
+    }
+
+    #[test]
+    fn render_snaps_a_mid_character_span_back() {
+        // The JSON parser reports `{"cif": "\é"}`'s bad escape at the
+        // second byte of `é`.
+        let src = "{\"cif\": \"\\\u{e9}\"}";
+        let e = Diagnostic::new("invalid escape character", Span::new(11, 11));
+        assert_eq!(e.line_column(src), (1, 11));
+        assert!(e.render("body", src).ends_with(" |           ^\n"));
+    }
+
+    #[test]
+    fn render_clips_a_long_line_around_the_caret() {
+        let src = format!("{}!{}", "a".repeat(100_000), "b".repeat(100_000));
+        let e = Diagnostic::new("stray", Span::new(100_000, 100_001));
+        let out = e.render("body", &src);
+        let window = format!("...{}!{}...", "a".repeat(60), "b".repeat(59));
+        assert!(out.contains(&format!("1 | {window}\n")), "{out}");
+        assert!(out.ends_with(&format!(" | {}^\n", " ".repeat(63))), "{out}");
+        assert!(out.len() < 300);
     }
 }

@@ -75,6 +75,14 @@ pub use wire::Wire;
 /// Database-unit coordinate type (1 unit = 1 centimicron, as in CIF).
 pub type Coord = i64;
 
+/// The largest coordinate magnitude the text front ends hand on: 2⁵².
+/// The CIF parser bounds every coordinate, box corner and composed call
+/// translation by it, and the deck compiler every rule distance. A
+/// point placed through 256 levels of calls (the parser's call-depth
+/// bound) then lies within `±2⁶¹`, so the sums and differences the
+/// checker forms from such points and distances fit a [`Coord`].
+pub const MAX_COORD: Coord = 1 << 52;
+
 /// Errors produced by geometric constructors and algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GeomError {

@@ -590,6 +590,14 @@ fn malformed_bodies_are_4xx_never_panics() {
     rejected(resp, StatusCode::BAD_REQUEST, "bad-json", "body");
     let resp = app.oneshot(Request::new(Method::Post, "/sessions").with_body(vec![b'{', 0xff]));
     rejected(resp, StatusCode::BAD_REQUEST, "bad-json", "body");
+    // A bad escape whose reported offset falls inside a multi-byte
+    // character, and a long one-line body whose detail stays small.
+    let resp = post(&app, "/sessions", "{\"cif\": \"\\\u{e9}\"}".to_string());
+    rejected(resp, StatusCode::BAD_REQUEST, "bad-json", "body");
+    let long = format!("{{\"cif\": \"{}\" ?}}", "E".repeat(1 << 20));
+    let resp = post(&app, "/sessions", long);
+    assert_eq!(resp.status, StatusCode::BAD_REQUEST);
+    assert!(resp.into_bytes().unwrap().len() < 1000);
 
     // JSON of the wrong shape.
     let resp = post(&app, "/sessions", r#"{"cif": 42}"#.to_string());
@@ -610,6 +618,9 @@ fn malformed_bodies_are_4xx_never_panics() {
         "L NM; B 2 2 9223372036854775807 0; E",
         "DS 1 9223372036854775807 1; L NM; B 2 2 0 0; DF; C 1; E",
         "DS 1; DF; C 1 T 9223372036854775807 0 T 9223372036854775807 0; E",
+        // Parses with an i64 per coordinate, but overflowed the
+        // checker's call composition: out of the coordinate range now.
+        "DS 1; L NM; B 2 2 0 0; DF; C 1 T 9223372036854775807 0; E",
         &deep,
     ] {
         let body = Value::object([("cif", Value::from(cif))]).to_string();
@@ -743,6 +754,59 @@ fn deepest_accepted_call_chain_fits_a_connection_stack() {
         .join()
         .expect("the open fits the stack");
     assert_eq!(status, StatusCode::CREATED);
+}
+
+/// The farthest geometry the parser accepts — every coordinate and
+/// every call translation at `MAX_COORD`, composed `MAX_CALL_DEPTH`
+/// deep, and mirrored to the far side, against a deck whose metal
+/// spacing is `MAX_COORD` too — checks without an overflow in a debug
+/// build. One more unit is a `bad-cif` or a `bad-deck`.
+#[test]
+fn farthest_accepted_geometry_checks_without_overflow() {
+    let (m, depth) = (diic::geom::MAX_COORD, diic::cif::hierarchy::MAX_CALL_DEPTH);
+    let chain: String = (1..depth)
+        .map(|i| format!("DS {}; C {i} T {m} {m}; DF;", i - 1))
+        .collect();
+    let leaf = format!(
+        "DS {}; L NM; B 2000 750 {} {}; B 2000 750 {} 0; B 2000 250 0 0; \
+         B 2000 750 0 1000; W 750 {} 5000 {} 5000; P 0 {m} 0 {} 1000 {};\
+         9D D; 9T G NM {m} {m}; DF;",
+        depth - 1,
+        m - 1000,
+        m - 375,
+        1000 - m,
+        m - 5000,
+        m - 375,
+        m - 1000,
+        m - 1000,
+    );
+    let cif = format!("{chain}{leaf}C 0 T {m} {m}; C 0 MX R 0 -1 T {} {m}; E", -m);
+    let spacing = |d: i64| {
+        diic::deck::NMOS_DECK.replace(
+            "space metal metal 3 lambda;",
+            &format!("space metal metal {d};"),
+        )
+    };
+    let app = service();
+    let open = |cif: &str, deck: &str| {
+        let body = Value::object([("cif", Value::from(cif)), ("deck", Value::from(deck))]);
+        post(&app, "/sessions", body.to_string())
+    };
+    let resp = open(&cif, &spacing(m));
+    assert_eq!(resp.status, StatusCode::CREATED);
+    let id = json_body(resp).get("id").and_then(Value::as_i64).unwrap();
+    let resp = get(&app, &format!("/sessions/{id}/report"));
+    assert_eq!(resp.status, StatusCode::OK);
+    assert!(!resp.into_bytes().unwrap().is_empty());
+    let past = cif.replacen(
+        &format!("C 0 T {m} {m}"),
+        &format!("C 0 T {} {m}", m + 1),
+        1,
+    );
+    let resp = open(&past, diic::deck::NMOS_DECK);
+    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
+    let resp = open(&cif, &spacing(m + 1));
+    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
 }
 
 /// A worker count from the wire is clamped to the machine's cores where

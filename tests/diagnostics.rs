@@ -105,12 +105,13 @@ const CIF_CASES: &[(&str, &str)] = &[
         "DS 1 9223372036854775807 1;\nL NM; B 2 2 0 0;\nDF; E",
     ),
     (
-        "box-corner-overflow",
+        "coordinate-out-of-range",
         "L NM;\nB 2 2 9223372036854775807 0;\nE",
     ),
+    ("box-corner-overflow", "L NM;\nB 4 2 4503599627370496 0;\nE"),
     (
         "call-translation-overflow",
-        "DS 1; DF;\nC 1 T 9223372036854775807 0 T 9223372036854775807 0;\nE",
+        "DS 1; DF;\nC 1 T 4503599627370496 0 T 1 0;\nE",
     ),
     // Extensions.
     ("bad-extension", "DS 1;\n9T G NP 10;\nDF; E"),
@@ -137,12 +138,12 @@ fn golden_path(front_end: &str, name: &str) -> PathBuf {
 /// Checks (or, under `UPDATE_GOLDEN`, blesses) one rendering per case.
 fn assert_blessed<T>(
     front_end: &str,
-    cases: &[(&str, String)],
+    cases: &[(&str, &str)],
     compile: impl Fn(&str) -> Result<T, Diagnostic>,
 ) {
     let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut failures = Vec::new();
-    for (name, source) in cases {
+    for &(name, source) in cases {
         let Err(err) = compile(source) else {
             panic!("{front_end}/{name}: malformed input was accepted");
         };
@@ -173,26 +174,23 @@ fn assert_blessed<T>(
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-fn owned(cases: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
-    cases.iter().map(|&(n, s)| (n, s.to_string())).collect()
-}
-
 #[test]
 fn malformed_decks_render_blessed_diagnostics() {
-    assert_blessed("deck", &owned(DECK_CASES), compile_str);
+    assert_blessed("deck", DECK_CASES, compile_str);
 }
 
 #[test]
 fn malformed_layouts_render_blessed_diagnostics() {
-    let mut cases = owned(CIF_CASES);
-    cases.push(("call-depth", call_chain(MAX_CALL_DEPTH + 1)));
+    let chain = call_chain(MAX_CALL_DEPTH + 1);
+    let mut cases = CIF_CASES.to_vec();
+    cases.push(("call-depth", &chain));
     assert_blessed("cif", &cases, diic::cif::parse);
 }
 
-/// Truncates `source`, corrupts it with a stray `?`, and splices a
-/// 20-digit number into it, at every 37th byte: each variant must give
-/// `Ok` or a [`Diagnostic`] whose span lies in the input and whose
-/// rendering has a caret — never a panic.
+/// Truncates `source`, corrupts it with a stray `?` or a multi-byte
+/// `é`, and splices a 20-digit number into it, at every 37th byte: each
+/// variant must give `Ok` or a [`Diagnostic`] whose span lies in the
+/// input and whose rendering has a caret — never a panic.
 fn fuzz<T>(name: &str, source: &str, front_end: impl Fn(&str) -> Result<T, Diagnostic>) {
     let mut rejected = 0;
     for cut in (0..=source.len()).step_by(37) {
@@ -203,6 +201,7 @@ fn fuzz<T>(name: &str, source: &str, front_end: impl Fn(&str) -> Result<T, Diagn
         let variants = [
             head.to_string(),
             format!("{head}?{tail}"),
+            format!("{head}\u{e9}{tail}"),
             format!("{head} 99999999999999999999 {tail}"),
         ];
         for input in &variants {
