@@ -388,7 +388,7 @@ impl SessionRegistry {
         }
         // Compile outside the lock; a racing duplicate compile is
         // harmless (the first insert wins, both entries are equivalent).
-        let tech = diic_deck::compile_str(deck_source)
+        let tech = diic_tech::deck::compile_str(deck_source)
             .map_err(|e| ApiError::rejected(FrontEnd::Deck, "deck", deck_source, &e))?;
         let session = LibrarySession::new(&tech);
         let entry = Arc::new(LibraryEntry { tech, session });
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn library_decks_evict_least_recently_used() {
         let registry = SessionRegistry::new(RegistryConfig::default());
-        let deck = |n: usize| format!("{}\n# deck {n}\n", diic_deck::NMOS_DECK);
+        let deck = |n: usize| format!("{}\n# deck {n}\n", diic_tech::deck::NMOS_DECK);
         let entry = |n: usize| registry.library_for_deck(&deck(n)).unwrap();
         let decks = || registry.libraries.lock().unwrap().len();
 

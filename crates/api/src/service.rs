@@ -125,11 +125,9 @@ fn open_session(app: &App, req: &Request) -> Result<Response, ApiError> {
         .ok_or_else(|| ApiError::bad_request_shape("`cif` must be a string"))?;
     let options = wire::check_options_from_json(body.get("options"))?;
     let tech = match body.get("deck").and_then(Value::as_str) {
-        Some(deck) => diic_deck::compile_str(deck)
+        Some(deck) => diic_tech::deck::compile_str(deck)
             .map_err(|e| ApiError::rejected(FrontEnd::Deck, "deck", deck, &e))?,
-        None => {
-            diic_deck::compile_str(diic_deck::NMOS_DECK).expect("the built-in deck always compiles")
-        }
+        None => diic_tech::nmos::nmos_technology(),
     };
     let layout =
         diic_cif::parse(cif).map_err(|e| ApiError::rejected(FrontEnd::Cif, "cif", cif, &e))?;
@@ -262,7 +260,7 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
                 .ok_or_else(|| ApiError::bad_request_shape("`deck` must be a string"))
         })
         .transpose()?
-        .unwrap_or_else(|| diic_deck::NMOS_DECK.to_string());
+        .unwrap_or_else(|| diic_tech::deck::NMOS_DECK.to_string());
     let mut options = LibraryOptions::default();
     if let Some(opts) = body.get("options") {
         let Some(pairs) = opts.as_object() else {

@@ -21,7 +21,7 @@ use diic_cif::{Call, Diagnostic, Element, Item, Layout, Shape, Span, SymbolId};
 use diic_core::{
     category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, Violation,
 };
-use diic_geom::{Orientation, Point, Rect, Transform, Vector};
+use diic_geom::{Orientation, Point, Rect, Transform, Vector, MAX_COORD};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -54,6 +54,19 @@ fn as_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, ApiError> {
 fn as_i64(v: &Value, what: &str) -> Result<i64, ApiError> {
     v.as_i64()
         .ok_or_else(|| ApiError::bad_request_shape(format!("`{what}` must be an integer")))
+}
+
+/// A coordinate or length, held to the checker's coordinate range
+/// (`±`[`MAX_COORD`]) with the CIF front end's message.
+fn as_coord(v: &Value, what: &str) -> Result<i64, ApiError> {
+    let n = as_i64(v, what)?;
+    if (-MAX_COORD..=MAX_COORD).contains(&n) {
+        Ok(n)
+    } else {
+        Err(ApiError::bad_request_shape(format!(
+            "`{what}` {n} is outside the coordinate range ±{MAX_COORD}"
+        )))
+    }
 }
 
 fn as_usize(v: &Value, what: &str) -> Result<usize, ApiError> {
@@ -115,7 +128,7 @@ fn point_to_json(p: Point) -> Value {
 
 fn point_from_json(v: &Value, what: &str) -> Result<Point, ApiError> {
     match v.as_array() {
-        Some([x, y]) => Ok(Point::new(as_i64(x, what)?, as_i64(y, what)?)),
+        Some([x, y]) => Ok(Point::new(as_coord(x, what)?, as_coord(y, what)?)),
         _ => Err(ApiError::bad_request_shape(format!(
             "`{what}` must be a `[x, y]` pair"
         ))),
@@ -134,10 +147,10 @@ fn rect_to_json(r: &Rect) -> Value {
 fn rect_from_json(v: &Value, what: &str) -> Result<Rect, ApiError> {
     match v.as_array() {
         Some([x1, y1, x2, y2]) => Ok(Rect::new(
-            as_i64(x1, what)?,
-            as_i64(y1, what)?,
-            as_i64(x2, what)?,
-            as_i64(y2, what)?,
+            as_coord(x1, what)?,
+            as_coord(y1, what)?,
+            as_coord(x2, what)?,
+            as_coord(y2, what)?,
         )),
         _ => Err(ApiError::bad_request_shape(format!(
             "`{what}` must be a `[x1, y1, x2, y2]` quad"
@@ -174,7 +187,7 @@ fn shape_from_json(v: &Value) -> Result<Shape, ApiError> {
     match tag.as_str() {
         "box" => Ok(Shape::Box(rect_from_json(body, "shape.box")?)),
         "wire" => {
-            let width = as_i64(required(body, "width")?, "shape.wire.width")?;
+            let width = as_coord(required(body, "width")?, "shape.wire.width")?;
             let points = points_from_json(required(body, "points")?, "shape.wire.points")?;
             let wire = diic_geom::Wire::new(width, points)
                 .map_err(|e| ApiError::bad_request_shape(format!("invalid wire: {e}")))?;

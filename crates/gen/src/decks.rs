@@ -1,18 +1,30 @@
 //! Random rule-deck generation for the deck-compilation differential
 //! leg.
 //!
-//! [`random_deck`] emits the *text* of a `diic-deck` rule deck (this
-//! crate deliberately does not depend on the deck crate — the
-//! differential tests compile the text through `diic::deck` and run
-//! the checker under the resulting technology). Every generated deck
-//! is a **recall-preserving variation** of the built-in NMOS
-//! technology: layers, CIF names, minimum widths, devices and their
+//! [`random_deck`] returns the *text* of a rule deck, which the
+//! differential tests compile through `diic::deck` and run the checker
+//! under. Every generated deck is [`NMOS_DECK`] parsed, varied and
+//! printed back: a **recall-preserving variation** of the built-in NMOS
+//! technology. Layers, CIF names, minimum widths, devices and their
 //! internal rules are identical, and spacing distances only ever
 //! *tighten* (grow) — so any fault `inject` plants against the
 //! baseline rules still measures under its rule's threshold and must
 //! be flagged under the generated deck too. On top of that a deck may
 //! declare a `same_mask` rule on metal, exercising the
 //! multi-patterning check under the fault corpus.
+
+use diic_tech::deck::{
+    parse, print, DeviceItem, Dist, SameMaskDecl, Span, Spanned, Stmt, NMOS_DECK,
+};
+
+/// The spacing rules a generated deck tightens; a rule's index + 1 salts
+/// its pick.
+const WIDENED: [(&str, &str); 4] = [
+    ("diff", "diff"),
+    ("poly", "poly"),
+    ("metal", "metal"),
+    ("contact", "contact"),
+];
 
 /// A deterministic spacing pick: the baseline distance in λ, plus a
 /// seed-dependent tightening of 0–2 λ.
@@ -26,108 +38,72 @@ fn widen(seed: u64, salt: u64, base: i64) -> i64 {
     base + (z % 3) as i64
 }
 
+/// A whole number of λ, as a generated statement writes it.
+fn lambdas(num: i64) -> Dist {
+    Dist {
+        num,
+        den: 1,
+        lambda: true,
+        span: Span::DUMMY,
+    }
+}
+
 /// Generates one rule deck as text, deterministically from `seed`.
 ///
 /// The deck compiles to a technology that differs from
-/// [`diic_tech::nmos::nmos_technology`] only in (some) spacing
-/// distances — never loosened — and, for two seeds in three, a
-/// `same_mask` distance on metal strictly above the metal spacing
-/// rule.
+/// [`diic_tech::nmos::nmos_technology`] only in its name, in (some)
+/// spacing distances — never loosened; the diffusion resistor's
+/// same-net override follows the diffusion spacing — and, for two seeds
+/// in three, a `same_mask` distance on metal strictly above the metal
+/// spacing rule.
 pub fn random_deck(seed: u64) -> String {
-    let diff_diff = widen(seed, 1, 3);
-    let poly_poly = widen(seed, 2, 2);
-    let metal_metal = widen(seed, 3, 3);
-    let contact_contact = widen(seed, 4, 2);
-    let same_mask = match seed % 3 {
-        0 => String::new(),
-        r => format!(
-            "    same_mask metal {} lambda;\n",
-            metal_metal + 1 + r as i64
-        ),
-    };
-    format!(
-        r#"# Generated deck (seed {seed}): the NMOS baseline with tightened
-# spacing rules — recall-preserving for the injected-fault corpus.
-tech "nmos-gen-{seed}" {{
-    lambda 250;
+    let mut deck = parse(NMOS_DECK).expect("the built-in deck parses");
+    deck.name.node = format!("nmos-gen-{seed}");
 
-    layer diff    {{ cif "ND"; kind diffusion; min_width 2 lambda; }}
-    layer poly    {{ cif "NP"; kind poly;      min_width 2 lambda; }}
-    layer contact {{ cif "NC"; kind contact;   min_width 2 lambda; }}
-    layer metal   {{ cif "NM"; kind metal;     min_width 3 lambda; }}
-    layer implant {{ cif "NI"; kind implant;   min_width 2 lambda; }}
-    layer buried  {{ cif "NB"; kind buried;    min_width 2 lambda; }}
-    layer glass   {{ cif "NG"; kind glass;     min_width 2 lambda; }}
+    let mut widened = [None; WIDENED.len()];
+    for stmt in &mut deck.statements {
+        let Stmt::Space(sp) = stmt else { continue };
+        let pair = (sp.a.node.as_str(), sp.b.node.as_str());
+        let Some(i) = WIDENED.iter().position(|&p| p == pair) else {
+            continue;
+        };
+        let d = &mut sp.diff_net;
+        assert!(d.lambda && d.den == 1, "`space {pair:?}` is not whole λ");
+        d.num = widen(seed, i as u64 + 1, d.num);
+        widened[i] = Some(d.num);
+    }
+    let [diff_diff, _, metal_metal, _] =
+        widened.map(|d| d.expect("NMOS_DECK declares every widened spacing rule"));
 
-    space diff diff {diff_diff} lambda;
-    space poly poly {poly_poly} lambda;
-    space metal metal {metal_metal} lambda;
-    space poly diff 1 lambda {{ unrelated_device 1 lambda; }}
-    space contact contact {contact_contact} lambda;
-    space buried buried 2 lambda;
-    space buried diff 2 lambda;
-{same_mask}
-    device NMOS_ENH mos_enhancement {{
-        requires_overlap poly diff;
-        gate_extension poly poly diff 2 lambda;
-        gate_extension diff poly diff 2 lambda;
-        no_layer_over_gate contact poly diff;
-        terminals G S D;
-    }}
+    let resistor = deck
+        .statements
+        .iter_mut()
+        .find_map(|stmt| match stmt {
+            Stmt::Device(dev) if dev.name.node == "RESISTOR_D" => {
+                dev.items.iter_mut().find_map(|item| match item {
+                    DeviceItem::Override {
+                        own,
+                        other,
+                        spacing: Some(d),
+                        ..
+                    } if own.node == "diff" && other.node == "diff" => Some(d),
+                    _ => None,
+                })
+            }
+            _ => None,
+        })
+        .expect("NMOS_DECK's RESISTOR_D overrides diff/diff spacing");
+    *resistor = lambdas(diff_diff);
 
-    device NMOS_DEP mos_depletion {{
-        requires_overlap poly diff;
-        requires_layer implant;
-        gate_extension poly poly diff 2 lambda;
-        gate_extension diff poly diff 2 lambda;
-        overlap_enclosure poly diff in implant 3/2 lambda;
-        no_layer_over_gate contact poly diff;
-        terminals G S D;
-    }}
-
-    device CONTACT_D contact {{
-        requires_layer contact;
-        min_width contact 2 lambda;
-        enclosure contact in diff 1 lambda;
-        enclosure contact in metal 1 lambda;
-        terminals A B;
-    }}
-
-    device CONTACT_P contact {{
-        requires_layer contact;
-        min_width contact 2 lambda;
-        enclosure contact in poly 1 lambda;
-        enclosure contact in metal 1 lambda;
-        terminals A B;
-    }}
-
-    device BUTTING_CONTACT butting_contact {{
-        requires_layer contact;
-        requires_overlap poly diff;
-        enclosure contact in metal 1 lambda;
-        terminals A B;
-    }}
-
-    device BURIED_CONTACT buried_contact {{
-        requires_layer buried;
-        requires_overlap poly diff;
-        overlap_enclosure poly diff in buried 1 lambda;
-        terminals A B;
-    }}
-
-    device RESISTOR_D resistor {{
-        requires_layer diff;
-        override diff diff {diff_diff} lambda same_net;
-        terminals A B;
-    }}
-
-    power VDD;
-    ground GND VSS;
-    bus_prefix "BUS_";
-    io_prefix "IO_";
-}}
-"#
-    )
+    let r = seed % 3;
+    if r > 0 {
+        deck.statements.push(Stmt::SameMask(SameMaskDecl {
+            layer: Spanned::new("metal".to_string(), Span::DUMMY),
+            min_space: lambdas(metal_metal + 1 + r as i64),
+            span: Span::DUMMY,
+        }));
+    }
+    print(&deck)
 }
 
 #[cfg(test)]

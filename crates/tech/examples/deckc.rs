@@ -1,7 +1,7 @@
 //! `deckc` — compile rule decks from the command line.
 //!
 //! ```text
-//! cargo run -p diic-deck --example deckc -- crates/deck/decks/nmos.deck
+//! cargo run -p diic-tech --example deckc -- crates/tech/decks/nmos.deck
 //! ```
 //!
 //! Compiles each file argument and prints a one-line summary, or the
@@ -26,7 +26,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        match diic_deck::compile_str(&source) {
+        match diic_tech::deck::compile_str(&source) {
             Ok(tech) => println!(
                 "{path}: ok — technology `{}` (lambda {}), {} layers, {} spacing rules, {} devices",
                 tech.name(),

@@ -5,83 +5,25 @@
 //! Shorting a transistor's base region to the surrounding isolation
 //! "destroys the integrity of the device" — an error — while connecting a
 //! base *resistor* to isolation "is a common technique to tie one end of a
-//! resistor to ground and is quite legal".
+//! resistor to ground and is quite legal". The rules live in
+//! `decks/bipolar.deck` ([`BIPOLAR_DECK`]), compiled once per process.
 
-use crate::device::{DeviceArchetype, DeviceClass, InteractionOverride, InternalRule};
-use crate::layer::{Layer, LayerKind};
-use crate::rules::SpacingRule;
+use crate::deck::{compile_builtin, BIPOLAR_DECK};
 use crate::Technology;
+use std::sync::LazyLock;
 
-/// Builds the bipolar technology (λ = 250 database units).
+static BIPOLAR: LazyLock<Technology> =
+    LazyLock::new(|| compile_builtin("decks/bipolar.deck", BIPOLAR_DECK));
+
+/// The bipolar technology (λ = 250 database units).
 pub fn bipolar_technology() -> Technology {
-    let lambda = 250;
-    let mut t = Technology::new("bipolar", lambda);
-
-    let iso = t.add_layer(Layer::new("iso", "BI", LayerKind::Isolation, 2 * lambda));
-    let base = t.add_layer(Layer::new("base", "BB", LayerKind::Base, 2 * lambda));
-    let emit = t.add_layer(Layer::new("emitter", "BE", LayerKind::Emitter, 2 * lambda));
-    let contact = t.add_layer(Layer::new("contact", "BC", LayerKind::Contact, 2 * lambda));
-    let metal = t.add_layer(Layer::new("metal", "BM", LayerKind::Metal, 3 * lambda));
-
-    {
-        let r = t.rules_mut();
-        r.set_spacing(base, base, SpacingRule::simple(3 * lambda));
-        r.set_spacing(iso, iso, SpacingRule::simple(3 * lambda));
-        // The mask-level rule the paper criticises: base to isolation. The
-        // matrix carries the generic rule; device overrides specialise it.
-        r.set_spacing(base, iso, SpacingRule::simple(2 * lambda));
-        r.set_spacing(metal, metal, SpacingRule::simple(3 * lambda));
-        r.set_spacing(contact, contact, SpacingRule::simple(2 * lambda));
-    }
-
-    // Fig. 6a: the transistor base must keep clear of isolation even when
-    // nets match — integrity of the device.
-    t.add_device(
-        DeviceArchetype::new("NPN", DeviceClass::BipolarNpn)
-            .with_rule(InternalRule::RequiresLayer { layer: base })
-            .with_rule(InternalRule::RequiresLayer { layer: emit })
-            .with_rule(InternalRule::Enclosure {
-                inner: emit,
-                outer: base,
-                margin: lambda,
-            })
-            .with_override(InteractionOverride {
-                own_layer: base,
-                other_layer: iso,
-                spacing: Some(2 * lambda),
-                applies_same_net: true,
-            })
-            .with_terminals(&["B", "E", "C"]),
-    );
-
-    // Fig. 6b: the base resistor may touch isolation (ground tie) — the
-    // base/iso check is waived for this device.
-    t.add_device(
-        DeviceArchetype::new("BASE_RESISTOR", DeviceClass::Resistor)
-            .with_rule(InternalRule::RequiresLayer { layer: base })
-            .with_override(InteractionOverride {
-                own_layer: base,
-                other_layer: iso,
-                spacing: None,
-                applies_same_net: false,
-            })
-            // Fig. 5b: spacing across the resistor body is checked even on
-            // the same net.
-            .with_override(InteractionOverride {
-                own_layer: base,
-                other_layer: base,
-                spacing: Some(3 * lambda),
-                applies_same_net: true,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-
-    t
+    BIPOLAR.clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InternalRule;
 
     #[test]
     fn fig6_device_dependent_overrides() {

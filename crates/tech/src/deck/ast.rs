@@ -2,14 +2,14 @@
 //!
 //! Nodes store *meaning*, not surface syntax — the shorthand
 //! `space a b 3 lambda;` and the empty-block form parse to the same
-//! [`SpaceDecl`] — so the canonical printer ([`crate::printer::print`])
+//! [`SpaceDecl`] — so the canonical printer ([`super::printer::print`])
 //! round-trips: `parse ∘ print ∘ parse = parse` up to spans
 //! ([`Deck::strip_spans`] zeroes them for comparison). Statements keep
 //! their source order; layer declaration order is load-bearing (it fixes
 //! `LayerId` assignment at compile).
 
+use crate::{DeviceClass, LayerKind};
 use diic_diag::Span;
-use diic_tech::{DeviceClass, LayerKind};
 
 /// A node plus the source span it was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]

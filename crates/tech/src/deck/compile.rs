@@ -1,20 +1,19 @@
 //! Lowering a deck to a [`Technology`].
 //!
 //! Two passes over the statements: layers first (declaration order fixes
-//! [`diic_tech::LayerId`] assignment, and later rules may reference
+//! [`LayerId`] assignment, and later rules may reference
 //! layers declared after them), then everything else in source order.
 //! Every semantic error — unknown layer, duplicate rule, a fractional
 //! distance that does not land on a database unit — is a [`Diagnostic`]
-//! anchored to the offending span, so `render` points at deck source,
-//! not at compiled-in Rust.
+//! anchored to the offending span, so `render` points at deck source.
 
-use crate::ast::{Deck, DeviceItem, Dist, Spanned, Stmt};
-use crate::parser::parse;
-use diic_diag::Diagnostic;
-use diic_geom::MAX_COORD;
-use diic_tech::{
+use super::ast::{Deck, DeviceItem, Dist, Spanned, Stmt};
+use super::parser::parse;
+use crate::{
     DeviceArchetype, InteractionOverride, InternalRule, Layer, LayerId, SpacingRule, Technology,
 };
+use diic_diag::Diagnostic;
+use diic_geom::MAX_COORD;
 
 /// Parses and compiles a deck source in one step.
 ///
@@ -266,18 +265,6 @@ fn opt(d: &Option<Dist>, lambda: i64) -> Result<Option<i64>, Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diic_tech::nmos::nmos_technology;
-
-    /// The tentpole parity pin: compiling the checked-in NMOS deck
-    /// reproduces the hardcoded technology *exactly* — `Technology`
-    /// derives `PartialEq` over every field, so this single assert
-    /// covers layers, the rule matrix, devices, and ERC configuration.
-    #[test]
-    fn nmos_deck_compiles_to_the_hardcoded_technology() {
-        let tech = compile_str(crate::NMOS_DECK)
-            .unwrap_or_else(|e| panic!("{}", e.render("decks/nmos.deck", crate::NMOS_DECK)));
-        assert_eq!(tech, nmos_technology());
-    }
 
     #[test]
     fn fractional_lambda_distances_resolve() {

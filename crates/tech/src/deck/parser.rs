@@ -7,12 +7,12 @@
 //! is legal and an unknown statement can be reported with the complete
 //! list of alternatives.
 
-use crate::ast::{
+use super::ast::{
     Deck, DeviceDecl, DeviceItem, Dist, LayerDecl, SameMaskDecl, SpaceDecl, Spanned, Stmt,
 };
-use crate::lexer::{lex, Token, TokenKind};
+use super::lexer::{lex, Token, TokenKind};
+use crate::{DeviceClass, LayerKind};
 use diic_diag::Diagnostic;
-use diic_tech::{DeviceClass, LayerKind};
 
 /// The statements legal at the top level of a `tech` block.
 const STMT_ALTERNATIVES: [&str; 9] = [

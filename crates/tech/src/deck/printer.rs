@@ -7,7 +7,7 @@
 //! with spans stripped — the round-trip property
 //! `tests/roundtrip.rs` pins on random decks.
 
-use crate::ast::{class_name, kind_name, Deck, DeviceItem, Dist, Spanned, Stmt};
+use super::ast::{class_name, kind_name, Deck, DeviceItem, Dist, Spanned, Stmt};
 use std::fmt::Write as _;
 
 fn dist(d: &Dist) -> String {
@@ -168,8 +168,8 @@ pub fn print(deck: &Deck) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::parser::parse;
-    use crate::printer::print;
+    use crate::deck::parser::parse;
+    use crate::deck::printer::print;
 
     #[test]
     fn printing_is_idempotent() {

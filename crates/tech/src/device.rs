@@ -167,24 +167,6 @@ impl DeviceArchetype {
         }
     }
 
-    /// Adds an internal rule (builder style).
-    pub fn with_rule(mut self, rule: InternalRule) -> Self {
-        self.internal_rules.push(rule);
-        self
-    }
-
-    /// Adds an interaction override (builder style).
-    pub fn with_override(mut self, o: InteractionOverride) -> Self {
-        self.overrides.push(o);
-        self
-    }
-
-    /// Sets the expected terminal names (builder style).
-    pub fn with_terminals(mut self, names: &[&str]) -> Self {
-        self.terminal_names = names.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
     /// Finds an interaction override for the given layer pair.
     pub fn find_override(
         &self,
@@ -202,24 +184,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_and_lookup() {
+    fn override_lookup() {
         let base = LayerId(0);
         let iso = LayerId(1);
-        let dev = DeviceArchetype::new("NPN", DeviceClass::BipolarNpn)
-            .with_rule(InternalRule::RequiresLayer { layer: base })
-            .with_override(InteractionOverride {
-                own_layer: base,
-                other_layer: iso,
-                spacing: Some(500),
-                applies_same_net: true,
-            })
-            .with_terminals(&["B", "E", "C"]);
+        let mut dev = DeviceArchetype::new("NPN", DeviceClass::BipolarNpn);
+        dev.overrides.push(InteractionOverride {
+            own_layer: base,
+            other_layer: iso,
+            spacing: Some(500),
+            applies_same_net: true,
+        });
         assert!(dev.class.is_transistor());
-        assert_eq!(dev.internal_rules.len(), 1);
+        assert!(dev.internal_rules.is_empty() && dev.terminal_names.is_empty());
         let o = dev.find_override(base, iso).unwrap();
         assert_eq!(o.spacing, Some(500));
         assert!(dev.find_override(iso, base).is_none());
-        assert_eq!(dev.terminal_names, vec!["B", "E", "C"]);
     }
 
     #[test]

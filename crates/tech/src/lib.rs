@@ -22,17 +22,18 @@
 //!   a resistor tie);
 //! * [`Technology`] — the bundle, plus non-geometric rule configuration
 //!   (power/ground net names, bus prefix);
+//! * [`deck`] — the textual rule language, so rules can "become
+//!   increasingly more specific" without recompiling: a deck compiles to
+//!   a [`Technology`], and it is the only place a technology is written;
 //! * [`nmos::nmos_technology`] — a Mead–Conway λ-rule silicon-gate NMOS
 //!   process (λ = 250 centimicrons = 2.5 µm), the process family the
-//!   paper's examples use;
+//!   paper's examples use, compiled once from `decks/nmos.deck`;
 //! * [`bipolar::bipolar_technology`] — a minimal bipolar process exercising
-//!   the device-dependent rules of Fig. 6.
-//!
-//! The textual rule language — so rules can "become increasingly more
-//! specific" without recompiling — is the `diic-deck` crate, which
-//! compiles a deck into a [`Technology`].
+//!   the device-dependent rules of Fig. 6, compiled once from
+//!   `decks/bipolar.deck`.
 
 pub mod bipolar;
+pub mod deck;
 pub mod device;
 pub mod layer;
 pub mod nmos;

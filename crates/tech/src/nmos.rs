@@ -3,195 +3,29 @@
 //! λ = 250 database units (2.5 µm at 1 unit = 1 centimicron), the process
 //! generation of the paper's era. Layer CIF names follow the Mead–Conway
 //! book: `ND` diffusion, `NP` poly, `NC` contact cut, `NM` metal, `NI`
-//! depletion implant, `NB` buried window, `NG` overglass.
+//! depletion implant, `NB` buried window, `NG` overglass. The rules live
+//! in `decks/nmos.deck` ([`NMOS_DECK`]), compiled once per process.
 
-use crate::device::{DeviceArchetype, DeviceClass, InteractionOverride, InternalRule};
-use crate::layer::{Layer, LayerKind};
-use crate::rules::SpacingRule;
+use crate::deck::{compile_builtin, NMOS_DECK};
 use crate::Technology;
+use std::sync::LazyLock;
 
-/// Builds the NMOS technology.
+static NMOS: LazyLock<Technology> = LazyLock::new(|| compile_builtin("decks/nmos.deck", NMOS_DECK));
+
+/// The NMOS technology.
 ///
 /// Interconnect rules: diffusion 2λ wide / 3λ space, poly 2λ / 2λ, metal
 /// 3λ / 3λ, poly-to-unrelated-diffusion 1λ. Devices: enhancement and
 /// depletion transistors, poly/diffusion contacts, butting and buried
 /// contacts, and a diffusion resistor with the Fig. 5b same-net exception.
 pub fn nmos_technology() -> Technology {
-    let lambda = 250;
-    let mut t = Technology::new("nmos", lambda);
-
-    let diff = t.add_layer(Layer::new("diff", "ND", LayerKind::Diffusion, 2 * lambda));
-    let poly = t.add_layer(Layer::new("poly", "NP", LayerKind::Poly, 2 * lambda));
-    let contact = t.add_layer(Layer::new("contact", "NC", LayerKind::Contact, 2 * lambda));
-    let metal = t.add_layer(Layer::new("metal", "NM", LayerKind::Metal, 3 * lambda));
-    let implant = t.add_layer(Layer::new("implant", "NI", LayerKind::Implant, 2 * lambda));
-    let buried = t.add_layer(Layer::new("buried", "NB", LayerKind::Buried, 2 * lambda));
-    let _glass = t.add_layer(Layer::new("glass", "NG", LayerKind::Glass, 2 * lambda));
-
-    // Fig. 12: the upper-triangular interaction matrix. Unlisted pairs are
-    // not checked ("either there is no rule between those two mask layers —
-    // as in metal and diffusion — or the only rules relate to primitive
-    // symbols which are checked already — as in contact and poly").
-    {
-        let r = t.rules_mut();
-        r.set_spacing(diff, diff, SpacingRule::simple(3 * lambda));
-        r.set_spacing(poly, poly, SpacingRule::simple(2 * lambda));
-        r.set_spacing(metal, metal, SpacingRule::simple(3 * lambda));
-        r.set_spacing(
-            poly,
-            diff,
-            SpacingRule {
-                diff_net: lambda,
-                same_net: None,
-                // Poly near an unrelated transistor's diffusion (or vice
-                // versa) keeps the same 1λ rule.
-                unrelated_device: Some(lambda),
-            },
-        );
-        r.set_spacing(contact, contact, SpacingRule::simple(2 * lambda));
-        r.set_spacing(buried, buried, SpacingRule::simple(2 * lambda));
-        // The paper's pet "complex rule" neighbourhood: buried contact to
-        // unrelated diffusion.
-        r.set_spacing(buried, diff, SpacingRule::simple(2 * lambda));
-    }
-
-    // Devices.
-    t.add_device(
-        DeviceArchetype::new("NMOS_ENH", DeviceClass::MosEnhancement)
-            .with_rule(InternalRule::RequiresOverlap { a: poly, b: diff })
-            .with_rule(InternalRule::GateExtension {
-                layer: poly,
-                a: poly,
-                b: diff,
-                amount: 2 * lambda,
-            })
-            .with_rule(InternalRule::GateExtension {
-                layer: diff,
-                a: poly,
-                b: diff,
-                amount: 2 * lambda,
-            })
-            .with_rule(InternalRule::NoLayerOverGate {
-                layer: contact,
-                a: poly,
-                b: diff,
-            })
-            .with_terminals(&["G", "S", "D"]),
-    );
-    t.add_device(
-        DeviceArchetype::new("NMOS_DEP", DeviceClass::MosDepletion)
-            .with_rule(InternalRule::RequiresOverlap { a: poly, b: diff })
-            .with_rule(InternalRule::RequiresLayer { layer: implant })
-            .with_rule(InternalRule::GateExtension {
-                layer: poly,
-                a: poly,
-                b: diff,
-                amount: 2 * lambda,
-            })
-            .with_rule(InternalRule::GateExtension {
-                layer: diff,
-                a: poly,
-                b: diff,
-                amount: 2 * lambda,
-            })
-            .with_rule(InternalRule::OverlapEnclosure {
-                a: poly,
-                b: diff,
-                outer: implant,
-                margin: 3 * lambda / 2,
-            })
-            .with_rule(InternalRule::NoLayerOverGate {
-                layer: contact,
-                a: poly,
-                b: diff,
-            })
-            .with_terminals(&["G", "S", "D"]),
-    );
-    t.add_device(
-        DeviceArchetype::new("CONTACT_D", DeviceClass::Contact)
-            .with_rule(InternalRule::RequiresLayer { layer: contact })
-            .with_rule(InternalRule::MinWidth {
-                layer: contact,
-                width: 2 * lambda,
-            })
-            .with_rule(InternalRule::Enclosure {
-                inner: contact,
-                outer: diff,
-                margin: lambda,
-            })
-            .with_rule(InternalRule::Enclosure {
-                inner: contact,
-                outer: metal,
-                margin: lambda,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-    t.add_device(
-        DeviceArchetype::new("CONTACT_P", DeviceClass::Contact)
-            .with_rule(InternalRule::RequiresLayer { layer: contact })
-            .with_rule(InternalRule::MinWidth {
-                layer: contact,
-                width: 2 * lambda,
-            })
-            .with_rule(InternalRule::Enclosure {
-                inner: contact,
-                outer: poly,
-                margin: lambda,
-            })
-            .with_rule(InternalRule::Enclosure {
-                inner: contact,
-                outer: metal,
-                margin: lambda,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-    // Butting contact (paper Fig. 7, right): poly and diffusion overlap,
-    // the cut covers the overlap, metal covers the cut. Crucially there is
-    // NO NoLayerOverGate rule — the poly∩diff region here is not a gate.
-    t.add_device(
-        DeviceArchetype::new("BUTTING_CONTACT", DeviceClass::ButtingContact)
-            .with_rule(InternalRule::RequiresLayer { layer: contact })
-            .with_rule(InternalRule::RequiresOverlap { a: poly, b: diff })
-            .with_rule(InternalRule::Enclosure {
-                inner: contact,
-                outer: metal,
-                margin: lambda,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-    t.add_device(
-        DeviceArchetype::new("BURIED_CONTACT", DeviceClass::BuriedContact)
-            .with_rule(InternalRule::RequiresLayer { layer: buried })
-            .with_rule(InternalRule::RequiresOverlap { a: poly, b: diff })
-            .with_rule(InternalRule::OverlapEnclosure {
-                a: poly,
-                b: diff,
-                outer: buried,
-                margin: lambda,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-    // Diffusion resistor: Fig. 5b — spacing across the resistor must be
-    // checked even between electrically equivalent (same-net) elements.
-    t.add_device(
-        DeviceArchetype::new("RESISTOR_D", DeviceClass::Resistor)
-            .with_rule(InternalRule::RequiresLayer { layer: diff })
-            .with_override(InteractionOverride {
-                own_layer: diff,
-                other_layer: diff,
-                spacing: Some(3 * lambda),
-                applies_same_net: true,
-            })
-            .with_terminals(&["A", "B"]),
-    );
-
-    t
+    NMOS.clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::LayerKind;
+    use crate::{DeviceClass, InternalRule, LayerKind};
 
     #[test]
     fn layers_present_with_lambda_rules() {

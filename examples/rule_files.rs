@@ -14,7 +14,8 @@ use diic::tech::bipolar::bipolar_technology;
 fn main() {
     // The checked-in deck is the NMOS technology's source text.
     println!("== nmos.deck ({} lines) ==", NMOS_DECK.lines().count());
-    for line in NMOS_DECK.lines().skip(8).take(14) {
+    let body = NMOS_DECK.lines().skip_while(|l| !l.starts_with("tech"));
+    for line in body.take(14) {
         println!("  {line}");
     }
     println!("  ...");

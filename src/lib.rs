@@ -15,10 +15,10 @@
 //!   spanned, caret-rendered `Diagnostic` type;
 //! * [`tech`] — technologies: layers, the Fig. 12 interaction matrix,
 //!   device archetypes, default NMOS and bipolar processes;
-//! * [`deck`] — the rule-deck language: lexer, parser, spanned
-//!   diagnostics, canonical printer, and compilation to a [`tech`]
-//!   `Technology` (the built-in NMOS process ships as a checked-in
-//!   `.deck` file proven byte-equivalent to the hardcoded recipe);
+//! * [`deck`] (`tech::deck`) — the rule-deck language: lexer, parser,
+//!   spanned diagnostics, canonical printer, and compilation to a
+//!   [`tech`] `Technology`; the NMOS and bipolar processes are compiled
+//!   from its checked-in `.deck` files;
 //! * [`netlist`] — hierarchical net lists, consistency comparison, and the
 //!   four non-geometric construction rules;
 //! * [`process`] — 2-D process modelling: Gaussian exposure (Eq. 1),
@@ -55,9 +55,9 @@
 pub use diic_api as api;
 pub use diic_cif as cif;
 pub use diic_core as core;
-pub use diic_deck as deck;
 pub use diic_gen as gen;
 pub use diic_geom as geom;
 pub use diic_netlist as netlist;
 pub use diic_process as process;
 pub use diic_tech as tech;
+pub use diic_tech::deck;

@@ -688,6 +688,14 @@ fn malformed_bodies_are_4xx_never_panics() {
             r#"{"edits": [{"op": "remove", "index": 99}]}"#,
             StatusCode::UNPROCESSABLE_ENTITY,
         ),
+        (
+            // A box past the coordinate range: decoded unchecked, it
+            // overflowed the checker's arithmetic (a debug panic in the
+            // handler).
+            r#"{"edits": [{"op": "add_element", "layer": "NM",
+                "shape": {"box": [9223372036854775000, 0, 9223372036854775807, 750]}}]}"#,
+            StatusCode::UNPROCESSABLE_ENTITY,
+        ),
     ] {
         let resp = post(&app, &format!("/sessions/{id}/edits"), body.to_string());
         assert_eq!(resp.status, want, "body {body:?}");

@@ -11,7 +11,7 @@
 //! ```
 
 use diic::cif::{hierarchy::MAX_CALL_DEPTH, Diagnostic};
-use diic::deck::{compile_str, NMOS_DECK};
+use diic::deck::{compile_str, BIPOLAR_DECK, NMOS_DECK};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use std::path::PathBuf;
 
@@ -224,4 +224,5 @@ fn no_input_panics_either_front_end() {
     let chip = generate(&ChipSpec::with_errors(2, 1, vec![ErrorKind::NarrowWire], 5));
     fuzz("chip.cif", &chip.cif, diic::cif::parse);
     fuzz("nmos.deck", NMOS_DECK, compile_str);
+    fuzz("bipolar.deck", BIPOLAR_DECK, compile_str);
 }

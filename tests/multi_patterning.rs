@@ -1,5 +1,5 @@
 //! The multi-patterning check, end to end: a `same_mask` rule declared
-//! in a **rule deck** (not hardcoded Rust) must flag odd same-mask
+//! in a **rule deck** must flag odd same-mask
 //! conflict cycles — and only odd ones — identically through every
 //! report path: the buffered report, bounded streaming chunks, the
 //! disk-spilling k-way merge, the counting sink, and the incremental
