@@ -483,6 +483,32 @@ impl BitColumn {
         debug_assert!(i < self.len);
         (self.words[i / 64] >> (i % 64)) & 1 != 0
     }
+
+    fn set(&mut self, i: usize, v: bool) {
+        debug_assert!(i < self.len);
+        let bit = 1u64 << (i % 64);
+        if v {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    /// Moves the bits from `at` on into a column of their own. The bits
+    /// left past `at` in the last word are cleared: `push` ors into it.
+    fn split_off(&mut self, at: usize) -> BitColumn {
+        let mut tail = BitColumn::default();
+        for i in at..self.len {
+            tail.push(self.get(i));
+        }
+        self.len = at.min(self.len);
+        self.words.truncate(self.len.div_ceil(64));
+        let partial = !self.len.is_multiple_of(64);
+        if let Some(last) = self.words.last_mut().filter(|_| partial) {
+            *last &= (1u64 << (self.len % 64)) - 1;
+        }
+        tail
+    }
 }
 
 /// Sentinel for "no device" / "no source" in the fixed-width columns
@@ -498,6 +524,45 @@ fn device_after(before: usize, d: u32) -> u32 {
     } else {
         d + before as u32
     }
+}
+
+/// A device column entry of a run moved to where its devices now start
+/// `delta` places away.
+fn device_shifted(d: u32, delta: i64) -> u32 {
+    if d == NONE_U32 {
+        NONE_U32
+    } else {
+        (d as i64 + delta) as u32
+    }
+}
+
+/// The arena slice the `(offset, len)` runs `ranges` cover. Every producer
+/// appends an element's arena run as it appends the element, so the runs
+/// of consecutive elements are consecutive and the slice is contiguous.
+fn arena_span(ranges: &[(u32, u32)]) -> std::ops::Range<usize> {
+    debug_assert!(
+        ranges.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
+        "arena runs are packed in element order"
+    );
+    match (ranges.first(), ranges.last()) {
+        (Some(&(start, _)), Some(&(off, len))) => start as usize..(off + len) as usize,
+        _ => 0..0,
+    }
+}
+
+/// Appends the arena runs `ranges` of `arena` to `dst` in one copy, with
+/// their offsets rebased onto where they land.
+fn append_arena(
+    dst: &mut Vec<Rect>,
+    dst_ranges: &mut Vec<(u32, u32)>,
+    arena: &[Rect],
+    ranges: &[(u32, u32)],
+) {
+    let span = arena_span(ranges);
+    let base = dst.len() as u32;
+    dst.extend_from_slice(&arena[span.clone()]);
+    let start = span.start as u32;
+    dst_ranges.extend(ranges.iter().map(|&(o, l)| (o - start + base, l)));
 }
 
 /// Struct-of-arrays storage for the instantiated elements.
@@ -520,9 +585,12 @@ fn device_after(before: usize, d: u32) -> u32 {
 /// ```
 ///
 /// An element's **id is its position** — every producer preserves
-/// position (the walk appends, the incremental session splices whole
-/// per-item runs), so no id column is stored. `len == 0` skeleton ranges encode "no
-/// skeleton" exactly (no constructor produces an empty skeleton —
+/// position (the walk appends, the incremental session writes a
+/// re-walked item over its own run or lays whole per-item runs back
+/// after a split), so no id column is stored. Arena runs are packed in
+/// element order, so a run of elements owns one contiguous slice of
+/// each arena. `len == 0` skeleton ranges encode "no skeleton" exactly
+/// (no constructor produces an empty skeleton —
 /// [`Skeleton::from_scaled_rects`] returns `None` for an empty run).
 ///
 /// Hot consumers iterate the columns directly ([`ElementColumns::bboxes`]
@@ -717,10 +785,11 @@ impl ElementColumns {
     }
 
     /// Copies a contiguous run of elements from `other` (the incremental
-    /// session's view patch: untouched per-item runs splice across by
-    /// column copy, with ids renumbering implicitly to their new
-    /// positions). Device indices shift by `device_delta`; arena runs
-    /// re-pack contiguously.
+    /// session's view patch: the runs after the first one whose length
+    /// an edit changed are split off and laid back one item at a time,
+    /// ids renumbering implicitly to their new positions). Device
+    /// indices shift by `device_delta`; each arena run arrives in one
+    /// copy.
     pub(crate) fn append_run_from(
         &mut self,
         other: &ElementColumns,
@@ -736,24 +805,78 @@ impl ElementColumns {
             self.net_declared.push(other.net_declared.get(i));
         }
         self.device
-            .extend(other.device[range.clone()].iter().map(|&d| {
-                if d == NONE_U32 {
-                    NONE_U32
-                } else {
-                    (d as i64 + device_delta) as u32
-                }
-            }));
+            .extend((other.device[range.clone()].iter()).map(|&d| device_shifted(d, device_delta)));
         self.source.extend_from_slice(&other.source[range.clone()]);
-        for i in range {
-            let r0 = self.rects.len() as u32;
-            let run = other.rects_of(i);
-            self.rects.extend_from_slice(run);
-            self.rect_range.push((r0, run.len() as u32));
-            let s0 = self.skel.len() as u32;
-            let srun = other.skeleton_of(i);
-            self.skel.extend_from_slice(srun);
-            self.skel_range.push((s0, srun.len() as u32));
+        let (rects, skel) = (&other.rect_range[range.clone()], &other.skel_range[range]);
+        append_arena(&mut self.rects, &mut self.rect_range, &other.rects, rects);
+        append_arena(&mut self.skel, &mut self.skel_range, &other.skel, skel);
+    }
+
+    /// Moves the elements from `at` on into columns of their own, arena
+    /// runs rebased onto the moved arenas.
+    pub(crate) fn split_off(&mut self, at: usize) -> ElementColumns {
+        let arena_at = |ranges: &[(u32, u32)], arena: &[Rect]| {
+            ranges.get(at).map_or(arena.len(), |&(o, _)| o as usize)
+        };
+        let r = arena_at(&self.rect_range, &self.rects);
+        let s = arena_at(&self.skel_range, &self.skel);
+        let rebased = |mut ranges: Vec<(u32, u32)>, base: usize| {
+            for (o, _) in &mut ranges {
+                *o -= base as u32;
+            }
+            ranges
+        };
+        ElementColumns {
+            layer: self.layer.split_off(at),
+            bbox: self.bbox.split_off(at),
+            net_key: self.net_key.split_off(at),
+            path: self.path.split_off(at),
+            net_declared: self.net_declared.split_off(at),
+            device: self.device.split_off(at),
+            source: self.source.split_off(at),
+            rect_range: rebased(self.rect_range.split_off(at), r),
+            skel_range: rebased(self.skel_range.split_off(at), s),
+            rects: self.rects.split_off(r),
+            skel: self.skel.split_off(s),
         }
+    }
+
+    /// Writes `block` — one item walked into columns of its own — over
+    /// the run `run`: an edited item goes back into its own run. Device
+    /// indices shift by `device_delta`. Only a block that fits is taken —
+    /// as many elements as the run, filling as much of each arena — so
+    /// nothing after the run moves; false, with nothing changed,
+    /// otherwise.
+    pub(crate) fn overwrite_run(
+        &mut self,
+        run: std::ops::Range<usize>,
+        block: &ElementColumns,
+        device_delta: i64,
+    ) -> bool {
+        let r_run = arena_span(&self.rect_range[run.clone()]);
+        let s_run = arena_span(&self.skel_range[run.clone()]);
+        if run.len() != block.len()
+            || r_run.len() != block.rects.len()
+            || s_run.len() != block.skel.len()
+        {
+            return false;
+        }
+        self.layer[run.clone()].copy_from_slice(&block.layer);
+        self.bbox[run.clone()].copy_from_slice(&block.bbox);
+        self.net_key[run.clone()].copy_from_slice(&block.net_key);
+        self.path[run.clone()].copy_from_slice(&block.path);
+        self.source[run.clone()].copy_from_slice(&block.source);
+        self.rects[r_run.clone()].copy_from_slice(&block.rects);
+        self.skel[s_run.clone()].copy_from_slice(&block.skel);
+        let (r0, s0) = (r_run.start as u32, s_run.start as u32);
+        for (i, to) in run.enumerate() {
+            self.net_declared.set(to, block.net_declared.get(i));
+            self.device[to] = device_shifted(block.device[i], device_delta);
+            let ((ro, rl), (so, sl)) = (block.rect_range[i], block.skel_range[i]);
+            self.rect_range[to] = (ro + r0, rl);
+            self.skel_range[to] = (so + s0, sl);
+        }
+        true
     }
 }
 
@@ -1036,7 +1159,7 @@ impl ChipView {
     /// starts — equal for two views exactly when the walk and a stamp
     /// (or two interners) produced the same thing.
     #[cfg(any(test, debug_assertions))]
-    fn resolved_tail(&self, e0: usize, d0: usize) -> Vec<String> {
+    pub(crate) fn resolved_tail(&self, e0: usize, d0: usize) -> Vec<String> {
         let elements = (e0..self.elements.len()).map(|id| {
             let e = self.elements.get(id);
             format!(
@@ -1323,36 +1446,24 @@ fn number_fresh_auto_keys(elements: &mut ElementColumns, strings: &mut StringInt
 /// moving an instance does not rename its internals at all (local
 /// coordinates).
 ///
-/// `changed` marks the elements whose identity may have changed since
-/// keys were last assigned — only identity groups with a changed member
-/// are re-derived, so an edit session pays for the edit, not for
-/// re-formatting every auto key on the chip. The mask must cover every
-/// element sharing a (chip) bounding box with changed or removed
-/// geometry: duplicate ordinals shift only within one identity group,
-/// and duplicates by definition share path, layer, and bbox.
+/// `candidates` (ascending ids) are the elements whose keys are
+/// re-derived — an edit session passes the ones sharing layer and
+/// bounding box with an element the edit touched, from its element
+/// index, so it pays for the edit, not for re-formatting every auto key
+/// on the chip. They must hold every member of each identity group they
+/// hold one of: duplicate ordinals shift only within one group, and
+/// duplicates by definition share path, layer, and bbox. Declared
+/// elements among them are skipped.
 pub(crate) fn assign_auto_net_keys(
     elements: &mut ElementColumns,
     strings: &mut StringInterner,
-    changed: &[bool],
+    candidates: &[usize],
 ) -> Vec<usize> {
-    use std::collections::HashSet;
-    // Pre-filter: the (layer, chip bbox) cells of changed undeclared
-    // elements — a superset of the affected identity groups (exact
-    // grouping is by key base below; a spurious match just re-derives
-    // an unchanged key). A column sweep: layer/bbox/flag reads only.
-    let hot: HashSet<(diic_tech::LayerId, Rect)> = elements
-        .iter()
-        .filter(|e| !e.net_declared() && changed[e.id()])
-        .map(|e| (e.layer(), e.bbox()))
-        .collect();
-    if hot.is_empty() {
-        return Vec::new();
-    }
     let mut ordinals: HashMap<String, u32> = HashMap::new();
     let mut rekeyed = Vec::new();
-    for id in 0..elements.len() {
+    for &id in candidates {
         let e = elements.get(id);
-        if e.net_declared() || !hot.contains(&(e.layer(), e.bbox())) {
+        if e.net_declared() {
             continue;
         }
         // Derive the desired key while borrowing the current string,
@@ -1686,7 +1797,7 @@ mod tests {
         for item in layout.top_items() {
             plain.walk(item, Scope::TOP, &mut view);
         }
-        let all = vec![true; view.elements.len()];
+        let all: Vec<usize> = (0..view.elements.len()).collect();
         assign_auto_net_keys(&mut view.elements, &mut view.strings, &all);
         view
     }
@@ -2228,7 +2339,7 @@ mod tests {
             }
             let mut by_string = by_handle.clone();
             number_fresh_auto_keys(&mut by_handle.elements, &mut by_handle.strings);
-            let all = vec![true; by_string.elements.len()];
+            let all: Vec<usize> = (0..by_string.elements.len()).collect();
             assign_auto_net_keys(&mut by_string.elements, &mut by_string.strings, &all);
             prop_assert_eq!(by_handle.resolved_tail(0, 0), by_string.resolved_tail(0, 0));
         }

@@ -21,11 +21,15 @@
 //!   (per-definition width) checks, primitive-symbol checks, ERC and
 //!   net-list comparison. Their violations replace the cached ones
 //!   wholesale; they are a small fraction of a full run.
-//! * **the chip view is patched** — untouched top-level items keep
-//!   their instantiated element/device runs (ids and device indices are
-//!   renumbered in place); only dirty items re-instantiate. Auto net
-//!   keys are stable functions of element identity (path, layer, bbox),
-//!   so reuse does not rename distant nets.
+//! * **the chip view is patched in place** — untouched top-level items
+//!   keep their instantiated element/device runs; only dirty items
+//!   re-instantiate, and one whose run keeps its lengths (a move) is
+//!   written back over its own run. Only the runs after the first item
+//!   whose run changed length are laid back (ids and device indices
+//!   renumbered as they land). Auto net keys are stable functions of
+//!   element identity (path, layer, bbox), so reuse does not rename
+//!   distant nets, and the groups an edit touched are found in the
+//!   element index.
 //! * **connections are patched** — a connection verdict is a pure pair
 //!   function, and its anchor (the bbox overlap) touches both elements,
 //!   so pairs among the *seed set* (dirty elements plus everything
@@ -75,6 +79,15 @@
 //! report must equal a from-scratch check at every step, serial and
 //! parallel.
 //!
+//! What an edit still pays per chip, not per edit (the benchmark's
+//! 8 101-element `edit-session` chip): the composition tail — ERC and
+//! the net-list comparison, ≈ 130 µs of `t_global`; the net-list
+//! splice's copy of every kept net; and `rebind_rows`' screen of every
+//! device's terminals against the dirty region's bounding box. Beside
+//! them some plain integer passes are linear too: the old → new id
+//! maps, the dirty and seed masks, and renumbering the cached merges
+//! and element nodes.
+//!
 //! # One way in, one plan per edit
 //!
 //! **Opening** a session ([`CheckSession::new`]) — and the full rebuild
@@ -91,18 +104,22 @@
 //! from, which re-instantiate), closes the replaced symbols over their
 //! callers, and counts dirty against total elements (the 30 % rule).
 //! **Every rejection happens there, before anything is mutated** —
-//! out-of-bounds items, unknown symbols, and `replace_symbol` bodies
-//! that would leave the symbol table dangling, recursive or deeper than
-//! [`MAX_CALL_DEPTH`] (the first hierarchy walk of such a table
-//! overflows the stack). A planned
+//! out-of-bounds items, unknown symbols, moves that would carry an item
+//! past `±`[`MAX_COORD`] (however many in-range steps it takes), and
+//! `replace_symbol` bodies that would leave the symbol table dangling,
+//! recursive or deeper than [`MAX_CALL_DEPTH`] (the first hierarchy
+//! walk of such a table overflows the stack). A planned
 //! edit cannot fail. The steps then run in order, each returning a named
 //! product the next ones borrow, each under the [`EditStats`] clock in
 //! brackets:
 //!
 //! 1. `evict_footprints` \[`t_view`\] — old footprints of every run that
 //!    leaves the view, out of the element index;
-//! 2. `patch_view` \[`t_view`\] — re-bind layers, reuse clean runs,
-//!    re-instantiate dirty items, seed mask, re-keyed auto net keys;
+//! 2. `patch_view` \[`t_view`\] — re-bind layers, then patch the view
+//!    in place: a dirty item whose run keeps its lengths goes back over
+//!    its own run, and only the runs after the first length change are
+//!    laid back; the seed set, and the auto net keys of the identity
+//!    groups it touches, from the element index;
 //! 3. `patch_connections` \[`t_conn`\] — scoped pass over the seed set;
 //! 4. `patch_net_graph` \[`t_net`\] — element nodes, connection edges,
 //!    the touched nodes;
@@ -145,7 +162,9 @@
 
 #![deny(clippy::too_many_lines)]
 
-use crate::binding::{assign_auto_net_keys, instantiate_item, ChipView, Istr, LayerBinding};
+use crate::binding::{
+    assign_auto_net_keys, instantiate_item, ChipView, InstantiateStats, Istr, LayerBinding,
+};
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::{check_connections_among, ConnectionResult};
 use crate::element_checks::check_elements;
@@ -160,7 +179,7 @@ use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
-use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector};
+use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector, MAX_COORD};
 use diic_tech::Technology;
 
 /// One edit against the top level of a layout or its symbol table.
@@ -296,6 +315,16 @@ pub enum EditError {
     /// symbol's longest call chain would be more than [`MAX_CALL_DEPTH`]
     /// symbols long — the CIF parser's bound.
     TooDeep(SymbolId),
+    /// An [`Edit::MoveItem`] would put a coordinate of the item — a point
+    /// of an element's shape, or a call's translation — outside
+    /// `±`[`MAX_COORD`], the bound the CIF parser and the wire decoder
+    /// hold every coordinate to. Moves of one item within a set add up.
+    OutOfRange {
+        /// The moved item's index at its point in the sequence.
+        index: usize,
+        /// The translation that was refused.
+        by: Vector,
+    },
 }
 
 impl std::fmt::Display for EditError {
@@ -304,6 +333,12 @@ impl std::fmt::Display for EditError {
             EditError::ItemOutOfBounds { index, len } => {
                 write!(f, "top-level item index {index} out of bounds (len {len})")
             }
+            EditError::OutOfRange { index, by } => write!(
+                f,
+                "top-level item {index} moved by ({}, {}) is outside the coordinate range \
+                 ±{MAX_COORD}",
+                by.x, by.y
+            ),
             EditError::UnknownSymbol(s) => write!(f, "unknown symbol id {}", s.0),
             EditError::RecursiveSymbol(s) => {
                 write!(f, "replace_symbol makes symbol id {} call itself", s.0)
@@ -327,6 +362,10 @@ pub struct EditStats {
     pub dirty_items: usize,
     /// Elements belonging to dirty items (structurally dirty).
     pub dirty_elements: usize,
+    /// Elements the view patch wrote: the re-instantiated ones, and the
+    /// kept ones it laid back after the first item whose run changed
+    /// length. Every element before that item stays where it was.
+    pub elements_rewritten: usize,
     /// Elements whose net changed identity in the name diff.
     pub net_dirty_elements: usize,
     /// Seed elements the scoped connection pass examined.
@@ -450,21 +489,43 @@ impl EditPlan {
             })
             .collect();
         let mut removed = Vec::new();
+        // Per slot, where its coordinates lie once the set has moved it
+        // (`coordinate_extent`): each move is held to the range from
+        // there, so in-range steps cannot walk an item out of it. Items
+        // the set adds start at their own extent; kept ones are read
+        // from the layout on their first move.
+        let mut extents: Vec<Option<Rect>> = vec![None; slots.len()];
         // The body each replaced symbol ends up with (the last of
         // several replaces wins); empty until the set replaces one.
         let mut bodies: Vec<Option<&[Item]>> = Vec::new();
         for edit in &edits.edits {
             match edit {
-                Edit::AddElement { .. } => slots.push(fresh),
-                Edit::AddCall { symbol, .. } => {
+                Edit::AddElement { shape, .. } => {
+                    slots.push(fresh);
+                    extents.push(Some(shape_extent(shape)));
+                }
+                Edit::AddCall {
+                    symbol, transform, ..
+                } => {
                     known(*symbol)?;
                     slots.push(fresh);
+                    extents.push(Some(point_extent(transform.offset)));
                 }
                 Edit::RemoveItem { index } => {
-                    removed.extend(slots.remove(in_bounds(*index, slots.len())?).origin);
-                }
-                Edit::MoveItem { index, .. } => {
                     let index = in_bounds(*index, slots.len())?;
+                    removed.extend(slots.remove(index).origin);
+                    extents.remove(index);
+                }
+                Edit::MoveItem { index, by } => {
+                    let index = in_bounds(*index, slots.len())?;
+                    let extent = extents[index].unwrap_or_else(|| {
+                        // invariant: only kept slots start without an extent.
+                        let origin = slots[index].origin.expect("added slots carry an extent");
+                        coordinate_extent(&layout.top_items()[origin])
+                    });
+                    let moved = translated_in_range(extent, *by)
+                        .ok_or(EditError::OutOfRange { index, by: *by })?;
+                    extents[index] = Some(moved);
                     slots[index].dirty = true;
                 }
                 Edit::ReplaceSymbol { symbol, items } => {
@@ -512,8 +573,21 @@ impl EditPlan {
     }
 }
 
-/// What the view patch hands the later steps: the new view and runs,
-/// how old ids map onto it, and what the edit disturbed.
+/// Where the view patch's re-lay put each element and device.
+#[derive(Debug)]
+struct Relaid {
+    /// Old element id → new (`None` for a removed or re-instantiated one).
+    old_to_new: Vec<Option<usize>>,
+    /// New device id → old (`None` for a re-instantiated one).
+    dev_old_of_new: Vec<Option<usize>>,
+    /// The re-instantiated elements, ascending.
+    fresh: Vec<usize>,
+    /// Every item kept its slot and its run lengths.
+    aligned: bool,
+}
+
+/// What the view patch hands the later steps: the patched view, how old
+/// ids map onto it, and what the edit disturbed.
 #[derive(Debug)]
 struct ViewPatch {
     binding: LayerBinding,
@@ -521,21 +595,25 @@ struct ViewPatch {
     /// violations: the head of the re-run global stages' output.
     violations: Vec<Violation>,
     view: ChipView,
-    runs: Vec<(usize, usize)>,
     /// Old element id → new (`None` for a removed or re-instantiated one).
     old_to_new: Vec<Option<usize>>,
     /// New device id → old (`None` for a re-instantiated one).
     dev_old_of_new: Vec<Option<usize>>,
     /// Per new element: belongs to a re-instantiated item.
     dirty: Vec<bool>,
-    /// Per new element: dirty, or touching a dirty footprint — the
-    /// elements whose pair verdicts, duplicate-key ordinals or bindings
-    /// could have changed.
+    /// The re-instantiated elements, ascending.
+    dirty_ids: Vec<usize>,
+    /// The seed elements, ascending: dirty, or touching a dirty
+    /// footprint — the elements whose pair verdicts, duplicate-key
+    /// ordinals or bindings could have changed.
+    seeds: Vec<usize>,
+    /// `seeds` as a mask over the new elements.
     seed: Vec<bool>,
     /// Elements whose auto net key was re-derived.
     rekeyed: Vec<usize>,
-    /// Old and new footprints of every dirty element: the connection
-    /// dirty region, as rects and as the grid the steps test against.
+    /// Old and new footprints with area of every dirty element: the
+    /// connection dirty region, as rects and as the grid the steps test
+    /// against.
     foot: Vec<Rect>,
     d_conn_grid: GridIndex<()>,
     /// Every item kept its slot and its run lengths.
@@ -756,11 +834,11 @@ impl CheckSession {
     }
 
     /// Step 2 (`t_view`), on the edited layout: re-binds layers (the
-    /// name set may have grown) and rebuilds the view — clean items keep
-    /// their element and device runs, renumbered in place; dirty ones
-    /// re-instantiate and enter the element index — then derives what
-    /// the edit disturbed: `foot` grows by the new footprints, the seed
-    /// mask comes out of the index, auto net keys re-derive.
+    /// name set may have grown) and patches the view where it lies
+    /// ([`CheckSession::relay_view`]) — re-instantiated items enter the
+    /// element index — then derives what the edit disturbed: `foot`
+    /// grows by the new footprints, the seed set comes out of the index,
+    /// auto net keys re-derive ([`CheckSession::rekey_auto_nets`]).
     fn patch_view(
         &mut self,
         plan: &EditPlan,
@@ -768,69 +846,14 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> ViewPatch {
         let (binding, mut violations) = LayerBinding::bind(&self.layout, &self.tech);
-        let mut old_view = std::mem::take(&mut self.view);
-        let old_runs = std::mem::take(&mut self.runs);
-        let old_handles = std::mem::take(&mut self.elem_handles);
         // The interner survives the patch: it is append-only, so the
-        // reused runs' `Istr` handles stay valid and fresh items intern
+        // kept runs' `Istr` handles stay valid and fresh items intern
         // into the same table (stale strings simply stop being
-        // referenced — compaction is not worth a whole-view rewrite per
-        // edit, and the rebuild fallback resets the table anyway).
-        let mut view = ChipView {
-            strings: std::mem::take(&mut old_view.strings),
-            ..ChipView::default()
-        };
-        // Survivor element runs copy across as whole column runs (ids
-        // renumber implicitly to their new positions); devices still
-        // move one record at a time for the back-reference rewrite.
-        let old_cols = old_view.elements;
-        let mut old_devs: Vec<_> = old_view.devices.into_iter().map(Some).collect();
-        let mut runs = Vec::with_capacity(plan.slots.len());
-        let mut old_to_new = vec![None; old_cols.len()];
-        let mut dev_old_of_new = Vec::new();
-        let mut dirty = Vec::with_capacity(old_cols.len());
-        // Removed items never reach the loop below, but their evicted
-        // footprints drive retraction and halo re-checks all the same —
-        // count them as dirty work.
-        stats.dirty_items = plan.removed.len();
-        stats.dirty_elements = plan.removed.iter().map(|&o| old_runs[o].0).sum();
-        for (k, slot) in plan.slots.iter().enumerate() {
-            let (e0, d0) = (view.elements.len(), view.devices.len());
-            if let (false, Some(o)) = (slot.dirty, slot.origin) {
-                let ((oe, od), (elems, devices)) = (plan.offsets[o], old_runs[o]);
-                let shift = d0 as i64 - od as i64;
-                view.elements
-                    .append_run_from(&old_cols, oe..oe + elems, shift);
-                for t in 0..elems {
-                    old_to_new[oe + t] = Some(e0 + t);
-                }
-                self.elem_handles
-                    .extend_from_slice(&old_handles[oe..oe + elems]);
-                for t in 0..devices {
-                    // invariant: each old device index belongs to
-                    // exactly one reused run, so it is taken once.
-                    let mut dv = old_devs[od + t].take().expect("runs are disjoint");
-                    for id in dv.element_ids.iter_mut() {
-                        *id = *id - oe + e0;
-                    }
-                    dev_old_of_new.push(Some(od + t));
-                    view.devices.push(dv);
-                }
-            } else {
-                let item = &self.layout.top_items()[k];
-                instantiate_item(&self.layout, &self.tech, &binding, item, &mut view);
-                let fresh = &view.elements.bboxes()[e0..];
-                foot.extend_from_slice(fresh);
-                let index = &mut self.elem_index;
-                self.elem_handles
-                    .extend(fresh.iter().map(|&bbox| index.insert(bbox, ())));
-                dev_old_of_new.resize(view.devices.len(), None);
-                stats.dirty_items += 1;
-                stats.dirty_elements += fresh.len();
-            }
-            dirty.resize(view.elements.len(), slot.dirty);
-            runs.push((view.elements.len() - e0, view.devices.len() - d0));
-        }
+        // referenced — `compact_memory` evicts them, and the rebuild
+        // fallback resets the table anyway).
+        let mut view = std::mem::take(&mut self.view);
+        view.instantiate_stats = InstantiateStats::default();
+        let relaid = self.relay_view(plan, &binding, &mut view, &mut foot, stats);
         // The patch cannot regenerate *clean* items' instantiation
         // violations (it never re-walks them), which is sound only
         // because the walk produces none. If `ChipView::violations` ever
@@ -843,65 +866,238 @@ impl CheckSession {
         );
         violations.append(&mut view.violations);
 
-        let d_conn = Region::from_rects(foot.iter().copied());
-        let slots = self.elem_index.len() + self.elem_index.tombstones();
-        self.handle_owner.resize(slots, usize::MAX);
-        for (id, &handle) in self.elem_handles.iter().enumerate() {
-            self.handle_owner[handle as usize] = id;
+        // The connection dirty region is the footprints with area, as
+        // they are: a bbox touches their union exactly when it touches
+        // one of them, so no union is taken.
+        foot.retain(|r| !r.is_degenerate());
+        let mut dirty = vec![false; view.elements.len()];
+        for &id in &relaid.fresh {
+            dirty[id] = true;
         }
-        let mut seed = dirty.clone();
-        for id in d_conn
-            .rects()
-            .iter()
-            .flat_map(|r| self.elements_touching(r))
-        {
+        let mut seeds = relaid.fresh.clone();
+        seeds.extend(foot.iter().flat_map(|r| self.elements_touching(r)));
+        seeds.sort_unstable();
+        seeds.dedup();
+        let mut seed = vec![false; view.elements.len()];
+        for &id in &seeds {
             seed[id] = true;
         }
-        // Auto net keys: re-derive only identity groups with a changed
-        // member (the seed mask covers removed duplicates — they share
-        // their bbox with their survivors by definition).
-        let rekeyed = assign_auto_net_keys(&mut view.elements, &mut view.strings, &seed);
-        let kept_slot = |(i, s): (usize, &Slot)| s.origin == Some(i);
+        let rekeyed = self.rekey_auto_nets(&mut view, &seeds);
         ViewPatch {
             binding,
             violations,
             view,
-            aligned: runs == old_runs && plan.slots.iter().enumerate().all(kept_slot),
-            runs,
-            old_to_new,
-            dev_old_of_new,
+            old_to_new: relaid.old_to_new,
+            dev_old_of_new: relaid.dev_old_of_new,
             dirty,
+            dirty_ids: relaid.fresh,
+            seeds,
             seed,
             rekeyed,
-            d_conn_grid: region_grid(&d_conn, self.bound.cell_size()),
+            d_conn_grid: rect_grid(&foot, self.bound.cell_size()),
             foot,
+            aligned: relaid.aligned,
         }
+    }
+
+    /// Step 2's re-lay (`t_view`): writes the edited item list into
+    /// `view`, in place. The items before the first slot whose run
+    /// changes length are not touched, but for a re-instantiated one
+    /// whose run keeps its lengths: it is walked into columns of its own
+    /// and written over its run (`ElementColumns::overwrite_run`), so a
+    /// move — most edits — costs its own item. From that first slot on
+    /// (an item removed or added, or re-walked to another length) the
+    /// rest is split off and laid back run by run. Element handles and
+    /// their owners change only for the ids written.
+    fn relay_view(
+        &mut self,
+        plan: &EditPlan,
+        binding: &LayerBinding,
+        view: &mut ChipView,
+        foot: &mut Vec<Rect>,
+        stats: &mut EditStats,
+    ) -> Relaid {
+        let (n_old, d_old) = (view.elements.len(), view.devices.len());
+        let mut out = Relaid {
+            old_to_new: (0..n_old).map(Some).collect(),
+            dev_old_of_new: (0..d_old).map(Some).collect(),
+            fresh: Vec::new(),
+            aligned: plan.slots.len() == self.runs.len(),
+        };
+        // Removed items never reach the loops below, but their evicted
+        // footprints drive retraction and halo re-checks all the same —
+        // count them as dirty work.
+        stats.dirty_items = plan.removed.len();
+        stats.dirty_elements = plan.removed.iter().map(|&o| self.runs[o].0).sum();
+        let mut rewritten: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut k = 0;
+        while let Some(&slot) = plan.slots.get(k).filter(|s| s.origin == Some(k)) {
+            if slot.dirty {
+                let ((oe, od), (elems, devices)) = (plan.offsets[k], self.runs[k]);
+                let mut walked = ChipView {
+                    strings: std::mem::take(&mut view.strings),
+                    ..ChipView::default()
+                };
+                let item = &self.layout.top_items()[k];
+                instantiate_item(&self.layout, &self.tech, binding, item, &mut walked);
+                view.strings = std::mem::take(&mut walked.strings);
+                let fits = walked.devices.len() == devices
+                    && (view.elements).overwrite_run(oe..oe + elems, &walked.elements, od as i64);
+                if !fits {
+                    // Slot `k` is walked again where the split lays it.
+                    break;
+                }
+                view.violations.append(&mut walked.violations);
+                view.instantiate_stats.elements_walked += walked.instantiate_stats.elements_walked;
+                for (t, mut dv) in walked.devices.into_iter().enumerate() {
+                    for id in dv.element_ids.iter_mut() {
+                        *id += oe;
+                    }
+                    view.devices[od + t] = dv;
+                    out.dev_old_of_new[od + t] = None;
+                }
+                out.old_to_new[oe..oe + elems].fill(None);
+                self.enter_fresh_run(view, oe..oe + elems, &mut out.fresh, foot, stats);
+                rewritten.push(oe..oe + elems);
+            }
+            k += 1;
+        }
+
+        // The rest, from slot `k`: split off, and laid back run by run.
+        let (e_split, d_split) = plan.offsets.get(k).copied().unwrap_or((n_old, d_old));
+        let block = view.elements.split_off(e_split);
+        let mut block_devs: Vec<_> = (view.devices.split_off(d_split).into_iter())
+            .map(Some)
+            .collect();
+        let block_handles = self.elem_handles.split_off(e_split);
+        let old_runs = self.runs.split_off(k);
+        out.old_to_new[e_split..].fill(None);
+        out.dev_old_of_new.truncate(d_split);
+        for (j, slot) in plan.slots.iter().enumerate().skip(k) {
+            let (e0, d0) = (view.elements.len(), view.devices.len());
+            match slot.origin.filter(|_| !slot.dirty) {
+                Some(o) => {
+                    let ((se, sd), (elems, devices)) = (plan.offsets[o], old_runs[o - k]);
+                    let (be, bd) = (se - e_split, sd - d_split);
+                    view.elements
+                        .append_run_from(&block, be..be + elems, d0 as i64 - sd as i64);
+                    for t in 0..devices {
+                        // invariant: each block device belongs to one run,
+                        // which is laid back once.
+                        let mut dv = block_devs[bd + t].take().expect("runs are disjoint");
+                        for id in dv.element_ids.iter_mut() {
+                            *id = *id - se + e0;
+                        }
+                        view.devices.push(dv);
+                    }
+                    self.elem_handles
+                        .extend_from_slice(&block_handles[be..be + elems]);
+                    for t in 0..elems {
+                        out.old_to_new[se + t] = Some(e0 + t);
+                    }
+                    out.dev_old_of_new.extend((sd..sd + devices).map(Some));
+                }
+                None => {
+                    let item = &self.layout.top_items()[j];
+                    instantiate_item(&self.layout, &self.tech, binding, item, view);
+                    let fresh = e0..view.elements.len();
+                    self.enter_fresh_run(view, fresh, &mut out.fresh, foot, stats);
+                    out.dev_old_of_new.resize(view.devices.len(), None);
+                }
+            }
+            let run = (view.elements.len() - e0, view.devices.len() - d0);
+            out.aligned &= slot.origin == Some(j) && old_runs.get(j - k) == Some(&run);
+            self.runs.push(run);
+        }
+        rewritten.push(e_split..view.elements.len());
+
+        let slots = self.elem_index.len() + self.elem_index.tombstones();
+        self.handle_owner.resize(slots, usize::MAX);
+        for id in rewritten.into_iter().flatten() {
+            self.handle_owner[self.elem_handles[id] as usize] = id;
+            stats.elements_rewritten += 1;
+        }
+        debug_assert_eq!(self.elem_handles.len(), view.elements.len());
+        out
+    }
+
+    /// Books the run `ids` of `view` as freshly walked: its elements
+    /// enter the index (under new handles in `elem_handles`, which grows
+    /// to cover them) and `fresh`, their footprints `foot`.
+    fn enter_fresh_run(
+        &mut self,
+        view: &ChipView,
+        ids: std::ops::Range<usize>,
+        fresh: &mut Vec<usize>,
+        foot: &mut Vec<Rect>,
+        stats: &mut EditStats,
+    ) {
+        let bboxes = &view.elements.bboxes()[ids.clone()];
+        foot.extend_from_slice(bboxes);
+        let len = self.elem_handles.len().max(ids.end);
+        self.elem_handles.resize(len, u32::MAX);
+        for (id, &bbox) in ids.clone().zip(bboxes) {
+            self.elem_handles[id] = self.elem_index.insert(bbox, ());
+        }
+        stats.dirty_items += 1;
+        stats.dirty_elements += ids.len();
+        fresh.extend(ids);
+    }
+
+    /// Step 2's auto-key pass: re-derives the keys of the identity
+    /// groups with a seed member. Duplicates share layer and bbox, so
+    /// those groups are among the elements that share an undeclared
+    /// seed's layer and bbox — which the element index finds, in
+    /// ascending order once sorted, without a sweep of the chip.
+    fn rekey_auto_nets(&self, view: &mut ChipView, seeds: &[usize]) -> Vec<usize> {
+        let cols = &view.elements;
+        let (layers, bboxes) = (cols.layers(), cols.bboxes());
+        let undeclared = |id: usize| !cols.get(id).net_declared();
+        let mut hot: Vec<(Rect, diic_tech::LayerId)> = (seeds.iter().copied())
+            .filter(|&id| undeclared(id))
+            .map(|id| (bboxes[id], layers[id]))
+            .collect();
+        hot.sort_unstable();
+        hot.dedup();
+        let mut candidates: Vec<usize> = (hot.iter())
+            .flat_map(|&(bbox, layer)| {
+                (self.elements_touching(&bbox))
+                    .filter(move |&id| bboxes[id] == bbox && layers[id] == layer)
+            })
+            .collect();
+        candidates.sort_unstable();
+        assign_auto_net_keys(&mut view.elements, &mut view.strings, &candidates)
     }
 
     /// Step 3 (`t_conn`): re-scores the pairs among the seed elements
     /// ([`check_connections_among`]); every other cached merge is
     /// provably unchanged and only renumbers.
     fn patch_connections(&self, vp: &ViewPatch, stats: &mut EditStats) -> ConnPatch {
-        let seeds: Vec<usize> = (0..vp.seed.len()).filter(|&i| vp.seed[i]).collect();
-        stats.seed_elements = seeds.len();
-        let mut scoped = check_connections_among(&vp.view, &self.tech, &seeds);
+        stats.seed_elements = vp.seeds.len();
+        let mut scoped = check_connections_among(&vp.view, &self.tech, &vp.seeds);
         scoped.merges.sort_unstable();
+        // Kept elements keep their order, so the cached merges stay
+        // ascending as they renumber: the kept ones take the scoped
+        // pass's in by one linear merge, and the ones among seeds (which
+        // its verdicts replace) come out ascending too.
         let mut old_seed_merges = Vec::new();
-        let mut merges: Vec<(usize, usize)> = (self.merges.iter())
-            .filter_map(|&(i, j)| {
-                let (ni, nj) = (vp.old_to_new[i]?, vp.old_to_new[j]?);
-                // Pairs fully inside the seed set are the scoped pass's
-                // verdicts.
-                if vp.seed[ni] && vp.seed[nj] {
-                    old_seed_merges.push((ni, nj));
-                    return None;
-                }
-                Some((ni, nj))
-            })
-            .collect();
-        merges.extend_from_slice(&scoped.merges);
-        merges.sort_unstable();
-        old_seed_merges.sort_unstable();
+        let mut merges = Vec::with_capacity(self.merges.len() + scoped.merges.len());
+        let mut fresh = scoped.merges.iter().copied().peekable();
+        for &(i, j) in &self.merges {
+            let (Some(ni), Some(nj)) = (vp.old_to_new[i], vp.old_to_new[j]) else {
+                continue;
+            };
+            if vp.seed[ni] && vp.seed[nj] {
+                old_seed_merges.push((ni, nj));
+                continue;
+            }
+            while let Some(pair) = fresh.next_if(|&pair| pair < (ni, nj)) {
+                merges.push(pair);
+            }
+            merges.push((ni, nj));
+        }
+        merges.extend(fresh);
+        debug_assert!(merges.is_sorted() && old_seed_merges.is_sorted());
         ConnPatch {
             merges,
             scoped,
@@ -934,7 +1130,7 @@ impl CheckSession {
                 touched.push(*node);
             }
         }
-        let dirty_ids = || (0..vp.dirty.len()).filter(|&id| vp.dirty[id]);
+        let dirty_ids = || vp.dirty_ids.iter().copied();
         for id in dirty_ids() {
             element_node[id] = element_is_netted(&vp.view, id).then(|| keys[id].index());
             touched.extend(element_node[id]);
@@ -978,7 +1174,7 @@ impl CheckSession {
         // region, whose grid already exists.
         let d_bind = || (vp.foot.iter().copied()).chain(vp.rekeyed.iter().map(|&id| bboxes[id]));
         let d_bind_grid_wide = (vp.rekeyed.iter().any(|&id| !vp.dirty[id]))
-            .then(|| region_grid(&Region::from_rects(d_bind()), self.bound.cell_size()));
+            .then(|| rect_grid(Region::from_rects(d_bind()).rects(), self.bound.cell_size()));
         let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&vp.d_conn_grid);
         let mut rekeyed_flags = vec![false; bboxes.len()];
         for &id in &vp.rekeyed {
@@ -1151,10 +1347,17 @@ impl CheckSession {
             }
             splice.nets
         };
-        let d_halo = Region::from_rects(int_foot).inflate(self.bound.max_rule_range());
+        // One union of the inflated footprints: a Minkowski sum
+        // distributes over a union, so this is the union of the
+        // footprints inflated — which drops zero-area ones first.
+        let reach = self.bound.max_rule_range();
+        let inflated = (int_foot.iter())
+            .filter(|r| !r.is_degenerate())
+            .filter_map(|r| r.inflate(reach));
+        let d_halo = Region::from_rects(inflated);
         NetPatch {
             nets,
-            d_halo_grid: region_grid(&d_halo, self.bound.cell_size()),
+            d_halo_grid: rect_grid(d_halo.rects(), self.bound.cell_size()),
             d_halo,
         }
     }
@@ -1280,7 +1483,6 @@ impl CheckSession {
     ) -> bool {
         self.binding = vp.binding;
         self.view = vp.view;
-        self.runs = vp.runs;
         self.merges = cp.merges;
         self.element_net = np.nets.element_net;
         self.device_terminal_nets = np.nets.device_terminal_nets;
@@ -1498,13 +1700,13 @@ fn apply_layout_edits(layout: &mut Layout, edits: &EditSet) {
     }
 }
 
-/// A uniform grid over a region's rects, for fast "does this bbox touch
-/// the dirty region" predicates (a whole-chip dirty region can hold
-/// thousands of rects; the linear scan in [`Region::touches_rect`] is
-/// the wrong tool for per-element loops).
-fn region_grid(region: &Region, cell: i64) -> diic_geom::GridIndex<()> {
+/// A uniform grid over a dirty region's rects, for fast "does this bbox
+/// touch the dirty region" predicates (a whole-chip dirty region can
+/// hold thousands of rects; the linear scan in [`Region::touches_rect`]
+/// is the wrong tool for per-element loops).
+fn rect_grid(rects: &[Rect], cell: i64) -> diic_geom::GridIndex<()> {
     let mut grid = diic_geom::GridIndex::new(cell);
-    for r in region.rects() {
+    for r in rects {
         grid.insert(*r, ());
     }
     grid
@@ -1521,6 +1723,45 @@ fn run_offsets(runs: &[(usize, usize)]) -> Vec<(usize, usize)> {
         d += devices;
     }
     out
+}
+
+/// The box around the coordinates a move translates: an element's shape
+/// points (a box's corners), or a call's translation.
+fn coordinate_extent(item: &Item) -> Rect {
+    match item {
+        Item::Element(el) => shape_extent(&el.shape),
+        Item::Call(call) => point_extent(call.transform.offset),
+    }
+}
+
+/// The box around a shape's points — a wire's width is no coordinate.
+fn shape_extent(shape: &Shape) -> Rect {
+    let points = match shape {
+        Shape::Box(r) => return *r,
+        Shape::Wire(w) => w.points(),
+        Shape::Polygon(p) => p.points(),
+    };
+    let mut rects = points.iter().map(|p| point_extent(Vector::new(p.x, p.y)));
+    let first = rects.next().unwrap_or_default();
+    rects.fold(first, |a, b| a.bounding_union(&b))
+}
+
+fn point_extent(v: Vector) -> Rect {
+    Rect::new(v.x, v.y, v.x, v.y)
+}
+
+/// `extent` translated by `by`, if every coordinate stays within
+/// `±`[`MAX_COORD`].
+fn translated_in_range(extent: Rect, by: Vector) -> Option<Rect> {
+    let shift = |v: i64, d: i64| {
+        (v.checked_add(d)).filter(|moved| (-MAX_COORD..=MAX_COORD).contains(moved))
+    };
+    Some(Rect::new(
+        shift(extent.x1, by.x)?,
+        shift(extent.y1, by.y)?,
+        shift(extent.x2, by.x)?,
+        shift(extent.y2, by.y)?,
+    ))
 }
 
 /// The symbols with a body in `bodies` — the replaced ones — plus
@@ -1827,6 +2068,86 @@ mod tests {
     }
 
     #[test]
+    fn plan_holds_moves_to_the_coordinate_range() {
+        let m = MAX_COORD;
+        let layout = parse(&format!(
+            "DS 1; L NM; B 2000 750 1000 375; DF; C 1 T {} 0; L NM; W 500 0 0 0 {}; E",
+            m - 10,
+            m - 20
+        ))
+        .unwrap();
+        let moves = |steps: &[(usize, i64, i64)]| {
+            let mut edits = EditSet::new();
+            for &(index, dx, dy) in steps {
+                edits.translate(index, dx, dy);
+            }
+            plan(&layout, &edits).map(|_| ())
+        };
+        let refused = |index, dx, dy| {
+            Err(EditError::OutOfRange {
+                index,
+                by: Vector::new(dx, dy),
+            })
+        };
+        // A call's translation, and a wire's points (not its width).
+        assert_eq!(moves(&[(0, 10, 0)]), Ok(()));
+        assert_eq!(moves(&[(0, 11, 0)]), refused(0, 11, 0));
+        assert_eq!(moves(&[(1, 0, 20), (1, 0, -m)]), Ok(()));
+        assert_eq!(moves(&[(1, 0, 21)]), refused(1, 0, 21));
+        // Moves of one item add up within a set, and follow it as the
+        // set shifts it; an added item starts at its own coordinates.
+        assert_eq!(moves(&[(0, 5, 0), (0, 5, 0), (0, 1, 0)]), refused(0, 1, 0));
+        let mut edits = EditSet::new();
+        edits.translate(1, 0, 20).remove(0).translate(0, 0, 1);
+        assert_eq!(plan(&layout, &edits).map(|_| ()), refused(0, 0, 1));
+        let mut edits = EditSet::new();
+        edits
+            .add_box("NM", Rect::new(-m, 0, 0, 750), None)
+            .translate(2, -1, 0);
+        assert_eq!(plan(&layout, &edits).map(|_| ()), refused(2, -1, 0));
+        // A vector past `i64` is refused, not overflowed.
+        assert_eq!(moves(&[(0, i64::MAX, 0)]), refused(0, i64::MAX, 0));
+        let err = moves(&[(0, 11, 0)]).unwrap_err().to_string();
+        assert!(
+            err.contains("outside the coordinate range ±4503599627370496"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn move_walk_is_refused_at_the_coordinate_range() {
+        // A box walked right in in-range steps (each one a move the wire
+        // decoder accepts) until one would carry it past `MAX_COORD`: that
+        // move is refused before anything changes.
+        let mut session = rails_beside("", 12);
+        let step = MAX_COORD / 3;
+        let mut walked = 0;
+        let err = loop {
+            let layout = session.layout().clone();
+            let report = format!("{:?}", session.report());
+            let mut edits = EditSet::new();
+            edits.translate(0, step, 0);
+            match session.apply(&edits) {
+                Ok(_) => walked += 1,
+                Err(err) => {
+                    assert_eq!(*session.layout(), layout);
+                    assert_eq!(format!("{:?}", session.report()), report);
+                    break err;
+                }
+            }
+        };
+        assert_eq!(walked, 2, "the third step ends past the range");
+        let by = Vector::new(step, 0);
+        assert_eq!(err, EditError::OutOfRange { index: 0, by });
+        assert_matches_full(&session);
+        // The session keeps editing.
+        let mut back = EditSet::new();
+        back.translate(0, -2 * step, 0);
+        session.apply(&back).unwrap();
+        assert_matches_full(&session);
+    }
+
+    #[test]
     fn recursive_replace_is_rejected_and_leaves_the_session_untouched() {
         // Symbol 2 calls symbol 1; replacing 1 with a call of 2 closes
         // the cycle. Unchecked, the next hierarchy walk overflows the
@@ -1888,6 +2209,147 @@ mod tests {
         let mut edits = EditSet::new();
         edits.translate(12, 0, 20_000);
         assert_eq!(reused(&mut session, &edits), (true, 0));
+    }
+
+    /// The patched view, run table and element index equal a fresh
+    /// open's: elements, devices and keys resolved in id order (interner
+    /// handles may differ), run lengths, and one live index entry per
+    /// element, under its bbox and owned back by it.
+    fn assert_view_matches_open(session: &CheckSession) {
+        let open = CheckSession::new(session.layout.clone(), &session.tech, &session.options);
+        assert_eq!(
+            session.view.resolved_tail(0, 0),
+            open.view.resolved_tail(0, 0)
+        );
+        assert_eq!(session.runs, open.runs);
+        assert_eq!(session.elem_index.len(), session.elem_handles.len());
+        assert_eq!(session.elem_handles.len(), session.view.elements.len());
+        let bboxes = session.view.elements.bboxes();
+        for (id, &handle) in session.elem_handles.iter().enumerate() {
+            let indexed = session.elem_index.get(handle).map(|(bbox, _)| *bbox);
+            assert_eq!(indexed, Some(bboxes[id]), "element {id}");
+            assert_eq!(session.handle_owner[handle as usize], id, "element {id}");
+        }
+    }
+
+    /// A symbol body of `n` metal boxes 3000 apart.
+    fn boxes(n: i64) -> Vec<Item> {
+        let body: String = (0..n)
+            .map(|i| format!("L NM; B 2000 750 1000 {};", 375 + i * 3000))
+            .collect();
+        parse(&format!("DS 9; {body} DF; E")).unwrap().symbols()[0]
+            .items
+            .clone()
+    }
+
+    #[test]
+    fn relaid_view_equals_a_fresh_open() {
+        // Twelve rails, three wired transistors (runs with devices), and
+        // two placements of a two-box cell: 12 + 15 + 4 elements.
+        let mut cif = String::from(TRANSISTOR_CELL);
+        cif.push_str("DS 3; L NM; B 2000 750 1000 375; L NM; B 2000 750 1000 3375; DF;\n");
+        for i in 0..12 {
+            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
+        }
+        for i in 0..3 {
+            cif.push_str(&format!("C 2 T {} 0;\n", 50_000 + i * 20_000));
+        }
+        cif.push_str("C 3 T 0 60000; C 3 T 10000 60000;\nE");
+        let mut session = CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options());
+        let symbol = |cif_id| session.layout().symbol_by_cif_id(cif_id).unwrap();
+        let (transistor, cell) = (symbol(2), symbol(3));
+        let rewritten = |session: &mut CheckSession, edits: &EditSet| {
+            let stats = session.apply(edits).unwrap();
+            assert!(!stats.full_rebuild, "{stats:?}");
+            assert_view_matches_open(session);
+            assert_nets_match_scratch(session);
+            assert_matches_full(session);
+            stats.elements_rewritten
+        };
+        // A moved transistor goes back over its own run, devices too.
+        let mut edits = EditSet::new();
+        edits.translate(13, 0, 5000);
+        assert_eq!(rewritten(&mut session, &edits), 5);
+        // A body one box longer: the first placement is walked, does not
+        // fit its run, and both are laid back after the split; then one
+        // box shorter again.
+        let mut edits = EditSet::new();
+        edits.replace_symbol(cell, boxes(3));
+        assert_eq!(rewritten(&mut session, &edits), 6);
+        let mut edits = EditSet::new();
+        edits.replace_symbol(cell, boxes(2));
+        assert_eq!(rewritten(&mut session, &edits), 4);
+        // A rail removed from the middle: every run after it moves down.
+        let mut edits = EditSet::new();
+        edits.remove(5);
+        assert_eq!(rewritten(&mut session, &edits), 31 - 6);
+        // Appended items, and the last one removed or moved.
+        let mut edits = EditSet::new();
+        edits
+            .add_box("NM", Rect::new(0, 40_000, 2000, 40_750), None)
+            .add_call(
+                transistor,
+                Transform::translate(Vector::new(0, 90_000)),
+                "t",
+            );
+        assert_eq!(rewritten(&mut session, &edits), 1 + 5);
+        let mut edits = EditSet::new();
+        edits.remove(17);
+        assert_eq!(rewritten(&mut session, &edits), 0);
+        let mut edits = EditSet::new();
+        edits.translate(16, 0, 3000);
+        assert_eq!(rewritten(&mut session, &edits), 1);
+        // A move before a removal in one set: in place, then the split.
+        let mut edits = EditSet::new();
+        edits.translate(0, -3000, 0).remove(3);
+        assert_eq!(rewritten(&mut session, &edits), 1 + (31 - 4));
+    }
+
+    #[test]
+    fn rekey_from_the_index_matches_a_fresh_open() {
+        // Two exact duplicates — undeclared, one layer, one bbox, so keys
+        // `…` and `…:1` — and a stray box that moves onto them and off
+        // again: listed after them, and before them, where its arrival
+        // shifts both survivors' ordinals. Ten rails keep every edit
+        // under the rebuild threshold.
+        let dup = "L NM; B 2000 750 1000 375;";
+        let stray = "L NM; B 2000 750 11000 375;";
+        let group_bbox = Rect::new(0, 0, 2000, 750);
+        let group_keys = |s: &CheckSession| -> Vec<(usize, String)> {
+            let cols = &s.view.elements;
+            (0..cols.len())
+                .filter(|&id| cols.bboxes()[id] == group_bbox)
+                .map(|id| (id, s.view.str(cols.net_keys()[id]).to_string()))
+                .collect()
+        };
+        for (items, stray_at) in [
+            (format!("{dup}{dup}{stray}"), 2),
+            (format!("{stray}{dup}{dup}"), 0),
+        ] {
+            let mut cif = items;
+            for i in 1..=10 {
+                cif.push_str(&format!("L NM; B 2000 750 1000 {};", 375 + i * 3000));
+            }
+            cif.push_str(" E");
+            let mut session =
+                CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), &options());
+            assert!(group_keys(&session)[1].1.ends_with(":1"));
+            for (dx, members) in [(-10_000, 3), (10_000, 2)] {
+                let mut edits = EditSet::new();
+                edits.translate(stray_at, dx, 0);
+                let stats = session.apply(&edits).unwrap();
+                assert!(!stats.full_rebuild, "{stats:?}");
+                let open =
+                    CheckSession::new(session.layout().clone(), &nmos_technology(), &options());
+                let keys = group_keys(&session);
+                assert_eq!(keys, group_keys(&open), "stray at {stray_at}, moved {dx}");
+                assert_eq!(keys.len(), members);
+                assert!(keys[members - 1].1.ends_with(&format!(":{}", members - 1)));
+                assert_eq!(session.report().violations, open.report().violations);
+                assert_eq!(session.report().netlist, open.report().netlist);
+                assert_matches_full(&session);
+            }
+        }
     }
 
     #[test]

@@ -817,6 +817,45 @@ fn farthest_accepted_geometry_checks_without_overflow() {
     assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
 }
 
+/// Every `move` vector the wire decoder accepts lies inside the
+/// coordinate range, but a run of them can still walk an item out of
+/// it: the step that would is a `422 bad-edit`, and the session keeps
+/// serving the report it had.
+#[test]
+fn move_walk_past_the_coordinate_range_is_a_bad_edit() {
+    let cif = "L NM; B 2000 750 1000 375; L NM; B 2000 750 1000 3375;
+               L NM; B 2000 750 1000 6375; L NM; B 2000 750 1000 9375; E";
+    let app = service();
+    let id = open_session(&app, cif, "{}");
+    let report = |app: &Router| {
+        let resp = get(app, &format!("/sessions/{id}/report"));
+        assert_eq!(resp.status, StatusCode::OK);
+        resp.into_bytes().unwrap()
+    };
+    let mut step = EditSet::new();
+    step.translate(0, diic::geom::MAX_COORD / 3, 0);
+    let body = wire::edit_set_to_json(&step, &diic::cif::parse(cif).unwrap()).to_string();
+    let mut walked = 0;
+    let refused = loop {
+        let before = report(&app);
+        let resp = post(&app, &format!("/sessions/{id}/edits"), body.clone());
+        if resp.status != StatusCode::OK {
+            assert_eq!(report(&app), before);
+            break resp;
+        }
+        walked += 1;
+    };
+    assert_eq!(walked, 2, "the third step ends past the range");
+    assert_eq!(refused.status, StatusCode::UNPROCESSABLE_ENTITY);
+    let refused = json_body(refused);
+    assert_eq!(
+        refused.get("error").and_then(Value::as_str),
+        Some("bad-edit")
+    );
+    let detail = refused.get("detail").and_then(Value::as_str).unwrap();
+    assert!(detail.contains("outside the coordinate range"), "{detail}");
+}
+
 /// A worker count from the wire is clamped to the machine's cores where
 /// it is decoded (taken literally, a million would be a thread per job
 /// in every stage), and the clamp is invisible in what comes back.

@@ -18,12 +18,12 @@
 //! leg shows the session agrees with the batch engine; this one would
 //! still catch a state leak that both happened to share.
 
-use diic::cif::Layout;
+use diic::cif::{Item, Layout, Shape};
 use diic::core::incremental::{CheckSession, Edit, EditSet};
 use diic::core::ViolationKind;
 use diic::core::{canonical_check, env_parallelism, CheckOptions, CheckReport};
 use diic::gen::{generate, random_edit_set, ChipSpec, ErrorKind};
-use diic::geom::{Rect, Transform, Vector};
+use diic::geom::{Point, Rect, Transform, Vector, Wire};
 use diic::tech::nmos::nmos_technology;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -371,6 +371,50 @@ fn small_edit_rechecks_a_small_neighbourhood() {
         full_pairs
     );
     assert!(stats.dirty_items == 1, "{stats:?}");
+}
+
+/// The view patch writes what the edit changed, on a generated inverter
+/// array: a moved call its own run and nothing else (every other
+/// element stays where it was), an appended wire itself, and the wire's
+/// removal nothing.
+#[test]
+fn view_patch_rewrites_only_what_the_edit_changed() {
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let chip = generate(&ChipSpec::clean(6, 4));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let items = layout.top_items().len();
+    let index = (items / 2..items)
+        .find(|&i| matches!(layout.top_items()[i], Item::Call(_)))
+        .expect("the array is placed by calls");
+    let mut without = layout.clone();
+    without.remove_top(index);
+    let mut session = CheckSession::new(layout, &tech, &options);
+    let run =
+        session.report().element_count - canonical_check(&without, &tech, &options).element_count;
+    assert!(run > 1, "an inverter has more than one element");
+
+    let mut shift = EditSet::new();
+    shift.translate(index, 0, 250);
+    let stats = session.apply(&shift).unwrap();
+    assert!(!stats.full_rebuild, "{stats:?}");
+    assert_eq!(stats.elements_rewritten, run, "{stats:?}");
+    assert_matches_full(&session, "moved call");
+
+    let wire = Wire::new(750, vec![Point::new(0, -20_000), Point::new(4000, -20_000)]).unwrap();
+    let add = EditSet {
+        edits: vec![Edit::AddElement {
+            cif_layer: "NM".to_string(),
+            shape: Shape::Wire(wire),
+            net: None,
+        }],
+    };
+    assert_eq!(session.apply(&add).unwrap().elements_rewritten, 1);
+    assert_matches_full(&session, "appended wire");
+    let mut undo = EditSet::new();
+    undo.remove(items);
+    assert_eq!(session.apply(&undo).unwrap().elements_rewritten, 0);
+    assert_matches_full(&session, "wire removed");
 }
 
 /// Instance names are the client's to choose (`EditSet::add_call`, the
