@@ -493,6 +493,11 @@ pub fn edit_stats_to_json(stats: &EditStats) -> Value {
         ("nets_respliced", Value::from(stats.nets_respliced)),
         ("nodes_respliced", Value::from(stats.nodes_respliced)),
         ("index_compacted", Value::from(stats.index_compacted)),
+        ("halo_elements", Value::from(stats.halo_elements)),
+        (
+            "primitives_rechecked",
+            Value::from(stats.primitives_rechecked),
+        ),
     ])
 }
 

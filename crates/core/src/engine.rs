@@ -41,7 +41,7 @@ use crate::primitive_checks::check_primitive_symbols;
 use crate::scope::{ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
-use diic_netlist::{check_erc, compare_by_structure, NetId, NetlistBuilder};
+use diic_netlist::{check_erc_net, compare_by_structure, NetId, NetlistBuilder};
 use diic_tech::Technology;
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -1089,48 +1089,62 @@ impl PipelineStage for InteractionsStage {
     }
 }
 
-/// The composition tail as a free function: non-geometric construction
-/// rules (ERC) and the net-list consistency check. Shared by
-/// [`CompositionStage`] and the incremental session (where it is re-run
-/// in full on every edit — ERC is global over the net list).
-pub fn composition_violations(
+/// The non-geometric construction rules (ERC) over the given nets of
+/// `netlist`, as report lines: [`CheckStage::Composition`], no
+/// location, the net's canonical name as context. The one wrapper of
+/// [`check_erc_net`]: [`CompositionStage`] passes every net, the
+/// incremental session the nets its net-list splice built fresh (every
+/// rule is a predicate of one net, so a net the splice copied across
+/// keeps its lines).
+pub(crate) fn erc_violations(
     netlist: &diic_netlist::Netlist,
     tech: &Technology,
-    options: &CheckOptions,
+    nets: impl IntoIterator<Item = NetId>,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if options.erc {
-        for e in check_erc(netlist, tech) {
-            let context = netlist.net(e.net).name().to_string();
-            out.push(Violation {
-                stage: CheckStage::Composition,
-                kind: ViolationKind::Erc {
-                    rule: e.rule,
-                    detail: e.detail,
-                },
-                location: None,
-                context,
-            });
-        }
+    let mut found = Vec::new();
+    for net in nets {
+        check_erc_net(netlist, net, tech, &mut found);
     }
-    if let Some(intended) = &options.intended_netlist {
-        let diff = compare_by_structure(netlist, intended, 12);
-        if !diff.matched {
-            for msg in diff.messages {
-                out.push(Violation {
-                    stage: CheckStage::NetList,
-                    kind: ViolationKind::NetlistMismatch { detail: msg },
-                    location: None,
-                    context: String::new(),
-                });
-            }
-        }
-    }
-    out
+    (found.into_iter())
+        .map(|e| Violation {
+            stage: CheckStage::Composition,
+            kind: ViolationKind::Erc {
+                rule: e.rule,
+                detail: e.detail,
+            },
+            location: None,
+            context: netlist.net(e.net).name().to_string(),
+        })
+        .collect()
 }
 
-/// The composition tail: non-geometric construction rules (ERC) and the
-/// net-list consistency check.
+/// The net-list consistency check against
+/// [`CheckOptions::intended_netlist`], as [`CheckStage::NetList`] lines
+/// (none without an intended list). A whole-list comparison: the
+/// incremental session re-runs it in full on every edit.
+pub(crate) fn netlist_mismatch_violations(
+    netlist: &diic_netlist::Netlist,
+    options: &CheckOptions,
+) -> Vec<Violation> {
+    let Some(intended) = &options.intended_netlist else {
+        return Vec::new();
+    };
+    let diff = compare_by_structure(netlist, intended, 12);
+    if diff.matched {
+        return Vec::new();
+    }
+    (diff.messages.into_iter())
+        .map(|msg| Violation {
+            stage: CheckStage::NetList,
+            kind: ViolationKind::NetlistMismatch { detail: msg },
+            location: None,
+            context: String::new(),
+        })
+        .collect()
+}
+
+/// The composition tail: non-geometric construction rules (ERC) over
+/// every net, and the net-list consistency check.
 pub struct CompositionStage;
 
 impl PipelineStage for CompositionStage {
@@ -1143,7 +1157,12 @@ impl PipelineStage for CompositionStage {
     }
 
     fn run(&self, ctx: &mut CheckContext<'_>) {
-        let vs = composition_violations(&ctx.nets().netlist, ctx.tech, ctx.options);
+        let netlist = &ctx.nets().netlist;
+        let mut vs = Vec::new();
+        if ctx.options.erc {
+            vs = erc_violations(netlist, ctx.tech, netlist.nets().map(|net| net.id()));
+        }
+        vs.extend(netlist_mismatch_violations(netlist, ctx.options));
         ctx.sink.absorb(vs);
     }
 }

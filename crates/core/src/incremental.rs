@@ -17,10 +17,18 @@
 //! top-level items; every instance of a replaced definition, found
 //! through the call-graph closure). From there:
 //!
-//! * **cheap global stages re-run in full** — layer binding, element
-//!   (per-definition width) checks, primitive-symbol checks, ERC and
-//!   net-list comparison. Their violations replace the cached ones
-//!   wholesale; they are a small fraction of a full run.
+//! * **the global stages re-run at the grain of their verdicts** —
+//!   layer binding, element (per-definition width) checks and the
+//!   net-list comparison (a whole-list diff) re-run in full and replace
+//!   their cached lines wholesale. The primitive-symbol checks read
+//!   device *definitions* only, so they re-run only when the edit set
+//!   replaces a symbol; otherwise their lines and the waived-device list
+//!   carry over. ERC's four rules are predicates of one net, so they
+//!   re-run on the nets the splice built fresh; a cached ERC line is
+//!   retracted when its context — its net's canonical name — names a
+//!   net the splice dissolved, and kept otherwise (a kept net has the
+//!   same name, aliases, terminals and device classes; a reused net list
+//!   keeps every line).
 //! * **the chip view is patched in place** — untouched top-level items
 //!   keep their instantiated element/device runs; only dirty items
 //!   re-instantiate, and one whose run keeps its lengths (a move) is
@@ -59,10 +67,13 @@
 //!   name is the minimum alias), so every pair whose
 //!   same-net/relatedness verdict could have flipped now has a dirty
 //!   endpoint.
-//! * **interactions re-run inside the halo only** — the dirty core is
-//!   inflated by the technology's rule reach (the session's
-//!   [`BoundTechnology`], the open's own), the elements within one
-//!   more reach of it come out of the session's persistent index, and
+//! * **interactions re-run inside the halo only** — the dirty core's
+//!   footprints are inflated by the technology's rule reach (the
+//!   session's [`BoundTechnology`], the open's own) and kept as they
+//!   are, no union taken: a rect touches a union of closed rects exactly
+//!   when it touches one of them. The elements within one more reach of
+//!   them come out of one pass over the session's persistent index
+//!   ([`GridIndex::candidates_many`]), and
 //!   [`crate::interact::check_interactions_among`] searches that set.
 //!   Spacing markers
 //!   are tight gap boxes (within the pair's gap of *both* elements), so
@@ -72,20 +83,24 @@
 //!   [`crate::report::canonical_sort`], which is the order
 //!   [`canonical_check`] reports in — hence byte equality.
 //!
-//! What is *not* invalidated incrementally: ERC and the net-list
-//! comparison re-run over the whole (spliced) net list every edit, and
-//! per-definition checks re-run in full. `tests/incremental.rs` holds
-//! the differential oracle: random edit sequences where the session
-//! report must equal a from-scratch check at every step, serial and
-//! parallel.
+//! What is *not* invalidated incrementally: the net-list comparison
+//! re-runs over the whole (spliced) net list every edit, and the
+//! per-definition element checks re-run in full. In debug builds the
+//! carried ERC and primitive-symbol lines and the waived list are
+//! asserted equal to a whole-chip recompute, as the splice is asserted
+//! against `assemble`. `tests/incremental.rs` holds the differential
+//! oracle: random edit sequences where the session report must equal a
+//! from-scratch check at every step, serial and parallel.
 //!
 //! What an edit still pays per chip, not per edit (the benchmark's
-//! 8 101-element `edit-session` chip): the composition tail — ERC and
-//! the net-list comparison, ≈ 130 µs of `t_global`; the net-list
-//! splice's copy of every kept net; and `rebind_rows`' screen of every
-//! device's terminals against the dirty region's bounding box. Beside
-//! them some plain integer passes are linear too: the old → new id
-//! maps, the dirty and seed masks, and renumbering the cached merges
+//! 8 101-element `edit-session` chip): the net-list splice's copy of
+//! every kept net and its O(chip) integer passes (the node → net table,
+//! the device-opening screen); `rebind_rows`' screen of every device's
+//! terminals against the dirty region's bounding box; the interaction
+//! pass's private candidate grid over the halo set; and, through the
+//! HTTP API, the wire delta, which renders every line of both reports.
+//! Beside them some plain integer passes are linear too: the old → new
+//! id maps, the dirty and seed masks, and renumbering the cached merges
 //! and element nodes.
 //!
 //! # One way in, one plan per edit
@@ -125,10 +140,17 @@
 //!    the touched nodes;
 //! 5. `rebind_rows` \[`t_net`\] — device and label rows near the edit;
 //! 6. `splice_nets` \[`t_net`\] — the cached net list reused (a
-//!    net-neutral edit) or spliced; the name diff; the halo;
-//! 7. `recheck_halo` \[`t_interact`\] — interactions inside the halo;
-//! 8. `rerun_global_stages` \[`t_global`\] — the cheap stages, in full;
-//! 9. `patch_report` \[`t_patch`\] — retract, splice, merge;
+//!    net-neutral edit) or spliced, with the nets it built fresh and the
+//!    names of the ones it dissolved; the name diff; the halo rects;
+//! 7. `recheck_halo` \[`t_interact`\] — the elements within one reach of
+//!    the halo, in one pass over the element index; interactions among
+//!    them;
+//! 8. `rerun_global_stages` \[`t_global`\] — element checks and the
+//!    net-list comparison in full, primitive-symbol checks if a symbol
+//!    was replaced, ERC over the fresh nets;
+//! 9. `patch_report` \[`t_patch`\] — retract (ERC lines by retired net
+//!    name, primitive-symbol lines only when they re-ran), splice,
+//!    merge;
 //! 10. `commit` \[`t_commit`\] — install the products, compact the
 //!     element index after heavy churn.
 //!
@@ -168,7 +190,9 @@ use crate::binding::{
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::{check_connections_among, ConnectionResult};
 use crate::element_checks::check_elements;
-use crate::engine::{composition_violations, CheckContext, SessionArtefacts, Sink, StageEngine};
+use crate::engine::{
+    erc_violations, netlist_mismatch_violations, CheckContext, SessionArtefacts, Sink, StageEngine,
+};
 use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
 use crate::library::BoundTechnology;
 use crate::netgen::{
@@ -179,7 +203,8 @@ use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
-use diic_geom::{GridIndex, Point, Rect, Region, Transform, Vector, MAX_COORD};
+use diic_geom::{GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
+use diic_netlist::NetId;
 use diic_tech::Technology;
 
 /// One edit against the top level of a layout or its symbol table.
@@ -395,6 +420,13 @@ pub struct EditStats {
     pub nets_respliced: usize,
     /// Live graph nodes in those components.
     pub nodes_respliced: usize,
+    /// Elements the interaction pass searched: every element within one
+    /// rule reach of the halo.
+    pub halo_elements: usize,
+    /// True when the per-definition primitive-symbol checks re-ran —
+    /// the edit set replaced a symbol's body. Otherwise their report
+    /// lines and the waived-device list carried over.
+    pub primitives_rechecked: bool,
     /// True when this apply compacted the session's persistent spatial
     /// index ([`diic_geom::GridIndex::compact`]) — tombstones from
     /// edit churn had come to outnumber the live elements.
@@ -456,6 +488,9 @@ struct EditPlan {
     dirty_elements: usize,
     /// Elements of the chip before the edit.
     total_elements: usize,
+    /// The set replaces a symbol's body: the only edit that can change
+    /// what the per-definition primitive-symbol checks report.
+    replaces_symbol: bool,
 }
 
 impl EditPlan {
@@ -549,6 +584,7 @@ impl EditPlan {
             offsets: run_offsets(runs),
             dirty_elements: 0,
             total_elements: runs.iter().map(|run| run.0).sum(),
+            replaces_symbol: !bodies.is_empty(),
         };
         plan.dirty_elements = plan.stale_origins().map(|o| runs[o].0).sum();
         Ok(plan)
@@ -641,15 +677,28 @@ struct GraphPatch {
     net_neutral: bool,
 }
 
-/// What the net steps hand the halo re-check and the report patch.
+/// What the net steps hand the halo re-check, the global stages and
+/// the report patch.
 #[derive(Debug)]
 struct NetPatch {
     nets: NetgenResult,
-    /// The interaction halo: every dirty or net-dirty footprint
-    /// inflated by the rule reach. One grid serves the scoped search's
+    /// The nets of `nets` the splice built fresh, ascending — none on a
+    /// reused list. Every other net was copied across with its name,
+    /// aliases, terminals and device classes, so ERC re-runs on these
+    /// alone.
+    fresh_nets: Vec<NetId>,
+    /// Canonical names of the old nets the splice dissolved, ascending:
+    /// the contexts of the cached ERC lines it retracts. A kept net's
+    /// name is none of them — a name is a node key, and a node is in one
+    /// net.
+    retired_names: Vec<String>,
+    /// The interaction halo: every dirty or net-dirty footprint with
+    /// area, inflated by the rule reach — as they are, no union taken
+    /// (a rect touches a union of closed rects exactly when it touches
+    /// one of them). One grid over them serves the scoped search's
     /// marker filter and the report patch's retraction predicate — they
     /// must agree bit for bit.
-    d_halo: Region,
+    d_halo: Vec<Rect>,
     d_halo_grid: GridIndex<()>,
 }
 
@@ -671,7 +720,7 @@ pub struct CheckSession {
     runs: Vec<(usize, usize)>,
     merges: Vec<(usize, usize)>,
     parts: NetParts,
-    element_net: Vec<Option<diic_netlist::NetId>>,
+    element_net: Vec<Option<NetId>>,
     device_terminal_nets: TerminalNets,
     /// Persistent spatial index over element bboxes (the
     /// [`diic_geom::GridIndex`] incremental-update path): dirty-region
@@ -787,18 +836,23 @@ impl CheckSession {
         stats.t_net = t0.elapsed();
 
         let t0 = clock();
-        let (interactions, interact_stats) = self.recheck_halo(&view, &nets);
+        let (interactions, interact_stats) = self.recheck_halo(&view, &nets, &mut stats);
         stats.rechecked_pairs = interact_stats.candidate_pairs;
         stats.t_interact = t0.elapsed();
 
         let t0 = clock();
-        let (global, waived_devices) = self.rerun_global_stages(&mut view, &nets);
+        stats.primitives_rechecked = plan.replaces_symbol;
+        let (global, waived) = self.rerun_global_stages(&mut view, &nets, plan.replaces_symbol);
         stats.t_global = t0.elapsed();
 
         let t0 = clock();
         let connections = std::mem::take(&mut conn.scoped.violations);
         let violations =
             self.patch_report(global, connections, interactions, &view, &nets, &mut stats);
+        let waived_devices =
+            waived.unwrap_or_else(|| std::mem::take(&mut self.report.waived_devices));
+        #[cfg(debug_assertions)]
+        self.assert_carried_lines_match_a_recompute(&violations, &waived_devices, &view, &nets);
         stats.t_patch = t0.elapsed();
 
         // Consumes the products, so the commit also pays for dropping
@@ -816,6 +870,29 @@ impl CheckSession {
     fn elements_touching<'a>(&'a self, r: &Rect) -> impl Iterator<Item = usize> + 'a {
         let handles = self.elem_index.query_handles(r).into_iter();
         handles.map(|h| self.handle_owner[h as usize])
+    }
+
+    /// The ids of the elements whose bbox ⊕ `reach` touches one of
+    /// `rects`, ascending. `grid` must index exactly `rects`. One pass
+    /// over the element index: the cells the rects ⊕ `reach` cover,
+    /// each visited once ([`GridIndex::candidates_many`]); each
+    /// candidate is then held to the exact test against `grid`.
+    fn elements_near(
+        &self,
+        view: &ChipView,
+        rects: &[Rect],
+        grid: &GridIndex<()>,
+        reach: i64,
+    ) -> Vec<usize> {
+        let queries: Vec<Rect> = rects.iter().filter_map(|r| r.inflate(reach)).collect();
+        let bboxes = view.elements.bboxes();
+        let near = |id: &usize| (bboxes[*id].inflate(reach)).is_some_and(|r| grid.touches_any(&r));
+        let mut ids: Vec<usize> = (self.elem_index.candidates_many(&queries).into_iter())
+            .map(|handle| self.handle_owner[handle as usize])
+            .filter(near)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Step 1 (`t_view`): the footprints of every run that leaves the
@@ -1173,8 +1250,10 @@ impl CheckSession {
         // no surviving re-keys it is exactly the connection dirty
         // region, whose grid already exists.
         let d_bind = || (vp.foot.iter().copied()).chain(vp.rekeyed.iter().map(|&id| bboxes[id]));
-        let d_bind_grid_wide = (vp.rekeyed.iter().any(|&id| !vp.dirty[id]))
-            .then(|| rect_grid(Region::from_rects(d_bind()).rects(), self.bound.cell_size()));
+        let d_bind_grid_wide = (vp.rekeyed.iter().any(|&id| !vp.dirty[id])).then(|| {
+            let with_area: Vec<Rect> = d_bind().filter(|r| !r.is_degenerate()).collect();
+            rect_grid(&with_area, self.bound.cell_size())
+        });
         let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&vp.d_conn_grid);
         let mut rekeyed_flags = vec![false; bboxes.len()];
         for &id in &vp.rekeyed {
@@ -1212,14 +1291,11 @@ impl CheckSession {
         let points = rerowed
             .flat_map(|(dev, _)| dev.terminals.iter().map(|(_, _, p)| *p))
             .chain(relabelled.map(|(label, _)| label.position));
-        // 1-unit pad: Region drops zero-area rects.
-        let pads = points.map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1));
-        let scope = Region::from_rects(pads);
-        let mut ids: Vec<usize> = (scope.rects().iter())
-            .flat_map(|r| self.elements_touching(r))
+        let pads: Vec<Rect> = points
+            .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
             .collect();
-        ids.sort_unstable();
-        ids.dedup();
+        let pad_grid = rect_grid(&pads, self.bound.cell_size());
+        let mut ids = self.elements_near(&vp.view, &pads, &pad_grid, 0);
         ids.retain(|&id| element_is_netted(&vp.view, id));
         let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
 
@@ -1295,6 +1371,7 @@ impl CheckSession {
         let old_element_net = std::mem::take(&mut self.element_net);
         let old_terminal_nets = std::mem::take(&mut self.device_terminal_nets);
         stats.netlist_reused = gp.net_neutral;
+        let (mut fresh_nets, mut retired_names) = (Vec::new(), Vec::new());
         let nets = if gp.net_neutral {
             NetgenResult {
                 netlist: old_netlist,
@@ -1310,11 +1387,19 @@ impl CheckSession {
                 &gp.touched,
                 &vp.dev_old_of_new,
             );
-            stats.nets_respliced = splice.fresh.iter().filter(|f| **f).count();
+            fresh_nets = (splice.fresh.iter().enumerate())
+                .filter(|(_, &fresh)| fresh)
+                .map(|(id, _)| NetId(id as u32))
+                .collect();
+            retired_names = (splice.retired.iter())
+                .filter_map(|&old| splice.retired_name(old).map(str::to_string))
+                .collect();
+            retired_names.sort_unstable();
+            stats.nets_respliced = fresh_nets.len();
             stats.nodes_respliced = splice.nodes;
             // True if something that was on old net `old` and is on new
             // net `new` kept its net's canonical name.
-            let same_name = |old: Option<diic_netlist::NetId>, new: diic_netlist::NetId| {
+            let same_name = |old: Option<NetId>, new: NetId| {
                 !splice.fresh[new.0 as usize]
                     || old.and_then(|o| splice.retired_name(o))
                         == Some(splice.nets.netlist.net(new).name())
@@ -1347,32 +1432,35 @@ impl CheckSession {
             }
             splice.nets
         };
-        // One union of the inflated footprints: a Minkowski sum
-        // distributes over a union, so this is the union of the
-        // footprints inflated — which drops zero-area ones first.
+        // The footprints inflated, as they are: a Minkowski sum
+        // distributes over a union. Zero-area ones drop out, as they
+        // would from a `Region`.
         let reach = self.bound.max_rule_range();
-        let inflated = (int_foot.iter())
+        let d_halo: Vec<Rect> = (int_foot.iter())
             .filter(|r| !r.is_degenerate())
-            .filter_map(|r| r.inflate(reach));
-        let d_halo = Region::from_rects(inflated);
+            .filter_map(|r| r.inflate(reach))
+            .collect();
         NetPatch {
             nets,
-            d_halo_grid: rect_grid(d_halo.rects(), self.bound.cell_size()),
+            fresh_nets,
+            retired_names,
+            d_halo_grid: rect_grid(&d_halo, self.bound.cell_size()),
             d_halo,
         }
     }
 
     /// Step 7 (`t_interact`): the interaction search among the elements
-    /// within one rule reach of the halo — bbox ⊕ reach touches the halo
-    /// ⇔ bbox touches a halo rect ⊕ reach.
-    fn recheck_halo(&self, vp: &ViewPatch, np: &NetPatch) -> (Vec<Violation>, InteractStats) {
+    /// within one rule reach of the halo (bbox ⊕ reach touches it), out
+    /// of one pass over the element index.
+    fn recheck_halo(
+        &self,
+        vp: &ViewPatch,
+        np: &NetPatch,
+        stats: &mut EditStats,
+    ) -> (Vec<Violation>, InteractStats) {
         let reach = self.bound.max_rule_range();
-        let mut halo_ids: Vec<usize> = (np.d_halo.rects().iter())
-            .filter_map(|r| r.inflate(reach))
-            .flat_map(|q| self.elements_touching(&q))
-            .collect();
-        halo_ids.sort_unstable();
-        halo_ids.dedup();
+        let halo_ids = self.elements_near(&vp.view, &np.d_halo, &np.d_halo_grid, reach);
+        stats.halo_elements = halo_ids.len();
         check_interactions_among(
             &vp.view,
             &self.tech,
@@ -1384,24 +1472,35 @@ impl CheckSession {
         )
     }
 
-    /// Step 8 (`t_global`): the stages that re-run in full — element
-    /// and primitive-symbol checks per definition, the net list's own
-    /// violations, and the composition tail over the whole net list —
-    /// behind the layer-binding and instantiation violations the view
-    /// patch produced. Returns them with the waived devices.
+    /// Step 8 (`t_global`): the global stages, each at the grain its
+    /// verdict has — behind the layer-binding and instantiation
+    /// violations the view patch produced. Element checks and the
+    /// net-list comparison re-run in full; the primitive-symbol checks
+    /// only when the set replaced a symbol's body (a definition is all
+    /// they read); ERC on the nets the splice built fresh only (a rule
+    /// is a predicate of one net). Returns the fresh lines, and the
+    /// waived devices if the primitive-symbol checks re-ran.
     fn rerun_global_stages(
         &self,
         vp: &mut ViewPatch,
         np: &NetPatch,
-    ) -> (Vec<Violation>, Vec<String>) {
+        replaces_symbol: bool,
+    ) -> (Vec<Violation>, Option<Vec<String>>) {
         let mut fresh = std::mem::take(&mut vp.violations);
         fresh.extend(check_elements(&self.layout, &self.tech, &vp.binding));
-        let prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
-        fresh.extend(prim.violations);
+        let waived = replaces_symbol.then(|| {
+            let prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
+            fresh.extend(prim.violations);
+            prim.waived
+        });
         fresh.extend_from_slice(&np.nets.violations);
         let netlist = &np.nets.netlist;
-        fresh.extend(composition_violations(netlist, &self.tech, &self.options));
-        (fresh, prim.waived)
+        if self.options.erc {
+            let nets = np.fresh_nets.iter().copied();
+            fresh.extend(erc_violations(netlist, &self.tech, nets));
+        }
+        fresh.extend(netlist_mismatch_violations(netlist, &self.options));
+        (fresh, waived)
     }
 
     /// Step 9 (`t_patch`): the new report by merge-splice — the cached
@@ -1419,6 +1518,13 @@ impl CheckSession {
         let anchored_in = |v: &Violation, grid: &GridIndex<()>| -> bool {
             v.location.is_none_or(|l| grid.touches_any(&l))
         };
+        let primitives_rechecked = stats.primitives_rechecked;
+        let retired = |v: &Violation| {
+            let names = &np.retired_names;
+            names
+                .binary_search_by(|name| name.as_str().cmp(&v.context))
+                .is_ok()
+        };
         let keep = |v: &&Violation| match v.stage {
             CheckStage::Connections => !anchored_in(v, &vp.d_conn_grid),
             // Mask odd cycles are a global (conflict-graph) verdict: an
@@ -1429,7 +1535,12 @@ impl CheckSession {
                 !matches!(v.kind, ViolationKind::MaskOddCycle { .. })
                     && !anchored_in(v, &np.d_halo_grid)
             }
-            _ => false, // replaced wholesale by the fresh global runs
+            // An ERC line's context is its net's name: it goes with a
+            // net the splice dissolved, and stays with a kept one.
+            CheckStage::Composition => !retired(v),
+            CheckStage::PrimitiveSymbols => !primitives_rechecked,
+            // Replaced wholesale by the fresh global runs.
+            CheckStage::Elements | CheckStage::NetList => false,
         };
         // The kept violations are a subsequence of the cached canonical
         // report, hence already canonically sorted.
@@ -1463,6 +1574,42 @@ impl CheckSession {
             "merge-splice diverged from canonical_sort"
         );
         violations
+    }
+
+    /// The debug oracle of the lines step 8 did not recompute: the
+    /// patched report's ERC and primitive-symbol lines, and the waived
+    /// list, equal what the whole-chip stages make of the patched chip —
+    /// as the net-list splice is asserted against `assemble`.
+    #[cfg(debug_assertions)]
+    fn assert_carried_lines_match_a_recompute(
+        &self,
+        violations: &[Violation],
+        waived_devices: &[String],
+        vp: &ViewPatch,
+        np: &NetPatch,
+    ) {
+        let lines = |stage: CheckStage| -> Vec<&Violation> {
+            violations.iter().filter(|v| v.stage == stage).collect()
+        };
+        let netlist = &np.nets.netlist;
+        let mut erc = Vec::new();
+        if self.options.erc {
+            erc = erc_violations(netlist, &self.tech, netlist.nets().map(|net| net.id()));
+        }
+        canonical_sort(&mut erc);
+        debug_assert_eq!(
+            lines(CheckStage::Composition),
+            erc.iter().collect::<Vec<_>>(),
+            "ERC over the fresh nets diverged from a whole-chip ERC"
+        );
+        let mut prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
+        canonical_sort(&mut prim.violations);
+        debug_assert_eq!(
+            lines(CheckStage::PrimitiveSymbols),
+            prim.violations.iter().collect::<Vec<_>>(),
+            "carried primitive-symbol lines diverged from a recheck"
+        );
+        debug_assert_eq!(waived_devices, prim.waived, "carried waived list diverged");
     }
 
     /// Step 10 (`t_commit`): installs the products (dropping what they
@@ -1702,7 +1849,7 @@ fn apply_layout_edits(layout: &mut Layout, edits: &EditSet) {
 
 /// A uniform grid over a dirty region's rects, for fast "does this bbox
 /// touch the dirty region" predicates (a whole-chip dirty region can
-/// hold thousands of rects; the linear scan in [`Region::touches_rect`]
+/// hold thousands of rects; the linear scan in [`diic_geom::Region::touches_rect`]
 /// is the wrong tool for per-element loops).
 fn rect_grid(rects: &[Rect], cell: i64) -> diic_geom::GridIndex<()> {
     let mut grid = diic_geom::GridIndex::new(cell);
@@ -2401,7 +2548,7 @@ mod tests {
         assert_eq!(net_names(&session), ["0", "A", "B", "E", "F"]);
         assert_eq!(stats.nets_respliced, 1);
         assert_eq!(stats.nodes_respliced, 3, "C, D and the strap");
-        let merged = session.report().netlist.net(diic_netlist::NetId(0));
+        let merged = session.report().netlist.net(NetId(0));
         assert!(merged.aliases().eq(["0", "C", "D"]));
 
         let mut unbridge = EditSet::new();
@@ -2598,6 +2745,187 @@ mod tests {
             + stats.t_commit;
         assert!(stats.t_commit > std::time::Duration::ZERO);
         assert!(phases <= wall, "{phases:?} of {wall:?}");
+    }
+
+    /// The lines of one report stage, rendered.
+    fn lines_of(session: &CheckSession, stage: CheckStage) -> Vec<String> {
+        let lines = session.report().violations.iter();
+        lines
+            .filter(|v| v.stage == stage)
+            .map(|v| format!("{v:?}"))
+            .collect()
+    }
+
+    /// Two transistors, each with its source on `GND` and drain on `VDD`
+    /// diffusion wires: T1's gate on poly wire `A`, which dangles (one
+    /// terminal), T2's on wire `B`, which a poly contact also sits on.
+    /// Separate `VDD` and `GND` metal rails, and an `IO_PAD` with an
+    /// undeclared box on it, far from everything.
+    fn erc_chip(options: &CheckOptions) -> CheckSession {
+        let mut cif = String::from(
+            "DS 1; 9D NMOS_ENH;
+             9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+             L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF;
+             DS 4; 9D CONTACT_P; L NC; B 500 500 0 0; L NP; B 1000 1000 0 0;
+             L NM; B 1000 1000 0 0; DF;\n",
+        );
+        for (y, gate) in [(0, "A"), (20_000, "B")] {
+            cif.push_str(&format!(
+                "C 1 T 0 {y}; L NP; 9N {gate}; W 500 -375 {y} -3000 {y};
+                 L ND; 9N GND; W 500 250 {} 250 {};
+                 L ND; 9N VDD; W 500 250 {} 250 {};\n",
+                y - 1000,
+                y - 4000,
+                y + 1000,
+                y + 4000
+            ));
+        }
+        cif.push_str(
+            "C 4 T -3000 20000;
+             L NM; 9N VDD; B 750 30000 30000 10000;
+             L NM; 9N GND; B 750 30000 33000 10000;
+             L NM; 9N IO_PAD; B 4000 4000 60000 0;
+             L NM; B 1000 1000 60000 0; E",
+        );
+        CheckSession::new(parse(&cif).unwrap(), &nmos_technology(), options)
+    }
+
+    /// Applies `edits` under the rebuild threshold and holds the session
+    /// to the from-scratch check.
+    fn apply_checked(session: &mut CheckSession, edits: &EditSet) -> EditStats {
+        let stats = session.apply(edits).unwrap();
+        assert!(!stats.full_rebuild, "{stats:?}");
+        assert_matches_full(session);
+        stats
+    }
+
+    #[test]
+    fn erc_reruns_on_the_spliced_nets_only() {
+        let dangling = "Erc { rule: DanglingNet, detail: \"net 'A' has 1 device terminal(s)\" }";
+        let short = "Erc { rule: PowerGroundShort";
+        let plain = CheckOptions::default();
+        let intended = erc_chip(&plain).report().netlist.clone();
+        let compared = CheckOptions {
+            intended_netlist: Some(intended),
+            ..CheckOptions::default()
+        };
+        for options in [plain, compared] {
+            let mut session = erc_chip(&options);
+            let has = |session: &CheckSession, line: &str| {
+                lines_of(session, CheckStage::Composition)
+                    .iter()
+                    .any(|l| l.contains(line))
+            };
+            let at_open = lines_of(&session, CheckStage::Composition);
+            assert_eq!(at_open.len(), 1, "{at_open:?}");
+            assert!(has(&session, dangling));
+            assert!(lines_of(&session, CheckStage::NetList).is_empty());
+
+            // A poly strap from wire A to wire B: A's net gains T2's gate
+            // and the contact, and stops dangling.
+            let mut strap = EditSet::new();
+            strap.add_box("NP", Rect::new(-3250, -500, -2750, 20_500), None);
+            let stats = apply_checked(&mut session, &strap);
+            assert!(
+                !stats.netlist_reused && stats.nets_respliced == 1,
+                "{stats:?}"
+            );
+            let after = lines_of(&session, CheckStage::Composition);
+            assert!(after.is_empty(), "{after:?} {:?}", session.report());
+            let mismatch = !lines_of(&session, CheckStage::NetList).is_empty();
+            assert_eq!(mismatch, options.intended_netlist.is_some());
+
+            // A metal strap across the rails shorts VDD to GND.
+            let mut short_rails = EditSet::new();
+            short_rails.add_box("NM", Rect::new(29_500, 0, 33_500, 750), None);
+            apply_checked(&mut session, &short_rails);
+            assert!(has(&session, short));
+
+            // The inverses, in reverse order, restore the open's lines.
+            for index in [14, 13] {
+                let mut undo = EditSet::new();
+                undo.remove(index);
+                apply_checked(&mut session, &undo);
+            }
+            assert_eq!(lines_of(&session, CheckStage::Composition), at_open);
+            assert!(lines_of(&session, CheckStage::NetList).is_empty());
+
+            // A move far from all of them re-keys the box on the pad, so
+            // the pad's net is spliced — and nothing is retracted.
+            let mut far = EditSet::new();
+            far.translate(12, 500, 0);
+            let stats = apply_checked(&mut session, &far);
+            assert!(
+                !stats.netlist_reused && stats.nets_respliced == 1,
+                "{stats:?}"
+            );
+            assert_eq!(stats.retracted, 0, "{stats:?}");
+            assert_eq!(lines_of(&session, CheckStage::Composition), at_open);
+        }
+    }
+
+    #[test]
+    fn primitive_checks_rerun_only_when_a_definition_changes() {
+        // Symbol 4 a clean poly contact, placed once beside twelve rails;
+        // symbol 5 a contact whose metal misses the cut's enclosure,
+        // waived by its immunity flag and never placed.
+        let contacts = "DS 4; 9D CONTACT_P; L NC; B 500 500 0 0; L NP; B 1000 1000 0 0;
+             L NM; B 1000 1000 0 0; DF;
+             DS 5; 9 immune; 9D CONTACT_P; 9C; L NC; B 500 500 0 0; L NP; B 1000 1000 0 0;
+             L NM; B 500 500 0 0; DF;
+             C 4 T 50000 0;\n";
+        let mut session = rails_beside(contacts, 12);
+        let symbol = |session: &CheckSession, cif_id| session.layout().symbol_by_cif_id(cif_id);
+        let (contact, immune) = (symbol(&session, 4).unwrap(), symbol(&session, 5).unwrap());
+        let original = session.layout().symbol(contact).items.clone();
+        let immune_body = session.layout().symbol(immune).items.clone();
+        assert!(lines_of(&session, CheckStage::PrimitiveSymbols).is_empty());
+        assert_eq!(session.report().waived_devices, ["immune"]);
+
+        let mut layers = ["XA", "XB"].into_iter();
+        let mut replace = |session: &mut CheckSession, body: Vec<Item>| {
+            let mut edits = EditSet::new();
+            edits.replace_symbol(contact, body);
+            let stats = apply_checked(session, &edits);
+            assert!(stats.primitives_rechecked, "{stats:?}");
+            let lines = lines_of(session, CheckStage::PrimitiveSymbols);
+            // An element on a CIF layer name the layout has never seen:
+            // the binding grows, the cached lines and list carry over.
+            if let Some(layer) = layers.next() {
+                let mut add = EditSet::new();
+                add.add_box(layer, Rect::new(0, -5000, 2000, -4250), None);
+                let stats = apply_checked(session, &add);
+                assert!(!stats.primitives_rechecked, "{stats:?}");
+                assert_eq!(lines_of(session, CheckStage::PrimitiveSymbols), lines);
+            }
+            assert_eq!(session.report().waived_devices, ["immune"]);
+            lines
+        };
+        // A poly that no longer encloses the cut.
+        let mut broken = original.clone();
+        let Item::Element(poly) = &mut broken[1] else {
+            panic!("the contact's second item is its poly")
+        };
+        poly.shape = Shape::Box(Rect::new(-250, -250, 250, 250));
+        let broken_lines = replace(&mut session, broken);
+        assert_eq!(broken_lines.len(), 1, "{broken_lines:?}");
+        // The immune symbol's body: its flag stays with its declaration,
+        // so symbol 4 reports the metal it now lacks.
+        let immune_lines = replace(&mut session, immune_body);
+        assert_eq!(immune_lines.len(), 1, "{immune_lines:?}");
+        assert_ne!(immune_lines, broken_lines);
+        assert!(replace(&mut session, original).is_empty());
+
+        // A far move re-checks no definition, and searches its halo only.
+        let mut far = EditSet::new();
+        far.translate(0, 0, -1000);
+        let stats = apply_checked(&mut session, &far);
+        assert!(!stats.primitives_rechecked, "{stats:?}");
+        let elements = session.report().element_count;
+        assert!(
+            (1..elements / 2).contains(&stats.halo_elements),
+            "{stats:?}"
+        );
     }
 
     #[test]

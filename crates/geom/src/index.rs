@@ -9,6 +9,18 @@
 //! populated index can be **shared across threads** (`GridIndex<T>` is
 //! `Sync` whenever `T` is) — the parallel interaction search builds the
 //! index once and fans queries out over a scoped thread pool.
+//!
+//! No rectangle costs more than the index holds: an item covering more
+//! cells than the index has slots (with a floor of 64) stays out of the
+//! cells on a side list and is tested directly, and a query that wide
+//! scans the slots instead of walking its cells — the rule
+//! `ScopeTable::neighbours` applies to scopes. A box spanning the whole
+//! coordinate range is one entry, not a bucket for each of its 2⁸⁰-odd
+//! cells. Coordinates come from outside the program, so the file denies
+//! `clippy::arithmetic_side_effects`: every cell count saturates, and
+//! the hash and the counters say how they wrap or why they cannot.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use crate::{Coord, Point, Rect};
 use std::collections::HashMap;
@@ -69,8 +81,10 @@ struct CellKeyHasher {
 impl Hasher for CellKeyHasher {
     fn finish(&self) -> u64 {
         let fold = |a: u64, b: u64| {
-            let product = a as u128 * b as u128;
-            product as u64 ^ (product >> 64) as u64
+            // A 64 × 64-bit product fits 128 bits: the wrap never
+            // happens, it only says so.
+            let product = u128::from(a).wrapping_mul(u128::from(b));
+            product as u64 ^ product.wrapping_shr(64) as u64
         };
         let x = fold(self.words[0], 0x9E37_79B9_7F4A_7C15);
         fold(x ^ self.words[1], 0xD6E8_FEB8_6659_FD93)
@@ -82,8 +96,9 @@ impl Hasher for CellKeyHasher {
     }
 
     fn write_u64(&mut self, coordinate: u64) {
-        self.words[self.next & 1] ^= coordinate;
-        self.next += 1;
+        // The key is a pair: the coordinates alternate between the words.
+        self.words[self.next] ^= coordinate;
+        self.next ^= 1;
     }
 
     fn write_i64(&mut self, coordinate: i64) {
@@ -109,6 +124,71 @@ pub struct GridIndex<T> {
     items: Vec<(Rect, Option<T>)>,
     alive: usize,
     cells: HashMap<(Coord, Coord), Vec<u32>, CellKeyHash>,
+    /// Handles of the live items too wide for the cells, ascending:
+    /// every query tests them directly.
+    wide: Vec<u32>,
+}
+
+/// The cell count a rectangle must pass to be *wide* in an index of
+/// fewer slots than this (see the module docs): a small index still
+/// walks a query's cells, and files an item under each of its cells.
+const WIDE_FLOOR: usize = 64;
+
+/// The cell keys a rectangle covers, as inclusive `(x, y)` key ranges.
+#[derive(Debug, Clone, Copy)]
+struct CellSpan {
+    x: (Coord, Coord),
+    y: (Coord, Coord),
+}
+
+impl CellSpan {
+    /// How many cells the span covers, saturating (`u64` holds the
+    /// side of any span; the product of two may not).
+    fn count(&self) -> u64 {
+        let side = |(lo, hi): (Coord, Coord)| match hi < lo {
+            true => 0,
+            false => hi.abs_diff(lo).saturating_add(1),
+        };
+        side(self.x).saturating_mul(side(self.y))
+    }
+
+    /// True if the two spans cover a common cell.
+    fn meets(&self, other: &CellSpan) -> bool {
+        let overlap = |a: (Coord, Coord), b: (Coord, Coord)| a.0.max(b.0) <= a.1.min(b.1);
+        overlap(self.x, other.x) && overlap(self.y, other.y)
+    }
+
+    fn keys(self) -> impl Iterator<Item = (Coord, Coord)> {
+        let (y1, y2) = self.y;
+        (self.x.0..=self.x.1).flat_map(move |kx| (y1..=y2).map(move |ky| (kx, ky)))
+    }
+}
+
+/// The ascending merge of two ascending handle lists: a cell's and the
+/// side list of wide items.
+struct Ascending<'a>(&'a [u32], &'a [u32]);
+
+impl Iterator for Ascending<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match (self.0.split_first(), self.1.split_first()) {
+            (Some((&b, rest)), Some((&a, _))) if a > b => {
+                self.0 = rest;
+                Some(b)
+            }
+            (Some((&b, rest)), None) => {
+                self.0 = rest;
+                Some(b)
+            }
+            (_, Some((&a, rest))) => {
+                self.1 = rest;
+                Some(a)
+            }
+            (None, None) => None,
+        }
+    }
 }
 
 impl<T> GridIndex<T> {
@@ -120,6 +200,7 @@ impl<T> GridIndex<T> {
             items: Vec::new(),
             alive: 0,
             cells: HashMap::with_hasher(CellKeyHash::new_random()),
+            wide: Vec::new(),
         }
     }
 
@@ -143,7 +224,8 @@ impl<T> GridIndex<T> {
     /// slots accumulate under insert/remove churn until
     /// [`GridIndex::compact`] repacks them).
     pub fn tombstones(&self) -> usize {
-        self.items.len() - self.alive
+        // invariant: every live item holds a slot, so this never saturates.
+        self.items.len().saturating_sub(self.alive)
     }
 
     /// A deterministic partition of the item-slot space into contiguous
@@ -162,8 +244,18 @@ impl<T> GridIndex<T> {
         // Saturate (not truncate) caps beyond the u32 handle space: a
         // cap of 2^32 must mean "one tile", never "divide by zero".
         let cap = u32::try_from(cap).unwrap_or(u32::MAX).max(1);
-        let n = self.items.len() as u32;
-        (0..n.div_ceil(cap)).map(move |k| (k * cap)..((k + 1) * cap).min(n))
+        let n = self.slot_count();
+        (0..n.div_ceil(cap)).map(move |k| {
+            // The last tile's end can pass `u32::MAX` before the `min`.
+            k.saturating_mul(cap)..k.saturating_add(1).saturating_mul(cap).min(n)
+        })
+    }
+
+    /// The slot count as a handle bound: handles are `u32`, so an index
+    /// holds at most 2³² slots.
+    fn slot_count(&self) -> u32 {
+        // invariant: `insert` refuses the slot past `u32::MAX`.
+        u32::try_from(self.items.len()).expect("slots are addressed by u32 handles")
     }
 
     /// Rebuilds the index in place, dropping every tombstoned slot and
@@ -181,6 +273,7 @@ impl<T> GridIndex<T> {
     pub fn compact(&mut self) -> Vec<Option<u32>> {
         let old_items = std::mem::take(&mut self.items);
         self.cells.clear();
+        self.wide.clear();
         self.alive = 0;
         let mut map = vec![None; old_items.len()];
         for (old_id, (rect, value)) in old_items.into_iter().enumerate() {
@@ -194,14 +287,23 @@ impl<T> GridIndex<T> {
     /// Inserts a rectangle with its payload, returning a stable handle
     /// for [`GridIndex::remove`] / [`GridIndex::get`]. Handles are never
     /// reused, so query results stay in insertion order across
-    /// incremental updates.
+    /// incremental updates. A rectangle covering more cells than the
+    /// index has slots (and more than 64) goes on the side list
+    /// instead of into the cells.
     pub fn insert(&mut self, rect: Rect, value: T) -> u32 {
-        let id = self.items.len() as u32;
-        for key in self.cover_keys(&rect) {
-            self.cells.entry(key).or_default().push(id);
+        // invariant: 2³² live slots would be hundreds of GB of items.
+        let id = u32::try_from(self.items.len()).expect("slots are addressed by u32 handles");
+        let span = self.span(&rect);
+        if self.is_wide(&span) {
+            self.wide.push(id);
+        } else {
+            for key in span.keys() {
+                self.cells.entry(key).or_default().push(id);
+            }
         }
         self.items.push((rect, Some(value)));
-        self.alive += 1;
+        // invariant: `alive` counts slots, which `u32` handles bound.
+        self.alive = self.alive.saturating_add(1);
         id
     }
 
@@ -214,8 +316,13 @@ impl<T> GridIndex<T> {
         let slot = self.items.get_mut(id as usize)?;
         let value = slot.1.take()?;
         let rect = slot.0;
-        self.alive -= 1;
-        for key in self.cover_keys(&rect) {
+        // invariant: the slot was live, so it was counted.
+        self.alive = self.alive.saturating_sub(1);
+        if let Ok(at) = self.wide.binary_search(&id) {
+            self.wide.remove(at);
+            return Some(value);
+        }
+        for key in self.span(&rect).keys() {
             if let Some(cell) = self.cells.get_mut(&key) {
                 cell.retain(|&i| i != id);
                 if cell.is_empty() {
@@ -262,31 +369,33 @@ impl<T> GridIndex<T> {
     /// allocation-free predicate form of [`GridIndex::query`], for hot
     /// "does this bbox touch the dirty region" loops.
     pub fn touches_any(&self, query: &Rect) -> bool {
-        for key in self.cover_keys(query) {
+        let span = self.span(query);
+        if self.is_wide(&span) {
+            return self.iter().any(|(rect, _)| rect.touches(query));
+        }
+        let touches = |id: &u32| self.items[*id as usize].0.touches(query);
+        for key in span.keys() {
             if let Some(cell) = self.cells.get(&key) {
-                if cell
-                    .iter()
-                    .any(|&id| self.items[id as usize].0.touches(query))
-                {
+                if cell.iter().any(touches) {
                     return true;
                 }
             }
         }
-        false
+        self.wide.iter().any(touches)
     }
 
     /// Payloads of the live items whose rectangle contains `p`
     /// (closed-sense), in insertion order — exactly what
     /// [`GridIndex::query`] answers for the degenerate rectangle at `p`,
     /// without allocating: a point lies in one cell, and a cell lists its
-    /// items once each in insertion order, so there is nothing to merge,
-    /// sort or deduplicate.
+    /// items once each in insertion order, so all there is to do is
+    /// merge it with the side list of wide items, which ascends too.
     pub fn at(&self, p: Point) -> impl Iterator<Item = &T> + '_ {
         let key = (p.x.div_euclid(self.cell), p.y.div_euclid(self.cell));
         let cell = self.cells.get(&key).map_or(&[][..], Vec::as_slice);
-        cell.iter().filter_map(move |&id| {
+        Ascending(cell, &self.wide).filter_map(move |id| {
             let (rect, value) = &self.items[id as usize];
-            // Cells hold live items only.
+            // Cells and the side list hold live items only.
             value.as_ref().filter(|_| rect.contains_point(p))
         })
     }
@@ -297,8 +406,41 @@ impl<T> GridIndex<T> {
     /// ([`GridIndex::get`] resolves a handle) and wants to know how many
     /// it made.
     pub fn candidates(&self, query: &Rect) -> Vec<u32> {
+        let span = self.span(query);
+        if self.is_wide(&span) {
+            return self.scan_candidates(&span).collect();
+        }
         let mut ids: Vec<u32> = Vec::new();
-        for key in self.cover_keys(query) {
+        for key in span.keys() {
+            if let Some(cell) = self.cells.get(&key) {
+                ids.extend_from_slice(cell);
+            }
+        }
+        self.add_wide_candidates(&span, &mut ids);
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// [`GridIndex::candidates`] of several queries at once: the
+    /// ascending, deduplicated union of their answers. Each cell the
+    /// queries cover is visited once however many of them cover it, and
+    /// the handles are sorted once — for a caller whose queries overlap
+    /// (an edit's inflated footprints).
+    pub fn candidates_many(&self, queries: &[Rect]) -> Vec<u32> {
+        let (mut ids, mut keys) = (Vec::new(), Vec::new());
+        for query in queries {
+            let span = self.span(query);
+            if self.is_wide(&span) {
+                ids.extend(self.scan_candidates(&span));
+            } else {
+                keys.extend(span.keys());
+                self.add_wide_candidates(&span, &mut ids);
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
             if let Some(cell) = self.cells.get(&key) {
                 ids.extend_from_slice(cell);
             }
@@ -327,17 +469,43 @@ impl<T> GridIndex<T> {
             .filter_map(|(r, t)| t.as_ref().map(|v| (r, v)))
     }
 
-    fn cover_keys(&self, r: &Rect) -> impl Iterator<Item = (Coord, Coord)> {
+    /// Adds to `ids` the wide items that share a cell with `span` — the
+    /// candidates the cells do not list.
+    fn add_wide_candidates(&self, span: &CellSpan, ids: &mut Vec<u32>) {
+        let meets = |id: &&u32| self.span(&self.items[**id as usize].0).meets(span);
+        ids.extend(self.wide.iter().filter(meets));
+    }
+
+    /// Every live item that shares a cell with `span`, ascending, by a
+    /// scan of the slots: the candidates of a query too wide to walk cell
+    /// by cell.
+    fn scan_candidates<'a>(&'a self, span: &'a CellSpan) -> impl Iterator<Item = u32> + 'a {
+        (0..self.slot_count()).filter(|&id| {
+            let (rect, value) = &self.items[id as usize];
+            value.is_some() && self.span(rect).meets(span)
+        })
+    }
+
+    /// True if a rectangle over `span` is too wide for the cells: it
+    /// covers more of them than the index has slots, and more than
+    /// [`WIDE_FLOOR`].
+    fn is_wide(&self, span: &CellSpan) -> bool {
+        let slots = self.items.len().max(WIDE_FLOOR);
+        span.count() > u64::try_from(slots).unwrap_or(u64::MAX)
+    }
+
+    /// The cells a rectangle covers.
+    fn span(&self, r: &Rect) -> CellSpan {
         let c = self.cell;
-        let kx1 = r.x1.div_euclid(c);
-        let kx2 = r.x2.div_euclid(c);
-        let ky1 = r.y1.div_euclid(c);
-        let ky2 = r.y2.div_euclid(c);
-        (kx1..=kx2).flat_map(move |kx| (ky1..=ky2).map(move |ky| (kx, ky)))
+        CellSpan {
+            x: (r.x1.div_euclid(c), r.x2.div_euclid(c)),
+            y: (r.y1.div_euclid(c), r.y2.div_euclid(c)),
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
 
@@ -429,6 +597,132 @@ mod tests {
         }
         let empty: GridIndex<u32> = GridIndex::new(25);
         assert_eq!(empty.at(Point::new(0, 0)).count(), 0);
+    }
+
+    /// The live handles whose rectangle shares a grid cell with `query`,
+    /// ascending — what [`GridIndex::candidates`] answers, by a scan.
+    fn sharing_a_cell<T>(idx: &GridIndex<T>, query: &Rect) -> Vec<u32> {
+        let q = idx.span(query);
+        (0..idx.slot_count())
+            .filter(|&h| idx.get(h).is_some_and(|(r, _)| idx.span(r).meets(&q)))
+            .collect()
+    }
+
+    #[test]
+    fn candidates_many_is_the_union_of_candidates() {
+        let mut idx = GridIndex::new(100);
+        let handles: Vec<u32> = (0..12i64)
+            .map(|i| idx.insert(Rect::new(i * 150, 0, i * 150 + 120, 80), i))
+            .collect();
+        let union = |idx: &GridIndex<i64>, queries: &[Rect]| {
+            let mut all: Vec<u32> = queries.iter().flat_map(|q| idx.candidates(q)).collect();
+            all.sort_unstable();
+            all.dedup();
+            all
+        };
+        assert!(idx.candidates_many(&[]).is_empty());
+        // Repeated and overlapping queries: each handle once, ascending.
+        let a = Rect::new(0, 0, 250, 50);
+        let b = Rect::new(200, 0, 650, 50);
+        let far = Rect::new(5000, 5000, 5100, 5100);
+        for queries in [vec![a], vec![a, a], vec![b, a, b], vec![a, b, far]] {
+            assert_eq!(idx.candidates_many(&queries), union(&idx, &queries));
+        }
+        assert_eq!(idx.candidates_many(&[a, a]), idx.candidates(&a));
+        assert!(idx.candidates_many(&[far]).is_empty());
+        // Handles removed before the call never come back.
+        idx.remove(handles[1]);
+        idx.remove(handles[3]);
+        let got = idx.candidates_many(&[a, b]);
+        assert_eq!(got, union(&idx, &[a, b]));
+        assert!(!got.contains(&handles[1]) && !got.contains(&handles[3]));
+        assert!(got.contains(&handles[2]));
+    }
+
+    #[test]
+    fn a_box_spanning_the_coordinate_range_stays_out_of_the_cells() {
+        // At the cell size of the NMOS interaction search a box over
+        // ±MAX_COORD covers ~2⁸³ cells: filed cell by cell it would ask
+        // for more memory than there is.
+        let m = crate::MAX_COORD;
+        let mut idx = GridIndex::new(3000);
+        let small = idx.insert(Rect::new(0, 0, 2000, 750), "small");
+        let huge = idx.insert(Rect::new(-m, -m, m, m), "huge");
+        let wire = idx.insert(Rect::new(-m, 100, m, 600), "wire");
+        assert_eq!(idx.wide, [huge, wire]);
+        assert!(idx.cells.len() <= 2, "{} cells", idx.cells.len());
+        let near = Rect::new(10, 10, 20, 200);
+        assert_eq!(idx.query(&near), vec![&"small", &"huge", &"wire"]);
+        assert_eq!(idx.candidates(&near), [small, huge, wire]);
+        assert_eq!(idx.at(Point::new(m, m)).collect::<Vec<_>>(), vec![&"huge"]);
+        assert!(idx.touches_any(&Rect::new(m, m, m, m)));
+        // A query as wide scans the slots instead of walking its cells.
+        let everywhere = Rect::new(-m, -m, m, m);
+        assert_eq!(idx.query_handles(&everywhere), [small, huge, wire]);
+        assert_eq!(
+            idx.candidates_many(&[everywhere, near]),
+            [small, huge, wire]
+        );
+        assert_eq!(idx.remove(huge), Some("huge"));
+        assert_eq!(idx.wide, [wire]);
+        assert_eq!(idx.query(&Rect::new(m, m, m, m)), Vec::<&&str>::new());
+        let map = idx.compact();
+        assert_eq!(map, [Some(0), None, Some(1)]);
+        assert_eq!(idx.query(&everywhere), vec![&"small", &"wire"]);
+        assert_eq!(idx.wide, [1]);
+    }
+
+    /// Random rectangles around the origin, one in eight wide (spanning
+    /// hundreds of cells) and one in sixteen spanning the coordinate
+    /// range.
+    fn arb_rect() -> impl proptest::Strategy<Value = Rect> {
+        use proptest::Strategy as _;
+        (-40i64..40, -40i64..40, 0i64..8, 0i64..8, 0u8..16).prop_map(|(x, y, w, h, kind)| {
+            let m = crate::MAX_COORD;
+            match kind {
+                0 => Rect::new(-m, y * 25, m, y * 25 + h * 25),
+                1 | 2 => Rect::new(x * 25, y * 25, x * 25 + w * 2500, y * 25 + h * 2500),
+                _ => Rect::new(x * 25, y * 25, x * 25 + w * 25, y * 25 + h * 25),
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_query_answers_what_a_scan_of_the_slots_does(
+            rects in proptest::collection::vec(arb_rect(), 0..90),
+            removed in proptest::collection::vec(0usize..90, 0..30),
+            queries in proptest::collection::vec(arb_rect(), 0..8),
+        ) {
+            let mut idx = GridIndex::new(25);
+            for (v, r) in rects.iter().enumerate() {
+                idx.insert(*r, v);
+            }
+            for &h in &removed {
+                idx.remove(h as u32);
+            }
+            for stage in ["churned", "compacted"] {
+                let mut union: Vec<u32> = Vec::new();
+                for q in &queries {
+                    let want = sharing_a_cell(&idx, q);
+                    proptest::prop_assert_eq!(&idx.candidates(q), &want, "{} {:?}", stage, q);
+                    union.extend(want);
+                    let touching: Vec<u32> = (0..idx.slot_count())
+                        .filter(|&h| idx.get(h).is_some_and(|(r, _)| r.touches(q)))
+                        .collect();
+                    proptest::prop_assert_eq!(&idx.query_handles(q), &touching);
+                    proptest::prop_assert_eq!(idx.touches_any(q), !touching.is_empty());
+                    let p = Point::new(q.x1, q.y2);
+                    let at: Vec<usize> = idx.at(p).copied().collect();
+                    let point = idx.query(&Rect::new(p.x, p.y, p.x, p.y));
+                    proptest::prop_assert_eq!(at, point.into_iter().copied().collect::<Vec<_>>());
+                }
+                union.sort_unstable();
+                union.dedup();
+                proptest::prop_assert_eq!(idx.candidates_many(&queries), union);
+                idx.compact();
+            }
+        }
     }
 
     #[test]

@@ -49,94 +49,104 @@ impl std::fmt::Display for ErcViolation {
     }
 }
 
-/// Checks the four composition rules against a net list.
-///
-/// Net classification (power / ground / bus) comes from the technology's
-/// naming configuration and considers **all aliases** of a net — a net is a
-/// power net if any alias names it so.
+/// Checks the four composition rules against a net list: [`check_erc_net`]
+/// over every net, in net order.
 pub fn check_erc(netlist: &Netlist, tech: &Technology) -> Vec<ErcViolation> {
     let mut out = Vec::new();
+    for net in netlist.nets() {
+        check_erc_net(netlist, net.id(), tech, &mut out);
+    }
+    out
+}
+
+/// Checks the four composition rules against one net of a net list,
+/// appending what fires to `out`.
+///
+/// Every rule is a predicate of the net alone — its name, aliases,
+/// terminals and the classes of the devices on them — so a caller that
+/// knows which nets changed (an edit session's net-list splice) re-runs
+/// only those. Net classification (power / ground / bus) comes from the
+/// technology's naming configuration and considers **all aliases** of a
+/// net — a net is a power net if any alias names it so.
+pub fn check_erc_net(netlist: &Netlist, id: NetId, tech: &Technology, out: &mut Vec<ErcViolation>) {
+    let net = netlist.net(id);
     // Auto net keys (checker-internal `#…` placeholders for undeclared
     // geometry) are not designer names and never classify a net — only
     // declared aliases are consulted. Besides being the right
     // semantics (an auto key that happens to embed an `IO_`-named
     // instance path must not exempt a dangling net), this skips the
-    // bulk of a big chip's aliases.
-    for net in netlist.nets() {
-        let id = net.id();
-        // One pass over the aliases answers all four questions: each
-        // alias is sliced out of the list's text once.
-        let (mut is_power, mut is_ground, mut is_io) = (false, false, false);
-        let mut bus_alias = None;
-        let named = net.aliases().filter(|a| !a.starts_with('#'));
-        for a in named.map(local_name) {
-            is_power |= tech.is_power(a);
-            is_ground |= tech.is_ground(a);
-            is_io |= tech.is_io(a);
-            if bus_alias.is_none() && tech.is_bus(a) {
-                bus_alias = Some(a);
-            }
+    // bulk of a big chip's aliases. One pass over the aliases answers
+    // all four questions: each alias is sliced out of the list's text
+    // once.
+    let (mut is_power, mut is_ground, mut is_io) = (false, false, false);
+    let mut bus_alias = None;
+    let named = net.aliases().filter(|a| !a.starts_with('#'));
+    for a in named.map(local_name) {
+        is_power |= tech.is_power(a);
+        is_ground |= tech.is_ground(a);
+        is_io |= tech.is_io(a);
+        if bus_alias.is_none() && tech.is_bus(a) {
+            bus_alias = Some(a);
         }
+    }
 
-        // Rule 2: power/ground short.
-        if is_power && is_ground {
+    // Rule 2: power/ground short.
+    if is_power && is_ground {
+        out.push(ErcViolation {
+            rule: ErcRule::PowerGroundShort,
+            net: id,
+            detail: format!("net '{}' carries both power and ground aliases", net.name()),
+        });
+    }
+
+    // Rule 3: bus to rail.
+    if let Some(bus) = bus_alias {
+        if is_power || is_ground {
             out.push(ErcViolation {
-                rule: ErcRule::PowerGroundShort,
+                rule: ErcRule::BusToRail,
                 net: id,
-                detail: format!("net '{}' carries both power and ground aliases", net.name()),
+                detail: format!(
+                    "bus '{bus}' is connected to {} net '{}'",
+                    if is_power { "power" } else { "ground" },
+                    net.name()
+                ),
             });
         }
+    }
 
-        // Rule 3: bus to rail.
-        if let Some(bus) = bus_alias {
-            if is_power || is_ground {
+    // Rule 1: dangling net. Power/ground rails and chip I/O ports are
+    // exempt — they connect off chip; the paper's rule is about internal
+    // signal nets.
+    if !is_power && !is_ground && !is_io && net.terminals().len() < 2 {
+        out.push(ErcViolation {
+            rule: ErcRule::DanglingNet,
+            net: id,
+            detail: format!(
+                "net '{}' has {} device terminal(s)",
+                net.name(),
+                net.terminals().len()
+            ),
+        });
+    }
+
+    // Rule 4: depletion device to ground.
+    if is_ground {
+        for (dev_id, term) in net.terminals() {
+            let dev = netlist.device(dev_id);
+            if dev.class() == DeviceClass::MosDepletion {
                 out.push(ErcViolation {
-                    rule: ErcRule::BusToRail,
+                    rule: ErcRule::DepletionToGround,
                     net: id,
                     detail: format!(
-                        "bus '{bus}' is connected to {} net '{}'",
-                        if is_power { "power" } else { "ground" },
+                        "depletion device '{}' terminal {} on ground net '{}'",
+                        dev.name(),
+                        term,
                         net.name()
                     ),
                 });
             }
         }
-
-        // Rule 1: dangling net. Power/ground rails and chip I/O ports are
-        // exempt — they connect off chip; the paper's rule is about
-        // internal signal nets.
-        if !is_power && !is_ground && !is_io && net.terminals().len() < 2 {
-            out.push(ErcViolation {
-                rule: ErcRule::DanglingNet,
-                net: id,
-                detail: format!(
-                    "net '{}' has {} device terminal(s)",
-                    net.name(),
-                    net.terminals().len()
-                ),
-            });
-        }
-
-        // Rule 4: depletion device to ground.
-        if is_ground {
-            for (dev_id, term) in net.terminals() {
-                let dev = netlist.device(dev_id);
-                if dev.class() == DeviceClass::MosDepletion {
-                    out.push(ErcViolation {
-                        rule: ErcRule::DepletionToGround,
-                        net: id,
-                        detail: format!(
-                            "depletion device '{}' terminal {} on ground net '{}'",
-                            dev.name(),
-                            term,
-                            net.name()
-                        ),
-                    });
-                }
-            }
-        }
     }
-    out
 }
 
 /// The local (last) component of a dot-notation alias: `a.b.VDD` → `VDD`.

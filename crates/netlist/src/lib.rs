@@ -34,7 +34,7 @@ pub mod graph;
 pub mod unionfind;
 
 pub use compare::{compare_by_structure, NetlistDiff};
-pub use erc::{check_erc, ErcRule, ErcViolation};
+pub use erc::{check_erc, check_erc_net, ErcRule, ErcViolation};
 pub use graph::{
     assemble_netlist, canonical_nets, AssembleDevice, DeviceId, DeviceRef, NetId, NetRef, Netlist,
     NetlistBuilder, NetlistWriter,
