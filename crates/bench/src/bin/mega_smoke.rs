@@ -26,31 +26,9 @@
 //! non-zero (panics) on any assertion.
 
 use diic_bench::FnvWriter;
-use diic_core::{
-    check_with_sink, CheckContext, CheckOptions, CountingSink, PipelineStage, SpillingSink,
-    StageEngine,
-};
+use diic_core::{check_with_sink, CheckOptions, CountingSink, SpillingSink, StageEngine};
 use diic_tech::nmos::nmos_technology;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// The view's string table as the last stage leaves it: strings, bytes
-/// of text, bytes of bookkeeping. The view does not outlive the check,
-/// so a stage of this binary's own reads it.
-static INTERNER: OnceLock<(usize, usize, usize)> = OnceLock::new();
-
-struct InternerProbe;
-
-impl PipelineStage for InternerProbe {
-    fn name(&self) -> &'static str {
-        "strings"
-    }
-
-    fn run(&self, ctx: &mut CheckContext<'_>) {
-        let strings = &ctx.view().strings;
-        let _ = INTERNER.set((strings.len(), strings.heap_bytes(), strings.table_bytes()));
-    }
-}
 
 fn main() {
     let target: u64 = std::env::args()
@@ -78,7 +56,7 @@ fn main() {
         same_net_suppression: mode != "spill",
         ..CheckOptions::default()
     };
-    let engine = StageEngine::diic_pipeline().with_stage(Box::new(InternerProbe));
+    let engine = StageEngine::diic_pipeline();
 
     let t0 = Instant::now();
     let (report, reported) = match mode.as_str() {
@@ -131,15 +109,13 @@ fn main() {
     );
     println!("instantiate: {}", report.instantiate_stats);
     println!("scopes: {}", report.scope_stats);
-    if let Some(&(strings, text, table)) = INTERNER.get() {
-        println!(
-            "strings: {strings} interned in {text} bytes of text + {table} of table; \
-             net list {} nets, {} aliases, {} bytes of text",
-            report.netlist.net_count(),
-            report.netlist.alias_count(),
-            report.netlist.text_bytes()
-        );
-    }
+    println!(
+        "strings: {} interned by instantiation; net list {} nets, {} aliases, {} bytes of text",
+        report.instantiate_stats.strings_interned,
+        report.netlist.net_count(),
+        report.netlist.alias_count(),
+        report.netlist.text_bytes()
+    );
     for s in &report.stage_profile {
         println!(
             "  {:<12} {:>8.1} ms",

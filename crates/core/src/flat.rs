@@ -54,9 +54,8 @@ pub struct FlatOptions {
     /// available cores — the same clamping as
     /// [`crate::CheckOptions::parallelism`], via the shared
     /// [`effective_parallelism`]. Any value yields byte-identical
-    /// reports. In engine runs via `StageEngine::flat_baseline`, the
-    /// default defers to `CheckOptions::parallelism` (one knob for the
-    /// whole pipeline run); an explicit non-default value wins.
+    /// reports. This is the baseline's only worker knob:
+    /// `CheckOptions::parallelism` governs the DIIC pipeline alone.
     pub parallelism: usize,
 }
 
@@ -72,8 +71,8 @@ impl Default for FlatOptions {
 }
 
 impl FlatOptions {
-    /// The effective worker count for a direct [`flat_check`] run —
-    /// `0` clamped to all cores through the same function that resolves
+    /// The effective worker count for a [`flat_check`] run — `0`
+    /// clamped to all cores through the same function that resolves
     /// `CheckOptions::parallelism`.
     pub fn effective_parallelism(&self) -> usize {
         effective_parallelism(self.parallelism)
@@ -84,9 +83,8 @@ impl FlatOptions {
 /// layer id** so every downstream walk (and hence the violation order)
 /// is deterministic — independent of hash order and worker count.
 ///
-/// Built once per run by [`FlatLayers::build`] and shared read-only by
-/// the width, spacing, and contact-over-gate phases (as engine stage
-/// artefact or inside [`flat_check`]).
+/// Built once per [`flat_check`] run by [`FlatLayers::build`] and shared
+/// read-only by its width, spacing, and contact-over-gate phases.
 #[derive(Debug, Clone, Default)]
 pub struct FlatLayers {
     layers: Vec<(LayerId, Region)>,
@@ -154,7 +152,7 @@ impl FlatLayers {
 
 /// Width phase: shrink-expand-compare per layer, one job per eligible
 /// layer, merged in layer order.
-pub fn flat_width_checks(
+fn flat_width_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
@@ -236,7 +234,7 @@ enum SpacingJob<'a> {
 /// No net information exists. Jobs follow the matrix's deterministic
 /// entry order — per-component for same-layer entries (the quadratic
 /// part), per-entry for cross-layer ones — and merge in job order.
-pub fn flat_spacing_checks(
+fn flat_spacing_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
@@ -314,7 +312,7 @@ pub fn flat_spacing_checks(
 
 /// The mask-level Fig. 7 rule: no contact over the "active gate",
 /// defined — wrongly, as the paper points out — as poly ∩ diffusion.
-pub fn flat_gate_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
+fn flat_gate_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
     let mut violations = Vec::new();
     let poly = layers.kind_region(tech, LayerKind::Poly);
     let diff = layers.kind_region(tech, LayerKind::Diffusion);

@@ -106,11 +106,11 @@
 //! # One way in, one plan per edit
 //!
 //! **Opening** a session ([`CheckSession::new`]) — and the full rebuild
-//! an edit falls back to when it dirties ≥ 30 % of the chip — *is* an
-//! engine run: [`StageEngine::diic_pipeline`] over a [`CheckContext`],
-//! whose artefacts (binding, view, per-item run lengths, merges, net
-//! graph, net resolution) the session then keeps. There is no second
-//! copy of the pipeline here; a stage registered there runs at open.
+//! an edit falls back to when it dirties ≥ 30 % of the chip — *is* the
+//! pipeline run [`check`] makes, and the session keeps the artefacts
+//! that run hands back (binding, view, per-item run lengths, merges, net
+//! graph, net resolution) where [`check`] drops them. There is no
+//! second copy of the pipeline here.
 //!
 //! **An edit** ([`CheckSession::apply`]) first becomes an `EditPlan`: a
 //! pure function of the layout, the per-item run lengths and the
@@ -186,12 +186,14 @@
 
 use crate::binding::{
     assign_auto_net_keys, instantiate_item, ChipView, InstantiateStats, Istr, LayerBinding,
+    StringInterner,
 };
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::{check_connections_among, ConnectionResult};
 use crate::element_checks::check_elements;
 use crate::engine::{
-    erc_violations, netlist_mismatch_violations, CheckContext, SessionArtefacts, Sink, StageEngine,
+    erc_violations, netlist_mismatch_violations, run_pipeline, DiagnosticSink, SessionArtefacts,
+    Sink,
 };
 use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
 use crate::library::BoundTechnology;
@@ -431,7 +433,10 @@ pub struct EditStats {
     /// index ([`diic_geom::GridIndex::compact`]) — tombstones from
     /// edit churn had come to outnumber the live elements.
     pub index_compacted: bool,
-    /// Wall clock of the view patch (apply + instantiate dirty items).
+    /// Wall clock of the view: evicting the old footprints, re-binding
+    /// layers, patching the view in place (dirty items re-instantiated),
+    /// the seed set and the auto net-key rekey. On a full rebuild, the
+    /// whole re-open.
     pub t_view: std::time::Duration,
     /// Wall clock of the scoped connection pass.
     pub t_conn: std::time::Duration,
@@ -439,8 +444,11 @@ pub struct EditStats {
     pub t_net: std::time::Duration,
     /// Wall clock of the scoped interaction pass.
     pub t_interact: std::time::Duration,
-    /// Wall clock of the full-re-run global stages (binding, elements,
-    /// primitives, composition).
+    /// Wall clock of the global stages: element checks and the net-list
+    /// comparison in full, the primitive-symbol checks on a
+    /// `replace_symbol`, ERC over the nets the splice built fresh.
+    /// Layer binding is not among them: it runs in the view patch,
+    /// under `t_view`.
     pub t_global: std::time::Duration,
     /// Wall clock of the report retract/splice/sort.
     pub t_patch: std::time::Duration,
@@ -737,20 +745,21 @@ pub struct CheckSession {
 }
 
 impl CheckSession {
-    /// Opens a session: runs a full check —
-    /// [`StageEngine::diic_pipeline`], the one pipeline there is — and
-    /// keeps every artefact. The session owns the layout; edits go
-    /// through [`CheckSession::apply`].
+    /// Opens a session: runs the pipeline [`check`] runs and keeps
+    /// every artefact. The session owns the layout; edits go through
+    /// [`CheckSession::apply`].
     pub fn new(layout: Layout, tech: &Technology, options: &CheckOptions) -> CheckSession {
-        let mut ctx = CheckContext::new(&layout, tech, options);
+        let bound = BoundTechnology::new(tech);
+        let seed = StringInterner::default();
+        let mut sink = DiagnosticSink::new();
+        let (mut report, artefacts) =
+            run_pipeline(&layout, tech, options, &bound, None, seed, &mut sink);
         // The stage profile is dropped: `CheckReport::is_clean` reads
         // its per-stage counts, and a patched report would carry the
         // open's stale ones.
-        StageEngine::diic_pipeline().run(&mut ctx);
-        let (mut report, artefacts) = ctx.into_session_parts();
+        report.stage_profile = Vec::new();
         canonical_sort(&mut report.violations);
         let SessionArtefacts {
-            bound,
             binding,
             view,
             runs,

@@ -5,15 +5,15 @@
 //! checking bare mask geometry, eliminating most false and unchecked
 //! errors.
 //!
-//! # Architecture: a trait-based stage engine
+//! # Architecture: the pipeline is a function
 //!
-//! The paper's Fig. 10 pipeline is implemented as a set of
-//! [`PipelineStage`]s executed by a [`StageEngine`] over one shared
-//! [`CheckContext`]:
+//! The paper's Fig. 10 pipeline is one straight-line run ([`engine`]):
+//! every step in this order, each step's artefact handed to the next by
+//! value:
 //!
 //! ```text
-//! StageEngine::diic_pipeline()
-//!   ├─ instantiate   bind layers, build the ChipView          (engine)
+//! check(layout, tech, options)
+//!   ├─ instantiate   bind layers, build the ChipView          (binding, scope)
 //!   ├─ elements      interconnect width per definition        (element_checks)
 //!   ├─ primitives    device-internal rules, 9C immunity       (primitive_checks)
 //!   ├─ connections   skeletal connectivity, implied devices   (connect)
@@ -22,14 +22,12 @@
 //!   └─ composition   ERC + net-list consistency               (engine)
 //! ```
 //!
-//! Every stage moves its findings into the context's
-//! [`DiagnosticSink`] (no violation vector is ever cloned), and the
-//! engine times stages generically — custom stages registered with
-//! [`StageEngine::register`] appear in
-//! [`CheckReport::stage_profile`] like the built-in ones. The flat
-//! mask-level baseline the paper measures itself against ships as an
-//! alternative stage set ([`StageEngine::flat_baseline`], module
-//! [`flat`]).
+//! Every step moves its findings into the caller's [`Sink`] — a
+//! [`DiagnosticSink`] for [`check`] — so no violation vector is ever
+//! cloned, and every step's wall clock lands in
+//! [`CheckReport::stage_profile`] under the name above. The flat
+//! mask-level baseline the paper measures itself against is a separate
+//! checker ([`flat_check`], module [`flat`]).
 //!
 //! Every heavy stage is **parallel and deterministic** on one shared
 //! worker discipline (module [`parallel`]: ordered job list,
@@ -145,13 +143,12 @@ pub use binding::{
     instantiate, ChipElement, ChipView, DeviceInstance, ElementColumns, ElementRef,
     InstantiateStats, Istr, LayerBinding, StringInterner,
 };
-pub use checker::{
-    check, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckReport,
-};
+pub use checker::{check, check_cif, check_with_sink, CheckOptions, CheckReport};
 pub use connect::{check_connections, check_connections_among, ConnectionResult};
+#[doc(hidden)]
+pub use engine::StageEngine;
 pub use engine::{
-    CheckContext, CountingSink, DiagnosticSink, PipelineStage, Sink, SpillStats, SpillingSink,
-    StageEngine, StageTime, StreamingSink,
+    CountingSink, DiagnosticSink, Sink, SpillStats, SpillingSink, StageTime, StreamingSink,
 };
 pub use flat::{flat_check, FlatLayers, FlatOptions};
 pub use incremental::{

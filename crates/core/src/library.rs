@@ -49,7 +49,7 @@
 
 use crate::binding::StringInterner;
 use crate::checker::{CheckOptions, CheckReport};
-use crate::engine::{CheckContext, Sink, StageEngine, StageTime};
+use crate::engine::{run_pipeline, Sink, StageTime};
 use crate::interact::{interaction_cell_size, max_rule_range, InteractStats};
 use crate::parallel::{effective_parallelism, run_ordered_with_state};
 use diic_cif::Layout;
@@ -490,19 +490,20 @@ where
         |state: &mut WorkerState, i| {
             let t0 = Instant::now();
             let mut sink = make_sink(i);
-            let engine = StageEngine::diic_pipeline();
-            let mut ctx =
-                CheckContext::in_library(&layouts[i], tech, &options.cell, &mut sink, session);
+            // Hand the worker's warm dictionary to this cell; it comes
+            // back (with the cell's additions) in the view.
+            let seed = if options.shared_interner {
+                let mut warm = std::mem::take(&mut state.strings);
+                warm.advance_epoch();
+                warm
+            } else {
+                StringInterner::default()
+            };
+            let (cell, bound, cache) = (&layouts[i], &session.bound, Some(&session.cache));
+            let (report, mut artefacts) =
+                run_pipeline(cell, tech, &options.cell, bound, cache, seed, &mut sink);
             if options.shared_interner {
-                // Hand the worker's warm dictionary to this cell; it
-                // comes back (with the cell's additions) after the run.
-                let mut seed = std::mem::take(&mut state.strings);
-                seed.advance_epoch();
-                ctx = ctx.with_seed_strings(seed);
-            }
-            let profile = engine.run(&mut ctx);
-            if options.shared_interner {
-                let mut strings = ctx.take_strings().unwrap_or_default();
+                let mut strings = std::mem::take(&mut artefacts.view.strings);
                 state.peak_strings = state.peak_strings.max(strings.len());
                 state.peak_bytes = state.peak_bytes.max(strings.heap_bytes());
                 if strings.heap_bytes() > options.interner_budget_bytes {
@@ -513,7 +514,7 @@ where
                 }
                 state.strings = strings;
             }
-            let report = ctx.into_report(profile);
+            drop(artefacts); // freeing the view is part of the cell's wall clock
             (report, sink, t0.elapsed())
         },
     );

@@ -32,7 +32,9 @@
 //! [`crate::FlatOptions::parallelism`]) are both resolved through the
 //! single [`effective_parallelism`] function so their semantics cannot
 //! drift apart: `0` means "all available cores", anything else is the
-//! literal worker count, and the result is never zero.
+//! literal worker count, and the result is never zero. Each governs its
+//! own checker — the DIIC pipeline and [`crate::flat_check`] — and
+//! neither defers to the other.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

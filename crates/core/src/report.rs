@@ -100,8 +100,8 @@ pub fn stage_rank(stage: CheckStage) -> usize {
 /// then by the violation's full debug rendering (a total order over
 /// kind, location, and context).
 ///
-/// An engine run's natural order — stage registration order, stable
-/// within each stage (see
+/// A pipeline run's natural order — step order, stable within each
+/// step (see
 /// [`DiagnosticSink::into_violations`](crate::DiagnosticSink::into_violations))
 /// — is a refinement-compatible coarsening of this: canonical order only
 /// reorders *within* a stage. The incremental checker keeps its cached

@@ -28,6 +28,13 @@
 //! keeps that grid: the net-list stage asks it which scopes cover a
 //! terminal or label point ([`ScopeTable::covering`]) and then looks the
 //! point up in an index built once per definition, not once per chip.
+//!
+//! Scope boxes come from coordinates read from outside the program, so
+//! the file denies `clippy::arithmetic_side_effects`: grid-cell counts
+//! are taken in `i128` and saturate, counters and run offsets saturate,
+//! and the one unchecked sum says why it cannot overflow.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use diic_cif::{Item, SymbolId};
 use diic_geom::{Coord, GridIndex, Orientation, Point, Rect, Transform};
@@ -95,6 +102,10 @@ impl ScopeIds<'_> {
     }
 
     /// The element id at local position `local`.
+    // A run's ids are indices into the view's element columns, so
+    // `start + local` for a `local` inside the run is below a `Vec`
+    // length and cannot overflow; no check on this hot path.
+    #[allow(clippy::arithmetic_side_effects)]
     pub fn get(&self, local: usize) -> usize {
         match self {
             ScopeIds::Run(start, _) => start + local,
@@ -257,14 +268,17 @@ impl ScopeTable {
         let mut groups: HashMap<(SymbolId, Orientation), (usize, usize)> = HashMap::new();
         let mut next = 0usize;
         for (item, len) in items.iter().zip(element_runs) {
-            let run = next..next + len;
-            next += len;
+            // The runs tile the view's columns (asserted below), so the
+            // offsets stay below a `Vec` length; saturating costs nothing.
+            let end = next.saturating_add(len);
+            let run = next..end;
+            next = end;
             match item {
                 Item::Call(c) => {
                     let group = groups
                         .entry((c.target, c.transform.orient))
                         .or_insert((scopes.len(), 0));
-                    group.1 += 1;
+                    group.1 = group.1.saturating_add(1);
                     scopes.push(Scope {
                         symbol: Some(c.target),
                         transform: c.transform,
@@ -311,12 +325,13 @@ impl ScopeTable {
 
     /// The call scopes only (every scope but the last).
     pub fn calls(&self) -> &[Scope] {
-        &self.scopes[..self.scopes.len() - 1]
+        &self.scopes[..self.loose_index()]
     }
 
-    /// Index of the loose scope (always the last).
+    /// Index of the loose scope (always the last; a table always has
+    /// one).
     pub fn loose_index(&self) -> usize {
-        self.scopes.len() - 1
+        self.scopes.len().saturating_sub(1)
     }
 
     /// The element ids of scope `s`.
@@ -382,6 +397,7 @@ impl ScopeTable {
     /// The double loop [`ScopeTable::neighbours`] replaces — the
     /// reference its unit test compares against.
     #[cfg(test)]
+    #[allow(clippy::arithmetic_side_effects)]
     fn neighbours_reference(&self, reach: Coord) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for si in 0..self.scopes.len() {
@@ -418,12 +434,17 @@ impl ScopeGrid {
             .iter()
             .map(|(_, b)| b.width().max(b.height()) as i128)
             .sum();
-        let mean_side = Coord::try_from(side_sum / live.len() as i128).unwrap_or(Coord::MAX);
+        let mean_side = (side_sum.checked_div(live.len() as i128))
+            .and_then(|mean| Coord::try_from(mean).ok())
+            .unwrap_or(Coord::MAX);
         let cell = mean_side.max(reach).max(1);
         let cells_of = |r: &Rect| {
-            let span =
-                |lo: Coord, hi: Coord| (hi.div_euclid(cell) - lo.div_euclid(cell)) as i128 + 1;
-            span(r.x1, r.x2) * span(r.y1, r.y2)
+            let span = |lo: Coord, hi: Coord| {
+                let cells =
+                    i128::from(hi.div_euclid(cell)).saturating_sub(lo.div_euclid(cell).into());
+                cells.saturating_add(1)
+            };
+            span(r.x1, r.x2).saturating_mul(span(r.y1, r.y2))
         };
         // A scope is *wide* when its query — its box grown by the reach
         // — covers more cells than there are scopes.
@@ -458,7 +479,7 @@ impl ScopeGrid {
         let wide = &self.direct;
         for (si, a) in live_boxes(scopes) {
             let mut test = |sj: usize, b: &Rect| {
-                out.tests += 1;
+                out.tests = out.tests.saturating_add(1);
                 if near(&a, b) {
                     out.pairs.push((si, sj));
                 }
@@ -507,6 +528,7 @@ fn grown(a: &Rect, reach: Coord) -> Rect {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use diic_cif::{Call, Element, LayerRef, Shape};

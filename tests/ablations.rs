@@ -1,8 +1,6 @@
 //! Ablation tests for the design choices called out in DESIGN.md §4.
 
-use diic::core::{
-    check_cif, check_with_engine, flat_check, CheckOptions, FlatOptions, StageEngine, ViolationKind,
-};
+use diic::core::{check_cif, flat_check, CheckOptions, FlatOptions, ViolationKind};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::SizingMode;
 use diic::tech::nmos::nmos_technology;
@@ -112,8 +110,7 @@ fn ablation_hierarchical_cache_equivalence() {
 }
 
 /// Parallel-flat ablation: splitting the baseline's per-layer Boolean
-/// work across workers changes nothing about the verdicts, and the flat
-/// stage set reports its per-phase profile entries.
+/// work across workers changes nothing about the verdicts.
 #[test]
 fn ablation_parallel_flat_baseline() {
     let tech = nmos_technology();
@@ -143,24 +140,6 @@ fn ablation_parallel_flat_baseline() {
             },
         );
         assert_eq!(serial, parallel, "workers={workers}: flat verdicts diverge");
-    }
-    // Engine wiring: the parallel flat phases appear in the stage profile.
-    let report = check_with_engine(
-        &StageEngine::flat_baseline(FlatOptions::default()),
-        &layout,
-        &tech,
-        &CheckOptions {
-            parallelism: 4,
-            ..CheckOptions::default()
-        },
-    );
-    assert_eq!(report.violations, serial);
-    for stage in ["flat-union", "flat-width", "flat-spacing", "flat-gate"] {
-        assert!(
-            report.stage_profile.iter().any(|s| s.name == stage),
-            "missing stage_profile entry {stage}: {:?}",
-            report.stage_profile
-        );
     }
 }
 

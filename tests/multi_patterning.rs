@@ -13,8 +13,8 @@
 
 use diic::core::incremental::CheckSession;
 use diic::core::{
-    canonical_sort, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckStage,
-    CountingSink, SpillingSink, StageEngine, StreamingSink, ViolationKind,
+    canonical_sort, check, check_cif, check_with_sink, CheckOptions, CheckStage, CountingSink,
+    SpillingSink, StageEngine, StreamingSink, ViolationKind,
 };
 use diic::tech::Technology;
 
@@ -104,7 +104,7 @@ fn every_sink_reports_the_odd_cycle() {
     let engine = StageEngine::diic_pipeline();
     for hierarchical in [false, true] {
         let opts = options(hierarchical);
-        let buffered = check_with_engine(&engine, &layout, &tech, &opts);
+        let buffered = check(&layout, &tech, &opts);
         let mut canonical = buffered.violations.clone();
         canonical_sort(&mut canonical);
         let want: String = canonical.iter().map(|v| format!("{v:?}\n")).collect();

@@ -1,26 +1,68 @@
 //! Sink-equivalence oracle: every [`Sink`] implementation must observe
 //! the same violations from the same run.
 //!
-//! Proptest-generated chips with injected faults are driven through
-//! both stage sets (the DIIC pipeline and the flat baseline), serial
-//! and wide, with the report emitted three ways: buffered
-//! ([`DiagnosticSink`]), streamed in bounded chunks of several sizes —
-//! including 1, the degenerate everything-flushes-immediately case —
-//! ([`StreamingSink`]), and counted ([`CountingSink`]). The streamed
-//! lines, canonicalised, must equal the canonicalised buffered report;
-//! the counts must match per stage and in total.
+//! Proptest-generated chips with injected faults are checked by both
+//! checkers (the DIIC pipeline, and the flat baseline's output pushed
+//! through the same sinks), serial and wide, with the report emitted
+//! three ways: buffered ([`DiagnosticSink`]), streamed in bounded chunks
+//! of several sizes — including 1, the degenerate
+//! everything-flushes-immediately case — ([`StreamingSink`]), and
+//! counted ([`CountingSink`]). The streamed lines, canonicalised, must
+//! equal the canonicalised buffered report; the counts must match per
+//! stage and in total.
 
+use diic::cif::Layout;
 use diic::core::{
-    canonical_sort, check_with_engine, check_with_sink, env_parallelism, CheckOptions,
-    CountingSink, FlatOptions, SpillingSink, StageEngine, StreamingSink,
+    canonical_sort, check_with_sink, env_parallelism, flat_check, CheckOptions, CountingSink,
+    DiagnosticSink, FlatOptions, Sink, SpillingSink, StageEngine, StreamingSink, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
+use diic::tech::Technology;
 use proptest::prelude::*;
 
 /// The parallel worker count exercised against serial runs.
 fn wide_workers() -> usize {
     env_parallelism().unwrap_or(0) // 0 = all available cores
+}
+
+/// The checkers every sink must agree on.
+const CHECKERS: [&str; 2] = ["diic", "flat"];
+
+/// Runs `checker` on `workers` workers with its violations emitted
+/// through `sink`, and returns what its report still buffers: the
+/// pipeline's report takes over a buffering sink's violations; the flat
+/// baseline has no report, and its `flat_check` output is pushed through
+/// the sink, so its violation shapes cross every sink too.
+fn emit(
+    checker: &str,
+    layout: &Layout,
+    tech: &Technology,
+    workers: usize,
+    sink: &mut dyn Sink,
+) -> Vec<Violation> {
+    if checker == "flat" {
+        let options = FlatOptions {
+            parallelism: workers,
+            ..FlatOptions::default()
+        };
+        sink.absorb(flat_check(layout, tech, &options));
+        return Vec::new();
+    }
+    let options = CheckOptions {
+        erc: false,
+        parallelism: workers,
+        ..CheckOptions::default()
+    };
+    check_with_sink(&StageEngine::diic_pipeline(), layout, tech, &options, sink).violations
+}
+
+/// `checker`'s whole report, buffered in arrival order.
+fn buffered(checker: &str, layout: &Layout, tech: &Technology, workers: usize) -> Vec<Violation> {
+    let mut sink = DiagnosticSink::new();
+    let mut report = emit(checker, layout, tech, workers, &mut sink);
+    report.append(&mut sink.into_violations());
+    report
 }
 
 proptest! {
@@ -44,31 +86,22 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
 
-        for (engine_name, engine) in [
-            ("diic", StageEngine::diic_pipeline()),
-            ("flat", StageEngine::flat_baseline(FlatOptions::default())),
-        ] {
+        for checker in CHECKERS {
             for parallelism in [1usize, wide_workers()] {
-                let options = CheckOptions {
-                    erc: false,
-                    parallelism,
-                    ..CheckOptions::default()
-                };
-                let buffered = check_with_engine(&engine, &layout, &tech, &options);
+                let buffered = buffered(checker, &layout, &tech, parallelism);
                 // The buffered report in canonical form is the oracle
                 // the streamed chunks must reassemble to.
-                let mut canonical = buffered.violations.clone();
+                let mut canonical = buffered.clone();
                 canonical_sort(&mut canonical);
                 let expect: Vec<String> =
                     canonical.iter().map(|v| format!("{v:?}")).collect();
 
                 for chunk in [1usize, 3, 64] {
                     let mut sink = StreamingSink::new(Vec::new(), chunk);
-                    let streamed =
-                        check_with_sink(&engine, &layout, &tech, &options, &mut sink);
+                    let streamed = emit(checker, &layout, &tech, parallelism, &mut sink);
                     prop_assert!(
-                        streamed.violations.is_empty(),
-                        "{engine_name}: a streaming run must buffer nothing"
+                        streamed.is_empty(),
+                        "{checker}: a streaming run must buffer nothing"
                     );
                     let text = String::from_utf8(sink.finish().expect("vec write")).unwrap();
                     let mut got: Vec<String> =
@@ -80,17 +113,17 @@ proptest! {
                         got, want,
                         "{}: chunk={} workers={}: streamed report diverges \
                          (nx={} ny={} seed={} mask={:#b})",
-                        engine_name, chunk, parallelism, nx, ny, seed, mask
+                        checker, chunk, parallelism, nx, ny, seed, mask
                     );
                 }
 
                 let mut counting = CountingSink::new();
-                check_with_sink(&engine, &layout, &tech, &options, &mut counting);
+                emit(checker, &layout, &tech, parallelism, &mut counting);
                 prop_assert_eq!(
                     counting.total(),
-                    buffered.violations.len(),
+                    buffered.len(),
                     "{}: workers={}: counting sink disagrees on the total",
-                    engine_name, parallelism
+                    checker, parallelism
                 );
                 for stage in [
                     diic::core::CheckStage::Elements,
@@ -102,9 +135,9 @@ proptest! {
                 ] {
                     prop_assert_eq!(
                         counting.count(stage),
-                        buffered.violations.iter().filter(|v| v.stage == stage).count(),
+                        buffered.iter().filter(|v| v.stage == stage).count(),
                         "{}: per-stage count diverges for {:?}",
-                        engine_name, stage
+                        checker, stage
                     );
                 }
             }
@@ -138,18 +171,9 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
 
-        for (engine_name, engine) in [
-            ("diic", StageEngine::diic_pipeline()),
-            ("flat", StageEngine::flat_baseline(FlatOptions::default())),
-        ] {
+        for checker in CHECKERS {
             for parallelism in [1usize, wide_workers()] {
-                let options = CheckOptions {
-                    erc: false,
-                    parallelism,
-                    ..CheckOptions::default()
-                };
-                let buffered = check_with_engine(&engine, &layout, &tech, &options);
-                let mut canonical = buffered.violations.clone();
+                let mut canonical = buffered(checker, &layout, &tech, parallelism);
                 canonical_sort(&mut canonical);
                 let mut want = String::new();
                 for v in &canonical {
@@ -159,11 +183,10 @@ proptest! {
 
                 for budget in [1usize, 3, 64] {
                     let mut sink = SpillingSink::new(Vec::new(), budget);
-                    let spilled =
-                        check_with_sink(&engine, &layout, &tech, &options, &mut sink);
+                    let spilled = emit(checker, &layout, &tech, parallelism, &mut sink);
                     prop_assert!(
-                        spilled.violations.is_empty(),
-                        "{engine_name}: a spilling run must buffer nothing in the report"
+                        spilled.is_empty(),
+                        "{checker}: a spilling run must buffer nothing in the report"
                     );
                     prop_assert!(!sink.errored(), "Vec writes cannot fail");
                     let (out, stats) = sink.finish().expect("vec-backed spill");
@@ -172,7 +195,7 @@ proptest! {
                             stats.runs > 1,
                             "{}: budget 1 with {} violations must force a multi-run \
                              merge, got {} runs",
-                            engine_name, canonical.len(), stats.runs
+                            checker, canonical.len(), stats.runs
                         );
                     }
                     prop_assert_eq!(stats.written, canonical.len());
@@ -182,7 +205,7 @@ proptest! {
                         "{}: budget={} workers={}: spilled report is not \
                          byte-identical to the buffered canonical report \
                          (nx={} ny={} seed={} mask={:#b})",
-                        engine_name, budget, parallelism, nx, ny, seed, mask
+                        checker, budget, parallelism, nx, ny, seed, mask
                     );
                 }
             }

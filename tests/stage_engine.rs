@@ -1,13 +1,11 @@
-//! Integration tests for the trait-based stage engine: parallel
-//! determinism on generated chips and custom-stage registration.
+//! Integration test for the pipeline: parallel determinism on generated
+//! chips.
 
-use diic::core::{
-    check_cif, check_with_engine, CheckContext, CheckOptions, PipelineStage, StageEngine,
-};
+use diic::core::{check_cif, CheckOptions};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
 
-/// The headline engine guarantee: with `parallelism > 1` the interaction
+/// The headline pipeline guarantee: with `parallelism > 1` the interaction
 /// stage produces a byte-identical ordered violation list (and identical
 /// pruning statistics) to the serial run — on a generated chip with
 /// injected errors, under both search engines.
@@ -60,38 +58,4 @@ fn parallel_and_serial_runs_are_identical() {
             );
         }
     }
-}
-
-/// A custom no-op stage can be registered on the standard pipeline and
-/// shows up in the generic per-stage timing profile.
-#[test]
-fn custom_noop_stage_is_registered_and_timed() {
-    struct NoopStage;
-    impl PipelineStage for NoopStage {
-        fn name(&self) -> &'static str {
-            "noop"
-        }
-        fn run(&self, _ctx: &mut CheckContext<'_>) {}
-    }
-
-    let tech = nmos_technology();
-    let chip = generate(&ChipSpec::clean(2, 1));
-    let layout = diic::cif::parse(&chip.cif).unwrap();
-
-    let mut engine = StageEngine::diic_pipeline();
-    engine.register(Box::new(NoopStage));
-    assert!(engine.stage_names().contains(&"noop"));
-
-    let report = check_with_engine(&engine, &layout, &tech, &CheckOptions::default());
-    let noop = report
-        .stage_profile
-        .iter()
-        .find(|s| s.name == "noop")
-        .expect("registered no-op stage must appear in the stage profile");
-    assert_eq!(noop.violations, 0);
-
-    // The extra stage must not change the verdict of the standard run.
-    let baseline = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
-    assert_eq!(report.violations, baseline.violations);
-    assert_eq!(report.stage_profile.len(), baseline.stage_profile.len() + 1);
 }
