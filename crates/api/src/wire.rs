@@ -105,7 +105,6 @@ pub fn check_options_from_json(options: Option<&Value>) -> Result<CheckOptions, 
         match key.as_str() {
             "parallelism" => out.parallelism = as_worker_count(v, "options.parallelism")?,
             "erc" => out.erc = as_bool(v, "options.erc")?,
-            "hierarchical" => out.hierarchical = as_bool(v, "options.hierarchical")?,
             "same_net_suppression" => {
                 out.same_net_suppression = as_bool(v, "options.same_net_suppression")?
             }

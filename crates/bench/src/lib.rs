@@ -7,11 +7,18 @@
 //! See `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
 //! recorded results.
 
-use diic_core::{account, check_cif, flat_check, CheckOptions, FlatOptions};
+use diic_cif::Layout;
+use diic_core::interact::{check_interactions, check_interactions_among};
+use diic_core::{
+    account, check_cif, check_connections, check_same_mask, flat_check, generate_netlist,
+    instantiate, BoundTechnology, CheckOptions, ChipView, FlatOptions, InteractStats, LayerBinding,
+    NetgenResult, ScopeTable, StringInterner, Violation,
+};
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_geom::{Polygon, Rect, Region, SizingMode};
 use diic_process::{exposure_spacing_check, ExposureModel};
 use diic_tech::nmos::nmos_technology;
+use diic_tech::Technology;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -448,12 +455,15 @@ pub fn e8_accidental_transistors() -> String {
     out
 }
 
-/// E9 — Figs. 9–10: pipeline stage costs and hierarchical vs flat scaling.
+/// E9 — Figs. 9–10: hierarchical vs flat scaling — the interaction
+/// search by the scope table's plan (rows filled once per definition and
+/// stamped) against the direct scan over every element, timed on the
+/// same view.
 pub fn e9_pipeline_scaling(scale: Scale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "E9: Fig.9/10 hierarchy: run time and check counts vs array size"
+        "E9: Fig.9/10 hierarchy: interaction search time and check counts vs array size"
     );
     let tech = nmos_technology();
     let _ = writeln!(
@@ -466,34 +476,29 @@ pub fn e9_pipeline_scaling(scale: Scale) -> String {
     } else {
         vec![(2, 1), (4, 2), (8, 4), (12, 8), (16, 12)]
     };
+    let options = CheckOptions::default();
     for (nx, ny) in sizes {
         let chip = generate(&ChipSpec {
             demo_cells: false,
             ..ChipSpec::clean(nx, ny)
         });
         let layout = diic_cif::parse(&chip.cif).unwrap();
+        let inputs = InteractionInputs::build(&layout, &tech);
         let t0 = Instant::now();
-        let hier = diic_core::check(&layout, &tech, &CheckOptions::default());
+        let (_, stats) = inputs.scope_driven(&tech, &options);
         let t_hier = t0.elapsed();
         let t0 = Instant::now();
-        let _flat_search = diic_core::check(
-            &layout,
-            &tech,
-            &CheckOptions {
-                hierarchical: false,
-                ..Default::default()
-            },
-        );
+        let _direct = inputs.direct_scan(&tech, &options);
         let t_flat = t0.elapsed();
         let (defn, flat_checks) = diic_core::element_checks::check_count_comparison(&layout);
         let _ = writeln!(
             out,
             "{:>9} {:>9} {:>11.2} {:>11.2} {:>9} {:>12} {:>12}",
             nx * ny,
-            hier.element_count,
+            inputs.view.elements.len(),
             t_hier.as_secs_f64() * 1e3,
             t_flat.as_secs_f64() * 1e3,
-            hier.interact_stats.cache_hits,
+            stats.cache_hits,
             defn,
             flat_checks
         );
@@ -996,6 +1001,74 @@ pub fn e21_service_load(scale: Scale) -> String {
     out
 }
 
+/// The interaction stage's inputs for one layout, built the way
+/// [`diic_core::check`] builds them — the view, its net list, its scope
+/// table and the bound technology — so the stage can be timed, or held
+/// to its direct-scan reference, on one view.
+pub struct InteractionInputs {
+    /// The instantiated chip.
+    pub view: ChipView,
+    /// Its net list.
+    pub nets: NetgenResult,
+    /// Its scope table, built for the rule reach.
+    pub scopes: ScopeTable,
+    /// The technology's interaction constants.
+    pub bound: BoundTechnology,
+}
+
+impl InteractionInputs {
+    /// Instantiates `layout`, checks its connections and extracts its
+    /// net list, serially.
+    pub fn build(layout: &Layout, tech: &Technology) -> InteractionInputs {
+        let bound = BoundTechnology::new(tech);
+        let (binding, _) = LayerBinding::bind(layout, tech);
+        let (mut view, runs) = instantiate(layout, tech, &binding, StringInterner::default());
+        let scopes = ScopeTable::build(
+            layout.top_items(),
+            runs.iter().map(|&(elements, _)| elements),
+            view.elements.bboxes(),
+            bound.max_rule_range(),
+        );
+        let (conn, _) = check_connections(&view, tech, &scopes, 1);
+        let labels: Vec<_> = (layout.labels().iter())
+            .map(|l| (l, binding.layer(l.layer)))
+            .collect();
+        let nets = generate_netlist(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        InteractionInputs {
+            view,
+            nets,
+            scopes,
+            bound,
+        }
+    }
+
+    /// The interaction stage as a check runs it: the scope table's plan.
+    pub fn scope_driven(
+        &self,
+        tech: &Technology,
+        options: &CheckOptions,
+    ) -> (Vec<Violation>, InteractStats) {
+        let (view, bound, nets, scopes) = (&self.view, &self.bound, &self.nets, &self.scopes);
+        check_interactions(view, tech, bound, nets, scopes, options, None)
+    }
+
+    /// The direct-scan reference: every element against one index over
+    /// all of them ([`check_interactions_among`] over every id), plus the
+    /// standalone multi-patterning analysis ([`check_same_mask`]).
+    pub fn direct_scan(
+        &self,
+        tech: &Technology,
+        options: &CheckOptions,
+    ) -> (Vec<Violation>, InteractStats) {
+        let all: Vec<usize> = (0..self.view.elements.len()).collect();
+        let (view, bound, nets) = (&self.view, &self.bound, &self.nets);
+        let (mut found, stats) =
+            check_interactions_among(view, tech, bound, nets, options, &all, None);
+        found.extend(check_same_mask(view, tech, bound, options.metric));
+        (found, stats)
+    }
+}
+
 /// Runs every experiment, returning the combined report.
 pub fn run_all(scale: Scale) -> String {
     let parts = vec![
@@ -1017,15 +1090,6 @@ pub fn run_all(scale: Scale) -> String {
         e21_service_load(scale),
     ];
     parts.join("\n")
-}
-
-/// Ablation helper for benches: run the interaction stage with given options
-/// on a generated clean chip; returns violation count.
-pub fn interact_violations(nx: usize, ny: usize, options: &CheckOptions) -> usize {
-    let tech = nmos_technology();
-    let chip = generate(&ChipSpec::clean(nx, ny));
-    let report = check_cif(&chip.cif, &tech, options).unwrap();
-    report.violations.len()
 }
 
 #[cfg(test)]

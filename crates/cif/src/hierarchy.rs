@@ -18,6 +18,16 @@ use std::collections::HashMap;
 /// deeper tables where they enter, through [`check_acyclic`].
 pub const MAX_CALL_DEPTH: usize = 256;
 
+/// The most elements a layout may instantiate flat — its
+/// [`HierarchyStats::flat_element_count`], ≈ 6.7 × 10⁷. That is above
+/// the 10⁷-element chips the scale smoke checks, and far below what a
+/// few hundred bytes of CIF can ask for: 30 levels of a symbol calling
+/// its child twice are 2³⁰ elements, each cheap to stamp and all of them
+/// resident. The parser and the edit session count a layout with
+/// [`flat_elements`] where they enter, before any template is built,
+/// and reject one past this.
+pub const MAX_FLAT_ELEMENTS: u64 = 1 << 26;
+
 /// Why a symbol table is not a hierarchy the checker can walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HierarchyError {
@@ -81,6 +91,41 @@ pub fn check_acyclic<I: Iterator<Item = SymbolId>>(
         }
     }
     Ok(())
+}
+
+/// The flat-equivalent element count of one instance of each of
+/// `symbols` symbols — its own elements plus those of everything it
+/// calls, saturating at `u64::MAX` — given each symbol's body,
+/// `items(s)`. The calls must form a DAG no deeper than
+/// [`MAX_CALL_DEPTH`] ([`check_acyclic`]): the count recurses once per
+/// level.
+pub fn flat_elements<'a>(symbols: usize, items: impl Fn(usize) -> &'a [Item]) -> Vec<u64> {
+    fn count<'a>(s: usize, items: &impl Fn(usize) -> &'a [Item], memo: &mut [Option<u64>]) -> u64 {
+        if let Some(n) = memo[s] {
+            return n;
+        }
+        let mut n: u64 = 0;
+        for item in items(s) {
+            let k = match item {
+                Item::Element(_) => 1,
+                Item::Call(c) => count(c.target.0 as usize, items, memo),
+            };
+            n = n.saturating_add(k);
+        }
+        memo[s] = Some(n);
+        n
+    }
+    let mut memo = vec![None; symbols];
+    (0..symbols).map(|s| count(s, &items, &mut memo)).collect()
+}
+
+/// How many elements `item` instantiates flat, given each symbol's
+/// [`flat_elements`] count.
+pub fn item_flat_elements(item: &Item, flat: &[u64]) -> u64 {
+    match item {
+        Item::Element(_) => 1,
+        Item::Call(c) => flat[c.target.0 as usize],
+    }
 }
 
 /// Returns the symbols in topological order: every symbol appears after all
@@ -150,31 +195,22 @@ impl HierarchyStats {
 /// bytes of CIF), so the sums are input-controlled.
 pub fn stats(layout: &Layout) -> HierarchyStats {
     let order = topological_order(layout);
+    let symbols = layout.symbols();
+    let flat_elements = flat_elements(symbols.len(), |s| &symbols[s].items);
     let mut symbol_bbox: HashMap<SymbolId, Option<Rect>> = HashMap::new();
-    let mut flat_elements: Vec<u64> = vec![0; layout.symbols().len()];
-
     for id in &order {
-        let sym = layout.symbol(*id);
         let mut bbox: Option<Rect> = None;
-        let mut elems: u64 = 0;
-        for item in &sym.items {
-            match item {
-                Item::Element(e) => {
-                    let b = e.shape.bbox();
-                    bbox = Some(bbox.map_or(b, |acc| acc.bounding_union(&b)));
-                    elems = elems.saturating_add(1);
-                }
-                Item::Call(c) => {
-                    if let Some(child) = symbol_bbox.get(&c.target).copied().flatten() {
-                        let tb = c.transform.apply_rect(&child);
-                        bbox = Some(bbox.map_or(tb, |acc| acc.bounding_union(&tb)));
-                    }
-                    elems = elems.saturating_add(flat_elements[c.target.0 as usize]);
-                }
+        for item in &layout.symbol(*id).items {
+            let b = match item {
+                Item::Element(e) => Some(e.shape.bbox()),
+                Item::Call(c) => (symbol_bbox.get(&c.target).copied().flatten())
+                    .map(|child| c.transform.apply_rect(&child)),
+            };
+            if let Some(b) = b {
+                bbox = Some(bbox.map_or(b, |acc| acc.bounding_union(&b)));
             }
         }
         symbol_bbox.insert(*id, bbox);
-        flat_elements[id.0 as usize] = elems;
     }
 
     // Placement counts: push multiplicities down the DAG, parents before
@@ -218,11 +254,12 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
         .map(|s| s.elements().count() as u64)
         .sum();
     for item in layout.top_items() {
+        flat_element_count =
+            flat_element_count.saturating_add(item_flat_elements(item, &flat_elements));
         match item {
             Item::Element(e) => {
                 let b = e.shape.bbox();
                 chip_bbox = Some(chip_bbox.map_or(b, |acc| acc.bounding_union(&b)));
-                flat_element_count = flat_element_count.saturating_add(1);
                 stored_element_count += 1;
             }
             Item::Call(c) => {
@@ -230,8 +267,6 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
                     let tb = c.transform.apply_rect(&child);
                     chip_bbox = Some(chip_bbox.map_or(tb, |acc| acc.bounding_union(&tb)));
                 }
-                flat_element_count =
-                    flat_element_count.saturating_add(flat_elements[c.target.0 as usize]);
             }
         }
     }
@@ -349,13 +384,39 @@ mod tests {
     fn stats_saturate_on_a_doubling_call_chain() {
         // Symbol n calls n-1 twice, 70 deep: 2^69 leaves from a few
         // hundred bytes. The counts must pin at u64::MAX — no debug
-        // panic, no release wrap-around.
-        let mut cif = String::from("DS 1; L ND; B 2 2 0 0; DF;\n");
+        // panic, no release wrap-around. (The parser refuses such a
+        // layout, on these counts; built here by hand.)
+        use crate::layout::{Call, Element, Shape, Symbol};
+        use diic_geom::Transform;
+        let mut l = Layout::new();
+        let layer = l.intern_layer("ND");
+        let box_item = Item::Element(Element {
+            layer,
+            shape: Shape::Box(Rect::new(0, 0, 2, 2)),
+            net: None,
+        });
+        let call = |target| {
+            Item::Call(Call {
+                target,
+                transform: Transform::IDENTITY,
+                name: "c".to_string(),
+            })
+        };
+        let mut child = l.add_symbol(Symbol {
+            cif_id: 1,
+            name: None,
+            device: None,
+            items: vec![box_item],
+        });
         for n in 2..=70 {
-            cif.push_str(&format!("DS {n}; C {}; C {}; DF;\n", n - 1, n - 1));
+            child = l.add_symbol(Symbol {
+                cif_id: n,
+                name: None,
+                device: None,
+                items: vec![call(child), call(child)],
+            });
         }
-        cif.push_str("C 70; E");
-        let l = parse(&cif).unwrap();
+        l.push_top(call(child));
         let s = stats(&l);
         let leaf = l.symbol_by_cif_id(1).unwrap();
         let top = l.symbol_by_cif_id(70).unwrap();

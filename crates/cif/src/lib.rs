@@ -28,8 +28,9 @@
 //!   explicit [`flatten()`](flatten::flatten) pass used only by the *baseline* flat checker the
 //!   paper critiques;
 //! * hierarchy validation (undefined symbols, call cycles, call chains
-//!   deeper than [`MAX_CALL_DEPTH`](hierarchy::MAX_CALL_DEPTH)) and
-//!   statistics;
+//!   deeper than [`MAX_CALL_DEPTH`](hierarchy::MAX_CALL_DEPTH), more
+//!   than [`MAX_FLAT_ELEMENTS`](hierarchy::MAX_FLAT_ELEMENTS) elements
+//!   flat) and statistics;
 //! * a writer producing round-trippable CIF text.
 //!
 //! Every parse error — hostile input included: numbers past `i64`,

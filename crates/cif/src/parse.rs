@@ -2,7 +2,8 @@
 //!
 //! Every error is a [`Diagnostic`] anchored to the command it is about.
 //! Errors found after the last token — an undefined call target, a
-//! recursive or too-deep definition — point into the source too: the
+//! recursive or too-deep definition, a call that takes the layout past
+//! its element budget — point into the source too: the
 //! parser keeps the span of each `C` and `DS` it reads (the [`Layout`]
 //! itself carries no spans).
 //!
@@ -14,7 +15,10 @@
 
 #![deny(clippy::arithmetic_side_effects)]
 
-use crate::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
+use crate::hierarchy::{
+    check_acyclic, flat_elements, item_flat_elements, HierarchyError, MAX_CALL_DEPTH,
+    MAX_FLAT_ELEMENTS,
+};
 use crate::layout::{
     Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol, SymbolId, Terminal,
 };
@@ -27,9 +31,10 @@ use std::fmt::Write as _;
 ///
 /// Validation performed here: syntax, numbers and coordinates that
 /// overflow, duplicate/undefined symbol ids, non-Manhattan rotations,
-/// malformed shapes and extensions, call cycles, and call chains deeper
-/// than [`MAX_CALL_DEPTH`]. Geometry/design-rule checking is the job of
-/// `diic-core`.
+/// malformed shapes and extensions, call cycles, call chains deeper
+/// than [`MAX_CALL_DEPTH`], and layouts that instantiate more than
+/// [`MAX_FLAT_ELEMENTS`] elements flat. Geometry/design-rule checking is
+/// the job of `diic-core`.
 ///
 /// # Errors
 ///
@@ -227,7 +232,7 @@ impl<'a> Parser<'a> {
         let calls = |s: usize| symbols[s].calls().map(|c| c.target);
         let cif_id = |s: SymbolId| symbols[s.0 as usize].cif_id;
         let (s, message) = match check_acyclic(symbols.len(), calls) {
-            Ok(()) => return Ok(self.layout),
+            Ok(()) => return self.within_budget(),
             Err(HierarchyError::Cycle(s)) => {
                 (s, format!("recursive calls through symbol {}", cif_id(s)))
             }
@@ -240,6 +245,29 @@ impl<'a> Parser<'a> {
             }
         };
         fail(message, self.definitions[s.0 as usize])
+    }
+
+    /// The layout, if it instantiates at most [`MAX_FLAT_ELEMENTS`]
+    /// elements flat; otherwise a diagnostic at the top-level item that
+    /// takes it past the limit — its `C` command, or the end of the input
+    /// for a loose element.
+    fn within_budget(self) -> Result<Layout, Diagnostic> {
+        let symbols = self.layout.symbols();
+        let flat = flat_elements(symbols.len(), |s| &symbols[s].items);
+        let mut total: u64 = 0;
+        for (k, item) in self.layout.top_items().iter().enumerate() {
+            total = total.saturating_add(item_flat_elements(item, &flat));
+            if total > MAX_FLAT_ELEMENTS {
+                let site = (self.calls.iter()).find(|c| c.scope.is_none() && c.item == k);
+                let span = site.map_or(Span::new(self.len, self.len), |c| c.span);
+                let message = format!(
+                    "the layout instantiates {total} elements up to here, more than the \
+                     {MAX_FLAT_ELEMENTS} a check allows"
+                );
+                return fail(message, span);
+            }
+        }
+        Ok(self.layout)
     }
 
     fn cmd_ds(&mut self, start: usize) -> Result<(), Diagnostic> {
@@ -792,6 +820,43 @@ mod tests {
             (e.message.as_str(), spanned),
             ("symbol 0 nests calls more than 256 deep", "DS 0")
         );
+    }
+
+    /// `DS 1` a box, `DS n` calling `DS n - 1` twice up to `levels`, and
+    /// `calls` top-level calls of the last: `calls · 2^(levels - 1)`
+    /// elements flat.
+    fn doubling_chain(levels: u32, calls: usize) -> String {
+        let mut cif = String::from("DS 1; L NM; B 2 2 0 0; DF;\n");
+        for n in 2..=levels {
+            cif.push_str(&format!("DS {n}; C {}; C {} T 4 0; DF;\n", n - 1, n - 1));
+        }
+        for k in 0..calls {
+            cif.push_str(&format!("C {levels} T 0 {};\n", 4 * k));
+        }
+        cif.push('E');
+        cif
+    }
+
+    #[test]
+    fn flat_element_count_is_bounded_at_the_crossing_call() {
+        // 2^26 elements exactly is allowed; one loose element more is not.
+        let at_limit = doubling_chain(27, 1);
+        assert!(parse(&at_limit).is_ok());
+        let over = at_limit.replace("E", "L NM; B 2 2 9 9; E");
+        let (e, spanned) = reject(&over);
+        assert!(!at_limit[..at_limit.len() - 1].contains('E'));
+        assert!(e.message.contains("67108865 elements"), "{}", e.message);
+        assert_eq!(spanned, "");
+        // The second of two 2^25 calls reaches the limit, the third
+        // passes it.
+        let three = doubling_chain(26, 3);
+        let (e, spanned) = reject(&three);
+        assert!(e.message.contains("100663296 elements"), "{}", e.message);
+        assert_eq!(spanned, "C 26");
+        assert_eq!(Some(e.span.start), three.rfind("C 26"));
+        // A chain whose count saturates is one more diagnostic.
+        let (e, _) = reject(&doubling_chain(70, 1));
+        assert!(e.message.contains(&u64::MAX.to_string()), "{}", e.message);
     }
 
     #[test]

@@ -20,52 +20,48 @@
 //! its layers, rectangles, skeletons and device classes. Translating both
 //! elements by one offset changes none of them, and
 //! [`crate::instantiate`] only ever translates what it derived per
-//! `(symbol, orientation)`. So [`check_connections`] reads the chip
-//! through its [`ScopeTable`] and scores
-//!
-//! * a scope's interior **once per `(symbol, orientation)`**, and
-//! * two touching scopes **once per `(symbol, symbol, orientation,
-//!   relative placement)`**
-//!
-//! into a *verdict row* — `(local i, local j, verdict)` entries plus the
-//! row's `pairs_examined` — by running the per-pair body (`score_pair`)
-//! over the first instance. Every other instance is an id-offset stamp
-//! of the row; its violations are rendered per instance, from its own
-//! elements. The orientation is in both keys because rectangle and
-//! skeleton decompositions are translation- but not rotation-
-//! equivariant. Pairs with a loose top-level element on either side are
-//! scored directly, by the same body. Rows live for one call.
+//! `(symbol, orientation)`. So [`check_connections`] follows the scope
+//! table's pair plan at reach 0 ([`ScopeTable::rows`]) and scores each
+//! row — a definition's interior, or two touching definitions at one
+//! relative placement — once, into a *verdict row* of `(local i, local
+//! j, verdict)` entries plus the row's `pairs_examined`, by running the
+//! per-pair body (`score_pair`) over the scan that fills it. Every other
+//! instance is an id-offset stamp of the row; its violations are
+//! rendered per instance, from its own elements. (The orientation is in
+//! both keys because rectangle and skeleton decompositions are
+//! translation- but not rotation-equivariant.) Pairs with a loose
+//! top-level element on either side are scored by the plan's loose
+//! scans, by the same body. Rows live for one call.
 //!
 //! The direct scan — every element against one grid over all of them —
-//! is the base case of this path, not a second one: a chip that is one
-//! scope (all loose, or one top-level call) builds exactly that one
-//! index and scans it tile by tile, and the result for any chip is
-//! **byte-identical** to [`check_connections_among`] over all ids
-//! (violations, merges and `pairs_examined`, in ascending `(i, j)`
-//! order), which a proptest pins in debug and release builds.
+//! is the base case of the plan, not a second path: a chip of loose
+//! elements only builds exactly that one index and scans it tile by
+//! tile, and the result for any chip is **byte-identical** to
+//! [`check_connections_among`] over all ids (violations, merges and
+//! `pairs_examined`, in ascending `(i, j)` order), which a proptest pins
+//! in debug and release builds.
 //!
 //! # Parallelism
 //!
-//! The scans that fill the rows, and the loose scan, are cut into tiles
-//! of at most 512 scanned elements and run across
-//! `workers` scoped threads ([`run_ordered`]); a pair is scored exactly
-//! once whatever the tiling, and the assembly orders verdicts by their
-//! element ids, not by which worker found them, so any worker count
-//! yields the same bytes — the seventh differential-oracle leg
-//! (`tests/differential.rs`) pins it on generated chips. Stamping is
-//! serial: it is a copy.
+//! The scans that fill the rows, and the loose scans, are cut into the
+//! plan's tiles ([`Scan::tiles`]) and run across `workers` scoped
+//! threads ([`run_ordered`]); a pair is scored exactly once whatever the
+//! tiling, and the assembly orders verdicts by their element ids, not by
+//! which worker found them, so any worker count yields the same bytes —
+//! the seventh differential-oracle leg (`tests/differential.rs`) pins it
+//! on generated chips. Stamping is serial: it is a copy.
 //!
 //! The incremental checker's scoped pass ([`check_connections_among`])
 //! stays serial — its seed sets are already edit-sized.
 
 use crate::binding::ChipView;
+use crate::interact::interaction_cell_size;
 use crate::parallel::run_ordered;
-use crate::scope::{ScopeIds, ScopeStats, ScopeTable};
+use crate::scope::{Scan, ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::SymbolId;
-use diic_geom::{batch, GridIndex, Orientation, Rect, Transform};
+use diic_geom::{batch, GridIndex};
 use diic_tech::{DeviceClass, InternalRule, LayerId, Technology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Output of the connection-checking stage.
 #[derive(Debug, Clone, Default)]
@@ -107,11 +103,6 @@ pub fn device_forming_pairs(tech: &Technology) -> HashSet<(LayerId, LayerId)> {
     }
     out
 }
-
-/// Scanned elements per tile — the same width the tiled interaction
-/// search defaults to, for the same reason: small enough that a tile is
-/// cache-friendly, large enough that tile bookkeeping is noise.
-const CONNECT_TILE_ELEMENTS: usize = crate::interact::DEFAULT_TILE_ELEMENTS;
 
 /// What the stage concluded about one touching element pair. (A pair it
 /// is silent about — transistor geometry touching interconnect, a
@@ -161,6 +152,9 @@ struct ScanCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
     forming: HashSet<(LayerId, LayerId)>,
+    /// Index cells, sized from the technology's rule reach
+    /// ([`interaction_cell_size`]).
+    cell: diic_geom::Coord,
 }
 
 impl<'a> ScanCx<'a> {
@@ -169,39 +163,25 @@ impl<'a> ScanCx<'a> {
             view,
             tech,
             forming: device_forming_pairs(tech),
+            cell: interaction_cell_size(tech),
         }
     }
 
-    /// A grid over the bounding boxes of `ids` (ascending), those
-    /// touching `clip` only, with cells sized from the technology's rule
-    /// reach (see `interact::interaction_cell_size`). Payloads are the
-    /// element ids; inserted in ascending order, so queries return them
-    /// ascending.
-    fn index(&self, ids: ScopeIds<'_>, clip: Option<Rect>) -> GridIndex<usize> {
+    /// Runs `scan` over the positions `tile` at reach 0 — touching
+    /// boxes — scoring each pair it finds into `out`: the **single**
+    /// pair loop behind the scoped pass ([`check_connections_among`])
+    /// and every scan of the whole-chip one ([`check_connections`]), so
+    /// the byte-identity contract between them cannot drift. A scan
+    /// yields each element's pairs in ascending order.
+    fn score_scan(
+        &self,
+        scan: &Scan<'_>,
+        index: &GridIndex<usize>,
+        tile: std::ops::Range<usize>,
+        out: &mut Scored,
+    ) {
         let bboxes = self.view.elements.bboxes();
-        let mut index = GridIndex::new(crate::interact::interaction_cell_size(self.tech));
-        for id in ids.iter() {
-            if clip.is_none_or(|c| c.touches(&bboxes[id])) {
-                index.insert(bboxes[id], id);
-            }
-        }
-        index
-    }
-
-    /// Scores element `i` against every indexed element its bounding
-    /// box touches — the **single** scan body behind the scoped pass
-    /// ([`check_connections_among`]) and every scan of the whole-chip
-    /// one ([`check_connections`]), so the byte-identity contract
-    /// between them cannot drift. `within` says `i`'s own set is the
-    /// indexed one, where each pair must be kept from its lower end
-    /// only; against a disjoint set every hit is a new pair.
-    /// [`GridIndex::query`] returns ids in ascending insertion order, so
-    /// each element's pairs come out sorted.
-    fn scan_element(&self, index: &GridIndex<usize>, i: usize, within: bool, out: &mut Scored) {
-        for &j in index.query(&self.view.elements.bboxes()[i]) {
-            if within && j <= i {
-                continue;
-            }
+        scan.pairs(bboxes, index, 0, tile, |i, j| {
             let (lo, hi) = if i < j { (i, j) } else { (j, i) };
             out.scored += 1;
             let (examined, verdict) = self.score_pair(lo, hi);
@@ -209,7 +189,7 @@ impl<'a> ScanCx<'a> {
             if let Some(verdict) = verdict {
                 out.verdicts.push((lo, hi, verdict));
             }
-        }
+        });
     }
 
     /// The stage's judgement of one pair `i < j` with touching bounding
@@ -290,24 +270,12 @@ impl<'a> ScanCx<'a> {
     }
 }
 
-/// One scan of the whole-chip pass: the elements of `ids` whose bounding
-/// box touches `clip`, each scored against `indexes[index]`.
-struct Scan<'a> {
-    ids: ScopeIds<'a>,
-    clip: Option<Rect>,
-    index: usize,
-    /// The scanned set is the indexed one (see [`ScanCx::scan_element`]).
-    within: bool,
-    /// Where the two scopes of a row's scan start (a row holds ids
-    /// local to them); zero for the loose scans, which keep chip ids.
-    base: (usize, usize),
-}
-
-/// Runs the connection checks over the instantiated chip, read through
-/// its scope table (see the module docs): each definition's interior and
-/// each distinct placement of two touching definitions scored once and
-/// stamped, everything involving a loose element scored directly, the
-/// scans tiled across `workers` threads.
+/// Runs the connection checks over the instantiated chip, following the
+/// scope table's pair plan at reach 0 (see the module docs): each
+/// definition's interior and each distinct placement of two touching
+/// definitions scored once and stamped, everything involving a loose
+/// element scored by the loose scans, the scans tiled across `workers`
+/// threads.
 ///
 /// Returns the result — **byte-identical, for any worker count, to
 /// [`check_connections_among`] over every id** — and the table's
@@ -320,129 +288,48 @@ pub fn check_connections(
 ) -> (ConnectionResult, ScopeStats) {
     let cx = ScanCx::new(view, tech);
     let calls = scopes.calls();
-    let loose = scopes.loose_index();
+    let plan = scopes.rows(0);
     let mut stats = scopes.stats();
 
-    // Plan: one row per distinct key, built from the first scope (pair)
-    // presenting it. A row's scan and its index share the row's number.
-    let bbox_of = |s: usize| scopes.scopes()[s].bbox;
-    let mut scans: Vec<Scan<'_>> = Vec::new();
-    let mut index_specs: Vec<(ScopeIds<'_>, Option<Rect>)> = Vec::new();
-    let mut intra_row: Vec<Option<usize>> = Vec::with_capacity(calls.len());
-    for (s, scope) in calls.iter().enumerate() {
-        let first = scope.first_of_definition();
-        let row = if first < s {
-            intra_row[first]
-        } else if scopes.ids(s).len() < 2 {
-            None
-        } else {
-            scans.push(Scan {
-                ids: scopes.ids(s),
-                clip: None,
-                index: scans.len(),
-                within: true,
-                base: (scope.run().start, scope.run().start),
-            });
-            index_specs.push((scopes.ids(s), None));
-            Some(scans.len() - 1)
-        };
-        intra_row.push(row);
-    }
-    type CrossKey = (SymbolId, SymbolId, Orientation, Transform);
-    let mut cross_rows: HashMap<CrossKey, usize> = HashMap::new();
-    // `(si, sj, row)` for every touching pair of call scopes, ascending.
-    let mut cross: Vec<(usize, usize, usize)> = Vec::new();
-    // The touching pairs are among the near ones.
-    let touching = |&&(si, sj): &&(usize, usize)| {
-        let boxes = bbox_of(si).zip(bbox_of(sj));
-        sj != loose && boxes.is_some_and(|(a, b)| a.touches(&b))
-    };
-    for &(si, sj) in scopes.near().iter().filter(touching) {
-        let (a, b) = (&calls[si], &calls[sj]);
-        // invariant: call scopes carry their symbol.
-        let key = (
-            a.symbol.expect("a call scope"),
-            b.symbol.expect("a call scope"),
-            a.transform.orient,
-            a.transform.inverse().after(&b.transform),
-        );
-        let row = *cross_rows.entry(key).or_insert_with(|| {
-            // Only elements reaching into the other scope's box can
-            // touch one of its elements.
-            scans.push(Scan {
-                ids: scopes.ids(si),
-                clip: bbox_of(sj),
-                index: scans.len(),
-                within: false,
-                base: (a.run().start, b.run().start),
-            });
-            index_specs.push((scopes.ids(sj), bbox_of(si)));
-            scans.len() - 1
-        });
-        cross.push((si, sj, row));
+    // The scans: each row that can hold a pair (an interior needs two
+    // elements), each with its own index, then the loose scans, which
+    // share the first one's. `Some(row)` marks a row's scan.
+    let mut scans: Vec<(Option<usize>, Scan<'_>)> = Vec::new();
+    for (row, &(_, scan)) in plan.rows.iter().enumerate() {
+        if !scan.within || scan.ids.len() >= 2 {
+            scans.push((Some(row), scan));
+        }
     }
     let rows_built = scans.len();
-
-    // The loose scan: the loose elements among themselves, and every
-    // call scope reaching into their box against them.
-    if let Some(loose_bbox) = bbox_of(loose) {
-        let index = index_specs.len();
-        index_specs.push((scopes.ids(loose), None));
-        scans.push(Scan {
-            ids: scopes.ids(loose),
-            clip: None,
-            index,
-            within: true,
-            base: (0, 0),
-        });
-        for (s, scope) in calls.iter().enumerate() {
-            if scope.bbox.is_some_and(|b| b.touches(&loose_bbox)) {
-                scans.push(Scan {
-                    ids: scopes.ids(s),
-                    clip: Some(loose_bbox),
-                    index,
-                    within: false,
-                    base: (0, 0),
-                });
-            }
-        }
-    }
-
-    // Fill: build the indexes, then scan tile by tile.
-    let indexes = run_ordered(index_specs.len(), workers, |k| {
-        cx.index(index_specs[k].0, index_specs[k].1)
-    });
-    let tiles: Vec<(usize, usize)> = scans
-        .iter()
-        .enumerate()
-        .flat_map(|(k, scan)| {
-            (0..scan.ids.len())
-                .step_by(CONNECT_TILE_ELEMENTS)
-                .map(move |lo| (k, lo))
-        })
-        .collect();
+    scans.extend(plan.loose.iter().map(|&(_, scan)| (None, scan)));
     let bboxes = view.elements.bboxes();
+    let index_count = rows_built + usize::from(!plan.loose.is_empty());
+    let indexes = run_ordered(index_count, workers, |k| scans[k].1.index(bboxes, cx.cell));
+    let tiles: Vec<(usize, std::ops::Range<usize>)> = (scans.iter().enumerate())
+        .flat_map(|(k, (_, scan))| scan.tiles().map(move |tile| (k, tile)))
+        .collect();
     let parts = run_ordered(tiles.len(), workers, |t| {
-        let (k, lo) = tiles[t];
-        let scan = &scans[k];
+        let (k, tile) = tiles[t].clone();
         let mut part = Scored::default();
-        for local in lo..(lo + CONNECT_TILE_ELEMENTS).min(scan.ids.len()) {
-            let i = scan.ids.get(local);
-            if scan.clip.is_none_or(|c| c.touches(&bboxes[i])) {
-                cx.scan_element(&indexes[scan.index], i, scan.within, &mut part);
-            }
-        }
+        cx.score_scan(&scans[k].1, &indexes[k.min(rows_built)], tile, &mut part);
         part
     });
     drop(indexes);
-    let mut rows: Vec<Scored> = (0..rows_built).map(|_| Scored::default()).collect();
+    // Per plan row, its verdicts (`None`: it had nothing to score).
+    let mut rows: Vec<Option<Scored>> = plan.rows.iter().map(|_| None).collect();
     let mut loose_scored = Scored::default();
     for (&(k, _), part) in tiles.iter().zip(parts) {
         stats.conn_pairs_scored += part.scored;
-        rows.get_mut(k).unwrap_or(&mut loose_scored).append(part);
+        match scans[k].0 {
+            Some(row) => rows[row].get_or_insert_with(Scored::default).append(part),
+            None => loose_scored.append(part),
+        }
     }
-    for (row, scan) in rows.iter_mut().zip(&scans) {
-        row.localize(scan.base);
+    for (row, scored) in rows.iter_mut().enumerate() {
+        if let Some(scored) = scored {
+            let (si, sj) = plan.rows[row].0;
+            scored.localize((calls[si].run().start, calls[sj].run().start));
+        }
     }
     // A scope scanned against the loose elements finds pairs on both
     // sides of itself.
@@ -461,25 +348,26 @@ pub fn check_connections(
     };
     let mut loose_verdicts = loose_scored.verdicts.into_iter().peekable();
     let mut stamped: Vec<(usize, usize, Verdict)> = Vec::new();
-    let mut used = vec![false; rows_built];
-    let mut cross = cross.into_iter().peekable();
-    for (s, row) in intra_row.iter().enumerate() {
+    let mut used = vec![false; rows.len()];
+    let mut cross = plan.cross.iter().peekable();
+    for (s, &interior) in plan.interior.iter().enumerate() {
         stamped.clear();
         let mut stamp = |row: usize, i0: usize, j0: usize| {
+            let Some(row_verdicts) = &rows[row] else {
+                return;
+            };
             // The first use of a row is the instance that was scored.
             if std::mem::replace(&mut used[row], true) {
                 stats.conn_rows_stamped += 1;
-                stats.conn_pairs_stamped += rows[row].scored;
+                stats.conn_pairs_stamped += row_verdicts.scored;
             }
-            let row = &rows[row];
-            stamped.extend(row.verdicts.iter().map(|&(i, j, v)| (i + i0, j + j0, v)));
-            result.pairs_examined += row.examined;
+            let shifted = row_verdicts.verdicts.iter();
+            stamped.extend(shifted.map(|&(i, j, v)| (i + i0, j + j0, v)));
+            result.pairs_examined += row_verdicts.examined;
         };
         let start = calls[s].run().start;
-        if let Some(row) = *row {
-            stamp(row, start, start);
-        }
-        while let Some(&(_, sj, row)) = cross.peek().filter(|c| c.0 == s) {
+        stamp(interior, start, start);
+        while let Some(&&(_, sj, row)) = cross.peek().filter(|c| c.0 == s) {
             stamp(row, start, calls[sj].run().start);
             cross.next();
         }
@@ -516,11 +404,10 @@ pub fn check_connections_among(
     ids: &[usize],
 ) -> ConnectionResult {
     let cx = ScanCx::new(view, tech);
-    let index = cx.index(ScopeIds::List(ids), None);
+    let scan = Scan::direct(ScopeIds::List(ids));
     let mut scored = Scored::default();
-    for &i in ids {
-        cx.scan_element(&index, i, true, &mut scored);
-    }
+    let index = scan.index(view.elements.bboxes(), cx.cell);
+    cx.score_scan(&scan, &index, 0..ids.len(), &mut scored);
     let mut result = ConnectionResult {
         pairs_examined: scored.examined,
         ..ConnectionResult::default()
@@ -553,7 +440,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
     use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
-    use diic_geom::{Point, Vector, Wire};
+    use diic_geom::{Orientation, Point, Rect, Transform, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
     use proptest::prelude::*;
 

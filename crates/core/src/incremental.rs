@@ -123,7 +123,9 @@
 //! past `±`[`MAX_COORD`] (however many in-range steps it takes), and
 //! `replace_symbol` bodies that would leave the symbol table dangling,
 //! recursive or deeper than [`MAX_CALL_DEPTH`] (the first hierarchy
-//! walk of such a table overflows the stack). A planned
+//! walk of such a table overflows the stack), and `add_call` /
+//! `replace_symbol` sets that would leave the layout instantiating more
+//! than [`MAX_FLAT_ELEMENTS`] elements flat. A planned
 //! edit cannot fail. The steps then run in order, each returning a named
 //! product the next ones borrow, each under the [`EditStats`] clock in
 //! brackets:
@@ -203,7 +205,9 @@ use crate::netgen::{
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{canonical_sort, merge_canonical};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::hierarchy::{check_acyclic, HierarchyError, MAX_CALL_DEPTH};
+use diic_cif::hierarchy::{
+    check_acyclic, flat_elements, HierarchyError, MAX_CALL_DEPTH, MAX_FLAT_ELEMENTS,
+};
 use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
 use diic_geom::{GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
 use diic_netlist::NetId;
@@ -342,6 +346,14 @@ pub enum EditError {
     /// symbol's longest call chain would be more than [`MAX_CALL_DEPTH`]
     /// symbols long — the CIF parser's bound.
     TooDeep(SymbolId),
+    /// With the set applied, the layout would instantiate more than
+    /// [`MAX_FLAT_ELEMENTS`] elements flat — the CIF parser's bound.
+    /// Checked for a set that adds a call or replaces a symbol: only
+    /// those can multiply the count.
+    TooLarge {
+        /// The flat element count the set would leave (saturating).
+        elements: u64,
+    },
     /// An [`Edit::MoveItem`] would put a coordinate of the item — a point
     /// of an element's shape, or a call's translation — outside
     /// `±`[`MAX_COORD`], the bound the CIF parser and the wire decoder
@@ -374,6 +386,11 @@ impl std::fmt::Display for EditError {
                 f,
                 "replace_symbol makes symbol id {} nest calls more than {MAX_CALL_DEPTH} deep",
                 s.0
+            ),
+            EditError::TooLarge { elements } => write!(
+                f,
+                "the edit set makes the layout instantiate {elements} elements, more than the \
+                 {MAX_FLAT_ELEMENTS} a check allows"
             ),
         }
     }
@@ -538,6 +555,15 @@ impl EditPlan {
         // the set adds start at their own extent; kept ones are read
         // from the layout on their first move.
         let mut extents: Vec<Option<Rect>> = vec![None; slots.len()];
+        // Per slot, the symbol it calls (`None`: an element) — what the
+        // element budget counts.
+        let mut targets: Vec<Option<SymbolId>> = (layout.top_items().iter())
+            .map(|item| match item {
+                Item::Call(c) => Some(c.target),
+                Item::Element(_) => None,
+            })
+            .collect();
+        let mut adds_call = false;
         // The body each replaced symbol ends up with (the last of
         // several replaces wins); empty until the set replaces one.
         let mut bodies: Vec<Option<&[Item]>> = Vec::new();
@@ -546,6 +572,7 @@ impl EditPlan {
                 Edit::AddElement { shape, .. } => {
                     slots.push(fresh);
                     extents.push(Some(shape_extent(shape)));
+                    targets.push(None);
                 }
                 Edit::AddCall {
                     symbol, transform, ..
@@ -553,11 +580,14 @@ impl EditPlan {
                     known(*symbol)?;
                     slots.push(fresh);
                     extents.push(Some(point_extent(transform.offset)));
+                    targets.push(Some(*symbol));
+                    adds_call = true;
                 }
                 Edit::RemoveItem { index } => {
                     let index = in_bounds(*index, slots.len())?;
                     removed.extend(slots.remove(index).origin);
                     extents.remove(index);
+                    targets.remove(index);
                 }
                 Edit::MoveItem { index, by } => {
                     let index = in_bounds(*index, slots.len())?;
@@ -579,6 +609,11 @@ impl EditPlan {
         }
         if !bodies.is_empty() {
             check_replaced_bodies(layout, &bodies)?;
+        }
+        if adds_call || !bodies.is_empty() {
+            check_element_budget(layout, &bodies, &targets)?;
+        }
+        if !bodies.is_empty() {
             let dirty_symbols = dirty_symbol_closure(layout, &bodies);
             for slot in &mut slots {
                 if let Some(Item::Call(c)) = slot.origin.map(|o| &layout.top_items()[o]) {
@@ -1477,7 +1512,7 @@ impl CheckSession {
             &np.nets,
             &self.options,
             &halo_ids,
-            &np.d_halo_grid,
+            Some(&np.d_halo_grid),
         )
     }
 
@@ -1968,6 +2003,30 @@ fn check_replaced_bodies(layout: &Layout, bodies: &[Option<&[Item]>]) -> Result<
     })
 }
 
+/// Rejects a set that would leave the layout instantiating more than
+/// [`MAX_FLAT_ELEMENTS`] elements flat: `bodies` are the replaced
+/// symbols' final bodies (checked by [`check_replaced_bodies`]) and
+/// `targets` what each top-level slot calls (`None`: an element). The
+/// bound and the count are the CIF parser's.
+fn check_element_budget(
+    layout: &Layout,
+    bodies: &[Option<&[Item]>],
+    targets: &[Option<SymbolId>],
+) -> Result<(), EditError> {
+    let body = |s: usize| match bodies.get(s) {
+        Some(Some(items)) => *items,
+        _ => &layout.symbols()[s].items,
+    };
+    let flat = flat_elements(layout.symbols().len(), body);
+    let elements = (targets.iter())
+        .map(|target| target.map_or(1, |t| flat[t.0 as usize]))
+        .fold(0u64, u64::saturating_add);
+    if elements > MAX_FLAT_ELEMENTS {
+        return Err(EditError::TooLarge { elements });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2220,6 +2279,49 @@ mod tests {
         // The same call one level up stays inside the bound.
         let mut edits = EditSet::new();
         edits.replace_symbol(id(leaf as u32 - 1), vec![call(id(leaf as u32 + 1))]);
+        assert!(plan(&layout, &edits).is_ok());
+    }
+
+    #[test]
+    fn plan_bounds_the_element_count_a_set_would_leave() {
+        // Symbol n calls n - 1 twice: one call of symbol 26 is 2^25
+        // elements, two reach the budget exactly.
+        let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; DF;");
+        for n in 2..=27 {
+            cif.push_str(&format!("DS {n}; C {}; C {} T 0 1000; DF;", n - 1, n - 1));
+        }
+        cif.push_str("C 26; E");
+        let layout = parse(&cif).unwrap();
+        let id = |cif| layout.symbol_by_cif_id(cif).unwrap();
+        let add = |symbol, times: usize| {
+            let mut edits = EditSet::new();
+            for _ in 0..times {
+                edits.add_call(symbol, Transform::IDENTITY, "x");
+            }
+            edits
+        };
+        assert!(plan(&layout, &add(id(26), 1)).is_ok());
+        let err = plan(&layout, &add(id(26), 2)).unwrap_err();
+        let elements = 3 << 25;
+        assert_eq!(err, EditError::TooLarge { elements });
+        assert!(err.to_string().contains("100663296 elements"), "{err}");
+        // A removal in the same set makes room.
+        let mut edits = add(id(26), 2);
+        edits.remove(0);
+        assert!(plan(&layout, &edits).is_ok());
+        // A replace grows the count through the call already placed:
+        // symbol 26 calling 25 (2^24 elements) four times reaches the
+        // budget, five times pass it.
+        let replace = |times: usize| {
+            let mut edits = EditSet::new();
+            edits.replace_symbol(id(26), vec![call(id(25)); times]);
+            plan(&layout, &edits).map(|_| ())
+        };
+        assert_eq!(replace(4), Ok(()));
+        assert_eq!(replace(5), Err(EditError::TooLarge { elements: 5 << 24 }));
+        // Moves and element adds cannot multiply the count: unchecked.
+        let mut edits = EditSet::new();
+        edits.translate(0, 500, 0);
         assert!(plan(&layout, &edits).is_ok());
     }
 

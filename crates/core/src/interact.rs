@@ -11,50 +11,41 @@
 //! overrides specialise the verdicts (Figs. 5b/6), and a transistor's
 //! un-netted parts are checked only against *unrelated* elements.
 //!
-//! The stage runs in two phases:
+//! # One plan, streamed
 //!
-//! 1. **candidate enumeration** — either a flat search over one grid
-//!    index of all instantiated elements, or a hierarchical search that
-//!    caches geometric candidate pairs per symbol (intra-instance) and
-//!    per symbol-pair-with-relative-placement (inter-instance) —
-//!    Manhattan transforms preserve distances, so one instance's
-//!    geometry answers for all its repeats. Candidates are produced in
-//!    a canonical order (ascending element-id pairs within each work
-//!    unit, units in a fixed walk order). Both searches are parallel:
-//!    the flat search fans element-range queries over one shared
-//!    [`GridIndex`], and the hierarchical search plans its distinct
-//!    cache fills up front (one job per unique symbol / unique
-//!    symbol-pair-with-relative-placement), fills them across the
-//!    worker pool, and streams each scope's and scope pair's pairs
-//!    from the filled caches — every fill is a pure function of its
-//!    scope's element sets, so the cache contents match a serial run
-//!    exactly.
-//! 2. **pair evaluation** — the rule-matrix subcases and distance
-//!    checks, embarrassingly parallel over the candidate tiles. With
-//!    [`CheckOptions::parallelism`] > 1 the tiles are evaluated on a
-//!    scoped thread pool and re-joined in tile order, so serial and
-//!    parallel runs yield **byte-identical** violation lists and
-//!    statistics.
+//! The candidate pairs are the element pairs whose bounding boxes come
+//! within the technology's rule reach ([`max_rule_range`]) of one
+//! another. [`check_interactions`] enumerates them by the scope table's
+//! pair plan at that reach ([`ScopeTable::rows`]), the plan the
+//! connection stage reads at reach 0: a *candidate row* per call scope's
+//! `(symbol, orientation)` and per `(symbol, symbol, orientation,
+//! relative placement)` of two call scopes within reach — Manhattan
+//! placements preserve distances, so one instance's geometry answers for
+//! all its repeats. The distinct rows are filled once, across the worker
+//! pool (in library mode through the content-keyed [`LibraryCache`]),
+//! and stamped onto every scope and scope pair presenting their key. The
+//! pairs with a loose top-level element on either side come from the
+//! plan's loose scans: one index over the loose elements, scanned
+//! against itself and by every call scope within reach of it.
 //!
-//! # Tiled streaming (bounded candidate memory)
+//! The stage then streams **units** — a row stamped onto one scope or
+//! scope pair, or one tile of a loose scan ([`Scan::tiles`]) — in a
+//! fixed order: the call scopes' interiors, the loose scope's, then the
+//! scope pairs ascending. Each unit's pairs are mapped to chip ids,
+//! evaluated (the rule-matrix subcases and distance checks) and dropped
+//! before a worker takes its next unit, so the all-pairs list is never
+//! held: [`InteractStats::peak_candidate_buffer`] records the widest
+//! unit, and a chip of loose elements only — the direct scan, tiled —
+//! holds one tile at a time. Units merge positionally ([`run_ordered`]),
+//! so serial and parallel runs ([`CheckOptions::parallelism`]) yield
+//! **byte-identical** violation lists and statistics.
 //!
-//! Materialising the full candidate-pair list would cost O(total pairs)
-//! of memory — the binding constraint at million-element scale — so the
-//! stage never holds it: the flat search walks a **deterministic tile
-//! iterator** over the [`GridIndex`] ([`GridIndex::tiles`] — contiguous
-//! insertion-order element ranges), and each worker owns one tile,
-//! enumerates its pairs, evaluates them, and discards the buffer before
-//! taking the next tile. A pair spanning two tiles is owned by its
-//! **lower element's tile** (the enumeration keeps only `j > i`), so
-//! every pair is enumerated and counted exactly once across tiles. The
-//! hierarchical search streams the same way with its natural tiles —
-//! one filled cache row per scope / scope pair. Tile results merge
-//! positionally ([`run_ordered`]), so any worker count is
-//! **byte-identical**, and [`InteractStats::peak_candidate_buffer`]
-//! records the widest tile. The two tilings share only the per-tile
-//! evaluator, so their equal `candidate_pairs` on every generated chip
-//! (`tests/differential.rs`, beside a brute-force count) is what says
-//! each counts every pair once.
+//! The direct scan over an id set ([`check_interactions_among`], every
+//! element against one index over the set) is the plan's base case: the
+//! edit session runs it over its halo, and over every id, with
+//! [`check_same_mask`], it is the reference the plan is held to — the
+//! same violation set and the same `candidate_pairs`, equal to a
+//! brute-force count, on every generated chip (`tests/differential.rs`).
 //!
 //! # Same-mask conflict graphs (multi-patterning)
 //!
@@ -69,29 +60,23 @@
 //! reported as one [`ViolationKind::MaskOddCycle`] anchored at the odd
 //! component's closest conflicting edge. Edges are collected during
 //! the normal pair evaluation (geometrically — net topology and device
-//! membership do not excuse a mask conflict) in both search shapes
-//! (flat and hierarchical), then analysed once at the end of the run;
-//! [`check_same_mask`] runs the same analysis standalone, which is how
-//! the incremental session recomputes the (global, and therefore
-//! un-clippable) property after an edit.
+//! membership do not excuse a mask conflict), then analysed once at the
+//! end of the run; [`check_same_mask`] runs the same analysis
+//! standalone, which is how the incremental session recomputes the
+//! (global, and therefore un-clippable) property after an edit.
 
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
 use crate::netgen::NetgenResult;
 use crate::parallel::{effective_parallelism, run_ordered};
-use crate::scope::{ScopeIds, ScopeTable};
+use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::SymbolId;
-use diic_geom::{Coord, GridIndex, Rect, SizingMode, Transform};
+use diic_geom::{batch, Coord, GridIndex, Rect, SizingMode};
 use diic_tech::{DeviceArchetype, LayerId, Technology};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
-
-/// Elements per tile of the flat search (and of the connection stage's
-/// tiled scans): small enough that a tile's pair buffer stays
-/// cache-friendly, large enough that tile bookkeeping is noise.
-pub const DEFAULT_TILE_ELEMENTS: usize = 512;
 
 /// Counters exposing how much work the topology saves (Fig. 12 pruning).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,14 +96,16 @@ pub struct InteractStats {
     pub distance_checks: u64,
     /// Violations reported.
     pub violations: u64,
-    /// Hierarchical cache hits (instance pairs answered from cache).
+    /// Call scopes and scope pairs answered by a candidate row filled
+    /// for an earlier one.
     pub cache_hits: u64,
-    /// Hierarchical cache misses (instance pairs searched geometrically).
+    /// Candidate rows filled (searched geometrically).
     pub cache_misses: u64,
     /// The largest **single** candidate-pair buffer held at any point:
-    /// the widest tile of a whole-chip search, the (halo-bounded) pair
-    /// list of a session re-check. In a parallel run, up to
-    /// `parallelism` tile buffers are alive concurrently (one per
+    /// the widest unit of a whole-chip run (a row stamped onto one scope
+    /// or scope pair, or a tile of a loose scan), the (halo-bounded)
+    /// pair list of a session re-check. In a parallel run, up to
+    /// `parallelism` unit buffers are alive concurrently (one per
     /// worker), so total concurrent candidate memory is bounded by
     /// workers × this value.
     pub peak_candidate_buffer: u64,
@@ -175,17 +162,15 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
     max_rule_range(tech).saturating_mul(4).max(1000)
 }
 
-/// Runs the interaction checks over the whole chip. `bound` must be
-/// `tech`'s binding — the rule reach, cell size and device-forming pairs
-/// come from it — and `scopes`, which the hierarchical search
-/// ([`CheckOptions::hierarchical`]) reads the top-level hierarchy from
-/// and the flat search does not look at, must have been built for that
-/// reach.
+/// Runs the interaction checks over the whole chip by the scope table's
+/// pair plan (see the module docs). `bound` must be `tech`'s binding —
+/// the rule reach, cell size and device-forming pairs come from it —
+/// and `scopes` must have been built for that reach.
 ///
-/// With a `cache` (library mode) the hierarchical candidate fills are
-/// shared **across cells** through the content-keyed [`LibraryCache`];
-/// the violation list and the statistics are byte-identical either way
-/// — cross-cell cache traffic is counted on the cache itself, not in
+/// With a `cache` (library mode) the candidate rows are shared **across
+/// cells** through the content-keyed [`LibraryCache`]; the violation
+/// list and the statistics are byte-identical either way — cross-cell
+/// cache traffic is counted on the cache itself, not in
 /// [`InteractStats`].
 pub fn check_interactions(
     view: &ChipView,
@@ -196,32 +181,6 @@ pub fn check_interactions(
     options: &CheckOptions,
     cache: Option<&LibraryCache>,
 ) -> (Vec<Violation>, InteractStats) {
-    check_interactions_tiled(
-        view,
-        tech,
-        bound,
-        nets,
-        scopes,
-        options,
-        cache,
-        DEFAULT_TILE_ELEMENTS,
-    )
-}
-
-/// [`check_interactions`] with the flat search's tile width spelled out
-/// (the unit tests drive widths of 1 and 2 through it).
-#[allow(clippy::too_many_arguments)]
-fn check_interactions_tiled(
-    view: &ChipView,
-    tech: &Technology,
-    bound: &BoundTechnology,
-    nets: &NetgenResult,
-    scopes: &ScopeTable,
-    options: &CheckOptions,
-    cache: Option<&LibraryCache>,
-    tile_width: usize,
-) -> (Vec<Violation>, InteractStats) {
-    let mut stats = InteractStats::default();
     let workers = effective_parallelism(options.parallelism);
     let cx = EvalCx::new(
         view,
@@ -231,25 +190,61 @@ fn check_interactions_tiled(
         options,
         device_archetypes(view, tech, 0..view.devices.len()),
     );
-    let (mut violations, edges) = if options.hierarchical {
-        let plan = hierarchical_plan_fill(view, scopes, bound, workers, &mut stats, cache);
-        hierarchical_tiled(&cx, &plan, workers, &mut stats)
-    } else {
-        flat_tiled(&cx, bound, workers, tile_width, &mut stats)
+    let plan = scopes.rows(bound.max_rule_range());
+    let filled = fill_rows(view, scopes, &plan, bound, workers, cache);
+    let bboxes = view.elements.bboxes();
+    let loose_index = plan
+        .loose
+        .first()
+        .map(|(_, scan)| scan.index(bboxes, bound.cell_size()));
+    let units = stream_order(&plan);
+    let results = run_ordered(units.len(), workers, |k| {
+        let pairs: Vec<(usize, usize)> = match &units[k] {
+            &Unit::Row(si, sj, row) => {
+                let (a, b) = (scopes.ids(si), scopes.ids(sj));
+                let local = filled[row].iter();
+                local.map(|&(la, lb)| (a.get(la), b.get(lb))).collect()
+            }
+            Unit::Loose(scan, tile) => {
+                let mut pairs = Vec::new();
+                // invariant: loose scans exist only beside their index.
+                let index = loose_index
+                    .as_ref()
+                    .expect("a loose scan has the loose index");
+                let reach = bound.max_rule_range();
+                let scan = &plan.loose[*scan].1;
+                scan.pairs(bboxes, index, reach, tile.clone(), |i, j| {
+                    pairs.push((i, j))
+                });
+                pairs
+            }
+        };
+        evaluate_tile(&cx, &pairs)
+    });
+    let stamps = plan.interior.len() + plan.cross.len();
+    let mut stats = InteractStats {
+        cache_hits: (stamps - plan.rows.len()) as u64,
+        cache_misses: plan.rows.len() as u64,
+        ..InteractStats::default()
     };
+    let (mut violations, edges) = merge_tiles(results, &mut stats);
     violations.extend(mask_cycle_violations(view, tech, options.metric, edges));
     stats.violations = violations.len() as u64;
     (violations, stats)
 }
 
-/// Runs the interaction checks **among a given element set**, for the
-/// edit session's halo re-check: `ids` (ascending) is every element
-/// within one rule reach of the dirty halo — the session derives it from
-/// its persistent spatial index instead of scanning the whole element
-/// list — and `clip_grid` is the grid over the halo's rects, which the
-/// session also uses for its retraction predicate, so the two sides of
-/// the retract/splice partition share one object by construction. Only
-/// violations whose marker touches the halo are reported.
+/// Runs the interaction checks **among a given element set** by the
+/// direct scan — every element against one index over the set. Over
+/// every id, with [`check_same_mask`] for the multi-patterning verdict
+/// and no `clip`, it is the reference [`check_interactions`] is held to.
+///
+/// The edit session runs it over its halo: `ids` (ascending) is every
+/// element within one rule reach of the dirty halo — the session derives
+/// it from its persistent spatial index instead of scanning the whole
+/// element list — and `clip` is the grid over the halo's rects, which
+/// the session also uses for its retraction predicate, so the two sides
+/// of the retract/splice partition share one object by construction.
+/// Only violations whose marker touches `clip` are then reported.
 ///
 /// The scoping is *sound* because of two reach bounds: a spacing
 /// violation's marker lies within the pair's gap distance
@@ -257,11 +252,9 @@ fn check_interactions_tiled(
 /// anchored in the halo comes from a pair whose elements both sit
 /// within one rule reach of it — exactly the element set searched here.
 /// Conversely, violations whose marker misses the halo are dropped:
-/// their unchanged copies live on in the cached report. Candidates are
-/// enumerated with one grid search over the set; the violation
+/// their unchanged copies live on in the cached report. The violation
 /// *multiset* equals the whole-chip search's (`tests/incremental.rs`),
-/// so a canonically sorted patched report matches a full run under
-/// either engine.
+/// so a canonically sorted patched report matches a full run.
 pub fn check_interactions_among(
     view: &ChipView,
     tech: &Technology,
@@ -269,24 +262,22 @@ pub fn check_interactions_among(
     nets: &NetgenResult,
     options: &CheckOptions,
     ids: &[usize],
-    clip_grid: &GridIndex<()>,
+    clip: Option<&GridIndex<()>>,
 ) -> (Vec<Violation>, InteractStats) {
     let mut stats = InteractStats::default();
     if ids.is_empty() {
         return (Vec::new(), stats);
     }
     let workers = effective_parallelism(options.parallelism);
-
-    let local = local_candidates(
-        view,
-        ScopeIds::List(ids),
-        bound.max_rule_range(),
-        bound.cell_size(),
-    );
-    let pairs: Vec<(usize, usize)> = local
-        .into_iter()
-        .map(|(li, lj)| (ids[li], ids[lj]))
-        .collect();
+    let bboxes = view.elements.bboxes();
+    let scan = Scan::direct(ScopeIds::List(ids));
+    let index = scan.index(bboxes, bound.cell_size());
+    let mut pairs = Vec::new();
+    let reach = bound.max_rule_range();
+    scan.pairs(bboxes, &index, reach, 0..ids.len(), |i, j| {
+        pairs.push((i, j))
+    });
+    drop(index);
     let cx = EvalCx::new(
         view,
         tech,
@@ -310,80 +301,134 @@ pub fn check_interactions_among(
         pairs.chunks(pairs.len().div_ceil(workers).max(1)).collect();
     let results = run_ordered(chunks.len(), workers, |k| evaluate_tile(&cx, chunks[k]));
     let (mut violations, _edges) = merge_tiles(results, &mut stats);
-    // The halo search buffers its (already halo-bounded) pair list whole.
+    // The direct scan buffers its (halo-bounded) pair list whole.
     stats.peak_candidate_buffer = pairs.len() as u64;
     // Location-less violations count as inside every halo (they cannot
     // be anchored, so retraction and splicing must agree on them).
-    violations.retain(|v| v.location.is_none_or(|l| clip_grid.touches_any(&l)));
+    if let Some(clip) = clip {
+        violations.retain(|v| v.location.is_none_or(|l| clip.touches_any(&l)));
+    }
     stats.violations = violations.len() as u64;
     (violations, stats)
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: candidate enumeration.
+// Phase 1: candidate rows and their streaming order.
 // ---------------------------------------------------------------------
 
-/// One grid index over every instantiated element's bbox, payload = id.
-fn element_grid(view: &ChipView, cell: Coord) -> GridIndex<usize> {
-    let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (id, bbox) in view.elements.bboxes().iter().enumerate() {
-        index.insert(*bbox, id);
-    }
-    index
+/// One streamed unit of a whole-chip run.
+enum Unit {
+    /// Row `row` stamped onto call scopes `(si, sj)` — `si == sj` for an
+    /// interior.
+    Row(usize, usize, usize),
+    /// The positions `tile` of the plan's loose scan `scan`.
+    Loose(usize, Range<usize>),
 }
 
-/// Candidate pairs `(a.id, j)` with `j > a.id` for every element in
-/// `range`, queried against the shared grid index.
-///
-/// [`GridIndex::query`] returns ids in ascending insertion order
-/// (documented and tested there), so the pairs come out already sorted
-/// by `(a.id, j)`.
-fn enumerate_range_pairs(
+/// The plan's units in their canonical order: every call scope's
+/// interior row, the loose scope's scan, then the scope pairs ascending
+/// — a call scope's rows with later call scopes before its scan against
+/// the loose scope, the last scope.
+fn stream_order(plan: &RowPlan<'_>) -> Vec<Unit> {
+    let mut units: Vec<Unit> = (plan.interior.iter().enumerate())
+        .map(|(s, &row)| Unit::Row(s, s, row))
+        .collect();
+    let tiles = |k: usize| (plan.loose[k].1.tiles()).map(move |tile| Unit::Loose(k, tile));
+    if !plan.loose.is_empty() {
+        units.extend(tiles(0));
+    }
+    let mut near_loose = (1..plan.loose.len()).peekable();
+    for &(si, sj, row) in &plan.cross {
+        while let Some(k) = near_loose.next_if(|&k| plan.loose[k].0 < si) {
+            units.extend(tiles(k));
+        }
+        units.push(Unit::Row(si, sj, row));
+    }
+    for k in near_loose {
+        units.extend(tiles(k));
+    }
+    units
+}
+
+/// Fills every row of the plan across the worker pool: the pairs of its
+/// scan, as indices local to its two scopes, ascending. Each fill is a
+/// pure function of its scopes' element boxes, so parallel fills return
+/// exactly the serial values. In library mode each fill first consults
+/// the batch's content-keyed cache ([`content_key`]): a hit returns the
+/// bytes a local fill would have produced.
+fn fill_rows(
     view: &ChipView,
-    index: &GridIndex<usize>,
-    max_range: Coord,
-    range: std::ops::Range<usize>,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (i, bbox) in view.elements.bboxes()[range.clone()].iter().enumerate() {
-        let i = range.start + i;
-        // invariant: max_range >= 0 (rule ranges are non-negative), and
-        // inflate only fails on negative shrink past emptiness.
-        let query = bbox
-            .inflate(max_range)
-            .expect("inflating by a positive range cannot fail");
-        let near = index.query(&query).into_iter().copied().filter(|&j| j > i);
-        out.extend(near.map(|j| (i, j)));
-    }
-    out
-}
-
-/// Flat search: one grid index over every instantiated element, walked
-/// through [`GridIndex::tiles`] — each tile job enumerates its element
-/// range's pairs into a tile-local buffer, evaluates them, and drops the
-/// buffer before the worker takes its next tile. Pairs come out in
-/// ascending `(i, j)` order, each pair owned by its lower element's
-/// tile, and the positional tile merge keeps any worker count
-/// byte-identical.
-fn flat_tiled(
-    cx: &EvalCx<'_>,
+    table: &ScopeTable,
+    plan: &RowPlan<'_>,
     bound: &BoundTechnology,
     workers: usize,
-    tile_width: usize,
-    stats: &mut InteractStats,
-) -> (Vec<Violation>, Vec<MaskEdge>) {
-    let view = cx.view;
-    let index = element_grid(view, bound.cell_size());
-    let tiles: Vec<std::ops::Range<u32>> = index.tiles(tile_width).collect();
-    let results = run_ordered(tiles.len(), workers, |k| {
-        let range = (tiles[k].start as usize)..(tiles[k].end as usize);
-        let pairs = enumerate_range_pairs(view, &index, bound.max_rule_range(), range);
-        evaluate_tile(cx, &pairs)
-    });
-    merge_tiles(results, stats)
+    cache: Option<&LibraryCache>,
+) -> Vec<Arc<Vec<(usize, usize)>>> {
+    let bboxes = view.elements.bboxes();
+    run_ordered(plan.rows.len(), workers, |row| {
+        let ((si, sj), scan) = plan.rows[row];
+        let fill = || {
+            let (i0, j0) = (
+                table.scopes()[si].run().start,
+                table.scopes()[sj].run().start,
+            );
+            let index = scan.index(bboxes, bound.cell_size());
+            let mut local = Vec::new();
+            let tile = 0..scan.ids.len();
+            let reach = bound.max_rule_range();
+            scan.pairs(bboxes, &index, reach, tile, |i, j| {
+                local.push((i - i0, j - j0))
+            });
+            local
+        };
+        match cache {
+            Some(cache) => cache.get_or_fill(content_key(view, &scan, bound.revision()), fill),
+            None => Arc::new(fill()),
+        }
+    })
 }
 
-/// Folds per-tile results, in tile order, into one violation list, one
+/// Content key for a row's fill: its scopes' bbox sequences in walk
+/// order (one for an interior, both for a row across two scopes),
+/// **normalized** by the first scanned bbox's lower-left corner — so
+/// every translated instance of the same definition or relative
+/// placement, in any cell of the batch, hashes identically. Rotated or
+/// mirrored instances hash differently (their bbox sequences differ)
+/// and simply miss — a conservative, correct outcome. The bound-
+/// technology revision pins the rule reach and cell size the fill was
+/// computed under.
+///
+/// Bboxes are the *complete* input of a fill (layers and shapes only
+/// matter at evaluation, which stays per-cell; the scan's clips are
+/// unions of the same boxes), so equal keys imply byte-equal fills.
+fn content_key(view: &ChipView, scan: &Scan<'_>, revision: u64) -> (u64, u64) {
+    let bboxes = view.elements.bboxes();
+    let mut h = ContentHash::new();
+    h.word(revision);
+    let sets = if scan.within {
+        h.word(1); // domain tag: interior
+        vec![scan.ids]
+    } else {
+        h.word(2); // domain tag: across two scopes
+        vec![scan.ids, scan.against]
+    };
+    for ids in &sets {
+        h.word(ids.len() as u64);
+    }
+    let (rx, ry) = (scan.ids.iter().next())
+        .map(|id| (bboxes[id].x1, bboxes[id].y1))
+        .unwrap_or((0, 0));
+    for id in sets.iter().flat_map(|ids| ids.iter()) {
+        let b = bboxes[id];
+        h.coord(b.x1 - rx);
+        h.coord(b.y1 - ry);
+        h.coord(b.x2 - rx);
+        h.coord(b.y2 - ry);
+    }
+    h.digest()
+}
+
+/// Folds per-unit results, in unit order, into one violation list, one
 /// edge list and the run's counters.
 fn merge_tiles(
     results: Vec<(Vec<Violation>, Vec<MaskEdge>, InteractStats)>,
@@ -399,10 +444,10 @@ fn merge_tiles(
     (out, edges)
 }
 
-/// Evaluates one tile's pair buffer serially, returning its violations
-/// and tile-local counters (`candidate_pairs` and the tile's buffer
-/// width; the caller folds tiles together with
-/// [`InteractStats::absorb`], which sums counts and maxes the peak).
+/// Evaluates one unit's pair buffer serially, returning its violations
+/// and unit-local counters (`candidate_pairs` and the buffer's width;
+/// the caller folds units together with [`InteractStats::absorb`],
+/// which sums counts and maxes the peak).
 fn evaluate_tile(
     cx: &EvalCx<'_>,
     pairs: &[(usize, usize)],
@@ -418,321 +463,6 @@ fn evaluate_tile(
         evaluate_pair(cx, i, j, &mut vs, &mut edges, &mut tile_stats);
     }
     (vs, edges, tile_stats)
-}
-
-/// The planned-and-filled hierarchical search: the scopes, which filled
-/// cache row feeds each scope (`intra_source`) and each near scope pair
-/// (`inter_source`), and the filled rows themselves (scope-local index
-/// pairs), which [`hierarchical_tiled`] streams one row at a time.
-struct HierPlan<'a> {
-    scopes: &'a ScopeTable,
-    intra_source: Vec<usize>,
-    inter_source: Vec<(usize, usize, usize)>,
-    /// Filled rows sit behind [`Arc`] so library-mode cache hits share
-    /// one allocation across cells instead of copying the pair list.
-    filled: Vec<Arc<Vec<(usize, usize)>>>,
-}
-
-/// Hierarchical candidate search with the paper's redundancy
-/// elimination: geometric candidate pairs are cached per symbol
-/// (intra-instance) and per symbol pair with relative placement
-/// (inter-instance), so repeated instances are searched once. The
-/// output order is canonical: intra-scope pairs in scope walk order,
-/// then inter-scope pairs over the upper-triangular scope matrix.
-///
-/// The scopes — which element belongs to which top-level instance, and
-/// which instances come within rule reach of one another — are read
-/// from the [`ScopeTable`]; this function looks at no path string and
-/// walks no scope pair that is not near.
-///
-/// The search runs in three deterministic steps so the cache fills can
-/// be shared across threads:
-///
-/// 1. **plan** (serial, cheap) — walk the scopes and near scope pairs in
-///    canonical order, deduplicating cache keys into an ordered job
-///    list and recording which job feeds each scope / scope pair (the
-///    first occurrence of a key is the cache miss, later ones the
-///    hits — identical counters to a serial fill);
-/// 2. **fill** — run the distinct geometric searches across the worker
-///    pool ([`run_ordered`]); each is a pure function of its scope's
-///    element sets, so parallel fills return exactly the serial values;
-/// 3. **stream** — [`hierarchical_tiled`] maps one filled row at a time
-///    to global ids and evaluates it.
-fn hierarchical_plan_fill<'a>(
-    view: &ChipView,
-    table: &'a ScopeTable,
-    bound: &BoundTechnology,
-    workers: usize,
-    stats: &mut InteractStats,
-    cache: Option<&LibraryCache>,
-) -> HierPlan<'a> {
-    let scopes = table.scopes();
-    let (max_range, cell, revision) = (bound.max_rule_range(), bound.cell_size(), bound.revision());
-
-    // Step 1 — plan. Cache keys express "same geometry up to rigid
-    // motion"; the first scope (pair) presenting a key owns the fill
-    // job, later ones reuse its result.
-    enum FillJob {
-        /// Intra-scope search of the scope at this index.
-        Intra(usize),
-        /// Cross-scope search of the scope pair at these indices.
-        Cross(usize, usize),
-    }
-    let mut jobs: Vec<FillJob> = Vec::new();
-
-    // Intra-scope plan: scope walk order.
-    let mut intra_key_to_job: HashMap<SymbolId, usize> = HashMap::new();
-    let mut intra_source: Vec<usize> = Vec::with_capacity(scopes.len());
-    for (si, scope) in scopes.iter().enumerate() {
-        match scope.symbol {
-            Some(sym) => {
-                if let Some(&job) = intra_key_to_job.get(&sym) {
-                    stats.cache_hits += 1;
-                    intra_source.push(job);
-                } else {
-                    stats.cache_misses += 1;
-                    intra_key_to_job.insert(sym, jobs.len());
-                    intra_source.push(jobs.len());
-                    jobs.push(FillJob::Intra(si));
-                }
-            }
-            None => {
-                intra_source.push(jobs.len());
-                jobs.push(FillJob::Intra(si));
-            }
-        }
-    }
-
-    // Inter-scope plan: the scope pairs within rule reach of one
-    // another, in ascending order.
-    let mut inter_key_to_job: HashMap<(SymbolId, SymbolId, Transform), usize> = HashMap::new();
-    let mut inter_source: Vec<(usize, usize, usize)> = Vec::with_capacity(table.near().len());
-    for &(si, sj) in table.near() {
-        let (sa, sb) = (&scopes[si], &scopes[sj]);
-        match (sa.symbol, sb.symbol) {
-            (Some(x), Some(y)) => {
-                let rel = sa.transform.inverse().after(&sb.transform);
-                let key = (x, y, rel);
-                if let Some(&job) = inter_key_to_job.get(&key) {
-                    stats.cache_hits += 1;
-                    inter_source.push((si, sj, job));
-                } else {
-                    stats.cache_misses += 1;
-                    inter_key_to_job.insert(key, jobs.len());
-                    inter_source.push((si, sj, jobs.len()));
-                    jobs.push(FillJob::Cross(si, sj));
-                }
-            }
-            _ => {
-                inter_source.push((si, sj, jobs.len()));
-                jobs.push(FillJob::Cross(si, sj));
-            }
-        }
-    }
-
-    // Step 2 — fill every distinct cache entry (and each uncached scope
-    // search) across the worker pool. In library mode each *symbol*
-    // job additionally consults the batch's content-keyed cache: the
-    // key hashes exactly what the fill is a pure function of (the
-    // scopes' normalized bbox sequences + the bound-tech revision), so
-    // a hit returns the bytes a local fill would have produced.
-    // Symbol-less (loose top-level) scopes never touch the shared
-    // cache — their geometry is cell-specific, and caching it would
-    // grow the cache with rows no sibling can hit.
-    let filled: Vec<Arc<Vec<(usize, usize)>>> = run_ordered(jobs.len(), workers, |k| {
-        let compute = || match jobs[k] {
-            FillJob::Intra(si) => local_candidates(view, table.ids(si), max_range, cell),
-            FillJob::Cross(si, sj) => {
-                cross_candidates(view, table.ids(si), table.ids(sj), max_range, cell)
-            }
-        };
-        let keyed = cache.and_then(|cache| {
-            let key = match jobs[k] {
-                FillJob::Intra(si) => scopes[si]
-                    .symbol
-                    .map(|_| intra_content_key(view, table.ids(si), revision)),
-                FillJob::Cross(si, sj) => scopes[si]
-                    .symbol
-                    .and(scopes[sj].symbol)
-                    .map(|_| cross_content_key(view, table.ids(si), table.ids(sj), revision)),
-            };
-            key.map(|key| (cache, key))
-        });
-        match keyed {
-            Some((cache, key)) => cache.get_or_fill(key, compute),
-            None => Arc::new(compute()),
-        }
-    });
-
-    HierPlan {
-        scopes: table,
-        intra_source,
-        inter_source,
-        filled,
-    }
-}
-
-impl HierPlan<'_> {
-    /// Number of assembly units: one per scope (intra pairs), then one
-    /// per near scope pair (inter pairs).
-    fn unit_count(&self) -> usize {
-        self.scopes.scopes().len() + self.inter_source.len()
-    }
-
-    /// Unit `k`'s global candidate pairs: its filled cache row mapped
-    /// to global ids. Units walk in canonical order: scopes first, then
-    /// the near scope pairs.
-    fn unit_pairs(&self, k: usize) -> Vec<(usize, usize)> {
-        let scopes = self.scopes.scopes().len();
-        let (si, sj, job) = if k < scopes {
-            (k, k, self.intra_source[k])
-        } else {
-            self.inter_source[k - scopes]
-        };
-        let (a, b) = (self.scopes.ids(si), self.scopes.ids(sj));
-        self.filled[job]
-            .iter()
-            .map(|&(la, lb)| (a.get(la), b.get(lb)))
-            .collect()
-    }
-}
-
-/// Evaluation of a filled hierarchical plan, streamed: the tiles are
-/// the plan's units — one per scope (intra pairs), one per near scope
-/// pair (inter pairs) — walked in unit order. Each unit maps its cache
-/// row to global ids in a unit-local buffer (bounded by the widest
-/// scope, not the instance count) and discards it after evaluation.
-fn hierarchical_tiled(
-    cx: &EvalCx<'_>,
-    plan: &HierPlan<'_>,
-    workers: usize,
-    stats: &mut InteractStats,
-) -> (Vec<Violation>, Vec<MaskEdge>) {
-    let results = run_ordered(plan.unit_count(), workers, |k| {
-        let pairs = plan.unit_pairs(k);
-        evaluate_tile(cx, &pairs)
-    });
-    merge_tiles(results, stats)
-}
-
-/// Candidate close pairs within one element set (sorted local indices).
-fn local_candidates(
-    view: &ChipView,
-    ids: ScopeIds<'_>,
-    max_range: Coord,
-    cell: Coord,
-) -> Vec<(usize, usize)> {
-    let bboxes = view.elements.bboxes();
-    let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (local, id) in ids.iter().enumerate() {
-        index.insert(bboxes[id], local);
-    }
-    let mut out = Vec::new();
-    for (li, id) in ids.iter().enumerate() {
-        // invariant: non-negative range, as above.
-        let query = bboxes[id].inflate(max_range).expect("inflate cannot fail");
-        // Ascending-query-order results keep `out` lexicographically
-        // sorted without an explicit sort.
-        for &lj in index.query(&query) {
-            if lj > li {
-                out.push((li, lj));
-            }
-        }
-    }
-    debug_assert!(out.is_sorted());
-    out
-}
-
-/// Candidate close pairs across two element sets (sorted local index
-/// pairs).
-fn cross_candidates(
-    view: &ChipView,
-    a: ScopeIds<'_>,
-    b: ScopeIds<'_>,
-    max_range: Coord,
-    cell: Coord,
-) -> Vec<(usize, usize)> {
-    let bboxes = view.elements.bboxes();
-    let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (local, id) in b.iter().enumerate() {
-        index.insert(bboxes[id], local);
-    }
-    let mut out = Vec::new();
-    for (la, id) in a.iter().enumerate() {
-        // invariant: non-negative range, as above.
-        let query = bboxes[id].inflate(max_range).expect("inflate cannot fail");
-        // Ascending-query-order results keep `out` lexicographically
-        // sorted without an explicit sort.
-        for &lb in index.query(&query) {
-            out.push((la, lb));
-        }
-    }
-    debug_assert!(out.is_sorted());
-    out
-}
-
-/// Content key for an intra-scope fill: the scope's bbox sequence in
-/// walk order, **normalized** by its first bbox's lower-left corner —
-/// so every translated instance of the same definition, in any cell of
-/// the batch, hashes identically. Rotated/mirrored instances hash
-/// differently (their bbox sequences differ) and simply miss — a
-/// conservative, correct outcome. The bound-technology revision pins
-/// the rule reach and cell size the fill was computed under.
-///
-/// Bboxes are the *complete* input of [`local_candidates`] (layers and
-/// shapes only matter at evaluation, which stays per-cell), so equal
-/// keys imply byte-equal fills.
-fn intra_content_key(view: &ChipView, ids: ScopeIds<'_>, revision: u64) -> (u64, u64) {
-    let bboxes = view.elements.bboxes();
-    let mut h = ContentHash::new();
-    h.word(revision);
-    h.word(1); // domain tag: intra
-    h.word(ids.len() as u64);
-    let (rx, ry) = ids
-        .iter()
-        .next()
-        .map(|id| (bboxes[id].x1, bboxes[id].y1))
-        .unwrap_or((0, 0));
-    for id in ids.iter() {
-        let b = bboxes[id];
-        h.coord(b.x1 - rx);
-        h.coord(b.y1 - ry);
-        h.coord(b.x2 - rx);
-        h.coord(b.y2 - ry);
-    }
-    h.digest()
-}
-
-/// Content key for a cross-scope fill: both scopes' bbox sequences,
-/// normalized by scope `a`'s reference corner — one shared origin, so
-/// the key captures the pair's **relative placement** exactly like the
-/// per-run `(SymbolId, SymbolId, relative transform)` key, but by
-/// content. See [`intra_content_key`] for why bboxes suffice.
-fn cross_content_key(
-    view: &ChipView,
-    a: ScopeIds<'_>,
-    b: ScopeIds<'_>,
-    revision: u64,
-) -> (u64, u64) {
-    let bboxes = view.elements.bboxes();
-    let mut h = ContentHash::new();
-    h.word(revision);
-    h.word(2); // domain tag: cross
-    h.word(a.len() as u64);
-    h.word(b.len() as u64);
-    let (rx, ry) = a
-        .iter()
-        .next()
-        .map(|id| (bboxes[id].x1, bboxes[id].y1))
-        .unwrap_or((0, 0));
-    for id in a.iter().chain(b.iter()) {
-        let bb = bboxes[id];
-        h.coord(bb.x1 - rx);
-        h.coord(bb.y1 - ry);
-        h.coord(bb.x2 - rx);
-        h.coord(bb.y2 - ry);
-    }
-    h.digest()
 }
 
 // ---------------------------------------------------------------------
@@ -812,22 +542,9 @@ fn evaluate_pair(
 
     // Same-mask conflict edges are purely geometric, so they are
     // collected *before* any electrical pruning: sharing a net or a
-    // device does not put two features on different masks. Touching
-    // features (dist == 0) print as one feature and never conflict.
-    if a.layer() == b.layer() {
-        if let Some(threshold) = tech.rules().same_mask(a.layer()) {
-            if let Some((dist, _)) =
-                diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.metric)
-            {
-                if dist > 0 && dist < threshold {
-                    edges.push(MaskEdge {
-                        a: i,
-                        b: j,
-                        gap: dist,
-                    });
-                }
-            }
-        }
+    // device does not put two features on different masks.
+    if let Some(edge) = mask_edge(tech, cx.metric, a, b) {
+        edges.push(edge);
     }
 
     if a.device().is_some() && a.device() == b.device() {
@@ -961,9 +678,9 @@ fn evaluate_pair(
     }
 
     if dist < required {
-        // Orient the pair canonically before naming layers: the flat
-        // search, the hierarchical search, and the edit session's halo
-        // re-check enumerate pairs in different orders, and the rendered
+        // Orient the pair canonically before naming layers: the plan's
+        // units and the direct scan over the edit session's halo
+        // enumerate pairs in different orders, and the rendered
         // violation must not encode which path produced it (see
         // `pair_context`).
         let (a, b) = if pair_key(view, tech, a) <= pair_key(view, tech, b) {
@@ -1010,13 +727,12 @@ fn pair_context(
     if a.path() == b.path() {
         view.str(a.path()).to_string()
     } else {
-        // Lexicographic, not enumeration order: the flat search hands
-        // pairs over in element-id order, the hierarchical search in
-        // scope-visit order, and the edit session's halo re-check in
-        // clipped-subset order — the rendered context must not care
-        // which path produced it (an `AddCall` edit appends a call
-        // *after* top-level elements, where id order and scope order
-        // disagree).
+        // Lexicographic, not enumeration order: the plan hands pairs
+        // over in scope-visit order, the direct scan in element-id
+        // order (over every id or over the edit session's halo) — the
+        // rendered context must not care which path produced it (an
+        // `AddCall` edit appends a call *after* top-level elements,
+        // where id order and scope order disagree).
         let (pa, pb) = (view.str(a.path()), view.str(b.path()));
         if pa <= pb {
             format!("{pa} / {pb}")
@@ -1054,9 +770,9 @@ fn mask_cycle_violations(
     if edges.is_empty() {
         return Vec::new();
     }
-    // Canonical edge order regardless of which search shape collected
-    // the edges; the dedup is belt and braces — the tiling contract
-    // already enumerates every pair exactly once.
+    // Canonical edge order regardless of which scan collected the
+    // edges; the dedup is belt and braces — the plan enumerates every
+    // pair exactly once.
     edges.sort_unstable();
     edges.dedup();
 
@@ -1152,12 +868,36 @@ fn odd_cycle_len(
     du + dv - 2 * depth[&u] + 1
 }
 
+/// The conflict-graph edge between elements `a` and `b`, if they lie on
+/// one layer with a `same_mask` rule, closer than its distance but not
+/// touching (touching features print as one feature and never
+/// conflict).
+#[inline]
+fn mask_edge(
+    tech: &Technology,
+    metric: SizingMode,
+    a: crate::binding::ElementRef<'_>,
+    b: crate::binding::ElementRef<'_>,
+) -> Option<MaskEdge> {
+    if a.layer() != b.layer() {
+        return None;
+    }
+    let threshold = tech.rules().same_mask(a.layer())?;
+    let (gap, _) = batch::closest_approach(a.rects(), b.rects(), metric)?;
+    (gap > 0 && gap < threshold).then_some(MaskEdge {
+        a: a.id(),
+        b: b.id(),
+        gap,
+    })
+}
+
 /// Runs the same-mask conflict-graph analysis standalone, over the
-/// whole chip: enumerates conflicting same-layer pairs from one flat
-/// grid index and hands the edge set to the same odd-cycle analysis
-/// the interaction stage runs — so the violations are byte-identical
-/// to the ones [`check_interactions`] appends under the same `metric`.
-/// Returns nothing when the technology declares no `same_mask` rules.
+/// whole chip: the direct scan over the elements on `same_mask` layers
+/// collects the conflict edges and hands them to the same odd-cycle
+/// analysis the interaction stage runs — so the violations are
+/// byte-identical to the ones [`check_interactions`] appends under the
+/// same `metric`. Returns nothing when the technology declares no
+/// `same_mask` rules.
 ///
 /// This is the incremental session's recompute path: bipartiteness is
 /// global, so after any edit the conflict verdict is re-derived from
@@ -1171,36 +911,22 @@ pub fn check_same_mask(
     if !tech.rules().has_same_mask() {
         return Vec::new();
     }
-    let max_range = bound.max_rule_range();
-    let index = element_grid(view, bound.cell_size());
-    let bboxes = view.elements.bboxes();
-    let layers = view.elements.layers();
+    let (bboxes, layers) = (view.elements.bboxes(), view.elements.layers());
+    let masked: Vec<usize> = (0..layers.len())
+        .filter(|&i| tech.rules().same_mask(layers[i]).is_some())
+        .collect();
+    let scan = Scan::direct(ScopeIds::List(&masked));
+    let index = scan.index(bboxes, bound.cell_size());
     let mut edges = Vec::new();
-    for (i, bbox) in bboxes.iter().enumerate() {
-        let Some(threshold) = tech.rules().same_mask(layers[i]) else {
-            continue;
-        };
-        // invariant: non-negative range, as above.
-        let query = bbox.inflate(max_range).expect("inflate cannot fail");
-        for &j in index.query(&query) {
-            if j <= i || layers[j] != layers[i] {
-                continue;
-            }
-            let a = view.elements.get(i);
-            let b = view.elements.get(j);
-            if let Some((dist, _)) =
-                diic_geom::batch::closest_approach(a.rects(), b.rects(), metric)
-            {
-                if dist > 0 && dist < threshold {
-                    edges.push(MaskEdge {
-                        a: i,
-                        b: j,
-                        gap: dist,
-                    });
-                }
-            }
-        }
-    }
+    let (reach, tile) = (bound.max_rule_range(), 0..masked.len());
+    scan.pairs(bboxes, &index, reach, tile, |i, j| {
+        edges.extend(mask_edge(
+            tech,
+            metric,
+            view.elements.get(i),
+            view.elements.get(j),
+        ));
+    });
     mask_cycle_violations(view, tech, metric, edges)
 }
 
@@ -1213,14 +939,6 @@ mod tests {
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
-    /// Options selecting the flat or the hierarchical search.
-    fn search(hierarchical: bool) -> CheckOptions {
-        CheckOptions {
-            hierarchical,
-            ..CheckOptions::default()
-        }
-    }
-
     fn run_with(cif: &str, options: CheckOptions) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
         let (view, nets, scopes) = build(cif, &tech);
@@ -1228,9 +946,46 @@ mod tests {
         check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None)
     }
 
-    /// The flat search with default options.
+    /// The stage with default options.
     fn run(cif: &str) -> (Vec<Violation>, InteractStats) {
-        run_with(cif, search(false))
+        run_with(cif, CheckOptions::default())
+    }
+
+    /// The direct-scan reference: every element against one index over
+    /// all of them, plus the standalone multi-patterning analysis.
+    fn reference(
+        view: &ChipView,
+        tech: &Technology,
+        nets: &NetgenResult,
+        options: &CheckOptions,
+    ) -> (Vec<Violation>, InteractStats) {
+        let bound = BoundTechnology::new(tech);
+        let all: Vec<usize> = (0..view.elements.len()).collect();
+        let (mut v, stats) =
+            check_interactions_among(view, tech, &bound, nets, options, &all, None);
+        v.extend(check_same_mask(view, tech, &bound, options.metric));
+        (v, stats)
+    }
+
+    /// Sorted debug renderings: "the same violations" as byte equality.
+    fn canonical(violations: &[Violation]) -> Vec<String> {
+        let mut rendered: Vec<String> = violations.iter().map(|x| format!("{x:?}")).collect();
+        rendered.sort();
+        rendered
+    }
+
+    /// The stage and the reference over one chip: asserts they find the
+    /// same violations and candidate pairs, and returns the stage's run.
+    fn run_against_reference(cif: &str) -> (Vec<Violation>, InteractStats) {
+        let tech = nmos_technology();
+        let (view, nets, scopes) = build(cif, &tech);
+        let bound = BoundTechnology::new(&tech);
+        let options = CheckOptions::default();
+        let (v, stats) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+        let (direct, direct_stats) = reference(&view, &tech, &nets, &options);
+        assert_eq!(canonical(&v), canonical(&direct));
+        assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
+        (v, stats)
     }
 
     /// A one-metal technology with a `same_mask` rule: spacing 750,
@@ -1287,43 +1042,38 @@ mod tests {
                              B 2000 750 1000 375; B 2000 750 4000 375; E";
 
     #[test]
-    fn odd_cycle_flagged_in_every_search_shape() {
+    fn odd_cycle_flagged_by_the_plan_and_the_reference() {
         let tech = mp_tech();
         let (view, nets, scopes) = build(ODD_TRIANGLE, &tech);
         let bound = BoundTechnology::new(&tech);
-        let mut reference: Option<Vec<Violation>> = None;
-        for hierarchical in [false, true] {
-            for parallelism in [1usize, 3] {
-                let options = CheckOptions {
-                    parallelism,
-                    ..search(hierarchical)
-                };
-                let (v, _) =
-                    check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
-                let mask: Vec<&Violation> = v
-                    .iter()
-                    .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
-                    .collect();
-                assert_eq!(mask.len(), 1, "hier={hierarchical}: {v:?}");
-                assert!(
-                    matches!(
-                        &mask[0].kind,
-                        ViolationKind::MaskOddCycle {
-                            measured: 1000,
-                            required: 1250,
-                            cycle: 3,
-                            ..
-                        }
-                    ),
-                    "{:?}",
-                    mask[0].kind
-                );
-                assert!(mask[0].location.is_some());
-                match &reference {
-                    None => reference = Some(v),
-                    Some(r) => assert_eq!(r, &v, "hier={hierarchical} workers={parallelism}"),
-                }
-            }
+        let options = CheckOptions::default();
+        let (direct, _) = reference(&view, &tech, &nets, &options);
+        for parallelism in [1usize, 3] {
+            let options = CheckOptions {
+                parallelism,
+                ..CheckOptions::default()
+            };
+            let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+            let mask: Vec<&Violation> = v
+                .iter()
+                .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
+                .collect();
+            assert_eq!(mask.len(), 1, "{v:?}");
+            assert!(
+                matches!(
+                    &mask[0].kind,
+                    ViolationKind::MaskOddCycle {
+                        measured: 1000,
+                        required: 1250,
+                        cycle: 3,
+                        ..
+                    }
+                ),
+                "{:?}",
+                mask[0].kind
+            );
+            assert!(mask[0].location.is_some());
+            assert_eq!(v, direct, "workers={parallelism}");
         }
     }
 
@@ -1332,7 +1082,8 @@ mod tests {
         let tech = mp_tech();
         let (view, nets, scopes) = build(EVEN_RING, &tech);
         let bound = BoundTechnology::new(&tech);
-        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &search(false), None);
+        let options = CheckOptions::default();
+        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1346,7 +1097,7 @@ mod tests {
         for cif in [ODD_TRIANGLE, EVEN_RING] {
             let (view, nets, scopes) = build(cif, &tech);
             let bound = BoundTechnology::new(&tech);
-            let options = search(false);
+            let options = CheckOptions::default();
             let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
             let inline: Vec<Violation> = v
                 .into_iter()
@@ -1377,7 +1128,8 @@ mod tests {
         let tech = mp_tech();
         let (view, nets, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
-        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &search(false), None);
+        let options = CheckOptions::default();
+        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1422,7 +1174,7 @@ mod tests {
     fn ablation_without_suppression_flags_same_net() {
         let opts = CheckOptions {
             same_net_suppression: false,
-            ..search(false)
+            ..CheckOptions::default()
         };
         let (v, _) = run_with(
             "L NM; 9N A; B 2000 750 1000 375; 9N A; B 2000 750 1000 1625; E",
@@ -1450,7 +1202,7 @@ mod tests {
             "L NM; B 1000 750 500 375; B 1000 750 2050 1675; E",
             CheckOptions {
                 metric: SizingMode::Orthogonal,
-                ..search(false)
+                ..CheckOptions::default()
             },
         );
         assert_eq!(orth.0.len(), 1, "orthogonal metric over-flags the corner");
@@ -1492,19 +1244,28 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_matches_flat_verdicts() {
-        // An array with injected spacing violations must yield identical
-        // violation multisets under both engines.
+    fn stamped_rows_match_the_direct_scan() {
+        // An array with injected spacing violations: one violation per
+        // instance, from one row stamped five times.
         let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;\n");
         for i in 0..6 {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 4000));
         }
         cif.push('E');
-        let (flat, _) = run(&cif);
-        let (hier, stats) = run_with(&cif, search(true));
-        assert_eq!(flat.len(), hier.len());
-        assert_eq!(flat.len(), 6); // one violation per instance
+        let (v, stats) = run_against_reference(&cif);
+        assert_eq!(v.len(), 6);
         assert!(stats.cache_hits >= 5, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn rows_are_keyed_per_orientation() {
+        // One cell placed upright twice and rotated once: the rotated
+        // instance fills a row of its own.
+        let cif = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;
+                   C 1 T 0 0; C 1 T 10000 0; C 1 R 0 1 T 20000 0; E";
+        let (v, stats) = run_against_reference(cif);
+        assert_eq!(v.len(), 3);
+        assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1));
     }
 
     #[test]
@@ -1512,7 +1273,7 @@ mod tests {
         // Three instances of a cell with one internal spacing fault,
         // the first two close enough to fault across their boundary;
         // the top-level calls renamed to dotted, empty and repeated
-        // names. Keyed by name, the hierarchical search lost the
+        // names. Keyed by name, the scope-driven search lost the
         // renamed scopes' elements (1 of 3, 1 of 3, 0 of 3 internal
         // faults) or indexed out of bounds (the last naming).
         let tech = nmos_technology();
@@ -1534,22 +1295,18 @@ mod tests {
             }
             let (view, nets, scopes) = build_layout(&layout, &tech);
             let bound = BoundTechnology::new(&tech);
-            let run = |hierarchical: bool| {
-                let options = search(hierarchical);
-                let (v, stats) =
-                    check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
-                let mut rendered: Vec<String> = v.iter().map(|x| format!("{x:?}")).collect();
-                rendered.sort();
-                (rendered, stats.candidate_pairs)
-            };
-            let (flat, hier) = (run(false), run(true));
-            assert_eq!(flat, hier, "{names:?}");
-            assert_eq!(flat.0.len(), 3 + 4, "{names:?}: {:#?}", flat.0);
+            let options = CheckOptions::default();
+            let (v, stats) =
+                check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+            let (direct, direct_stats) = reference(&view, &tech, &nets, &options);
+            assert_eq!(canonical(&v), canonical(&direct), "{names:?}");
+            assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
+            assert_eq!(v.len(), 3 + 4, "{names:?}: {v:#?}");
         }
     }
 
     #[test]
-    fn hierarchical_cross_instance_pairs() {
+    fn cross_instance_pairs() {
         // Instances placed too close: the wires of adjacent cells violate
         // metal spacing across the boundary.
         let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; DF;\n");
@@ -1557,10 +1314,8 @@ mod tests {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2500)); // 500 gap
         }
         cif.push('E');
-        let (flat, _) = run(&cif);
-        let (hier, stats) = run_with(&cif, search(true));
-        assert_eq!(flat.len(), 4, "{flat:?}");
-        assert_eq!(hier.len(), 4);
+        let (v, stats) = run_against_reference(&cif);
+        assert_eq!(v.len(), 4, "{v:?}");
         // 4 identical adjacent pairs: 1 miss + 3 hits.
         assert!(stats.cache_hits >= 3, "stats: {stats:?}");
     }
@@ -1573,39 +1328,33 @@ mod tests {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2500));
         }
         cif.push('E');
-        for hierarchical in [false, true] {
-            let serial = run_with(&cif, search(hierarchical));
-            for workers in [2usize, 3, 8, 0] {
-                let parallel = run_with(
-                    &cif,
-                    CheckOptions {
-                        parallelism: workers,
-                        ..search(hierarchical)
-                    },
-                );
-                assert_eq!(
-                    serial.0, parallel.0,
-                    "hier={hierarchical} workers={workers}: violation lists diverge"
-                );
-                assert_eq!(
-                    serial.1, parallel.1,
-                    "hier={hierarchical} workers={workers}"
-                );
-            }
+        let serial = run(&cif);
+        for workers in [2usize, 3, 8, 0] {
+            let parallel = run_with(
+                &cif,
+                CheckOptions {
+                    parallelism: workers,
+                    ..CheckOptions::default()
+                },
+            );
+            assert_eq!(
+                serial.0, parallel.0,
+                "workers={workers}: violation lists diverge"
+            );
+            assert_eq!(serial.1, parallel.1, "workers={workers}");
         }
     }
 
     #[test]
-    fn flat_tiles_count_each_pair_once() {
-        // Under tiling, `candidate_pairs` counts every enumerated pair
-        // exactly once — a pair spanning two tiles is owned by its lower
-        // element's tile — pinned against a brute-force count for every
-        // tile width and worker count. Tiny tiles (1 element) force
-        // every pair to span a tile boundary.
-        // 5 wires in a 1250-pitch column: adjacent wires are within the
-        // rule reach of one another.
+    fn loose_tiles_count_each_pair_once() {
+        // A chip of loose elements only is the direct scan, tiled: 1 200
+        // wires on a 1 250 pitch, three tiles. `candidate_pairs` counts
+        // every pair exactly once — a pair spanning two tiles is owned
+        // by its lower element's — against a brute-force count, and the
+        // peak buffer is the widest tile, for any worker count.
+        let n = 1200;
         let mut cif = String::new();
-        for i in 0..5 {
+        for i in 0..n {
             cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 1250));
         }
         cif.push('E');
@@ -1629,57 +1378,42 @@ mod tests {
             })
             .collect();
         let total: u64 = owned.iter().sum();
-        assert!(total > 0);
-        let mut reference: Option<(Vec<Violation>, u64)> = None;
-        for tile_width in [1usize, 2, 512] {
-            let widest = (owned.chunks(tile_width).map(|t| t.iter().sum::<u64>()))
-                .max()
-                .unwrap();
-            assert!(tile_width >= 5 || widest < total);
-            for workers in [1usize, 2, 3, 7] {
-                let options = CheckOptions {
-                    parallelism: workers,
-                    ..search(false)
-                };
-                let (v, stats) = check_interactions_tiled(
-                    &view, &tech, &bound, &nets, &scopes, &options, None, tile_width,
-                );
-                let at = format!("tile={tile_width} workers={workers}");
-                assert_eq!(
-                    stats.candidate_pairs, total,
-                    "{at}: pairs double- or under-counted"
-                );
-                assert_eq!(stats.peak_candidate_buffer, widest, "{at}");
-                match &reference {
-                    None => reference = Some((v, stats.distance_checks)),
-                    Some((rv, checks)) => {
-                        assert_eq!(rv, &v, "{at}: violations diverge");
-                        assert_eq!(*checks, stats.distance_checks, "{at}");
-                    }
-                }
-            }
+        let widest = (owned.chunks(crate::scope::DEFAULT_TILE_ELEMENTS))
+            .map(|t| t.iter().sum::<u64>())
+            .max()
+            .unwrap();
+        assert!(widest < total);
+        let (direct, _) = reference(&view, &tech, &nets, &CheckOptions::default());
+        for workers in [1usize, 2, 3, 7] {
+            let options = CheckOptions {
+                parallelism: workers,
+                ..CheckOptions::default()
+            };
+            let (v, stats) =
+                check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+            assert_eq!(stats.candidate_pairs, total, "workers={workers}");
+            assert_eq!(stats.peak_candidate_buffer, widest, "workers={workers}");
+            assert_eq!(v, direct, "workers={workers}: the direct scan, tiled");
         }
     }
 
     #[test]
-    fn hierarchical_search_streams_per_scope() {
-        // The hierarchical search's tiles are its scopes and near scope
-        // pairs; the peak buffer must be the widest of them, not the
-        // total across instances — the same pairs the flat search
-        // counts.
+    fn rows_stream_per_scope() {
+        // A whole-chip run's units are its scopes and near scope pairs;
+        // the peak buffer must be the widest of them, not the total
+        // across instances — the same pairs the direct scan counts.
         let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;\n");
         for i in 0..8 {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2500));
         }
         cif.push('E');
-        let (flat, hier) = (run(&cif), run_with(&cif, search(true)));
-        assert_eq!(hier.1.candidate_pairs, flat.1.candidate_pairs);
-        assert!(hier.1.cache_hits > 0);
+        let (_, stats) = run_against_reference(&cif);
+        assert!(stats.cache_hits > 0);
         assert!(
-            hier.1.peak_candidate_buffer < hier.1.candidate_pairs,
+            stats.peak_candidate_buffer < stats.candidate_pairs,
             "peak {} vs total {}",
-            hier.1.peak_candidate_buffer,
-            hier.1.candidate_pairs
+            stats.peak_candidate_buffer,
+            stats.candidate_pairs
         );
     }
 
@@ -1752,22 +1486,22 @@ mod tests {
     #[test]
     fn parallel_enumeration_matches_serial_exactly() {
         // Enumeration itself (not just evaluation) runs on the worker
-        // pool: an array with repeated symbols (intra + inter cache
-        // traffic) and loose top-level geometry must yield identical
-        // pair lists, stats, and violations for any worker count.
+        // pool: an array with repeated symbols (row hits and misses) and
+        // loose top-level geometry must yield identical pair lists,
+        // stats, and violations for any worker count.
         let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;\n");
         for i in 0..7 {
             cif.push_str(&format!("C 1 T {} 0;\n", i * 2300));
         }
         cif.push_str("L NM; B 2000 700 1000 9000;\nE");
-        let serial = run_with(&cif, search(true));
+        let serial = run_against_reference(&cif);
         assert!(serial.1.cache_hits > 0 && serial.1.cache_misses > 0);
         for workers in [2usize, 5, 0] {
             let parallel = run_with(
                 &cif,
                 CheckOptions {
                     parallelism: workers,
-                    ..search(true)
+                    ..CheckOptions::default()
                 },
             );
             assert_eq!(serial.0, parallel.0, "workers={workers}");

@@ -32,23 +32,28 @@
 //! Every heavy stage is **parallel and deterministic** on one shared
 //! worker discipline (module [`parallel`]: ordered job list,
 //! work-stealing pool, positional merge — byte-identical for any worker
-//! count, all behind [`CheckOptions::parallelism`]): the connection
-//! stage scores each definition's interior and each distinct placement
-//! of two touching definitions once (module [`scope`] describes the
-//! top-level hierarchy) in tiled scans and stamps the rest, the netgen
-//! bind phase binds terminal and label points through the same table —
-//! one index per definition — and returns element ids to a serial fold
-//! that builds the rows in canonical order, the interaction search
-//! enumerates (hierarchically cached per symbol and per relative
-//! placement — with the distinct cache fills shared across threads — or
-//! from one flat grid index) and evaluates candidates across the pool,
+//! count, all behind [`CheckOptions::parallelism`]). Module [`scope`]
+//! describes the top-level hierarchy and plans, once for both pair
+//! stages, which element pairs are scored where
+//! ([`ScopeTable::rows`]): one row per definition-and-orientation and
+//! one per distinct placement of two near definitions, filled once and
+//! stamped onto every repeat, and the loose top-level elements scanned
+//! against one index of their own, tile by tile. The connection stage
+//! follows that plan at reach 0, the interaction stage at the rule
+//! reach — filling its rows across the pool and evaluating candidates
+//! there too; the netgen bind phase binds terminal and label points
+//! through the same table — one index per definition — and returns
+//! element ids to a serial fold that builds the rows in canonical order;
 //! and the flat baseline's per-layer Boolean work parallelises the same
-//! way ([`FlatOptions::parallelism`]). Instantiation stamps templates
-//! on the calling thread. The flat and hierarchical
-//! interaction searches agree on the violation *set* — the four-way
-//! guarantee `tests/differential.rs` checks on generated chips with
-//! injected faults; its seventh leg pins the parallel
-//! connections/netgen stages against serial.
+//! way ([`FlatOptions::parallelism`]). Instantiation stamps templates on
+//! the calling thread. The plan's base case is the **direct scan** —
+//! every element of an id set against one index over the set — which
+//! is also each pair stage's door for the edit session's halo and, over
+//! every id, the reference the plan is held to: `tests/differential.rs`
+//! checks on generated chips with injected faults that the plan, serial
+//! and wide, finds the direct scan's violation *set* and candidate
+//! pairs; its seventh leg pins the parallel connections/netgen stages
+//! against serial.
 //!
 //! # Memory model
 //!
@@ -59,7 +64,8 @@
 //! that floor): instantiation derives each repeated definition once and
 //! stamps its instances ([`binding::instantiate`] — the templates are a
 //! few KB per definition and live for that call), the interaction stage
-//! streams candidate pairs tile by tile — one tile buffer per live
+//! streams candidate pairs unit by unit — a row stamped onto one scope
+//! or scope pair, or one tile of a loose scan; one buffer per live
 //! worker — and never materialises the all-pairs list (peak buffer
 //! recorded in [`InteractStats::peak_candidate_buffer`]), and every
 //! stage emits diagnostics through the [`Sink`] trait, whose
@@ -94,8 +100,8 @@
 //!    device terminals ([`netgen`]);
 //! 6. **Check interactions** — spacing only, driven by the Fig. 12
 //!    upper-triangular layer-pair matrix with same-net / unrelated-device
-//!    subcases and device overrides (Figs. 5–6), searched hierarchically
-//!    with candidate caching ([`interact`]);
+//!    subcases and device overrides (Figs. 5–6), searched by the scope
+//!    table's plan with candidate rows stamped per repeat ([`interact`]);
 //!
 //! plus the non-geometric construction rules and net-list consistency
 //! check.
@@ -166,7 +172,7 @@ pub use report::{
     account, canonical_sort, category_of, format_report, merge_canonical, ErrorRegions,
     InjectedError,
 };
-pub use scope::{Neighbours, Scope, ScopeIds, ScopeStats, ScopeTable};
+pub use scope::{Neighbours, RowPlan, Scan, Scope, ScopeIds, ScopeStats, ScopeTable};
 pub use spill::SpillFile;
 pub use violations::{CheckStage, Violation, ViolationKind};
 

@@ -10,11 +10,11 @@
 //!    cell size, device-forming layer pairs — recomputed by walking the
 //!    whole rule deck on every call ([`BoundTechnology`] hoists them to
 //!    once per technology);
-//! 2. the **hierarchical interaction candidate cache**, keyed per run
-//!    by scope identity (`SymbolId`), so identical subcells appearing
-//!    in *sibling* variants are searched once per variant instead of
-//!    once per library ([`LibraryCache`] re-keys the fills by
-//!    definition **content hash** and shares them across cells);
+//! 2. the **interaction candidate rows**, keyed per run by the scope
+//!    table's plan (`SymbolId` and orientation), so identical subcells
+//!    appearing in *sibling* variants are searched once per variant
+//!    instead of once per library ([`LibraryCache`] re-keys the fills
+//!    by definition **content hash** and shares them across cells);
 //! 3. the **string interner**, rebuilt cold per cell even though
 //!    sibling variants intern nearly identical path / net-key / device
 //!    vocabularies (the batch driver seeds each cell's view from a
@@ -159,12 +159,12 @@ impl ContentHash {
 // LibraryCache: content-keyed candidate fills shared across cells.
 // ---------------------------------------------------------------------
 
-/// Concurrent content-keyed store of hierarchical candidate fills,
+/// Concurrent content-keyed store of interaction candidate rows,
 /// shared by every cell in a library batch.
 ///
-/// The per-run hierarchical cache (`interact::hierarchical_plan_fill`)
-/// dedups fills *within one cell* by scope identity. This cache sits
-/// underneath it: each distinct fill job additionally looks up a
+/// The scope table's plan ([`crate::ScopeTable::rows`]) dedups fills
+/// *within one cell* by symbol and orientation. This cache sits
+/// underneath it: each distinct row's fill additionally looks up a
 /// 128-bit hash of the definition **content** (the scopes' normalized
 /// bbox sequences + the [`BoundTechnology::revision`]), so the same
 /// subcell appearing in a sibling variant — a different `Layout`, a
@@ -310,12 +310,7 @@ pub struct LibraryOptions {
 impl Default for LibraryOptions {
     fn default() -> Self {
         LibraryOptions {
-            cell: CheckOptions {
-                // Cells are hierarchical designs; the content-keyed
-                // cache only sees fills the hierarchical search plans.
-                hierarchical: true,
-                ..CheckOptions::default()
-            },
+            cell: CheckOptions::default(),
             parallelism: 0,
             shared_interner: true,
             interner_budget_bytes: 4 << 20,

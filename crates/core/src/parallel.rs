@@ -23,9 +23,8 @@
 //! * the **netgen bind phase** — chunks of the device and label lists
 //!   bound to covering element ids, folded into rows serially in
 //!   canonical order ([`crate::netgen::NetParts::build`]);
-//! * the **interaction stage**'s candidate enumeration (flat tile walk
-//!   or hierarchical cache fills) and pair evaluation
-//!   ([`crate::interact`]);
+//! * the **interaction stage**'s candidate-row fills and its streamed
+//!   units' pair evaluation ([`crate::interact`]);
 //! * the **flat baseline**'s per-layer Boolean work ([`crate::flat`]).
 //!
 //! The two user-facing knobs ([`crate::CheckOptions::parallelism`] and

@@ -1,13 +1,13 @@
 //! The scope table: one description of the top-level hierarchy for the
-//! stages that exploit it.
+//! stages that exploit it, and the one plan of which element pairs the
+//! two pair stages score where.
 //!
 //! The paper's cost claim is that hierarchy confines work: a definition
 //! instantiated a thousand times should be understood once. Three stages
 //! consume the hierarchy — the connection scan ([`crate::connect`]), the
 //! net-list stage's point binding ([`crate::netgen`]) and the
-//! hierarchical interaction search ([`crate::interact`]) — and all read
-//! it from here, so they cannot disagree on which element belongs to
-//! which instance.
+//! interaction search ([`crate::interact`]) — and all read it from here,
+//! so they cannot disagree on which element belongs to which instance.
 //!
 //! A **scope** is one top-level call with everything instantiated
 //! beneath it, or the *loose* scope holding the top-level elements that
@@ -28,6 +28,29 @@
 //! keeps that grid: the net-list stage asks it which scopes cover a
 //! terminal or label point ([`ScopeTable::covering`]) and then looks the
 //! point up in an index built once per definition, not once per chip.
+//!
+//! # The pair plan
+//!
+//! The connection and interaction stages both score element pairs whose
+//! boxes come within a reach of one another — 0 (touching) for
+//! connections, the rule reach for interactions — and both are pure
+//! functions of a pair's geometry up to translation. [`ScopeTable::rows`]
+//! plans them once for both: a **row** per `(symbol, orientation)` holds
+//! a call scope's interior, and a row per `(symbol, symbol, orientation,
+//! relative placement)` the pairs across two call scopes within the
+//! reach, each filled by scanning the first scope (pair) presenting its
+//! key and stamped onto every other. The loose elements are never a row:
+//! they get one index per check, scanned against itself, and every call
+//! scope within reach of them is scanned against it, clipped to the
+//! loose box. Every scan is a [`Scan`] — the same query loop whatever
+//! stage or caller drives it — cut into tiles of
+//! [`DEFAULT_TILE_ELEMENTS`] scanned elements.
+//!
+//! The **direct scan** — every element of an id set against one index
+//! over the set, [`Scan::direct`] — is the plan's base case: a chip of
+//! loose elements only is exactly that scan, tiled, and over every id it
+//! is the reference each pair stage is held to (the edit session runs it
+//! over its halo).
 //!
 //! Scope boxes come from coordinates read from outside the program, so
 //! the file denies `clippy::arithmetic_side_effects`: grid-cell counts
@@ -117,6 +140,117 @@ impl ScopeIds<'_> {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(|l| self.get(l))
     }
+}
+
+/// Scanned elements per tile of a [`Scan`]: small enough that a tile's
+/// pair buffer stays cache-friendly, large enough that tile bookkeeping
+/// is noise.
+pub const DEFAULT_TILE_ELEMENTS: usize = 512;
+
+/// One scan of a pair plan: each element of `ids` whose box touches
+/// `clip` (every one, without a clip) searched against an index over
+/// `against` (those touching `against_clip`). The clips are already
+/// grown by the plan's reach, so they drop only elements that can pair
+/// with nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Scan<'a> {
+    /// The scanned elements.
+    pub ids: ScopeIds<'a>,
+    /// The box a scanned element must touch.
+    pub clip: Option<Rect>,
+    /// The indexed elements.
+    pub against: ScopeIds<'a>,
+    /// The box an indexed element must touch.
+    pub against_clip: Option<Rect>,
+    /// The scanned set is the indexed one: a pair is kept from its
+    /// lower end only. Against a disjoint set every hit is a new pair.
+    pub within: bool,
+}
+
+impl<'a> Scan<'a> {
+    /// The direct scan: every element of `ids` against all of them.
+    pub fn direct(ids: ScopeIds<'a>) -> Scan<'a> {
+        Scan {
+            ids,
+            clip: None,
+            against: ids,
+            against_clip: None,
+            within: true,
+        }
+    }
+
+    /// A grid over the boxes of the indexed elements, cells `cell`
+    /// wide, payload the element id. Inserted in ascending order, so a
+    /// query returns ids ascending.
+    pub fn index(&self, bboxes: &[Rect], cell: Coord) -> GridIndex<usize> {
+        let mut index = GridIndex::new(cell);
+        for id in self.against.iter() {
+            if self.against_clip.is_none_or(|c| c.touches(&bboxes[id])) {
+                index.insert(bboxes[id], id);
+            }
+        }
+        index
+    }
+
+    /// The scan's tiles: runs of at most [`DEFAULT_TILE_ELEMENTS`]
+    /// positions in `ids`, ascending.
+    pub fn tiles(&self) -> impl Iterator<Item = Range<usize>> {
+        let len = self.ids.len();
+        (0..len)
+            .step_by(DEFAULT_TILE_ELEMENTS)
+            .map(move |lo| lo..lo.saturating_add(DEFAULT_TILE_ELEMENTS).min(len))
+    }
+
+    /// Calls `pair(i, j)` for each scanned element `i` at the positions
+    /// `tile` of `ids` and each element `j` of `index` (this scan's
+    /// [`Scan::index`]) whose box comes within `reach` of `i`'s along
+    /// both axes, `j > i` only in a `within` scan — ascending in `i`,
+    /// then in `j`. This is the one query loop behind every pair scan:
+    /// a tile of a plan, the direct scan over an edit's halo, and the
+    /// reference over every id.
+    pub fn pairs(
+        &self,
+        bboxes: &[Rect],
+        index: &GridIndex<usize>,
+        reach: Coord,
+        tile: Range<usize>,
+        mut pair: impl FnMut(usize, usize),
+    ) {
+        for local in tile {
+            let i = self.ids.get(local);
+            let bbox = &bboxes[i];
+            if self.clip.is_some_and(|c| !c.touches(bbox)) {
+                continue;
+            }
+            for &j in index.query(&grown(bbox, reach)) {
+                if !self.within || j > i {
+                    pair(i, j);
+                }
+            }
+        }
+    }
+}
+
+/// What [`ScopeTable::rows`] planned: which row holds each call scope's
+/// interior and each pair of call scopes within the reach, which scan
+/// fills each row, and the loose scans.
+#[derive(Debug, Clone)]
+pub struct RowPlan<'a> {
+    /// Per call scope, the row holding its interior.
+    pub interior: Vec<usize>,
+    /// `(si, sj, row)` for each pair of call scopes `si < sj` within
+    /// the reach, ascending.
+    pub cross: Vec<(usize, usize, usize)>,
+    /// Per row, the scope pair whose scan fills it — `(s, s)` for an
+    /// interior — and that scan. Interior rows come first, in the order
+    /// of their first scope.
+    pub rows: Vec<((usize, usize), Scan<'a>)>,
+    /// The loose scans, never stored as a row: the loose elements
+    /// against themselves, then each call scope within reach of them,
+    /// ascending, against them — `(scanned scope, scan)`, the loose
+    /// scope itself first. All search one index, the first scan's.
+    /// Empty when there are no loose elements.
+    pub loose: Vec<(usize, Scan<'a>)>,
 }
 
 /// The scope pairs [`ScopeTable::neighbours`] found, and what finding
@@ -344,10 +478,88 @@ impl ScopeTable {
         }
     }
 
-    /// The scope pairs `si < sj` within the reach the table was built
-    /// for, in ascending order.
-    pub fn near(&self) -> &[(usize, usize)] {
-        &self.near.pairs
+    /// The pair plan at `reach` (see the module docs): 0 for the
+    /// connection stage, the rule reach for the interaction stage — at
+    /// most the reach the table was built for, whose near scope pairs it
+    /// narrows. Rows are keyed per `(symbol, orientation)` and per
+    /// `(symbol, symbol, orientation, relative placement)`:
+    /// [`crate::instantiate`] derives a definition once per orientation
+    /// and only translates it, and a row holds what is a function of its
+    /// scopes' geometry up to a common translation.
+    pub fn rows(&self, reach: Coord) -> RowPlan<'_> {
+        debug_assert!(reach <= self.grid.reach, "the near pairs bound the plan");
+        let reach = reach.max(0);
+        let calls = self.calls();
+        let loose = self.loose_index();
+        let within = |a: Option<Rect>, b: Option<Rect>| {
+            a.zip(b).is_some_and(|(a, b)| {
+                let (dx, dy) = a.gap(&b);
+                dx <= reach && dy <= reach
+            })
+        };
+        let clip = |s: usize| self.scopes[s].bbox.map(|b| grown(&b, reach));
+        let mut rows = Vec::new();
+        let mut interior: Vec<usize> = Vec::with_capacity(calls.len());
+        for (s, scope) in calls.iter().enumerate() {
+            let first = scope.first_of_definition();
+            if first < s {
+                interior.push(interior[first]);
+            } else {
+                interior.push(rows.len());
+                rows.push(((s, s), Scan::direct(self.ids(s))));
+            }
+        }
+        let mut loose_scans = Vec::new();
+        if self.scopes[loose].bbox.is_some() {
+            loose_scans.push((loose, Scan::direct(self.ids(loose))));
+        }
+        type CrossKey = (SymbolId, SymbolId, Orientation, Transform);
+        let mut keys: HashMap<CrossKey, usize> = HashMap::new();
+        let mut cross = Vec::new();
+        for &(si, sj) in &self.near.pairs {
+            let (a, b) = (&self.scopes[si], &self.scopes[sj]);
+            if !within(a.bbox, b.bbox) {
+                continue;
+            }
+            if sj == loose {
+                let scan = Scan {
+                    ids: self.ids(si),
+                    clip: clip(loose),
+                    against: self.ids(loose),
+                    against_clip: None,
+                    within: false,
+                };
+                loose_scans.push((si, scan));
+                continue;
+            }
+            // invariant: call scopes carry their symbol.
+            let key = (
+                a.symbol.expect("a call scope"),
+                b.symbol.expect("a call scope"),
+                a.transform.orient,
+                a.transform.inverse().after(&b.transform),
+            );
+            let row = *keys.entry(key).or_insert_with(|| {
+                // Only elements within reach of the other scope's box
+                // can pair with one of its elements.
+                let scan = Scan {
+                    ids: self.ids(si),
+                    clip: clip(sj),
+                    against: self.ids(sj),
+                    against_clip: clip(si),
+                    within: false,
+                };
+                rows.push(((si, sj), scan));
+                rows.len().saturating_sub(1)
+            });
+            cross.push((si, sj, row));
+        }
+        RowPlan {
+            interior,
+            cross,
+            rows,
+            loose: loose_scans,
+        }
     }
 
     /// The table's own counters; the connection stage adds its `conn_*`.
@@ -592,6 +804,47 @@ mod tests {
         assert_eq!(stats.elements_in_repeated_scopes, 4);
     }
 
+    #[test]
+    fn rows_are_keyed_per_orientation_and_placement() {
+        // Symbol 1 upright at x = 0, 10 and 20 (abutting), rotated at
+        // 34; symbol 2 at 60; one loose element between the last two,
+        // touching both.
+        let at = |symbol: u32, orient: Orientation, x: i64| {
+            Item::Call(Call {
+                target: SymbolId(symbol),
+                transform: Transform::new(orient, Vector::new(x, 0)),
+                name: "c".into(),
+            })
+        };
+        let items = vec![
+            at(1, Orientation::R0, 0),
+            at(1, Orientation::R0, 10),
+            at(1, Orientation::R0, 20),
+            at(1, Orientation::R90, 34),
+            at(2, Orientation::R0, 60),
+            loose_element(),
+        ];
+        let bboxes: Vec<Rect> = [(0, 10), (10, 20), (20, 30), (34, 44), (60, 70), (44, 60)]
+            .map(|(x1, x2)| Rect::new(x1, 0, x2, 10))
+            .to_vec();
+        let table = ScopeTable::build(&items, [1; 6], &bboxes, 5);
+        let plan = table.rows(0);
+        // One interior row per (symbol, orientation).
+        assert_eq!(plan.interior, vec![0, 0, 0, 1, 2]);
+        // The two abutting placements share one row; the rotated call
+        // and symbol 2 touch only the loose element.
+        assert_eq!(plan.cross, vec![(0, 1, 3), (1, 2, 3)]);
+        let filled: Vec<(usize, usize)> = plan.rows.iter().map(|(pair, _)| *pair).collect();
+        assert_eq!(filled, vec![(0, 0), (3, 3), (4, 4), (0, 1)]);
+        let loose: Vec<usize> = plan.loose.iter().map(|(s, _)| *s).collect();
+        assert_eq!(loose, vec![5, 3, 4]);
+        assert!(plan.loose[0].1.within && !plan.loose[1].1.within);
+        // At reach 5 the rotated call, 4 away, nears symbol 1's last
+        // placement: a new key.
+        let plan = table.rows(5);
+        assert_eq!(plan.cross, vec![(0, 1, 3), (1, 2, 3), (2, 3, 4)]);
+    }
+
     /// A table over explicit bounding boxes: scope `k` holds one element
     /// with bbox `k`, the last box is the loose scope's; `None` leaves a
     /// scope empty.
@@ -629,7 +882,70 @@ mod tests {
         )
     }
 
+    /// Top-level items over explicit element boxes: `(true, boxes)` a
+    /// call of a symbol of its own holding them, `(false, boxes)` a loose
+    /// element with the first of them.
+    fn items_of(top: &[(bool, Vec<Rect>)]) -> (Vec<Item>, Vec<usize>, Vec<Rect>) {
+        let (mut items, mut runs, mut column) = (Vec::new(), Vec::new(), Vec::new());
+        for (k, (is_call, boxes)) in top.iter().enumerate() {
+            let boxes = if *is_call { &boxes[..] } else { &boxes[..1] };
+            items.push(if *is_call {
+                call(k as u32, Orientation::R0, "c")
+            } else {
+                loose_element()
+            });
+            runs.push(boxes.len());
+            column.extend_from_slice(boxes);
+        }
+        (items, runs, column)
+    }
+
+    fn arb_rect() -> impl Strategy<Value = Rect> {
+        (-30i64..30, -30i64..30, 0i64..8, 0i64..8)
+            .prop_map(|(x, y, w, h)| Rect::new(x * 10, y * 10, x * 10 + w * 10, y * 10 + h * 10))
+    }
+
     proptest! {
+        /// Every element pair within the reach is found by exactly one
+        /// scan of the plan — a row's (every scope and scope pair is its
+        /// own row here: each call has a symbol of its own) or a loose
+        /// scan's — and no pair beyond it is.
+        #[test]
+        fn the_plan_finds_each_pair_within_reach_once(
+            top in proptest::collection::vec(
+                ((0u8..3).prop_map(|k| k > 0), proptest::collection::vec(arb_rect(), 1..5)),
+                1..12,
+            ),
+            pick in 0usize..3,
+        ) {
+            let reach = [0, 15, 60][pick];
+            let (items, runs, bboxes) = items_of(&top);
+            let table = ScopeTable::build(&items, runs, &bboxes, 60);
+            let plan = table.rows(reach);
+            prop_assert_eq!(plan.rows.len(), plan.interior.len() + plan.cross.len());
+            let mut found = Vec::new();
+            let scans = plan.rows.iter().map(|(_, scan)| scan);
+            for scan in scans.chain(plan.loose.iter().map(|(_, scan)| scan)) {
+                let index = scan.index(&bboxes, 40);
+                for tile in scan.tiles() {
+                    scan.pairs(&bboxes, &index, reach, tile, |i, j| {
+                        found.push((i.min(j), i.max(j)));
+                    });
+                }
+            }
+            found.sort_unstable();
+            let mut want = Vec::new();
+            for i in 0..bboxes.len() {
+                for j in i + 1..bboxes.len() {
+                    let (dx, dy) = bboxes[i].gap(&bboxes[j]);
+                    if dx <= reach && dy <= reach {
+                        want.push((i, j));
+                    }
+                }
+            }
+            prop_assert_eq!(found, want);
+        }
+
         #[test]
         fn neighbours_equal_the_double_loop(
             bboxes in proptest::collection::vec(arb_bbox(), 1..40),

@@ -228,29 +228,6 @@ impl<T> GridIndex<T> {
         self.items.len().saturating_sub(self.alive)
     }
 
-    /// A deterministic partition of the item-slot space into contiguous
-    /// insertion-order tiles of at most `cap` slots each (`cap` clamped
-    /// to ≥ 1). Tiles are yielded in ascending slot order and cover
-    /// every slot exactly once; dead slots inside a tile are simply
-    /// absent from query results.
-    ///
-    /// This is the unit of work the tiled streaming interaction search
-    /// walks: each worker owns one tile of elements, enumerates and
-    /// evaluates that tile's candidate pairs in one pass, and the
-    /// per-tile results are merged positionally — so candidate memory
-    /// is bounded by the widest tile, not the whole index, while any
-    /// worker count produces byte-identical output.
-    pub fn tiles(&self, cap: usize) -> impl Iterator<Item = std::ops::Range<u32>> {
-        // Saturate (not truncate) caps beyond the u32 handle space: a
-        // cap of 2^32 must mean "one tile", never "divide by zero".
-        let cap = u32::try_from(cap).unwrap_or(u32::MAX).max(1);
-        let n = self.slot_count();
-        (0..n.div_ceil(cap)).map(move |k| {
-            // The last tile's end can pass `u32::MAX` before the `min`.
-            k.saturating_mul(cap)..k.saturating_add(1).saturating_mul(cap).min(n)
-        })
-    }
-
     /// The slot count as a handle bound: handles are `u32`, so an index
     /// holds at most 2³² slots.
     fn slot_count(&self) -> u32 {
@@ -851,36 +828,6 @@ mod tests {
             let want: Vec<i64> = fresh.query(&query).into_iter().copied().collect();
             assert_eq!(got, want, "churned index diverged for {query:?}");
         }
-    }
-
-    #[test]
-    fn tiles_cover_every_slot_once() {
-        let mut idx = GridIndex::new(20);
-        for i in 0..10i64 {
-            idx.insert(Rect::new(i * 30, 0, i * 30 + 20, 20), i);
-        }
-        let tiles: Vec<_> = idx.tiles(3).collect();
-        assert_eq!(tiles, vec![0..3, 3..6, 6..9, 9..10]);
-        // cap is clamped, a cap beyond the slot count (or beyond u32 —
-        // saturated, not truncated) yields one tile, and an empty index
-        // yields none.
-        assert_eq!(idx.tiles(0).collect::<Vec<_>>().len(), 10);
-        assert_eq!(idx.tiles(100).collect::<Vec<_>>(), vec![0..10]);
-        assert_eq!(idx.tiles(1 << 33).collect::<Vec<_>>(), vec![0..10]);
-        let empty: GridIndex<u8> = GridIndex::new(20);
-        assert_eq!(empty.tiles(4).count(), 0);
-    }
-
-    #[test]
-    fn tiles_span_dead_slots() {
-        // Tiles partition the *slot* space: removals leave the tile
-        // boundaries unchanged (dead slots just return nothing).
-        let mut idx = GridIndex::new(20);
-        let ids: Vec<u32> = (0..8i64)
-            .map(|i| idx.insert(Rect::new(i * 30, 0, i * 30 + 20, 20), i))
-            .collect();
-        idx.remove(ids[3]);
-        assert_eq!(idx.tiles(4).collect::<Vec<_>>(), vec![0..4, 4..8]);
     }
 
     #[test]

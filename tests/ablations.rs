@@ -1,9 +1,10 @@
 //! Ablation tests for the design choices called out in DESIGN.md §4.
 
-use diic::core::{check_cif, flat_check, CheckOptions, FlatOptions, ViolationKind};
+use diic::core::{check_cif, flat_check, CheckOptions, CheckStage, FlatOptions, ViolationKind};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::SizingMode;
 use diic::tech::nmos::nmos_technology;
+use diic_bench::InteractionInputs;
 
 /// Same-net suppression: turning it off makes the checker behave like a
 /// topology-blind tool — the clean chip sprouts false spacing errors.
@@ -64,11 +65,14 @@ fn ablation_metric() {
     assert_eq!(orth.violations.len(), 1);
 }
 
-/// Hierarchy ablation: the candidate cache changes nothing about the
-/// verdicts across seeds and error mixes — only the work done.
+/// Hierarchy ablation: the candidate rows change nothing about the
+/// verdicts across seeds and error mixes — only the work done. The
+/// report's interaction lines equal the direct scan's over every element
+/// of the same view.
 #[test]
 fn ablation_hierarchical_cache_equivalence() {
     let tech = nmos_technology();
+    let options = CheckOptions::default();
     for seed in [1u64, 7, 23, 99] {
         let chip = generate(&ChipSpec::with_errors(
             5,
@@ -81,24 +85,21 @@ fn ablation_hierarchical_cache_equivalence() {
             ],
             seed,
         ));
-        let hier = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
-        let flat = check_cif(
-            &chip.cif,
-            &tech,
-            &CheckOptions {
-                hierarchical: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let hier = check_cif(&chip.cif, &tech, &options).unwrap();
+        let layout = diic::cif::parse(&chip.cif).unwrap();
+        let (direct, _) = InteractionInputs::build(&layout, &tech).direct_scan(&tech, &options);
         let key = |v: &diic::core::Violation| {
             (
                 format!("{}", v.kind),
                 v.location.map(|r| (r.x1, r.y1, r.x2, r.y2)),
             )
         };
-        let mut a: Vec<_> = hier.violations.iter().map(key).collect();
-        let mut b: Vec<_> = flat.violations.iter().map(key).collect();
+        let mut a: Vec<_> = hier
+            .by_stage(CheckStage::Interactions)
+            .into_iter()
+            .map(key)
+            .collect();
+        let mut b: Vec<_> = direct.iter().map(key).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b, "seed {seed}: verdicts diverge");

@@ -651,10 +651,16 @@ fn malformed_bodies_are_4xx_never_panics() {
     );
     rejected(resp, StatusCode::UNPROCESSABLE_ENTITY, "bad-deck", "deck");
 
-    // Unknown option keys: a typo, and a retired knob (its name split
-    // so a search for users of it finds none).
+    // Unknown option keys: a typo, and two retired knobs (one name
+    // split so a search for users of it finds none; the other's field
+    // survives on `CheckOptions`, read by nothing).
     let retired = format!(r#"{{"tiled_{}": false}}"#, "interactions");
-    for options in [r#"{"paralellism": 2}"#, retired.as_str()] {
+    let knobs = [
+        r#"{"paralellism": 2}"#,
+        retired.as_str(),
+        r#"{"hierarchical": false}"#,
+    ];
+    for options in knobs {
         let resp = post(
             &app,
             "/sessions",
@@ -737,6 +743,45 @@ fn malformed_bodies_are_4xx_never_panics() {
     let body = json_body(resp);
     assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-edit"));
     assert_eq!(report(&app), before);
+}
+
+/// A few hundred bytes of CIF — 30 levels of a symbol calling its child
+/// twice — ask for 2³⁰ elements. The open is a `422 bad-cif` before any
+/// template is built, and an edit that would call the top of the chain
+/// into a session holding its table is a `422 bad-edit` that leaves the
+/// session's report as it was.
+#[test]
+fn doubling_call_chain_is_refused_at_the_element_budget() {
+    let table: String = (2..=31)
+        .map(|n| format!("DS {n};C {};C {};DF;", n - 1, n - 1))
+        .collect();
+    let leaf = "DS 1;L NM;B 2000 750 1000 375;DF;";
+    let app = service();
+
+    let cif = format!("{leaf}{table}C 31;E");
+    assert!(cif.len() < 600, "{} bytes", cif.len());
+    let body = Value::object([("cif", Value::from(cif.as_str()))]).to_string();
+    let resp = post(&app, "/sessions", body);
+    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
+    let body = json_body(resp);
+    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-cif"));
+    let detail = body.get("detail").and_then(Value::as_str).unwrap_or("");
+    assert!(detail.contains("1073741824 elements"), "{detail}");
+
+    let cif = format!("{leaf}{table}C 1;E");
+    let id = open_session(&app, &cif, "{}");
+    let report = |app: &Router| get(app, &format!("/sessions/{id}/report")).into_bytes();
+    let before = report(&app).unwrap();
+    let layout = diic::cif::parse(&cif).unwrap();
+    let mut edits = EditSet::new();
+    let top = layout.symbol_by_cif_id(31).unwrap();
+    edits.add_call(top, Transform::IDENTITY, "big");
+    let body = wire::edit_set_to_json(&edits, &layout).to_string();
+    let resp = post(&app, &format!("/sessions/{id}/edits"), body);
+    assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY);
+    let body = json_body(resp);
+    assert_eq!(body.get("error").and_then(Value::as_str), Some("bad-edit"));
+    assert_eq!(report(&app).unwrap(), before);
 }
 
 /// The deepest call chain the parser accepts (`MAX_CALL_DEPTH`) opens —

@@ -182,8 +182,16 @@ fn malformed_decks_render_blessed_diagnostics() {
 #[test]
 fn malformed_layouts_render_blessed_diagnostics() {
     let chain = call_chain(MAX_CALL_DEPTH + 1);
+    // Symbol n calls n - 1 twice: one call of symbol 28 is 2^27
+    // elements, past `MAX_FLAT_ELEMENTS`.
+    let mut doubling = String::from("DS 1; L NM; B 2 2 0 0; DF;\n");
+    for n in 2..=28 {
+        doubling.push_str(&format!("DS {n}; C {}; C {}; DF;\n", n - 1, n - 1));
+    }
+    doubling.push_str("L NM; B 2 2 9 9;\nC 28;\nE");
     let mut cases = CIF_CASES.to_vec();
     cases.push(("call-depth", &chain));
+    cases.push(("element-budget", &doubling));
     assert_blessed("cif", &cases, diic::cif::parse);
 }
 

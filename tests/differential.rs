@@ -1,31 +1,25 @@
 //! The differential test oracle for the paper's central claim: the
-//! hierarchical candidate search finds **exactly** what the flat
-//! (fully-instantiated) search finds, only faster — and parallelism
-//! changes nothing at all. (The mask-level *baseline* checker finds
-//! different things by design — that asymmetry is the paper's point —
-//! so its own serial/parallel identity is checked separately below.)
+//! interaction search by the scope table's plan — candidate rows filled
+//! once per definition and per relative placement, and stamped — finds
+//! **exactly** what the direct scan over every element finds, only
+//! faster — and parallelism changes nothing at all. (The mask-level
+//! *baseline* checker finds different things by design — that asymmetry
+//! is the paper's point — so its own serial/parallel identity is checked
+//! separately below.)
 //!
 //! Every generated chip (with injected faults from `diic-gen`'s ledger)
-//! is checked four ways:
-//!
-//! | path          | `hierarchical` | `parallelism` |
-//! |---------------|----------------|---------------|
-//! | flat-serial   | false          | 1             |
-//! | flat-parallel | false          | wide          |
-//! | hier-serial   | true           | 1             |
-//! | hier-parallel | true           | wide          |
-//!
-//! Within one search engine, serial and parallel reports must be
-//! **byte-identical** (ordered lists and statistics). Across engines,
-//! the reports must be identical **after a canonical sort** (the two
-//! searches enumerate candidates in different walk orders) — and both
+//! is checked two ways, scope-driven at one worker and at the wide
+//! worker count, and the two reports must be **byte-identical** (ordered
+//! lists and statistics). Their interaction lines must equal, **after a
+//! canonical sort**, the direct-scan reference on the same view
+//! (`check_interactions_among` over every id, plus `check_same_mask`):
+//! the plan walks scopes and scope pairs, the reference element ids. Both
 //! must report the same `candidate_pairs`, equal to a brute-force count
-//! of the element pairs within rule reach: the two searches tile the
-//! pair space differently (element ranges of one grid; scopes and near
-//! scope pairs) and share only the per-tile evaluator, so the three-way
-//! agreement says each counts every pair exactly once. On top of the
-//! equivalence, every injected fault must be recalled by all four paths
-//! (region 1 of the paper's Fig. 1 accounting stays empty).
+//! of the element pairs within rule reach: the two tile the pair space
+//! differently and share only the query loop and the per-pair evaluator,
+//! so the three-way agreement says each counts every pair exactly once.
+//! On top of the equivalence, every injected fault must be recalled by
+//! both paths (region 1 of the paper's Fig. 1 accounting stays empty).
 //!
 //! The "wide" worker count honours the `CHECK_PARALLELISM` environment
 //! variable (CI forces it to `1` and to `$(nproc)` in separate steps),
@@ -67,22 +61,24 @@
 //! is one cached compile of `decks/nmos.deck`, and a fresh
 //! `diic::deck::compile_str(NMOS_DECK)` builds the same value with new
 //! `HashMap` seeds, so every faulted chip must check **byte-identically**
-//! under the two on all four search paths. Alongside it,
+//! under the two, serial and wide. Alongside it,
 //! `random_decks_preserve_fault_recall` compiles generator-produced
 //! deck variations (spacing only ever tightened, `same_mask` sometimes
 //! added) and re-runs the recall oracle under them: rule decks that
 //! tighten rules never lose injected faults.
 
-use diic::cif::{Element, Item, LayerRef, Shape};
+use diic::cif::{Call, Element, Item, LayerRef, Shape, Symbol};
 use diic::core::{
-    account, check_cif, check_connections, check_connections_among, effective_parallelism,
-    env_parallelism, flat_check, generate_netlist, instantiate, max_rule_range, CheckOptions,
-    CheckReport, ElementColumns, FlatOptions, LayerBinding, ScopeTable, StringInterner, Violation,
+    account, canonical_check, check_cif, check_connections, check_connections_among,
+    effective_parallelism, env_parallelism, flat_check, generate_netlist, instantiate,
+    max_rule_range, CheckOptions, CheckReport, CheckStage, ElementColumns, FlatOptions,
+    LayerBinding, ScopeTable, StringInterner, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
-use diic::geom::Rect;
+use diic::geom::{Rect, Transform};
 use diic::tech::nmos::nmos_technology;
 use diic::tech::Technology;
+use diic_bench::InteractionInputs;
 use proptest::prelude::*;
 
 /// The parallel worker count exercised against serial runs.
@@ -98,12 +94,11 @@ fn canonical(violations: &[Violation]) -> Vec<String> {
     v
 }
 
-fn run(cif: &str, tech: &Technology, hierarchical: bool, parallelism: usize) -> CheckReport {
+fn run(cif: &str, tech: &Technology, parallelism: usize) -> CheckReport {
     check_cif(
         cif,
         tech,
         &CheckOptions {
-            hierarchical,
             parallelism,
             ..CheckOptions::default()
         },
@@ -112,9 +107,9 @@ fn run(cif: &str, tech: &Technology, hierarchical: bool, parallelism: usize) -> 
 }
 
 /// The element pairs whose bounding boxes come within the technology's
-/// rule reach of one another, counted over every pair — what either
-/// interaction search must enumerate, by a route that shares no code
-/// with them.
+/// rule reach of one another, counted over every pair — what the plan
+/// and the direct scan must both enumerate, by a route that shares no
+/// code with them.
 fn brute_force_pairs(chip_cif: &str, tech: &Technology) -> u64 {
     let layout = diic::cif::parse(chip_cif).expect("generated chips always parse");
     let (binding, _) = LayerBinding::bind(&layout, tech);
@@ -133,54 +128,53 @@ fn brute_force_pairs(chip_cif: &str, tech: &Technology) -> u64 {
         .sum()
 }
 
-/// Checks the four-way contract for one generated chip; returns the
-/// reports for further assertions.
-fn assert_four_way(chip_cif: &str, tech: &Technology) -> [CheckReport; 4] {
-    let wide = wide_workers();
-    let flat_serial = run(chip_cif, tech, false, 1);
-    let flat_parallel = run(chip_cif, tech, false, wide);
-    let hier_serial = run(chip_cif, tech, true, 1);
-    let hier_parallel = run(chip_cif, tech, true, wide);
+/// Checks the two-way contract for one generated chip against the
+/// direct-scan reference; returns the serial and wide reports.
+fn assert_two_way(chip_cif: &str, tech: &Technology) -> [CheckReport; 2] {
+    let serial = run(chip_cif, tech, 1);
+    let wide = run(chip_cif, tech, wide_workers());
 
-    // Serial vs parallel, same engine: byte-identical ordered reports.
+    // Serial vs parallel: byte-identical ordered reports.
     assert_eq!(
-        flat_serial.violations, flat_parallel.violations,
-        "flat search: parallel run diverges from serial"
+        serial.violations, wide.violations,
+        "parallel run diverges from serial"
     );
-    assert_eq!(flat_serial.interact_stats, flat_parallel.interact_stats);
-    assert_eq!(
-        hier_serial.violations, hier_parallel.violations,
-        "hierarchical search: parallel run diverges from serial"
-    );
-    assert_eq!(hier_serial.interact_stats, hier_parallel.interact_stats);
+    assert_eq!(serial.interact_stats, wide.interact_stats);
 
-    // Flat vs hierarchical: identical violation sets after canonical sort.
+    // The plan vs the direct scan on the same view: identical
+    // interaction lines after canonical sort.
+    let layout = diic::cif::parse(chip_cif).expect("generated chips always parse");
+    let inputs = InteractionInputs::build(&layout, tech);
+    let (direct, direct_stats) = inputs.direct_scan(tech, &CheckOptions::default());
+    let interactions: Vec<Violation> = (serial.by_stage(CheckStage::Interactions).into_iter())
+        .cloned()
+        .collect();
     assert_eq!(
-        canonical(&flat_serial.violations),
-        canonical(&hier_serial.violations),
-        "flat and hierarchical searches disagree on the violation set"
+        canonical(&interactions),
+        canonical(&direct),
+        "the plan and the direct scan disagree on the violation set"
     );
     // Each pair counted once, by both tilings.
     assert_eq!(
-        flat_serial.interact_stats.candidate_pairs, hier_serial.interact_stats.candidate_pairs,
-        "flat and hierarchical searches disagree on the candidate-pair count"
+        serial.interact_stats.candidate_pairs, direct_stats.candidate_pairs,
+        "the plan and the direct scan disagree on the candidate-pair count"
     );
     assert_eq!(
-        flat_serial.interact_stats.candidate_pairs,
+        serial.interact_stats.candidate_pairs,
         brute_force_pairs(chip_cif, tech),
-        "the searches' candidate-pair count is not the brute-force count"
+        "the candidate-pair count is not the brute-force count"
     );
-    [flat_serial, flat_parallel, hier_serial, hier_parallel]
+    [serial, wide]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The oracle proper: ≥ 64 proptest-generated chips with injected
-    /// faults, all four paths agree, and every injected fault is
-    /// recalled by every path.
+    /// faults, both paths agree with each other and with the direct
+    /// scan, and every injected fault is recalled by both.
     #[test]
-    fn four_way_equivalence_with_fault_recall(
+    fn scope_driven_equals_direct_scan_with_fault_recall(
         nx in 2usize..5,
         ny in 1usize..3,
         seed in 0u64..1_000_000,
@@ -197,10 +191,8 @@ proptest! {
             .collect();
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let injected = chip.injected();
-        let reports = assert_four_way(&chip.cif, &tech);
-        for (path, report) in ["flat-serial", "flat-parallel", "hier-serial", "hier-parallel"]
-            .iter()
-            .zip(&reports)
+        let reports = assert_two_way(&chip.cif, &tech);
+        for (path, report) in ["serial", "wide"].iter().zip(&reports)
         {
             let regions = account(&report.violations, &injected, 800);
             prop_assert_eq!(
@@ -410,8 +402,7 @@ proptest! {
 
     /// The **tenth leg**: a freshly compiled NMOS deck and the cached
     /// `nmos_technology()` — one value, two sets of hash-map seeds — give
-    /// byte-identical reports over the faulted corpus, flat and
-    /// hierarchical, serial and wide.
+    /// byte-identical reports over the faulted corpus, serial and wide.
     #[test]
     fn fresh_deck_compile_equals_cached_nmos(
         nx in 2usize..5,
@@ -432,24 +423,21 @@ proptest! {
             .collect();
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let wide = wide_workers();
-        for hierarchical in [false, true] {
-            for parallelism in [1usize, wide] {
-                let under_cached = run(&chip.cif, &cached, hierarchical, parallelism);
-                let under_fresh = run(&chip.cif, &fresh, hierarchical, parallelism);
-                prop_assert_eq!(
-                    &under_fresh.violations, &under_cached.violations,
-                    "hier={} workers={}: a fresh compile diverges \
-                     (nx={} ny={} seed={} mask={:#b})",
-                    hierarchical, parallelism, nx, ny, seed, mask
-                );
-                prop_assert_eq!(under_fresh.interact_stats, under_cached.interact_stats);
-                prop_assert_eq!(&under_fresh.netlist, &under_cached.netlist);
-            }
+        for parallelism in [1usize, wide] {
+            let under_cached = run(&chip.cif, &cached, parallelism);
+            let under_fresh = run(&chip.cif, &fresh, parallelism);
+            prop_assert_eq!(
+                &under_fresh.violations, &under_cached.violations,
+                "workers={}: a fresh compile diverges (nx={} ny={} seed={} mask={:#b})",
+                parallelism, nx, ny, seed, mask
+            );
+            prop_assert_eq!(under_fresh.interact_stats, under_cached.interact_stats);
+            prop_assert_eq!(&under_fresh.netlist, &under_cached.netlist);
         }
     }
 
     /// Generated rule decks (tightened spacings, sometimes a
-    /// `same_mask` rule) keep the four-way contract **and** full fault
+    /// `same_mask` rule) keep the two-way contract **and** full fault
     /// recall: a deck that only tightens rules can add violations but
     /// never lose an injected fault.
     #[test]
@@ -471,10 +459,8 @@ proptest! {
             .collect();
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let injected = chip.injected();
-        let reports = assert_four_way(&chip.cif, &tech);
-        for (path, report) in ["flat-serial", "flat-parallel", "hier-serial", "hier-parallel"]
-            .iter()
-            .zip(&reports)
+        let reports = assert_two_way(&chip.cif, &tech);
+        for (path, report) in ["serial", "wide"].iter().zip(&reports)
         {
             let regions = account(&report.violations, &injected, 800);
             prop_assert_eq!(
@@ -523,19 +509,19 @@ proptest! {
     }
 }
 
-/// A clean chip must stay clean on all four paths (no false errors
-/// introduced by parallelism or the candidate cache).
+/// A clean chip must stay clean on both paths (no false errors
+/// introduced by parallelism or the candidate rows).
 #[test]
 fn clean_chip_is_clean_on_all_paths() {
     let tech = nmos_technology();
     let chip = generate(&ChipSpec::clean(4, 2));
-    for report in assert_four_way(&chip.cif, &tech) {
+    for report in assert_two_way(&chip.cif, &tech) {
         assert!(report.is_clean(), "{:#?}", report.violations);
     }
 }
 
-/// The hierarchical cache must actually engage on the arrays the oracle
-/// generates — otherwise the differential test compares the flat search
+/// The candidate rows must actually be stamped on the arrays the oracle
+/// generates — otherwise the differential test compares the direct scan
 /// against itself.
 #[test]
 fn oracle_workload_exercises_the_cache() {
@@ -546,7 +532,118 @@ fn oracle_workload_exercises_the_cache() {
         vec![ErrorKind::NarrowWire, ErrorKind::CloseSpacing],
         7,
     ));
-    let [_, _, hier, _] = assert_four_way(&chip.cif, &tech);
-    assert!(hier.interact_stats.cache_hits > 0, "cache unused");
-    assert!(hier.interact_stats.cache_misses > 0);
+    let [serial, _] = assert_two_way(&chip.cif, &tech);
+    assert!(serial.interact_stats.cache_hits > 0, "no row stamped");
+    assert!(serial.interact_stats.cache_misses > 0);
+}
+
+/// The call name and the definition name a wrap inserts.
+const WRAP: &str = "WRAP";
+
+/// `layout` with its top-level items `lo..hi` moved, in order, into a
+/// fresh symbol called at the identity as [`WRAP`], in their place.
+/// Element ids keep their order: the call's run is the moved items'.
+fn wrapped(layout: &diic::cif::Layout, lo: usize, hi: usize) -> diic::cif::Layout {
+    let mut out = layout.clone();
+    let tail: Vec<Item> = (lo..layout.top_items().len())
+        .map(|_| out.remove_top(lo))
+        .collect();
+    let cif_id = layout.symbols().iter().map(|s| s.cif_id).max().unwrap_or(0) + 1;
+    let symbol = out.add_symbol(Symbol {
+        cif_id,
+        name: Some(WRAP.to_string()),
+        device: None,
+        items: tail[..hi - lo].to_vec(),
+    });
+    out.push_top(Item::Call(Call {
+        target: symbol,
+        transform: Transform::IDENTITY,
+        name: WRAP.to_string(),
+    }));
+    for item in &tail[hi - lo..] {
+        out.push_top(item.clone());
+    }
+    out
+}
+
+/// A report line with the wrap's path segment removed: `WRAP.` and a
+/// bare `WRAP` path dropped from each side of a context, the sides
+/// rejoined the way their stage joins them (a connection line names a
+/// pair with a loose element by the other side alone), and the wrap's
+/// definition named as the top level it came from. Applied to both
+/// sides of the comparison, so the pair's sides are put in order.
+fn unwrapped(v: &Violation) -> String {
+    let strip = |path: &str| {
+        let path = path.strip_prefix(WRAP).unwrap_or(path);
+        path.strip_prefix('.').unwrap_or(path).to_string()
+    };
+    let mut parts: Vec<String> = v.context.split(" / ").map(strip).collect();
+    parts.sort();
+    let context = match parts.as_slice() {
+        [a, b] if a == b => a.clone(),
+        [a, b] if v.stage == CheckStage::Connections && (a.is_empty() || b.is_empty()) => {
+            format!("{a}{b}")
+        }
+        [a, b] => format!("{a} / {b}"),
+        _ if v.stage == CheckStage::Elements && v.context == WRAP => "<top>".to_string(),
+        _ => parts.concat(),
+    };
+    format!(
+        "{:?}",
+        Violation {
+            context,
+            ..v.clone()
+        }
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// **Wrap invariance**, a metamorphic leg: moving any contiguous run
+    /// of a faulted chip's top-level items into a fresh symbol called at
+    /// the identity moves elements between the loose scans and the
+    /// candidate rows of the scope table's plan, and must leave the
+    /// canonical report unchanged once the inserted path segment is
+    /// removed. (ERC is off: it names a net by a preferred alias, and a
+    /// wrap deepens some aliases, so it can rename a net.)
+    #[test]
+    fn wrapping_top_items_in_a_symbol_changes_nothing(
+        nx in 2usize..4,
+        ny in 1usize..3,
+        seed in 0u64..1_000_000,
+        mask in 1u16..512,
+        from in 0usize..1000,
+        len in 0usize..1000,
+    ) {
+        let tech = nmos_technology();
+        let errors: Vec<ErrorKind> = ErrorKind::ALL
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, k)| *k)
+            .take(nx * ny)
+            .collect();
+        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
+        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
+        let n = layout.top_items().len();
+        let lo = from % n;
+        let hi = lo + 1 + len % (n - lo);
+        let options = CheckOptions {
+            erc: false,
+            ..CheckOptions::default()
+        };
+        let canonical_lines = |layout: &diic::cif::Layout| {
+            let report = canonical_check(layout, &tech, &options);
+            let mut lines: Vec<String> = report.violations.iter().map(unwrapped).collect();
+            lines.sort();
+            lines
+        };
+        prop_assert_eq!(
+            canonical_lines(&layout),
+            canonical_lines(&wrapped(&layout, lo, hi)),
+            "items {}..{} of {} (nx={} ny={} seed={} mask={:#b})",
+            lo, hi, n, nx, ny, seed, mask
+        );
+    }
 }

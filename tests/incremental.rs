@@ -1,7 +1,8 @@
 //! The **fifth leg** of the differential oracle: incremental == full.
 //!
-//! `tests/differential.rs` pins flat/hierarchical × serial/parallel to
-//! one answer; this suite pins the *edit loop* to it too. Every
+//! `tests/differential.rs` pins the scope-driven check, serial and
+//! parallel, to the direct scan; this suite pins the *edit loop* to it
+//! too. Every
 //! proptest case generates a chip (with injected faults), opens a
 //! [`CheckSession`], and drives it through a sequence of random edits
 //! (adds, fault stubs, removes, moves, cell-definition replacements).
@@ -20,11 +21,12 @@
 
 use diic::cif::{Item, Layout, Shape};
 use diic::core::incremental::{CheckSession, Edit, EditSet};
-use diic::core::ViolationKind;
 use diic::core::{canonical_check, env_parallelism, CheckOptions, CheckReport};
+use diic::core::{canonical_sort, CheckStage, ViolationKind};
 use diic::gen::{generate, random_edit_set, ChipSpec, ErrorKind};
 use diic::geom::{Point, Rect, Transform, Vector, Wire};
 use diic::tech::nmos::nmos_technology;
+use diic_bench::InteractionInputs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -423,7 +425,8 @@ fn view_patch_rewrites_only_what_the_edit_changed() {
 /// with one internal spacing fault, the first two close enough to fault
 /// across their boundary — the session, patched and reopened (an open
 /// and a rebuild read the hierarchy from the scope table), must report
-/// exactly what the flat search does, under every naming. The name-keyed grouping this
+/// exactly what the direct scan over every element does, under every
+/// naming. The name-keyed grouping this
 /// replaced reported 1 of the 3 internal faults for the second and third
 /// naming, none for the fourth, and indexed out of bounds on the fifth.
 #[test]
@@ -433,7 +436,6 @@ fn call_names_do_not_decide_scope_membership() {
         erc: false,
         ..CheckOptions::default()
     };
-    assert!(options.hierarchical);
     let cell = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF; E";
     for names in [
         ["i0", "i1", "i2"],
@@ -453,17 +455,13 @@ fn call_names_do_not_decide_scope_membership() {
         let full = assert_matches_full(&session, &format!("{names:?}"));
         let reopened = CheckSession::new(session.layout().clone(), &tech, &options);
         assert_matches_full(&reopened, &format!("{names:?}, reopened"));
-        let flat = canonical_check(
-            session.layout(),
-            &tech,
-            &CheckOptions {
-                hierarchical: false,
-                ..options.clone()
-            },
-        );
-        assert_eq!(full.violations, flat.violations, "{names:?}");
+        let inputs = InteractionInputs::build(session.layout(), &tech);
+        let (mut direct, direct_stats) = inputs.direct_scan(&tech, &options);
+        canonical_sort(&mut direct);
+        let interactions = full.by_stage(CheckStage::Interactions);
+        assert_eq!(interactions, direct.iter().collect::<Vec<_>>(), "{names:?}");
         assert_eq!(
-            full.interact_stats.candidate_pairs, flat.interact_stats.candidate_pairs,
+            full.interact_stats.candidate_pairs, direct_stats.candidate_pairs,
             "{names:?}"
         );
         let spacing = |v: &&diic::core::Violation| matches!(v.kind, ViolationKind::Spacing { .. });

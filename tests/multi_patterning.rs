@@ -17,6 +17,7 @@ use diic::core::{
     SpillingSink, StageEngine, StreamingSink, ViolationKind,
 };
 use diic::tech::Technology;
+use diic_bench::InteractionInputs;
 
 /// A one-metal rule deck: spacing 3λ (750), same-mask distance 5λ
 /// (1250) — gaps in (750, 1250) are spacing-clean but mask-conflicting.
@@ -45,52 +46,48 @@ fn mp_tech() -> Technology {
     diic::deck::compile_str(MP_DECK).expect("the mp deck compiles")
 }
 
-fn options(hierarchical: bool) -> CheckOptions {
+fn options() -> CheckOptions {
     CheckOptions {
         erc: false,
-        hierarchical,
         ..CheckOptions::default()
     }
 }
 
 /// The deck-compiled technology carries the `same_mask` rule through to
 /// the check: the odd triangle yields exactly one `MaskOddCycle` (and
-/// nothing else), the even ring none, under both search engines.
+/// nothing else), the even ring none — and the direct-scan reference
+/// (`check_same_mask` over the same view) finds the same line.
 #[test]
 fn deck_driven_odd_cycle_detection() {
     let tech = mp_tech();
-    for hierarchical in [false, true] {
-        let report = check_cif(ODD_TRIANGLE, &tech, &options(hierarchical)).unwrap();
-        assert_eq!(
-            report.violations.len(),
-            1,
-            "hier={hierarchical}: {:#?}",
-            report.violations
-        );
-        let v = &report.violations[0];
-        assert_eq!(v.stage, CheckStage::Interactions);
-        assert!(
-            matches!(
-                &v.kind,
-                ViolationKind::MaskOddCycle {
-                    layer,
-                    measured: 1000,
-                    required: 1250,
-                    cycle: 3,
-                } if layer == "metal"
-            ),
-            "hier={hierarchical}: {:?}",
-            v.kind
-        );
-        assert!(v.location.is_some(), "the witness edge carries a location");
+    let report = check_cif(ODD_TRIANGLE, &tech, &options()).unwrap();
+    assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+    let v = &report.violations[0];
+    assert_eq!(v.stage, CheckStage::Interactions);
+    assert!(
+        matches!(
+            &v.kind,
+            ViolationKind::MaskOddCycle {
+                layer,
+                measured: 1000,
+                required: 1250,
+                cycle: 3,
+            } if layer == "metal"
+        ),
+        "{:?}",
+        v.kind
+    );
+    assert!(v.location.is_some(), "the witness edge carries a location");
+    let layout = diic::cif::parse(ODD_TRIANGLE).unwrap();
+    let (direct, _) = InteractionInputs::build(&layout, &tech).direct_scan(&tech, &options());
+    assert_eq!(direct, report.violations);
 
-        let clean = check_cif(EVEN_RING, &tech, &options(hierarchical)).unwrap();
-        assert!(
-            clean.is_clean(),
-            "hier={hierarchical}: an even ring is two-colourable: {:#?}",
-            clean.violations
-        );
-    }
+    let clean = check_cif(EVEN_RING, &tech, &options()).unwrap();
+    assert!(
+        clean.is_clean(),
+        "an even ring is two-colourable: {:#?}",
+        clean.violations
+    );
 }
 
 /// Every sink observes the same odd-cycle violation: streamed chunks
@@ -102,41 +99,38 @@ fn every_sink_reports_the_odd_cycle() {
     let tech = mp_tech();
     let layout = diic::cif::parse(ODD_TRIANGLE).unwrap();
     let engine = StageEngine::diic_pipeline();
-    for hierarchical in [false, true] {
-        let opts = options(hierarchical);
-        let buffered = check(&layout, &tech, &opts);
-        let mut canonical = buffered.violations.clone();
-        canonical_sort(&mut canonical);
-        let want: String = canonical.iter().map(|v| format!("{v:?}\n")).collect();
-        assert_eq!(canonical.len(), 1);
+    let opts = options();
+    let buffered = check(&layout, &tech, &opts);
+    let mut canonical = buffered.violations.clone();
+    canonical_sort(&mut canonical);
+    let want: String = canonical.iter().map(|v| format!("{v:?}\n")).collect();
+    assert_eq!(canonical.len(), 1);
 
-        for chunk in [1usize, 4] {
-            let mut sink = StreamingSink::new(Vec::new(), chunk);
-            let streamed = check_with_sink(&engine, &layout, &tech, &opts, &mut sink);
-            assert!(streamed.violations.is_empty());
-            let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-            assert_eq!(text, want, "hier={hierarchical} chunk={chunk}");
-        }
-
-        for budget in [1usize, 4] {
-            let mut sink = SpillingSink::new(Vec::new(), budget);
-            let spilled = check_with_sink(&engine, &layout, &tech, &opts, &mut sink);
-            assert!(spilled.violations.is_empty());
-            let (out, stats) = sink.finish().unwrap();
-            assert_eq!(stats.written, 1);
-            assert_eq!(
-                String::from_utf8(out).unwrap(),
-                want,
-                "hier={hierarchical} budget={budget}: the spill codec must \
-                 round-trip the MaskOddCycle record"
-            );
-        }
-
-        let mut counting = CountingSink::new();
-        check_with_sink(&engine, &layout, &tech, &opts, &mut counting);
-        assert_eq!(counting.total(), 1);
-        assert_eq!(counting.count(CheckStage::Interactions), 1);
+    for chunk in [1usize, 4] {
+        let mut sink = StreamingSink::new(Vec::new(), chunk);
+        let streamed = check_with_sink(&engine, &layout, &tech, &opts, &mut sink);
+        assert!(streamed.violations.is_empty());
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(text, want, "chunk={chunk}");
     }
+
+    for budget in [1usize, 4] {
+        let mut sink = SpillingSink::new(Vec::new(), budget);
+        let spilled = check_with_sink(&engine, &layout, &tech, &opts, &mut sink);
+        assert!(spilled.violations.is_empty());
+        let (out, stats) = sink.finish().unwrap();
+        assert_eq!(stats.written, 1);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            want,
+            "budget={budget}: the spill codec must round-trip the MaskOddCycle record"
+        );
+    }
+
+    let mut counting = CountingSink::new();
+    check_with_sink(&engine, &layout, &tech, &opts, &mut counting);
+    assert_eq!(counting.total(), 1);
+    assert_eq!(counting.count(CheckStage::Interactions), 1);
 }
 
 /// The incremental edit loop tracks the conflict graph's *global*
@@ -149,7 +143,7 @@ fn incremental_edits_track_the_conflict_graph() {
 
     let tech = mp_tech();
     let layout = diic::cif::parse(ODD_TRIANGLE).unwrap();
-    let mut session = CheckSession::new(layout, &tech, &options(true));
+    let mut session = CheckSession::new(layout, &tech, &options());
     let is_mask = |v: &diic::core::Violation| matches!(v.kind, ViolationKind::MaskOddCycle { .. });
 
     assert_eq!(
@@ -218,7 +212,7 @@ fn incremental_edits_track_the_conflict_graph() {
 fn no_same_mask_rule_means_no_mask_violations() {
     let tech = diic::deck::compile_str(diic::deck::NMOS_DECK).unwrap();
     assert!(!tech.rules().has_same_mask());
-    let report = check_cif(ODD_TRIANGLE, &tech, &options(true)).unwrap();
+    let report = check_cif(ODD_TRIANGLE, &tech, &options()).unwrap();
     assert!(
         report
             .violations

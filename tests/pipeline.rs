@@ -2,7 +2,9 @@
 
 use diic::core::{check_cif, flat_check, CheckOptions, CheckStage, FlatOptions, ViolationKind};
 use diic::gen::{generate, ChipSpec, ErrorKind};
+use diic::geom::Rect;
 use diic::tech::nmos::nmos_technology;
+use diic_bench::InteractionInputs;
 
 /// Mega-chip smoke (debug-sized; the release-mode CI job runs the same
 /// shape at ~10⁶ elements via `mega_smoke`): the bounded-memory
@@ -38,6 +40,49 @@ fn mega_chip_smoke_bounded_memory() {
         "peak {} not bounded below total pairs {}",
         tiled.interact_stats.peak_candidate_buffer,
         tiled.interact_stats.candidate_pairs
+    );
+}
+
+/// Bounded candidates on the default path, for a chip with no
+/// hierarchy to stamp: 2 000 loose metal wires (four tiles of the loose
+/// scan) checked by `check()` with default options hold one tile's pairs
+/// at a time, and count every pair within rule reach exactly once.
+#[test]
+fn all_loose_chip_streams_its_candidates_by_tile() {
+    let tech = nmos_technology();
+    let mut cif = String::new();
+    for i in 0..2_000i64 {
+        // Rows of 40 wires, 3 000 apart; rows 1 250 apart: each wire is
+        // within reach of its neighbours in the rows above and below.
+        let (x, y) = (1_000 + (i % 40) * 3_000, 375 + (i / 40) * 1_250);
+        cif.push_str(&format!("L NM; B 2000 750 {x} {y};\n"));
+    }
+    cif.push('E');
+    let options = CheckOptions {
+        erc: false,
+        ..CheckOptions::default()
+    };
+    let report = check_cif(&cif, &tech, &options).unwrap();
+    let stats = report.interact_stats;
+    let layout = diic::cif::parse(&cif).unwrap();
+    let flat = diic::cif::flatten(&layout);
+    let reach = diic::core::max_rule_range(&tech);
+    let boxes: Vec<Rect> = flat.iter().map(|e| e.shape.bbox()).collect();
+    let brute_force: u64 = (0..boxes.len())
+        .map(|i| {
+            let near = boxes[i + 1..].iter().filter(|b| {
+                let (dx, dy) = boxes[i].gap(b);
+                dx <= reach && dy <= reach
+            });
+            near.count() as u64
+        })
+        .sum();
+    assert_eq!(stats.candidate_pairs, brute_force);
+    assert!(
+        stats.peak_candidate_buffer < stats.candidate_pairs,
+        "peak {} not bounded below total pairs {}",
+        stats.peak_candidate_buffer,
+        stats.candidate_pairs
     );
 }
 
@@ -193,7 +238,7 @@ fn netlist_consistency_detects_miswiring() {
 }
 
 #[test]
-fn hierarchical_and_flat_search_agree_on_generated_chips() {
+fn scope_driven_and_direct_scan_agree_on_generated_chips() {
     let tech = nmos_technology();
     let chip = generate(&ChipSpec::with_errors(
         4,
@@ -201,18 +246,16 @@ fn hierarchical_and_flat_search_agree_on_generated_chips() {
         vec![ErrorKind::CloseSpacing, ErrorKind::AccidentalTransistor],
         17,
     ));
-    let hier = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
-    let flat = check_cif(
-        &chip.cif,
-        &tech,
-        &CheckOptions {
-            hierarchical: false,
-            ..CheckOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(hier.violations.len(), flat.violations.len());
-    assert!(hier.interact_stats.cache_hits > 0);
+    let report = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let inputs = InteractionInputs::build(&layout, &tech);
+    let (direct, stats) = inputs.direct_scan(&tech, &CheckOptions::default());
+    assert_eq!(
+        report.by_stage(CheckStage::Interactions).len(),
+        direct.len()
+    );
+    assert_eq!(report.interact_stats.candidate_pairs, stats.candidate_pairs);
+    assert!(report.interact_stats.cache_hits > 0);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use diic::tech::nmos::nmos_technology;
 /// The headline pipeline guarantee: with `parallelism > 1` the interaction
 /// stage produces a byte-identical ordered violation list (and identical
 /// pruning statistics) to the serial run — on a generated chip with
-/// injected errors, under both search engines.
+/// injected errors.
 #[test]
 fn parallel_and_serial_runs_are_identical() {
     let tech = nmos_technology();
@@ -23,39 +23,28 @@ fn parallel_and_serial_runs_are_identical() {
         ],
         42,
     ));
-    for hierarchical in [true, false] {
-        let serial = check_cif(
+    let serial = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
+    assert!(
+        !serial.violations.is_empty(),
+        "injected errors must produce violations"
+    );
+    for parallelism in [2usize, 4, 0] {
+        let parallel = check_cif(
             &chip.cif,
             &tech,
             &CheckOptions {
-                hierarchical,
+                parallelism,
                 ..CheckOptions::default()
             },
         )
         .unwrap();
-        assert!(
-            !serial.violations.is_empty(),
-            "injected errors must produce violations"
+        assert_eq!(
+            serial.violations, parallel.violations,
+            "workers={parallelism}: ordered violation lists diverge"
         );
-        for parallelism in [2usize, 4, 0] {
-            let parallel = check_cif(
-                &chip.cif,
-                &tech,
-                &CheckOptions {
-                    hierarchical,
-                    parallelism,
-                    ..CheckOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                serial.violations, parallel.violations,
-                "hier={hierarchical} workers={parallelism}: ordered violation lists diverge"
-            );
-            assert_eq!(
-                serial.interact_stats, parallel.interact_stats,
-                "hier={hierarchical} workers={parallelism}: stats diverge"
-            );
-        }
+        assert_eq!(
+            serial.interact_stats, parallel.interact_stats,
+            "workers={parallelism}: stats diverge"
+        );
     }
 }
