@@ -155,23 +155,22 @@ fn apply_edits(app: &App, req: &Request) -> Result<Response, ApiError> {
     let pin = app.registry.pin(id)?;
     let mut session = pin.lock()?;
     let edits = wire::edit_set_from_json(&body, session.layout())?;
-    let old = session.report().violations.clone();
     let stats = session
         .apply(&edits)
         .map_err(|e| ApiError::bad_edit(e.to_string()))?;
-    let (added, removed) = wire::violation_delta(&old, &session.report().violations);
+    let delta = session.last_delta();
     let response = Value::object([
         ("applied", Value::from(edits.edits.len())),
-        ("added", string_array(added)),
-        ("removed", string_array(removed)),
+        ("added", string_array(&delta.added)),
+        ("removed", string_array(&delta.removed)),
         ("stats", wire::edit_stats_to_json(&stats)),
         ("report", wire::report_summary(session.report())),
     ]);
     Ok(json_response(StatusCode::OK, &response))
 }
 
-fn string_array(items: Vec<String>) -> Value {
-    Value::array(items.into_iter().map(Value::from))
+fn string_array(items: &[String]) -> Value {
+    Value::array(items.iter().map(|line| Value::from(line.as_str())))
 }
 
 /// `GET /sessions/{id}/report` — streams the canonical report as

@@ -19,7 +19,8 @@
 use crate::error::{ApiError, FrontEnd};
 use diic_cif::{Call, Diagnostic, Element, Item, Layout, Shape, Span, SymbolId};
 use diic_core::{
-    category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, Violation,
+    category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, ReportDelta,
+    Violation,
 };
 use diic_geom::{Orientation, Point, Rect, Transform, Vector, MAX_COORD};
 use serde_json::Value;
@@ -442,7 +443,7 @@ fn item_from_json(v: &Value, layout: &Layout) -> Result<Item, ApiError> {
 /// the per-cell library reports are made of, byte-compatible with
 /// [`diic_core::StreamingSink`] output lines.
 pub fn render_violation(v: &Violation) -> String {
-    format!("{v:?}")
+    diic_core::render_line(v)
 }
 
 /// The summary object every session response embeds: violation count,
@@ -502,34 +503,13 @@ pub fn edit_stats_to_json(stats: &EditStats) -> Value {
 
 /// The `added` / `removed` violation delta between two canonical
 /// reports, as rendered lines: a multiset diff, with `added` in the
-/// new report's canonical order and `removed` in the old one's.
+/// new report's canonical order and `removed` in the old one's. It
+/// renders both whole reports ([`ReportDelta::by_rendering`]); the
+/// `/edits` route does not call it, but answers with the delta the
+/// session took from its own patch
+/// ([`diic_core::CheckSession::last_delta`]), which must equal this byte
+/// for byte — the reference the tests hold it to.
 pub fn violation_delta(old: &[Violation], new: &[Violation]) -> (Vec<String>, Vec<String>) {
-    let mut counts: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
-    for v in old {
-        *counts.entry(render_violation(v)).or_default() -= 1;
-    }
-    for v in new {
-        *counts.entry(render_violation(v)).or_default() += 1;
-    }
-    let mut added = Vec::new();
-    for v in new {
-        let line = render_violation(v);
-        if let Some(n) = counts.get_mut(&line) {
-            if *n > 0 {
-                *n -= 1;
-                added.push(line);
-            }
-        }
-    }
-    let mut removed = Vec::new();
-    for v in old {
-        let line = render_violation(v);
-        if let Some(n) = counts.get_mut(&line) {
-            if *n < 0 {
-                *n += 1;
-                removed.push(line);
-            }
-        }
-    }
-    (added, removed)
+    let delta = ReportDelta::by_rendering(old, new);
+    (delta.added, delta.removed)
 }

@@ -256,12 +256,7 @@ mod tests {
         let mut sink = DiagnosticSink::new();
         let seed = StringInterner::default();
         let (report, parts) = run_pipeline(&layout, &tech, &options, &bound, None, seed, &mut sink);
-        let nets = crate::netgen::NetgenResult {
-            netlist: report.netlist.clone(),
-            element_net: parts.element_net,
-            device_terminal_nets: parts.device_terminal_nets,
-            violations: Vec::new(),
-        };
+        let (nets, _) = parts.parts.assemble_from_scratch(&parts.view);
         let all: Vec<usize> = (0..parts.view.elements.len()).collect();
         let (direct, direct_stats) = crate::interact::check_interactions_among(
             &parts.view,

@@ -22,7 +22,7 @@ use crate::connect::check_connections;
 use crate::element_checks::check_elements;
 use crate::interact::check_interactions;
 use crate::library::{BoundTechnology, LibraryCache};
-use crate::netgen::{NetParts, NetgenResult, TerminalNets};
+use crate::netgen::NetParts;
 use crate::parallel::effective_parallelism;
 use crate::primitive_checks::check_primitive_symbols;
 use crate::scope::ScopeTable;
@@ -541,8 +541,6 @@ pub(crate) struct SessionArtefacts {
     pub runs: Vec<(usize, usize)>,
     pub merges: Vec<(usize, usize)>,
     pub parts: NetParts,
-    pub element_net: Vec<Option<NetId>>,
-    pub device_terminal_nets: TerminalNets,
 }
 
 /// Runs `step` on the wall clock and records it in `profile` as `name`,
@@ -636,15 +634,9 @@ pub(crate) fn run_pipeline(
         sink.absorb(netlist_mismatch_violations(netlist, options));
     });
 
-    let NetgenResult {
-        netlist,
-        element_net,
-        device_terminal_nets,
-        ..
-    } = nets;
     let report = CheckReport {
         violations: sink.take_buffered(),
-        netlist,
+        netlist: nets.netlist,
         interact_stats,
         stage_profile: profile,
         waived_devices,
@@ -659,8 +651,6 @@ pub(crate) fn run_pipeline(
         runs,
         merges,
         parts,
-        element_net,
-        device_terminal_nets,
     };
     (report, artefacts)
 }

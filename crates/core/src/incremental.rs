@@ -46,27 +46,33 @@
 //! * **the net graph is patched, the net list spliced** — net keys
 //!   are interned once into stable integer nodes
 //!   ([`crate::netgen::NetParts`]); the edit swaps the dirty rows,
-//!   noting every node at which the graph changed, and
-//!   [`crate::netgen::NetParts::splice`] rebuilds only the nets those
-//!   nodes belong to — the same canonicalisation
-//!   ([`diic_netlist::canonical_nets`]) a full build runs, over the
-//!   affected components alone. Every other net's rows, and every
-//!   surviving device's that sits on kept nets only, are copied from
-//!   the cached net list in runs (a net list is flat columns over one
-//!   text buffer), ids rewritten as they land. Canonicalisation follows
-//!   the nets the edit touched, not the chip; in
-//!   debug builds the result is asserted equal to the from-scratch
-//!   [`crate::netgen::NetParts::assemble`].
+//!   recording the rows and edges that left and entered
+//!   ([`crate::netgen::GraphDelta`]), and the session's
+//!   [`crate::netgen::NetIndex`] — built at open, patched by each delta:
+//!   per node its rows, its edges, its elements and its net's stable
+//!   slot — finds the components those nodes reach by a search from
+//!   them, and [`crate::netgen::NetIndex::splice`] rebuilds only those
+//!   nets — the same canonicalisation ([`diic_netlist::canonical_nets`])
+//!   a full build runs, over the affected components alone. Every other
+//!   net's rows and every surviving device's row are copied from the
+//!   cached net list in runs (a net list is flat columns over one text
+//!   buffer), ids rewritten as they land; kept nets keep their slots,
+//!   so nothing per node or per element renumbers, and the interaction
+//!   search reads nets through the slots. Canonicalisation follows the
+//!   nets the edit touched, not the chip; in debug builds the result
+//!   and the index are asserted equal to the from-scratch
+//!   [`crate::netgen::NetParts::assemble`] and a fresh index.
 //! * **net-wide effects are caught by a name diff** — connectivity is
 //!   global (one added strap merges two nets chip-wide), so after the
 //!   splice every surviving element whose net's canonical name
 //!   changed, and every device whose terminal-net names changed, adds
-//!   its footprint to the dirty core (only elements and terminals on a
-//!   freshly built net can have — the copied nets kept their names). A
-//!   merge or split always renames at least one side (the canonical
-//!   name is the minimum alias), so every pair whose
-//!   same-net/relatedness verdict could have flipped now has a dirty
-//!   endpoint.
+//!   its footprint to the dirty core. Only elements and terminals on a
+//!   freshly built net can have — the copied nets kept their names — so
+//!   the diff walks the nodes the splice re-derived, the elements on the
+//!   renamed ones and the devices on their nets. A merge or split always
+//!   renames at least one side (the canonical name is the minimum
+//!   alias), so every pair whose same-net/relatedness verdict could
+//!   have flipped now has a dirty endpoint.
 //! * **interactions re-run inside the halo only** — the dirty core's
 //!   footprints are inflated by the technology's rule reach (the
 //!   session's [`BoundTechnology`], the open's own) and kept as they
@@ -79,9 +85,18 @@
 //!   are tight gap boxes (within the pair's gap of *both* elements), so
 //!   cached violations whose marker misses the halo are provably
 //!   unchanged and are kept; everything anchored inside the halo is
-//!   retracted and re-found fresh. The patched list is re-sorted with
-//!   [`crate::report::canonical_sort`], which is the order
-//!   [`canonical_check`] reports in — hence byte equality.
+//!   retracted and re-found fresh. The fresh lines are sorted with
+//!   [`crate::report::canonical_sort_keyed`] and merged into the kept
+//!   ones ([`crate::report::merge_keyed`]) — the order
+//!   [`canonical_check`] reports in, hence byte equality — each line's
+//!   rendering kept beside it, so a kept line is never rendered again.
+//! * **the reply is the patch's own** — the lines retracted against the
+//!   lines found fresh, equal ones cancelled, in one merge walk over
+//!   keys already rendered ([`crate::report::ReportDelta::between`]),
+//!   is the multiset difference of the report before and after
+//!   ([`CheckSession::last_delta`]); a full rebuild walks the two
+//!   whole lists instead. In debug builds it is asserted equal to the
+//!   diff of the two rendered reports.
 //!
 //! What is *not* invalidated incrementally: the net-list comparison
 //! re-runs over the whole (spliced) net list every edit, and the
@@ -94,14 +109,15 @@
 //!
 //! What an edit still pays per chip, not per edit (the benchmark's
 //! 8 101-element `edit-session` chip): the net-list splice's copy of
-//! every kept net and its O(chip) integer passes (the node → net table,
-//! the device-opening screen); `rebind_rows`' screen of every device's
-//! terminals against the dirty region's bounding box; the interaction
-//! pass's private candidate grid over the halo set; and, through the
-//! HTTP API, the wire delta, which renders every line of both reports.
-//! Beside them some plain integer passes are linear too: the old → new
-//! id maps, the dirty and seed masks, and renumbering the cached merges
-//! and element nodes.
+//! every kept net and device row, O(nets + devices); re-canonicalising
+//! the chip-wide VDD and GND nets whenever an edit touches one of them
+//! (an inverter's edit does), which the search, the canonicalisation
+//! and the name diff all walk; and the interaction pass's private
+//! candidate grid over the halo set. Beside them some plain integer
+//! passes are linear too: the old → new id maps, the dirty and seed
+//! masks, renumbering the cached merges, and moving the device rows
+//! and element nodes that lie after the first item whose run changed
+//! length.
 //!
 //! # One way in, one plan per edit
 //!
@@ -109,8 +125,11 @@
 //! an edit falls back to when it dirties ≥ 30 % of the chip — *is* the
 //! pipeline run [`check`] makes, and the session keeps the artefacts
 //! that run hands back (binding, view, per-item run lengths, merges, net
-//! graph, net resolution) where [`check`] drops them. There is no
-//! second copy of the pipeline here.
+//! graph and its node → net resolution) where [`check`] drops them, and
+//! builds what only an edit needs beside them: the element index, the
+//! net index over the graph and the `PointIndex` of label positions
+//! and of the few devices the element index cannot find.
+//! There is no second copy of the pipeline here.
 //!
 //! **An edit** ([`CheckSession::apply`]) first becomes an `EditPlan`: a
 //! pure function of the layout, the per-item run lengths and the
@@ -139,11 +158,13 @@
 //!    groups it touches, from the element index;
 //! 3. `patch_connections` \[`t_conn`\] — scoped pass over the seed set;
 //! 4. `patch_net_graph` \[`t_net`\] — element nodes, connection edges,
-//!    the touched nodes;
-//! 5. `rebind_rows` \[`t_net`\] — device and label rows near the edit;
-//! 6. `splice_nets` \[`t_net`\] — the cached net list reused (a
-//!    net-neutral edit) or spliced, with the nets it built fresh and the
-//!    names of the ones it dissolved; the name diff; the halo rects;
+//!    and the graph delta they make;
+//! 5. `rebind_rows` \[`t_net`\] — device and label rows near the edit,
+//!    found through the element index and the `PointIndex`;
+//! 6. `splice_nets` \[`t_net`\] — the net index patched; the cached net
+//!    list reused (a net-neutral edit) or spliced, with the nets it built
+//!    fresh and the names of the ones it dissolved; the name diff; the
+//!    halo rects;
 //! 7. `recheck_halo` \[`t_interact`\] — the elements within one reach of
 //!    the halo, in one pass over the element index; interactions among
 //!    them;
@@ -152,7 +173,7 @@
 //!    was replaced, ERC over the fresh nets;
 //! 9. `patch_report` \[`t_patch`\] — retract (ERC lines by retired net
 //!    name, primitive-symbol lines only when they re-ran), splice,
-//!    merge;
+//!    merge, and the delta;
 //! 10. `commit` \[`t_commit`\] — install the products, compact the
 //!     element index after heavy churn.
 //!
@@ -199,18 +220,18 @@ use crate::engine::{
 };
 use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
 use crate::library::BoundTechnology;
-use crate::netgen::{
-    element_is_netted, BindIndex, DeviceParts, NetParts, NetgenResult, TerminalNets,
-};
+use crate::netgen::{element_is_netted, BindIndex, DeviceParts, GraphDelta, NetIndex, NetParts};
 use crate::primitive_checks::check_primitive_symbols;
-use crate::report::{canonical_sort, merge_canonical};
+use crate::report::{
+    canonical_sort, canonical_sort_keyed, merge_keyed, ranked, stage_rank, ReportDelta,
+};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::hierarchy::{
     check_acyclic, flat_elements, HierarchyError, MAX_CALL_DEPTH, MAX_FLAT_ELEMENTS,
 };
-use diic_cif::{Call, Element, Item, Layout, Shape, SymbolId};
+use diic_cif::{Call, Element, Item, Layout, NetLabel, Shape, SymbolId};
 use diic_geom::{GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
-use diic_netlist::NetId;
+use diic_netlist::{DeviceId, NetId, Netlist};
 use diic_tech::Technology;
 
 /// One edit against the top level of a layout or its symbol table.
@@ -661,6 +682,12 @@ struct Relaid {
     dev_old_of_new: Vec<Option<usize>>,
     /// The re-instantiated elements, ascending.
     fresh: Vec<usize>,
+    /// The re-instantiated devices, ascending.
+    fresh_devices: Vec<usize>,
+    /// The `(element, device)` ids the re-lay started at: every element
+    /// and device before them kept its id (or was re-instantiated in
+    /// place).
+    split: (usize, usize),
     /// Every item kept its slot and its run lengths.
     aligned: bool,
 }
@@ -682,6 +709,10 @@ struct ViewPatch {
     dirty: Vec<bool>,
     /// The re-instantiated elements, ascending.
     dirty_ids: Vec<usize>,
+    /// The re-instantiated devices, ascending.
+    fresh_devices: Vec<usize>,
+    /// The `(element, device)` ids the re-lay started at.
+    split: (usize, usize),
     /// The seed elements, ascending: dirty, or touching a dirty
     /// footprint — the elements whose pair verdicts, duplicate-key
     /// ordinals or bindings could have changed.
@@ -690,6 +721,11 @@ struct ViewPatch {
     seed: Vec<bool>,
     /// Elements whose auto net key was re-derived.
     rekeyed: Vec<usize>,
+    /// `rekeyed` as a mask over the new elements.
+    rekeyed_mask: Vec<bool>,
+    /// `(old id, index handle)` of every element whose run left the
+    /// view, ascending by old id.
+    evicted: Vec<(usize, u32)>,
     /// Old and new footprints with area of every dirty element: the
     /// connection dirty region, as rects and as the grid the steps test
     /// against.
@@ -706,17 +742,31 @@ struct ConnPatch {
     merges: Vec<(usize, usize)>,
     /// The scoped pass over the seed set (merges ascending).
     scoped: ConnectionResult,
+    /// The graph edge of each merge, aligned with `merges`: a kept
+    /// merge's carried across, the rest (`unset`) filled in by the graph
+    /// patch once the element nodes are.
+    edges: Vec<(u32, u32)>,
+    /// Positions in `merges` of the scoped pass's merges and of the kept
+    /// ones with a re-keyed end, ascending.
+    unset: Vec<usize>,
     /// The cached merges among seed elements, which the scoped pass's
-    /// verdicts replace, as new ids, ascending.
-    old_seed_merges: Vec<(usize, usize)>,
+    /// verdicts replace, as new ids, ascending, each with its edge in
+    /// the cached graph.
+    old_seed_merges: Vec<((usize, usize), (u32, u32))>,
+    /// The connection edges that left the graph with a cached merge: one
+    /// that lost an end, and a kept one with a re-keyed end.
+    gone_edges: Vec<(u32, u32)>,
 }
 
-/// The net graph's change so far: the nodes at which it changed — the
-/// contract of [`NetParts::splice`] — and whether it still provably
-/// equals the cached graph.
+/// The net graph's change so far: the rows and edges that left it and
+/// entered it — what [`NetIndex::patch`] and [`NetIndex::splice`] read
+/// — and whether it still provably equals the cached graph.
 #[derive(Debug)]
 struct GraphPatch {
-    touched: Vec<u32>,
+    delta: GraphDelta,
+    /// `(id, old node)` of every surviving element whose node the
+    /// auto-key pass changed.
+    rekeyed_from: Vec<(usize, u32)>,
     net_neutral: bool,
 }
 
@@ -724,7 +774,7 @@ struct GraphPatch {
 /// the report patch.
 #[derive(Debug)]
 struct NetPatch {
-    nets: NetgenResult,
+    netlist: Netlist,
     /// The nets of `nets` the splice built fresh, ascending — none on a
     /// reused list. Every other net was copied across with its name,
     /// aliases, terminals and device classes, so ERC re-runs on these
@@ -763,20 +813,33 @@ pub struct CheckSession {
     runs: Vec<(usize, usize)>,
     merges: Vec<(usize, usize)>,
     parts: NetParts,
-    element_net: Vec<Option<NetId>>,
-    device_terminal_nets: TerminalNets,
+    /// The net graph's index — rows per node, edges, the elements on
+    /// each node (by `elem_index` handle) and each net's stable slot —
+    /// built at open and patched per edit, so the splice costs the nets
+    /// it rebuilds.
+    nets: NetIndex,
     /// Persistent spatial index over element bboxes (the
     /// [`diic_geom::GridIndex`] incremental-update path): dirty-region
     /// queries cost the neighbourhood, not a whole-chip scan.
     elem_index: GridIndex<()>,
     /// Element id → its handle in `elem_index`.
     elem_handles: Vec<u32>,
+    /// The label positions and the devices the element index cannot
+    /// find by their terminals, for the re-bind step's question of which
+    /// rows the edit reaches.
+    points: PointIndex,
     /// Handle → current element id, one slot per handle the index has
     /// issued since its last compaction (which shrinks this table with
     /// it). Dead handles keep garbage; only live ones — which the index
     /// queries return — are ever read.
     handle_owner: Vec<usize>,
     report: CheckReport,
+    /// Each report line's rendering, aligned with `report.violations`:
+    /// the canonical sort key, computed once when the line entered the
+    /// report, so neither the merge nor the delta renders a kept line.
+    keys: Vec<String>,
+    /// The lines the last [`CheckSession::apply`] added and removed.
+    delta: ReportDelta,
 }
 
 impl CheckSession {
@@ -793,20 +856,23 @@ impl CheckSession {
         // its per-stage counts, and a patched report would carry the
         // open's stale ones.
         report.stage_profile = Vec::new();
-        canonical_sort(&mut report.violations);
+        let keys;
+        (report.violations, keys) = canonical_sort_keyed(std::mem::take(&mut report.violations));
         let SessionArtefacts {
             binding,
             view,
             runs,
             merges,
-            parts,
-            element_net,
-            device_terminal_nets,
+            mut parts,
+            ..
         } = artefacts;
         let mut elem_index = GridIndex::new(bound.cell_size());
         let elem_handles: Vec<u32> = (view.elements.bboxes().iter())
             .map(|&bbox| elem_index.insert(bbox, ()))
             .collect();
+        let net_count = report.netlist.net_count();
+        let nets = NetIndex::new(&mut parts, net_count, |id| elem_handles[id]);
+        let points = PointIndex::build(&view, layout.labels(), &elem_handles, bound.cell_size());
         CheckSession {
             layout,
             tech: tech.clone(),
@@ -817,12 +883,14 @@ impl CheckSession {
             runs,
             merges,
             parts,
-            element_net,
-            device_terminal_nets,
+            nets,
+            points,
             elem_index,
             handle_owner: (0..elem_handles.len()).collect(),
             elem_handles,
             report,
+            keys,
+            delta: ReportDelta::default(),
         }
     }
 
@@ -837,6 +905,18 @@ impl CheckSession {
     /// *incremental* work of the last apply, not a full run.
     pub fn report(&self) -> &CheckReport {
         &self.report
+    }
+
+    /// The lines the last [`CheckSession::apply`] added to the report
+    /// and removed from it, rendered as report lines: the multiset
+    /// difference of the report before and after, `added` in the new
+    /// report's order and `removed` in the old one's — byte for byte
+    /// what diffing the two whole reports gives. It is taken from the
+    /// patch (the lines it retracted against the lines it found fresh),
+    /// so it costs the lines the edit changed, not the report. Empty
+    /// before the first apply; an apply that fails leaves it as it was.
+    pub fn last_delta(&self) -> &ReportDelta {
+        &self.delta
     }
 
     /// A from-scratch check of the current layout, canonically sorted —
@@ -857,16 +937,25 @@ impl CheckSession {
         if let Some(reason) = plan.rebuild_reason() {
             apply_layout_edits(&mut self.layout, edits);
             let layout = std::mem::take(&mut self.layout);
+            let old = std::mem::take(&mut self.report.violations);
+            let old_keys = std::mem::take(&mut self.keys);
             *self = CheckSession::new(layout, &self.tech, &self.options);
+            let new = ranked(&self.report.violations, &self.keys);
+            self.delta = ReportDelta::between(ranked(&old, &old_keys), new);
+            debug_assert_eq!(
+                self.delta,
+                ReportDelta::by_rendering(&old, &self.report.violations),
+                "the rebuild's delta diverged from a rendered diff"
+            );
             stats.dirty_items = plan.slots.iter().filter(|s| s.dirty).count();
             stats.dirty_elements = plan.dirty_elements;
             (stats.full_rebuild, stats.rebuild_reason) = (true, Some(reason));
             stats.t_view = t0.elapsed();
             return Ok(stats);
         }
-        let foot = self.evict_footprints(&plan);
+        let (foot, evicted) = self.evict_footprints(&plan);
         apply_layout_edits(&mut self.layout, edits);
-        let mut view = self.patch_view(&plan, foot, &mut stats);
+        let mut view = self.patch_view(&plan, foot, evicted, &mut stats);
         stats.t_view = t0.elapsed();
 
         let t0 = clock();
@@ -874,7 +963,7 @@ impl CheckSession {
         stats.t_conn = t0.elapsed();
 
         let t0 = clock();
-        let mut graph = self.patch_net_graph(&view, &conn);
+        let mut graph = self.patch_net_graph(&view, &mut conn);
         self.rebind_rows(&mut view, &mut graph);
         let nets = self.splice_nets(&mut view, graph, &mut stats);
         stats.t_net = t0.elapsed();
@@ -891,8 +980,12 @@ impl CheckSession {
 
         let t0 = clock();
         let connections = std::mem::take(&mut conn.scoped.violations);
-        let violations =
-            self.patch_report(global, connections, interactions, &view, &nets, &mut stats);
+        let cached = (
+            std::mem::take(&mut self.report.violations),
+            std::mem::take(&mut self.keys),
+        );
+        let fresh = [global, connections, interactions];
+        let (violations, keys, delta) = self.patch_report(cached, fresh, &view, &nets, &mut stats);
         let waived_devices =
             waived.unwrap_or_else(|| std::mem::take(&mut self.report.waived_devices));
         #[cfg(debug_assertions)]
@@ -902,6 +995,7 @@ impl CheckSession {
         // Consumes the products, so the commit also pays for dropping
         // what the steps left behind.
         let t0 = clock();
+        (self.keys, self.delta) = (keys, delta);
         stats.index_compacted =
             self.commit(view, conn, nets, violations, interact_stats, waived_devices);
         stats.t_commit = t0.elapsed();
@@ -941,17 +1035,20 @@ impl CheckSession {
 
     /// Step 1 (`t_view`): the footprints of every run that leaves the
     /// view, read from the cached view and evicted from the element
-    /// index (survivor entries stay put — their bboxes are unchanged).
-    fn evict_footprints(&mut self, plan: &EditPlan) -> Vec<Rect> {
-        let mut foot = Vec::new();
+    /// index (survivor entries stay put — their bboxes are unchanged),
+    /// with the evicted elements' old ids and handles, ascending.
+    fn evict_footprints(&mut self, plan: &EditPlan) -> (Vec<Rect>, Vec<(usize, u32)>) {
+        let (mut foot, mut evicted) = (Vec::new(), Vec::new());
         for o in plan.stale_origins() {
             let run = plan.offsets[o].0..plan.offsets[o].0 + self.runs[o].0;
             foot.extend_from_slice(&self.view.elements.bboxes()[run.clone()]);
-            for &handle in &self.elem_handles[run] {
+            for (id, &handle) in run.clone().zip(&self.elem_handles[run]) {
                 self.elem_index.remove(handle);
+                evicted.push((id, handle));
             }
         }
-        foot
+        evicted.sort_unstable();
+        (foot, evicted)
     }
 
     /// Step 2 (`t_view`), on the edited layout: re-binds layers (the
@@ -964,6 +1061,7 @@ impl CheckSession {
         &mut self,
         plan: &EditPlan,
         mut foot: Vec<Rect>,
+        evicted: Vec<(usize, u32)>,
         stats: &mut EditStats,
     ) -> ViewPatch {
         let (binding, mut violations) = LayerBinding::bind(&self.layout, &self.tech);
@@ -1004,6 +1102,10 @@ impl CheckSession {
             seed[id] = true;
         }
         let rekeyed = self.rekey_auto_nets(&mut view, &seeds);
+        let mut rekeyed_mask = vec![false; view.elements.len()];
+        for &id in &rekeyed {
+            rekeyed_mask[id] = true;
+        }
         ViewPatch {
             binding,
             violations,
@@ -1012,9 +1114,13 @@ impl CheckSession {
             dev_old_of_new: relaid.dev_old_of_new,
             dirty,
             dirty_ids: relaid.fresh,
+            fresh_devices: relaid.fresh_devices,
+            split: relaid.split,
             seeds,
             seed,
             rekeyed,
+            rekeyed_mask,
+            evicted,
             d_conn_grid: rect_grid(&foot, self.bound.cell_size()),
             foot,
             aligned: relaid.aligned,
@@ -1043,6 +1149,8 @@ impl CheckSession {
             old_to_new: (0..n_old).map(Some).collect(),
             dev_old_of_new: (0..d_old).map(Some).collect(),
             fresh: Vec::new(),
+            fresh_devices: Vec::new(),
+            split: (n_old, d_old),
             aligned: plan.slots.len() == self.runs.len(),
         };
         // Removed items never reach the loops below, but their evicted
@@ -1076,6 +1184,7 @@ impl CheckSession {
                     }
                     view.devices[od + t] = dv;
                     out.dev_old_of_new[od + t] = None;
+                    out.fresh_devices.push(od + t);
                 }
                 out.old_to_new[oe..oe + elems].fill(None);
                 self.enter_fresh_run(view, oe..oe + elems, &mut out.fresh, foot, stats);
@@ -1086,6 +1195,7 @@ impl CheckSession {
 
         // The rest, from slot `k`: split off, and laid back run by run.
         let (e_split, d_split) = plan.offsets.get(k).copied().unwrap_or((n_old, d_old));
+        out.split = (e_split, d_split);
         let block = view.elements.split_off(e_split);
         let mut block_devs: Vec<_> = (view.devices.split_off(d_split).into_iter())
             .map(Some)
@@ -1124,6 +1234,7 @@ impl CheckSession {
                     let fresh = e0..view.elements.len();
                     self.enter_fresh_run(view, fresh, &mut out.fresh, foot, stats);
                     out.dev_old_of_new.resize(view.devices.len(), None);
+                    out.fresh_devices.extend(d0..view.devices.len());
                 }
             }
             let run = (view.elements.len() - e0, view.devices.len() - d0);
@@ -1192,7 +1303,10 @@ impl CheckSession {
 
     /// Step 3 (`t_conn`): re-scores the pairs among the seed elements
     /// ([`check_connections_among`]); every other cached merge is
-    /// provably unchanged and only renumbers.
+    /// provably unchanged and only renumbers. The cached graph's edges
+    /// are aligned with the cached merges, so a kept merge carries its
+    /// edge across, and the edges that leave with a merge are read off
+    /// as it goes.
     fn patch_connections(&self, vp: &ViewPatch, stats: &mut EditStats) -> ConnPatch {
         stats.seed_elements = vp.seeds.len();
         let mut scoped = check_connections_among(&vp.view, &self.tech, &vp.seeds);
@@ -1201,84 +1315,148 @@ impl CheckSession {
         // ascending as they renumber: the kept ones take the scoped
         // pass's in by one linear merge, and the ones among seeds (which
         // its verdicts replace) come out ascending too.
-        let mut old_seed_merges = Vec::new();
-        let mut merges = Vec::with_capacity(self.merges.len() + scoped.merges.len());
+        debug_assert_eq!(self.merges.len(), self.parts.conn_edges.len());
+        let (mut old_seed_merges, mut gone_edges, mut unset) = (Vec::new(), Vec::new(), Vec::new());
+        let n = self.merges.len() + scoped.merges.len();
+        let (mut merges, mut edges) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let mut fresh = scoped.merges.iter().copied().peekable();
-        for &(i, j) in &self.merges {
+        for (&(i, j), &edge) in self.merges.iter().zip(&self.parts.conn_edges) {
             let (Some(ni), Some(nj)) = (vp.old_to_new[i], vp.old_to_new[j]) else {
+                gone_edges.push(edge);
                 continue;
             };
             if vp.seed[ni] && vp.seed[nj] {
-                old_seed_merges.push((ni, nj));
+                old_seed_merges.push(((ni, nj), edge));
                 continue;
             }
             while let Some(pair) = fresh.next_if(|&pair| pair < (ni, nj)) {
+                unset.push(merges.len());
                 merges.push(pair);
+                edges.push(edge);
+            }
+            if vp.rekeyed_mask[ni] || vp.rekeyed_mask[nj] {
+                // Its edge moves to the re-keyed end's new node.
+                gone_edges.push(edge);
+                unset.push(merges.len());
             }
             merges.push((ni, nj));
+            edges.push(edge);
         }
-        merges.extend(fresh);
+        for pair in fresh {
+            unset.push(merges.len());
+            merges.push(pair);
+        }
+        edges.resize(merges.len(), (0, 0));
         debug_assert!(merges.is_sorted() && old_seed_merges.is_sorted());
         ConnPatch {
             merges,
+            edges,
+            unset,
             scoped,
             old_seed_merges,
+            gone_edges,
         }
     }
 
     /// Step 4 (`t_net`): the net graph's element nodes and connection
-    /// edges. Nodes are the view interner's raw indices, so patching
-    /// them is a handle read — no string ever re-interns here.
-    fn patch_net_graph(&mut self, vp: &ViewPatch, cp: &ConnPatch) -> GraphPatch {
+    /// edges, and the delta they make. Nodes are the view interner's raw
+    /// indices, so patching them is a handle read — no string ever
+    /// re-interns here. The element nodes before the re-lay's start keep
+    /// their places; only the ones after it move.
+    fn patch_net_graph(&mut self, vp: &ViewPatch, cp: &mut ConnPatch) -> GraphPatch {
         let keys = vp.view.elements.net_keys();
-        let mut touched: Vec<u32> = Vec::new();
-        let old_element_node = std::mem::take(&mut self.parts.element_node);
-        let mut element_node: Vec<Option<u32>> = vec![None; vp.dirty.len()];
-        for (old, new) in vp.old_to_new.iter().enumerate() {
-            match new {
-                Some(new) => element_node[*new] = old_element_node[old],
-                None => touched.extend(old_element_node[old]),
+        let mut delta = GraphDelta {
+            gone_edges: std::mem::take(&mut cp.gone_edges),
+            ..GraphDelta::default()
+        };
+        let mut element_node = std::mem::take(&mut self.parts.element_node);
+        for &(old, handle) in &vp.evicted {
+            delta
+                .gone_elements
+                .extend(element_node[old].map(|node| (node, handle)));
+        }
+        let e_split = vp.split.0;
+        let moved = element_node.split_off(e_split);
+        element_node.resize(vp.dirty.len(), None);
+        for (&node, new) in moved.iter().zip(&vp.old_to_new[e_split..]) {
+            if let Some(new) = *new {
+                element_node[new] = node;
             }
         }
-        for &id in &vp.rekeyed {
+        let mut rekeyed_from = Vec::new();
+        for &id in vp.rekeyed.iter().filter(|&&id| !vp.dirty[id]) {
             // Re-keyed survivors keep their netted-ness; fresh elements
             // are handled below. A kept merge of a re-keyed survivor
-            // moves one edge end from the old node to the new: both are
-            // touched, and the far end shared the old node's net.
+            // moves one edge end from the old node to the new (step 3
+            // took its old edge out; it comes back below).
             if let Some(node) = &mut element_node[id] {
-                touched.push(*node);
+                let handle = self.elem_handles[id];
+                delta.gone_elements.push((*node, handle));
+                rekeyed_from.push((id, *node));
                 *node = keys[id].index();
-                touched.push(*node);
+                delta.new_elements.push((*node, handle));
             }
         }
-        let dirty_ids = || vp.dirty_ids.iter().copied();
-        for id in dirty_ids() {
-            element_node[id] = element_is_netted(&vp.view, id).then(|| keys[id].index());
-            touched.extend(element_node[id]);
+        // Whether each dirty element kept the node of the old element of
+        // its id — the one it replaced, under `aligned` (the net-neutral
+        // candidate): still in place before the re-lay's start, in
+        // `moved` after it.
+        let mut kept_nodes = true;
+        for &id in &vp.dirty_ids {
+            let node = element_is_netted(&vp.view, id).then(|| keys[id].index());
+            let was = match id.checked_sub(e_split) {
+                None => element_node[id],
+                Some(at) => moved.get(at).copied().flatten(),
+            };
+            kept_nodes &= was == node;
+            element_node[id] = node;
+            let handle = self.elem_handles[id];
+            delta.new_elements.extend(node.map(|node| (node, handle)));
+        }
+        // The edges of the scoped pass's merges and of the re-keyed kept
+        // ones, at their ends' nodes now.
+        let edge = |(i, j): (usize, usize)| -> (u32, u32) {
+            // invariant: merge endpoints are netted.
+            let node = |id: usize| element_node[id].expect("merge endpoints are netted");
+            (node(i), node(j))
+        };
+        for &at in &cp.unset {
+            cp.edges[at] = edge(cp.merges[at]);
         }
         // Connection edges that appeared or vanished among surviving
         // seed elements (a merge that lost an end to a removed element
-        // is covered by that element's node above).
+        // left in step 3), and the re-keyed ones' edges at their new
+        // ends.
         let (old, new) = (&cp.old_seed_merges, &cp.scoped.merges);
-        let gone = old.iter().filter(|pair| new.binary_search(pair).is_err());
-        let came = new.iter().filter(|pair| old.binary_search(pair).is_err());
-        for &(i, j) in gone.chain(came) {
-            touched.extend(element_node[i]);
-            touched.extend(element_node[j]);
+        for &(pair, was) in old {
+            match new.binary_search(&pair) {
+                Err(_) => delta.gone_edges.push(was),
+                Ok(_) if edge(pair) != was => {
+                    delta.gone_edges.push(was);
+                    delta.new_edges.push(edge(pair));
+                }
+                Ok(_) => {}
+            }
         }
+        let came = new
+            .iter()
+            .filter(|pair| (old.binary_search_by(|(p, _)| p.cmp(pair))).is_err());
+        delta.new_edges.extend(came.map(|&pair| edge(pair)));
+        let rekeyed = cp.unset.iter().map(|&at| cp.merges[at]);
+        let rekeyed = rekeyed.filter(|&(i, j)| vp.rekeyed_mask[i] || vp.rekeyed_mask[j]);
+        let rekeyed = rekeyed.filter(|pair| new.binary_search(pair).is_err());
+        delta.new_edges.extend(rekeyed.map(edge));
         // Net-neutral candidate (see `splice_nets`): same item
         // structure, no re-keyed element, every dirty element kept its
         // node, identical connection edges — and, checked as they
         // re-derive, identical device and label rows.
-        let mut net_neutral = vp.aligned
-            && vp.rekeyed.is_empty()
-            && dirty_ids().all(|id| element_node[id] == old_element_node[id]);
+        let net_neutral =
+            vp.aligned && vp.rekeyed.is_empty() && kept_nodes && cp.edges == self.parts.conn_edges;
         self.parts.element_node = element_node;
-        let old_conn_edges = net_neutral.then(|| self.parts.conn_edges.clone());
-        self.parts.set_conn_edges(&cp.merges);
-        net_neutral &= old_conn_edges.is_none_or(|old| old == self.parts.conn_edges);
+        self.parts.conn_edges = std::mem::take(&mut cp.edges);
         GraphPatch {
-            touched,
+            delta,
+            rekeyed_from,
             net_neutral,
         }
     }
@@ -1286,7 +1464,7 @@ impl CheckSession {
     /// Step 5 (`t_net`): re-derives the device and label rows whose
     /// binding the edit could have changed, reusing every other row. A
     /// row that was added, removed, or re-derived to something else
-    /// touches every node it names.
+    /// leaves the graph and enters it anew in the delta.
     fn rebind_rows(&mut self, vp: &mut ViewPatch, gp: &mut GraphPatch) {
         let bboxes = vp.view.elements.bboxes();
         // Rebinding region: geometry changes plus re-keyed elements
@@ -1299,10 +1477,6 @@ impl CheckSession {
             rect_grid(&with_area, self.bound.cell_size())
         });
         let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&vp.d_conn_grid);
-        let mut rekeyed_flags = vec![false; bboxes.len()];
-        for &id in &vp.rekeyed {
-            rekeyed_flags[id] = true;
-        }
         // Decide which devices and labels re-bind. A binding (point →
         // covering elements) can only have changed if geometry inside
         // the point's bbox changed — i.e. the point touches `d_bind`;
@@ -1315,26 +1489,53 @@ impl CheckSession {
             d_bind_bounds.is_some_and(|b| b.contains_point(p))
                 && d_bind_grid.touches_any(&Rect::new(p.x, p.y, p.x, p.y))
         };
-        let rerow: Vec<bool> = (vp.view.devices.iter().zip(&vp.dev_old_of_new))
-            .map(|(dev, old)| {
-                old.is_none()
-                    || dev.element_ids.iter().any(|&eid| rekeyed_flags[eid])
-                    || dev.terminals.iter().any(|(_, _, p)| in_d_bind(*p))
-            })
-            .collect();
+        // The devices and labels with a point in it come out of the
+        // point index, the fresh devices out of the view patch.
         let labels = self.layout.labels();
-        let relabel: Vec<bool> = labels.iter().map(|l| in_d_bind(l.position)).collect();
+        let mut rerowed = vp.fresh_devices.clone();
+        let owned = vp
+            .rekeyed
+            .iter()
+            .map(|&id| vp.view.elements.get(id).device());
+        rerowed.extend(owned.flatten());
+        let mut relabelled = Vec::new();
+        let d_bind_rects: Vec<Rect> = d_bind().collect();
+        let device_of = |handle: u32| {
+            let live = self.elem_index.get(handle).is_some();
+            live.then(|| {
+                vp.view
+                    .elements
+                    .get(self.handle_owner[handle as usize])
+                    .device()
+            })
+            .flatten()
+        };
+        let view = &vp.view;
+        let candidates = self.elem_index.candidates_many(&d_bind_rects);
+        self.points.hits(
+            view,
+            &d_bind_rects,
+            candidates,
+            in_d_bind,
+            device_of,
+            |hit| match hit {
+                PointOf::Device(di) => rerowed.push(di),
+                PointOf::Label(li) => relabelled.push(li),
+            },
+        );
+        rerowed.sort_unstable();
+        rerowed.dedup();
+        relabelled.sort_unstable();
+        relabelled.dedup();
 
         // The scoped bind index must be complete at **every** re-bound
         // point — a device re-rows all of its terminals even when only
         // one sits in the dirty region, so the scope is the union of
         // the re-bound points themselves (an element can only bind if
         // its bbox covers the point).
-        let rerowed = vp.view.devices.iter().zip(&rerow).filter(|(_, &r)| r);
-        let relabelled = labels.iter().zip(&relabel).filter(|(_, &r)| r);
-        let points = rerowed
-            .flat_map(|(dev, _)| dev.terminals.iter().map(|(_, _, p)| *p))
-            .chain(relabelled.map(|(label, _)| label.position));
+        let points = (rerowed.iter())
+            .flat_map(|&di| vp.view.devices[di].terminals.iter().map(|(_, _, p)| *p))
+            .chain(relabelled.iter().map(|&li| labels[li].position));
         let pads: Vec<Rect> = points
             .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
             .collect();
@@ -1343,50 +1544,76 @@ impl CheckSession {
         ids.retain(|&id| element_is_netted(&vp.view, id));
         let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
 
-        let mut old_rows: Vec<Option<DeviceParts>> = std::mem::take(&mut self.parts.devices)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut new_rows: Vec<DeviceParts> = Vec::with_capacity(rerow.len());
-        for (di, &rerow) in rerow.iter().enumerate() {
-            let row = match vp.dev_old_of_new[di].and_then(|od| old_rows[od].take()) {
-                Some(row) if !rerow => row,
-                old_row => {
-                    let row = self.parts.device_parts(&mut vp.view, di, &bind);
-                    if gp.net_neutral {
-                        // Under `aligned`, device di corresponds to old
-                        // device di: a survivor's row was just taken, a
-                        // re-instantiated device's is still in place.
-                        let old = old_row
-                            .as_ref()
-                            .or_else(|| old_rows.get(di).and_then(Option::as_ref));
-                        gp.net_neutral = old == Some(&row);
-                    }
-                    if old_row.as_ref() != Some(&row) {
-                        gp.touched.extend(row.nodes());
-                        gp.touched
-                            .extend(old_row.iter().flat_map(DeviceParts::nodes));
-                    }
-                    row
-                }
-            };
-            new_rows.push(row);
-        }
-        // What is left belonged to removed or re-instantiated devices.
-        gp.touched
-            .extend(old_rows.iter().flatten().flat_map(DeviceParts::nodes));
-        self.parts.devices = new_rows;
+        self.rerow_devices(vp, gp, &rerowed, &bind);
+        let labels = self.layout.labels();
+        let elem_handles = &self.elem_handles;
+        let fresh = vp.fresh_devices.iter().copied();
+        self.points.enter(&vp.view, fresh, |id| elem_handles[id]);
 
-        for (li, label) in labels.iter().enumerate().filter(|&(li, _)| relabel[li]) {
+        for &li in &relabelled {
+            let label = &labels[li];
             let layer = vp.binding.layer(label.layer);
             let row = self.parts.label_parts(&mut vp.view, label, layer, &bind);
             if self.parts.labels[li] != row {
                 gp.net_neutral = false;
-                gp.touched.extend(row.nodes());
-                gp.touched.extend(self.parts.labels[li].nodes());
+                gp.delta.label_left(&self.parts.labels[li]);
+                gp.delta.label_entered(&row);
                 self.parts.labels[li] = row;
             }
         }
+    }
+
+    /// Step 5's device rows: the rows of the devices before the
+    /// re-lay's start stay where they are, the rest move to their new
+    /// ids, and each device of `rerowed` (ascending) re-derives its row
+    /// against `bind`. A row that was added, removed, or re-derived to
+    /// something else leaves the graph and enters it anew in the delta.
+    fn rerow_devices(
+        &mut self,
+        vp: &mut ViewPatch,
+        gp: &mut GraphPatch,
+        rerowed: &[usize],
+        bind: &BindIndex,
+    ) {
+        let d_split = vp.split.1;
+        let mut rows = std::mem::take(&mut self.parts.devices);
+        let moved = rows.split_off(d_split.min(rows.len()));
+        let mut moved: Vec<Option<DeviceParts>> = moved.into_iter().map(Some).collect();
+        for di in d_split..vp.view.devices.len() {
+            let row = vp.dev_old_of_new[di].and_then(|od| moved[od - d_split].take());
+            rows.push(row.unwrap_or_default());
+        }
+        // `rows[di]` is now a survivor's own row; for a re-instantiated
+        // device, the row of the old device it was written over (before
+        // the re-lay's start) or an empty one (after it).
+        for &di in rerowed {
+            let row = self.parts.device_parts(&mut vp.view, di, bind);
+            let survivor = vp.dev_old_of_new[di].is_some();
+            if gp.net_neutral {
+                // Under `aligned`, device di corresponds to old device
+                // di: a survivor's row, or the row a re-instantiated one
+                // was written over.
+                let old = match di.checked_sub(d_split) {
+                    Some(at) if !survivor => moved.get(at).and_then(Option::as_ref),
+                    _ => Some(&rows[di]),
+                };
+                gp.net_neutral = old == Some(&row);
+            }
+            if !survivor && di < d_split {
+                gp.delta.device_left(&rows[di]);
+            }
+            if !survivor || rows[di] != row {
+                gp.delta.device_entered(&row);
+                survivor.then(|| gp.delta.device_left(&rows[di]));
+            }
+            rows[di] = row;
+        }
+        // What is left of the moved rows belonged to removed or
+        // re-instantiated devices.
+        for old in moved.iter().flatten() {
+            gp.delta.device_left(old);
+        }
+        self.parts.devices = rows;
     }
 
     /// Step 6 (`t_net`): the new net list, and the halo its changes
@@ -1394,9 +1621,12 @@ impl CheckSession {
     /// one reuses the cached list — a moved instance (auto keys are
     /// instance-local) or a declared-net wire dragged through free
     /// space is the common hit; anything else splices
-    /// ([`NetParts::splice`]), and then only elements and terminals on
+    /// ([`NetIndex::splice`]), and then only elements and terminals on
     /// a freshly built net can have changed identity (their old net is
     /// among the ones the splice retired): each adds its footprint.
+    /// They are found through the nodes the splice re-derived — the
+    /// elements on each one whose net's name changed, and the devices
+    /// with a terminal on a fresh net — never by a pass over the chip.
     ///
     /// Both paths stay because each wins on edits the benchmark has:
     /// 2.1 % of `edit-session`'s edits (1 445, seed 1) reuse, and with
@@ -1412,23 +1642,17 @@ impl CheckSession {
     ) -> NetPatch {
         let mut int_foot = std::mem::take(&mut vp.foot);
         let old_netlist = std::mem::take(&mut self.report.netlist);
-        let old_element_net = std::mem::take(&mut self.element_net);
-        let old_terminal_nets = std::mem::take(&mut self.device_terminal_nets);
+        self.nets.patch(&gp.delta);
         stats.netlist_reused = gp.net_neutral;
         let (mut fresh_nets, mut retired_names) = (Vec::new(), Vec::new());
-        let nets = if gp.net_neutral {
-            NetgenResult {
-                netlist: old_netlist,
-                element_net: old_element_net,
-                device_terminal_nets: old_terminal_nets,
-                violations: Vec::new(),
-            }
+        let netlist = if gp.net_neutral {
+            old_netlist
         } else {
-            let splice = self.parts.splice(
+            let splice = (self.nets).splice(
+                &self.parts,
                 &vp.view,
                 old_netlist,
-                &old_terminal_nets,
-                &gp.touched,
+                &gp.delta,
                 &vp.dev_old_of_new,
             );
             fresh_nets = (splice.fresh.iter().enumerate())
@@ -1441,40 +1665,60 @@ impl CheckSession {
             retired_names.sort_unstable();
             stats.nets_respliced = fresh_nets.len();
             stats.nodes_respliced = splice.nodes;
-            // True if something that was on old net `old` and is on new
-            // net `new` kept its net's canonical name.
-            let same_name = |old: Option<NetId>, new: NetId| {
-                !splice.fresh[new.0 as usize]
-                    || old.and_then(|o| splice.retired_name(o))
-                        == Some(splice.nets.netlist.net(new).name())
-            };
             let bboxes = vp.view.elements.bboxes();
-            for (old, new) in vp.old_to_new.iter().enumerate() {
-                let Some(new) = *new else { continue };
-                let Some(net) = splice.nets.element_net[new] else {
+            let survivor = |id: usize| !vp.dirty[id];
+            // A kept node is on a copied net; a re-derived one kept its
+            // net's name, or every element on it adds its footprint, and
+            // its net is one a renamed terminal can be on.
+            let mut renamed_nets = Vec::new();
+            for &(node, old) in &splice.moved {
+                let Some(new) = self.nets.net_of(node) else {
                     continue;
                 };
-                if !same_name(old_element_net[old], net) {
-                    int_foot.push(bboxes[new]);
+                if splice.same_name(old, new) {
+                    continue;
+                }
+                renamed_nets.push(new);
+                for handle in self.nets.elements_on(node) {
+                    let id = self.handle_owner[handle as usize];
+                    if survivor(id) && !vp.rekeyed_mask[id] {
+                        int_foot.push(bboxes[id]);
+                        stats.net_dirty_elements += 1;
+                    }
+                }
+            }
+            for &(id, old) in gp.rekeyed_from.iter().filter(|&&(id, _)| survivor(id)) {
+                // invariant: re-keyed survivors keep a node, and it is live.
+                let new = self.parts.element_node[id].and_then(|node| self.nets.net_of(node));
+                if !splice.same_name(
+                    splice.old_net(old),
+                    new.expect("re-keyed survivors are netted"),
+                ) {
+                    int_foot.push(bboxes[id]);
                     stats.net_dirty_elements += 1;
                 }
             }
-            for (di, old_di) in vp.dev_old_of_new.iter().enumerate() {
-                let Some(old_di) = *old_di else { continue };
-                let old_terms = &old_terminal_nets[old_di];
-                let new_terms = &splice.nets.device_terminal_nets[di];
-                let same = old_terms.len() == new_terms.len()
-                    && (old_terms.iter().zip(new_terms)).all(|(&o, &n)| same_name(Some(o), n));
-                if !same {
-                    int_foot.extend(
-                        vp.view.devices[di]
-                            .element_ids
-                            .iter()
-                            .map(|&eid| bboxes[eid]),
-                    );
+            // Only a device with a terminal on a renamed node's net can
+            // have one whose net changed its name.
+            renamed_nets.sort_unstable();
+            renamed_nets.dedup();
+            let mut devices: Vec<usize> = (renamed_nets.iter())
+                .flat_map(|&net| splice.netlist.net(net).terminals())
+                .map(|(device, _)| device.0 as usize)
+                .collect();
+            devices.sort_unstable();
+            devices.dedup();
+            for di in devices {
+                let Some(od) = vp.dev_old_of_new[di] else {
+                    continue;
+                };
+                let (new, old) = (DeviceId(di as u32), DeviceId(od as u32));
+                if !splice.same_terminal_names(new, old) {
+                    let elements = vp.view.devices[di].element_ids.iter();
+                    int_foot.extend(elements.map(|&eid| bboxes[eid]));
                 }
             }
-            splice.nets
+            splice.netlist
         };
         // The footprints inflated, as they are: a Minkowski sum
         // distributes over a union. Zero-area ones drop out, as they
@@ -1485,7 +1729,7 @@ impl CheckSession {
             .filter_map(|r| r.inflate(reach))
             .collect();
         NetPatch {
-            nets,
+            netlist,
             fresh_nets,
             retired_names,
             d_halo_grid: rect_grid(&d_halo, self.bound.cell_size()),
@@ -1509,7 +1753,7 @@ impl CheckSession {
             &vp.view,
             &self.tech,
             &self.bound,
-            &np.nets,
+            &self.nets.nets(&self.parts),
             &self.options,
             &halo_ids,
             Some(&np.d_halo_grid),
@@ -1537,8 +1781,7 @@ impl CheckSession {
             fresh.extend(prim.violations);
             prim.waived
         });
-        fresh.extend_from_slice(&np.nets.violations);
-        let netlist = &np.nets.netlist;
+        let netlist = &np.netlist;
         if self.options.erc {
             let nets = np.fresh_nets.iter().copied();
             fresh.extend(erc_violations(netlist, &self.tech, nets));
@@ -1549,16 +1792,17 @@ impl CheckSession {
 
     /// Step 9 (`t_patch`): the new report by merge-splice — the cached
     /// violations the edit cannot have changed, merged with the fresh
-    /// ones.
+    /// ones (`[global, connections, interactions]`) — with its keys, and
+    /// the delta: the retracted lines against the fresh ones, equal lines
+    /// cancelled, in one merge walk over keys already rendered.
     fn patch_report(
         &self,
-        mut fresh: Vec<Violation>,
-        connections: Vec<Violation>,
-        interactions: Vec<Violation>,
+        cached: (Vec<Violation>, Vec<String>),
+        [mut fresh, connections, interactions]: [Vec<Violation>; 3],
         vp: &ViewPatch,
         np: &NetPatch,
         stats: &mut EditStats,
-    ) -> Vec<Violation> {
+    ) -> (Vec<Violation>, Vec<String>, ReportDelta) {
         let anchored_in = |v: &Violation, grid: &GridIndex<()>| -> bool {
             v.location.is_none_or(|l| grid.touches_any(&l))
         };
@@ -1569,7 +1813,7 @@ impl CheckSession {
                 .binary_search_by(|name| name.as_str().cmp(&v.context))
                 .is_ok()
         };
-        let keep = |v: &&Violation| match v.stage {
+        let keep = |v: &Violation| match v.stage {
             CheckStage::Connections => !anchored_in(v, &vp.d_conn_grid),
             // Mask odd cycles are a global (conflict-graph) verdict: an
             // edit anywhere can open or close a cycle whose witness
@@ -1586,11 +1830,23 @@ impl CheckSession {
             // Replaced wholesale by the fresh global runs.
             CheckStage::Elements | CheckStage::NetList => false,
         };
+        #[cfg(debug_assertions)]
+        let old = cached.0.clone();
         // The kept violations are a subsequence of the cached canonical
-        // report, hence already canonically sorted.
-        let cached = &self.report.violations;
-        let kept: Vec<Violation> = cached.iter().filter(keep).cloned().collect();
-        stats.retracted = cached.len() - kept.len();
+        // report, hence already canonically sorted, and keep their keys;
+        // the retracted ones leave theirs for the delta.
+        let n = cached.0.len();
+        let (mut kept, mut kept_keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut retracted: Vec<(usize, String)> = Vec::new();
+        for (v, key) in cached.0.into_iter().zip(cached.1) {
+            if keep(&v) {
+                kept.push(v);
+                kept_keys.push(key);
+            } else {
+                retracted.push((stage_rank(v.stage), key));
+            }
+        }
+        stats.retracted = retracted.len();
         let anchored = |v: &Violation| anchored_in(v, &vp.d_conn_grid);
         fresh.extend(connections.into_iter().filter(anchored));
         fresh.extend(interactions);
@@ -1600,24 +1856,32 @@ impl CheckSession {
         let metric = self.options.metric;
         fresh.extend(check_same_mask(&vp.view, &self.tech, &self.bound, metric));
         stats.spliced = fresh.len();
-        // Only the fresh side pays a sort; the combined list is a
-        // linear merge of the two sorted halves instead of re-sorting
-        // everything each edit.
-        canonical_sort(&mut fresh);
+        // Only the fresh side pays a sort (and its lines' rendering); the
+        // combined list is a linear merge of the two sorted halves.
+        let fresh = canonical_sort_keyed(fresh);
+        let gone = retracted.iter().map(|(rank, key)| (*rank, key.as_str()));
+        let delta = ReportDelta::between(gone, ranked(&fresh.0, &fresh.1));
         #[cfg(debug_assertions)]
         let sort_oracle = {
             let mut all = kept.clone();
-            all.extend(fresh.iter().cloned());
+            all.extend(fresh.0.iter().cloned());
             canonical_sort(&mut all);
             all
         };
-        let violations = merge_canonical(kept, fresh);
+        let (violations, keys) = merge_keyed((kept, kept_keys), fresh);
         #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            violations, sort_oracle,
-            "merge-splice diverged from canonical_sort"
-        );
-        violations
+        {
+            debug_assert_eq!(
+                violations, sort_oracle,
+                "merge-splice diverged from canonical_sort"
+            );
+            debug_assert_eq!(
+                delta,
+                ReportDelta::by_rendering(&old, &violations),
+                "the patch's delta diverged from a rendered diff"
+            );
+        }
+        (violations, keys, delta)
     }
 
     /// The debug oracle of the lines step 8 did not recompute: the
@@ -1635,7 +1899,7 @@ impl CheckSession {
         let lines = |stage: CheckStage| -> Vec<&Violation> {
             violations.iter().filter(|v| v.stage == stage).collect()
         };
-        let netlist = &np.nets.netlist;
+        let netlist = &np.netlist;
         let mut erc = Vec::new();
         if self.options.erc {
             erc = erc_violations(netlist, &self.tech, netlist.nets().map(|net| net.id()));
@@ -1675,11 +1939,9 @@ impl CheckSession {
         self.binding = vp.binding;
         self.view = vp.view;
         self.merges = cp.merges;
-        self.element_net = np.nets.element_net;
-        self.device_terminal_nets = np.nets.device_terminal_nets;
         self.report = CheckReport {
             violations,
-            netlist: np.nets.netlist,
+            netlist: np.netlist,
             interact_stats,
             stage_profile: Vec::new(),
             waived_devices,
@@ -1701,6 +1963,7 @@ impl CheckSession {
             return false;
         }
         let remap = self.elem_index.compact();
+        self.nets.remap_element_keys(&remap);
         self.handle_owner.truncate(self.elem_index.len());
         for (id, handle) in self.elem_handles.iter_mut().enumerate() {
             // invariant: compaction only drops tombstoned handles,
@@ -1708,6 +1971,8 @@ impl CheckSession {
             *handle = remap[*handle as usize].expect("live elements keep live handles");
             self.handle_owner[*handle as usize] = id;
         }
+        let loose = self.points.loose.iter().filter_map(|&h| remap[h as usize]);
+        self.points.loose = loose.collect();
         true
     }
 
@@ -1739,7 +2004,8 @@ impl CheckSession {
     /// columnar element store, the string table (its text and its
     /// bookkeeping, both exact — each is a handful of flat buffers),
     /// device instances, the persistent net graph
-    /// ([`NetParts::heap_bytes`]), the cached canonical report, and the
+    /// ([`NetParts::heap_bytes`]), the cached canonical report with its
+    /// lines' keys, and the
     /// spatial index with its handle and owner tables. Payload bytes
     /// elsewhere, not allocator-exact — the number a session *pool*
     /// budgets and evicts against (and the denominator of the e21
@@ -1758,15 +2024,16 @@ impl CheckSession {
                     + d.element_ids.len() * size_of::<usize>()
             })
             .sum();
-        let report: usize = self
-            .report
-            .violations
-            .iter()
-            .map(|v| size_of_val(v) + v.context.len())
+        let lines = self.report.violations.iter().zip(&self.keys);
+        let report: usize = lines
+            .map(|(v, key)| size_of_val(v) + v.context.len() + size_of_val(key) + key.len())
             .sum();
         let index = self.elem_handles.len() * (size_of::<u32>() + size_of::<(Rect, u32)>())
-            + self.handle_owner.len() * size_of::<usize>();
-        elements + strings + devices + self.parts.heap_bytes() + report + index
+            + self.handle_owner.len() * size_of::<usize>()
+            + self.points.labels.len() * size_of::<(Rect, u32)>()
+            + self.points.loose.len() * size_of::<u32>();
+        let nets = self.parts.heap_bytes() + self.nets.heap_bytes();
+        elements + strings + devices + nets + report + index
     }
 
     /// Compacts the session's long-lived memory in place: rebuilds the
@@ -1817,6 +2084,8 @@ impl CheckSession {
             }
         }
         self.parts.remap_strings(&remap);
+        let handles = &self.elem_handles;
+        (self.nets).remap_strings(&mut self.parts, &remap, |id| handles[id]);
 
         SessionCompaction {
             index_compacted,
@@ -1889,6 +2158,114 @@ fn apply_layout_edits(layout: &mut Layout, edits: &EditSet) {
             }
         }
     }
+}
+
+/// What a point [`PointIndex`] finds belongs to.
+#[derive(Debug, Clone, Copy)]
+enum PointOf {
+    /// A terminal of this device (by id in the current view).
+    Device(usize),
+    /// The position of this label.
+    Label(usize),
+}
+
+/// How `rebind_rows` finds the device and label rows with a point in
+/// the dirty region without screening every device. A device whose
+/// terminal points each lie in the box of one of its own elements —
+/// every device of an ordinary cell — is found through the element
+/// index: the element whose box holds the point is among the index's
+/// candidates for any rect that holds it. The other devices are kept by
+/// their first element's handle, which the view patch never renumbers,
+/// and tested one by one (a dead handle — its device left the view — is
+/// dropped as it is met); labels, which no edit moves, sit in a grid of
+/// their own. A device with terminals and no element has no handle to
+/// keep: a session that ever holds one screens every device instead.
+#[derive(Debug)]
+struct PointIndex {
+    labels: GridIndex<u32>,
+    /// First-element handles of the devices with a terminal outside
+    /// their own elements' boxes.
+    loose: Vec<u32>,
+    screen_all: bool,
+}
+
+impl PointIndex {
+    /// The index of a view's devices (`handles` its element handles) and
+    /// of `labels`, over cells of `cell`.
+    fn build(view: &ChipView, labels: &[NetLabel], handles: &[u32], cell: i64) -> PointIndex {
+        let mut points = PointIndex {
+            labels: GridIndex::new(cell),
+            loose: Vec::new(),
+            screen_all: false,
+        };
+        for (li, label) in labels.iter().enumerate() {
+            points
+                .labels
+                .insert(point_extent_at(label.position), li as u32);
+        }
+        points.enter(view, 0..view.devices.len(), |id| handles[id]);
+        points
+    }
+
+    /// Takes in `devices` of `view`, fresh in it: the loose ones are
+    /// kept by `handle` of their first element.
+    fn enter(
+        &mut self,
+        view: &ChipView,
+        devices: impl IntoIterator<Item = usize>,
+        handle: impl Fn(usize) -> u32,
+    ) {
+        let bboxes = view.elements.bboxes();
+        for dev in devices.into_iter().map(|di| &view.devices[di]) {
+            let held = |p: Point| dev.element_ids.iter().any(|&e| bboxes[e].contains_point(p));
+            match dev.element_ids.first() {
+                _ if dev.terminals.iter().all(|&(_, _, p)| held(p)) => {}
+                Some(&first) => self.loose.push(handle(first)),
+                None => self.screen_all = true,
+            }
+        }
+    }
+
+    /// Calls `found` for every device and label with a point in one of
+    /// `rects` that `keep` accepts (repeats possible). `candidates` are
+    /// the element-index handles [`GridIndex::candidates_many`] gives for
+    /// `rects`; `device_of` gives a live handle's device, `None` for a
+    /// dead one.
+    fn hits(
+        &mut self,
+        view: &ChipView,
+        rects: &[Rect],
+        candidates: Vec<u32>,
+        keep: impl Fn(Point) -> bool,
+        device_of: impl Fn(u32) -> Option<usize>,
+        mut found: impl FnMut(PointOf),
+    ) {
+        let mut device = |di: usize| {
+            if view.devices[di].terminals.iter().any(|&(_, _, p)| keep(p)) {
+                found(PointOf::Device(di));
+            }
+        };
+        if self.screen_all {
+            (0..view.devices.len()).for_each(&mut device);
+        } else {
+            let held = candidates.into_iter().filter_map(&device_of);
+            held.for_each(&mut device);
+            self.loose
+                .retain(|&h| device_of(h).inspect(|&di| device(di)).is_some());
+        }
+        for handle in self.labels.candidates_many(rects) {
+            // invariant: candidates are live handles of the grid.
+            let (r, &li) = self.labels.get(handle).expect("a live label");
+            if keep(Point::new(r.x1, r.y1)) {
+                found(PointOf::Label(li as usize));
+            }
+        }
+    }
+}
+
+/// The degenerate rect of a point.
+fn point_extent_at(p: Point) -> Rect {
+    Rect::new(p.x, p.y, p.x, p.y)
 }
 
 /// A uniform grid over a dirty region's rects, for fast "does this bbox
@@ -2054,19 +2431,17 @@ mod tests {
     }
 
     /// The splice oracle, spelled out so it also runs in release builds
-    /// (where `NetParts::splice`'s own `debug_assert_eq!` is compiled
-    /// out): every net artefact the session caches equals a
-    /// from-scratch assembly of its patched graph.
+    /// (where `NetIndex::splice`'s own `debug_assert_eq!` is compiled
+    /// out): the session's net list, and every resolution its net index
+    /// gives, equal a from-scratch assembly of its patched graph.
     fn assert_nets_match_scratch(session: &CheckSession) {
         let (scratch, node_net) = session.parts.assemble_from_scratch(&session.view);
         assert_eq!(session.report.netlist, scratch.netlist);
-        assert_eq!(session.element_net, scratch.element_net);
-        assert_eq!(session.device_terminal_nets, scratch.device_terminal_nets);
-        // The cached table may stop short of strings interned since.
-        let cached = session.parts.node_net();
-        assert!(cached.len() <= node_net.len());
+        let (element_net, terminal_nets) = session.nets.resolve(&session.parts);
+        assert_eq!(element_net, scratch.element_net);
+        assert_eq!(terminal_nets, scratch.device_terminal_nets);
         for (node, want) in node_net.iter().enumerate() {
-            assert_eq!(cached.get(node).copied().flatten(), *want, "node {node}");
+            assert_eq!(session.nets.net_of(node as u32), *want, "node {node}");
         }
     }
 

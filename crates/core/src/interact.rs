@@ -68,7 +68,7 @@
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
-use crate::netgen::NetgenResult;
+use crate::netgen::{NetResolution, NetgenResult};
 use crate::parallel::{effective_parallelism, run_ordered};
 use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
@@ -255,11 +255,11 @@ pub fn check_interactions(
 /// their unchanged copies live on in the cached report. The violation
 /// *multiset* equals the whole-chip search's (`tests/incremental.rs`),
 /// so a canonically sorted patched report matches a full run.
-pub fn check_interactions_among(
+pub fn check_interactions_among<N: NetResolution>(
     view: &ChipView,
     tech: &Technology,
     bound: &BoundTechnology,
-    nets: &NetgenResult,
+    nets: &N,
     options: &CheckOptions,
     ids: &[usize],
     clip: Option<&GridIndex<()>>,
@@ -448,8 +448,8 @@ fn merge_tiles(
 /// and unit-local counters (`candidate_pairs` and the buffer's width;
 /// the caller folds units together with [`InteractStats::absorb`],
 /// which sums counts and maxes the peak).
-fn evaluate_tile(
-    cx: &EvalCx<'_>,
+fn evaluate_tile<N: NetResolution>(
+    cx: &EvalCx<'_, N>,
     pairs: &[(usize, usize)],
 ) -> (Vec<Violation>, Vec<MaskEdge>, InteractStats) {
     let mut tile_stats = InteractStats {
@@ -470,10 +470,12 @@ fn evaluate_tile(
 // ---------------------------------------------------------------------
 
 /// Read-only state shared by every evaluation worker.
-struct EvalCx<'a> {
+struct EvalCx<'a, N> {
     view: &'a ChipView,
     tech: &'a Technology,
-    nets: &'a NetgenResult,
+    /// The nets pairs are told apart by: a resolved net list on the
+    /// whole-chip path, the net graph itself on an edit session's.
+    nets: &'a N,
     /// [`CheckOptions::same_net_suppression`].
     same_net_suppression: bool,
     /// [`CheckOptions::metric`].
@@ -489,12 +491,12 @@ struct EvalCx<'a> {
     archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
 }
 
-impl<'a> EvalCx<'a> {
+impl<'a, N: NetResolution> EvalCx<'a, N> {
     fn new(
         view: &'a ChipView,
         tech: &'a Technology,
         bound: &'a BoundTechnology,
-        nets: &'a NetgenResult,
+        nets: &'a N,
         options: &CheckOptions,
         archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
     ) -> Self {
@@ -528,8 +530,8 @@ fn device_archetypes<'a>(
 }
 
 /// Decides and applies the rule for one element pair.
-fn evaluate_pair(
-    cx: &EvalCx<'_>,
+fn evaluate_pair<N: NetResolution>(
+    cx: &EvalCx<'_, N>,
     i: usize,
     j: usize,
     violations: &mut Vec<Violation>,
@@ -551,8 +553,8 @@ fn evaluate_pair(
         return; // internal to one device: stage 3's territory
     }
 
-    let net_a = nets.element_net[i];
-    let net_b = nets.element_net[j];
+    let net_a = nets.element_net(i);
+    let net_b = nets.element_net(j);
     let same_net = match (net_a, net_b) {
         (Some(x), Some(y)) => x == y,
         _ => false,
@@ -607,9 +609,9 @@ fn evaluate_pair(
             if !dev.class.map(|c| c.is_transistor()).unwrap_or(false) {
                 continue;
             }
-            let other_net = nets.element_net[other];
+            let other_net = nets.element_net(other);
             let related = match other_net {
-                Some(n) => nets.device_terminal_nets[d].contains(&n),
+                Some(n) => nets.device_on(d, n),
                 None => view
                     .elements
                     .get(other)
@@ -871,8 +873,10 @@ fn odd_cycle_len(
 /// The conflict-graph edge between elements `a` and `b`, if they lie on
 /// one layer with a `same_mask` rule, closer than its distance but not
 /// touching (touching features print as one feature and never
-/// conflict).
-#[inline]
+/// conflict). Always inlined: the pair loop is instantiated once per
+/// [`NetResolution`], and a call per pair to this (almost always
+/// immediately false) test is measurable in the whole-chip search.
+#[inline(always)]
 fn mask_edge(
     tech: &Technology,
     metric: SizingMode,

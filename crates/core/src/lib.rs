@@ -169,8 +169,8 @@ pub use library::{
 pub use netgen::{generate_netlist, NetgenResult, TerminalNets};
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{
-    account, canonical_sort, category_of, format_report, merge_canonical, ErrorRegions,
-    InjectedError,
+    account, canonical_sort, canonical_sort_keyed, category_of, format_report, merge_keyed,
+    render_line, ErrorRegions, InjectedError, ReportDelta,
 };
 pub use scope::{Neighbours, RowPlan, Scan, Scope, ScopeIds, ScopeStats, ScopeTable};
 pub use spill::SpillFile;

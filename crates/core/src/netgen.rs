@@ -73,12 +73,20 @@
 //! # Splicing
 //!
 //! An edit session patches the graph's rows and then does **not**
-//! re-run that fold: [`NetParts::splice`] re-derives only the connected
+//! re-run that fold: [`NetIndex::splice`] re-derives only the connected
 //! components a changed row can reach and copies every other net and
 //! device row across from the previous net list in runs — a net list is
 //! flat columns over one text buffer ([`diic_netlist::Netlist`]), so a
 //! run of kept rows is one copy of its text and a shift of its spans —
 //! so an edit's net phase canonicalises only the nets it touched. The
+//! [`NetIndex`] is what keeps the rest of the splice off the chip: the
+//! session builds it once at open and patches it with each edit's
+//! [`GraphDelta`], and it finds the affected components by a search
+//! from the nodes the edit named (never a pass over every row), and
+//! gives each net a stable slot, so a splice that renumbers the list
+//! rewrites one slot entry per net rather than a node → net table and
+//! the resolution of every element and terminal — the interaction
+//! search reads nets through the slots ([`NetResolution`]). The
 //! from-scratch assembly is the splice's reference (asserted equal in
 //! debug builds, and by this module's tests in release builds).
 
@@ -90,7 +98,7 @@ use crate::violations::Violation;
 use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
 use diic_netlist::{
-    assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, NetlistWriter,
+    assemble_netlist, canonical_nets, AssembleDevice, DeviceId, NetId, Netlist, NetlistWriter,
 };
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
@@ -561,10 +569,10 @@ impl LabelParts {
 /// the keys in different orders.
 ///
 /// The graph also remembers the **node → net resolution of its last
-/// assembly**. That table is what lets a session's ordinary edits
-/// [`NetParts::splice`] the cached net list — rebuild only the nets a
-/// changed row can reach, move every other net and device across —
-/// instead of re-assembling the whole chip's strings;
+/// assembly**: an edit session's [`NetIndex`] starts from it (and takes
+/// it), and from then on splices the cached net list — rebuilds only
+/// the nets a changed row can reach, moves every other net and device
+/// across — instead of re-assembling the whole chip's strings;
 /// [`NetParts::assemble`] stays the from-scratch reference the splice
 /// is asserted against in debug builds.
 #[derive(Debug, Clone, Default)]
@@ -578,39 +586,10 @@ pub struct NetParts {
     /// Per-label rows, aligned with the label list given to
     /// [`NetParts::build`].
     pub labels: Vec<LabelParts>,
-    /// Net of each node as of the last [`NetParts::assemble`] /
-    /// [`NetParts::splice`], indexed by node id: `Some` exactly for the
-    /// nodes that were live then. Nodes interned since lie past its end.
+    /// Net of each node as of the last [`NetParts::assemble`], indexed
+    /// by node id: `Some` exactly for the nodes that were live then.
+    /// Empty once a [`NetIndex`] has taken it.
     node_net: Vec<Option<NetId>>,
-}
-
-/// What [`NetParts::splice`] produced: the new resolution plus what
-/// the caller needs to diff net identities against the old net list.
-#[derive(Debug)]
-pub struct NetSplice {
-    /// The spliced resolution — equal to a from-scratch
-    /// [`NetParts::assemble`] of the patched graph.
-    pub nets: NetgenResult,
-    /// Per new net id: true for the nets built fresh from the affected
-    /// components. Every other net was copied across unchanged (same
-    /// name, aliases and terminals, up to id renumbering).
-    pub fresh: Vec<bool>,
-    /// The old nets the splice dissolved, as ids into the old list,
-    /// ascending. An element or terminal whose new net is fresh had
-    /// its old net among these.
-    pub retired: Vec<NetId>,
-    /// Live nodes in the affected components (the splice's work).
-    pub nodes: usize,
-    /// The list that was spliced, kept for the retired nets' names.
-    old: Netlist,
-}
-
-impl NetSplice {
-    /// Canonical name of a dissolved old net.
-    pub fn retired_name(&self, old: NetId) -> Option<&str> {
-        let retired = self.retired.binary_search(&old).is_ok();
-        retired.then(|| self.old.net(old).name())
-    }
 }
 
 impl NetParts {
@@ -632,16 +611,7 @@ impl NetParts {
                 .expect("live net nodes and terminal names survive compaction")
                 .index()
         });
-        // The cached resolution is indexed by node id: move each live
-        // entry to its node's new position (evicted strings were dead
-        // nodes, whose entries are `None` already).
-        let mut node_net = vec![None; remap.iter().flatten().count()];
-        for (old, net) in self.node_net.iter().enumerate() {
-            if let (Some(net), Some(new)) = (net, remap[old]) {
-                node_net[new.index() as usize] = Some(*net);
-            }
-        }
-        self.node_net = node_net;
+        self.node_net = remap_by_node(std::mem::take(&mut self.node_net), remap, None);
     }
 
     /// Visits (with repeats) every string of the owning view's interner
@@ -680,12 +650,6 @@ impl NetParts {
             }
             map_edges(&mut label.edges, f);
         }
-    }
-
-    /// The cached node → net resolution.
-    #[cfg(test)]
-    pub(crate) fn node_net(&self) -> &[Option<NetId>] {
-        &self.node_net
     }
 
     /// Heap bytes of the graph — rows, edges and the cached node → net
@@ -854,35 +818,20 @@ impl NetParts {
         RowBuilder::new(&self.element_node, &bound).label(&mut view.strings, label, layer)
     }
 
-    /// Every node the element and label rows, and the device rows
-    /// `open` selects by device id, reference (with repeats).
-    fn live_nodes<'a>(
-        &'a self,
-        open: impl Fn(usize) -> bool + 'a,
-    ) -> impl Iterator<Item = u32> + 'a {
+    /// Every node the element, device and label rows reference, one
+    /// entry per reference: element nodes, then terminal nodes, then
+    /// label nets.
+    fn live_nodes(&self) -> impl Iterator<Item = u32> + '_ {
         let elements = self.element_node.iter().flatten().copied();
-        let terminals = self
-            .devices
-            .iter()
-            .enumerate()
-            .filter(move |(di, _)| open(*di))
-            .flat_map(|(_, d)| d.terms.iter().map(|&(_, n)| n));
+        let terminals = (self.devices.iter()).flat_map(|d| d.terms.iter().map(|&(_, n)| n));
         let labels = self.labels.iter().filter_map(|l| l.node);
         elements.chain(terminals).chain(labels)
     }
 
-    /// Every edge of the graph bar the unopened device rows':
-    /// connection merges, then device rows, then label rows.
-    fn edges<'a>(
-        &'a self,
-        open: impl Fn(usize) -> bool + 'a,
-    ) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let devices = self
-            .devices
-            .iter()
-            .enumerate()
-            .filter(move |(di, _)| open(*di))
-            .flat_map(|(_, d)| d.edges.iter().copied());
+    /// Every edge of the graph: connection merges, then device rows,
+    /// then label rows.
+    fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let devices = self.devices.iter().flat_map(|d| d.edges.iter().copied());
         let labels = self.labels.iter().flat_map(|l| l.edges.iter().copied());
         self.conn_edges.iter().copied().chain(devices).chain(labels)
     }
@@ -904,13 +853,13 @@ impl NetParts {
     /// Assembles the canonical net list and per-element / per-terminal
     /// resolutions from the current graph, **from scratch**
     /// ([`assemble_netlist`] over every live node), and remembers the
-    /// node → net resolution for a later [`NetParts::splice`]. Node
+    /// node → net resolution for an edit session's [`NetIndex`]. Node
     /// keys render through the view's interner (the only key table
     /// there is).
     ///
     /// This is what a batch check, a session's open and its
-    /// full-rebuild fallback run, and the reference the splice must
-    /// equal.
+    /// full-rebuild fallback run, and the reference
+    /// [`NetIndex::splice`] must equal.
     pub fn assemble(&mut self, view: &ChipView) -> NetgenResult {
         let (nets, node_net) = self.assemble_from_scratch(view);
         self.node_net = node_net;
@@ -927,7 +876,7 @@ impl NetParts {
         // interner (nodes are its indices), each one's key resolved once.
         let mut live = vec![0u64; view.strings.len().div_ceil(64)];
         let mut count = 0;
-        for n in self.live_nodes(|_| true) {
+        for n in self.live_nodes() {
             let (word, bit) = (&mut live[n as usize / 64], 1u64 << (n % 64));
             count += (*word & bit == 0) as usize;
             *word |= bit;
@@ -940,7 +889,7 @@ impl NetParts {
                 word &= word - 1;
             }
         }
-        let edges: Vec<(u32, u32)> = self.edges(|_| true).collect();
+        let edges: Vec<(u32, u32)> = self.edges().collect();
 
         let devices = (view.devices.iter().zip(&self.devices)).map(|(dev, row)| AssembleDevice {
             name: view.str(dev.path),
@@ -957,103 +906,511 @@ impl NetParts {
         }
         (self.resolve(netlist, &node_net), node_net)
     }
+}
 
-    /// Brings the net list of the last assembly up to date with the
-    /// patched graph by **splicing**: only the nets a changed row can
-    /// reach are canonicalised anew; every other net's rows, and every
-    /// surviving device's that has no terminal on an affected net, are
-    /// copied out of `old` in runs of neighbours — one copy of a run's
-    /// text, no name compared, sorted or resolved for them. `old` rides
-    /// along in the result, where the retired nets' names are read from
-    /// ([`NetSplice::retired_name`]).
-    ///
-    /// `touched` names the nodes at which the graph changed since the
-    /// last assembly. It must hold
-    ///
-    /// * every node a removed, added or re-keyed **element** row
-    ///   referenced (before and after);
-    /// * **both** endpoints of every edge that was added, and at least
-    ///   one endpoint of every edge that was removed;
-    /// * every node (terminals and edge endpoints) of every **device or
-    ///   label row** that was added, removed or changed, before and
-    ///   after.
+/// Moves each entry of a node-indexed table to its node's place after an
+/// interner compaction (evicted strings were dead nodes, whose entries
+/// are `empty` already).
+fn remap_by_node<T: Copy>(table: Vec<T>, remap: &[Option<Istr>], empty: T) -> Vec<T> {
+    if table.is_empty() {
+        return table;
+    }
+    let mut moved = vec![empty; remap.iter().flatten().count()];
+    for (old, entry) in table.into_iter().enumerate() {
+        if let Some(new) = remap.get(old).copied().flatten() {
+            moved[new.index() as usize] = entry;
+        }
+    }
+    moved
+}
+
+/// How the interaction search tells nets apart: the net of an element,
+/// and whether a device has a terminal on a net — as opaque identities,
+/// compared for equality only. A [`NetgenResult`] answers with its
+/// resolved net ids; an edit session answers through its net graph
+/// ([`NetIndex::nets`]) and never resolves the chip.
+pub trait NetResolution: Sync {
+    /// The net of element `id`; `None` for un-netted device internals.
+    fn element_net(&self, id: usize) -> Option<u32>;
+    /// True if device `device` has a terminal on `net` (an identity
+    /// [`NetResolution::element_net`] gave).
+    fn device_on(&self, device: usize, net: u32) -> bool;
+}
+
+impl NetResolution for NetgenResult {
+    #[inline]
+    fn element_net(&self, id: usize) -> Option<u32> {
+        self.element_net[id].map(|net| net.0)
+    }
+
+    #[inline]
+    fn device_on(&self, device: usize, net: u32) -> bool {
+        self.device_terminal_nets[device].contains(&NetId(net))
+    }
+}
+
+/// A [`NetResolution`] read straight off the net graph: element → node
+/// → the node's net slot in a [`NetIndex`]. Slots are stable ids of
+/// nets — equal exactly when the nets are — so nothing is resolved per
+/// element when the splice renumbers the list.
+#[derive(Debug, Clone, Copy)]
+pub struct GraphNets<'a> {
+    element_node: &'a [Option<u32>],
+    devices: &'a [DeviceParts],
+    slot: &'a [u32],
+}
+
+impl NetResolution for GraphNets<'_> {
+    fn element_net(&self, id: usize) -> Option<u32> {
+        self.element_node[id].map(|node| self.slot[node as usize])
+    }
+
+    fn device_on(&self, device: usize, net: u32) -> bool {
+        let terms = self.devices[device].terms.iter();
+        terms
+            .map(|&(_, node)| self.slot[node as usize])
+            .any(|s| s == net)
+    }
+}
+
+/// No entry / no slot / no net.
+const NIL: u32 = u32::MAX;
+
+/// The tag of an element's key among a node's links (a node id, the
+/// other kind of link, stays below it).
+const ELEMENT: u32 = 1 << 31;
+
+/// An element key as a node's link.
+fn element_link(key: u32) -> u32 {
+    debug_assert!(key & ELEMENT == 0, "element keys stay below 2³¹");
+    key | ELEMENT
+}
+
+/// A multimap from `u32` keys to `u32` values, its entries linked lists
+/// in one arena: inserting is O(1), removing one value walks its key's
+/// entries, and building it allocates nothing per key.
+#[derive(Debug, Clone)]
+struct Multimap {
+    /// Per key: its first entry (`NIL`: none).
+    head: Vec<u32>,
+    /// `(value, next entry)`; a free entry holds `NIL` and the next free.
+    entries: Vec<(u32, u32)>,
+    /// The first free entry (`NIL`: none).
+    free: u32,
+}
+
+impl Default for Multimap {
+    fn default() -> Multimap {
+        Multimap {
+            head: Vec::new(),
+            entries: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl Multimap {
+    fn insert(&mut self, key: u32, value: u32) {
+        let key = key as usize;
+        if key >= self.head.len() {
+            self.head.resize(key + 1, NIL);
+        }
+        let entry = (value, self.head[key]);
+        let at = match self.free {
+            NIL => {
+                self.entries.push(entry);
+                self.entries.len() as u32 - 1
+            }
+            at => {
+                self.free = self.entries[at as usize].1;
+                self.entries[at as usize] = entry;
+                at
+            }
+        };
+        self.head[key] = at;
+    }
+
+    /// Removes one `value` under `key`; false if there was none.
+    fn remove(&mut self, key: u32, value: u32) -> bool {
+        let (mut prev, mut at) = (NIL, self.head.get(key as usize).copied().unwrap_or(NIL));
+        while at != NIL {
+            let (v, next) = self.entries[at as usize];
+            if v == value {
+                match prev {
+                    NIL => self.head[key as usize] = next,
+                    prev => self.entries[prev as usize].1 = next,
+                }
+                self.entries[at as usize] = (NIL, self.free);
+                self.free = at;
+                return true;
+            }
+            (prev, at) = (at, next);
+        }
+        false
+    }
+
+    fn get(&self, key: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.head.get(key as usize).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            let (value, next) = *self.entries.get(at as usize)?;
+            at = next;
+            Some(value)
+        })
+    }
+
+    /// The other end of each edge at `node` (a node's links less its
+    /// elements' keys).
+    fn edges(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
+        self.get(node).filter(|link| link & ELEMENT == 0)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.head.len() * std::mem::size_of::<u32>()
+            + self.entries.len() * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
+/// The net graph's rows as they changed: the row references (an element
+/// row's node with the element's key, a terminal's or a label's node)
+/// and the edges that left the graph and that entered it — what a
+/// [`NetIndex`] patches itself by, and whose nodes a
+/// [`NetIndex::splice`] re-derives the nets of. A row that leaves and
+/// comes back unchanged may appear on both sides.
+#[derive(Debug, Clone, Default)]
+pub struct GraphDelta {
+    /// `(node, element key)` of every element row that left.
+    pub gone_elements: Vec<(u32, u32)>,
+    /// `(node, element key)` of every element row that entered.
+    pub new_elements: Vec<(u32, u32)>,
+    /// Terminal and label nodes whose rows left, one per reference.
+    pub gone_refs: Vec<u32>,
+    /// Terminal and label nodes whose rows entered, one per reference.
+    pub new_refs: Vec<u32>,
+    /// Edges that left.
+    pub gone_edges: Vec<(u32, u32)>,
+    /// Edges that entered.
+    pub new_edges: Vec<(u32, u32)>,
+}
+
+impl GraphDelta {
+    /// A device row left the graph.
+    pub fn device_left(&mut self, row: &DeviceParts) {
+        self.gone_refs.extend(row.terms.iter().map(|&(_, n)| n));
+        self.gone_edges.extend_from_slice(&row.edges);
+    }
+
+    /// A device row entered the graph.
+    pub fn device_entered(&mut self, row: &DeviceParts) {
+        self.new_refs.extend(row.terms.iter().map(|&(_, n)| n));
+        self.new_edges.extend_from_slice(&row.edges);
+    }
+
+    /// A label row left the graph.
+    pub fn label_left(&mut self, row: &LabelParts) {
+        self.gone_refs.extend(row.node);
+        self.gone_edges.extend_from_slice(&row.edges);
+    }
+
+    /// A label row entered the graph.
+    pub fn label_entered(&mut self, row: &LabelParts) {
+        self.new_refs.extend(row.node);
+        self.new_edges.extend_from_slice(&row.edges);
+    }
+
+    /// Every node the delta names (with repeats): the nodes at which the
+    /// graph changed.
+    pub fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
+        let elements = (self.gone_elements.iter()).chain(&self.new_elements);
+        let refs = self.gone_refs.iter().chain(&self.new_refs).copied();
+        let edges = self.gone_edges.iter().chain(&self.new_edges);
+        (elements.map(|&(node, _)| node))
+            .chain(refs)
+            .chain(edges.flat_map(|&(a, b)| [a, b]))
+    }
+}
+
+/// What an edit session keeps beside its [`NetParts`] so that a net-list
+/// splice costs the nets it rebuilds, not the chip: per node, how many
+/// rows name it (zero: dead), the other ends of its edges, the elements
+/// on it (by a key the session chooses — its element index handles) and
+/// its net's **slot**, a stable id that a net keeps for as long as it
+/// lives while the list renumbers around it. Built once when a session
+/// opens ([`NetIndex::new`], never by a batch check) and patched by every
+/// edit's [`GraphDelta`].
+#[derive(Debug, Clone, Default)]
+pub struct NetIndex {
+    /// Per node: the element, terminal and label rows that name it.
+    refs: Vec<u32>,
+    /// Per node: the other end of each edge at it (self-loops left out),
+    /// and the key of each element on it, tagged [`ELEMENT`].
+    links: Multimap,
+    /// Per node: its net's slot (`NIL`: dead or never live).
+    slot: Vec<u32>,
+    /// Per slot: its net's id in the current list (`NIL`: free).
+    slot_net: Vec<u32>,
+    /// Per net id: its slot.
+    net_slot: Vec<u32>,
+    free_slots: Vec<u32>,
+}
+
+/// What [`NetIndex::splice`] produced: the new list plus what the caller
+/// needs to diff net identities against the old one.
+#[derive(Debug)]
+pub struct NetSplice {
+    /// The spliced list — equal to a from-scratch [`NetParts::assemble`]
+    /// of the patched graph.
+    pub netlist: Netlist,
+    /// Per new net id: true for the nets built fresh from the affected
+    /// components. Every other net was copied across unchanged (same
+    /// name, aliases and terminals, up to id renumbering).
+    pub fresh: Vec<bool>,
+    /// The old nets the splice dissolved, as ids into the old list,
+    /// ascending. An element or terminal whose new net is fresh had
+    /// its old net among these.
+    pub retired: Vec<NetId>,
+    /// Live nodes in the affected components (the splice's work).
+    pub nodes: usize,
+    /// Every node whose net the splice re-derived — the affected
+    /// components' live nodes, and the dead nodes the delta named — with
+    /// its net in the old list, ascending by node.
+    pub moved: Vec<(u32, Option<NetId>)>,
+    /// `(fresh net, retired net)` of every fresh net whose canonical
+    /// name a retired net had.
+    same_named: Vec<(NetId, NetId)>,
+    /// The list that was spliced, kept for the retired nets' names.
+    old: Netlist,
+}
+
+impl NetSplice {
+    /// Canonical name of a dissolved old net.
+    pub fn retired_name(&self, old: NetId) -> Option<&str> {
+        let retired = self.retired.binary_search(&old).is_ok();
+        retired.then(|| self.old.net(old).name())
+    }
+
+    /// The net a re-derived node was on in the old list; `None` for a
+    /// node that had none, or that the splice did not re-derive.
+    pub fn old_net(&self, node: u32) -> Option<NetId> {
+        let at = self.moved.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        self.moved[at].1
+    }
+
+    /// True if something that was on old net `old` and is on net `new`
+    /// kept its net's canonical name: `new` was copied across, or it is
+    /// fresh and `old` is the retired net of the same name.
+    pub fn same_name(&self, old: Option<NetId>, new: NetId) -> bool {
+        !self.fresh[new.0 as usize]
+            || self
+                .same_named
+                .iter()
+                .any(|&pair| Some(pair) == old.map(|old| (new, old)))
+    }
+
+    /// True if each terminal of device `new` sits on a net of the name
+    /// the same terminal's net had on device `old` in the old list.
+    pub fn same_terminal_names(&self, new: DeviceId, old: DeviceId) -> bool {
+        let (was, now) = (
+            self.old.device(old).terminals(),
+            self.netlist.device(new).terminals(),
+        );
+        was.len() == now.len()
+            && was
+                .zip(now)
+                .all(|((_, o), (_, n))| self.same_name(Some(o), n))
+    }
+}
+
+impl NetIndex {
+    /// The index of a freshly assembled graph, taking the node → net
+    /// resolution [`NetParts::assemble`] left in `parts` (each net's
+    /// slot is its id) — the list it resolved to has `net_count` nets.
+    /// `element_key` names each element id's key.
+    pub fn new(
+        parts: &mut NetParts,
+        net_count: usize,
+        element_key: impl Fn(usize) -> u32,
+    ) -> NetIndex {
+        let node_net = std::mem::take(&mut parts.node_net);
+        let mut index = NetIndex {
+            refs: vec![0; node_net.len()],
+            links: Multimap::default(),
+            slot: node_net
+                .iter()
+                .map(|net| net.map_or(NIL, |n| n.0))
+                .collect(),
+            slot_net: (0..net_count as u32).collect(),
+            net_slot: (0..net_count as u32).collect(),
+            free_slots: Vec::new(),
+        };
+        let nodes = parts.live_nodes().max().map_or(0, |n| n as usize + 1);
+        index.refs.resize(nodes.max(index.refs.len()), 0);
+        index.slot.resize(index.refs.len(), NIL);
+        index.links.head = vec![NIL; index.refs.len()];
+        let links = 2 * parts.conn_edges.len() + parts.element_node.len();
+        index.links.entries.reserve(links);
+        for (id, node) in parts.element_node.iter().enumerate() {
+            if let Some(node) = *node {
+                index.links.insert(node, element_link(element_key(id)));
+            }
+        }
+        for node in parts.live_nodes() {
+            index.refs[node as usize] += 1;
+        }
+        for (a, b) in parts.edges() {
+            index.enter_edge(a, b);
+        }
+        index
+    }
+
+    fn enter_edge(&mut self, a: u32, b: u32) {
+        if a != b {
+            self.links.insert(a, b);
+            self.links.insert(b, a);
+        }
+    }
+
+    /// Brings the rows, edges and element keys up to date with `delta`
+    /// (the slots wait for [`NetIndex::splice`]).
+    pub fn patch(&mut self, delta: &GraphDelta) {
+        let needed = delta.nodes().max().map_or(0, |n| n as usize + 1);
+        if needed > self.refs.len() {
+            self.refs.resize(needed, 0);
+            self.slot.resize(needed, NIL);
+        }
+        for &(node, key) in &delta.gone_elements {
+            let found = self.links.remove(node, element_link(key));
+            debug_assert!(found, "a leaving element row was indexed");
+            self.refs[node as usize] -= 1;
+        }
+        for &node in &delta.gone_refs {
+            self.refs[node as usize] -= 1;
+        }
+        for &(a, b) in delta.gone_edges.iter().filter(|(a, b)| a != b) {
+            let found = self.links.remove(a, b) && self.links.remove(b, a);
+            debug_assert!(found, "a leaving edge was indexed");
+        }
+        for &(node, key) in &delta.new_elements {
+            self.links.insert(node, element_link(key));
+            self.refs[node as usize] += 1;
+        }
+        for &node in &delta.new_refs {
+            self.refs[node as usize] += 1;
+        }
+        for &(a, b) in &delta.new_edges {
+            self.enter_edge(a, b);
+        }
+    }
+
+    /// The net a node is on, in the list of the last splice (or of the
+    /// open); `None` for a dead node.
+    pub fn net_of(&self, node: u32) -> Option<NetId> {
+        let slot = *self.slot.get(node as usize)?;
+        (slot != NIL).then(|| NetId(self.slot_net[slot as usize]))
+    }
+
+    /// The keys of the elements on `node`.
+    pub fn elements_on(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
+        let elements = self.links.get(node).filter(|link| link & ELEMENT != 0);
+        elements.map(|link| link & !ELEMENT)
+    }
+
+    /// The graph's nets as the interaction search reads them.
+    pub fn nets<'a>(&'a self, parts: &'a NetParts) -> GraphNets<'a> {
+        GraphNets {
+            element_node: &parts.element_node,
+            devices: &parts.devices,
+            slot: &self.slot,
+        }
+    }
+
+    /// Resolves every element and every device terminal, as
+    /// [`NetParts::assemble`] does — O(chip), for checks and tests.
+    pub fn resolve(&self, parts: &NetParts) -> (Vec<Option<NetId>>, TerminalNets) {
+        let node_net: Vec<Option<NetId>> = (0..self.slot.len() as u32)
+            .map(|node| self.net_of(node))
+            .collect();
+        let element_net = (parts.element_node.iter())
+            .map(|n| n.and_then(|n| node_net[n as usize]))
+            .collect();
+        (element_net, TerminalNets::gather(&parts.devices, &node_net))
+    }
+
+    /// Brings `old`, the net list of the last splice or of the open, up
+    /// to date with the graph `parts` holds now, which `delta` (already
+    /// [`NetIndex::patch`]ed in) took it to: only the nets a changed row
+    /// can reach are canonicalised anew, and every other net's rows, and
+    /// every surviving device's that has no terminal on an affected net,
+    /// are copied out of `old` in runs of neighbours — one copy of a
+    /// run's text, no name compared, sorted or resolved for them. `old`
+    /// rides along in the result, where the retired nets' names are read
+    /// from ([`NetSplice::retired_name`]).
     ///
     /// `dev_old_of_new[d]` is the old id of new device `d`, `None` for a
     /// device instantiated since; surviving devices keep their relative
-    /// order. `old_terminal_nets` is the last assembly's
-    /// [`NetgenResult::device_terminal_nets`].
+    /// order.
     ///
     /// # Why the splice is exact
     ///
-    /// Let `D_old` be the old nets holding a touched node and `D` the
-    /// live nodes that either had no net (new nodes — all touched) or
-    /// had one in `D_old`. No edge of the patched graph leaves `D`: an
+    /// Let `D_old` be the old nets holding a node the delta names, and
+    /// `D` the live nodes that either had no net (new nodes — all named)
+    /// or had one in `D_old`. No edge of the patched graph leaves `D`: an
     /// edge `(a, b)` with `a ∈ D`, `b ∉ D` is either new — then `b` is
-    /// touched, so its old net is in `D_old` — or old, and then `a` and
+    /// named, so its old net is in `D_old` — or old, and then `a` and
     /// `b` shared an old net, which `a ∈ D` puts in `D_old`. Either
-    /// way `b ∈ D`. So the components of `D` under the edges incident
-    /// to `D` are whole nets of the patched graph, and a net outside
-    /// `D_old` lost no node (a dead node is touched), gained none (that
-    /// takes a crossing edge), lost no edge and kept its terminal rows:
-    /// it is the same net, up to the renumbering of net and device ids
-    /// — which is rewritten here through the old → new id maps. By the
-    /// same token a surviving device none of whose old terminal nets is
-    /// in `D_old` has an unchanged row that names no node of `D` (its
-    /// edges run from a terminal's key to elements on that terminal's
-    /// net), so the splice never opens it.
+    /// way `b ∈ D`. So the components of `D` are whole nets of the
+    /// patched graph, and a net outside `D_old` lost no node (a dead
+    /// node is named), gained none (that takes a crossing edge), lost no
+    /// edge and kept its terminal rows: it is the same net, up to the
+    /// renumbering of net and device ids. Nor does the splice look for
+    /// `D` in the chip: every node of `D` is joined in the patched graph
+    /// to a live node the delta names — follow its old net's path
+    /// towards a named node, and the first edge on it that left has
+    /// named ends — so `D` is what a search from those nodes reaches.
+    /// Kept nets keep their slots, so renumbering them rewrites one slot
+    /// entry per net, not one entry per node. By the same token a
+    /// surviving device none of whose old terminal nets is in `D_old`
+    /// has an unchanged row that names no node of `D` (its edges run
+    /// from a terminal's key to elements on that terminal's net), so the
+    /// splice never opens it.
     ///
-    /// In debug builds the result is asserted equal to
-    /// [`NetParts::assemble`] from scratch.
+    /// In debug builds the result, and the index, are asserted equal to
+    /// a from-scratch [`NetParts::assemble`] and [`NetIndex::new`].
     pub fn splice(
         &mut self,
+        parts: &NetParts,
         view: &ChipView,
         old: Netlist,
-        old_terminal_nets: &TerminalNets,
-        touched: &[u32],
+        delta: &GraphDelta,
         dev_old_of_new: &[Option<usize>],
     ) -> NetSplice {
-        // Affected old nets, and the live nodes they and the new nodes
-        // make up.
+        // Affected old nets, and the live nodes the search from the
+        // named ones reaches.
         let mut affected = vec![false; old.net_count()];
-        for &t in touched {
-            if let Some(Some(net)) = self.node_net.get(t as usize) {
+        for node in delta.nodes() {
+            if let Some(net) = self.net_of(node) {
                 affected[net.0 as usize] = true;
             }
         }
-        let cached = &self.node_net;
-        let in_d = |n: u32| match cached.get(n as usize) {
-            Some(Some(net)) => affected[net.0 as usize],
-            _ => true,
-        };
-        // The device rows that can name a node of `D`.
-        let opened: Vec<bool> = dev_old_of_new
-            .iter()
-            .map(|od| {
-                od.is_none_or(|od| {
-                    old_terminal_nets[od]
-                        .iter()
-                        .any(|net| affected[net.0 as usize])
-                })
+        let (d_nodes, d_edges) = self.reach(delta);
+        let mut moved: Vec<(u32, Option<NetId>)> = (d_nodes.iter().copied())
+            .chain(delta.nodes().filter(|&n| self.refs[n as usize] == 0))
+            .map(|node| (node, self.net_of(node)))
+            .collect();
+        moved.sort_unstable();
+        moved.dedup();
+        // The re-derived nodes' slots are rewritten below; until then
+        // each holds the node's place in `d_nodes`, which numbers the
+        // components densely.
+        let nodes: Vec<(u32, &str)> = (d_nodes.iter().enumerate())
+            .map(|(at, &n)| {
+                self.slot[n as usize] = at as u32;
+                (at as u32, view.strings.get(Istr::from_index(n)))
             })
             .collect();
-        let mut d_nodes: Vec<u32> = self
-            .live_nodes(|di| opened[di])
-            .filter(|&n| in_d(n))
+        let local = |node: u32| self.slot[node as usize];
+        let edges: Vec<(u32, u32)> = (d_edges.iter())
+            .map(|&(a, b)| (local(a), local(b)))
             .collect();
-        d_nodes.sort_unstable();
-        d_nodes.dedup();
-        let nodes: Vec<(u32, &str)> = d_nodes
-            .iter()
-            .map(|&n| (n, view.strings.get(Istr::from_index(n))))
-            .collect();
-        let edges: Vec<(u32, u32)> = self
-            .edges(|di| opened[di])
-            .filter(|&(a, _)| in_d(a))
-            .collect();
-        debug_assert!(
-            self.edges(|_| true).all(|(a, b)| in_d(a) == in_d(b)),
-            "an edge crosses out of the affected components: `touched` is incomplete"
-        );
         let (fresh_nets, d_node_nets) = canonical_nets(&nodes, &edges);
 
         // Merge the kept nets (already in canonical-name order) with
@@ -1075,15 +1432,6 @@ impl NetParts {
             order.push((false, net.id().0));
         }
         order.extend(fresh_ids.map(|f| (true, f.id().0)));
-        let mut net_new_of_old = vec![None; old.net_count()];
-        let mut new_of_fresh = vec![NetId(u32::MAX); fresh_nets.net_count()];
-        for (new, &(is_fresh, id)) in order.iter().enumerate() {
-            match is_fresh {
-                true => new_of_fresh[id as usize] = NetId(new as u32),
-                false => net_new_of_old[id as usize] = Some(NetId(new as u32)),
-            }
-        }
-        // Then the rows, a run of neighbours from one list at a time.
         let mut list = NetlistWriter::new();
         list.reserve_text(old.text_bytes());
         for run in order.chunk_by(|a, b| a.0 == b.0 && a.1 + 1 == b.1) {
@@ -1092,37 +1440,54 @@ impl NetParts {
             list.copy_nets(from, first..first + run.len() as u32);
         }
         let fresh: Vec<bool> = order.iter().map(|&(is_fresh, _)| is_fresh).collect();
-
-        // The node → net table: kept nets renumber, dissolved nets'
-        // entries clear (their dead nodes stay cleared), and the
-        // affected nodes take their fresh nets.
-        self.node_net.resize(view.strings.len(), None);
-        for entry in &mut self.node_net {
-            *entry = entry.and_then(|net| net_new_of_old[net.0 as usize]);
+        let mut same_named = Vec::new();
+        for (new, &(is_fresh, id)) in order.iter().enumerate().filter(|(_, o)| o.0) {
+            let name = fresh_nets.net(NetId(id)).name();
+            let retired = retired.iter().find(|&&r| old.net(r).name() == name);
+            same_named.extend(retired.map(|&r| (NetId(new as u32), r)));
+            debug_assert!(is_fresh);
         }
-        for (&node, &local) in d_nodes.iter().zip(&d_node_nets) {
-            self.node_net[node as usize] = Some(new_of_fresh[local.0 as usize]);
-        }
-
-        // Devices. An unopened survivor is on kept nets only, which at
-        // most renumbered: its row is copied across, neighbours in one
-        // run. An opened device — fresh, or with a terminal on an
-        // affected net — is written from the view, its terminals' nets
-        // re-read. (Which devices sit on a net, kept nets included, the
-        // writer derives from the device rows when it finishes.)
-        let kept_net = |net: NetId| {
-            // invariant: an unopened device's nets were kept.
-            net_new_of_old[net.0 as usize].expect("unopened devices sit on kept nets")
-        };
-        let copy_of: Vec<Option<u32>> = (opened.iter().zip(dev_old_of_new))
-            .map(|(opened, od)| od.filter(|_| !opened).map(|od| od as u32))
+        let net_new_of_old = self.renumber(&order, &retired, &d_nodes, &d_node_nets, &moved);
+        // Where each old net's live nodes went: a kept net to its new
+        // id, a retired one to the one fresh net they all joined, or
+        // `SPLIT` over several.
+        const SPLIT: u32 = NIL - 1;
+        let mut went: Vec<u32> = (net_new_of_old.iter())
+            .map(|n| n.map_or(NIL, |n| n.0))
             .collect();
+        for &(node, old) in &moved {
+            if let (Some(old), Some(new)) = (old, self.net_of(node)) {
+                let to = &mut went[old.0 as usize];
+                *to = if *to == NIL || *to == new.0 {
+                    new.0
+                } else {
+                    SPLIT
+                };
+            }
+        }
+
+        // Devices. A survivor's row is copied across, neighbours in one
+        // run, each terminal's net following its old net — or, on an old
+        // net that split, read off its node's slot. A fresh device is
+        // written from the view.
         let mut di = 0;
-        for run in copy_of.chunk_by(|a, b| a.is_some() && a.map(|od| od + 1) == *b) {
+        for run in dev_old_of_new.chunk_by(|a, b| a.is_some() && a.map(|od| od + 1) == *b) {
             if let Some(first) = run[0] {
-                list.copy_devices(&old, first..first + run.len() as u32, kept_net);
+                let ids = first as u32..(first + run.len()) as u32;
+                list.copy_devices(&old, ids, |od, k, net| match went[net.0 as usize] {
+                    SPLIT => {
+                        // Terminal `k` of old device `od` is the `k`th of
+                        // its new row's terms.
+                        let row = &parts.devices[di + od.0 as usize - first];
+                        // invariant: terminal nodes are live, and every
+                        // live node has a net.
+                        self.net_of(row.terms[k].1)
+                            .expect("terminal nodes are live")
+                    }
+                    to => NetId(to),
+                });
             } else {
-                let (dev, row) = (&view.devices[di], &self.devices[di]);
+                let (dev, row) = (&view.devices[di], &parts.devices[di]);
                 list.device(
                     view.str(dev.path),
                     view.str(dev.device_type),
@@ -1130,8 +1495,8 @@ impl NetParts {
                 );
                 for &(tname, node) in &row.terms {
                     // invariant: terminal nodes are live, and every live
-                    // node was resolved above.
-                    let net = self.node_net[node as usize].expect("terminal nodes are live");
+                    // node has a net.
+                    let net = self.net_of(node).expect("terminal nodes are live");
                     list.terminal(view.str(tname), net);
                 }
             }
@@ -1139,19 +1504,185 @@ impl NetParts {
         }
 
         let spliced = NetSplice {
-            nets: self.resolve(list.finish(), &self.node_net),
+            netlist: list.finish(),
             fresh,
             retired,
             nodes: d_nodes.len(),
+            moved,
+            same_named,
             old,
         };
         #[cfg(debug_assertions)]
-        {
-            let (scratch, node_net) = self.assemble_from_scratch(view);
-            debug_assert_eq!(spliced.nets, scratch, "splice diverged from assembly");
-            debug_assert_eq!(self.node_net, node_net, "cached node nets diverged");
-        }
+        self.assert_matches_a_rebuild(parts, view, &spliced.netlist);
         spliced
+    }
+
+    /// The live nodes a search from the live nodes `delta` names
+    /// reaches, ascending, and the edges among them, each once. A node
+    /// is marked visited by the top bit of its row count, cleared again
+    /// before this returns.
+    fn reach(&mut self, delta: &GraphDelta) -> (Vec<u32>, Vec<(u32, u32)>) {
+        const VISITED: u32 = 1 << 31;
+        let mut found: Vec<u32> = Vec::new();
+        for node in delta.nodes() {
+            let refs = &mut self.refs[node as usize];
+            if *refs != 0 && *refs & VISITED == 0 {
+                *refs |= VISITED;
+                found.push(node);
+            }
+        }
+        let (mut next, mut edges) = (0, Vec::new());
+        while let Some(&a) = found.get(next) {
+            next += 1;
+            for b in self.links.edges(a) {
+                let refs = &mut self.refs[b as usize];
+                if *refs & VISITED == 0 {
+                    *refs |= VISITED;
+                    found.push(b);
+                }
+                if a < b {
+                    edges.push((a, b));
+                }
+            }
+        }
+        for &node in &found {
+            self.refs[node as usize] &= !VISITED;
+        }
+        found.sort_unstable();
+        (found, edges)
+    }
+
+    /// Moves the slots to the new list `order` (as `(fresh?, id in its
+    /// own list)`): kept nets keep theirs under their new ids, retired
+    /// nets free theirs, fresh nets take one each and hand it to their
+    /// nodes, and the dead nodes among `moved` lose theirs. Returns the
+    /// old → new id map of the kept nets.
+    fn renumber(
+        &mut self,
+        order: &[(bool, u32)],
+        retired: &[NetId],
+        d_nodes: &[u32],
+        d_node_nets: &[NetId],
+        moved: &[(u32, Option<NetId>)],
+    ) -> Vec<Option<NetId>> {
+        let mut net_new_of_old = vec![None; self.net_slot.len()];
+        self.free_slots
+            .extend(retired.iter().map(|old| self.net_slot[old.0 as usize]));
+        let fresh_count = order.iter().filter(|(is_fresh, _)| *is_fresh).count();
+        let mut fresh_slot = vec![NIL; fresh_count];
+        let mut net_slot = vec![NIL; order.len()];
+        for (new, &(is_fresh, id)) in order.iter().enumerate() {
+            let slot = match is_fresh {
+                false => {
+                    net_new_of_old[id as usize] = Some(NetId(new as u32));
+                    self.net_slot[id as usize]
+                }
+                true => {
+                    let slot = self.free_slots.pop().unwrap_or_else(|| {
+                        self.slot_net.push(NIL);
+                        self.slot_net.len() as u32 - 1
+                    });
+                    fresh_slot[id as usize] = slot;
+                    slot
+                }
+            };
+            self.slot_net[slot as usize] = new as u32;
+            net_slot[new] = slot;
+        }
+        for &slot in &self.free_slots {
+            self.slot_net[slot as usize] = NIL;
+        }
+        self.net_slot = net_slot;
+        for &(node, _) in moved {
+            self.slot[node as usize] = NIL;
+        }
+        for (&node, &net) in d_nodes.iter().zip(d_node_nets) {
+            self.slot[node as usize] = fresh_slot[net.0 as usize];
+        }
+        net_new_of_old
+    }
+
+    /// Follows an interner compaction (see [`NetParts::remap_strings`]):
+    /// every node-indexed table moves with its node. `parts` must have
+    /// been remapped already; the element keys are `element_key`'s.
+    pub fn remap_strings(
+        &mut self,
+        parts: &mut NetParts,
+        remap: &[Option<Istr>],
+        element_key: impl Fn(usize) -> u32,
+    ) {
+        let slot = remap_by_node(std::mem::take(&mut self.slot), remap, NIL);
+        let (slot_net, net_slot, free_slots) = (
+            std::mem::take(&mut self.slot_net),
+            std::mem::take(&mut self.net_slot),
+            std::mem::take(&mut self.free_slots),
+        );
+        *self = NetIndex::new(parts, 0, element_key);
+        (self.slot, self.slot_net, self.net_slot) = (slot, slot_net, net_slot);
+        self.free_slots = free_slots;
+        self.slot.resize(self.refs.len().max(self.slot.len()), NIL);
+    }
+
+    /// Follows a renumbering of the element keys (`remap[old]` is the new
+    /// key; an old key without one must be on no node).
+    pub fn remap_element_keys(&mut self, remap: &[Option<u32>]) {
+        for (link, _) in &mut self.links.entries {
+            if *link != NIL && *link & ELEMENT != 0 {
+                // invariant: the elements on nodes are live, and live
+                // keys survive.
+                let key = remap[(*link & !ELEMENT) as usize].expect("live element keys survive");
+                *link = element_link(key);
+            }
+        }
+    }
+
+    /// Heap bytes of the index, as payload bytes.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let per_node = self.refs.len() + self.slot.len();
+        let slots = self.slot_net.len() + self.net_slot.len() + self.free_slots.len();
+        (per_node + slots) * size_of::<u32>() + self.links.heap_bytes()
+    }
+
+    /// The debug oracle of a splice: the list and every resolution equal
+    /// a from-scratch assembly, and the rows and edges equal an index
+    /// built from nothing.
+    #[cfg(debug_assertions)]
+    fn assert_matches_a_rebuild(&self, parts: &NetParts, view: &ChipView, netlist: &Netlist) {
+        let (scratch, node_net) = parts.assemble_from_scratch(view);
+        debug_assert_eq!(*netlist, scratch.netlist, "splice diverged from assembly");
+        let (element_net, terminal_nets) = self.resolve(parts);
+        debug_assert_eq!(element_net, scratch.element_net, "element nets diverged");
+        debug_assert_eq!(
+            terminal_nets, scratch.device_terminal_nets,
+            "terminal nets diverged"
+        );
+        for (node, want) in node_net.iter().enumerate() {
+            debug_assert_eq!(
+                self.net_of(node as u32),
+                *want,
+                "node {node}'s net diverged"
+            );
+        }
+        let mut fresh = parts.clone();
+        fresh.node_net = node_net;
+        let built = NetIndex::new(&mut fresh, scratch.netlist.net_count(), |id| id as u32);
+        for node in 0..self.refs.len().max(built.refs.len()) as u32 {
+            let refs = |index: &NetIndex| index.refs.get(node as usize).copied().unwrap_or(0);
+            debug_assert_eq!(refs(self), refs(&built), "node {node}'s row count diverged");
+            let sorted = |index: &NetIndex| {
+                let mut ends: Vec<u32> = index.links.edges(node).collect();
+                ends.sort_unstable();
+                ends
+            };
+            debug_assert_eq!(sorted(self), sorted(&built), "node {node}'s edges diverged");
+            let count = |index: &NetIndex| index.elements_on(node).count();
+            debug_assert_eq!(
+                count(self),
+                count(&built),
+                "node {node}'s elements diverged"
+            );
+        }
     }
 }
 
@@ -1524,32 +2055,33 @@ mod tests {
         /// The graph of a random layout is patched four times over — two
         /// elements joined, a connection cut, a device dropped (ids
         /// shift), a device inserted with keys of its own — and after
-        /// each patch the spliced list, the resolutions beside it and the
-        /// cached node → net table equal an assembly of the patched graph
-        /// from nothing; each splice starts from the one before it.
+        /// each patch the spliced list, the resolutions the index gives
+        /// and its node → net answers equal an assembly of the patched
+        /// graph from nothing; each splice starts from the one before it.
         #[test]
         fn a_spliced_net_list_equals_one_assembled_from_scratch(seed in 0u64..u64::MAX) {
             let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
             let x = extract_layout(&layout, &nmos_technology(), &[1]);
-            let (mut parts, mut view, mut nets) = (x.parts, x.view, x.nets);
+            let (mut parts, mut view, mut netlist) = (x.parts, x.view, x.nets.netlist);
+            let mut index = NetIndex::new(&mut parts, netlist.net_count(), |id| id as u32);
             let rng = &mut TestRng::for_case(seed, 1);
             let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
             let netted: Vec<u32> = parts.element_node.iter().flatten().copied().collect();
             let (mut respliced, mut retired) = (0, 0);
             for step in 0..4 {
-                let mut touched: Vec<u32> = Vec::new();
+                let mut delta = GraphDelta::default();
                 let mut dev_old_of_new: Vec<Option<usize>> =
                     (0..view.devices.len()).map(Some).collect();
                 match pick(rng, 4) {
                     0 if !parts.conn_edges.is_empty() => {
                         let cut = parts.conn_edges.remove(pick(rng, parts.conn_edges.len()));
-                        touched.push(cut.0);
+                        delta.gone_edges.push(cut);
                     }
                     1 if !view.devices.is_empty() => {
                         let di = pick(rng, view.devices.len());
                         view.devices.remove(di);
                         dev_old_of_new.remove(di);
-                        touched.extend(parts.devices.remove(di).nodes());
+                        delta.device_left(&parts.devices.remove(di));
                     }
                     2 if !view.devices.is_empty() => {
                         let at = pick(rng, view.devices.len() + 1);
@@ -1561,7 +2093,7 @@ mod tests {
                             terms: vec![(name, key)],
                             edges: vec![(key, netted[pick(rng, netted.len())])],
                         };
-                        touched.extend(row.nodes());
+                        delta.device_entered(&row);
                         view.devices.insert(at, dev);
                         parts.devices.insert(at, row);
                         dev_old_of_new.insert(at, None);
@@ -1569,29 +2101,25 @@ mod tests {
                     _ => {
                         let join = (netted[pick(rng, netted.len())], netted[pick(rng, netted.len())]);
                         parts.conn_edges.push(join);
-                        touched.extend([join.0, join.1]);
+                        delta.new_edges.push(join);
                     }
                 }
-                let splice = parts.splice(
-                    &view,
-                    nets.netlist,
-                    &nets.device_terminal_nets,
-                    &touched,
-                    &dev_old_of_new,
-                );
+                index.patch(&delta);
+                let splice = index.splice(&parts, &view, netlist, &delta, &dev_old_of_new);
                 let (scratch, node_net) = parts.assemble_from_scratch(&view);
-                prop_assert_eq!(&splice.nets, &scratch, "step {}", step);
-                // The cached table may stop short of strings interned since.
-                prop_assert!(parts.node_net().len() <= node_net.len());
+                prop_assert_eq!(&splice.netlist, &scratch.netlist, "step {}", step);
+                let (element_net, terminal_nets) = index.resolve(&parts);
+                prop_assert_eq!(&element_net, &scratch.element_net);
+                prop_assert_eq!(&terminal_nets, &scratch.device_terminal_nets);
                 for (node, want) in node_net.iter().enumerate() {
-                    prop_assert_eq!(parts.node_net().get(node).copied().flatten(), *want);
+                    prop_assert_eq!(index.net_of(node as u32), *want);
                 }
                 prop_assert_eq!(splice.fresh.len(), scratch.netlist.net_count());
                 prop_assert!(splice.retired.is_sorted());
                 prop_assert!(splice.retired.iter().all(|&old| splice.retired_name(old).is_some()));
                 respliced += splice.fresh.iter().filter(|fresh| **fresh).count();
                 retired += splice.retired.len();
-                nets = splice.nets;
+                netlist = splice.netlist;
             }
             // Every patch above touches a live net or makes one.
             prop_assert!(respliced > 0 && retired > 0);

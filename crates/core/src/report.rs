@@ -12,8 +12,10 @@
 //! crate leans on: [`canonical_sort`] (stage rank, then the violation's
 //! total debug rendering) is the order every differential oracle
 //! compares in and the form the incremental session caches its report
-//! in, and [`merge_canonical`] is the linear splice that keeps report
-//! patching O(kept + fresh) instead of a full re-sort per edit. Stage
+//! in (each line's rendering kept beside it), [`merge_keyed`] is the
+//! linear splice that keeps report patching O(kept + fresh) instead of a
+//! full re-sort per edit, and [`ReportDelta::between`] is the merge walk
+//! that gives an edit's reply its added and removed lines. Stage
 //! ranks ([`stage_rank`] / [`STAGE_COUNT`]) size every per-stage array
 //! in the crate, so a new [`CheckStage`] variant fails the build here
 //! rather than panicking at the first out-of-bounds count.
@@ -118,52 +120,161 @@ pub fn canonical_key(v: &Violation) -> (usize, String) {
     (stage_rank(v.stage), format!("{v:?}"))
 }
 
-/// Merges two **already canonically sorted** violation lists into one
-/// canonically sorted list — a linear splice instead of re-sorting the
-/// concatenation.
+/// A violation's rendering: its full debug text — the second half of
+/// the key [`canonical_sort`] orders by, and byte for byte the line a
+/// report is rendered as (one per line, by the streaming sinks and the
+/// HTTP API alike).
+pub fn render_line(v: &Violation) -> String {
+    format!("{v:?}")
+}
+
+/// [`canonical_sort`] that hands back each violation's rendering
+/// ([`render_line`]) beside it: the keys the sort computes anyway, kept
+/// so that a later [`merge_keyed`] or [`ReportDelta::between`] never
+/// renders these lines again.
+pub fn canonical_sort_keyed(violations: Vec<Violation>) -> (Vec<Violation>, Vec<String>) {
+    let mut keyed: Vec<(usize, String, Violation)> = (violations.into_iter())
+        .map(|v| (stage_rank(v.stage), render_line(&v), v))
+        .collect();
+    keyed.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    keyed.into_iter().map(|(_, key, v)| (v, key)).unzip()
+}
+
+/// Each line of a canonically ordered list as its sort key: its stage
+/// rank and its rendering, taken from `keys` (aligned with `violations`).
+pub fn ranked<'a>(
+    violations: &'a [Violation],
+    keys: &'a [String],
+) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+    debug_assert_eq!(violations.len(), keys.len(), "one key per line");
+    let ranks = violations.iter().map(|v| stage_rank(v.stage));
+    ranks.zip(keys.iter().map(String::as_str))
+}
+
+/// Merges two **already canonically sorted** violation lists, each with
+/// its renderings beside it ([`canonical_sort_keyed`]), into one
+/// canonically sorted list with its renderings — a linear splice
+/// instead of re-sorting the concatenation, and no line rendered.
 ///
 /// This is the incremental session's report-patch path: the violations
 /// it *keeps* from the cached report are a sorted subsequence by
-/// construction, so only the fresh side pays a sort and the combined
-/// list costs one merge. Kept-side keys are rendered **lazily** (each
-/// at most once, and none at all past the last fresh insertion point),
-/// so an edit that splices a handful of fresh violations into a large
-/// cached report re-formats only the prefix it walks, not the whole
-/// list. Ties (byte-identical violations) take the `kept` side first;
-/// since equal keys mean equal debug renderings of equal-stage
+/// construction and carry the keys cached beside them, so only the
+/// fresh side pays a sort (and a rendering) and the combined list costs
+/// one merge. Ties (byte-identical violations) take the `kept` side
+/// first; since equal keys mean equal debug renderings of equal-stage
 /// violations — i.e. identical values — either choice yields the same
 /// bytes as a full [`canonical_sort`].
-pub fn merge_canonical(kept: Vec<Violation>, fresh: Vec<Violation>) -> Vec<Violation> {
-    if kept.is_empty() {
-        return fresh;
-    }
-    if fresh.is_empty() {
-        return kept;
-    }
-    let kb: Vec<(usize, String)> = fresh.iter().map(canonical_key).collect();
-    debug_assert!(kb.is_sorted(), "merge_canonical: fresh side not canonical");
-    let mut out = Vec::with_capacity(kept.len() + fresh.len());
-    let mut a = kept.into_iter().peekable();
-    let mut a_key: Option<(usize, String)> = None; // key of a.peek(), rendered once
-    let (mut b, mut j) = (fresh.into_iter(), 0usize);
-    while j < kb.len() {
-        let take_kept = match a.peek() {
-            None => false,
-            Some(v) => *a_key.get_or_insert_with(|| canonical_key(v)) <= kb[j],
+pub fn merge_keyed(
+    kept: (Vec<Violation>, Vec<String>),
+    fresh: (Vec<Violation>, Vec<String>),
+) -> (Vec<Violation>, Vec<String>) {
+    let rank = |line: &(Violation, String)| stage_rank(line.0.stage);
+    let n = kept.0.len() + fresh.0.len();
+    let (mut violations, mut keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut a = kept.0.into_iter().zip(kept.1).peekable();
+    let mut b = fresh.0.into_iter().zip(fresh.1).peekable();
+    debug_assert!(fresh_is_sorted(b.clone().map(|l| (rank(&l), l.1))));
+    loop {
+        let take_kept = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => (rank(x), &x.1) <= (rank(y), &y.1),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
         };
-        if take_kept {
-            // invariant: take_kept is only true when peek saw an item.
-            out.push(a.next().expect("peeked"));
-            a_key = None;
-        } else {
-            // invariant: j < kb.len() means the fresh iterator still
-            // holds the item its precomputed key stands for.
-            out.push(b.next().expect("fresh item behind key"));
-            j += 1;
+        // invariant: the side taken was just peeked at.
+        let (v, key) = if take_kept { a.next() } else { b.next() }.expect("peeked");
+        violations.push(v);
+        keys.push(key);
+    }
+    (violations, keys)
+}
+
+/// True if the keys ascend — the precondition of [`merge_keyed`]'s
+/// fresh side.
+fn fresh_is_sorted(mut keys: impl Iterator<Item = (usize, String)>) -> bool {
+    let Some(mut prev) = keys.next() else {
+        return true;
+    };
+    keys.all(|key| {
+        let ascending = prev <= key;
+        prev = key;
+        ascending
+    })
+}
+
+/// What one report change did to its lines: the rendered lines the new
+/// report holds beyond the old one (`added`, in the new report's order)
+/// and the ones it lost (`removed`, in the old report's order) — the
+/// multiset difference, a line held `k` times by one side and `m < k`
+/// times by the other counted `k − m` times.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReportDelta {
+    /// Lines only the new report holds, in canonical order.
+    pub added: Vec<String>,
+    /// Lines only the old report holds, in canonical order.
+    pub removed: Vec<String>,
+}
+
+impl ReportDelta {
+    /// The delta between two canonically ordered line lists, each line
+    /// given as its sort key ([`ranked`]): one merge walk in which equal
+    /// lines cancel pairwise. It costs the lines walked, and renders
+    /// none — an edit session walks only what its patch retracted and
+    /// what it found fresh.
+    pub fn between<'a>(
+        old: impl IntoIterator<Item = (usize, &'a str)>,
+        new: impl IntoIterator<Item = (usize, &'a str)>,
+    ) -> ReportDelta {
+        use std::cmp::Ordering;
+        let mut delta = ReportDelta::default();
+        let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+        loop {
+            let step = match (old.peek(), new.peek()) {
+                (None, None) => return delta,
+                (Some(o), Some(n)) => o.cmp(n),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            match step {
+                Ordering::Less => delta.removed.extend(old.next().map(|o| o.1.to_string())),
+                Ordering::Greater => delta.added.extend(new.next().map(|n| n.1.to_string())),
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                }
+            }
         }
     }
-    out.extend(a);
-    out
+
+    /// The reference delta: both reports rendered in full and diffed as
+    /// multisets through a hash map — what [`ReportDelta::between`] must
+    /// equal byte for byte, and what a client holding two whole reports
+    /// would compute.
+    pub fn by_rendering(old: &[Violation], new: &[Violation]) -> ReportDelta {
+        let mut counts: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
+        for v in old {
+            *counts.entry(render_line(v)).or_default() -= 1;
+        }
+        for v in new {
+            *counts.entry(render_line(v)).or_default() += 1;
+        }
+        let mut delta = ReportDelta::default();
+        for v in new {
+            let line = render_line(v);
+            if let Some(n) = counts.get_mut(&line).filter(|n| **n > 0) {
+                *n -= 1;
+                delta.added.push(line);
+            }
+        }
+        for v in old {
+            let line = render_line(v);
+            if let Some(n) = counts.get_mut(&line).filter(|n| **n < 0) {
+                *n += 1;
+                delta.removed.push(line);
+            }
+        }
+        delta
+    }
 }
 
 /// The category a violation belongs to, for ground-truth matching.
@@ -353,10 +464,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_canonical_equals_full_sort() {
+    fn keyed_merge_and_delta_equal_a_full_sort_and_a_rendered_diff() {
         // Interleaved stages, duplicate violations, empty sides: the
         // linear merge must reproduce canonical_sort of the
-        // concatenation byte for byte.
+        // concatenation byte for byte, keys included, and the merge walk
+        // over the keys must give the rendered multiset diff.
         let spacing = |x: i64| Violation {
             stage: CheckStage::Interactions,
             kind: ViolationKind::Spacing {
@@ -377,14 +489,22 @@ mod tests {
                 vec![width_violation(0), width_violation(50), spacing(10)],
                 vec![width_violation(20), spacing(0), spacing(10)],
             ),
+            (
+                vec![spacing(10), spacing(10), width_violation(0)],
+                vec![spacing(10), width_violation(0), width_violation(0)],
+            ),
         ];
-        for (mut kept, mut fresh) in cases {
-            canonical_sort(&mut kept);
-            canonical_sort(&mut fresh);
-            let mut expect = kept.clone();
-            expect.extend(fresh.iter().cloned());
+        for (kept, fresh) in cases {
+            let (kept, fresh) = (canonical_sort_keyed(kept), canonical_sort_keyed(fresh));
+            let mut expect = kept.0.clone();
+            expect.extend(fresh.0.iter().cloned());
             canonical_sort(&mut expect);
-            assert_eq!(merge_canonical(kept, fresh), expect);
+            let want = ReportDelta::by_rendering(&kept.0, &fresh.0);
+            let got = ReportDelta::between(ranked(&kept.0, &kept.1), ranked(&fresh.0, &fresh.1));
+            assert_eq!(got, want);
+            let (merged, keys) = merge_keyed(kept, fresh);
+            assert_eq!(merged, expect);
+            assert_eq!(keys, expect.iter().map(render_line).collect::<Vec<_>>());
         }
     }
 

@@ -470,12 +470,14 @@ impl NetlistWriter {
     }
 
     /// Appends devices `ids` of `from` — one copy of the run's text —
-    /// with each terminal's net passed through `net_of`.
+    /// with each terminal's net passed through `net_of`, which is called
+    /// once per terminal, in order, with the device it belongs to and
+    /// its place among that device's terminals.
     pub fn copy_devices(
         &mut self,
         from: &Netlist,
         ids: Range<u32>,
-        net_of: impl Fn(NetId) -> NetId,
+        mut net_of: impl FnMut(DeviceId, usize, NetId) -> NetId,
     ) {
         if ids.is_empty() {
             return;
@@ -489,10 +491,17 @@ impl NetlistWriter {
             ..(from.devices.get(last + 1)).map_or(from.text.len(), |next| next.name.range().start);
         let moved = self.copy_text(from, text);
         let terminal_base = self.list.device_terminals.len() as u32;
-        self.list.device_terminals.extend(
-            (from.device_terminals[terminals.clone()].iter())
-                .map(|&(name, net)| (moved(name), net_of(net))),
-        );
+        self.list.device_terminals.reserve(terminals.len());
+        let (mut device, mut start) = (first, terminals.start);
+        for t in terminals.clone() {
+            while from.devices[device].terminals_end as usize <= t {
+                start = from.devices[device].terminals_end as usize;
+                device += 1;
+            }
+            let (name, net) = from.device_terminals[t];
+            let net = net_of(DeviceId(device as u32), t - start, net);
+            self.list.device_terminals.push((moved(name), net));
+        }
         self.list
             .devices
             .extend(from.devices[first..=last].iter().map(|row| DeviceRow {
@@ -647,7 +656,7 @@ fn components(
 /// [`NetlistBuilder::finish`] is a thin wrapper over it, and the batch
 /// engine, an edit session's open and its full-rebuild fallback all
 /// call it with a persistently interned graph. A session's ordinary
-/// edits splice instead (`diic_core::netgen::NetParts::splice`: the
+/// edits splice instead (`diic_core::netgen::NetIndex::splice`: the
 /// same [`canonical_nets`] over the affected components, every other
 /// row copied across in runs through a [`NetlistWriter`]) and in debug
 /// builds assert the spliced list equal to this function's — a pure

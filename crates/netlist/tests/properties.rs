@@ -277,8 +277,8 @@ fn copied_in_runs(list: &Netlist, net_cut: u32, device_cut: u32) -> Netlist {
     let mut copy = NetlistWriter::new();
     copy.copy_nets(list, 0..net_cut);
     copy.copy_nets(list, net_cut..nets);
-    copy.copy_devices(list, 0..device_cut, |net| net);
-    copy.copy_devices(list, device_cut..devices, |net| net);
+    copy.copy_devices(list, 0..device_cut, |_, _, net| net);
+    copy.copy_devices(list, device_cut..devices, |_, _, net| net);
     copy.finish()
 }
 

@@ -11,8 +11,8 @@
 use diic::cif::NetLabel;
 use diic::core::netgen::NetParts;
 use diic::core::{
-    check_connections, check_with_sink, instantiate, max_rule_range, CheckOptions, CountingSink,
-    LayerBinding, ScopeTable, StageEngine,
+    check_connections, check_library_buffered, check_with_sink, instantiate, max_rule_range,
+    CheckOptions, CountingSink, LayerBinding, LibraryOptions, ScopeTable, StageEngine,
 };
 use diic::tech::nmos::nmos_technology;
 use diic::tech::LayerId;
@@ -63,6 +63,15 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls of the library batch below when this budget was
+/// set: 78 082 in a release build, 143 848 in a debug one (whose
+/// oracles allocate). A batch may take 5 % more, no further.
+const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
+    143_848
+} else {
+    78_082
+};
 
 /// Allocator calls `f` makes on this thread, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -134,4 +143,31 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
         "build + assemble: {build} + {assemble} calls"
     );
     assert!(per_element(check) <= 1.5, "check_with_sink: {check} calls");
+
+    // The fixed cost of a check, where no scale term hides it: a batch
+    // of tiny library cells, one worker, counted twice.
+    let library = diic::gen::cell_library(64, 3);
+    let cells: Vec<_> = (library.cells.iter())
+        .map(|cell| diic::cif::parse(&cell.cif).unwrap())
+        .collect();
+    let library_options = LibraryOptions {
+        cell: options.clone(),
+        parallelism: 1,
+        ..LibraryOptions::default()
+    };
+    let batches: Vec<u64> = (0..2)
+        .map(|_| counted(|| check_library_buffered(&cells, &tech, &library_options)).0)
+        .collect();
+    assert_eq!(batches[0], batches[1], "the library counts repeat exactly");
+    let per_cell = batches[0] as f64 / cells.len() as f64;
+    println!(
+        "{} library cells: check_library_buffered {} allocator calls ({per_cell:.1} per cell)",
+        cells.len(),
+        batches[0]
+    );
+    assert!(
+        batches[0] * 100 <= LIBRARY_BATCH_CALLS * 105,
+        "check_library_buffered: {} calls, {per_cell:.1} per cell",
+        batches[0]
+    );
 }

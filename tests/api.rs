@@ -1094,3 +1094,140 @@ fn overload_sheds_with_503_and_recovers() {
         resp.into_bytes().unwrap(); // the streamed body carries the permit
     }
 }
+
+/// The lines of a streamed report body.
+fn body_lines(app: &Router, id: u64) -> Vec<String> {
+    let resp = get(app, &format!("/sessions/{id}/report"));
+    assert_eq!(resp.status, StatusCode::OK);
+    let bytes = resp.into_bytes().unwrap();
+    (std::str::from_utf8(&bytes).unwrap().lines())
+        .map(str::to_string)
+        .collect()
+}
+
+/// The route answers an edit with the session's own delta, taken from
+/// its patch: along an edit stream, each response's `added` / `removed`
+/// is `violation_delta` of the reports before and after it — the
+/// `GET /report` bodies, which the local session renders line for line.
+#[test]
+fn edit_responses_carry_the_delta_of_the_report_bodies() {
+    let tech = diic::tech::nmos::nmos_technology();
+    let errors = vec![
+        ErrorKind::NarrowWire,
+        ErrorKind::CloseSpacing,
+        ErrorKind::BusToRail,
+    ];
+    let chip = generate(&ChipSpec::with_errors(4, 2, errors, 11));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let app = service();
+    let id = open_session(&app, &chip.cif, "{}");
+    let mut local = CheckSession::new(layout, &tech, &CheckOptions::default());
+    let bounds = Rect::new(-2500, -6000, 4 * 6750 + 2500, 2 * 10000 + 2500);
+    let mut rng = StdRng::seed_from_u64(0xB0D1E5);
+    let render = |violations: &[Violation]| -> Vec<String> {
+        violations.iter().map(|v| format!("{v:?}")).collect()
+    };
+    for step in 0..24 {
+        let edits = random_edit_set(local.layout(), bounds, step, &mut rng);
+        let body = wire::edit_set_to_json(&edits, local.layout()).to_string();
+        let before = body_lines(&app, id);
+        let old = local.report().violations.clone();
+        assert_eq!(before, render(&old), "step {step}: the body before");
+        let resp = post(&app, &format!("/sessions/{id}/edits"), body);
+        assert_eq!(resp.status, StatusCode::OK, "step {step}");
+        let delta = json_body(resp);
+        local.apply(&edits).unwrap();
+        let after = body_lines(&app, id);
+        assert_eq!(
+            after,
+            render(&local.report().violations),
+            "step {step}: the body after"
+        );
+        let (added, removed) = wire::violation_delta(&old, &local.report().violations);
+        assert_eq!(string_vec(&delta, "added"), added, "step {step}: added");
+        assert_eq!(
+            string_vec(&delta, "removed"),
+            removed,
+            "step {step}: removed"
+        );
+    }
+}
+
+/// The `POST /sessions/{id}/edits` body, fuzzed the way
+/// `tests/diagnostics.rs` fuzzes CIF and decks: a real encoded edit set,
+/// truncated, with a stray `?` or `é`, or with a 20-digit number spliced
+/// in at every 37th byte. A variant is accepted or refused with a 4xx
+/// and a detail — never a 5xx or a panic — and a refused one leaves the
+/// session's report and layout as they were.
+#[test]
+fn fuzzed_edit_bodies_are_refused_without_touching_the_session() {
+    let chip = generate(&ChipSpec::with_errors(2, 1, vec![ErrorKind::NarrowWire], 5));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let symbol = SymbolId(0);
+    let mut edits = EditSet::new();
+    edits
+        .add_box("NM", Rect::new(0, -9000, 2000, -8250), Some("IO_FUZZ"))
+        .translate(0, 250, -500)
+        .add_call(
+            symbol,
+            Transform::translate(diic::geom::Vector::new(0, -20_000)),
+            "fz",
+        )
+        .remove(1)
+        .replace_symbol(symbol, layout.symbol(symbol).items.clone());
+    let source = wire::edit_set_to_json(&edits, &layout).to_string();
+
+    let app = App::new(RegistryConfig::default());
+    let routes = router(Arc::clone(&app));
+    let open = |routes: &Router| open_session(routes, &chip.cif, "{}");
+    let state = |id: u64| {
+        let pin = app.registry.pin(id).unwrap();
+        let session = pin.lock().unwrap();
+        (
+            session.layout().clone(),
+            session.report().violations.clone(),
+        )
+    };
+    let mut id = open(&routes);
+    let (mut refused, mut accepted) = (0, 0);
+    for cut in (0..=source.len()).step_by(37) {
+        if !source.is_char_boundary(cut) {
+            continue;
+        }
+        let (head, tail) = source.split_at(cut);
+        let variants = [
+            head.to_string(),
+            format!("{head}?{tail}"),
+            format!("{head}\u{e9}{tail}"),
+            format!("{head} 99999999999999999999 {tail}"),
+        ];
+        for body in variants {
+            let before = state(id);
+            let resp = post(&routes, &format!("/sessions/{id}/edits"), body);
+            let status = resp.status;
+            let answer = json_body(resp);
+            if status == StatusCode::OK {
+                // A variant that still encodes an edit set was applied:
+                // start the next one from a fresh session.
+                accepted += 1;
+                id = open(&routes);
+                continue;
+            }
+            refused += 1;
+            assert!(
+                (400..500).contains(&status.0),
+                "cut at {cut}: {status:?} {answer:?}"
+            );
+            let detail = answer.get("detail").and_then(Value::as_str).unwrap_or("");
+            assert!(!detail.is_empty(), "cut at {cut}: no detail in {answer:?}");
+            assert!(
+                state(id) == before,
+                "cut at {cut}: a refused body changed the session"
+            );
+        }
+    }
+    assert!(
+        refused > 0 && accepted > 0,
+        "refused {refused}, accepted {accepted}"
+    );
+}

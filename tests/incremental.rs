@@ -19,6 +19,7 @@
 //! leg shows the session agrees with the batch engine; this one would
 //! still catch a state leak that both happened to share.
 
+use diic::api::wire::violation_delta;
 use diic::cif::{Item, Layout, Shape};
 use diic::core::incremental::{CheckSession, Edit, EditSet};
 use diic::core::{canonical_check, env_parallelism, CheckOptions, CheckReport};
@@ -470,5 +471,242 @@ fn call_names_do_not_decide_scope_membership() {
             3 + 4,
             "{names:?}: three internal faults, four across the first boundary"
         );
+    }
+}
+
+/// The delta a session hands back must be the rendered multiset diff of
+/// its report before and after, byte for byte.
+fn assert_delta_is_the_rendered_diff(
+    session: &CheckSession,
+    before: &[diic::core::Violation],
+    ctx: &str,
+) {
+    let (added, removed) = violation_delta(before, &session.report().violations);
+    let delta = session.last_delta();
+    assert_eq!(delta.added, added, "{ctx}: added lines diverge");
+    assert_eq!(delta.removed, removed, "{ctx}: removed lines diverge");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The delta oracle: over random edit sequences on faulted chips,
+    /// the delta the session took from its patch — the lines it
+    /// retracted against the lines it found fresh — equals
+    /// `violation_delta` of the whole reports before and after.
+    #[test]
+    fn session_delta_equals_the_rendered_diff(
+        nx in 2usize..4,
+        ny in 1usize..3,
+        seed in 0u64..1_000_000,
+        mask in 1u16..512,
+    ) {
+        let tech = nmos_technology();
+        let errors: Vec<ErrorKind> = ErrorKind::ALL
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, k)| *k)
+            .take(nx * ny)
+            .collect();
+        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
+        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
+        let mut session = CheckSession::new(layout, &tech, &CheckOptions::default());
+        prop_assert!(session.last_delta().added.is_empty() && session.last_delta().removed.is_empty());
+        let bounds = Rect::new(-2500, -6000, nx as i64 * 6750 + 2500, ny as i64 * 10000 + 2500);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
+        for step in 0..8 {
+            let edits = random_edit_set(session.layout(), bounds, step, &mut rng);
+            let before = session.report().violations.clone();
+            session.apply(&edits).expect("generated edits are valid");
+            assert_delta_is_the_rendered_diff(&session, &before, &format!("step {step} seed {seed}"));
+        }
+    }
+}
+
+/// The delta's three corners: a full rebuild (a replaced definition
+/// placed across the whole array), an edit that retracts lines and
+/// finds the identical lines again (they cancel), and a report holding
+/// one line twice (the cancellation counts copies).
+#[test]
+fn session_delta_cancels_and_counts_like_the_rendered_diff() {
+    let tech = nmos_technology();
+    let chip = generate(&ChipSpec::with_errors(
+        3,
+        2,
+        vec![ErrorKind::NarrowWire, ErrorKind::CloseSpacing],
+        7,
+    ));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let mut session = CheckSession::new(layout, &tech, &CheckOptions::default());
+
+    // A full rebuild: the inverter, nudged, is every array cell.
+    let inverter = (session.layout().top_items().iter())
+        .find_map(|item| match item {
+            Item::Call(call) => Some(call.target),
+            Item::Element(_) => None,
+        })
+        .expect("the array is placed by calls");
+    let nudge = Transform::translate(Vector::new(250, 0));
+    let nudged: Vec<Item> = (session.layout().symbol(inverter).items.iter())
+        .map(|item| match item {
+            Item::Element(e) => {
+                let mut e = e.clone();
+                e.shape = e.shape.transformed(&nudge);
+                Item::Element(e)
+            }
+            Item::Call(c) => {
+                let mut c = c.clone();
+                c.transform = nudge.after(&c.transform);
+                Item::Call(c)
+            }
+        })
+        .collect();
+    let mut replace = EditSet::new();
+    replace.replace_symbol(inverter, nudged);
+    let before = session.report().violations.clone();
+    let stats = session.apply(&replace).unwrap();
+    assert!(stats.full_rebuild, "{stats:?}");
+    assert_delta_is_the_rendered_diff(&session, &before, "full rebuild");
+    assert!(!session.last_delta().added.is_empty() || !session.last_delta().removed.is_empty());
+    assert_matches_full(&session, "full rebuild");
+
+    // Retract and find again: an item moved by nothing re-checks its
+    // neighbourhood, and every line it retracts comes back the same.
+    let mut cancelled = false;
+    for index in 0..session.layout().top_items().len() {
+        let mut still = EditSet::new();
+        still.translate(index, 0, 0);
+        let before = session.report().violations.clone();
+        let stats = session.apply(&still).unwrap();
+        assert_delta_is_the_rendered_diff(&session, &before, &format!("item {index} still"));
+        assert!(session.last_delta().added.is_empty(), "{stats:?}");
+        assert!(session.last_delta().removed.is_empty(), "{stats:?}");
+        cancelled |= !stats.full_rebuild && stats.retracted > 0 && stats.spliced > 0;
+    }
+    assert!(cancelled, "no edit retracted a line and found it again");
+
+    // One line twice: two identical too-narrow wires, then one removed.
+    let narrow = Rect::new(0, -20_000, 2000, -19_300);
+    let n = session.layout().top_items().len();
+    let mut twice = EditSet::new();
+    twice
+        .add_box("NM", narrow, None)
+        .add_box("NM", narrow, None);
+    let before = session.report().violations.clone();
+    session.apply(&twice).unwrap();
+    assert_delta_is_the_rendered_diff(&session, &before, "identical pair added");
+    let lines = &session.last_delta().added;
+    let twice = (lines.iter())
+        .find(|line| lines.iter().filter(|l| l == line).count() == 2)
+        .cloned()
+        .expect("the pair adds one line twice");
+    let mut once = EditSet::new();
+    once.remove(n + 1);
+    let before = session.report().violations.clone();
+    session.apply(&once).unwrap();
+    assert_delta_is_the_rendered_diff(&session, &before, "one of the pair removed");
+    let copies = |lines: &mut dyn Iterator<Item = String>| lines.filter(|l| *l == twice).count();
+    let removed = &session.last_delta().removed;
+    assert_eq!(copies(&mut removed.iter().cloned()), 1, "one copy leaves");
+    let report = session.report().violations.iter().map(|v| format!("{v:?}"));
+    assert_eq!(copies(&mut report.into_iter()), 1, "the other stays");
+    assert_matches_full(&session, "one of the pair removed");
+}
+
+/// Net-list splices on small generated chips, one per way the splice
+/// can renumber the list, each byte-identical to `canonical_check` in a
+/// serial session and one at the `CHECK_PARALLELISM` worker count: a
+/// net re-canonicalised under its own name (every id in place), a net
+/// added that sorts before every other (ids shift up), that net
+/// dissolved again (ids shift down), and a strap that merges the VDD
+/// rail into row 0's input net.
+#[test]
+fn net_splices_renumber_exactly() {
+    let tech = nmos_technology();
+    for (nx, ny) in [(6, 4), (12, 8)] {
+        let chip = generate(&ChipSpec::with_errors(
+            nx,
+            ny,
+            vec![ErrorKind::NarrowWire],
+            3,
+        ));
+        let layout = diic::cif::parse(&chip.cif).unwrap();
+        let wide = CheckOptions {
+            parallelism: wide_workers(),
+            ..CheckOptions::default()
+        };
+        let mut sessions = [
+            CheckSession::new(layout.clone(), &tech, &CheckOptions::default()),
+            CheckSession::new(layout, &tech, &wide),
+        ];
+        let names = |s: &CheckSession| -> Vec<String> {
+            let list = &s.report().netlist;
+            list.nets().map(|net| net.name().to_string()).collect()
+        };
+        let n = sessions[0].layout().top_items().len();
+        // Far below the array, on a net whose name sorts first.
+        let first = Rect::new(0, -40_000, 2000, -39_250);
+        let beside = Rect::new(1500, -40_000, 3500, -39_250);
+        // Cell (0, 0)'s VDD rail spans x ∈ [-2λ, 21λ], y ∈ [37λ, 40λ]:
+        // a metal strap running on from its left end (their skeletons
+        // overlap), declared on the net row 0's input label names.
+        let strap = Rect::new(-3000, 9250, 500, 10_000);
+        let steps: [(&str, EditSet); 4] = [
+            ("shift up", {
+                let mut e = EditSet::new();
+                e.add_box("NM", first, Some("0SPLICE"));
+                e
+            }),
+            ("in place", {
+                let mut e = EditSet::new();
+                e.add_box("NM", beside, Some("0SPLICE"));
+                e
+            }),
+            ("shift down", {
+                let mut e = EditSet::new();
+                e.remove(n + 1).remove(n);
+                e
+            }),
+            ("strap", {
+                let mut e = EditSet::new();
+                e.add_box("NM", strap, Some("IO_IN0"));
+                e
+            }),
+        ];
+        for (what, edits) in &steps {
+            let ctx = format!("{nx}x{ny} {what}");
+            let before = names(&sessions[0]);
+            for session in &mut sessions {
+                let stats = session.apply(edits).unwrap();
+                assert!(
+                    !stats.full_rebuild && !stats.netlist_reused,
+                    "{ctx}: {stats:?}"
+                );
+                let dissolves = *what == "shift down";
+                assert_eq!(stats.nets_respliced == 0, dissolves, "{ctx}: {stats:?}");
+                assert_matches_full(session, &ctx);
+            }
+            let after = names(&sessions[0]);
+            assert_eq!(after, names(&sessions[1]), "{ctx}: serial and wide lists");
+            match *what {
+                "shift up" => {
+                    assert_eq!(after[0], "0SPLICE", "{ctx}");
+                    assert_eq!(after[1..], before[..], "{ctx}: every id up by one");
+                }
+                "in place" => assert_eq!(after, before, "{ctx}: every id in place"),
+                "shift down" => assert_eq!(after[..], before[1..], "{ctx}: every id down by one"),
+                _ => {
+                    assert!(after.len() < before.len(), "{ctx}: nets merged");
+                    let merged = (sessions[0].report().netlist.nets())
+                        .find(|net| net.aliases().any(|alias| alias == "IO_IN0"))
+                        .expect("the input net");
+                    assert!(
+                        merged.aliases().any(|alias| alias.ends_with("VDD")),
+                        "{ctx}: VDD merged into the input net: {merged:?}"
+                    );
+                }
+            }
+        }
     }
 }
