@@ -9,10 +9,11 @@
 
 use diic_cif::Layout;
 use diic_core::interact::{check_interactions, check_interactions_among};
+use diic_core::netgen::NetParts;
 use diic_core::{
-    account, check_cif, check_connections, check_same_mask, flat_check, generate_netlist,
-    instantiate, BoundTechnology, CheckOptions, ChipView, FlatOptions, InteractStats, LayerBinding,
-    NetgenResult, ScopeTable, StringInterner, Violation,
+    account, check_cif, check_connections, check_same_mask, flat_check, instantiate,
+    BoundTechnology, CheckOptions, ChipView, FlatOptions, InteractStats, LayerBinding, ScopeTable,
+    StringInterner, Violation,
 };
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_geom::{Polygon, Rect, Region, SizingMode};
@@ -1002,14 +1003,14 @@ pub fn e21_service_load(scale: Scale) -> String {
 }
 
 /// The interaction stage's inputs for one layout, built the way
-/// [`diic_core::check`] builds them — the view, its net list, its scope
-/// table and the bound technology — so the stage can be timed, or held
-/// to its direct-scan reference, on one view.
+/// [`diic_core::check`] builds them — the view, its assembled net graph,
+/// its scope table and the bound technology — so the stage can be timed,
+/// or held to its direct-scan reference, on one view.
 pub struct InteractionInputs {
     /// The instantiated chip.
     pub view: ChipView,
-    /// Its net list.
-    pub nets: NetgenResult,
+    /// Its net graph, assembled (the stage reads [`NetParts::nets`]).
+    pub parts: NetParts,
     /// Its scope table, built for the rule reach.
     pub scopes: ScopeTable,
     /// The technology's interaction constants.
@@ -1033,10 +1034,11 @@ impl InteractionInputs {
         let labels: Vec<_> = (layout.labels().iter())
             .map(|l| (l, binding.layer(l.layer)))
             .collect();
-        let nets = generate_netlist(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        let (mut parts, _) = NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        parts.assemble(&view);
         InteractionInputs {
             view,
-            nets,
+            parts,
             scopes,
             bound,
         }
@@ -1048,8 +1050,8 @@ impl InteractionInputs {
         tech: &Technology,
         options: &CheckOptions,
     ) -> (Vec<Violation>, InteractStats) {
-        let (view, bound, nets, scopes) = (&self.view, &self.bound, &self.nets, &self.scopes);
-        check_interactions(view, tech, bound, nets, scopes, options, None)
+        let (view, bound, scopes) = (&self.view, &self.bound, &self.scopes);
+        check_interactions(view, tech, bound, self.parts.nets(), scopes, options, None)
     }
 
     /// The direct-scan reference: every element against one index over
@@ -1061,7 +1063,7 @@ impl InteractionInputs {
         options: &CheckOptions,
     ) -> (Vec<Violation>, InteractStats) {
         let all: Vec<usize> = (0..self.view.elements.len()).collect();
-        let (view, bound, nets) = (&self.view, &self.bound, &self.nets);
+        let (view, bound, nets) = (&self.view, &self.bound, self.parts.nets());
         let (mut found, stats) =
             check_interactions_among(view, tech, bound, nets, options, &all, None);
         found.extend(check_same_mask(view, tech, bound, options.metric));

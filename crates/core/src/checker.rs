@@ -256,13 +256,12 @@ mod tests {
         let mut sink = DiagnosticSink::new();
         let seed = StringInterner::default();
         let (report, parts) = run_pipeline(&layout, &tech, &options, &bound, None, seed, &mut sink);
-        let (nets, _) = parts.parts.assemble_from_scratch(&parts.view);
         let all: Vec<usize> = (0..parts.view.elements.len()).collect();
         let (direct, direct_stats) = crate::interact::check_interactions_among(
             &parts.view,
             &tech,
             &bound,
-            &nets,
+            parts.parts.nets(),
             &options,
             &all,
             None,

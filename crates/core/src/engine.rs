@@ -609,34 +609,33 @@ pub(crate) fn run_pipeline(
         sink.absorb(conn.violations);
         (conn.merges, stats)
     });
-    let (parts, nets, scope_stats) = timed(&mut profile, "netlist", sink, |sink| {
+    let (parts, netlist, scope_stats) = timed(&mut profile, "netlist", sink, |_| {
         let labels: Vec<_> = (layout.labels().iter())
             .map(|l| (l, binding.layer(l.layer)))
             .collect();
         // Fresh node keys intern into the view's string table.
         let (mut parts, bind_stats) =
             NetParts::build(&mut view, tech, &merges, &labels, &scopes, workers);
-        let mut nets = parts.assemble(&view);
-        sink.append(&mut nets.violations);
-        (parts, nets, conn_stats.with_binding_of(bind_stats))
+        let netlist = parts.assemble(&view);
+        (parts, netlist, conn_stats.with_binding_of(bind_stats))
     });
     let interact_stats = timed(&mut profile, "interactions", sink, |sink| {
-        let (found, stats) = check_interactions(&view, tech, bound, &nets, &scopes, options, cache);
+        let nets = parts.nets();
+        let (found, stats) = check_interactions(&view, tech, bound, nets, &scopes, options, cache);
         sink.absorb(found);
         stats
     });
     timed(&mut profile, "composition", sink, |sink| {
-        let netlist = &nets.netlist;
         if options.erc {
             let every_net = netlist.nets().map(|net| net.id());
-            sink.absorb(erc_violations(netlist, tech, every_net));
+            sink.absorb(erc_violations(&netlist, tech, every_net));
         }
-        sink.absorb(netlist_mismatch_violations(netlist, options));
+        sink.absorb(netlist_mismatch_violations(&netlist, options));
     });
 
     let report = CheckReport {
         violations: sink.take_buffered(),
-        netlist: nets.netlist,
+        netlist,
         interact_stats,
         stage_profile: profile,
         waived_devices,

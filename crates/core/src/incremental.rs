@@ -58,10 +58,10 @@
 //!   cached net list in runs (a net list is flat columns over one text
 //!   buffer), ids rewritten as they land; kept nets keep their slots,
 //!   so nothing per node or per element renumbers, and the interaction
-//!   search reads nets through the slots. Canonicalisation follows the
-//!   nets the edit touched, not the chip; in debug builds the result
-//!   and the index are asserted equal to the from-scratch
-//!   [`crate::netgen::NetParts::assemble`] and a fresh index.
+//!   search reads nets through the slots ([`crate::netgen::GraphNets`]).
+//!   Canonicalisation follows the nets the edit touched, not the chip;
+//!   in debug builds the result and the index are asserted equal to the
+//!   from-scratch [`crate::netgen::NetParts::assemble`] and a fresh index.
 //! * **net-wide effects are caught by a name diff** — connectivity is
 //!   global (one added strap merges two nets chip-wide), so after the
 //!   splice every surviving element whose net's canonical name
@@ -1753,7 +1753,7 @@ impl CheckSession {
             &vp.view,
             &self.tech,
             &self.bound,
-            &self.nets.nets(&self.parts),
+            self.nets.nets(&self.parts),
             &self.options,
             &halo_ids,
             Some(&np.d_halo_grid),
@@ -2407,6 +2407,7 @@ fn check_element_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netgen::NIL;
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
@@ -2432,16 +2433,15 @@ mod tests {
 
     /// The splice oracle, spelled out so it also runs in release builds
     /// (where `NetIndex::splice`'s own `debug_assert_eq!` is compiled
-    /// out): the session's net list, and every resolution its net index
-    /// gives, equal a from-scratch assembly of its patched graph.
+    /// out): the session's net list, and every node's net in its net
+    /// index, equal a from-scratch assembly of its patched graph (an
+    /// element's and a terminal's net are its node's).
     fn assert_nets_match_scratch(session: &CheckSession) {
         let (scratch, node_net) = session.parts.assemble_from_scratch(&session.view);
-        assert_eq!(session.report.netlist, scratch.netlist);
-        let (element_net, terminal_nets) = session.nets.resolve(&session.parts);
-        assert_eq!(element_net, scratch.element_net);
-        assert_eq!(terminal_nets, scratch.device_terminal_nets);
-        for (node, want) in node_net.iter().enumerate() {
-            assert_eq!(session.nets.net_of(node as u32), *want, "node {node}");
+        assert_eq!(session.report.netlist, scratch);
+        for (node, &want) in node_net.iter().enumerate() {
+            let got = session.nets.net_of(node as u32).map_or(NIL, |n| n.0);
+            assert_eq!(got, want, "node {node}");
         }
     }
 

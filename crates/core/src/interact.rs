@@ -68,7 +68,7 @@
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
-use crate::netgen::{NetResolution, NetgenResult};
+use crate::netgen::GraphNets;
 use crate::parallel::{effective_parallelism, run_ordered};
 use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
@@ -165,7 +165,8 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
 /// Runs the interaction checks over the whole chip by the scope table's
 /// pair plan (see the module docs). `bound` must be `tech`'s binding —
 /// the rule reach, cell size and device-forming pairs come from it —
-/// and `scopes` must have been built for that reach.
+/// and `scopes` must have been built for that reach. `nets` reads the
+/// net graph ([`crate::netgen::NetParts::nets`]).
 ///
 /// With a `cache` (library mode) the candidate rows are shared **across
 /// cells** through the content-keyed [`LibraryCache`]; the violation
@@ -176,7 +177,7 @@ pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
     bound: &BoundTechnology,
-    nets: &NetgenResult,
+    nets: GraphNets<'_>,
     scopes: &ScopeTable,
     options: &CheckOptions,
     cache: Option<&LibraryCache>,
@@ -238,12 +239,14 @@ pub fn check_interactions(
 /// every id, with [`check_same_mask`] for the multi-patterning verdict
 /// and no `clip`, it is the reference [`check_interactions`] is held to.
 ///
-/// The edit session runs it over its halo: `ids` (ascending) is every
-/// element within one rule reach of the dirty halo — the session derives
-/// it from its persistent spatial index instead of scanning the whole
-/// element list — and `clip` is the grid over the halo's rects, which
-/// the session also uses for its retraction predicate, so the two sides
-/// of the retract/splice partition share one object by construction.
+/// The edit session runs it over its halo, reading nets through its net
+/// index's slots ([`crate::netgen::NetIndex::nets`]): `ids` (ascending)
+/// is every element within one rule reach of the dirty halo — the
+/// session derives it from its persistent spatial index instead of
+/// scanning the whole element list — and `clip` is the grid over the
+/// halo's rects, which the session also uses for its retraction
+/// predicate, so the two sides of the retract/splice partition share
+/// one object by construction.
 /// Only violations whose marker touches `clip` are then reported.
 ///
 /// The scoping is *sound* because of two reach bounds: a spacing
@@ -255,11 +258,11 @@ pub fn check_interactions(
 /// their unchanged copies live on in the cached report. The violation
 /// *multiset* equals the whole-chip search's (`tests/incremental.rs`),
 /// so a canonically sorted patched report matches a full run.
-pub fn check_interactions_among<N: NetResolution>(
+pub fn check_interactions_among(
     view: &ChipView,
     tech: &Technology,
     bound: &BoundTechnology,
-    nets: &N,
+    nets: GraphNets<'_>,
     options: &CheckOptions,
     ids: &[usize],
     clip: Option<&GridIndex<()>>,
@@ -448,8 +451,8 @@ fn merge_tiles(
 /// and unit-local counters (`candidate_pairs` and the buffer's width;
 /// the caller folds units together with [`InteractStats::absorb`],
 /// which sums counts and maxes the peak).
-fn evaluate_tile<N: NetResolution>(
-    cx: &EvalCx<'_, N>,
+fn evaluate_tile(
+    cx: &EvalCx<'_>,
     pairs: &[(usize, usize)],
 ) -> (Vec<Violation>, Vec<MaskEdge>, InteractStats) {
     let mut tile_stats = InteractStats {
@@ -470,12 +473,11 @@ fn evaluate_tile<N: NetResolution>(
 // ---------------------------------------------------------------------
 
 /// Read-only state shared by every evaluation worker.
-struct EvalCx<'a, N> {
+struct EvalCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
-    /// The nets pairs are told apart by: a resolved net list on the
-    /// whole-chip path, the net graph itself on an edit session's.
-    nets: &'a N,
+    /// The nets pairs are told apart by, read off the net graph.
+    nets: GraphNets<'a>,
     /// [`CheckOptions::same_net_suppression`].
     same_net_suppression: bool,
     /// [`CheckOptions::metric`].
@@ -491,12 +493,12 @@ struct EvalCx<'a, N> {
     archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
 }
 
-impl<'a, N: NetResolution> EvalCx<'a, N> {
+impl<'a> EvalCx<'a> {
     fn new(
         view: &'a ChipView,
         tech: &'a Technology,
         bound: &'a BoundTechnology,
-        nets: &'a N,
+        nets: GraphNets<'a>,
         options: &CheckOptions,
         archetypes: Vec<(Istr, Option<&'a DeviceArchetype>)>,
     ) -> Self {
@@ -530,15 +532,15 @@ fn device_archetypes<'a>(
 }
 
 /// Decides and applies the rule for one element pair.
-fn evaluate_pair<N: NetResolution>(
-    cx: &EvalCx<'_, N>,
+fn evaluate_pair(
+    cx: &EvalCx<'_>,
     i: usize,
     j: usize,
     violations: &mut Vec<Violation>,
     edges: &mut Vec<MaskEdge>,
     stats: &mut InteractStats,
 ) {
-    let (view, tech, nets) = (cx.view, cx.tech, cx.nets);
+    let (view, tech, nets) = (cx.view, cx.tech, &cx.nets);
     let a = view.elements.get(i);
     let b = view.elements.get(j);
 
@@ -873,10 +875,11 @@ fn odd_cycle_len(
 /// The conflict-graph edge between elements `a` and `b`, if they lie on
 /// one layer with a `same_mask` rule, closer than its distance but not
 /// touching (touching features print as one feature and never
-/// conflict). Always inlined: the pair loop is instantiated once per
-/// [`NetResolution`], and a call per pair to this (almost always
-/// immediately false) test is measurable in the whole-chip search.
-#[inline(always)]
+/// conflict). Called per pair, almost always to answer no at once, so
+/// it must inline into the pair loop; `#[inline]` does: `#[inline(always)]`
+/// built identical x86-64 code, and `mega_chip(100_000)`'s interaction
+/// stage at one worker timed alike under both (best 12.9 vs 13.0 ms).
+#[inline]
 fn mask_edge(
     tech: &Technology,
     metric: SizingMode,
@@ -939,15 +942,15 @@ mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
     use crate::connect::check_connections;
-    use crate::netgen::generate_netlist;
+    use crate::netgen::NetParts;
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
     fn run_with(cif: &str, options: CheckOptions) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
-        let (view, nets, scopes) = build(cif, &tech);
+        let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
-        check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None)
+        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None)
     }
 
     /// The stage with default options.
@@ -960,7 +963,7 @@ mod tests {
     fn reference(
         view: &ChipView,
         tech: &Technology,
-        nets: &NetgenResult,
+        nets: GraphNets<'_>,
         options: &CheckOptions,
     ) -> (Vec<Violation>, InteractStats) {
         let bound = BoundTechnology::new(tech);
@@ -982,11 +985,12 @@ mod tests {
     /// same violations and candidate pairs, and returns the stage's run.
     fn run_against_reference(cif: &str) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
-        let (view, nets, scopes) = build(cif, &tech);
+        let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, stats) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
-        let (direct, direct_stats) = reference(&view, &tech, &nets, &options);
+        let (v, stats) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+        let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
         assert_eq!(canonical(&v), canonical(&direct));
         assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
         (v, stats)
@@ -1004,17 +1008,14 @@ mod tests {
         tech
     }
 
-    fn build(
-        cif: &str,
-        tech: &diic_tech::Technology,
-    ) -> (ChipView, crate::netgen::NetgenResult, ScopeTable) {
+    fn build(cif: &str, tech: &diic_tech::Technology) -> (ChipView, NetParts, ScopeTable) {
         build_layout(&parse(cif).unwrap(), tech)
     }
 
     fn build_layout(
         layout: &diic_cif::Layout,
         tech: &diic_tech::Technology,
-    ) -> (ChipView, crate::netgen::NetgenResult, ScopeTable) {
+    ) -> (ChipView, NetParts, ScopeTable) {
         let (binding, _) = LayerBinding::bind(layout, tech);
         let (mut view, runs) = instantiate(layout, tech, &binding, Default::default());
         let scopes = ScopeTable::build(
@@ -1029,8 +1030,9 @@ mod tests {
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
-        let nets = generate_netlist(&mut view, tech, &conn.merges, &labels, &scopes, 1);
-        (view, nets, scopes)
+        let (mut parts, _) = NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        parts.assemble(&view);
+        (view, parts, scopes)
     }
 
     /// Triangle of metal boxes with pairwise gaps 950 / 1000 / 1000:
@@ -1048,16 +1050,17 @@ mod tests {
     #[test]
     fn odd_cycle_flagged_by_the_plan_and_the_reference() {
         let tech = mp_tech();
-        let (view, nets, scopes) = build(ODD_TRIANGLE, &tech);
+        let (view, parts, scopes) = build(ODD_TRIANGLE, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (direct, _) = reference(&view, &tech, &nets, &options);
+        let (direct, _) = reference(&view, &tech, parts.nets(), &options);
         for parallelism in [1usize, 3] {
             let options = CheckOptions {
                 parallelism,
                 ..CheckOptions::default()
             };
-            let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+            let (v, _) =
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
             let mask: Vec<&Violation> = v
                 .iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1084,10 +1087,11 @@ mod tests {
     #[test]
     fn even_ring_is_two_mask_decomposable() {
         let tech = mp_tech();
-        let (view, nets, scopes) = build(EVEN_RING, &tech);
+        let (view, parts, scopes) = build(EVEN_RING, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+        let (v, _) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1099,10 +1103,11 @@ mod tests {
     fn standalone_check_matches_inline_collection() {
         let tech = mp_tech();
         for cif in [ODD_TRIANGLE, EVEN_RING] {
-            let (view, nets, scopes) = build(cif, &tech);
+            let (view, parts, scopes) = build(cif, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
-            let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+            let (v, _) =
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1130,10 +1135,11 @@ mod tests {
         let cif = "L NM; B 2000 750 1000 375; B 2000 750 2950 375; \
                    B 2950 750 2475 2125; E";
         let tech = mp_tech();
-        let (view, nets, scopes) = build(cif, &tech);
+        let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) = check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+        let (v, _) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1297,12 +1303,12 @@ mod tests {
                     item => unreachable!("a call: {item:?}"),
                 }
             }
-            let (view, nets, scopes) = build_layout(&layout, &tech);
+            let (view, parts, scopes) = build_layout(&layout, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
-            let (direct, direct_stats) = reference(&view, &tech, &nets, &options);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+            let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
             assert_eq!(canonical(&v), canonical(&direct), "{names:?}");
             assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
             assert_eq!(v.len(), 3 + 4, "{names:?}: {v:#?}");
@@ -1363,7 +1369,7 @@ mod tests {
         }
         cif.push('E');
         let tech = nmos_technology();
-        let (view, nets, scopes) = build(&cif, &tech);
+        let (view, parts, scopes) = build(&cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let reach = bound.max_rule_range();
         let bboxes = view.elements.bboxes();
@@ -1387,14 +1393,14 @@ mod tests {
             .max()
             .unwrap();
         assert!(widest < total);
-        let (direct, _) = reference(&view, &tech, &nets, &CheckOptions::default());
+        let (direct, _) = reference(&view, &tech, parts.nets(), &CheckOptions::default());
         for workers in [1usize, 2, 3, 7] {
             let options = CheckOptions {
                 parallelism: workers,
                 ..CheckOptions::default()
             };
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, &nets, &scopes, &options, None);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
             assert_eq!(stats.candidate_pairs, total, "workers={workers}");
             assert_eq!(stats.peak_candidate_buffer, widest, "workers={workers}");
             assert_eq!(v, direct, "workers={workers}: the direct scan, tiled");

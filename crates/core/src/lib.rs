@@ -166,7 +166,6 @@ pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
     LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
 };
-pub use netgen::{generate_netlist, NetgenResult, TerminalNets};
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{
     account, canonical_sort, canonical_sort_keyed, category_of, format_report, merge_keyed,

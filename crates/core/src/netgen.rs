@@ -84,9 +84,9 @@
 //! [`GraphDelta`], and it finds the affected components by a search
 //! from the nodes the edit named (never a pass over every row), and
 //! gives each net a stable slot, so a splice that renumbers the list
-//! rewrites one slot entry per net rather than a node → net table and
-//! the resolution of every element and terminal — the interaction
-//! search reads nets through the slots ([`NetResolution`]). The
+//! rewrites one slot entry per net rather than a node → net table; the
+//! interaction search reads nets off the graph by slot ([`GraphNets`],
+//! which reads a batch check's node → net table the same way). The
 //! from-scratch assembly is the splice's reference (asserted equal in
 //! debug builds, and by this module's tests in release builds).
 
@@ -94,7 +94,6 @@ use crate::binding::{ChipView, DeviceInstance, Istr, StringInterner};
 use crate::connect::is_joining_class;
 use crate::parallel::{run_chunked, run_ordered};
 use crate::scope::{ScopeStats, ScopeTable};
-use crate::violations::Violation;
 use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
 use diic_netlist::{
@@ -102,56 +101,6 @@ use diic_netlist::{
 };
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
-
-/// Output of net-list generation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetgenResult {
-    /// The extracted net list.
-    pub netlist: Netlist,
-    /// Net of each element (index = element id); `None` for un-netted
-    /// device internals (gates, resistor bodies).
-    pub element_net: Vec<Option<NetId>>,
-    /// Terminal nets per device instance (index = device id).
-    pub device_terminal_nets: TerminalNets,
-    /// Violations (currently none are produced here; reserved for
-    /// extraction anomalies).
-    pub violations: Vec<Violation>,
-}
-
-/// The terminal nets of every device, flattened: `terminal_nets[d]` is
-/// device `d`'s nets in terminal order, one contiguous run of a single
-/// allocation (an edit session rebuilds and drops this table on every
-/// edit, and the interaction stage's relatedness test scans a run per
-/// device-element pair).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TerminalNets {
-    /// `starts[d]..starts[d + 1]` is device `d`'s run in `nets`.
-    starts: Vec<u32>,
-    nets: Vec<NetId>,
-}
-
-impl TerminalNets {
-    /// Resolves every device row's terminal nodes through a node → net
-    /// table.
-    fn gather(rows: &[DeviceParts], node_net: &[Option<NetId>]) -> TerminalNets {
-        let mut starts = Vec::with_capacity(rows.len() + 1);
-        let mut nets = Vec::with_capacity(rows.iter().map(|r| r.terms.len()).sum());
-        starts.push(0);
-        for row in rows {
-            nets.extend(row.terms.iter().filter_map(|(_, n)| node_net[*n as usize]));
-            starts.push(nets.len() as u32);
-        }
-        TerminalNets { starts, nets }
-    }
-}
-
-impl std::ops::Index<usize> for TerminalNets {
-    type Output = [NetId];
-
-    fn index(&self, device: usize) -> &[NetId] {
-        &self.nets[self.starts[device] as usize..self.starts[device + 1] as usize]
-    }
-}
 
 /// True if the element carries a net: interconnect and joining
 /// (contact-class) device geometry. A transistor's un-netted parts must
@@ -568,13 +517,14 @@ impl LabelParts {
 /// byte-identical to a from-scratch build even where the two interned
 /// the keys in different orders.
 ///
-/// The graph also remembers the **node → net resolution of its last
-/// assembly**: an edit session's [`NetIndex`] starts from it (and takes
-/// it), and from then on splices the cached net list — rebuilds only
-/// the nets a changed row can reach, moves every other net and device
-/// across — instead of re-assembling the whole chip's strings;
-/// [`NetParts::assemble`] stays the from-scratch reference the splice
-/// is asserted against in debug builds.
+/// The graph also remembers the **node → net table of its last
+/// assembly**: a batch check's interaction search reads it
+/// ([`NetParts::nets`]), and an edit session's [`NetIndex`] starts from
+/// it (and takes it), and from then on splices the cached net list —
+/// rebuilds only the nets a changed row can reach, moves every other
+/// net and device across — instead of re-assembling the whole chip's
+/// strings; [`NetParts::assemble`] stays the from-scratch reference the
+/// splice is asserted against in debug builds.
 #[derive(Debug, Clone, Default)]
 pub struct NetParts {
     /// Node per element id; `None` for un-netted device internals.
@@ -587,9 +537,10 @@ pub struct NetParts {
     /// [`NetParts::build`].
     pub labels: Vec<LabelParts>,
     /// Net of each node as of the last [`NetParts::assemble`], indexed
-    /// by node id: `Some` exactly for the nodes that were live then.
-    /// Empty once a [`NetIndex`] has taken it.
-    node_net: Vec<Option<NetId>>,
+    /// by node id: a net id exactly for the nodes that were live then,
+    /// `NIL` otherwise (the coding of [`NetIndex`]'s slots). Empty once a
+    /// [`NetIndex`] has taken it.
+    node_net: Vec<u32>,
 }
 
 impl NetParts {
@@ -611,7 +562,7 @@ impl NetParts {
                 .expect("live net nodes and terminal names survive compaction")
                 .index()
         });
-        self.node_net = remap_by_node(std::mem::take(&mut self.node_net), remap, None);
+        self.node_net = remap_by_node(std::mem::take(&mut self.node_net), remap);
     }
 
     /// Visits (with repeats) every string of the owning view's interner
@@ -653,7 +604,7 @@ impl NetParts {
     }
 
     /// Heap bytes of the graph — rows, edges and the cached node → net
-    /// resolution — as payload bytes: what a session pool budgets.
+    /// table — as payload bytes: what a session pool budgets.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         let edge = size_of::<(u32, u32)>();
@@ -662,7 +613,7 @@ impl NetParts {
         });
         let labels = (self.labels.iter()).map(|l| size_of_val(l) + l.edges.len() * edge);
         self.element_node.len() * size_of::<Option<u32>>()
-            + self.node_net.len() * size_of::<Option<NetId>>()
+            + self.node_net.len() * size_of::<u32>()
             + self.conn_edges.len() * edge
             + devices.chain(labels).sum::<usize>()
     }
@@ -836,42 +787,24 @@ impl NetParts {
         self.conn_edges.iter().copied().chain(devices).chain(labels)
     }
 
-    /// The per-element / per-terminal resolutions of a node → net table.
-    fn resolve(&self, netlist: Netlist, node_net: &[Option<NetId>]) -> NetgenResult {
-        NetgenResult {
-            netlist,
-            element_net: self
-                .element_node
-                .iter()
-                .map(|n| n.and_then(|n| node_net[n as usize]))
-                .collect(),
-            device_terminal_nets: TerminalNets::gather(&self.devices, node_net),
-            violations: Vec::new(),
-        }
-    }
-
-    /// Assembles the canonical net list and per-element / per-terminal
-    /// resolutions from the current graph, **from scratch**
-    /// ([`assemble_netlist`] over every live node), and remembers the
-    /// node → net resolution for an edit session's [`NetIndex`]. Node
-    /// keys render through the view's interner (the only key table
-    /// there is).
+    /// Assembles the canonical net list from the current graph, **from
+    /// scratch** ([`assemble_netlist`] over every live node), and
+    /// remembers the node → net table, which [`NetParts::nets`] reads and
+    /// an edit session's [`NetIndex`] starts from. Node keys render
+    /// through the view's interner (the only key table there is).
     ///
     /// This is what a batch check, a session's open and its
     /// full-rebuild fallback run, and the reference
     /// [`NetIndex::splice`] must equal.
-    pub fn assemble(&mut self, view: &ChipView) -> NetgenResult {
-        let (nets, node_net) = self.assemble_from_scratch(view);
+    pub fn assemble(&mut self, view: &ChipView) -> Netlist {
+        let (netlist, node_net) = self.assemble_from_scratch(view);
         self.node_net = node_net;
-        nets
+        netlist
     }
 
-    /// [`NetParts::assemble`] without touching the cached resolution:
-    /// the result and the dense node → net table it implies.
-    pub(crate) fn assemble_from_scratch(
-        &self,
-        view: &ChipView,
-    ) -> (NetgenResult, Vec<Option<NetId>>) {
+    /// [`NetParts::assemble`] without touching the remembered table: the
+    /// net list and its node → net table (`NIL` for a node not live).
+    pub(crate) fn assemble_from_scratch(&self, view: &ChipView) -> (Netlist, Vec<u32>) {
         // The live nodes, ascending and once each: a bitmap over the
         // interner (nodes are its indices), each one's key resolved once.
         let mut live = vec![0u64; view.strings.len().div_ceil(64)];
@@ -900,22 +833,33 @@ impl NetParts {
 
         let (netlist, node_nets) = assemble_netlist(&nodes, &edges, devices);
         // Dense node → net map (nodes are view-interner indices).
-        let mut node_net: Vec<Option<NetId>> = vec![None; view.strings.len()];
+        let mut node_net = vec![NIL; view.strings.len()];
         for (&(node, _), &net) in nodes.iter().zip(&node_nets) {
-            node_net[node as usize] = Some(net);
+            node_net[node as usize] = net.0;
         }
-        (self.resolve(netlist, &node_net), node_net)
+        (netlist, node_net)
+    }
+
+    /// The nets of the last [`NetParts::assemble`] as the interaction
+    /// search reads them (a batch check's; a session reads its
+    /// [`NetIndex::nets`], which has taken the table).
+    pub fn nets(&self) -> GraphNets<'_> {
+        GraphNets {
+            element_node: &self.element_node,
+            devices: &self.devices,
+            net: &self.node_net,
+        }
     }
 }
 
 /// Moves each entry of a node-indexed table to its node's place after an
 /// interner compaction (evicted strings were dead nodes, whose entries
-/// are `empty` already).
-fn remap_by_node<T: Copy>(table: Vec<T>, remap: &[Option<Istr>], empty: T) -> Vec<T> {
+/// are `NIL` already).
+fn remap_by_node(table: Vec<u32>, remap: &[Option<Istr>]) -> Vec<u32> {
     if table.is_empty() {
         return table;
     }
-    let mut moved = vec![empty; remap.iter().flatten().count()];
+    let mut moved = vec![NIL; remap.iter().flatten().count()];
     for (old, entry) in table.into_iter().enumerate() {
         if let Some(new) = remap.get(old).copied().flatten() {
             moved[new.index() as usize] = entry;
@@ -924,57 +868,40 @@ fn remap_by_node<T: Copy>(table: Vec<T>, remap: &[Option<Istr>], empty: T) -> Ve
     moved
 }
 
-/// How the interaction search tells nets apart: the net of an element,
-/// and whether a device has a terminal on a net — as opaque identities,
-/// compared for equality only. A [`NetgenResult`] answers with its
-/// resolved net ids; an edit session answers through its net graph
-/// ([`NetIndex::nets`]) and never resolves the chip.
-pub trait NetResolution: Sync {
-    /// The net of element `id`; `None` for un-netted device internals.
-    fn element_net(&self, id: usize) -> Option<u32>;
-    /// True if device `device` has a terminal on `net` (an identity
-    /// [`NetResolution::element_net`] gave).
-    fn device_on(&self, device: usize, net: u32) -> bool;
-}
-
-impl NetResolution for NetgenResult {
-    #[inline]
-    fn element_net(&self, id: usize) -> Option<u32> {
-        self.element_net[id].map(|net| net.0)
-    }
-
-    #[inline]
-    fn device_on(&self, device: usize, net: u32) -> bool {
-        self.device_terminal_nets[device].contains(&NetId(net))
-    }
-}
-
-/// A [`NetResolution`] read straight off the net graph: element → node
-/// → the node's net slot in a [`NetIndex`]. Slots are stable ids of
-/// nets — equal exactly when the nets are — so nothing is resolved per
-/// element when the splice renumbers the list.
+/// How the interaction search tells nets apart, read straight off the
+/// net graph: element → node → the node's net identity — a net id of the
+/// assembled list ([`NetParts::nets`]) or a net's slot in a [`NetIndex`]
+/// ([`NetIndex::nets`]). Either is equal exactly when the nets are, and
+/// is compared for equality only, so nothing is resolved per element
+/// when the list is assembled or renumbered.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphNets<'a> {
     element_node: &'a [Option<u32>],
     devices: &'a [DeviceParts],
-    slot: &'a [u32],
+    /// Per node: its net identity (`NIL`: none).
+    net: &'a [u32],
 }
 
-impl NetResolution for GraphNets<'_> {
-    fn element_net(&self, id: usize) -> Option<u32> {
-        self.element_node[id].map(|node| self.slot[node as usize])
+impl GraphNets<'_> {
+    /// The net of element `id`; `None` for un-netted device internals.
+    #[inline]
+    pub fn element_net(&self, id: usize) -> Option<u32> {
+        self.element_node[id].map(|node| self.net[node as usize])
     }
 
-    fn device_on(&self, device: usize, net: u32) -> bool {
+    /// True if device `device` has a terminal on `net` (an identity
+    /// [`GraphNets::element_net`] gave).
+    #[inline]
+    pub(crate) fn device_on(&self, device: usize, net: u32) -> bool {
         let terms = self.devices[device].terms.iter();
         terms
-            .map(|&(_, node)| self.slot[node as usize])
-            .any(|s| s == net)
+            .map(|&(_, node)| self.net[node as usize])
+            .any(|n| n == net)
     }
 }
 
 /// No entry / no slot / no net.
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// The tag of an element's key among a node's links (a node id, the
 /// other kind of link, stays below it).
@@ -1222,22 +1149,20 @@ impl NetSplice {
 
 impl NetIndex {
     /// The index of a freshly assembled graph, taking the node → net
-    /// resolution [`NetParts::assemble`] left in `parts` (each net's
-    /// slot is its id) — the list it resolved to has `net_count` nets.
+    /// table [`NetParts::assemble`] left in `parts` as its slots (each
+    /// net's slot is its id) — the list it assembled has `net_count`
+    /// nets.
     /// `element_key` names each element id's key.
     pub fn new(
         parts: &mut NetParts,
         net_count: usize,
         element_key: impl Fn(usize) -> u32,
     ) -> NetIndex {
-        let node_net = std::mem::take(&mut parts.node_net);
+        let slot = std::mem::take(&mut parts.node_net);
         let mut index = NetIndex {
-            refs: vec![0; node_net.len()],
+            refs: vec![0; slot.len()],
             links: Multimap::default(),
-            slot: node_net
-                .iter()
-                .map(|net| net.map_or(NIL, |n| n.0))
-                .collect(),
+            slot,
             slot_net: (0..net_count as u32).collect(),
             net_slot: (0..net_count as u32).collect(),
             free_slots: Vec::new(),
@@ -1314,25 +1239,13 @@ impl NetIndex {
         elements.map(|link| link & !ELEMENT)
     }
 
-    /// The graph's nets as the interaction search reads them.
+    /// The graph's nets as the interaction search reads them, by slot.
     pub fn nets<'a>(&'a self, parts: &'a NetParts) -> GraphNets<'a> {
         GraphNets {
             element_node: &parts.element_node,
             devices: &parts.devices,
-            slot: &self.slot,
+            net: &self.slot,
         }
-    }
-
-    /// Resolves every element and every device terminal, as
-    /// [`NetParts::assemble`] does — O(chip), for checks and tests.
-    pub fn resolve(&self, parts: &NetParts) -> (Vec<Option<NetId>>, TerminalNets) {
-        let node_net: Vec<Option<NetId>> = (0..self.slot.len() as u32)
-            .map(|node| self.net_of(node))
-            .collect();
-        let element_net = (parts.element_node.iter())
-            .map(|n| n.and_then(|n| node_net[n as usize]))
-            .collect();
-        (element_net, TerminalNets::gather(&parts.devices, &node_net))
     }
 
     /// Brings `old`, the net list of the last splice or of the open, up
@@ -1611,7 +1524,7 @@ impl NetIndex {
         remap: &[Option<Istr>],
         element_key: impl Fn(usize) -> u32,
     ) {
-        let slot = remap_by_node(std::mem::take(&mut self.slot), remap, NIL);
+        let slot = remap_by_node(std::mem::take(&mut self.slot), remap);
         let (slot_net, net_slot, free_slots) = (
             std::mem::take(&mut self.slot_net),
             std::mem::take(&mut self.net_slot),
@@ -1644,29 +1557,20 @@ impl NetIndex {
         (per_node + slots) * size_of::<u32>() + self.links.heap_bytes()
     }
 
-    /// The debug oracle of a splice: the list and every resolution equal
-    /// a from-scratch assembly, and the rows and edges equal an index
-    /// built from nothing.
+    /// The debug oracle of a splice: the list and every node's net equal
+    /// a from-scratch assembly (an element's and a terminal's net are its
+    /// node's), and the rows and edges equal an index built from nothing.
     #[cfg(debug_assertions)]
     fn assert_matches_a_rebuild(&self, parts: &NetParts, view: &ChipView, netlist: &Netlist) {
         let (scratch, node_net) = parts.assemble_from_scratch(view);
-        debug_assert_eq!(*netlist, scratch.netlist, "splice diverged from assembly");
-        let (element_net, terminal_nets) = self.resolve(parts);
-        debug_assert_eq!(element_net, scratch.element_net, "element nets diverged");
-        debug_assert_eq!(
-            terminal_nets, scratch.device_terminal_nets,
-            "terminal nets diverged"
-        );
-        for (node, want) in node_net.iter().enumerate() {
-            debug_assert_eq!(
-                self.net_of(node as u32),
-                *want,
-                "node {node}'s net diverged"
-            );
+        debug_assert_eq!(*netlist, scratch, "splice diverged from assembly");
+        for (node, &want) in node_net.iter().enumerate() {
+            let got = self.net_of(node as u32).map_or(NIL, |n| n.0);
+            debug_assert_eq!(got, want, "node {node}'s net diverged");
         }
         let mut fresh = parts.clone();
         fresh.node_net = node_net;
-        let built = NetIndex::new(&mut fresh, scratch.netlist.net_count(), |id| id as u32);
+        let built = NetIndex::new(&mut fresh, scratch.net_count(), |id| id as u32);
         for node in 0..self.refs.len().max(built.refs.len()) as u32 {
             let refs = |index: &NetIndex| index.refs.get(node as usize).copied().unwrap_or(0);
             debug_assert_eq!(refs(self), refs(&built), "node {node}'s row count diverged");
@@ -1686,38 +1590,6 @@ impl NetIndex {
     }
 }
 
-/// Generates the hierarchical net list.
-///
-/// * interconnect elements get their declared (`9N`, path-qualified) or
-///   auto net keys;
-/// * stage-4 merges unify keys;
-/// * contact-class devices join all their elements and terminals into one
-///   net; transistors/resistors expose per-terminal nets that bind to any
-///   element covering the terminal point on the terminal's layer;
-/// * `9L` labels name the net of the element covering the labelled point.
-///
-/// The view is mutable because the stage's fresh keys (terminal,
-/// joining-device, and label nets) intern into the view's own string
-/// table — the graph shares that one interner end to end.
-///
-/// This is [`NetParts::build`] — points bound through `scopes`, the bind
-/// phase fanned out over `workers` scoped threads — followed by
-/// [`NetParts::assemble`], which is serial and canonical, so any worker
-/// count produces a byte-identical [`NetgenResult`]. An edit session
-/// keeps the [`NetParts`] graph alive and patches it instead of
-/// rebuilding.
-pub fn generate_netlist<L: Borrow<NetLabel> + Sync>(
-    view: &mut ChipView,
-    tech: &Technology,
-    merges: &[(usize, usize)],
-    labels: &[(L, Option<LayerId>)],
-    scopes: &ScopeTable,
-    workers: usize,
-) -> NetgenResult {
-    let (mut parts, _) = NetParts::build(view, tech, merges, labels, scopes, workers);
-    parts.assemble(view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1730,7 +1602,7 @@ mod tests {
 
     /// What one layout's net-list generation produced, by both binders.
     struct Extracted {
-        nets: NetgenResult,
+        netlist: Netlist,
         /// The table-driven graph at the last worker count.
         parts: NetParts,
         view: ChipView,
@@ -1759,7 +1631,7 @@ mod tests {
 
         let mut direct_view = pristine.clone();
         let mut direct = NetParts::build_direct(&mut direct_view, tech, &conn.merges, &labels, 1);
-        let direct_nets = direct.assemble(&direct_view);
+        let direct_netlist = direct.assemble(&direct_view);
         let mut last = None;
         for &w in workers {
             let mut view = pristine.clone();
@@ -1770,12 +1642,13 @@ mod tests {
             assert_eq!(parts.element_node, direct.element_node, "workers={w}");
             assert_eq!(parts.conn_edges, direct.conn_edges, "workers={w}");
             assert_eq!(view.strings.len(), direct_view.strings.len(), "workers={w}");
-            assert_eq!(parts.assemble(&view), direct_nets, "workers={w}");
+            assert_eq!(parts.assemble(&view), direct_netlist, "workers={w}");
+            assert_eq!(parts.node_net, direct.node_net, "workers={w}");
             last = Some((parts, view, stats));
         }
         let (parts, view, stats) = last.expect("at least one worker count");
         Extracted {
-            nets: direct_nets,
+            netlist: direct_netlist,
             parts,
             view,
             scopes,
@@ -1783,14 +1656,13 @@ mod tests {
         }
     }
 
-    fn extract(cif: &str) -> (NetgenResult, ChipView) {
-        let x = extract_layout(&parse(cif).unwrap(), &nmos_technology(), &[1, 2]);
-        (x.nets, x.view)
+    fn extract(cif: &str) -> Extracted {
+        extract_layout(&parse(cif).unwrap(), &nmos_technology(), &[1, 2])
     }
 
     #[test]
     fn connected_wires_share_a_net() {
-        let (r, _) = extract("L NM; 9N A; B 2000 750 1000 375; 9N B; B 2000 750 2200 375; E");
+        let r = extract("L NM; 9N A; B 2000 750 1000 375; 9N B; B 2000 750 2200 375; E");
         let a = r.netlist.net_by_name("A").unwrap();
         let b = r.netlist.net_by_name("B").unwrap();
         assert_eq!(a, b);
@@ -1800,7 +1672,7 @@ mod tests {
     fn transistor_terminals_bind_to_covering_wires() {
         // Enhancement transistor with poly gate wire and diff S/D wires
         // covering its terminal points.
-        let (r, _) = extract(
+        let r = extract(
             "DS 1; 9 tr; 9D NMOS_ENH;
              9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
              L NP; B 1500 500 250 0;
@@ -1829,7 +1701,7 @@ mod tests {
 
     #[test]
     fn contact_joins_layers_into_one_net() {
-        let (r, _) = extract(
+        let r = extract(
             "DS 1; 9D CONTACT_D; 9T A NM 0 0; 9T B ND 0 0;
              L NC; B 500 500 0 0; L ND; B 1000 1000 0 0; L NM; B 1000 1000 0 0; DF;
              C 1 T 0 0;
@@ -1844,17 +1716,17 @@ mod tests {
 
     #[test]
     fn labels_name_nets() {
-        let (r, _) = extract("L NM; B 2000 750 1000 375; 9L VDD NM 1000 375; E");
+        let r = extract("L NM; B 2000 750 1000 375; 9L VDD NM 1000 375; E");
         assert!(r.netlist.net_by_name("VDD").is_some());
         // The rail element's net carries the VDD alias.
         let vdd = r.netlist.net_by_name("VDD").unwrap();
         assert!(r.netlist.net(vdd).aliases().any(|a| a == "VDD"));
-        assert!(r.element_net[0] == Some(vdd));
+        assert_eq!(r.parts.nets().element_net(0), Some(vdd.0));
     }
 
     #[test]
     fn hierarchical_dot_notation_nets() {
-        let (r, _) = extract(
+        let r = extract(
             "DS 1; L NM; 9N out; B 2000 750 1000 375; DF;
              C 1 T 0 0; C 1 T 10000 0; E",
         );
@@ -1869,11 +1741,11 @@ mod tests {
 
     #[test]
     fn transistor_internals_unnetted() {
-        let (r, view) = extract(
+        let r = extract(
             "DS 1; 9D NMOS_ENH; L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF; C 1; E",
         );
-        for id in 0..view.elements.len() {
-            assert!(r.element_net[id].is_none());
+        for id in 0..r.view.elements.len() {
+            assert!(r.parts.nets().element_net(id).is_none());
         }
     }
 
@@ -1881,13 +1753,13 @@ mod tests {
     fn node_keys_live_in_the_view_interner() {
         // The graph has no key table of its own: terminal keys and the
         // element nodes alike must resolve through the view's interner.
-        let (_, view) = extract(
+        let r = extract(
             "DS 1; 9D CONTACT_D; 9T A NM 0 0;
              L NC; B 500 500 0 0; L NM; B 1000 1000 0 0; DF;
              C 1 T 0 0; E",
         );
         assert!(
-            view.strings.lookup("i0.#").is_some(),
+            r.view.strings.lookup("i0.#").is_some(),
             "joining-device key interned into the view table"
         );
     }
@@ -2055,14 +1927,13 @@ mod tests {
         /// The graph of a random layout is patched four times over — two
         /// elements joined, a connection cut, a device dropped (ids
         /// shift), a device inserted with keys of its own — and after
-        /// each patch the spliced list, the resolutions the index gives
-        /// and its node → net answers equal an assembly of the patched
-        /// graph from nothing; each splice starts from the one before it.
+        /// each patch the spliced list and the index's node → net answers
+        /// equal an assembly of the patched graph from nothing; each splice starts from the one before it.
         #[test]
         fn a_spliced_net_list_equals_one_assembled_from_scratch(seed in 0u64..u64::MAX) {
             let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
             let x = extract_layout(&layout, &nmos_technology(), &[1]);
-            let (mut parts, mut view, mut netlist) = (x.parts, x.view, x.nets.netlist);
+            let (mut parts, mut view, mut netlist) = (x.parts, x.view, x.netlist);
             let mut index = NetIndex::new(&mut parts, netlist.net_count(), |id| id as u32);
             let rng = &mut TestRng::for_case(seed, 1);
             let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
@@ -2107,14 +1978,11 @@ mod tests {
                 index.patch(&delta);
                 let splice = index.splice(&parts, &view, netlist, &delta, &dev_old_of_new);
                 let (scratch, node_net) = parts.assemble_from_scratch(&view);
-                prop_assert_eq!(&splice.netlist, &scratch.netlist, "step {}", step);
-                let (element_net, terminal_nets) = index.resolve(&parts);
-                prop_assert_eq!(&element_net, &scratch.element_net);
-                prop_assert_eq!(&terminal_nets, &scratch.device_terminal_nets);
-                for (node, want) in node_net.iter().enumerate() {
-                    prop_assert_eq!(index.net_of(node as u32), *want);
+                prop_assert_eq!(&splice.netlist, &scratch, "step {}", step);
+                for (node, &want) in node_net.iter().enumerate() {
+                    prop_assert_eq!(index.net_of(node as u32).map_or(NIL, |n| n.0), want);
                 }
-                prop_assert_eq!(splice.fresh.len(), scratch.netlist.net_count());
+                prop_assert_eq!(splice.fresh.len(), scratch.net_count());
                 prop_assert!(splice.retired.is_sorted());
                 prop_assert!(splice.retired.iter().all(|&old| splice.retired_name(old).is_some()));
                 respliced += splice.fresh.iter().filter(|fresh| **fresh).count();

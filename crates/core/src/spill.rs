@@ -252,6 +252,14 @@ impl<'a> Payload<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// A flag byte: 0 or 1, nothing else (a record has one encoding).
+    fn flag(&mut self) -> io::Result<bool> {
+        match self.u8()? {
+            b @ (0 | 1) => Ok(b == 1),
+            other => Err(bad_data(format!("bad flag byte {other}"))),
+        }
+    }
+
     fn string(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -286,7 +294,7 @@ pub fn decode_violation(payload: &[u8]) -> io::Result<Violation> {
             layer_b: p.string()?,
             measured: p.i64()?,
             required: p.i64()?,
-            same_net: p.u8()? != 0,
+            same_net: p.flag()?,
         },
         2 => IllegalConnection { layer: p.string()? },
         3 => ImpliedDevice {
@@ -323,10 +331,16 @@ pub fn decode_violation(payload: &[u8]) -> io::Result<Violation> {
         },
         other => return Err(bad_data(format!("unknown kind tag {other}"))),
     };
-    let location = match p.u8()? {
-        0 => None,
-        1 => Some(Rect::new(p.i64()?, p.i64()?, p.i64()?, p.i64()?)),
-        other => return Err(bad_data(format!("bad location flag {other}"))),
+    let location = match p.flag()? {
+        false => None,
+        true => {
+            let (x1, y1, x2, y2) = (p.i64()?, p.i64()?, p.i64()?, p.i64()?);
+            // Written in order: `Rect::new` would hide a corrupt corner.
+            if x1 > x2 || y1 > y2 {
+                return Err(bad_data("location corners out of order".into()));
+            }
+            Some(Rect::new(x1, y1, x2, y2))
+        }
     };
     let context = p.string()?;
     p.finish()?;
@@ -721,6 +735,41 @@ mod tests {
         let mut bad = buf[4..].to_vec();
         bad.push(0);
         assert!(decode_violation(&bad).is_err());
+
+        // Swept over every kind: each corruption below is refused, or
+        // decodes to a violation whose record is exactly the corrupted
+        // bytes (a changed number, a changed letter) — never a panic, and
+        // never a violation that means other bytes.
+        let refused_or_exact = |bytes: &[u8], what: &str| {
+            if let Ok(v) = decode_violation(bytes) {
+                let mut again = Vec::new();
+                encode_violation(&v, &mut again);
+                assert_eq!(&again[4..], bytes, "{what} decoded to {v:?}");
+            }
+        };
+        for (k, v) in sample_kinds().iter().enumerate() {
+            let mut buf = Vec::new();
+            encode_violation(v, &mut buf);
+            let payload = &buf[4..];
+            for len in 0..payload.len() {
+                let cut = &payload[..len];
+                assert!(decode_violation(cut).is_err(), "kind {k} cut at {len}");
+            }
+            for at in 0..payload.len() {
+                for byte in [0x00, 0x80, 0xFF] {
+                    let mut bad = payload.to_vec();
+                    bad[at] = byte;
+                    refused_or_exact(&bad, &format!("kind {k}, byte {at} = {byte:#x}"));
+                }
+            }
+            // Every 4-byte window set to `u32::MAX`: string lengths among
+            // them, each then far past the record's end.
+            for at in 0..payload.len().saturating_sub(3) {
+                let mut bad = payload.to_vec();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                refused_or_exact(&bad, &format!("kind {k}, u32::MAX at {at}"));
+            }
+        }
     }
 
     #[test]

@@ -68,11 +68,12 @@
 //! tighten rules never lose injected faults.
 
 use diic::cif::{Call, Element, Item, LayerRef, Shape, Symbol};
+use diic::core::netgen::NetParts;
 use diic::core::{
     account, canonical_check, check_cif, check_connections, check_connections_among,
-    effective_parallelism, env_parallelism, flat_check, generate_netlist, instantiate,
-    max_rule_range, CheckOptions, CheckReport, CheckStage, ElementColumns, FlatOptions,
-    LayerBinding, ScopeTable, StringInterner, Violation,
+    effective_parallelism, env_parallelism, flat_check, instantiate, max_rule_range, CheckOptions,
+    CheckReport, CheckStage, ElementColumns, FlatOptions, LayerBinding, ScopeTable, StringInterner,
+    Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::{Rect, Transform};
@@ -208,8 +209,8 @@ proptest! {
     /// count, and net-list generation through the scope table the
     /// direct binder's, at any worker count — stage outputs compared
     /// directly (violations, merges, pairs
-    /// examined, the assembled net list and per-element / per-terminal
-    /// resolutions), not just the end-to-end report.
+    /// examined, the assembled net list and every element's net), not
+    /// just the end-to-end report.
     #[test]
     fn parallel_connections_and_netgen_equal_serial(
         nx in 2usize..5,
@@ -257,8 +258,9 @@ proptest! {
             view.elements.bboxes(),
             max_rule_range(&tech),
         );
-        let nets_serial =
-            generate_netlist(&mut view, &tech, &conn_serial.merges, &labels, &one_scope, 1);
+        let (mut parts_serial, _) =
+            NetParts::build(&mut view, &tech, &conn_serial.merges, &labels, &one_scope, 1);
+        let netlist_serial = parts_serial.assemble(&view);
         let wide = effective_parallelism(wide_workers());
         for workers in [1usize, 2, 3, wide] {
             let (conn, _) = check_connections(&view, &tech, &scopes, workers);
@@ -270,15 +272,23 @@ proptest! {
             prop_assert_eq!(&conn.merges, &conn_serial.merges, "workers={}", workers);
             prop_assert_eq!(conn.pairs_examined, conn_serial.pairs_examined);
 
-            let nets =
-                generate_netlist(&mut view, &tech, &conn.merges, &labels, &scopes, workers);
+            let (mut parts, _) =
+                NetParts::build(&mut view, &tech, &conn.merges, &labels, &scopes, workers);
+            let netlist = parts.assemble(&view);
+            // Terminal nets are held by the net-list equality: each device
+            // of the list carries its terminals' nets.
             prop_assert_eq!(
-                &nets.netlist, &nets_serial.netlist,
+                &netlist, &netlist_serial,
                 "netgen: {} workers diverge (nx={} ny={} seed={} mask={:#b})",
                 workers, nx, ny, seed, mask
             );
-            prop_assert_eq!(&nets.element_net, &nets_serial.element_net);
-            prop_assert_eq!(&nets.device_terminal_nets, &nets_serial.device_terminal_nets);
+            let (nets, nets_serial) = (parts.nets(), parts_serial.nets());
+            for id in 0..view.elements.len() {
+                prop_assert_eq!(
+                    nets.element_net(id), nets_serial.element_net(id),
+                    "element {}'s net: {} workers diverge", id, workers
+                );
+            }
         }
     }
 
