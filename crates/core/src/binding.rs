@@ -2,9 +2,11 @@
 //!
 //! Stages 3–6 of the pipeline work on *instantiated* elements — but unlike
 //! a flat checker, every instantiated element keeps its topology: the
-//! symbol it came from, the device instance it belongs to, its net key, and
-//! its skeleton. "The information about what symbol the piece of geometry
-//! came from is never lost."
+//! instance path of the calls that placed it, the device instance it
+//! belongs to, its net key, and its skeleton. "The information about what
+//! symbol the piece of geometry came from is never lost": an element's
+//! position says it — the top-level item whose run holds it, and its
+//! place in that definition's walk — so no column repeats it per element.
 //!
 //! # The view's memory floor: interned strings, columnar elements
 //!
@@ -28,8 +30,8 @@
 //!
 //! * **Columnar elements.** Elements live in [`ElementColumns`] — a
 //!   struct-of-arrays store with one dense, fixed-width column per
-//!   field (`layer`, `bbox`, `net_key`, `path`, flag bits, sentinel-
-//!   encoded device / source indices) and the variable-length geometry
+//!   field (`layer`, `bbox`, `net_key`, `path`, flag bits, a sentinel-
+//!   encoded device index) and the variable-length geometry
 //!   (covered rectangles, skeleton rectangles) packed into two shared
 //!   arenas addressed by `(offset, len)` ranges. An element's id is its
 //!   position — the walk and the incremental session's run splicing
@@ -457,8 +459,6 @@ pub struct ChipElement {
     /// Index into [`ChipView::devices`] if the element lives inside a
     /// device symbol instance.
     pub device: Option<usize>,
-    /// The symbol definition the element came from (None = top level).
-    pub source: Option<SymbolId>,
 }
 
 /// A packed bit column (one flag bit per element) — the storage behind
@@ -511,7 +511,7 @@ impl BitColumn {
     }
 }
 
-/// Sentinel for "no device" / "no source" in the fixed-width columns
+/// Sentinel for "no device" in the fixed-width device column
 /// (a `u32` index column beats `Vec<Option<usize>>` by 12 bytes per
 /// element and keeps the column densely comparable).
 const NONE_U32: u32 = u32::MAX;
@@ -577,7 +577,6 @@ fn append_arena(
 /// path         Vec<Istr>         4 B   interner handle
 /// net_declared BitColumn       1 bit   flag bits
 /// device       Vec<u32>          4 B   u32::MAX = none
-/// source       Vec<u32>          4 B   SymbolId index, u32::MAX = none
 /// rect_range   Vec<(u32, u32)>   8 B   (offset, len) into `rects`
 /// skel_range   Vec<(u32, u32)>   8 B   (offset, len) into `skel`; len 0 = no skeleton
 /// rects        Vec<Rect>               shared arena, chip coordinates
@@ -605,7 +604,6 @@ pub struct ElementColumns {
     path: Vec<Istr>,
     net_declared: BitColumn,
     device: Vec<u32>,
-    source: Vec<u32>,
     rect_range: Vec<(u32, u32)>,
     skel_range: Vec<(u32, u32)>,
     rects: Vec<Rect>,
@@ -692,7 +690,6 @@ impl ElementColumns {
             + self.path.len() * size_of::<Istr>()
             + self.net_declared.words.len() * size_of::<u64>()
             + self.device.len() * size_of::<u32>()
-            + self.source.len() * size_of::<u32>()
             + self.rect_range.len() * size_of::<(u32, u32)>()
             + self.skel_range.len() * size_of::<(u32, u32)>()
             + self.rects.len() * size_of::<Rect>()
@@ -710,7 +707,6 @@ impl ElementColumns {
         self.path.push(el.path);
         self.net_declared.push(el.net_declared);
         self.device.push(el.device.map_or(NONE_U32, |d| d as u32));
-        self.source.push(el.source.map_or(NONE_U32, |s| s.0));
         let r0 = self.rects.len() as u32;
         self.rects.extend_from_slice(&el.rects);
         self.rect_range.push((r0, el.rects.len() as u32));
@@ -770,7 +766,6 @@ impl ElementColumns {
             self.net_declared.push(block.net_declared.get(i));
         }
         self.device.extend(block.device.iter().map(|&d| device(d)));
-        self.source.extend_from_slice(&block.source);
         let r0 = self.rects.len() as u32;
         self.rects
             .extend(block.rects.iter().map(|r| r.translate(by)));
@@ -806,7 +801,6 @@ impl ElementColumns {
         }
         self.device
             .extend((other.device[range.clone()].iter()).map(|&d| device_shifted(d, device_delta)));
-        self.source.extend_from_slice(&other.source[range.clone()]);
         let (rects, skel) = (&other.rect_range[range.clone()], &other.skel_range[range]);
         append_arena(&mut self.rects, &mut self.rect_range, &other.rects, rects);
         append_arena(&mut self.skel, &mut self.skel_range, &other.skel, skel);
@@ -833,7 +827,6 @@ impl ElementColumns {
             path: self.path.split_off(at),
             net_declared: self.net_declared.split_off(at),
             device: self.device.split_off(at),
-            source: self.source.split_off(at),
             rect_range: rebased(self.rect_range.split_off(at), r),
             skel_range: rebased(self.skel_range.split_off(at), s),
             rects: self.rects.split_off(r),
@@ -865,7 +858,6 @@ impl ElementColumns {
         self.bbox[run.clone()].copy_from_slice(&block.bbox);
         self.net_key[run.clone()].copy_from_slice(&block.net_key);
         self.path[run.clone()].copy_from_slice(&block.path);
-        self.source[run.clone()].copy_from_slice(&block.source);
         self.rects[r_run.clone()].copy_from_slice(&block.rects);
         self.skel[s_run.clone()].copy_from_slice(&block.skel);
         let (r0, s0) = (r_run.start as u32, s_run.start as u32);
@@ -954,12 +946,6 @@ impl<'a> ElementRef<'a> {
         (d != NONE_U32).then_some(d as usize)
     }
 
-    /// The symbol definition the element came from (None = top level).
-    pub fn source(&self) -> Option<SymbolId> {
-        let s = self.cols.source[self.id];
-        (s != NONE_U32).then_some(SymbolId(s))
-    }
-
     /// Gathers the element back into boxed record form.
     pub fn to_element(&self) -> ChipElement {
         ChipElement {
@@ -972,7 +958,6 @@ impl<'a> ElementRef<'a> {
             net_declared: self.net_declared(),
             path: self.path(),
             device: self.device(),
-            source: self.source(),
         }
     }
 }
@@ -992,8 +977,6 @@ impl std::fmt::Debug for ElementRef<'_> {
 pub struct DeviceInstance {
     /// Instance path (dot notation), interned in the owning view.
     pub path: Istr,
-    /// The device symbol.
-    pub symbol: SymbolId,
     /// Declared `9D` type, interned in the owning view (one entry per
     /// distinct type however many instances share it).
     pub device_type: Istr,
@@ -1167,7 +1150,7 @@ impl ChipView {
                 (
                     (e.layer(), e.bbox(), e.rects(), e.skeleton()),
                     (self.str(e.net_key()), e.net_declared(), self.str(e.path())),
-                    (e.device().map(|d| d as i64 - d0 as i64), e.source()),
+                    e.device().map(|d| d as i64 - d0 as i64),
                 )
             )
         });
@@ -1183,7 +1166,7 @@ impl ChipView {
             format!(
                 "{:?}",
                 (
-                    (self.str(d.path), d.symbol, self.str(d.device_type)),
+                    (self.str(d.path), self.str(d.device_type)),
                     (d.class, d.checked, terminals, ids, d.transform),
                 )
             )
@@ -1356,7 +1339,6 @@ impl Template {
                         .collect();
                     view.devices.push(DeviceInstance {
                         path: handles[dv.path.0 as usize],
-                        symbol: dv.symbol,
                         device_type: as_is(dv.device_type, &mut view.strings),
                         class: dv.class,
                         checked: dv.checked,
@@ -1497,13 +1479,12 @@ pub(crate) fn assign_auto_net_keys(
 }
 
 /// Where the walk stands: the accumulated transform, the instance path,
-/// the enclosing device instance and the enclosing symbol.
+/// and the enclosing device instance.
 #[derive(Clone, Copy)]
 struct Scope<'a> {
     t: Transform,
     path: &'a str,
     device: Option<usize>,
-    source: Option<SymbolId>,
 }
 
 impl Scope<'static> {
@@ -1512,7 +1493,6 @@ impl Scope<'static> {
         t: Transform::IDENTITY,
         path: "",
         device: None,
-        source: None,
     };
 }
 
@@ -1540,12 +1520,7 @@ impl Walker<'_> {
         view: &mut ChipView,
         scratch: &mut StampScratch,
     ) {
-        let Scope {
-            t,
-            path,
-            device,
-            source,
-        } = scope;
+        let Scope { t, path, device } = scope;
         match item {
             Item::Element(e) => {
                 let Some(layer) = self.binding.layer(e.layer) else {
@@ -1606,7 +1581,6 @@ impl Walker<'_> {
                     net_declared,
                     path,
                     device,
-                    source,
                 });
                 if let Some(d) = device {
                     view.devices[d].element_ids.push(id);
@@ -1653,7 +1627,6 @@ impl Walker<'_> {
                             .collect();
                         view.devices.push(DeviceInstance {
                             path: view.strings.intern(&child_path),
-                            symbol: c.target,
                             device_type: view.strings.intern(&decl.device_type),
                             class: self.tech.device(&decl.device_type).map(|a| a.class),
                             checked: decl.checked,
@@ -1670,7 +1643,6 @@ impl Walker<'_> {
                     t: child_t,
                     path: &child_path,
                     device: child_device,
-                    source: Some(c.target),
                 };
                 for item in &sym.items {
                     self.walk_with(item, child, view, scratch);
@@ -1916,7 +1888,6 @@ mod tests {
             assert_eq!(el.net_declared, r.net_declared());
             assert_eq!(el.path, r.path());
             assert_eq!(el.device, r.device());
-            assert_eq!(el.source, r.source());
             match &el.skeleton {
                 Some(sk) => assert_eq!(sk.scaled_rects(), r.skeleton()),
                 None => assert!(!r.has_skeleton()),

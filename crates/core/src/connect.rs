@@ -57,9 +57,9 @@
 use crate::binding::ChipView;
 use crate::interact::interaction_cell_size;
 use crate::parallel::run_ordered;
-use crate::scope::{Scan, ScopeIds, ScopeStats, ScopeTable};
+use crate::scope::{Scan, ScanIndex, ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_geom::{batch, GridIndex};
+use diic_geom::batch;
 use diic_tech::{DeviceClass, InternalRule, LayerId, Technology};
 use std::collections::HashSet;
 
@@ -176,7 +176,7 @@ impl<'a> ScanCx<'a> {
     fn score_scan(
         &self,
         scan: &Scan<'_>,
-        index: &GridIndex<usize>,
+        index: &ScanIndex,
         tile: std::ops::Range<usize>,
         out: &mut Scored,
     ) {

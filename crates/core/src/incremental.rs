@@ -80,8 +80,11 @@
 //!   when it touches one of them. The elements within one more reach of
 //!   them come out of one pass over the session's persistent index
 //!   ([`GridIndex::candidates_many`]), and
-//!   [`crate::interact::check_interactions_among`] searches that set.
-//!   Spacing markers
+//!   [`crate::interact::check_interactions_among`] searches that set by
+//!   the direct scan, over a grid built once for it and only queried
+//!   ([`FlatGrid`], as every dirty-region grid of an edit is: the
+//!   session's element and label indexes are its only hashed grids, as
+//!   they alone take inserts and removes). Spacing markers
 //!   are tight gap boxes (within the pair's gap of *both* elements), so
 //!   cached violations whose marker misses the halo are provably
 //!   unchanged and are kept; everything anchored inside the halo is
@@ -112,8 +115,7 @@
 //! every kept net and device row, O(nets + devices); re-canonicalising
 //! the chip-wide VDD and GND nets whenever an edit touches one of them
 //! (an inverter's edit does), which the search, the canonicalisation
-//! and the name diff all walk; and the interaction pass's private
-//! candidate grid over the halo set. Beside them some plain integer
+//! and the name diff all walk. Beside them some plain integer
 //! passes are linear too: the old → new id maps, the dirty and seed
 //! masks, renumbering the cached merges, and moving the device rows
 //! and element nodes that lie after the first item whose run changed
@@ -230,7 +232,7 @@ use diic_cif::hierarchy::{
     check_acyclic, flat_elements, HierarchyError, MAX_CALL_DEPTH, MAX_FLAT_ELEMENTS,
 };
 use diic_cif::{Call, Element, Item, Layout, NetLabel, Shape, SymbolId};
-use diic_geom::{GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
+use diic_geom::{FlatGrid, GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
 use diic_netlist::{DeviceId, NetId, Netlist};
 use diic_tech::Technology;
 
@@ -727,10 +729,13 @@ struct ViewPatch {
     /// view, ascending by old id.
     evicted: Vec<(usize, u32)>,
     /// Old and new footprints with area of every dirty element: the
-    /// connection dirty region, as rects and as the grid the steps test
-    /// against.
-    foot: Vec<Rect>,
-    d_conn_grid: GridIndex<()>,
+    /// connection dirty region, as the grid the steps test against (its
+    /// rects are the footprints). Every dirty region of an edit is such a
+    /// grid, built once and only queried, for fast "does this bbox touch
+    /// the region" predicates: a whole-chip region can hold thousands of
+    /// rects, and a linear scan such as [`diic_geom::Region::touches_rect`]
+    /// is the wrong tool for per-element loops.
+    d_conn_grid: FlatGrid,
     /// Every item kept its slot and its run lengths.
     aligned: bool,
 }
@@ -791,8 +796,7 @@ struct NetPatch {
     /// one of them). One grid over them serves the scoped search's
     /// marker filter and the report patch's retraction predicate — they
     /// must agree bit for bit.
-    d_halo: Vec<Rect>,
-    d_halo_grid: GridIndex<()>,
+    d_halo_grid: FlatGrid,
 }
 
 /// An edit session: a layout under interactive editing with its cached,
@@ -1010,19 +1014,14 @@ impl CheckSession {
         handles.map(|h| self.handle_owner[h as usize])
     }
 
-    /// The ids of the elements whose bbox ⊕ `reach` touches one of
-    /// `rects`, ascending. `grid` must index exactly `rects`. One pass
-    /// over the element index: the cells the rects ⊕ `reach` cover,
-    /// each visited once ([`GridIndex::candidates_many`]); each
-    /// candidate is then held to the exact test against `grid`.
-    fn elements_near(
-        &self,
-        view: &ChipView,
-        rects: &[Rect],
-        grid: &GridIndex<()>,
-        reach: i64,
-    ) -> Vec<usize> {
-        let queries: Vec<Rect> = rects.iter().filter_map(|r| r.inflate(reach)).collect();
+    /// The ids of the elements whose bbox ⊕ `reach` touches one of the
+    /// rects of `grid`, ascending. One pass over the element index: the
+    /// cells the rects ⊕ `reach` cover, each visited once
+    /// ([`GridIndex::candidates_many`]); each candidate is then held to
+    /// the exact test against `grid`.
+    fn elements_near(&self, view: &ChipView, grid: &FlatGrid, reach: i64) -> Vec<usize> {
+        let rects = grid.rects().iter();
+        let queries: Vec<Rect> = rects.filter_map(|r| r.inflate(reach)).collect();
         let bboxes = view.elements.bboxes();
         let near = |id: &usize| (bboxes[*id].inflate(reach)).is_some_and(|r| grid.touches_any(&r));
         let mut ids: Vec<usize> = (self.elem_index.candidates_many(&queries).into_iter())
@@ -1121,8 +1120,7 @@ impl CheckSession {
             rekeyed,
             rekeyed_mask,
             evicted,
-            d_conn_grid: rect_grid(&foot, self.bound.cell_size()),
-            foot,
+            d_conn_grid: FlatGrid::new(foot, self.bound.cell_size()),
             aligned: relaid.aligned,
         }
     }
@@ -1471,10 +1469,11 @@ impl CheckSession {
         // (their interned node changed even though nothing moved). With
         // no surviving re-keys it is exactly the connection dirty
         // region, whose grid already exists.
-        let d_bind = || (vp.foot.iter().copied()).chain(vp.rekeyed.iter().map(|&id| bboxes[id]));
+        let foot = vp.d_conn_grid.rects().iter().copied();
+        let d_bind = || foot.clone().chain(vp.rekeyed.iter().map(|&id| bboxes[id]));
         let d_bind_grid_wide = (vp.rekeyed.iter().any(|&id| !vp.dirty[id])).then(|| {
             let with_area: Vec<Rect> = d_bind().filter(|r| !r.is_degenerate()).collect();
-            rect_grid(&with_area, self.bound.cell_size())
+            FlatGrid::new(with_area, self.bound.cell_size())
         });
         let d_bind_grid = d_bind_grid_wide.as_ref().unwrap_or(&vp.d_conn_grid);
         // Decide which devices and labels re-bind. A binding (point →
@@ -1483,7 +1482,7 @@ impl CheckSession {
         // a device also re-rows when one of its own elements was
         // re-keyed (its join/bind edges reference the stale node).
         // The region's bounding box screens out the far-away points
-        // (nearly all of them) before the hashed grid lookup.
+        // (nearly all of them) before the grid lookup.
         let d_bind_bounds = d_bind().reduce(|a, b| a.bounding_union(&b));
         let in_d_bind = |p: Point| {
             d_bind_bounds.is_some_and(|b| b.contains_point(p))
@@ -1539,8 +1538,8 @@ impl CheckSession {
         let pads: Vec<Rect> = points
             .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
             .collect();
-        let pad_grid = rect_grid(&pads, self.bound.cell_size());
-        let mut ids = self.elements_near(&vp.view, &pads, &pad_grid, 0);
+        let pad_grid = FlatGrid::new(pads, self.bound.cell_size());
+        let mut ids = self.elements_near(&vp.view, &pad_grid, 0);
         ids.retain(|&id| element_is_netted(&vp.view, id));
         let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
 
@@ -1640,7 +1639,7 @@ impl CheckSession {
         gp: GraphPatch,
         stats: &mut EditStats,
     ) -> NetPatch {
-        let mut int_foot = std::mem::take(&mut vp.foot);
+        let mut int_foot = vp.d_conn_grid.rects().to_vec();
         let old_netlist = std::mem::take(&mut self.report.netlist);
         self.nets.patch(&gp.delta);
         stats.netlist_reused = gp.net_neutral;
@@ -1732,8 +1731,7 @@ impl CheckSession {
             netlist,
             fresh_nets,
             retired_names,
-            d_halo_grid: rect_grid(&d_halo, self.bound.cell_size()),
-            d_halo,
+            d_halo_grid: FlatGrid::new(d_halo, self.bound.cell_size()),
         }
     }
 
@@ -1747,7 +1745,7 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> (Vec<Violation>, InteractStats) {
         let reach = self.bound.max_rule_range();
-        let halo_ids = self.elements_near(&vp.view, &np.d_halo, &np.d_halo_grid, reach);
+        let halo_ids = self.elements_near(&vp.view, &np.d_halo_grid, reach);
         stats.halo_elements = halo_ids.len();
         check_interactions_among(
             &vp.view,
@@ -1803,7 +1801,7 @@ impl CheckSession {
         np: &NetPatch,
         stats: &mut EditStats,
     ) -> (Vec<Violation>, Vec<String>, ReportDelta) {
-        let anchored_in = |v: &Violation, grid: &GridIndex<()>| -> bool {
+        let anchored_in = |v: &Violation, grid: &FlatGrid| -> bool {
             v.location.is_none_or(|l| grid.touches_any(&l))
         };
         let primitives_rechecked = stats.primitives_rechecked;
@@ -2266,18 +2264,6 @@ impl PointIndex {
 /// The degenerate rect of a point.
 fn point_extent_at(p: Point) -> Rect {
     Rect::new(p.x, p.y, p.x, p.y)
-}
-
-/// A uniform grid over a dirty region's rects, for fast "does this bbox
-/// touch the dirty region" predicates (a whole-chip dirty region can
-/// hold thousands of rects; the linear scan in [`diic_geom::Region::touches_rect`]
-/// is the wrong tool for per-element loops).
-fn rect_grid(rects: &[Rect], cell: i64) -> diic_geom::GridIndex<()> {
-    let mut grid = diic_geom::GridIndex::new(cell);
-    for r in rects {
-        grid.insert(*r, ());
-    }
-    grid
 }
 
 /// Prefix sums of the per-item `(elements, devices)` run lengths: the

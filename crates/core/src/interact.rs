@@ -72,7 +72,7 @@ use crate::netgen::GraphNets;
 use crate::parallel::{effective_parallelism, run_ordered};
 use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_geom::{batch, Coord, GridIndex, Rect, SizingMode};
+use diic_geom::{batch, Coord, FlatGrid, Rect, SizingMode};
 use diic_tech::{DeviceArchetype, LayerId, Technology};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -265,7 +265,7 @@ pub fn check_interactions_among(
     nets: GraphNets<'_>,
     options: &CheckOptions,
     ids: &[usize],
-    clip: Option<&GridIndex<()>>,
+    clip: Option<&FlatGrid>,
 ) -> (Vec<Violation>, InteractStats) {
     let mut stats = InteractStats::default();
     if ids.is_empty() {

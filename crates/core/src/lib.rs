@@ -171,7 +171,7 @@ pub use report::{
     account, canonical_sort, canonical_sort_keyed, category_of, format_report, merge_keyed,
     render_line, ErrorRegions, InjectedError, ReportDelta,
 };
-pub use scope::{Neighbours, RowPlan, Scan, Scope, ScopeIds, ScopeStats, ScopeTable};
+pub use scope::{Neighbours, RowPlan, Scan, ScanIndex, Scope, ScopeIds, ScopeStats, ScopeTable};
 pub use spill::SpillFile;
 pub use violations::{CheckStage, Violation, ViolationKind};
 

@@ -95,7 +95,7 @@ use crate::connect::is_joining_class;
 use crate::parallel::{run_chunked, run_ordered};
 use crate::scope::{ScopeStats, ScopeTable};
 use diic_cif::NetLabel;
-use diic_geom::{GridIndex, Point};
+use diic_geom::{FlatGrid, Point};
 use diic_netlist::{
     assemble_netlist, canonical_nets, AssembleDevice, DeviceId, NetId, Netlist, NetlistWriter,
 };
@@ -119,11 +119,13 @@ fn covers(view: &ChipView, id: usize, layer: LayerId, p: Point) -> bool {
 }
 
 /// Spatial index over a set of bindable (netted) elements, for terminal
-/// and label point binding. Cells are sized from the technology's rule
-/// reach rather than a magic constant.
+/// and label point binding: a [`FlatGrid`] over their boxes, cells sized
+/// from the technology's rule reach rather than a magic constant, and
+/// the element id at each of its positions.
 #[derive(Debug)]
 pub struct BindIndex {
-    index: GridIndex<usize>,
+    grid: FlatGrid,
+    ids: Vec<usize>,
 }
 
 impl BindIndex {
@@ -131,26 +133,25 @@ impl BindIndex {
     /// netted elements; only they can bind): an edit session's halo, or
     /// one definition's elements for the table-driven binder.
     pub fn build_among(view: &ChipView, tech: &Technology, ids: &[usize]) -> BindIndex {
-        let mut index: GridIndex<usize> =
-            GridIndex::new(crate::interact::interaction_cell_size(tech));
         let bboxes = view.elements.bboxes();
-        for &id in ids {
-            index.insert(bboxes[id], id);
+        let rects = ids.iter().map(|&id| bboxes[id]).collect();
+        BindIndex {
+            grid: FlatGrid::new(rects, crate::interact::interaction_cell_size(tech)),
+            ids: ids.to_vec(),
         }
-        BindIndex { index }
+    }
+
+    /// The ids (ascending) of the indexed elements whose box holds `p`:
+    /// a single-cell lookup ([`FlatGrid::at`]), nothing allocated.
+    fn holding(&self, p: Point) -> impl Iterator<Item = usize> + '_ {
+        self.grid.at(p).map(|k| self.ids[k as usize])
     }
 
     /// Appends to `out` the ids (ascending) of the indexed elements
-    /// covering point `p` on `layer` — a single-cell lookup
-    /// ([`GridIndex::at`]) into the caller's buffer; nothing is
-    /// allocated per point.
+    /// covering point `p` on `layer`, into the caller's buffer; nothing
+    /// is allocated per point.
     pub fn elements_at(&self, view: &ChipView, layer: LayerId, p: Point, out: &mut Vec<usize>) {
-        out.extend(
-            self.index
-                .at(p)
-                .copied()
-                .filter(|&id| covers(view, id, layer, p)),
-        );
+        out.extend(self.holding(p).filter(|&id| covers(view, id, layer, p)));
     }
 }
 
@@ -266,10 +267,10 @@ impl PointBinder for ScopeBinder<'_> {
                 p.y.wrapping_sub(to.y.wrapping_sub(at.y)),
             );
             let shift = scope.run().start - home.run().start;
-            let candidates = self.indexes[k as usize].index.at(q);
+            let candidates = self.indexes[k as usize].holding(q);
             out.extend(
                 candidates
-                    .map(|&id| id + shift)
+                    .map(|id| id + shift)
                     .filter(|&id| covers(view, id, layer, p)),
             );
         }

@@ -44,7 +44,13 @@
 //! scope within reach of them is scanned against it, clipped to the
 //! loose box. Every scan is a [`Scan`] — the same query loop whatever
 //! stage or caller drives it — cut into tiles of
-//! [`DEFAULT_TILE_ELEMENTS`] scanned elements.
+//! [`DEFAULT_TILE_ELEMENTS`] scanned elements. What a scan searches is
+//! its [`ScanIndex`]: a [`FlatGrid`] built once over the boxes of the
+//! indexed elements and then only queried — a dense array of cells in
+//! compressed-row form, so a query reads a few slices into a reused
+//! buffer and hashes nothing. (The table's own grid over the scope boxes
+//! is a [`GridIndex`], whose candidate count is
+//! [`ScopeStats::neighbour_tests`].)
 //!
 //! The **direct scan** — every element of an id set against one index
 //! over the set, [`Scan::direct`] — is the plan's base case: a chip of
@@ -60,7 +66,7 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use diic_cif::{Item, SymbolId};
-use diic_geom::{Coord, GridIndex, Orientation, Point, Rect, Transform};
+use diic_geom::{Coord, FlatGrid, GridIndex, Orientation, Point, Rect, Transform};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -179,17 +185,13 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// A grid over the boxes of the indexed elements, cells `cell`
-    /// wide, payload the element id. Inserted in ascending order, so a
-    /// query returns ids ascending.
-    pub fn index(&self, bboxes: &[Rect], cell: Coord) -> GridIndex<usize> {
-        let mut index = GridIndex::new(cell);
-        for id in self.against.iter() {
-            if self.against_clip.is_none_or(|c| c.touches(&bboxes[id])) {
-                index.insert(bboxes[id], id);
-            }
-        }
-        index
+    /// The index [`Scan::pairs`] searches: a [`FlatGrid`] over the boxes
+    /// of the indexed elements, cells at least `cell` wide.
+    pub fn index(&self, bboxes: &[Rect], cell: Coord) -> ScanIndex {
+        let kept = |id: &usize| self.against_clip.is_none_or(|c| c.touches(&bboxes[*id]));
+        let ids: Vec<usize> = self.against.iter().filter(kept).collect();
+        let grid = FlatGrid::new(ids.iter().map(|&id| bboxes[id]).collect(), cell);
+        ScanIndex { grid, ids }
     }
 
     /// The scan's tiles: runs of at most [`DEFAULT_TILE_ELEMENTS`]
@@ -211,24 +213,36 @@ impl<'a> Scan<'a> {
     pub fn pairs(
         &self,
         bboxes: &[Rect],
-        index: &GridIndex<usize>,
+        index: &ScanIndex,
         reach: Coord,
         tile: Range<usize>,
         mut pair: impl FnMut(usize, usize),
     ) {
+        let mut hits = Vec::new();
         for local in tile {
             let i = self.ids.get(local);
             let bbox = &bboxes[i];
             if self.clip.is_some_and(|c| !c.touches(bbox)) {
                 continue;
             }
-            for &j in index.query(&grown(bbox, reach)) {
+            index.grid.query_into(&grown(bbox, reach), &mut hits);
+            for j in hits.iter().map(|&k| index.ids[k as usize]) {
                 if !self.within || j > i {
                     pair(i, j);
                 }
             }
         }
     }
+}
+
+/// What a [`Scan`] searches ([`Scan::index`]): a grid over its indexed
+/// elements' boxes, and the element id at each of the grid's positions.
+/// The ids ascend, so a query's positions, ascending, are its ids
+/// ascending.
+#[derive(Debug, Clone)]
+pub struct ScanIndex {
+    grid: FlatGrid,
+    ids: Vec<usize>,
 }
 
 /// What [`ScopeTable::rows`] planned: which row holds each call scope's

@@ -1,14 +1,26 @@
-//! Uniform-grid spatial index for interaction searches.
+//! Uniform-grid spatial indexes for interaction searches.
 //!
 //! The "check interactions" stage of the pipeline must find, for every
 //! element, the nearby elements it could interact with. A uniform grid over
 //! bucketed bounding boxes is simple, fast for layout data (bounded local
-//! density), and needs no balancing.
+//! density), and needs no balancing. There are two, one per way an index
+//! is used:
 //!
-//! Queries take `&self` and allocate only per-result scratch, so a
-//! populated index can be **shared across threads** (`GridIndex<T>` is
-//! `Sync` whenever `T` is) — the parallel interaction search builds the
-//! index once and fans queries out over a scoped thread pool.
+//! * [`FlatGrid`] — **built once, then only queried**: every pair scan
+//!   (a row fill, a loose scan, the direct scan over an edit's halo),
+//!   every bind index, every dirty-region predicate of an edit. Its cells
+//!   are one dense array in compressed-row form — a `starts` offset per
+//!   cell into one `entries` list of positions — filled in two passes,
+//!   so a query is a few slice reads: no hashing, and nothing allocated
+//!   but the caller's reused buffer.
+//! * [`GridIndex`] — **items come and go**: an edit session's element
+//!   index and label index, which take inserts and removes on every edit,
+//!   and the scope table's grid. Its cells are hashed buckets, so it
+//!   needs no extent up front and a removal is local.
+//!
+//! Queries take `&self`, so a built index can be **shared across
+//! threads** — the parallel searches build an index once and fan queries
+//! out over a scoped thread pool.
 //!
 //! No rectangle costs more than the index holds: an item covering more
 //! cells than the index has slots (with a floor of 64) stays out of the
@@ -16,9 +28,13 @@
 //! scans the slots instead of walking its cells — the rule
 //! `ScopeTable::neighbours` applies to scopes. A box spanning the whole
 //! coordinate range is one entry, not a bucket for each of its 2⁸⁰-odd
-//! cells. Coordinates come from outside the program, so the file denies
-//! `clippy::arithmetic_side_effects`: every cell count saturates, and
-//! the hash and the counters say how they wrap or why they cannot.
+//! cells. A [`FlatGrid`]'s array is bounded the same way: its cells grow
+//! until there are at most four per item (64 at least), so far-apart
+//! items make coarse cells, never a chip-sized array. Coordinates come
+//! from outside the program, so the file denies
+//! `clippy::arithmetic_side_effects`: every cell count is taken in
+//! `u128` or saturates, and the hash and the counters say how they wrap
+//! or why they cannot.
 
 #![deny(clippy::arithmetic_side_effects)]
 
@@ -142,14 +158,28 @@ struct CellSpan {
 }
 
 impl CellSpan {
+    /// The cells `r` covers at cells `cell` wide (`cell` ≥ 1).
+    fn of(r: &Rect, cell: Coord) -> CellSpan {
+        CellSpan {
+            x: (r.x1.div_euclid(cell), r.x2.div_euclid(cell)),
+            y: (r.y1.div_euclid(cell), r.y2.div_euclid(cell)),
+        }
+    }
+
     /// How many cells the span covers, saturating (`u64` holds the
     /// side of any span; the product of two may not).
     fn count(&self) -> u64 {
+        let (x, y) = self.sides();
+        x.saturating_mul(y)
+    }
+
+    /// How many cells the span covers along x and along y.
+    fn sides(&self) -> (u64, u64) {
         let side = |(lo, hi): (Coord, Coord)| match hi < lo {
             true => 0,
             false => hi.abs_diff(lo).saturating_add(1),
         };
-        side(self.x).saturating_mul(side(self.y))
+        (side(self.x), side(self.y))
     }
 
     /// True if the two spans cover a common cell.
@@ -473,11 +503,250 @@ impl<T> GridIndex<T> {
 
     /// The cells a rectangle covers.
     fn span(&self, r: &Rect) -> CellSpan {
-        let c = self.cell;
-        CellSpan {
-            x: (r.x1.div_euclid(c), r.x2.div_euclid(c)),
-            y: (r.y1.div_euclid(c), r.y2.div_euclid(c)),
+        CellSpan::of(r, self.cell)
+    }
+}
+
+/// A uniform grid built once over a list of rectangles and then only
+/// queried (see the module docs). Queries answer **positions** in that
+/// list, ascending, so a caller keeps its own table of what each
+/// position stands for.
+///
+/// The grid covers the bounding box of its items with a dense array of
+/// `nx × ny` cells, each a run of `entries` between two `starts`. The
+/// cells are the caller's size or larger: the size doubles until there
+/// are at most `max(4n, 64)` of them. An item covering more cells (at the
+/// caller's size) than `max(n, 64)` goes on a side list instead, which
+/// every query tests directly.
+///
+/// # Example
+///
+/// ```
+/// use diic_geom::{FlatGrid, Point, Rect};
+/// let grid = FlatGrid::new(vec![Rect::new(0, 0, 50, 50), Rect::new(500, 500, 550, 550)], 100);
+/// let mut hits = Vec::new();
+/// grid.query_into(&Rect::new(0, 0, 60, 60), &mut hits);
+/// assert_eq!(hits, [0]);
+/// assert!(grid.touches_any(&Rect::new(550, 550, 600, 600)));
+/// assert_eq!(grid.at(Point::new(520, 510)).collect::<Vec<_>>(), [1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlatGrid {
+    rects: Vec<Rect>,
+    cell: Coord,
+    /// The cell key `(x, y)` of the array's first cell.
+    origin: (Coord, Coord),
+    /// Columns and rows of the array; cell `(x, y)` is number
+    /// `y · nx + x`.
+    nx: usize,
+    ny: usize,
+    /// Cell `c` holds `entries[starts[c] .. starts[c + 1]]`.
+    starts: Vec<u32>,
+    /// The positions each cell holds, ascending within a cell.
+    entries: Vec<u32>,
+    /// Positions of the items too wide for the cells, ascending.
+    wide: Vec<u32>,
+}
+
+/// The array cells a rectangle covers: inclusive column and row ranges.
+type LocalSpan = ((usize, usize), (usize, usize));
+
+impl FlatGrid {
+    /// Indexes `rects` (position `k` is `rects[k]`) over cells at least
+    /// `cell_size` wide (clamped to ≥ 1): counted, prefix-summed and
+    /// filled in two passes over the items.
+    pub fn new(rects: Vec<Rect>, cell_size: Coord) -> FlatGrid {
+        // invariant: 2³² rectangles would be over a hundred GB.
+        let n = u32::try_from(rects.len()).expect("positions are addressed by u32");
+        let base = cell_size.max(1);
+        let slots = u64::try_from(rects.len().max(WIDE_FLOOR)).unwrap_or(u64::MAX);
+        let (mut wide, mut bounds) = (Vec::new(), None::<Rect>);
+        for (k, r) in (0..n).zip(&rects) {
+            if CellSpan::of(r, base).count() > slots {
+                wide.push(k);
+            } else {
+                bounds = Some(bounds.map_or(*r, |b| b.bounding_union(r)));
+            }
         }
+        let mut grid = FlatGrid {
+            rects,
+            cell: base,
+            origin: (0, 0),
+            nx: 0,
+            ny: 0,
+            starts: vec![0],
+            entries: Vec::new(),
+            wide,
+        };
+        let Some(bounds) = bounds else {
+            return grid;
+        };
+        let limit = u128::from(n).saturating_mul(4).max(WIDE_FLOOR as u128);
+        let cells_at = |cell: Coord| {
+            let (x, y) = CellSpan::of(&bounds, cell).sides();
+            u128::from(x).saturating_mul(u128::from(y))
+        };
+        // Terminates: at `Coord::MAX` any box covers at most 4 × 4 cells.
+        while cells_at(grid.cell) > limit {
+            grid.cell = grid.cell.saturating_mul(2);
+        }
+        let span = CellSpan::of(&bounds, grid.cell);
+        let (nx, ny) = span.sides();
+        // invariant: the array holds at most `max(4n, 64)` cells.
+        let side = |s: u64| usize::try_from(s).expect("the array is bounded by the items");
+        (grid.origin, grid.nx, grid.ny) = ((span.x.0, span.y.0), side(nx), side(ny));
+        let cells = grid.nx.saturating_mul(grid.ny);
+
+        // Pass 1: `starts[c]` counts cell `c`'s entries, then holds where
+        // they end. Pass 2 walks the items backwards and fills each cell
+        // from its end, so a cell lists its positions ascending and
+        // `starts[c]` ends up where they begin.
+        let mut starts = vec![0u32; cells.saturating_add(1)];
+        let filed = |k: &u32| grid.wide.binary_search(k).is_err();
+        for k in (0..n).filter(filed) {
+            for c in grid.cells_of(grid.local_span(&grid.rects[k as usize])) {
+                starts[c] = starts[c].saturating_add(1);
+            }
+        }
+        let mut total = 0u32;
+        for start in &mut starts {
+            // invariant: a grid of 2³² entries would be sixteen GB of them.
+            total = total
+                .checked_add(*start)
+                .expect("entries are addressed by u32");
+            *start = total;
+        }
+        let mut entries = vec![0u32; total as usize];
+        for k in (0..n).rev().filter(filed) {
+            for c in grid.cells_of(grid.local_span(&grid.rects[k as usize])) {
+                // invariant: pass 1 counted this entry into the cell.
+                starts[c] = starts[c].saturating_sub(1);
+                entries[starts[c] as usize] = k;
+            }
+        }
+        (grid.starts, grid.entries) = (starts, entries);
+        grid
+    }
+
+    /// The indexed rectangles, by position.
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+
+    /// The cell size the grid chose: the caller's, or a power-of-two
+    /// multiple of it.
+    pub fn cell_size(&self) -> Coord {
+        self.cell
+    }
+
+    /// Cells in the dense array: at most `max(4n, 64)`.
+    pub fn cell_count(&self) -> usize {
+        self.nx.saturating_mul(self.ny)
+    }
+
+    /// Replaces `out` with the positions of the rectangles that
+    /// **touch** `query` (closed-sense), ascending, each once — what
+    /// [`GridIndex::query_handles`] answers for the same rectangles
+    /// inserted in order. Nothing is allocated once `out` has grown to
+    /// the answer's size.
+    pub fn query_into(&self, query: &Rect, out: &mut Vec<u32>) {
+        out.clear();
+        let touches = |k: &&u32| self.rects[**k as usize].touches(query);
+        let mut sorted = true;
+        if let Some(span) = self.local_span(query) {
+            if self.is_wide_query(span) {
+                let all = (0u32..).zip(&self.rects);
+                out.extend(all.filter(|(_, r)| r.touches(query)).map(|(k, _)| k));
+                return;
+            }
+            let ((x1, x2), (y1, y2)) = span;
+            for y in y1..=y2 {
+                out.extend(self.row_run(y, x1, x2).iter().filter(touches));
+            }
+            sorted = x1 == x2 && y1 == y2;
+        }
+        let cells = out.len();
+        out.extend(self.wide.iter().filter(touches));
+        if !sorted || (cells > 0 && out.len() > cells) {
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
+
+    /// True if any rectangle touches `query` — [`FlatGrid::query_into`]
+    /// without the answer.
+    pub fn touches_any(&self, query: &Rect) -> bool {
+        let touches = |k: &u32| self.rects[*k as usize].touches(query);
+        if let Some(span) = self.local_span(query) {
+            if self.is_wide_query(span) {
+                return self.rects.iter().any(|r| r.touches(query));
+            }
+            let ((x1, x2), (y1, y2)) = span;
+            if (y1..=y2).any(|y| self.row_run(y, x1, x2).iter().any(touches)) {
+                return true;
+            }
+        }
+        self.wide.iter().any(touches)
+    }
+
+    /// Positions of the rectangles that contain `p` (closed-sense),
+    /// ascending: one cell merged with the side list, nothing allocated.
+    pub fn at(&self, p: Point) -> impl Iterator<Item = u32> + '_ {
+        let local = |v: Coord, origin: Coord, len: usize| {
+            let k = v.div_euclid(self.cell).checked_sub(origin)?;
+            usize::try_from(k).ok().filter(|&k| k < len)
+        };
+        let cell = local(p.x, self.origin.0, self.nx)
+            .zip(local(p.y, self.origin.1, self.ny))
+            .map_or(&[][..], |(x, y)| self.row_run(y, x, x));
+        Ascending(cell, &self.wide).filter(move |&k| self.rects[k as usize].contains_point(p))
+    }
+
+    /// The array cells `r` covers, clamped to the array; `None` if it
+    /// misses the array.
+    fn local_span(&self, r: &Rect) -> Option<LocalSpan> {
+        let span = CellSpan::of(r, self.cell);
+        let axis = |(lo, hi): (Coord, Coord), origin: Coord, len: usize| {
+            let last = i128::try_from(len.checked_sub(1)?).ok()?;
+            let (lo, hi) = (
+                i128::from(lo).saturating_sub(origin.into()),
+                i128::from(hi).saturating_sub(origin.into()),
+            );
+            let clamp = |v: i128| usize::try_from(v.clamp(0, last)).ok();
+            (hi >= 0 && lo <= last).then_some(())?;
+            Some((clamp(lo)?, clamp(hi)?))
+        };
+        Some((
+            axis(span.x, self.origin.0, self.nx)?,
+            axis(span.y, self.origin.1, self.ny)?,
+        ))
+    }
+
+    /// True if a query over `span` should scan the items rather than
+    /// walk its cells: it covers more cells than there are items.
+    fn is_wide_query(&self, ((x1, x2), (y1, y2)): LocalSpan) -> bool {
+        let side = |lo: usize, hi: usize| hi.saturating_sub(lo).saturating_add(1);
+        side(x1, x2).saturating_mul(side(y1, y2)) > self.rects.len()
+    }
+
+    /// Cell numbers of a local span (none for `None`).
+    fn cells_of(&self, span: Option<LocalSpan>) -> impl Iterator<Item = usize> {
+        let nx = self.nx;
+        span.into_iter().flat_map(move |((x1, x2), (y1, y2))| {
+            (y1..=y2).flat_map(move |y| {
+                let row = y.saturating_mul(nx);
+                (x1..=x2).map(move |x| row.saturating_add(x))
+            })
+        })
+    }
+
+    /// The entries of the cells `x1 ..= x2` of row `y`: one slice, as a
+    /// row's cells are consecutive in the array.
+    fn row_run(&self, y: usize, x1: usize, x2: usize) -> &[u32] {
+        let row = y.saturating_mul(self.nx);
+        let from = self.starts[row.saturating_add(x1)] as usize;
+        let to = self.starts[row.saturating_add(x2).saturating_add(1)] as usize;
+        &self.entries[from..to]
     }
 }
 

@@ -62,7 +62,7 @@ pub mod width;
 pub mod wire;
 
 pub use edge::Segment;
-pub use index::GridIndex;
+pub use index::{FlatGrid, GridIndex};
 pub use point::{Point, Vector};
 pub use polygon::Polygon;
 pub use raster::Raster;

@@ -1,7 +1,7 @@
 //! Regions: canonical sets of disjoint rectangles with Boolean algebra.
 
 use crate::boolean::{boolean_op, BoolOp};
-use crate::{Coord, GeomError, GridIndex, Point, Polygon, Rect, Wire};
+use crate::{Coord, FlatGrid, GeomError, Point, Polygon, Rect, Wire};
 
 /// A (possibly disconnected, possibly hole-y) rectilinear area, stored as a
 /// normalised list of disjoint axis-aligned rectangles.
@@ -223,17 +223,18 @@ impl Region {
             .max()
             .unwrap_or(1)
             .max(1);
-        let mut index: GridIndex<u32> = GridIndex::new(typical.saturating_mul(4));
+        let index = FlatGrid::new(self.rects.clone(), typical.saturating_mul(4));
+        let mut hits = Vec::new();
         for (i, r) in self.rects.iter().enumerate() {
-            // Query before inserting: every touching pair (i, j) with
-            // j < i is discovered exactly once, from i's probe.
-            for &j in index.query(r) {
+            // Every touching pair (i, j) is united once, from the later
+            // one's probe, lower `j` first.
+            index.query_into(r, &mut hits);
+            for &j in hits.iter().take_while(|&&j| (j as usize) < i) {
                 let (ri, rj) = (find(&mut parent, i as u32), find(&mut parent, j));
                 if ri != rj {
                     parent[ri as usize] = rj;
                 }
             }
-            index.insert(*r, i as u32);
         }
         // Group members per root, preserving ascending rect order within
         // each group (iteration is in index order).

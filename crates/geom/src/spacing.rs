@@ -10,7 +10,7 @@
 
 use crate::size::SizingMode;
 use crate::width::isqrt;
-use crate::{Coord, GridIndex, Polygon, Rect, Region};
+use crate::{Coord, FlatGrid, Polygon, Rect, Region};
 
 /// A minimum-spacing violation marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,16 +82,15 @@ pub fn check_region_spacing(
     if a.is_empty() || b.is_empty() {
         return out;
     }
-    let mut index = GridIndex::new(min_spacing.max(1) * 4);
-    for (i, r) in b.rects().iter().enumerate() {
-        index.insert(*r, i);
-    }
+    let index = FlatGrid::new(b.rects().to_vec(), min_spacing.max(1) * 4);
+    let mut hits = Vec::new();
     for ra in a.rects() {
         let query = ra
             .inflate(min_spacing)
             .expect("inflating by positive amount cannot fail");
-        for &&ib in index.query(&query).iter() {
-            let rb = b.rects()[ib];
+        index.query_into(&query, &mut hits);
+        for &ib in &hits {
+            let rb = b.rects()[ib as usize];
             if let Some(v) = check_rect_spacing(ra, &rb, min_spacing, mode) {
                 out.push(v);
             }

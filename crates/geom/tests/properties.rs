@@ -4,12 +4,32 @@ use diic_geom::boolean::{boolean_op, BoolOp};
 use diic_geom::size::{closing, expand, opening, shrink};
 use diic_geom::skeleton::Skeleton;
 use diic_geom::width::shrink_expand_compare;
-use diic_geom::{GridIndex, Point, Rect, Region};
+use diic_geom::{FlatGrid, GridIndex, Point, Rect, Region, MAX_COORD};
 use proptest::prelude::*;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (-200i64..200, -200i64..200, 1i64..150, 1i64..150)
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+}
+
+/// Rectangles for the spatial-index properties: boxes and degenerate
+/// points in one of three clusters — around the origin, or near either
+/// end of the coordinate range, far enough apart to force a flat grid's
+/// cells to grow — rails across the whole range, and boxes spanning it.
+fn arb_index_rect() -> impl Strategy<Value = Rect> {
+    let m = MAX_COORD;
+    (0u8..16, 0u8..3, -60i64..60, -60i64..60, 0i64..90, 0i64..90).prop_map(
+        move |(kind, cluster, x, y, w, h)| {
+            let at = [0, m - 1000, -m][cluster as usize];
+            let (x, y) = (at + x * 10, y * 10);
+            match kind {
+                0 => Rect::new(-m, -m, m, m),
+                1 => Rect::new(-m, y, m, y + h),
+                2 | 3 => Rect::new(x, y, x, y),
+                _ => Rect::new(x, y, (x + w).min(m), y + h),
+            }
+        },
+    )
 }
 
 fn arb_rects(max: usize) -> impl Strategy<Value = Vec<Rect>> {
@@ -147,22 +167,55 @@ proptest! {
         }
     }
 
+    /// The churnable grid answers what a scan of the rectangles does, and
+    /// a grid built once answers exactly what the churnable one does over
+    /// the same rectangles inserted in order: the positions, ascending,
+    /// of what touches a box or holds a point.
     #[test]
-    fn grid_index_matches_brute_force(rects in arb_rects(20), query in arb_rect()) {
-        let mut idx = GridIndex::new(50);
-        for (i, r) in rects.iter().enumerate() {
-            idx.insert(*r, i);
+    fn grid_indexes_match_brute_force_and_each_other(
+        rects in proptest::collection::vec(arb_index_rect(), 0..60),
+        copies in proptest::collection::vec(0usize..60, 0..6),
+        queries in proptest::collection::vec(arb_index_rect(), 1..10),
+        cell in 1i64..200,
+    ) {
+        let mut rects = rects;
+        // Duplicates: some rectangles again, later in the list.
+        for k in copies {
+            if let Some(&r) = rects.get(k) {
+                rects.push(r);
+            }
         }
-        let mut hits: Vec<usize> = idx.query(&query).into_iter().copied().collect();
-        hits.sort_unstable();
-        let mut expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.touches(&query))
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(hits, expected);
+        let flat = FlatGrid::new(rects.clone(), cell);
+        let mut grid = GridIndex::new(cell);
+        for (k, r) in rects.iter().enumerate() {
+            grid.insert(*r, k as u32);
+        }
+        prop_assert!(flat.cell_count() <= (4 * rects.len()).max(64), "{} cells", flat.cell_count());
+        prop_assert!(flat.cell_size() >= cell);
+        // Each query as drawn, and boxes of one to a few of the grid's
+        // own cells around its corner: a few cells each, so the grid
+        // walks them rather than scanning every rectangle.
+        let c = flat.cell_size();
+        let around = |q: &Rect, half: i64| {
+            let (x, y) = (q.x1.clamp(-MAX_COORD, MAX_COORD), q.y1.clamp(-MAX_COORD, MAX_COORD));
+            Rect::new(x - half, y - half, x + half, y + half)
+        };
+        let probes = queries.iter().flat_map(|q| [*q, around(q, c / 2), around(q, c), around(q, 2 * c)]);
+        let mut got = vec![u32::MAX];
+        for q in &probes.collect::<Vec<_>>() {
+            let want = grid.query_handles(q);
+            let touching = (0..rects.len() as u32).filter(|&k| rects[k as usize].touches(q));
+            prop_assert_eq!(&want, &touching.collect::<Vec<_>>(), "{:?}", q);
+            flat.query_into(q, &mut got);
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(&got, &want, "{:?}", q);
+            prop_assert_eq!(flat.touches_any(q), !want.is_empty());
+            for p in [Point::new(q.x1, q.y1), Point::new(q.x2, q.y1), Point::new(q.x1, q.y2)] {
+                let at: Vec<u32> = flat.at(p).collect();
+                let want: Vec<u32> = grid.at(p).copied().collect();
+                prop_assert_eq!(at, want, "{:?}", p);
+            }
+        }
     }
 
     #[test]

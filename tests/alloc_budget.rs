@@ -1,6 +1,8 @@
 //! Counted budgets, not timings: allocator calls per flat element for
 //! instantiation, for building the net graph, for assembling the net
-//! list, and for a whole check. A name used to be a heap object of its
+//! list, and for a whole check; the calls of a small library batch (a
+//! check's fixed cost) and of a fixed run of edits on a session (an
+//! edit's cost). A name used to be a heap object of its
 //! own — a `Box<str>` per interned string, a `String` per net-list
 //! name, alias and terminal — and the net-list stage used to draft every
 //! device row twice; what the pipeline allocates now is its columns, its
@@ -12,7 +14,8 @@ use diic::cif::NetLabel;
 use diic::core::netgen::NetParts;
 use diic::core::{
     check_connections, check_library_buffered, check_with_sink, instantiate, max_rule_range,
-    CheckOptions, CountingSink, LayerBinding, LibraryOptions, ScopeTable, StageEngine,
+    CheckOptions, CheckSession, CountingSink, EditSet, LayerBinding, LibraryOptions, ScopeTable,
+    StageEngine,
 };
 use diic::tech::nmos::nmos_technology;
 use diic::tech::LayerId;
@@ -65,12 +68,21 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 77 890 in a release build, 143 656 in a debug one (whose
+/// set: 62 918 in a release build, 128 185 in a debug one (whose
 /// oracles allocate). A batch may take 5 % more, no further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    143_656
+    128_185
 } else {
-    77_890
+    62_918
+};
+
+/// Allocator calls of the edit run below when this budget was set:
+/// 22 795 in a release build, 606 292 in a debug one (whose oracles
+/// re-check the chip). A run may take 5 % more, no further.
+const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
+    606_292
+} else {
+    22_795
 };
 
 /// Allocator calls `f` makes on this thread, and its result.
@@ -169,5 +181,46 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
         batches[0] * 100 <= LIBRARY_BATCH_CALLS * 105,
         "check_library_buffered: {} calls, {per_cell:.1} per cell",
         batches[0]
+    );
+
+    // An edit's cost: 16 moves of top-level items, each undone, on a
+    // session over a clean 24 × 12 chip, counted twice on fresh sessions.
+    let chip = diic::gen::generate(&diic::gen::ChipSpec::clean(24, 12));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let items = layout.top_items().len();
+    let moves: Vec<EditSet> = (0..16usize)
+        .flat_map(|k| {
+            let (index, dx) = ((k * 97) % items, 250 * (1 + k as i64 % 3));
+            let (mut there, mut back) = (EditSet::new(), EditSet::new());
+            there.translate(index, dx, 0);
+            back.translate(index, -dx, 0);
+            [there, back]
+        })
+        .collect();
+    let runs: Vec<u64> = (0..2)
+        .map(|_| {
+            let mut session = CheckSession::new(layout.clone(), &tech, &options);
+            let calls = counted(|| {
+                for edits in &moves {
+                    session
+                        .apply(edits)
+                        .expect("a move within the chip applies");
+                }
+            });
+            calls.0
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "the edit counts repeat exactly");
+    println!(
+        "{} edits on a {items}-item session: {} allocator calls ({:.1} per edit)",
+        moves.len(),
+        runs[0],
+        runs[0] as f64 / moves.len() as f64
+    );
+    assert!(
+        runs[0] * 100 <= EDIT_RUN_CALLS * 105,
+        "CheckSession::apply: {} calls over {} edits",
+        runs[0],
+        moves.len()
     );
 }

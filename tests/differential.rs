@@ -398,7 +398,6 @@ proptest! {
             prop_assert_eq!(e.net_declared(), rec.net_declared);
             prop_assert_eq!(e.path(), rec.path);
             prop_assert_eq!(e.device(), rec.device);
-            prop_assert_eq!(e.source(), rec.source);
             prop_assert_eq!(e.has_skeleton(), rec.skeleton.is_some());
             let scaled = rec.skeleton.as_ref().map(|s| s.scaled_rects()).unwrap_or(&[]);
             prop_assert_eq!(e.skeleton(), scaled);
