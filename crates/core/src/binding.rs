@@ -55,6 +55,7 @@
 //! through the boxed form is lossless — the eighth differential-oracle
 //! leg (`tests/differential.rs`) pins it on generated chips.
 
+use crate::library::{CellDefinitions, Definition};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::hierarchy::{self, HierarchyStats};
 use diic_cif::{Call, Item, LayerRef, Layout, Shape, SymbolId};
@@ -63,6 +64,7 @@ use diic_geom::{Orientation, Point, Rect, Region, Transform, Vector};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// A `u32`-keyed handle into a [`StringInterner`]: the interned form of
 /// an element's `path` / `net_key` and a [`DeviceInstance`]'s
@@ -1086,7 +1088,9 @@ impl std::fmt::Display for InstantiateStats {
 /// do not commute with rotation, so the orientation is part of the
 /// template's key, never of the stamp). Symbols used once and loose
 /// top-level elements take the plain walk; there is no other derivation.
-/// Templates live for this call only.
+/// Templates live for this call only — in a library session, for the
+/// session once a second cell presents the definition (see
+/// [`crate::library::LibraryCache`]).
 ///
 /// The top-level items are walked in order on the calling thread.
 ///
@@ -1104,8 +1108,22 @@ pub fn instantiate(
     binding: &LayerBinding,
     seed: StringInterner,
 ) -> (ChipView, Vec<(usize, usize)>) {
+    instantiate_in(layout, tech, binding, seed, None)
+}
+
+/// [`instantiate`], with the templates of a library session's cell
+/// taken from, and kept in, the session's cache when `shared` is given.
+/// A kept template is the one the walk derived for an earlier cell under
+/// the same content key, so the view is the same either way.
+pub(crate) fn instantiate_in(
+    layout: &Layout,
+    tech: &Technology,
+    binding: &LayerBinding,
+    seed: StringInterner,
+    shared: Option<&CellDefinitions<'_>>,
+) -> (ChipView, Vec<(usize, usize)>) {
     let hier = hierarchy::stats(layout);
-    let templates = build_templates(layout, tech, binding, &hier);
+    let templates = build_templates(layout, tech, binding, &hier, shared);
     let walker = Walker {
         layout,
         tech,
@@ -1189,7 +1207,7 @@ const TEMPLATE_ROOT: &str = "~";
 /// path*, its declared keys `~.` + *…name*, its auto keys `#~` +
 /// *relative path* + `:{layer}:{x1},{y1},{x2},{y2}` — each the
 /// instance's own string with the root where the instance path goes.
-struct Template {
+pub(crate) struct Template {
     block: ChipView,
     /// The handles of `block.strings` that elements and devices use as
     /// paths, each once — a stamp interns one string per distinct path,
@@ -1201,7 +1219,7 @@ struct Template {
     verified: std::sync::atomic::AtomicBool,
 }
 
-type Templates = HashMap<(SymbolId, Orientation), Template>;
+type Templates = HashMap<(SymbolId, Orientation), Arc<Template>>;
 
 /// The buffers a [`Template::stamp`] fills and leaves behind — the text
 /// of the string being re-rooted and the two handle tables — kept by the
@@ -1219,12 +1237,14 @@ struct StampScratch {
 /// Derives a template for every `(symbol, orientation)` the hierarchy
 /// instantiates more than once, children before parents — so a parent's
 /// walk finds its children's templates and stamps them, and total work
-/// is one derivation per definition plus copying.
+/// is one derivation per definition plus copying. With `shared`, a
+/// library session's cache answers the definitions it keeps.
 fn build_templates(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
     hier: &HierarchyStats,
+    shared: Option<&CellDefinitions<'_>>,
 ) -> Templates {
     let mut templates = Templates::new();
     for symbol in hierarchy::topological_order(layout) {
@@ -1238,24 +1258,10 @@ fn build_templates(
                 binding,
                 templates: &templates,
             };
-            let call = Item::Call(Call {
-                target: symbol,
-                transform: Transform::new(orient, Vector::ZERO),
-                name: TEMPLATE_ROOT.to_string(),
-            });
-            let mut block = ChipView::default();
-            walker.walk(&call, Scope::TOP, &mut block);
-            let mut seen = vec![false; block.strings.len()];
-            let paths = (block.elements.paths().iter())
-                .chain(block.devices.iter().map(|d| &d.path))
-                .filter(|p| !std::mem::replace(&mut seen[p.0 as usize], true))
-                .copied()
-                .collect();
-            let template = Template {
-                block,
-                paths,
-                #[cfg(debug_assertions)]
-                verified: Default::default(),
+            let derive = || Template::derive(&walker, symbol, orient);
+            let template = match shared {
+                Some(shared) => shared.template(symbol, orient, derive),
+                None => Arc::new(derive()),
             };
             templates.insert((symbol, orient), template);
         }
@@ -1264,6 +1270,31 @@ fn build_templates(
 }
 
 impl Template {
+    /// The walk of a call of `symbol` under `Transform::new(orient,
+    /// Vector::ZERO)` and the path [`TEMPLATE_ROOT`], stamping the
+    /// templates `walker` holds.
+    fn derive(walker: &Walker<'_>, symbol: SymbolId, orient: Orientation) -> Template {
+        let call = Item::Call(Call {
+            target: symbol,
+            transform: Transform::new(orient, Vector::ZERO),
+            name: TEMPLATE_ROOT.to_string(),
+        });
+        let mut block = ChipView::default();
+        walker.walk(&call, Scope::TOP, &mut block);
+        let mut seen = vec![false; block.strings.len()];
+        let paths = (block.elements.paths().iter())
+            .chain(block.devices.iter().map(|d| &d.path))
+            .filter(|p| !std::mem::replace(&mut seen[p.0 as usize], true))
+            .copied()
+            .collect();
+        Template {
+            block,
+            paths,
+            #[cfg(debug_assertions)]
+            verified: Default::default(),
+        }
+    }
+
     /// Appends one instance to `view`: the block translated by `offset`,
     /// `path` (non-empty) in place of the root in every string. Under an
     /// enclosing `device` the instance's elements join that device and
@@ -1355,6 +1386,25 @@ impl Template {
         view.violations.extend(block.violations.iter().cloned());
         view.instantiate_stats.instances_stamped += 1;
         view.instantiate_stats.elements_stamped += count;
+    }
+}
+
+impl Definition for Template {
+    #[cfg(debug_assertions)]
+    fn assert_same(&self, fresh: &Template) {
+        let paths = |t: &Template| -> Vec<String> {
+            t.paths
+                .iter()
+                .map(|&p| t.block.str(p).to_string())
+                .collect()
+        };
+        assert_eq!(
+            (self.block.resolved_tail(0, 0), paths(self)),
+            (fresh.block.resolved_tail(0, 0), paths(fresh)),
+            "a kept template must equal the walk of its definition"
+        );
+        assert_eq!(self.block.violations, fresh.block.violations);
+        assert_eq!(self.block.instantiate_stats, fresh.block.instantiate_stats);
     }
 }
 

@@ -16,15 +16,15 @@
 //! technology constants, cache and warm interner; an edit session's
 //! open runs it and keeps the artefacts it patches from then on.
 
-use crate::binding::{instantiate, ChipView, LayerBinding, StringInterner};
+use crate::binding::{instantiate_in, ChipView, LayerBinding, StringInterner};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::connect::check_connections;
 use crate::element_checks::check_elements;
 use crate::interact::check_interactions;
-use crate::library::{BoundTechnology, LibraryCache};
+use crate::library::{BoundTechnology, CellDefinitions, LibraryCache};
 use crate::netgen::NetParts;
 use crate::parallel::effective_parallelism;
-use crate::primitive_checks::check_primitive_symbols;
+use crate::primitive_checks::check_primitive_symbols_in;
 use crate::scope::ScopeTable;
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
@@ -564,11 +564,13 @@ fn timed<T>(
 
 /// The paper's Fig. 10 pipeline over `layout`, every step in order (see
 /// the module docs), each violation moved into `sink`. `bound` must have
-/// been built for `tech`. `cache` shares interaction candidate fills
-/// across a library batch's cells, and `seed` is the interner the view's
-/// string table starts from (a batch worker's warm one). Neither changes
-/// a byte of the report: a shared fill is the bytes a local one would
-/// be, and interner handles never reach rendered output.
+/// been built for `tech`. `cache` shares interaction candidate fills,
+/// instantiation templates and primitive verdicts across a library
+/// batch's cells (keyed by content, [`CellDefinitions`]; no key is
+/// computed without it), and `seed` is the interner the view's string
+/// table starts from (a batch worker's warm one). Neither changes a byte
+/// of the report: a shared fill, template or verdict is what the cell
+/// would have derived, and interner handles never reach rendered output.
 ///
 /// The report's `violations` are what `sink` still buffers: everything
 /// for a [`DiagnosticSink`], nothing for a streaming or counting one.
@@ -583,24 +585,27 @@ pub(crate) fn run_pipeline(
 ) -> (CheckReport, SessionArtefacts) {
     let workers = effective_parallelism(options.parallelism);
     let mut profile = Vec::with_capacity(7);
-    let (binding, mut view, runs, scopes) = timed(&mut profile, "instantiate", sink, |sink| {
-        let (binding, bind_violations) = LayerBinding::bind(layout, tech);
-        sink.absorb(bind_violations);
-        let (mut view, runs) = instantiate(layout, tech, &binding, seed);
-        sink.append(&mut view.violations);
-        let scopes = ScopeTable::build(
-            layout.top_items(),
-            runs.iter().map(|&(elements, _)| elements),
-            view.elements.bboxes(),
-            bound.max_rule_range(),
-        );
-        (binding, view, runs, scopes)
-    });
+    let (binding, shared, mut view, runs, scopes) =
+        timed(&mut profile, "instantiate", sink, |sink| {
+            let (binding, bind_violations) = LayerBinding::bind(layout, tech);
+            sink.absorb(bind_violations);
+            let shared =
+                cache.map(|cache| CellDefinitions::new(cache, layout, &binding, bound.revision()));
+            let (mut view, runs) = instantiate_in(layout, tech, &binding, seed, shared.as_ref());
+            sink.append(&mut view.violations);
+            let scopes = ScopeTable::build(
+                layout.top_items(),
+                runs.iter().map(|&(elements, _)| elements),
+                view.elements.bboxes(),
+                bound.max_rule_range(),
+            );
+            (binding, shared, view, runs, scopes)
+        });
     timed(&mut profile, "elements", sink, |sink| {
         sink.absorb(check_elements(layout, tech, &binding));
     });
     let waived_devices = timed(&mut profile, "primitives", sink, |sink| {
-        let prim = check_primitive_symbols(layout, tech, &binding);
+        let prim = check_primitive_symbols_in(layout, tech, &binding, shared.as_ref());
         sink.absorb(prim.violations);
         prim.waived
     });

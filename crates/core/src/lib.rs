@@ -164,7 +164,7 @@ pub use incremental::{
 pub use interact::{check_same_mask, interaction_cell_size, max_rule_range, InteractStats};
 pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
-    LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
+    DefinitionStats, LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
 };
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{

@@ -3,7 +3,7 @@
 //!
 //! A standard-cell library run verifies thousands of cell *variants*
 //! against one technology. A loop of standalone [`crate::check`] calls
-//! rebuilds three things from scratch per cell that are invariant or
+//! rebuilds four things from scratch per cell that are invariant or
 //! shareable across the batch:
 //!
 //! 1. the **technology-derived constants** — rule reach, interaction
@@ -15,7 +15,13 @@
 //!    appearing in *sibling* variants are searched once per variant
 //!    instead of once per library ([`LibraryCache`] re-keys the fills
 //!    by definition **content hash** and shares them across cells);
-//! 3. the **string interner**, rebuilt cold per cell even though
+//! 3. the **per-definition products** — each repeated definition's
+//!    instantiation template and each device symbol's primitive-check
+//!    verdict, derived again in every cell that carries the definition
+//!    (the [`LibraryCache`] keeps them under a content key of the
+//!    definition from the second cell that presents it on, so a
+//!    session derives each definition once — see `CellDefinitions`);
+//! 4. the **string interner**, rebuilt cold per cell even though
 //!    sibling variants intern nearly identical path / net-key / device
 //!    vocabularies (the batch driver seeds each cell's view from a
 //!    long-lived per-worker interner, compacted between cells past a
@@ -41,19 +47,25 @@
 //!   so a hit returns the bytes a local fill would have produced, and
 //!   the *per-cell* plan-phase hit/miss counters are untouched
 //!   (cross-cell hits are batch-level statistics, counted here);
+//! * a kept template or verdict is likewise only reused under a key
+//!   that hashes everything its derivation reads, so it is what the
+//!   cell would have derived (debug builds derive every hit again and
+//!   assert it); a kept template still counts as built for its cell in
+//!   [`crate::InstantiateStats`];
 //! * interner handle values differ when a cell starts from a warm
 //!   dictionary, but handles never reach rendered output: violations
 //!   materialize their strings at creation and the net list
 //!   canonicalises by key *strings* (see `netgen`'s byte-identity
 //!   contract), so a seeded view renders identically.
 
-use crate::binding::StringInterner;
+use crate::binding::{LayerBinding, StringInterner, Template};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::engine::{run_pipeline, Sink, StageTime};
 use crate::interact::{interaction_cell_size, max_rule_range, InteractStats};
 use crate::parallel::{effective_parallelism, run_ordered_with_state};
-use diic_cif::Layout;
-use diic_geom::Coord;
+use crate::primitive_checks::PrimitiveCheckResult;
+use diic_cif::{hierarchy, Item, Layout, Shape, Symbol, SymbolId};
+use diic_geom::{Coord, Orientation, Point};
 use diic_tech::{LayerId, Technology};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,9 +162,261 @@ impl ContentHash {
         self.word(c as u64);
     }
 
-    pub(crate) fn digest(self) -> (u64, u64) {
+    /// A string: its length, then its bytes eight to a word.
+    pub(crate) fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn point(&mut self, p: Point) {
+        self.coord(p.x);
+        self.coord(p.y);
+    }
+
+    pub(crate) fn digest(self) -> ContentKey {
         (self.a, self.b)
     }
+}
+
+// ---------------------------------------------------------------------
+// Definition keys: one content hash per symbol of a cell.
+// ---------------------------------------------------------------------
+
+/// A 128-bit content key ([`ContentHash::digest`]).
+pub(crate) type ContentKey = (u64, u64);
+
+/// One cell's view of a library session's definition shelves: the
+/// session's [`LibraryCache`] and, per symbol of the cell's layout, the
+/// content key of its definition.
+///
+/// A key covers exactly what the instantiation walk and the primitive
+/// checks read of a definition: the device declaration (type, `9C`
+/// flag, terminals with their bound layer and position), each element's
+/// bound layer, shape and net name, each call's child key, transform
+/// and name — and the [`BoundTechnology::revision`], which pins the
+/// technology the products were derived under. The symbol's CIF number
+/// and name are not in it: the walk never reads them. (A primitive
+/// verdict adds the display name, which its lines carry.) Keys are
+/// built children first, so a definition's key covers everything it
+/// calls.
+pub(crate) struct CellDefinitions<'a> {
+    cache: &'a LibraryCache,
+    keys: Vec<ContentKey>,
+}
+
+impl<'a> CellDefinitions<'a> {
+    /// Keys every symbol of `layout`, layers bound by `binding`.
+    pub(crate) fn new(
+        cache: &'a LibraryCache,
+        layout: &Layout,
+        binding: &LayerBinding,
+        revision: u64,
+    ) -> Self {
+        let mut keys = vec![(0, 0); layout.symbols().len()];
+        for id in hierarchy::topological_order(layout) {
+            keys[id.0 as usize] = definition_key(layout.symbol(id), &keys, binding, revision);
+        }
+        CellDefinitions { cache, keys }
+    }
+
+    /// The template of `symbol` placed at `orient`: the session's, or
+    /// `derive`d (and kept if this is its definition's second sighting).
+    pub(crate) fn template(
+        &self,
+        symbol: SymbolId,
+        orient: Orientation,
+        derive: impl Fn() -> Template,
+    ) -> Arc<Template> {
+        let key = (self.keys[symbol.0 as usize], orient);
+        self.cache.templates.get_or_derive(key, derive)
+    }
+
+    /// The primitive-symbol verdict of the device symbol `symbol`: the
+    /// session's, or `derive`d (and kept on a second sighting).
+    pub(crate) fn verdict(
+        &self,
+        symbol: SymbolId,
+        name: &str,
+        derive: impl Fn() -> PrimitiveCheckResult,
+    ) -> Arc<PrimitiveCheckResult> {
+        let (a, b) = self.keys[symbol.0 as usize];
+        let mut h = ContentHash::new();
+        h.word(a);
+        h.word(b);
+        h.text(name);
+        self.cache.verdicts.get_or_derive(h.digest(), derive)
+    }
+}
+
+/// The content key of `symbol`'s definition, given its children's in
+/// `keys` (see [`CellDefinitions`]).
+fn definition_key(
+    symbol: &Symbol,
+    keys: &[ContentKey],
+    binding: &LayerBinding,
+    revision: u64,
+) -> ContentKey {
+    let mut h = ContentHash::new();
+    h.word(revision);
+    let layer = |h: &mut ContentHash, r| h.word(binding.layer(r).map_or(u64::MAX, |l| l.0.into()));
+    match &symbol.device {
+        None => h.word(0),
+        Some(decl) => {
+            h.word(1);
+            h.text(&decl.device_type);
+            h.word(decl.checked.into());
+            h.word(decl.terminals.len() as u64);
+            for term in &decl.terminals {
+                h.text(&term.name);
+                layer(&mut h, term.layer);
+                h.point(term.position);
+            }
+        }
+    }
+    h.word(symbol.items.len() as u64);
+    for item in &symbol.items {
+        match item {
+            Item::Element(e) => {
+                layer(&mut h, e.layer);
+                match &e.shape {
+                    Shape::Box(r) => {
+                        h.word(2);
+                        h.point(Point::new(r.x1, r.y1));
+                        h.point(Point::new(r.x2, r.y2));
+                    }
+                    Shape::Wire(w) => {
+                        h.word(3);
+                        h.coord(w.width());
+                        h.word(w.points().len() as u64);
+                        w.points().iter().for_each(|&p| h.point(p));
+                    }
+                    Shape::Polygon(p) => {
+                        h.word(4);
+                        h.word(p.points().len() as u64);
+                        p.points().iter().for_each(|&p| h.point(p));
+                    }
+                }
+                match &e.net {
+                    None => h.word(0),
+                    Some(net) => {
+                        h.word(1);
+                        h.text(net);
+                    }
+                }
+            }
+            Item::Call(c) => {
+                let (a, b) = keys[c.target.0 as usize];
+                h.word(5);
+                h.word(a);
+                h.word(b);
+                h.word(c.transform.orient as u64);
+                h.point(Point::new(c.transform.offset.x, c.transform.offset.y));
+                h.text(&c.name);
+            }
+        }
+    }
+    h.digest()
+}
+
+/// A per-definition product a [`LibraryCache`] keeps.
+pub(crate) trait Definition {
+    /// The debug-build oracle: panics unless `self`, a hit, equals
+    /// `fresh`, the same definition derived again.
+    #[cfg(debug_assertions)]
+    fn assert_same(&self, fresh: &Self);
+}
+
+/// Content key → derived definition, kept from its second sighting on:
+/// a key seen once sits in the map with no value, so a definition only
+/// one cell has never stays resident — the cross-cell form of "derived
+/// once, placed twice".
+struct Shelf<K, V> {
+    map: Mutex<HashMap<K, Option<Arc<V>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    entries: AtomicU64,
+}
+
+impl<K, V> Default for Shelf<K, V> {
+    fn default() -> Self {
+        Shelf {
+            map: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            entries: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K, V> Shelf<K, V> {
+    fn stats(&self) -> DefinitionStats {
+        DefinitionStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl<K, V> std::fmt::Debug for Shelf<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shelf")
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
+    /// The value kept under `key`, or `derive`'s, kept if `key` was
+    /// seen before. `derive` runs **outside** the lock; two workers
+    /// racing on one key may both derive it, and the first to store
+    /// wins. A debug build derives every hit again and asserts it
+    /// equal.
+    fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> Arc<V> {
+        let seen = {
+            // invariant (this and below): a poisoned mutex means another
+            // worker panicked mid-insert; the batch is already dead.
+            let mut map = self.map.lock().expect("library cache poisoned");
+            let seen = map.get(&key).cloned();
+            if seen.is_none() {
+                map.insert(key, None);
+            }
+            seen
+        };
+        if let Some(Some(kept)) = seen {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            #[cfg(debug_assertions)]
+            kept.assert_same(&derive());
+            return kept;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(derive());
+        if seen.is_some() {
+            let mut map = self.map.lock().expect("library cache poisoned");
+            if let Some(slot @ None) = map.get_mut(&key) {
+                *slot = Some(Arc::clone(&value));
+                self.entries.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        value
+    }
+}
+
+/// What one of a [`LibraryCache`]'s definition shelves did: lookups it
+/// answered, definitions the cells derived themselves, and definitions
+/// it keeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DefinitionStats {
+    /// Lookups answered by a kept definition.
+    pub hits: u64,
+    /// Lookups the cell answered by deriving the definition.
+    pub misses: u64,
+    /// Definitions kept: each one a second cell presented.
+    pub entries: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -174,15 +438,26 @@ impl ContentHash {
 /// Per-cell `InteractStats::cache_hits` / `cache_misses` keep their
 /// standalone (plan-phase, within-cell) meaning; cross-cell sharing is
 /// counted here and surfaced in [`LibraryStats`].
+///
+/// Beside the fills it keeps the two per-definition products every cell
+/// would otherwise derive again, under the definition's content key
+/// (`CellDefinitions`): instantiation templates, one per definition
+/// and orientation, and primitive-symbol verdicts, one per device
+/// definition. Each is kept from the second cell that presents its key
+/// on; until then only the key is. [`LibraryCache::hits`] and
+/// [`LibraryCache::misses`] count fills only; [`LibraryCache::templates`]
+/// and [`LibraryCache::verdicts`] count the definitions.
 #[derive(Debug, Default)]
 pub struct LibraryCache {
     map: Mutex<FillMap>,
     hits: AtomicU64,
     misses: AtomicU64,
+    templates: Shelf<(ContentKey, Orientation), Template>,
+    verdicts: Shelf<ContentKey, PrimitiveCheckResult>,
 }
 
 /// Content key → shared candidate-pair fill (shard-local index pairs).
-type FillMap = HashMap<(u64, u64), Arc<Vec<(usize, usize)>>>;
+type FillMap = HashMap<ContentKey, Arc<Vec<(usize, usize)>>>;
 
 impl LibraryCache {
     /// An empty cache.
@@ -195,7 +470,7 @@ impl LibraryCache {
     /// workers racing on the same fresh key may both compute the (pure,
     /// identical) value; the first insert wins and the loser's copy is
     /// dropped, counted as a hit.
-    pub(crate) fn get_or_fill<F>(&self, key: (u64, u64), fill: F) -> Arc<Vec<(usize, usize)>>
+    pub(crate) fn get_or_fill<F>(&self, key: ContentKey, fill: F) -> Arc<Vec<(usize, usize)>>
     where
         F: FnOnce() -> Vec<(usize, usize)>,
     {
@@ -238,6 +513,18 @@ impl LibraryCache {
     /// Whether the cache holds no fills yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// What the template shelf did: instantiation templates kept and
+    /// reused across cells.
+    pub fn templates(&self) -> DefinitionStats {
+        self.templates.stats()
+    }
+
+    /// What the verdict shelf did: primitive-symbol verdicts kept and
+    /// reused across cells.
+    pub fn verdicts(&self) -> DefinitionStats {
+        self.verdicts.stats()
     }
 
     /// Total candidate pairs held across all stored fills.
@@ -385,6 +672,12 @@ pub struct LibraryStats {
     pub shared_cache_entries: usize,
     /// Candidate pairs resident in the shared cache after the batch.
     pub shared_cache_pairs: u64,
+    /// Instantiation templates the session shared between cells
+    /// ([`LibraryCache::templates`]).
+    pub templates: DefinitionStats,
+    /// Primitive-symbol verdicts the session shared between cells
+    /// ([`LibraryCache::verdicts`]).
+    pub verdicts: DefinitionStats,
     /// Interner compactions fired across all workers.
     pub interner_compactions: u64,
     /// Largest per-worker interner entry count observed after any cell.
@@ -521,6 +814,8 @@ where
         shared_cache_misses: session.cache.misses(),
         shared_cache_entries: session.cache.len(),
         shared_cache_pairs: session.cache.pair_count(),
+        templates: session.cache.templates(),
+        verdicts: session.cache.verdicts(),
         ..LibraryStats::default()
     };
     for state in &states {
@@ -592,6 +887,32 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
+    impl Definition for u32 {
+        #[cfg(debug_assertions)]
+        fn assert_same(&self, fresh: &u32) {
+            assert_eq!(self, fresh);
+        }
+    }
+
+    #[test]
+    fn shelf_keeps_a_definition_from_its_second_sighting() {
+        let shelf = Shelf::<u8, u32>::default();
+        let first = shelf.get_or_derive(1, || 7);
+        assert_eq!(
+            (*first, shelf.stats().entries),
+            (7, 0),
+            "seen once: not kept"
+        );
+        let second = shelf.get_or_derive(1, || 7);
+        assert!(!Arc::ptr_eq(&first, &second), "the second sighting derives");
+        let third = shelf.get_or_derive(1, || 7);
+        assert!(Arc::ptr_eq(&second, &third), "and keeps what it derived");
+        let other = shelf.get_or_derive(2, || 8);
+        assert_eq!(*other, 8);
+        let stats = shelf.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
+    }
+
     #[test]
     fn content_hash_separates_streams() {
         let mut x = ContentHash::new();
@@ -605,6 +926,17 @@ mod tests {
         z.word(1);
         z.word(2);
         assert_eq!(x.digest(), z.digest(), "same sequence, same digest");
+        let texts = |parts: &[&str]| {
+            let mut h = ContentHash::new();
+            parts.iter().for_each(|p| h.text(p));
+            h.digest()
+        };
+        assert_ne!(
+            texts(&["ab", "c"]),
+            texts(&["a", "bc"]),
+            "strings keep their bounds"
+        );
+        assert_ne!(texts(&["a"]), texts(&["a\0"]), "a zero byte is a byte");
     }
 
     #[test]

@@ -209,7 +209,8 @@ impl<'a> Scan<'a> {
     /// both axes, `j > i` only in a `within` scan — ascending in `i`,
     /// then in `j`. This is the one query loop behind every pair scan:
     /// a tile of a plan, the direct scan over an edit's halo, and the
-    /// reference over every id.
+    /// reference over every id. Returns how many candidates the index
+    /// examined to find them ([`FlatGrid::query_into`]).
     pub fn pairs(
         &self,
         bboxes: &[Rect],
@@ -217,21 +218,24 @@ impl<'a> Scan<'a> {
         reach: Coord,
         tile: Range<usize>,
         mut pair: impl FnMut(usize, usize),
-    ) {
+    ) -> u64 {
         let mut hits = Vec::new();
+        let mut examined = 0u64;
         for local in tile {
             let i = self.ids.get(local);
             let bbox = &bboxes[i];
             if self.clip.is_some_and(|c| !c.touches(bbox)) {
                 continue;
             }
-            index.grid.query_into(&grown(bbox, reach), &mut hits);
+            let found = index.grid.query_into(&grown(bbox, reach), &mut hits);
+            examined = examined.saturating_add(found as u64);
             for j in hits.iter().map(|&k| index.ids[k as usize]) {
                 if !self.within || j > i {
                     pair(i, j);
                 }
             }
         }
+        examined
     }
 }
 

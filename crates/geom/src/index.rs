@@ -28,9 +28,12 @@
 //! scans the slots instead of walking its cells — the rule
 //! `ScopeTable::neighbours` applies to scopes. A box spanning the whole
 //! coordinate range is one entry, not a bucket for each of its 2⁸⁰-odd
-//! cells. A [`FlatGrid`]'s array is bounded the same way: its cells grow
-//! until there are at most four per item (64 at least), so far-apart
-//! items make coarse cells, never a chip-sized array. Coordinates come
+//! cells. A [`FlatGrid`]'s array is bounded the same way: it is dense
+//! only while that takes at most four cells per item (64 at least), and
+//! past that it keeps only its occupied cells, found by key. Its cells
+//! stay the caller's size, so one far-away item neither makes a
+//! chip-sized array nor crowds the rest into a few coarse cells.
+//! Coordinates come
 //! from outside the program, so the file denies
 //! `clippy::arithmetic_side_effects`: every cell count is taken in
 //! `u128` or saturates, and the hash and the counters say how they wrap
@@ -512,12 +515,15 @@ impl<T> GridIndex<T> {
 /// list, ascending, so a caller keeps its own table of what each
 /// position stands for.
 ///
-/// The grid covers the bounding box of its items with a dense array of
-/// `nx × ny` cells, each a run of `entries` between two `starts`. The
-/// cells are the caller's size or larger: the size doubles until there
-/// are at most `max(4n, 64)` of them. An item covering more cells (at the
-/// caller's size) than `max(n, 64)` goes on a side list instead, which
-/// every query tests directly.
+/// The cells are the caller's size, always. Where a dense array over
+/// the items' bounding box has at most `max(4n, 64)` cells, the grid is
+/// that array, `nx × ny` cells each a run of `entries` between two
+/// `starts`. Where it would have more — items far apart, as one box a
+/// long way from a cluster — the grid keeps the same runs for the
+/// occupied cells only, and finds a cell's run through their keys,
+/// sorted by row and then by column. An item covering more cells than
+/// `max(n, 64)` goes on a side list instead, which every query tests
+/// directly.
 ///
 /// # Example
 ///
@@ -525,8 +531,8 @@ impl<T> GridIndex<T> {
 /// use diic_geom::{FlatGrid, Point, Rect};
 /// let grid = FlatGrid::new(vec![Rect::new(0, 0, 50, 50), Rect::new(500, 500, 550, 550)], 100);
 /// let mut hits = Vec::new();
-/// grid.query_into(&Rect::new(0, 0, 60, 60), &mut hits);
-/// assert_eq!(hits, [0]);
+/// let examined = grid.query_into(&Rect::new(0, 0, 60, 60), &mut hits);
+/// assert_eq!((hits, examined), (vec![0], 1));
 /// assert!(grid.touches_any(&Rect::new(550, 550, 600, 600)));
 /// assert_eq!(grid.at(Point::new(520, 510)).collect::<Vec<_>>(), [1]);
 /// ```
@@ -534,12 +540,8 @@ impl<T> GridIndex<T> {
 pub struct FlatGrid {
     rects: Vec<Rect>,
     cell: Coord,
-    /// The cell key `(x, y)` of the array's first cell.
-    origin: (Coord, Coord),
-    /// Columns and rows of the array; cell `(x, y)` is number
-    /// `y · nx + x`.
-    nx: usize,
-    ny: usize,
+    /// How a cell's key finds its number.
+    cells: Cells,
     /// Cell `c` holds `entries[starts[c] .. starts[c + 1]]`.
     starts: Vec<u32>,
     /// The positions each cell holds, ascending within a cell.
@@ -548,21 +550,56 @@ pub struct FlatGrid {
     wide: Vec<u32>,
 }
 
-/// The array cells a rectangle covers: inclusive column and row ranges.
-type LocalSpan = ((usize, usize), (usize, usize));
+/// How a [`FlatGrid`] numbers its cells.
+#[derive(Debug, Clone)]
+enum Cells {
+    /// Every cell of the items' bounding box: `nx` columns and `ny`
+    /// rows from the key `origin`, cell `(x, y)` (relative to it)
+    /// numbered `y · nx + x`.
+    Dense {
+        origin: (Coord, Coord),
+        nx: usize,
+        ny: usize,
+    },
+    /// The occupied cells only, numbered by row key and then by column
+    /// key: the cells of row key `rows[r]` are numbers `firsts[r] ..
+    /// firsts[r + 1]`, and cell `c`'s column key is `columns[c]`.
+    /// `x_keys` is the least and the greatest column key.
+    Keyed {
+        rows: Vec<Coord>,
+        firsts: Vec<u32>,
+        columns: Vec<Coord>,
+        x_keys: (Coord, Coord),
+    },
+}
+
+/// The cells a query reads: rows of the grid (array rows, or positions
+/// in a keyed grid's row list) and, in each, the columns `x` (relative
+/// to the origin, or keys).
+enum Window {
+    /// The query misses every cell.
+    Misses,
+    /// The query covers more cells than there are items: test them all.
+    Wide,
+    Cells {
+        rows: std::ops::Range<usize>,
+        x: (Coord, Coord),
+    },
+}
 
 impl FlatGrid {
-    /// Indexes `rects` (position `k` is `rects[k]`) over cells at least
-    /// `cell_size` wide (clamped to ≥ 1): counted, prefix-summed and
-    /// filled in two passes over the items.
+    /// Indexes `rects` (position `k` is `rects[k]`) over cells
+    /// `cell_size` wide (clamped to ≥ 1). A dense grid is counted,
+    /// prefix-summed and filled in two passes over the items; a keyed
+    /// one sorts each item's cell keys once.
     pub fn new(rects: Vec<Rect>, cell_size: Coord) -> FlatGrid {
         // invariant: 2³² rectangles would be over a hundred GB.
         let n = u32::try_from(rects.len()).expect("positions are addressed by u32");
-        let base = cell_size.max(1);
+        let cell = cell_size.max(1);
         let slots = u64::try_from(rects.len().max(WIDE_FLOOR)).unwrap_or(u64::MAX);
         let (mut wide, mut bounds) = (Vec::new(), None::<Rect>);
         for (k, r) in (0..n).zip(&rects) {
-            if CellSpan::of(r, base).count() > slots {
+            if CellSpan::of(r, cell).count() > slots {
                 wide.push(k);
             } else {
                 bounds = Some(bounds.map_or(*r, |b| b.bounding_union(r)));
@@ -570,10 +607,12 @@ impl FlatGrid {
         }
         let mut grid = FlatGrid {
             rects,
-            cell: base,
-            origin: (0, 0),
-            nx: 0,
-            ny: 0,
+            cell,
+            cells: Cells::Dense {
+                origin: (0, 0),
+                nx: 0,
+                ny: 0,
+            },
             starts: vec![0],
             entries: Vec::new(),
             wide,
@@ -581,32 +620,32 @@ impl FlatGrid {
         let Some(bounds) = bounds else {
             return grid;
         };
-        let limit = u128::from(n).saturating_mul(4).max(WIDE_FLOOR as u128);
-        let cells_at = |cell: Coord| {
-            let (x, y) = CellSpan::of(&bounds, cell).sides();
-            u128::from(x).saturating_mul(u128::from(y))
-        };
-        // Terminates: at `Coord::MAX` any box covers at most 4 × 4 cells.
-        while cells_at(grid.cell) > limit {
-            grid.cell = grid.cell.saturating_mul(2);
-        }
-        let span = CellSpan::of(&bounds, grid.cell);
+        let span = CellSpan::of(&bounds, cell);
         let (nx, ny) = span.sides();
+        let limit = u128::from(n).saturating_mul(4).max(WIDE_FLOOR as u128);
+        if u128::from(nx).saturating_mul(u128::from(ny)) > limit {
+            grid.fill_keyed();
+            return grid;
+        }
         // invariant: the array holds at most `max(4n, 64)` cells.
         let side = |s: u64| usize::try_from(s).expect("the array is bounded by the items");
-        (grid.origin, grid.nx, grid.ny) = ((span.x.0, span.y.0), side(nx), side(ny));
-        let cells = grid.nx.saturating_mul(grid.ny);
+        let (nx, ny) = (side(nx), side(ny));
+        grid.cells = Cells::Dense {
+            origin: (span.x.0, span.y.0),
+            nx,
+            ny,
+        };
 
         // Pass 1: `starts[c]` counts cell `c`'s entries, then holds where
         // they end. Pass 2 walks the items backwards and fills each cell
         // from its end, so a cell lists its positions ascending and
         // `starts[c]` ends up where they begin.
-        let mut starts = vec![0u32; cells.saturating_add(1)];
+        let mut starts = vec![0u32; nx.saturating_mul(ny).saturating_add(1)];
         let filed = |k: &u32| grid.wide.binary_search(k).is_err();
         for k in (0..n).filter(filed) {
-            for c in grid.cells_of(grid.local_span(&grid.rects[k as usize])) {
+            grid.for_each_cell(&grid.rects[k as usize], |c| {
                 starts[c] = starts[c].saturating_add(1);
-            }
+            });
         }
         let mut total = 0u32;
         for start in &mut starts {
@@ -618,14 +657,58 @@ impl FlatGrid {
         }
         let mut entries = vec![0u32; total as usize];
         for k in (0..n).rev().filter(filed) {
-            for c in grid.cells_of(grid.local_span(&grid.rects[k as usize])) {
+            grid.for_each_cell(&grid.rects[k as usize], |c| {
                 // invariant: pass 1 counted this entry into the cell.
                 starts[c] = starts[c].saturating_sub(1);
                 entries[starts[c] as usize] = k;
-            }
+            });
         }
         (grid.starts, grid.entries) = (starts, entries);
         grid
+    }
+
+    /// Builds the keyed form: every `(row, column, position)` a filed
+    /// item covers, sorted, is the cells in number order with each
+    /// cell's positions ascending.
+    fn fill_keyed(&mut self) {
+        let filed = |k: &u32| self.wide.binary_search(k).is_err();
+        let positions = (0u32..).zip(&self.rects).filter(|(k, _)| filed(k));
+        let spans = positions.map(|(k, r)| (k, CellSpan::of(r, self.cell)));
+        let total = (spans.clone()).fold(0u64, |total, (_, s)| total.saturating_add(s.count()));
+        // invariant: a grid of 2³² entries would be sixteen GB of them.
+        let total = u32::try_from(total).expect("entries are addressed by u32");
+        let mut keyed = Vec::with_capacity(total as usize);
+        for (k, span) in spans {
+            keyed.extend(span.keys().map(|(x, y)| (y, x, k)));
+        }
+        keyed.sort_unstable();
+        let (mut rows, mut firsts, mut columns) = (Vec::new(), Vec::new(), Vec::new());
+        let mut starts = Vec::new();
+        let mut x_keys = (Coord::MAX, Coord::MIN);
+        let mut last = None;
+        for (at, &(y, x, _)) in (0u32..).zip(&keyed) {
+            if last == Some((y, x)) {
+                continue;
+            }
+            if last.is_none_or(|(last_y, _)| last_y != y) {
+                rows.push(y);
+                firsts.push(cell_number(columns.len()));
+            }
+            columns.push(x);
+            starts.push(at);
+            x_keys = (x_keys.0.min(x), x_keys.1.max(x));
+            last = Some((y, x));
+        }
+        firsts.push(cell_number(columns.len()));
+        starts.push(total);
+        self.entries = keyed.into_iter().map(|(_, _, k)| k).collect();
+        self.starts = starts;
+        self.cells = Cells::Keyed {
+            rows,
+            firsts,
+            columns,
+            x_keys,
+        };
     }
 
     /// The indexed rectangles, by position.
@@ -633,37 +716,50 @@ impl FlatGrid {
         &self.rects
     }
 
-    /// The cell size the grid chose: the caller's, or a power-of-two
-    /// multiple of it.
+    /// The cell size: the caller's (at least 1).
     pub fn cell_size(&self) -> Coord {
         self.cell
     }
 
-    /// Cells in the dense array: at most `max(4n, 64)`.
+    /// Cells the grid keeps a run for: the dense array (at most
+    /// `max(4n, 64)` cells), or a keyed grid's occupied cells.
     pub fn cell_count(&self) -> usize {
-        self.nx.saturating_mul(self.ny)
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// True if the grid keeps its occupied cells only, found by key —
+    /// the dense array over its items would have been too large.
+    pub fn is_keyed(&self) -> bool {
+        matches!(self.cells, Cells::Keyed { .. })
     }
 
     /// Replaces `out` with the positions of the rectangles that
     /// **touch** `query` (closed-sense), ascending, each once — what
     /// [`GridIndex::query_handles`] answers for the same rectangles
-    /// inserted in order. Nothing is allocated once `out` has grown to
-    /// the answer's size.
-    pub fn query_into(&self, query: &Rect, out: &mut Vec<u32>) {
+    /// inserted in order — and returns how many candidates it examined
+    /// to find them: the entries of the cells the query covers and the
+    /// side list, or every rectangle for a query wider than the grid.
+    /// Nothing is allocated once `out` has grown to the answer's size.
+    pub fn query_into(&self, query: &Rect, out: &mut Vec<u32>) -> usize {
         out.clear();
         let touches = |k: &&u32| self.rects[**k as usize].touches(query);
         let mut sorted = true;
-        if let Some(span) = self.local_span(query) {
-            if self.is_wide_query(span) {
+        let mut examined = self.wide.len();
+        match self.window(query) {
+            Window::Wide => {
                 let all = (0u32..).zip(&self.rects);
                 out.extend(all.filter(|(_, r)| r.touches(query)).map(|(k, _)| k));
-                return;
+                return self.rects.len();
             }
-            let ((x1, x2), (y1, y2)) = span;
-            for y in y1..=y2 {
-                out.extend(self.row_run(y, x1, x2).iter().filter(touches));
+            Window::Misses => {}
+            Window::Cells { rows, x } => {
+                sorted = x.0 == x.1 && rows.len() == 1;
+                for row in rows {
+                    let run = self.run(row, x);
+                    examined = examined.saturating_add(run.len());
+                    out.extend(run.iter().filter(touches));
+                }
             }
-            sorted = x1 == x2 && y1 == y2;
         }
         let cells = out.len();
         out.extend(self.wide.iter().filter(touches));
@@ -671,19 +767,20 @@ impl FlatGrid {
             out.sort_unstable();
             out.dedup();
         }
+        examined
     }
 
     /// True if any rectangle touches `query` — [`FlatGrid::query_into`]
     /// without the answer.
     pub fn touches_any(&self, query: &Rect) -> bool {
         let touches = |k: &u32| self.rects[*k as usize].touches(query);
-        if let Some(span) = self.local_span(query) {
-            if self.is_wide_query(span) {
-                return self.rects.iter().any(|r| r.touches(query));
-            }
-            let ((x1, x2), (y1, y2)) = span;
-            if (y1..=y2).any(|y| self.row_run(y, x1, x2).iter().any(touches)) {
-                return true;
+        match self.window(query) {
+            Window::Wide => return self.rects.iter().any(|r| r.touches(query)),
+            Window::Misses => {}
+            Window::Cells { mut rows, x } => {
+                if rows.any(|row| self.run(row, x).iter().any(touches)) {
+                    return true;
+                }
             }
         }
         self.wide.iter().any(touches)
@@ -692,62 +789,119 @@ impl FlatGrid {
     /// Positions of the rectangles that contain `p` (closed-sense),
     /// ascending: one cell merged with the side list, nothing allocated.
     pub fn at(&self, p: Point) -> impl Iterator<Item = u32> + '_ {
-        let local = |v: Coord, origin: Coord, len: usize| {
-            let k = v.div_euclid(self.cell).checked_sub(origin)?;
-            usize::try_from(k).ok().filter(|&k| k < len)
+        let cell = match self.window(&Rect::new(p.x, p.y, p.x, p.y)) {
+            Window::Cells { rows, x } if !rows.is_empty() => self.run(rows.start, x),
+            _ => &[],
         };
-        let cell = local(p.x, self.origin.0, self.nx)
-            .zip(local(p.y, self.origin.1, self.ny))
-            .map_or(&[][..], |(x, y)| self.row_run(y, x, x));
         Ascending(cell, &self.wide).filter(move |&k| self.rects[k as usize].contains_point(p))
     }
 
-    /// The array cells `r` covers, clamped to the array; `None` if it
-    /// misses the array.
-    fn local_span(&self, r: &Rect) -> Option<LocalSpan> {
+    /// The cells a query over `r` reads.
+    fn window(&self, r: &Rect) -> Window {
         let span = CellSpan::of(r, self.cell);
-        let axis = |(lo, hi): (Coord, Coord), origin: Coord, len: usize| {
-            let last = i128::try_from(len.checked_sub(1)?).ok()?;
-            let (lo, hi) = (
-                i128::from(lo).saturating_sub(origin.into()),
-                i128::from(hi).saturating_sub(origin.into()),
-            );
-            let clamp = |v: i128| usize::try_from(v.clamp(0, last)).ok();
-            (hi >= 0 && lo <= last).then_some(())?;
-            Some((clamp(lo)?, clamp(hi)?))
+        let items = u64::try_from(self.rects.len()).unwrap_or(u64::MAX);
+        match &self.cells {
+            &Cells::Dense { origin, nx, ny } => {
+                let Some(((x1, x2), (y1, y2))) = local_span(&span, origin, nx, ny) else {
+                    return Window::Misses;
+                };
+                let side = |lo: usize, hi: usize| hi.saturating_sub(lo).saturating_add(1);
+                if side(x1, x2).saturating_mul(side(y1, y2)) > self.rects.len() {
+                    return Window::Wide;
+                }
+                // invariant: offsets into an array of at most `max(4n, 64)` cells.
+                let offset = |v: usize| Coord::try_from(v).expect("an array offset");
+                Window::Cells {
+                    rows: y1..y2.saturating_add(1),
+                    x: (offset(x1), offset(x2)),
+                }
+            }
+            Cells::Keyed { rows, x_keys, .. } => {
+                // The key range `(lo, hi)` clamped to `keys`.
+                let clamp = |(lo, hi): (Coord, Coord), keys: (Coord, Coord)| {
+                    (hi >= keys.0 && lo <= keys.1).then(|| (lo.max(keys.0), hi.min(keys.1)))
+                };
+                let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
+                    return Window::Misses;
+                };
+                let (Some(x), Some(y)) = (clamp(span.x, *x_keys), clamp(span.y, (first, last)))
+                else {
+                    return Window::Misses;
+                };
+                if (CellSpan { x, y }).count() > items {
+                    return Window::Wide;
+                }
+                let from = rows.partition_point(|&k| k < y.0);
+                let to = rows.partition_point(|&k| k <= y.1);
+                Window::Cells { rows: from..to, x }
+            }
+        }
+    }
+
+    /// The entries of the cells in columns `x.0 ..= x.1` of row `row`:
+    /// one slice, as a row's cells are consecutive in number.
+    fn run(&self, row: usize, x: (Coord, Coord)) -> &[u32] {
+        let (from, to) = match &self.cells {
+            Cells::Dense { nx, .. } => {
+                let first = row.saturating_mul(*nx);
+                // invariant: a window's dense columns are offsets in the array.
+                let at = |k: Coord| first.saturating_add(usize::try_from(k).expect("an offset"));
+                (at(x.0), at(x.1).saturating_add(1))
+            }
+            Cells::Keyed {
+                firsts, columns, ..
+            } => {
+                let first = firsts[row] as usize;
+                let keys = &columns[first..firsts[row.saturating_add(1)] as usize];
+                (
+                    first.saturating_add(keys.partition_point(|&k| k < x.0)),
+                    first.saturating_add(keys.partition_point(|&k| k <= x.1)),
+                )
+            }
         };
-        Some((
-            axis(span.x, self.origin.0, self.nx)?,
-            axis(span.y, self.origin.1, self.ny)?,
-        ))
+        &self.entries[self.starts[from] as usize..self.starts[to] as usize]
     }
 
-    /// True if a query over `span` should scan the items rather than
-    /// walk its cells: it covers more cells than there are items.
-    fn is_wide_query(&self, ((x1, x2), (y1, y2)): LocalSpan) -> bool {
-        let side = |lo: usize, hi: usize| hi.saturating_sub(lo).saturating_add(1);
-        side(x1, x2).saturating_mul(side(y1, y2)) > self.rects.len()
+    /// Calls `visit` with the number of each array cell `r` covers —
+    /// a dense grid's, while it is being filled.
+    fn for_each_cell(&self, r: &Rect, mut visit: impl FnMut(usize)) {
+        let &Cells::Dense { origin, nx, ny } = &self.cells else {
+            return;
+        };
+        let span = CellSpan::of(r, self.cell);
+        if let Some(((x1, x2), (y1, y2))) = local_span(&span, origin, nx, ny) {
+            for y in y1..=y2 {
+                let first = y.saturating_mul(nx);
+                (x1..=x2).for_each(|x| visit(first.saturating_add(x)));
+            }
+        }
     }
+}
 
-    /// Cell numbers of a local span (none for `None`).
-    fn cells_of(&self, span: Option<LocalSpan>) -> impl Iterator<Item = usize> {
-        let nx = self.nx;
-        span.into_iter().flat_map(move |((x1, x2), (y1, y2))| {
-            (y1..=y2).flat_map(move |y| {
-                let row = y.saturating_mul(nx);
-                (x1..=x2).map(move |x| row.saturating_add(x))
-            })
-        })
-    }
+/// The array cells `span` covers, clamped to an `nx × ny` array from
+/// the key `origin`: inclusive column and row ranges, or `None` if it
+/// misses the array.
+fn local_span(span: &CellSpan, origin: (Coord, Coord), nx: usize, ny: usize) -> Option<LocalSpan> {
+    let axis = |(lo, hi): (Coord, Coord), origin: Coord, len: usize| {
+        let last = i128::try_from(len.checked_sub(1)?).ok()?;
+        let (lo, hi) = (
+            i128::from(lo).saturating_sub(origin.into()),
+            i128::from(hi).saturating_sub(origin.into()),
+        );
+        let clamp = |v: i128| usize::try_from(v.clamp(0, last)).ok();
+        (hi >= 0 && lo <= last).then_some(())?;
+        Some((clamp(lo)?, clamp(hi)?))
+    };
+    Some((axis(span.x, origin.0, nx)?, axis(span.y, origin.1, ny)?))
+}
 
-    /// The entries of the cells `x1 ..= x2` of row `y`: one slice, as a
-    /// row's cells are consecutive in the array.
-    fn row_run(&self, y: usize, x1: usize, x2: usize) -> &[u32] {
-        let row = y.saturating_mul(self.nx);
-        let from = self.starts[row.saturating_add(x1)] as usize;
-        let to = self.starts[row.saturating_add(x2).saturating_add(1)] as usize;
-        &self.entries[from..to]
-    }
+/// The array cells a rectangle covers: inclusive column and row ranges.
+type LocalSpan = ((usize, usize), (usize, usize));
+
+/// A keyed grid's cell count as a `u32`, which its `starts` fit under.
+fn cell_number(count: usize) -> u32 {
+    // invariant: every cell holds an entry, and entries are addressed by u32.
+    u32::try_from(count).expect("cells are counted by entries")
 }
 
 #[cfg(test)]

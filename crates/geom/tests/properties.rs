@@ -190,8 +190,12 @@ proptest! {
         for (k, r) in rects.iter().enumerate() {
             grid.insert(*r, k as u32);
         }
-        prop_assert!(flat.cell_count() <= (4 * rects.len()).max(64), "{} cells", flat.cell_count());
-        prop_assert!(flat.cell_size() >= cell);
+        // The cells stay the caller's size; the dense array is bounded by
+        // the items, and past that bound the grid keys its occupied cells.
+        prop_assert_eq!(flat.cell_size(), cell);
+        if !flat.is_keyed() {
+            prop_assert!(flat.cell_count() <= (4 * rects.len()).max(64), "{} cells", flat.cell_count());
+        }
         // Each query as drawn, and boxes of one to a few of the grid's
         // own cells around its corner: a few cells each, so the grid
         // walks them rather than scanning every rectangle.
@@ -214,6 +218,50 @@ proptest! {
                 let at: Vec<u32> = flat.at(p).collect();
                 let want: Vec<u32> = grid.at(p).copied().collect();
                 prop_assert_eq!(at, want, "{:?}", p);
+            }
+        }
+    }
+
+    /// Two clusters of equal size, far apart: the grid answers what a
+    /// scan does, and a query inside either cluster examines exactly the
+    /// candidates it examines in a grid over the near cluster alone —
+    /// the other cluster neither coarsens the cells nor shares one.
+    #[test]
+    fn far_apart_clusters_examine_only_their_own_cells(
+        boxes in proptest::collection::vec((-60i64..60, -60i64..60, 0i64..90, 0i64..90), 1..40),
+        far in (1i64 << 20)..(MAX_COORD / 2),
+        queries in proptest::collection::vec((-70i64..70, -70i64..70, 0i64..200), 1..10),
+        // At least 20 wide: a box then covers at most 36 cells, too few
+        // to put it on the side list every query examines.
+        cell in 20i64..200,
+    ) {
+        let near: Vec<Rect> = (boxes.iter())
+            .map(|&(x, y, w, h)| Rect::new(x * 10, y * 10, x * 10 + w, y * 10 + h))
+            .collect();
+        // A whole number of cells away, so both clusters sit on the cells alike.
+        let far = far - far % cell;
+        let moved = |r: &Rect, d: i64| Rect::new(r.x1 + d, r.y1 + d, r.x2 + d, r.y2 + d);
+        let both: Vec<Rect> = (near.iter().copied()).chain(near.iter().map(|r| moved(r, far))).collect();
+        let alone = FlatGrid::new(near.clone(), cell);
+        let flat = FlatGrid::new(both.clone(), cell);
+        prop_assert_eq!(flat.cell_size(), cell);
+        let bounds = near.iter().skip(1).fold(near[0], |b, r| b.bounding_union(r));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for &(x, y, side) in &queries {
+            // Inside the near cluster's bounding box, so neither grid clamps it.
+            let (x1, y1) = ((x * 10).clamp(bounds.x1, bounds.x2), (y * 10).clamp(bounds.y1, bounds.y2));
+            let q = Rect::new(x1, y1, (x1 + side).min(bounds.x2), (y1 + side).min(bounds.y2));
+            let alone_examined = alone.query_into(&q, &mut want);
+            let key_side = |lo: i64, hi: i64| (hi.div_euclid(cell) - lo.div_euclid(cell) + 1) as usize;
+            let walks_cells = key_side(q.x1, q.x2) * key_side(q.y1, q.y2) <= near.len();
+            for shift in [0, far] {
+                let q = moved(&q, shift);
+                let examined = flat.query_into(&q, &mut got);
+                let touching = (0..both.len() as u32).filter(|&k| both[k as usize].touches(&q));
+                prop_assert_eq!(&got, &touching.collect::<Vec<_>>(), "{:?}", q);
+                if walks_cells {
+                    prop_assert_eq!(examined, alone_examined, "{:?}", q);
+                }
             }
         }
     }

@@ -68,12 +68,13 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 62 918 in a release build, 128 185 in a debug one (whose
-/// oracles allocate). A batch may take 5 % more, no further.
+/// set: 29 355 in a release build, 114 035 in a debug one (whose
+/// oracles allocate, and derive every kept template and verdict
+/// again). A batch may take 5 % more, no further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    128_185
+    114_035
 } else {
-    62_918
+    29_355
 };
 
 /// Allocator calls of the edit run below when this budget was set:

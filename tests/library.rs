@@ -15,7 +15,11 @@
 //! On top of identity, the leg pins the *point* of the mode: a library
 //! whose cells share definition content must produce cross-cell cache
 //! hits (and a fully unique library must not produce spurious ones —
-//! the content keys are discriminating, not just permissive).
+//! the content keys are discriminating, not just permissive). The same
+//! holds for the definitions a session keeps — instantiation templates
+//! and primitive verdicts: kept from a definition's second sighting,
+//! hit wherever only what their derivation never reads differs, missed
+//! wherever anything it reads does.
 
 use diic::cif::Layout;
 use diic::core::{
@@ -59,6 +63,14 @@ fn assert_batch_matches_standalone(
             b.interact_stats, s.interact_stats,
             "cell {i}: interaction statistics diverge"
         );
+        // A kept template counts as built for its cell; a warm string
+        // table interns fewer strings, and nothing else differs.
+        let mut instantiated = s.instantiate_stats;
+        if options.shared_interner {
+            instantiated.strings_interned = b.instantiate_stats.strings_interned;
+        }
+        assert_eq!(b.instantiate_stats, instantiated, "cell {i}: instantiation");
+        assert_eq!(b.scope_stats, s.scope_stats, "cell {i}: scope statistics");
         assert_eq!(b.waived_devices, s.waived_devices, "cell {i}");
         assert_eq!(b.element_count, s.element_count, "cell {i}");
         assert_eq!(b.device_count, s.device_count, "cell {i}");
@@ -241,4 +253,190 @@ fn sink_factory_receives_per_cell_violations() {
             "cell {i}: counting sink disagrees with standalone violation count"
         );
     }
+}
+
+/// The stock cell of an all-shared, fault-free library: four device
+/// symbols (each placed twice or more) and the inverter, placed in a
+/// row of two to four.
+fn stock_cell_cif() -> String {
+    let lib = cell_library_with(&LibrarySpec {
+        shared_fraction: 1.0,
+        error_rate: 0.0,
+        ..LibrarySpec::new(1, 5)
+    });
+    lib.cells[0].cif.clone()
+}
+
+/// The symbol displayed as `name` in `layout`.
+fn symbol_named<'a>(layout: &'a mut Layout, name: &str) -> &'a mut diic::cif::Symbol {
+    let id = layout
+        .symbol_by_name(name)
+        .expect("the stock cell names its symbols");
+    layout.symbol_mut(id)
+}
+
+/// Checks `[a, a, b]` in one serial batch, each cell byte-identical to a
+/// standalone check (and again wide), and returns the template and
+/// verdict hits — all of them `b`'s: the first `a` only shows the
+/// session its definitions, and the second keeps them.
+fn hits_of_the_third(a: &Layout, b: &Layout) -> (u64, u64) {
+    let cells = [a.clone(), a.clone(), b.clone()];
+    let serial = assert_batch_matches_standalone(
+        &cells,
+        &LibraryOptions {
+            parallelism: 1,
+            ..LibraryOptions::default()
+        },
+    );
+    assert_batch_matches_standalone(
+        &cells,
+        &LibraryOptions {
+            parallelism: wide_workers(),
+            ..LibraryOptions::default()
+        },
+    );
+    let (templates, verdicts) = (serial.stats.templates, serial.stats.verdicts);
+    (templates.hits, verdicts.hits)
+}
+
+/// Definition keys must not match where the content differs, and must
+/// where only what the walk and the checks never read differs. Each case
+/// is a stock cell `b` next to the unchanged stock cell `a`: the changed
+/// definitions (and, for templates, every definition calling them) miss,
+/// every other one hits, and every cell is byte-identical to its
+/// standalone check.
+#[test]
+fn definition_keys_separate_what_differs() {
+    let a = diic::cif::parse(&stock_cell_cif()).unwrap();
+    let (templates, verdicts) = hits_of_the_third(&a, &a);
+    assert_eq!(
+        (templates, verdicts),
+        (5, 4),
+        "the stock cell presents five templates and four device verdicts"
+    );
+
+    let variant = |change: &dyn Fn(&mut Layout)| {
+        let mut b = a.clone();
+        change(&mut b);
+        hits_of_the_third(&a, &b)
+    };
+    // A call name inside the inverter: its paths change.
+    let renamed_call = variant(&|l| {
+        let inv = symbol_named(l, "inv");
+        let call = inv.items.iter_mut().find_map(|item| match item {
+            diic::cif::Item::Call(c) => Some(c),
+            _ => None,
+        });
+        call.unwrap().name.push('x');
+    });
+    assert_eq!(renamed_call, (templates - 1, verdicts), "call name");
+    // A declared net name inside the inverter.
+    let renamed_net = variant(&|l| {
+        let inv = symbol_named(l, "inv");
+        let net = inv.items.iter_mut().find_map(|item| match item {
+            diic::cif::Item::Element(e) => e.net.as_mut(),
+            _ => None,
+        });
+        net.unwrap().push('x');
+    });
+    assert_eq!(renamed_net, (templates - 1, verdicts), "net name");
+    // A device symbol's name: the walk never reads it, its verdict's
+    // lines carry it.
+    let renamed_device = variant(&|l| symbol_named(l, "tenh").name = Some("tenh2".into()));
+    assert_eq!(renamed_device, (templates, verdicts - 1), "device name");
+    // The immunity flag on one cell only: the device and the inverter
+    // calling it.
+    let immune = variant(&|l| symbol_named(l, "tenh").device.as_mut().unwrap().checked = true);
+    assert_eq!(immune, (templates - 2, verdicts - 1), "9C flag");
+    // A terminal one unit off: the device and the inverter calling it.
+    let moved_terminal = variant(&|l| {
+        let decl = symbol_named(l, "tenh").device.as_mut().unwrap();
+        decl.terminals[0].position.x += 1;
+    });
+    assert_eq!(moved_terminal, (templates - 2, verdicts - 1), "terminal");
+
+    // The order in which the text first names its layers: the contact
+    // (cut, diffusion, metal) defined before the transistor (poly,
+    // diffusion). Other layer references, the same bound layers.
+    let cif = stock_cell_cif();
+    let block = |from: &str, to: &str| {
+        let start = cif.find(from).unwrap();
+        start..start + cif[start..].find(to).unwrap()
+    };
+    let (tenh, cd) = (block("DS 1 ", "DS 2 "), block("DS 3 ", "DS 4 "));
+    let reordered = format!(
+        "{}{}{}{}",
+        &cif[cd.clone()],
+        &cif[tenh.clone()],
+        &cif[tenh.end..cd.start],
+        &cif[cd.end..]
+    );
+    let b = diic::cif::parse(&reordered).unwrap();
+    assert_ne!(
+        a.layer_names(),
+        b.layer_names(),
+        "the layers are named in another order"
+    );
+    assert_eq!(
+        hits_of_the_third(&a, &b),
+        (templates, verdicts),
+        "layer order"
+    );
+}
+
+/// The definition shelves keep what a second cell presents and nothing
+/// else: a one-cell batch keeps nothing, a library of unique inverters
+/// keeps only the device definitions every cell shares, and the stock
+/// library keeps each of its definitions exactly once and hits it in
+/// every cell after the second. The fill counters stay the fills'.
+#[test]
+fn definitions_are_kept_from_their_second_sighting() {
+    let tech = nmos_technology();
+    let serial = LibraryOptions {
+        parallelism: 1,
+        ..LibraryOptions::default()
+    };
+    let library = |cells, shared| {
+        let lib = cell_library_with(&LibrarySpec {
+            shared_fraction: shared,
+            error_rate: 0.0,
+            ..LibrarySpec::new(cells, 17)
+        });
+        check_library_buffered(&parse_all(&lib.cells), &tech, &serial).stats
+    };
+
+    let one = library(1, 1.0);
+    assert_eq!(
+        (one.templates.entries, one.verdicts.entries),
+        (0, 0),
+        "{one:?}"
+    );
+    assert_eq!((one.templates.hits, one.verdicts.hits), (0, 0), "{one:?}");
+
+    // Unique inverters: eight cells keep what two do — the four device
+    // definitions — and no inverter.
+    let (two, eight) = (library(2, 0.0), library(8, 0.0));
+    assert_eq!(two.templates.entries, 4, "{two:?}");
+    assert_eq!(
+        (eight.templates.entries, eight.verdicts.entries),
+        (two.templates.entries, two.verdicts.entries),
+        "{eight:?}"
+    );
+
+    // The stock library: every cell presents the same definitions.
+    let stock = library(8, 1.0);
+    for shelf in [stock.templates, stock.verdicts] {
+        assert!(shelf.entries > 0, "{stock:?}");
+        assert_eq!(
+            shelf.misses,
+            2 * shelf.entries,
+            "derived by the first two cells"
+        );
+        assert_eq!(shelf.hits, 6 * shelf.entries, "hit by each later cell");
+    }
+    assert_eq!(
+        stock.shared_cache_hits + stock.shared_cache_misses,
+        stock.interact.cache_misses,
+        "the fill counters count the fills"
+    );
 }

@@ -268,3 +268,82 @@ fn extraction_matches_intended_structure_for_sizes() {
         assert!(diff.matched, "nx={nx}: {:?}", diff.messages);
     }
 }
+
+/// Candidates the spatial indexes examine over one layout's pair plans —
+/// the connection search (reach 0) and the interaction search (the rule
+/// reach), scan by scan as a check runs them — and, of those, what the
+/// queries of elements with the box `own` examined.
+fn examined_candidates(cif: &str, own: Rect) -> (u64, u64) {
+    use diic::core::{
+        instantiate, BoundTechnology, LayerBinding, Scan, ScanIndex, ScopeTable, StringInterner,
+    };
+    let tech = nmos_technology();
+    let layout = diic::cif::parse(cif).unwrap();
+    let bound = BoundTechnology::new(&tech);
+    let (binding, _) = LayerBinding::bind(&layout, &tech);
+    let (view, runs) = instantiate(&layout, &tech, &binding, StringInterner::default());
+    let bboxes = view.elements.bboxes();
+    let scopes = ScopeTable::build(
+        layout.top_items(),
+        runs.iter().map(|&(elements, _)| elements),
+        bboxes,
+        bound.max_rule_range(),
+    );
+    let (mut total, mut mine) = (0, 0);
+    let mut count = |scan: &Scan<'_>, index: &ScanIndex, reach| {
+        for at in 0..scan.ids.len() {
+            let examined = scan.pairs(bboxes, index, reach, at..at + 1, |_, _| {});
+            total += examined;
+            if bboxes[scan.ids.get(at)] == own {
+                mine += examined;
+            }
+        }
+    };
+    for reach in [0, bound.max_rule_range()] {
+        let plan = scopes.rows(reach);
+        for (_, scan) in &plan.rows {
+            count(scan, &scan.index(bboxes, bound.cell_size()), reach);
+        }
+        // The loose scans all search the first one's index.
+        if let Some((_, first)) = plan.loose.first() {
+            let index = first.index(bboxes, bound.cell_size());
+            for (_, scan) in &plan.loose {
+                count(scan, &index, reach);
+            }
+        }
+    }
+    (total, mine)
+}
+
+/// One box far from the rest must not change how the rest is searched:
+/// a 200 × 200 array of 1 000 × 1 000 metal boxes at pitch 2 500, with
+/// and without one more box at (2³⁰, 2³⁰), loose and inside one symbol.
+/// The far box adds at most its own queries' candidates — an index that
+/// coarsened its cells to span the far box would put the whole array in
+/// a few cells and examine it once per query.
+#[test]
+fn a_far_box_adds_only_its_own_candidates() {
+    let far = 1i64 << 30;
+    let far_box = Rect::new(far - 500, far - 500, far + 500, far + 500);
+    let mut array = String::from("L NM;\n");
+    for i in 0..200 {
+        for j in 0..200 {
+            array.push_str(&format!("B 1000 1000 {} {};\n", i * 2500, j * 2500));
+        }
+    }
+    let with_far = format!("{array}B 1000 1000 {far} {far};\n");
+    for wrap in [false, true] {
+        let cif = |body: &str| match wrap {
+            false => format!("{body}E\n"),
+            true => format!("DS 1;\n{body}DF;\nC 1;\nE\n"),
+        };
+        let (without, _) = examined_candidates(&cif(&array), far_box);
+        let (with, own) = examined_candidates(&cif(&with_far), far_box);
+        assert!(own > 0, "the far box is searched (wrapped: {wrap})");
+        assert!(
+            with <= without + own,
+            "the far box made the array examine {with} candidates, not {without} + {own} \
+             (wrapped: {wrap})"
+        );
+    }
+}
