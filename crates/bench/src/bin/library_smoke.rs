@@ -85,6 +85,17 @@ fn main() {
         batch.stats.interner_peak_strings,
         batch.stats.interner_peak_bytes as f64 / 1e6
     );
+    let (templates, verdicts) = (batch.stats.templates, batch.stats.verdicts);
+    println!(
+        "definitions kept: templates {} hits / {} misses ({} entries), \
+         primitive verdicts {} hits / {} misses ({} entries)",
+        templates.hits,
+        templates.misses,
+        templates.entries,
+        verdicts.hits,
+        verdicts.misses,
+        verdicts.entries
+    );
     println!(
         "cell wall clock: p50 {:.2} ms, p99 {:.2} ms",
         batch.profile.p50().as_secs_f64() * 1e3,
@@ -107,6 +118,11 @@ fn main() {
     assert!(
         batch.stats.shared_cache_hits > 0,
         "a half-shared library must hit the content-keyed cache: {:?}",
+        batch.stats
+    );
+    assert!(
+        templates.hits > 0 && verdicts.hits > 0,
+        "cells sharing definitions must reuse their templates and verdicts: {:?}",
         batch.stats
     );
     assert!(

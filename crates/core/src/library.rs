@@ -281,7 +281,6 @@ fn definition_key(
     for item in &symbol.items {
         match item {
             Item::Element(e) => {
-                layer(&mut h, e.layer);
                 match &e.shape {
                     Shape::Box(r) => {
                         h.word(2);
@@ -300,6 +299,7 @@ fn definition_key(
                         p.points().iter().for_each(|&p| h.point(p));
                     }
                 }
+                layer(&mut h, e.layer);
                 match &e.net {
                     None => h.word(0),
                     Some(net) => {
