@@ -385,7 +385,10 @@ fn fill_rows(
             local
         };
         match cache {
-            Some(cache) => cache.get_or_fill(content_key(view, &scan, bound.revision()), fill),
+            Some(cache) => cache.get_or_fill(
+                content_key(cache.content_hash(), view, &scan, bound.revision()),
+                fill,
+            ),
             None => Arc::new(fill()),
         }
     })
@@ -404,9 +407,9 @@ fn fill_rows(
 /// Bboxes are the *complete* input of a fill (layers and shapes only
 /// matter at evaluation, which stays per-cell; the scan's clips are
 /// unions of the same boxes), so equal keys imply byte-equal fills.
-fn content_key(view: &ChipView, scan: &Scan<'_>, revision: u64) -> (u64, u64) {
+/// `h` is the cache's keyed hasher ([`LibraryCache::content_hash`]).
+fn content_key(mut h: ContentHash, view: &ChipView, scan: &Scan<'_>, revision: u64) -> (u64, u64) {
     let bboxes = view.elements.bboxes();
-    let mut h = ContentHash::new();
     h.word(revision);
     let sets = if scan.within {
         h.word(1); // domain tag: interior

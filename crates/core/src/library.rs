@@ -67,7 +67,9 @@ use crate::primitive_checks::PrimitiveCheckResult;
 use diic_cif::{hierarchy, Item, Layout, Shape, Symbol, SymbolId};
 use diic_geom::{Coord, Orientation, Point};
 use diic_tech::{LayerId, Technology};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -134,28 +136,34 @@ impl BoundTechnology {
 // Content hashing.
 // ---------------------------------------------------------------------
 
-/// 128-bit content hasher for cache keys: two independent 64-bit
-/// streams (FNV-1a and a rotate/multiply mix) over the same word
-/// sequence. A collision would silently serve one definition's
-/// candidate fill for another, so the key space is wide enough that
-/// the birthday bound on a 10⁴-entry cache is negligible.
+/// 128-bit content hasher for cache keys: two 64-bit lanes over the
+/// same word sequence. Each word is xor-ed into a lane, and the lane is
+/// multiplied out to 128 bits by its own multiplier and folded onto
+/// itself. The lanes' start values and multipliers are process-random
+/// bits its [`LibraryCache`] draws once ([`ContentKeys`]).
+///
+/// A collision would silently serve one definition's candidate fill,
+/// template or primitive verdict for another — across the cells, and in
+/// a service the tenants, of one session. So the key space is wide
+/// enough that the birthday bound on a 10⁴-entry cache is negligible,
+/// and the hash is keyed, as the spatial index's cell hash and the
+/// string interner's are: what a changed word does to a lane depends on
+/// the carries of a product by a multiplier nobody outside the process
+/// can read, so no file can be prepared to collide with another. This is
+/// not a PRF as the standard library's SipHash is — it does not claim to
+/// resist a caller who can *measure* the keys — and it is several times
+/// cheaper per word, which every cell pays per element and per row.
 #[derive(Clone, Copy)]
 pub(crate) struct ContentHash {
-    a: u64,
-    b: u64,
+    lanes: [u64; 2],
+    multipliers: [u64; 2],
 }
 
 impl ContentHash {
-    pub(crate) fn new() -> Self {
-        ContentHash {
-            a: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
-            b: 0x9e37_79b9_7f4a_7c15, // golden-ratio constant
-        }
-    }
-
     pub(crate) fn word(&mut self, w: u64) {
-        self.a = (self.a ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        self.b = (self.b.rotate_left(23) ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        for (lane, &m) in self.lanes.iter_mut().zip(&self.multipliers) {
+            *lane = fold(*lane ^ w, m);
+        }
     }
 
     pub(crate) fn coord(&mut self, c: Coord) {
@@ -177,8 +185,35 @@ impl ContentHash {
         self.coord(p.y);
     }
 
+    /// The key: each lane folded once more, by the other's multiplier.
     pub(crate) fn digest(self) -> ContentKey {
-        (self.a, self.b)
+        let ([a, b], [ma, mb]) = (self.lanes, self.multipliers);
+        (fold(a, mb), fold(b, ma))
+    }
+}
+
+/// `x · m` to 128 bits, its halves xor-ed.
+fn fold(x: u64, m: u64) -> u64 {
+    let product = u128::from(x) * u128::from(m);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// A [`LibraryCache`]'s [`ContentHash`] key: two lane start values and
+/// two odd multipliers, drawn from the process's random source. Its
+/// `Debug` shows none of them.
+#[derive(Clone, Copy)]
+struct ContentKeys([u64; 4]);
+
+impl Default for ContentKeys {
+    fn default() -> Self {
+        let word = || RandomState::new().build_hasher().finish();
+        ContentKeys([word(), word(), word() | 1, word() | 1])
+    }
+}
+
+impl std::fmt::Debug for ContentKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ContentKeys(..)")
     }
 }
 
@@ -218,7 +253,8 @@ impl<'a> CellDefinitions<'a> {
     ) -> Self {
         let mut keys = vec![(0, 0); layout.symbols().len()];
         for id in hierarchy::topological_order(layout) {
-            keys[id.0 as usize] = definition_key(layout.symbol(id), &keys, binding, revision);
+            let h = cache.content_hash();
+            keys[id.0 as usize] = definition_key(h, layout.symbol(id), &keys, binding, revision);
         }
         CellDefinitions { cache, keys }
     }
@@ -244,7 +280,7 @@ impl<'a> CellDefinitions<'a> {
         derive: impl Fn() -> PrimitiveCheckResult,
     ) -> Arc<PrimitiveCheckResult> {
         let (a, b) = self.keys[symbol.0 as usize];
-        let mut h = ContentHash::new();
+        let mut h = self.cache.content_hash();
         h.word(a);
         h.word(b);
         h.text(name);
@@ -253,14 +289,14 @@ impl<'a> CellDefinitions<'a> {
 }
 
 /// The content key of `symbol`'s definition, given its children's in
-/// `keys` (see [`CellDefinitions`]).
+/// `keys` (see [`CellDefinitions`]), hashed by `h`.
 fn definition_key(
+    mut h: ContentHash,
     symbol: &Symbol,
     keys: &[ContentKey],
     binding: &LayerBinding,
     revision: u64,
 ) -> ContentKey {
-    let mut h = ContentHash::new();
     h.word(revision);
     let layer = |h: &mut ContentHash, r| h.word(binding.layer(r).map_or(u64::MAX, |l| l.0.into()));
     match &symbol.device {
@@ -331,33 +367,48 @@ pub(crate) trait Definition {
 }
 
 /// Content key → derived definition, kept from its second sighting on:
-/// a key seen once sits in the map with no value, so a definition only
-/// one cell has never stays resident — the cross-cell form of "derived
-/// once, placed twice".
+/// a key seen once only joins the `seen` set, so a definition only one
+/// cell has never stays resident — the cross-cell form of "derived once,
+/// placed twice". The set is bounded: once it holds [`SEEN_LIMIT`] keys
+/// it is emptied before the next joins, so a session that meets endless
+/// unique definitions forgets their first sightings instead of growing.
 struct Shelf<K, V> {
-    map: Mutex<HashMap<K, Option<Arc<V>>>>,
+    map: Mutex<ShelfMap<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    entries: AtomicU64,
 }
+
+/// A [`Shelf`]'s keys: those kept, with their values, and those seen
+/// once.
+struct ShelfMap<K, V> {
+    kept: HashMap<K, Arc<V>>,
+    seen: HashSet<K>,
+}
+
+/// How many keys a [`Shelf`] remembers having seen once.
+const SEEN_LIMIT: usize = 1 << 16;
 
 impl<K, V> Default for Shelf<K, V> {
     fn default() -> Self {
         Shelf {
-            map: Mutex::default(),
+            map: Mutex::new(ShelfMap {
+                kept: HashMap::new(),
+                seen: HashSet::new(),
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
         }
     }
 }
 
 impl<K, V> Shelf<K, V> {
     fn stats(&self) -> DefinitionStats {
+        let map = self.map.lock().expect("library cache poisoned");
         DefinitionStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
+            entries: map.kept.len() as u64,
+            seen: map.seen.len() as u64,
         }
     }
 }
@@ -377,17 +428,21 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
     /// wins. A debug build derives every hit again and asserts it
     /// equal.
     fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> Arc<V> {
-        let seen = {
+        let (kept, seen) = {
             // invariant (this and below): a poisoned mutex means another
             // worker panicked mid-insert; the batch is already dead.
             let mut map = self.map.lock().expect("library cache poisoned");
-            let seen = map.get(&key).cloned();
-            if seen.is_none() {
-                map.insert(key, None);
+            let kept = map.kept.get(&key).cloned();
+            let seen = kept.is_none() && map.seen.contains(&key);
+            if kept.is_none() && !seen {
+                if map.seen.len() >= SEEN_LIMIT {
+                    map.seen.clear();
+                }
+                map.seen.insert(key);
             }
-            seen
+            (kept, seen)
         };
-        if let Some(Some(kept)) = seen {
+        if let Some(kept) = kept {
             self.hits.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
             kept.assert_same(&derive());
@@ -395,11 +450,10 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = Arc::new(derive());
-        if seen.is_some() {
+        if seen {
             let mut map = self.map.lock().expect("library cache poisoned");
-            if let Some(slot @ None) = map.get_mut(&key) {
-                *slot = Some(Arc::clone(&value));
-                self.entries.fetch_add(1, Ordering::Relaxed);
+            if map.seen.remove(&key) {
+                map.kept.insert(key, Arc::clone(&value));
             }
         }
         value
@@ -417,6 +471,9 @@ pub struct DefinitionStats {
     pub misses: u64,
     /// Definitions kept: each one a second cell presented.
     pub entries: u64,
+    /// Definitions seen once and not kept (yet): keys only, at most
+    /// 65 536 of them.
+    pub seen: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -447,6 +504,9 @@ pub struct DefinitionStats {
 /// on; until then only the key is. [`LibraryCache::hits`] and
 /// [`LibraryCache::misses`] count fills only; [`LibraryCache::templates`]
 /// and [`LibraryCache::verdicts`] count the definitions.
+///
+/// Every key is hashed with this cache's own process-random keys
+/// (`LibraryCache::content_hash`).
 #[derive(Debug, Default)]
 pub struct LibraryCache {
     map: Mutex<FillMap>,
@@ -454,6 +514,8 @@ pub struct LibraryCache {
     misses: AtomicU64,
     templates: Shelf<(ContentKey, Orientation), Template>,
     verdicts: Shelf<ContentKey, PrimitiveCheckResult>,
+    /// The key of every [`ContentHash`] this cache makes.
+    keys: ContentKeys,
 }
 
 /// Content key → shared candidate-pair fill (shard-local index pairs).
@@ -463,6 +525,15 @@ impl LibraryCache {
     /// An empty cache.
     pub fn new() -> Self {
         LibraryCache::default()
+    }
+
+    /// A hasher for one content key, keyed by this cache.
+    pub(crate) fn content_hash(&self) -> ContentHash {
+        let [a, b, ma, mb] = self.keys.0;
+        ContentHash {
+            lanes: [a, b],
+            multipliers: [ma, mb],
+        }
     }
 
     /// Returns the fill stored under `key`, computing and inserting it
@@ -910,24 +981,54 @@ mod tests {
         let other = shelf.get_or_derive(2, || 8);
         assert_eq!(*other, 8);
         let stats = shelf.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
+        let counts = (stats.hits, stats.misses, stats.entries, stats.seen);
+        assert_eq!(counts, (1, 3, 1, 1));
+    }
+
+    #[test]
+    fn shelf_forgets_first_sightings_past_its_limit() {
+        let shelf = Shelf::<u32, u32>::default();
+        let limit = u32::try_from(SEEN_LIMIT).unwrap();
+        (0..limit).for_each(|k| drop(shelf.get_or_derive(k, || k)));
+        assert_eq!(shelf.stats().seen, u64::from(limit));
+        shelf.get_or_derive(limit, || limit);
+        assert_eq!(shelf.stats().seen, 1, "a full set is emptied first");
+        shelf.get_or_derive(limit, || limit);
+        shelf.get_or_derive(0, || 0);
+        let stats = shelf.stats();
+        assert_eq!(
+            (stats.entries, stats.seen),
+            (1, 1),
+            "the last key is kept; the first is seen afresh"
+        );
     }
 
     #[test]
     fn content_hash_separates_streams() {
-        let mut x = ContentHash::new();
-        let mut y = ContentHash::new();
+        let cache = LibraryCache::new();
+        let mut x = cache.content_hash();
+        let mut y = cache.content_hash();
         x.word(1);
         x.word(2);
         y.word(2);
         y.word(1);
         assert_ne!(x.digest(), y.digest(), "order must matter");
-        let mut z = ContentHash::new();
+        let mut z = cache.content_hash();
         z.word(1);
         z.word(2);
         assert_eq!(x.digest(), z.digest(), "same sequence, same digest");
+        let mut other = LibraryCache::new().content_hash();
+        other.word(1);
+        other.word(2);
+        assert_ne!(x.digest(), other.digest(), "each cache keys its own hashes");
+        // Two top bits flipped, one word apart, cancel in an FNV-1a
+        // stream whatever its start value: here they do not.
+        let mut flipped = cache.content_hash();
+        flipped.word(1 ^ 1 << 63);
+        flipped.word(2 ^ 1 << 63);
+        assert_ne!(flipped.digest(), z.digest(), "a word's top bit counts");
         let texts = |parts: &[&str]| {
-            let mut h = ContentHash::new();
+            let mut h = cache.content_hash();
             parts.iter().for_each(|p| h.text(p));
             h.digest()
         };

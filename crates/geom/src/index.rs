@@ -9,10 +9,10 @@
 //! * [`FlatGrid`] — **built once, then only queried**: every pair scan
 //!   (a row fill, a loose scan, the direct scan over an edit's halo),
 //!   every bind index, every dirty-region predicate of an edit. Its cells
-//!   are one dense array in compressed-row form — a `starts` offset per
-//!   cell into one `entries` list of positions — filled in two passes,
-//!   so a query is a few slice reads: no hashing, and nothing allocated
-//!   but the caller's reused buffer.
+//!   are in compressed-row form — a `starts` offset per cell into one
+//!   `entries` list of positions — counted, prefix-summed and filled
+//!   backwards, so a query is a few slice reads: no hashing, and nothing
+//!   allocated but the caller's reused buffer.
 //! * [`GridIndex`] — **items come and go**: an edit session's element
 //!   index and label index, which take inserts and removes on every edit,
 //!   and the scope table's grid. Its cells are hashed buckets, so it
@@ -28,12 +28,14 @@
 //! scans the slots instead of walking its cells — the rule
 //! `ScopeTable::neighbours` applies to scopes. A box spanning the whole
 //! coordinate range is one entry, not a bucket for each of its 2⁸⁰-odd
-//! cells. A [`FlatGrid`]'s array is bounded the same way: it is dense
-//! only while that takes at most four cells per item (64 at least), and
-//! past that it keeps only its occupied cells, found by key. Its cells
-//! stay the caller's size, so one far-away item neither makes a
-//! chip-sized array nor crowds the rest into a few coarse cells.
-//! Coordinates come
+//! cells. A [`FlatGrid`] is bounded by its items as well. Its array is
+//! dense only while that takes at most four cells per item (64 at
+//! least), and past that it keeps only its occupied cells, found by key;
+//! its cells stay the caller's size, so one far-away item neither makes
+//! a chip-sized array nor crowds the rest into a few coarse cells. And
+//! it files at most 16 entries per item, putting its longest items on
+//! the side list past that, so long items far apart cannot make n²
+//! entries. Coordinates come
 //! from outside the program, so the file denies
 //! `clippy::arithmetic_side_effects`: every cell count is taken in
 //! `u128` or saturates, and the hash and the counters say how they wrap
@@ -523,7 +525,12 @@ impl<T> GridIndex<T> {
 /// occupied cells only, and finds a cell's run through their keys,
 /// sorted by row and then by column. An item covering more cells than
 /// `max(n, 64)` goes on a side list instead, which every query tests
-/// directly.
+/// directly, and so do the longest items once the rest would file more
+/// than 16 entries per item (64 items at least).
+///
+/// Keying every grid would be one layout fewer, but a dense chip's
+/// queries then binary-search rows and columns where the array indexes
+/// them: the `edit-session` benchmark's median edit took 18 % longer.
 ///
 /// # Example
 ///
@@ -589,21 +596,26 @@ enum Window {
 
 impl FlatGrid {
     /// Indexes `rects` (position `k` is `rects[k]`) over cells
-    /// `cell_size` wide (clamped to ≥ 1). A dense grid is counted,
-    /// prefix-summed and filled in two passes over the items; a keyed
-    /// one sorts each item's cell keys once.
+    /// `cell_size` wide (clamped to ≥ 1). Both forms file their entries
+    /// in one counted, prefix-summed, backwards pass (`append_runs`):
+    /// a dense grid over its array, a keyed one row by row.
     pub fn new(rects: Vec<Rect>, cell_size: Coord) -> FlatGrid {
         // invariant: 2³² rectangles would be over a hundred GB.
         let n = u32::try_from(rects.len()).expect("positions are addressed by u32");
         let cell = cell_size.max(1);
         let slots = u64::try_from(rects.len().max(WIDE_FLOOR)).unwrap_or(u64::MAX);
-        let (mut wide, mut bounds) = (Vec::new(), None::<Rect>);
+        let (mut wide, mut bounds, mut filed) = (Vec::new(), None::<Rect>, 0u64);
         for (k, r) in (0..n).zip(&rects) {
-            if CellSpan::of(r, cell).count() > slots {
+            let count = CellSpan::of(r, cell).count();
+            if count > slots {
                 wide.push(k);
             } else {
                 bounds = Some(bounds.map_or(*r, |b| b.bounding_union(r)));
+                filed = filed.saturating_add(count);
             }
+        }
+        if filed > slots.saturating_mul(ENTRIES_PER_SLOT) {
+            bounds = set_aside_longest(&rects, cell, &mut wide, filed);
         }
         let mut grid = FlatGrid {
             rects,
@@ -630,79 +642,89 @@ impl FlatGrid {
         // invariant: the array holds at most `max(4n, 64)` cells.
         let side = |s: u64| usize::try_from(s).expect("the array is bounded by the items");
         let (nx, ny) = (side(nx), side(ny));
-        grid.cells = Cells::Dense {
-            origin: (span.x.0, span.y.0),
-            nx,
-            ny,
+        let origin = (span.x.0, span.y.0);
+        let (mut starts, mut entries) = (Vec::new(), Vec::new());
+        let cover = |k: u32| {
+            let span = CellSpan::of(&grid.rects[k as usize], cell);
+            // invariant: the array spans every filed item.
+            let ((x1, x2), (y1, y2)) =
+                local_span(&span, origin, nx, ny).expect("a filed item lies in the array");
+            Block {
+                rows: y1..y2.saturating_add(1),
+                stride: nx,
+                columns: x1..x2.saturating_add(1),
+            }
         };
-
-        // Pass 1: `starts[c]` counts cell `c`'s entries, then holds where
-        // they end. Pass 2 walks the items backwards and fills each cell
-        // from its end, so a cell lists its positions ascending and
-        // `starts[c]` ends up where they begin.
-        let mut starts = vec![0u32; nx.saturating_mul(ny).saturating_add(1)];
-        let filed = |k: &u32| grid.wide.binary_search(k).is_err();
-        for k in (0..n).filter(filed) {
-            grid.for_each_cell(&grid.rects[k as usize], |c| {
-                starts[c] = starts[c].saturating_add(1);
-            });
-        }
-        let mut total = 0u32;
-        for start in &mut starts {
-            // invariant: a grid of 2³² entries would be sixteen GB of them.
-            total = total
-                .checked_add(*start)
-                .expect("entries are addressed by u32");
-            *start = total;
-        }
-        let mut entries = vec![0u32; total as usize];
-        for k in (0..n).rev().filter(filed) {
-            grid.for_each_cell(&grid.rects[k as usize], |c| {
-                // invariant: pass 1 counted this entry into the cell.
-                starts[c] = starts[c].saturating_sub(1);
-                entries[starts[c] as usize] = k;
-            });
-        }
+        let positions = (0..n).filter(|k| grid.wide.binary_search(k).is_err());
+        append_runs(
+            &mut starts,
+            &mut entries,
+            nx.saturating_mul(ny),
+            positions,
+            cover,
+        );
+        starts.push(entry_number(entries.len()));
+        grid.cells = Cells::Dense { origin, nx, ny };
         (grid.starts, grid.entries) = (starts, entries);
         grid
     }
 
-    /// Builds the keyed form: every `(row, column, position)` a filed
-    /// item covers, sorted, is the cells in number order with each
-    /// cell's positions ascending.
+    /// Builds the keyed form row by row: the occupied row keys, sorted;
+    /// each filed position listed under every row it covers; then per
+    /// row, its items' column keys, sorted — the row's cells — and each
+    /// position filed under its cells. Nothing is held per entry but the
+    /// entry itself.
     fn fill_keyed(&mut self) {
-        let filed = |k: &u32| self.wide.binary_search(k).is_err();
-        let positions = (0u32..).zip(&self.rects).filter(|(k, _)| filed(k));
-        let spans = positions.map(|(k, r)| (k, CellSpan::of(r, self.cell)));
-        let total = (spans.clone()).fold(0u64, |total, (_, s)| total.saturating_add(s.count()));
-        // invariant: a grid of 2³² entries would be sixteen GB of them.
-        let total = u32::try_from(total).expect("entries are addressed by u32");
-        let mut keyed = Vec::with_capacity(total as usize);
-        for (k, span) in spans {
-            keyed.extend(span.keys().map(|(x, y)| (y, x, k)));
-        }
-        keyed.sort_unstable();
-        let (mut rows, mut firsts, mut columns) = (Vec::new(), Vec::new(), Vec::new());
-        let mut starts = Vec::new();
-        let mut x_keys = (Coord::MAX, Coord::MIN);
-        let mut last = None;
-        for (at, &(y, x, _)) in (0u32..).zip(&keyed) {
-            if last == Some((y, x)) {
-                continue;
-            }
-            if last.is_none_or(|(last_y, _)| last_y != y) {
-                rows.push(y);
-                firsts.push(cell_number(columns.len()));
-            }
-            columns.push(x);
-            starts.push(at);
-            x_keys = (x_keys.0.min(x), x_keys.1.max(x));
-            last = Some((y, x));
+        let n = u32::try_from(self.rects.len()).unwrap_or(u32::MAX);
+        let positions = || (0..n).filter(|k| self.wide.binary_search(k).is_err());
+        let span = |k: u32| CellSpan::of(&self.rects[k as usize], self.cell);
+        // The keys of `keys` in `(lo, hi)`, as a range of its indexes.
+        let within = |keys: &[Coord], (lo, hi): (Coord, Coord)| {
+            Block::line(
+                keys.partition_point(|&key| key < lo)..keys.partition_point(|&key| key <= hi),
+            )
+        };
+        let mut rows: Vec<Coord> = (positions().map(span))
+            .flat_map(|s| s.y.0..=s.y.1)
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let (mut in_row, mut listed) = (Vec::new(), Vec::new());
+        append_runs(&mut in_row, &mut listed, rows.len(), positions(), |k| {
+            within(&rows, span(k).y)
+        });
+        in_row.push(entry_number(listed.len()));
+
+        let (mut firsts, mut columns, mut starts, mut entries) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut keys = Vec::new();
+        for run in in_row.windows(2) {
+            let items = &listed[run[0] as usize..run[1] as usize];
+            keys.clear();
+            keys.extend(items.iter().flat_map(|&k| {
+                let s = span(k);
+                s.x.0..=s.x.1
+            }));
+            keys.sort_unstable();
+            keys.dedup();
+            firsts.push(cell_number(columns.len()));
+            let cover = |k| within(&keys, span(k).x);
+            append_runs(
+                &mut starts,
+                &mut entries,
+                keys.len(),
+                items.iter().copied(),
+                cover,
+            );
+            columns.extend_from_slice(&keys);
         }
         firsts.push(cell_number(columns.len()));
-        starts.push(total);
-        self.entries = keyed.into_iter().map(|(_, _, k)| k).collect();
+        starts.push(entry_number(entries.len()));
+        let x_keys = (columns.iter().copied()).fold((Coord::MAX, Coord::MIN), |(lo, hi), x| {
+            (lo.min(x), hi.max(x))
+        });
         self.starts = starts;
+        self.entries = entries;
         self.cells = Cells::Keyed {
             rows,
             firsts,
@@ -725,6 +747,12 @@ impl FlatGrid {
     /// `max(4n, 64)` cells), or a keyed grid's occupied cells.
     pub fn cell_count(&self) -> usize {
         self.starts.len().saturating_sub(1)
+    }
+
+    /// Entries the cells hold, the side list not counted: at most
+    /// `16 · max(n, 64)`, however long and far apart the items are.
+    pub fn entry_count(&self) -> usize {
+        self.entries.len()
     }
 
     /// True if the grid keeps its occupied cells only, found by key —
@@ -861,21 +889,6 @@ impl FlatGrid {
         };
         &self.entries[self.starts[from] as usize..self.starts[to] as usize]
     }
-
-    /// Calls `visit` with the number of each array cell `r` covers —
-    /// a dense grid's, while it is being filled.
-    fn for_each_cell(&self, r: &Rect, mut visit: impl FnMut(usize)) {
-        let &Cells::Dense { origin, nx, ny } = &self.cells else {
-            return;
-        };
-        let span = CellSpan::of(r, self.cell);
-        if let Some(((x1, x2), (y1, y2))) = local_span(&span, origin, nx, ny) {
-            for y in y1..=y2 {
-                let first = y.saturating_mul(nx);
-                (x1..=x2).for_each(|x| visit(first.saturating_add(x)));
-            }
-        }
-    }
 }
 
 /// The array cells `span` covers, clamped to an `nx × ny` array from
@@ -897,6 +910,114 @@ fn local_span(span: &CellSpan, origin: (Coord, Coord), nx: usize, ny: usize) -> 
 
 /// The array cells a rectangle covers: inclusive column and row ranges.
 type LocalSpan = ((usize, usize), (usize, usize));
+
+/// The entries a [`FlatGrid`] files at most per slot (`max(n, 64)`
+/// slots): past that many in all, its longest items go on the side list.
+const ENTRIES_PER_SLOT: u64 = 16;
+
+/// Moves the longest of the items of `rects` that `wide` does not hold
+/// onto it, ascending, until the rest — which file `filed` entries now
+/// — file at most `ENTRIES_PER_SLOT` per slot; returns their bounding
+/// box. A grid's entries are thus bounded by its items, however far
+/// apart long items lie.
+fn set_aside_longest(rects: &[Rect], cell: Coord, wide: &mut Vec<u32>, filed: u64) -> Option<Rect> {
+    let slots = u64::try_from(rects.len().max(WIDE_FLOOR)).unwrap_or(u64::MAX);
+    let budget = slots.saturating_mul(ENTRIES_PER_SLOT);
+    let covers = (0u32..)
+        .zip(rects)
+        .map(|(k, r)| (CellSpan::of(r, cell).count(), k));
+    let mut longest: Vec<_> = covers.filter(|&(count, _)| count <= slots).collect();
+    longest.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut total = filed;
+    for (count, k) in longest {
+        if total <= budget {
+            break;
+        }
+        total = total.saturating_sub(count);
+        wide.push(k);
+    }
+    wide.sort_unstable();
+    (0u32..)
+        .zip(rects)
+        .filter(|(k, _)| wide.binary_search(k).is_err())
+        .map(|(_, r)| *r)
+        .reduce(|b, r| b.bounding_union(&r))
+}
+
+/// The buckets [`append_runs`] files one item under: bucket `row ·
+/// stride + column` for each of `rows` and, in each, `columns` — a dense
+/// grid's block of cells, or one range of a keyed grid's rows or of a
+/// row's cells.
+struct Block {
+    rows: std::ops::Range<usize>,
+    stride: usize,
+    columns: std::ops::Range<usize>,
+}
+
+impl Block {
+    /// The buckets `range`.
+    fn line(range: std::ops::Range<usize>) -> Block {
+        Block {
+            rows: 0..1,
+            stride: 0,
+            columns: range,
+        }
+    }
+
+    #[inline]
+    fn for_each(self, mut visit: impl FnMut(usize)) {
+        for row in self.rows {
+            let first = row.saturating_mul(self.stride);
+            (self.columns.clone()).for_each(|column| visit(first.saturating_add(column)));
+        }
+    }
+}
+
+/// Appends `buckets` runs to a compressed-row table: every position of
+/// `items` (ascending) filed under each bucket `cover` names, so the
+/// `b`-th bucket lists its positions, ascending, in `entries` from the
+/// `b`-th start the call appends on. The caller closes the last run.
+/// Each bucket is counted, the counts summed into where the runs end,
+/// and the items walked backwards to fill each run from its end — so
+/// nothing is held per entry but the entry.
+fn append_runs(
+    starts: &mut Vec<u32>,
+    entries: &mut Vec<u32>,
+    buckets: usize,
+    items: impl DoubleEndedIterator<Item = u32> + Clone,
+    cover: impl Fn(u32) -> Block,
+) {
+    let first = starts.len();
+    // Room for the end the caller closes the last run with, too.
+    starts.reserve(buckets.saturating_add(1));
+    starts.resize(first.saturating_add(buckets), 0);
+    let ends = &mut starts[first..];
+    for k in items.clone() {
+        cover(k).for_each(|b| ends[b] = ends[b].saturating_add(1));
+    }
+    let mut total = entry_number(entries.len());
+    for end in ends.iter_mut() {
+        // invariant: a grid of 2³² entries would be sixteen GB of them.
+        total = total
+            .checked_add(*end)
+            .expect("entries are addressed by u32");
+        *end = total;
+    }
+    entries.resize(total as usize, 0);
+    for k in items.rev() {
+        cover(k).for_each(|b| {
+            // invariant: the count above filed this entry into the bucket.
+            ends[b] = ends[b].saturating_sub(1);
+            entries[ends[b] as usize] = k;
+        });
+    }
+}
+
+/// An entry count as a `u32`, which a grid's `starts` hold.
+fn entry_number(count: usize) -> u32 {
+    // invariant: `append_runs` refused to file past 2³² entries.
+    u32::try_from(count).expect("entries are addressed by u32")
+}
 
 /// A keyed grid's cell count as a `u32`, which its `starts` fit under.
 fn cell_number(count: usize) -> u32 {

@@ -192,10 +192,12 @@ proptest! {
         }
         // The cells stay the caller's size; the dense array is bounded by
         // the items, and past that bound the grid keys its occupied cells.
+        // Either way it files at most 16 entries per item.
         prop_assert_eq!(flat.cell_size(), cell);
         if !flat.is_keyed() {
             prop_assert!(flat.cell_count() <= (4 * rects.len()).max(64), "{} cells", flat.cell_count());
         }
+        prop_assert!(flat.entry_count() <= 16 * rects.len().max(64), "{} entries", flat.entry_count());
         // Each query as drawn, and boxes of one to a few of the grid's
         // own cells around its corner: a few cells each, so the grid
         // walks them rather than scanning every rectangle.
@@ -231,9 +233,10 @@ proptest! {
         boxes in proptest::collection::vec((-60i64..60, -60i64..60, 0i64..90, 0i64..90), 1..40),
         far in (1i64 << 20)..(MAX_COORD / 2),
         queries in proptest::collection::vec((-70i64..70, -70i64..70, 0i64..200), 1..10),
-        // At least 20 wide: a box then covers at most 36 cells, too few
-        // to put it on the side list every query examines.
-        cell in 20i64..200,
+        // At least 40 wide: a box then covers at most 16 cells, so the
+        // grid files every box (it files up to 16 entries per item before
+        // it puts its longest on the side list every query examines).
+        cell in 40i64..200,
     ) {
         let near: Vec<Rect> = (boxes.iter())
             .map(|&(x, y, w, h)| Rect::new(x * 10, y * 10, x * 10 + w, y * 10 + h))
@@ -263,6 +266,34 @@ proptest! {
                     prop_assert_eq!(examined, alone_examined, "{:?}", q);
                 }
             }
+        }
+    }
+
+    /// Parallel rails one cell apart, each as long as there are rails:
+    /// every rail is filed under fewer cells than there are items, yet
+    /// all of them under n² — so the grid files the rails it can within
+    /// 16 entries per item, puts the rest on the side list, and answers
+    /// what a scan does.
+    #[test]
+    fn spread_rails_file_a_bounded_number_of_entries(
+        n in 512usize..2048,
+        cell in 1i64..50,
+        queries in proptest::collection::vec((0usize..2048, 0usize..2048, 0i64..3), 1..10),
+    ) {
+        let rail = |i: usize| {
+            let y = 2 * i as i64 * cell;
+            Rect::new(0, y, (n as i64 - 1) * cell, y)
+        };
+        let rails: Vec<Rect> = (0..n).map(rail).collect();
+        let flat = FlatGrid::new(rails.clone(), cell);
+        prop_assert!(flat.entry_count() <= 16 * n, "{} entries", flat.entry_count());
+        let mut got = Vec::new();
+        for &(i, at, cells) in &queries {
+            let (x, y) = ((at % n) as i64 * cell, 2 * (i % n) as i64 * cell);
+            let q = Rect::new(x, y - cells * cell, x + cells * cell, y + cells * cell);
+            flat.query_into(&q, &mut got);
+            let touching = (0..n as u32).filter(|&k| rails[k as usize].touches(&q));
+            prop_assert_eq!(&got, &touching.collect::<Vec<_>>(), "{:?}", q);
         }
     }
 

@@ -68,13 +68,13 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 29 355 in a release build, 114 035 in a debug one (whose
+/// set: 29 353 in a release build, 114 033 in a debug one (whose
 /// oracles allocate, and derive every kept template and verdict
 /// again). A batch may take 5 % more, no further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    114_035
+    114_033
 } else {
-    29_355
+    29_353
 };
 
 /// Allocator calls of the edit run below when this budget was set:

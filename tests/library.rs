@@ -412,11 +412,20 @@ fn definitions_are_kept_from_their_second_sighting() {
         "{one:?}"
     );
     assert_eq!((one.templates.hits, one.verdicts.hits), (0, 0), "{one:?}");
+    assert_eq!(
+        (one.templates.seen, one.verdicts.seen),
+        (one.templates.misses, one.verdicts.misses),
+        "every definition is a key seen once: {one:?}"
+    );
 
     // Unique inverters: eight cells keep what two do — the four device
     // definitions — and no inverter.
     let (two, eight) = (library(2, 0.0), library(8, 0.0));
     assert_eq!(two.templates.entries, 4, "{two:?}");
+    assert!(
+        eight.templates.seen > two.templates.seen,
+        "each unique inverter stays a key seen once: {eight:?}"
+    );
     assert_eq!(
         (eight.templates.entries, eight.verdicts.entries),
         (two.templates.entries, two.verdicts.entries),
@@ -433,6 +442,7 @@ fn definitions_are_kept_from_their_second_sighting() {
             "derived by the first two cells"
         );
         assert_eq!(shelf.hits, 6 * shelf.entries, "hit by each later cell");
+        assert_eq!(shelf.seen, 0, "every key seen was kept");
     }
     assert_eq!(
         stock.shared_cache_hits + stock.shared_cache_misses,
