@@ -62,17 +62,31 @@
 //!   Canonicalisation follows the nets the edit touched, not the chip;
 //!   in debug builds the result and the index are asserted equal to the
 //!   from-scratch [`crate::netgen::NetParts::assemble`] and a fresh index.
-//! * **net-wide effects are caught by a name diff** — connectivity is
-//!   global (one added strap merges two nets chip-wide), so after the
-//!   splice every surviving element whose net's canonical name
-//!   changed, and every device whose terminal-net names changed, adds
-//!   its footprint to the dirty core. Only elements and terminals on a
-//!   freshly built net can have — the copied nets kept their names — so
-//!   the diff walks the nodes the splice re-derived, the elements on the
-//!   renamed ones and the devices on their nets. A merge or split always
-//!   renames at least one side (the canonical name is the minimum
-//!   alias), so every pair whose same-net/relatedness verdict could
-//!   have flipped now has a dirty endpoint.
+//! * **net-wide effects are caught by a relation diff** — connectivity
+//!   is global (one added strap merges two nets chip-wide), but an
+//!   interaction verdict reads nets through two relations only: whether
+//!   the pair shares a net, and whether a transistor holding one element
+//!   has a terminal on the other's net ([`crate::netgen::GraphNets`]); it
+//!   never reads a net's name (contexts are instance paths, and a
+//!   spacing line carries `same_net` as a bool). A relation between two
+//!   survivors can flip only where the splice re-derived a net: a
+//!   survivor on a kept net keeps its slot, and a fresh net is never a
+//!   kept one, so a survivor that stayed and one that moved (to a fresh
+//!   net from a retired one) were apart before and are apart after. The
+//!   candidates are therefore the survivors on re-derived nodes (or
+//!   re-keyed onto other nodes) and the surviving transistors with a
+//!   re-derived terminal, found through the fresh nets' terminals; and
+//!   of those only the ones on nets that split or merged — a retired net
+//!   whose nodes all went to one fresh net, which holds no other retired
+//!   net's nodes, was at most renamed, and flips nothing (nodes only the
+//!   edit's own rows name count for neither). Candidates that made the
+//!   same move keep their relation, so only the ones within reach of
+//!   another move's bounding box are paired within rule reach, through
+//!   one grid — a rail cut in two costs the elements along the cut —
+//!   and only the ends of a pair whose old and new relation differ add
+//!   their footprints to the dirty core. In debug builds every pair of
+//!   survivors within reach whose relation differs is asserted to have
+//!   an end there.
 //! * **interactions re-run inside the halo only** — the dirty core's
 //!   footprints are inflated by the technology's rule reach (the
 //!   session's [`BoundTechnology`], the open's own) and kept as they
@@ -115,7 +129,8 @@
 //! every kept net and device row, O(nets + devices); re-canonicalising
 //! the chip-wide VDD and GND nets whenever an edit touches one of them
 //! (an inverter's edit does), which the search, the canonicalisation
-//! and the name diff all walk. Beside them some plain integer
+//! and the relation diff all walk (the diff the elements on every
+//! re-derived node, once). Beside them some plain integer
 //! passes are linear too: the old → new id maps, the dirty and seed
 //! masks, renumbering the cached merges, and moving the device rows
 //! and element nodes that lie after the first item whose run changed
@@ -165,8 +180,8 @@
 //!    found through the element index and the `PointIndex`;
 //! 6. `splice_nets` \[`t_net`\] — the net index patched; the cached net
 //!    list reused (a net-neutral edit) or spliced, with the nets it built
-//!    fresh and the names of the ones it dissolved; the name diff; the
-//!    halo rects;
+//!    fresh and the names of the ones it dissolved; the relation diff
+//!    (`net_moves`, `flipped_endpoints`); the halo rects;
 //! 7. `recheck_halo` \[`t_interact`\] — the elements within one reach of
 //!    the halo, in one pass over the element index; interactions among
 //!    them;
@@ -222,7 +237,9 @@ use crate::engine::{
 };
 use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
 use crate::library::BoundTechnology;
-use crate::netgen::{element_is_netted, BindIndex, DeviceParts, GraphDelta, NetIndex, NetParts};
+use crate::netgen::{
+    element_is_netted, BindIndex, DeviceParts, GraphDelta, NetIndex, NetParts, NetSplice,
+};
 use crate::primitive_checks::check_primitive_symbols;
 use crate::report::{
     canonical_sort, canonical_sort_keyed, merge_keyed, ranked, stage_rank, ReportDelta,
@@ -233,7 +250,7 @@ use diic_cif::hierarchy::{
 };
 use diic_cif::{Call, Element, Item, Layout, NetLabel, Shape, SymbolId};
 use diic_geom::{FlatGrid, GridIndex, Point, Rect, Transform, Vector, MAX_COORD};
-use diic_netlist::{DeviceId, NetId, Netlist};
+use diic_netlist::{NetId, Netlist};
 use diic_tech::Technology;
 
 /// One edit against the top level of a layout or its symbol table.
@@ -433,7 +450,11 @@ pub struct EditStats {
     /// kept ones it laid back after the first item whose run changed
     /// length. Every element before that item stays where it was.
     pub elements_rewritten: usize,
-    /// Elements whose net changed identity in the name diff.
+    /// Surviving elements at either end of a pair within rule reach
+    /// whose net relation the splice flipped — sharing a net, or a
+    /// transistor holding one having a terminal on the other's net: the
+    /// footprints the relation diff added to the halo. Zero when no net
+    /// split or merged.
     pub net_dirty_elements: usize,
     /// Seed elements the scoped connection pass examined.
     pub seed_elements: usize,
@@ -463,7 +484,8 @@ pub struct EditStats {
     /// Live graph nodes in those components.
     pub nodes_respliced: usize,
     /// Elements the interaction pass searched: every element within one
-    /// rule reach of the halo.
+    /// rule reach of the halo — the dirty and the net-dirty footprints,
+    /// each inflated by the rule reach.
     pub halo_elements: usize,
     /// True when the per-definition primitive-symbol checks re-ran —
     /// the edit set replaced a symbol's body. Otherwise their report
@@ -480,7 +502,8 @@ pub struct EditStats {
     pub t_view: std::time::Duration,
     /// Wall clock of the scoped connection pass.
     pub t_conn: std::time::Duration,
-    /// Wall clock of the net-graph patch + net-list splice + name diff.
+    /// Wall clock of the net-graph patch + net-list splice + relation
+    /// diff.
     pub t_net: std::time::Duration,
     /// Wall clock of the scoped interaction pass.
     pub t_interact: std::time::Duration,
@@ -629,6 +652,16 @@ impl EditPlan {
                     bodies[known(*symbol)?] = Some(items);
                 }
             }
+        }
+        // A replace that leaves a symbol's body as it is changes
+        // nothing: its callers stay clean.
+        for (body, symbol) in bodies.iter_mut().zip(layout.symbols()) {
+            if *body == Some(symbol.items.as_slice()) {
+                *body = None;
+            }
+        }
+        if bodies.iter().all(Option::is_none) {
+            bodies.clear();
         }
         if !bodies.is_empty() {
             check_replaced_bodies(layout, &bodies)?;
@@ -799,6 +832,48 @@ struct NetPatch {
     d_halo_grid: FlatGrid,
 }
 
+/// How a net-list splice moved what survives the edit between nets
+/// ([`CheckSession::net_moves`]), restricted to the nets that split or
+/// merged: the only moves that can flip a net relation.
+#[derive(Debug, Default)]
+struct NetMoves {
+    /// `(element, old net, new net)` of each surviving netted element
+    /// that moved — old nets as ids into the old list, new ones into the
+    /// spliced list.
+    elements: Vec<(usize, NetId, NetId)>,
+    /// `(device, old net, new net)` of each terminal of a surviving
+    /// transistor that moved, ascending by device.
+    terminals: Vec<(usize, NetId, NetId)>,
+}
+
+/// The net relations an interaction verdict reads
+/// ([`CheckSession::net_relations`]): the debug oracle of the relation
+/// diff takes them before an edit and after it.
+#[cfg(debug_assertions)]
+#[derive(Debug)]
+struct NetRelations {
+    /// Per element: its net (`None`: un-netted).
+    element_net: Vec<Option<NetId>>,
+    /// Per device: where its terminals' nets start in `term_net`, and
+    /// one past the last device, where they end.
+    term_start: Vec<usize>,
+    term_net: Vec<NetId>,
+}
+
+#[cfg(debug_assertions)]
+impl NetRelations {
+    /// Elements `i` and `j` share a net.
+    fn same_net(&self, i: usize, j: usize) -> bool {
+        matches!((self.element_net[i], self.element_net[j]), (Some(a), Some(b)) if a == b)
+    }
+
+    /// Device `d` has a terminal on element `other`'s net.
+    fn related(&self, d: usize, other: usize) -> bool {
+        let terms = &self.term_net[self.term_start[d]..self.term_start[d + 1]];
+        self.element_net[other].is_some_and(|net| terms.contains(&net))
+    }
+}
+
 /// An edit session: a layout under interactive editing with its cached,
 /// canonically ordered check report and the artefacts needed to re-check
 /// incrementally. See the module docs for the invalidation model.
@@ -967,9 +1042,13 @@ impl CheckSession {
         stats.t_conn = t0.elapsed();
 
         let t0 = clock();
+        #[cfg(debug_assertions)]
+        let nets_before = self.net_relations();
         let mut graph = self.patch_net_graph(&view, &mut conn);
         self.rebind_rows(&mut view, &mut graph);
         let nets = self.splice_nets(&mut view, graph, &mut stats);
+        #[cfg(debug_assertions)]
+        self.assert_flipped_pairs_meet_the_halo(&nets_before, &view, &nets);
         stats.t_net = t0.elapsed();
 
         let t0 = clock();
@@ -1620,12 +1699,9 @@ impl CheckSession {
     /// one reuses the cached list — a moved instance (auto keys are
     /// instance-local) or a declared-net wire dragged through free
     /// space is the common hit; anything else splices
-    /// ([`NetIndex::splice`]), and then only elements and terminals on
-    /// a freshly built net can have changed identity (their old net is
-    /// among the ones the splice retired): each adds its footprint.
-    /// They are found through the nodes the splice re-derived — the
-    /// elements on each one whose net's name changed, and the devices
-    /// with a terminal on a fresh net — never by a pass over the chip.
+    /// ([`NetIndex::splice`]), and then the survivors at either end of a
+    /// pair whose net relation the splice flipped add their footprints
+    /// ([`CheckSession::flipped_endpoints`]).
     ///
     /// Both paths stay because each wins on edits the benchmark has:
     /// 2.1 % of `edit-session`'s edits (1 445, seed 1) reuse, and with
@@ -1664,59 +1740,11 @@ impl CheckSession {
             retired_names.sort_unstable();
             stats.nets_respliced = fresh_nets.len();
             stats.nodes_respliced = splice.nodes;
+            let moves = self.net_moves(vp, &gp.rekeyed_from, &splice);
+            let flipped = self.flipped_endpoints(&vp.view, &moves);
+            stats.net_dirty_elements = flipped.len();
             let bboxes = vp.view.elements.bboxes();
-            let survivor = |id: usize| !vp.dirty[id];
-            // A kept node is on a copied net; a re-derived one kept its
-            // net's name, or every element on it adds its footprint, and
-            // its net is one a renamed terminal can be on.
-            let mut renamed_nets = Vec::new();
-            for &(node, old) in &splice.moved {
-                let Some(new) = self.nets.net_of(node) else {
-                    continue;
-                };
-                if splice.same_name(old, new) {
-                    continue;
-                }
-                renamed_nets.push(new);
-                for handle in self.nets.elements_on(node) {
-                    let id = self.handle_owner[handle as usize];
-                    if survivor(id) && !vp.rekeyed_mask[id] {
-                        int_foot.push(bboxes[id]);
-                        stats.net_dirty_elements += 1;
-                    }
-                }
-            }
-            for &(id, old) in gp.rekeyed_from.iter().filter(|&&(id, _)| survivor(id)) {
-                // invariant: re-keyed survivors keep a node, and it is live.
-                let new = self.parts.element_node[id].and_then(|node| self.nets.net_of(node));
-                if !splice.same_name(
-                    splice.old_net(old),
-                    new.expect("re-keyed survivors are netted"),
-                ) {
-                    int_foot.push(bboxes[id]);
-                    stats.net_dirty_elements += 1;
-                }
-            }
-            // Only a device with a terminal on a renamed node's net can
-            // have one whose net changed its name.
-            renamed_nets.sort_unstable();
-            renamed_nets.dedup();
-            let mut devices: Vec<usize> = (renamed_nets.iter())
-                .flat_map(|&net| splice.netlist.net(net).terminals())
-                .map(|(device, _)| device.0 as usize)
-                .collect();
-            devices.sort_unstable();
-            devices.dedup();
-            for di in devices {
-                let Some(od) = vp.dev_old_of_new[di] else {
-                    continue;
-                };
-                let (new, old) = (DeviceId(di as u32), DeviceId(od as u32));
-                if !splice.same_terminal_names(new, old) {
-                    let elements = vp.view.devices[di].element_ids.iter();
-                    int_foot.extend(elements.map(|&eid| bboxes[eid]));
-                }
-            }
+            int_foot.extend(flipped.iter().map(|&id| bboxes[id]));
             splice.netlist
         };
         // The footprints inflated, as they are: a Minkowski sum
@@ -1733,6 +1761,260 @@ impl CheckSession {
             retired_names,
             d_halo_grid: FlatGrid::new(d_halo, self.bound.cell_size()),
         }
+    }
+
+    /// Step 6's relation diff, first half: how the splice moved the
+    /// survivors and the surviving transistors' terminals between nets,
+    /// where that can flip a relation. A survivor's node keeps its net
+    /// unless the splice re-derived it ([`NetSplice::moved`]) or the
+    /// auto-key pass moved the survivor to another node
+    /// (`rekeyed_from`); each such move takes it from a retired net to a
+    /// fresh one. A retired net whose moves all reach one fresh net,
+    /// which no other retired net's moves reach, was renamed at most:
+    /// two things on it were together before and are after, and it and
+    /// anything else were apart before and are after. Only the moves
+    /// between nets that split or merged are kept. A node that only the
+    /// edit's own rows name — re-instantiated elements, fresh devices'
+    /// terminals — carries nothing whose relation matters, so it makes
+    /// no net split or merge. The transistors are found through the
+    /// terminals of the fresh nets that did, never by a pass over the
+    /// devices.
+    fn net_moves(
+        &self,
+        vp: &ViewPatch,
+        rekeyed_from: &[(usize, u32)],
+        splice: &NetSplice,
+    ) -> NetMoves {
+        let new_net = |node: u32| self.nets.net_of(node);
+        let mut fresh_terms: Vec<u32> = (vp.fresh_devices.iter())
+            .flat_map(|&di| self.parts.devices[di].terms.iter().map(|&(_, node)| node))
+            .collect();
+        fresh_terms.sort_unstable();
+        // Every survivor's move, and the move of every node a row other
+        // than the edit's own names.
+        let n = splice.moved.len() + rekeyed_from.len();
+        let (mut elements, mut links) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for &(node, old) in &splice.moved {
+            let (Some(old), Some(new)) = (old, new_net(node)) else {
+                continue;
+            };
+            let fresh = fresh_terms.partition_point(|&n| n <= node)
+                - fresh_terms.partition_point(|&n| n < node);
+            let mut rows = self.nets.rows_naming(node) as usize - fresh;
+            let before = elements.len();
+            for handle in self.nets.elements_on(node) {
+                let id = self.handle_owner[handle as usize];
+                if !vp.dirty[id] && !vp.rekeyed_mask[id] {
+                    elements.push((id, old, new));
+                }
+                rows -= 1;
+            }
+            if (elements.len() > before || rows > 0) && links.last() != Some(&(old, new)) {
+                links.push((old, new));
+            }
+        }
+        for &(id, old) in rekeyed_from {
+            // invariant: a re-keyed survivor's old node was live and
+            // named by the delta, so the splice re-derived it, and its
+            // new node is live.
+            let old = splice.old_net(old).expect("re-keyed survivors had a net");
+            let new = self.parts.element_node[id].and_then(new_net);
+            let new = new.expect("re-keyed survivors are netted");
+            elements.push((id, old, new));
+            links.push((old, new));
+        }
+        links.sort_unstable();
+        links.dedup();
+        let split: Vec<NetId> = (links.chunk_by(|a, b| a.0 == b.0))
+            .filter(|run| run.len() > 1)
+            .map(|run| run[0].0)
+            .collect();
+        links.sort_unstable_by_key(|&(old, new)| (new, old));
+        let merged: Vec<NetId> = (links.chunk_by(|a, b| a.1 == b.1))
+            .filter(|run| run.len() > 1)
+            .map(|run| run[0].1)
+            .collect();
+        if split.is_empty() && merged.is_empty() {
+            return NetMoves::default();
+        }
+        let splits_or_merges = |old: NetId, new: NetId| {
+            split.binary_search(&old).is_ok() || merged.binary_search(&new).is_ok()
+        };
+        elements.retain(|&(_, old, new)| splits_or_merges(old, new));
+
+        let nets = || {
+            let moved = links
+                .iter()
+                .filter(|&&(old, new)| splits_or_merges(old, new));
+            moved.map(|&(_, new)| splice.netlist.net(new).terminals())
+        };
+        let mut devices = Vec::with_capacity(nets().map(|terms| terms.len()).sum());
+        devices.extend(nets().flatten().map(|(device, _)| device.0 as usize));
+        devices.sort_unstable();
+        devices.dedup();
+        let mut terminals = Vec::with_capacity(devices.len());
+        for di in devices {
+            let transistor = (vp.view.devices[di].class).is_some_and(|c| c.is_transistor());
+            if !transistor || vp.dev_old_of_new[di].is_none() {
+                continue;
+            }
+            for &(_, node) in &self.parts.devices[di].terms {
+                if let (Some(old), Some(new)) = (splice.old_net(node), new_net(node)) {
+                    if splits_or_merges(old, new) {
+                        terminals.push((di, old, new));
+                    }
+                }
+            }
+        }
+        NetMoves {
+            elements,
+            terminals,
+        }
+    }
+
+    /// Step 6's relation diff, second half: the survivors at either end
+    /// of a pair within rule reach whose relation differs before and
+    /// after the splice, ascending. A pair's verdict reads nets through
+    /// two relations only: whether its elements share a net, and
+    /// whether a transistor holding one has a terminal on the other's
+    /// net. A moved survivor and one that did not move were on different
+    /// nets before (a retired one and a kept one) and are after (a fresh
+    /// one and a kept one); so were a moved survivor and a transistor
+    /// terminal that did not move. So both ends of a flipped pair are
+    /// among `moves`: its elements, and the elements of its transistors.
+    /// Two in one class — the same move, or one transistor — keep their
+    /// relation, so only the ones within reach of another class's box
+    /// (its seams with theirs) are paired, through one grid: a net that
+    /// split in two costs a pass over its moved elements and a search
+    /// along the cut.
+    fn flipped_endpoints(&self, view: &ChipView, moves: &NetMoves) -> Vec<usize> {
+        let (elements, terminals) = (&moves.elements, &moves.terminals);
+        if elements.is_empty() {
+            // Either relation needs a moved element at one end.
+            return Vec::new();
+        }
+        let terms = |device: Option<usize>| {
+            let Some(d) = device else {
+                return &terminals[..0];
+            };
+            let from = terminals.partition_point(|&(t, _, _)| t < d);
+            &terminals[from..from + terminals[from..].partition_point(|&(t, _, _)| t == d)]
+        };
+        // Each candidate as `(element, class, its move)`: a transistor's
+        // elements take the move its terminals and elements all made, or
+        // a class of their own; every other element its move's.
+        type Candidate = (usize, usize, Option<(NetId, NetId)>);
+        let flipped = |&(i, _, a): &Candidate, &(j, _, b): &Candidate| {
+            let (di, dj) = (view.elements.get(i).device(), view.elements.get(j).device());
+            if di.is_some() && di == dj {
+                return false;
+            }
+            if let (Some(a), Some(b)) = (a, b) {
+                if (a.0 == b.0) != (a.1 == b.1) {
+                    return true;
+                }
+            }
+            [(di, b), (dj, a)].into_iter().any(|(inside, other)| {
+                let (terms, Some((old, new))) = (terms(inside), other) else {
+                    return false;
+                };
+                terms.iter().any(|t| t.1 == old) != terms.iter().any(|t| t.2 == new)
+            })
+        };
+        let mut kinds: Vec<(NetId, NetId)> = elements.iter().map(|&(_, o, n)| (o, n)).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let mut members: Vec<Candidate> = (terminals.chunk_by(|a, b| a.0 == b.0).enumerate())
+            .flat_map(|(k, run)| {
+                view.devices[run[0].0]
+                    .element_ids
+                    .iter()
+                    .map(move |&id| (id, k, None))
+            })
+            .collect();
+        members.sort_unstable();
+        let mut ids: Vec<Candidate> = Vec::with_capacity(elements.len() + members.len());
+        for &(id, old, new) in elements {
+            match members.binary_search_by_key(&id, |m| m.0) {
+                Ok(at) => members[at].2 = Some((old, new)),
+                Err(_) => ids.push((
+                    id,
+                    kinds.partition_point(|&k| k < (old, new)),
+                    Some((old, new)),
+                )),
+            }
+        }
+        // A transistor whose terminals and elements made one move joins
+        // that move's class.
+        let mut device_class: Vec<usize> = (terminals.chunk_by(|a, b| a.0 == b.0).enumerate())
+            .map(|(k, run)| {
+                let one = (run[0].1, run[0].2);
+                let one_move = run.iter().all(|t| (t.1, t.2) == one);
+                match kinds.binary_search(&one) {
+                    Ok(class) if one_move => class,
+                    _ => kinds.len() + k,
+                }
+            })
+            .collect();
+        for &(_, k, own) in &members {
+            if own.is_some_and(|own| kinds.get(device_class[k]) != Some(&own)) {
+                device_class[k] = kinds.len() + k;
+            }
+        }
+        ids.extend(
+            members
+                .into_iter()
+                .map(|(id, k, own)| (id, device_class[k], own)),
+        );
+
+        let bboxes = view.elements.bboxes();
+        let reach = self.bound.max_rule_range();
+        let mut boxes: Vec<Option<Rect>> = vec![None; kinds.len() + terminals.len()];
+        for &(id, class, _) in &ids {
+            let b = &mut boxes[class];
+            *b = Some(b.map_or(bboxes[id], |b| b.bounding_union(&bboxes[id])));
+        }
+        // Per class, where its box meets another class's box ⊕ reach.
+        let (present, grown): (Vec<usize>, Vec<Rect>) = (boxes.iter().enumerate())
+            .filter_map(|(class, b)| Some((class, b.and_then(|b| b.inflate(reach))?)))
+            .unzip();
+        let class_grid = FlatGrid::new(grown, self.bound.cell_size());
+        let (mut hits, mut seams) = (Vec::new(), Vec::new());
+        for (class, b) in boxes.iter().enumerate() {
+            let Some(b) = b else {
+                continue;
+            };
+            class_grid.query_into(b, &mut hits);
+            let others = hits.iter().filter(|&&at| present[at as usize] != class);
+            let rects = class_grid.rects();
+            let meets = others.filter_map(|&at| b.intersection(&rects[at as usize]));
+            seams.extend(meets.map(|seam| (class, seam)));
+        }
+        ids.retain(|&(id, class, _)| {
+            let from = seams.partition_point(|&(c, _)| c < class);
+            let mut mine = seams[from..].iter().take_while(|&&(c, _)| c == class);
+            mine.any(|(_, seam)| seam.touches(&bboxes[id]))
+        });
+
+        let grid = FlatGrid::new(
+            ids.iter().map(|&(id, _, _)| bboxes[id]).collect(),
+            self.bound.cell_size(),
+        );
+        let mut ends = Vec::new();
+        for a in &ids {
+            let Some(query) = bboxes[a.0].inflate(reach) else {
+                continue;
+            };
+            grid.query_into(&query, &mut hits);
+            for b in hits.iter().map(|&at| &ids[at as usize]) {
+                if b.0 > a.0 && b.1 != a.1 && flipped(a, b) {
+                    ends.extend([a.0, b.0]);
+                }
+            }
+        }
+        ends.sort_unstable();
+        ends.dedup();
+        ends
     }
 
     /// Step 7 (`t_interact`): the interaction search among the elements
@@ -1880,6 +2162,104 @@ impl CheckSession {
             );
         }
         (violations, keys, delta)
+    }
+
+    /// The net relations an interaction verdict reads, off the session's
+    /// net graph as it stands: each element's net, and each device's
+    /// terminal nets.
+    #[cfg(debug_assertions)]
+    fn net_relations(&self) -> NetRelations {
+        let net = |node: u32| {
+            // invariant: element and terminal nodes are live, and every
+            // live node has a net.
+            self.nets.net_of(node).expect("live nodes have nets")
+        };
+        let mut relations = NetRelations {
+            element_net: (self.parts.element_node.iter())
+                .map(|node| node.map(net))
+                .collect(),
+            term_start: vec![0],
+            term_net: Vec::new(),
+        };
+        for row in &self.parts.devices {
+            (relations.term_net).extend(row.terms.iter().map(|&(_, node)| net(node)));
+            relations.term_start.push(relations.term_net.len());
+        }
+        relations
+    }
+
+    /// The debug oracle of the relation diff: every pair of survivors
+    /// within rule reach whose net relations differ before and after the
+    /// edit — sharing a net, or a transistor holding one having a
+    /// terminal on the other's net, as the interaction search reads them
+    /// — has an end whose footprint is in the halo, found by a pass over
+    /// every such pair of the chip.
+    #[cfg(debug_assertions)]
+    fn assert_flipped_pairs_meet_the_halo(
+        &self,
+        old: &NetRelations,
+        vp: &ViewPatch,
+        np: &NetPatch,
+    ) {
+        let new = self.net_relations();
+        let mut old_of_new = vec![None; vp.dirty.len()];
+        for (o, n) in vp.old_to_new.iter().enumerate() {
+            if let Some(n) = *n {
+                old_of_new[n] = Some(o);
+            }
+        }
+        let view = &vp.view;
+        let transistor = |id: usize| {
+            let d = view.elements.get(id).device()?;
+            let class = view.devices[d].class;
+            class.is_some_and(|c| c.is_transistor()).then_some(d)
+        };
+        let relations = |nets: &NetRelations, (i, j): (usize, usize), (di, dj)| {
+            let related = |d: Option<usize>, other| d.is_some_and(|d| nets.related(d, other));
+            [nets.same_net(i, j), related(di, j), related(dj, i)]
+        };
+        let bboxes = view.elements.bboxes();
+        let reach = self.bound.max_rule_range();
+        let in_halo = |id: usize| {
+            let Some(grown) = bboxes[id].inflate(reach) else {
+                return false;
+            };
+            let mut hits = Vec::new();
+            np.d_halo_grid.query_into(&grown, &mut hits);
+            let rects = np.d_halo_grid.rects();
+            (hits.iter()).any(|&at| rects[at as usize].contains_rect(&grown))
+        };
+        let grid = FlatGrid::new(bboxes.to_vec(), self.bound.cell_size());
+        let mut hits = Vec::new();
+        for i in (0..bboxes.len()).filter(|&i| !vp.dirty[i]) {
+            let Some(query) = bboxes[i].inflate(reach) else {
+                continue;
+            };
+            grid.query_into(&query, &mut hits);
+            let later = hits.iter().map(|&j| j as usize);
+            for j in later.filter(|&j| j > i && !vp.dirty[j]) {
+                let (di, dj) = (view.elements.get(i).device(), view.elements.get(j).device());
+                if di.is_some() && di == dj {
+                    continue;
+                }
+                let (ti, tj) = (transistor(i), transistor(j));
+                // invariant: survivors have old ids, and their devices
+                // survived with them.
+                let old_id = |id: usize| old_of_new[id].expect("a survivor");
+                let old_device =
+                    |d: Option<usize>| d.map(|d| vp.dev_old_of_new[d].expect("a survivor"));
+                let was = relations(
+                    old,
+                    (old_id(i), old_id(j)),
+                    (old_device(ti), old_device(tj)),
+                );
+                let now = relations(&new, (i, j), (ti, tj));
+                debug_assert!(
+                    was == now || in_halo(i) || in_halo(j),
+                    "elements {i} and {j} changed net relations {was:?} → {now:?} outside the halo"
+                );
+            }
+        }
     }
 
     /// The debug oracle of the lines step 8 did not recompute: the
@@ -2561,13 +2941,37 @@ mod tests {
         let layout = parse(CALL_CHAIN).unwrap();
         let leaf = layout.symbol_by_cif_id(1).unwrap();
         let mut edits = EditSet::new();
-        edits.replace_symbol(leaf, layout.symbol(leaf).items.clone());
+        edits.replace_symbol(leaf, Vec::new());
         let p = plan(&layout, &edits).unwrap();
         // `C 3` reaches the leaf through two calls; `C 4` and the box
         // do not reach it at all.
         let dirty: Vec<bool> = p.slots.iter().map(|s| s.dirty).collect();
         assert_eq!(dirty, [true, false, true, true, false]);
         assert!(p.removed.is_empty());
+        assert!(p.replaces_symbol);
+    }
+
+    #[test]
+    fn plan_drops_a_replace_that_keeps_the_body() {
+        let layout = parse(CALL_CHAIN).unwrap();
+        let leaf = layout.symbol_by_cif_id(1).unwrap();
+        let body = layout.symbol(leaf).items.clone();
+        let unchanged = |edits: &EditSet| {
+            let p = plan(&layout, edits).unwrap();
+            !p.replaces_symbol && p.slots.iter().all(|s| !s.dirty) && p.dirty_elements == 0
+        };
+        let mut same = EditSet::new();
+        same.replace_symbol(leaf, body.clone());
+        assert!(unchanged(&same));
+        // The last of several replaces is the one that counts.
+        let mut back = EditSet::new();
+        back.replace_symbol(leaf, Vec::new())
+            .replace_symbol(leaf, body);
+        assert!(unchanged(&back));
+        let mut away = EditSet::new();
+        away.replace_symbol(leaf, layout.symbol(leaf).items.clone())
+            .replace_symbol(leaf, Vec::new());
+        assert!(!unchanged(&away));
     }
 
     #[test]

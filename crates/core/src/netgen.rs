@@ -97,7 +97,7 @@ use crate::scope::{ScopeStats, ScopeTable};
 use diic_cif::NetLabel;
 use diic_geom::{FlatGrid, Point};
 use diic_netlist::{
-    assemble_netlist, canonical_nets, AssembleDevice, DeviceId, NetId, Netlist, NetlistWriter,
+    assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, NetlistWriter,
 };
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
@@ -1082,7 +1082,7 @@ pub struct NetIndex {
 }
 
 /// What [`NetIndex::splice`] produced: the new list plus what the caller
-/// needs to diff net identities against the old one.
+/// needs to tell which net relations it can have changed.
 #[derive(Debug)]
 pub struct NetSplice {
     /// The spliced list — equal to a from-scratch [`NetParts::assemble`]
@@ -1100,11 +1100,9 @@ pub struct NetSplice {
     pub nodes: usize,
     /// Every node whose net the splice re-derived — the affected
     /// components' live nodes, and the dead nodes the delta named — with
-    /// its net in the old list, ascending by node.
+    /// its net in the old list, ascending by node. Every other node kept
+    /// its net, and that net is none of the fresh ones.
     pub moved: Vec<(u32, Option<NetId>)>,
-    /// `(fresh net, retired net)` of every fresh net whose canonical
-    /// name a retired net had.
-    same_named: Vec<(NetId, NetId)>,
     /// The list that was spliced, kept for the retired nets' names.
     old: Netlist,
 }
@@ -1121,30 +1119,6 @@ impl NetSplice {
     pub fn old_net(&self, node: u32) -> Option<NetId> {
         let at = self.moved.binary_search_by_key(&node, |&(n, _)| n).ok()?;
         self.moved[at].1
-    }
-
-    /// True if something that was on old net `old` and is on net `new`
-    /// kept its net's canonical name: `new` was copied across, or it is
-    /// fresh and `old` is the retired net of the same name.
-    pub fn same_name(&self, old: Option<NetId>, new: NetId) -> bool {
-        !self.fresh[new.0 as usize]
-            || self
-                .same_named
-                .iter()
-                .any(|&pair| Some(pair) == old.map(|old| (new, old)))
-    }
-
-    /// True if each terminal of device `new` sits on a net of the name
-    /// the same terminal's net had on device `old` in the old list.
-    pub fn same_terminal_names(&self, new: DeviceId, old: DeviceId) -> bool {
-        let (was, now) = (
-            self.old.device(old).terminals(),
-            self.netlist.device(new).terminals(),
-        );
-        was.len() == now.len()
-            && was
-                .zip(now)
-                .all(|((_, o), (_, n))| self.same_name(Some(o), n))
     }
 }
 
@@ -1232,6 +1206,11 @@ impl NetIndex {
     pub fn net_of(&self, node: u32) -> Option<NetId> {
         let slot = *self.slot.get(node as usize)?;
         (slot != NIL).then(|| NetId(self.slot_net[slot as usize]))
+    }
+
+    /// How many element, terminal and label rows name `node`.
+    pub fn rows_naming(&self, node: u32) -> u32 {
+        self.refs.get(node as usize).copied().unwrap_or(0)
     }
 
     /// The keys of the elements on `node`.
@@ -1354,13 +1333,6 @@ impl NetIndex {
             list.copy_nets(from, first..first + run.len() as u32);
         }
         let fresh: Vec<bool> = order.iter().map(|&(is_fresh, _)| is_fresh).collect();
-        let mut same_named = Vec::new();
-        for (new, &(is_fresh, id)) in order.iter().enumerate().filter(|(_, o)| o.0) {
-            let name = fresh_nets.net(NetId(id)).name();
-            let retired = retired.iter().find(|&&r| old.net(r).name() == name);
-            same_named.extend(retired.map(|&r| (NetId(new as u32), r)));
-            debug_assert!(is_fresh);
-        }
         let net_new_of_old = self.renumber(&order, &retired, &d_nodes, &d_node_nets, &moved);
         // Where each old net's live nodes went: a kept net to its new
         // id, a retired one to the one fresh net they all joined, or
@@ -1423,7 +1395,6 @@ impl NetIndex {
             retired,
             nodes: d_nodes.len(),
             moved,
-            same_named,
             old,
         };
         #[cfg(debug_assertions)]

@@ -78,12 +78,12 @@ const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
 };
 
 /// Allocator calls of the edit run below when this budget was set:
-/// 22 795 in a release build, 606 292 in a debug one (whose oracles
+/// 23 149 in a release build, 608 438 in a debug one (whose oracles
 /// re-check the chip). A run may take 5 % more, no further.
 const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
-    606_292
+    608_438
 } else {
-    22_795
+    23_149
 };
 
 /// Allocator calls `f` makes on this thread, and its result.

@@ -710,3 +710,246 @@ fn net_splices_renumber_exactly() {
         }
     }
 }
+
+/// The chip the benchmark's editing workloads open sessions on: a
+/// 24 × 12 inverter array with 24 injected faults of eight kinds.
+fn edit_session_chip(seed: u64) -> Layout {
+    use ErrorKind::*;
+    let mut errors = vec![PowerGroundShort];
+    for (kind, n) in [
+        (NarrowWire, 4),
+        (CloseSpacing, 4),
+        (AccidentalTransistor, 3),
+        (ButtedBoxes, 3),
+        (BusToRail, 3),
+        (BadGateOverhang, 3),
+        (ContactOverGate, 3),
+    ] {
+        errors.extend(std::iter::repeat_n(kind, n));
+    }
+    let chip = generate(&ChipSpec::with_errors(24, 12, errors, seed));
+    diic::cif::parse(&chip.cif).expect("generated chips always parse")
+}
+
+/// Counts, not timings: moving a top-level call of the benchmark's edit
+/// chip, and moving it back, re-checks the pairs near the call and the
+/// pairs whose net relation the move flipped — not every element of a
+/// net the move re-derived. Every call of the chip is moved, under three
+/// fault seeds (the parent of this bound re-checked a median of 1 780
+/// pairs per call move). A debug build re-checks the whole chip inside
+/// every apply, which makes an apply there ≈ 0.13 s, so it moves every
+/// 29th call; CI's release run moves them all.
+#[test]
+fn call_moves_recheck_a_bounded_neighbourhood() {
+    const MAX_PAIRS: u64 = 500;
+    let stride = if cfg!(debug_assertions) { 29 } else { 1 };
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    for seed in 1..=3 {
+        let layout = edit_session_chip(seed);
+        let calls: Vec<usize> = (layout.top_items().iter().enumerate())
+            .filter(|(_, item)| matches!(item, Item::Call(_)))
+            .map(|(index, _)| index)
+            .step_by(stride)
+            .collect();
+        let mut session = CheckSession::new(layout, &tech, &options);
+        let (mut pairs, mut net_dirty) = (Vec::new(), Vec::new());
+        for (k, &index) in calls.iter().enumerate() {
+            // Steps of -8λ..=8λ on each axis, as the benchmark draws them.
+            let step = |m: usize| ((k * m) % 17) as i64 - 8;
+            let (dx, dy) = match (step(7), step(11)) {
+                (0, 0) => (1, 0),
+                d => d,
+            };
+            for (dx, dy) in [(dx, dy), (-dx, -dy)] {
+                let mut edits = EditSet::new();
+                edits.translate(index, dx * 250, dy * 250);
+                let stats = session.apply(&edits).unwrap();
+                let ctx = format!("seed {seed}, call {index} by ({dx}, {dy})λ: {stats:?}");
+                assert!(!stats.full_rebuild, "{ctx}");
+                assert!(stats.rechecked_pairs <= MAX_PAIRS, "{ctx}");
+                pairs.push(stats.rechecked_pairs);
+                net_dirty.push(stats.net_dirty_elements);
+            }
+        }
+        assert_matches_full(&session, &format!("seed {seed}, every call moved and back"));
+        pairs.sort_unstable();
+        net_dirty.sort_unstable();
+        let (n, p50) = (pairs.len(), pairs.len() / 2);
+        println!(
+            "seed {seed}: {n} call moves, rechecked pairs p50 {} max {}, net-dirty elements p50 {} max {}",
+            pairs[p50],
+            pairs[n - 1],
+            net_dirty[p50],
+            net_dirty[n - 1]
+        );
+    }
+}
+
+/// A CIF box on `layer` over `r` (even sides, so its centre is whole).
+fn cif_box(layer: &str, r: Rect) -> String {
+    let (w, h) = (r.x2 - r.x1, r.y2 - r.y1);
+    format!("L {layer}; B {w} {h} {} {};", r.x1 + w / 2, r.y1 + h / 2)
+}
+
+/// The spacing lines of a report that `pick` selects.
+fn spacing_lines(
+    report: &CheckReport,
+    pick: impl Fn(&str, &str, bool) -> bool,
+) -> Vec<&diic::core::Violation> {
+    let picked = |v: &&diic::core::Violation| match &v.kind {
+        ViolationKind::Spacing {
+            layer_a,
+            layer_b,
+            same_net,
+            ..
+        } => pick(layer_a, layer_b, *same_net),
+        _ => false,
+    };
+    report.violations.iter().filter(picked).collect()
+}
+
+/// Applies `edit`, then `inverse`, to a session over `cif`; the report
+/// must equal a from-scratch check after each, `edit` must move the
+/// lines `pick` selects from `before` to `after`, and each apply must
+/// mark exactly `net_dirty` elements net-dirty. Every layout here puts
+/// the pair whose net relation flips more than two rule reaches from the
+/// edit, so only the relation diff brings it into the halo.
+fn assert_far_flip(
+    cif: &str,
+    edit: &EditSet,
+    inverse: &EditSet,
+    pick: impl Fn(&str, &str, bool) -> bool,
+    (before, after): (usize, usize),
+    net_dirty: usize,
+) {
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let layout = diic::cif::parse(cif).unwrap();
+    let mut session = CheckSession::new(layout, &tech, &options);
+    let opened = session.report().violations.clone();
+    assert_eq!(
+        spacing_lines(session.report(), &pick).len(),
+        before,
+        "{opened:?}"
+    );
+    for (what, edits, lines) in [("edit", edit, after), ("inverse", inverse, before)] {
+        let stats = session.apply(edits).unwrap();
+        assert!(
+            !stats.full_rebuild && !stats.netlist_reused,
+            "{what}: {stats:?}"
+        );
+        assert_eq!(stats.net_dirty_elements, net_dirty, "{what}: {stats:?}");
+        assert_matches_full(&session, what);
+        let report = session.report();
+        assert_eq!(
+            spacing_lines(report, &pick).len(),
+            lines,
+            "{what}: {report:?}"
+        );
+    }
+    assert_eq!(
+        session.report().violations,
+        opened,
+        "the inverse restores the report"
+    );
+}
+
+/// Cutting the base strap of a U-shaped metal wire splits it in two, and
+/// the arms' jogs — 500 apart, under the 3λ metal spacing, 18 500 above
+/// the strap — become a spacing fault between two nets; putting the
+/// strap back makes them one net again.
+#[test]
+fn cutting_a_far_strap_reports_the_split_arms() {
+    let rects = [
+        Rect::new(0, 0, 6000, 750),         // the base strap
+        Rect::new(0, 0, 750, 20_000),       // left arm
+        Rect::new(5250, 0, 6000, 20_000),   // right arm
+        Rect::new(0, 19_250, 2750, 20_000), // left jog
+        Rect::new(3250, 19_250, 6000, 20_000),
+    ];
+    let cif: String = rects.iter().map(|&r| cif_box("NM", r)).collect();
+    let mut cut = EditSet::new();
+    cut.remove(0);
+    let mut mend = EditSet::new();
+    mend.add_box("NM", rects[0], None);
+    let metal = |a: &str, b: &str, same_net: bool| a == "metal" && b == "metal" && !same_net;
+    assert_far_flip(&format!("{cif} E"), &cut, &mend, metal, (0, 1), 2);
+}
+
+/// A strap across the far ends of two wires on different nets, which
+/// run 500 apart for their first 5 000, merges them into one net: the
+/// two spacing faults between them must go, though the strap is 14 250
+/// from the nearer one; removing it brings them back.
+#[test]
+fn a_far_strap_retracts_the_merged_wires_faults() {
+    let rects = [
+        Rect::new(0, 0, 750, 20_000),        // wire A
+        Rect::new(1250, 0, 2000, 5000),      // wire B, beside A
+        Rect::new(1250, 4250, 6000, 5000),   // B's jog away
+        Rect::new(5250, 4250, 6000, 20_000), // B's far run
+    ];
+    let cif: String = rects.iter().map(|&r| cif_box("NM", r)).collect();
+    let mut strap = EditSet::new();
+    strap.add_box("NM", Rect::new(0, 19_250, 6000, 20_000), None);
+    let mut cut = EditSet::new();
+    cut.remove(rects.len());
+    let metal = |a: &str, b: &str, _: bool| a == "metal" && b == "metal";
+    assert_far_flip(&format!("{cif} E"), &strap, &cut, metal, (2, 0), 3);
+}
+
+/// A poly wire 125 from a transistor's diffusion and 250 from its gate
+/// is checked against the transistor as an unrelated wire; a far strap
+/// joining it to the wire on the gate terminal makes it related, and
+/// both lines must go, though the strap is 18 250 from them.
+#[test]
+fn a_far_strap_onto_the_gate_net_waives_the_unrelated_device_lines() {
+    let device = "DS 1; 9D NMOS_ENH; 9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+        L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF; C 1 T 0 0;";
+    let rects = [
+        Rect::new(-3250, -250, -250, 250),     // the wire on the gate
+        Rect::new(-3250, -250, -2750, 20_000), // its far run
+        Rect::new(625, 500, 1125, 20_000),     // the unrelated wire
+    ];
+    let cif: String = rects.iter().map(|&r| cif_box("NP", r)).collect();
+    let mut strap = EditSet::new();
+    strap.add_box("NP", Rect::new(-3250, 19_500, 1125, 20_000), None);
+    let mut cut = EditSet::new();
+    cut.remove(rects.len() + 1);
+    let poly = |a: &str, b: &str, _: bool| a == "poly" || b == "poly";
+    assert_far_flip(&format!("{device} {cif} E"), &strap, &cut, poly, (2, 0), 3);
+}
+
+/// A `replace_symbol` whose body is the symbol's own changes nothing:
+/// no caller re-instantiates, the session does not rebuild, and the
+/// delta is empty. On the benchmark's edit chip every inverter calls
+/// the replaced cell, so treating the replace as a change rebuilt the
+/// whole chip.
+#[test]
+fn replacing_a_symbol_by_its_own_body_changes_nothing() {
+    let tech = nmos_technology();
+    let layout = edit_session_chip(1);
+    let mut session = CheckSession::new(layout, &tech, &CheckOptions::default());
+    let mut add = EditSet::new();
+    add.add_box("NM", Rect::new(0, -20_000, 2000, -19_250), None);
+    assert!(!session.apply(&add).unwrap().full_rebuild);
+    assert!(!session.last_delta().added.is_empty());
+    let before = session.report().clone();
+    for symbol in 0..session.layout().symbols().len() as u32 {
+        let symbol = diic::cif::SymbolId(symbol);
+        let mut same = EditSet::new();
+        same.replace_symbol(symbol, session.layout().symbol(symbol).items.clone());
+        let stats = session.apply(&same).unwrap();
+        let ctx = format!("symbol {}: {stats:?}", symbol.0);
+        assert!(
+            !stats.full_rebuild && stats.rebuild_reason.is_none(),
+            "{ctx}"
+        );
+        assert_eq!((stats.dirty_items, stats.dirty_elements), (0, 0), "{ctx}");
+        assert!(!stats.primitives_rechecked, "{ctx}");
+        assert!(session.last_delta().added.is_empty(), "{ctx}");
+        assert!(session.last_delta().removed.is_empty(), "{ctx}");
+        assert_eq!(session.report().violations, before.violations, "{ctx}");
+    }
+    assert_matches_full(&session, "after every no-op replace");
+}
