@@ -48,12 +48,9 @@
 //! geometry derivation — it builds the templates and handles whatever is
 //! used once. See [`instantiate`] for the rule.
 //!
-//! The boxed record form, [`ChipElement`], remains as the staging and
-//! materialisation type: the instantiation walk builds one per element
-//! and [`ElementColumns::push`] scatters it into the columns;
-//! [`ElementRef::to_element`] gathers one back out. Round-tripping
-//! through the boxed form is lossless — the eighth differential-oracle
-//! leg (`tests/differential.rs`) pins it on generated chips.
+//! The walk writes each element straight into the columns: its covered
+//! rectangles onto the arena, then one `ElementColumns::push` for the
+//! rest. There is no boxed per-element record.
 
 use crate::library::{CellDefinitions, Definition};
 use crate::violations::{CheckStage, Violation, ViolationKind};
@@ -348,7 +345,7 @@ impl StringInterner {
     /// Rebuilds the table keeping only the strings `keep` approves,
     /// renumbering the survivors densely **in their original order**,
     /// and returns the old-handle → new-handle map — `None` for evicted
-    /// strings (the [`diic_geom::GridIndex::compact`] remap pattern).
+    /// strings (the remap [`diic_geom::GridIndex::compact`] hands back too).
     /// Any caller still holding handles must remap them; handles of
     /// evicted strings are dead.
     ///
@@ -427,40 +424,6 @@ impl LayerBinding {
     pub fn layer(&self, r: LayerRef) -> Option<LayerId> {
         self.map.get(r.0 as usize).copied().flatten()
     }
-}
-
-/// An instantiated element in boxed record form — the staging type the
-/// instantiation walk builds and the materialisation type
-/// [`ElementRef::to_element`] gathers back out of the columns. The
-/// pipeline's resident storage is [`ElementColumns`]; this struct
-/// exists at the edges (construction, diagnostics, differential tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChipElement {
-    /// Index in [`ChipView::elements`] (equal to the element's column
-    /// position — ids are implicit in the columnar store).
-    pub id: usize,
-    /// Technology layer.
-    pub layer: LayerId,
-    /// Exact covered rectangles in chip coordinates (boxes, Manhattan
-    /// wires, rectilinear polygons).
-    pub rects: Vec<Rect>,
-    /// Bounding box in chip coordinates.
-    pub bbox: Rect,
-    /// Skeleton for connectivity checking (`None` when the element is
-    /// under-width — already a width violation).
-    pub skeleton: Option<Skeleton>,
-    /// Net key: the declared net qualified by instance path, or a unique
-    /// auto key. Interned in the owning view — render with
-    /// [`ChipView::str`].
-    pub net_key: Istr,
-    /// True if the net was declared via `9N` (vs auto-generated).
-    pub net_declared: bool,
-    /// Instance path of the enclosing scope, interned in the owning view
-    /// (the big sharing win: every element of an instance repeats it).
-    pub path: Istr,
-    /// Index into [`ChipView::devices`] if the element lives inside a
-    /// device symbol instance.
-    pub device: Option<usize>,
 }
 
 /// A packed bit column (one flag bit per element) — the storage behind
@@ -698,45 +661,31 @@ impl ElementColumns {
             + self.skel.len() * size_of::<Rect>()
     }
 
-    /// Appends one element, scattering the boxed record into the
-    /// columns. The record's `id` must equal the current length — ids
-    /// are positions.
-    pub fn push(&mut self, el: ChipElement) {
-        debug_assert_eq!(el.id, self.len(), "element ids are column positions");
-        self.layer.push(el.layer);
-        self.bbox.push(el.bbox);
-        self.net_key.push(el.net_key);
-        self.path.push(el.path);
-        self.net_declared.push(el.net_declared);
-        self.device.push(el.device.map_or(NONE_U32, |d| d as u32));
-        let r0 = self.rects.len() as u32;
-        self.rects.extend_from_slice(&el.rects);
-        self.rect_range.push((r0, el.rects.len() as u32));
+    /// Appends one element whose covered rectangles the caller has just
+    /// appended to the rect arena: the run after the last element's. Ids
+    /// are positions, so the element is number `len()` before the call.
+    fn push(
+        &mut self,
+        layer: LayerId,
+        bbox: Rect,
+        (net_key, net_declared): (Istr, bool),
+        path: Istr,
+        device: Option<usize>,
+        skeleton: Option<Skeleton>,
+    ) {
+        let r0 = self.rect_range.last().map_or(0, |&(at, len)| at + len);
+        self.rect_range.push((r0, self.rects.len() as u32 - r0));
+        self.layer.push(layer);
+        self.bbox.push(bbox);
+        self.net_key.push(net_key);
+        self.path.push(path);
+        self.net_declared.push(net_declared);
+        self.device.push(device.map_or(NONE_U32, |d| d as u32));
         let s0 = self.skel.len() as u32;
-        let mut s_len = 0u32;
-        if let Some(sk) = el.skeleton {
-            let scaled = sk.into_scaled_rects();
-            s_len = scaled.len() as u32;
-            self.skel.extend(scaled);
+        if let Some(sk) = skeleton {
+            self.skel.extend(sk.into_scaled_rects());
         }
-        self.skel_range.push((s0, s_len));
-    }
-
-    /// Builds columns from boxed records in order (ids must be
-    /// positions). The inverse of [`ElementColumns::to_elements`].
-    pub fn from_elements(elements: impl IntoIterator<Item = ChipElement>) -> ElementColumns {
-        let mut cols = ElementColumns::default();
-        for el in elements {
-            cols.push(el);
-        }
-        cols
-    }
-
-    /// Materialises every element back into boxed record form — the
-    /// differential oracle's round-trip surface; not used by the
-    /// pipeline itself.
-    pub fn to_elements(&self) -> Vec<ChipElement> {
-        self.iter().map(|e| e.to_element()).collect()
+        self.skel_range.push((s0, self.skel.len() as u32 - s0));
     }
 
     /// Rewrites one element's net key (the auto-key ordinal pass).
@@ -946,21 +895,6 @@ impl<'a> ElementRef<'a> {
     pub fn device(&self) -> Option<usize> {
         let d = self.cols.device[self.id];
         (d != NONE_U32).then_some(d as usize)
-    }
-
-    /// Gathers the element back into boxed record form.
-    pub fn to_element(&self) -> ChipElement {
-        ChipElement {
-            id: self.id,
-            layer: self.layer(),
-            rects: self.rects().to_vec(),
-            bbox: self.bbox(),
-            skeleton: Skeleton::from_scaled_rects(self.skeleton().to_vec()),
-            net_key: self.net_key(),
-            net_declared: self.net_declared(),
-            path: self.path(),
-            device: self.device(),
-        }
     }
 }
 
@@ -1581,24 +1515,26 @@ impl Walker<'_> {
                 // its internal nets.
                 let local_bbox = e.shape.bbox();
                 let shape = e.shape.transformed(&t);
-                let rects: Vec<Rect> = match &shape {
-                    Shape::Box(r) => vec![*r],
-                    Shape::Wire(w) => w.to_rects(),
+                let cols = &mut view.elements;
+                let first = cols.rects.len();
+                match &shape {
+                    Shape::Box(r) => cols.rects.push(*r),
+                    Shape::Wire(w) => cols.rects.extend(w.to_rects()),
                     Shape::Polygon(p) => match p.to_rects() {
-                        Ok(rs) => rs,
-                        Err(_) => vec![p.bbox()], // non-rectilinear: bbox cover
+                        Ok(rs) => cols.rects.extend(rs),
+                        Err(_) => cols.rects.push(p.bbox()), // non-rectilinear: bbox cover
                     },
-                };
-                let bbox = shape.bbox();
+                }
                 let half = self.tech.layer(layer).half_min_width();
                 let skeleton = match &shape {
                     Shape::Box(r) => Skeleton::of_rect(r, half),
                     Shape::Wire(w) => Skeleton::of_wire(w, half),
                     Shape::Polygon(_) => {
-                        Skeleton::of_region(&Region::from_rects(rects.iter().copied()), half)
+                        let rects = cols.rects[first..].iter().copied();
+                        Skeleton::of_region(&Region::from_rects(rects), half)
                     }
                 };
-                let id = view.elements.len();
+                let id = cols.len();
                 // Undeclared elements get their key *base* (path, layer and
                 // local bbox — never the element's position in the columns);
                 // the ordinal pass appends `:n` where exact duplicates
@@ -1621,17 +1557,8 @@ impl Walker<'_> {
                 };
                 let net_key = view.strings.intern(&net_key);
                 let path = view.strings.intern(path);
-                view.elements.push(ChipElement {
-                    id,
-                    layer,
-                    rects,
-                    bbox,
-                    skeleton,
-                    net_key,
-                    net_declared,
-                    path,
-                    device,
-                });
+                let net = (net_key, net_declared);
+                (view.elements).push(layer, shape.bbox(), net, path, device, skeleton);
                 if let Some(d) = device {
                     view.devices[d].element_ids.push(id);
                 }
@@ -1914,38 +1841,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_round_trip_through_boxed_records() {
-        // Scatter → gather → scatter must be lossless: materialised
-        // boxed records rebuild identical columns, and every accessor
-        // agrees with its boxed field.
-        let cif = "
-        DS 1; 9 ct; 9D CONTACT_D; 9T A NM 250 250;
-        L NC; B 500 500 250 250; L NM; B 1000 1000 250 250; DF;
-        C 1 T 0 0;
-        L NM; 9N out; W 750 0 0 5000 0;
-        L NM; B 100 100 9000 9000;
-        E";
-        let (view, _) = view_of(cif);
-        let boxed = view.elements.to_elements();
-        let rebuilt = ElementColumns::from_elements(boxed.clone());
-        assert_eq!(rebuilt, view.elements);
-        for (el, r) in boxed.iter().zip(view.elements.iter()) {
-            assert_eq!(el.id, r.id());
-            assert_eq!(el.layer, r.layer());
-            assert_eq!(el.bbox, r.bbox());
-            assert_eq!(el.rects.as_slice(), r.rects());
-            assert_eq!(el.net_key, r.net_key());
-            assert_eq!(el.net_declared, r.net_declared());
-            assert_eq!(el.path, r.path());
-            assert_eq!(el.device, r.device());
-            match &el.skeleton {
-                Some(sk) => assert_eq!(sk.scaled_rects(), r.skeleton()),
-                None => assert!(!r.has_skeleton()),
-            }
-        }
-    }
-
-    #[test]
     fn interner_dedups_and_keeps_handles_stable() {
         let mut t = StringInterner::default();
         let first = t.intern("s0");
@@ -1996,7 +1891,7 @@ mod tests {
 
     #[test]
     fn interner_compact_remaps_handles_and_keeps_order() {
-        // The GridIndex::compact shape: survivors renumber densely in
+        // The remap GridIndex::compact hands back too: survivors renumber densely in
         // original order, the returned map translates old handles, and
         // evicted handles come back None.
         let mut t = StringInterner::default();

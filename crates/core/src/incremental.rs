@@ -92,13 +92,13 @@
 //!   session's [`BoundTechnology`], the open's own) and kept as they
 //!   are, no union taken: a rect touches a union of closed rects exactly
 //!   when it touches one of them. The elements within one more reach of
-//!   them come out of one pass over the session's persistent index
-//!   ([`GridIndex::candidates_many`]), and
+//!   them come out of the session's persistent index
+//!   ([`GridIndex::query_handles_many`]), and
 //!   [`crate::interact::check_interactions_among`] searches that set by
 //!   the direct scan, over a grid built once for it and only queried
-//!   ([`FlatGrid`], as every dirty-region grid of an edit is: the
-//!   session's element and label indexes are its only hashed grids, as
-//!   they alone take inserts and removes). Spacing markers
+//!   ([`FlatGrid`], as every dirty-region grid of an edit is; the
+//!   element index is a `FlatGrid` too, plus lists by its cells of the
+//!   elements entered since it was last built). Spacing markers
 //!   are tight gap boxes (within the pair's gap of *both* elements), so
 //!   cached violations whose marker misses the halo are provably
 //!   unchanged and are kept; everything anchored inside the halo is
@@ -897,9 +897,10 @@ pub struct CheckSession {
     /// built at open and patched per edit, so the splice costs the nets
     /// it rebuilds.
     nets: NetIndex,
-    /// Persistent spatial index over element bboxes (the
-    /// [`diic_geom::GridIndex`] incremental-update path): dirty-region
-    /// queries cost the neighbourhood, not a whole-chip scan.
+    /// Persistent spatial index over element bboxes (a
+    /// [`diic_geom::GridIndex`]: a grid over the elements at its last
+    /// rebuild plus the ones entered since): dirty-region queries cost
+    /// the neighbourhood, not a whole-chip scan.
     elem_index: GridIndex<()>,
     /// Element id → its handle in `elem_index`.
     elem_handles: Vec<u32>,
@@ -945,10 +946,9 @@ impl CheckSession {
             mut parts,
             ..
         } = artefacts;
-        let mut elem_index = GridIndex::new(bound.cell_size());
-        let elem_handles: Vec<u32> = (view.elements.bboxes().iter())
-            .map(|&bbox| elem_index.insert(bbox, ()))
-            .collect();
+        let bboxes = view.elements.bboxes();
+        let elem_index = GridIndex::from_items(bboxes.iter().map(|&b| (b, ())), bound.cell_size());
+        let elem_handles: Vec<u32> = (0..bboxes.len() as u32).collect();
         let net_count = report.netlist.net_count();
         let nets = NetIndex::new(&mut parts, net_count, |id| elem_handles[id]);
         let points = PointIndex::build(&view, layout.labels(), &elem_handles, bound.cell_size());
@@ -1085,28 +1085,22 @@ impl CheckSession {
         Ok(stats)
     }
 
-    /// The ids of the elements whose bbox touches `r`, ascending by
-    /// index handle, from the persistent index: cost follows the query,
-    /// not the chip.
-    fn elements_touching<'a>(&'a self, r: &Rect) -> impl Iterator<Item = usize> + 'a {
-        let handles = self.elem_index.query_handles(r).into_iter();
+    /// The ids of the elements whose bbox touches one of `rects`, each
+    /// once, ascending by index handle, from the persistent index: cost
+    /// follows the queries, not the chip.
+    fn elements_touching<'a>(&'a self, rects: &[Rect]) -> impl Iterator<Item = usize> + 'a {
+        let handles = self.elem_index.query_handles_many(rects).into_iter();
         handles.map(|h| self.handle_owner[h as usize])
     }
 
     /// The ids of the elements whose bbox ⊕ `reach` touches one of the
-    /// rects of `grid`, ascending. One pass over the element index: the
-    /// cells the rects ⊕ `reach` cover, each visited once
-    /// ([`GridIndex::candidates_many`]); each candidate is then held to
-    /// the exact test against `grid`.
-    fn elements_near(&self, view: &ChipView, grid: &FlatGrid, reach: i64) -> Vec<usize> {
+    /// rects of `grid`, ascending: the elements touching one of those
+    /// rects ⊕ `reach`, as inflating either box by the reach is the
+    /// same test.
+    fn elements_near(&self, grid: &FlatGrid, reach: i64) -> Vec<usize> {
         let rects = grid.rects().iter();
         let queries: Vec<Rect> = rects.filter_map(|r| r.inflate(reach)).collect();
-        let bboxes = view.elements.bboxes();
-        let near = |id: &usize| (bboxes[*id].inflate(reach)).is_some_and(|r| grid.touches_any(&r));
-        let mut ids: Vec<usize> = (self.elem_index.candidates_many(&queries).into_iter())
-            .map(|handle| self.handle_owner[handle as usize])
-            .filter(near)
-            .collect();
+        let mut ids: Vec<usize> = self.elements_touching(&queries).collect();
         ids.sort_unstable();
         ids
     }
@@ -1172,7 +1166,7 @@ impl CheckSession {
             dirty[id] = true;
         }
         let mut seeds = relaid.fresh.clone();
-        seeds.extend(foot.iter().flat_map(|r| self.elements_touching(r)));
+        seeds.extend(self.elements_touching(&foot));
         seeds.sort_unstable();
         seeds.dedup();
         let mut seed = vec![false; view.elements.len()];
@@ -1368,11 +1362,9 @@ impl CheckSession {
             .collect();
         hot.sort_unstable();
         hot.dedup();
-        let mut candidates: Vec<usize> = (hot.iter())
-            .flat_map(|&(bbox, layer)| {
-                (self.elements_touching(&bbox))
-                    .filter(move |&id| bboxes[id] == bbox && layers[id] == layer)
-            })
+        let boxes: Vec<Rect> = hot.iter().map(|&(bbox, _)| bbox).collect();
+        let mut candidates: Vec<usize> = (self.elements_touching(&boxes))
+            .filter(|&id| hot.binary_search(&(bboxes[id], layers[id])).is_ok())
             .collect();
         candidates.sort_unstable();
         assign_auto_net_keys(&mut view.elements, &mut view.strings, &candidates)
@@ -1589,7 +1581,7 @@ impl CheckSession {
             .flatten()
         };
         let view = &vp.view;
-        let candidates = self.elem_index.candidates_many(&d_bind_rects);
+        let candidates = self.elem_index.query_handles_many(&d_bind_rects);
         self.points.hits(
             view,
             &d_bind_rects,
@@ -1618,7 +1610,7 @@ impl CheckSession {
             .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
             .collect();
         let pad_grid = FlatGrid::new(pads, self.bound.cell_size());
-        let mut ids = self.elements_near(&vp.view, &pad_grid, 0);
+        let mut ids = self.elements_near(&pad_grid, 0);
         ids.retain(|&id| element_is_netted(&vp.view, id));
         let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
 
@@ -2027,7 +2019,7 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> (Vec<Violation>, InteractStats) {
         let reach = self.bound.max_rule_range();
-        let halo_ids = self.elements_near(&vp.view, &np.d_halo_grid, reach);
+        let halo_ids = self.elements_near(&np.d_halo_grid, reach);
         stats.halo_elements = halo_ids.len();
         check_interactions_among(
             &vp.view,
@@ -2406,9 +2398,10 @@ impl CheckSession {
         let report: usize = lines
             .map(|(v, key)| size_of_val(v) + v.context.len() + size_of_val(key) + key.len())
             .sum();
-        let index = self.elem_handles.len() * (size_of::<u32>() + size_of::<(Rect, u32)>())
+        let index = self.elem_index.heap_bytes()
+            + self.elem_handles.len() * size_of::<u32>()
             + self.handle_owner.len() * size_of::<usize>()
-            + self.points.labels.len() * size_of::<(Rect, u32)>()
+            + self.points.labels.heap_bytes()
             + self.points.loose.len() * size_of::<u32>();
         let nets = self.parts.heap_bytes() + self.nets.heap_bytes();
         elements + strings + devices + nets + report + index
@@ -2560,7 +2553,8 @@ enum PointOf {
 /// keep: a session that ever holds one screens every device instead.
 #[derive(Debug)]
 struct PointIndex {
-    labels: GridIndex<u32>,
+    /// The label positions, by label index.
+    labels: FlatGrid,
     /// First-element handles of the devices with a terminal outside
     /// their own elements' boxes.
     loose: Vec<u32>,
@@ -2571,16 +2565,12 @@ impl PointIndex {
     /// The index of a view's devices (`handles` its element handles) and
     /// of `labels`, over cells of `cell`.
     fn build(view: &ChipView, labels: &[NetLabel], handles: &[u32], cell: i64) -> PointIndex {
+        let positions = labels.iter().map(|l| point_extent_at(l.position));
         let mut points = PointIndex {
-            labels: GridIndex::new(cell),
+            labels: FlatGrid::new(positions.collect(), cell),
             loose: Vec::new(),
             screen_all: false,
         };
-        for (li, label) in labels.iter().enumerate() {
-            points
-                .labels
-                .insert(point_extent_at(label.position), li as u32);
-        }
         points.enter(view, 0..view.devices.len(), |id| handles[id]);
         points
     }
@@ -2606,9 +2596,9 @@ impl PointIndex {
 
     /// Calls `found` for every device and label with a point in one of
     /// `rects` that `keep` accepts (repeats possible). `candidates` are
-    /// the element-index handles [`GridIndex::candidates_many`] gives for
-    /// `rects`; `device_of` gives a live handle's device, `None` for a
-    /// dead one.
+    /// the element-index handles [`GridIndex::query_handles_many`] gives
+    /// for `rects`; `device_of` gives a live handle's device, `None` for
+    /// a dead one.
     fn hits(
         &mut self,
         view: &ChipView,
@@ -2631,11 +2621,14 @@ impl PointIndex {
             self.loose
                 .retain(|&h| device_of(h).inspect(|&di| device(di)).is_some());
         }
-        for handle in self.labels.candidates_many(rects) {
-            // invariant: candidates are live handles of the grid.
-            let (r, &li) = self.labels.get(handle).expect("a live label");
-            if keep(Point::new(r.x1, r.y1)) {
-                found(PointOf::Label(li as usize));
+        let mut hits = Vec::new();
+        for rect in rects {
+            self.labels.query_into(rect, &mut hits);
+            for &li in &hits {
+                let r = self.labels.rects()[li as usize];
+                if keep(Point::new(r.x1, r.y1)) {
+                    found(PointOf::Label(li as usize));
+                }
             }
         }
     }

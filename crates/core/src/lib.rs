@@ -146,8 +146,8 @@ pub mod spill;
 pub mod violations;
 
 pub use binding::{
-    instantiate, ChipElement, ChipView, DeviceInstance, ElementColumns, ElementRef,
-    InstantiateStats, Istr, LayerBinding, StringInterner,
+    instantiate, ChipView, DeviceInstance, ElementColumns, ElementRef, InstantiateStats, Istr,
+    LayerBinding, StringInterner,
 };
 pub use checker::{check, check_cif, check_with_sink, CheckOptions, CheckReport};
 pub use connect::{check_connections, check_connections_among, ConnectionResult};

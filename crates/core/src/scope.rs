@@ -48,9 +48,9 @@
 //! its [`ScanIndex`]: a [`FlatGrid`] built once over the boxes of the
 //! indexed elements and then only queried — a dense array of cells in
 //! compressed-row form, so a query reads a few slices into a reused
-//! buffer and hashes nothing. (The table's own grid over the scope boxes
-//! is a [`GridIndex`], whose candidate count is
-//! [`ScopeStats::neighbour_tests`].)
+//! buffer and hashes nothing. The table's own grid over the scope boxes
+//! is a `FlatGrid` too; the candidates it offers are
+//! [`ScopeStats::neighbour_tests`].
 //!
 //! The **direct scan** — every element of an id set against one index
 //! over the set, [`Scan::direct`] — is the plan's base case: a chip of
@@ -66,7 +66,7 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use diic_cif::{Item, SymbolId};
-use diic_geom::{Coord, FlatGrid, GridIndex, Orientation, Point, Rect, Transform};
+use diic_geom::{Coord, FlatGrid, Orientation, Point, Rect, Transform};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -292,8 +292,9 @@ pub struct ScopeStats {
     /// Scopes in the table: one per top-level call, plus the loose
     /// scope.
     pub scopes: usize,
-    /// Bounding-box tests the table's neighbour search performed (the
-    /// double loop it replaces makes `scopes² / 2`).
+    /// Bounding-box tests the table's neighbour search performed: one per
+    /// later scope sharing a grid cell with a scope's box grown by the
+    /// reach (the double loop it replaces makes `scopes² / 2`).
     pub neighbour_tests: u64,
     /// Scope pairs it found within the technology's rule reach.
     pub neighbour_pairs: u64,
@@ -369,15 +370,12 @@ impl std::fmt::Display for ScopeStats {
 /// [`ScopeTable::neighbours`] and [`ScopeTable::covering`].
 #[derive(Debug, Clone)]
 struct ScopeGrid {
-    /// The live scopes kept out of the grid and tested directly,
-    /// ascending: the wide ones (see [`ScopeTable::neighbours`]), or all
-    /// of them when there are fewer than two.
-    direct: Vec<(usize, Rect)>,
-    /// Every other live scope's bounding box, payload the scope index,
-    /// inserted ascending.
-    grid: GridIndex<usize>,
-    /// The reach the cells were sized and the wide scopes chosen for
-    /// (never negative).
+    /// The scopes that have elements, ascending: the scope at each
+    /// position of `grid`.
+    live: Vec<usize>,
+    /// Their bounding boxes.
+    grid: FlatGrid,
+    /// The reach the cells were sized for (never negative).
     reach: Coord,
 }
 
@@ -459,7 +457,7 @@ impl ScopeTable {
             first: scopes.len(),
         });
         let grid = ScopeGrid::over(&scopes, reach);
-        let near = grid.neighbours(&scopes);
+        let near = grid.neighbours();
         ScopeTable {
             scopes,
             loose,
@@ -595,33 +593,28 @@ impl ScopeTable {
     /// `reach` of one another along both axes (`reach` 0: they touch),
     /// in ascending order. Scopes without elements pair with nothing.
     ///
-    /// The search is a [`GridIndex`] over the scope bounding boxes with
-    /// cells the size of a typical scope, so its cost follows the number
-    /// of scopes and of near pairs, not their product. One guard keeps
-    /// that true of any input: a scope whose box grown by the reach
-    /// covers more grid cells than there are scopes (the loose scope of
-    /// a chip with top-level routing; every scope, under a reach near
-    /// `Coord::MAX`) stays out of the grid and is compared with every
-    /// scope directly — the cheaper of the two by then.
+    /// The search is a [`FlatGrid`] over the scope bounding boxes with
+    /// cells the size of a typical scope, queried with each box grown by
+    /// the reach and widened to whole cells, so its cost follows the
+    /// number of scopes and of near pairs, not their product. The grid keeps that true of any input:
+    /// a scope covering more cells than there are scopes (the loose
+    /// scope of a chip with top-level routing) sits on its side list,
+    /// and a query that wide (every scope, under a reach near
+    /// `Coord::MAX`) tests every scope directly — the cheaper of the two
+    /// by then.
     pub fn neighbours(&self, reach: Coord) -> Neighbours {
-        ScopeGrid::over(&self.scopes, reach).neighbours(&self.scopes)
+        ScopeGrid::over(&self.scopes, reach).neighbours()
     }
 
     /// The scopes whose bounding box contains `p` (closed-sense), into
     /// `out`, ascending — a single-cell lookup in the grid
-    /// [`ScopeTable::neighbours`] searched, plus a direct test of the
-    /// scopes that grid leaves out. An element covering `p` belongs to
-    /// one of these scopes; `out` is the caller's buffer, so binding a
-    /// point allocates nothing.
+    /// [`ScopeTable::neighbours`] searched, merged with its side list.
+    /// An element covering `p` belongs to one of these scopes; `out` is
+    /// the caller's buffer, so binding a point allocates nothing.
     pub fn covering(&self, p: Point, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(self.grid.grid.at(p).copied());
-        let direct = self.grid.direct.iter();
-        out.extend(direct.filter(|(_, b)| b.contains_point(p)).map(|&(s, _)| s));
-        // Each source ascends; a wide scope among gridded ones interleaves.
-        if !out.is_sorted() {
-            out.sort_unstable();
-        }
+        let live = &self.grid.live;
+        out.extend(self.grid.grid.at(p).map(|k| live[k as usize]));
     }
 
     /// The double loop [`ScopeTable::neighbours`] replaces — the
@@ -649,95 +642,57 @@ impl ScopeGrid {
     /// Indexes the bounding boxes of `scopes` for searches at `reach`.
     fn over(scopes: &[Scope], reach: Coord) -> ScopeGrid {
         let reach = reach.max(0);
-        let live: Vec<(usize, Rect)> = live_boxes(scopes).collect();
-        if live.len() < 2 {
-            return ScopeGrid {
-                direct: live,
-                grid: GridIndex::new(1),
-                reach,
-            };
-        }
+        let (live, boxes): (Vec<usize>, Vec<Rect>) = live_boxes(scopes).unzip();
         // Cells the size of the mean scope (or the reach, when that is
         // larger): a scope then covers a handful of cells and so does a
         // query.
-        let side_sum: i128 = live
+        let side_sum: i128 = boxes
             .iter()
-            .map(|(_, b)| b.width().max(b.height()) as i128)
+            .map(|b| b.width().max(b.height()) as i128)
             .sum();
-        let mean_side = (side_sum.checked_div(live.len() as i128))
+        let mean_side = (side_sum.checked_div(boxes.len() as i128))
             .and_then(|mean| Coord::try_from(mean).ok())
             .unwrap_or(Coord::MAX);
-        let cell = mean_side.max(reach).max(1);
-        let cells_of = |r: &Rect| {
-            let span = |lo: Coord, hi: Coord| {
-                let cells =
-                    i128::from(hi.div_euclid(cell)).saturating_sub(lo.div_euclid(cell).into());
-                cells.saturating_add(1)
-            };
-            span(r.x1, r.x2).saturating_mul(span(r.y1, r.y2))
-        };
-        // A scope is *wide* when its query — its box grown by the reach
-        // — covers more cells than there are scopes.
-        let mut grid: GridIndex<usize> = GridIndex::new(cell);
-        let mut direct: Vec<(usize, Rect)> = Vec::new();
-        for &(s, bbox) in &live {
-            if cells_of(&grown(&bbox, reach)) > live.len() as i128 {
-                direct.push((s, bbox));
-            } else {
-                grid.insert(bbox, s);
-            }
-        }
         ScopeGrid {
-            direct,
-            grid,
+            live,
+            grid: FlatGrid::new(boxes, mean_side.max(reach)),
             reach,
         }
     }
 
     /// [`ScopeTable::neighbours`] of the scopes this grid was built
-    /// over, at the reach it was built for.
-    fn neighbours(&self, scopes: &[Scope]) -> Neighbours {
+    /// over, at the reach it was built for. Each box grown by the reach
+    /// and widened to whole cells queries the grid: the answer is the
+    /// scopes sharing a cell with the grown box, each of the later ones
+    /// tested once, and it ascends, so the pairs come out in order.
+    fn neighbours(&self) -> Neighbours {
         let reach = self.reach;
-        let mut out = Neighbours::default();
-        if live_boxes(scopes).nth(1).is_none() {
-            return out;
-        }
         let near = |a: &Rect, b: &Rect| {
             let (dx, dy) = a.gap(b);
             dx <= reach && dy <= reach
         };
-        let wide = &self.direct;
-        for (si, a) in live_boxes(scopes) {
-            let mut test = |sj: usize, b: &Rect| {
+        let cell = self.grid.cell_size();
+        let whole = |lo: Coord, hi: Coord| {
+            let last = hi.div_euclid(cell).saturating_add(1).saturating_mul(cell);
+            (
+                lo.div_euclid(cell).saturating_mul(cell),
+                last.saturating_sub(1),
+            )
+        };
+        let boxes = self.grid.rects();
+        let (mut out, mut hits) = (Neighbours::default(), Vec::new());
+        for (k, a) in (0u32..).zip(boxes) {
+            let g = grown(a, reach);
+            let ((x1, x2), (y1, y2)) = (whole(g.x1, g.x2), whole(g.y1, g.y2));
+            self.grid.query_into(&Rect { x1, y1, x2, y2 }, &mut hits);
+            for &j in hits.iter().filter(|&&j| j > k) {
                 out.tests = out.tests.saturating_add(1);
-                if near(&a, b) {
-                    out.pairs.push((si, sj));
-                }
-            };
-            if wide.binary_search_by_key(&si, |&(s, _)| s).is_ok() {
-                // Against everything later; an earlier scope pairs with
-                // this one from its own side.
-                for (sj, b) in live_boxes(scopes).filter(|(sj, _)| *sj > si) {
-                    test(sj, &b);
-                }
-                continue;
-            }
-            for (sj, b) in wide.iter().filter(|(sj, _)| *sj > si) {
-                test(*sj, b);
-            }
-            for handle in self.grid.candidates(&grown(&a, reach)) {
-                let (b, &sj) = self.grid.get(handle).expect("candidates are live");
-                if sj > si {
-                    test(sj, b);
+                if near(a, &boxes[j as usize]) {
+                    let scope = |j: u32| self.live[j as usize];
+                    out.pairs.push((scope(k), scope(j)));
                 }
             }
         }
-        // Each source emits ascending pairs; with wide scopes about, the
-        // sources interleave.
-        if !wide.is_empty() {
-            out.pairs.sort_unstable();
-        }
-        debug_assert!(out.pairs.windows(2).all(|w| w[0] < w[1]));
         out
     }
 }
@@ -989,7 +944,7 @@ mod tests {
             points in proptest::collection::vec((-45i64..90, -45i64..90), 1..40),
         ) {
             // Whatever reach the kept grid was sized for, and whichever
-            // scopes it left out as wide (or all of them: one live scope).
+            // scopes it put on its side list as wide.
             let table = table_of(&bboxes, reach);
             let mut got = vec![usize::MAX];
             for (x, y) in points {

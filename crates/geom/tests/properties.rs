@@ -167,10 +167,10 @@ proptest! {
         }
     }
 
-    /// The churnable grid answers what a scan of the rectangles does, and
-    /// a grid built once answers exactly what the churnable one does over
-    /// the same rectangles inserted in order: the positions, ascending,
-    /// of what touches a box or holds a point.
+    /// A grid built once, and the churnable index over the same
+    /// rectangles inserted in order, answer what a scan of the
+    /// rectangles does: the positions, ascending, of what touches a box
+    /// or holds a point.
     #[test]
     fn grid_indexes_match_brute_force_and_each_other(
         rects in proptest::collection::vec(arb_index_rect(), 0..60),
@@ -216,10 +216,11 @@ proptest! {
             prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
             prop_assert_eq!(&got, &want, "{:?}", q);
             prop_assert_eq!(flat.touches_any(q), !want.is_empty());
+            prop_assert_eq!(grid.touches_any(q), !want.is_empty());
             for p in [Point::new(q.x1, q.y1), Point::new(q.x2, q.y1), Point::new(q.x1, q.y2)] {
                 let at: Vec<u32> = flat.at(p).collect();
-                let want: Vec<u32> = grid.at(p).copied().collect();
-                prop_assert_eq!(at, want, "{:?}", p);
+                let holding = (0..rects.len() as u32).filter(|&k| rects[k as usize].contains_point(p));
+                prop_assert_eq!(at, holding.collect::<Vec<_>>(), "{:?}", p);
             }
         }
     }
@@ -327,6 +328,56 @@ proptest! {
         }
         if r.contains_point(p) {
             prop_assert!(rects.iter().any(|rr| rr.contains_point(p)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The churnable index under random inserts, removes and compactions,
+    /// over up to about 2 000 slots — across its rebuild threshold many
+    /// times, with range-wide boxes and clusters 2⁵² apart — answers what
+    /// a scan of its live items does after every step: the handles,
+    /// ascending, and payloads of what touches a box, whether anything
+    /// does, and the item behind a handle. Compaction's remap keeps the
+    /// handles in order.
+    #[test]
+    fn grid_index_churn_answers_what_a_scan_of_the_live_items_does(
+        ops in proptest::collection::vec((0u8..16, 0usize..4096, arb_index_rect(), arb_index_rect()), 1000..3000),
+        cell in 1i64..200,
+    ) {
+        let mut grid = GridIndex::new(cell);
+        // The live items as (handle, rectangle, payload), ascending by handle.
+        let mut live: Vec<(u32, Rect, usize)> = Vec::new();
+        for (step, &(kind, pick, r, q)) in ops.iter().enumerate() {
+            match kind {
+                0 if pick % 64 == 0 => {
+                    let map = grid.compact();
+                    for item in &mut live {
+                        item.0 = map[item.0 as usize].expect("a live handle survives compaction");
+                    }
+                    prop_assert!(live.windows(2).all(|w| w[0].0 < w[1].0));
+                    prop_assert_eq!(grid.tombstones(), 0);
+                }
+                1..=5 if !live.is_empty() => {
+                    let (h, _, v) = live.remove(pick % live.len());
+                    prop_assert_eq!(grid.remove(h), Some(v));
+                    prop_assert_eq!(grid.get(h), None);
+                }
+                _ => live.push((grid.insert(r, step), r, step)),
+            }
+            prop_assert_eq!(grid.len(), live.len());
+            for query in [q, r] {
+                let touching = live.iter().filter(|(_, b, _)| b.touches(&query));
+                let (handles, payloads): (Vec<u32>, Vec<usize>) = touching.map(|&(h, _, v)| (h, v)).unzip();
+                prop_assert_eq!(grid.query_handles(&query), handles.clone(), "step {}: {:?}", step, query);
+                prop_assert_eq!(grid.query(&query).into_iter().copied().collect::<Vec<_>>(), payloads);
+                prop_assert_eq!(grid.touches_any(&query), !handles.is_empty());
+            }
+            if let Some(&(h, b, v)) = live.get(pick % live.len().max(1)) {
+                prop_assert_eq!(grid.get(h), Some((&b, &v)));
+            }
         }
     }
 }

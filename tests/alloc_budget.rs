@@ -78,12 +78,12 @@ const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
 };
 
 /// Allocator calls of the edit run below when this budget was set:
-/// 23 149 in a release build, 608 438 in a debug one (whose oracles
+/// 18 798 in a release build, 604 087 in a debug one (whose oracles
 /// re-check the chip). A run may take 5 % more, no further.
 const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
-    608_438
+    604_087
 } else {
-    23_149
+    18_798
 };
 
 /// Allocator calls `f` makes on this thread, and its result.

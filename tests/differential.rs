@@ -46,15 +46,11 @@
 //! built over a warm table renders the same strings as a cold one, and
 //! shared paths collapse to single interner entries.
 //!
-//! The **eighth leg** (`columnar_equals_boxed`) pins the columnar
-//! element store the same way: the struct-of-arrays `ElementColumns`
-//! layout is a pure storage decision. Every generated chip's columns
-//! round-trip through boxed `ChipElement` records back to identical
-//! columns, and each `ElementRef` accessor agrees field for field with
-//! its boxed counterpart — so the batch kernels sweeping column slices
-//! see exactly what per-record code saw. (The **ninth leg** — the
-//! disk-spilling sink against the buffered canonical report — lives in
-//! `tests/sinks.rs`.)
+//! (The eighth leg round-tripped the columnar element store through
+//! boxed `ChipElement` records, and was retired with that record: the
+//! instantiation walk writes the columns directly. The **ninth leg** —
+//! the disk-spilling sink against the buffered canonical report — lives
+//! in `tests/sinks.rs`.)
 //!
 //! The **tenth leg** (`fresh_deck_compile_equals_cached_nmos`) pins
 //! reports to `Technology`'s value, not its hash maps: `nmos_technology()`
@@ -72,8 +68,7 @@ use diic::core::netgen::NetParts;
 use diic::core::{
     account, canonical_check, check_cif, check_connections, check_connections_among,
     effective_parallelism, env_parallelism, flat_check, instantiate, max_rule_range, CheckOptions,
-    CheckReport, CheckStage, ElementColumns, FlatOptions, LayerBinding, ScopeTable, StringInterner,
-    Violation,
+    CheckReport, CheckStage, FlatOptions, LayerBinding, ScopeTable, StringInterner, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::{Rect, Transform};
@@ -355,58 +350,6 @@ proptest! {
             prop_assert_eq!(serial.str(a.path), seeded.str(b.path));
             prop_assert_eq!(serial.str(a.device_type), seeded.str(b.device_type));
         }
-    }
-
-    /// The **eighth leg**: the columnar element store is a pure layout
-    /// decision. For arbitrary generated chips, `ElementColumns`
-    /// round-trips through boxed `ChipElement` records back to
-    /// identical columns (arenas, ranges, flag bits and all, via the
-    /// derived equality), and every `ElementRef` accessor agrees field
-    /// for field with the boxed record it materialises — so batch
-    /// kernels sweeping contiguous column slices see exactly the data
-    /// per-record code saw before the refactor.
-    #[test]
-    fn columnar_equals_boxed(
-        nx in 2usize..5,
-        ny in 1usize..3,
-        seed in 0u64..1_000_000,
-        mask in 1u16..512,
-    ) {
-        let tech = nmos_technology();
-        let errors: Vec<ErrorKind> = ErrorKind::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, k)| *k)
-            .take(nx * ny)
-            .collect();
-        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
-        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
-        let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (view, _) = instantiate(&layout, &tech, &binding, Default::default());
-
-        let boxed = view.elements.to_elements();
-        prop_assert_eq!(boxed.len(), view.elements.len());
-        for (e, rec) in view.elements.iter().zip(&boxed) {
-            // Accessor view vs boxed record, field for field. Ids are
-            // implicit column positions in the columnar store.
-            prop_assert_eq!(e.id(), rec.id);
-            prop_assert_eq!(e.layer(), rec.layer);
-            prop_assert_eq!(e.bbox(), rec.bbox);
-            prop_assert_eq!(e.rects(), rec.rects.as_slice());
-            prop_assert_eq!(e.net_key(), rec.net_key);
-            prop_assert_eq!(e.net_declared(), rec.net_declared);
-            prop_assert_eq!(e.path(), rec.path);
-            prop_assert_eq!(e.device(), rec.device);
-            prop_assert_eq!(e.has_skeleton(), rec.skeleton.is_some());
-            let scaled = rec.skeleton.as_ref().map(|s| s.scaled_rects()).unwrap_or(&[]);
-            prop_assert_eq!(e.skeleton(), scaled);
-            prop_assert_eq!(&e.to_element(), rec);
-        }
-        // And back: rebuilding the columns from the boxed records
-        // reproduces the resident store exactly.
-        let rebuilt = ElementColumns::from_elements(boxed);
-        prop_assert_eq!(&rebuilt, &view.elements);
     }
 
     /// The **tenth leg**: a freshly compiled NMOS deck and the cached

@@ -786,6 +786,40 @@ fn call_moves_recheck_a_bounded_neighbourhood() {
     }
 }
 
+/// One box at (2³⁰, 2³⁰) beside the benchmark's 24 × 12 chip makes the
+/// session's element index key its occupied cells (a dense array over
+/// both would be far too large). Call moves near the array insert enough
+/// elements to rebuild that index's grid, in a release run several
+/// times, and every patched report stays identical to a from-scratch
+/// check.
+#[test]
+fn call_moves_beside_a_far_box_match_full_checks() {
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let chip = generate(&ChipSpec::clean(24, 12));
+    let far = 1i64 << 30;
+    let cif = chip.cif.trim_end().trim_end_matches('E');
+    let cif = format!("{cif}\nL NM; B 1000 1000 {far} {far};\nE\n");
+    let layout = diic::cif::parse(&cif).expect("the chip and the far box parse");
+    let calls: Vec<usize> = (layout.top_items().iter().enumerate())
+        .filter(|(_, item)| matches!(item, Item::Call(_)))
+        .map(|(index, _)| index)
+        .collect();
+    let mut session = CheckSession::new(layout, &tech, &options);
+    // About 28 elements enter the index per move; it holds about 8 000,
+    // so a rebuild follows every ~36 moves.
+    let moves = if cfg!(debug_assertions) { 40 } else { 160 };
+    for k in 0..moves {
+        let index = calls[(k * 37) % calls.len()];
+        let (dx, dy) = if k % 2 == 0 { (1, -1) } else { (-1, 1) };
+        let mut edits = EditSet::new();
+        edits.translate(index, dx * 250, dy * 250);
+        let stats = session.apply(&edits).unwrap();
+        assert!(!stats.full_rebuild, "move {k}: {stats:?}");
+        assert_matches_full(&session, &format!("move {k} of call {index}"));
+    }
+}
+
 /// A CIF box on `layer` over `r` (even sides, so its centre is whole).
 fn cif_box(layer: &str, r: Rect) -> String {
     let (w, h) = (r.x2 - r.x1, r.y2 - r.y1);
