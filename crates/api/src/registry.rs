@@ -31,7 +31,8 @@
 //! evicted outright.
 
 use crate::error::{ApiError, FrontEnd};
-use diic_core::{CheckSession, LibraryOptions, LibrarySession};
+use crate::wire;
+use diic_core::{CheckSession, LibrarySession};
 use diic_tech::Technology;
 use serde_json::Value;
 use std::collections::HashMap;
@@ -403,11 +404,6 @@ impl SessionRegistry {
         Ok(entry)
     }
 
-    /// Default options for a batch-verification request.
-    pub fn library_options(&self) -> LibraryOptions {
-        LibraryOptions::default()
-    }
-
     /// The `/stats` payload.
     pub fn stats(&self) -> Value {
         let (open, memory_bytes) = {
@@ -422,14 +418,8 @@ impl SessionRegistry {
         };
         let (library_decks, libraries) = {
             let libraries = self.libraries.lock().unwrap_or_else(|p| p.into_inner());
-            let caches = Value::array(libraries.iter().map(|(_, l)| {
-                Value::object([
-                    ("cache_entries", Value::from(l.session.cache.len())),
-                    ("cache_hits", Value::from(l.session.cache.hits())),
-                    ("cache_misses", Value::from(l.session.cache.misses())),
-                ])
-            }));
-            (libraries.len(), caches)
+            let fills = (libraries.iter()).map(|(_, l)| wire::fill_stats(l.session.cache.fills()));
+            (libraries.len(), Value::array(fills))
         };
         Value::object([
             ("open_sessions", Value::from(open)),

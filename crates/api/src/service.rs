@@ -238,7 +238,7 @@ fn delete_session(app: &App, req: &Request) -> Result<Response, ApiError> {
 }
 
 /// `POST /library` — body `{"cells": ["cif", ...], "deck"?: "...",
-/// "options"?: {"parallelism"?: N, "shared_interner"?: bool}}`. Runs
+/// "options"?: {"parallelism"?: N}}`. Runs
 /// the batch through the shared per-deck [`LibrarySession`]: repeated
 /// requests over the same deck keep its content-keyed cache warm
 /// across requests. Each cell's response report is canonical and
@@ -269,9 +269,6 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
             match key.as_str() {
                 "parallelism" => {
                     options.parallelism = wire::as_worker_count(v, "options.parallelism")?
-                }
-                "shared_interner" => {
-                    options.shared_interner = wire::as_bool(v, "options.shared_interner")?
                 }
                 other => {
                     return Err(ApiError::bad_request_shape(format!(
@@ -314,17 +311,7 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
     }));
     let response = Value::object([
         ("cells", cells_out),
-        (
-            "stats",
-            Value::object([
-                ("cache_hits", Value::from(batch.stats.shared_cache_hits)),
-                ("cache_misses", Value::from(batch.stats.shared_cache_misses)),
-                (
-                    "cache_entries",
-                    Value::from(batch.stats.shared_cache_entries),
-                ),
-            ]),
-        ),
+        ("stats", wire::fill_stats(batch.stats.fills)),
     ]);
     Ok(json_response(StatusCode::OK, &response))
 }

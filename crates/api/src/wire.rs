@@ -19,8 +19,8 @@
 use crate::error::{ApiError, FrontEnd};
 use diic_cif::{Call, Diagnostic, Element, Item, Layout, Shape, Span, SymbolId};
 use diic_core::{
-    category_of, CheckOptions, CheckReport, Edit, EditSet, EditStats, RebuildReason, ReportDelta,
-    Violation,
+    category_of, CheckOptions, CheckReport, DefinitionStats, Edit, EditSet, EditStats,
+    RebuildReason, ReportDelta, Violation,
 };
 use diic_geom::{Orientation, Point, Rect, Transform, Vector, MAX_COORD};
 use serde_json::Value;
@@ -88,6 +88,17 @@ pub(crate) fn as_worker_count(v: &Value, what: &str) -> Result<usize, ApiError> 
 pub(crate) fn as_bool(v: &Value, what: &str) -> Result<bool, ApiError> {
     v.as_bool()
         .ok_or_else(|| ApiError::bad_request_shape(format!("`{what}` must be a boolean")))
+}
+
+/// A library session's candidate-fill shelf as the `/library` reply and
+/// the `/stats` library block show it: lookups a kept fill answered,
+/// fills the cells derived, fills kept.
+pub(crate) fn fill_stats(fills: DefinitionStats) -> Value {
+    Value::object([
+        ("cache_hits", Value::from(fills.hits)),
+        ("cache_misses", Value::from(fills.misses)),
+        ("cache_entries", Value::from(fills.entries)),
+    ])
 }
 
 /// Decodes the optional `options` object of a session or library

@@ -12,15 +12,16 @@
 //!
 //! * every batch per-cell report is byte-identical to its standalone
 //!   counterpart (violations, net list, interaction stats, counts);
-//! * the content-keyed candidate cache actually hit across cells
-//!   (the library generator makes half the cells share definition
-//!   content, so zero hits means the mechanism regressed);
+//! * the session's kept candidate fills, templates and primitive
+//!   verdicts actually hit across cells (the library generator makes
+//!   half the cells share definition content, so zero hits means the
+//!   mechanism regressed);
 //! * batch throughput meets the cells/second floor (0 disables).
 //!
 //! CI wraps this in `/usr/bin/time -v` and additionally gates peak RSS:
-//! with candidate fills shared by content and the session interners
-//! compacted between cells, resident memory scales with the largest
-//! cell plus the shared cache — not with the library size.
+//! with only definitions a second cell presents kept by the session,
+//! resident memory scales with the largest cell plus the kept
+//! definitions — not with the library size.
 
 use diic_core::{check, check_library_buffered, LibraryOptions};
 use diic_tech::nmos::nmos_technology;
@@ -74,27 +75,22 @@ fn main() {
         elapsed.as_secs_f64(),
         t_loop.as_secs_f64() / elapsed.as_secs_f64()
     );
+    let stats = &batch.stats;
+    let (templates, verdicts, fills) = (stats.templates, stats.verdicts, stats.fills);
+    for (name, shelf) in [
+        ("templates", templates),
+        ("primitive verdicts", verdicts),
+        ("candidate fills", fills),
+    ] {
+        println!(
+            "kept {name}: {} hits / {} misses ({} entries, {} seen once)",
+            shelf.hits, shelf.misses, shelf.entries, shelf.seen
+        );
+    }
     println!(
-        "shared cache: {} hits / {} misses ({} entries, {} cached pairs); \
-         interner: {} compactions, peak {} strings / {:.1} MB",
-        batch.stats.shared_cache_hits,
-        batch.stats.shared_cache_misses,
-        batch.stats.shared_cache_entries,
-        batch.stats.shared_cache_pairs,
-        batch.stats.interner_compactions,
-        batch.stats.interner_peak_strings,
-        batch.stats.interner_peak_bytes as f64 / 1e6
-    );
-    let (templates, verdicts) = (batch.stats.templates, batch.stats.verdicts);
-    println!(
-        "definitions kept: templates {} hits / {} misses ({} entries), \
-         primitive verdicts {} hits / {} misses ({} entries)",
-        templates.hits,
-        templates.misses,
-        templates.entries,
-        verdicts.hits,
-        verdicts.misses,
-        verdicts.entries
+        "interner: peak {} strings / {:.1} MB",
+        stats.interner_peak_strings,
+        stats.interner_peak_bytes as f64 / 1e6
     );
     println!(
         "cell wall clock: p50 {:.2} ms, p99 {:.2} ms",
@@ -116,13 +112,8 @@ fn main() {
     println!("all {cells} per-cell reports byte-identical to standalone checks");
 
     assert!(
-        batch.stats.shared_cache_hits > 0,
-        "a half-shared library must hit the content-keyed cache: {:?}",
-        batch.stats
-    );
-    assert!(
-        templates.hits > 0 && verdicts.hits > 0,
-        "cells sharing definitions must reuse their templates and verdicts: {:?}",
+        templates.hits > 0 && verdicts.hits > 0 && fills.hits > 0,
+        "cells sharing definitions must reuse their templates, verdicts and fills: {:?}",
         batch.stats
     );
     assert!(

@@ -1051,7 +1051,7 @@ impl InteractionInputs {
         options: &CheckOptions,
     ) -> (Vec<Violation>, InteractStats) {
         let (view, bound, scopes) = (&self.view, &self.bound, &self.scopes);
-        check_interactions(view, tech, bound, self.parts.nets(), scopes, options, None)
+        check_interactions(view, tech, bound, self.parts.nets(), scopes, options)
     }
 
     /// The direct-scan reference: every element against one index over

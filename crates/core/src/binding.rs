@@ -145,11 +145,6 @@ pub struct StringInterner {
     overflow: Vec<(u64, u32)>,
     /// This table's hash key (see the type docs).
     key: u64,
-    /// Current usage epoch (see [`StringInterner::advance_epoch`]).
-    epoch: u32,
-    /// Epoch each string was last interned in, parallel to `ends` —
-    /// the liveness signal [`StringInterner::compact_stale`] retains by.
-    last_used: Vec<u32>,
     /// Tests replace the hash to pile strings into a few buckets, so
     /// every path that hashes — compaction too — runs through the
     /// overflow list.
@@ -167,8 +162,6 @@ impl Default for StringInterner {
             key: std::collections::hash_map::RandomState::new()
                 .build_hasher()
                 .finish(),
-            epoch: 0,
-            last_used: Vec::new(),
             #[cfg(test)]
             forced_hash: None,
         }
@@ -234,7 +227,6 @@ impl StringInterner {
                 let hit =
                     Self::find_from(&self.text, &self.ends, &self.overflow, *e.get(), s, hash);
                 if let Some(hit) = hit {
-                    self.last_used[hit.0 as usize] = self.epoch;
                     return hit;
                 }
                 self.overflow.push((hash, id));
@@ -246,7 +238,6 @@ impl StringInterner {
             .expect("an interner holds less than 4 GiB of text");
         self.text.push_str(s);
         self.ends.push(end);
-        self.last_used.push(self.epoch);
         Istr(id)
     }
 
@@ -256,7 +247,6 @@ impl StringInterner {
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.ends.reserve(additional);
         self.first.reserve(additional);
-        self.last_used.reserve(additional);
     }
 
     /// The stored copy of `s` among the ids sharing `hash`: the
@@ -311,35 +301,19 @@ impl StringInterner {
     }
 
     /// Bytes of the stored strings themselves — exactly the length of
-    /// the text buffer (what the library driver's interner budget is
-    /// read against; bookkeeping is [`StringInterner::table_bytes`]).
+    /// the text buffer (bookkeeping is [`StringInterner::table_bytes`]).
     pub fn heap_bytes(&self) -> usize {
         self.text.len()
     }
 
-    /// Bytes of the bookkeeping around the text: the offset and epoch
-    /// columns, the bucket map's slots (a key, an id and a control byte
-    /// each) and the overflow list, as allocated.
+    /// Bytes of the bookkeeping around the text: the offset column, the
+    /// bucket map's slots (a key, an id and a control byte each) and the
+    /// overflow list, as allocated.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.ends.capacity() + self.last_used.capacity()) * size_of::<u32>()
+        self.ends.capacity() * size_of::<u32>()
             + self.first.capacity() * (size_of::<(u64, u32)>() + 1)
             + self.overflow.capacity() * size_of::<(u64, u32)>()
-    }
-
-    /// The current usage epoch. Epochs segment interner traffic into
-    /// generations: a long-lived session (one interner across many
-    /// checked cells) advances the epoch at each cell boundary, every
-    /// [`StringInterner::intern`] stamps its handle with the epoch it
-    /// ran in, and [`StringInterner::compact_stale`] evicts strings
-    /// whose last use fell out of the recent-epoch window.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Starts the next usage epoch (see [`StringInterner::epoch`]).
-    pub fn advance_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Rebuilds the table keeping only the strings `keep` approves,
@@ -348,44 +322,21 @@ impl StringInterner {
     /// strings (the remap [`diic_geom::GridIndex::compact`] hands back too).
     /// Any caller still holding handles must remap them; handles of
     /// evicted strings are dead.
-    ///
-    /// Epoch stamps survive compaction, so repeated
-    /// [`StringInterner::compact_stale`] calls age strings correctly.
     pub fn compact<F>(&mut self, mut keep: F) -> Vec<Option<Istr>>
     where
         F: FnMut(Istr, &str) -> bool,
     {
-        self.rebuild(|id, s, _| keep(id, s))
-    }
-
-    /// [`StringInterner::compact`] keeping strings used within the last
-    /// `keep_epochs` epochs (0 = only the current epoch). The batch
-    /// library driver fires this between cells once the table outgrows
-    /// its budget: strings the recent cells actually re-interned (shared
-    /// paths, net names, device types) survive as a warm dictionary,
-    /// one-off keys from older cells are evicted.
-    pub fn compact_stale(&mut self, keep_epochs: u32) -> Vec<Option<Istr>> {
-        let cutoff = self.epoch.saturating_sub(keep_epochs);
-        self.rebuild(|_, _, last_used| last_used >= cutoff)
-    }
-
-    /// The compaction itself: a fresh text buffer holding the strings
-    /// `keep(handle, string, last-used epoch)` approves, in old order.
-    fn rebuild(&mut self, mut keep: impl FnMut(Istr, &str, u32) -> bool) -> Vec<Option<Istr>> {
         let old_text = std::mem::take(&mut self.text);
         let old_ends = std::mem::take(&mut self.ends);
-        let old_used = std::mem::take(&mut self.last_used);
         self.first.clear();
         self.overflow.clear();
         let mut map = vec![None; old_ends.len()];
-        for (old_id, &used) in old_used.iter().enumerate() {
+        for (old_id, slot) in map.iter_mut().enumerate() {
             let s = slice_of(&old_text, &old_ends, old_id as u32);
-            if keep(Istr(old_id as u32), s, used) {
+            if keep(Istr(old_id as u32), s) {
                 // invariant: the table was emptied above, so every kept
                 // string is a miss and ids come out dense in old order.
-                let id = self.intern(s);
-                self.last_used[id.0 as usize] = used;
-                map[old_id] = Some(id);
+                *slot = Some(self.intern(s));
             }
         }
         map
@@ -1919,33 +1870,6 @@ mod tests {
     }
 
     #[test]
-    fn interner_compact_stale_evicts_by_epoch() {
-        // Session shape: one epoch per checked cell. Strings re-interned
-        // in recent epochs survive compaction; one-off keys from old
-        // epochs are evicted — and the stamps survive the rebuild, so a
-        // second compaction keeps ageing correctly.
-        let mut t = StringInterner::default();
-        t.intern("shared");
-        t.intern("old-only");
-        t.advance_epoch();
-        t.intern("shared");
-        t.intern("recent");
-        let map = t.compact_stale(0); // keep only the current epoch
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.lookup("old-only"), None);
-        let shared = t.lookup("shared").expect("recently used survives");
-        assert_eq!(map[0], Some(shared));
-        assert_eq!(map[1], None);
-        assert_eq!(t.get(t.lookup("recent").unwrap()), "recent");
-        // Nothing re-interned since: advancing twice ages both out.
-        t.advance_epoch();
-        t.advance_epoch();
-        t.compact_stale(1);
-        assert!(t.is_empty());
-        assert_eq!(t.epoch(), 3);
-    }
-
-    #[test]
     fn class_resolved_from_technology() {
         let cif = "
         DS 1; 9D NMOS_ENH; L NP; B 1500 500 0 0; L ND; B 500 2000 0 0; DF;
@@ -2092,40 +2016,27 @@ mod tests {
     }
 
     /// What a [`StringInterner`] must behave as: strings in insertion
-    /// order, the id of each, the epoch each was last interned in.
+    /// order, the id of each.
     #[derive(Default)]
     struct InternerModel {
         ids: HashMap<String, u32>,
         strings: Vec<String>,
-        last_used: Vec<u32>,
-        epoch: u32,
     }
 
     impl InternerModel {
         fn intern(&mut self, s: &str) -> u32 {
-            let id = *self.ids.entry(s.to_string()).or_insert_with(|| {
+            *self.ids.entry(s.to_string()).or_insert_with(|| {
                 self.strings.push(s.to_string());
-                self.last_used.push(0);
                 self.strings.len() as u32 - 1
-            });
-            self.last_used[id as usize] = self.epoch;
-            id
+            })
         }
 
-        /// Keeps what `keep(id, last used)` approves, in order; the
-        /// old id → new id map.
-        fn compact(&mut self, keep: impl Fn(u32, u32) -> bool) -> Vec<Option<u32>> {
+        /// Keeps what `keep(id)` approves, in order; the old id → new id
+        /// map.
+        fn compact(&mut self, keep: impl Fn(u32) -> bool) -> Vec<Option<u32>> {
             let old = std::mem::take(self);
-            self.epoch = old.epoch;
-            let kept = |id: &usize| keep(*id as u32, old.last_used[*id]);
             (0..old.strings.len())
-                .map(|id| {
-                    kept(&id).then(|| {
-                        let new = self.intern(&old.strings[id]);
-                        self.last_used[new as usize] = old.last_used[id];
-                        new
-                    })
-                })
+                .map(|id| keep(id as u32).then(|| self.intern(&old.strings[id])))
                 .collect()
         }
     }
@@ -2174,8 +2085,8 @@ mod tests {
         /// model, under random sequences of every operation it has:
         /// handles are dense in insertion order, every string reads back
         /// (the empty one, and multi-byte ones lying side by side in the
-        /// buffer), the text is exact, compaction's remap is the model's
-        /// and keeps order, and epoch stamps survive it. Every other case
+        /// buffer), the text is exact, and compaction's remap is the
+        /// model's and keeps order. Every other case
         /// piles all strings into two hash buckets, so the same holds
         /// through the overflow list.
         #[test]
@@ -2192,7 +2103,7 @@ mod tests {
             let mut t = table();
             let mut model = InternerModel::default();
             for _ in 0..48 {
-                match rng.below(9) {
+                match rng.below(7) {
                     0..=3 => {
                         let s = random_name(rng);
                         let id = t.intern(&s);
@@ -2204,25 +2115,14 @@ mod tests {
                         prop_assert_eq!(t.lookup(&s).map(Istr::index), want, "lookup {:?}", s);
                     }
                     5 => t.reserve(rng.below(40) as usize),
-                    6 => {
-                        t.advance_epoch();
-                        model.epoch += 1;
-                    }
-                    7 => {
+                    _ => {
                         let mask = rng.next_u64();
                         let keep = |id: u32| mask >> (id % 64) & 1 == 1;
                         let remap = t.compact(|id, s| {
                             assert_eq!(s, model.strings[id.index() as usize]);
                             keep(id.index())
                         });
-                        let want = model.compact(|id, _| keep(id));
-                        prop_assert_eq!(remap.iter().map(|n| n.map(Istr::index)).collect::<Vec<_>>(), want);
-                    }
-                    _ => {
-                        let keep_epochs = rng.below(3) as u32;
-                        let cutoff = model.epoch.saturating_sub(keep_epochs);
-                        let remap = t.compact_stale(keep_epochs);
-                        let want = model.compact(|_, used| used >= cutoff);
+                        let want = model.compact(keep);
                         prop_assert_eq!(remap.iter().map(|n| n.map(Istr::index)).collect::<Vec<_>>(), want);
                     }
                 }
@@ -2234,8 +2134,6 @@ mod tests {
                     prop_assert_eq!(t.lookup(s), Some(Istr(id as u32)));
                 }
                 prop_assert_eq!(t.heap_bytes(), model.strings.iter().map(String::len).sum::<usize>());
-                prop_assert_eq!(&t.last_used, &model.last_used);
-                prop_assert_eq!(t.epoch(), model.epoch);
                 prop_assert!(!collide || t.first.len() <= 2);
             }
         }

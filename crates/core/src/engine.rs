@@ -20,7 +20,7 @@ use crate::binding::{instantiate_in, ChipView, LayerBinding, StringInterner};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::connect::check_connections;
 use crate::element_checks::check_elements;
-use crate::interact::check_interactions;
+use crate::interact::check_interactions_in;
 use crate::library::{BoundTechnology, CellDefinitions, LibraryCache};
 use crate::netgen::NetParts;
 use crate::parallel::effective_parallelism;
@@ -564,8 +564,8 @@ fn timed<T>(
 
 /// The paper's Fig. 10 pipeline over `layout`, every step in order (see
 /// the module docs), each violation moved into `sink`. `bound` must have
-/// been built for `tech`. `cache` shares interaction candidate fills,
-/// instantiation templates and primitive verdicts across a library
+/// been built for `tech`. `cache` shares instantiation templates,
+/// primitive verdicts and interaction candidate fills across a library
 /// batch's cells (keyed by content, [`CellDefinitions`]; no key is
 /// computed without it), and `seed` is the interner the view's string
 /// table starts from (a batch worker's warm one). Neither changes a byte
@@ -626,7 +626,9 @@ pub(crate) fn run_pipeline(
     });
     let interact_stats = timed(&mut profile, "interactions", sink, |sink| {
         let nets = parts.nets();
-        let (found, stats) = check_interactions(&view, tech, bound, nets, &scopes, options, cache);
+        let shared = shared.as_ref();
+        let (found, stats) =
+            check_interactions_in(&view, tech, bound, nets, &scopes, options, shared);
         sink.absorb(found);
         stats
     });

@@ -22,11 +22,12 @@
 //! relative placement)` of two call scopes within reach — Manhattan
 //! placements preserve distances, so one instance's geometry answers for
 //! all its repeats. The distinct rows are filled once, across the worker
-//! pool (in library mode through the content-keyed [`LibraryCache`]),
-//! and stamped onto every scope and scope pair presenting their key. The
-//! pairs with a loose top-level element on either side come from the
-//! plan's loose scans: one index over the loose elements, scanned
-//! against itself and by every call scope within reach of it.
+//! pool (in library mode taken from, and kept in, the session's
+//! [`crate::LibraryCache`]), and stamped onto every scope and scope
+//! pair presenting their key. The pairs with a loose top-level element
+//! on either side come from the plan's loose scans: one index over the
+//! loose elements, scanned against itself and by every call scope
+//! within reach of it.
 //!
 //! The stage then streams **units** — a row stamped onto one scope or
 //! scope pair, or one tile of a loose scan ([`Scan::tiles`]) — in a
@@ -67,7 +68,7 @@
 
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
-use crate::library::{BoundTechnology, ContentHash, LibraryCache};
+use crate::library::{BoundTechnology, CellDefinitions, Definition};
 use crate::netgen::GraphNets;
 use crate::parallel::{effective_parallelism, run_ordered};
 use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
@@ -167,12 +168,6 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
 /// the rule reach, cell size and device-forming pairs come from it —
 /// and `scopes` must have been built for that reach. `nets` reads the
 /// net graph ([`crate::netgen::NetParts::nets`]).
-///
-/// With a `cache` (library mode) the candidate rows are shared **across
-/// cells** through the content-keyed [`LibraryCache`]; the violation
-/// list and the statistics are byte-identical either way — cross-cell
-/// cache traffic is counted on the cache itself, not in
-/// [`InteractStats`].
 pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
@@ -180,7 +175,22 @@ pub fn check_interactions(
     nets: GraphNets<'_>,
     scopes: &ScopeTable,
     options: &CheckOptions,
-    cache: Option<&LibraryCache>,
+) -> (Vec<Violation>, InteractStats) {
+    check_interactions_in(view, tech, bound, nets, scopes, options, None)
+}
+
+/// [`check_interactions`] with the candidate fills taken from, and kept
+/// in, a library session's cache when `shared` is given. The violation
+/// list and the statistics are byte-identical either way: cross-cell
+/// reuse is counted on the session's shelves, not in [`InteractStats`].
+pub(crate) fn check_interactions_in(
+    view: &ChipView,
+    tech: &Technology,
+    bound: &BoundTechnology,
+    nets: GraphNets<'_>,
+    scopes: &ScopeTable,
+    options: &CheckOptions,
+    shared: Option<&CellDefinitions<'_>>,
 ) -> (Vec<Violation>, InteractStats) {
     let workers = effective_parallelism(options.parallelism);
     let cx = EvalCx::new(
@@ -192,7 +202,7 @@ pub fn check_interactions(
         device_archetypes(view, tech, 0..view.devices.len()),
     );
     let plan = scopes.rows(bound.max_rule_range());
-    let filled = fill_rows(view, scopes, &plan, bound, workers, cache);
+    let filled = fill_rows(view, scopes, &plan, bound, workers, shared);
     let bboxes = view.elements.bboxes();
     let loose_index = plan
         .loose
@@ -353,21 +363,32 @@ fn stream_order(plan: &RowPlan<'_>) -> Vec<Unit> {
     units
 }
 
-/// Fills every row of the plan across the worker pool: the pairs of its
-/// scan, as indices local to its two scopes, ascending. Each fill is a
+/// A row's candidate fill: the pairs of its scan, as indices local to
+/// its two scopes, ascending.
+pub(crate) type Fill = Vec<(usize, usize)>;
+
+impl Definition for Fill {
+    #[cfg(debug_assertions)]
+    fn assert_same(&self, fresh: &Fill) {
+        assert_eq!(self, fresh, "a kept candidate fill differs from its row's");
+    }
+}
+
+/// Fills every row of the plan across the worker pool. Each fill is a
 /// pure function of its scopes' element boxes, so parallel fills return
-/// exactly the serial values. In library mode each fill first consults
-/// the batch's content-keyed cache ([`content_key`]): a hit returns the
-/// bytes a local fill would have produced.
+/// exactly the serial values. In library mode each fill is looked up on
+/// the session's fill shelf first ([`CellDefinitions::fill`]): a hit
+/// returns the bytes a local fill would have produced.
 fn fill_rows(
     view: &ChipView,
     table: &ScopeTable,
     plan: &RowPlan<'_>,
     bound: &BoundTechnology,
     workers: usize,
-    cache: Option<&LibraryCache>,
-) -> Vec<Arc<Vec<(usize, usize)>>> {
+    shared: Option<&CellDefinitions<'_>>,
+) -> Vec<Arc<Fill>> {
     let bboxes = view.elements.bboxes();
+    let reach = bound.max_rule_range();
     run_ordered(plan.rows.len(), workers, |row| {
         let ((si, sj), scan) = plan.rows[row];
         let fill = || {
@@ -378,60 +399,16 @@ fn fill_rows(
             let index = scan.index(bboxes, bound.cell_size());
             let mut local = Vec::new();
             let tile = 0..scan.ids.len();
-            let reach = bound.max_rule_range();
             scan.pairs(bboxes, &index, reach, tile, |i, j| {
                 local.push((i - i0, j - j0))
             });
             local
         };
-        match cache {
-            Some(cache) => cache.get_or_fill(
-                content_key(cache.content_hash(), view, &scan, bound.revision()),
-                fill,
-            ),
+        match shared {
+            Some(shared) => shared.fill(table.row_key(si, sj), reach, fill),
             None => Arc::new(fill()),
         }
     })
-}
-
-/// Content key for a row's fill: its scopes' bbox sequences in walk
-/// order (one for an interior, both for a row across two scopes),
-/// **normalized** by the first scanned bbox's lower-left corner — so
-/// every translated instance of the same definition or relative
-/// placement, in any cell of the batch, hashes identically. Rotated or
-/// mirrored instances hash differently (their bbox sequences differ)
-/// and simply miss — a conservative, correct outcome. The bound-
-/// technology revision pins the rule reach and cell size the fill was
-/// computed under.
-///
-/// Bboxes are the *complete* input of a fill (layers and shapes only
-/// matter at evaluation, which stays per-cell; the scan's clips are
-/// unions of the same boxes), so equal keys imply byte-equal fills.
-/// `h` is the cache's keyed hasher ([`LibraryCache::content_hash`]).
-fn content_key(mut h: ContentHash, view: &ChipView, scan: &Scan<'_>, revision: u64) -> (u64, u64) {
-    let bboxes = view.elements.bboxes();
-    h.word(revision);
-    let sets = if scan.within {
-        h.word(1); // domain tag: interior
-        vec![scan.ids]
-    } else {
-        h.word(2); // domain tag: across two scopes
-        vec![scan.ids, scan.against]
-    };
-    for ids in &sets {
-        h.word(ids.len() as u64);
-    }
-    let (rx, ry) = (scan.ids.iter().next())
-        .map(|id| (bboxes[id].x1, bboxes[id].y1))
-        .unwrap_or((0, 0));
-    for id in sets.iter().flat_map(|ids| ids.iter()) {
-        let b = bboxes[id];
-        h.coord(b.x1 - rx);
-        h.coord(b.y1 - ry);
-        h.coord(b.x2 - rx);
-        h.coord(b.y2 - ry);
-    }
-    h.digest()
 }
 
 /// Folds per-unit results, in unit order, into one violation list, one
@@ -953,7 +930,7 @@ mod tests {
         let tech = nmos_technology();
         let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
-        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None)
+        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options)
     }
 
     /// The stage with default options.
@@ -991,8 +968,7 @@ mod tests {
         let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, stats) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+        let (v, stats) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
         let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
         assert_eq!(canonical(&v), canonical(&direct));
         assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
@@ -1062,8 +1038,7 @@ mod tests {
                 parallelism,
                 ..CheckOptions::default()
             };
-            let (v, _) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+            let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
             let mask: Vec<&Violation> = v
                 .iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1093,8 +1068,7 @@ mod tests {
         let (view, parts, scopes) = build(EVEN_RING, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+        let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1109,8 +1083,7 @@ mod tests {
             let (view, parts, scopes) = build(cif, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
-            let (v, _) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+            let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1141,8 +1114,7 @@ mod tests {
         let (view, parts, scopes) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+        let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1310,7 +1282,7 @@ mod tests {
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
             let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
             assert_eq!(canonical(&v), canonical(&direct), "{names:?}");
             assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
@@ -1403,7 +1375,7 @@ mod tests {
                 ..CheckOptions::default()
             };
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options, None);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
             assert_eq!(stats.candidate_pairs, total, "workers={workers}");
             assert_eq!(stats.peak_candidate_buffer, widest, "workers={workers}");
             assert_eq!(v, direct, "workers={workers}: the direct scan, tiled");

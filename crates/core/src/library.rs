@@ -3,29 +3,28 @@
 //!
 //! A standard-cell library run verifies thousands of cell *variants*
 //! against one technology. A loop of standalone [`crate::check`] calls
-//! rebuilds four things from scratch per cell that are invariant or
+//! rebuilds three things from scratch per cell that are invariant or
 //! shareable across the batch:
 //!
 //! 1. the **technology-derived constants** — rule reach, interaction
 //!    cell size, device-forming layer pairs — recomputed by walking the
 //!    whole rule deck on every call ([`BoundTechnology`] hoists them to
 //!    once per technology);
-//! 2. the **interaction candidate rows**, keyed per run by the scope
-//!    table's plan (`SymbolId` and orientation), so identical subcells
-//!    appearing in *sibling* variants are searched once per variant
-//!    instead of once per library ([`LibraryCache`] re-keys the fills
-//!    by definition **content hash** and shares them across cells);
-//! 3. the **per-definition products** — each repeated definition's
-//!    instantiation template and each device symbol's primitive-check
-//!    verdict, derived again in every cell that carries the definition
-//!    (the [`LibraryCache`] keeps them under a content key of the
-//!    definition from the second cell that presents it on, so a
-//!    session derives each definition once — see `CellDefinitions`);
-//! 4. the **string interner**, rebuilt cold per cell even though
+//! 2. the **per-definition products** — each repeated definition's
+//!    instantiation template, each device symbol's primitive-check
+//!    verdict, and each interaction candidate row the scope table's plan
+//!    fills (keyed within a cell by `SymbolId`, so identical subcells in
+//!    *sibling* variants would be searched once per variant) — derived
+//!    again in every cell that carries the definition (the
+//!    [`LibraryCache`] keeps each under a content key of the definition
+//!    from the second cell that presents it on, so a session derives
+//!    each definition once — see `CellDefinitions`);
+//! 3. the **string interner**, rebuilt cold per cell even though
 //!    sibling variants intern nearly identical path / net-key / device
-//!    vocabularies (the batch driver seeds each cell's view from a
-//!    long-lived per-worker interner, compacted between cells past a
-//!    growth budget — [`crate::StringInterner::compact_stale`]).
+//!    vocabularies (the batch driver seeds each cell's view from its
+//!    worker's interner, which lives as long as one
+//!    [`check_library_in`] call and so is bounded by the batch it
+//!    serves).
 //!
 //! [`check_library`] schedules cells across the shared deterministic
 //! worker pool ([`crate::parallel::run_ordered_with_state`]) —
@@ -33,25 +32,21 @@
 //! cell's findings through its own [`Sink`]. The contract that makes
 //! the sharing safe to adopt is **per-cell byte-identity**: each cell's
 //! violations, net list, and interaction statistics are identical to a
-//! standalone [`crate::check`] of that cell, for any worker count, with
-//! or without interner compaction. The eleventh differential leg
-//! (`tests/library.rs`) pins this on generated faulted libraries.
+//! standalone [`crate::check`] of that cell, for any worker count. The
+//! eleventh differential leg (`tests/library.rs`) pins this on
+//! generated faulted libraries.
 //!
 //! Why identity survives each shared piece:
 //!
 //! * the [`BoundTechnology`] values equal the per-run computations by
 //!   construction (same pure functions of the same technology);
-//! * a shared cache row is only reused under a key that hashes the
-//!   scopes' **normalized bbox sequences** (plus the bound-technology
-//!   revision) — precisely the inputs the fill is a pure function of —
-//!   so a hit returns the bytes a local fill would have produced, and
-//!   the *per-cell* plan-phase hit/miss counters are untouched
-//!   (cross-cell hits are batch-level statistics, counted here);
-//! * a kept template or verdict is likewise only reused under a key
-//!   that hashes everything its derivation reads, so it is what the
+//! * a kept template, verdict or candidate fill is only reused under a
+//!   key that hashes everything its derivation reads, so it is what the
 //!   cell would have derived (debug builds derive every hit again and
 //!   assert it); a kept template still counts as built for its cell in
-//!   [`crate::InstantiateStats`];
+//!   [`crate::InstantiateStats`], and a kept fill leaves the *per-cell*
+//!   plan-phase hit/miss counters of [`InteractStats`] untouched
+//!   (cross-cell reuse is counted on the session's shelves);
 //! * interner handle values differ when a cell starts from a warm
 //!   dictionary, but handles never reach rendered output: violations
 //!   materialize their strings at creation and the net list
@@ -61,9 +56,10 @@
 use crate::binding::{LayerBinding, StringInterner, Template};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::engine::{run_pipeline, Sink, StageTime};
-use crate::interact::{interaction_cell_size, max_rule_range, InteractStats};
+use crate::interact::{interaction_cell_size, max_rule_range, Fill, InteractStats};
 use crate::parallel::{effective_parallelism, run_ordered_with_state};
 use crate::primitive_checks::PrimitiveCheckResult;
+use crate::scope::RowKey;
 use diic_cif::{hierarchy, Item, Layout, Shape, Symbol, SymbolId};
 use diic_geom::{Coord, Orientation, Point};
 use diic_tech::{LayerId, Technology};
@@ -87,7 +83,7 @@ use std::time::{Duration, Instant};
 ///
 /// Each binding carries a process-unique `revision` (a monotone
 /// counter) that the content-keyed [`LibraryCache`] folds into its
-/// hash keys, so fills computed under one technology can never be
+/// hash keys, so definitions derived under one technology can never be
 /// served under another — including a *mutated* copy of the same deck,
 /// which gets a fresh binding and therefore a fresh revision.
 #[derive(Debug, Clone)]
@@ -142,8 +138,8 @@ impl BoundTechnology {
 /// itself. The lanes' start values and multipliers are process-random
 /// bits its [`LibraryCache`] draws once ([`ContentKeys`]).
 ///
-/// A collision would silently serve one definition's candidate fill,
-/// template or primitive verdict for another — across the cells, and in
+/// A collision would silently serve one definition's template, primitive
+/// verdict or candidate fill for another — across the cells, and in
 /// a service the tenants, of one session. So the key space is wide
 /// enough that the birthday bound on a 10⁴-entry cache is negligible,
 /// and the hash is keyed, as the spatial index's cell hash and the
@@ -235,9 +231,10 @@ pub(crate) type ContentKey = (u64, u64);
 /// and name — and the [`BoundTechnology::revision`], which pins the
 /// technology the products were derived under. The symbol's CIF number
 /// and name are not in it: the walk never reads them. (A primitive
-/// verdict adds the display name, which its lines carry.) Keys are
-/// built children first, so a definition's key covers everything it
-/// calls.
+/// verdict adds the display name, which its lines carry.) A candidate
+/// fill reads less — its definitions' element boxes — so names split a
+/// fill's key where they need not. Keys are built children first, so a
+/// definition's key covers everything it calls.
 pub(crate) struct CellDefinitions<'a> {
     cache: &'a LibraryCache,
     keys: Vec<ContentKey>,
@@ -285,6 +282,22 @@ impl<'a> CellDefinitions<'a> {
         h.word(b);
         h.text(name);
         self.cache.verdicts.get_or_derive(h.digest(), derive)
+    }
+
+    /// The candidate fill of the pair plan's row `key` at `reach`: the
+    /// session's, or `derive`d (and kept on a second sighting). A fill
+    /// is a function of its definitions' element boxes and of the
+    /// reach, so the plan's own key with each definition named by
+    /// content covers it.
+    pub(crate) fn fill(&self, key: RowKey, reach: Coord, derive: impl Fn() -> Fill) -> Arc<Fill> {
+        let def = |symbol: SymbolId| self.keys[symbol.0 as usize];
+        let key = match key {
+            RowKey::Interior(a, orient) => RowKey::Interior(def(a), orient),
+            RowKey::Across(a, b, orient, placement) => {
+                RowKey::Across(def(a), def(b), orient, placement)
+            }
+        };
+        self.cache.fills.get_or_derive((key, reach), derive)
     }
 }
 
@@ -477,49 +490,33 @@ pub struct DefinitionStats {
 }
 
 // ---------------------------------------------------------------------
-// LibraryCache: content-keyed candidate fills shared across cells.
+// LibraryCache: the session's definition shelves.
 // ---------------------------------------------------------------------
 
-/// Concurrent content-keyed store of interaction candidate rows,
-/// shared by every cell in a library batch.
-///
-/// The scope table's plan ([`crate::ScopeTable::rows`]) dedups fills
-/// *within one cell* by symbol and orientation. This cache sits
-/// underneath it: each distinct row's fill additionally looks up a
-/// 128-bit hash of the definition **content** (the scopes' normalized
-/// bbox sequences + the [`BoundTechnology::revision`]), so the same
-/// subcell appearing in a sibling variant — a different `Layout`, a
-/// different `SymbolId` space — reuses the identical fill bytes. Rows
-/// are held behind [`Arc`], so a hit shares without copying.
+/// The per-definition products a library session's cells share, each
+/// on its own [`Shelf`] under the definition's content key
+/// (`CellDefinitions`): instantiation templates, one per definition and
+/// orientation; primitive-symbol verdicts, one per device definition;
+/// and interaction candidate fills, one per row of the scope table's
+/// pair plan ([`crate::ScopeTable::rows`]) with its definitions named
+/// by content. Each is kept from the second cell that presents its key
+/// on; until then only the key is. Values are held behind [`Arc`], so a
+/// hit shares without copying.
 ///
 /// Per-cell `InteractStats::cache_hits` / `cache_misses` keep their
 /// standalone (plan-phase, within-cell) meaning; cross-cell sharing is
-/// counted here and surfaced in [`LibraryStats`].
-///
-/// Beside the fills it keeps the two per-definition products every cell
-/// would otherwise derive again, under the definition's content key
-/// (`CellDefinitions`): instantiation templates, one per definition
-/// and orientation, and primitive-symbol verdicts, one per device
-/// definition. Each is kept from the second cell that presents its key
-/// on; until then only the key is. [`LibraryCache::hits`] and
-/// [`LibraryCache::misses`] count fills only; [`LibraryCache::templates`]
-/// and [`LibraryCache::verdicts`] count the definitions.
+/// counted on the shelves and surfaced in [`LibraryStats`].
 ///
 /// Every key is hashed with this cache's own process-random keys
 /// (`LibraryCache::content_hash`).
 #[derive(Debug, Default)]
 pub struct LibraryCache {
-    map: Mutex<FillMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     templates: Shelf<(ContentKey, Orientation), Template>,
     verdicts: Shelf<ContentKey, PrimitiveCheckResult>,
+    fills: Shelf<(RowKey<ContentKey>, Coord), Fill>,
     /// The key of every [`ContentHash`] this cache makes.
     keys: ContentKeys,
 }
-
-/// Content key → shared candidate-pair fill (shard-local index pairs).
-type FillMap = HashMap<ContentKey, Arc<Vec<(usize, usize)>>>;
 
 impl LibraryCache {
     /// An empty cache.
@@ -536,56 +533,6 @@ impl LibraryCache {
         }
     }
 
-    /// Returns the fill stored under `key`, computing and inserting it
-    /// via `fill` on a miss. The fill runs **outside** the lock — two
-    /// workers racing on the same fresh key may both compute the (pure,
-    /// identical) value; the first insert wins and the loser's copy is
-    /// dropped, counted as a hit.
-    pub(crate) fn get_or_fill<F>(&self, key: ContentKey, fill: F) -> Arc<Vec<(usize, usize)>>
-    where
-        F: FnOnce() -> Vec<(usize, usize)>,
-    {
-        // invariant (this and below): a poisoned mutex means another
-        // worker panicked mid-insert; the batch is already dead.
-        if let Some(hit) = self.map.lock().expect("library cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        let value = Arc::new(fill());
-        let mut map = self.map.lock().expect("library cache poisoned");
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                v.insert(Arc::clone(&value));
-                value
-            }
-        }
-    }
-
-    /// Cross-cell cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cross-cell cache misses (= distinct fills computed) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct fills currently stored.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("library cache poisoned").len()
-    }
-
-    /// Whether the cache holds no fills yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// What the template shelf did: instantiation templates kept and
     /// reused across cells.
     pub fn templates(&self) -> DefinitionStats {
@@ -598,14 +545,10 @@ impl LibraryCache {
         self.verdicts.stats()
     }
 
-    /// Total candidate pairs held across all stored fills.
-    pub fn pair_count(&self) -> u64 {
-        self.map
-            .lock()
-            .expect("library cache poisoned")
-            .values()
-            .map(|v| v.len() as u64)
-            .sum()
+    /// What the fill shelf did: interaction candidate fills kept and
+    /// reused across cells.
+    pub fn fills(&self) -> DefinitionStats {
+        self.fills.stats()
     }
 }
 
@@ -618,7 +561,7 @@ impl LibraryCache {
 pub struct LibrarySession {
     /// The precomputed technology constants.
     pub bound: BoundTechnology,
-    /// The shared content-keyed candidate cache.
+    /// The shared definition shelves.
     pub cache: LibraryCache,
 }
 
@@ -639,7 +582,7 @@ impl LibrarySession {
 // ---------------------------------------------------------------------
 
 /// Options for a library batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LibraryOptions {
     /// Per-cell check options. `parallelism` here is the *inner* worker
     /// count each cell's stages use — the default of 1 keeps each cell
@@ -649,32 +592,6 @@ pub struct LibraryOptions {
     /// Outer worker count: how many cells check concurrently. `0` = all
     /// available cores (via [`effective_parallelism`]).
     pub parallelism: usize,
-    /// Seed each cell's view from a long-lived per-worker interner
-    /// (warm path/net-key/device vocabulary). Off = every cell starts
-    /// cold, exactly like standalone [`crate::check`]. Either setting
-    /// is byte-identical in rendered output.
-    pub shared_interner: bool,
-    /// Interner growth budget in heap bytes: after a cell, a worker
-    /// whose interner exceeds this compacts away entries not used for
-    /// [`Self::interner_keep_epochs`] cells
-    /// ([`StringInterner::compact_stale`]). `0` compacts after every
-    /// cell.
-    pub interner_budget_bytes: usize,
-    /// How many cells (epochs) an interned string survives unused
-    /// before compaction evicts it.
-    pub interner_keep_epochs: u32,
-}
-
-impl Default for LibraryOptions {
-    fn default() -> Self {
-        LibraryOptions {
-            cell: CheckOptions::default(),
-            parallelism: 0,
-            shared_interner: true,
-            interner_budget_bytes: 4 << 20,
-            interner_keep_epochs: 2,
-        }
-    }
 }
 
 /// Aggregated wall-clock profile of a batch: per-stage sums across all
@@ -735,26 +652,28 @@ impl BatchProfile {
 pub struct LibraryStats {
     /// Cells checked.
     pub cells: usize,
-    /// Cross-cell candidate-fill cache hits ([`LibraryCache::hits`]).
+    /// `fills.hits`, kept under its old name for the frozen benchmark,
+    /// which reads it.
     pub shared_cache_hits: u64,
-    /// Cross-cell candidate-fill cache misses (= distinct fills).
+    /// `fills.misses`, kept under its old name for the frozen benchmark,
+    /// which reads it.
     pub shared_cache_misses: u64,
-    /// Distinct fills resident in the shared cache after the batch.
-    pub shared_cache_entries: usize,
-    /// Candidate pairs resident in the shared cache after the batch.
-    pub shared_cache_pairs: u64,
     /// Instantiation templates the session shared between cells
     /// ([`LibraryCache::templates`]).
     pub templates: DefinitionStats,
     /// Primitive-symbol verdicts the session shared between cells
     /// ([`LibraryCache::verdicts`]).
     pub verdicts: DefinitionStats,
-    /// Interner compactions fired across all workers.
+    /// Interaction candidate fills the session shared between cells
+    /// ([`LibraryCache::fills`]).
+    pub fills: DefinitionStats,
+    /// Always 0: a worker's interner lives for one batch and is never
+    /// compacted. Kept for the frozen benchmark, which reads it.
     pub interner_compactions: u64,
-    /// Largest per-worker interner entry count observed after any cell.
+    /// The largest worker interner's string count at the end of the
+    /// batch (an interner only grows within one).
     pub interner_peak_strings: usize,
-    /// Largest per-worker interner heap footprint (bytes) observed
-    /// after any cell.
+    /// The largest worker interner's text bytes at the end of the batch.
     pub interner_peak_bytes: usize,
     /// Per-cell interaction statistics summed over the batch (each
     /// cell's own stats stay byte-identical to its standalone run; this
@@ -812,12 +731,11 @@ where
 /// `tech` must be the technology the session was built from.
 ///
 /// Cells are scheduled cell-granular across the shared deterministic
-/// worker pool; each worker carries one long-lived [`StringInterner`]
-/// (when [`LibraryOptions::shared_interner`] is on) whose epoch
-/// advances per cell and which compacts past the growth budget.
-/// Results merge in input order, so reports, sinks, and the profile
-/// are deterministic for any worker count; per-cell report bytes are
-/// identical to standalone [`crate::check`] runs.
+/// worker pool; each worker carries one [`StringInterner`] from cell to
+/// cell of this call, and drops it when the call returns. Results merge
+/// in input order, so reports, sinks, and the profile are deterministic
+/// for any worker count; per-cell report bytes are identical to
+/// standalone [`crate::check`] runs.
 pub fn check_library_in<S, F>(
     session: &LibrarySession,
     layouts: &[Layout],
@@ -829,70 +747,40 @@ where
     S: Sink + Send,
     F: Fn(usize) -> S + Sync,
 {
-    struct WorkerState {
-        strings: StringInterner,
-        compactions: u64,
-        peak_strings: usize,
-        peak_bytes: usize,
-    }
-
     let workers = effective_parallelism(options.parallelism);
     let (cells, states) = run_ordered_with_state(
         layouts.len(),
         workers,
-        || WorkerState {
-            strings: StringInterner::default(),
-            compactions: 0,
-            peak_strings: 0,
-            peak_bytes: 0,
-        },
-        |state: &mut WorkerState, i| {
+        StringInterner::default,
+        |strings: &mut StringInterner, i| {
             let t0 = Instant::now();
             let mut sink = make_sink(i);
             // Hand the worker's warm dictionary to this cell; it comes
             // back (with the cell's additions) in the view.
-            let seed = if options.shared_interner {
-                let mut warm = std::mem::take(&mut state.strings);
-                warm.advance_epoch();
-                warm
-            } else {
-                StringInterner::default()
-            };
+            let seed = std::mem::take(strings);
             let (cell, bound, cache) = (&layouts[i], &session.bound, Some(&session.cache));
             let (report, mut artefacts) =
                 run_pipeline(cell, tech, &options.cell, bound, cache, seed, &mut sink);
-            if options.shared_interner {
-                let mut strings = std::mem::take(&mut artefacts.view.strings);
-                state.peak_strings = state.peak_strings.max(strings.len());
-                state.peak_bytes = state.peak_bytes.max(strings.heap_bytes());
-                if strings.heap_bytes() > options.interner_budget_bytes {
-                    // The remap is dropped: handles into the evicted
-                    // generation live only inside finished views.
-                    strings.compact_stale(options.interner_keep_epochs);
-                    state.compactions += 1;
-                }
-                state.strings = strings;
-            }
+            *strings = std::mem::take(&mut artefacts.view.strings);
             drop(artefacts); // freeing the view is part of the cell's wall clock
             (report, sink, t0.elapsed())
         },
     );
 
     let mut profile = BatchProfile::default();
+    let fills = session.cache.fills();
     let mut stats = LibraryStats {
         cells: layouts.len(),
-        shared_cache_hits: session.cache.hits(),
-        shared_cache_misses: session.cache.misses(),
-        shared_cache_entries: session.cache.len(),
-        shared_cache_pairs: session.cache.pair_count(),
+        shared_cache_hits: fills.hits,
+        shared_cache_misses: fills.misses,
         templates: session.cache.templates(),
         verdicts: session.cache.verdicts(),
+        fills,
         ..LibraryStats::default()
     };
-    for state in &states {
-        stats.interner_compactions += state.compactions;
-        stats.interner_peak_strings = stats.interner_peak_strings.max(state.peak_strings);
-        stats.interner_peak_bytes = stats.interner_peak_bytes.max(state.peak_bytes);
+    for strings in &states {
+        stats.interner_peak_strings = stats.interner_peak_strings.max(strings.len());
+        stats.interner_peak_bytes = stats.interner_peak_bytes.max(strings.heap_bytes());
     }
     let mut reports = Vec::with_capacity(cells.len());
     let mut sinks = Vec::with_capacity(cells.len());
@@ -942,20 +830,6 @@ mod tests {
         );
         let again = BoundTechnology::new(&tech);
         assert_ne!(bound.revision(), again.revision(), "revisions are unique");
-    }
-
-    #[test]
-    fn cache_get_or_fill_counts_and_shares() {
-        let cache = LibraryCache::new();
-        let a = cache.get_or_fill((1, 2), || vec![(0, 1)]);
-        let b = cache.get_or_fill((1, 2), || panic!("must not refill a stored key"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.pair_count(), 1);
-        let c = cache.get_or_fill((3, 4), Vec::new);
-        assert!(c.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     impl Definition for u32 {

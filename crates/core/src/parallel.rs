@@ -105,8 +105,8 @@ where
 /// the state may only carry things that are re-derivable per job (warm
 /// caches, scratch buffers, session interners whose handle values never
 /// reach rendered output). The library batch driver rides this to keep
-/// one long-lived [`crate::binding::StringInterner`] per worker across
-/// cells.
+/// one [`crate::binding::StringInterner`] per worker across the cells of
+/// one call.
 pub fn run_ordered_with_state<T, S, I, F>(
     jobs: usize,
     workers: usize,

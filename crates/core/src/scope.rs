@@ -271,6 +271,20 @@ pub struct RowPlan<'a> {
     pub loose: Vec<(usize, Scan<'a>)>,
 }
 
+/// What a row of a pair plan is a function of, up to a common
+/// translation ([`ScopeTable::row_key`]): a definition `D` placed at an
+/// orientation — a call scope's interior — or two definitions, the
+/// first's orientation and the second's placement relative to the
+/// first. Within one chip a definition is its [`SymbolId`]; a library
+/// session's cells name it by content instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum RowKey<D = SymbolId> {
+    /// One call scope's interior.
+    Interior(D, Orientation),
+    /// Two call scopes within the reach of one another.
+    Across(D, D, Orientation, Transform),
+}
+
 /// The scope pairs [`ScopeTable::neighbours`] found, and what finding
 /// them cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -529,8 +543,7 @@ impl ScopeTable {
         if self.scopes[loose].bbox.is_some() {
             loose_scans.push((loose, Scan::direct(self.ids(loose))));
         }
-        type CrossKey = (SymbolId, SymbolId, Orientation, Transform);
-        let mut keys: HashMap<CrossKey, usize> = HashMap::new();
+        let mut keys: HashMap<RowKey, usize> = HashMap::new();
         let mut cross = Vec::new();
         for &(si, sj) in &self.near.pairs {
             let (a, b) = (&self.scopes[si], &self.scopes[sj]);
@@ -548,14 +561,7 @@ impl ScopeTable {
                 loose_scans.push((si, scan));
                 continue;
             }
-            // invariant: call scopes carry their symbol.
-            let key = (
-                a.symbol.expect("a call scope"),
-                b.symbol.expect("a call scope"),
-                a.transform.orient,
-                a.transform.inverse().after(&b.transform),
-            );
-            let row = *keys.entry(key).or_insert_with(|| {
+            let row = *keys.entry(self.row_key(si, sj)).or_insert_with(|| {
                 // Only elements within reach of the other scope's box
                 // can pair with one of its elements.
                 let scan = Scan {
@@ -575,6 +581,20 @@ impl ScopeTable {
             cross,
             rows,
             loose: loose_scans,
+        }
+    }
+
+    /// The key of the row filled for call scopes `si` and `sj` (`si ==
+    /// sj` for an interior) — what [`ScopeTable::rows`] groups them by.
+    pub(crate) fn row_key(&self, si: usize, sj: usize) -> RowKey {
+        let (a, b) = (&self.scopes[si], &self.scopes[sj]);
+        // invariant: call scopes carry their symbol.
+        let symbol = |s: &Scope| s.symbol.expect("a call scope");
+        if si == sj {
+            RowKey::Interior(symbol(a), a.transform.orient)
+        } else {
+            let placement = a.transform.inverse().after(&b.transform);
+            RowKey::Across(symbol(a), symbol(b), a.transform.orient, placement)
         }
     }
 

@@ -34,7 +34,7 @@ pub struct ChipSpec {
     /// under the same symbol id. `None` (the default) shares the stock
     /// definition — chips generated with equal tags (or all with
     /// `None`) have content-identical inverter subcells, which is what
-    /// the library batch's content-keyed candidate cache shares across
+    /// the library batch's content-keyed definition shelves share across
     /// cells; distinct tags defeat that sharing on purpose.
     pub unique_tag: Option<u32>,
 }

@@ -3,7 +3,7 @@
 //!
 //! A standard-cell library batch (`diic_core::check_library`) wins
 //! exactly where sibling cells share definition *content* — its
-//! candidate cache is content-keyed, so the claim "X% shared subcells
+//! definition shelves are content-keyed, so the claim "X% shared subcells
 //! gives Y% cache hits" needs a workload whose overlap ratio is a
 //! **knob**, not an accident. [`LibrarySpec::shared_fraction`] is that
 //! knob: a *shared* cell uses the stock inverter definition

@@ -2,24 +2,24 @@
 //! against standalone checks.
 //!
 //! `check_library` hoists three per-run rebuilds into shared state —
-//! the bound technology constants, a cross-cell content-keyed
-//! candidate cache, and per-worker session string interners with
-//! epoch compaction. The contract that makes all three safe is
-//! **per-cell byte-identity**: every cell's report out of a batch must
-//! equal a standalone `check()` of that cell — violations, net list,
-//! interaction statistics, element/device counts — for any outer
-//! worker count (the "wide" count honours `CHECK_PARALLELISM`, like
-//! the other legs), with and without interner compaction, on faulted
-//! variant libraries as well as clean ones.
+//! the bound technology constants, the session's content-keyed
+//! definition shelves (instantiation templates, primitive verdicts and
+//! interaction candidate fills), and per-worker string interners warm
+//! from cell to cell of one batch. The contract that makes all three
+//! safe is **per-cell byte-identity**: every cell's report out of a
+//! batch must equal a standalone `check()` of that cell — violations,
+//! net list, interaction statistics, element/device counts — for any
+//! outer worker count (the "wide" count honours `CHECK_PARALLELISM`,
+//! like the other legs), on faulted variant libraries as well as clean
+//! ones.
 //!
 //! On top of identity, the leg pins the *point* of the mode: a library
-//! whose cells share definition content must produce cross-cell cache
-//! hits (and a fully unique library must not produce spurious ones —
-//! the content keys are discriminating, not just permissive). The same
-//! holds for the definitions a session keeps — instantiation templates
-//! and primitive verdicts: kept from a definition's second sighting,
-//! hit wherever only what their derivation never reads differs, missed
-//! wherever anything it reads does.
+//! whose cells share definition content must produce cross-cell hits
+//! (and a fully unique library must not produce spurious ones — the
+//! content keys are discriminating, not just permissive). Every shelf
+//! keeps a definition from its second sighting, hits it wherever only
+//! what its derivation never reads differs, and misses it wherever
+//! anything the key covers differs.
 
 use diic::cif::Layout;
 use diic::core::{
@@ -66,9 +66,7 @@ fn assert_batch_matches_standalone(
         // A kept template counts as built for its cell; a warm string
         // table interns fewer strings, and nothing else differs.
         let mut instantiated = s.instantiate_stats;
-        if options.shared_interner {
-            instantiated.strings_interned = b.instantiate_stats.strings_interned;
-        }
+        instantiated.strings_interned = b.instantiate_stats.strings_interned;
         assert_eq!(b.instantiate_stats, instantiated, "cell {i}: instantiation");
         assert_eq!(b.scope_stats, s.scope_stats, "cell {i}: scope statistics");
         assert_eq!(b.waived_devices, s.waived_devices, "cell {i}");
@@ -82,8 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Faulted variant libraries: batch reports are byte-identical to
-    /// per-cell standalone checks, serial and wide, with and without
-    /// the shared interner, under default and forced compaction.
+    /// per-cell standalone checks, serial and wide.
     #[test]
     fn batch_equals_standalone(
         cells in 1usize..8,
@@ -99,26 +96,8 @@ proptest! {
         let layouts = parse_all(&lib.cells);
         let wide = wide_workers();
         for parallelism in [1usize, wide] {
-            // Default: shared interner, generous budget.
             assert_batch_matches_standalone(&layouts, &LibraryOptions {
                 parallelism,
-                ..LibraryOptions::default()
-            });
-            // Zero budget: compaction fires after every cell.
-            let forced = assert_batch_matches_standalone(&layouts, &LibraryOptions {
-                parallelism,
-                interner_budget_bytes: 0,
-                interner_keep_epochs: 0,
-                ..LibraryOptions::default()
-            });
-            prop_assert!(
-                forced.stats.interner_compactions >= 1,
-                "zero budget must compact at least once"
-            );
-            // Cold interners: every cell starts like standalone check().
-            assert_batch_matches_standalone(&layouts, &LibraryOptions {
-                parallelism,
-                shared_interner: false,
                 ..LibraryOptions::default()
             });
         }
@@ -276,10 +255,10 @@ fn symbol_named<'a>(layout: &'a mut Layout, name: &str) -> &'a mut diic::cif::Sy
 }
 
 /// Checks `[a, a, b]` in one serial batch, each cell byte-identical to a
-/// standalone check (and again wide), and returns the template and
-/// verdict hits — all of them `b`'s: the first `a` only shows the
-/// session its definitions, and the second keeps them.
-fn hits_of_the_third(a: &Layout, b: &Layout) -> (u64, u64) {
+/// standalone check (and again wide), and returns the template, verdict
+/// and candidate-fill hits — all of them `b`'s: the first `a` only shows
+/// the session its definitions, and the second keeps them.
+fn hits_of_the_third(a: &Layout, b: &Layout) -> (u64, u64, u64) {
     let cells = [a.clone(), a.clone(), b.clone()];
     let serial = assert_batch_matches_standalone(
         &cells,
@@ -295,24 +274,30 @@ fn hits_of_the_third(a: &Layout, b: &Layout) -> (u64, u64) {
             ..LibraryOptions::default()
         },
     );
-    let (templates, verdicts) = (serial.stats.templates, serial.stats.verdicts);
-    (templates.hits, verdicts.hits)
+    let stats = serial.stats;
+    (stats.templates.hits, stats.verdicts.hits, stats.fills.hits)
 }
 
 /// Definition keys must not match where the content differs, and must
 /// where only what the walk and the checks never read differs. Each case
 /// is a stock cell `b` next to the unchanged stock cell `a`: the changed
-/// definitions (and, for templates, every definition calling them) miss,
-/// every other one hits, and every cell is byte-identical to its
-/// standalone check.
+/// definitions (and, for templates and fills, every definition calling
+/// them) miss, every other one hits, and every cell is byte-identical to
+/// its standalone check.
+///
+/// Every fill of the stock cell is a row of inverters, so a change
+/// inside `inv` misses all of them. That includes a renamed call or net
+/// inside `inv`: a fill reads only element boxes, but it is keyed by the
+/// definition's content key, which covers names. (Fills keyed by their
+/// boxes alone shared those two.)
 #[test]
 fn definition_keys_separate_what_differs() {
     let a = diic::cif::parse(&stock_cell_cif()).unwrap();
-    let (templates, verdicts) = hits_of_the_third(&a, &a);
+    let (templates, verdicts, fills) = hits_of_the_third(&a, &a);
     assert_eq!(
-        (templates, verdicts),
-        (5, 4),
-        "the stock cell presents five templates and four device verdicts"
+        (templates, verdicts, fills),
+        (5, 4, 2),
+        "the stock cell presents five templates, four device verdicts and two fills"
     );
 
     let variant = |change: &dyn Fn(&mut Layout)| {
@@ -329,7 +314,7 @@ fn definition_keys_separate_what_differs() {
         });
         call.unwrap().name.push('x');
     });
-    assert_eq!(renamed_call, (templates - 1, verdicts), "call name");
+    assert_eq!(renamed_call, (templates - 1, verdicts, 0), "call name");
     // A declared net name inside the inverter.
     let renamed_net = variant(&|l| {
         let inv = symbol_named(l, "inv");
@@ -339,21 +324,25 @@ fn definition_keys_separate_what_differs() {
         });
         net.unwrap().push('x');
     });
-    assert_eq!(renamed_net, (templates - 1, verdicts), "net name");
+    assert_eq!(renamed_net, (templates - 1, verdicts, 0), "net name");
     // A device symbol's name: the walk never reads it, its verdict's
     // lines carry it.
     let renamed_device = variant(&|l| symbol_named(l, "tenh").name = Some("tenh2".into()));
-    assert_eq!(renamed_device, (templates, verdicts - 1), "device name");
+    assert_eq!(
+        renamed_device,
+        (templates, verdicts - 1, fills),
+        "device name"
+    );
     // The immunity flag on one cell only: the device and the inverter
     // calling it.
     let immune = variant(&|l| symbol_named(l, "tenh").device.as_mut().unwrap().checked = true);
-    assert_eq!(immune, (templates - 2, verdicts - 1), "9C flag");
+    assert_eq!(immune, (templates - 2, verdicts - 1, 0), "9C flag");
     // A terminal one unit off: the device and the inverter calling it.
     let moved_terminal = variant(&|l| {
         let decl = symbol_named(l, "tenh").device.as_mut().unwrap();
         decl.terminals[0].position.x += 1;
     });
-    assert_eq!(moved_terminal, (templates - 2, verdicts - 1), "terminal");
+    assert_eq!(moved_terminal, (templates - 2, verdicts - 1, 0), "terminal");
 
     // The order in which the text first names its layers: the contact
     // (cut, diffusion, metal) defined before the transistor (poly,
@@ -379,16 +368,17 @@ fn definition_keys_separate_what_differs() {
     );
     assert_eq!(
         hits_of_the_third(&a, &b),
-        (templates, verdicts),
+        (templates, verdicts, fills),
         "layer order"
     );
 }
 
 /// The definition shelves keep what a second cell presents and nothing
 /// else: a one-cell batch keeps nothing, a library of unique inverters
-/// keeps only the device definitions every cell shares, and the stock
-/// library keeps each of its definitions exactly once and hits it in
-/// every cell after the second. The fill counters stay the fills'.
+/// keeps only the device definitions every cell shares (and no fill:
+/// every fill is a row of inverters), and the stock library keeps each
+/// of its definitions exactly once and hits it in every cell after the
+/// second. The old fill counters copy the fill shelf's.
 #[test]
 fn definitions_are_kept_from_their_second_sighting() {
     let tech = nmos_technology();
@@ -406,22 +396,27 @@ fn definitions_are_kept_from_their_second_sighting() {
     };
 
     let one = library(1, 1.0);
-    assert_eq!(
-        (one.templates.entries, one.verdicts.entries),
-        (0, 0),
-        "{one:?}"
-    );
-    assert_eq!((one.templates.hits, one.verdicts.hits), (0, 0), "{one:?}");
-    assert_eq!(
-        (one.templates.seen, one.verdicts.seen),
-        (one.templates.misses, one.verdicts.misses),
-        "every definition is a key seen once: {one:?}"
-    );
+    for shelf in [one.templates, one.verdicts, one.fills] {
+        assert_eq!((shelf.entries, shelf.hits), (0, 0), "{one:?}");
+        assert_eq!(
+            shelf.seen, shelf.misses,
+            "every definition is a key seen once: {one:?}"
+        );
+    }
 
     // Unique inverters: eight cells keep what two do — the four device
     // definitions — and no inverter.
     let (two, eight) = (library(2, 0.0), library(8, 0.0));
     assert_eq!(two.templates.entries, 4, "{two:?}");
+    assert_eq!(
+        (two.fills.entries, eight.fills.entries),
+        (0, 0),
+        "{eight:?}"
+    );
+    assert!(
+        eight.fills.seen > two.fills.seen,
+        "each unique inverter's rows stay keys seen once: {eight:?}"
+    );
     assert!(
         eight.templates.seen > two.templates.seen,
         "each unique inverter stays a key seen once: {eight:?}"
@@ -434,7 +429,7 @@ fn definitions_are_kept_from_their_second_sighting() {
 
     // The stock library: every cell presents the same definitions.
     let stock = library(8, 1.0);
-    for shelf in [stock.templates, stock.verdicts] {
+    for shelf in [stock.templates, stock.verdicts, stock.fills] {
         assert!(shelf.entries > 0, "{stock:?}");
         assert_eq!(
             shelf.misses,
@@ -445,8 +440,13 @@ fn definitions_are_kept_from_their_second_sighting() {
         assert_eq!(shelf.seen, 0, "every key seen was kept");
     }
     assert_eq!(
-        stock.shared_cache_hits + stock.shared_cache_misses,
+        (stock.shared_cache_hits, stock.shared_cache_misses),
+        (stock.fills.hits, stock.fills.misses),
+        "the old fill counters copy the shelf's"
+    );
+    assert_eq!(
+        stock.fills.hits + stock.fills.misses,
         stock.interact.cache_misses,
-        "the fill counters count the fills"
+        "every row a cell fills is one lookup"
     );
 }
