@@ -12,8 +12,8 @@ use diic_core::interact::{check_interactions, check_interactions_among};
 use diic_core::netgen::NetParts;
 use diic_core::{
     account, check_cif, check_connections, check_same_mask, flat_check, instantiate,
-    BoundTechnology, CheckOptions, ChipView, FlatOptions, InteractStats, LayerBinding, ScopeTable,
-    StringInterner, Violation,
+    BoundTechnology, CheckOptions, ChipView, Definitions, FlatOptions, InteractStats, LayerBinding,
+    ScopeTable, Violation,
 };
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_geom::{Polygon, Rect, Region, SizingMode};
@@ -1004,8 +1004,8 @@ pub fn e21_service_load(scale: Scale) -> String {
 
 /// The interaction stage's inputs for one layout, built the way
 /// [`diic_core::check`] builds them — the view, its assembled net graph,
-/// its scope table and the bound technology — so the stage can be timed,
-/// or held to its direct-scan reference, on one view.
+/// its definitions and scope table, and the bound technology — so the
+/// stage can be timed, or held to its direct-scan reference, on one view.
 pub struct InteractionInputs {
     /// The instantiated chip.
     pub view: ChipView,
@@ -1013,6 +1013,8 @@ pub struct InteractionInputs {
     pub parts: NetParts,
     /// Its scope table, built for the rule reach.
     pub scopes: ScopeTable,
+    /// Its symbols' content keys, which the table groups by.
+    pub definitions: Definitions<'static>,
     /// The technology's interaction constants.
     pub bound: BoundTechnology,
 }
@@ -1023,8 +1025,11 @@ impl InteractionInputs {
     pub fn build(layout: &Layout, tech: &Technology) -> InteractionInputs {
         let bound = BoundTechnology::new(tech);
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (mut view, runs) = instantiate(layout, tech, &binding, StringInterner::default());
+        let definitions = Definitions::new(layout, &binding, None);
+        let (mut view, runs) =
+            instantiate(layout, tech, &binding, &definitions, Default::default());
         let scopes = ScopeTable::build(
+            &definitions,
             layout.top_items(),
             runs.iter().map(|&(elements, _)| elements),
             view.elements.bboxes(),
@@ -1040,6 +1045,7 @@ impl InteractionInputs {
             view,
             parts,
             scopes,
+            definitions,
             bound,
         }
     }
@@ -1051,7 +1057,8 @@ impl InteractionInputs {
         options: &CheckOptions,
     ) -> (Vec<Violation>, InteractStats) {
         let (view, bound, scopes) = (&self.view, &self.bound, &self.scopes);
-        check_interactions(view, tech, bound, self.parts.nets(), scopes, options)
+        let nets = self.parts.nets();
+        check_interactions(view, tech, bound, nets, scopes, &self.definitions, options)
     }
 
     /// The direct-scan reference: every element against one index over

@@ -155,17 +155,16 @@ pub fn topological_order(layout: &Layout) -> Vec<SymbolId> {
 /// Per-symbol and chip statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyStats {
+    /// The symbols in [`topological_order`]: children first.
+    pub order: Vec<SymbolId>,
     /// Bounding box of each symbol's own + called geometry (None if empty).
     pub symbol_bbox: HashMap<SymbolId, Option<Rect>>,
-    /// How many times each symbol is instantiated on the chip in total
-    /// (through all hierarchy paths). Saturates at `u64::MAX`.
-    pub instance_counts: HashMap<SymbolId, u64>,
-    /// [`Self::instance_counts`] split by the instance's **absolute**
-    /// orientation (the composition of every call transform on its
-    /// hierarchy path), indexed by `SymbolId.0` then `Orientation as
-    /// usize` — read it through [`Self::placements`]. Instances counted
-    /// in one entry differ by a translation only. Saturates at
-    /// `u64::MAX`.
+    /// How many times each symbol is instantiated on the chip (through
+    /// all hierarchy paths) under each **absolute** orientation (the
+    /// composition of every call transform on its hierarchy path),
+    /// indexed by `SymbolId.0` then `Orientation as usize` — read it
+    /// through [`Self::placements`]. Instances counted in one entry
+    /// differ by a translation only. Saturates at `u64::MAX`.
     pub placement_counts: Vec<[u64; 8]>,
     /// Flat-equivalent element count of one instance of each symbol
     /// (its own elements plus those of everything it calls), indexed by
@@ -236,15 +235,6 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
             }
         }
     }
-    let instance_counts: HashMap<SymbolId, u64> = placement_counts
-        .iter()
-        .enumerate()
-        .map(|(i, counts)| {
-            let total = counts.iter().fold(0u64, |a, &m| a.saturating_add(m));
-            (SymbolId(i as u32), total)
-        })
-        .filter(|&(_, m)| m > 0)
-        .collect();
 
     let mut chip_bbox: Option<Rect> = None;
     let mut flat_element_count: u64 = 0;
@@ -272,8 +262,8 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
     }
 
     HierarchyStats {
+        order,
         symbol_bbox,
-        instance_counts,
         placement_counts,
         flat_elements,
         chip_bbox,
@@ -285,6 +275,11 @@ pub fn stats(layout: &Layout) -> HierarchyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many times `symbol` is instantiated, under any orientation.
+    fn instances(s: &HierarchyStats, symbol: SymbolId) -> u64 {
+        (Orientation::ALL.iter()).fold(0, |n, &o| n.saturating_add(s.placements(symbol, o)))
+    }
     use crate::parse;
 
     #[test]
@@ -348,8 +343,8 @@ mod tests {
         let s = stats(&l);
         let leaf = l.symbol_by_cif_id(1).unwrap();
         let mid = l.symbol_by_cif_id(2).unwrap();
-        assert_eq!(s.instance_counts.get(&leaf), Some(&6));
-        assert_eq!(s.instance_counts.get(&mid), Some(&3));
+        assert_eq!(instances(&s, leaf), 6);
+        assert_eq!(instances(&s, mid), 3);
         assert_eq!(s.flat_element_count, 6);
         assert_eq!(s.stored_element_count, 1);
     }
@@ -374,8 +369,8 @@ mod tests {
         assert_eq!(s.placements(leaf, mirrored), 2);
         let nonzero = s.placement_counts.iter().flatten().filter(|&&m| m > 0);
         assert_eq!(nonzero.count(), 4);
-        assert_eq!(s.instance_counts.get(&leaf), Some(&3));
-        assert_eq!(s.instance_counts.get(&mid), Some(&3));
+        assert_eq!(instances(&s, leaf), 3);
+        assert_eq!(instances(&s, mid), 3);
         assert_eq!(s.flat_elements[mid.0 as usize], 2);
         assert_eq!(s.flat_elements[leaf.0 as usize], 1);
     }
@@ -422,9 +417,9 @@ mod tests {
         let top = l.symbol_by_cif_id(70).unwrap();
         assert_eq!(s.flat_element_count, u64::MAX);
         assert_eq!(s.flat_elements[top.0 as usize], u64::MAX);
-        assert_eq!(s.instance_counts.get(&leaf), Some(&u64::MAX));
+        assert_eq!(instances(&s, leaf), u64::MAX);
         assert_eq!(s.placements(leaf, Orientation::R0), u64::MAX);
-        assert_eq!(s.instance_counts.get(&top), Some(&1));
+        assert_eq!(instances(&s, top), 1);
         assert_eq!(s.stored_element_count, 1);
     }
 
@@ -448,7 +443,7 @@ mod tests {
         let l = parse("DS 1; L ND; B 2 2 0 0; DF; E").unwrap();
         let s = stats(&l);
         let id = l.symbol_by_cif_id(1).unwrap();
-        assert_eq!(s.instance_counts.get(&id), None);
+        assert_eq!(instances(&s, id), 0);
         assert_eq!(s.flat_element_count, 0);
         assert_eq!(s.stored_element_count, 1);
     }

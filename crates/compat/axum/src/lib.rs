@@ -22,7 +22,7 @@
 //! concurrency is plain OS threads; "async" arrives at the wire as
 //! close-delimited streaming bodies.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -530,9 +530,23 @@ impl From<io::Error> for ReadError {
     }
 }
 
+/// The most bytes a request line and its headers may take together. A
+/// longer head fails as malformed, so a client that never sends a
+/// newline cannot grow a line without bound.
+const MAX_HEAD_BYTES: u64 = 64 * 1024;
+
 fn read_request(reader: &mut impl BufRead, options: ServeOptions) -> Result<Request, ReadError> {
+    let mut head = Read::take(&mut *reader, MAX_HEAD_BYTES);
+    let mut next_line = |line: &mut String| -> Result<(), ReadError> {
+        line.clear();
+        head.read_line(line)?;
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Err(ReadError::Malformed("request head too large"));
+        }
+        Ok(())
+    };
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    next_line(&mut line)?;
     let mut parts = line.trim_end().split(' ');
     let method = parts
         .next()
@@ -546,9 +560,9 @@ fn read_request(reader: &mut impl BufRead, options: ServeOptions) -> Result<Requ
 
     let mut headers = Vec::new();
     let mut content_length = 0usize;
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        next_line(&mut line)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -676,6 +690,63 @@ mod tests {
         assert_eq!(req.query_get("budget"), Some("64"));
         assert_eq!(req.query_get("name"), Some("a b c"));
         assert_eq!(req.query_get("flag"), Some(""));
+    }
+
+    /// `read_request` over `bytes`, and how many of them it consumed.
+    fn read_from(bytes: &[u8]) -> (Result<Request, ReadError>, u64) {
+        let mut input = io::Cursor::new(bytes);
+        let read = read_request(&mut input, ServeOptions::default());
+        (read, input.position())
+    }
+
+    #[test]
+    fn an_endless_header_line_is_cut_at_the_head_cap() {
+        let mut bytes = b"GET /healthz HTTP/1.1\r\nx-long: ".to_vec();
+        bytes.resize(bytes.len() + (1 << 20), b'a');
+        bytes.extend_from_slice(b"\r\n\r\n");
+        let (read, consumed) = read_from(&bytes);
+        assert!(matches!(
+            read,
+            Err(ReadError::Malformed("request head too large"))
+        ));
+        assert_eq!(consumed, MAX_HEAD_BYTES, "no more than the cap is buffered");
+        // A head just inside the cap still reads.
+        let mut bytes = b"GET /healthz HTTP/1.1\r\nx-long: ".to_vec();
+        bytes.resize(MAX_HEAD_BYTES as usize - 4, b'a');
+        bytes.extend_from_slice(b"\r\n\r\n");
+        assert!(read_from(&bytes).0.is_ok());
+    }
+
+    /// Truncates a sample `POST`, corrupts it with a stray `?` or a
+    /// multi-byte `é`, and splices a 20-digit number into it, at every
+    /// byte: each variant must read as a request or fail as malformed —
+    /// or, when the cut falls in the body, as an early end of stream —
+    /// never panic.
+    #[test]
+    fn no_request_bytes_panic_the_reader() {
+        let sample = "POST /sessions/42/edits?budget=64 HTTP/1.1\r\nhost: localhost\r\n\
+                      content-type: application/json\r\ncontent-length: 12\r\n\r\n\
+                      {\"edits\":[]}";
+        let mut malformed = 0;
+        for cut in 0..=sample.len() {
+            let (head, tail) = sample.split_at(cut);
+            let variants = [
+                head.to_string(),
+                format!("{head}?{tail}"),
+                format!("{head}\u{e9}{tail}"),
+                format!("{head} 99999999999999999999 {tail}"),
+            ];
+            for input in &variants {
+                match read_from(input.as_bytes()).0 {
+                    Ok(_) => {}
+                    Err(ReadError::Malformed(_)) => malformed += 1,
+                    Err(ReadError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+                    Err(ReadError::Io(e)) => panic!("cut at {cut}: {e} for {input:?}"),
+                    Err(ReadError::TooLarge) => panic!("cut at {cut}: too large for {input:?}"),
+                }
+            }
+        }
+        assert!(malformed > 0, "the fuzz rejected nothing");
     }
 
     #[test]

@@ -52,9 +52,8 @@
 //! rectangles onto the arena, then one `ElementColumns::push` for the
 //! rest. There is no boxed per-element record.
 
-use crate::library::{CellDefinitions, Definition};
+use crate::library::{ContentKey, Definition, Definitions, TemplateKey};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::hierarchy::{self, HierarchyStats};
 use diic_cif::{Call, Item, LayerRef, Layout, Shape, SymbolId};
 use diic_geom::skeleton::Skeleton;
 use diic_geom::{Orientation, Point, Rect, Region, Transform, Vector};
@@ -920,8 +919,8 @@ impl ChipView {
 /// every derivation that was actually paid for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstantiateStats {
-    /// Templates derived: one per `(symbol, orientation)` pair that
-    /// [`diic_cif::hierarchy::stats`] counts more than once.
+    /// Templates derived: one per `(definition, orientation)` the
+    /// hierarchy places more than once ([`Definitions`]).
     pub templates_built: usize,
     /// Calls answered by stamping a template into the view (a stamp
     /// brings the whole instance, nested calls included — those are not
@@ -962,16 +961,17 @@ impl std::fmt::Display for InstantiateStats {
 /// elements inside them are tagged with it. Auto net keys are final on
 /// return.
 ///
-/// **Each definition is derived once.** For every `(symbol,
-/// orientation)` pair the hierarchy instantiates more than once
-/// ([`diic_cif::hierarchy::stats`]) the walk runs one time, at offset
+/// **Each definition is derived once.** For every `(definition,
+/// orientation)` the hierarchy instantiates more than once — placements
+/// summed over the symbols sharing a content key ([`Definitions`]) —
+/// the walk runs one time, at offset
 /// zero, into a private `Template`; every call to such a pair — at any
 /// depth, inside other templates too — then *stamps* the template:
 /// columns copied with the call's offset added to every coordinate and
 /// its instance path spliced into every string. Only translation is ever
 /// applied to derived geometry (slab decomposition and wire rectangles
 /// do not commute with rotation, so the orientation is part of the
-/// template's key, never of the stamp). Symbols used once and loose
+/// template's key, never of the stamp). Definitions placed once and loose
 /// top-level elements take the plain walk; there is no other derivation.
 /// Templates live for this call only — in a library session, for the
 /// session once a second cell presents the definition (see
@@ -991,28 +991,15 @@ pub fn instantiate(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
+    definitions: &Definitions<'_>,
     seed: StringInterner,
 ) -> (ChipView, Vec<(usize, usize)>) {
-    instantiate_in(layout, tech, binding, seed, None)
-}
-
-/// [`instantiate`], with the templates of a library session's cell
-/// taken from, and kept in, the session's cache when `shared` is given.
-/// A kept template is the one the walk derived for an earlier cell under
-/// the same content key, so the view is the same either way.
-pub(crate) fn instantiate_in(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    seed: StringInterner,
-    shared: Option<&CellDefinitions<'_>>,
-) -> (ChipView, Vec<(usize, usize)>) {
-    let hier = hierarchy::stats(layout);
-    let templates = build_templates(layout, tech, binding, &hier, shared);
+    let templates = build_templates(layout, tech, binding, definitions);
     let walker = Walker {
         layout,
         tech,
         binding,
+        keys: &definitions.keys,
         templates: &templates,
     };
     let items = layout.top_items();
@@ -1031,8 +1018,7 @@ pub(crate) fn instantiate_in(
     number_fresh_auto_keys(&mut view.elements, &mut view.strings);
     let stats = &mut view.instantiate_stats;
     stats.templates_built = templates.len();
-    stats.elements_walked += templates
-        .values()
+    stats.elements_walked += (templates.values())
         .map(|t| t.block.instantiate_stats.elements_walked)
         .sum::<usize>();
     stats.strings_interned = view.strings.len() - seeded;
@@ -1104,7 +1090,9 @@ pub(crate) struct Template {
     verified: std::sync::atomic::AtomicBool,
 }
 
-type Templates = HashMap<(SymbolId, Orientation), Arc<Template>>;
+/// The templates of one [`instantiate`] call, by definition and
+/// orientation.
+type Templates = HashMap<TemplateKey, Arc<Template>>;
 
 /// The buffers a [`Template::stamp`] fills and leaves behind — the text
 /// of the string being re-rooted and the two handle tables — kept by the
@@ -1119,37 +1107,30 @@ struct StampScratch {
     verbatim: Vec<Istr>,
 }
 
-/// Derives a template for every `(symbol, orientation)` the hierarchy
-/// instantiates more than once, children before parents — so a parent's
-/// walk finds its children's templates and stamps them, and total work
-/// is one derivation per definition plus copying. With `shared`, a
-/// library session's cache answers the definitions it keeps.
+/// Derives a template for every `(definition, orientation)` the
+/// hierarchy instantiates more than once ([`Definitions`]),
+/// children before parents — so a parent's walk finds its children's
+/// templates and stamps them, and total work is one derivation per
+/// definition plus copying. A library session's cache answers the
+/// definitions it keeps.
 fn build_templates(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
-    hier: &HierarchyStats,
-    shared: Option<&CellDefinitions<'_>>,
+    definitions: &Definitions<'_>,
 ) -> Templates {
     let mut templates = Templates::new();
-    for symbol in hierarchy::topological_order(layout) {
-        for orient in Orientation::ALL {
-            if hier.placements(symbol, orient) < 2 {
-                continue;
-            }
-            let walker = Walker {
-                layout,
-                tech,
-                binding,
-                templates: &templates,
-            };
-            let derive = || Template::derive(&walker, symbol, orient);
-            let template = match shared {
-                Some(shared) => shared.template(symbol, orient, derive),
-                None => Arc::new(derive()),
-            };
-            templates.insert((symbol, orient), template);
-        }
+    for &(symbol, orient) in &definitions.repeated {
+        let walker = Walker {
+            layout,
+            tech,
+            binding,
+            keys: &definitions.keys,
+            templates: &templates,
+        };
+        let key = (definitions.keys[symbol.0 as usize], orient);
+        let template = definitions.template(key, || Template::derive(&walker, symbol, orient));
+        templates.insert(key, template);
     }
     templates
 }
@@ -1309,6 +1290,7 @@ pub(crate) fn instantiate_item(
         layout,
         tech,
         binding,
+        keys: &[],
         templates: &Templates::new(),
     };
     walker.walk(item, Scope::TOP, view);
@@ -1440,6 +1422,9 @@ struct Walker<'a> {
     layout: &'a Layout,
     tech: &'a Technology,
     binding: &'a LayerBinding,
+    /// The content key of each symbol, which `templates` are keyed by
+    /// (none for the plain walk).
+    keys: &'a [ContentKey],
     templates: &'a Templates,
 }
 
@@ -1527,7 +1512,10 @@ impl Walker<'_> {
                 // took its non-empty-path branches, so an instance whose
                 // path is empty (an unnamed call at the top) is walked.
                 if !child_path.is_empty() {
-                    if let Some(template) = self.templates.get(&(c.target, child_t.orient)) {
+                    let key = self.keys.get(c.target.0 as usize);
+                    if let Some(template) =
+                        key.and_then(|&k| self.templates.get(&(k, child_t.orient)))
+                    {
                         #[cfg(debug_assertions)]
                         let start = (view.elements.len(), view.devices.len());
                         template.stamp(&child_path, child_t.offset, device, view, scratch);
@@ -1597,6 +1585,7 @@ impl Walker<'_> {
             return;
         }
         let plain = Walker {
+            keys: &[],
             templates: &Templates::new(),
             ..*self
         };
@@ -1618,11 +1607,22 @@ mod tests {
     use diic_tech::nmos::nmos_technology;
     use proptest::prelude::*;
 
+    /// [`instantiate`] under the layout's own definitions.
+    fn instantiated(
+        layout: &Layout,
+        tech: &Technology,
+        binding: &LayerBinding,
+        seed: StringInterner,
+    ) -> (ChipView, Vec<(usize, usize)>) {
+        let definitions = Definitions::new(layout, binding, None);
+        instantiate(layout, tech, binding, &definitions, seed)
+    }
+
     fn view_of(cif: &str) -> (ChipView, Vec<Violation>) {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, v) = LayerBinding::bind(&layout, &tech);
-        let (view, _) = instantiate(&layout, &tech, &binding, StringInterner::default());
+        let (view, _) = instantiated(&layout, &tech, &binding, StringInterner::default());
         (view, v)
     }
 
@@ -1691,6 +1691,7 @@ mod tests {
             layout,
             tech,
             binding,
+            keys: &[],
             templates: &Templates::new(),
         };
         let mut view = ChipView::default();
@@ -1738,10 +1739,10 @@ mod tests {
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
         let reference = reference_view(&layout, &tech, &binding).resolved_tail(0, 0);
-        let (cold, cold_runs) = instantiate(&layout, &tech, &binding, StringInterner::default());
+        let (cold, cold_runs) = instantiated(&layout, &tech, &binding, StringInterner::default());
         assert!(!cold.elements.is_empty() && !cold.devices.is_empty());
         assert_eq!(cold.resolved_tail(0, 0), reference);
-        let (warm, warm_runs) = instantiate(&layout, &tech, &binding, warm_interner());
+        let (warm, warm_runs) = instantiated(&layout, &tech, &binding, warm_interner());
         assert_eq!(warm.resolved_tail(0, 0), reference);
         assert_eq!(warm_runs, cold_runs);
         assert!(warm.instantiate_stats.strings_interned < cold.instantiate_stats.strings_interned);
@@ -1771,7 +1772,7 @@ mod tests {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (view, runs) = instantiate(&layout, &tech, &binding, StringInterner::default());
+        let (view, runs) = instantiated(&layout, &tech, &binding, StringInterner::default());
         assert_eq!(runs, vec![(5, 2), (5, 2), (5, 2), (1, 0), (1, 0)]);
         assert_eq!(
             view.instantiate_stats,
@@ -2065,7 +2066,7 @@ mod tests {
             let (binding, _) = LayerBinding::bind(&layout, &tech);
             let reference = reference_view(&layout, &tech, &binding);
             let want = reference.resolved_tail(0, 0);
-            let (view, runs) = instantiate(&layout, &tech, &binding, StringInterner::default());
+            let (view, runs) = instantiated(&layout, &tech, &binding, StringInterner::default());
             prop_assert_eq!(view.resolved_tail(0, 0), want.clone());
             prop_assert_eq!(view.violations.len(), reference.violations.len());
             prop_assert_eq!(runs.len(), layout.top_items().len());
@@ -2076,7 +2077,7 @@ mod tests {
             let stats = view.instantiate_stats;
             prop_assert!(stats.elements_stamped <= view.elements.len());
             prop_assert_eq!(stats.templates_built == 0, stats.instances_stamped == 0);
-            let (warm, warm_runs) = instantiate(&layout, &tech, &binding, warm_interner());
+            let (warm, warm_runs) = instantiated(&layout, &tech, &binding, warm_interner());
             prop_assert_eq!(warm.resolved_tail(0, 0), want);
             prop_assert_eq!(&warm_runs, &runs);
         }
@@ -2146,7 +2147,7 @@ mod tests {
             let layout = random_layout(&mut TestRng::for_case(seed, 0));
             let tech = nmos_technology();
             let (binding, _) = LayerBinding::bind(&layout, &tech);
-            let plain = Walker { layout: &layout, tech: &tech, binding: &binding, templates: &Templates::new() };
+            let plain = Walker { layout: &layout, tech: &tech, binding: &binding, keys: &[], templates: &Templates::new() };
             let mut by_handle = ChipView::default();
             for item in layout.top_items() {
                 plain.walk(item, Scope::TOP, &mut by_handle);

@@ -20,7 +20,7 @@
 //! its layers, rectangles, skeletons and device classes. Translating both
 //! elements by one offset changes none of them, and
 //! [`crate::instantiate`] only ever translates what it derived per
-//! `(symbol, orientation)`. So [`check_connections`] follows the scope
+//! `(definition, orientation)`. So [`check_connections`] follows the scope
 //! table's pair plan at reach 0 ([`ScopeTable::rows`]) and scores each
 //! row — a definition's interior, or two touching definitions at one
 //! relative placement — once, into a *verdict row* of `(local i, local
@@ -439,6 +439,7 @@ fn context_of(view: &ChipView, i: usize, j: usize) -> String {
 pub(crate) mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
+    use crate::library::Definitions;
     use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
     use diic_geom::{Orientation, Point, Rect, Transform, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
@@ -454,8 +455,10 @@ pub(crate) mod tests {
         workers: &[usize],
     ) -> (ConnectionResult, ScopeStats) {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (view, runs) = instantiate(layout, tech, &binding, Default::default());
+        let defs = Definitions::new(layout, &binding, None);
+        let (view, runs) = instantiate(layout, tech, &binding, &defs, Default::default());
         let scopes = ScopeTable::build(
+            &defs,
             layout.top_items(),
             runs.iter().map(|run| run.0),
             view.elements.bboxes(),

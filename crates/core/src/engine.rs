@@ -16,15 +16,15 @@
 //! technology constants, cache and warm interner; an edit session's
 //! open runs it and keeps the artefacts it patches from then on.
 
-use crate::binding::{instantiate_in, ChipView, LayerBinding, StringInterner};
+use crate::binding::{instantiate, ChipView, LayerBinding, StringInterner};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::connect::check_connections;
 use crate::element_checks::check_elements;
-use crate::interact::check_interactions_in;
-use crate::library::{BoundTechnology, CellDefinitions, LibraryCache};
+use crate::interact::check_interactions;
+use crate::library::{BoundTechnology, Definitions, LibrarySession};
 use crate::netgen::NetParts;
 use crate::parallel::effective_parallelism;
-use crate::primitive_checks::check_primitive_symbols_in;
+use crate::primitive_checks::check_primitive_symbols;
 use crate::scope::ScopeTable;
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::Layout;
@@ -564,13 +564,14 @@ fn timed<T>(
 
 /// The paper's Fig. 10 pipeline over `layout`, every step in order (see
 /// the module docs), each violation moved into `sink`. `bound` must have
-/// been built for `tech`. `cache` shares instantiation templates,
-/// primitive verdicts and interaction candidate fills across a library
-/// batch's cells (keyed by content, [`CellDefinitions`]; no key is
-/// computed without it), and `seed` is the interner the view's string
-/// table starts from (a batch worker's warm one). Neither changes a byte
-/// of the report: a shared fill, template or verdict is what the cell
-/// would have derived, and interner handles never reach rendered output.
+/// been built for `tech`. Every stage that groups by definition reads
+/// one set of content keys ([`Definitions`]); for a cell of a library
+/// `session` they are the session's, so instantiation templates,
+/// primitive verdicts and interaction candidate fills are shared across
+/// its cells. `seed` is the interner the view's string table starts from
+/// (a batch worker's warm one). Neither changes a byte of the report: a
+/// shared fill, template or verdict is what the cell would have derived,
+/// and interner handles never reach rendered output.
 ///
 /// The report's `violations` are what `sink` still buffers: everything
 /// for a [`DiagnosticSink`], nothing for a streaming or counting one.
@@ -579,33 +580,33 @@ pub(crate) fn run_pipeline(
     tech: &Technology,
     options: &CheckOptions,
     bound: &BoundTechnology,
-    cache: Option<&LibraryCache>,
+    session: Option<&LibrarySession>,
     seed: StringInterner,
     sink: &mut dyn Sink,
 ) -> (CheckReport, SessionArtefacts) {
     let workers = effective_parallelism(options.parallelism);
     let mut profile = Vec::with_capacity(7);
-    let (binding, shared, mut view, runs, scopes) =
+    let (binding, definitions, mut view, runs, scopes) =
         timed(&mut profile, "instantiate", sink, |sink| {
             let (binding, bind_violations) = LayerBinding::bind(layout, tech);
             sink.absorb(bind_violations);
-            let shared =
-                cache.map(|cache| CellDefinitions::new(cache, layout, &binding, bound.revision()));
-            let (mut view, runs) = instantiate_in(layout, tech, &binding, seed, shared.as_ref());
+            let definitions = Definitions::new(layout, &binding, session);
+            let (mut view, runs) = instantiate(layout, tech, &binding, &definitions, seed);
             sink.append(&mut view.violations);
             let scopes = ScopeTable::build(
+                &definitions,
                 layout.top_items(),
                 runs.iter().map(|&(elements, _)| elements),
                 view.elements.bboxes(),
                 bound.max_rule_range(),
             );
-            (binding, shared, view, runs, scopes)
+            (binding, definitions, view, runs, scopes)
         });
     timed(&mut profile, "elements", sink, |sink| {
         sink.absorb(check_elements(layout, tech, &binding));
     });
     let waived_devices = timed(&mut profile, "primitives", sink, |sink| {
-        let prim = check_primitive_symbols_in(layout, tech, &binding, shared.as_ref());
+        let prim = check_primitive_symbols(layout, tech, &binding, &definitions);
         sink.absorb(prim.violations);
         prim.waived
     });
@@ -626,9 +627,8 @@ pub(crate) fn run_pipeline(
     });
     let interact_stats = timed(&mut profile, "interactions", sink, |sink| {
         let nets = parts.nets();
-        let shared = shared.as_ref();
         let (found, stats) =
-            check_interactions_in(&view, tech, bound, nets, &scopes, options, shared);
+            check_interactions(&view, tech, bound, nets, &scopes, &definitions, options);
         sink.absorb(found);
         stats
     });

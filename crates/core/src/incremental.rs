@@ -236,7 +236,7 @@ use crate::engine::{
     Sink,
 };
 use crate::interact::{check_interactions_among, check_same_mask, InteractStats};
-use crate::library::BoundTechnology;
+use crate::library::{BoundTechnology, Definitions};
 use crate::netgen::{
     element_is_netted, BindIndex, DeviceParts, GraphDelta, NetIndex, NetParts, NetSplice,
 };
@@ -2049,7 +2049,8 @@ impl CheckSession {
         let mut fresh = std::mem::take(&mut vp.violations);
         fresh.extend(check_elements(&self.layout, &self.tech, &vp.binding));
         let waived = replaces_symbol.then(|| {
-            let prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
+            let definitions = Definitions::new(&self.layout, &vp.binding, None);
+            let prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding, &definitions);
             fresh.extend(prim.violations);
             prim.waived
         });
@@ -2280,7 +2281,8 @@ impl CheckSession {
             erc.iter().collect::<Vec<_>>(),
             "ERC over the fresh nets diverged from a whole-chip ERC"
         );
-        let mut prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding);
+        let definitions = Definitions::new(&self.layout, &vp.binding, None);
+        let mut prim = check_primitive_symbols(&self.layout, &self.tech, &vp.binding, &definitions);
         canonical_sort(&mut prim.violations);
         debug_assert_eq!(
             lines(CheckStage::PrimitiveSymbols),

@@ -18,8 +18,9 @@
 //! another. [`check_interactions`] enumerates them by the scope table's
 //! pair plan at that reach ([`ScopeTable::rows`]), the plan the
 //! connection stage reads at reach 0: a *candidate row* per call scope's
-//! `(symbol, orientation)` and per `(symbol, symbol, orientation,
-//! relative placement)` of two call scopes within reach — Manhattan
+//! `(definition, orientation)` and per `(definition, definition,
+//! orientation, relative placement)` of two call scopes within reach, a
+//! definition being its content key ([`Definitions`]) — Manhattan
 //! placements preserve distances, so one instance's geometry answers for
 //! all its repeats. The distinct rows are filled once, across the worker
 //! pool (in library mode taken from, and kept in, the session's
@@ -68,7 +69,7 @@
 
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
-use crate::library::{BoundTechnology, CellDefinitions, Definition};
+use crate::library::{BoundTechnology, Definition, Definitions};
 use crate::netgen::GraphNets;
 use crate::parallel::{effective_parallelism, run_ordered};
 use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
@@ -166,31 +167,20 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
 /// Runs the interaction checks over the whole chip by the scope table's
 /// pair plan (see the module docs). `bound` must be `tech`'s binding —
 /// the rule reach, cell size and device-forming pairs come from it —
-/// and `scopes` must have been built for that reach. `nets` reads the
-/// net graph ([`crate::netgen::NetParts::nets`]).
+/// and `scopes` must have been built for that reach over `definitions`,
+/// which a library session's cell takes its candidate fills from (the
+/// violation list and the statistics are byte-identical either way:
+/// cross-cell reuse is counted on the session's shelves, not in
+/// [`InteractStats`]). `nets` reads the net graph
+/// ([`crate::netgen::NetParts::nets`]).
 pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
     bound: &BoundTechnology,
     nets: GraphNets<'_>,
     scopes: &ScopeTable,
+    definitions: &Definitions<'_>,
     options: &CheckOptions,
-) -> (Vec<Violation>, InteractStats) {
-    check_interactions_in(view, tech, bound, nets, scopes, options, None)
-}
-
-/// [`check_interactions`] with the candidate fills taken from, and kept
-/// in, a library session's cache when `shared` is given. The violation
-/// list and the statistics are byte-identical either way: cross-cell
-/// reuse is counted on the session's shelves, not in [`InteractStats`].
-pub(crate) fn check_interactions_in(
-    view: &ChipView,
-    tech: &Technology,
-    bound: &BoundTechnology,
-    nets: GraphNets<'_>,
-    scopes: &ScopeTable,
-    options: &CheckOptions,
-    shared: Option<&CellDefinitions<'_>>,
 ) -> (Vec<Violation>, InteractStats) {
     let workers = effective_parallelism(options.parallelism);
     let cx = EvalCx::new(
@@ -202,7 +192,7 @@ pub(crate) fn check_interactions_in(
         device_archetypes(view, tech, 0..view.devices.len()),
     );
     let plan = scopes.rows(bound.max_rule_range());
-    let filled = fill_rows(view, scopes, &plan, bound, workers, shared);
+    let filled = fill_rows(view, scopes, &plan, bound, workers, definitions);
     let bboxes = view.elements.bboxes();
     let loose_index = plan
         .loose
@@ -377,7 +367,7 @@ impl Definition for Fill {
 /// Fills every row of the plan across the worker pool. Each fill is a
 /// pure function of its scopes' element boxes, so parallel fills return
 /// exactly the serial values. In library mode each fill is looked up on
-/// the session's fill shelf first ([`CellDefinitions::fill`]): a hit
+/// the session's fill shelf first ([`Definitions::fill`]): a hit
 /// returns the bytes a local fill would have produced.
 fn fill_rows(
     view: &ChipView,
@@ -385,13 +375,13 @@ fn fill_rows(
     plan: &RowPlan<'_>,
     bound: &BoundTechnology,
     workers: usize,
-    shared: Option<&CellDefinitions<'_>>,
+    definitions: &Definitions<'_>,
 ) -> Vec<Arc<Fill>> {
     let bboxes = view.elements.bboxes();
     let reach = bound.max_rule_range();
     run_ordered(plan.rows.len(), workers, |row| {
         let ((si, sj), scan) = plan.rows[row];
-        let fill = || {
+        definitions.fill(table.row_key(si, sj), reach, || {
             let (i0, j0) = (
                 table.scopes()[si].run().start,
                 table.scopes()[sj].run().start,
@@ -403,11 +393,7 @@ fn fill_rows(
                 local.push((i - i0, j - j0))
             });
             local
-        };
-        match shared {
-            Some(shared) => shared.fill(table.row_key(si, sj), reach, fill),
-            None => Arc::new(fill()),
-        }
+        })
     })
 }
 
@@ -928,9 +914,9 @@ mod tests {
 
     fn run_with(cif: &str, options: CheckOptions) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
-        let (view, parts, scopes) = build(cif, &tech);
+        let (view, parts, scopes, defs) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
-        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options)
+        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options)
     }
 
     /// The stage with default options.
@@ -965,10 +951,11 @@ mod tests {
     /// same violations and candidate pairs, and returns the stage's run.
     fn run_against_reference(cif: &str) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
-        let (view, parts, scopes) = build(cif, &tech);
+        let (view, parts, scopes, defs) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, stats) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+        let (v, stats) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
         let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
         assert_eq!(canonical(&v), canonical(&direct));
         assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
@@ -987,17 +974,19 @@ mod tests {
         tech
     }
 
-    fn build(cif: &str, tech: &diic_tech::Technology) -> (ChipView, NetParts, ScopeTable) {
+    /// What [`build_layout`] returns: the stage's inputs.
+    type Built = (ChipView, NetParts, ScopeTable, Definitions<'static>);
+
+    fn build(cif: &str, tech: &diic_tech::Technology) -> Built {
         build_layout(&parse(cif).unwrap(), tech)
     }
 
-    fn build_layout(
-        layout: &diic_cif::Layout,
-        tech: &diic_tech::Technology,
-    ) -> (ChipView, NetParts, ScopeTable) {
+    fn build_layout(layout: &diic_cif::Layout, tech: &diic_tech::Technology) -> Built {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (mut view, runs) = instantiate(layout, tech, &binding, Default::default());
+        let defs = Definitions::new(layout, &binding, None);
+        let (mut view, runs) = instantiate(layout, tech, &binding, &defs, Default::default());
         let scopes = ScopeTable::build(
+            &defs,
             layout.top_items(),
             runs.iter().map(|run| run.0),
             view.elements.bboxes(),
@@ -1011,7 +1000,7 @@ mod tests {
             .collect();
         let (mut parts, _) = NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, 1);
         parts.assemble(&view);
-        (view, parts, scopes)
+        (view, parts, scopes, defs)
     }
 
     /// Triangle of metal boxes with pairwise gaps 950 / 1000 / 1000:
@@ -1029,7 +1018,7 @@ mod tests {
     #[test]
     fn odd_cycle_flagged_by_the_plan_and_the_reference() {
         let tech = mp_tech();
-        let (view, parts, scopes) = build(ODD_TRIANGLE, &tech);
+        let (view, parts, scopes, defs) = build(ODD_TRIANGLE, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
         let (direct, _) = reference(&view, &tech, parts.nets(), &options);
@@ -1038,7 +1027,8 @@ mod tests {
                 parallelism,
                 ..CheckOptions::default()
             };
-            let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+            let (v, _) =
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let mask: Vec<&Violation> = v
                 .iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1065,10 +1055,11 @@ mod tests {
     #[test]
     fn even_ring_is_two_mask_decomposable() {
         let tech = mp_tech();
-        let (view, parts, scopes) = build(EVEN_RING, &tech);
+        let (view, parts, scopes, defs) = build(EVEN_RING, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+        let (v, _) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1080,10 +1071,11 @@ mod tests {
     fn standalone_check_matches_inline_collection() {
         let tech = mp_tech();
         for cif in [ODD_TRIANGLE, EVEN_RING] {
-            let (view, parts, scopes) = build(cif, &tech);
+            let (view, parts, scopes, defs) = build(cif, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
-            let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+            let (v, _) =
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1098,7 +1090,7 @@ mod tests {
         // nmos declares no same_mask rules: the standalone check
         // early-outs and the triangle is clean.
         let tech = nmos_technology();
-        let (view, _, _) = build(ODD_TRIANGLE, &tech);
+        let (view, ..) = build(ODD_TRIANGLE, &tech);
         let bound = BoundTechnology::new(&tech);
         assert!(check_same_mask(&view, &tech, &bound, SizingMode::Euclidean).is_empty());
     }
@@ -1111,10 +1103,11 @@ mod tests {
         let cif = "L NM; B 2000 750 1000 375; B 2000 750 2950 375; \
                    B 2950 750 2475 2125; E";
         let tech = mp_tech();
-        let (view, parts, scopes) = build(cif, &tech);
+        let (view, parts, scopes, defs) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) = check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+        let (v, _) =
+            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1278,11 +1271,11 @@ mod tests {
                     item => unreachable!("a call: {item:?}"),
                 }
             }
-            let (view, parts, scopes) = build_layout(&layout, &tech);
+            let (view, parts, scopes, defs) = build_layout(&layout, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
             assert_eq!(canonical(&v), canonical(&direct), "{names:?}");
             assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
@@ -1344,7 +1337,7 @@ mod tests {
         }
         cif.push('E');
         let tech = nmos_technology();
-        let (view, parts, scopes) = build(&cif, &tech);
+        let (view, parts, scopes, defs) = build(&cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let reach = bound.max_rule_range();
         let bboxes = view.elements.bboxes();
@@ -1375,7 +1368,7 @@ mod tests {
                 ..CheckOptions::default()
             };
             let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &options);
+                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             assert_eq!(stats.candidate_pairs, total, "workers={workers}");
             assert_eq!(stats.peak_candidate_buffer, widest, "workers={workers}");
             assert_eq!(v, direct, "workers={workers}: the direct scan, tiled");

@@ -164,7 +164,8 @@ pub use incremental::{
 pub use interact::{check_same_mask, interaction_cell_size, max_rule_range, InteractStats};
 pub use library::{
     check_library, check_library_buffered, check_library_in, BatchProfile, BoundTechnology,
-    DefinitionStats, LibraryCache, LibraryOptions, LibraryReport, LibrarySession, LibraryStats,
+    DefinitionStats, Definitions, LibraryCache, LibraryOptions, LibraryReport, LibrarySession,
+    LibraryStats,
 };
 pub use parallel::{effective_parallelism, env_parallelism};
 pub use report::{
@@ -186,5 +187,6 @@ pub fn instantiate_parallel(
     binding: &LayerBinding,
     _workers: usize,
 ) -> ChipView {
-    instantiate(layout, tech, binding, StringInterner::default()).0
+    let definitions = Definitions::new(layout, binding, None);
+    instantiate(layout, tech, binding, &definitions, Default::default()).0
 }

@@ -31,7 +31,7 @@
 //! ([`ScopeTable::covering`], a single-cell lookup), and each covering
 //! scope is asked through **one [`BindIndex`] per definition** — built
 //! over the netted elements of the *first* scope presenting that
-//! `(symbol, orientation)`, queried at the point translated into that
+//! `(definition, orientation)`, queried at the point translated into that
 //! first scope's frame (every scope of the group is a translated copy of
 //! the first; [`crate::instantiate`] only ever translates what it
 //! derived). The candidates are tested on the scope's own elements, and
@@ -1567,6 +1567,7 @@ mod tests {
     use super::*;
     use crate::binding::{instantiate, LayerBinding};
     use crate::connect::check_connections_among;
+    use crate::library::Definitions;
     use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
     use diic_geom::{Orientation, Rect, Transform, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
@@ -1588,8 +1589,10 @@ mod tests {
     /// binder's (one index over every netted element, one worker).
     fn extract_layout(layout: &Layout, tech: &Technology, workers: &[usize]) -> Extracted {
         let (binding, _) = LayerBinding::bind(layout, tech);
-        let (pristine, runs) = instantiate(layout, tech, &binding, Default::default());
+        let defs = Definitions::new(layout, &binding, None);
+        let (pristine, runs) = instantiate(layout, tech, &binding, &defs, Default::default());
         let scopes = ScopeTable::build(
+            &defs,
             layout.top_items(),
             runs.iter().map(|run| run.0),
             pristine.elements.bboxes(),

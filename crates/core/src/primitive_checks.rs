@@ -15,7 +15,7 @@
 //! name) reuses the verdict ([`crate::library::LibraryCache`]).
 
 use crate::binding::LayerBinding;
-use crate::library::{CellDefinitions, Definition};
+use crate::library::{Definition, Definitions};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::{DeviceDecl, Layout, Shape, Symbol, SymbolId};
 use diic_geom::size::expand;
@@ -55,33 +55,23 @@ impl Definition for PrimitiveCheckResult {
     }
 }
 
-/// Checks every device symbol definition against its archetype.
+/// Checks every device symbol definition against its archetype. A
+/// verdict is keyed by the symbol's content key ([`Definitions`]) and
+/// display name; a library session's cache answers the verdicts it
+/// keeps.
 pub fn check_primitive_symbols(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
-) -> PrimitiveCheckResult {
-    check_primitive_symbols_in(layout, tech, binding, None)
-}
-
-/// [`check_primitive_symbols`], with each definition's verdict taken
-/// from, and kept in, a library session's cache when `shared` is given.
-pub(crate) fn check_primitive_symbols_in(
-    layout: &Layout,
-    tech: &Technology,
-    binding: &LayerBinding,
-    shared: Option<&CellDefinitions<'_>>,
+    definitions: &Definitions<'_>,
 ) -> PrimitiveCheckResult {
     let mut result = PrimitiveCheckResult::default();
     for (id, sym) in (0..).map(SymbolId).zip(layout.symbols()) {
         let Some(decl) = &sym.device else { continue };
         let name = sym.display_name();
         let derive = || check_device_symbol(sym, decl, &name, tech, binding);
-        result.absorb(match shared {
-            // A verdict the session keeps is copied; one it does not is moved.
-            Some(shared) => Arc::unwrap_or_clone(shared.verdict(id, &name, derive)),
-            None => derive(),
-        });
+        // A verdict the session keeps is copied; one it does not is moved.
+        result.absorb(Arc::unwrap_or_clone(definitions.verdict(id, &name, derive)));
     }
     result
 }
@@ -358,7 +348,8 @@ mod tests {
         let layout = parse(cif).unwrap();
         let tech = nmos_technology();
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        check_primitive_symbols(&layout, &tech, &binding)
+        let definitions = Definitions::new(&layout, &binding, None);
+        check_primitive_symbols(&layout, &tech, &binding, &definitions)
     }
 
     /// A correct enhancement transistor: poly 2λ wide crossing a 2λ diff,

@@ -35,14 +35,15 @@
 //! boxes come within a reach of one another — 0 (touching) for
 //! connections, the rule reach for interactions — and both are pure
 //! functions of a pair's geometry up to translation. [`ScopeTable::rows`]
-//! plans them once for both: a **row** per `(symbol, orientation)` holds
-//! a call scope's interior, and a row per `(symbol, symbol, orientation,
-//! relative placement)` the pairs across two call scopes within the
-//! reach, each filled by scanning the first scope (pair) presenting its
-//! key and stamped onto every other. The loose elements are never a row:
-//! they get one index per check, scanned against itself, and every call
-//! scope within reach of them is scanned against it, clipped to the
-//! loose box. Every scan is a [`Scan`] — the same query loop whatever
+//! plans them once for both: a **row** per `(definition, orientation)`
+//! holds a call scope's interior, and a row per `(definition,
+//! definition, orientation, relative placement)` the pairs across two
+//! call scopes within the reach (a definition is its content key,
+//! [`Definitions`]), each filled by scanning the first scope (pair)
+//! presenting its key and stamped onto every other. The loose elements
+//! are never a row: they get one index per check, scanned against
+//! itself, and every call scope within reach of them is scanned against
+//! it, clipped to the loose box. Every scan is a [`Scan`] — the same query loop whatever
 //! stage or caller drives it — cut into tiles of
 //! [`DEFAULT_TILE_ELEMENTS`] scanned elements. What a scan searches is
 //! its [`ScanIndex`]: a [`FlatGrid`] built once over the boxes of the
@@ -65,7 +66,8 @@
 
 #![deny(clippy::arithmetic_side_effects)]
 
-use diic_cif::{Item, SymbolId};
+use crate::library::{ContentKey, Definitions};
+use diic_cif::Item;
 use diic_geom::{Coord, FlatGrid, Orientation, Point, Rect, Transform};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -73,8 +75,6 @@ use std::ops::Range;
 /// One top-level scope (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope {
-    /// The called symbol; `None` for the loose scope.
-    pub symbol: Option<SymbolId>,
     /// Placement of the call (chip ← symbol); identity for the loose
     /// scope.
     pub transform: Transform,
@@ -84,9 +84,13 @@ pub struct Scope {
     /// the scope index. Empty for the loose scope, whose ids interleave
     /// with the calls (read them through [`ScopeTable::ids`]).
     run: Range<usize>,
-    /// The first call scope of the same `(symbol, orientation)` — this
-    /// scope itself when it is the first ([`crate::instantiate`] derives
-    /// a definition once per orientation and only ever translates it).
+    /// The called symbol's content key ([`Definitions`]); `None` for
+    /// the loose scope.
+    definition: Option<ContentKey>,
+    /// The first call scope of the same `(definition, orientation)` —
+    /// this scope itself when it is the first ([`crate::instantiate`]
+    /// derives a definition once per orientation and only ever
+    /// translates it).
     first: usize,
 }
 
@@ -272,17 +276,17 @@ pub struct RowPlan<'a> {
 }
 
 /// What a row of a pair plan is a function of, up to a common
-/// translation ([`ScopeTable::row_key`]): a definition `D` placed at an
+/// translation ([`ScopeTable::row_key`]): a definition placed at an
 /// orientation — a call scope's interior — or two definitions, the
 /// first's orientation and the second's placement relative to the
-/// first. Within one chip a definition is its [`SymbolId`]; a library
-/// session's cells name it by content instead.
+/// first. A definition is its content key ([`Definitions`]), within one
+/// chip as across the cells of a library session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum RowKey<D = SymbolId> {
+pub(crate) enum RowKey {
     /// One call scope's interior.
-    Interior(D, Orientation),
+    Interior(ContentKey, Orientation),
     /// Two call scopes within the reach of one another.
-    Across(D, D, Orientation, Transform),
+    Across(ContentKey, ContentKey, Orientation, Transform),
 }
 
 /// The scope pairs [`ScopeTable::neighbours`] found, and what finding
@@ -416,8 +420,10 @@ impl ScopeTable {
     /// [`crate::instantiate`] reported for each, and the view's bounding
     /// box column, and finds the scope pairs within `reach` of one
     /// another (the technology's rule reach,
-    /// [`crate::interact::max_rule_range`]).
+    /// [`crate::interact::max_rule_range`]), grouping the call scopes
+    /// by `definitions`.
     pub fn build(
+        definitions: &Definitions<'_>,
         items: &[Item],
         element_runs: impl IntoIterator<Item = usize>,
         bboxes: &[Rect],
@@ -429,7 +435,7 @@ impl ScopeTable {
         };
         let mut scopes = Vec::new();
         let mut loose = Vec::new();
-        let mut groups: HashMap<(SymbolId, Orientation), (usize, usize)> = HashMap::new();
+        let mut groups: HashMap<(ContentKey, Orientation), (usize, usize)> = HashMap::new();
         let mut next = 0usize;
         for (item, len) in items.iter().zip(element_runs) {
             // The runs tile the view's columns (asserted below), so the
@@ -439,12 +445,12 @@ impl ScopeTable {
             next = end;
             match item {
                 Item::Call(c) => {
-                    let group = groups
-                        .entry((c.target, c.transform.orient))
+                    let definition = definitions.keys[c.target.0 as usize];
+                    let group = (groups.entry((definition, c.transform.orient)))
                         .or_insert((scopes.len(), 0));
                     group.1 = group.1.saturating_add(1);
                     scopes.push(Scope {
-                        symbol: Some(c.target),
+                        definition: Some(definition),
                         transform: c.transform,
                         bbox: union(&mut run.clone()),
                         run,
@@ -458,13 +464,13 @@ impl ScopeTable {
         let repeated_elements = scopes
             .iter()
             .filter(|s| {
-                let key = (s.symbol.expect("a call scope"), s.transform.orient);
+                let key = (s.definition.expect("a call scope"), s.transform.orient);
                 groups[&key].1 > 1
             })
             .map(|s| s.run.len())
             .sum();
         scopes.push(Scope {
-            symbol: None,
+            definition: None,
             transform: Transform::IDENTITY,
             bbox: union(&mut loose.iter().copied()),
             run: 0..0,
@@ -511,8 +517,8 @@ impl ScopeTable {
     /// The pair plan at `reach` (see the module docs): 0 for the
     /// connection stage, the rule reach for the interaction stage — at
     /// most the reach the table was built for, whose near scope pairs it
-    /// narrows. Rows are keyed per `(symbol, orientation)` and per
-    /// `(symbol, symbol, orientation, relative placement)`:
+    /// narrows. Rows are keyed per `(definition, orientation)` and per
+    /// `(definition, definition, orientation, relative placement)`:
     /// [`crate::instantiate`] derives a definition once per orientation
     /// and only translates it, and a row holds what is a function of its
     /// scopes' geometry up to a common translation.
@@ -588,13 +594,13 @@ impl ScopeTable {
     /// sj` for an interior) — what [`ScopeTable::rows`] groups them by.
     pub(crate) fn row_key(&self, si: usize, sj: usize) -> RowKey {
         let (a, b) = (&self.scopes[si], &self.scopes[sj]);
-        // invariant: call scopes carry their symbol.
-        let symbol = |s: &Scope| s.symbol.expect("a call scope");
+        // invariant: call scopes carry their definition.
+        let definition = |s: &Scope| s.definition.expect("a call scope");
         if si == sj {
-            RowKey::Interior(symbol(a), a.transform.orient)
+            RowKey::Interior(definition(a), a.transform.orient)
         } else {
             let placement = a.transform.inverse().after(&b.transform);
-            RowKey::Across(symbol(a), symbol(b), a.transform.orient, placement)
+            RowKey::Across(definition(a), definition(b), a.transform.orient, placement)
         }
     }
 
@@ -736,7 +742,8 @@ fn grown(a: &Rect, reach: Coord) -> Rect {
 #[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
-    use diic_cif::{Call, Element, LayerRef, Shape};
+    use crate::binding::LayerBinding;
+    use diic_cif::{Call, Element, LayerRef, Layout, Shape, Symbol, SymbolId};
     use diic_geom::Vector;
     use proptest::prelude::*;
 
@@ -746,6 +753,29 @@ mod tests {
             transform: Transform::new(orient, Vector::ZERO),
             name: name.into(),
         })
+    }
+
+    /// Definitions of `n` symbols of distinct content — symbol `k` holds
+    /// one box `k + 1` wide — for items with no layout of their own.
+    fn distinct(n: u64) -> Definitions<'static> {
+        let mut layout = Layout::new();
+        let layer = layout.intern_layer("NM");
+        for k in 0..n {
+            let shape = Shape::Box(Rect::new(0, 0, k as Coord + 1, 1));
+            let element = Element {
+                layer,
+                shape,
+                net: None,
+            };
+            layout.add_symbol(Symbol {
+                cif_id: k as u32,
+                name: None,
+                device: None,
+                items: vec![Item::Element(element)],
+            });
+        }
+        let (binding, _) = LayerBinding::bind(&layout, &diic_tech::nmos::nmos_technology());
+        Definitions::new(&layout, &binding, None)
     }
 
     fn loose_element() -> Item {
@@ -772,7 +802,7 @@ mod tests {
         let bboxes: Vec<Rect> = (0..9)
             .map(|i| Rect::new(i * 10, 0, i * 10 + 5, 5))
             .collect();
-        let table = ScopeTable::build(&items, runs, &bboxes, 0);
+        let table = ScopeTable::build(&distinct(3), &items, runs, &bboxes, 0);
         assert_eq!(table.scopes().len(), 5);
         assert_eq!(table.loose_index(), 4);
         let ids = |s: usize| table.ids(s).iter().collect::<Vec<_>>();
@@ -784,8 +814,8 @@ mod tests {
         assert_eq!(table.scopes()[2].bbox, None);
         assert_eq!(table.scopes()[0].bbox, Some(Rect::new(0, 0, 15, 5)));
         assert_eq!(table.scopes()[4].bbox, Some(Rect::new(20, 0, 65, 5)));
-        // Scope 3 repeats scope 0's (symbol, orientation); scope 1 is the
-        // same symbol rotated and stands alone.
+        // Scope 3 repeats scope 0's (definition, orientation); scope 1
+        // is the same symbol rotated and stands alone.
         let firsts: Vec<usize> = table
             .calls()
             .iter()
@@ -820,9 +850,9 @@ mod tests {
         let bboxes: Vec<Rect> = [(0, 10), (10, 20), (20, 30), (34, 44), (60, 70), (44, 60)]
             .map(|(x1, x2)| Rect::new(x1, 0, x2, 10))
             .to_vec();
-        let table = ScopeTable::build(&items, [1; 6], &bboxes, 5);
+        let table = ScopeTable::build(&distinct(3), &items, [1; 6], &bboxes, 5);
         let plan = table.rows(0);
-        // One interior row per (symbol, orientation).
+        // One interior row per (definition, orientation).
         assert_eq!(plan.interior, vec![0, 0, 0, 1, 2]);
         // The two abutting placements share one row; the rotated call
         // and symbol 2 touch only the loose element.
@@ -853,7 +883,8 @@ mod tests {
             .map(|b| b.is_some() as usize)
             .collect();
         let column: Vec<Rect> = bboxes.iter().flatten().copied().collect();
-        ScopeTable::build(&items, runs, &column, reach)
+        let definitions = distinct(calls.len() as u64);
+        ScopeTable::build(&definitions, &items, runs, &column, reach)
     }
 
     fn arb_bbox() -> impl Strategy<Value = Option<Rect>> {
@@ -913,7 +944,7 @@ mod tests {
         ) {
             let reach = [0, 15, 60][pick];
             let (items, runs, bboxes) = items_of(&top);
-            let table = ScopeTable::build(&items, runs, &bboxes, 60);
+            let table = ScopeTable::build(&distinct(top.len() as u64), &items, runs, &bboxes, 60);
             let plan = table.rows(reach);
             prop_assert_eq!(plan.rows.len(), plan.interior.len() + plan.cross.len());
             let mut found = Vec::new();

@@ -14,8 +14,8 @@ use diic::cif::NetLabel;
 use diic::core::netgen::NetParts;
 use diic::core::{
     check_connections, check_library_buffered, check_with_sink, instantiate, max_rule_range,
-    CheckOptions, CheckSession, CountingSink, EditSet, LayerBinding, LibraryOptions, ScopeTable,
-    StageEngine,
+    CheckOptions, CheckSession, CountingSink, Definitions, EditSet, LayerBinding, LibraryOptions,
+    ScopeTable, StageEngine,
 };
 use diic::tech::nmos::nmos_technology;
 use diic::tech::LayerId;
@@ -111,9 +111,14 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
     // Twice from scratch: the counts must repeat exactly.
     let runs: Vec<(usize, [u64; 4])> = (0..2)
         .map(|_| {
-            let (instantiate, (mut view, runs)) =
-                counted(|| instantiate(&layout, &tech, &binding, Default::default()));
+            // The definitions' content keys are part of instantiating.
+            let (instantiate, (definitions, (mut view, runs))) = counted(|| {
+                let definitions = Definitions::new(&layout, &binding, None);
+                let view = instantiate(&layout, &tech, &binding, &definitions, Default::default());
+                (definitions, view)
+            });
             let scopes = ScopeTable::build(
+                &definitions,
                 layout.top_items(),
                 runs.iter().map(|run| run.0),
                 view.elements.bboxes(),

@@ -10,9 +10,14 @@
 //! UPDATE_GOLDEN=1 cargo test --test diagnostics
 //! ```
 
-use diic::cif::{hierarchy::MAX_CALL_DEPTH, Diagnostic};
+use diic::api::wire;
+use diic::cif::{hierarchy::MAX_CALL_DEPTH, Diagnostic, Span};
+use diic::core::EditSet;
 use diic::deck::{compile_str, BIPOLAR_DECK, NMOS_DECK};
-use diic::gen::{generate, ChipSpec, ErrorKind};
+use diic::gen::{generate, random_edit_set, ChipSpec, ErrorKind};
+use diic::geom::Rect;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 
 /// One malformed deck per diagnostic class the deck front end emits.
@@ -233,4 +238,38 @@ fn no_input_panics_either_front_end() {
     fuzz("chip.cif", &chip.cif, diic::cif::parse);
     fuzz("nmos.deck", NMOS_DECK, compile_str);
     fuzz("bipolar.deck", BIPOLAR_DECK, compile_str);
+}
+
+/// A JSON body read the way `wire::parse_body` reads one: a parse error
+/// is a diagnostic at the byte it names.
+fn parse_json(text: &str) -> Result<serde_json::Value, Diagnostic> {
+    serde_json::from_str(text)
+        .map_err(|e| Diagnostic::new(e.message, Span::new(e.offset, e.offset)))
+}
+
+#[test]
+fn no_edit_body_panics_the_json_front_end() {
+    let chip = generate(&ChipSpec::with_errors(3, 2, vec![ErrorKind::NarrowWire], 5));
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let bounds = Rect::new(-2500, -6000, 3 * 6750 + 2500, 2 * 10000 + 2500);
+    let mut rng = StdRng::seed_from_u64(11);
+    // Every kind of edit the generator makes, in one body.
+    let mut edits = EditSet::new();
+    for step in 0..24 {
+        let set = random_edit_set(&layout, bounds, step, &mut rng);
+        edits.edits.extend(set.edits);
+    }
+    let body = wire::edit_set_to_json(&edits, &layout).to_string();
+    let decoded = wire::edit_set_from_json(&parse_json(&body).unwrap(), &layout);
+    assert_eq!(
+        decoded.expect("the body decodes").edits.len(),
+        edits.edits.len()
+    );
+    fuzz("edits.json", &body, |text| {
+        let value = parse_json(text)?;
+        // A body that parses but does not decode is a `400`, not a
+        // diagnostic: only a panic fails here.
+        let _ = wire::edit_set_from_json(&value, &layout);
+        Ok(())
+    });
 }

@@ -63,12 +63,13 @@
 //! added) and re-runs the recall oracle under them: rule decks that
 //! tighten rules never lose injected faults.
 
-use diic::cif::{Call, Element, Item, LayerRef, Shape, Symbol};
+use diic::cif::{Call, Element, Item, LayerRef, Shape, Symbol, SymbolId};
 use diic::core::netgen::NetParts;
 use diic::core::{
     account, canonical_check, check_cif, check_connections, check_connections_among,
     effective_parallelism, env_parallelism, flat_check, instantiate, max_rule_range, CheckOptions,
-    CheckReport, CheckStage, FlatOptions, LayerBinding, ScopeTable, StringInterner, Violation,
+    CheckReport, CheckStage, Definitions, FlatOptions, InstantiateStats, InteractStats,
+    LayerBinding, ScopeStats, ScopeTable, StringInterner, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::{Rect, Transform};
@@ -109,7 +110,8 @@ fn run(cif: &str, tech: &Technology, parallelism: usize) -> CheckReport {
 fn brute_force_pairs(chip_cif: &str, tech: &Technology) -> u64 {
     let layout = diic::cif::parse(chip_cif).expect("generated chips always parse");
     let (binding, _) = LayerBinding::bind(&layout, tech);
-    let (view, _) = instantiate(&layout, tech, &binding, Default::default());
+    let definitions = Definitions::new(&layout, &binding, None);
+    let (view, _) = instantiate(&layout, tech, &binding, &definitions, Default::default());
     let reach = max_rule_range(tech);
     let boxes = view.elements.bboxes();
     let within = |a: &Rect, b: &Rect| {
@@ -224,8 +226,11 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (mut view, runs) = instantiate(&layout, &tech, &binding, Default::default());
+        let definitions = Definitions::new(&layout, &binding, None);
+        let (mut view, runs) =
+            instantiate(&layout, &tech, &binding, &definitions, Default::default());
         let scopes = ScopeTable::build(
+            &definitions,
             layout.top_items(),
             runs.iter().map(|run| run.0),
             view.elements.bboxes(),
@@ -248,6 +253,7 @@ proptest! {
             net: None,
         })];
         let one_scope = ScopeTable::build(
+            &definitions,
             &whole_chip,
             [view.elements.len()],
             view.elements.bboxes(),
@@ -314,7 +320,8 @@ proptest! {
         let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
         let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
         let (binding, _) = LayerBinding::bind(&layout, &tech);
-        let (serial, _) = instantiate(&layout, &tech, &binding, Default::default());
+        let definitions = Definitions::new(&layout, &binding, None);
+        let (serial, _) = instantiate(&layout, &tech, &binding, &definitions, Default::default());
         // A table that already holds the chip's strings, in another
         // order: every handle value differs from the cold view's.
         let mut warm = StringInterner::default();
@@ -322,7 +329,7 @@ proptest! {
         for text in cold.iter().rev() {
             warm.intern(text);
         }
-        let (seeded, _) = instantiate(&layout, &tech, &binding, warm);
+        let (seeded, _) = instantiate(&layout, &tech, &binding, &definitions, warm);
 
         let mut distinct = std::collections::HashSet::new();
         for e in &serial.elements {
@@ -598,4 +605,145 @@ proptest! {
             lo, hi, n, nx, ny, seed, mask
         );
     }
+}
+
+/// `layout` with the symbol `original` copied under a fresh id and name,
+/// and the calls to it — at the top level and inside every symbol, in
+/// that order — whose bit of `pick` is set pointed at the copy (the
+/// bits cycle past the 64th call).
+fn cloned(layout: &diic::cif::Layout, original: SymbolId, pick: u64) -> diic::cif::Layout {
+    let mut out = layout.clone();
+    let source = layout.symbol(original);
+    let cif_id = layout.symbols().iter().map(|s| s.cif_id).max().unwrap_or(0) + 1;
+    let copy = out.add_symbol(Symbol {
+        cif_id,
+        name: Some(format!("{}_COPY", source.display_name())),
+        device: None,
+        items: source.items.clone(),
+    });
+    let mut calls = 0u32;
+    let mut repoint = |item: &mut Item| {
+        if let Item::Call(c) = item {
+            if c.target == original {
+                if pick.rotate_right(calls % 64) & 1 == 1 {
+                    c.target = copy;
+                }
+                calls += 1;
+            }
+        }
+    };
+    (0..out.top_items().len()).for_each(|i| repoint(out.top_item_mut(i)));
+    for s in 0..layout.symbols().len() {
+        let symbol = out.symbol_mut(SymbolId(s as u32));
+        symbol.items.iter_mut().for_each(&mut repoint);
+    }
+    out
+}
+
+/// What a check of `layout` must keep when a definition is cloned: the
+/// canonical report, its net list and every counter of the stages that
+/// group by definition.
+fn clone_invariants(
+    layout: &diic::cif::Layout,
+    tech: &Technology,
+    parallelism: usize,
+) -> (CheckReport, InstantiateStats, ScopeStats, InteractStats) {
+    let options = CheckOptions {
+        parallelism,
+        ..CheckOptions::default()
+    };
+    let report = canonical_check(layout, tech, &options);
+    let stats = (
+        report.instantiate_stats,
+        report.scope_stats,
+        report.interact_stats,
+    );
+    (report, stats.0, stats.1, stats.2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// **Clone invariance**, a metamorphic leg: copying a non-device
+    /// symbol of a faulted chip under a fresh id and name, and pointing
+    /// any subset of its calls at the copy, must change nothing — not
+    /// the canonical report or the net list, and not what the stages
+    /// that group by definition built: templates and walked elements
+    /// (`InstantiateStats`), connection rows and bind indexes
+    /// (`ScopeStats`), candidate rows (`InteractStats::cache_misses`).
+    /// A definition is its content, not its `SymbolId`. (A device
+    /// symbol's verdict lines carry its display name, so copying one
+    /// adds lines by design.)
+    #[test]
+    fn cloning_a_definition_changes_nothing(
+        nx in 2usize..5,
+        ny in 1usize..3,
+        seed in 0u64..1_000_000,
+        mask in 1u16..512,
+        which in 0usize..1000,
+        pick in 0u64..u64::MAX,
+    ) {
+        let tech = nmos_technology();
+        let errors: Vec<ErrorKind> = ErrorKind::ALL
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, k)| *k)
+            .take(nx * ny)
+            .collect();
+        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
+        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
+        let candidates: Vec<SymbolId> = (0..layout.symbols().len() as u32)
+            .map(SymbolId)
+            .filter(|&id| !layout.symbol(id).is_device())
+            .collect();
+        let original = candidates[which % candidates.len()];
+        let clone = cloned(&layout, original, pick);
+        for parallelism in [1, wide_workers()] {
+            let (want, want_instantiate, want_scopes, want_interact) =
+                clone_invariants(&layout, &tech, parallelism);
+            let (got, got_instantiate, got_scopes, got_interact) =
+                clone_invariants(&clone, &tech, parallelism);
+            let case = format!(
+                "symbol {} calls {:#x}, workers={} (nx={} ny={} seed={} mask={:#b})",
+                layout.symbol(original).display_name(), pick, parallelism, nx, ny, seed, mask
+            );
+            prop_assert_eq!(&got.violations, &want.violations, "{}", case);
+            prop_assert_eq!(&got.netlist, &want.netlist, "{}", case);
+            prop_assert_eq!(got_instantiate, want_instantiate, "{}", case);
+            prop_assert_eq!(got_scopes, want_scopes, "{}", case);
+            prop_assert_eq!(got_interact, want_interact, "{}", case);
+        }
+    }
+}
+
+/// Two symbols of one content under different ids and names, each
+/// placed once, are one definition: one template, one interior row for
+/// each pair stage, stamped onto the second placement.
+#[test]
+fn content_identical_symbols_share_one_template_and_one_row() {
+    let tech = nmos_technology();
+    let cif = "DS 1; 9 a; L NM; B 3000 750 1500 375; L NP; B 500 2000 250 1500; DF;\n\
+               DS 2; 9 b; L NM; B 3000 750 1500 375; L NP; B 500 2000 250 1500; DF;\n\
+               C 1 T 0 0; C 2 T 100000 0; E";
+    let options = CheckOptions {
+        erc: false,
+        ..CheckOptions::default()
+    };
+    let report = check_cif(cif, &tech, &options).expect("the chip parses");
+    assert!(report.is_clean(), "{:#?}", report.violations);
+    let stamped = report.instantiate_stats;
+    assert_eq!(
+        (stamped.templates_built, stamped.instances_stamped),
+        (1, 2),
+        "{stamped}"
+    );
+    let scopes = report.scope_stats;
+    assert_eq!(
+        (scopes.conn_rows_built, scopes.conn_rows_stamped),
+        (1, 1),
+        "{scopes}"
+    );
+    let rows = report.interact_stats;
+    assert_eq!((rows.cache_misses, rows.cache_hits), (1, 1), "{rows:?}");
 }

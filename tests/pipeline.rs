@@ -275,15 +275,19 @@ fn extraction_matches_intended_structure_for_sizes() {
 /// queries of elements with the box `own` examined.
 fn examined_candidates(cif: &str, own: Rect) -> (u64, u64) {
     use diic::core::{
-        instantiate, BoundTechnology, LayerBinding, Scan, ScanIndex, ScopeTable, StringInterner,
+        instantiate, BoundTechnology, Definitions, LayerBinding, Scan, ScanIndex, ScopeTable,
+        StringInterner,
     };
     let tech = nmos_technology();
     let layout = diic::cif::parse(cif).unwrap();
     let bound = BoundTechnology::new(&tech);
     let (binding, _) = LayerBinding::bind(&layout, &tech);
-    let (view, runs) = instantiate(&layout, &tech, &binding, StringInterner::default());
+    let definitions = Definitions::new(&layout, &binding, None);
+    let seed = StringInterner::default();
+    let (view, runs) = instantiate(&layout, &tech, &binding, &definitions, seed);
     let bboxes = view.elements.bboxes();
     let scopes = ScopeTable::build(
+        &definitions,
         layout.top_items(),
         runs.iter().map(|&(elements, _)| elements),
         bboxes,
