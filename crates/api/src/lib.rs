@@ -18,12 +18,16 @@
 //!   (`404`/`410` discrimination), per-session writer locks, pin
 //!   counts so eviction never races a request, and a sweep that
 //!   **compacts before it evicts** ([`diic_core::CheckSession::compact_memory`]
-//!   reclaims churn garbage before any session is dropped);
+//!   reopens a patched session, shedding its churn garbage, before any
+//!   session is dropped), and retires a session a panicking request
+//!   left poisoned (`410`);
 //! * [`service`] — the [`Router`] and handlers; reports stream
 //!   through [`diic_core::StreamingSink`] / [`diic_core::SpillingSink`]
 //!   straight into the connection;
 //! * [`error`] — the 4xx/5xx contract: malformed input is always a
-//!   rendered diagnostic, never a panic.
+//!   rendered diagnostic, never a panic; a handler that panics anyway
+//!   fails its own request with a `500` ([`Router::oneshot`]), not the
+//!   service.
 //!
 //! Everything a response carries is **canonical**: report lines are
 //! byte-identical to a local [`diic_core::canonical_check`] render,

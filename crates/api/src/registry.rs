@@ -19,16 +19,23 @@
 //! [`SessionRegistry::admit`]) and a per-session queued-writer bound
 //! (`429` from [`SessionPin::lock`]).
 //!
+//! A request that panics holding a session's mutex poisons it, and may
+//! have left the session half-patched (an apply takes its view apart
+//! before it lays it back). Such a session is never served again: the
+//! next [`SessionRegistry::pin`] or [`SessionPin::lock`] of it, or the
+//! next sweep, unlinks it, and its id answers `410` from then on.
+//!
 //! # Eviction
 //!
 //! [`SessionRegistry::sweep`] runs opportunistically (every open, plus
 //! on demand): idle-TTL eviction first, then — when the pool is still
 //! over its memory budget — **compaction before eviction**:
-//! [`CheckSession::compact_memory`] reclaims edit-churn garbage
-//! (spatial-index tombstones, orphaned interner strings) from
-//! least-recently-used sessions, and only if the pool is *still* over
-//! budget (or over the session-count cap) does the LRU session get
-//! evicted outright.
+//! [`CheckSession::compact_memory`] reopens least-recently-used
+//! sessions that edits have patched, which sheds their churn garbage
+//! (orphaned interner strings, spatial-index tombstones), and only if
+//! the pool is *still* over budget (or over the session-count cap)
+//! does the LRU session get evicted outright. `/stats` `compactions`
+//! counts the reopens.
 
 use crate::error::{ApiError, FrontEnd};
 use crate::wire;
@@ -40,6 +47,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// The open sessions by id, shared with every [`SessionPin`] so a pin
+/// can unlink a poisoned session.
+type Sessions = Arc<Mutex<HashMap<u64, Arc<SessionEntry>>>>;
+
+/// Removes `id` from the map; true if it was there.
+fn unlink(sessions: &Sessions, id: u64) -> bool {
+    let mut sessions = sessions.lock().unwrap_or_else(|p| p.into_inner());
+    sessions.remove(&id).is_some()
+}
+
 /// Bounds and budgets for the registry.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryConfig {
@@ -49,7 +66,8 @@ pub struct RegistryConfig {
     /// sweep.
     pub idle_ttl: Duration,
     /// Pool memory budget (sum of [`CheckSession::memory_bytes`]):
-    /// past it the sweep compacts LRU-first, then evicts.
+    /// past it the sweep reopens patched sessions LRU-first
+    /// ([`CheckSession::compact_memory`]), then evicts.
     pub memory_budget_bytes: usize,
     /// Service-wide concurrent-request bound (`503` beyond it).
     pub max_concurrent_requests: usize,
@@ -86,6 +104,7 @@ struct SessionEntry {
 /// itself lives until the last pin drops).
 pub struct SessionPin {
     entry: Arc<SessionEntry>,
+    sessions: Sessions,
     max_queue: usize,
 }
 
@@ -99,19 +118,24 @@ impl SessionPin {
     /// the session's queue is already at its bound. (The bound counts
     /// both the holder and the waiters; the check-then-increment is
     /// approximate under races, which can only let a short burst
-    /// through — it never deadlocks and never under-admits.)
+    /// through — it never deadlocks and never under-admits.) A session
+    /// whose mutex a panicking request poisoned is unlinked instead, and
+    /// the answer is `410`.
     pub fn lock(&self) -> Result<MutexGuard<'_, CheckSession>, ApiError> {
+        let id = self.entry.id;
         if self.entry.queue.load(Ordering::Relaxed) >= self.max_queue {
-            return Err(ApiError::session_busy(self.entry.id));
+            return Err(ApiError::session_busy(id));
         }
         self.entry.queue.fetch_add(1, Ordering::Relaxed);
-        let guard = self
-            .entry
-            .session
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let locked = self.entry.session.lock();
         self.entry.queue.fetch_sub(1, Ordering::Relaxed);
-        Ok(guard)
+        locked.map_err(|poisoned| {
+            // Release the session before taking the map lock: the two
+            // are never held at once.
+            drop(poisoned);
+            unlink(&self.sessions, id);
+            ApiError::session_gone(id)
+        })
     }
 }
 
@@ -147,7 +171,7 @@ struct Counters {
 /// per the module doc.
 pub struct SessionRegistry {
     config: RegistryConfig,
-    sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
+    sessions: Sessions,
     next_id: AtomicU64,
     active_requests: Arc<AtomicUsize>,
     counters: Counters,
@@ -181,7 +205,7 @@ impl SessionRegistry {
     pub fn new(config: RegistryConfig) -> SessionRegistry {
         SessionRegistry {
             config,
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Sessions::default(),
             next_id: AtomicU64::new(0),
             active_requests: Arc::new(AtomicUsize::new(0)),
             counters: Counters::default(),
@@ -236,15 +260,21 @@ impl SessionRegistry {
     }
 
     /// Looks up and pins a session: `404` for never-issued ids, `410`
-    /// for evicted/deleted ones. Touches the LRU stamp.
+    /// for evicted/deleted ones and for a poisoned one, which this
+    /// unlinks. Touches the LRU stamp.
     pub fn pin(&self, id: u64) -> Result<SessionPin, ApiError> {
-        let sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
+        let mut sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
         match sessions.get(&id) {
+            Some(entry) if entry.session.is_poisoned() => {
+                sessions.remove(&id);
+                Err(ApiError::session_gone(id))
+            }
             Some(entry) => {
                 entry.pins.fetch_add(1, Ordering::Acquire);
                 entry.last_used.store(self.now_ms(), Ordering::Relaxed);
                 Ok(SessionPin {
                     entry: Arc::clone(entry),
+                    sessions: Arc::clone(&self.sessions),
                     max_queue: self.config.max_session_queue,
                 })
             }
@@ -257,11 +287,9 @@ impl SessionRegistry {
     /// In-flight requests holding pins finish against the unlinked
     /// entry; the id answers `410` from then on.
     pub fn delete(&self, id: u64) -> Result<(), ApiError> {
-        let mut sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
-        if sessions.remove(&id).is_some() {
+        if unlink(&self.sessions, id) {
             return Ok(());
         }
-        drop(sessions);
         if id < self.next_id.load(Ordering::Relaxed) {
             Err(ApiError::session_gone(id))
         } else {
@@ -272,6 +300,7 @@ impl SessionRegistry {
     /// The eviction/compaction sweep (see the module doc). Safe to call
     /// from any thread at any time; entries that are pinned or whose
     /// session mutex is held are skipped (busy means recently used).
+    /// Poisoned entries are unlinked, pinned or not.
     pub fn sweep(&self) {
         let now = self.now_ms();
         let ttl_ms = self.config.idle_ttl.as_millis() as u64;
@@ -283,8 +312,12 @@ impl SessionRegistry {
             sessions.values().map(Arc::clone).collect()
         };
 
-        // Pass 1: idle-TTL eviction.
+        // Pass 1: poisoned sessions out, then idle-TTL eviction.
         for entry in &entries {
+            if entry.session.is_poisoned() {
+                unlink(&self.sessions, entry.id);
+                continue;
+            }
             let idle = now.saturating_sub(entry.last_used.load(Ordering::Relaxed));
             if idle >= ttl_ms
                 && entry.pins.load(Ordering::Acquire) == 0
@@ -309,7 +342,7 @@ impl SessionRegistry {
         survivors.sort_unstable();
         let mut total: usize = survivors.iter().map(|&(_, _, b)| b).sum();
 
-        // Compact before evicting: reclaim churn garbage LRU-first and
+        // Compact before evicting: reopen patched sessions LRU-first and
         // re-measure; only a pool still over budget loses sessions.
         if total > self.config.memory_budget_bytes {
             for &(_, id, bytes) in &survivors {
@@ -320,9 +353,10 @@ impl SessionRegistry {
                 let Ok(mut session) = entry.session.try_lock() else {
                     continue;
                 };
-                session.compact_memory();
-                self.counters.compactions.fetch_add(1, Ordering::Relaxed);
-                total = total - bytes + session.memory_bytes();
+                if session.compact_memory() {
+                    self.counters.compactions.fetch_add(1, Ordering::Relaxed);
+                    total = total - bytes + session.memory_bytes();
+                }
             }
         }
 

@@ -504,6 +504,7 @@ pub fn edit_stats_to_json(stats: &EditStats) -> Value {
         ("nets_respliced", Value::from(stats.nets_respliced)),
         ("nodes_respliced", Value::from(stats.nodes_respliced)),
         ("index_compacted", Value::from(stats.index_compacted)),
+        ("index_rebuilt", Value::from(stats.index_rebuilt)),
         ("halo_elements", Value::from(stats.halo_elements)),
         (
             "primitives_rechecked",

@@ -355,8 +355,22 @@ impl Router {
     }
 
     /// Dispatches one request in-process — the tower `oneshot` idiom.
-    /// `405` carries an `allow` header listing the path's methods.
-    pub fn oneshot(&self, mut request: Request) -> Response {
+    /// `405` carries an `allow` header listing the path's methods. A
+    /// handler that panics fails its own request with a `500` (a JSON
+    /// body, `{"error": "internal", ...}`); the router and every other
+    /// request go on. (A streaming body runs after this returns: its
+    /// panic ends its own connection only.)
+    pub fn oneshot(&self, request: Request) -> Response {
+        let dispatch = std::panic::AssertUnwindSafe(|| self.dispatch(request));
+        std::panic::catch_unwind(dispatch).unwrap_or_else(|_| {
+            let body = r#"{"error":"internal","detail":"the request's handler panicked"}"#;
+            Response::new(StatusCode::INTERNAL_SERVER_ERROR)
+                .header("content-type", "application/json")
+                .body(body)
+        })
+    }
+
+    fn dispatch(&self, mut request: Request) -> Response {
         let segs: Vec<&str> = request
             .path
             .trim_matches('/')
@@ -483,20 +497,40 @@ pub fn serve(listener: TcpListener, router: Router, options: ServeOptions) -> io
     let live = Arc::new(AtomicUsize::new(0));
     loop {
         let (stream, _) = listener.accept()?;
-        if live.load(Ordering::Relaxed) >= options.max_connections {
+        let Some(slot) = ConnectionSlot::take(&live, options.max_connections) else {
             // Shed load without spawning: the 503 is written inline.
             let mut stream = stream;
             let resp = Response::text(StatusCode::SERVICE_UNAVAILABLE, "server at capacity\n");
             let _ = write_response(&mut stream, resp);
             continue;
+        };
+        let router = Arc::clone(&router);
+        std::thread::spawn(move || {
+            let _slot = slot;
+            let _ = handle_connection(stream, &router, options);
+        });
+    }
+}
+
+/// One of [`serve`]'s `max_connections` slots, held by a connection's
+/// thread. Dropping it frees the slot, so a thread that ends by a panic
+/// (a streaming body's writer, say) frees its slot as one that returns.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    /// Takes a slot of `live`, or `None` when all `max` are held.
+    fn take(live: &Arc<AtomicUsize>, max: usize) -> Option<ConnectionSlot> {
+        if live.load(Ordering::Relaxed) >= max {
+            return None;
         }
         live.fetch_add(1, Ordering::Relaxed);
-        let router = Arc::clone(&router);
-        let live = Arc::clone(&live);
-        std::thread::spawn(move || {
-            let _ = handle_connection(stream, &router, options);
-            live.fetch_sub(1, Ordering::Relaxed);
-        });
+        Some(ConnectionSlot(Arc::clone(live)))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -747,6 +781,81 @@ mod tests {
             }
         }
         assert!(malformed > 0, "the fuzz rejected nothing");
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_only_its_request() {
+        let router = demo_router().route("/boom", get(|_| panic!("a handler bug")));
+        for _ in 0..3 {
+            let resp = router.oneshot(Request::new(Method::Get, "/boom"));
+            assert_eq!(resp.status, StatusCode::INTERNAL_SERVER_ERROR);
+            let body = String::from_utf8(resp.into_bytes().unwrap()).unwrap();
+            assert!(body.starts_with(r#"{"error":"internal""#), "{body}");
+            let resp = router.oneshot(Request::new(Method::Get, "/healthz"));
+            assert_eq!(resp.status, StatusCode::OK, "the router goes on serving");
+        }
+    }
+
+    #[test]
+    fn a_connection_slot_is_freed_by_a_panicking_thread() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::take(&live, 1).expect("a free slot");
+        assert!(
+            ConnectionSlot::take(&live, 1).is_none(),
+            "the one slot is held"
+        );
+        let died = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("a body writer bug");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(live.load(Ordering::Relaxed), 0);
+        assert!(ConnectionSlot::take(&live, 1).is_some());
+    }
+
+    #[test]
+    fn a_panicking_body_writer_does_not_leak_its_connection_slot() {
+        // One connection slot: if the panicking writer's thread kept it,
+        // every later connection would be shed with a 503.
+        let router = demo_router().route(
+            "/boom",
+            get(|_| {
+                Response::new(StatusCode::OK).body_writer(Box::new(|_| panic!("a body writer bug")))
+            }),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let options = ServeOptions {
+            max_connections: 1,
+            ..ServeOptions::default()
+        };
+        std::thread::spawn(move || {
+            let _ = serve(listener, router, options);
+        });
+        // A shed connection is answered and closed before its request is
+        // read, so writing it may fail: only the reply counts.
+        let request = |path: &str| {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            let _ = write!(conn, "GET {path} HTTP/1.1\r\n\r\n");
+            let mut reply = String::new();
+            let _ = conn.read_to_string(&mut reply);
+            reply
+        };
+        for _ in 0..3 {
+            request("/boom");
+            // The slot is freed as the thread unwinds, a moment after the
+            // connection closed; a leaked one never is.
+            let served = (0..200).any(|_| {
+                let reply = request("/healthz");
+                let ok = reply.starts_with("HTTP/1.1 200 OK\r\n");
+                if !ok {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                ok
+            });
+            assert!(served, "the panicking connection leaked its slot");
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   device type), so the view stores them once in a [`StringInterner`]
 //!   and elements / [`DeviceInstance`]s carry 4-byte [`Istr`] handles
 //!   instead of owned `String`s. Handles from one view compare equal iff
-//!   the strings are equal; render them with [`ChipView::str`]. The
+//!   the strings are equal, and a handle is never renumbered — every
+//!   holder (the columns, the devices, the net graph's nodes and
+//!   terminal names) keeps it for the table's life; render them with
+//!   [`ChipView::str`]. The
 //!   table itself is an arena: its strings lie end to end in one text
 //!   buffer behind a column of end offsets, so a distinct string costs
 //!   its bytes, an offset and a bucket — never a heap object of its own
@@ -120,8 +123,10 @@ impl Hasher for PrehashedKey {
 /// mostly unique — cost their bytes plus an offset and bucket
 /// bookkeeping, while shared strings (instance paths, device types)
 /// collapse to one entry however many elements reference them. Handles
-/// are never invalidated: an edit session keeps one interner alive
-/// across applies and stale strings simply stop being referenced.
+/// are never invalidated or renumbered: an edit session keeps one
+/// interner alive across applies, stale strings simply stop being
+/// referenced, and the session sheds them by reopening on a fresh table
+/// ([`crate::CheckSession::compact_memory`]).
 ///
 /// Every string is hashed **once**, a machine word at a time, and the
 /// bucket map takes that hash as is. The strings come from outside the
@@ -145,8 +150,7 @@ pub struct StringInterner {
     /// This table's hash key (see the type docs).
     key: u64,
     /// Tests replace the hash to pile strings into a few buckets, so
-    /// every path that hashes — compaction too — runs through the
-    /// overflow list.
+    /// every path that hashes runs through the overflow list.
     #[cfg(test)]
     forced_hash: Option<fn(&str) -> u64>,
 }
@@ -313,32 +317,6 @@ impl StringInterner {
         self.ends.capacity() * size_of::<u32>()
             + self.first.capacity() * (size_of::<(u64, u32)>() + 1)
             + self.overflow.capacity() * size_of::<(u64, u32)>()
-    }
-
-    /// Rebuilds the table keeping only the strings `keep` approves,
-    /// renumbering the survivors densely **in their original order**,
-    /// and returns the old-handle → new-handle map — `None` for evicted
-    /// strings (the remap [`diic_geom::GridIndex::compact`] hands back too).
-    /// Any caller still holding handles must remap them; handles of
-    /// evicted strings are dead.
-    pub fn compact<F>(&mut self, mut keep: F) -> Vec<Option<Istr>>
-    where
-        F: FnMut(Istr, &str) -> bool,
-    {
-        let old_text = std::mem::take(&mut self.text);
-        let old_ends = std::mem::take(&mut self.ends);
-        self.first.clear();
-        self.overflow.clear();
-        let mut map = vec![None; old_ends.len()];
-        for (old_id, slot) in map.iter_mut().enumerate() {
-            let s = slice_of(&old_text, &old_ends, old_id as u32);
-            if keep(Istr(old_id as u32), s) {
-                // invariant: the table was emptied above, so every kept
-                // string is a miss and ids come out dense in old order.
-                *slot = Some(self.intern(s));
-            }
-        }
-        map
     }
 }
 
@@ -568,17 +546,6 @@ impl ElementColumns {
     /// The dense path column (interner handles).
     pub fn paths(&self) -> &[Istr] {
         &self.path
-    }
-
-    /// Remaps the `net_key` / `path` handle columns through an interner
-    /// compaction map ([`StringInterner::compact`]). The caller must
-    /// have built the keep set from these very columns, so every stored
-    /// handle survives.
-    pub fn remap_strings(&mut self, remap: &[Option<Istr>]) {
-        for h in self.net_key.iter_mut().chain(self.path.iter_mut()) {
-            // invariant: column handles are in the compaction keep set.
-            *h = remap[h.index() as usize].expect("live column handles survive compaction");
-        }
     }
 
     /// One element's covered rectangles (a contiguous arena run).
@@ -1842,35 +1809,6 @@ mod tests {
     }
 
     #[test]
-    fn interner_compact_remaps_handles_and_keeps_order() {
-        // The remap GridIndex::compact hands back too: survivors renumber densely in
-        // original order, the returned map translates old handles, and
-        // evicted handles come back None.
-        let mut t = StringInterner::default();
-        let ids: Vec<Istr> = (0..50).map(|i| t.intern(&format!("k{i}"))).collect();
-        let map = t.compact(|_, s| !s.ends_with('3'));
-        assert_eq!(map.len(), 50);
-        let mut expect_new = 0u32;
-        for (i, &id) in ids.iter().enumerate() {
-            if format!("k{i}").ends_with('3') {
-                assert_eq!(map[id.index() as usize], None);
-            } else {
-                let new = map[id.index() as usize].expect("survivor remaps");
-                assert_eq!(new.index(), expect_new, "dense, in original order");
-                assert_eq!(t.get(new), format!("k{i}"));
-                expect_new += 1;
-            }
-        }
-        assert_eq!(t.len(), expect_new as usize);
-        // The rebuilt index still dedups: re-interning a survivor hits
-        // its new handle, an evicted string re-enters fresh.
-        assert_eq!(t.intern("k0"), map[ids[0].index() as usize].unwrap());
-        assert_eq!(t.lookup("k3"), None);
-        let back = t.intern("k3");
-        assert_eq!(back.index(), expect_new);
-    }
-
-    #[test]
     fn class_resolved_from_technology() {
         let cif = "
         DS 1; 9D NMOS_ENH; L NP; B 1500 500 0 0; L ND; B 500 2000 0 0; DF;
@@ -2031,15 +1969,6 @@ mod tests {
                 self.strings.len() as u32 - 1
             })
         }
-
-        /// Keeps what `keep(id)` approves, in order; the old id → new id
-        /// map.
-        fn compact(&mut self, keep: impl Fn(u32) -> bool) -> Vec<Option<u32>> {
-            let old = std::mem::take(self);
-            (0..old.strings.len())
-                .map(|id| keep(id as u32).then(|| self.intern(&old.strings[id])))
-                .collect()
-        }
     }
 
     /// A short string over a small alphabet — so repeats are common —
@@ -2086,9 +2015,8 @@ mod tests {
         /// model, under random sequences of every operation it has:
         /// handles are dense in insertion order, every string reads back
         /// (the empty one, and multi-byte ones lying side by side in the
-        /// buffer), the text is exact, and compaction's remap is the
-        /// model's and keeps order. Every other case
-        /// piles all strings into two hash buckets, so the same holds
+        /// buffer) and the text is exact. Every other case piles all
+        /// strings into two hash buckets, so the same holds
         /// through the overflow list.
         #[test]
         fn interner_matches_its_model(seed in 0u64..u64::MAX) {
@@ -2104,7 +2032,7 @@ mod tests {
             let mut t = table();
             let mut model = InternerModel::default();
             for _ in 0..48 {
-                match rng.below(7) {
+                match rng.below(6) {
                     0..=3 => {
                         let s = random_name(rng);
                         let id = t.intern(&s);
@@ -2115,17 +2043,7 @@ mod tests {
                         let want = model.ids.get(&s).copied();
                         prop_assert_eq!(t.lookup(&s).map(Istr::index), want, "lookup {:?}", s);
                     }
-                    5 => t.reserve(rng.below(40) as usize),
-                    _ => {
-                        let mask = rng.next_u64();
-                        let keep = |id: u32| mask >> (id % 64) & 1 == 1;
-                        let remap = t.compact(|id, s| {
-                            assert_eq!(s, model.strings[id.index() as usize]);
-                            keep(id.index())
-                        });
-                        let want = model.compact(keep);
-                        prop_assert_eq!(remap.iter().map(|n| n.map(Istr::index)).collect::<Vec<_>>(), want);
-                    }
+                    _ => t.reserve(rng.below(40) as usize),
                 }
                 prop_assert_eq!(t.len(), model.strings.len());
                 prop_assert_eq!(t.is_empty(), model.strings.is_empty());

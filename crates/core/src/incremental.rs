@@ -146,7 +146,11 @@
 //! builds what only an edit needs beside them: the element index, the
 //! net index over the graph and the `PointIndex` of label positions
 //! and of the few devices the element index cannot find.
-//! There is no second copy of the pipeline here.
+//! There is no second copy of the pipeline here. The rebuild and
+//! [`CheckSession::compact_memory`] both reopen the session — one
+//! private `reopen` drops the old artefacts, then opens again on the
+//! current layout — so an interner handle is never renumbered: a
+//! session sheds the strings edits orphaned by starting a fresh table.
 //!
 //! **An edit** ([`CheckSession::apply`]) first becomes an `EditPlan`: a
 //! pure function of the layout, the per-item run lengths and the
@@ -495,6 +499,11 @@ pub struct EditStats {
     /// index ([`diic_geom::GridIndex::compact`]) — tombstones from
     /// edit churn had come to outnumber the live elements.
     pub index_compacted: bool,
+    /// True when an insert of this apply rebuilt the base grid of the
+    /// session's element index ([`diic_geom::GridIndex::rebuilds`]): the
+    /// elements entered since its last rebuild had passed an eighth of
+    /// the live count, and that insert paid for a pass over them all.
+    pub index_rebuilt: bool,
     /// Wall clock of the view: evicting the old footprints, re-binding
     /// layers, patching the view in place (dirty items re-instantiated),
     /// the seed set and the auto net-key rekey. On a full rebuild, the
@@ -920,6 +929,9 @@ pub struct CheckSession {
     keys: Vec<String>,
     /// The lines the last [`CheckSession::apply`] added and removed.
     delta: ReportDelta,
+    /// True once an apply has patched the session since it was opened:
+    /// only then has a reopen churn garbage to shed.
+    patched: bool,
 }
 
 impl CheckSession {
@@ -970,7 +982,25 @@ impl CheckSession {
             report,
             keys,
             delta: ReportDelta::default(),
+            patched: false,
         }
+    }
+
+    /// Opens the session again on its current layout, technology and
+    /// options ([`CheckSession::new`]), and hands back the old report's
+    /// lines with their keys. The view, the net graph, the element index
+    /// and the tables beside them go first, so the open never holds two
+    /// of them at once.
+    fn reopen(&mut self) -> (Vec<Violation>, Vec<String>) {
+        use std::mem::take;
+        let layout = take(&mut self.layout);
+        let lines = (take(&mut self.report.violations), take(&mut self.keys));
+        (self.view, self.parts, self.nets) = Default::default();
+        (self.runs, self.merges, self.elem_handles, self.handle_owner) = Default::default();
+        self.report.netlist = Netlist::default();
+        self.elem_index = GridIndex::new(1);
+        *self = CheckSession::new(layout, &self.tech, &self.options);
+        lines
     }
 
     /// The layout in its current (edited) state.
@@ -1015,10 +1045,7 @@ impl CheckSession {
         let mut stats = EditStats::default();
         if let Some(reason) = plan.rebuild_reason() {
             apply_layout_edits(&mut self.layout, edits);
-            let layout = std::mem::take(&mut self.layout);
-            let old = std::mem::take(&mut self.report.violations);
-            let old_keys = std::mem::take(&mut self.keys);
-            *self = CheckSession::new(layout, &self.tech, &self.options);
+            let (old, old_keys) = self.reopen();
             let new = ranked(&self.report.violations, &self.keys);
             self.delta = ReportDelta::between(ranked(&old, &old_keys), new);
             debug_assert_eq!(
@@ -1034,7 +1061,9 @@ impl CheckSession {
         }
         let (foot, evicted) = self.evict_footprints(&plan);
         apply_layout_edits(&mut self.layout, edits);
+        let rebuilds = self.elem_index.rebuilds();
         let mut view = self.patch_view(&plan, foot, evicted, &mut stats);
+        stats.index_rebuilt = self.elem_index.rebuilds() != rebuilds;
         stats.t_view = t0.elapsed();
 
         let t0 = clock();
@@ -1137,11 +1166,10 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> ViewPatch {
         let (binding, mut violations) = LayerBinding::bind(&self.layout, &self.tech);
-        // The interner survives the patch: it is append-only, so the
-        // kept runs' `Istr` handles stay valid and fresh items intern
-        // into the same table (stale strings simply stop being
-        // referenced — `compact_memory` evicts them, and the rebuild
-        // fallback resets the table anyway).
+        // The interner survives the patch: it is append-only and never
+        // renumbered, so the kept runs' `Istr` handles stay valid and
+        // fresh items intern into the same table (stale strings simply
+        // stop being referenced until a reopen starts a fresh one).
         let mut view = std::mem::take(&mut self.view);
         view.instantiate_stats = InstantiateStats::default();
         let relaid = self.relay_view(plan, &binding, &mut view, &mut foot, stats);
@@ -2311,6 +2339,7 @@ impl CheckSession {
         self.binding = vp.binding;
         self.view = vp.view;
         self.merges = cp.merges;
+        self.patched = true;
         self.report = CheckReport {
             violations,
             netlist: np.netlist,
@@ -2319,8 +2348,8 @@ impl CheckSession {
             waived_devices,
             element_count: self.view.elements.len(),
             device_count: self.view.devices.len(),
-            // Still the session's last whole instantiation (its open or
-            // its latest full rebuild): a patch re-walks dirty items only.
+            // Still the session's last whole instantiation (its latest
+            // open or reopen): a patch re-walks dirty items only.
             instantiate_stats: self.report.instantiate_stats,
             scope_stats: self.report.scope_stats,
         };
@@ -2409,74 +2438,25 @@ impl CheckSession {
         elements + strings + devices + nets + report + index
     }
 
-    /// Compacts the session's long-lived memory in place: rebuilds the
-    /// spatial index without tombstones ([`diic_geom::GridIndex::compact`])
-    /// and evicts interner strings orphaned by edit churn
-    /// ([`crate::binding::StringInterner::compact`] — removed elements
-    /// and replaced definitions leave dead paths and net keys behind),
-    /// remapping every live handle: the element columns, the device
-    /// instances, and the net graph's
-    /// ([`NetParts::for_each_string`] marks what
-    /// [`NetParts::remap_strings`] rewrites). The session pool fires
-    /// this on eviction pressure; rendered reports before and after are
-    /// byte-identical (`service_sessions_survive_compaction` in
-    /// `tests/api.rs` and [`mod@self`]'s own unit test pin it).
-    pub fn compact_memory(&mut self) -> SessionCompaction {
-        let index_compacted = self.compact_spatial_index();
-        let strings_before = self.view.strings.len();
-        let bytes_before = self.view.strings.heap_bytes();
-
-        // The keep set: every handle the view or the net graph still
-        // references. Everything else is churn garbage.
-        let mut keep = vec![false; strings_before];
-        let mut mark = |index: u32| keep[index as usize] = true;
-        for h in self.view.elements.net_keys() {
-            mark(h.index());
+    /// Sheds what edit churn left behind — the strings no element or
+    /// graph row names any more, the element index's dead slots — by
+    /// reopening the session on its current layout, technology and
+    /// options, as the rebuild fallback does. The result is a fresh
+    /// open's by construction: the same report lines and net list, and
+    /// [`CheckSession::memory_bytes`] a fresh open's;
+    /// [`CheckSession::last_delta`] is kept. Returns false, doing
+    /// nothing, when no apply has patched the session since it was last
+    /// opened: a fresh session has nothing to shed. The session pool
+    /// calls this on memory pressure, before it evicts.
+    pub fn compact_memory(&mut self) -> bool {
+        if !self.patched {
+            return false;
         }
-        for h in self.view.elements.paths() {
-            mark(h.index());
-        }
-        for d in &self.view.devices {
-            mark(d.path.index());
-            mark(d.device_type.index());
-            d.terminals
-                .iter()
-                .for_each(|(name, _, _)| mark(name.index()));
-        }
-        self.parts.for_each_string(&mut mark);
-
-        let remap = self.view.strings.compact(|id, _| keep[id.index() as usize]);
-        self.view.elements.remap_strings(&remap);
-        for d in &mut self.view.devices {
-            // invariant: device handles were marked above.
-            d.path = remap[d.path.index() as usize].expect("device path survives compaction");
-            d.device_type =
-                remap[d.device_type.index() as usize].expect("device type survives compaction");
-            for (name, _, _) in &mut d.terminals {
-                *name = remap[name.index() as usize].expect("terminal name survives compaction");
-            }
-        }
-        self.parts.remap_strings(&remap);
-        let handles = &self.elem_handles;
-        (self.nets).remap_strings(&mut self.parts, &remap, |id| handles[id]);
-
-        SessionCompaction {
-            index_compacted,
-            strings_evicted: strings_before - self.view.strings.len(),
-            string_bytes_freed: bytes_before.saturating_sub(self.view.strings.heap_bytes()),
-        }
+        let delta = std::mem::take(&mut self.delta);
+        self.reopen();
+        self.delta = delta;
+        true
     }
-}
-
-/// What one [`CheckSession::compact_memory`] reclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionCompaction {
-    /// True if the spatial index had tombstones to drop.
-    pub index_compacted: bool,
-    /// Interner strings evicted as unreferenced.
-    pub strings_evicted: usize,
-    /// Interner heap bytes freed by the eviction.
-    pub string_bytes_freed: usize,
 }
 
 /// A from-scratch [`check`] with the violations brought into canonical
@@ -3529,76 +3509,6 @@ mod tests {
     }
 
     #[test]
-    fn splice_survives_interner_compaction() {
-        // Churn, compact (which renumbers every node, so the cached
-        // node → net table must move with them), then splice again.
-        let churn = |session: &mut CheckSession, top_items: usize| {
-            for step in 0..12i64 {
-                let mut add = EditSet::new();
-                add.add_box(
-                    "NM",
-                    Rect::new(30_000, step * 3000, 32_000, step * 3000 + 750),
-                    None,
-                );
-                apply_spliced(session, &add);
-                let mut remove = EditSet::new();
-                remove.remove(top_items);
-                apply_spliced(session, &remove);
-            }
-        };
-        let mut session = rails();
-        churn(&mut session, 6);
-        let compaction = session.compact_memory();
-        assert!(compaction.strings_evicted > 0, "{compaction:?}");
-        assert_nets_match_scratch(&session);
-
-        let mut bridge = EditSet::new();
-        bridge.add_box("NM", Rect::new(500, 6000, 1250, 9750), Some("0"));
-        apply_spliced(&mut session, &bridge);
-        assert_eq!(net_names(&session), ["0", "A", "B", "E", "F"]);
-        session.compact_memory();
-        assert_nets_match_scratch(&session);
-        let mut unbridge = EditSet::new();
-        unbridge.remove(6);
-        apply_spliced(&mut session, &unbridge);
-        assert_eq!(net_names(&session), ["A", "B", "C", "D", "E", "F"]);
-
-        // With transistors: a device row's terminal names are interner
-        // handles too, and a splice that opens the device renders them.
-        // The cells arrive after the churn, so their names sit above its
-        // garbage and the compaction renumbers them: a name that missed
-        // the keep set, or a holder the remap forgot, fails here.
-        let mut session = rails_beside(TRANSISTOR_CELL, 12);
-        churn(&mut session, 12);
-        let cell = session.layout().symbol_by_cif_id(2).unwrap();
-        let add_cell = |session: &mut CheckSession, name: &str, x: i64| {
-            let mut add = EditSet::new();
-            add.add_call(cell, Transform::translate(Vector::new(x, 0)), name);
-            apply_spliced(session, &add);
-        };
-        add_cell(&mut session, "early", 100_000);
-        let compaction = session.compact_memory();
-        assert!(compaction.strings_evicted > 0, "{compaction:?}");
-        assert_nets_match_scratch(&session);
-        assert_matches_full(&session);
-        // A fresh device renders its names through the remapped handles;
-        // a poly stub on the end of the first cell's `in` wire opens the
-        // row of the device that went through the compaction.
-        add_cell(&mut session, "late", 120_000);
-        let mut stub = EditSet::new();
-        stub.add_box("NP", Rect::new(94_000, -250, 97_500, 250), None);
-        apply_spliced(&mut session, &stub);
-        session.compact_memory();
-        assert_nets_match_scratch(&session);
-        for index in [14, 12] {
-            let mut remove = EditSet::new();
-            remove.remove(index);
-            apply_spliced(&mut session, &remove);
-        }
-        assert_eq!(session.report().device_count, 1);
-    }
-
-    #[test]
     fn phase_times_account_for_the_whole_apply() {
         let mut session = transistor_row();
         let cell = session.layout().symbol_by_cif_id(2).unwrap();
@@ -4051,16 +3961,12 @@ mod tests {
     }
 
     #[test]
-    fn compact_memory_evicts_churn_garbage_and_stays_exact() {
-        // Add-then-remove churn leaves orphaned net keys and paths in
-        // the interner (each added element at a distinct bbox interns a
-        // fresh auto key). compact_memory must evict them, renumber
-        // every live handle (columns, devices and their terminal names,
-        // net-graph nodes), and leave the rendered report and the edit
-        // loop byte-identical.
-        // The base chip is wide enough that one-box churn stays under
-        // the full-rebuild threshold (a rebuild resets the interner and
-        // would hide the garbage this test is about).
+    fn compact_memory_reopens_a_churned_session_as_a_fresh_open() {
+        // Add-then-remove churn orphans interned keys and leaves dead
+        // slots in the element index; a wired transistor and a contact
+        // arrive after it. The base chip is wide enough that one-box
+        // churn stays under the full-rebuild threshold (a rebuild would
+        // reopen already).
         let contact = "DS 4; 9D CONTACT_D;
              L NC; B 500 500 0 0; L ND; B 1000 1000 0 0; L NM; B 1000 1000 0 0; DF;\n";
         let mut session = rails_beside(&format!("{TRANSISTOR_CELL}{contact}"), 40);
@@ -4077,11 +3983,6 @@ mod tests {
             remove.remove(40);
             session.apply(&remove).unwrap();
         }
-        // A wired transistor arrives after the churn: its terminal names
-        // — handles in the view's device instances and in the net graph's
-        // device rows — sit above the garbage and must renumber with it.
-        // So must the `A` of a contact that declares no terminal, which
-        // only its row holds.
         for (cif_id, y, name) in [(2, 0, "t"), (4, 50_000, "c")] {
             let symbol = session.layout().symbol_by_cif_id(cif_id).unwrap();
             let mut add = EditSet::new();
@@ -4089,26 +3990,29 @@ mod tests {
             session.apply(&add).unwrap();
         }
         assert_eq!(session.report().device_count, 2);
+        let (report, delta) = (session.report().clone(), session.last_delta().clone());
         let before = session.memory_bytes();
-        let compaction = session.compact_memory();
-        assert!(
-            compaction.strings_evicted > 0,
-            "24 add/remove rounds must orphan interned keys: {compaction:?}"
-        );
-        assert!(compaction.string_bytes_freed > 0);
-        assert!(session.memory_bytes() < before);
-        assert_matches_full(&session);
 
-        // The compacted session keeps editing (and re-interning) fine.
+        assert!(session.compact_memory(), "a patched session reopens");
+        let fresh = CheckSession::new(session.layout().clone(), session.tech(), session.options());
+        assert_eq!(session.memory_bytes(), fresh.memory_bytes());
+        assert!(session.memory_bytes() < before, "the churn garbage is gone");
+        assert_eq!(session.report().violations, report.violations);
+        assert_eq!(session.report().netlist, report.netlist);
+        assert_eq!(session.last_delta(), &delta);
+        assert!(
+            !session.compact_memory(),
+            "a fresh open has nothing to shed"
+        );
+        assert_eq!(session.last_delta(), &delta);
+
+        // The reopened session keeps editing exactly, including a
+        // diffusion strap that re-binds the device placed before it.
         let mut add = EditSet::new();
         add.add_box("NM", Rect::new(0, 1250, 2000, 2000), None);
         session.apply(&add).unwrap();
         assert_eq!(session.report().violations.len(), 1);
         assert_matches_full(&session);
-        session.compact_memory();
-        assert_matches_full(&session);
-        // … including one that re-binds the device instantiated before
-        // the compactions: a diffusion strap over its drain wire.
         let mut strap = EditSet::new();
         strap.add_box("ND", Rect::new(100_000, 2000, 100_500, 6000), None);
         let stats = session.apply(&strap).unwrap();

@@ -159,7 +159,6 @@ pub use engine::{
 pub use flat::{flat_check, FlatLayers, FlatOptions};
 pub use incremental::{
     canonical_check, CheckSession, Edit, EditError, EditSet, EditStats, RebuildReason,
-    SessionCompaction,
 };
 pub use interact::{check_same_mask, interaction_cell_size, max_rule_range, InteractStats};
 pub use library::{

@@ -16,7 +16,11 @@
 //! into [`ChipView::strings`]. No key string is ever copied into a
 //! second table, and "same string ⇒ same node" holds across the whole
 //! pipeline, which is what keeps an edit session's cached rows valid.
-//! Node ids therefore depend on interning history (a from-scratch build
+//! The interner never renumbers a handle, so a node id — and with it
+//! every node-indexed table of the graph and of a session's
+//! [`NetIndex`] — holds for the table's life; a session that sheds
+//! stale keys reopens on a fresh table instead. Node ids therefore
+//! depend on interning history (a from-scratch build
 //! and a patched session may number them differently) — which is fine,
 //! because [`assemble_netlist`] canonicalises purely by key *strings*:
 //! net identity, aliases, and ordering never see the raw ids.
@@ -470,7 +474,7 @@ impl<'a> RowBuilder<'a> {
 pub struct DeviceParts {
     /// `(terminal-name, node)` pairs, in terminal order. The name is a
     /// handle in the owning view's interner, like the node beside it —
-    /// a row owns no string, and both follow every interner remap.
+    /// a row owns no string.
     pub terms: Vec<(Istr, u32)>,
     /// Node-pair edges (device join edges or terminal bindings).
     pub edges: Vec<(u32, u32)>,
@@ -507,10 +511,10 @@ impl LabelParts {
 ///
 /// Nodes are **raw indices into the owning view's interner**
 /// ([`ChipView::strings`]) — there is no second key table, so net node
-/// keys are never re-interned, and the interner's append-only contract
-/// makes nodes **stable across edits** (stale keys simply stop being
-/// referenced). The element/device/label rows record which nodes are
-/// live and how they connect. [`NetParts::assemble`] folds the graph
+/// keys are never re-interned, and the interner's append-only,
+/// never-renumbered contract makes nodes **stable across edits** (stale
+/// keys simply stop being referenced). The element/device/label rows
+/// record which nodes are live and how they connect. [`NetParts::assemble`] folds the graph
 /// through [`assemble_netlist`] — the same canonicalisation the
 /// [`diic_netlist::NetlistBuilder`] uses, keyed purely on the node's
 /// *strings* — so a graph patched incrementally by a
@@ -545,65 +549,6 @@ pub struct NetParts {
 }
 
 impl NetParts {
-    /// Remaps every node through an interner compaction map
-    /// ([`crate::binding::StringInterner::compact`]): nodes are raw
-    /// interner indices, so when the owning view's table is compacted
-    /// (a long-lived service session shedding edit-churn garbage) the
-    /// whole graph renumbers with it, and so do the terminal-name handles
-    /// its device rows carry. The caller must keep every string
-    /// [`NetParts::for_each_string`] visits alive in the compaction —
-    /// the remap is dense and order-preserving, so the graph stays
-    /// isomorphic and [`NetParts::assemble`] (which canonicalises by the
-    /// node *strings*) produces byte-identical net lists.
-    pub fn remap_strings(&mut self, remap: &[Option<crate::binding::Istr>]) {
-        self.map_strings(&mut |n| {
-            // invariant: the compaction keep set includes every node
-            // and every terminal name.
-            remap[n as usize]
-                .expect("live net nodes and terminal names survive compaction")
-                .index()
-        });
-        self.node_net = remap_by_node(std::mem::take(&mut self.node_net), remap);
-    }
-
-    /// Visits (with repeats) every string of the owning view's interner
-    /// the graph references — nodes and terminal names: the keep set of
-    /// a compaction, and by construction exactly the handles
-    /// [`NetParts::remap_strings`] rewrites (one walker serves both,
-    /// hence `&mut self`; a visit writes each handle back unchanged).
-    pub fn for_each_string(&mut self, visit: &mut impl FnMut(u32)) {
-        self.map_strings(&mut |n| {
-            visit(n);
-            n
-        });
-    }
-
-    /// Rewrites every interner handle the graph holds through `f`.
-    fn map_strings(&mut self, f: &mut impl FnMut(u32) -> u32) {
-        fn map_edges(edges: &mut [(u32, u32)], f: &mut impl FnMut(u32) -> u32) {
-            for (a, b) in edges {
-                (*a, *b) = (f(*a), f(*b));
-            }
-        }
-        for node in self.element_node.iter_mut().flatten() {
-            *node = f(*node);
-        }
-        map_edges(&mut self.conn_edges, f);
-        for device in &mut self.devices {
-            for (name, node) in &mut device.terms {
-                *name = Istr::from_index(f(name.index()));
-                *node = f(*node);
-            }
-            map_edges(&mut device.edges, f);
-        }
-        for label in &mut self.labels {
-            if let Some(node) = &mut label.node {
-                *node = f(*node);
-            }
-            map_edges(&mut label.edges, f);
-        }
-    }
-
     /// Heap bytes of the graph — rows, edges and the cached node → net
     /// table — as payload bytes: what a session pool budgets.
     pub fn heap_bytes(&self) -> usize {
@@ -851,22 +796,6 @@ impl NetParts {
             net: &self.node_net,
         }
     }
-}
-
-/// Moves each entry of a node-indexed table to its node's place after an
-/// interner compaction (evicted strings were dead nodes, whose entries
-/// are `NIL` already).
-fn remap_by_node(table: Vec<u32>, remap: &[Option<Istr>]) -> Vec<u32> {
-    if table.is_empty() {
-        return table;
-    }
-    let mut moved = vec![NIL; remap.iter().flatten().count()];
-    for (old, entry) in table.into_iter().enumerate() {
-        if let Some(new) = remap.get(old).copied().flatten() {
-            moved[new.index() as usize] = entry;
-        }
-    }
-    moved
 }
 
 /// How the interaction search tells nets apart, read straight off the
@@ -1485,27 +1414,6 @@ impl NetIndex {
             self.slot[node as usize] = fresh_slot[net.0 as usize];
         }
         net_new_of_old
-    }
-
-    /// Follows an interner compaction (see [`NetParts::remap_strings`]):
-    /// every node-indexed table moves with its node. `parts` must have
-    /// been remapped already; the element keys are `element_key`'s.
-    pub fn remap_strings(
-        &mut self,
-        parts: &mut NetParts,
-        remap: &[Option<Istr>],
-        element_key: impl Fn(usize) -> u32,
-    ) {
-        let slot = remap_by_node(std::mem::take(&mut self.slot), remap);
-        let (slot_net, net_slot, free_slots) = (
-            std::mem::take(&mut self.slot_net),
-            std::mem::take(&mut self.net_slot),
-            std::mem::take(&mut self.free_slots),
-        );
-        *self = NetIndex::new(parts, 0, element_key);
-        (self.slot, self.slot_net, self.net_slot) = (slot, slot_net, net_slot);
-        self.free_slots = free_slots;
-        self.slot.resize(self.refs.len().max(self.slot.len()), NIL);
     }
 
     /// Follows a renumbering of the element keys (`remap[old]` is the new

@@ -734,6 +734,8 @@ pub struct GridIndex<T> {
     fresh_cells: Vec<Vec<u32>>,
     /// The rest of the live ones, ascending.
     fresh_loose: Vec<u32>,
+    /// How many times an insert has rebuilt the base.
+    rebuilds: u64,
 }
 
 /// An insert rebuilds a [`GridIndex`]'s base once the items inserted
@@ -762,6 +764,7 @@ impl<T> GridIndex<T> {
             fresh: 0,
             fresh_cells: Vec::new(),
             fresh_loose: Vec::new(),
+            rebuilds: 0,
         };
         idx.rebuild();
         idx
@@ -844,8 +847,17 @@ impl<T> GridIndex<T> {
         let inserted = self.items.len().saturating_sub(self.fresh);
         if inserted > (self.alive / REBUILD_SHARE).max(WIDE_FLOOR) {
             self.rebuild();
+            self.rebuilds = self.rebuilds.saturating_add(1);
         }
         id
+    }
+
+    /// How many times an insert has rebuilt the base (the insert that
+    /// crosses the threshold pays for it): a caller reads it before and
+    /// after its inserts to tell whether they did. Building the index and
+    /// [`GridIndex::compact`] are not counted.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// Removes the item behind a handle, returning its payload (or
@@ -1082,7 +1094,26 @@ mod tests {
             assert!(idx.items.len() - idx.fresh <= (idx.len() / REBUILD_SHARE).max(WIDE_FLOOR));
         }
         assert!((25..=35).contains(&rebuilds), "{rebuilds} rebuilds");
+        assert_eq!(idx.rebuilds(), rebuilds, "every rebuild is counted");
         assert_eq!(idx.query(&Rect::new(30, 0, 31, 0)), vec![&10]);
+    }
+
+    #[test]
+    fn the_insert_that_crosses_the_threshold_counts_a_rebuild() {
+        // 100 items built at once: past them the floor of 64 fresh
+        // inserts holds until the 65th, which rebuilds.
+        let rect = |i: i64| Rect::new(i * 3, 0, i * 3 + 2, 2);
+        let mut idx = GridIndex::from_items((0..100).map(|i| (rect(i), i)), 10);
+        assert_eq!(idx.rebuilds(), 0, "building the index is not counted");
+        for i in 100..164 {
+            idx.insert(rect(i), i);
+        }
+        assert_eq!(idx.rebuilds(), 0, "64 inserts stay under the floor");
+        idx.insert(rect(164), 164);
+        assert_eq!(idx.rebuilds(), 1, "the 65th insert rebuilt the base");
+        idx.remove(0);
+        idx.compact();
+        assert_eq!(idx.rebuilds(), 1, "compaction is not counted");
     }
 
     #[test]

@@ -494,10 +494,15 @@ fn soak_open_churn_under_eviction_pressure() {
         }
     });
 
-    // Deterministic coda: with the registry quiet, opening A then B
-    // makes B's sweep find A idle and over-budget — compact, still
-    // over, evict. The pressure path provably ran.
+    // Deterministic coda: with the registry quiet, opening A, editing
+    // it (so a reopen is due) and then opening B makes B's sweep find A
+    // idle and over-budget — compact, still over, evict. The pressure
+    // path provably ran.
     let a = open_session(&app, &chip.cif, r#"{"erc": false}"#);
+    let body = r#"{"edits": [{"op": "add_element", "layer": "NM",
+        "shape": {"box": [-20000, 0, -18000, 750]}}]}"#;
+    let resp = post(&app, &format!("/sessions/{a}/edits"), body.to_string());
+    assert_eq!(resp.status, StatusCode::OK);
     let _b = open_session(&app, &chip.cif, r#"{"erc": false}"#);
     assert_eq!(
         get(&app, &format!("/sessions/{a}/report")).status,
@@ -515,15 +520,16 @@ fn soak_open_churn_under_eviction_pressure() {
 }
 
 /// Sessions keep answering canonically after the sweep's
-/// [`CheckSession::compact_memory`] ran on them (the doc-promised
-/// service-level compaction test: interner eviction + handle remap
-/// must be invisible on the wire).
+/// [`CheckSession::compact_memory`] reopened them (the doc-promised
+/// service-level compaction test: the reopen must be invisible on the
+/// wire).
 #[test]
 fn service_sessions_survive_compaction() {
     // A 1-byte budget makes every sweep compact (and want to evict)
     // everything. Holding a pin across the sweep — exactly what an
     // in-flight request does — lets compaction run on the session
-    // while forbidding its eviction.
+    // while forbidding its eviction. Each step edits before it sweeps,
+    // so every sweep finds a patched session to reopen.
     let state = App::new(RegistryConfig {
         memory_budget_bytes: 1,
         ..RegistryConfig::default()
@@ -538,18 +544,18 @@ fn service_sessions_survive_compaction() {
     let bounds = Rect::new(-2500, -6000, 3 * 6750 + 2500, 10000 + 2500);
     let mut rng = StdRng::seed_from_u64(7);
     for step in 0..5 {
+        let edits = random_edit_set(oracle.layout(), bounds, step, &mut rng);
+        let body = wire::edit_set_to_json(&edits, oracle.layout()).to_string();
+        oracle.apply(&edits).expect("generated edits are valid");
+        let resp = post(&app, &format!("/sessions/{id}/edits"), body);
+        assert_eq!(resp.status, StatusCode::OK, "step {step}");
+
         // Sweep with the session pinned: compact_memory runs on it
         // (the sweep takes the session mutex, not the pin), eviction
         // is forbidden by the pin.
         let pin = state.registry.pin(id).expect("session stays live");
         state.registry.sweep();
         drop(pin);
-
-        let edits = random_edit_set(oracle.layout(), bounds, step, &mut rng);
-        let body = wire::edit_set_to_json(&edits, oracle.layout()).to_string();
-        oracle.apply(&edits).expect("generated edits are valid");
-        let resp = post(&app, &format!("/sessions/{id}/edits"), body);
-        assert_eq!(resp.status, StatusCode::OK, "step {step}");
         assert_report_streams(
             &app,
             id,
@@ -565,6 +571,50 @@ fn service_sessions_survive_compaction() {
         Some(1),
         "the pinned session must never be evicted: {stats}"
     );
+}
+
+/// A request that panics holding a session's lock may leave the session
+/// half-patched, so it is never served again: its id answers `410` —
+/// through a fresh pin and through a pin taken before the panic — while
+/// the other sessions go on, and the request budget is whole again.
+#[test]
+fn a_panic_holding_a_session_lock_retires_only_that_session() {
+    let state = App::new(RegistryConfig::default());
+    let app = router(Arc::clone(&state));
+    let chip = generate(&ChipSpec::clean(2, 1));
+    let doomed = open_session(&app, &chip.cif, "{}");
+    let other = open_session(&app, &chip.cif, "{}");
+    let early = state.registry.pin(doomed).expect("a live session");
+    std::thread::scope(|s| {
+        let died = s.spawn(|| {
+            let _permit = state.registry.admit().expect("an idle service");
+            let pin = state.registry.pin(doomed).expect("a live session");
+            let _session = pin.lock().expect("an idle session");
+            panic!("a bug half-way through an apply");
+        });
+        assert!(died.join().is_err());
+    });
+    let body = r#"{"edits": [{"op": "move", "index": 0, "by": [0, 500]}]}"#;
+    for id in [doomed, other] {
+        let want = if id == doomed {
+            StatusCode::GONE
+        } else {
+            StatusCode::OK
+        };
+        let report = get(&app, &format!("/sessions/{id}/report"));
+        assert_eq!(report.status, want, "session {id}: report");
+        let edit = post(&app, &format!("/sessions/{id}/edits"), body.to_string());
+        assert_eq!(edit.status, want, "session {id}: edit");
+    }
+    let gone = early.lock().err().map(|e| e.status);
+    assert_eq!(gone, Some(StatusCode::GONE), "a pin taken before the panic");
+    drop(early);
+    let stats = json_body(get(&app, "/stats"));
+    assert_eq!(
+        stats.get("active_requests").and_then(Value::as_i64),
+        Some(0)
+    );
+    assert_eq!(stats.get("open_sessions").and_then(Value::as_i64), Some(1));
 }
 
 // ---------------------------------------------------------------------

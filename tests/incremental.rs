@@ -10,7 +10,10 @@
 //! byte-identical — violations in canonical order, net list, counts —
 //! to a from-scratch [`canonical_check`] of the edited layout, under
 //! both a serial session and one running at the `CHECK_PARALLELISM`
-//! worker count (CI forces 1 and `$(nproc)` in separate steps).
+//! worker count (CI forces 1 and `$(nproc)` in separate steps). At
+//! seeded random steps the sessions reopen in place
+//! ([`CheckSession::compact_memory`]), which must change nothing a
+//! client sees, and the edits after it must match as before.
 //!
 //! Beside it stands a **metamorphic** leg that needs no second checker:
 //! an edit followed by its exact inverse must put back the report bytes
@@ -30,7 +33,7 @@ use diic::tech::nmos::nmos_technology;
 use diic_bench::InteractionInputs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// The parallel worker count exercised against serial runs.
 fn wide_workers() -> usize {
@@ -91,12 +94,38 @@ fn assert_open_equals_engine(session: &CheckSession, context: &str) {
     assert_eq!(opened.scope_stats, full.scope_stats, "{context}");
 }
 
+/// Reopens the session through [`CheckSession::compact_memory`] and
+/// asserts that a client sees nothing of it: the report lines, the net
+/// list and the last delta are what they were.
+fn reopen_in_place(session: &mut CheckSession, context: &str) {
+    let report = session.report();
+    let (violations, netlist) = (report.violations.clone(), report.netlist.clone());
+    let delta = session.last_delta().clone();
+    session.compact_memory();
+    let report = session.report();
+    assert_eq!(
+        report.violations, violations,
+        "{context}: reopen moved lines"
+    );
+    assert_eq!(
+        report.netlist, netlist,
+        "{context}: reopen moved the net list"
+    );
+    assert_eq!(
+        session.last_delta(),
+        &delta,
+        "{context}: reopen moved the delta"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The oracle proper: ≥ 32 chips × ≥ 8 edit steps, serial and wide
     /// sessions in lockstep, both equal to the from-scratch check at
-    /// every step — and equal to each other.
+    /// every step — and equal to each other. At seeded random steps both
+    /// reopen in place ([`CheckSession::compact_memory`]), and the edits
+    /// after it must still match.
     #[test]
     fn edit_sequences_match_full_checks(
         nx in 2usize..4,
@@ -128,11 +157,16 @@ proptest! {
         // Both sessions see the same edit stream.
         let bounds = Rect::new(-2500, -6000, nx as i64 * 6750 + 2500, ny as i64 * 10000 + 2500);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1C);
+        let reopen_at = StdRng::seed_from_u64(seed ^ 0x2E0).next_u64();
         for step in 0..8 {
             let edits = random_edit_set(serial.layout(), bounds, step, &mut rng);
             serial.apply(&edits).expect("generated edits are valid");
             wide.apply(&edits).expect("generated edits are valid");
             let ctx = format!("step {} (nx={nx} ny={ny} seed={seed} mask={mask:#b})", step + 1);
+            if reopen_at >> step & 1 == 1 {
+                reopen_in_place(&mut serial, &ctx);
+                reopen_in_place(&mut wide, &ctx);
+            }
             let full = assert_matches_full(&serial, &ctx);
             prop_assert_eq!(
                 &wide.report().violations,
@@ -493,7 +527,8 @@ proptest! {
     /// The delta oracle: over random edit sequences on faulted chips,
     /// the delta the session took from its patch — the lines it
     /// retracted against the lines it found fresh — equals
-    /// `violation_delta` of the whole reports before and after.
+    /// `violation_delta` of the whole reports before and after, also
+    /// for the edits after a reopen in place at seeded random steps.
     #[test]
     fn session_delta_equals_the_rendered_diff(
         nx in 2usize..4,
@@ -515,11 +550,16 @@ proptest! {
         prop_assert!(session.last_delta().added.is_empty() && session.last_delta().removed.is_empty());
         let bounds = Rect::new(-2500, -6000, nx as i64 * 6750 + 2500, ny as i64 * 10000 + 2500);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
+        let reopen_at = StdRng::seed_from_u64(seed ^ 0x2E0).next_u64();
         for step in 0..8 {
             let edits = random_edit_set(session.layout(), bounds, step, &mut rng);
             let before = session.report().violations.clone();
             session.apply(&edits).expect("generated edits are valid");
-            assert_delta_is_the_rendered_diff(&session, &before, &format!("step {step} seed {seed}"));
+            let ctx = format!("step {step} seed {seed}");
+            assert_delta_is_the_rendered_diff(&session, &before, &ctx);
+            if reopen_at >> step & 1 == 1 {
+                reopen_in_place(&mut session, &ctx);
+            }
         }
     }
 }
