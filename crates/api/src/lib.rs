@@ -19,7 +19,7 @@
 //!   counts so eviction never races a request, and a sweep that
 //!   **compacts before it evicts** ([`diic_core::CheckSession::compact_memory`]
 //!   reopens a patched session, shedding its churn garbage, before any
-//!   session is dropped), and retires a session a panicking request
+//!   session is dropped — one per sweep at most), and retires a session a panicking request
 //!   left poisoned (`410`);
 //! * [`service`] — the [`Router`] and handlers; reports stream
 //!   through [`diic_core::StreamingSink`] / [`diic_core::SpillingSink`]
@@ -58,5 +58,5 @@ pub mod wire;
 
 pub use axum::{Router, StatusCode};
 pub use error::{ApiError, FrontEnd};
-pub use registry::{RegistryConfig, SessionRegistry, MAX_LIBRARY_DECKS};
+pub use registry::{RegistryConfig, SessionRegistry, MAX_LIBRARY_DECKS, REOPENS_PER_SWEEP};
 pub use service::{router, App};

@@ -53,10 +53,12 @@
 //!   slot — finds the components those nodes reach by a search from
 //!   them, and [`crate::netgen::NetIndex::splice`] rebuilds only those
 //!   nets — the same canonicalisation ([`diic_netlist::canonical_nets`])
-//!   a full build runs, over the affected components alone. Every other
-//!   net's rows and every surviving device's row are copied from the
-//!   cached net list in runs (a net list is flat columns over one text
-//!   buffer), ids rewritten as they land; kept nets keep their slots,
+//!   a full build runs, over the affected components alone — and patches
+//!   them into the cached net list in place
+//!   ([`diic_netlist::Netlist::patch`]): every other net's rows and
+//!   every surviving device's row stay, moved in their columns as
+//!   blocks, their ids renumbered through the list's net keys; kept
+//!   nets keep their slots,
 //!   so nothing per node or per element renumbers, and the interaction
 //!   search reads nets through the slots ([`crate::netgen::GraphNets`]).
 //!   Canonicalisation follows the nets the edit touched, not the chip;
@@ -125,8 +127,10 @@
 //! from-scratch check at every step, serial and parallel.
 //!
 //! What an edit still pays per chip, not per edit (the benchmark's
-//! 8 101-element `edit-session` chip): the net-list splice's copy of
-//! every kept net and device row, O(nets + devices); re-canonicalising
+//! 8 101-element `edit-session` chip): the net patch's block moves of
+//! the kept alias and net-terminal rows (one `copy_within` per block
+//! whose offset changed), its walk of the device map and its rewrite of
+//! every kept net's key and row end, O(nets + devices); re-canonicalising
 //! the chip-wide VDD and GND nets whenever an edit touches one of them
 //! (an inverter's edit does), which the search, the canonicalisation
 //! and the relation diff all walk (the diff the elements on every
@@ -482,11 +486,15 @@ pub struct EditStats {
     /// instances (auto keys are instance-local), typically qualifies.
     pub netlist_reused: bool,
     /// Nets the net-list splice built fresh (the components a changed
-    /// graph row could reach); every other net was copied across from
-    /// the cached list. Zero on a reused list and on a full rebuild.
+    /// graph row could reach); every other net was kept in place in the
+    /// cached list. Zero on a reused list and on a full rebuild.
     pub nets_respliced: usize,
     /// Live graph nodes in those components.
     pub nodes_respliced: usize,
+    /// Net-list rows the splice wrote — the fresh nets' aliases and
+    /// terminals, new devices and their terminals, survivors' terminals
+    /// moved onto fresh nets — not the kept rows it moved or renumbered.
+    pub(crate) net_rows_written: usize,
     /// Elements the interaction pass searched: every element within one
     /// rule reach of the halo — the dirty and the net-dirty footprints,
     /// each inflated by the rule reach.
@@ -823,7 +831,7 @@ struct GraphPatch {
 struct NetPatch {
     netlist: Netlist,
     /// The nets of `nets` the splice built fresh, ascending — none on a
-    /// reused list. Every other net was copied across with its name,
+    /// reused list. Every other net was kept in place with its name,
     /// aliases, terminals and device classes, so ERC re-runs on these
     /// alone.
     fresh_nets: Vec<NetId>,
@@ -1736,37 +1744,29 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> NetPatch {
         let mut int_foot = vp.d_conn_grid.rects().to_vec();
-        let old_netlist = std::mem::take(&mut self.report.netlist);
+        let mut netlist = std::mem::take(&mut self.report.netlist);
         self.nets.patch(&gp.delta);
         stats.netlist_reused = gp.net_neutral;
         let (mut fresh_nets, mut retired_names) = (Vec::new(), Vec::new());
-        let netlist = if gp.net_neutral {
-            old_netlist
-        } else {
+        if !gp.net_neutral {
             let splice = (self.nets).splice(
                 &self.parts,
                 &vp.view,
-                old_netlist,
+                &mut netlist,
                 &gp.delta,
                 &vp.dev_old_of_new,
             );
-            fresh_nets = (splice.fresh.iter().enumerate())
-                .filter(|(_, &fresh)| fresh)
-                .map(|(id, _)| NetId(id as u32))
-                .collect();
-            retired_names = (splice.retired.iter())
-                .filter_map(|&old| splice.retired_name(old).map(str::to_string))
-                .collect();
-            retired_names.sort_unstable();
-            stats.nets_respliced = fresh_nets.len();
+            stats.nets_respliced = splice.fresh.len();
             stats.nodes_respliced = splice.nodes;
-            let moves = self.net_moves(vp, &gp.rekeyed_from, &splice);
+            stats.net_rows_written = splice.rows_written;
+            let moves = self.net_moves(vp, &gp.rekeyed_from, &splice, &netlist);
             let flipped = self.flipped_endpoints(&vp.view, &moves);
             stats.net_dirty_elements = flipped.len();
             let bboxes = vp.view.elements.bboxes();
             int_foot.extend(flipped.iter().map(|&id| bboxes[id]));
-            splice.netlist
-        };
+            retired_names = splice.retired_names;
+            fresh_nets = splice.fresh;
+        }
         // The footprints inflated, as they are: a Minkowski sum
         // distributes over a union. Zero-area ones drop out, as they
         // would from a `Region`.
@@ -1804,6 +1804,7 @@ impl CheckSession {
         vp: &ViewPatch,
         rekeyed_from: &[(usize, u32)],
         splice: &NetSplice,
+        netlist: &Netlist,
     ) -> NetMoves {
         let new_net = |node: u32| self.nets.net_of(node);
         let mut fresh_terms: Vec<u32> = (vp.fresh_devices.iter())
@@ -1866,7 +1867,7 @@ impl CheckSession {
             let moved = links
                 .iter()
                 .filter(|&&(old, new)| splits_or_merges(old, new));
-            moved.map(|&(_, new)| splice.netlist.net(new).terminals())
+            moved.map(|&(_, new)| netlist.net(new).terminals())
         };
         let mut devices = Vec::with_capacity(nets().map(|terms| terms.len()).sum());
         devices.extend(nets().flatten().map(|(device, _)| device.0 as usize));
@@ -3880,6 +3881,38 @@ mod tests {
         session.apply(&edits).unwrap();
         assert_eq!(session.report().violations.len(), 1);
         assert_matches_full(&session);
+    }
+
+    #[test]
+    fn a_call_move_writes_as_many_list_rows_on_a_taller_chip() {
+        // The splice's work follows the nets an edit touches, not the
+        // list: the same call move in row 0 of a 24 × 12 and a 24 × 24
+        // array re-derives the same nets (the rails run along a row)
+        // and writes the same rows, though the taller list has twice the
+        // nets and devices to keep.
+        let tech = nmos_technology();
+        let mut seen = Vec::new();
+        for ny in [12, 24] {
+            let chip = diic_gen::generate(&diic_gen::ChipSpec::clean(24, ny));
+            let layout = parse(&chip.cif).unwrap();
+            let index = (layout.top_items().iter())
+                .position(|item| matches!(item, Item::Call(_)))
+                .expect("the array is calls");
+            let mut session = CheckSession::new(layout, &tech, &options());
+            let devices = session.report().netlist.device_count();
+            // One λ up: off the rails it shared, so the splice runs.
+            let mut edits = EditSet::new();
+            edits.translate(index, 0, 250);
+            let stats = apply_spliced(&mut session, &edits);
+            assert!(stats.net_rows_written > 0);
+            seen.push((devices, stats.nodes_respliced, stats.net_rows_written));
+        }
+        let [(small, nodes, rows), (tall, tall_nodes, tall_rows)] = seen[..] else {
+            unreachable!("two chips");
+        };
+        assert!(tall > 3 * small / 2, "{small} → {tall} devices");
+        assert_eq!(nodes, tall_nodes, "the same nets are re-derived");
+        assert_eq!(rows, tall_rows, "list rows written");
     }
 
     #[test]

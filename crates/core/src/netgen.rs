@@ -78,11 +78,13 @@
 //!
 //! An edit session patches the graph's rows and then does **not**
 //! re-run that fold: [`NetIndex::splice`] re-derives only the connected
-//! components a changed row can reach and copies every other net and
-//! device row across from the previous net list in runs — a net list is
-//! flat columns over one text buffer ([`diic_netlist::Netlist`]), so a
-//! run of kept rows is one copy of its text and a shift of its spans —
-//! so an edit's net phase canonicalises only the nets it touched. The
+//! components a changed row can reach and patches them into the
+//! session's net list in place ([`diic_netlist::Netlist::patch`]) —
+//! the retired nets give way to the fresh ones, merged in by name; every
+//! other net and device row stays where its text lies, moved in its
+//! column as a block if at all, its ids renumbered through the list's
+//! net keys (one entry per net, never one per terminal) — so an edit's
+//! net phase canonicalises and writes only the nets it touched. The
 //! [`NetIndex`] is what keeps the rest of the splice off the chip: the
 //! session builds it once at open and patches it with each edit's
 //! [`GraphDelta`], and it finds the affected components by a search
@@ -100,9 +102,7 @@ use crate::parallel::{run_chunked, run_ordered};
 use crate::scope::{ScopeStats, ScopeTable};
 use diic_cif::NetLabel;
 use diic_geom::{FlatGrid, Point};
-use diic_netlist::{
-    assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, NetlistWriter,
-};
+use diic_netlist::{assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, Patched};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
 
@@ -1010,21 +1010,19 @@ pub struct NetIndex {
     free_slots: Vec<u32>,
 }
 
-/// What [`NetIndex::splice`] produced: the new list plus what the caller
-/// needs to tell which net relations it can have changed.
+/// What [`NetIndex::splice`] did to the list, beyond patching it: what
+/// the caller needs to tell which net relations it can have changed.
 #[derive(Debug)]
 pub struct NetSplice {
-    /// The spliced list — equal to a from-scratch [`NetParts::assemble`]
-    /// of the patched graph.
-    pub netlist: Netlist,
-    /// Per new net id: true for the nets built fresh from the affected
-    /// components. Every other net was copied across unchanged (same
+    /// The nets built fresh from the affected components, by new id,
+    /// ascending. Every other net was kept in place unchanged (same
     /// name, aliases and terminals, up to id renumbering).
-    pub fresh: Vec<bool>,
-    /// The old nets the splice dissolved, as ids into the old list,
-    /// ascending. An element or terminal whose new net is fresh had
-    /// its old net among these.
-    pub retired: Vec<NetId>,
+    pub fresh: Vec<NetId>,
+    /// The canonical names of the old nets the splice dissolved,
+    /// ascending — read out of the list before it was patched. An
+    /// element or terminal whose new net is fresh had its old net among
+    /// these.
+    pub retired_names: Vec<String>,
     /// Live nodes in the affected components (the splice's work).
     pub nodes: usize,
     /// Every node whose net the splice re-derived — the affected
@@ -1032,17 +1030,12 @@ pub struct NetSplice {
     /// its net in the old list, ascending by node. Every other node kept
     /// its net, and that net is none of the fresh ones.
     pub moved: Vec<(u32, Option<NetId>)>,
-    /// The list that was spliced, kept for the retired nets' names.
-    old: Netlist,
+    /// List rows the patch wrote ([`diic_netlist::Patched::rows_written`]):
+    /// what the splice cost beyond the nets' own canonicalisation.
+    pub(crate) rows_written: usize,
 }
 
 impl NetSplice {
-    /// Canonical name of a dissolved old net.
-    pub fn retired_name(&self, old: NetId) -> Option<&str> {
-        let retired = self.retired.binary_search(&old).is_ok();
-        retired.then(|| self.old.net(old).name())
-    }
-
     /// The net a re-derived node was on in the old list; `None` for a
     /// node that had none, or that the splice did not re-derive.
     pub fn old_net(&self, node: u32) -> Option<NetId> {
@@ -1157,15 +1150,15 @@ impl NetIndex {
         }
     }
 
-    /// Brings `old`, the net list of the last splice or of the open, up
+    /// Brings `list`, the net list of the last splice or of the open, up
     /// to date with the graph `parts` holds now, which `delta` (already
     /// [`NetIndex::patch`]ed in) took it to: only the nets a changed row
-    /// can reach are canonicalised anew, and every other net's rows, and
-    /// every surviving device's that has no terminal on an affected net,
-    /// are copied out of `old` in runs of neighbours — one copy of a
-    /// run's text, no name compared, sorted or resolved for them. `old`
-    /// rides along in the result, where the retired nets' names are read
-    /// from ([`NetSplice::retired_name`]).
+    /// can reach are canonicalised anew and patched into `list` in place
+    /// ([`Netlist::patch`]); every other net's rows, and every surviving
+    /// device's, stay as they are — no name compared, sorted, resolved or
+    /// copied for them, only their ids renumbered. The retired nets'
+    /// names are read out before the patch
+    /// ([`NetSplice::retired_names`]).
     ///
     /// `dev_old_of_new[d]` is the old id of new device `d`, `None` for a
     /// device instantiated since; surviving devices keep their relative
@@ -1190,10 +1183,10 @@ impl NetIndex {
     /// named ends — so `D` is what a search from those nodes reaches.
     /// Kept nets keep their slots, so renumbering them rewrites one slot
     /// entry per net, not one entry per node. By the same token a
-    /// surviving device none of whose old terminal nets is in `D_old`
-    /// has an unchanged row that names no node of `D` (its edges run
-    /// from a terminal's key to elements on that terminal's net), so the
-    /// splice never opens it.
+    /// surviving device's terminal on a kept net is on the same node as
+    /// before (a row that changed names all its old nodes, retiring
+    /// their nets), and one on a retired net has its node in `D`, where
+    /// the fresh nets are read off.
     ///
     /// In debug builds the result, and the index, are asserted equal to
     /// a from-scratch [`NetParts::assemble`] and [`NetIndex::new`].
@@ -1201,18 +1194,19 @@ impl NetIndex {
         &mut self,
         parts: &NetParts,
         view: &ChipView,
-        old: Netlist,
+        list: &mut Netlist,
         delta: &GraphDelta,
         dev_old_of_new: &[Option<usize>],
     ) -> NetSplice {
         // Affected old nets, and the live nodes the search from the
         // named ones reaches.
-        let mut affected = vec![false; old.net_count()];
-        for node in delta.nodes() {
-            if let Some(net) = self.net_of(node) {
-                affected[net.0 as usize] = true;
-            }
-        }
+        let mut retired: Vec<NetId> = delta.nodes().filter_map(|node| self.net_of(node)).collect();
+        retired.sort_unstable();
+        retired.dedup();
+        let mut retired_names: Vec<String> = (retired.iter())
+            .map(|&net| list.net(net).name().to_string())
+            .collect();
+        retired_names.sort_unstable();
         let (d_nodes, d_edges) = self.reach(delta);
         let mut moved: Vec<(u32, Option<NetId>)> = (d_nodes.iter().copied())
             .chain(delta.nodes().filter(|&n| self.refs[n as usize] == 0))
@@ -1235,99 +1229,49 @@ impl NetIndex {
             .collect();
         let (fresh_nets, d_node_nets) = canonical_nets(&nodes, &edges);
 
-        // Merge the kept nets (already in canonical-name order) with
-        // the fresh ones: the new order first, as `(fresh?, id in its
-        // own list)`. Names cannot collide: a name is a node key, and a
-        // node is in exactly one net.
-        let mut retired = Vec::new();
-        let mut order: Vec<(bool, u32)> =
-            Vec::with_capacity(old.net_count() + fresh_nets.net_count());
-        let mut fresh_ids = fresh_nets.nets().peekable();
-        for net in old.nets() {
-            if affected[net.id().0 as usize] {
-                retired.push(net.id());
-                continue;
-            }
-            while let Some(f) = fresh_ids.next_if(|f| f.name() < net.name()) {
-                order.push((true, f.id().0));
-            }
-            order.push((false, net.id().0));
-        }
-        order.extend(fresh_ids.map(|f| (true, f.id().0)));
-        let mut list = NetlistWriter::new();
-        list.reserve_text(old.text_bytes());
-        for run in order.chunk_by(|a, b| a.0 == b.0 && a.1 + 1 == b.1) {
-            let (is_fresh, first) = run[0];
-            let from = if is_fresh { &fresh_nets } else { &old };
-            list.copy_nets(from, first..first + run.len() as u32);
-        }
-        let fresh: Vec<bool> = order.iter().map(|&(is_fresh, _)| is_fresh).collect();
-        let net_new_of_old = self.renumber(&order, &retired, &d_nodes, &d_node_nets, &moved);
-        // Where each old net's live nodes went: a kept net to its new
-        // id, a retired one to the one fresh net they all joined, or
-        // `SPLIT` over several.
-        const SPLIT: u32 = NIL - 1;
-        let mut went: Vec<u32> = (net_new_of_old.iter())
-            .map(|n| n.map_or(NIL, |n| n.0))
-            .collect();
-        for &(node, old) in &moved {
-            if let (Some(old), Some(new)) = (old, self.net_of(node)) {
-                let to = &mut went[old.0 as usize];
-                *to = if *to == NIL || *to == new.0 {
-                    new.0
-                } else {
-                    SPLIT
-                };
-            }
-        }
-
-        // Devices. A survivor's row is copied across, neighbours in one
-        // run, each terminal's net following its old net — or, on an old
-        // net that split, read off its node's slot. A fresh device is
-        // written from the view.
-        let mut di = 0;
-        for run in dev_old_of_new.chunk_by(|a, b| a.is_some() && a.map(|od| od + 1) == *b) {
-            if let Some(first) = run[0] {
-                let ids = first as u32..(first + run.len()) as u32;
-                list.copy_devices(&old, ids, |od, k, net| match went[net.0 as usize] {
-                    SPLIT => {
-                        // Terminal `k` of old device `od` is the `k`th of
-                        // its new row's terms.
-                        let row = &parts.devices[di + od.0 as usize - first];
-                        // invariant: terminal nodes are live, and every
-                        // live node has a net.
-                        self.net_of(row.terms[k].1)
-                            .expect("terminal nodes are live")
-                    }
-                    to => NetId(to),
-                });
-            } else {
-                let (dev, row) = (&view.devices[di], &parts.devices[di]);
-                list.device(
-                    view.str(dev.path),
-                    view.str(dev.device_type),
-                    dev.class.unwrap_or(DeviceClass::Capacitor),
-                );
-                for &(tname, node) in &row.terms {
-                    // invariant: terminal nodes are live, and every live
-                    // node has a net.
-                    let net = self.net_of(node).expect("terminal nodes are live");
-                    list.terminal(view.str(tname), net);
+        // Every terminal the patch writes is on a node of `D`, whose
+        // fresh net its place in `d_nodes` names.
+        let fresh_net = |node: u32| {
+            debug_assert!(
+                d_nodes.binary_search(&node).is_ok(),
+                "node {node} is re-derived"
+            );
+            d_node_nets[local(node) as usize]
+        };
+        let patched = list.patch(
+            &retired,
+            &fresh_nets,
+            dev_old_of_new,
+            |d| {
+                let (dev, row) = (&view.devices[d.0 as usize], &parts.devices[d.0 as usize]);
+                AssembleDevice {
+                    name: view.str(dev.path),
+                    device_type: view.str(dev.device_type),
+                    class: dev.class.unwrap_or(DeviceClass::Capacitor),
+                    terminals: (row.terms.iter())
+                        .map(move |&(name, node)| (view.str(name), fresh_net(node))),
                 }
-            }
-            di += run.len();
-        }
+            },
+            |d, k| fresh_net(parts.devices[d.0 as usize].terms[k].1),
+        );
+        self.renumber(
+            &patched,
+            list.net_count(),
+            &retired,
+            &d_nodes,
+            &d_node_nets,
+            &moved,
+        );
 
         let spliced = NetSplice {
-            netlist: list.finish(),
-            fresh,
-            retired,
+            fresh: patched.fresh,
+            retired_names,
             nodes: d_nodes.len(),
             moved,
-            old,
+            rows_written: patched.rows_written,
         };
         #[cfg(debug_assertions)]
-        self.assert_matches_a_rebuild(parts, view, &spliced.netlist);
+        self.assert_matches_a_rebuild(parts, view, list);
         spliced
     }
 
@@ -1366,42 +1310,37 @@ impl NetIndex {
         (found, edges)
     }
 
-    /// Moves the slots to the new list `order` (as `(fresh?, id in its
-    /// own list)`): kept nets keep theirs under their new ids, retired
-    /// nets free theirs, fresh nets take one each and hand it to their
-    /// nodes, and the dead nodes among `moved` lose theirs. Returns the
-    /// old → new id map of the kept nets.
+    /// Moves the slots to the `patched` list of `net_count` nets: kept
+    /// nets keep theirs under their new ids, retired nets free theirs,
+    /// fresh nets take one each and hand it to their nodes, and the dead
+    /// nodes among `moved` lose theirs.
     fn renumber(
         &mut self,
-        order: &[(bool, u32)],
+        patched: &Patched,
+        net_count: usize,
         retired: &[NetId],
         d_nodes: &[u32],
         d_node_nets: &[NetId],
         moved: &[(u32, Option<NetId>)],
-    ) -> Vec<Option<NetId>> {
-        let mut net_new_of_old = vec![None; self.net_slot.len()];
+    ) {
         self.free_slots
             .extend(retired.iter().map(|old| self.net_slot[old.0 as usize]));
-        let fresh_count = order.iter().filter(|(is_fresh, _)| *is_fresh).count();
-        let mut fresh_slot = vec![NIL; fresh_count];
-        let mut net_slot = vec![NIL; order.len()];
-        for (new, &(is_fresh, id)) in order.iter().enumerate() {
-            let slot = match is_fresh {
-                false => {
-                    net_new_of_old[id as usize] = Some(NetId(new as u32));
-                    self.net_slot[id as usize]
-                }
-                true => {
-                    let slot = self.free_slots.pop().unwrap_or_else(|| {
-                        self.slot_net.push(NIL);
-                        self.slot_net.len() as u32 - 1
-                    });
-                    fresh_slot[id as usize] = slot;
-                    slot
-                }
-            };
-            self.slot_net[slot as usize] = new as u32;
-            net_slot[new] = slot;
+        let mut net_slot = vec![NIL; net_count];
+        for (old, &slot) in self.net_slot.iter().enumerate() {
+            if let Some(new) = patched.kept(NetId(old as u32)) {
+                self.slot_net[slot as usize] = new.0;
+                net_slot[new.0 as usize] = slot;
+            }
+        }
+        let mut fresh_slot = Vec::with_capacity(patched.fresh.len());
+        for &new in &patched.fresh {
+            let slot = self.free_slots.pop().unwrap_or_else(|| {
+                self.slot_net.push(NIL);
+                self.slot_net.len() as u32 - 1
+            });
+            self.slot_net[slot as usize] = new.0;
+            net_slot[new.0 as usize] = slot;
+            fresh_slot.push(slot);
         }
         for &slot in &self.free_slots {
             self.slot_net[slot as usize] = NIL;
@@ -1413,7 +1352,6 @@ impl NetIndex {
         for (&node, &net) in d_nodes.iter().zip(d_node_nets) {
             self.slot[node as usize] = fresh_slot[net.0 as usize];
         }
-        net_new_of_old
     }
 
     /// Follows a renumbering of the element keys (`remap[old]` is the new
@@ -1859,18 +1797,17 @@ mod tests {
                     }
                 }
                 index.patch(&delta);
-                let splice = index.splice(&parts, &view, netlist, &delta, &dev_old_of_new);
+                let splice = index.splice(&parts, &view, &mut netlist, &delta, &dev_old_of_new);
                 let (scratch, node_net) = parts.assemble_from_scratch(&view);
-                prop_assert_eq!(&splice.netlist, &scratch, "step {}", step);
+                prop_assert_eq!(&netlist, &scratch, "step {}", step);
                 for (node, &want) in node_net.iter().enumerate() {
                     prop_assert_eq!(index.net_of(node as u32).map_or(NIL, |n| n.0), want);
                 }
-                prop_assert_eq!(splice.fresh.len(), scratch.net_count());
-                prop_assert!(splice.retired.is_sorted());
-                prop_assert!(splice.retired.iter().all(|&old| splice.retired_name(old).is_some()));
-                respliced += splice.fresh.iter().filter(|fresh| **fresh).count();
-                retired += splice.retired.len();
-                netlist = splice.netlist;
+                prop_assert!(splice.fresh.is_sorted());
+                prop_assert!(splice.fresh.iter().all(|net| (net.0 as usize) < scratch.net_count()));
+                prop_assert!(splice.retired_names.is_sorted());
+                respliced += splice.fresh.len();
+                retired += splice.retired_names.len();
             }
             // Every patch above touches a live net or makes one.
             prop_assert!(respliced > 0 && retired > 0);

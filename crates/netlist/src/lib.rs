@@ -18,8 +18,10 @@
 //! * [`assemble_netlist`] — the single from-scratch canonicalisation
 //!   (components, canonical names, canonical order), [`NetlistBuilder`]
 //!   its string-keyed front end, [`canonical_nets`] its net half, and
-//!   [`NetlistWriter`] the one way rows are written — what an edit
-//!   session's splice copies its kept rows through;
+//!   [`NetlistWriter`] the from-scratch way rows are written;
+//!   [`Netlist::patch`] is the other way — an edit session's splice
+//!   merges the nets it re-derived into its list in place, the kept
+//!   rows moved as blocks, not rewritten;
 //! * [`compare`] — net-list consistency checking (extracted vs intended),
 //!   both name-based and structural (iterative refinement);
 //! * [`erc`] — the paper's non-geometric construction rules:
@@ -37,6 +39,6 @@ pub use compare::{compare_by_structure, NetlistDiff};
 pub use erc::{check_erc, check_erc_net, ErcRule, ErcViolation};
 pub use graph::{
     assemble_netlist, canonical_nets, AssembleDevice, DeviceId, DeviceRef, NetId, NetRef, Netlist,
-    NetlistBuilder, NetlistWriter,
+    NetlistBuilder, NetlistWriter, Patched,
 };
 pub use unionfind::UnionFind;

@@ -32,7 +32,7 @@
 
 use axum::{Body, Method, Request, Response, Router, StatusCode};
 use diic::api::wire;
-use diic::api::{router, App, RegistryConfig, MAX_LIBRARY_DECKS};
+use diic::api::{router, App, RegistryConfig, MAX_LIBRARY_DECKS, REOPENS_PER_SWEEP};
 use diic::cif::{Call, Item, SymbolId};
 use diic::core::incremental::{CheckSession, EditSet};
 use diic::core::{canonical_check, env_parallelism, CheckOptions, Violation};
@@ -571,6 +571,49 @@ fn service_sessions_survive_compaction() {
         Some(1),
         "the pinned session must never be evicted: {stats}"
     );
+}
+
+/// A reopen is a whole check paid by the request whose open runs the
+/// sweep, so one sweep reopens at most `REOPENS_PER_SWEEP` sessions
+/// however many are patched and however far over budget the pool is;
+/// pins keep the rest from eviction, and they stay open, unreopened.
+#[test]
+fn one_sweep_reopens_at_most_one_session() {
+    let state = App::new(RegistryConfig {
+        memory_budget_bytes: 1,
+        ..RegistryConfig::default()
+    });
+    let app = router(Arc::clone(&state));
+    let chip = generate(&ChipSpec::clean(3, 1));
+    // All three open before any is edited, so no sweep before ours
+    // finds one patched; each is pinned as it opens, or the next
+    // open's sweep would evict it.
+    let (mut ids, mut pins) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        let id = open_session(&app, &chip.cif, "{}");
+        pins.push(state.registry.pin(id).expect("a pinned session stays live"));
+        ids.push(id);
+    }
+    for &id in &ids {
+        let body = r#"{"edits": [{"op": "move", "index": 0, "by": [0, 500]}]}"#;
+        let resp = post(&app, &format!("/sessions/{id}/edits"), body.to_string());
+        assert_eq!(resp.status, StatusCode::OK, "session {id}: edit");
+    }
+    let compactions = || {
+        let stats = json_body(get(&app, "/stats"));
+        stats.get("compactions").and_then(Value::as_i64).unwrap()
+    };
+    let before = compactions();
+    state.registry.sweep();
+    assert_eq!(compactions() - before, REOPENS_PER_SWEEP as i64);
+    assert_eq!(REOPENS_PER_SWEEP, 1);
+    let stats = json_body(get(&app, "/stats"));
+    assert_eq!(
+        stats.get("open_sessions").and_then(Value::as_i64),
+        Some(3),
+        "pinned sessions are never evicted: {stats}"
+    );
+    drop(pins);
 }
 
 /// A request that panics holding a session's lock may leave the session
