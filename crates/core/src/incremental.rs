@@ -49,8 +49,8 @@
 //!   recording the rows and edges that left and entered
 //!   ([`crate::netgen::GraphDelta`]), and the session's
 //!   [`crate::netgen::NetIndex`] — built at open, patched by each delta:
-//!   per node its rows, its edges, its elements and its net's stable
-//!   slot — finds the components those nodes reach by a search from
+//!   per node its rows, its edges, its elements and its net's key in
+//!   the net list — finds the components those nodes reach by a search from
 //!   them, and [`crate::netgen::NetIndex::splice`] rebuilds only those
 //!   nets — the same canonicalisation ([`diic_netlist::canonical_nets`])
 //!   a full build runs, over the affected components alone — and patches
@@ -58,9 +58,9 @@
 //!   ([`diic_netlist::Netlist::patch`]): every other net's rows and
 //!   every surviving device's row stay, moved in their columns as
 //!   blocks, their ids renumbered through the list's net keys; kept
-//!   nets keep their slots,
-//!   so nothing per node or per element renumbers, and the interaction
-//!   search reads nets through the slots ([`crate::netgen::GraphNets`]).
+//!   nets keep their keys, so nothing per node or per element
+//!   renumbers, and the interaction search reads nets through the keys
+//!   ([`crate::netgen::GraphNets`]).
 //!   Canonicalisation follows the nets the edit touched, not the chip;
 //!   in debug builds the result and the index are asserted equal to the
 //!   from-scratch [`crate::netgen::NetParts::assemble`] and a fresh index.
@@ -72,7 +72,7 @@
 //!   never reads a net's name (contexts are instance paths, and a
 //!   spacing line carries `same_net` as a bool). A relation between two
 //!   survivors can flip only where the splice re-derived a net: a
-//!   survivor on a kept net keeps its slot, and a fresh net is never a
+//!   survivor on a kept net keeps its key, and a fresh net is never a
 //!   kept one, so a survivor that stayed and one that moved (to a fresh
 //!   net from a retired one) were apart before and are apart after. The
 //!   candidates are therefore the survivors on re-derived nodes (or
@@ -153,8 +153,11 @@
 //! There is no second copy of the pipeline here. The rebuild and
 //! [`CheckSession::compact_memory`] both reopen the session — one
 //! private `reopen` drops the old artefacts, then opens again on the
-//! current layout — so an interner handle is never renumbered: a
-//! session sheds the strings edits orphaned by starting a fresh table.
+//! current layout — so neither an interner handle nor an element-index
+//! handle is ever renumbered: a session sheds the strings edits
+//! orphaned, and the index slots they left dead, by starting afresh.
+//! An apply whose churn has left more dead index slots than live
+//! elements ends in that reopen ([`EditStats::index_compacted`]).
 //!
 //! **An edit** ([`CheckSession::apply`]) first becomes an `EditPlan`: a
 //! pure function of the layout, the per-item run lengths and the
@@ -199,8 +202,8 @@
 //! 9. `patch_report` \[`t_patch`\] — retract (ERC lines by retired net
 //!    name, primitive-symbol lines only when they re-ran), splice,
 //!    merge, and the delta;
-//! 10. `commit` \[`t_commit`\] — install the products, compact the
-//!     element index after heavy churn.
+//! 10. `commit` \[`t_commit`\] — install the products, and reopen
+//!     after heavy churn of the element index.
 //!
 //! No step is longer than 150 lines (`clippy::too_many_lines` is denied
 //! in this file, the threshold is in the root `clippy.toml`).
@@ -503,9 +506,10 @@ pub struct EditStats {
     /// the edit set replaced a symbol's body. Otherwise their report
     /// lines and the waived-device list carried over.
     pub primitives_rechecked: bool,
-    /// True when this apply compacted the session's persistent spatial
-    /// index ([`diic_geom::GridIndex::compact`]) — tombstones from
-    /// edit churn had come to outnumber the live elements.
+    /// True when this apply reopened the session at its end
+    /// ([`CheckSession::compact_memory`]) to shed its element index's
+    /// dead slots — tombstones from edit churn had come to outnumber the
+    /// live elements. The report and net list are the same either way.
     pub index_compacted: bool,
     /// True when an insert of this apply rebuilt the base grid of the
     /// session's element index ([`diic_geom::GridIndex::rebuilds`]): the
@@ -533,7 +537,8 @@ pub struct EditStats {
     /// Wall clock of the report retract/splice/sort.
     pub t_patch: std::time::Duration,
     /// Wall clock of the commit: installing the new artefacts, dropping
-    /// the ones they replace, and the occasional index compaction.
+    /// the ones they replace, and the occasional reopen that sheds the
+    /// element index's churn.
     /// With it the `t_*` fields add up to `apply`'s wall clock (on a
     /// full rebuild all of it is in `t_view`).
     pub t_commit: std::time::Duration,
@@ -910,9 +915,9 @@ pub struct CheckSession {
     merges: Vec<(usize, usize)>,
     parts: NetParts,
     /// The net graph's index — rows per node, edges, the elements on
-    /// each node (by `elem_index` handle) and each net's stable slot —
-    /// built at open and patched per edit, so the splice costs the nets
-    /// it rebuilds.
+    /// each node (by `elem_index` handle) and each node's net by its
+    /// key in the report's net list — built at open and patched per
+    /// edit, so the splice costs the nets it rebuilds.
     nets: NetIndex,
     /// Persistent spatial index over element bboxes (a
     /// [`diic_geom::GridIndex`]: a grid over the elements at its last
@@ -926,9 +931,10 @@ pub struct CheckSession {
     /// rows the edit reaches.
     points: PointIndex,
     /// Handle → current element id, one slot per handle the index has
-    /// issued since its last compaction (which shrinks this table with
-    /// it). Dead handles keep garbage; only live ones — which the index
-    /// queries return — are ever read.
+    /// issued since the session opened: no handle is renumbered while it
+    /// lives, and a reopen starts the table afresh. Dead handles keep
+    /// garbage; only live ones — which the index queries return — are
+    /// ever read.
     handle_owner: Vec<usize>,
     report: CheckReport,
     /// Each report line's rendering, aligned with `report.violations`:
@@ -969,8 +975,7 @@ impl CheckSession {
         let bboxes = view.elements.bboxes();
         let elem_index = GridIndex::from_items(bboxes.iter().map(|&b| (b, ())), bound.cell_size());
         let elem_handles: Vec<u32> = (0..bboxes.len() as u32).collect();
-        let net_count = report.netlist.net_count();
-        let nets = NetIndex::new(&mut parts, net_count, |id| elem_handles[id]);
+        let nets = NetIndex::new(&mut parts, |id| elem_handles[id]);
         let points = PointIndex::build(&view, layout.labels(), &elem_handles, bound.cell_size());
         CheckSession {
             layout,
@@ -1080,7 +1085,7 @@ impl CheckSession {
 
         let t0 = clock();
         #[cfg(debug_assertions)]
-        let nets_before = self.net_relations();
+        let nets_before = self.net_relations(&self.report.netlist);
         let mut graph = self.patch_net_graph(&view, &mut conn);
         self.rebind_rows(&mut view, &mut graph);
         let nets = self.splice_nets(&mut view, graph, &mut stats);
@@ -1806,7 +1811,7 @@ impl CheckSession {
         splice: &NetSplice,
         netlist: &Netlist,
     ) -> NetMoves {
-        let new_net = |node: u32| self.nets.net_of(node);
+        let new_net = |node: u32| self.nets.net_of(node, netlist);
         let mut fresh_terms: Vec<u32> = (vp.fresh_devices.iter())
             .flat_map(|&di| self.parts.devices[di].terms.iter().map(|&(_, node)| node))
             .collect();
@@ -2190,11 +2195,11 @@ impl CheckSession {
     /// net graph as it stands: each element's net, and each device's
     /// terminal nets.
     #[cfg(debug_assertions)]
-    fn net_relations(&self) -> NetRelations {
+    fn net_relations(&self, list: &Netlist) -> NetRelations {
         let net = |node: u32| {
             // invariant: element and terminal nodes are live, and every
             // live node has a net.
-            self.nets.net_of(node).expect("live nodes have nets")
+            self.nets.net_of(node, list).expect("live nodes have nets")
         };
         let mut relations = NetRelations {
             element_net: (self.parts.element_node.iter())
@@ -2223,7 +2228,7 @@ impl CheckSession {
         vp: &ViewPatch,
         np: &NetPatch,
     ) {
-        let new = self.net_relations();
+        let new = self.net_relations(&np.netlist);
         let mut old_of_new = vec![None; vp.dirty.len()];
         for (o, n) in vp.old_to_new.iter().enumerate() {
             if let Some(n) = *n {
@@ -2322,12 +2327,12 @@ impl CheckSession {
     }
 
     /// Step 10 (`t_commit`): installs the products (dropping what they
-    /// replace) and compacts the element index after heavy churn.
-    /// Tombstones and cell bookkeeping grow monotonically under edits;
-    /// once the dead slots outnumber the live elements (with a floor so
-    /// small sessions never bother), rebuild the index and remap the
-    /// retained handles. Queries answer the same before and after, so no
-    /// other state is touched. True if it compacted.
+    /// replace) and sheds the element index's churn. Its dead slots
+    /// grow monotonically under edits, and no handle is renumbered while
+    /// the session lives; once they outnumber the live elements (with a
+    /// floor so small sessions never bother), the session reopens
+    /// ([`CheckSession::compact_memory`]), as a full rebuild does. True
+    /// if it reopened.
     fn commit(
         &mut self,
         vp: ViewPatch,
@@ -2354,28 +2359,7 @@ impl CheckSession {
             instantiate_stats: self.report.instantiate_stats,
             scope_stats: self.report.scope_stats,
         };
-        self.elem_index.tombstones() > self.elem_index.len().max(64) && self.compact_spatial_index()
-    }
-
-    /// Rebuilds the spatial index without its tombstones, remapping the
-    /// retained handles and shrinking the owner table to them. True if
-    /// anything was dropped.
-    fn compact_spatial_index(&mut self) -> bool {
-        if self.elem_index.tombstones() == 0 {
-            return false;
-        }
-        let remap = self.elem_index.compact();
-        self.nets.remap_element_keys(&remap);
-        self.handle_owner.truncate(self.elem_index.len());
-        for (id, handle) in self.elem_handles.iter_mut().enumerate() {
-            // invariant: compaction only drops tombstoned handles,
-            // and every element holds a live one.
-            *handle = remap[*handle as usize].expect("live elements keep live handles");
-            self.handle_owner[*handle as usize] = id;
-        }
-        let loose = self.points.loose.iter().filter_map(|&h| remap[h as usize]);
-        self.points.loose = loose.collect();
-        true
+        self.elem_index.tombstones() > self.elem_index.len().max(64) && self.compact_memory()
     }
 
     /// Streams the cached canonical report through any
@@ -2448,7 +2432,9 @@ impl CheckSession {
     /// [`CheckSession::last_delta`] is kept. Returns false, doing
     /// nothing, when no apply has patched the session since it was last
     /// opened: a fresh session has nothing to shed. The session pool
-    /// calls this on memory pressure, before it evicts.
+    /// calls this on memory pressure, before it evicts, and an apply
+    /// whose churn leaves more dead element-index slots than live
+    /// elements ends with it ([`EditStats::index_compacted`]).
     pub fn compact_memory(&mut self) -> bool {
         if !self.patched {
             return false;
@@ -2782,7 +2768,8 @@ mod tests {
         let (scratch, node_net) = session.parts.assemble_from_scratch(&session.view);
         assert_eq!(session.report.netlist, scratch);
         for (node, &want) in node_net.iter().enumerate() {
-            let got = session.nets.net_of(node as u32).map_or(NIL, |n| n.0);
+            let got = session.nets.net_of(node as u32, &session.report.netlist);
+            let got = got.map_or(NIL, |n| n.0);
             assert_eq!(got, want, "node {node}");
         }
     }
@@ -3946,13 +3933,14 @@ mod tests {
     }
 
     #[test]
-    fn heavy_churn_compacts_the_index_and_stays_exact() {
+    fn heavy_churn_reopens_the_session_and_stays_exact() {
         // A chip big enough that moving one 8-element cell stays under
         // the full-rebuild threshold (8 of 48 elements dirty); each
         // move evicts and re-inserts the cell's elements, leaving 8
-        // tombstones per apply, so the threshold (dead > live, floored
-        // at 64) trips within a handful of edits. Check byte equality
-        // with the full run at every compaction boundary.
+        // dead index slots per apply, so the threshold (dead > live,
+        // floored at 64) trips within a handful of edits. The apply
+        // that trips it ends in a reopen: a fresh open's memory and
+        // index, the from-scratch report, and the delta of the edit.
         let mut cif = String::from("DS 1;\n");
         for i in 0..8 {
             cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
@@ -3966,31 +3954,45 @@ mod tests {
         let tech = nmos_technology();
         let mut session = CheckSession::new(layout, &tech, &options());
         assert!(session.report().violations.is_empty());
-        let mut compactions = 0;
+        let mut reopens = 0;
         for step in 0..30 {
             let mut churn = EditSet::new();
             churn.translate(40, if step % 2 == 0 { 2500 } else { -2500 }, 0);
+            let before = session.report().violations.clone();
             let stats = session.apply(&churn).unwrap();
             assert!(!stats.full_rebuild, "churn edits must stay incremental");
+            assert_eq!(
+                session.last_delta(),
+                &ReportDelta::by_rendering(&before, &session.report().violations)
+            );
             if stats.index_compacted {
-                compactions += 1;
+                reopens += 1;
+                let fresh = CheckSession::new(session.layout.clone(), &tech, &options());
+                assert_eq!(session.memory_bytes(), fresh.memory_bytes());
+                assert_eq!(session.elem_index.tombstones(), 0);
                 assert_matches_full(&session);
+            } else {
+                let dead = session.elem_index.tombstones();
+                assert!(
+                    dead <= session.elem_index.len().max(64),
+                    "{dead} dead slots"
+                );
             }
             if step % 10 == 0 {
                 assert_matches_full(&session);
             }
         }
         assert!(
-            compactions >= 2,
-            "30 churn applies must trip the compaction threshold repeatedly \
-             (got {compactions})"
+            reopens >= 2,
+            "30 churn applies must trip the reopen threshold repeatedly (got {reopens})"
         );
-        // The session keeps working (and can compact again) afterwards.
+        // The session keeps editing exactly afterwards.
         let mut after = EditSet::new();
         after.add_box("NM", Rect::new(0, 1250, 2000, 2000), None);
         session.apply(&after).unwrap();
         assert_eq!(session.report().violations.len(), 1);
         assert_matches_full(&session);
+        assert_nets_match_scratch(&session);
     }
 
     #[test]

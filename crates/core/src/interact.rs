@@ -240,7 +240,7 @@ pub fn check_interactions(
 /// and no `clip`, it is the reference [`check_interactions`] is held to.
 ///
 /// The edit session runs it over its halo, reading nets through its net
-/// index's slots ([`crate::netgen::NetIndex::nets`]): `ids` (ascending)
+/// index's net keys ([`crate::netgen::NetIndex::nets`]): `ids` (ascending)
 /// is every element within one rule reach of the dirty halo — the
 /// session derives it from its persistent spatial index instead of
 /// scanning the whole element list — and `clip` is the grid over the

@@ -88,11 +88,13 @@
 //! [`NetIndex`] is what keeps the rest of the splice off the chip: the
 //! session builds it once at open and patches it with each edit's
 //! [`GraphDelta`], and it finds the affected components by a search
-//! from the nodes the edit named (never a pass over every row), and
-//! gives each net a stable slot, so a splice that renumbers the list
-//! rewrites one slot entry per net rather than a node → net table; the
-//! interaction search reads nets off the graph by slot ([`GraphNets`],
-//! which reads a batch check's node → net table the same way). The
+//! from the nodes the edit named (never a pass over every row). It
+//! names each node's net by the net's key in the list — the one stable
+//! identity a net has, which the list alone maps to ids
+//! ([`Netlist::net_of_key`]) — so a splice rewrites the entries of the
+//! nodes it re-derived and no other; the interaction search reads nets
+//! off the graph by key ([`GraphNets`], which reads a batch check's
+//! node → net table the same way). The
 //! from-scratch assembly is the splice's reference (asserted equal in
 //! debug builds, and by this module's tests in release builds).
 
@@ -102,7 +104,7 @@ use crate::parallel::{run_chunked, run_ordered};
 use crate::scope::{ScopeStats, ScopeTable};
 use diic_cif::NetLabel;
 use diic_geom::{FlatGrid, Point};
-use diic_netlist::{assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist, Patched};
+use diic_netlist::{assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::borrow::Borrow;
 
@@ -543,8 +545,9 @@ pub struct NetParts {
     pub labels: Vec<LabelParts>,
     /// Net of each node as of the last [`NetParts::assemble`], indexed
     /// by node id: a net id exactly for the nodes that were live then,
-    /// `NIL` otherwise (the coding of [`NetIndex`]'s slots). Empty once a
-    /// [`NetIndex`] has taken it.
+    /// `NIL` otherwise. The ids of a written list are its keys, so a
+    /// [`NetIndex`] takes this table as its node → key table at open;
+    /// empty once one has.
     node_net: Vec<u32>,
 }
 
@@ -800,8 +803,8 @@ impl NetParts {
 
 /// How the interaction search tells nets apart, read straight off the
 /// net graph: element → node → the node's net identity — a net id of the
-/// assembled list ([`NetParts::nets`]) or a net's slot in a [`NetIndex`]
-/// ([`NetIndex::nets`]). Either is equal exactly when the nets are, and
+/// assembled list ([`NetParts::nets`]) or a net's key in the session's
+/// list ([`NetIndex::nets`]). Either is equal exactly when the nets are, and
 /// is compared for equality only, so nothing is resolved per element
 /// when the list is assembled or renumbered.
 #[derive(Debug, Clone, Copy)]
@@ -830,18 +833,8 @@ impl GraphNets<'_> {
     }
 }
 
-/// No entry / no slot / no net.
+/// No entry / no net.
 pub(crate) const NIL: u32 = u32::MAX;
-
-/// The tag of an element's key among a node's links (a node id, the
-/// other kind of link, stays below it).
-const ELEMENT: u32 = 1 << 31;
-
-/// An element key as a node's link.
-fn element_link(key: u32) -> u32 {
-    debug_assert!(key & ELEMENT == 0, "element keys stay below 2³¹");
-    key | ELEMENT
-}
 
 /// A multimap from `u32` keys to `u32` values, its entries linked lists
 /// in one arena: inserting is O(1), removing one value walks its key's
@@ -915,12 +908,6 @@ impl Multimap {
         })
     }
 
-    /// The other end of each edge at `node` (a node's links less its
-    /// elements' keys).
-    fn edges(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
-        self.get(node).filter(|link| link & ELEMENT == 0)
-    }
-
     fn heap_bytes(&self) -> usize {
         self.head.len() * std::mem::size_of::<u32>()
             + self.entries.len() * std::mem::size_of::<(u32, u32)>()
@@ -990,24 +977,22 @@ impl GraphDelta {
 /// splice costs the nets it rebuilds, not the chip: per node, how many
 /// rows name it (zero: dead), the other ends of its edges, the elements
 /// on it (by a key the session chooses — its element index handles) and
-/// its net's **slot**, a stable id that a net keeps for as long as it
-/// lives while the list renumbers around it. Built once when a session
+/// its net's **key** in the session's net list
+/// ([`Netlist::key_of`]), which a net keeps for as long as it lives
+/// while the list renumbers around it — the list is the one place that
+/// maps keys to ids ([`Netlist::net_of_key`]). Built once when a session
 /// opens ([`NetIndex::new`], never by a batch check) and patched by every
 /// edit's [`GraphDelta`].
 #[derive(Debug, Clone, Default)]
 pub struct NetIndex {
     /// Per node: the element, terminal and label rows that name it.
     refs: Vec<u32>,
-    /// Per node: the other end of each edge at it (self-loops left out),
-    /// and the key of each element on it, tagged [`ELEMENT`].
-    links: Multimap,
-    /// Per node: its net's slot (`NIL`: dead or never live).
-    slot: Vec<u32>,
-    /// Per slot: its net's id in the current list (`NIL`: free).
-    slot_net: Vec<u32>,
-    /// Per net id: its slot.
-    net_slot: Vec<u32>,
-    free_slots: Vec<u32>,
+    /// Per node: the other end of each edge at it (self-loops left out).
+    edges: Multimap,
+    /// Per node: the key of each element on it.
+    elements: Multimap,
+    /// Per node: its net's key (`NIL`: dead or never live).
+    key: Vec<u32>,
 }
 
 /// What [`NetIndex::splice`] did to the list, beyond patching it: what
@@ -1046,33 +1031,26 @@ impl NetSplice {
 
 impl NetIndex {
     /// The index of a freshly assembled graph, taking the node → net
-    /// table [`NetParts::assemble`] left in `parts` as its slots (each
-    /// net's slot is its id) — the list it assembled has `net_count`
-    /// nets.
-    /// `element_key` names each element id's key.
-    pub fn new(
-        parts: &mut NetParts,
-        net_count: usize,
-        element_key: impl Fn(usize) -> u32,
-    ) -> NetIndex {
-        let slot = std::mem::take(&mut parts.node_net);
+    /// table [`NetParts::assemble`] left in `parts` as its keys (a
+    /// written list's keys are its ids). `element_key` names each
+    /// element id's key.
+    pub fn new(parts: &mut NetParts, element_key: impl Fn(usize) -> u32) -> NetIndex {
+        let key = std::mem::take(&mut parts.node_net);
         let mut index = NetIndex {
-            refs: vec![0; slot.len()],
-            links: Multimap::default(),
-            slot,
-            slot_net: (0..net_count as u32).collect(),
-            net_slot: (0..net_count as u32).collect(),
-            free_slots: Vec::new(),
+            refs: vec![0; key.len()],
+            key,
+            ..NetIndex::default()
         };
         let nodes = parts.live_nodes().max().map_or(0, |n| n as usize + 1);
         index.refs.resize(nodes.max(index.refs.len()), 0);
-        index.slot.resize(index.refs.len(), NIL);
-        index.links.head = vec![NIL; index.refs.len()];
-        let links = 2 * parts.conn_edges.len() + parts.element_node.len();
-        index.links.entries.reserve(links);
+        index.key.resize(index.refs.len(), NIL);
+        index.edges.head = vec![NIL; index.refs.len()];
+        index.elements.head = vec![NIL; index.refs.len()];
+        index.edges.entries.reserve(2 * parts.conn_edges.len());
+        index.elements.entries.reserve(parts.element_node.len());
         for (id, node) in parts.element_node.iter().enumerate() {
             if let Some(node) = *node {
-                index.links.insert(node, element_link(element_key(id)));
+                index.elements.insert(node, element_key(id));
             }
         }
         for node in parts.live_nodes() {
@@ -1086,21 +1064,21 @@ impl NetIndex {
 
     fn enter_edge(&mut self, a: u32, b: u32) {
         if a != b {
-            self.links.insert(a, b);
-            self.links.insert(b, a);
+            self.edges.insert(a, b);
+            self.edges.insert(b, a);
         }
     }
 
     /// Brings the rows, edges and element keys up to date with `delta`
-    /// (the slots wait for [`NetIndex::splice`]).
+    /// (the nets' keys wait for [`NetIndex::splice`]).
     pub fn patch(&mut self, delta: &GraphDelta) {
         let needed = delta.nodes().max().map_or(0, |n| n as usize + 1);
         if needed > self.refs.len() {
             self.refs.resize(needed, 0);
-            self.slot.resize(needed, NIL);
+            self.key.resize(needed, NIL);
         }
         for &(node, key) in &delta.gone_elements {
-            let found = self.links.remove(node, element_link(key));
+            let found = self.elements.remove(node, key);
             debug_assert!(found, "a leaving element row was indexed");
             self.refs[node as usize] -= 1;
         }
@@ -1108,11 +1086,11 @@ impl NetIndex {
             self.refs[node as usize] -= 1;
         }
         for &(a, b) in delta.gone_edges.iter().filter(|(a, b)| a != b) {
-            let found = self.links.remove(a, b) && self.links.remove(b, a);
+            let found = self.edges.remove(a, b) && self.edges.remove(b, a);
             debug_assert!(found, "a leaving edge was indexed");
         }
         for &(node, key) in &delta.new_elements {
-            self.links.insert(node, element_link(key));
+            self.elements.insert(node, key);
             self.refs[node as usize] += 1;
         }
         for &node in &delta.new_refs {
@@ -1123,11 +1101,10 @@ impl NetIndex {
         }
     }
 
-    /// The net a node is on, in the list of the last splice (or of the
-    /// open); `None` for a dead node.
-    pub fn net_of(&self, node: u32) -> Option<NetId> {
-        let slot = *self.slot.get(node as usize)?;
-        (slot != NIL).then(|| NetId(self.slot_net[slot as usize]))
+    /// The net a node is on in `list`, the list of the last splice (or
+    /// of the open); `None` for a dead node.
+    pub fn net_of(&self, node: u32, list: &Netlist) -> Option<NetId> {
+        list.net_of_key(*self.key.get(node as usize)?)
     }
 
     /// How many element, terminal and label rows name `node`.
@@ -1137,16 +1114,15 @@ impl NetIndex {
 
     /// The keys of the elements on `node`.
     pub fn elements_on(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
-        let elements = self.links.get(node).filter(|link| link & ELEMENT != 0);
-        elements.map(|link| link & !ELEMENT)
+        self.elements.get(node)
     }
 
-    /// The graph's nets as the interaction search reads them, by slot.
+    /// The graph's nets as the interaction search reads them, by key.
     pub fn nets<'a>(&'a self, parts: &'a NetParts) -> GraphNets<'a> {
         GraphNets {
             element_node: &parts.element_node,
             devices: &parts.devices,
-            net: &self.slot,
+            net: &self.key,
         }
     }
 
@@ -1181,8 +1157,8 @@ impl NetIndex {
     /// to a live node the delta names — follow its old net's path
     /// towards a named node, and the first edge on it that left has
     /// named ends — so `D` is what a search from those nodes reaches.
-    /// Kept nets keep their slots, so renumbering them rewrites one slot
-    /// entry per net, not one entry per node. By the same token a
+    /// Kept nets keep their keys in the list, so renumbering them
+    /// touches no node's entry here. By the same token a
     /// surviving device's terminal on a kept net is on the same node as
     /// before (a row that changed names all its old nodes, retiring
     /// their nets), and one on a retired net has its node in `D`, where
@@ -1200,7 +1176,9 @@ impl NetIndex {
     ) -> NetSplice {
         // Affected old nets, and the live nodes the search from the
         // named ones reaches.
-        let mut retired: Vec<NetId> = delta.nodes().filter_map(|node| self.net_of(node)).collect();
+        let mut retired: Vec<NetId> = (delta.nodes())
+            .filter_map(|node| self.net_of(node, list))
+            .collect();
         retired.sort_unstable();
         retired.dedup();
         let mut retired_names: Vec<String> = (retired.iter())
@@ -1210,20 +1188,20 @@ impl NetIndex {
         let (d_nodes, d_edges) = self.reach(delta);
         let mut moved: Vec<(u32, Option<NetId>)> = (d_nodes.iter().copied())
             .chain(delta.nodes().filter(|&n| self.refs[n as usize] == 0))
-            .map(|node| (node, self.net_of(node)))
+            .map(|node| (node, self.net_of(node, list)))
             .collect();
         moved.sort_unstable();
         moved.dedup();
-        // The re-derived nodes' slots are rewritten below; until then
+        // The re-derived nodes' keys are rewritten below; until then
         // each holds the node's place in `d_nodes`, which numbers the
         // components densely.
         let nodes: Vec<(u32, &str)> = (d_nodes.iter().enumerate())
             .map(|(at, &n)| {
-                self.slot[n as usize] = at as u32;
+                self.key[n as usize] = at as u32;
                 (at as u32, view.strings.get(Istr::from_index(n)))
             })
             .collect();
-        let local = |node: u32| self.slot[node as usize];
+        let local = |node: u32| self.key[node as usize];
         let edges: Vec<(u32, u32)> = (d_edges.iter())
             .map(|&(a, b)| (local(a), local(b)))
             .collect();
@@ -1254,14 +1232,14 @@ impl NetIndex {
             },
             |d, k| fresh_net(parts.devices[d.0 as usize].terms[k].1),
         );
-        self.renumber(
-            &patched,
-            list.net_count(),
-            &retired,
-            &d_nodes,
-            &d_node_nets,
-            &moved,
-        );
+        // Dead nodes lose their nets; re-derived ones take their fresh
+        // nets' keys. Every other node's key is a kept net's still.
+        for &(node, _) in &moved {
+            self.key[node as usize] = NIL;
+        }
+        for (&node, &net) in d_nodes.iter().zip(&d_node_nets) {
+            self.key[node as usize] = list.key_of(patched.fresh[net.0 as usize]);
+        }
 
         let spliced = NetSplice {
             fresh: patched.fresh,
@@ -1292,7 +1270,7 @@ impl NetIndex {
         let (mut next, mut edges) = (0, Vec::new());
         while let Some(&a) = found.get(next) {
             next += 1;
-            for b in self.links.edges(a) {
+            for b in self.edges.get(a) {
                 let refs = &mut self.refs[b as usize];
                 if *refs & VISITED == 0 {
                     *refs |= VISITED;
@@ -1310,69 +1288,12 @@ impl NetIndex {
         (found, edges)
     }
 
-    /// Moves the slots to the `patched` list of `net_count` nets: kept
-    /// nets keep theirs under their new ids, retired nets free theirs,
-    /// fresh nets take one each and hand it to their nodes, and the dead
-    /// nodes among `moved` lose theirs.
-    fn renumber(
-        &mut self,
-        patched: &Patched,
-        net_count: usize,
-        retired: &[NetId],
-        d_nodes: &[u32],
-        d_node_nets: &[NetId],
-        moved: &[(u32, Option<NetId>)],
-    ) {
-        self.free_slots
-            .extend(retired.iter().map(|old| self.net_slot[old.0 as usize]));
-        let mut net_slot = vec![NIL; net_count];
-        for (old, &slot) in self.net_slot.iter().enumerate() {
-            if let Some(new) = patched.kept(NetId(old as u32)) {
-                self.slot_net[slot as usize] = new.0;
-                net_slot[new.0 as usize] = slot;
-            }
-        }
-        let mut fresh_slot = Vec::with_capacity(patched.fresh.len());
-        for &new in &patched.fresh {
-            let slot = self.free_slots.pop().unwrap_or_else(|| {
-                self.slot_net.push(NIL);
-                self.slot_net.len() as u32 - 1
-            });
-            self.slot_net[slot as usize] = new.0;
-            net_slot[new.0 as usize] = slot;
-            fresh_slot.push(slot);
-        }
-        for &slot in &self.free_slots {
-            self.slot_net[slot as usize] = NIL;
-        }
-        self.net_slot = net_slot;
-        for &(node, _) in moved {
-            self.slot[node as usize] = NIL;
-        }
-        for (&node, &net) in d_nodes.iter().zip(d_node_nets) {
-            self.slot[node as usize] = fresh_slot[net.0 as usize];
-        }
-    }
-
-    /// Follows a renumbering of the element keys (`remap[old]` is the new
-    /// key; an old key without one must be on no node).
-    pub fn remap_element_keys(&mut self, remap: &[Option<u32>]) {
-        for (link, _) in &mut self.links.entries {
-            if *link != NIL && *link & ELEMENT != 0 {
-                // invariant: the elements on nodes are live, and live
-                // keys survive.
-                let key = remap[(*link & !ELEMENT) as usize].expect("live element keys survive");
-                *link = element_link(key);
-            }
-        }
-    }
-
     /// Heap bytes of the index, as payload bytes.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let per_node = self.refs.len() + self.slot.len();
-        let slots = self.slot_net.len() + self.net_slot.len() + self.free_slots.len();
-        (per_node + slots) * size_of::<u32>() + self.links.heap_bytes()
+        (self.refs.len() + self.key.len()) * size_of::<u32>()
+            + self.edges.heap_bytes()
+            + self.elements.heap_bytes()
     }
 
     /// The debug oracle of a splice: the list and every node's net equal
@@ -1383,17 +1304,19 @@ impl NetIndex {
         let (scratch, node_net) = parts.assemble_from_scratch(view);
         debug_assert_eq!(*netlist, scratch, "splice diverged from assembly");
         for (node, &want) in node_net.iter().enumerate() {
-            let got = self.net_of(node as u32).map_or(NIL, |n| n.0);
+            let got = self.net_of(node as u32, netlist).map_or(NIL, |n| n.0);
             debug_assert_eq!(got, want, "node {node}'s net diverged");
+            let key = self.key.get(node).copied().unwrap_or(NIL);
+            debug_assert_eq!(key == NIL, want == NIL, "node {node} holds a dead key");
         }
         let mut fresh = parts.clone();
         fresh.node_net = node_net;
-        let built = NetIndex::new(&mut fresh, scratch.net_count(), |id| id as u32);
+        let built = NetIndex::new(&mut fresh, |id| id as u32);
         for node in 0..self.refs.len().max(built.refs.len()) as u32 {
             let refs = |index: &NetIndex| index.refs.get(node as usize).copied().unwrap_or(0);
             debug_assert_eq!(refs(self), refs(&built), "node {node}'s row count diverged");
             let sorted = |index: &NetIndex| {
-                let mut ends: Vec<u32> = index.links.edges(node).collect();
+                let mut ends: Vec<u32> = index.edges.get(node).collect();
                 ends.sort_unstable();
                 ends
             };
@@ -1755,7 +1678,7 @@ mod tests {
             let layout = bindable_layout(&mut TestRng::for_case(seed, 0));
             let x = extract_layout(&layout, &nmos_technology(), &[1]);
             let (mut parts, mut view, mut netlist) = (x.parts, x.view, x.netlist);
-            let mut index = NetIndex::new(&mut parts, netlist.net_count(), |id| id as u32);
+            let mut index = NetIndex::new(&mut parts, |id| id as u32);
             let rng = &mut TestRng::for_case(seed, 1);
             let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
             let netted: Vec<u32> = parts.element_node.iter().flatten().copied().collect();
@@ -1800,8 +1723,11 @@ mod tests {
                 let splice = index.splice(&parts, &view, &mut netlist, &delta, &dev_old_of_new);
                 let (scratch, node_net) = parts.assemble_from_scratch(&view);
                 prop_assert_eq!(&netlist, &scratch, "step {}", step);
+                // Every node resolves through the list: a live one to its
+                // net, by the key the index holds, a dead one to none.
                 for (node, &want) in node_net.iter().enumerate() {
-                    prop_assert_eq!(index.net_of(node as u32).map_or(NIL, |n| n.0), want);
+                    let got = index.net_of(node as u32, &netlist);
+                    prop_assert_eq!(got.map_or(NIL, |n| n.0), want, "node {}", node);
                 }
                 prop_assert!(splice.fresh.is_sorted());
                 prop_assert!(splice.fresh.iter().all(|net| (net.0 as usize) < scratch.net_count()));

@@ -808,9 +808,10 @@ impl<T> GridIndex<T> {
     }
 
     /// Rebuilds the index without its tombstoned slots — the recovery
-    /// path for an index that has served heavy insert/remove churn (an
-    /// edit session's persistent element index), whose slot vector
-    /// otherwise grows monotonically.
+    /// path for an index that has served heavy insert/remove churn,
+    /// whose slot vector otherwise grows monotonically. (An edit
+    /// session renumbers no handle while it lives: it sheds its element
+    /// index's churn by reopening instead.)
     ///
     /// Live items keep their relative (insertion) order, so queries
     /// return exactly the same payloads in exactly the same order as

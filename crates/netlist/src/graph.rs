@@ -18,7 +18,10 @@
 //! table maps keys to ids: a net keeps its key for as long as it lives
 //! while the list renumbers around it, so a renumbering rewrites one
 //! table entry per net, never one per terminal. A written list's keys
-//! are its ids.
+//! are its ids. The key is also how an edit session names a net
+//! between edits (`diic_core::netgen::NetIndex` holds a key per graph
+//! node, and reads ids through [`Netlist::net_of_key`]): no patch and no
+//! text compaction changes a live net's key.
 //!
 //! Ranges are contiguous and ascending — row *i*'s range starts where
 //! row *i − 1*'s ended — so a row stores only where its range ends.
@@ -36,7 +39,8 @@
 //! and only the rows of the nets and devices it replaces are written. Text is append-only
 //! under a patch — a dropped name stays in the buffer — so a patched
 //! list may carry garbage text up to the size of its live text; past
-//! that the next patch rewrites the list once through a writer.
+//! that the next patch rewrites the text once through a writer, every
+//! net keeping its key.
 //!
 //! Two net lists are **equal** when they say the same thing — the same
 //! names, aliases, terminals, types and classes in the same order — not
@@ -266,6 +270,22 @@ impl Netlist {
         self.aliases.len()
     }
 
+    /// The key of net `id` (see the [module docs](self)): the name it
+    /// keeps while the list renumbers around it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list has no such net.
+    pub fn key_of(&self, id: NetId) -> u32 {
+        self.nets[id.0 as usize].key
+    }
+
+    /// The net that holds `key`; `None` for a key no net holds.
+    pub fn net_of_key(&self, key: u32) -> Option<NetId> {
+        let id = *self.key_net.get(key as usize)?;
+        (id != NIL).then_some(NetId(id))
+    }
+
     /// Bytes of name text the list holds — on a patched list, the names
     /// it dropped too, up to as many bytes again as it names.
     pub fn text_bytes(&self) -> usize {
@@ -308,8 +328,8 @@ impl Netlist {
     /// devices are the only ones written, and the fresh nets' terminals
     /// are counted out on their own. The dropped
     /// nets' and devices' text stays behind as garbage, until it passes
-    /// the live text and the list is rewritten once through a
-    /// [`NetlistWriter`].
+    /// the live text and the text is rewritten once through a
+    /// [`NetlistWriter`], every net keeping its key.
     ///
     /// # Panics
     ///
@@ -358,13 +378,10 @@ impl Netlist {
         // net's taken from the free ones, a retired net's freed (its
         // terminals still name it, `NIL` now, until they move below).
         let net_segments = segments(net_edits, self.nets.len());
-        let mut net_new_of_old = vec![NIL; self.nets.len()];
         let mut fresh_new = Vec::with_capacity(fresh.nets.len());
         for s in &net_segments {
             for old in s.kept.clone() {
-                let new = shifted(old, s.shift) as u32;
-                net_new_of_old[old] = new;
-                self.key_net[self.nets[old].key as usize] = new;
+                self.key_net[self.nets[old].key as usize] = shifted(old, s.shift) as u32;
             }
             fresh_new.extend(s.inserted.clone().map(|new| NetId(new as u32)));
         }
@@ -458,7 +475,6 @@ impl Netlist {
             self.compact();
         }
         Patched {
-            net_new_of_old,
             fresh: fresh_new,
             rows_written: written,
         }
@@ -682,7 +698,10 @@ impl Netlist {
         edits
     }
 
-    /// The same list with its text written anew, garbage gone.
+    /// The same list with its text written anew, garbage gone, and
+    /// every net under its key still: the writer keys nets by id, so
+    /// each row and terminal takes back the key it had, and the key
+    /// table and the free keys carry over.
     fn compact(&mut self) {
         let mut list = NetlistWriter {
             list: Netlist {
@@ -704,17 +723,24 @@ impl Netlist {
                 list.terminal(name, net);
             }
         }
-        *self = list.finish();
+        let mut list = list.finish();
+        for (row, old) in list.nets.iter_mut().zip(&self.nets) {
+            row.key = old.key;
+        }
+        for (terminal, old) in (list.device_terminals.iter_mut()).zip(&self.device_terminals) {
+            terminal.1 = old.1;
+        }
+        list.key_net = std::mem::take(&mut self.key_net);
+        list.free_keys = std::mem::take(&mut self.free_keys);
+        *self = list;
     }
 }
 
-/// What a [`Netlist::patch`] did: where the nets went, and how many
-/// rows it wrote.
+/// What a [`Netlist::patch`] did: where the fresh nets went, and how
+/// many rows it wrote. A kept net is found again by its key
+/// ([`Netlist::net_of_key`]).
 #[derive(Debug, Clone, Default)]
 pub struct Patched {
-    /// Per net of the list before the patch, its id after (`NIL`:
-    /// retired).
-    net_new_of_old: Vec<u32>,
     /// Per net of `fresh`, its id in the patched list — ascending: the
     /// fresh nets land in their own order.
     pub fresh: Vec<NetId>,
@@ -723,15 +749,6 @@ pub struct Patched {
     /// moved onto fresh nets. The rows it kept — moved as blocks, their
     /// ids renumbered — are not counted, nor what a compaction rewrote.
     pub rows_written: usize,
-}
-
-impl Patched {
-    /// The id in the patched list of net `old` of the list before the
-    /// patch; `None` for a retired net.
-    pub fn kept(&self, old: NetId) -> Option<NetId> {
-        let new = self.net_new_of_old[old.0 as usize];
-        (new != NIL).then_some(NetId(new))
-    }
 }
 
 /// `terminals` — `(net, position, device)`, in device order — grouped

@@ -486,24 +486,31 @@ fn patch_rounds(seed: u64, rounds: usize) -> usize {
         for (id, name) in &next.nodes {
             prop_assert_eq!(list.net_by_name(name), want.net_by_name(name), "{:?}", id);
         }
-        // Every net of the patched list is a kept one or a fresh one,
-        // under its own name.
+        // Every net of the patched list is a kept one, found by the key
+        // it had and under its own name — across a text compaction too
+        // — or a fresh one, under a key no net held before the patch.
         let mut landed = vec![0; want.net_count()];
+        let mut keys_before: Vec<u32> = before.nets().map(|old| before.key_of(old.id())).collect();
         for old in before.nets() {
-            let kept = patched.kept(old.id());
+            let kept = list.net_of_key(before.key_of(old.id()));
             prop_assert_eq!(kept.is_none(), retired.binary_search(&old.id()).is_ok());
             if let Some(new) = kept {
                 prop_assert_eq!(list.net(new).name(), old.name());
                 landed[new.0 as usize] += 1;
             }
         }
+        keys_before.sort_unstable();
         prop_assert_eq!(patched.fresh.len(), fresh.net_count());
         prop_assert!(patched.fresh.is_sorted());
         for (f, &new) in patched.fresh.iter().enumerate() {
             prop_assert_eq!(list.net(new).name(), fresh.net(NetId(f as u32)).name());
+            prop_assert!(keys_before.binary_search(&list.key_of(new)).is_err());
             landed[new.0 as usize] += 1;
         }
         prop_assert!(landed.iter().all(|&n| n == 1));
+        for net in list.nets() {
+            prop_assert_eq!(list.net_of_key(list.key_of(net.id())), Some(net.id()));
+        }
         prop_assert!(patched.rows_written >= fresh.alias_count());
         prop_assert!(
             list.text_bytes() <= 2 * want.text_bytes(),

@@ -78,12 +78,12 @@ const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
 };
 
 /// Allocator calls of the edit run below when this budget was set:
-/// 19 197 in a release build, 605 634 in a debug one (whose oracles
+/// 19 110 in a release build, 605 575 in a debug one (whose oracles
 /// re-check the chip). A run may take 5 % more, no further.
 const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
-    605_634
+    605_575
 } else {
-    19_197
+    19_110
 };
 
 /// Allocator calls `f` makes on this thread, and its result.
