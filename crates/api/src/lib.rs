@@ -21,9 +21,10 @@
 //!   reopens a patched session, shedding its churn garbage, before any
 //!   session is dropped — one per sweep at most), and retires a session a panicking request
 //!   left poisoned (`410`);
-//! * [`service`] — the [`Router`] and handlers; reports stream
-//!   through [`diic_core::StreamingSink`] / [`diic_core::SpillingSink`]
-//!   straight into the connection;
+//! * [`service`] — the [`Router`] and handlers; a report read writes
+//!   the session's own rendered lines
+//!   ([`diic_core::CheckSession::write_report`]) straight into the
+//!   connection;
 //! * [`error`] — the 4xx/5xx contract: malformed input is always a
 //!   rendered diagnostic, never a panic; a handler that panics anyway
 //!   fails its own request with a `500` ([`Router::oneshot`]), not the
@@ -31,9 +32,9 @@
 //!
 //! Everything a response carries is **canonical**: report lines are
 //! byte-identical to a local [`diic_core::canonical_check`] render,
-//! whatever the worker count, chunk size, spill budget, or how many
-//! edits the session absorbed — `tests/api.rs` is the differential
-//! harness that holds the service to it.
+//! whatever the worker count or how many edits the session absorbed —
+//! `tests/api.rs` is the differential harness that holds the service to
+//! it.
 //!
 //! The HTTP layer itself is the offline [`axum`] stand-in from
 //! `crates/compat/axum`: same router/handler shapes, no async runtime

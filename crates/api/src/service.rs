@@ -6,7 +6,7 @@
 //! | `/stats`                     | GET    | registry counters and pool memory                       |
 //! | `/sessions`                  | POST   | open a [`CheckSession`]; body `{cif, deck?, options?}`  |
 //! | `/sessions/{id}/edits`       | POST   | apply an edit set; returns the report **delta**         |
-//! | `/sessions/{id}/report`      | GET    | stream the full canonical report (`?spill_budget=N`)    |
+//! | `/sessions/{id}/report`      | GET    | stream the full canonical report                        |
 //! | `/sessions/{id}`             | DELETE | close a session                                         |
 //! | `/library`                   | POST   | batch-verify cells over the shared content-keyed cache  |
 //!
@@ -15,26 +15,20 @@
 //! every one admits itself against the registry's request budget
 //! first, so overload degrades to fast `503`s instead of a queue.
 //!
-//! `GET /sessions/{id}/report` does not materialise the report: the
-//! response carries a [`axum::Body::Writer`] closure owning the session pin
-//! and the request permit, and the bytes go connection-ward through a
-//! [`StreamingSink`] — or a [`SpillingSink`] holding at most
-//! `spill_budget` violations in memory — chunk by canonically sorted
-//! chunk. A client hanging up mid-stream latches as the sink's I/O
-//! error inside the closure; the pin drops, the registry is untouched.
+//! `GET /sessions/{id}/report` copies no violation: the response
+//! carries a [`axum::Body::Writer`] closure owning the session pin and
+//! the request permit, and [`CheckSession::write_report`] writes the
+//! lines the session already holds in canonical order. A client hanging
+//! up mid-stream surfaces as the closure's I/O error; the pin drops,
+//! the registry is untouched.
 
 use crate::error::{json_response, ApiError, FrontEnd};
 use crate::registry::{RegistryConfig, SessionRegistry};
 use crate::wire;
 use axum::{delete, get, post, Request, Response, Router, StatusCode};
-use diic_core::{CheckSession, DiagnosticSink, LibraryOptions, SpillingSink, StreamingSink};
+use diic_core::{CheckSession, DiagnosticSink, LibraryOptions};
 use serde_json::Value;
 use std::sync::Arc;
-
-/// Violations rendered per chunk by the streamed report path (the same
-/// default the CLI streaming path uses; override per request with
-/// `?chunk=N`).
-pub const DEFAULT_REPORT_CHUNK: usize = 4096;
 
 /// The service state: just the registry (it owns every bound).
 pub struct App {
@@ -175,27 +169,12 @@ fn string_array(items: &[String]) -> Value {
 
 /// `GET /sessions/{id}/report` — streams the canonical report as
 /// plain text, one violation per line, byte-identical to rendering
-/// [`diic_core::canonical_check`] locally. `?chunk=N` bounds the per-chunk
-/// violation count; `?spill_budget=N` switches to the external-sort
-/// [`SpillingSink`] so peak memory is `N` violations regardless of
-/// report size.
+/// [`diic_core::canonical_check`] locally. The query parameters `chunk`
+/// and `spill_budget` are accepted and ignored, for clients that still
+/// send them: every read writes the same bytes.
 fn stream_report(app: &App, req: &Request) -> Result<Response, ApiError> {
     let permit = app.registry.admit()?;
     let id = session_id(req)?;
-    let chunk = match req.query_get("chunk") {
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ApiError::bad_request_shape("`chunk` must be a positive integer"))?,
-        None => DEFAULT_REPORT_CHUNK,
-    };
-    let spill_budget = match req.query_get("spill_budget") {
-        Some(raw) => Some(raw.parse::<usize>().map_err(|_| {
-            ApiError::bad_request_shape("`spill_budget` must be a non-negative integer")
-        })?),
-        None => None,
-    };
     let pin = app.registry.pin(id)?;
     let writer: axum::BodyWriter = Box::new(move |out| {
         // The pin and the permit live exactly as long as the stream:
@@ -207,18 +186,7 @@ fn stream_report(app: &App, req: &Request) -> Result<Response, ApiError> {
             // close-delimited body is the only remaining signal.
             std::io::Error::other(e.to_string())
         })?;
-        match spill_budget {
-            Some(budget) => {
-                let mut sink = SpillingSink::new(&mut *out, budget);
-                session.emit_report(&mut sink);
-                sink.finish().map(|_| ())
-            }
-            None => {
-                let mut sink = StreamingSink::new(&mut *out, chunk);
-                session.emit_report(&mut sink);
-                sink.finish().map(|_| ())
-            }
-        }
+        session.write_report(out)
     });
     Ok(Response::new(StatusCode::OK)
         .header("content-type", "text/plain; charset=utf-8")
@@ -294,19 +262,11 @@ fn check_library(app: &App, req: &Request) -> Result<Response, ApiError> {
         diic_core::check_library_in(&library.session, &layouts, &library.tech, &options, |_| {
             DiagnosticSink::new()
         });
-    let cells_out = Value::array(batch.reports.iter().map(|report| {
-        let mut violations = report.violations.clone();
-        diic_core::canonical_sort(&mut violations);
+    let cells_out = Value::array(batch.reports.into_iter().map(|report| {
+        let (_, lines) = diic_core::canonical_sort_keyed(report.violations);
         Value::object([
-            ("violations", Value::from(violations.len())),
-            (
-                "report",
-                Value::array(
-                    violations
-                        .iter()
-                        .map(|v| Value::from(wire::render_violation(v))),
-                ),
-            ),
+            ("violations", Value::from(lines.len())),
+            ("report", Value::array(lines.into_iter().map(Value::from))),
         ])
     }));
     let response = Value::object([

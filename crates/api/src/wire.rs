@@ -449,14 +449,6 @@ fn item_from_json(v: &Value, layout: &Layout) -> Result<Item, ApiError> {
 // ---------------------------------------------------------------------
 // Reports.
 
-/// Renders one violation exactly as the streaming report does (one
-/// `Debug` line, no trailing newline) — the unit the delta arrays and
-/// the per-cell library reports are made of, byte-compatible with
-/// [`diic_core::StreamingSink`] output lines.
-pub fn render_violation(v: &Violation) -> String {
-    diic_core::render_line(v)
-}
-
 /// The summary object every session response embeds: violation count,
 /// per-category counts (sorted by category name), and the view size.
 pub fn report_summary(report: &CheckReport) -> Value {

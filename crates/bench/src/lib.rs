@@ -1035,11 +1035,11 @@ impl InteractionInputs {
             view.elements.bboxes(),
             bound.max_rule_range(),
         );
-        let (conn, _) = check_connections(&view, tech, &scopes, 1);
+        let (conn, _) = check_connections(&view, tech, &bound, &scopes, 1);
         let labels: Vec<_> = (layout.labels().iter())
             .map(|l| (l, binding.layer(l.layer)))
             .collect();
-        let (mut parts, _) = NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        let (mut parts, _) = NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, 1);
         parts.assemble(&view);
         InteractionInputs {
             view,

@@ -8,8 +8,8 @@
 //!   ([`get`] / [`post`] / [`delete`] method routers);
 //! * [`Request`] / [`Response`] types, with a **streaming** response
 //!   body variant ([`Body::Writer`]) — a closure handed the connection
-//!   writer, which is how the service streams a canonical report
-//!   through a `StreamingSink` without materialising it;
+//!   writer, which is how the service writes a session's canonical
+//!   report without materialising it;
 //! * [`Router::oneshot`] in-process dispatch (the tower idiom the
 //!   differential and soak tests drive — no sockets involved);
 //! * [`serve`], a small blocking HTTP/1.1 server over

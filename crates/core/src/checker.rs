@@ -61,9 +61,7 @@ impl Default for CheckOptions {
 
 impl CheckOptions {
     /// The effective worker count: `0` clamped to all available cores,
-    /// through the same [`crate::parallel::effective_parallelism`] that
-    /// resolves [`crate::FlatOptions::parallelism`] — the two knobs
-    /// cannot disagree on what `0` means.
+    /// through [`crate::parallel::effective_parallelism`].
     pub fn effective_parallelism(&self) -> usize {
         crate::parallel::effective_parallelism(self.parallelism)
     }
@@ -328,17 +326,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_parallelism_clamps_consistently_with_flat_options() {
-        // The cross-validation contract for the two tuning knobs.
+    fn zero_parallelism_clamps_to_all_cores() {
         let check = CheckOptions {
             parallelism: 0,
             ..CheckOptions::default()
         };
-        let flat = crate::flat::FlatOptions {
-            parallelism: 0,
-            ..crate::flat::FlatOptions::default()
-        };
-        assert_eq!(check.effective_parallelism(), flat.effective_parallelism());
+        assert_eq!(
+            check.effective_parallelism(),
+            crate::parallel::effective_parallelism(0)
+        );
         assert!(check.effective_parallelism() >= 1);
         assert_eq!(
             CheckOptions::default().effective_parallelism(),

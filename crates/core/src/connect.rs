@@ -55,7 +55,7 @@
 //! stays serial — its seed sets are already edit-sized.
 
 use crate::binding::ChipView;
-use crate::interact::interaction_cell_size;
+use crate::library::BoundTechnology;
 use crate::parallel::run_ordered;
 use crate::scope::{Scan, ScanIndex, ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
@@ -151,19 +151,19 @@ impl Scored {
 struct ScanCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
-    forming: HashSet<(LayerId, LayerId)>,
+    forming: &'a HashSet<(LayerId, LayerId)>,
     /// Index cells, sized from the technology's rule reach
-    /// ([`interaction_cell_size`]).
+    /// ([`BoundTechnology::cell_size`]).
     cell: diic_geom::Coord,
 }
 
 impl<'a> ScanCx<'a> {
-    fn new(view: &'a ChipView, tech: &'a Technology) -> Self {
+    fn new(view: &'a ChipView, tech: &'a Technology, bound: &'a BoundTechnology) -> Self {
         ScanCx {
             view,
             tech,
-            forming: device_forming_pairs(tech),
-            cell: interaction_cell_size(tech),
+            forming: bound.forming(),
+            cell: bound.cell_size(),
         }
     }
 
@@ -283,10 +283,11 @@ impl<'a> ScanCx<'a> {
 pub fn check_connections(
     view: &ChipView,
     tech: &Technology,
+    bound: &BoundTechnology,
     scopes: &ScopeTable,
     workers: usize,
 ) -> (ConnectionResult, ScopeStats) {
-    let cx = ScanCx::new(view, tech);
+    let cx = ScanCx::new(view, tech, bound);
     let calls = scopes.calls();
     let plan = scopes.rows(0);
     let mut stats = scopes.stats();
@@ -401,9 +402,10 @@ pub fn check_connections(
 pub fn check_connections_among(
     view: &ChipView,
     tech: &Technology,
+    bound: &BoundTechnology,
     ids: &[usize],
 ) -> ConnectionResult {
-    let cx = ScanCx::new(view, tech);
+    let cx = ScanCx::new(view, tech, bound);
     let scan = Scan::direct(ScopeIds::List(ids));
     let mut scored = Scored::default();
     let index = scan.index(view.elements.bboxes(), cx.cell);
@@ -465,10 +467,11 @@ pub(crate) mod tests {
             crate::interact::max_rule_range(tech),
         );
         let all: Vec<usize> = (0..view.elements.len()).collect();
-        let direct = check_connections_among(&view, tech, &all);
+        let bound = BoundTechnology::new(tech);
+        let direct = check_connections_among(&view, tech, &bound, &all);
         let mut stats = ScopeStats::default();
         for &w in workers {
-            let (tabled, s) = check_connections(&view, tech, &scopes, w);
+            let (tabled, s) = check_connections(&view, tech, &bound, &scopes, w);
             assert_eq!(tabled.violations, direct.violations, "workers={w}");
             assert_eq!(tabled.merges, direct.merges, "workers={w}");
             assert_eq!(tabled.pairs_examined, direct.pairs_examined, "workers={w}");

@@ -220,15 +220,16 @@ impl<W: std::io::Write> StreamingSink<W> {
         if self.chunk.is_empty() {
             return;
         }
-        crate::report::canonical_sort(&mut self.chunk);
-        // Format the whole (bounded) chunk and write it in one call:
-        // a raw `File` writer then pays one syscall per chunk, not one
-        // per violation — no `BufWriter` required of the caller.
+        // Sort by the lines' renderings and write those: each line is
+        // rendered once. The whole (bounded) chunk goes out in one call,
+        // so a raw `File` writer pays one syscall per chunk, not one per
+        // violation — no `BufWriter` required of the caller.
         let flushed = self.chunk.len();
+        let (_, lines) = crate::report::canonical_sort_keyed(std::mem::take(&mut self.chunk));
         let mut text = String::new();
-        for v in self.chunk.drain(..) {
-            use std::fmt::Write as _;
-            let _ = writeln!(text, "{v:?}");
+        for line in lines {
+            text.push_str(&line);
+            text.push('\n');
         }
         match self.out.write_all(text.as_bytes()) {
             Ok(()) => self.written += flushed,
@@ -421,10 +422,10 @@ impl<W: std::io::Write> SpillingSink<W> {
             })?;
         } else {
             // In-memory path: the whole report fit the budget.
-            crate::report::canonical_sort(&mut self.chunk);
-            for v in self.chunk.drain(..) {
-                use std::fmt::Write as _;
-                let _ = writeln!(text, "{v:?}");
+            let (_, lines) = crate::report::canonical_sort_keyed(std::mem::take(&mut self.chunk));
+            for line in lines {
+                text.push_str(&line);
+                text.push('\n');
                 if text.len() >= FLUSH_BYTES {
                     self.out.write_all(text.as_bytes())?;
                     text.clear();
@@ -611,7 +612,7 @@ pub(crate) fn run_pipeline(
         prim.waived
     });
     let (merges, conn_stats) = timed(&mut profile, "connections", sink, |sink| {
-        let (conn, stats) = check_connections(&view, tech, &scopes, workers);
+        let (conn, stats) = check_connections(&view, tech, bound, &scopes, workers);
         sink.absorb(conn.violations);
         (conn.merges, stats)
     });
@@ -621,7 +622,7 @@ pub(crate) fn run_pipeline(
             .collect();
         // Fresh node keys intern into the view's string table.
         let (mut parts, bind_stats) =
-            NetParts::build(&mut view, tech, &merges, &labels, &scopes, workers);
+            NetParts::build(&mut view, bound, &merges, &labels, &scopes, workers);
         let netlist = parts.assemble(&view);
         (parts, netlist, conn_stats.with_binding_of(bind_stats))
     });

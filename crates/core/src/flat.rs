@@ -21,22 +21,17 @@
 //!   distinguished (resistor ties are flagged), and a mask-level "no
 //!   contact over gate" check flags every butting contact (Fig. 7).
 //!
-//! The per-layer Boolean/expand-shrink work is embarrassingly parallel:
-//! each width job (one mask layer) and spacing job (one component of a
-//! same-layer rule entry, or one cross-layer rule entry) is independent.
-//! With [`FlatOptions::parallelism`] > 1 the jobs run on the shared
-//! scoped worker pool ([`crate::parallel::run_ordered`]) and merge in
-//! job order, so serial and parallel runs are **byte-identical**. The
-//! job walk itself is deterministic because [`FlatLayers`] keeps the
-//! per-layer unions sorted by layer id (never in hash order).
+//! The baseline runs serially: it is the reference the pipeline is
+//! measured against, not a workload of its own. Every walk is
+//! deterministic because [`FlatLayers`] keeps the per-layer unions
+//! sorted by layer id (never in hash order).
 
-use crate::parallel::{effective_parallelism, run_ordered};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::{flatten, Layout};
 use diic_geom::raster::euclidean_shrink_expand_compare;
 use diic_geom::spacing::check_region_spacing;
 use diic_geom::width::shrink_expand_compare;
-use diic_geom::{Coord, Rect, Region, SizingMode};
+use diic_geom::{Rect, Region, SizingMode};
 use diic_tech::{LayerId, LayerKind, Technology};
 use std::collections::HashMap;
 
@@ -49,14 +44,6 @@ pub struct FlatOptions {
     pub raster_resolution: i64,
     /// Apply the mask-level "no contact over poly∩diff" rule (Fig. 7).
     pub contact_over_gate_rule: bool,
-    /// Worker threads for the per-layer Boolean/expand-shrink work.
-    /// `1` (the default) runs [`flat_check`] serially; `0` uses all
-    /// available cores — the same clamping as
-    /// [`crate::CheckOptions::parallelism`], via the shared
-    /// [`effective_parallelism`]. Any value yields byte-identical
-    /// reports. This is the baseline's only worker knob:
-    /// `CheckOptions::parallelism` governs the DIIC pipeline alone.
-    pub parallelism: usize,
 }
 
 impl Default for FlatOptions {
@@ -65,23 +52,13 @@ impl Default for FlatOptions {
             metric: SizingMode::Orthogonal,
             raster_resolution: 25,
             contact_over_gate_rule: true,
-            parallelism: 1,
         }
-    }
-}
-
-impl FlatOptions {
-    /// The effective worker count for a [`flat_check`] run — `0`
-    /// clamped to all cores through the same function that resolves
-    /// `CheckOptions::parallelism`.
-    pub fn effective_parallelism(&self) -> usize {
-        effective_parallelism(self.parallelism)
     }
 }
 
 /// The per-mask-layer unions the flat baseline operates on, **sorted by
 /// layer id** so every downstream walk (and hence the violation order)
-/// is deterministic — independent of hash order and worker count.
+/// is deterministic — independent of hash order.
 ///
 /// Built once per [`flat_check`] run by [`FlatLayers::build`] and shared
 /// read-only by its width, spacing, and contact-over-gate phases.
@@ -91,13 +68,10 @@ pub struct FlatLayers {
 }
 
 impl FlatLayers {
-    /// Flattens the layout and unions its geometry per mask layer: all
-    /// topology discarded, exactly what a mask-level checker sees. The
-    /// flatten walk is serial (it is a fraction of the Boolean work);
-    /// each layer's union is an independent pure job spread across
-    /// `workers` scoped threads ([`run_ordered`]) in ascending layer-id
-    /// order, so any worker count produces a byte-identical artefact.
-    pub fn build(layout: &Layout, tech: &Technology, workers: usize) -> FlatLayers {
+    /// Flattens the layout and unions its geometry per mask layer, in
+    /// ascending layer-id order: all topology discarded, exactly what a
+    /// mask-level checker sees.
+    pub fn build(layout: &Layout, tech: &Technology) -> FlatLayers {
         let flat = flatten(layout);
         let mut rects_per_layer: HashMap<LayerId, Vec<Rect>> = HashMap::new();
         for e in &flat {
@@ -109,14 +83,11 @@ impl FlatLayers {
                 .or_default()
                 .extend(e.shape.rects());
         }
-        let mut keyed: Vec<(LayerId, Vec<Rect>)> = rects_per_layer.into_iter().collect();
-        keyed.sort_by_key(|(l, _)| *l);
-        let unions = run_ordered(keyed.len(), workers, |k| {
-            Region::from_rects(keyed[k].1.iter().copied())
-        });
-        FlatLayers {
-            layers: keyed.iter().map(|(l, _)| *l).zip(unions).collect(),
-        }
+        let mut layers: Vec<(LayerId, Region)> = (rects_per_layer.into_iter())
+            .map(|(l, rects)| (l, Region::from_rects(rects)))
+            .collect();
+        layers.sort_by_key(|(l, _)| *l);
+        FlatLayers { layers }
     }
 
     /// The union for one layer, if any geometry was drawn on it.
@@ -150,100 +121,55 @@ impl FlatLayers {
     }
 }
 
-/// Width phase: shrink-expand-compare per layer, one job per eligible
-/// layer, merged in layer order.
+/// Width phase: shrink-expand-compare per eligible layer, in layer
+/// order.
 fn flat_width_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
-    workers: usize,
 ) -> Vec<Violation> {
-    let eligible: Vec<(LayerId, &Region)> = layers
-        .iter()
-        .filter(|(layer, region)| {
-            let info = tech.layer(*layer);
-            (info.kind.is_interconnect() || info.kind == LayerKind::Contact) && !region.is_empty()
-        })
-        .collect();
-    run_ordered(eligible.len(), workers, |k| {
-        let (layer, region) = eligible[k];
+    let mut out = Vec::new();
+    for (layer, region) in layers.iter() {
         let info = tech.layer(layer);
-        let min_w = info.min_width;
-        let mut out = Vec::new();
-        match options.metric {
-            SizingMode::Orthogonal => {
-                for v in shrink_expand_compare(region, min_w) {
-                    out.push(Violation {
-                        stage: CheckStage::Elements,
-                        kind: ViolationKind::Width {
-                            layer: info.name.clone(),
-                            measured: v.measured,
-                            required: min_w,
-                        },
-                        location: Some(v.location),
-                        context: "flat".to_string(),
-                    });
-                }
-            }
-            SizingMode::Euclidean => {
-                for loc in euclidean_shrink_expand_compare(region, min_w, options.raster_resolution)
-                {
-                    out.push(Violation {
-                        stage: CheckStage::Elements,
-                        kind: ViolationKind::Width {
-                            layer: info.name.clone(),
-                            measured: loc.min_side().min(min_w - 1),
-                            required: min_w,
-                        },
-                        location: Some(loc),
-                        context: "flat".to_string(),
-                    });
-                }
-            }
+        if !(info.kind.is_interconnect() || info.kind == LayerKind::Contact) || region.is_empty() {
+            continue;
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// One unit of the spacing phase's deterministic job list.
-enum SpacingJob<'a> {
-    /// Check component `i` of a same-layer entry against components
-    /// `i+1..` (indices into the per-entry component store).
-    Same {
-        entry: usize,
-        layer: LayerId,
-        required: Coord,
-        i: usize,
-    },
-    /// Check one disjoint cross-layer rule entry over the two layers'
-    /// unions.
-    Cross {
-        a: LayerId,
-        b: LayerId,
-        ra: &'a Region,
-        rb: &'a Region,
-        required: Coord,
-    },
+        let min_w = info.min_width;
+        let width = |measured, location| Violation {
+            stage: CheckStage::Elements,
+            kind: ViolationKind::Width {
+                layer: info.name.clone(),
+                measured,
+                required: min_w,
+            },
+            location: Some(location),
+            context: "flat".to_string(),
+        };
+        match options.metric {
+            SizingMode::Orthogonal => out.extend(
+                shrink_expand_compare(region, min_w)
+                    .into_iter()
+                    .map(|v| width(v.measured, v.location)),
+            ),
+            SizingMode::Euclidean => out.extend(
+                euclidean_shrink_expand_compare(region, min_w, options.raster_resolution)
+                    .into_iter()
+                    .map(|loc| width(loc.min_side().min(min_w - 1), loc)),
+            ),
+        }
+    }
+    out
 }
 
 /// Spacing phase: expand-check-overlap between connected components
-/// (same layer) and disjoint cross-layer features, per the rule matrix.
-/// No net information exists. Jobs follow the matrix's deterministic
-/// entry order — per-component for same-layer entries (the quadratic
-/// part), per-entry for cross-layer ones — and merge in job order.
+/// (same layer) and disjoint cross-layer features, in the rule matrix's
+/// entry order. No net information exists.
 fn flat_spacing_checks(
     layers: &FlatLayers,
     tech: &Technology,
     options: &FlatOptions,
-    workers: usize,
 ) -> Vec<Violation> {
-    // Connected components per same-layer entry, computed once up front
-    // and shared read-only by the jobs.
-    let mut components: Vec<Vec<Region>> = Vec::new();
-    let mut jobs: Vec<SpacingJob> = Vec::new();
+    let mut out = Vec::new();
     for (a, b, rule) in tech.rules().entries() {
         let required = rule.diff_net;
         if a == b {
@@ -251,63 +177,24 @@ fn flat_spacing_checks(
                 continue;
             };
             let comps = region.components();
-            let entry = components.len();
-            jobs.extend(
-                (0..comps.len().saturating_sub(1)).map(|i| SpacingJob::Same {
-                    entry,
-                    layer: a,
-                    required,
-                    i,
-                }),
-            );
-            components.push(comps);
-        } else if let (Some(ra), Some(rb)) = (layers.get(a), layers.get(b)) {
-            jobs.push(SpacingJob::Cross {
-                a,
-                b,
-                ra,
-                rb,
-                required,
-            });
-        }
-    }
-    run_ordered(jobs.len(), workers, |k| {
-        let mut out = Vec::new();
-        match jobs[k] {
-            SpacingJob::Same {
-                entry,
-                layer,
-                required,
-                i,
-            } => {
-                let comps = &components[entry];
-                for j in (i + 1)..comps.len() {
-                    for v in check_region_spacing(&comps[i], &comps[j], required, options.metric) {
-                        out.push(spacing_violation(tech, layer, layer, &v));
+            for (i, ci) in comps.iter().enumerate() {
+                for cj in &comps[i + 1..] {
+                    for v in check_region_spacing(ci, cj, required, options.metric) {
+                        out.push(spacing_violation(tech, a, a, &v));
                     }
                 }
             }
-            SpacingJob::Cross {
-                a,
-                b,
-                ra,
-                rb,
-                required,
-            } => {
-                // Overlapping cross-layer geometry is assumed intentional (a
-                // transistor, a contact): the mask-level checker cannot know
-                // better. Only disjoint features are spacing-checked — so it
-                // misses accidental crossings entirely (Fig. 8).
-                for v in check_region_spacing(ra, rb, required, options.metric) {
-                    out.push(spacing_violation(tech, a, b, &v));
-                }
+        } else if let (Some(ra), Some(rb)) = (layers.get(a), layers.get(b)) {
+            // Overlapping cross-layer geometry is assumed intentional (a
+            // transistor, a contact): the mask-level checker cannot know
+            // better. Only disjoint features are spacing-checked — so it
+            // misses accidental crossings entirely (Fig. 8).
+            for v in check_region_spacing(ra, rb, required, options.metric) {
+                out.push(spacing_violation(tech, a, b, &v));
             }
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    }
+    out
 }
 
 /// The mask-level Fig. 7 rule: no contact over the "active gate",
@@ -336,13 +223,11 @@ fn flat_gate_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
 }
 
 /// Runs the flat checker: union per layer, then the width, spacing, and
-/// contact-over-gate phases (in that order), parallel per
-/// [`FlatOptions::parallelism`].
+/// contact-over-gate phases, in that order.
 pub fn flat_check(layout: &Layout, tech: &Technology, options: &FlatOptions) -> Vec<Violation> {
-    let workers = options.effective_parallelism();
-    let layers = FlatLayers::build(layout, tech, workers);
-    let mut violations = flat_width_checks(&layers, tech, options, workers);
-    violations.extend(flat_spacing_checks(&layers, tech, options, workers));
+    let layers = FlatLayers::build(layout, tech);
+    let mut violations = flat_width_checks(&layers, tech, options);
+    violations.extend(flat_spacing_checks(&layers, tech, options));
     if options.contact_over_gate_rule {
         violations.extend(flat_gate_checks(&layers, tech));
     }
@@ -459,7 +344,7 @@ mod tests {
     fn flat_layers_sorted_and_queryable() {
         let layout = parse("L NM; B 1000 750 0 0; L NP; B 1000 500 5000 0; E").unwrap();
         let tech = nmos_technology();
-        let layers = FlatLayers::build(&layout, &tech, 1);
+        let layers = FlatLayers::build(&layout, &tech);
         assert_eq!(layers.len(), 2);
         let ids: Vec<LayerId> = layers.iter().map(|(l, _)| l).collect();
         let mut sorted = ids.clone();
@@ -468,49 +353,5 @@ mod tests {
         let metal = tech.layer_by_cif("NM").unwrap();
         assert!(layers.get(metal).is_some());
         assert!(layers.get(tech.layer_by_cif("NI").unwrap()).is_none());
-    }
-
-    #[test]
-    fn parallel_flat_is_byte_identical() {
-        // A layout exercising all three phases: narrow wire (width),
-        // close wires (same-layer spacing), poly near diff (cross-layer
-        // spacing via the matrix), butting contact (gate rule).
-        let cif = "DS 1; 9D BUTTING_CONTACT;
-             L NP; B 1000 1000 0 -250; L ND; B 1000 1000 0 250;
-             L NC; B 500 500 0 0; L NM; B 1000 1000 0 0; DF;
-             C 1;
-             L NM; B 2000 700 9000 350;
-             L NM; B 2000 750 9000 2000; B 2000 750 9000 2500;
-             E";
-        let layout = parse(cif).unwrap();
-        let tech = nmos_technology();
-        let serial = flat_check(&layout, &tech, &FlatOptions::default());
-        assert!(!serial.is_empty());
-        for workers in [2usize, 3, 8, 0] {
-            let parallel = flat_check(
-                &layout,
-                &tech,
-                &FlatOptions {
-                    parallelism: workers,
-                    ..FlatOptions::default()
-                },
-            );
-            assert_eq!(serial, parallel, "workers={workers}: flat reports diverge");
-        }
-    }
-
-    #[test]
-    fn zero_parallelism_clamps_like_check_options() {
-        // The cross-validation contract: FlatOptions resolves 0 through
-        // the same effective_parallelism as CheckOptions.
-        let opts = FlatOptions {
-            parallelism: 0,
-            ..FlatOptions::default()
-        };
-        assert_eq!(
-            opts.effective_parallelism(),
-            crate::parallel::effective_parallelism(0)
-        );
-        assert!(opts.effective_parallelism() >= 1);
     }
 }

@@ -922,20 +922,16 @@ pub struct CheckSession {
     /// Persistent spatial index over element bboxes (a
     /// [`diic_geom::GridIndex`]: a grid over the elements at its last
     /// rebuild plus the ones entered since): dirty-region queries cost
-    /// the neighbourhood, not a whole-chip scan.
-    elem_index: GridIndex<()>,
+    /// the neighbourhood, not a whole-chip scan. Each entry's payload is
+    /// its element's current id: no handle is renumbered while it lives,
+    /// and the re-lay rewrites the payloads of the elements it moves.
+    elem_index: GridIndex<u32>,
     /// Element id → its handle in `elem_index`.
     elem_handles: Vec<u32>,
     /// The label positions and the devices the element index cannot
     /// find by their terminals, for the re-bind step's question of which
     /// rows the edit reaches.
     points: PointIndex,
-    /// Handle → current element id, one slot per handle the index has
-    /// issued since the session opened: no handle is renumbered while it
-    /// lives, and a reopen starts the table afresh. Dead handles keep
-    /// garbage; only live ones — which the index queries return — are
-    /// ever read.
-    handle_owner: Vec<usize>,
     report: CheckReport,
     /// Each report line's rendering, aligned with `report.violations`:
     /// the canonical sort key, computed once when the line entered the
@@ -973,7 +969,8 @@ impl CheckSession {
             ..
         } = artefacts;
         let bboxes = view.elements.bboxes();
-        let elem_index = GridIndex::from_items(bboxes.iter().map(|&b| (b, ())), bound.cell_size());
+        let ids = (0..).zip(bboxes).map(|(id, &b)| (b, id));
+        let elem_index = GridIndex::from_items(ids, bound.cell_size());
         let elem_handles: Vec<u32> = (0..bboxes.len() as u32).collect();
         let nets = NetIndex::new(&mut parts, |id| elem_handles[id]);
         let points = PointIndex::build(&view, layout.labels(), &elem_handles, bound.cell_size());
@@ -990,7 +987,6 @@ impl CheckSession {
             nets,
             points,
             elem_index,
-            handle_owner: (0..elem_handles.len()).collect(),
             elem_handles,
             report,
             keys,
@@ -1009,7 +1005,7 @@ impl CheckSession {
         let layout = take(&mut self.layout);
         let lines = (take(&mut self.report.violations), take(&mut self.keys));
         (self.view, self.parts, self.nets) = Default::default();
-        (self.runs, self.merges, self.elem_handles, self.handle_owner) = Default::default();
+        (self.runs, self.merges, self.elem_handles) = Default::default();
         self.report.netlist = Netlist::default();
         self.elem_index = GridIndex::new(1);
         *self = CheckSession::new(layout, &self.tech, &self.options);
@@ -1132,16 +1128,21 @@ impl CheckSession {
     /// follows the queries, not the chip.
     fn elements_touching<'a>(&'a self, rects: &[Rect]) -> impl Iterator<Item = usize> + 'a {
         let handles = self.elem_index.query_handles_many(rects).into_iter();
-        handles.map(|h| self.handle_owner[h as usize])
+        handles.map(|h| self.element_of(h))
     }
 
-    /// The ids of the elements whose bbox ⊕ `reach` touches one of the
-    /// rects of `grid`, ascending: the elements touching one of those
-    /// rects ⊕ `reach`, as inflating either box by the reach is the
-    /// same test.
-    fn elements_near(&self, grid: &FlatGrid, reach: i64) -> Vec<usize> {
-        let rects = grid.rects().iter();
-        let queries: Vec<Rect> = rects.filter_map(|r| r.inflate(reach)).collect();
+    /// The current id of the live element behind an index handle.
+    fn element_of(&self, handle: u32) -> usize {
+        // invariant: callers hold handles the index answered, or ones a
+        // net index node names, and both are live.
+        *self.elem_index.get(handle).expect("a live handle").1 as usize
+    }
+
+    /// The ids of the elements whose bbox ⊕ `reach` touches one of
+    /// `rects`, ascending: the elements touching one of those rects ⊕
+    /// `reach`, as inflating either box by the reach is the same test.
+    fn elements_near(&self, rects: &[Rect], reach: i64) -> Vec<usize> {
+        let queries: Vec<Rect> = rects.iter().filter_map(|r| r.inflate(reach)).collect();
         let mut ids: Vec<usize> = self.elements_touching(&queries).collect();
         ids.sort_unstable();
         ids
@@ -1355,10 +1356,10 @@ impl CheckSession {
         }
         rewritten.push(e_split..view.elements.len());
 
-        let slots = self.elem_index.len() + self.elem_index.tombstones();
-        self.handle_owner.resize(slots, usize::MAX);
         for id in rewritten.into_iter().flatten() {
-            self.handle_owner[self.elem_handles[id] as usize] = id;
+            let owner = self.elem_index.get_mut(self.elem_handles[id]);
+            // invariant: every element of the patched view is indexed.
+            *owner.expect("a live handle") = id as u32;
             stats.elements_rewritten += 1;
         }
         debug_assert_eq!(self.elem_handles.len(), view.elements.len());
@@ -1381,7 +1382,7 @@ impl CheckSession {
         let len = self.elem_handles.len().max(ids.end);
         self.elem_handles.resize(len, u32::MAX);
         for (id, &bbox) in ids.clone().zip(bboxes) {
-            self.elem_handles[id] = self.elem_index.insert(bbox, ());
+            self.elem_handles[id] = self.elem_index.insert(bbox, id as u32);
         }
         stats.dirty_items += 1;
         stats.dirty_elements += ids.len();
@@ -1419,7 +1420,7 @@ impl CheckSession {
     /// as it goes.
     fn patch_connections(&self, vp: &ViewPatch, stats: &mut EditStats) -> ConnPatch {
         stats.seed_elements = vp.seeds.len();
-        let mut scoped = check_connections_among(&vp.view, &self.tech, &vp.seeds);
+        let mut scoped = check_connections_among(&vp.view, &self.tech, &self.bound, &vp.seeds);
         scoped.merges.sort_unstable();
         // Kept elements keep their order, so the cached merges stay
         // ascending as they renumber: the kept ones take the scoped
@@ -1612,14 +1613,8 @@ impl CheckSession {
         let mut relabelled = Vec::new();
         let d_bind_rects: Vec<Rect> = d_bind().collect();
         let device_of = |handle: u32| {
-            let live = self.elem_index.get(handle).is_some();
-            live.then(|| {
-                vp.view
-                    .elements
-                    .get(self.handle_owner[handle as usize])
-                    .device()
-            })
-            .flatten()
+            let (_, &id) = self.elem_index.get(handle)?;
+            vp.view.elements.get(id as usize).device()
         };
         let view = &vp.view;
         let candidates = self.elem_index.query_handles_many(&d_bind_rects);
@@ -1650,10 +1645,9 @@ impl CheckSession {
         let pads: Vec<Rect> = points
             .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
             .collect();
-        let pad_grid = FlatGrid::new(pads, self.bound.cell_size());
-        let mut ids = self.elements_near(&pad_grid, 0);
+        let mut ids = self.elements_near(&pads, 0);
         ids.retain(|&id| element_is_netted(&vp.view, id));
-        let bind = BindIndex::build_among(&vp.view, &self.tech, &ids);
+        let bind = BindIndex::build_among(&vp.view, self.bound.cell_size(), &ids);
 
         self.rerow_devices(vp, gp, &rerowed, &bind);
         let labels = self.layout.labels();
@@ -1829,7 +1823,7 @@ impl CheckSession {
             let mut rows = self.nets.rows_naming(node) as usize - fresh;
             let before = elements.len();
             for handle in self.nets.elements_on(node) {
-                let id = self.handle_owner[handle as usize];
+                let id = self.element_of(handle);
                 if !vp.dirty[id] && !vp.rekeyed_mask[id] {
                     elements.push((id, old, new));
                 }
@@ -2053,7 +2047,7 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> (Vec<Violation>, InteractStats) {
         let reach = self.bound.max_rule_range();
-        let halo_ids = self.elements_near(&np.d_halo_grid, reach);
+        let halo_ids = self.elements_near(np.d_halo_grid.rects(), reach);
         stats.halo_elements = halo_ids.len();
         check_interactions_among(
             &vp.view,
@@ -2362,18 +2356,38 @@ impl CheckSession {
         self.elem_index.tombstones() > self.elem_index.len().max(64) && self.compact_memory()
     }
 
-    /// Streams the cached canonical report through any
-    /// [`Sink`] — pair it with a
-    /// [`StreamingSink`](crate::engine::StreamingSink) to export a
-    /// session's report without materialising a second copy, or with a
-    /// [`SpillingSink`](crate::engine::SpillingSink) to bound even the
-    /// export's sort buffer when the report outgrows RAM. (The
-    /// session keeps its own canonical buffer: report patching retracts
-    /// and splices against it.)
+    /// Pushes a clone of each violation of the cached canonical report,
+    /// in order, through any [`Sink`]. To export the report as text,
+    /// [`CheckSession::write_report`] writes the lines the session
+    /// already holds instead.
     pub fn emit_report(&self, sink: &mut dyn Sink) {
         for v in &self.report.violations {
             sink.push(v.clone());
         }
+    }
+
+    /// Writes the canonical report as text, one violation per line —
+    /// byte for byte what [`CheckSession::emit_report`] through a
+    /// [`StreamingSink`](crate::engine::StreamingSink) writes, and the
+    /// rendering of [`crate::canonical_check`]. The lines are the ones
+    /// the session keeps beside its report, so none is cloned, sorted or
+    /// rendered; they reach `out` in writes of up to 256 KiB.
+    pub fn write_report(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
+        const FLUSH_BYTES: usize = 256 * 1024;
+        let bytes: usize = self.keys.iter().map(|line| line.len() + 1).sum();
+        let mut text = String::with_capacity(bytes.min(FLUSH_BYTES));
+        for line in &self.keys {
+            text.push_str(line);
+            text.push('\n');
+            if text.len() >= FLUSH_BYTES {
+                out.write_all(text.as_bytes())?;
+                text.clear();
+            }
+        }
+        if !text.is_empty() {
+            out.write_all(text.as_bytes())?;
+        }
+        Ok(())
     }
 
     /// The options the session checks under.
@@ -2392,7 +2406,7 @@ impl CheckSession {
     /// device instances, the persistent net graph
     /// ([`NetParts::heap_bytes`]), the cached canonical report with its
     /// lines' keys, and the
-    /// spatial index with its handle and owner tables. Payload bytes
+    /// spatial index with its handle table. Payload bytes
     /// elsewhere, not allocator-exact — the number a session *pool*
     /// budgets and evicts against (and the denominator of the e21
     /// sessions-per-GB figure).
@@ -2416,7 +2430,6 @@ impl CheckSession {
             .sum();
         let index = self.elem_index.heap_bytes()
             + self.elem_handles.len() * size_of::<u32>()
-            + self.handle_owner.len() * size_of::<usize>()
             + self.points.labels.heap_bytes()
             + self.points.loose.len() * size_of::<u32>();
         let nets = self.parts.heap_bytes() + self.nets.heap_bytes();
@@ -3212,9 +3225,11 @@ mod tests {
         assert_eq!(session.elem_handles.len(), session.view.elements.len());
         let bboxes = session.view.elements.bboxes();
         for (id, &handle) in session.elem_handles.iter().enumerate() {
-            let indexed = session.elem_index.get(handle).map(|(bbox, _)| *bbox);
-            assert_eq!(indexed, Some(bboxes[id]), "element {id}");
-            assert_eq!(session.handle_owner[handle as usize], id, "element {id}");
+            let indexed = session
+                .elem_index
+                .get(handle)
+                .map(|(bbox, &owner)| (*bbox, owner));
+            assert_eq!(indexed, Some((bboxes[id], id as u32)), "element {id}");
         }
     }
 
@@ -3339,12 +3354,11 @@ mod tests {
     }
 
     #[test]
-    fn owner_table_stays_bounded_under_endless_churn() {
+    fn element_index_stays_bounded_under_endless_churn() {
         // One 8-element cell moved there and back 3 000 times: every
-        // edit re-inserts its elements under fresh index handles, and
-        // the handle → element table must not outgrow the index it
-        // describes (it once grew by 8 bytes per re-inserted element per
-        // edit for ever, invisibly to `memory_bytes`).
+        // edit re-inserts its elements under fresh index handles. The
+        // index's slots must stay bounded by the live elements, and
+        // every live entry must name its element's current id.
         let mut cif = String::from("DS 1;\n");
         for i in 0..8 {
             cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
@@ -3362,8 +3376,12 @@ mod tests {
             churn.translate(40, if step % 2 == 1 { 2500 } else { -2500 }, 0);
             let stats = session.apply(&churn).unwrap();
             assert!(!stats.full_rebuild, "churn edits must stay incremental");
-            let owners = session.handle_owner.len();
-            assert!(owners <= 2 * live + 64, "step {step}: {owners} owner slots");
+            let slots = session.elem_index.len() + session.elem_index.tombstones();
+            assert!(slots <= 2 * live + 64, "step {step}: {slots} index slots");
+            for (id, &handle) in session.elem_handles.iter().enumerate() {
+                let owner = session.elem_index.get(handle).map(|(_, &owner)| owner);
+                assert_eq!(owner, Some(id as u32), "step {step}: element {id}");
+            }
             if step == 100 {
                 bytes_at_100 = session.memory_bytes();
             }

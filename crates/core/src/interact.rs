@@ -992,13 +992,14 @@ mod tests {
             view.elements.bboxes(),
             max_rule_range(tech),
         );
-        let (conn, _) = check_connections(&view, tech, &scopes, 1);
+        let bound = BoundTechnology::new(tech);
+        let (conn, _) = check_connections(&view, tech, &bound, &scopes, 1);
         let labels: Vec<_> = layout
             .labels()
             .iter()
             .map(|l| (l.clone(), binding.layer(l.layer)))
             .collect();
-        let (mut parts, _) = NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, 1);
+        let (mut parts, _) = NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, 1);
         parts.assemble(&view);
         (view, parts, scopes, defs)
     }

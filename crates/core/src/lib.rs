@@ -43,10 +43,9 @@
 //! reach — filling its rows across the pool and evaluating candidates
 //! there too; the netgen bind phase binds terminal and label points
 //! through the same table — one index per definition — and returns
-//! element ids to a serial fold that builds the rows in canonical order;
-//! and the flat baseline's per-layer Boolean work parallelises the same
-//! way ([`FlatOptions::parallelism`]). Instantiation stamps templates on
-//! the calling thread. The plan's base case is the **direct scan** —
+//! element ids to a serial fold that builds the rows in canonical order.
+//! Instantiation stamps templates on the calling thread, and the flat
+//! baseline runs serially. The plan's base case is the **direct scan** —
 //! every element of an id set against one index over the set — which
 //! is also each pair stage's door for the edit session's halo and, over
 //! every id, the reference the plan is held to: `tests/differential.rs`

@@ -100,12 +100,13 @@
 
 use crate::binding::{ChipView, DeviceInstance, Istr, StringInterner};
 use crate::connect::is_joining_class;
+use crate::library::BoundTechnology;
 use crate::parallel::{run_chunked, run_ordered};
 use crate::scope::{ScopeStats, ScopeTable};
 use diic_cif::NetLabel;
-use diic_geom::{FlatGrid, Point};
+use diic_geom::{Coord, FlatGrid, Point};
 use diic_netlist::{assemble_netlist, canonical_nets, AssembleDevice, NetId, Netlist};
-use diic_tech::{DeviceClass, LayerId, Technology};
+use diic_tech::{DeviceClass, LayerId};
 use std::borrow::Borrow;
 
 /// True if the element carries a net: interconnect and joining
@@ -137,12 +138,13 @@ pub struct BindIndex {
 impl BindIndex {
     /// Indexes the given elements (ascending ids — callers must pass
     /// netted elements; only they can bind): an edit session's halo, or
-    /// one definition's elements for the table-driven binder.
-    pub fn build_among(view: &ChipView, tech: &Technology, ids: &[usize]) -> BindIndex {
+    /// one definition's elements for the table-driven binder — in cells
+    /// `cell` wide, the technology's [`BoundTechnology::cell_size`].
+    pub fn build_among(view: &ChipView, cell: Coord, ids: &[usize]) -> BindIndex {
         let bboxes = view.elements.bboxes();
         let rects = ids.iter().map(|&id| bboxes[id]).collect();
         BindIndex {
-            grid: FlatGrid::new(rects, crate::interact::interaction_cell_size(tech)),
+            grid: FlatGrid::new(rects, cell),
             ids: ids.to_vec(),
         }
     }
@@ -209,7 +211,7 @@ struct ScopeBinder<'a> {
 impl<'a> ScopeBinder<'a> {
     fn build(
         view: &ChipView,
-        tech: &Technology,
+        cell: Coord,
         scopes: &'a ScopeTable,
         element_node: &[Option<u32>],
         workers: usize,
@@ -223,7 +225,7 @@ impl<'a> ScopeBinder<'a> {
                 .filter(|&id| element_node[id].is_some())
                 .collect();
             (!netted.is_empty())
-                .then(|| (netted.len(), BindIndex::build_among(view, tech, &netted)))
+                .then(|| (netted.len(), BindIndex::build_among(view, cell, &netted)))
         });
         let mut binder = ScopeBinder {
             scopes,
@@ -583,14 +585,15 @@ impl NetParts {
     /// layer.
     pub fn build<L: Borrow<NetLabel> + Sync>(
         view: &mut ChipView,
-        tech: &Technology,
+        bound: &BoundTechnology,
         merges: &[(usize, usize)],
         labels: &[(L, Option<LayerId>)],
         scopes: &ScopeTable,
         workers: usize,
     ) -> (NetParts, ScopeStats) {
         let mut parts = NetParts::of_elements(view, merges, workers);
-        let binder = ScopeBinder::build(view, tech, scopes, &parts.element_node, workers);
+        let cell = bound.cell_size();
+        let binder = ScopeBinder::build(view, cell, scopes, &parts.element_node, workers);
         let bound = parts.bind_and_fold(view, labels, &binder, workers);
         let stats = ScopeStats {
             bind_indexes_built: binder.indexes.len(),
@@ -608,7 +611,7 @@ impl NetParts {
     #[cfg(test)]
     pub(crate) fn build_direct<L: Borrow<NetLabel> + Sync>(
         view: &mut ChipView,
-        tech: &Technology,
+        bound: &BoundTechnology,
         merges: &[(usize, usize)],
         labels: &[(L, Option<LayerId>)],
         workers: usize,
@@ -617,7 +620,7 @@ impl NetParts {
         let netted: Vec<usize> = (0..view.elements.len())
             .filter(|&id| parts.element_node[id].is_some())
             .collect();
-        let binder = BindIndex::build_among(view, tech, &netted);
+        let binder = BindIndex::build_among(view, bound.cell_size(), &netted);
         parts.bind_and_fold(view, labels, &binder, workers);
         parts
     }
@@ -1340,6 +1343,7 @@ mod tests {
     use diic_cif::{parse, Call, DeviceDecl, Element, Item, Layout, Shape, Symbol, Terminal};
     use diic_geom::{Orientation, Rect, Transform, Vector, Wire};
     use diic_tech::nmos::nmos_technology;
+    use diic_tech::Technology;
     use proptest::prelude::*;
 
     /// What one layout's net-list generation produced, by both binders.
@@ -1368,19 +1372,20 @@ mod tests {
             crate::interact::max_rule_range(tech),
         );
         let all: Vec<usize> = (0..pristine.elements.len()).collect();
-        let conn = check_connections_among(&pristine, tech, &all);
+        let bound = BoundTechnology::new(tech);
+        let conn = check_connections_among(&pristine, tech, &bound, &all);
         let labels: Vec<(&NetLabel, Option<LayerId>)> = (layout.labels().iter())
             .map(|l| (l, binding.layer(l.layer)))
             .collect();
 
         let mut direct_view = pristine.clone();
-        let mut direct = NetParts::build_direct(&mut direct_view, tech, &conn.merges, &labels, 1);
+        let mut direct = NetParts::build_direct(&mut direct_view, &bound, &conn.merges, &labels, 1);
         let direct_netlist = direct.assemble(&direct_view);
         let mut last = None;
         for &w in workers {
             let mut view = pristine.clone();
             let (mut parts, stats) =
-                NetParts::build(&mut view, tech, &conn.merges, &labels, &scopes, w);
+                NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, w);
             assert_eq!(parts.devices, direct.devices, "workers={w}");
             assert_eq!(parts.labels, direct.labels, "workers={w}");
             assert_eq!(parts.element_node, direct.element_node, "workers={w}");

@@ -24,25 +24,20 @@
 //!   bound to covering element ids, folded into rows serially in
 //!   canonical order ([`crate::netgen::NetParts::build`]);
 //! * the **interaction stage**'s candidate-row fills and its streamed
-//!   units' pair evaluation ([`crate::interact`]);
-//! * the **flat baseline**'s per-layer Boolean work ([`crate::flat`]).
+//!   units' pair evaluation ([`crate::interact`]).
 //!
-//! The two user-facing knobs ([`crate::CheckOptions::parallelism`] and
-//! [`crate::FlatOptions::parallelism`]) are both resolved through the
-//! single [`effective_parallelism`] function so their semantics cannot
-//! drift apart: `0` means "all available cores", anything else is the
-//! literal worker count, and the result is never zero. Each governs its
-//! own checker — the DIIC pipeline and [`crate::flat_check`] — and
-//! neither defers to the other.
+//! The one user-facing knob, [`crate::CheckOptions::parallelism`], is
+//! resolved through [`effective_parallelism`]: `0` means "all available
+//! cores", anything else is the literal worker count, and the result is
+//! never zero. The flat baseline ([`crate::flat_check`]) runs serially.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a requested worker count to the effective one.
 ///
 /// `0` is clamped to the number of available cores (at least 1); any
-/// other value is taken literally. Both `CheckOptions::parallelism`
-/// and `FlatOptions::parallelism` go through this function, so the two
-/// knobs agree on what `0` means.
+/// other value is taken literally. `CheckOptions::parallelism` and the
+/// library batch's worker count go through this function.
 pub fn effective_parallelism(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()

@@ -895,6 +895,12 @@ impl<T> GridIndex<T> {
         value.as_ref().map(|v| (rect, v))
     }
 
+    /// The payload of the live item behind a handle, to overwrite in
+    /// place (its rectangle stays put).
+    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
+        self.items.get_mut(id as usize)?.1.as_mut()
+    }
+
     /// Returns payload references for all live items whose rectangle
     /// **touches** the query rectangle (closed-sense). Each item is
     /// returned once, in insertion order.

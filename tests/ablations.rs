@@ -1,6 +1,6 @@
 //! Ablation tests for the design choices called out in DESIGN.md §4.
 
-use diic::core::{check_cif, flat_check, CheckOptions, CheckStage, FlatOptions, ViolationKind};
+use diic::core::{check_cif, CheckOptions, CheckStage, ViolationKind};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::SizingMode;
 use diic::tech::nmos::nmos_technology;
@@ -107,40 +107,6 @@ fn ablation_hierarchical_cache_equivalence() {
             hier.interact_stats.cache_hits > 0,
             "seed {seed}: cache unused"
         );
-    }
-}
-
-/// Parallel-flat ablation: splitting the baseline's per-layer Boolean
-/// work across workers changes nothing about the verdicts.
-#[test]
-fn ablation_parallel_flat_baseline() {
-    let tech = nmos_technology();
-    let chip = generate(&ChipSpec::with_errors(
-        4,
-        2,
-        vec![
-            ErrorKind::NarrowWire,
-            ErrorKind::CloseSpacing,
-            ErrorKind::ContactOverGate,
-        ],
-        17,
-    ));
-    let layout = diic::cif::parse(&chip.cif).unwrap();
-    let serial = flat_check(&layout, &tech, &FlatOptions::default());
-    assert!(
-        !serial.is_empty(),
-        "injected faults must reach the baseline"
-    );
-    for workers in [2usize, 8, 0] {
-        let parallel = flat_check(
-            &layout,
-            &tech,
-            &FlatOptions {
-                parallelism: workers,
-                ..FlatOptions::default()
-            },
-        );
-        assert_eq!(serial, parallel, "workers={workers}: flat verdicts diverge");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Counted budgets, not timings: allocator calls per flat element for
 //! instantiation, for building the net graph, for assembling the net
 //! list, and for a whole check; the calls of a small library batch (a
-//! check's fixed cost) and of a fixed run of edits on a session (an
-//! edit's cost). A name used to be a heap object of its
+//! check's fixed cost), of a fixed run of edits on a session (an edit's
+//! cost) and of a report read through the service. A name used to be a heap object of its
 //! own — a `Box<str>` per interned string, a `String` per net-list
 //! name, alias and terminal — and the net-list stage used to draft every
 //! device row twice; what the pipeline allocates now is its columns, its
@@ -14,8 +14,8 @@ use diic::cif::NetLabel;
 use diic::core::netgen::NetParts;
 use diic::core::{
     check_connections, check_library_buffered, check_with_sink, instantiate, max_rule_range,
-    CheckOptions, CheckSession, CountingSink, Definitions, EditSet, LayerBinding, LibraryOptions,
-    ScopeTable, StageEngine,
+    BoundTechnology, CheckOptions, CheckSession, CountingSink, Definitions, EditSet, LayerBinding,
+    LibraryOptions, ScopeTable, StageEngine,
 };
 use diic::tech::nmos::nmos_technology;
 use diic::tech::LayerId;
@@ -68,23 +68,28 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 29 169 in a release build, 112 489 in a debug one (whose
+/// set: 28 884 in a release build, 112 204 in a debug one (whose
 /// oracles allocate, and derive every kept template, verdict and
 /// candidate fill again). A batch may take 5 % more, no further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    112_489
+    112_204
 } else {
-    29_169
+    28_884
 };
 
 /// Allocator calls of the edit run below when this budget was set:
-/// 19 110 in a release build, 605 575 in a debug one (whose oracles
+/// 18 825 in a release build, 605 290 in a debug one (whose oracles
 /// re-check the chip). A run may take 5 % more, no further.
 const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
-    605_575
+    605_290
 } else {
-    19_110
+    18_825
 };
+
+/// Allocator calls of the report read below when this budget was set:
+/// 14 in a release build and a debug one alike, for 138 lines. A read
+/// may take 5 % more, no further.
+const REPORT_READ_CALLS: u64 = 14;
 
 /// Allocator calls `f` makes on this thread, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -102,6 +107,7 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
     let labels: Vec<(&NetLabel, Option<LayerId>)> = (layout.labels().iter())
         .map(|l| (l, binding.layer(l.layer)))
         .collect();
+    let bound = BoundTechnology::new(&tech);
     let engine = StageEngine::diic_pipeline();
     let options = CheckOptions {
         parallelism: 1,
@@ -124,9 +130,9 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
                 view.elements.bboxes(),
                 max_rule_range(&tech),
             );
-            let (conn, _) = check_connections(&view, &tech, &scopes, 1);
+            let (conn, _) = check_connections(&view, &tech, &bound, &scopes, 1);
             let (build, (mut parts, stats)) =
-                counted(|| NetParts::build(&mut view, &tech, &conn.merges, &labels, &scopes, 1));
+                counted(|| NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, 1));
             let (assemble, netlist) = counted(|| parts.assemble(&view));
             assert_eq!(netlist.device_count(), view.devices.len());
             assert_eq!(stats.bind_indexes_built, 1, "one cell, no loose element");
@@ -227,5 +233,47 @@ fn building_the_net_graph_stays_within_its_allocation_budget() {
         "CheckSession::apply: {} calls over {} edits",
         runs[0],
         moves.len()
+    );
+
+    // A report read's cost: one `GET /sessions/{id}/report` through the
+    // service, counted twice, on a session whose report has at least 100
+    // lines. The session holds every line rendered, so a read copies
+    // none of them and allocates less often than it writes lines.
+    let app = diic::api::router(diic::api::App::new(diic::api::RegistryConfig::default()));
+    let errors = diic::gen::ErrorKind::ALL.iter().copied().cycle().take(64);
+    let chip = diic::gen::generate(&diic::gen::ChipSpec::with_errors(8, 8, errors.collect(), 5));
+    let cif = serde_json::Value::from(chip.cif.as_str());
+    let body = format!(r#"{{"cif": {cif}, "options": {{"parallelism": 1}}}}"#);
+    let opened = app.oneshot(axum::Request::new(axum::Method::Post, "/sessions").with_body(body));
+    assert_eq!(opened.status, axum::StatusCode::CREATED);
+    let opened = opened.into_bytes().expect("in-process bodies collect");
+    let opened: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&opened).unwrap()).expect("the open answers JSON");
+    let id = opened
+        .get("id")
+        .and_then(serde_json::Value::as_i64)
+        .unwrap();
+    let path = format!("/sessions/{id}/report");
+    let reads: Vec<(u64, usize)> = (0..2)
+        .map(|_| {
+            let (calls, bytes) = counted(|| {
+                let resp = app.oneshot(axum::Request::new(axum::Method::Get, &path));
+                assert_eq!(resp.status, axum::StatusCode::OK);
+                resp.into_bytes().expect("in-process bodies collect")
+            });
+            (calls, bytes.iter().filter(|&&b| b == b'\n').count())
+        })
+        .collect();
+    assert_eq!(reads[0], reads[1], "the read counts repeat exactly");
+    let (calls, lines) = reads[0];
+    println!("a {lines}-line report read: {calls} allocator calls");
+    assert!(lines >= 100, "the report needs at least 100 lines: {lines}");
+    assert!(
+        calls < lines as u64,
+        "a report read allocates per line: {calls} calls for {lines} lines"
+    );
+    assert!(
+        calls * 100 <= REPORT_READ_CALLS * 105,
+        "GET /sessions/{{id}}/report: {calls} calls for {lines} lines"
     );
 }

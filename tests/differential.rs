@@ -67,8 +67,8 @@ use diic::cif::{Call, Element, Item, LayerRef, Shape, Symbol, SymbolId};
 use diic::core::netgen::NetParts;
 use diic::core::{
     account, canonical_check, check_cif, check_connections, check_connections_among,
-    effective_parallelism, env_parallelism, flat_check, instantiate, max_rule_range, CheckOptions,
-    CheckReport, CheckStage, Definitions, FlatOptions, InstantiateStats, InteractStats,
+    effective_parallelism, env_parallelism, instantiate, max_rule_range, BoundTechnology,
+    CheckOptions, CheckReport, CheckStage, Definitions, InstantiateStats, InteractStats,
     LayerBinding, ScopeStats, ScopeTable, StringInterner, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
@@ -243,7 +243,8 @@ proptest! {
             .collect();
 
         let all: Vec<usize> = (0..view.elements.len()).collect();
-        let conn_serial = check_connections_among(&view, &tech, &all);
+        let bound = BoundTechnology::new(&tech);
+        let conn_serial = check_connections_among(&view, &tech, &bound, &all);
         // The reference: a table that calls the whole chip one loose
         // scope builds the direct binder — one index over every netted
         // element — and nothing per definition.
@@ -260,11 +261,11 @@ proptest! {
             max_rule_range(&tech),
         );
         let (mut parts_serial, _) =
-            NetParts::build(&mut view, &tech, &conn_serial.merges, &labels, &one_scope, 1);
+            NetParts::build(&mut view, &bound, &conn_serial.merges, &labels, &one_scope, 1);
         let netlist_serial = parts_serial.assemble(&view);
         let wide = effective_parallelism(wide_workers());
         for workers in [1usize, 2, 3, wide] {
-            let (conn, _) = check_connections(&view, &tech, &scopes, workers);
+            let (conn, _) = check_connections(&view, &tech, &bound, &scopes, workers);
             prop_assert_eq!(
                 &conn.violations, &conn_serial.violations,
                 "connections: {} workers diverge (nx={} ny={} seed={} mask={:#b})",
@@ -274,7 +275,7 @@ proptest! {
             prop_assert_eq!(conn.pairs_examined, conn_serial.pairs_examined);
 
             let (mut parts, _) =
-                NetParts::build(&mut view, &tech, &conn.merges, &labels, &scopes, workers);
+                NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, workers);
             let netlist = parts.assemble(&view);
             // Terminal nets are held by the net-list equality: each device
             // of the list carries its terminals' nets.
@@ -429,42 +430,6 @@ proptest! {
                 path, deck_seed, regions.unchecked, regions.injected, nx, ny, seed, mask
             );
         }
-    }
-
-    /// The mask-level baseline's parallel per-layer Boolean work,
-    /// under the same oracle regime: serial and wide runs of
-    /// `flat_check` must be byte-identical on every generated chip.
-    #[test]
-    fn flat_baseline_parallel_is_byte_identical(
-        nx in 2usize..5,
-        ny in 1usize..3,
-        seed in 0u64..1_000_000,
-        mask in 1u16..512,
-    ) {
-        let tech = nmos_technology();
-        let errors: Vec<ErrorKind> = ErrorKind::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, k)| *k)
-            .take(nx * ny)
-            .collect();
-        let chip = generate(&ChipSpec::with_errors(nx, ny, errors, seed));
-        let layout = diic::cif::parse(&chip.cif).expect("generated chips always parse");
-        let serial = flat_check(&layout, &tech, &FlatOptions::default());
-        let parallel = flat_check(
-            &layout,
-            &tech,
-            &FlatOptions {
-                parallelism: wide_workers(),
-                ..FlatOptions::default()
-            },
-        );
-        prop_assert_eq!(
-            serial, parallel,
-            "flat baseline: parallel run diverges (nx={} ny={} seed={} mask={:#b})",
-            nx, ny, seed, mask
-        );
     }
 }
 

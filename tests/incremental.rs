@@ -40,14 +40,30 @@ fn wide_workers() -> usize {
     env_parallelism().unwrap_or(0) // 0 = all available cores
 }
 
+/// The report as [`CheckSession::write_report`] writes it.
+fn written(session: &CheckSession) -> String {
+    let mut out = Vec::new();
+    session
+        .write_report(&mut out)
+        .expect("a `Vec` takes every byte");
+    String::from_utf8(out).expect("report lines are UTF-8")
+}
+
 /// Asserts the session's cached report equals a from-scratch canonical
-/// check of its current layout, field by comparable field.
+/// check of its current layout, field by comparable field, and that the
+/// report it writes is that check's, rendered.
 fn assert_matches_full(session: &CheckSession, context: &str) -> CheckReport {
     let full = session.full_check();
     assert_eq!(
         session.report().violations,
         full.violations,
         "{context}: patched violations diverge from full re-check"
+    );
+    let rendered: String = full.violations.iter().map(|v| format!("{v:?}\n")).collect();
+    assert_eq!(
+        written(session),
+        rendered,
+        "{context}: the written report diverges from the full re-check"
     );
     assert_eq!(
         session.report().netlist,
@@ -95,13 +111,18 @@ fn assert_open_equals_engine(session: &CheckSession, context: &str) {
 }
 
 /// Reopens the session through [`CheckSession::compact_memory`] and
-/// asserts that a client sees nothing of it: the report lines, the net
-/// list and the last delta are what they were.
+/// asserts that a client sees nothing of it: the report lines, the
+/// written report, the net list and the last delta are what they were.
 fn reopen_in_place(session: &mut CheckSession, context: &str) {
     let report = session.report();
     let (violations, netlist) = (report.violations.clone(), report.netlist.clone());
-    let delta = session.last_delta().clone();
+    let (delta, text) = (session.last_delta().clone(), written(session));
     session.compact_memory();
+    assert_eq!(
+        written(session),
+        text,
+        "{context}: reopen moved the written report"
+    );
     let report = session.report();
     assert_eq!(
         report.violations, violations,

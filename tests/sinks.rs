@@ -29,11 +29,12 @@ fn wide_workers() -> usize {
 /// The checkers every sink must agree on.
 const CHECKERS: [&str; 2] = ["diic", "flat"];
 
-/// Runs `checker` on `workers` workers with its violations emitted
-/// through `sink`, and returns what its report still buffers: the
-/// pipeline's report takes over a buffering sink's violations; the flat
-/// baseline has no report, and its `flat_check` output is pushed through
-/// the sink, so its violation shapes cross every sink too.
+/// Runs `checker` with its violations emitted through `sink`, and
+/// returns what its report still buffers: the pipeline's report (on
+/// `workers` workers) takes over a buffering sink's violations; the
+/// flat baseline has no report, and its serial `flat_check` output is
+/// pushed through the sink, so its violation shapes cross every sink
+/// too.
 fn emit(
     checker: &str,
     layout: &Layout,
@@ -42,11 +43,7 @@ fn emit(
     sink: &mut dyn Sink,
 ) -> Vec<Violation> {
     if checker == "flat" {
-        let options = FlatOptions {
-            parallelism: workers,
-            ..FlatOptions::default()
-        };
-        sink.absorb(flat_check(layout, tech, &options));
+        sink.absorb(flat_check(layout, tech, &FlatOptions::default()));
         return Vec::new();
     }
     let options = CheckOptions {
