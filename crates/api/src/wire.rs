@@ -90,9 +90,9 @@ pub(crate) fn as_bool(v: &Value, what: &str) -> Result<bool, ApiError> {
         .ok_or_else(|| ApiError::bad_request_shape(format!("`{what}` must be a boolean")))
 }
 
-/// A library session's candidate-fill shelf as the `/library` reply and
-/// the `/stats` library block show it: lookups a kept fill answered,
-/// fills the cells derived, fills kept.
+/// A library session's scored-row shelf as the `/library` reply and
+/// the `/stats` library block show it: lookups a kept row answered,
+/// rows the cells scored, rows kept.
 pub(crate) fn fill_stats(fills: DefinitionStats) -> Value {
     Value::object([
         ("cache_hits", Value::from(fills.hits)),

@@ -12,7 +12,7 @@
 //!
 //! * every batch per-cell report is byte-identical to its standalone
 //!   counterpart (violations, net list, interaction stats, counts);
-//! * the session's kept candidate fills, templates and primitive
+//! * the session's kept scored interaction rows, templates and primitive
 //!   verdicts actually hit across cells (the library generator makes
 //!   half the cells share definition content, so zero hits means the
 //!   mechanism regressed);
@@ -80,7 +80,7 @@ fn main() {
     for (name, shelf) in [
         ("templates", templates),
         ("primitive verdicts", verdicts),
-        ("candidate fills", fills),
+        ("scored interaction rows", fills),
     ] {
         println!(
             "kept {name}: {} hits / {} misses ({} entries, {} seen once)",

@@ -104,8 +104,11 @@ fn main() {
         report.element_count as f64 / elapsed.as_secs_f64()
     );
     println!(
-        "candidate pairs {} — peak candidate buffer {} (tiled)",
-        report.interact_stats.candidate_pairs, report.interact_stats.peak_candidate_buffer
+        "candidate pairs {} — peak candidate buffer {} (tiled); {} scored, {} stamped by nets",
+        report.interact_stats.candidate_pairs,
+        report.interact_stats.peak_candidate_buffer,
+        report.scope_stats.interact_pairs_scored,
+        report.scope_stats.interact_pairs_stamped
     );
     println!("instantiate: {}", report.instantiate_stats);
     println!("scopes: {}", report.scope_stats);

@@ -1058,12 +1058,15 @@ impl InteractionInputs {
     ) -> (Vec<Violation>, InteractStats) {
         let (view, bound, scopes) = (&self.view, &self.bound, &self.scopes);
         let nets = self.parts.nets();
-        check_interactions(view, tech, bound, nets, scopes, &self.definitions, options)
+        let (found, stats, _) =
+            check_interactions(view, tech, bound, nets, scopes, &self.definitions, options);
+        (found, stats)
     }
 
     /// The direct-scan reference: every element against one index over
     /// all of them ([`check_interactions_among`] over every id), plus the
-    /// standalone multi-patterning analysis ([`check_same_mask`]).
+    /// standalone multi-patterning analysis ([`check_same_mask`]), whose
+    /// lines its `violations` counter includes, as the stage's does.
     pub fn direct_scan(
         &self,
         tech: &Technology,
@@ -1071,9 +1074,10 @@ impl InteractionInputs {
     ) -> (Vec<Violation>, InteractStats) {
         let all: Vec<usize> = (0..self.view.elements.len()).collect();
         let (view, bound, nets) = (&self.view, &self.bound, self.parts.nets());
-        let (mut found, stats) =
+        let (mut found, mut stats) =
             check_interactions_among(view, tech, bound, nets, options, &all, None);
         found.extend(check_same_mask(view, tech, bound, options.metric));
+        stats.violations = found.len() as u64;
         (found, stats)
     }
 }

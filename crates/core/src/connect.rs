@@ -151,7 +151,8 @@ impl Scored {
 struct ScanCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
-    forming: &'a HashSet<(LayerId, LayerId)>,
+    /// The rule tables ([`BoundTechnology::forms_device`]).
+    bound: &'a BoundTechnology,
     /// Index cells, sized from the technology's rule reach
     /// ([`BoundTechnology::cell_size`]).
     cell: diic_geom::Coord,
@@ -162,7 +163,7 @@ impl<'a> ScanCx<'a> {
         ScanCx {
             view,
             tech,
-            forming: bound.forming(),
+            bound,
             cell: bound.cell_size(),
         }
     }
@@ -214,12 +215,8 @@ impl<'a> ScanCx<'a> {
             // overlapping — the declared-device case handled above by
             // the same-instance skip; a device element overlapping
             // *another* instance's geometry is still parasitic.
-            let key = if a.layer() <= b.layer() {
-                (a.layer(), b.layer())
-            } else {
-                (b.layer(), a.layer())
-            };
-            let implied = self.forming.contains(&key) && batch::any_overlap(a.rects(), b.rects());
+            let implied = self.bound.forms_device(a.layer(), b.layer())
+                && batch::any_overlap(a.rects(), b.rects());
             return (false, implied.then_some(Verdict::ImpliedDevice));
         }
         let joins = |d: Option<usize>| d.is_some_and(|d| is_joining_class(view.devices[d].class));

@@ -568,10 +568,10 @@ fn timed<T>(
 /// been built for `tech`. Every stage that groups by definition reads
 /// one set of content keys ([`Definitions`]); for a cell of a library
 /// `session` they are the session's, so instantiation templates,
-/// primitive verdicts and interaction candidate fills are shared across
+/// primitive verdicts and scored interaction rows are shared across
 /// its cells. `seed` is the interner the view's string table starts from
 /// (a batch worker's warm one). Neither changes a byte of the report: a
-/// shared fill, template or verdict is what the cell would have derived,
+/// shared row, template or verdict is what the cell would have derived,
 /// and interner handles never reach rendered output.
 ///
 /// The report's `violations` are what `sink` still buffers: everything
@@ -626,12 +626,12 @@ pub(crate) fn run_pipeline(
         let netlist = parts.assemble(&view);
         (parts, netlist, conn_stats.with_binding_of(bind_stats))
     });
-    let interact_stats = timed(&mut profile, "interactions", sink, |sink| {
+    let (interact_stats, scope_stats) = timed(&mut profile, "interactions", sink, |sink| {
         let nets = parts.nets();
-        let (found, stats) =
+        let (found, stats, work) =
             check_interactions(&view, tech, bound, nets, &scopes, &definitions, options);
         sink.absorb(found);
-        stats
+        (stats, scope_stats.with_interactions_of(work))
     });
     timed(&mut profile, "composition", sink, |sink| {
         if options.erc {

@@ -11,43 +11,59 @@
 //! overrides specialise the verdicts (Figs. 5b/6), and a transistor's
 //! un-netted parts are checked only against *unrelated* elements.
 //!
-//! # One plan, streamed
+//! # One scored row per key, stamped
 //!
 //! The candidate pairs are the element pairs whose bounding boxes come
 //! within the technology's rule reach ([`max_rule_range`]) of one
 //! another. [`check_interactions`] enumerates them by the scope table's
 //! pair plan at that reach ([`ScopeTable::rows`]), the plan the
-//! connection stage reads at reach 0: a *candidate row* per call scope's
+//! connection stage reads at reach 0: a row per call scope's
 //! `(definition, orientation)` and per `(definition, definition,
 //! orientation, relative placement)` of two call scopes within reach, a
 //! definition being its content key ([`Definitions`]) — Manhattan
 //! placements preserve distances, so one instance's geometry answers for
-//! all its repeats. The distinct rows are filled once, across the worker
-//! pool (in library mode taken from, and kept in, the session's
-//! [`crate::LibraryCache`]), and stamped onto every scope and scope
-//! pair presenting their key. The pairs with a loose top-level element
-//! on either side come from the plan's loose scans: one index over the
-//! loose elements, scanned against itself and by every call scope
-//! within reach of it.
+//! all its repeats. The pairs with a loose top-level element on either
+//! side come from the plan's loose scans: one index over the loose
+//! elements, scanned against itself and by every call scope within
+//! reach of it.
+//!
+//! The rules for one pair split in two halves. `score_pair` is what no
+//! net can change: the device-internal skip, the same-mask conflict
+//! edge, a device override's waiver or spacing, the matrix rule with its
+//! transistor sides, and the closest approach with its gap box and the
+//! touching exemptions. `decide` is what reads nets: same-net
+//! suppression, transistor relatedness, the required spacing, every
+//! counter of [`InteractStats`] and the violation itself. Each distinct
+//! row is **scored once**, across the worker pool, by the first scope
+//! (pair) presenting its key (in library mode taken from, and kept in,
+//! the session's [`crate::LibraryCache`]): its pair count, its
+//! `no_rule` and `override_waived` counts, its same-mask edges, and only
+//! the pairs whose outcome reads nets, each with its rule and distance,
+//! gap boxes in the first scope's definition frame. Stamping the row
+//! onto a scope (pair) adds the counts, maps the local ids to chip ids,
+//! moves the gap boxes by the scope's offset and decides the open pairs
+//! by nets. The direct scans — [`check_interactions_among`] and the
+//! loose tiles — compose the two halves per pair, so the rules have one
+//! body.
 //!
 //! The stage then streams **units** — a row stamped onto one scope or
 //! scope pair, or one tile of a loose scan ([`Scan::tiles`]) — in a
 //! fixed order: the call scopes' interiors, the loose scope's, then the
-//! scope pairs ascending. Each unit's pairs are mapped to chip ids,
-//! evaluated (the rule-matrix subcases and distance checks) and dropped
-//! before a worker takes its next unit, so the all-pairs list is never
-//! held: [`InteractStats::peak_candidate_buffer`] records the widest
-//! unit, and a chip of loose elements only — the direct scan, tiled —
-//! holds one tile at a time. Units merge positionally ([`run_ordered`]),
-//! so serial and parallel runs ([`CheckOptions::parallelism`]) yield
-//! **byte-identical** violation lists and statistics.
+//! scope pairs ascending. Each unit's pairs are decided (or, in a loose
+//! tile, scored and decided) before a worker takes its next unit, so the
+//! all-pairs list is never held: [`InteractStats::peak_candidate_buffer`]
+//! records the widest unit's pair count, and a chip of loose elements
+//! only — the direct scan, tiled — holds one tile at a time. Units merge
+//! positionally ([`run_ordered`]), so serial and parallel runs
+//! ([`CheckOptions::parallelism`]) yield **byte-identical** violation
+//! lists and statistics.
 //!
 //! The direct scan over an id set ([`check_interactions_among`], every
 //! element against one index over the set) is the plan's base case: the
 //! edit session runs it over its halo, and over every id, with
 //! [`check_same_mask`], it is the reference the plan is held to — the
-//! same violation set and the same `candidate_pairs`, equal to a
-//! brute-force count, on every generated chip (`tests/differential.rs`).
+//! same violation set and the same counters, `candidate_pairs` equal to
+//! a brute-force count, on every generated chip (`tests/differential.rs`).
 //!
 //! # Same-mask conflict graphs (multi-patterning)
 //!
@@ -60,8 +76,8 @@
 //! 2-colouring of that graph, which exists iff the graph is bipartite;
 //! every **odd cycle** is therefore an undecomposable cluster,
 //! reported as one [`ViolationKind::MaskOddCycle`] anchored at the odd
-//! component's closest conflicting edge. Edges are collected during
-//! the normal pair evaluation (geometrically — net topology and device
+//! component's closest conflicting edge. Edges are collected while
+//! pairs are scored (geometrically — net topology and device
 //! membership do not excuse a mask conflict), then analysed once at the
 //! end of the run; [`check_same_mask`] runs the same analysis
 //! standalone, which is how the incremental session recomputes the
@@ -72,10 +88,10 @@ use crate::checker::CheckOptions;
 use crate::library::{BoundTechnology, Definition, Definitions};
 use crate::netgen::GraphNets;
 use crate::parallel::{effective_parallelism, run_ordered};
-use crate::scope::{RowPlan, Scan, ScopeIds, ScopeTable};
+use crate::scope::{RowPlan, Scan, ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_geom::{batch, Coord, FlatGrid, Rect, SizingMode};
-use diic_tech::{DeviceArchetype, LayerId, Technology};
+use diic_geom::{batch, Coord, FlatGrid, Rect, SizingMode, Vector};
+use diic_tech::{DeviceArchetype, SpacingRule, Technology};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -98,18 +114,20 @@ pub struct InteractStats {
     pub distance_checks: u64,
     /// Violations reported.
     pub violations: u64,
-    /// Call scopes and scope pairs answered by a candidate row filled
-    /// for an earlier one.
+    /// Call scopes and scope pairs answered by a row scored for an
+    /// earlier one.
     pub cache_hits: u64,
-    /// Candidate rows filled (searched geometrically).
+    /// Rows of the plan (each scored once, or taken from a library
+    /// session's shelf).
     pub cache_misses: u64,
-    /// The largest **single** candidate-pair buffer held at any point:
-    /// the widest unit of a whole-chip run (a row stamped onto one scope
-    /// or scope pair, or a tile of a loose scan), the (halo-bounded)
-    /// pair list of a session re-check. In a parallel run, up to
-    /// `parallelism` unit buffers are alive concurrently (one per
-    /// worker), so total concurrent candidate memory is bounded by
-    /// workers × this value.
+    /// The widest unit's candidate-pair count: of a whole-chip run's
+    /// units (a row stamped onto one scope or scope pair, or a tile of a
+    /// loose scan), the one with the most pairs; of a session re-check,
+    /// its (halo-bounded) pair list, which it buffers whole. A whole-chip
+    /// run holds no pair list: a stamp walks its row's scored pairs, a
+    /// loose tile decides each pair as its scan finds it — so this bounds
+    /// the work of one unit, and in a parallel run up to `parallelism`
+    /// units are in flight at once (one per worker).
     pub peak_candidate_buffer: u64,
 }
 
@@ -166,13 +184,17 @@ pub fn interaction_cell_size(tech: &Technology) -> Coord {
 
 /// Runs the interaction checks over the whole chip by the scope table's
 /// pair plan (see the module docs). `bound` must be `tech`'s binding —
-/// the rule reach, cell size and device-forming pairs come from it —
-/// and `scopes` must have been built for that reach over `definitions`,
-/// which a library session's cell takes its candidate fills from (the
+/// the rule reach, cell size and rule tables come from it — and
+/// `scopes` must have been built for that reach over `definitions`,
+/// which a library session's cell takes its scored rows from (the
 /// violation list and the statistics are byte-identical either way:
 /// cross-cell reuse is counted on the session's shelves, not in
 /// [`InteractStats`]). `nets` reads the net graph
 /// ([`crate::netgen::NetParts::nets`]).
+///
+/// Also returns the stage's share of [`ScopeStats`]: the
+/// `interact_pairs_scored` and `interact_pairs_stamped` counters, every
+/// other field zero ([`ScopeStats::with_interactions_of`] folds them in).
 pub fn check_interactions(
     view: &ChipView,
     tech: &Technology,
@@ -181,7 +203,7 @@ pub fn check_interactions(
     scopes: &ScopeTable,
     definitions: &Definitions<'_>,
     options: &CheckOptions,
-) -> (Vec<Violation>, InteractStats) {
+) -> (Vec<Violation>, InteractStats, ScopeStats) {
     let workers = effective_parallelism(options.parallelism);
     let cx = EvalCx::new(
         view,
@@ -192,7 +214,7 @@ pub fn check_interactions(
         device_archetypes(view, tech, 0..view.devices.len()),
     );
     let plan = scopes.rows(bound.max_rule_range());
-    let filled = fill_rows(view, scopes, &plan, bound, workers, definitions);
+    let rows = score_rows(&cx, scopes, &plan, workers, definitions);
     let bboxes = view.elements.bboxes();
     let loose_index = plan
         .loose
@@ -200,14 +222,14 @@ pub fn check_interactions(
         .map(|(_, scan)| scan.index(bboxes, bound.cell_size()));
     let units = stream_order(&plan);
     let results = run_ordered(units.len(), workers, |k| {
-        let pairs: Vec<(usize, usize)> = match &units[k] {
+        let mut found = Found::default();
+        match &units[k] {
             &Unit::Row(si, sj, row) => {
-                let (a, b) = (scopes.ids(si), scopes.ids(sj));
-                let local = filled[row].iter();
-                local.map(|&(la, lb)| (a.get(la), b.get(lb))).collect()
+                let (a, b) = (&scopes.scopes()[si], &scopes.scopes()[sj]);
+                let ids = (a.run().start, b.run().start);
+                rows[row].0.stamp(&cx, ids, a.transform.offset, &mut found);
             }
             Unit::Loose(scan, tile) => {
-                let mut pairs = Vec::new();
                 // invariant: loose scans exist only beside their index.
                 let index = loose_index
                     .as_ref()
@@ -215,12 +237,13 @@ pub fn check_interactions(
                 let reach = bound.max_rule_range();
                 let scan = &plan.loose[*scan].1;
                 scan.pairs(bboxes, index, reach, tile.clone(), |i, j| {
-                    pairs.push((i, j))
+                    found.stats.candidate_pairs += 1;
+                    evaluate_pair(&cx, i, j, &mut found);
                 });
-                pairs
+                found.stats.peak_candidate_buffer = found.stats.candidate_pairs;
             }
-        };
-        evaluate_tile(&cx, &pairs)
+        }
+        found
     });
     let stamps = plan.interior.len() + plan.cross.len();
     let mut stats = InteractStats {
@@ -228,10 +251,23 @@ pub fn check_interactions(
         cache_misses: plan.rows.len() as u64,
         ..InteractStats::default()
     };
-    let (mut violations, edges) = merge_tiles(results, &mut stats);
+    let mut work = ScopeStats {
+        interact_pairs_scored: (rows.iter())
+            .filter(|(_, derived)| *derived)
+            .map(|(row, _)| row.counts.candidate_pairs)
+            .sum(),
+        ..ScopeStats::default()
+    };
+    for (unit, found) in units.iter().zip(&results) {
+        match *unit {
+            Unit::Row(.., row) => work.interact_pairs_stamped += rows[row].0.open.len() as u64,
+            Unit::Loose(..) => work.interact_pairs_scored += found.stats.candidate_pairs,
+        }
+    }
+    let (mut violations, edges) = merge_units(results, &mut stats);
     violations.extend(mask_cycle_violations(view, tech, options.metric, edges));
     stats.violations = violations.len() as u64;
-    (violations, stats)
+    (violations, stats, work)
 }
 
 /// Runs the interaction checks **among a given element set** by the
@@ -302,8 +338,15 @@ pub fn check_interactions_among(
     // multi-patterning verdict with [`check_same_mask`].
     let chunks: Vec<&[(usize, usize)]> =
         pairs.chunks(pairs.len().div_ceil(workers).max(1)).collect();
-    let results = run_ordered(chunks.len(), workers, |k| evaluate_tile(&cx, chunks[k]));
-    let (mut violations, _edges) = merge_tiles(results, &mut stats);
+    let results = run_ordered(chunks.len(), workers, |k| {
+        let mut found = Found::default();
+        found.stats.candidate_pairs = chunks[k].len() as u64;
+        for &(i, j) in chunks[k] {
+            evaluate_pair(&cx, i, j, &mut found);
+        }
+        found
+    });
+    let (mut violations, _edges) = merge_units(results, &mut stats);
     // The direct scan buffers its (halo-bounded) pair list whole.
     stats.peak_candidate_buffer = pairs.len() as u64;
     // Location-less violations count as inside every halo (they cannot
@@ -316,7 +359,7 @@ pub fn check_interactions_among(
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: candidate rows and their streaming order.
+// Phase 1: scored rows and their streaming order.
 // ---------------------------------------------------------------------
 
 /// One streamed unit of a whole-chip run.
@@ -353,105 +396,138 @@ fn stream_order(plan: &RowPlan<'_>) -> Vec<Unit> {
     units
 }
 
-/// A row's candidate fill: the pairs of its scan, as indices local to
-/// its two scopes, ascending.
-pub(crate) type Fill = Vec<(usize, usize)>;
+/// A row scored once: what no net can change about its candidate pairs,
+/// with element ids local to its two scopes (`i` in the first, `j` in
+/// the second) and gap boxes in the first scope's definition frame —
+/// relative to its placement's offset. A stamp onto other scopes adds
+/// their first ids and the first one's offset, and decides the pairs
+/// whose outcome reads nets ([`decide`]).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct ScoredRow {
+    /// The counters no net can change: `candidate_pairs` (and, equal to
+    /// it, `peak_candidate_buffer`), `no_rule` and `override_waived`.
+    counts: InteractStats,
+    /// Same-mask conflict edges, ascending by pair.
+    edges: Vec<MaskEdge>,
+    /// The pairs whose outcome reads nets, ascending.
+    open: Vec<(usize, usize, Open)>,
+}
 
-impl Definition for Fill {
+impl Definition for ScoredRow {
     #[cfg(debug_assertions)]
-    fn assert_same(&self, fresh: &Fill) {
-        assert_eq!(self, fresh, "a kept candidate fill differs from its row's");
+    fn assert_same(&self, fresh: &ScoredRow) {
+        assert_eq!(self, fresh, "a kept scored row differs from its row's");
     }
 }
 
-/// Fills every row of the plan across the worker pool. Each fill is a
-/// pure function of its scopes' element boxes, so parallel fills return
-/// exactly the serial values. In library mode each fill is looked up on
-/// the session's fill shelf first ([`Definitions::fill`]): a hit
-/// returns the bytes a local fill would have produced.
-fn fill_rows(
-    view: &ChipView,
+impl ScoredRow {
+    /// Scores the row `scan` fills — the scopes starting at element ids
+    /// `(i0, j0)`, the first placed at `offset`.
+    fn score(
+        cx: &EvalCx<'_>,
+        scan: &Scan<'_>,
+        (i0, j0): (usize, usize),
+        offset: Vector,
+    ) -> ScoredRow {
+        let bboxes = cx.view.elements.bboxes();
+        let index = scan.index(bboxes, cx.bound.cell_size());
+        let mut row = ScoredRow::default();
+        let (reach, tile) = (cx.bound.max_rule_range(), 0..scan.ids.len());
+        scan.pairs(bboxes, &index, reach, tile, |i, j| {
+            row.counts.candidate_pairs += 1;
+            let (edge, score) = score_pair(cx, i, j);
+            row.edges.extend(edge.map(|e| MaskEdge {
+                a: e.a - i0,
+                b: e.b - j0,
+                gap: e.gap,
+            }));
+            if let Some(open) = score.tally(&mut row.counts) {
+                row.open.push((i - i0, j - j0, open.moved(-offset)));
+            }
+        });
+        row.counts.peak_candidate_buffer = row.counts.candidate_pairs;
+        row
+    }
+
+    /// Stamps the row onto the scopes starting at element ids `(i0,
+    /// j0)`, the first placed at `offset`: its counts and edges as they
+    /// are, its open pairs decided by nets.
+    fn stamp(&self, cx: &EvalCx<'_>, (i0, j0): (usize, usize), offset: Vector, out: &mut Found) {
+        out.stats.absorb(&self.counts);
+        out.edges.extend(self.edges.iter().map(|e| MaskEdge {
+            a: e.a + i0,
+            b: e.b + j0,
+            gap: e.gap,
+        }));
+        for (i, j, open) in &self.open {
+            decide(cx, i + i0, j + j0, &open.moved(offset), out);
+        }
+    }
+}
+
+/// Scores every row of the plan across the worker pool, each by the
+/// first scope (pair) presenting its key. A scored row is a pure
+/// function of its scopes' elements up to translation, so parallel
+/// scoring returns exactly the serial values. In library mode each row
+/// is looked up on the session's row shelf first
+/// ([`Definitions::scored_row`]): a hit returns the row a local scoring
+/// would have produced. The flag is true for a row this check scored.
+fn score_rows(
+    cx: &EvalCx<'_>,
     table: &ScopeTable,
     plan: &RowPlan<'_>,
-    bound: &BoundTechnology,
     workers: usize,
     definitions: &Definitions<'_>,
-) -> Vec<Arc<Fill>> {
-    let bboxes = view.elements.bboxes();
-    let reach = bound.max_rule_range();
+) -> Vec<(Arc<ScoredRow>, bool)> {
+    let reach = cx.bound.max_rule_range();
     run_ordered(plan.rows.len(), workers, |row| {
         let ((si, sj), scan) = plan.rows[row];
-        definitions.fill(table.row_key(si, sj), reach, || {
-            let (i0, j0) = (
-                table.scopes()[si].run().start,
-                table.scopes()[sj].run().start,
-            );
-            let index = scan.index(bboxes, bound.cell_size());
-            let mut local = Vec::new();
-            let tile = 0..scan.ids.len();
-            scan.pairs(bboxes, &index, reach, tile, |i, j| {
-                local.push((i - i0, j - j0))
-            });
-            local
+        definitions.scored_row(table.row_key(si, sj), reach, cx.metric, || {
+            let (a, b) = (&table.scopes()[si], &table.scopes()[sj]);
+            let ids = (a.run().start, b.run().start);
+            ScoredRow::score(cx, &scan, ids, a.transform.offset)
         })
     })
 }
 
-/// Folds per-unit results, in unit order, into one violation list, one
-/// edge list and the run's counters.
-fn merge_tiles(
-    results: Vec<(Vec<Violation>, Vec<MaskEdge>, InteractStats)>,
-    stats: &mut InteractStats,
-) -> (Vec<Violation>, Vec<MaskEdge>) {
-    let mut out = Vec::new();
-    let mut edges = Vec::new();
-    for (vs, es, tile_stats) in results {
-        out.extend(vs);
-        edges.extend(es);
-        stats.absorb(&tile_stats);
-    }
-    (out, edges)
+/// What one unit (or one chunk of the direct scan) found: its
+/// violations, its same-mask edges and its counters.
+#[derive(Default)]
+struct Found {
+    violations: Vec<Violation>,
+    edges: Vec<MaskEdge>,
+    stats: InteractStats,
 }
 
-/// Evaluates one unit's pair buffer serially, returning its violations
-/// and unit-local counters (`candidate_pairs` and the buffer's width;
-/// the caller folds units together with [`InteractStats::absorb`],
-/// which sums counts and maxes the peak).
-fn evaluate_tile(
-    cx: &EvalCx<'_>,
-    pairs: &[(usize, usize)],
-) -> (Vec<Violation>, Vec<MaskEdge>, InteractStats) {
-    let mut tile_stats = InteractStats {
-        candidate_pairs: pairs.len() as u64,
-        peak_candidate_buffer: pairs.len() as u64,
-        ..InteractStats::default()
-    };
-    let mut vs = Vec::new();
+/// Folds per-unit results, in unit order, into one violation list, one
+/// edge list and the run's counters.
+fn merge_units(results: Vec<Found>, stats: &mut InteractStats) -> (Vec<Violation>, Vec<MaskEdge>) {
+    let mut violations = Vec::new();
     let mut edges = Vec::new();
-    for &(i, j) in pairs {
-        evaluate_pair(cx, i, j, &mut vs, &mut edges, &mut tile_stats);
+    for found in results {
+        violations.extend(found.violations);
+        edges.extend(found.edges);
+        stats.absorb(&found.stats);
     }
-    (vs, edges, tile_stats)
+    (violations, edges)
 }
 
 // ---------------------------------------------------------------------
-// Phase 2: pair evaluation.
+// Phase 2: pair evaluation — scored, then decided.
 // ---------------------------------------------------------------------
 
 /// Read-only state shared by every evaluation worker.
 struct EvalCx<'a> {
     view: &'a ChipView,
     tech: &'a Technology,
+    /// The rule tables and reach.
+    bound: &'a BoundTechnology,
     /// The nets pairs are told apart by, read off the net graph.
     nets: GraphNets<'a>,
     /// [`CheckOptions::same_net_suppression`].
     same_net_suppression: bool,
     /// [`CheckOptions::metric`].
     metric: SizingMode,
-    /// Device-forming layer pairs (touching cross-layer pairs on these
-    /// layers were already reported as implied devices by the
-    /// connection stage), from the [`BoundTechnology`].
-    forming: &'a HashSet<(LayerId, LayerId)>,
     /// The archetype behind each distinct device type among the devices
     /// this run can meet (a handful), resolved once: the pair loop finds
     /// a device's archetype by comparing interned handles instead of
@@ -471,10 +547,10 @@ impl<'a> EvalCx<'a> {
         EvalCx {
             view,
             tech,
+            bound,
             nets,
             same_net_suppression: options.same_net_suppression,
             metric: options.metric,
-            forming: bound.forming(),
             archetypes,
         }
     }
@@ -497,157 +573,234 @@ fn device_archetypes<'a>(
     out
 }
 
-/// Decides and applies the rule for one element pair.
-fn evaluate_pair(
-    cx: &EvalCx<'_>,
-    i: usize,
-    j: usize,
-    violations: &mut Vec<Violation>,
-    edges: &mut Vec<MaskEdge>,
-    stats: &mut InteractStats,
-) {
-    let (view, tech, nets) = (cx.view, cx.tech, &cx.nets);
+/// What no net can change about one candidate pair ([`score_pair`]).
+enum Score {
+    /// Internal to one device: stage 3's territory.
+    Internal,
+    /// Waived by a device override (Fig. 6b).
+    Waived,
+    /// No rule in the matrix.
+    NoRule,
+    /// A rule applies; whether it is checked reads nets.
+    Open(Open),
+}
+
+impl Score {
+    /// Counts an outcome no net can change into `stats`; the pair, if
+    /// its outcome reads nets.
+    fn tally(self, stats: &mut InteractStats) -> Option<Open> {
+        match self {
+            Score::Internal => None,
+            Score::Waived => {
+                stats.override_waived += 1;
+                None
+            }
+            Score::NoRule => {
+                stats.no_rule += 1;
+                None
+            }
+            Score::Open(open) => Some(open),
+        }
+    }
+}
+
+/// The rule a pair whose outcome reads nets is held to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// A device override's spacing (Fig. 6), checked between elements
+    /// of one net only if it `applies_same_net`.
+    Override {
+        spacing: Coord,
+        applies_same_net: bool,
+    },
+    /// The matrix rule for the two layers; `transistor[0]` /
+    /// `transistor[1]` mark the first / second element as part of a
+    /// transistor, which is checked only against unrelated elements.
+    Matrix {
+        rule: SpacingRule,
+        transistor: [bool; 2],
+    },
+}
+
+impl Rule {
+    /// The widest spacing the rule can require, whatever the nets.
+    fn widest(&self) -> Coord {
+        match *self {
+            Rule::Override { spacing, .. } => spacing,
+            Rule::Matrix { rule, .. } => (rule.diff_net)
+                .max(rule.same_net.unwrap_or(rule.diff_net))
+                .max(rule.for_unrelated_device()),
+        }
+    }
+}
+
+/// A scored pair whose outcome reads nets: its rule, and its closest
+/// approach with the approach's gap box — `None` when no spacing the
+/// rule can require could be violated (the bounding boxes are at least
+/// that far apart, the elements touch where touching is no spacing
+/// fault, or one of them has no rectangles).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Open {
+    rule: Rule,
+    approach: Option<(Coord, Rect)>,
+}
+
+impl Open {
+    /// The same pair with its gap box moved by `v`.
+    fn moved(&self, v: Vector) -> Open {
+        Open {
+            approach: self.approach.map(|(dist, gap)| (dist, gap.translate(v))),
+            ..*self
+        }
+    }
+}
+
+/// Evaluates one candidate pair directly: [`score_pair`], then
+/// [`decide`] if its outcome reads nets — the one rule body every scan
+/// composes, and a stamped row splits.
+fn evaluate_pair(cx: &EvalCx<'_>, i: usize, j: usize, out: &mut Found) {
+    let (edge, score) = score_pair(cx, i, j);
+    out.edges.extend(edge);
+    if let Some(open) = score.tally(&mut out.stats) {
+        decide(cx, i, j, &open, out);
+    }
+}
+
+/// The half of the rules for one element pair that no net can change:
+/// its same-mask conflict edge, if any, and its [`Score`] — the
+/// device-internal skip, a device override's waiver or spacing, the
+/// matrix rule with its transistor sides, and the closest approach
+/// with the touching exemptions. A function of the two elements'
+/// geometry, layers and device declarations, so a row scored once
+/// answers for every translated copy of it.
+fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> (Option<MaskEdge>, Score) {
+    let view = cx.view;
     let a = view.elements.get(i);
     let b = view.elements.get(j);
 
     // Same-mask conflict edges are purely geometric, so they are
     // collected *before* any electrical pruning: sharing a net or a
     // device does not put two features on different masks.
-    if let Some(edge) = mask_edge(tech, cx.metric, a, b) {
-        edges.push(edge);
-    }
+    let edge = mask_edge(cx.bound, cx.metric, a, b);
 
     if a.device().is_some() && a.device() == b.device() {
-        return; // internal to one device: stage 3's territory
+        return (edge, Score::Internal); // stage 3's territory
     }
 
-    let net_a = nets.element_net(i);
-    let net_b = nets.element_net(j);
-    let same_net = match (net_a, net_b) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    };
-
-    // Device overrides (Fig. 6): an element inside a device may replace the
-    // matrix rule for its interactions.
-    let mut rule: Option<(Coord, bool)> = None; // (required, counts_same_net)
-    let mut overridden = false;
-    for (own, other) in [(i, j), (j, i)] {
-        let eo = view.elements.get(own);
-        let Some(d) = eo.device() else { continue };
-        let ty = view.devices[d].device_type;
+    // Device overrides (Fig. 6): an element inside a device may replace
+    // the matrix rule for its interactions; the first side's wins.
+    let overridden = [(a, b), (b, a)].into_iter().find_map(|(own, other)| {
+        let ty = view.devices[own.device()?].device_type;
         // invariant: `archetypes` covers every device this run's
         // candidate elements belong to (see the two `EvalCx` builders).
         let resolved = cx.archetypes.iter().find(|(known, _)| *known == ty);
-        let Some(arch) = resolved.expect("device type resolved up front").1 else {
-            continue;
-        };
-        if let Some(o) = arch.find_override(eo.layer(), view.elements.layers()[other]) {
-            overridden = true;
-            match o.spacing {
-                None => {
-                    stats.override_waived += 1;
-                    return; // waived entirely (resistor-to-isolation tie)
-                }
-                Some(s) => {
-                    if same_net && !o.applies_same_net {
-                        stats.same_net_suppressed += 1;
-                        return;
-                    }
-                    rule = Some((s, same_net));
-                }
-            }
-            break;
-        }
-    }
-
-    if !overridden {
-        let Some(matrix) = tech.rules().spacing(a.layer(), b.layer()) else {
-            stats.no_rule += 1;
-            return;
-        };
-        // Transistor relatedness: a transistor's un-netted parts are only
-        // checked against unrelated elements.
-        let mut required = None;
-        for (inside, other) in [(i, j), (j, i)] {
-            let Some(d) = view.elements.get(inside).device() else {
-                continue;
+        let arch = resolved.expect("device type resolved up front").1?;
+        arch.find_override(own.layer(), other.layer())
+    });
+    let rule = match overridden {
+        Some(o) => match o.spacing {
+            None => return (edge, Score::Waived), // resistor-to-isolation tie
+            Some(spacing) => Rule::Override {
+                spacing,
+                applies_same_net: o.applies_same_net,
+            },
+        },
+        None => {
+            let Some(&rule) = cx.bound.spacing(a.layer(), b.layer()) else {
+                return (edge, Score::NoRule);
             };
-            let dev = &view.devices[d];
-            if !dev.class.map(|c| c.is_transistor()).unwrap_or(false) {
-                continue;
-            }
-            let other_net = nets.element_net(other);
-            let related = match other_net {
-                Some(n) => nets.device_on(d, n),
-                None => view
-                    .elements
-                    .get(other)
-                    .device()
-                    .map(|od| od == d)
-                    .unwrap_or(false),
-            };
-            if related {
-                stats.related_suppressed += 1;
-                return;
-            }
-            required = Some(matrix.for_unrelated_device());
+            let transistor = [a, b].map(|e| {
+                let class = e.device().and_then(|d| view.devices[d].class);
+                class.is_some_and(|c| c.is_transistor())
+            });
+            Rule::Matrix { rule, transistor }
         }
-        let req = match required {
-            Some(r) => r,
-            None => {
-                if same_net && cx.same_net_suppression {
-                    match matrix.for_same_net() {
-                        None => {
-                            stats.same_net_suppressed += 1;
-                            return;
-                        }
-                        Some(s) => s,
-                    }
-                } else {
-                    matrix.diff_net
-                }
-            }
-        };
-        rule = Some((req, same_net));
-    }
-
-    let Some((required, same_net)) = rule else {
-        return;
     };
 
     // Distance: the closest-approach batch kernel over the two arena
-    // runs. The marker is the tight [`diic_geom::spacing::gap_box`] of
-    // the closest rect pair — every marker point is within the pair's
-    // gap distance of both offending features, which is what lets the
-    // incremental checker anchor spacing violations to a dirty halo (a
-    // bounding-union marker could stretch arbitrarily far from the gap
-    // along a long wire).
-    stats.distance_checks += 1;
-    let Some((dist, gap_loc)) = diic_geom::batch::closest_approach(a.rects(), b.rects(), cx.metric)
-    else {
-        return;
+    // runs, skipped when the bounding boxes are already as far apart as
+    // the rule can require. The marker is the tight
+    // [`diic_geom::spacing::gap_box`] of the closest rect pair — every
+    // marker point is within the pair's gap distance of both offending
+    // features, which is what lets the incremental checker anchor
+    // spacing violations to a dirty halo (a bounding-union marker could
+    // stretch arbitrarily far from the gap along a long wire).
+    let (dx, dy) = a.bbox().gap(&b.bbox());
+    let approach = if dx.max(dy) >= rule.widest() {
+        None
+    } else {
+        batch::closest_approach(a.rects(), b.rects(), cx.metric).filter(|&(dist, _)| {
+            // Touching: same-layer pairs were resolved by the connection
+            // stage; cross-layer device-forming overlaps were reported as
+            // implied devices. What remains (e.g. base touching isolation
+            // under a transistor override) is a genuine short.
+            dist > 0 || (a.layer() != b.layer() && !cx.bound.forms_device(a.layer(), b.layer()))
+        })
+    };
+    (edge, Score::Open(Open { rule, approach }))
+}
+
+/// The half of the rules for the pair `(i, j)` (chip ids) that reads
+/// nets: same-net suppression, transistor relatedness, the required
+/// spacing, every counter, and the violation itself, its marker the
+/// gap box of `open` (already in chip coordinates).
+fn decide(cx: &EvalCx<'_>, i: usize, j: usize, open: &Open, out: &mut Found) {
+    let (view, tech, nets) = (cx.view, cx.tech, &cx.nets);
+    let stats = &mut out.stats;
+    let same_net = match (nets.element_net(i), nets.element_net(j)) {
+        (Some(x), Some(y)) => x == y,
+        _ => false,
+    };
+    let required = match open.rule {
+        Rule::Override {
+            spacing,
+            applies_same_net,
+        } => {
+            if same_net && !applies_same_net {
+                stats.same_net_suppressed += 1;
+                return;
+            }
+            spacing
+        }
+        Rule::Matrix { rule, transistor } => {
+            // Transistor relatedness: a transistor's un-netted parts are
+            // only checked against unrelated elements.
+            let mut required = None;
+            for (inside, other) in [(i, j), (j, i)] {
+                if !transistor[usize::from(inside != i)] {
+                    continue;
+                }
+                // invariant: a transistor side is a device's element.
+                let d = (view.elements.get(inside).device()).expect("a transistor's element");
+                // An un-netted other end is on no terminal: the two ends
+                // of a pair inside one device never get here.
+                let related = (nets.element_net(other)).is_some_and(|n| nets.device_on(d, n));
+                if related {
+                    stats.related_suppressed += 1;
+                    return;
+                }
+                required = Some(rule.for_unrelated_device());
+            }
+            match required {
+                Some(r) => r,
+                None if same_net && cx.same_net_suppression => match rule.for_same_net() {
+                    None => {
+                        stats.same_net_suppressed += 1;
+                        return;
+                    }
+                    Some(s) => s,
+                },
+                None => rule.diff_net,
+            }
+        }
     };
 
-    if dist == 0 {
-        // Touching: same-layer pairs were resolved by the connection stage;
-        // cross-layer device-forming overlaps were reported as implied
-        // devices. What remains (e.g. base touching isolation under a
-        // transistor override) is a genuine short.
-        if a.layer() == b.layer() {
-            return;
-        }
-        let key = if a.layer() <= b.layer() {
-            (a.layer(), b.layer())
-        } else {
-            (b.layer(), a.layer())
-        };
-        if cx.forming.contains(&key) {
-            return;
-        }
-    }
-
+    stats.distance_checks += 1;
+    let Some((dist, gap_loc)) = open.approach else {
+        return;
+    };
     if dist < required {
+        let (a, b) = (view.elements.get(i), view.elements.get(j));
         // Orient the pair canonically before naming layers: the plan's
         // units and the direct scan over the edit session's halo
         // enumerate pairs in different orders, and the rendered
@@ -658,7 +811,7 @@ fn evaluate_pair(
         } else {
             (b, a)
         };
-        violations.push(Violation {
+        out.violations.push(Violation {
             stage: CheckStage::Interactions,
             kind: ViolationKind::Spacing {
                 layer_a: tech.layer(a.layer()).name.clone(),
@@ -847,7 +1000,7 @@ fn odd_cycle_len(
 /// stage at one worker timed alike under both (best 12.9 vs 13.0 ms).
 #[inline]
 fn mask_edge(
-    tech: &Technology,
+    bound: &BoundTechnology,
     metric: SizingMode,
     a: crate::binding::ElementRef<'_>,
     b: crate::binding::ElementRef<'_>,
@@ -855,7 +1008,7 @@ fn mask_edge(
     if a.layer() != b.layer() {
         return None;
     }
-    let threshold = tech.rules().same_mask(a.layer())?;
+    let threshold = bound.same_mask(a.layer())?;
     let (gap, _) = batch::closest_approach(a.rects(), b.rects(), metric)?;
     (gap > 0 && gap < threshold).then_some(MaskEdge {
         a: a.id(),
@@ -886,7 +1039,7 @@ pub fn check_same_mask(
     }
     let (bboxes, layers) = (view.elements.bboxes(), view.elements.layers());
     let masked: Vec<usize> = (0..layers.len())
-        .filter(|&i| tech.rules().same_mask(layers[i]).is_some())
+        .filter(|&i| bound.same_mask(layers[i]).is_some())
         .collect();
     let scan = Scan::direct(ScopeIds::List(&masked));
     let index = scan.index(bboxes, bound.cell_size());
@@ -894,7 +1047,7 @@ pub fn check_same_mask(
     let (reach, tile) = (bound.max_rule_range(), 0..masked.len());
     scan.pairs(bboxes, &index, reach, tile, |i, j| {
         edges.extend(mask_edge(
-            tech,
+            bound,
             metric,
             view.elements.get(i),
             view.elements.get(j),
@@ -912,11 +1065,26 @@ mod tests {
     use diic_cif::parse;
     use diic_tech::nmos::nmos_technology;
 
+    /// The stage's violations and counters, its `ScopeStats` dropped.
+    fn stage(
+        view: &ChipView,
+        tech: &Technology,
+        bound: &BoundTechnology,
+        nets: GraphNets<'_>,
+        scopes: &ScopeTable,
+        definitions: &Definitions<'_>,
+        options: &CheckOptions,
+    ) -> (Vec<Violation>, InteractStats) {
+        let (v, stats, _) =
+            check_interactions(view, tech, bound, nets, scopes, definitions, options);
+        (v, stats)
+    }
+
     fn run_with(cif: &str, options: CheckOptions) -> (Vec<Violation>, InteractStats) {
         let tech = nmos_technology();
         let (view, parts, scopes, defs) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
-        check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options)
+        stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options)
     }
 
     /// The stage with default options.
@@ -934,10 +1102,23 @@ mod tests {
     ) -> (Vec<Violation>, InteractStats) {
         let bound = BoundTechnology::new(tech);
         let all: Vec<usize> = (0..view.elements.len()).collect();
-        let (mut v, stats) =
+        let (mut v, mut stats) =
             check_interactions_among(view, tech, &bound, nets, options, &all, None);
         v.extend(check_same_mask(view, tech, &bound, options.metric));
+        stats.violations = v.len() as u64;
         (v, stats)
+    }
+
+    /// The counters the plan is held to the direct scan on: all but the
+    /// plan-only `cache_hits`, `cache_misses` and
+    /// `peak_candidate_buffer`.
+    fn shared(stats: &InteractStats) -> InteractStats {
+        InteractStats {
+            cache_hits: 0,
+            cache_misses: 0,
+            peak_candidate_buffer: 0,
+            ..*stats
+        }
     }
 
     /// Sorted debug renderings: "the same violations" as byte equality.
@@ -948,18 +1129,24 @@ mod tests {
     }
 
     /// The stage and the reference over one chip: asserts they find the
-    /// same violations and candidate pairs, and returns the stage's run.
-    fn run_against_reference(cif: &str) -> (Vec<Violation>, InteractStats) {
-        let tech = nmos_technology();
-        let (view, parts, scopes, defs) = build(cif, &tech);
-        let bound = BoundTechnology::new(&tech);
-        let options = CheckOptions::default();
-        let (v, stats) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
-        let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
-        assert_eq!(canonical(&v), canonical(&direct));
-        assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
+    /// same violations and counters, and returns the stage's run.
+    fn against_reference(
+        cif: &str,
+        tech: &Technology,
+        options: &CheckOptions,
+    ) -> (Vec<Violation>, InteractStats) {
+        let (view, parts, scopes, defs) = build(cif, tech);
+        let bound = BoundTechnology::new(tech);
+        let (v, stats) = stage(&view, tech, &bound, parts.nets(), &scopes, &defs, options);
+        let (direct, direct_stats) = reference(&view, tech, parts.nets(), options);
+        assert_eq!(canonical(&v), canonical(&direct), "{options:?}");
+        assert_eq!(shared(&stats), shared(&direct_stats), "{options:?}");
         (v, stats)
+    }
+
+    /// [`against_reference`] in nmos with default options.
+    fn run_against_reference(cif: &str) -> (Vec<Violation>, InteractStats) {
+        against_reference(cif, &nmos_technology(), &CheckOptions::default())
     }
 
     /// A one-metal technology with a `same_mask` rule: spacing 750,
@@ -1028,8 +1215,7 @@ mod tests {
                 parallelism,
                 ..CheckOptions::default()
             };
-            let (v, _) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+            let (v, _) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let mask: Vec<&Violation> = v
                 .iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1059,8 +1245,7 @@ mod tests {
         let (view, parts, scopes, defs) = build(EVEN_RING, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+        let (v, _) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1075,8 +1260,7 @@ mod tests {
             let (view, parts, scopes, defs) = build(cif, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
-            let (v, _) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+            let (v, _) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let inline: Vec<Violation> = v
                 .into_iter()
                 .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. }))
@@ -1107,8 +1291,7 @@ mod tests {
         let (view, parts, scopes, defs) = build(cif, &tech);
         let bound = BoundTechnology::new(&tech);
         let options = CheckOptions::default();
-        let (v, _) =
-            check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+        let (v, _) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
         assert!(
             !v.iter()
                 .any(|x| matches!(x.kind, ViolationKind::MaskOddCycle { .. })),
@@ -1275,11 +1458,10 @@ mod tests {
             let (view, parts, scopes, defs) = build_layout(&layout, &tech);
             let bound = BoundTechnology::new(&tech);
             let options = CheckOptions::default();
-            let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+            let (v, stats) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             let (direct, direct_stats) = reference(&view, &tech, parts.nets(), &options);
             assert_eq!(canonical(&v), canonical(&direct), "{names:?}");
-            assert_eq!(stats.candidate_pairs, direct_stats.candidate_pairs);
+            assert_eq!(shared(&stats), shared(&direct_stats), "{names:?}");
             assert_eq!(v.len(), 3 + 4, "{names:?}: {v:#?}");
         }
     }
@@ -1362,17 +1544,18 @@ mod tests {
             .max()
             .unwrap();
         assert!(widest < total);
-        let (direct, _) = reference(&view, &tech, parts.nets(), &CheckOptions::default());
+        let (direct, direct_stats) =
+            reference(&view, &tech, parts.nets(), &CheckOptions::default());
         for workers in [1usize, 2, 3, 7] {
             let options = CheckOptions {
                 parallelism: workers,
                 ..CheckOptions::default()
             };
-            let (v, stats) =
-                check_interactions(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
+            let (v, stats) = stage(&view, &tech, &bound, parts.nets(), &scopes, &defs, &options);
             assert_eq!(stats.candidate_pairs, total, "workers={workers}");
             assert_eq!(stats.peak_candidate_buffer, widest, "workers={workers}");
             assert_eq!(v, direct, "workers={workers}: the direct scan, tiled");
+            assert_eq!(shared(&stats), shared(&direct_stats), "workers={workers}");
         }
     }
 
@@ -1486,5 +1669,154 @@ mod tests {
             assert_eq!(serial.0, parallel.0, "workers={workers}");
             assert_eq!(serial.1, parallel.1, "workers={workers}");
         }
+    }
+
+    /// `cells` (symbol 1 and the symbols it calls) placed three times
+    /// upright, `pitch` apart, then once rotated and once mirrored: one
+    /// row stamped three times, and the same definition under two more
+    /// orientations.
+    fn placed(cells: &str, pitch: Coord) -> String {
+        let at = |k: Coord| k * pitch;
+        format!(
+            "{cells}\nC 1 T 0 0; C 1 T {} 0; C 1 T {} 0; C 1 R 0 1 T {} 0; C 1 MX T {} 0;\nE",
+            at(1),
+            at(2),
+            at(3),
+            at(4)
+        )
+    }
+
+    /// Holds the plan to the direct scan on `cif` with same-net
+    /// suppression on and off, under both metrics, serial and on three
+    /// workers, each run stamping rows; returns the counters of the
+    /// first (default) run.
+    fn assert_stamps_match(cif: &str, tech: &Technology) -> InteractStats {
+        let mut first = None;
+        for same_net_suppression in [true, false] {
+            for metric in [SizingMode::Orthogonal, SizingMode::Euclidean] {
+                for parallelism in [1, 3] {
+                    let options = CheckOptions {
+                        same_net_suppression,
+                        metric,
+                        parallelism,
+                        ..CheckOptions::default()
+                    };
+                    let (_, stats) = against_reference(cif, tech, &options);
+                    assert!(stats.cache_hits >= 2, "rows are stamped: {stats:?}");
+                    first.get_or_insert(stats);
+                }
+            }
+        }
+        first.expect("at least one run")
+    }
+
+    /// Device overrides for stamping: two contact devices whose metal
+    /// carries an override against metal (`TIE` checked on one net,
+    /// `PLAIN` not), and a base resistor whose override waives
+    /// isolation.
+    const OVERRIDE_DECK: &str = r#"
+        tech "stamps" {
+            lambda 250;
+            layer iso     { cif "BI"; kind isolation; min_width 2 lambda; }
+            layer base    { cif "BB"; kind base;      min_width 2 lambda; }
+            layer contact { cif "BC"; kind contact;   min_width 2 lambda; }
+            layer metal   { cif "BM"; kind metal;     min_width 3 lambda; }
+            space base base 3 lambda;
+            space base iso 2 lambda;
+            space metal metal 3 lambda;
+            device TIE contact { requires_layer contact; override metal metal 4 lambda same_net; terminals A; }
+            device PLAIN contact { requires_layer contact; override metal metal 4 lambda; terminals A; }
+            device BASE_RESISTOR resistor { requires_layer base; override base iso waived; terminals A B; }
+        }
+    "#;
+
+    #[test]
+    fn stamped_overrides_match_the_direct_scan() {
+        let tech = diic_tech::deck::compile_str(OVERRIDE_DECK).expect("the deck compiles");
+        // Each contact's metal is joined to a wire on its net above it,
+        // and 500 from a second wire on that net beside it; `PLAIN`
+        // also sits 500 from a wire on another net. The resistor's base
+        // touches an isolation box.
+        let cells = "
+            DS 2; 9 tie; 9D TIE; 9T A BM 0 0; L BC; B 500 500 0 0; L BM; B 1000 1000 0 0; DF;
+            DS 3; 9 plain; 9D PLAIN; 9T A BM 0 0; L BC; B 500 500 0 0; L BM; B 1000 1000 0 0; DF;
+            DS 4; 9 r; 9D BASE_RESISTOR; 9T A BB 0 -750; 9T B BB 0 750;
+            L BB; B 500 2000 0 0; DF;
+            DS 1;
+            C 2 T 0 0; L BM; 9N a; B 1000 3000 0 2000; L BM; 9N a; B 1000 1000 1500 0;
+            C 3 T 6000 0; L BM; 9N b; B 1000 3000 6000 2000; L BM; 9N b; B 1000 1000 7500 0;
+            L BM; 9N c; B 1000 1000 4500 0;
+            C 4 T 12000 0; L BI; B 2000 2000 13250 0;
+            DF;";
+        let stats = assert_stamps_match(&placed(cells, 40_000), &tech);
+        assert!(stats.override_waived >= 5, "{stats:?}");
+        assert!(
+            stats.same_net_suppressed >= 5,
+            "`PLAIN` on one net: {stats:?}"
+        );
+        assert!(
+            stats.violations >= 10,
+            "`TIE` on one net, `PLAIN` across: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn stamped_transistors_match_the_direct_scan() {
+        // A poly wire on the gate's net runs into the gate (related); an
+        // unrelated one passes 125 from the diffusion. Placed close, so
+        // the cross rows stamp transistor pairs too.
+        let cells = "
+            DS 2; 9D NMOS_ENH; 9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+            L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF;
+            DS 1; C 2 T 0 0;
+            L NP; 9N in; W 500 -375 0 -3000 0;
+            L NP; 9N foreign; W 500 875 -3000 875 3000;
+            DF;";
+        let tech = nmos_technology();
+        let far = assert_stamps_match(&placed(cells, 20_000), &tech);
+        assert!(far.related_suppressed >= 5, "{far:?}");
+        assert!(far.violations >= 5, "{far:?}");
+        let near = assert_stamps_match(&placed(cells, 4_600), &tech);
+        assert!(near.related_suppressed >= 5, "{near:?}");
+    }
+
+    #[test]
+    fn stamped_same_net_pairs_match_the_direct_scan() {
+        // Two wires on one net 500 apart, a third on another net 500
+        // from the second.
+        let cells = "DS 1; L NM; 9N a; B 2000 750 1000 375; 9N a; B 2000 750 1000 1625;
+                     9N b; B 2000 750 1000 2875; DF;";
+        let tech = nmos_technology();
+        let stats = assert_stamps_match(&placed(cells, 10_000), &tech);
+        assert!(stats.same_net_suppressed >= 5, "{stats:?}");
+        assert!(stats.violations >= 5, "{stats:?}");
+        let near = assert_stamps_match(&placed(cells, 2_500), &tech);
+        assert!(
+            near.violations > stats.violations,
+            "across the cells: {near:?}"
+        );
+    }
+
+    #[test]
+    fn stamped_same_mask_edges_match_the_direct_scan() {
+        // The multi-patterning deck's odd triangle, one per placement.
+        let deck = r#"
+            tech "mp" {
+                lambda 250;
+                layer metal { cif "NM"; kind metal; min_width 3 lambda; }
+                space metal metal 3 lambda;
+                same_mask metal 5 lambda;
+            }
+        "#;
+        let tech = diic_tech::deck::compile_str(deck).expect("the deck compiles");
+        let cells = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 3950 375;
+                     B 2950 750 2475 2125; DF;";
+        let cif = placed(cells, 10_000);
+        let stats = assert_stamps_match(&cif, &tech);
+        let (v, _) = against_reference(&cif, &tech, &CheckOptions::default());
+        let cycles = (v.iter())
+            .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { cycle: 3, .. }))
+            .count();
+        assert_eq!(cycles, 5, "one odd cycle per placement: {stats:?}");
     }
 }

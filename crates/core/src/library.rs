@@ -12,8 +12,8 @@
 //!    once per technology);
 //! 2. the **per-definition products** — each repeated definition's
 //!    instantiation template, each device symbol's primitive-check
-//!    verdict, and each interaction candidate row the scope table's plan
-//!    fills — derived again in every cell that carries the definition.
+//!    verdict, and each interaction row the scope table's plan scores —
+//!    derived again in every cell that carries the definition.
 //!    Every check keys them by content ([`Definitions`]); the
 //!    [`LibraryCache`] keeps each from the second cell that presents
 //!    its key on, so a session derives each definition once;
@@ -38,11 +38,11 @@
 //!
 //! * the [`BoundTechnology`] values equal the per-run computations by
 //!   construction (same pure functions of the same technology);
-//! * a kept template, verdict or candidate fill is only reused under a
+//! * a kept template, verdict or scored row is only reused under a
 //!   key that hashes everything its derivation reads, so it is what the
 //!   cell would have derived (debug builds derive every hit again and
 //!   assert it); a kept template still counts as built for its cell in
-//!   [`crate::InstantiateStats`], and a kept fill leaves the *per-cell*
+//!   [`crate::InstantiateStats`], and a kept row leaves the *per-cell*
 //!   plan-phase hit/miss counters of [`InteractStats`] untouched
 //!   (cross-cell reuse is counted on the session's shelves);
 //! * interner handle values differ when a cell starts from a warm
@@ -54,13 +54,13 @@
 use crate::binding::{LayerBinding, StringInterner, Template};
 use crate::checker::{CheckOptions, CheckReport};
 use crate::engine::{run_pipeline, Sink, StageTime};
-use crate::interact::{interaction_cell_size, max_rule_range, Fill, InteractStats};
+use crate::interact::{interaction_cell_size, max_rule_range, InteractStats, ScoredRow};
 use crate::parallel::{effective_parallelism, run_ordered_with_state};
 use crate::primitive_checks::PrimitiveCheckResult;
 use crate::scope::RowKey;
 use diic_cif::{hierarchy, Item, Layout, Shape, Symbol, SymbolId};
-use diic_geom::{Coord, Orientation, Point};
-use diic_tech::{LayerId, Technology};
+use diic_geom::{Coord, Orientation, Point, SizingMode};
+use diic_tech::{LayerId, SpacingRule, Technology};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -74,10 +74,13 @@ use std::time::{Duration, Instant};
 
 /// A technology with its interaction-scale constants precomputed: rule
 /// reach ([`max_rule_range`]), grid cell size
-/// ([`interaction_cell_size`]), and the device-forming layer pairs —
-/// what the scope table, the interaction searches and an edit session's
-/// halo are sized by. A standalone check builds one per run; a library
-/// batch builds one per technology.
+/// ([`interaction_cell_size`]), and dense tables of the rules the pair
+/// stages read per pair — the spacing matrix and the device-forming
+/// layer pairs (`layers × layers`, both orders) and the same-mask
+/// distances (one per layer) — so a pair's rule is an index, not a hash
+/// lookup. They size the scope table, the interaction searches and an
+/// edit session's halo. A standalone check builds one per run; a
+/// library or edit session holds one for its life.
 ///
 /// Each binding carries a process-unique `revision` (a monotone
 /// counter) that the content-keyed [`LibraryCache`] folds into its
@@ -88,18 +91,45 @@ use std::time::{Duration, Instant};
 pub struct BoundTechnology {
     max_rule_range: Coord,
     cell_size: Coord,
-    forming: HashSet<(LayerId, LayerId)>,
+    /// The technology's layer count: the side of the square tables.
+    layers: usize,
+    /// Per layer pair, its spacing-matrix entry.
+    spacing: Vec<Option<SpacingRule>>,
+    /// Per layer pair, whether their interconnect overlap forms a device
+    /// (`connect::device_forming_pairs`).
+    forming: Vec<bool>,
+    /// Per layer, its same-mask distance.
+    same_mask: Vec<Option<Coord>>,
     revision: u64,
 }
 
 impl BoundTechnology {
-    /// Precomputes the interaction constants for `tech`.
+    /// Precomputes the interaction constants and rule tables for `tech`.
     pub fn new(tech: &Technology) -> Self {
         static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
+        let layers = tech.layers().len();
+        let at = |a: LayerId, b: LayerId| usize::from(a.0) * layers + usize::from(b.0);
+        let mut spacing = vec![None; layers * layers];
+        for (a, b, rule) in tech.rules().entries() {
+            spacing[at(a, b)] = Some(rule);
+            spacing[at(b, a)] = Some(rule);
+        }
+        let mut forming = vec![false; layers * layers];
+        for (a, b) in crate::connect::device_forming_pairs(tech) {
+            forming[at(a, b)] = true;
+            forming[at(b, a)] = true;
+        }
+        let mut same_mask = vec![None; layers];
+        for (layer, d) in tech.rules().same_mask_entries() {
+            same_mask[usize::from(layer.0)] = Some(d);
+        }
         BoundTechnology {
             max_rule_range: max_rule_range(tech),
             cell_size: interaction_cell_size(tech),
-            forming: crate::connect::device_forming_pairs(tech),
+            layers,
+            spacing,
+            forming,
+            same_mask,
             revision: NEXT_REVISION.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -114,10 +144,30 @@ impl BoundTechnology {
         self.cell_size
     }
 
-    /// The precomputed device-forming layer pairs
-    /// (`connect::device_forming_pairs`).
-    pub fn forming(&self) -> &HashSet<(LayerId, LayerId)> {
-        &self.forming
+    /// The spacing-matrix entry of a layer pair (either order): what
+    /// [`diic_tech::RuleSet::spacing`] answers.
+    #[inline]
+    pub fn spacing(&self, a: LayerId, b: LayerId) -> Option<&SpacingRule> {
+        self.spacing[self.pair(a, b)].as_ref()
+    }
+
+    /// True if interconnect on layers `a` and `b` (either order) forms a
+    /// device where it overlaps (`connect::device_forming_pairs`).
+    #[inline]
+    pub fn forms_device(&self, a: LayerId, b: LayerId) -> bool {
+        self.forming[self.pair(a, b)]
+    }
+
+    /// The same-mask distance of a layer: what
+    /// [`diic_tech::RuleSet::same_mask`] answers.
+    #[inline]
+    pub fn same_mask(&self, layer: LayerId) -> Option<Coord> {
+        self.same_mask[usize::from(layer.0)]
+    }
+
+    /// The index of a layer pair in the square tables.
+    fn pair(&self, a: LayerId, b: LayerId) -> usize {
+        usize::from(a.0) * self.layers + usize::from(b.0)
     }
 
     /// This binding's process-unique revision stamp.
@@ -138,7 +188,7 @@ impl BoundTechnology {
 /// outside a library session (`Default`); `Debug` shows none of them.
 ///
 /// A collision would silently serve one definition's template, primitive
-/// verdict or candidate fill for another — across the cells, and in
+/// verdict or scored row for another — across the cells, and in
 /// a service the tenants, of one session. So the key space is wide
 /// enough that the birthday bound on a 10⁴-entry cache is negligible,
 /// and the hash is keyed, as the spatial index's cell hash and the
@@ -235,9 +285,9 @@ pub(crate) type TemplateKey = (ContentKey, Orientation);
 /// and name — and the [`BoundTechnology::revision`], which pins the
 /// technology the products were derived under. The symbol's CIF number
 /// and name are not in it: the walk never reads them. (A primitive
-/// verdict adds the display name, which its lines carry.) A candidate
-/// fill reads less — its definitions' element boxes — so names split a
-/// fill's key where they need not. Keys are built children first, so a
+/// verdict adds the display name, which its lines carry.) A scored
+/// interaction row reads less — its definitions' elements, layers and
+/// device types — so names split a row's key where they need not. Keys are built children first, so a
 /// definition's key covers everything it calls.
 ///
 /// A check derives each product once. A library session's
@@ -294,16 +344,17 @@ impl<'a> Definitions<'a> {
         }
     }
 
-    /// `derive`d, or the session's `shelf` answer under `key`.
+    /// `derive`d, or the session's `shelf` answer under `key`; true if
+    /// this check derived it.
     fn shelved<K: std::hash::Hash + Eq + Copy, V: Definition>(
         &self,
         shelf: impl FnOnce(&LibraryCache) -> &Shelf<K, V>,
         key: K,
         derive: impl Fn() -> V,
-    ) -> Arc<V> {
+    ) -> (Arc<V>, bool) {
         match self.session {
             Some(session) => shelf(&session.cache).get_or_derive(key, derive),
-            None => Arc::new(derive()),
+            None => (Arc::new(derive()), true),
         }
     }
 
@@ -313,7 +364,7 @@ impl<'a> Definitions<'a> {
         key: TemplateKey,
         derive: impl Fn() -> Template,
     ) -> Arc<Template> {
-        self.shelved(|cache| &cache.templates, key, derive)
+        self.shelved(|cache| &cache.templates, key, derive).0
     }
 
     /// The primitive-symbol verdict of the device symbol `symbol`,
@@ -329,14 +380,23 @@ impl<'a> Definitions<'a> {
         h.word(a);
         h.word(b);
         h.text(name);
-        self.shelved(|cache| &cache.verdicts, h.digest(), derive)
+        self.shelved(|cache| &cache.verdicts, h.digest(), derive).0
     }
 
-    /// The candidate fill of the pair plan's row `key` at `reach`. A
-    /// fill is a function of its definitions' element boxes and of the
-    /// reach, so the plan's own key covers it.
-    pub(crate) fn fill(&self, key: RowKey, reach: Coord, derive: impl Fn() -> Fill) -> Arc<Fill> {
-        self.shelved(|cache| &cache.fills, (key, reach), derive)
+    /// The interaction row of the pair plan's row `key` at `reach`,
+    /// scored under `metric`; true if this check scored it. A scored row
+    /// is a function of its definitions' elements, of the reach and of
+    /// the metric its distances were measured in, so the plan's own key
+    /// with those two covers it (the rules it applies are the
+    /// technology's, whose revision every definition key carries).
+    pub(crate) fn scored_row(
+        &self,
+        key: RowKey,
+        reach: Coord,
+        metric: SizingMode,
+        derive: impl Fn() -> ScoredRow,
+    ) -> (Arc<ScoredRow>, bool) {
+        self.shelved(|cache| &cache.rows, (key, reach, metric), derive)
     }
 }
 
@@ -467,11 +527,11 @@ impl<K, V> std::fmt::Debug for Shelf<K, V> {
 
 impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
     /// The value kept under `key`, or `derive`'s, kept if `key` was
-    /// seen before. `derive` runs **outside** the lock; two workers
-    /// racing on one key may both derive it, and the first to store
-    /// wins. A debug build derives every hit again and asserts it
-    /// equal.
-    fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> Arc<V> {
+    /// seen before; true if it is `derive`'s. `derive` runs **outside**
+    /// the lock; two workers racing on one key may both derive it, and
+    /// the first to store wins. A debug build derives every hit again
+    /// and asserts it equal.
+    fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> (Arc<V>, bool) {
         let (kept, seen) = {
             // invariant (this and below): a poisoned mutex means another
             // worker panicked mid-insert; the batch is already dead.
@@ -490,7 +550,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
             kept.assert_same(&derive());
-            return kept;
+            return (kept, false);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = Arc::new(derive());
@@ -500,7 +560,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
                 map.kept.insert(key, Arc::clone(&value));
             }
         }
-        value
+        (value, true)
     }
 }
 
@@ -528,8 +588,9 @@ pub struct DefinitionStats {
 /// on its own shelf under the definition's content key
 /// ([`Definitions`]): instantiation templates, one per definition and
 /// orientation; primitive-symbol verdicts, one per device definition;
-/// and interaction candidate fills, one per row of the scope table's
-/// pair plan ([`crate::ScopeTable::rows`]), whose key names its
+/// and scored interaction rows — what no net can change about a row's
+/// candidate pairs — one per row of the scope table's pair plan
+/// ([`crate::ScopeTable::rows`]) and sizing metric, whose key names its
 /// definitions by content. Each is kept from the second cell that
 /// presents its key on; until then only the key is. Values are held
 /// behind [`Arc`], so a hit shares without copying.
@@ -544,7 +605,7 @@ pub struct DefinitionStats {
 pub struct LibraryCache {
     templates: Shelf<TemplateKey, Template>,
     verdicts: Shelf<ContentKey, PrimitiveCheckResult>,
-    fills: Shelf<(RowKey, Coord), Fill>,
+    rows: Shelf<(RowKey, Coord, SizingMode), ScoredRow>,
     /// What every key of this cache's cells is hashed with.
     hash: ContentHash,
 }
@@ -562,10 +623,11 @@ impl LibraryCache {
         self.verdicts.stats()
     }
 
-    /// What the fill shelf did: interaction candidate fills kept and
-    /// reused across cells.
+    /// What the row shelf did: scored interaction rows kept and reused
+    /// across cells (the name is the shelf's older one, from when it
+    /// kept bare candidate fills).
     pub fn fills(&self) -> DefinitionStats {
-        self.fills.stats()
+        self.rows.stats()
     }
 }
 
@@ -681,7 +743,7 @@ pub struct LibraryStats {
     /// Primitive-symbol verdicts the session shared between cells
     /// ([`LibraryCache::verdicts`]).
     pub verdicts: DefinitionStats,
-    /// Interaction candidate fills the session shared between cells
+    /// Scored interaction rows the session shared between cells
     /// ([`LibraryCache::fills`]).
     pub fills: DefinitionStats,
     /// Always 0: a worker's interner lives for one batch and is never
@@ -841,10 +903,15 @@ mod tests {
         let bound = BoundTechnology::new(&tech);
         assert_eq!(bound.max_rule_range(), max_rule_range(&tech));
         assert_eq!(bound.cell_size(), interaction_cell_size(&tech));
-        assert_eq!(
-            bound.forming(),
-            &crate::connect::device_forming_pairs(&tech)
-        );
+        let forming = crate::connect::device_forming_pairs(&tech);
+        for a in (0..tech.layers().len()).map(|l| LayerId(l as u16)) {
+            assert_eq!(bound.same_mask(a), tech.rules().same_mask(a));
+            for b in (0..tech.layers().len()).map(|l| LayerId(l as u16)) {
+                assert_eq!(bound.spacing(a, b), tech.rules().spacing(a, b));
+                let key = (a.min(b), a.max(b));
+                assert_eq!(bound.forms_device(a, b), forming.contains(&key));
+            }
+        }
         let again = BoundTechnology::new(&tech);
         assert_ne!(bound.revision(), again.revision(), "revisions are unique");
     }
@@ -859,17 +926,19 @@ mod tests {
     #[test]
     fn shelf_keeps_a_definition_from_its_second_sighting() {
         let shelf = Shelf::<u8, u32>::default();
-        let first = shelf.get_or_derive(1, || 7);
+        let (first, derived) = shelf.get_or_derive(1, || 7);
         assert_eq!(
-            (*first, shelf.stats().entries),
-            (7, 0),
+            (*first, derived, shelf.stats().entries),
+            (7, true, 0),
             "seen once: not kept"
         );
-        let second = shelf.get_or_derive(1, || 7);
+        let (second, derived) = shelf.get_or_derive(1, || 7);
         assert!(!Arc::ptr_eq(&first, &second), "the second sighting derives");
-        let third = shelf.get_or_derive(1, || 7);
+        assert!(derived);
+        let (third, derived) = shelf.get_or_derive(1, || 7);
         assert!(Arc::ptr_eq(&second, &third), "and keeps what it derived");
-        let other = shelf.get_or_derive(2, || 8);
+        assert!(!derived, "a hit derives nothing");
+        let (other, _) = shelf.get_or_derive(2, || 8);
         assert_eq!(*other, 8);
         let stats = shelf.stats();
         let counts = (stats.hits, stats.misses, stats.entries, stats.seen);

@@ -23,8 +23,9 @@
 //! * the **netgen bind phase** — chunks of the device and label lists
 //!   bound to covering element ids, folded into rows serially in
 //!   canonical order ([`crate::netgen::NetParts::build`]);
-//! * the **interaction stage**'s candidate-row fills and its streamed
-//!   units' pair evaluation ([`crate::interact`]).
+//! * the **interaction stage**'s row scoring and its streamed units
+//!   (a scored row stamped, or a loose tile scored and decided —
+//!   [`crate::interact`]).
 //!
 //! The one user-facing knob, [`crate::CheckOptions::parallelism`], is
 //! resolved through [`effective_parallelism`]: `0` means "all available

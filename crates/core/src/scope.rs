@@ -302,8 +302,8 @@ pub struct Neighbours {
 
 /// Exact counters of what the scope table was worth to one check: how
 /// much of the chip sits in repeated definitions, what the neighbour
-/// searches cost, how much of the connection stage was answered by
-/// stamping a verdict row instead of scoring pairs, and what the
+/// searches cost, how much of the connection and interaction stages was
+/// answered by stamping a row instead of scoring pairs, and what the
 /// net-list stage indexed to bind its terminal and label points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScopeStats {
@@ -328,6 +328,14 @@ pub struct ScopeStats {
     /// Candidate element pairs it did not have to score because a
     /// stamped row already held their verdicts.
     pub conn_pairs_stamped: u64,
+    /// Candidate element pairs the interaction stage scored itself: each
+    /// row it filled (a row taken from a library session's shelf scores
+    /// none) and every pair of its loose scans.
+    pub interact_pairs_scored: u64,
+    /// Candidate element pairs a stamped interaction row handed to the
+    /// net-reading half of the rules: the pairs whose outcome a net can
+    /// change, once per scope (pair) the row was stamped onto.
+    pub interact_pairs_stamped: u64,
     /// Elements in call scopes whose definition-and-orientation occurs
     /// more than once at the top level — the share of the chip the row
     /// cache can apply to.
@@ -358,6 +366,18 @@ impl ScopeStats {
             ..self
         }
     }
+
+    /// These counters with the interaction stage's (`interact_*`) taken
+    /// from `interactions` — what [`crate::interact::check_interactions`]
+    /// returned.
+    #[must_use]
+    pub fn with_interactions_of(self, interactions: ScopeStats) -> ScopeStats {
+        ScopeStats {
+            interact_pairs_scored: interactions.interact_pairs_scored,
+            interact_pairs_stamped: interactions.interact_pairs_stamped,
+            ..self
+        }
+    }
 }
 
 impl std::fmt::Display for ScopeStats {
@@ -366,6 +386,7 @@ impl std::fmt::Display for ScopeStats {
             f,
             "{} scopes, {} neighbour tests -> {} neighbour pairs, \
              {} connection rows built + {} stamped, {} pairs scored + {} stamped, \
+             {} interaction pairs scored + {} stamped, \
              {} elements in repeated scopes, \
              {} bind indexes built over {} entries, {} bind points -> {} bind probes",
             self.scopes,
@@ -375,6 +396,8 @@ impl std::fmt::Display for ScopeStats {
             self.conn_rows_stamped,
             self.conn_pairs_scored,
             self.conn_pairs_stamped,
+            self.interact_pairs_scored,
+            self.interact_pairs_stamped,
             self.elements_in_repeated_scopes,
             self.bind_indexes_built,
             self.bind_index_entries,

@@ -68,13 +68,14 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 28 884 in a release build, 112 204 in a debug one (whose
+/// set: 28 455 in a release build, 111 719 in a debug one (whose
 /// oracles allocate, and derive every kept template, verdict and
-/// candidate fill again). A batch may take 5 % more, no further.
+/// scored interaction row again). A batch may take 5 % more, no
+/// further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    112_204
+    111_719
 } else {
-    28_884
+    28_455
 };
 
 /// Allocator calls of the edit run below when this budget was set:

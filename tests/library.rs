@@ -4,7 +4,7 @@
 //! `check_library` hoists three per-run rebuilds into shared state —
 //! the bound technology constants, the session's content-keyed
 //! definition shelves (instantiation templates, primitive verdicts and
-//! interaction candidate fills), and per-worker string interners warm
+//! scored interaction rows), and per-worker string interners warm
 //! from cell to cell of one batch. The contract that makes all three
 //! safe is **per-cell byte-identity**: every cell's report out of a
 //! batch must equal a standalone `check()` of that cell — violations,
@@ -68,7 +68,15 @@ fn assert_batch_matches_standalone(
         let mut instantiated = s.instantiate_stats;
         instantiated.strings_interned = b.instantiate_stats.strings_interned;
         assert_eq!(b.instantiate_stats, instantiated, "cell {i}: instantiation");
-        assert_eq!(b.scope_stats, s.scope_stats, "cell {i}: scope statistics");
+        // A scored interaction row taken from the session's shelf is no
+        // pair the cell scored itself; every other scope counter agrees.
+        let mut scoped = s.scope_stats;
+        scoped.interact_pairs_scored = b.scope_stats.interact_pairs_scored;
+        assert_eq!(b.scope_stats, scoped, "cell {i}: scope statistics");
+        assert!(
+            b.scope_stats.interact_pairs_scored <= s.scope_stats.interact_pairs_scored,
+            "cell {i}: a kept row scored pairs"
+        );
         assert_eq!(b.waived_devices, s.waived_devices, "cell {i}");
         assert_eq!(b.element_count, s.element_count, "cell {i}");
         assert_eq!(b.device_count, s.device_count, "cell {i}");
@@ -449,4 +457,65 @@ fn definitions_are_kept_from_their_second_sighting() {
         stock.interact.cache_misses,
         "every row a cell fills is one lookup"
     );
+}
+
+/// A kept scored interaction row answers for its definition wherever a
+/// later cell places it: its gap boxes are stored relative to the
+/// placement and land at the new one. And the rows are kept per sizing
+/// metric: two cells' diagonal corners, 550 apart on each axis, violate
+/// the 750 metal rule under the orthogonal metric and clear it under the
+/// Euclidean one, so a Euclidean batch that took an orthogonal row
+/// would report them.
+#[test]
+fn kept_rows_land_at_each_placement_and_per_metric() {
+    use diic::core::{check_library_in, DiagnosticSink, LibrarySession};
+    use diic::geom::{Rect, SizingMode};
+
+    let tech = nmos_technology();
+    let session = LibrarySession::new(&tech);
+    // One cell: two metal boxes 500 apart, and a box whose corner is 550
+    // from the second one's on each axis.
+    let body = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; \
+                B 1000 750 3050 2925; DF;";
+    let offsets = [(0, 0), (7_123, -3_000), (-40_000, 11_250)];
+    let cells: Vec<Layout> = (offsets.iter())
+        .map(|&(x, y)| diic::cif::parse(&format!("{body} C 1 T {x} {y}; E")).unwrap())
+        .collect();
+    let mut hits = 0;
+    for metric in [SizingMode::Orthogonal, SizingMode::Euclidean] {
+        let options = LibraryOptions {
+            cell: diic::core::CheckOptions {
+                metric,
+                parallelism: 1,
+                ..diic::core::CheckOptions::default()
+            },
+            parallelism: 1,
+        };
+        let batch = check_library_in(&session, &cells, &tech, &options, |_| DiagnosticSink::new());
+        // Seen by the first cell, kept by the second, taken by the third.
+        let fills = batch.stats.fills;
+        assert_eq!(fills.hits, hits + 1, "{metric:?}: {fills:?}");
+        hits = fills.hits;
+        let last = &batch.reports[2];
+        assert_eq!(last.scope_stats.interact_pairs_scored, 0, "{metric:?}");
+        for ((report, cell), &(x, y)) in batch.reports.iter().zip(&cells).zip(&offsets) {
+            let alone = check(cell, &tech, &options.cell);
+            assert_eq!(
+                report.violations, alone.violations,
+                "{metric:?} at ({x}, {y})"
+            );
+            let gap = Rect::new(x, y + 750, x + 2000, y + 1250);
+            assert!(
+                report.violations.iter().any(|v| v.location == Some(gap)),
+                "{metric:?}: the gap box lands at ({x}, {y}): {:#?}",
+                report.violations
+            );
+            let corners = (report.violations.iter())
+                .filter(|v| v.location.is_some_and(|l| l.x1 >= x + 2000))
+                .count();
+            let want = usize::from(metric == SizingMode::Orthogonal);
+            assert_eq!(corners, want, "{metric:?} at ({x}, {y})");
+        }
+    }
+    assert_eq!(session.cache.fills().entries, 2, "one row per metric");
 }

@@ -43,6 +43,37 @@ fn mega_chip_smoke_bounded_memory() {
     );
 }
 
+/// The interaction stage scores each row of the pair plan once: on a
+/// 10⁴-element array of one cell, the pairs it scores itself are under
+/// 1 % of the candidate pairs, the rest are stamps, and both counts
+/// repeat exactly from run to run and across worker counts.
+#[test]
+fn interaction_rows_are_scored_once_and_stamped() {
+    let tech = nmos_technology();
+    let chip = diic::gen::mega_chip(10_000);
+    let runs: Vec<_> = [1usize, 1, 2]
+        .into_iter()
+        .map(|parallelism| {
+            let options = CheckOptions {
+                parallelism,
+                ..CheckOptions::default()
+            };
+            let report = check_cif(&chip.cif, &tech, &options).unwrap();
+            (report.scope_stats, report.interact_stats)
+        })
+        .collect();
+    assert!(runs.iter().all(|run| *run == runs[0]), "{runs:#?}");
+    let (scopes, interact) = runs[0];
+    let (scored, stamped) = (scopes.interact_pairs_scored, scopes.interact_pairs_stamped);
+    assert!(scored > 0 && stamped > 0, "{scopes}");
+    assert!(
+        scored * 100 < interact.candidate_pairs,
+        "{scored} pairs scored of {} candidates",
+        interact.candidate_pairs
+    );
+    assert!(stamped < interact.candidate_pairs, "{scopes}");
+}
+
 /// Bounded candidates on the default path, for a chip with no
 /// hierarchy to stamp: 2 000 loose metal wires (four tiles of the loose
 /// scan) checked by `check()` with default options hold one tile's pairs
