@@ -2,7 +2,7 @@
 //! same generated chip (who pays what for correctness).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diic_core::{check, flat_check, CheckOptions, FlatOptions};
+use diic_core::{check, flat_check, CheckOptions};
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_tech::nmos::nmos_technology;
 
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| check(&layout, &tech, &CheckOptions::default()))
     });
     g.bench_function("flat_checker_6x4", |b| {
-        b.iter(|| flat_check(&layout, &tech, &FlatOptions::default()))
+        b.iter(|| flat_check(&layout, &tech))
     });
     g.finish();
 }

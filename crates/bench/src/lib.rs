@@ -12,8 +12,8 @@ use diic_core::interact::{check_interactions, check_interactions_among};
 use diic_core::netgen::NetParts;
 use diic_core::{
     account, check_cif, check_connections, check_same_mask, flat_check, instantiate,
-    BoundTechnology, CheckOptions, ChipView, Definitions, FlatOptions, InteractStats, LayerBinding,
-    ScopeTable, Violation,
+    BoundTechnology, CheckOptions, ChipView, Definitions, InteractStats, LayerBinding, ScopeTable,
+    Violation,
 };
 use diic_gen::{generate, ChipSpec, ErrorKind};
 use diic_geom::{Polygon, Rect, Region, SizingMode};
@@ -86,7 +86,7 @@ pub fn e1_error_regions(scale: Scale) -> String {
         );
 
         let layout = diic_cif::parse(&chip.cif).unwrap();
-        let flat = flat_check(&layout, &tech, &FlatOptions::default());
+        let flat = flat_check(&layout, &tech);
         let fr = account(&flat, &injected, 800);
         let ratio = if fr.false_to_real_ratio().is_finite() {
             format!("{:.1}", fr.false_to_real_ratio())
@@ -401,7 +401,7 @@ pub fn e7_contact_over_gate() -> String {
     ));
     let report = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
     let layout = diic_cif::parse(&chip.cif).unwrap();
-    let flat = flat_check(&layout, &tech, &FlatOptions::default());
+    let flat = flat_check(&layout, &tech);
     let diic_cog = report
         .violations
         .iter()
@@ -441,7 +441,7 @@ pub fn e8_accidental_transistors() -> String {
     let report = check_cif(&chip.cif, &tech, &CheckOptions::default()).unwrap();
     let diic = account(&report.violations, &injected, 800);
     let layout = diic_cif::parse(&chip.cif).unwrap();
-    let flat = flat_check(&layout, &tech, &FlatOptions::default());
+    let flat = flat_check(&layout, &tech);
     let fr = account(&flat, &injected, 800);
     let _ = writeln!(
         out,
@@ -1065,7 +1065,7 @@ impl InteractionInputs {
 
     /// The direct-scan reference: every element against one index over
     /// all of them ([`check_interactions_among`] over every id), plus the
-    /// standalone multi-patterning analysis ([`check_same_mask`]), whose
+    /// multi-patterning verdict ([`check_same_mask`]), whose
     /// lines its `violations` counter includes, as the stage's does.
     pub fn direct_scan(
         &self,

@@ -9,11 +9,11 @@
 //!
 //! * the layout is **fully instantiated** and unioned per mask layer —
 //!   symbol and net information is thrown away;
-//! * width = *shrink-expand-compare* (orthogonal, exact; or Euclidean on a
-//!   raster, which flags every convex corner — Fig. 4);
-//! * spacing = *expand-check-overlap* between connected components
-//!   (orthogonal ⇒ L∞ metric with its corner-to-corner false errors, or
-//!   Euclidean ⇒ L2);
+//! * width = orthogonal *shrink-expand-compare* (exact on Manhattan
+//!   geometry; its Euclidean form on a raster, which flags every convex
+//!   corner — Fig. 4 — is experiment e4's, not the baseline's);
+//! * spacing = orthogonal *expand-check-overlap* between connected
+//!   components: the L∞ metric with its corner-to-corner false errors;
 //! * no nets: electrically equivalent features are flagged (Fig. 5a);
 //! * no devices: poly crossing diffusion is assumed to be a legal
 //!   transistor (Fig. 8 — accidental crossings go **unchecked**), the
@@ -21,40 +21,18 @@
 //!   distinguished (resistor ties are flagged), and a mask-level "no
 //!   contact over gate" check flags every butting contact (Fig. 7).
 //!
-//! The baseline runs serially: it is the reference the pipeline is
-//! measured against, not a workload of its own. Every walk is
+//! The baseline has no options and runs serially: it is the reference
+//! the pipeline is measured against, not a workload of its own. Every walk is
 //! deterministic because [`FlatLayers`] keeps the per-layer unions
 //! sorted by layer id (never in hash order).
 
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_cif::{flatten, Layout};
-use diic_geom::raster::euclidean_shrink_expand_compare;
 use diic_geom::spacing::check_region_spacing;
 use diic_geom::width::shrink_expand_compare;
 use diic_geom::{Rect, Region, SizingMode};
 use diic_tech::{LayerId, LayerKind, Technology};
 use std::collections::HashMap;
-
-/// Baseline options.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatOptions {
-    /// Sizing/distance flavour for both width and spacing baselines.
-    pub metric: SizingMode,
-    /// Raster resolution for Euclidean shrink-expand-compare.
-    pub raster_resolution: i64,
-    /// Apply the mask-level "no contact over poly∩diff" rule (Fig. 7).
-    pub contact_over_gate_rule: bool,
-}
-
-impl Default for FlatOptions {
-    fn default() -> Self {
-        FlatOptions {
-            metric: SizingMode::Orthogonal,
-            raster_resolution: 25,
-            contact_over_gate_rule: true,
-        }
-    }
-}
 
 /// The per-mask-layer unions the flat baseline operates on, **sorted by
 /// layer id** so every downstream walk (and hence the violation order)
@@ -121,13 +99,9 @@ impl FlatLayers {
     }
 }
 
-/// Width phase: shrink-expand-compare per eligible layer, in layer
-/// order.
-fn flat_width_checks(
-    layers: &FlatLayers,
-    tech: &Technology,
-    options: &FlatOptions,
-) -> Vec<Violation> {
+/// Width phase: orthogonal shrink-expand-compare per eligible layer, in
+/// layer order.
+fn flat_width_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
     let mut out = Vec::new();
     for (layer, region) in layers.iter() {
         let info = tech.layer(layer);
@@ -135,40 +109,29 @@ fn flat_width_checks(
             continue;
         }
         let min_w = info.min_width;
-        let width = |measured, location| Violation {
-            stage: CheckStage::Elements,
-            kind: ViolationKind::Width {
-                layer: info.name.clone(),
-                measured,
-                required: min_w,
-            },
-            location: Some(location),
-            context: "flat".to_string(),
-        };
-        match options.metric {
-            SizingMode::Orthogonal => out.extend(
-                shrink_expand_compare(region, min_w)
-                    .into_iter()
-                    .map(|v| width(v.measured, v.location)),
-            ),
-            SizingMode::Euclidean => out.extend(
-                euclidean_shrink_expand_compare(region, min_w, options.raster_resolution)
-                    .into_iter()
-                    .map(|loc| width(loc.min_side().min(min_w - 1), loc)),
-            ),
-        }
+        out.extend(
+            shrink_expand_compare(region, min_w)
+                .into_iter()
+                .map(|v| Violation {
+                    stage: CheckStage::Elements,
+                    kind: ViolationKind::Width {
+                        layer: info.name.clone(),
+                        measured: v.measured,
+                        required: min_w,
+                    },
+                    location: Some(v.location),
+                    context: "flat".to_string(),
+                }),
+        );
     }
     out
 }
 
-/// Spacing phase: expand-check-overlap between connected components
-/// (same layer) and disjoint cross-layer features, in the rule matrix's
-/// entry order. No net information exists.
-fn flat_spacing_checks(
-    layers: &FlatLayers,
-    tech: &Technology,
-    options: &FlatOptions,
-) -> Vec<Violation> {
+/// Spacing phase: orthogonal expand-check-overlap between connected
+/// components (same layer) and disjoint cross-layer features, in the
+/// rule matrix's entry order. No net information exists.
+fn flat_spacing_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
+    let metric = SizingMode::Orthogonal;
     let mut out = Vec::new();
     for (a, b, rule) in tech.rules().entries() {
         let required = rule.diff_net;
@@ -179,7 +142,7 @@ fn flat_spacing_checks(
             let comps = region.components();
             for (i, ci) in comps.iter().enumerate() {
                 for cj in &comps[i + 1..] {
-                    for v in check_region_spacing(ci, cj, required, options.metric) {
+                    for v in check_region_spacing(ci, cj, required, metric) {
                         out.push(spacing_violation(tech, a, a, &v));
                     }
                 }
@@ -189,7 +152,7 @@ fn flat_spacing_checks(
             // transistor, a contact): the mask-level checker cannot know
             // better. Only disjoint features are spacing-checked — so it
             // misses accidental crossings entirely (Fig. 8).
-            for v in check_region_spacing(ra, rb, required, options.metric) {
+            for v in check_region_spacing(ra, rb, required, metric) {
                 out.push(spacing_violation(tech, a, b, &v));
             }
         }
@@ -224,13 +187,11 @@ fn flat_gate_checks(layers: &FlatLayers, tech: &Technology) -> Vec<Violation> {
 
 /// Runs the flat checker: union per layer, then the width, spacing, and
 /// contact-over-gate phases, in that order.
-pub fn flat_check(layout: &Layout, tech: &Technology, options: &FlatOptions) -> Vec<Violation> {
+pub fn flat_check(layout: &Layout, tech: &Technology) -> Vec<Violation> {
     let layers = FlatLayers::build(layout, tech);
-    let mut violations = flat_width_checks(&layers, tech, options);
-    violations.extend(flat_spacing_checks(&layers, tech, options));
-    if options.contact_over_gate_rule {
-        violations.extend(flat_gate_checks(&layers, tech));
-    }
+    let mut violations = flat_width_checks(&layers, tech);
+    violations.extend(flat_spacing_checks(&layers, tech));
+    violations.extend(flat_gate_checks(&layers, tech));
     violations
 }
 
@@ -262,7 +223,7 @@ mod tests {
 
     fn run(cif: &str) -> Vec<Violation> {
         let layout = parse(cif).unwrap();
-        flat_check(&layout, &nmos_technology(), &FlatOptions::default())
+        flat_check(&layout, &nmos_technology())
     }
 
     #[test]
@@ -302,27 +263,6 @@ mod tests {
         // under the orthogonal expand-check-overlap baseline.
         let v = run("L NM; B 1000 750 500 375; B 1000 750 2050 1675; E");
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn euclidean_sec_flags_corners_of_legal_square() {
-        // A perfectly legal metal square: Euclidean shrink-expand-compare
-        // reports four corner slivers (Fig. 4's classic false errors).
-        let layout = parse("L NM; B 3000 3000 1500 1500; E").unwrap();
-        let v = flat_check(
-            &layout,
-            &nmos_technology(),
-            &FlatOptions {
-                metric: SizingMode::Euclidean,
-                raster_resolution: 10,
-                ..FlatOptions::default()
-            },
-        );
-        let widths = v
-            .iter()
-            .filter(|x| matches!(x.kind, ViolationKind::Width { .. }))
-            .count();
-        assert_eq!(widths, 4, "{v:?}");
     }
 
     #[test]

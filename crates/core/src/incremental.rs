@@ -2152,8 +2152,8 @@ impl CheckSession {
         fresh.extend(connections.into_iter().filter(anchored));
         fresh.extend(interactions);
         // Global recompute of the same-mask conflict graph (the scoped
-        // interaction pass discards its clip-local edges): free when
-        // the technology declares no same_mask rules.
+        // interaction pass finds no conflict edges): free when the
+        // technology declares no same_mask rules.
         let metric = self.options.metric;
         fresh.extend(check_same_mask(&vp.view, &self.tech, &self.bound, metric));
         stats.spliced = fresh.len();

@@ -28,23 +28,22 @@
 //! reach of it.
 //!
 //! The rules for one pair split in two halves. `score_pair` is what no
-//! net can change: the device-internal skip, the same-mask conflict
-//! edge, a device override's waiver or spacing, the matrix rule with its
-//! transistor sides, and the closest approach with its gap box and the
-//! touching exemptions. `decide` is what reads nets: same-net
-//! suppression, transistor relatedness, the required spacing, every
-//! counter of [`InteractStats`] and the violation itself. Each distinct
-//! row is **scored once**, across the worker pool, by the first scope
-//! (pair) presenting its key (in library mode taken from, and kept in,
-//! the session's [`crate::LibraryCache`]): its pair count, its
-//! `no_rule` and `override_waived` counts, its same-mask edges, and only
-//! the pairs whose outcome reads nets, each with its rule and distance,
-//! gap boxes in the first scope's definition frame. Stamping the row
-//! onto a scope (pair) adds the counts, maps the local ids to chip ids,
-//! moves the gap boxes by the scope's offset and decides the open pairs
-//! by nets. The direct scans — [`check_interactions_among`] and the
-//! loose tiles — compose the two halves per pair, so the rules have one
-//! body.
+//! net can change: the device-internal skip, a device override's waiver
+//! or spacing, the matrix rule with its transistor sides, and the
+//! closest approach with its gap box and the touching exemptions.
+//! `decide` is what reads nets: same-net suppression, transistor
+//! relatedness, the required spacing, every counter of
+//! [`InteractStats`] and the violation itself. Each distinct row is
+//! **scored once**, across the worker pool, by the first scope (pair)
+//! presenting its key (in library mode taken from, and kept in, the
+//! session's [`crate::LibraryCache`]): its pair count, its `no_rule` and
+//! `override_waived` counts, and only the pairs whose outcome reads
+//! nets, each with its rule and distance, gap boxes in the first
+//! scope's definition frame. Stamping the row onto a scope (pair) adds
+//! the counts, maps the local ids to chip ids, moves the gap boxes by
+//! the scope's offset and decides the open pairs by nets. The direct
+//! scans — [`check_interactions_among`] and the loose tiles — compose
+//! the two halves per pair, so the rules have one body.
 //!
 //! The stage then streams **units** — a row stamped onto one scope or
 //! scope pair, or one tile of a loose scan ([`Scan::tiles`]) — in a
@@ -67,21 +66,16 @@
 //!
 //! # Same-mask conflict graphs (multi-patterning)
 //!
-//! The first post-paper check family: a technology may declare a
-//! `same_mask` distance per layer ([`diic_tech::RuleSet::same_mask`]).
-//! Two features on that layer closer than the distance — but not
-//! touching (touching features print as one mask feature) — cannot
-//! share a mask, which makes them an edge of the layer's **conflict
-//! graph**. A two-mask (double-patterning) decomposition is a
-//! 2-colouring of that graph, which exists iff the graph is bipartite;
-//! every **odd cycle** is therefore an undecomposable cluster,
-//! reported as one [`ViolationKind::MaskOddCycle`] anchored at the odd
-//! component's closest conflicting edge. Edges are collected while
-//! pairs are scored (geometrically — net topology and device
-//! membership do not excuse a mask conflict), then analysed once at the
-//! end of the run; [`check_same_mask`] runs the same analysis
-//! standalone, which is how the incremental session recomputes the
-//! (global, and therefore un-clippable) property after an edit.
+//! A technology may declare a `same_mask` distance per layer
+//! ([`diic_tech::RuleSet::same_mask`]): two features on that layer
+//! closer than it, but not touching, cannot share a mask — an edge of
+//! the layer's **conflict graph**, whatever their nets or devices. A
+//! two-mask decomposition is a 2-colouring, so every **odd cycle** is an
+//! undecomposable cluster, reported as one
+//! [`ViolationKind::MaskOddCycle`] per odd component. Bipartiteness is
+//! global, so one function produces it, [`check_same_mask`], and the
+//! pair rules carry no edges: the stage appends its lines last, and the
+//! edit session re-runs it after every edit.
 
 use crate::binding::{ChipView, Istr};
 use crate::checker::CheckOptions;
@@ -92,7 +86,6 @@ use crate::scope::{RowPlan, Scan, ScopeIds, ScopeStats, ScopeTable};
 use crate::violations::{CheckStage, Violation, ViolationKind};
 use diic_geom::{batch, Coord, FlatGrid, Rect, SizingMode, Vector};
 use diic_tech::{DeviceArchetype, SpacingRule, Technology};
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -264,16 +257,18 @@ pub fn check_interactions(
             Unit::Loose(..) => work.interact_pairs_scored += found.stats.candidate_pairs,
         }
     }
-    let (mut violations, edges) = merge_units(results, &mut stats);
-    violations.extend(mask_cycle_violations(view, tech, options.metric, edges));
+    let mut violations = merge_units(results, &mut stats);
+    violations.extend(check_same_mask(view, tech, bound, options.metric));
     stats.violations = violations.len() as u64;
     (violations, stats, work)
 }
 
-/// Runs the interaction checks **among a given element set** by the
-/// direct scan — every element against one index over the set. Over
-/// every id, with [`check_same_mask`] for the multi-patterning verdict
-/// and no `clip`, it is the reference [`check_interactions`] is held to.
+/// Runs the pair rules **among a given element set** by the direct scan
+/// — every element against one index over the set. It finds no
+/// same-mask conflict: that verdict is global, and only
+/// [`check_same_mask`] produces it. Over every id with no `clip`, plus
+/// [`check_same_mask`], it is the reference [`check_interactions`] is
+/// held to.
 ///
 /// The edit session runs it over its halo, reading nets through its net
 /// index's net keys ([`crate::netgen::NetIndex::nets`]): `ids` (ascending)
@@ -331,11 +326,6 @@ pub fn check_interactions_among(
             ids.iter().filter_map(|&id| view.elements.get(id).device()),
         ),
     );
-    // Same-mask edges are discarded here: bipartiteness is a *global*
-    // property of the conflict graph — a halo-local edge subset cannot
-    // decide odd-cycle membership, and a marker-in-halo filter would
-    // retract/splice the wrong cycles. The session recomputes the
-    // multi-patterning verdict with [`check_same_mask`].
     let chunks: Vec<&[(usize, usize)]> =
         pairs.chunks(pairs.len().div_ceil(workers).max(1)).collect();
     let results = run_ordered(chunks.len(), workers, |k| {
@@ -346,7 +336,7 @@ pub fn check_interactions_among(
         }
         found
     });
-    let (mut violations, _edges) = merge_units(results, &mut stats);
+    let mut violations = merge_units(results, &mut stats);
     // The direct scan buffers its (halo-bounded) pair list whole.
     stats.peak_candidate_buffer = pairs.len() as u64;
     // Location-less violations count as inside every halo (they cannot
@@ -407,8 +397,6 @@ pub(crate) struct ScoredRow {
     /// The counters no net can change: `candidate_pairs` (and, equal to
     /// it, `peak_candidate_buffer`), `no_rule` and `override_waived`.
     counts: InteractStats,
-    /// Same-mask conflict edges, ascending by pair.
-    edges: Vec<MaskEdge>,
     /// The pairs whose outcome reads nets, ascending.
     open: Vec<(usize, usize, Open)>,
 }
@@ -435,13 +423,7 @@ impl ScoredRow {
         let (reach, tile) = (cx.bound.max_rule_range(), 0..scan.ids.len());
         scan.pairs(bboxes, &index, reach, tile, |i, j| {
             row.counts.candidate_pairs += 1;
-            let (edge, score) = score_pair(cx, i, j);
-            row.edges.extend(edge.map(|e| MaskEdge {
-                a: e.a - i0,
-                b: e.b - j0,
-                gap: e.gap,
-            }));
-            if let Some(open) = score.tally(&mut row.counts) {
+            if let Some(open) = score_pair(cx, i, j).tally(&mut row.counts) {
                 row.open.push((i - i0, j - j0, open.moved(-offset)));
             }
         });
@@ -450,15 +432,10 @@ impl ScoredRow {
     }
 
     /// Stamps the row onto the scopes starting at element ids `(i0,
-    /// j0)`, the first placed at `offset`: its counts and edges as they
-    /// are, its open pairs decided by nets.
+    /// j0)`, the first placed at `offset`: its counts as they are, its
+    /// open pairs decided by nets.
     fn stamp(&self, cx: &EvalCx<'_>, (i0, j0): (usize, usize), offset: Vector, out: &mut Found) {
         out.stats.absorb(&self.counts);
-        out.edges.extend(self.edges.iter().map(|e| MaskEdge {
-            a: e.a + i0,
-            b: e.b + j0,
-            gap: e.gap,
-        }));
         for (i, j, open) in &self.open {
             decide(cx, i + i0, j + j0, &open.moved(offset), out);
         }
@@ -491,25 +468,22 @@ fn score_rows(
 }
 
 /// What one unit (or one chunk of the direct scan) found: its
-/// violations, its same-mask edges and its counters.
+/// violations and its counters.
 #[derive(Default)]
 struct Found {
     violations: Vec<Violation>,
-    edges: Vec<MaskEdge>,
     stats: InteractStats,
 }
 
-/// Folds per-unit results, in unit order, into one violation list, one
-/// edge list and the run's counters.
-fn merge_units(results: Vec<Found>, stats: &mut InteractStats) -> (Vec<Violation>, Vec<MaskEdge>) {
+/// Folds per-unit results, in unit order, into one violation list and
+/// the run's counters.
+fn merge_units(results: Vec<Found>, stats: &mut InteractStats) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut edges = Vec::new();
     for found in results {
         violations.extend(found.violations);
-        edges.extend(found.edges);
         stats.absorb(&found.stats);
     }
-    (violations, edges)
+    violations
 }
 
 // ---------------------------------------------------------------------
@@ -659,32 +633,24 @@ impl Open {
 /// [`decide`] if its outcome reads nets — the one rule body every scan
 /// composes, and a stamped row splits.
 fn evaluate_pair(cx: &EvalCx<'_>, i: usize, j: usize, out: &mut Found) {
-    let (edge, score) = score_pair(cx, i, j);
-    out.edges.extend(edge);
-    if let Some(open) = score.tally(&mut out.stats) {
+    if let Some(open) = score_pair(cx, i, j).tally(&mut out.stats) {
         decide(cx, i, j, &open, out);
     }
 }
 
 /// The half of the rules for one element pair that no net can change:
-/// its same-mask conflict edge, if any, and its [`Score`] — the
-/// device-internal skip, a device override's waiver or spacing, the
+/// the device-internal skip, a device override's waiver or spacing, the
 /// matrix rule with its transistor sides, and the closest approach
 /// with the touching exemptions. A function of the two elements'
 /// geometry, layers and device declarations, so a row scored once
 /// answers for every translated copy of it.
-fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> (Option<MaskEdge>, Score) {
+fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> Score {
     let view = cx.view;
     let a = view.elements.get(i);
     let b = view.elements.get(j);
 
-    // Same-mask conflict edges are purely geometric, so they are
-    // collected *before* any electrical pruning: sharing a net or a
-    // device does not put two features on different masks.
-    let edge = mask_edge(cx.bound, cx.metric, a, b);
-
     if a.device().is_some() && a.device() == b.device() {
-        return (edge, Score::Internal); // stage 3's territory
+        return Score::Internal; // stage 3's territory
     }
 
     // Device overrides (Fig. 6): an element inside a device may replace
@@ -699,7 +665,7 @@ fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> (Option<MaskEdge>, Score) 
     });
     let rule = match overridden {
         Some(o) => match o.spacing {
-            None => return (edge, Score::Waived), // resistor-to-isolation tie
+            None => return Score::Waived, // resistor-to-isolation tie
             Some(spacing) => Rule::Override {
                 spacing,
                 applies_same_net: o.applies_same_net,
@@ -707,7 +673,7 @@ fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> (Option<MaskEdge>, Score) 
         },
         None => {
             let Some(&rule) = cx.bound.spacing(a.layer(), b.layer()) else {
-                return (edge, Score::NoRule);
+                return Score::NoRule;
             };
             let transistor = [a, b].map(|e| {
                 let class = e.device().and_then(|d| view.devices[d].class);
@@ -737,7 +703,7 @@ fn score_pair(cx: &EvalCx<'_>, i: usize, j: usize) -> (Option<MaskEdge>, Score) 
             dist > 0 || (a.layer() != b.layer() && !cx.bound.forms_device(a.layer(), b.layer()))
         })
     };
-    (edge, Score::Open(Open { rule, approach }))
+    Score::Open(Open { rule, approach })
 }
 
 /// The half of the rules for the pair `(i, j)` (chip ids) that reads
@@ -871,134 +837,17 @@ fn pair_context(
 
 /// One conflict-graph edge: elements `a < b` on the same layer, closer
 /// than the layer's `same_mask` distance but not touching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct MaskEdge {
     a: usize,
     b: usize,
     gap: Coord,
 }
 
-/// Analyses a collected edge set: BFS 2-colouring per connected
-/// component (sorted adjacency, ascending roots — fully deterministic),
-/// one [`ViolationKind::MaskOddCycle`] per non-bipartite component,
-/// anchored at the closest (then lowest-id) edge whose endpoints took
-/// the same colour, with `cycle` the length of the actual odd cycle
-/// that edge closes through the BFS tree.
-fn mask_cycle_violations(
-    view: &ChipView,
-    tech: &Technology,
-    metric: SizingMode,
-    mut edges: Vec<MaskEdge>,
-) -> Vec<Violation> {
-    if edges.is_empty() {
-        return Vec::new();
-    }
-    // Canonical edge order regardless of which scan collected the
-    // edges; the dedup is belt and braces — the plan enumerates every
-    // pair exactly once.
-    edges.sort_unstable();
-    edges.dedup();
-
-    let mut adj: HashMap<usize, Vec<usize>> = HashMap::new();
-    for e in &edges {
-        adj.entry(e.a).or_default().push(e.b);
-        adj.entry(e.b).or_default().push(e.a);
-    }
-    let mut nodes: Vec<usize> = adj.keys().copied().collect();
-    nodes.sort_unstable();
-    for list in adj.values_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-
-    let mut color: HashMap<usize, bool> = HashMap::new();
-    let mut parent: HashMap<usize, usize> = HashMap::new();
-    let mut depth: HashMap<usize, usize> = HashMap::new();
-    let mut out = Vec::new();
-    for &root in &nodes {
-        if color.contains_key(&root) {
-            continue;
-        }
-        color.insert(root, false);
-        depth.insert(root, 0);
-        let mut queue = std::collections::VecDeque::from([root]);
-        let mut members: HashSet<usize> = HashSet::from([root]);
-        while let Some(u) = queue.pop_front() {
-            let cu = color[&u];
-            for &v in &adj[&u] {
-                if let std::collections::hash_map::Entry::Vacant(slot) = color.entry(v) {
-                    slot.insert(!cu);
-                    parent.insert(v, u);
-                    depth.insert(v, depth[&u] + 1);
-                    members.insert(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        // An edge whose endpoints took the same colour closes an odd
-        // cycle through the BFS tree; both endpoints of any edge share
-        // a component, so testing one against `members` suffices.
-        let witness = edges
-            .iter()
-            .filter(|e| members.contains(&e.a) && color[&e.a] == color[&e.b])
-            .min_by_key(|e| (e.gap, e.a, e.b));
-        let Some(e) = witness else { continue };
-        let cycle = odd_cycle_len(&parent, &depth, e.a, e.b);
-        let ea = view.elements.get(e.a);
-        let eb = view.elements.get(e.b);
-        let required = tech
-            .rules()
-            .same_mask(ea.layer())
-            .expect("a mask edge implies a same_mask rule on its layer");
-        let (_, gap_loc) = diic_geom::batch::closest_approach(ea.rects(), eb.rects(), metric)
-            .expect("a mask edge implies a closest approach");
-        out.push(Violation {
-            stage: CheckStage::Interactions,
-            kind: ViolationKind::MaskOddCycle {
-                layer: tech.layer(ea.layer()).name.clone(),
-                measured: e.gap,
-                required,
-                cycle,
-            },
-            location: Some(gap_loc),
-            context: pair_context(view, ea, eb),
-        });
-    }
-    out
-}
-
-/// Length of the odd cycle the tree-closing edge `(u, v)` forms: the
-/// two BFS-tree paths up to the lowest common ancestor, plus the edge
-/// itself. Same-colour endpoints make `depth[u] + depth[v]` even, so
-/// the result is always odd.
-fn odd_cycle_len(
-    parent: &HashMap<usize, usize>,
-    depth: &HashMap<usize, usize>,
-    mut u: usize,
-    mut v: usize,
-) -> usize {
-    let (du, dv) = (depth[&u], depth[&v]);
-    while depth[&u] > depth[&v] {
-        u = parent[&u];
-    }
-    while depth[&v] > depth[&u] {
-        v = parent[&v];
-    }
-    while u != v {
-        u = parent[&u];
-        v = parent[&v];
-    }
-    du + dv - 2 * depth[&u] + 1
-}
-
 /// The conflict-graph edge between elements `a` and `b`, if they lie on
 /// one layer with a `same_mask` rule, closer than its distance but not
 /// touching (touching features print as one feature and never
-/// conflict). Called per pair, almost always to answer no at once, so
-/// it must inline into the pair loop; `#[inline]` does: `#[inline(always)]`
-/// built identical x86-64 code, and `mega_chip(100_000)`'s interaction
-/// stage at one worker timed alike under both (best 12.9 vs 13.0 ms).
-#[inline]
+/// conflict).
 fn mask_edge(
     bound: &BoundTechnology,
     metric: SizingMode,
@@ -1017,17 +866,17 @@ fn mask_edge(
     })
 }
 
-/// Runs the same-mask conflict-graph analysis standalone, over the
-/// whole chip: the direct scan over the elements on `same_mask` layers
-/// collects the conflict edges and hands them to the same odd-cycle
-/// analysis the interaction stage runs — so the violations are
-/// byte-identical to the ones [`check_interactions`] appends under the
-/// same `metric`. Returns nothing when the technology declares no
-/// `same_mask` rules.
+/// The same-mask verdict over the whole chip, and the one producer of
+/// [`ViolationKind::MaskOddCycle`] lines: the direct scan over the
+/// elements on `same_mask` layers collects the conflict edges, and one
+/// breadth-first pass 2-colours the graph they form. Returns nothing,
+/// and scans nothing, when the technology declares no `same_mask`
+/// rules.
 ///
-/// This is the incremental session's recompute path: bipartiteness is
-/// global, so after any edit the conflict verdict is re-derived from
-/// scratch here rather than patched through the dirty halo.
+/// [`check_interactions`] appends these lines after the pair rules';
+/// the edit session re-runs it after every edit, because bipartiteness
+/// is global: an edit anywhere can open or close a cycle whose witness
+/// lies far outside its halo.
 pub fn check_same_mask(
     view: &ChipView,
     tech: &Technology,
@@ -1053,7 +902,136 @@ pub fn check_same_mask(
             view.elements.get(j),
         ));
     });
-    mask_cycle_violations(view, tech, metric, edges)
+    mask_cycle_violations(view, tech, metric, &edges)
+}
+
+/// Analyses a conflict graph over dense arrays — the distinct endpoints
+/// numbered compactly in id order, a CSR adjacency — by BFS
+/// 2-colouring from ascending roots, each node's neighbours ascending,
+/// so the result does not depend on the edges' order. One pass over the
+/// edges then keeps each component's closest (then lowest-id) edge
+/// whose endpoints took the same colour: one
+/// [`ViolationKind::MaskOddCycle`] per non-bipartite component, in root
+/// order, `cycle` the length of the odd cycle it closes through the
+/// BFS tree.
+fn mask_cycle_violations(
+    view: &ChipView,
+    tech: &Technology,
+    metric: SizingMode,
+    edges: &[MaskEdge],
+) -> Vec<Violation> {
+    let mut ids: Vec<usize> = edges.iter().flat_map(|e| [e.a, e.b]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    // invariant: `ids` holds every endpoint.
+    let node = |id: usize| ids.binary_search(&id).expect("an endpoint is numbered");
+    let ends: Vec<(usize, usize)> = edges.iter().map(|e| (node(e.a), node(e.b))).collect();
+
+    // CSR adjacency: node `u`'s neighbours are `adj[start[u]..start[u + 1]]`,
+    // ascending.
+    let n = ids.len();
+    let mut start = vec![0; n + 1];
+    for &(u, v) in &ends {
+        start[u + 1] += 1;
+        start[v + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let (mut next, mut adj) = (start.clone(), vec![0; start[n]]);
+    for &(u, v) in &ends {
+        for (from, to) in [(u, v), (v, u)] {
+            adj[next[from]] = to;
+            next[from] += 1;
+        }
+    }
+    for k in 0..n {
+        adj[start[k]..start[k + 1]].sort_unstable();
+    }
+
+    // One queue serves every component: each node enters it once.
+    const UNSEEN: usize = usize::MAX;
+    let mut component = vec![UNSEEN; n];
+    let (mut colour, mut parent, mut depth) = (vec![false; n], vec![0; n], vec![0; n]);
+    let (mut queue, mut head, mut components) = (Vec::with_capacity(n), 0, 0);
+    for root in 0..n {
+        if component[root] != UNSEEN {
+            continue;
+        }
+        component[root] = components;
+        parent[root] = root;
+        queue.push(root);
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in &adj[start[u]..start[u + 1]] {
+                if component[v] == UNSEEN {
+                    component[v] = components;
+                    colour[v] = !colour[u];
+                    parent[v] = u;
+                    depth[v] = depth[u] + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        components += 1;
+    }
+
+    // An edge whose endpoints took the same colour closes an odd cycle
+    // through the BFS tree; each component keeps its least.
+    let key = |k: usize| (edges[k].gap, edges[k].a, edges[k].b);
+    let mut witness: Vec<Option<usize>> = vec![None; components];
+    for (k, &(u, v)) in ends.iter().enumerate() {
+        if colour[u] != colour[v] {
+            continue;
+        }
+        let best = &mut witness[component[u]];
+        if best.is_none_or(|b| key(k) < key(b)) {
+            *best = Some(k);
+        }
+    }
+
+    let mut out = Vec::new();
+    for k in witness.into_iter().flatten() {
+        let e = edges[k];
+        let (u, v) = ends[k];
+        let cycle = odd_cycle_len(&parent, &depth, u, v);
+        let ea = view.elements.get(e.a);
+        let eb = view.elements.get(e.b);
+        let required = tech
+            .rules()
+            .same_mask(ea.layer())
+            .expect("a mask edge implies a same_mask rule on its layer");
+        let (_, gap_loc) = batch::closest_approach(ea.rects(), eb.rects(), metric)
+            .expect("a mask edge implies a closest approach");
+        out.push(Violation {
+            stage: CheckStage::Interactions,
+            kind: ViolationKind::MaskOddCycle {
+                layer: tech.layer(ea.layer()).name.clone(),
+                measured: e.gap,
+                required,
+                cycle,
+            },
+            location: Some(gap_loc),
+            context: pair_context(view, ea, eb),
+        });
+    }
+    out
+}
+
+/// Length of the odd cycle the tree-closing edge `(u, v)` forms: the
+/// two BFS-tree paths up to the lowest common ancestor, plus the edge
+/// itself. Same-colour endpoints make `depth[u] + depth[v]` even, so
+/// the result is always odd.
+fn odd_cycle_len(parent: &[usize], depth: &[usize], mut u: usize, mut v: usize) -> usize {
+    let (du, dv) = (depth[u], depth[v]);
+    while u != v {
+        if depth[u] >= depth[v] {
+            u = parent[u];
+        } else {
+            v = parent[v];
+        }
+    }
+    du + dv - 2 * depth[u] + 1
 }
 
 #[cfg(test)]
@@ -1795,28 +1773,5 @@ mod tests {
             near.violations > stats.violations,
             "across the cells: {near:?}"
         );
-    }
-
-    #[test]
-    fn stamped_same_mask_edges_match_the_direct_scan() {
-        // The multi-patterning deck's odd triangle, one per placement.
-        let deck = r#"
-            tech "mp" {
-                lambda 250;
-                layer metal { cif "NM"; kind metal; min_width 3 lambda; }
-                space metal metal 3 lambda;
-                same_mask metal 5 lambda;
-            }
-        "#;
-        let tech = diic_tech::deck::compile_str(deck).expect("the deck compiles");
-        let cells = "DS 1; L NM; B 2000 750 1000 375; B 2000 750 3950 375;
-                     B 2950 750 2475 2125; DF;";
-        let cif = placed(cells, 10_000);
-        let stats = assert_stamps_match(&cif, &tech);
-        let (v, _) = against_reference(&cif, &tech, &CheckOptions::default());
-        let cycles = (v.iter())
-            .filter(|x| matches!(x.kind, ViolationKind::MaskOddCycle { cycle: 3, .. }))
-            .count();
-        assert_eq!(cycles, 5, "one odd cycle per placement: {stats:?}");
     }
 }

@@ -155,7 +155,7 @@ pub use engine::StageEngine;
 pub use engine::{
     CountingSink, DiagnosticSink, Sink, SpillStats, SpillingSink, StageTime, StreamingSink,
 };
-pub use flat::{flat_check, FlatLayers, FlatOptions};
+pub use flat::{flat_check, FlatLayers};
 pub use incremental::{
     canonical_check, CheckSession, Edit, EditError, EditSet, EditStats, RebuildReason,
 };

@@ -7,7 +7,7 @@
 //! cargo run --release --example false_error_study [nx ny]
 //! ```
 
-use diic::core::{account, check_cif, flat_check, CheckOptions, FlatOptions};
+use diic::core::{account, check_cif, flat_check, CheckOptions};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
 
@@ -43,7 +43,7 @@ fn main() {
     let diic = account(&report.violations, &injected, 800);
 
     let layout = diic::cif::parse(&chip.cif).unwrap();
-    let flat = flat_check(&layout, &tech, &FlatOptions::default());
+    let flat = flat_check(&layout, &tech);
     let flat_regions = account(&flat, &injected, 800);
 
     println!();

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: generated chips through the full pipeline.
 
-use diic::core::{check_cif, flat_check, CheckOptions, CheckStage, FlatOptions, ViolationKind};
+use diic::core::{check_cif, flat_check, CheckOptions, CheckStage, ViolationKind};
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::geom::Rect;
 use diic::tech::nmos::nmos_technology;
@@ -139,7 +139,7 @@ fn clean_chip_without_demo_cells_is_clean_for_flat_widths() {
     let tech = nmos_technology();
     let chip = generate(&ChipSpec::clean(3, 2));
     let layout = diic::cif::parse(&chip.cif).unwrap();
-    let flat = flat_check(&layout, &tech, &FlatOptions::default());
+    let flat = flat_check(&layout, &tech);
     assert!(
         flat.iter()
             .all(|v| !matches!(v.kind, ViolationKind::Width { .. })),
@@ -198,7 +198,7 @@ fn flat_checker_misses_topological_errors() {
     ] {
         let chip = generate(&ChipSpec::with_errors(3, 1, vec![kind], 5));
         let layout = diic::cif::parse(&chip.cif).unwrap();
-        let flat = flat_check(&layout, &tech, &FlatOptions::default());
+        let flat = flat_check(&layout, &tech);
         let regions = diic::core::account(&flat, &chip.injected(), 800);
         assert_eq!(
             regions.unchecked, 1,
@@ -219,7 +219,7 @@ fn flat_false_error_ratio_exceeds_paper_claim() {
         31,
     ));
     let layout = diic::cif::parse(&chip.cif).unwrap();
-    let flat = flat_check(&layout, &tech, &FlatOptions::default());
+    let flat = flat_check(&layout, &tech);
     let flat_regions = diic::core::account(&flat, &chip.injected(), 800);
     assert!(
         flat_regions.false_to_real_ratio() >= 10.0,

@@ -14,7 +14,7 @@
 use diic::cif::Layout;
 use diic::core::{
     canonical_sort, check_with_sink, env_parallelism, flat_check, CheckOptions, CountingSink,
-    DiagnosticSink, FlatOptions, Sink, SpillingSink, StageEngine, StreamingSink, Violation,
+    DiagnosticSink, Sink, SpillingSink, StageEngine, StreamingSink, Violation,
 };
 use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
@@ -43,7 +43,7 @@ fn emit(
     sink: &mut dyn Sink,
 ) -> Vec<Violation> {
     if checker == "flat" {
-        sink.absorb(flat_check(layout, tech, &FlatOptions::default()));
+        sink.absorb(flat_check(layout, tech));
         return Vec::new();
     }
     let options = CheckOptions {
