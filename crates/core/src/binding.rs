@@ -8,28 +8,35 @@
 //! position says it — the top-level item whose run holds it, and its
 //! place in that definition's walk — so no column repeats it per element.
 //!
-//! # The view's memory floor: interned strings, columnar elements
+//! # The view's memory floor: hierarchical names, columnar elements
 //!
 //! The [`ChipView`] is the pipeline's one intentionally O(chip) artefact
 //! (it *is* the chip), so its per-element cost is the resident-set floor
 //! at million-element scale. Two storage decisions squeeze that floor
 //! without changing a byte of rendered output:
 //!
-//! * **Interned strings.** The topology strings — instance `path`, net
-//!   key, device type — are massively shared (every element of an
-//!   instance repeats its path; every instance of a symbol repeats its
-//!   device type), so the view stores them once in a [`StringInterner`]
-//!   and elements / [`DeviceInstance`]s carry 4-byte [`Istr`] handles
-//!   instead of owned `String`s. Handles from one view compare equal iff
-//!   the strings are equal, and a handle is never renumbered — every
-//!   holder (the columns, the devices, the net graph's nodes and
-//!   terminal names) keeps it for the table's life; render them with
-//!   [`ChipView::str`]. The
-//!   table itself is an arena: its strings lie end to end in one text
-//!   buffer behind a column of end offsets, so a distinct string costs
-//!   its bytes, an offset and a bucket — never a heap object of its own
-//!   (at a million elements that was 1.4 million small allocations, and
-//!   as many frees when the view dropped).
+//! * **Hierarchical names.** "Each element in the design is assigned a
+//!   unique net identifier using a dot notation to reference elements
+//!   in an instance from a higher level in the hierarchy" — so a name
+//!   is what the hierarchy says it is: an instance and a string local to
+//!   its definition. A stamped element's net key and path, and a stamped
+//!   device's path and terminal keys, are a [`Name`] — two `u32`s, the
+//!   instance and a string of its template's own table, which holds each
+//!   of the definition's names once however often it is placed. The
+//!   view's instance table holds one entry per placement: its path,
+//!   interned once into the view's [`StringInterner`], and the first of
+//!   its net-graph nodes. What no instance spells — the walk's names of
+//!   a definition placed once, labels — is a string of that table, as
+//!   are device types and terminal names. Text is made only where it
+//!   leaves the process ([`ChipView::write_name`]): report contexts, the
+//!   net list, the wire. A view holds one form per text (a walked or
+//!   top-level name that spells an instance's string is rooted at that
+//!   instance), so two names are equal exactly when their texts are, and
+//!   nothing is ever renumbered — every holder keeps a name for the
+//!   view's life. The table is an arena: its strings lie end to end in
+//!   one text buffer behind a column of end offsets, so a distinct
+//!   string costs its bytes, an offset and a bucket — never a heap
+//!   object of its own.
 //!
 //! * **Columnar elements.** Elements live in [`ElementColumns`] — a
 //!   struct-of-arrays store with one dense, fixed-width column per
@@ -44,30 +51,32 @@
 //!
 //! # Instantiation: derive once, stamp by translation
 //!
-//! [`instantiate`] derives each repeated definition's geometry and key
-//! text once, into a `Template`, and builds the view by stamping
-//! templates (columns copied, the call's offset added, its instance
-//! path spliced into the strings); the recursive walk remains the only
-//! geometry derivation — it builds the templates and handles whatever is
-//! used once. See [`instantiate`] for the rule.
+//! [`instantiate`] derives each repeated definition's geometry and names
+//! once, into a `Template`, and builds the view by stamping templates
+//! (columns copied, the call's offset added, one instance appended for
+//! the names); the recursive walk remains the only geometry derivation —
+//! it builds the templates and handles whatever is used once. See
+//! [`instantiate`] for the rule.
 //!
 //! The walk writes each element straight into the columns: its covered
 //! rectangles onto the arena, then one `ElementColumns::push` for the
 //! rest. There is no boxed per-element record.
 
+use crate::connect::is_joining_class;
 use crate::library::{ContentKey, Definition, Definitions, TemplateKey};
 use crate::violations::{CheckStage, Violation, ViolationKind};
-use diic_cif::{Call, Item, LayerRef, Layout, Shape, SymbolId};
+use diic_cif::{hierarchy, Call, Item, LayerRef, Layout, Shape, SymbolId};
 use diic_geom::skeleton::Skeleton;
 use diic_geom::{Orientation, Point, Rect, Region, Transform, Vector};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// A `u32`-keyed handle into a [`StringInterner`]: the interned form of
-/// an element's `path` / `net_key` and a [`DeviceInstance`]'s
-/// `path` / `device_type`. Two handles from the **same** interner are
+/// A `u32`-keyed handle into a [`StringInterner`]: a device type or
+/// terminal name, the path of an instance, or a name no instance spells
+/// (see [`Name`]). Two handles from the **same** interner are
 /// equal iff their strings are equal (the interner deduplicates), so
 /// hot paths compare and hash 4-byte ids instead of strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,12 +86,6 @@ impl Istr {
     /// The raw index into the owning interner.
     pub fn index(self) -> u32 {
         self.0
-    }
-
-    /// Rebuilds a handle from a raw index (crate-internal: the net
-    /// graph stores its node ids as bare `u32`s).
-    pub(crate) fn from_index(index: u32) -> Istr {
-        Istr(index)
     }
 }
 
@@ -244,14 +247,6 @@ impl StringInterner {
         Istr(id)
     }
 
-    /// Makes room for `additional` fresh strings, so a caller that knows
-    /// how many it is about to intern pays for the growth once — not for
-    /// a rehash of everything the table already holds half-way through.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.ends.reserve(additional);
-        self.first.reserve(additional);
-    }
-
     /// The stored copy of `s` among the ids sharing `hash`: the
     /// bucket's `first` id, then the overflow list.
     fn find_from(
@@ -317,6 +312,238 @@ impl StringInterner {
         self.ends.capacity() * size_of::<u32>()
             + self.first.capacity() * (size_of::<(u64, u32)>() + 1)
             + self.overflow.capacity() * size_of::<(u64, u32)>()
+    }
+}
+
+/// An element's net key or instance path, or a device's path or
+/// terminal key, as the hierarchy holds it: an instance of the view's
+/// instance table and a string local to that instance's template, two
+/// `u32`s — or, for a name no instance spells (the walk's, a label's),
+/// a string of the view's own table ([`ChipView::strings`]).
+///
+/// A view keeps every name in one form only: a name that spells an
+/// instance's local string is rooted at that instance, whoever produced
+/// it. So two names of one view are equal exactly when their texts are
+/// ([`ChipView::name_text`] renders one), and a net key names one
+/// net-graph node ([`ChipView::node`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name {
+    /// The instance, or [`Name::OWN`] for a string of the view's table.
+    inst: u32,
+    /// The string, in the instance's template or in the view's table.
+    local: u32,
+}
+
+impl Name {
+    /// The `inst` of a name held as a string of the view's own table.
+    const OWN: u32 = u32::MAX;
+
+    /// A string of the view's own table.
+    fn own(s: Istr) -> Name {
+        Name {
+            inst: Name::OWN,
+            local: s.0,
+        }
+    }
+
+    /// The view's string behind a name held as one.
+    fn as_own(self) -> Option<Istr> {
+        (self.inst == Name::OWN).then_some(Istr(self.local))
+    }
+}
+
+/// The names one template defines, each once: the walk's strings under
+/// the root [`TEMPLATE_ROOT`] (paths `~…`, declared keys `~.…`, auto keys
+/// `#~…`, terminal keys `~….T`), shared by every instance stamped from
+/// it, and the net-graph node each net key takes within an instance.
+pub(crate) struct LocalNames {
+    strings: StringInterner,
+    /// Per string: its node within an instance (`NIL`: no net key).
+    node: Vec<u32>,
+    /// Per node: its string.
+    key: Vec<u32>,
+    /// Per string: how many of the template's elements have it as
+    /// their auto key's base.
+    copies: Vec<u32>,
+}
+
+/// Where a text is rooted ([`ChipView::root_of`]): the instance, and the
+/// length of its path, the text's prefix it spells.
+type Root = (u32, usize);
+
+/// One stamped placement: where its names and its nodes start.
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    /// The instance path, in the view's table.
+    path: Istr,
+    /// Its template's names, in [`Names::templates`].
+    template: u32,
+    /// Its first node; its template's `n` nodes follow.
+    base: u32,
+}
+
+/// Marks an owner of [`Names::blocks`] as a string of the view's own
+/// table rather than an instance.
+const OWN_BLOCK: u32 = 1 << 31;
+
+/// The view's side of [`Name`]: the instance table, and the net-graph
+/// node space — an instance's nodes are its base plus its template's
+/// local nodes, a string of the view's table takes the next node when
+/// it first names a net. Nodes are only ever appended, never
+/// renumbered, so a node holds for the view's life (an edit session's
+/// too).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Names {
+    instances: Vec<Instance>,
+    templates: Vec<Arc<LocalNames>>,
+    /// Per string of the view's table: the instance it is the path of
+    /// (`NIL`: none; short tables read as `NIL`).
+    instance_of: Vec<u32>,
+    /// Per string of the view's table: bit 0 — some name is placed at
+    /// this path; bit 1 — a proper dotted prefix of such a path.
+    path_use: Vec<u8>,
+    /// Per string of the view's table: its node (`NIL`: none yet).
+    own_node: Vec<u32>,
+    /// The node space in blocks, ascending: `(first node, owner)`, the
+    /// owner an instance or `OWN_BLOCK | string`.
+    blocks: Vec<(u32, u32)>,
+    /// Nodes allocated.
+    nodes: u32,
+    /// The buffer a name's local text is spelled into while it settles.
+    local: String,
+}
+
+/// `table[i]`, or `NIL` past its end.
+fn entry(table: &[u32], i: u32) -> u32 {
+    table.get(i as usize).copied().unwrap_or(NONE_U32)
+}
+
+/// Sets `table[i]`, growing the table with `fill`.
+fn set_entry<T: Copy>(table: &mut Vec<T>, i: u32, value: T, fill: T) {
+    if i as usize >= table.len() {
+        table.resize(i as usize + 1, fill);
+    }
+    table[i as usize] = value;
+}
+
+impl Names {
+    /// Nodes allocated so far: the length of every node-indexed table.
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes as usize
+    }
+
+    /// The node of `s`, a string of the view's table, allocated on first
+    /// use.
+    fn own_node(&mut self, s: Istr) -> u32 {
+        let node = entry(&self.own_node, s.0);
+        if node != NONE_U32 {
+            return node;
+        }
+        let node = self.nodes;
+        assert!(s.0 < OWN_BLOCK, "a view holds fewer than 2^31 strings");
+        self.blocks.push((node, OWN_BLOCK | s.0));
+        self.nodes = node.checked_add(1).expect("fewer than 2^32 nodes");
+        set_entry(&mut self.own_node, s.0, node, NONE_U32);
+        node
+    }
+
+    /// True if the path `s` (text `text`) may root an instance: nothing
+    /// is placed at it yet, it is no proper prefix of a path something
+    /// is placed at, and no proper prefix of it roots an instance — so
+    /// no two instances, and no instance and a walked name, spell one
+    /// text two ways.
+    fn may_root(&self, s: Istr, text: &str, strings: &StringInterner) -> bool {
+        let prefixes = text.match_indices('.').map(|(at, _)| &text[..at]);
+        let mut prefixes = prefixes.filter_map(|p| strings.lookup(p));
+        self.path_use.get(s.0 as usize).copied().unwrap_or(0) == 0
+            && !prefixes.any(|p| entry(&self.instance_of, p.0) != NONE_U32)
+    }
+
+    /// Records that something is placed at path `s` (text `text`):
+    /// its proper dotted prefixes are marked too, so no instance roots
+    /// at one of them later.
+    fn place_at(&mut self, s: Istr, text: &str, strings: &mut StringInterner) {
+        if self.path_use.get(s.0 as usize).is_some_and(|&u| u & 1 != 0) {
+            return;
+        }
+        set_entry(&mut self.path_use, s.0, 1, 0);
+        for (at, _) in text.match_indices('.') {
+            let p = strings.intern(&text[..at]);
+            let flags = self.path_use.get(p.0 as usize).copied().unwrap_or(0);
+            set_entry(&mut self.path_use, p.0, flags | 2, 0);
+        }
+    }
+
+    /// Appends an instance of `template` at `path` and its nodes.
+    fn add_instance(&mut self, path: Istr, template: u32) -> u32 {
+        let inst = self.instances.len() as u32;
+        assert!(inst < OWN_BLOCK, "a view holds fewer than 2^31 instances");
+        let base = self.nodes;
+        let n = self.templates[template as usize].key.len() as u32;
+        self.instances.push(Instance {
+            path,
+            template,
+            base,
+        });
+        self.blocks.push((base, inst));
+        self.nodes = base.checked_add(n).expect("fewer than 2^32 nodes");
+        set_entry(&mut self.instance_of, path.0, inst, NONE_U32);
+        inst
+    }
+
+    fn local(&self, inst: u32) -> (&Instance, &LocalNames) {
+        let i = &self.instances[inst as usize];
+        (i, &self.templates[i.template as usize])
+    }
+
+    /// The name behind node `node` of block `b` (which holds it).
+    fn name_in_block(&self, b: usize, node: u32) -> Name {
+        let (first, owner) = self.blocks[b];
+        if owner & OWN_BLOCK != 0 {
+            return Name::own(Istr(owner & !OWN_BLOCK));
+        }
+        let (_, names) = self.local(owner);
+        Name {
+            inst: owner,
+            local: names.key[(node - first) as usize],
+        }
+    }
+
+    /// The name of every node of `nodes` (ascending), in order, by one
+    /// walk along the blocks that skips by binary search to the block
+    /// holding the next node — sparse nodes cost a search each, dense
+    /// ones a step.
+    pub(crate) fn names_of<'a, I>(&'a self, nodes: I) -> impl Iterator<Item = Name> + Clone + 'a
+    where
+        I: IntoIterator<Item = u32> + 'a,
+        I::IntoIter: Clone,
+    {
+        let mut b = 0;
+        nodes.into_iter().map(move |node| {
+            if self
+                .blocks
+                .get(b + 1)
+                .is_some_and(|&(first, _)| first <= node)
+            {
+                b += self.blocks[b + 1..].partition_point(|&(first, _)| first <= node);
+            }
+            self.name_in_block(b, node)
+        })
+    }
+
+    /// Heap bytes of the tables and of the templates' names they keep
+    /// alive, as payload bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let templates = self.templates.iter().map(|t| {
+            let tables = t.node.len() + t.key.len() + t.copies.len();
+            t.strings.heap_bytes() + t.strings.table_bytes() + tables * size_of::<u32>()
+        });
+        templates.sum::<usize>()
+            + self.instances.len() * size_of::<Instance>()
+            + (self.instance_of.len() + self.own_node.len()) * size_of::<u32>()
+            + self.path_use.len()
+            + self.blocks.len() * size_of::<(u32, u32)>()
     }
 }
 
@@ -466,8 +693,8 @@ fn append_arena(
 /// ```text
 /// layer        Vec<LayerId>      2 B   dense column
 /// bbox         Vec<Rect>        32 B   dense column (the hot sweep)
-/// net_key      Vec<Istr>         4 B   interner handle
-/// path         Vec<Istr>         4 B   interner handle
+/// net_key      Vec<Name>         8 B   instance + local string
+/// path         Vec<Name>         8 B   instance + local string
 /// net_declared BitColumn       1 bit   flag bits
 /// device       Vec<u32>          4 B   u32::MAX = none
 /// rect_range   Vec<(u32, u32)>   8 B   (offset, len) into `rects`
@@ -493,8 +720,8 @@ fn append_arena(
 pub struct ElementColumns {
     layer: Vec<LayerId>,
     bbox: Vec<Rect>,
-    net_key: Vec<Istr>,
-    path: Vec<Istr>,
+    net_key: Vec<Name>,
+    path: Vec<Name>,
     net_declared: BitColumn,
     device: Vec<u32>,
     rect_range: Vec<(u32, u32)>,
@@ -538,13 +765,13 @@ impl ElementColumns {
         &self.layer
     }
 
-    /// The dense net-key column (interner handles).
-    pub fn net_keys(&self) -> &[Istr] {
+    /// The dense net-key column.
+    pub fn net_keys(&self) -> &[Name] {
         &self.net_key
     }
 
-    /// The dense path column (interner handles).
-    pub fn paths(&self) -> &[Istr] {
+    /// The dense path column.
+    pub fn paths(&self) -> &[Name] {
         &self.path
     }
 
@@ -568,14 +795,30 @@ impl ElementColumns {
         use std::mem::size_of;
         self.layer.len() * size_of::<LayerId>()
             + self.bbox.len() * size_of::<Rect>()
-            + self.net_key.len() * size_of::<Istr>()
-            + self.path.len() * size_of::<Istr>()
+            + self.net_key.len() * size_of::<Name>()
+            + self.path.len() * size_of::<Name>()
             + self.net_declared.words.len() * size_of::<u64>()
             + self.device.len() * size_of::<u32>()
             + self.rect_range.len() * size_of::<(u32, u32)>()
             + self.skel_range.len() * size_of::<(u32, u32)>()
             + self.rects.len() * size_of::<Rect>()
             + self.skel.len() * size_of::<Rect>()
+    }
+
+    /// Makes room for `n` more elements of one rectangle and one
+    /// skeleton rectangle each, so the columns of a view whose size is
+    /// known grow once instead of by copying doublings.
+    fn reserve(&mut self, n: usize) {
+        self.layer.reserve(n);
+        self.bbox.reserve(n);
+        self.net_key.reserve(n);
+        self.path.reserve(n);
+        self.net_declared.words.reserve(n.div_ceil(64));
+        self.device.reserve(n);
+        self.rect_range.reserve(n);
+        self.skel_range.reserve(n);
+        self.rects.reserve(n);
+        self.skel.reserve(n);
     }
 
     /// Appends one element whose covered rectangles the caller has just
@@ -585,8 +828,8 @@ impl ElementColumns {
         &mut self,
         layer: LayerId,
         bbox: Rect,
-        (net_key, net_declared): (Istr, bool),
-        path: Istr,
+        (net_key, net_declared): (Name, bool),
+        path: Name,
         device: Option<usize>,
         skeleton: Option<Skeleton>,
     ) {
@@ -606,30 +849,40 @@ impl ElementColumns {
     }
 
     /// Rewrites one element's net key (the auto-key ordinal pass).
-    pub(crate) fn set_net_key(&mut self, id: usize, key: Istr) {
+    pub(crate) fn set_net_key(&mut self, id: usize, key: Name) {
         self.net_key[id] = key;
+    }
+
+    /// Rewrites one element's path (a walked name settling into the
+    /// instance it spells).
+    pub(crate) fn set_path(&mut self, id: usize, path: Name) {
+        self.path[id] = path;
     }
 
     /// Appends a whole block of columns translated by `by`, one column
     /// `extend` at a time instead of one push per element — a template
-    /// stamp. `strings[h]`
-    /// is this view's handle for the block's string handle `h` (filled
-    /// for every handle the block's columns hold) and `device` maps the
-    /// block's device column. Skeleton rectangles live in the doubled
-    /// grid, so they move by `2 * by`.
+    /// stamp. `net_key` gives the view's key of each block element (by
+    /// its position and block key) and `path` and `device` map the
+    /// block's paths and device column. Skeleton rectangles live in the
+    /// doubled grid, so they move by `2 * by`.
     fn append_translated(
         &mut self,
         block: &ElementColumns,
         by: Vector,
-        strings: &[Istr],
+        net_key: impl Fn(usize, Name) -> Name,
+        path: impl Fn(Name) -> Name,
         device: impl Fn(u32) -> u32,
     ) {
         self.layer.extend_from_slice(&block.layer);
         self.bbox.extend(block.bbox.iter().map(|r| r.translate(by)));
-        self.net_key
-            .extend(block.net_key.iter().map(|k| strings[k.0 as usize]));
-        self.path
-            .extend(block.path.iter().map(|p| strings[p.0 as usize]));
+        (self.net_key).extend(
+            block
+                .net_key
+                .iter()
+                .enumerate()
+                .map(|(e, &k)| net_key(e, k)),
+        );
+        self.path.extend(block.path.iter().map(|&p| path(p)));
         for i in 0..block.net_declared.len {
             self.net_declared.push(block.net_declared.get(i));
         }
@@ -792,8 +1045,8 @@ impl<'a> ElementRef<'a> {
         !self.skeleton().is_empty()
     }
 
-    /// Interned net key.
-    pub fn net_key(&self) -> Istr {
+    /// Net key.
+    pub fn net_key(&self) -> Name {
         self.cols.net_key[self.id]
     }
 
@@ -802,8 +1055,8 @@ impl<'a> ElementRef<'a> {
         self.cols.net_declared.get(self.id)
     }
 
-    /// Interned instance path.
-    pub fn path(&self) -> Istr {
+    /// Instance path.
+    pub fn path(&self) -> Name {
         self.cols.path[self.id]
     }
 
@@ -828,8 +1081,8 @@ impl std::fmt::Debug for ElementRef<'_> {
 /// An instantiated device (one per call of a device symbol).
 #[derive(Debug, Clone)]
 pub struct DeviceInstance {
-    /// Instance path (dot notation), interned in the owning view.
-    pub path: Istr,
+    /// Instance path (dot notation).
+    pub path: Name,
     /// Declared `9D` type, interned in the owning view (one entry per
     /// distinct type however many instances share it).
     pub device_type: Istr,
@@ -837,10 +1090,14 @@ pub struct DeviceInstance {
     pub class: Option<DeviceClass>,
     /// Immunity flag (`9C`).
     pub checked: bool,
-    /// Terminals in chip coordinates; the name is interned in the owning
-    /// view, beside `path` and `device_type` (an instance carries a
-    /// handle, not a copy of each name).
-    pub terminals: Vec<(Istr, LayerId, Point)>,
+    /// Terminals in chip coordinates: the name, interned in the owning
+    /// view beside `device_type` (an instance carries a handle, not a
+    /// copy of each name), the layer, the position and the terminal's
+    /// net key — `{path}.{name}`, or a joining device's `net`.
+    pub terminals: Vec<(Istr, LayerId, Point, Name)>,
+    /// A joining-class device's one net key, `{path}.#` (`None` for a
+    /// device whose terminals are nets of their own).
+    pub net: Option<Name>,
     /// Ids of this instance's elements in [`ChipView::elements`].
     pub element_ids: Vec<usize>,
     /// Placement transform (chip ← symbol).
@@ -858,11 +1115,11 @@ pub struct ChipView {
     /// Violations discovered during instantiation (unknown layers on
     /// terminals, non-rectilinear polygons treated as bboxes, …).
     pub violations: Vec<Violation>,
-    /// The interner behind every [`Istr`] in `elements` and `devices`
-    /// — and, once the netgen stage has run, behind the net graph's
-    /// node keys too (one table end to end; see
-    /// [`crate::netgen::NetParts`]).
+    /// The view's own strings: instance paths, device types, terminal
+    /// and label names, and the names no instance spells (see [`Name`]).
     pub strings: StringInterner,
+    /// The instance table and the node space behind every [`Name`].
+    pub(crate) names: Names,
     /// How [`instantiate`] built this view. (A view an edit session
     /// patched counts only the items that patch re-walked.)
     pub instantiate_stats: InstantiateStats,
@@ -877,6 +1134,280 @@ impl ChipView {
     /// Borrowed view of one element (see [`ElementColumns::get`]).
     pub fn element(&self, id: usize) -> ElementRef<'_> {
         self.elements.get(id)
+    }
+
+    /// The text of `name` in three pieces, end to end: an instance's
+    /// path spliced into its template's string where the root stands —
+    /// the first byte, or the second after an auto key's `#`.
+    fn name_parts(&self, name: Name) -> [&str; 3] {
+        self.name_parts_in(&self.strings, name)
+    }
+
+    /// [`ChipView::name_parts`] with `strings` as the view's own table (a
+    /// template's block, whose strings its names hold).
+    fn name_parts_in<'a>(&'a self, strings: &'a StringInterner, name: Name) -> [&'a str; 3] {
+        match name.as_own() {
+            Some(s) => [strings.get(s), "", ""],
+            None => {
+                let (inst, names) = self.names.local(name.inst);
+                let local = names.strings.get(Istr(name.local));
+                let head = usize::from(local.as_bytes()[0] == b'#');
+                let tail = &local[head + TEMPLATE_ROOT.len()..];
+                [&local[..head], strings.get(inst.path), tail]
+            }
+        }
+    }
+
+    /// Appends the text of `name` to `out`.
+    pub fn write_name(&self, name: Name, out: &mut String) {
+        self.name_parts(name)
+            .iter()
+            .for_each(|part| out.push_str(part));
+    }
+
+    /// The length of `name`'s text, in bytes.
+    pub(crate) fn name_len(&self, name: Name) -> usize {
+        self.name_parts(name).iter().map(|part| part.len()).sum()
+    }
+
+    /// The bytes of `name`'s text, without making it.
+    fn name_bytes(&self, name: Name) -> impl Iterator<Item = u8> + '_ {
+        self.name_parts(name).into_iter().flat_map(str::bytes)
+    }
+
+    /// How the texts of two names order, without making them.
+    pub(crate) fn cmp_names(&self, a: Name, b: Name) -> std::cmp::Ordering {
+        match a == b {
+            true => std::cmp::Ordering::Equal,
+            false => self.name_bytes(a).cmp(self.name_bytes(b)),
+        }
+    }
+
+    /// The text of `name`.
+    pub fn name_text(&self, name: Name) -> std::borrow::Cow<'_, str> {
+        match name.as_own() {
+            Some(s) => std::borrow::Cow::Borrowed(self.str(s)),
+            None => {
+                let mut text = String::new();
+                self.write_name(name, &mut text);
+                std::borrow::Cow::Owned(text)
+            }
+        }
+    }
+
+    /// The name this view holds for `text`, if any (read-only): the
+    /// instance's local string it spells, or the string of the view's
+    /// table.
+    pub fn lookup_name(&self, text: &str) -> Option<Name> {
+        self.rooted(text, &mut String::new())
+            .or_else(|| self.strings.lookup(text).map(Name::own))
+    }
+
+    /// The instance's local name `text` spells, if any: a dotted prefix
+    /// of its path part is an instance's path ([`ChipView::root_of`]),
+    /// and the rest, behind the root, is a string of that instance's
+    /// template.
+    fn rooted(&self, text: &str, local: &mut String) -> Option<Name> {
+        let root = self.root_of(text)?;
+        self.rooted_at(text, root, local)
+    }
+
+    /// The instance a dotted prefix of `text`'s path part is the path
+    /// of, and where that prefix ends behind an auto key's `#`. There is
+    /// at most one: no instance roots at a prefix of another's path
+    /// ([`Names::may_root`]).
+    fn root_of(&self, text: &str) -> Option<Root> {
+        if self.names.instances.is_empty() {
+            return None;
+        }
+        let path = match text.strip_prefix('#') {
+            // `{path}:{layer}:{x1},{y1},{x2},{y2}`, maybe `:{n}`: a call
+            // named through the API may put a `:` in the path, so the
+            // layer and the box come off the right.
+            Some(body) => {
+                let base = auto_key_base(body);
+                base.rsplitn(3, ':').nth(2).unwrap_or(base)
+            }
+            None => text,
+        };
+        let dots = path.match_indices('.').map(|(at, _)| at);
+        dots.chain([path.len()]).find_map(|at| {
+            let prefix = self.strings.lookup(&path[..at])?;
+            let inst = entry(&self.names.instance_of, prefix.0);
+            (inst != NONE_U32).then_some((inst, at))
+        })
+    }
+
+    /// The string of instance `inst`'s template that `text` spells with
+    /// the root in place of its first `at` bytes behind the `#`, if any.
+    fn rooted_at(&self, text: &str, (inst, at): Root, local: &mut String) -> Option<Name> {
+        let head = usize::from(text.starts_with('#'));
+        let (_, names) = self.names.local(inst);
+        local.clear();
+        local.push_str(&text[..head]);
+        local.push_str(TEMPLATE_ROOT);
+        local.push_str(&text[head + at..]);
+        let s = names.strings.lookup(local)?;
+        Some(Name { inst, local: s.0 })
+    }
+
+    /// `name` in its one form: rooted at the instance whose local string
+    /// it spells, if any, as it is otherwise.
+    fn settled(&mut self, name: Name) -> Name {
+        let Some(s) = name.as_own() else {
+            return name;
+        };
+        let mut local = std::mem::take(&mut self.names.local);
+        let rooted = self.rooted(self.str(s), &mut local);
+        self.names.local = local;
+        rooted.unwrap_or(name)
+    }
+
+    /// [`ChipView::settled`] for a net key, which also takes its node.
+    fn settled_key(&mut self, name: Name) -> Name {
+        let name = self.settled(name);
+        if let Some(s) = name.as_own() {
+            self.names.own_node(s);
+        }
+        name
+    }
+
+    /// The settled net key of `text`, interned into the view's table if
+    /// no instance spells it (a label's net, a re-numbered auto key).
+    pub(crate) fn key_of_text(&mut self, text: &str) -> Name {
+        let mut local = std::mem::take(&mut self.names.local);
+        let rooted = self.rooted(text, &mut local);
+        self.names.local = local;
+        rooted.unwrap_or_else(|| {
+            let s = self.strings.intern(text);
+            self.names.own_node(s);
+            Name::own(s)
+        })
+    }
+
+    /// The net-graph node of a net key: its instance's base plus its
+    /// template-local node, or the node its string took.
+    #[inline]
+    pub fn node(&self, key: Name) -> u32 {
+        match key.as_own() {
+            // invariant: every net key a view holds is settled, which
+            // gives a string of the view's table its node.
+            Some(s) => entry(&self.names.own_node, s.0),
+            None => {
+                let (inst, names) = self.names.local(key.inst);
+                inst.base + names.node[key.local as usize]
+            }
+        }
+    }
+
+    /// Nodes allocated so far (every node-indexed table's length).
+    pub fn node_count(&self) -> usize {
+        self.names.node_count()
+    }
+
+    /// Settles the names of the elements `elements` and the devices
+    /// `devices`, fresh from the walk (see [`Name`]). With `number` — a
+    /// whole fresh view, whose walked auto keys are bases still — they
+    /// take their duplicate ordinals here ([`AutoOrdinals`]); otherwise
+    /// [`assign_auto_net_keys`] numbers them afterwards.
+    pub(crate) fn settle(
+        &mut self,
+        elements: impl IntoIterator<Item = usize>,
+        devices: impl IntoIterator<Item = usize>,
+        number: bool,
+    ) {
+        let mut ordinals = number.then(|| AutoOrdinals::new(self));
+        // The walk lays an instance's elements out together, so the last
+        // path's root is the next element's as a rule: its key, whose
+        // path part begins with the path, has the same root, if any.
+        let mut last: Option<(Name, Name, Option<Root>)> = None;
+        let mut local = std::mem::take(&mut self.names.local);
+        for id in elements {
+            let e = self.elements.get(id);
+            let (key, path, declared) = (e.net_key(), e.path(), e.net_declared());
+            let (path, root) = match last {
+                Some((walked, settled, root)) if walked == path => (settled, root),
+                _ => {
+                    let root = path.as_own().and_then(|s| self.root_of(self.str(s)));
+                    let at = |r| self.rooted_at(self.str(path.as_own()?), r, &mut local);
+                    let settled = root.and_then(at).unwrap_or(path);
+                    last = Some((path, settled, root));
+                    (settled, root)
+                }
+            };
+            let key = match (&mut ordinals, key.as_own(), root) {
+                (Some(ordinals), Some(_), _) if !declared => ordinals.key(self, key),
+                (_, Some(s), Some(root)) => {
+                    let rooted = self.rooted_at(self.str(s), root, &mut local);
+                    rooted.unwrap_or_else(|| {
+                        self.names.own_node(s);
+                        key
+                    })
+                }
+                _ => self.settled_key(key),
+            };
+            self.elements.set_net_key(id, key);
+            self.elements.set_path(id, path);
+        }
+        self.names.local = local;
+        for d in devices {
+            let mut terminals = std::mem::take(&mut self.devices[d].terminals);
+            for t in &mut terminals {
+                t.3 = self.settled_key(t.3);
+            }
+            let (path, net) = (self.devices[d].path, self.devices[d].net);
+            let path = self.settled(path);
+            let net = net.map(|n| self.settled_key(n));
+            let device = &mut self.devices[d];
+            (device.terminals, device.path, device.net) = (terminals, path, net);
+        }
+    }
+}
+
+/// The duplicate-ordinal count of a fresh view's walked elements (see
+/// [`assign_auto_net_keys`] for what a key is): per base, how many
+/// elements before have it. Equal settled bases are equal names, so
+/// duplicates are counted per name, not grouped by text, and only the
+/// `:n` keys are ever formatted. A stamp numbered its instance's keys
+/// already; a walked base that spells one of an instance's strings (a
+/// call walked because another took its path) counts after that
+/// instance's own copies.
+struct AutoOrdinals {
+    /// Per string of the view's table.
+    own: Vec<u32>,
+    /// Per rooted base.
+    rooted: HashMap<Name, u32>,
+    text: String,
+}
+
+impl AutoOrdinals {
+    fn new(view: &ChipView) -> AutoOrdinals {
+        AutoOrdinals {
+            own: vec![0; view.strings.len()],
+            rooted: HashMap::new(),
+            text: String::new(),
+        }
+    }
+
+    /// The settled key of the next element whose walked base is `base`.
+    fn key(&mut self, view: &mut ChipView, base: Name) -> Name {
+        let base = view.settled_key(base);
+        let seen = match base.as_own() {
+            Some(s) => &mut self.own[s.0 as usize],
+            None => self.rooted.entry(base).or_insert_with(|| {
+                let (_, names) = view.names.local(base.inst);
+                names.copies[base.local as usize]
+            }),
+        };
+        let n = *seen;
+        *seen += 1;
+        if n == 0 {
+            return base;
+        }
+        self.text.clear();
+        view.write_name(base, &mut self.text);
+        write!(self.text, ":{n}").expect("writing to a String cannot fail");
+        view.key_of_text(&self.text)
     }
 }
 
@@ -899,8 +1430,13 @@ pub struct InstantiateStats {
     /// a templated definition, once per instance otherwise.
     pub elements_walked: usize,
     /// Distinct strings this call added to the view's table (a seeded
-    /// table's earlier entries are not counted).
+    /// table's earlier entries are not counted): instance paths, device
+    /// types and terminal names, and the walked names no instance
+    /// spells — never one per stamped element.
     pub strings_interned: usize,
+    /// Strings the templates hold between them, each template's once
+    /// (its local names, which every instance of it shares).
+    pub template_strings: usize,
 }
 
 impl std::fmt::Display for InstantiateStats {
@@ -908,12 +1444,13 @@ impl std::fmt::Display for InstantiateStats {
         write!(
             f,
             "{} templates built, {} instances stamped, {} elements stamped + {} walked, \
-             {} strings interned",
+             {} strings interned + {} template strings",
             self.templates_built,
             self.instances_stamped,
             self.elements_stamped,
             self.elements_walked,
-            self.strings_interned
+            self.strings_interned,
+            self.template_strings
         )
     }
 }
@@ -926,7 +1463,7 @@ impl std::fmt::Display for InstantiateStats {
 /// Elements on unknown layers are skipped (the binding already reported
 /// them). Device symbols instantiate a [`DeviceInstance`] per call;
 /// elements inside them are tagged with it. Auto net keys are final on
-/// return.
+/// return, and every name is settled (see [`Name`]).
 ///
 /// **Each definition is derived once.** For every `(definition,
 /// orientation)` the hierarchy instantiates more than once — placements
@@ -934,8 +1471,8 @@ impl std::fmt::Display for InstantiateStats {
 /// the walk runs one time, at offset
 /// zero, into a private `Template`; every call to such a pair — at any
 /// depth, inside other templates too — then *stamps* the template:
-/// columns copied with the call's offset added to every coordinate and
-/// its instance path spliced into every string. Only translation is ever
+/// columns copied with the call's offset added to every coordinate.
+/// Only translation is ever
 /// applied to derived geometry (slab decomposition and wire rectangles
 /// do not commute with rotation, so the orientation is part of the
 /// template's key, never of the stamp). Definitions placed once and loose
@@ -943,6 +1480,15 @@ impl std::fmt::Display for InstantiateStats {
 /// Templates live for this call only — in a library session, for the
 /// session once a second cell presents the definition (see
 /// [`crate::library::LibraryCache`]).
+///
+/// **Names are the hierarchy's.** A stamp into the view appends one
+/// instance — its path interned once — and its elements' and devices'
+/// names are that instance and the template's own strings: no name is
+/// formatted or interned per element. (A stamp into another template
+/// splices its path into the strings, once per derivation.) A call
+/// whose path something else is placed at already (a duplicate call
+/// name, which only a layout built through the API can have) is walked
+/// instead, so no two instances spell one text two ways.
 ///
 /// The top-level items are walked in order on the calling thread.
 ///
@@ -968,6 +1514,7 @@ pub fn instantiate(
         binding,
         keys: &definitions.keys,
         templates: &templates,
+        roots: true,
     };
     let items = layout.top_items();
     let seeded = seed.len();
@@ -975,6 +1522,16 @@ pub fn instantiate(
         strings: seed,
         ..ChipView::default()
     };
+    view.names.templates = (templates.list.iter())
+        .map(|t| Arc::clone(&t.names))
+        .collect();
+    let symbols = layout.symbols();
+    let flat = hierarchy::flat_elements(symbols.len(), |s| &symbols[s].items);
+    let elements = (items.iter())
+        .map(|item| hierarchy::item_flat_elements(item, &flat))
+        .fold(0u64, u64::saturating_add);
+    let limit = hierarchy::MAX_FLAT_ELEMENTS;
+    view.elements.reserve(elements.min(limit) as usize);
     let mut runs = Vec::with_capacity(items.len());
     let mut scratch = StampScratch::default();
     for item in items {
@@ -982,13 +1539,16 @@ pub fn instantiate(
         walker.walk_with(item, Scope::TOP, &mut view, &mut scratch);
         runs.push((view.elements.len() - e0, view.devices.len() - d0));
     }
-    number_fresh_auto_keys(&mut view.elements, &mut view.strings);
+    // Stamped names are settled and numbered already.
+    let StampScratch { walked, .. } = scratch;
+    view.settle(walked.0, walked.1, true);
     let stats = &mut view.instantiate_stats;
-    stats.templates_built = templates.len();
-    stats.elements_walked += (templates.values())
+    stats.templates_built = templates.list.len();
+    stats.elements_walked += (templates.list.iter())
         .map(|t| t.block.instantiate_stats.elements_walked)
         .sum::<usize>();
     stats.strings_interned = view.strings.len() - seeded;
+    stats.template_strings = (templates.list.iter()).map(|t| t.names.strings.len()).sum();
     (view, runs)
 }
 
@@ -999,13 +1559,20 @@ impl ChipView {
     /// (or two interners) produced the same thing.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn resolved_tail(&self, e0: usize, d0: usize) -> Vec<String> {
+        self.resolved_tail_in(&self.strings, e0, d0)
+    }
+
+    /// [`ChipView::resolved_tail`] with `strings` as the view's own table.
+    #[cfg(any(test, debug_assertions))]
+    fn resolved_tail_in(&self, strings: &StringInterner, e0: usize, d0: usize) -> Vec<String> {
+        let text = |name: Name| NameText(self.name_parts_in(strings, name));
         let elements = (e0..self.elements.len()).map(|id| {
             let e = self.elements.get(id);
             format!(
                 "{:?}",
                 (
                     (e.layer(), e.bbox(), e.rects(), e.skeleton()),
-                    (self.str(e.net_key()), e.net_declared(), self.str(e.path())),
+                    (text(e.net_key()), e.net_declared(), text(e.path())),
                     e.device().map(|d| d as i64 - d0 as i64),
                 )
             )
@@ -1017,12 +1584,12 @@ impl ChipView {
                 .map(|&id| id as i64 - e0 as i64)
                 .collect();
             let terminals: Vec<_> = (d.terminals.iter())
-                .map(|&(name, layer, at)| (self.str(name), layer, at))
+                .map(|&(name, layer, at, key)| (strings.get(name), layer, at, text(key)))
                 .collect();
             format!(
                 "{:?}",
                 (
-                    (self.str(d.path), self.str(d.device_type)),
+                    (text(d.path), strings.get(d.device_type), d.net.map(text)),
                     (d.class, d.checked, terminals, ids, d.transform),
                 )
             )
@@ -1031,47 +1598,100 @@ impl ChipView {
     }
 }
 
-/// The instance path a [`Template`] is walked under. Any non-empty
-/// string would do: the walk branches on whether a path is empty, never
-/// on what it says, so under this root it takes exactly the branches it
-/// takes under a real (non-empty) instance path, and a stamp swaps the
-/// root for that path **by position**, never by searching for it.
+/// A name's text as [`ChipView::resolved_tail`] prints it: quoted, as
+/// a `String` would be, without making one.
+#[cfg(any(test, debug_assertions))]
+struct NameText<'a>([&'a str; 3]);
+
+#[cfg(any(test, debug_assertions))]
+impl std::fmt::Debug for NameText<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("\"")?;
+        self.0.iter().try_for_each(|part| f.write_str(part))?;
+        f.write_str("\"")
+    }
+}
+
+/// The instance path a [`Template`] is walked under, and the root of
+/// every string of its [`LocalNames`]. Any non-empty string would do:
+/// the walk branches on whether a path is empty, never on what it says,
+/// so under this root it takes exactly the branches it takes under a
+/// real (non-empty) instance path, and an instance's path replaces the
+/// root **by position** — the first byte, or the second after an auto
+/// key's `#` — never by searching for it.
 const TEMPLATE_ROOT: &str = "~";
+
+/// Appends `local`, a string under [`TEMPLATE_ROOT`], with `path` in
+/// place of the root.
+fn reroot(local: &str, path: &str, out: &mut String) {
+    let head = usize::from(local.as_bytes()[0] == b'#');
+    out.push_str(&local[..head]);
+    out.push_str(path);
+    out.push_str(&local[head + TEMPLATE_ROOT.len()..]);
+}
 
 /// One definition, derived once: the walk of a call of `symbol` under
 /// `Transform::new(orient, Vector::ZERO)` and the instance path
-/// [`TEMPLATE_ROOT`], kept as a private view. Its geometry is the
-/// instance's at offset zero; its path strings read `~` + *relative
-/// path*, its declared keys `~.` + *…name*, its auto keys `#~` +
-/// *relative path* + `:{layer}:{x1},{y1},{x2},{y2}` — each the
+/// [`TEMPLATE_ROOT`], kept as a private view whose strings are the
+/// template's [`LocalNames`]. Its geometry is the instance's at offset
+/// zero; its path strings read `~` + *relative path*, its declared keys
+/// `~.` + *…name*, its auto keys `#~` + *relative path* +
+/// `:{layer}:{x1},{y1},{x2},{y2}`, its terminal keys `~` + *relative
+/// path* + `.{terminal}` (`.#` for a joining device) — each an
 /// instance's own string with the root where the instance path goes.
 pub(crate) struct Template {
+    /// The walk, its strings moved to `names`; its auto keys are bases,
+    /// which a stamp into another template numbers with that template's.
     block: ChipView,
-    /// The handles of `block.strings` that elements and devices use as
-    /// paths, each once — a stamp interns one string per distinct path,
-    /// not one per element.
-    paths: Vec<Istr>,
+    names: Arc<LocalNames>,
+    /// Per block element: its net key in an instance, duplicate ordinal
+    /// appended.
+    keys: Vec<u32>,
     /// Set by the first stamp, which is checked against a plain walk of
     /// the same call.
     #[cfg(debug_assertions)]
     verified: std::sync::atomic::AtomicBool,
 }
 
-/// The templates of one [`instantiate`] call, by definition and
-/// orientation.
-type Templates = HashMap<TemplateKey, Arc<Template>>;
+impl std::fmt::Debug for LocalNames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalNames")
+            .field("strings", &self.strings.len())
+            .field("nodes", &self.key.len())
+            .finish()
+    }
+}
 
-/// The buffers a [`Template::stamp`] fills and leaves behind — the text
-/// of the string being re-rooted and the two handle tables — kept by the
-/// walk from one stamp to the next, so a stamp allocates for what it
-/// adds to the view and nothing else.
+/// The templates of one [`instantiate`] call, by definition and
+/// orientation; a view's instances name them by their place in `list`.
+#[derive(Default)]
+struct Templates {
+    by_key: HashMap<TemplateKey, u32>,
+    list: Vec<Arc<Template>>,
+}
+
+impl Templates {
+    fn get(&self, key: &TemplateKey) -> Option<(u32, &Template)> {
+        let at = *self.by_key.get(key)?;
+        Some((at, &self.list[at as usize]))
+    }
+}
+
+/// The buffers a [`Template::stamp`] fills and leaves behind, kept by
+/// the walk from one stamp to the next, so a stamp allocates for what
+/// it adds to the view and nothing else.
 #[derive(Default)]
 struct StampScratch {
     text: String,
     /// Per string of the block: its re-rooted handle in the view.
     handles: Vec<Istr>,
     /// Per string of the block: its handle in the view as it is.
-    verbatim: Vec<Istr>,
+    plain: Vec<Istr>,
+    /// Per template of the view: its device types and terminal names'
+    /// handles in the view, by block string, filled at its first stamp.
+    verbatim: Vec<Vec<Istr>>,
+    /// The elements and devices the walk made, ascending.
+    walked: (Vec<usize>, Vec<usize>),
 }
 
 /// Derives a template for every `(definition, orientation)` the
@@ -1086,7 +1706,7 @@ fn build_templates(
     binding: &LayerBinding,
     definitions: &Definitions<'_>,
 ) -> Templates {
-    let mut templates = Templates::new();
+    let mut templates = Templates::default();
     for &(symbol, orient) in &definitions.repeated {
         let walker = Walker {
             layout,
@@ -1094,10 +1714,12 @@ fn build_templates(
             binding,
             keys: &definitions.keys,
             templates: &templates,
+            roots: false,
         };
         let key = (definitions.keys[symbol.0 as usize], orient);
         let template = definitions.template(key, || Template::derive(&walker, symbol, orient));
-        templates.insert(key, template);
+        templates.by_key.insert(key, templates.list.len() as u32);
+        templates.list.push(template);
     }
     templates
 }
@@ -1105,7 +1727,8 @@ fn build_templates(
 impl Template {
     /// The walk of a call of `symbol` under `Transform::new(orient,
     /// Vector::ZERO)` and the path [`TEMPLATE_ROOT`], stamping the
-    /// templates `walker` holds.
+    /// templates `walker` holds, and its names: each element's key with
+    /// its duplicate ordinal, and a node for every net key.
     fn derive(walker: &Walker<'_>, symbol: SymbolId, orient: Orientation) -> Template {
         let call = Item::Call(Call {
             target: symbol,
@@ -1114,26 +1737,100 @@ impl Template {
         });
         let mut block = ChipView::default();
         walker.walk(&call, Scope::TOP, &mut block);
-        let mut seen = vec![false; block.strings.len()];
-        let paths = (block.elements.paths().iter())
-            .chain(block.devices.iter().map(|d| &d.path))
-            .filter(|p| !std::mem::replace(&mut seen[p.0 as usize], true))
-            .copied()
-            .collect();
+        let mut copies = vec![0u32; block.strings.len()];
+        let mut text = String::new();
+        let keys = (0..block.elements.len())
+            .map(|id| {
+                let e = block.elements.get(id);
+                let key = e.net_key().local;
+                if e.net_declared() {
+                    return key;
+                }
+                let n = copies[key as usize];
+                copies[key as usize] += 1;
+                if n == 0 {
+                    return key;
+                }
+                text.clear();
+                text.push_str(block.strings.get(Istr(key)));
+                write!(text, ":{n}").expect("writing to a String cannot fail");
+                block.strings.intern(&text).0
+            })
+            .collect::<Vec<u32>>();
+        let mut node = vec![NONE_U32; block.strings.len()];
+        let mut key = Vec::new();
+        let terminals = block.devices.iter().flat_map(|d| {
+            let terms = d.terminals.iter().map(|t| t.3.local);
+            terms.chain(d.net.map(|n| n.local))
+        });
+        for s in keys.iter().copied().chain(terminals) {
+            if node[s as usize] == NONE_U32 {
+                node[s as usize] = key.len() as u32;
+                key.push(s);
+            }
+        }
+        copies.resize(block.strings.len(), 0);
+        let names = LocalNames {
+            strings: std::mem::take(&mut block.strings),
+            node,
+            key,
+            copies,
+        };
         Template {
             block,
-            paths,
+            names: Arc::new(names),
+            keys,
             #[cfg(debug_assertions)]
             verified: Default::default(),
         }
     }
 
-    /// Appends one instance to `view`: the block translated by `offset`,
-    /// `path` (non-empty) in place of the root in every string. Under an
-    /// enclosing `device` the instance's elements join that device and
-    /// its own device rows are dropped — what the walk does with devices
-    /// nested in a device.
+    /// Appends one instance to `view`, a chip: the block translated by
+    /// `offset`, its names the instance `path` (non-empty) and the
+    /// template's own strings. Under an enclosing `device` the
+    /// instance's elements join that device and its own device rows are
+    /// dropped — what the walk does with devices nested in a device.
+    /// False, with nothing done, if `path` may not root an instance.
     fn stamp(
+        &self,
+        (template, path): (u32, &str),
+        offset: Vector,
+        device: Option<usize>,
+        view: &mut ChipView,
+        scratch: &mut StampScratch,
+    ) -> bool {
+        let at = view.strings.intern(path);
+        if !view.names.may_root(at, path, &view.strings) {
+            return false;
+        }
+        view.names.place_at(at, path, &mut view.strings);
+        let inst = view.names.add_instance(at, template);
+        let rooted = |n: Name| Name {
+            inst,
+            local: n.local,
+        };
+        let key = |e: usize, _| Name {
+            inst,
+            local: self.keys[e],
+        };
+        let verbatim = &mut scratch.verbatim;
+        if verbatim.len() <= template as usize {
+            verbatim.resize(template as usize + 1, Vec::new());
+        }
+        let verbatim = &mut verbatim[template as usize];
+        if verbatim.is_empty() && !self.block.devices.is_empty() {
+            *verbatim = self.verbatim(&mut view.strings);
+        }
+        self.append(view, offset, device, key, rooted, |h| {
+            verbatim[h.0 as usize]
+        });
+        true
+    }
+
+    /// [`Template::stamp`] into `view`, another template's block: the
+    /// instance `path` is spliced into every string where the root
+    /// stands, each distinct string once.
+    fn stamp_into_template(
         &self,
         path: &str,
         offset: Vector,
@@ -1141,72 +1838,87 @@ impl Template {
         view: &mut ChipView,
         scratch: &mut StampScratch,
     ) {
-        let block = &self.block;
-        let (e0, d0) = (view.elements.len(), view.devices.len());
-        let count = block.elements.len();
         let StampScratch {
             text,
             handles,
-            verbatim,
+            plain,
+            ..
         } = scratch;
-
-        // `head` bytes (the `#` of an auto key) precede the root.
-        let mut rerooted = |h: Istr, head: usize, table: &mut StringInterner| {
-            let s = block.str(h);
-            text.clear();
-            text.push_str(&s[..head]);
-            text.push_str(path);
-            text.push_str(&s[head + TEMPLATE_ROOT.len()..]);
-            table.intern(text)
-        };
-        handles.clear();
-        handles.resize(block.strings.len(), Istr(NONE_U32));
-        for &p in &self.paths {
-            handles[p.0 as usize] = rerooted(p, 0, &mut view.strings);
+        let local = &self.names.strings;
+        for table in [&mut *handles, &mut *plain] {
+            table.clear();
+            table.resize(local.len(), Istr(NONE_U32));
         }
-        for e in block.elements.iter() {
-            // A declared key can be a path's text; it then re-roots to
-            // the same string, so one table serves both.
-            let slot = &mut handles[e.net_key().0 as usize];
-            if slot.0 == NONE_U32 {
-                let head = if e.net_declared() { 0 } else { 1 };
-                *slot = rerooted(e.net_key(), head, &mut view.strings);
+        // Rooted strings and the ones taken as written (device types,
+        // terminal names) in tables of their own: a name may spell both.
+        let mut fill =
+            |table: &mut Vec<Istr>, h: Istr, rooted: bool, strings: &mut StringInterner| {
+                if table[h.0 as usize].0 == NONE_U32 {
+                    text.clear();
+                    match rooted {
+                        true => reroot(local.get(h), path, text),
+                        false => text.push_str(local.get(h)),
+                    }
+                    table[h.0 as usize] = strings.intern(text);
+                }
+            };
+        for e in self.block.elements.iter() {
+            for n in [e.net_key(), e.path()] {
+                fill(handles, Istr(n.local), true, &mut view.strings);
             }
         }
+        for d in &self.block.devices {
+            let keys = d.terminals.iter().map(|t| t.3).chain([d.path]).chain(d.net);
+            for n in keys {
+                fill(handles, Istr(n.local), true, &mut view.strings);
+            }
+            for h in d.terminals.iter().map(|t| t.0).chain([d.device_type]) {
+                fill(plain, h, false, &mut view.strings);
+            }
+        }
+        let name = |n: Name| Name::own(handles[n.local as usize]);
+        let verbatim = |h: Istr| plain[h.0 as usize];
+        self.append(view, offset, device, |_, k| name(k), name, verbatim);
+    }
 
+    /// Appends the block to `view`, translated by `offset`: element keys
+    /// from `key`, every other name through `name`, device types and
+    /// terminal names through `verbatim`.
+    fn append<K, N, V>(
+        &self,
+        view: &mut ChipView,
+        offset: Vector,
+        device: Option<usize>,
+        key: K,
+        name: N,
+        verbatim: V,
+    ) where
+        K: Fn(usize, Name) -> Name,
+        N: Fn(Name) -> Name + Copy,
+        V: Fn(Istr) -> Istr,
+    {
+        let block = &self.block;
+        let (e0, d0) = (view.elements.len(), view.devices.len());
+        let count = block.elements.len();
         match device {
             Some(d) => {
-                view.elements
-                    .append_translated(&block.elements, offset, handles, |_| d as u32);
+                (view.elements).append_translated(&block.elements, offset, key, name, |_| d as u32);
                 view.devices[d].element_ids.extend(e0..e0 + count);
             }
             None => {
-                view.elements
-                    .append_translated(&block.elements, offset, handles, |d| device_after(d0, d));
-                // Device types and terminal names go across as they are,
-                // each interned once per stamp — in a table of their own,
-                // since a name may spell a path.
-                verbatim.clear();
-                verbatim.resize(block.strings.len(), Istr(NONE_U32));
-                let mut as_is = |h: Istr, table: &mut StringInterner| {
-                    let slot = &mut verbatim[h.0 as usize];
-                    if slot.0 == NONE_U32 {
-                        *slot = table.intern(block.str(h));
-                    }
-                    *slot
-                };
+                let shift = |d| device_after(d0, d);
+                (view.elements).append_translated(&block.elements, offset, key, name, shift);
                 for dv in &block.devices {
                     let terminals = (dv.terminals.iter())
-                        .map(|&(name, layer, at)| {
-                            (as_is(name, &mut view.strings), layer, at + offset)
-                        })
+                        .map(|&(t, layer, at, k)| (verbatim(t), layer, at + offset, name(k)))
                         .collect();
                     view.devices.push(DeviceInstance {
-                        path: handles[dv.path.0 as usize],
-                        device_type: as_is(dv.device_type, &mut view.strings),
+                        path: name(dv.path),
+                        device_type: verbatim(dv.device_type),
                         class: dv.class,
                         checked: dv.checked,
                         terminals,
+                        net: dv.net.map(name),
                         element_ids: dv.element_ids.iter().map(|id| id + e0).collect(),
                         transform: Transform::new(
                             dv.transform.orient,
@@ -1220,20 +1932,32 @@ impl Template {
         view.instantiate_stats.instances_stamped += 1;
         view.instantiate_stats.elements_stamped += count;
     }
+
+    /// The view's handles of the block's device types and terminal
+    /// names, by block string (`NIL` for every other string).
+    fn verbatim(&self, strings: &mut StringInterner) -> Vec<Istr> {
+        let mut table = vec![Istr(NONE_U32); self.names.strings.len()];
+        for d in &self.block.devices {
+            for h in d.terminals.iter().map(|t| t.0).chain([d.device_type]) {
+                table[h.0 as usize] = strings.intern(self.names.strings.get(h));
+            }
+        }
+        table
+    }
 }
 
 impl Definition for Template {
     #[cfg(debug_assertions)]
     fn assert_same(&self, fresh: &Template) {
-        let paths = |t: &Template| -> Vec<String> {
-            t.paths
-                .iter()
-                .map(|&p| t.block.str(p).to_string())
+        let keys = |t: &Template| -> Vec<String> {
+            (t.keys.iter())
+                .map(|&k| t.names.strings.get(Istr(k)).to_string())
                 .collect()
         };
+        let resolved = |t: &Template| t.block.resolved_tail_in(&t.names.strings, 0, 0);
         assert_eq!(
-            (self.block.resolved_tail(0, 0), paths(self)),
-            (fresh.block.resolved_tail(0, 0), paths(fresh)),
+            (resolved(self), keys(self)),
+            (resolved(fresh), keys(fresh)),
             "a kept template must equal the walk of its definition"
         );
         assert_eq!(self.block.violations, fresh.block.violations);
@@ -1244,8 +1968,9 @@ impl Definition for Template {
 /// Instantiates a single top-level item, appending its elements and
 /// device instances to `view` (the incremental checker's entry point for
 /// regenerating one dirty item's run) by the plain walk, no templates.
-/// Auto net keys are **not** assigned here — run
-/// [`assign_auto_net_keys`] over the assembled columns afterwards.
+/// Its names are the walk's strings, neither settled nor numbered: run
+/// [`ChipView::settle`], then [`assign_auto_net_keys`] over the
+/// assembled columns, afterwards.
 pub(crate) fn instantiate_item(
     layout: &Layout,
     tech: &Technology,
@@ -1258,7 +1983,8 @@ pub(crate) fn instantiate_item(
         tech,
         binding,
         keys: &[],
-        templates: &Templates::new(),
+        templates: &Templates::default(),
+        roots: false,
     };
     walker.walk(item, Scope::TOP, view);
 }
@@ -1276,28 +2002,6 @@ fn auto_key_base(key: &str) -> &str {
     key
 }
 
-/// Appends duplicate ordinals to the auto net keys of columns **fresh
-/// from the walk**, where every undeclared element's key is still its
-/// base (see [`assign_auto_net_keys`] for what a key is): equal bases
-/// share one handle, so duplicates are counted per handle and only the
-/// `:n` keys are ever formatted.
-fn number_fresh_auto_keys(elements: &mut ElementColumns, strings: &mut StringInterner) {
-    let mut seen = vec![0u32; strings.len()];
-    for id in 0..elements.len() {
-        let e = elements.get(id);
-        if e.net_declared() {
-            continue;
-        }
-        let base = e.net_key();
-        let n = seen[base.0 as usize];
-        seen[base.0 as usize] += 1;
-        if n > 0 {
-            let key = format!("{}:{n}", strings.get(base));
-            elements.set_net_key(id, strings.intern(&key));
-        }
-    }
-}
-
 /// Re-derives the auto (undeclared) net keys of the identity groups an
 /// edit touched — appending ordinals where exact duplicates share a key
 /// base — and returns the ids whose key changed.
@@ -1312,50 +2016,43 @@ fn number_fresh_auto_keys(elements: &mut ElementColumns, strings: &mut StringInt
 /// moving an instance does not rename its internals at all (local
 /// coordinates).
 ///
-/// `candidates` (ascending ids) are the elements whose keys are
-/// re-derived — an edit session passes the ones sharing layer and
-/// bounding box with an element the edit touched, from its element
-/// index, so it pays for the edit, not for re-formatting every auto key
-/// on the chip. They must hold every member of each identity group they
-/// hold one of: duplicate ordinals shift only within one group, and
-/// duplicates by definition share path, layer, and bbox. Declared
-/// elements among them are skipped.
-pub(crate) fn assign_auto_net_keys(
-    elements: &mut ElementColumns,
-    strings: &mut StringInterner,
-    candidates: &[usize],
-) -> Vec<usize> {
+/// `candidates` (ascending ids, their names settled) are the elements
+/// whose keys are re-derived — an edit session passes the ones sharing
+/// layer and bounding box with an element the edit touched, from its
+/// element index, so it pays for the edit, not for re-formatting every
+/// auto key on the chip. They must hold every member of each identity
+/// group they hold one of: duplicate ordinals shift only within one
+/// group, and duplicates by definition share path, layer, and bbox.
+/// Declared elements among them are skipped.
+pub(crate) fn assign_auto_net_keys(view: &mut ChipView, candidates: &[usize]) -> Vec<usize> {
     let mut ordinals: HashMap<String, u32> = HashMap::new();
     let mut rekeyed = Vec::new();
+    let (mut current, mut desired) = (String::new(), String::new());
     for &id in candidates {
-        let e = elements.get(id);
+        let e = view.elements.get(id);
         if e.net_declared() {
             continue;
         }
-        // Derive the desired key while borrowing the current string,
-        // then intern only when it actually changed — an unchanged key
-        // costs no interner traffic and stays off the rekeyed list.
-        let desired: Option<String> = {
-            let current = strings.get(e.net_key());
-            let base = auto_key_base(current);
-            match ordinals.get_mut(base) {
-                None => {
-                    // Ordinal 0: the base itself is the key.
-                    let want_base = base.len() != current.len();
-                    let base = base.to_string();
-                    let changed_key = want_base.then(|| base.clone());
-                    ordinals.insert(base, 1);
-                    changed_key
-                }
-                Some(n) => {
-                    let key = format!("{base}:{n}");
-                    *n += 1;
-                    (key != current).then_some(key)
-                }
+        current.clear();
+        view.write_name(e.net_key(), &mut current);
+        let base = auto_key_base(&current);
+        desired.clear();
+        desired.push_str(base);
+        match ordinals.get_mut(base) {
+            None => {
+                // Ordinal 0: the base itself is the key.
+                ordinals.insert(base.to_string(), 1);
             }
-        };
-        if let Some(key) = desired {
-            elements.set_net_key(id, strings.intern(&key));
+            Some(n) => {
+                write!(desired, ":{n}").expect("writing to a String cannot fail");
+                *n += 1;
+            }
+        }
+        // Only a key that changed is looked up: an unchanged one costs
+        // no table traffic and stays off the rekeyed list.
+        if desired != current {
+            let key = view.key_of_text(&desired);
+            view.elements.set_net_key(id, key);
             rekeyed.push(id);
         }
     }
@@ -1393,11 +2090,24 @@ struct Walker<'a> {
     /// (none for the plain walk).
     keys: &'a [ContentKey],
     templates: &'a Templates,
+    /// True when walking a chip, whose stamps append instances; false
+    /// when walking a template, whose stamps splice their paths in.
+    roots: bool,
 }
 
 impl Walker<'_> {
     fn walk(&self, item: &Item, scope: Scope<'_>, view: &mut ChipView) {
         self.walk_with(item, scope, view, &mut StampScratch::default());
+    }
+
+    /// The walk's name of `text` placed at path `path`: a string of the
+    /// view's table, the path marked as placed at on a chip.
+    fn placed(&self, view: &mut ChipView, path: &str) -> Name {
+        let at = view.strings.intern(path);
+        if self.roots {
+            view.names.place_at(at, path, &mut view.strings);
+        }
+        Name::own(at)
     }
 
     fn walk_with(
@@ -1442,26 +2152,30 @@ impl Walker<'_> {
                 // local bbox — never the element's position in the columns);
                 // the ordinal pass appends `:n` where exact duplicates
                 // collide once the element list is complete.
-                let (net_key, net_declared) = match &e.net {
-                    Some(n) if path.is_empty() => (n.clone(), true),
-                    Some(n) => (format!("{path}.{n}"), true),
-                    None => (
-                        format!(
-                            "#{}:{}:{},{},{},{}",
-                            path,
-                            layer.0,
-                            local_bbox.x1,
-                            local_bbox.y1,
-                            local_bbox.x2,
-                            local_bbox.y2
-                        ),
-                        false,
-                    ),
+                let key = &mut scratch.text;
+                key.clear();
+                let net_declared = match &e.net {
+                    Some(n) if path.is_empty() => {
+                        key.push_str(n);
+                        true
+                    }
+                    Some(n) => {
+                        write!(key, "{path}.{n}").expect("writing to a String cannot fail");
+                        true
+                    }
+                    None => {
+                        let b = local_bbox;
+                        let (x1, y1, x2, y2) = (b.x1, b.y1, b.x2, b.y2);
+                        write!(key, "#{path}:{}:{x1},{y1},{x2},{y2}", layer.0)
+                            .expect("writing to a String cannot fail");
+                        false
+                    }
                 };
-                let net_key = view.strings.intern(&net_key);
-                let path = view.strings.intern(path);
+                let net_key = Name::own(view.strings.intern(key));
+                let path = self.placed(view, path);
                 let net = (net_key, net_declared);
                 (view.elements).push(layer, shape.bbox(), net, path, device, skeleton);
+                scratch.walked.0.push(id);
                 if let Some(d) = device {
                     view.devices[d].element_ids.push(id);
                 }
@@ -1475,20 +2189,29 @@ impl Walker<'_> {
                     format!("{path}.{}", c.name)
                 };
                 let child_t = t.after(&c.transform);
-                // A stamp splices the instance path in where the walk
-                // took its non-empty-path branches, so an instance whose
-                // path is empty (an unnamed call at the top) is walked.
+                // A stamp puts the instance path where the walk took its
+                // non-empty-path branches, so an instance whose path is
+                // empty (an unnamed call at the top) is walked.
                 if !child_path.is_empty() {
                     let key = self.keys.get(c.target.0 as usize);
-                    if let Some(template) =
+                    if let Some((at, template)) =
                         key.and_then(|&k| self.templates.get(&(k, child_t.orient)))
                     {
                         #[cfg(debug_assertions)]
                         let start = (view.elements.len(), view.devices.len());
-                        template.stamp(&child_path, child_t.offset, device, view, scratch);
-                        #[cfg(debug_assertions)]
-                        self.verify_first_stamp(template, item, scope, view, start);
-                        return;
+                        let (offset, path) = (child_t.offset, child_path.as_str());
+                        let stamped = match self.roots {
+                            true => template.stamp((at, path), offset, device, view, scratch),
+                            false => {
+                                template.stamp_into_template(path, offset, device, view, scratch);
+                                true
+                            }
+                        };
+                        if stamped {
+                            #[cfg(debug_assertions)]
+                            self.verify_first_stamp(template, item, scope, view, start);
+                            return;
+                        }
                     }
                 }
                 let child_device = if let Some(decl) = &sym.device {
@@ -1499,24 +2222,40 @@ impl Walker<'_> {
                         device
                     } else {
                         let idx = view.devices.len();
+                        let class = self.tech.device(&decl.device_type).map(|a| a.class);
+                        // A joining device is one net; any other's
+                        // terminals are nets of their own.
+                        let mut key = |view: &mut ChipView, tail: &str| {
+                            let key = &mut scratch.text;
+                            key.clear();
+                            write!(key, "{child_path}.{tail}")
+                                .expect("writing to a String cannot fail");
+                            Name::own(view.strings.intern(key))
+                        };
+                        let net = is_joining_class(class).then(|| key(view, "#"));
                         let terminals = decl
                             .terminals
                             .iter()
                             .filter_map(|term| {
                                 let layer = self.binding.layer(term.layer)?;
                                 let name = view.strings.intern(&term.name);
-                                Some((name, layer, child_t.apply_point(term.position)))
+                                let at = child_t.apply_point(term.position);
+                                let tkey = net.unwrap_or_else(|| key(view, &term.name));
+                                Some((name, layer, at, tkey))
                             })
                             .collect();
+                        let path = self.placed(view, &child_path);
                         view.devices.push(DeviceInstance {
-                            path: view.strings.intern(&child_path),
+                            path,
                             device_type: view.strings.intern(&decl.device_type),
-                            class: self.tech.device(&decl.device_type).map(|a| a.class),
+                            class,
                             checked: decl.checked,
                             terminals,
+                            net,
                             element_ids: Vec::new(),
                             transform: child_t,
                         });
+                        scratch.walked.1.push(idx);
                         Some(idx)
                     }
                 } else {
@@ -1535,7 +2274,8 @@ impl Walker<'_> {
     }
 
     /// The debug-build oracle: the first stamp of every template must
-    /// equal the plain walk of the call it answered. (A stamp under an
+    /// equal the plain walk of the call it answered, its auto keys
+    /// numbered as a chip's stamp numbers them. (A stamp under an
     /// enclosing device is left to the next one — its device indices
     /// point outside the stamped run.)
     #[cfg(debug_assertions)]
@@ -1553,11 +2293,15 @@ impl Walker<'_> {
         }
         let plain = Walker {
             keys: &[],
-            templates: &Templates::new(),
+            templates: &Templates::default(),
+            roots: false,
             ..*self
         };
         let mut walked = ChipView::default();
         plain.walk(call, scope, &mut walked);
+        if self.roots {
+            walked.settle(0..walked.elements.len(), 0..walked.devices.len(), true);
+        }
         debug_assert_eq!(
             view.resolved_tail(e0, d0),
             walked.resolved_tail(0, 0),
@@ -1607,7 +2351,7 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(view.elements.len(), 2);
         let rail = view.elements.get(0);
-        assert_eq!(view.str(rail.net_key()), "VDD");
+        assert_eq!(view.name_text(rail.net_key()), "VDD");
         assert!(rail.net_declared());
         assert!(rail.has_skeleton());
         let tiny = view.elements.get(1);
@@ -1624,11 +2368,11 @@ mod tests {
         let (view, v) = view_of(cif);
         assert!(v.is_empty());
         assert_eq!(view.devices.len(), 2);
-        assert_eq!(view.str(view.devices[0].path), "i0");
-        assert_eq!(view.str(view.devices[1].path), "i1");
+        assert_eq!(view.name_text(view.devices[0].path), "i0");
+        assert_eq!(view.name_text(view.devices[1].path), "i1");
         assert_eq!(view.devices[0].element_ids.len(), 3);
         // Terminal transformed to chip coords.
-        let (name, _, pos) = view.devices[1].terminals[0];
+        let (name, _, pos, _) = view.devices[1].terminals[0];
         let name = view.str(name);
         assert_eq!(name, "A");
         assert_eq!(pos, Point::new(5250, 250));
@@ -1646,8 +2390,14 @@ mod tests {
         C 2 T 0 0; E";
         let (view, _) = view_of(cif);
         assert_eq!(view.elements.len(), 1);
-        assert_eq!(view.str(view.elements.get(0).path()), "i0.i0");
-        assert_eq!(view.str(view.elements.get(0).net_key()), "i0.i0.out");
+        assert_eq!(view.name_text(view.elements.get(0).path()), "i0.i0");
+        assert_eq!(view.name_text(view.elements.get(0).net_key()), "i0.i0.out");
+    }
+
+    /// Numbers the duplicate auto keys of a view fresh from the plain
+    /// walk, as [`instantiate`] does its walked elements.
+    fn number_fresh_auto_keys(view: &mut ChipView) {
+        view.settle(0..view.elements.len(), 0..view.devices.len(), true);
     }
 
     /// The plain recursive walk of every top-level item, no templates,
@@ -1659,14 +2409,15 @@ mod tests {
             tech,
             binding,
             keys: &[],
-            templates: &Templates::new(),
+            templates: &Templates::default(),
+            roots: false,
         };
         let mut view = ChipView::default();
         for item in layout.top_items() {
             plain.walk(item, Scope::TOP, &mut view);
         }
         let all: Vec<usize> = (0..view.elements.len()).collect();
-        assign_auto_net_keys(&mut view.elements, &mut view.strings, &all);
+        assign_auto_net_keys(&mut view, &all);
         view
     }
 
@@ -1751,6 +2502,9 @@ mod tests {
                 // used once (1) + the loose box (1)
                 elements_walked: 5,
                 strings_interned: view.strings.len(),
+                // the contact's 6 (its path, 2 auto keys, its net
+                // key, type and terminal name) and the cell's 12
+                template_strings: 18,
             }
         );
         assert_eq!(
@@ -2005,7 +2759,9 @@ mod tests {
             );
             let stats = view.instantiate_stats;
             prop_assert!(stats.elements_stamped <= view.elements.len());
-            prop_assert_eq!(stats.templates_built == 0, stats.instances_stamped == 0);
+            // A template may stamp nothing: its calls' paths can be taken
+            // by a duplicate call name, which walks them instead.
+            prop_assert!(stats.templates_built > 0 || stats.instances_stamped == 0);
             let (warm, warm_runs) = instantiated(&layout, &tech, &binding, warm_interner());
             prop_assert_eq!(warm.resolved_tail(0, 0), want);
             prop_assert_eq!(&warm_runs, &runs);
@@ -2032,18 +2788,17 @@ mod tests {
             let mut t = table();
             let mut model = InternerModel::default();
             for _ in 0..48 {
-                match rng.below(6) {
+                match rng.below(5) {
                     0..=3 => {
                         let s = random_name(rng);
                         let id = t.intern(&s);
                         prop_assert_eq!(id.index(), model.intern(&s), "intern {:?}", s);
                     }
-                    4 => {
+                    _ => {
                         let s = random_name(rng);
                         let want = model.ids.get(&s).copied();
                         prop_assert_eq!(t.lookup(&s).map(Istr::index), want, "lookup {:?}", s);
                     }
-                    _ => t.reserve(rng.below(40) as usize),
                 }
                 prop_assert_eq!(t.len(), model.strings.len());
                 prop_assert_eq!(t.is_empty(), model.strings.is_empty());
@@ -2065,15 +2820,15 @@ mod tests {
             let layout = random_layout(&mut TestRng::for_case(seed, 0));
             let tech = nmos_technology();
             let (binding, _) = LayerBinding::bind(&layout, &tech);
-            let plain = Walker { layout: &layout, tech: &tech, binding: &binding, keys: &[], templates: &Templates::new() };
+            let plain = Walker { layout: &layout, tech: &tech, binding: &binding, keys: &[], templates: &Templates::default(), roots: false };
             let mut by_handle = ChipView::default();
             for item in layout.top_items() {
                 plain.walk(item, Scope::TOP, &mut by_handle);
             }
             let mut by_string = by_handle.clone();
-            number_fresh_auto_keys(&mut by_handle.elements, &mut by_handle.strings);
+            number_fresh_auto_keys(&mut by_handle);
             let all: Vec<usize> = (0..by_string.elements.len()).collect();
-            assign_auto_net_keys(&mut by_string.elements, &mut by_string.strings, &all);
+            assign_auto_net_keys(&mut by_string, &all);
             prop_assert_eq!(by_handle.resolved_tail(0, 0), by_string.resolved_tail(0, 0));
         }
     }

@@ -423,15 +423,16 @@ fn overlap_bbox(view: &ChipView, i: usize, j: usize) -> Option<diic_geom::Rect> 
 }
 
 fn context_of(view: &ChipView, i: usize, j: usize) -> String {
-    let a = view.str(view.elements.paths()[i]);
-    let b = view.str(view.elements.paths()[j]);
-    if a == b {
-        a.to_string()
-    } else if a.is_empty() || b.is_empty() {
-        format!("{a}{b}")
-    } else {
-        format!("{a} / {b}")
+    let (a, b) = (view.elements.paths()[i], view.elements.paths()[j]);
+    let mut context = String::new();
+    view.write_name(a, &mut context);
+    if a != b {
+        if view.name_len(a) != 0 && view.name_len(b) != 0 {
+            context.push_str(" / ");
+        }
+        view.write_name(b, &mut context);
     }
+    context
 }
 
 #[cfg(test)]

@@ -44,8 +44,11 @@
 //!   whose bbox touches the dirty core) re-check while every other
 //!   pair's cached verdict and merge survive.
 //! * **the net graph is patched, the net list spliced** — net keys
-//!   are interned once into stable integer nodes
-//!   ([`crate::netgen::NetParts`]); the edit swaps the dirty rows,
+//!   are names with stable integer nodes (an instance's base plus a
+//!   template-local node, or a walked string's own;
+//!   [`crate::netgen::NetParts`]), and a re-walked item's names settle
+//!   into the instances they spell, so a moved call keeps its nodes;
+//!   the edit swaps the dirty rows,
 //!   recording the rows and edges that left and entered
 //!   ([`crate::netgen::GraphDelta`]), and the session's
 //!   [`crate::netgen::NetIndex`] — built at open, patched by each delta:
@@ -153,9 +156,10 @@
 //! There is no second copy of the pipeline here. The rebuild and
 //! [`CheckSession::compact_memory`] both reopen the session — one
 //! private `reopen` drops the old artefacts, then opens again on the
-//! current layout — so neither an interner handle nor an element-index
-//! handle is ever renumbered: a session sheds the strings edits
-//! orphaned, and the index slots they left dead, by starting afresh.
+//! current layout — so neither a name, a node nor an element-index
+//! handle is ever renumbered: a session sheds the strings and nodes
+//! edits orphaned, and the index slots they left dead, by starting
+//! afresh.
 //! An apply whose churn has left more dead index slots than live
 //! elements ends in that reopen ([`EditStats::index_compacted`]).
 //!
@@ -236,7 +240,7 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::binding::{
-    assign_auto_net_keys, instantiate_item, ChipView, InstantiateStats, Istr, LayerBinding,
+    assign_auto_net_keys, instantiate_item, ChipView, InstantiateStats, Istr, LayerBinding, Name,
     StringInterner,
 };
 use crate::checker::{check, CheckOptions, CheckReport};
@@ -908,7 +912,7 @@ pub struct CheckSession {
     /// and device-forming pairs, derived once at open.
     bound: BoundTechnology,
     binding: LayerBinding,
-    view: ChipView,
+    pub(crate) view: ChipView,
     /// Per top-level item `(elements, devices)` run lengths: the unit
     /// of view reuse.
     runs: Vec<(usize, usize)>,
@@ -918,7 +922,7 @@ pub struct CheckSession {
     /// each node (by `elem_index` handle) and each node's net by its
     /// key in the report's net list — built at open and patched per
     /// edit, so the splice costs the nets it rebuilds.
-    nets: NetIndex,
+    pub(crate) nets: NetIndex,
     /// Persistent spatial index over element bboxes (a
     /// [`diic_geom::GridIndex`]: a grid over the elements at its last
     /// rebuild plus the ones entered since): dirty-region queries cost
@@ -1180,10 +1184,11 @@ impl CheckSession {
         stats: &mut EditStats,
     ) -> ViewPatch {
         let (binding, mut violations) = LayerBinding::bind(&self.layout, &self.tech);
-        // The interner survives the patch: it is append-only and never
-        // renumbered, so the kept runs' `Istr` handles stay valid and
-        // fresh items intern into the same table (stale strings simply
-        // stop being referenced until a reopen starts a fresh one).
+        // The names survive the patch: the string table, the instance
+        // table and the node space are append-only and never renumbered,
+        // so the kept runs' names stay valid and fresh items settle into
+        // the same tables (stale strings and nodes simply stop being
+        // referenced until a reopen starts fresh ones).
         let mut view = std::mem::take(&mut self.view);
         view.instantiate_stats = InstantiateStats::default();
         let relaid = self.relay_view(plan, &binding, &mut view, &mut foot, stats);
@@ -1299,6 +1304,7 @@ impl CheckSession {
                     out.dev_old_of_new[od + t] = None;
                     out.fresh_devices.push(od + t);
                 }
+                view.settle(oe..oe + elems, od..od + devices, false);
                 out.old_to_new[oe..oe + elems].fill(None);
                 self.enter_fresh_run(view, oe..oe + elems, &mut out.fresh, foot, stats);
                 rewritten.push(oe..oe + elems);
@@ -1344,6 +1350,7 @@ impl CheckSession {
                 None => {
                     let item = &self.layout.top_items()[j];
                     instantiate_item(&self.layout, &self.tech, binding, item, view);
+                    view.settle(e0..view.elements.len(), d0..view.devices.len(), false);
                     let fresh = e0..view.elements.len();
                     self.enter_fresh_run(view, fresh, &mut out.fresh, foot, stats);
                     out.dev_old_of_new.resize(view.devices.len(), None);
@@ -1409,7 +1416,7 @@ impl CheckSession {
             .filter(|&id| hot.binary_search(&(bboxes[id], layers[id])).is_ok())
             .collect();
         candidates.sort_unstable();
-        assign_auto_net_keys(&mut view.elements, &mut view.strings, &candidates)
+        assign_auto_net_keys(view, &candidates)
     }
 
     /// Step 3 (`t_conn`): re-scores the pairs among the seed elements
@@ -1470,9 +1477,9 @@ impl CheckSession {
     }
 
     /// Step 4 (`t_net`): the net graph's element nodes and connection
-    /// edges, and the delta they make. Nodes are the view interner's raw
-    /// indices, so patching them is a handle read — no string ever
-    /// re-interns here. The element nodes before the re-lay's start keep
+    /// edges, and the delta they make. A node is arithmetic on its key
+    /// ([`ChipView::node`]) — no string is read here. The element nodes
+    /// before the re-lay's start keep
     /// their places; only the ones after it move.
     fn patch_net_graph(&mut self, vp: &ViewPatch, cp: &mut ConnPatch) -> GraphPatch {
         let keys = vp.view.elements.net_keys();
@@ -1504,7 +1511,7 @@ impl CheckSession {
                 let handle = self.elem_handles[id];
                 delta.gone_elements.push((*node, handle));
                 rekeyed_from.push((id, *node));
-                *node = keys[id].index();
+                *node = vp.view.node(keys[id]);
                 delta.new_elements.push((*node, handle));
             }
         }
@@ -1514,7 +1521,7 @@ impl CheckSession {
         // `moved` after it.
         let mut kept_nodes = true;
         for &id in &vp.dirty_ids {
-            let node = element_is_netted(&vp.view, id).then(|| keys[id].index());
+            let node = element_is_netted(&vp.view, id).then(|| vp.view.node(keys[id]));
             let was = match id.checked_sub(e_split) {
                 None => element_node[id],
                 Some(at) => moved.get(at).copied().flatten(),
@@ -1579,7 +1586,7 @@ impl CheckSession {
     fn rebind_rows(&mut self, vp: &mut ViewPatch, gp: &mut GraphPatch) {
         let bboxes = vp.view.elements.bboxes();
         // Rebinding region: geometry changes plus re-keyed elements
-        // (their interned node changed even though nothing moved). With
+        // (their node changed even though nothing moved). With
         // no surviving re-keys it is exactly the connection dirty
         // region, whose grid already exists.
         let foot = vp.d_conn_grid.rects().iter().copied();
@@ -1640,7 +1647,7 @@ impl CheckSession {
         // the re-bound points themselves (an element can only bind if
         // its bbox covers the point).
         let points = (rerowed.iter())
-            .flat_map(|&di| vp.view.devices[di].terminals.iter().map(|(_, _, p)| *p))
+            .flat_map(|&di| vp.view.devices[di].terminals.iter().map(|t| t.2))
             .chain(relabelled.iter().map(|&li| labels[li].position));
         let pads: Vec<Rect> = points
             .map(|p| Rect::new(p.x - 1, p.y - 1, p.x + 1, p.y + 1))
@@ -1744,7 +1751,7 @@ impl CheckSession {
     ) -> NetPatch {
         let mut int_foot = vp.d_conn_grid.rects().to_vec();
         let mut netlist = std::mem::take(&mut self.report.netlist);
-        self.nets.patch(&gp.delta);
+        self.nets.patch(&gp.delta, vp.view.node_count());
         stats.netlist_reused = gp.net_neutral;
         let (mut fresh_nets, mut retired_names) = (Vec::new(), Vec::new());
         if !gp.net_neutral {
@@ -2401,8 +2408,9 @@ impl CheckSession {
     }
 
     /// An estimate of the session's resident heap, in bytes: the
-    /// columnar element store, the string table (its text and its
-    /// bookkeeping, both exact — each is a handful of flat buffers),
+    /// columnar element store, the names (the string table's text and
+    /// bookkeeping, the instance table and node blocks, the templates'
+    /// local names — each a handful of flat buffers),
     /// device instances, the persistent net graph
     /// ([`NetParts::heap_bytes`]), the cached canonical report with its
     /// lines' keys, and the
@@ -2413,14 +2421,16 @@ impl CheckSession {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         let elements = self.view.elements.heap_bytes();
-        let strings = self.view.strings.heap_bytes() + self.view.strings.table_bytes();
+        let strings = self.view.strings.heap_bytes()
+            + self.view.strings.table_bytes()
+            + self.view.names.heap_bytes();
         let devices: usize = self
             .view
             .devices
             .iter()
             .map(|d| {
                 size_of_val(d)
-                    + d.terminals.len() * size_of::<(Istr, diic_tech::LayerId, Point)>()
+                    + d.terminals.len() * size_of::<(Istr, diic_tech::LayerId, Point, Name)>()
                     + d.element_ids.len() * size_of::<usize>()
             })
             .sum();
@@ -2569,7 +2579,7 @@ impl PointIndex {
         for dev in devices.into_iter().map(|di| &view.devices[di]) {
             let held = |p: Point| dev.element_ids.iter().any(|&e| bboxes[e].contains_point(p));
             match dev.element_ids.first() {
-                _ if dev.terminals.iter().all(|&(_, _, p)| held(p)) => {}
+                _ if dev.terminals.iter().all(|t| held(t.2)) => {}
                 Some(&first) => self.loose.push(handle(first)),
                 None => self.screen_all = true,
             }
@@ -2591,7 +2601,7 @@ impl PointIndex {
         mut found: impl FnMut(PointOf),
     ) {
         let mut device = |di: usize| {
-            if view.devices[di].terminals.iter().any(|&(_, _, p)| keep(p)) {
+            if view.devices[di].terminals.iter().any(|t| keep(t.2)) {
                 found(PointOf::Device(di));
             }
         };
@@ -3320,7 +3330,7 @@ mod tests {
             let cols = &s.view.elements;
             (0..cols.len())
                 .filter(|&id| cols.bboxes()[id] == group_bbox)
-                .map(|id| (id, s.view.str(cols.net_keys()[id]).to_string()))
+                .map(|id| (id, s.view.name_text(cols.net_keys()[id]).into_owned()))
                 .collect()
         };
         for (items, stray_at) in [

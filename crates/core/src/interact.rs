@@ -220,7 +220,7 @@ pub fn check_interactions(
             &Unit::Row(si, sj, row) => {
                 let (a, b) = (&scopes.scopes()[si], &scopes.scopes()[sj]);
                 let ids = (a.run().start, b.run().start);
-                rows[row].0.stamp(&cx, ids, a.transform.offset, &mut found);
+                rows[row].stamp(&cx, ids, a.transform.offset, &mut found);
             }
             Unit::Loose(scan, tile) => {
                 // invariant: loose scans exist only beside their index.
@@ -244,16 +244,16 @@ pub fn check_interactions(
         cache_misses: plan.rows.len() as u64,
         ..InteractStats::default()
     };
+    // Every row of the plan counts, derived here or taken from a
+    // library session's shelf: the counter is this check's, the same
+    // whichever cell of a batch derived a shared row first.
     let mut work = ScopeStats {
-        interact_pairs_scored: (rows.iter())
-            .filter(|(_, derived)| *derived)
-            .map(|(row, _)| row.counts.candidate_pairs)
-            .sum(),
+        interact_pairs_scored: rows.iter().map(|row| row.counts.candidate_pairs).sum(),
         ..ScopeStats::default()
     };
     for (unit, found) in units.iter().zip(&results) {
         match *unit {
-            Unit::Row(.., row) => work.interact_pairs_stamped += rows[row].0.open.len() as u64,
+            Unit::Row(.., row) => work.interact_pairs_stamped += rows[row].open.len() as u64,
             Unit::Loose(..) => work.interact_pairs_scored += found.stats.candidate_pairs,
         }
     }
@@ -455,7 +455,7 @@ fn score_rows(
     plan: &RowPlan<'_>,
     workers: usize,
     definitions: &Definitions<'_>,
-) -> Vec<(Arc<ScoredRow>, bool)> {
+) -> Vec<Arc<ScoredRow>> {
     let reach = cx.bound.max_rule_range();
     run_ordered(plan.rows.len(), workers, |row| {
         let ((si, sj), scan) = plan.rows[row];
@@ -772,10 +772,9 @@ fn decide(cx: &EvalCx<'_>, i: usize, j: usize, open: &Open, out: &mut Found) {
         // enumerate pairs in different orders, and the rendered
         // violation must not encode which path produced it (see
         // `pair_context`).
-        let (a, b) = if pair_key(view, tech, a) <= pair_key(view, tech, b) {
-            (a, b)
-        } else {
-            (b, a)
+        let (a, b) = match pair_order(view, tech, a, b).is_le() {
+            true => (a, b),
+            false => (b, a),
         };
         out.violations.push(Violation {
             stage: CheckStage::Interactions,
@@ -792,20 +791,20 @@ fn decide(cx: &EvalCx<'_>, i: usize, j: usize, open: &Open, out: &mut Found) {
     }
 }
 
-/// Enumeration-independent sort key for one side of an element pair:
+/// Enumeration-independent order of the two sides of an element pair:
 /// instance path, layer name, bounding box. Two elements that tie on
 /// all three are interchangeable duplicates, so the residual ambiguity
 /// cannot change a rendered violation.
-fn pair_key<'v>(
-    view: &'v ChipView,
-    tech: &'v Technology,
-    e: crate::binding::ElementRef<'_>,
-) -> (&'v str, &'v str, Rect) {
-    (
-        view.str(e.path()),
-        tech.layer(e.layer()).name.as_str(),
-        e.bbox(),
-    )
+fn pair_order(
+    view: &ChipView,
+    tech: &Technology,
+    a: crate::binding::ElementRef<'_>,
+    b: crate::binding::ElementRef<'_>,
+) -> std::cmp::Ordering {
+    let layer = |e: crate::binding::ElementRef<'_>| tech.layer(e.layer()).name.as_str();
+    (view.cmp_names(a.path(), b.path()))
+        .then_with(|| layer(a).cmp(layer(b)))
+        .then_with(|| a.bbox().cmp(&b.bbox()))
 }
 
 fn pair_context(
@@ -813,8 +812,9 @@ fn pair_context(
     a: crate::binding::ElementRef<'_>,
     b: crate::binding::ElementRef<'_>,
 ) -> String {
+    let mut context = String::new();
     if a.path() == b.path() {
-        view.str(a.path()).to_string()
+        view.write_name(a.path(), &mut context);
     } else {
         // Lexicographic, not enumeration order: the plan hands pairs
         // over in scope-visit order, the direct scan in element-id
@@ -822,13 +822,15 @@ fn pair_context(
         // rendered context must not care which path produced it (an
         // `AddCall` edit appends a call *after* top-level elements,
         // where id order and scope order disagree).
-        let (pa, pb) = (view.str(a.path()), view.str(b.path()));
-        if pa <= pb {
-            format!("{pa} / {pb}")
-        } else {
-            format!("{pb} / {pa}")
-        }
+        let (pa, pb) = match view.cmp_names(a.path(), b.path()).is_le() {
+            true => (a.path(), b.path()),
+            false => (b.path(), a.path()),
+        };
+        view.write_name(pa, &mut context);
+        context.push_str(" / ");
+        view.write_name(pb, &mut context);
     }
+    context
 }
 
 // ---------------------------------------------------------------------

@@ -58,9 +58,9 @@
 //!
 //! Candidate and diagnostic memory is **O(tile), not O(chip)** (the
 //! instantiated [`ChipView`] itself remains O(elements) — it *is* the
-//! chip, with its per-element `path` / `net_key` / device-type strings
-//! stored once behind `u32` handles in a [`StringInterner`] to shrink
-//! that floor): instantiation derives each repeated definition once and
+//! chip, its per-element `path` / `net_key` hierarchical [`Name`]s — an
+//! instance and a string its definition holds once — to shrink that
+//! floor): instantiation derives each repeated definition once and
 //! stamps its instances ([`binding::instantiate`] — the templates are a
 //! few KB per definition and live for that call), the interaction stage
 //! streams candidate pairs unit by unit — a row stamped onto one scope
@@ -146,7 +146,7 @@ pub mod violations;
 
 pub use binding::{
     instantiate, ChipView, DeviceInstance, ElementColumns, ElementRef, InstantiateStats, Istr,
-    LayerBinding, StringInterner,
+    LayerBinding, Name, StringInterner,
 };
 pub use checker::{check, check_cif, check_with_sink, CheckOptions, CheckReport};
 pub use connect::{check_connections, check_connections_among, ConnectionResult};

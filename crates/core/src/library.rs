@@ -344,17 +344,16 @@ impl<'a> Definitions<'a> {
         }
     }
 
-    /// `derive`d, or the session's `shelf` answer under `key`; true if
-    /// this check derived it.
+    /// `derive`d, or the session's `shelf` answer under `key`.
     fn shelved<K: std::hash::Hash + Eq + Copy, V: Definition>(
         &self,
         shelf: impl FnOnce(&LibraryCache) -> &Shelf<K, V>,
         key: K,
         derive: impl Fn() -> V,
-    ) -> (Arc<V>, bool) {
+    ) -> Arc<V> {
         match self.session {
             Some(session) => shelf(&session.cache).get_or_derive(key, derive),
-            None => (Arc::new(derive()), true),
+            None => Arc::new(derive()),
         }
     }
 
@@ -364,7 +363,7 @@ impl<'a> Definitions<'a> {
         key: TemplateKey,
         derive: impl Fn() -> Template,
     ) -> Arc<Template> {
-        self.shelved(|cache| &cache.templates, key, derive).0
+        self.shelved(|cache| &cache.templates, key, derive)
     }
 
     /// The primitive-symbol verdict of the device symbol `symbol`,
@@ -380,11 +379,11 @@ impl<'a> Definitions<'a> {
         h.word(a);
         h.word(b);
         h.text(name);
-        self.shelved(|cache| &cache.verdicts, h.digest(), derive).0
+        self.shelved(|cache| &cache.verdicts, h.digest(), derive)
     }
 
     /// The interaction row of the pair plan's row `key` at `reach`,
-    /// scored under `metric`; true if this check scored it. A scored row
+    /// scored under `metric`. A scored row
     /// is a function of its definitions' elements, of the reach and of
     /// the metric its distances were measured in, so the plan's own key
     /// with those two covers it (the rules it applies are the
@@ -395,7 +394,7 @@ impl<'a> Definitions<'a> {
         reach: Coord,
         metric: SizingMode,
         derive: impl Fn() -> ScoredRow,
-    ) -> (Arc<ScoredRow>, bool) {
+    ) -> Arc<ScoredRow> {
         self.shelved(|cache| &cache.rows, (key, reach, metric), derive)
     }
 }
@@ -531,7 +530,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
     /// the lock; two workers racing on one key may both derive it, and
     /// the first to store wins. A debug build derives every hit again
     /// and asserts it equal.
-    fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> (Arc<V>, bool) {
+    fn get_or_derive(&self, key: K, derive: impl Fn() -> V) -> Arc<V> {
         let (kept, seen) = {
             // invariant (this and below): a poisoned mutex means another
             // worker panicked mid-insert; the batch is already dead.
@@ -550,7 +549,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
             kept.assert_same(&derive());
-            return (kept, false);
+            return kept;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = Arc::new(derive());
@@ -560,7 +559,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Definition> Shelf<K, V> {
                 map.kept.insert(key, Arc::clone(&value));
             }
         }
-        (value, true)
+        value
     }
 }
 
@@ -926,19 +925,20 @@ mod tests {
     #[test]
     fn shelf_keeps_a_definition_from_its_second_sighting() {
         let shelf = Shelf::<u8, u32>::default();
-        let (first, derived) = shelf.get_or_derive(1, || 7);
+        let misses = |shelf: &Shelf<u8, u32>| shelf.stats().misses;
+        let first = shelf.get_or_derive(1, || 7);
         assert_eq!(
-            (*first, derived, shelf.stats().entries),
-            (7, true, 0),
+            (*first, misses(&shelf), shelf.stats().entries),
+            (7, 1, 0),
             "seen once: not kept"
         );
-        let (second, derived) = shelf.get_or_derive(1, || 7);
+        let second = shelf.get_or_derive(1, || 7);
         assert!(!Arc::ptr_eq(&first, &second), "the second sighting derives");
-        assert!(derived);
-        let (third, derived) = shelf.get_or_derive(1, || 7);
+        assert_eq!(misses(&shelf), 2);
+        let third = shelf.get_or_derive(1, || 7);
         assert!(Arc::ptr_eq(&second, &third), "and keeps what it derived");
-        assert!(!derived, "a hit derives nothing");
-        let (other, _) = shelf.get_or_derive(2, || 8);
+        assert_eq!(misses(&shelf), 2, "a hit derives nothing");
+        let other = shelf.get_or_derive(2, || 8);
         assert_eq!(*other, 8);
         let stats = shelf.stats();
         let counts = (stats.hits, stats.misses, stats.entries, stats.seen);

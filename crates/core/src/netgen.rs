@@ -7,23 +7,30 @@
 //! rules or to check the net list against an input net list for
 //! consistency."
 //!
-//! # One interner, end to end
+//! # One node space, numbered by arithmetic
 //!
-//! The net graph's node ids **are** the view interner's raw indices
-//! ([`crate::binding::Istr::index`]): an element's node is its `net_key`
-//! handle, and the fresh keys this stage creates — terminal keys
-//! (`i0.G`), joining-device keys (`i0.#`), label nets — are interned
-//! into [`ChipView::strings`]. No key string is ever copied into a
-//! second table, and "same string ⇒ same node" holds across the whole
-//! pipeline, which is what keeps an edit session's cached rows valid.
-//! The interner never renumbers a handle, so a node id — and with it
-//! every node-indexed table of the graph and of a session's
-//! [`NetIndex`] — holds for the table's life; a session that sheds
-//! stale keys reopens on a fresh table instead. Node ids therefore
-//! depend on interning history (a from-scratch build
-//! and a patched session may number them differently) — which is fine,
-//! because [`assemble_netlist`] canonicalises purely by key *strings*:
-//! net identity, aliases, and ordering never see the raw ids.
+//! A net-graph node is a net key's node in the view's node space
+//! ([`ChipView::node`]): an element's node is its `net_key`'s, a
+//! terminal's its device's terminal key's (`i0.G`, or a joining
+//! device's `i0.#`) and a label's its net's. A key rooted at an
+//! instance — every stamped element's and device's — is the instance's
+//! node base plus the template-local node of its string, so neither the
+//! element-node map nor the fold formats or hashes anything per element
+//! or per terminal; only a label's net (and a walked name, once, when
+//! the walk settles it) is looked up as text. A view holds one form per
+//! text ([`crate::binding::Name`]), so "same text ⇒ same node" holds
+//! across the whole pipeline, which is what keeps an edit session's
+//! cached rows valid. Nodes are appended, never renumbered, so a node
+//! id — and with it every node-indexed table of the graph and of a
+//! session's [`NetIndex`], each as long as the node space
+//! ([`ChipView::node_count`]) — holds for the view's life; a session
+//! that sheds dead nodes reopens instead. Node ids therefore depend on
+//! history (a from-scratch build and a patched session may number them
+//! differently) — which is fine, because [`assemble_netlist`]
+//! canonicalises purely by key *text*, which is made only there (and in
+//! a splice, for the components it re-derives): the live nodes' keys
+//! are rendered end to end into one buffer as the assembly reads them,
+//! and net identity, aliases and ordering never see the raw ids.
 //!
 //! # Binding through the scope table
 //!
@@ -61,12 +68,11 @@
 //! ([`crate::parallel::run_ordered`]), and returns **element ids only**:
 //! no key string is formatted and no row is built on a worker. The
 //! serial fold then walks the devices and labels in order with one row
-//! builder — each fresh key (`{path}.{terminal}`, `{path}.#`, a label's
-//! net) formatted into a reused buffer and interned by reference, each
-//! row's `terms` and `edges` allocated once at their final size — in the
-//! order a one-worker build interns in, so the int-keyed graph is
-//! numbered identically and the assembled net list is **byte-identical
-//! for any worker count** ([`NetParts::build`], driven by
+//! builder — each terminal's node read off its key, each label's net
+//! looked up once, each row's `terms` and `edges` allocated once at
+//! their final size — in the order a one-worker build takes, so the
+//! int-keyed graph is numbered identically and the assembled net list
+//! is **byte-identical for any worker count** ([`NetParts::build`], driven by
 //! [`CheckOptions::parallelism`](crate::CheckOptions::parallelism); the
 //! seventh differential-oracle leg in `tests/differential.rs` pins it).
 //! The same builder serves an edit session's re-rows
@@ -98,7 +104,7 @@
 //! from-scratch assembly is the splice's reference (asserted equal in
 //! debug builds, and by this module's tests in release builds).
 
-use crate::binding::{ChipView, DeviceInstance, Istr, StringInterner};
+use crate::binding::{ChipView, DeviceInstance, Istr, Name};
 use crate::connect::is_joining_class;
 use crate::library::BoundTechnology;
 use crate::parallel::{run_chunked, run_ordered};
@@ -326,7 +332,7 @@ impl Bound {
         scratch: &mut Vec<usize>,
     ) {
         if !is_joining_class(dev.class) {
-            for &(_, layer, pos) in &dev.terminals {
+            for &(_, layer, pos, _) in &dev.terminals {
                 self.bind(binder, view, (layer, pos), scratch);
             }
         }
@@ -375,16 +381,15 @@ fn bind_chunked(
 }
 
 /// The serial half of row building, shared by the whole-chip fold and an
-/// edit session's re-rows: consumes a [`Bound`] point by point, formats
-/// each fresh key into one reused buffer and interns it by reference (a
-/// hit allocates nothing), and allocates each row's vectors once, at
-/// their final size.
+/// edit session's re-rows: consumes a [`Bound`] point by point and
+/// allocates each row's vectors once, at their final size. A row's
+/// nodes are its keys' ([`ChipView::node`]) — an instance's base plus a
+/// local node — so nothing is formatted or hashed per row.
 struct RowBuilder<'a> {
     element_node: &'a [Option<u32>],
     bound: &'a Bound,
     /// The next point of `bound` to consume.
     next: usize,
-    key: String,
 }
 
 impl<'a> RowBuilder<'a> {
@@ -393,17 +398,7 @@ impl<'a> RowBuilder<'a> {
             element_node,
             bound,
             next: 0,
-            key: String::new(),
         }
-    }
-
-    /// The node of the key `{path}.{tail}` (`{path}.#` without one).
-    fn node(&mut self, strings: &mut StringInterner, path: Istr, tail: Option<Istr>) -> u32 {
-        self.key.clear();
-        self.key.push_str(strings.get(path));
-        self.key.push('.');
-        self.key.push_str(tail.map_or("#", |t| strings.get(t)));
-        strings.intern(&self.key).index()
     }
 
     /// The node of an element a row joins or binds to.
@@ -414,15 +409,16 @@ impl<'a> RowBuilder<'a> {
     }
 
     /// One device's row; a terminal-separated device consumes one bound
-    /// point per terminal.
-    fn device(&mut self, strings: &mut StringInterner, dev: &DeviceInstance) -> DeviceParts {
-        if is_joining_class(dev.class) {
-            // One net for the whole device.
-            let node = self.node(strings, dev.path, None);
+    /// point per terminal. `lone` names the one terminal of a joining
+    /// device that declares none.
+    fn device(&mut self, view: &ChipView, dev: &DeviceInstance, lone: Istr) -> DeviceParts {
+        if let Some(net) = dev.net {
+            // A joining device: one net for the whole device.
+            let node = view.node(net);
             let terms = match dev.terminals.is_empty() {
                 // Still a device on its single net.
-                true => vec![(strings.intern("A"), node)],
-                false => dev.terminals.iter().map(|&(t, _, _)| (t, node)).collect(),
+                true => vec![(lone, node)],
+                false => dev.terminals.iter().map(|t| (t.0, node)).collect(),
             };
             let joined = dev.element_ids.iter();
             return DeviceParts {
@@ -438,8 +434,8 @@ impl<'a> RowBuilder<'a> {
             terms: Vec::with_capacity(dev.terminals.len()),
             edges: Vec::with_capacity(self.bound.span(points.clone()).len()),
         };
-        for (&(tname, _, _), k) in dev.terminals.iter().zip(points) {
-            let node = self.node(strings, dev.path, Some(tname));
+        for (&(tname, _, _, key), k) in dev.terminals.iter().zip(points) {
+            let node = view.node(key);
             row.terms.push((tname, node));
             let bound = self.bound.span(k..k + 1).iter();
             row.edges
@@ -448,18 +444,14 @@ impl<'a> RowBuilder<'a> {
         row
     }
 
-    /// One label's row; a label whose layer is known consumes one bound
-    /// point.
-    fn label(
-        &mut self,
-        strings: &mut StringInterner,
-        label: &NetLabel,
-        layer: Option<LayerId>,
-    ) -> LabelParts {
-        if layer.is_none() {
+    /// One label's row, its net's key settled beforehand (`None` if the
+    /// label's layer is unknown); a label whose layer is known consumes
+    /// one bound point.
+    fn label(&mut self, view: &ChipView, key: Option<Name>) -> LabelParts {
+        let Some(key) = key else {
             return LabelParts::default();
-        }
-        let node = strings.intern(&label.net).index();
+        };
+        let node = view.node(key);
         let bound = self.bound.span(self.next..self.next + 1).iter();
         self.next += 1;
         LabelParts {
@@ -471,14 +463,14 @@ impl<'a> RowBuilder<'a> {
 
 /// One device's rows in the net graph: its terminal `(name, node)` pairs
 /// and the connection edges its geometry/bindings contribute. Rows are
-/// position-independent (they reference interned nodes, not element
-/// ids), which is what lets an edit session splice cached rows of
+/// position-independent (they reference nodes, not element ids),
+/// which is what lets an edit session splice cached rows of
 /// untouched devices into a patched graph.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceParts {
     /// `(terminal-name, node)` pairs, in terminal order. The name is a
-    /// handle in the owning view's interner, like the node beside it —
-    /// a row owns no string.
+    /// handle in the owning view's string table — a row owns no
+    /// string.
     pub terms: Vec<(Istr, u32)>,
     /// Node-pair edges (device join edges or terminal bindings).
     pub edges: Vec<(u32, u32)>,
@@ -513,18 +505,17 @@ impl LabelParts {
 
 /// The int-keyed net graph behind net-list generation.
 ///
-/// Nodes are **raw indices into the owning view's interner**
-/// ([`ChipView::strings`]) — there is no second key table, so net node
-/// keys are never re-interned, and the interner's append-only,
+/// Nodes are **the view's node space** ([`ChipView::node`]) — there is
+/// no key table of the graph's own, and the space's append-only,
 /// never-renumbered contract makes nodes **stable across edits** (stale
 /// keys simply stop being referenced). The element/device/label rows
-/// record which nodes are live and how they connect. [`NetParts::assemble`] folds the graph
-/// through [`assemble_netlist`] — the same canonicalisation the
-/// [`diic_netlist::NetlistBuilder`] uses, keyed purely on the node's
-/// *strings* — so a graph patched incrementally by a
-/// [`crate::incremental::CheckSession`] produces a net list
-/// byte-identical to a from-scratch build even where the two interned
-/// the keys in different orders.
+/// record which nodes are live and how they connect.
+/// [`NetParts::assemble`] folds the graph through [`assemble_netlist`] —
+/// the same canonicalisation the [`diic_netlist::NetlistBuilder`] uses,
+/// keyed purely on the nodes' *texts* — so a graph patched
+/// incrementally by a [`crate::incremental::CheckSession`] produces a
+/// net list byte-identical to a from-scratch build even where the two
+/// numbered the nodes in different orders.
 ///
 /// The graph also remembers the **node → net table of its last
 /// assembly**: a batch check's interaction search reads it
@@ -577,10 +568,10 @@ impl NetParts {
     /// The element-node map, the per-definition index builds and the
     /// bind phase fan out over `workers` scoped threads; they are
     /// read-only and return element ids. The serial fold then builds
-    /// every row, interning its fresh keys into the **view's** interner
-    /// (hence the mutable view: the graph has no key store of its own)
-    /// in device-then-label order, so node numbering, rows, and the
-    /// assembled net list are **byte-identical for any worker count**.
+    /// every row in device-then-label order — a label's net takes its
+    /// node in the **view's** node space here, hence the mutable view —
+    /// so node numbering, rows, and the assembled net list are
+    /// **byte-identical for any worker count**.
     /// `labels` pairs each label — owned or borrowed — with its bound
     /// layer.
     pub fn build<L: Borrow<NetLabel> + Sync>(
@@ -626,13 +617,13 @@ impl NetParts {
     }
 
     /// The graph's element half: the element-node map — a parallel
-    /// read-only sweep of the net-key and device columns; a node *is*
-    /// its interned key's index, so no interner traffic at all — and the
-    /// connection-merge edges over it.
+    /// read-only sweep of the net-key and device columns; a node is
+    /// arithmetic on its key ([`ChipView::node`]), so no string is
+    /// touched at all — and the connection-merge edges over it.
     fn of_elements(view: &ChipView, merges: &[(usize, usize)], workers: usize) -> NetParts {
         let mut parts = NetParts {
             element_node: run_chunked(view.elements.len(), workers, |id| {
-                element_is_netted(view, id).then(|| view.elements.net_keys()[id].index())
+                element_is_netted(view, id).then(|| view.node(view.elements.net_keys()[id]))
             }),
             ..NetParts::default()
         };
@@ -661,24 +652,18 @@ impl NetParts {
             }
         }));
 
-        // The fold's fresh keys are counted before it starts — one per
-        // joining device, one per terminal otherwise, one per bound label
-        // — so the view's table grows once, not mid-fold with a rehash of
-        // every string it already holds.
-        let device_keys = |d: &DeviceInstance| match is_joining_class(d.class) {
-            true => 1,
-            false => d.terminals.len(),
-        };
-        let fresh_keys = view.devices.iter().map(device_keys).sum::<usize>()
-            + labels.iter().filter(|(_, layer)| layer.is_some()).count();
-        view.strings.reserve(fresh_keys);
+        // The devices' keys are the walk's and the stamps'; only a
+        // label's net is a name the fold looks up.
+        let keys: Vec<Option<Name>> = (labels.iter())
+            .map(|(label, layer)| layer.map(|_| view.key_of_text(&label.borrow().net)))
+            .collect();
+        let lone = view.strings.intern("A");
+        let view: &ChipView = view;
         let mut rows = RowBuilder::new(&self.element_node, &bound);
         self.devices = (view.devices.iter())
-            .map(|dev| rows.device(&mut view.strings, dev))
+            .map(|dev| rows.device(view, dev, lone))
             .collect();
-        self.labels = (labels.iter())
-            .map(|(label, layer)| rows.label(&mut view.strings, label.borrow(), *layer))
-            .collect();
+        self.labels = keys.into_iter().map(|key| rows.label(view, key)).collect();
         debug_assert_eq!(rows.next, bound.ends.len(), "every bound point is consumed");
         bound
     }
@@ -699,11 +684,12 @@ impl NetParts {
     /// Computes one device's row against a scoped bind index — an edit
     /// session re-binding a device whose neighbourhood changed — with
     /// the row builder the whole-chip fold uses, so a re-row and a
-    /// rebuild intern in one order and produce equal rows.
+    /// rebuild produce equal rows.
     pub fn device_parts(&self, view: &mut ChipView, di: usize, bind: &BindIndex) -> DeviceParts {
         let mut bound = Bound::default();
         bound.bind_device(bind, view, &view.devices[di], &mut Vec::new());
-        RowBuilder::new(&self.element_node, &bound).device(&mut view.strings, &view.devices[di])
+        let lone = view.strings.intern("A");
+        RowBuilder::new(&self.element_node, &bound).device(view, &view.devices[di], lone)
     }
 
     /// Computes one label's row (see [`NetParts::device_parts`]).
@@ -718,7 +704,8 @@ impl NetParts {
         if let Some(layer) = layer {
             bound.bind(bind, view, (layer, label.position), &mut Vec::new());
         }
-        RowBuilder::new(&self.element_node, &bound).label(&mut view.strings, label, layer)
+        let key = layer.map(|_| view.key_of_text(&label.net));
+        RowBuilder::new(&self.element_node, &bound).label(view, key)
     }
 
     /// Every node the element, device and label rows reference, one
@@ -742,8 +729,9 @@ impl NetParts {
     /// Assembles the canonical net list from the current graph, **from
     /// scratch** ([`assemble_netlist`] over every live node), and
     /// remembers the node → net table, which [`NetParts::nets`] reads and
-    /// an edit session's [`NetIndex`] starts from. Node keys render
-    /// through the view's interner (the only key table there is).
+    /// an edit session's [`NetIndex`] starts from. The live nodes' keys
+    /// are rendered from their names here, where their text leaves the
+    /// process.
     ///
     /// This is what a batch check, a session's open and its
     /// full-rebuild fallback run, and the reference
@@ -758,34 +746,45 @@ impl NetParts {
     /// net list and its node → net table (`NIL` for a node not live).
     pub(crate) fn assemble_from_scratch(&self, view: &ChipView) -> (Netlist, Vec<u32>) {
         // The live nodes, ascending and once each: a bitmap over the
-        // interner (nodes are its indices), each one's key resolved once.
-        let mut live = vec![0u64; view.strings.len().div_ceil(64)];
+        // node space.
+        let mut live = vec![0u64; view.node_count().div_ceil(64)];
         let mut count = 0;
         for n in self.live_nodes() {
             let (word, bit) = (&mut live[n as usize / 64], 1u64 << (n % 64));
             count += (*word & bit == 0) as usize;
             *word |= bit;
         }
-        let mut nodes: Vec<(u32, &str)> = Vec::with_capacity(count);
+        let mut ids: Vec<u32> = Vec::with_capacity(count);
         for (w, mut word) in live.into_iter().enumerate() {
             while word != 0 {
-                let n = w as u32 * 64 + word.trailing_zeros();
-                nodes.push((n, view.strings.get(Istr::from_index(n))));
+                ids.push(w as u32 * 64 + word.trailing_zeros());
                 word &= word - 1;
             }
         }
+        // The text leaves the process here: every live key and device
+        // path, rendered end to end into one buffer.
+        let names = view.names.names_of(ids.iter().copied());
+        let paths = view.devices.iter().map(|d| d.path);
+        let text = Rendered::of(view, names.chain(paths));
+        let nodes: Vec<(u32, &str)> = ids
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| (n, text.get(k)))
+            .collect();
         let edges: Vec<(u32, u32)> = self.edges().collect();
 
-        let devices = (view.devices.iter().zip(&self.devices)).map(|(dev, row)| AssembleDevice {
-            name: view.str(dev.path),
-            device_type: view.str(dev.device_type),
-            class: dev.class.unwrap_or(DeviceClass::Capacitor),
-            terminals: row.terms.iter().map(|&(t, n)| (view.str(t), n)),
-        });
+        let devices =
+            (view.devices.iter().zip(&self.devices).enumerate()).map(|(d, (dev, row))| {
+                AssembleDevice {
+                    name: text.get(ids.len() + d),
+                    device_type: view.str(dev.device_type),
+                    class: dev.class.unwrap_or(DeviceClass::Capacitor),
+                    terminals: row.terms.iter().map(|&(t, n)| (view.str(t), n)),
+                }
+            });
 
         let (netlist, node_nets) = assemble_netlist(&nodes, &edges, devices);
-        // Dense node → net map (nodes are view-interner indices).
-        let mut node_net = vec![NIL; view.strings.len()];
+        let mut node_net = vec![NIL; view.node_count()];
         for (&(node, _), &net) in nodes.iter().zip(&node_nets) {
             node_net[node as usize] = net.0;
         }
@@ -801,6 +800,42 @@ impl NetParts {
             devices: &self.devices,
             net: &self.node_net,
         }
+    }
+}
+
+/// Names rendered end to end into one buffer, read back by position.
+#[derive(Debug, Clone, Default)]
+struct Rendered {
+    text: String,
+    /// `ends[k]` is where name `k` ends.
+    ends: Vec<usize>,
+}
+
+impl Rendered {
+    /// The texts of `names`, in a buffer sized for them.
+    fn of(view: &ChipView, names: impl Iterator<Item = Name> + Clone) -> Rendered {
+        let mut rendered = Rendered {
+            text: String::with_capacity(names.clone().map(|n| view.name_len(n)).sum()),
+            ends: Vec::with_capacity(names.size_hint().0),
+        };
+        rendered.fill(view, names);
+        rendered
+    }
+
+    /// Replaces the texts held with those of `names`, in the room the
+    /// buffer has.
+    fn fill(&mut self, view: &ChipView, names: impl Iterator<Item = Name>) {
+        self.text.clear();
+        self.ends.clear();
+        for name in names {
+            view.write_name(name, &mut self.text);
+            self.ends.push(self.text.len());
+        }
+    }
+
+    fn get(&self, k: usize) -> &str {
+        let start = k.checked_sub(1).map_or(0, |k| self.ends[k]);
+        &self.text[start..self.ends[k]]
     }
 }
 
@@ -996,6 +1031,8 @@ pub struct NetIndex {
     elements: Multimap,
     /// Per node: its net's key (`NIL`: dead or never live).
     key: Vec<u32>,
+    /// The texts a splice renders, kept from one splice to the next.
+    text: Rendered,
 }
 
 /// What [`NetIndex::splice`] did to the list, beyond patching it: what
@@ -1037,6 +1074,10 @@ impl NetIndex {
     /// table [`NetParts::assemble`] left in `parts` as its keys (a
     /// written list's keys are its ids). `element_key` names each
     /// element id's key.
+    ///
+    /// Its per-node tables are as long as the node space was at that
+    /// assembly ([`ChipView::node_count`]), and [`NetIndex::patch`]
+    /// keeps them as long as the space it is given.
     pub fn new(parts: &mut NetParts, element_key: impl Fn(usize) -> u32) -> NetIndex {
         let key = std::mem::take(&mut parts.node_net);
         let mut index = NetIndex {
@@ -1044,9 +1085,6 @@ impl NetIndex {
             key,
             ..NetIndex::default()
         };
-        let nodes = parts.live_nodes().max().map_or(0, |n| n as usize + 1);
-        index.refs.resize(nodes.max(index.refs.len()), 0);
-        index.key.resize(index.refs.len(), NIL);
         index.edges.head = vec![NIL; index.refs.len()];
         index.elements.head = vec![NIL; index.refs.len()];
         index.edges.entries.reserve(2 * parts.conn_edges.len());
@@ -1072,14 +1110,15 @@ impl NetIndex {
         }
     }
 
-    /// Brings the rows, edges and element keys up to date with `delta`
-    /// (the nets' keys wait for [`NetIndex::splice`]).
-    pub fn patch(&mut self, delta: &GraphDelta) {
-        let needed = delta.nodes().max().map_or(0, |n| n as usize + 1);
-        if needed > self.refs.len() {
-            self.refs.resize(needed, 0);
-            self.key.resize(needed, NIL);
-        }
+    /// Brings the rows, edges and element keys up to date with `delta`,
+    /// over a node space of `nodes` nodes now ([`ChipView::node_count`];
+    /// the nets' keys wait for [`NetIndex::splice`]).
+    pub fn patch(&mut self, delta: &GraphDelta, nodes: usize) {
+        debug_assert!(nodes >= self.refs.len(), "nodes are only ever appended");
+        self.refs.resize(nodes, 0);
+        self.key.resize(nodes, NIL);
+        self.edges.head.resize(nodes, NIL);
+        self.elements.head.resize(nodes, NIL);
         for &(node, key) in &delta.gone_elements {
             let found = self.elements.remove(node, key);
             debug_assert!(found, "a leaving element row was indexed");
@@ -1108,6 +1147,22 @@ impl NetIndex {
     /// of the open); `None` for a dead node.
     pub fn net_of(&self, node: u32, list: &Netlist) -> Option<NetId> {
         list.net_of_key(*self.key.get(node as usize)?)
+    }
+
+    /// The length of every per-node table: the node space the index
+    /// was last opened or patched over.
+    pub fn nodes(&self) -> usize {
+        debug_assert!(
+            [
+                self.key.len(),
+                self.edges.head.len(),
+                self.elements.head.len()
+            ]
+            .iter()
+            .all(|&n| n == self.refs.len()),
+            "the per-node tables agree"
+        );
+        self.refs.len()
     }
 
     /// How many element, terminal and label rows name `node`.
@@ -1197,13 +1252,27 @@ impl NetIndex {
         moved.dedup();
         // The re-derived nodes' keys are rewritten below; until then
         // each holds the node's place in `d_nodes`, which numbers the
-        // components densely.
+        // components densely. Their keys' text, and the new devices'
+        // paths, leave the process here.
+        let new_devices: Vec<usize> = (dev_old_of_new.iter().enumerate())
+            .filter_map(|(d, old)| old.is_none().then_some(d))
+            .collect();
+        let names = view.names.names_of(d_nodes.iter().copied());
+        let paths = new_devices.iter().map(|&d| view.devices[d].path);
+        let mut text = std::mem::take(&mut self.text);
+        text.fill(view, names.chain(paths));
         let nodes: Vec<(u32, &str)> = (d_nodes.iter().enumerate())
             .map(|(at, &n)| {
                 self.key[n as usize] = at as u32;
-                (at as u32, view.strings.get(Istr::from_index(n)))
+                (at as u32, text.get(at))
             })
             .collect();
+        let path_of = |d: usize| {
+            // invariant: the patch describes only the devices it has no
+            // row for.
+            let k = new_devices.binary_search(&d).expect("a new device");
+            text.get(d_nodes.len() + k)
+        };
         let local = |node: u32| self.key[node as usize];
         let edges: Vec<(u32, u32)> = (d_edges.iter())
             .map(|&(a, b)| (local(a), local(b)))
@@ -1226,7 +1295,7 @@ impl NetIndex {
             |d| {
                 let (dev, row) = (&view.devices[d.0 as usize], &parts.devices[d.0 as usize]);
                 AssembleDevice {
-                    name: view.str(dev.path),
+                    name: path_of(d.0 as usize),
                     device_type: view.str(dev.device_type),
                     class: dev.class.unwrap_or(DeviceClass::Capacitor),
                     terminals: (row.terms.iter())
@@ -1235,6 +1304,7 @@ impl NetIndex {
             },
             |d, k| fresh_net(parts.devices[d.0 as usize].terms[k].1),
         );
+        self.text = text;
         // Dead nodes lose their nets; re-derived ones take their fresh
         // nets' keys. Every other node's key is a kept net's still.
         for &(node, _) in &moved {
@@ -1297,6 +1367,8 @@ impl NetIndex {
         (self.refs.len() + self.key.len()) * size_of::<u32>()
             + self.edges.heap_bytes()
             + self.elements.heap_bytes()
+            + self.text.text.len()
+            + self.text.ends.len() * size_of::<usize>()
     }
 
     /// The debug oracle of a splice: the list and every node's net equal
@@ -1499,18 +1571,25 @@ mod tests {
     }
 
     #[test]
-    fn node_keys_live_in_the_view_interner() {
-        // The graph has no key table of its own: terminal keys and the
-        // element nodes alike must resolve through the view's interner.
+    fn node_keys_are_the_views_names() {
+        // The graph has no key table of its own: a device's key is a name
+        // of the view — the walk's string for a contact placed once, its
+        // instance's local string for one placed twice — and its node is
+        // that name's.
         let r = extract(
             "DS 1; 9D CONTACT_D; 9T A NM 0 0;
+             L NC; B 500 500 0 0; L NM; B 1250 1250 0 0; DF;
+             DS 2; 9D CONTACT_D; 9T A NM 0 0;
              L NC; B 500 500 0 0; L NM; B 1000 1000 0 0; DF;
-             C 1 T 0 0; E",
+             C 1 T 0 0; C 2 T 5000 0; C 2 T 9000 0; E",
         );
-        assert!(
-            r.view.strings.lookup("i0.#").is_some(),
-            "joining-device key interned into the view table"
-        );
+        for (d, key) in ["i0.#", "i1.#", "i2.#"].into_iter().enumerate() {
+            let name = r.view.lookup_name(key).expect("a name of the view");
+            assert_eq!(r.view.devices[d].net, Some(name));
+            assert_eq!(r.parts.devices[d].terms[0].1, r.view.node(name));
+        }
+        assert!(r.view.strings.lookup("i0.#").is_some(), "walked: interned");
+        assert!(r.view.strings.lookup("i1.#").is_none(), "stamped: rooted");
     }
 
     /// [`crate::connect`]'s random two-level layouts (all eight
@@ -1706,9 +1785,10 @@ mod tests {
                     2 if !view.devices.is_empty() => {
                         let at = pick(rng, view.devices.len() + 1);
                         let mut dev = view.devices[pick(rng, view.devices.len())].clone();
-                        dev.path = view.strings.intern(&format!("late{step}"));
+                        dev.path = view.key_of_text(&format!("late{step}"));
                         let name = view.strings.intern("G");
-                        let key = view.strings.intern(&format!("late{step}.G")).index();
+                        let key = view.key_of_text(&format!("late{step}.G"));
+                        let key = view.node(key);
                         let row = DeviceParts {
                             terms: vec![(name, key)],
                             edges: vec![(key, netted[pick(rng, netted.len())])],
@@ -1724,7 +1804,7 @@ mod tests {
                         delta.new_edges.push(join);
                     }
                 }
-                index.patch(&delta);
+                index.patch(&delta, view.node_count());
                 let splice = index.splice(&parts, &view, &mut netlist, &delta, &dev_old_of_new);
                 let (scratch, node_net) = parts.assemble_from_scratch(&view);
                 prop_assert_eq!(&netlist, &scratch, "step {}", step);
@@ -1743,6 +1823,42 @@ mod tests {
             // Every patch above touches a live net or makes one.
             prop_assert!(respliced > 0 && retired > 0);
         }
+    }
+
+    #[test]
+    fn a_sessions_net_index_spans_the_node_space() {
+        // Every per-node table of a session's net index is as long as the
+        // view's node space: at the open, and after edits that append
+        // nodes (a call walked afresh) and leave them dead (a removal).
+        use crate::incremental::{CheckSession, EditSet};
+        use crate::CheckOptions;
+        let layout = parse(
+            "DS 1; 9D NMOS_ENH; 9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+             L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF;
+             DS 2; C 1 T 0 0; L NM; 9N out; B 2000 750 1000 4000; DF;
+             C 2 T 0 0; C 2 T 20000 0; C 2 T 40000 0; C 2 T 60000 0; C 2 T 80000 0;
+             C 2 T 100000 0; C 2 T 120000 0; C 2 T 140000 0;
+             L NM; B 2000 750 1000 40000; 9L VDD NM 1000 40000; E",
+        )
+        .unwrap();
+        let cell = layout.symbol_by_cif_id(2).unwrap();
+        let tech = nmos_technology();
+        let mut session = CheckSession::new(layout, &tech, &CheckOptions::default());
+        let spans = |s: &CheckSession| {
+            assert_eq!(s.nets.nodes(), s.view.node_count());
+            s.view.node_count()
+        };
+        let opened = spans(&session);
+        assert!(opened > 0);
+        let mut add = EditSet::new();
+        add.add_call(cell, Transform::translate(Vector::new(0, 60_000)), "i99");
+        session.apply(&add).unwrap();
+        let added = spans(&session);
+        assert!(added > opened, "a walked call appends its nodes");
+        let mut remove = EditSet::new();
+        remove.remove(0);
+        session.apply(&remove).unwrap();
+        assert_eq!(spans(&session), added, "nodes are never renumbered");
     }
 
     #[test]
@@ -1780,7 +1896,7 @@ mod tests {
                     continue;
                 }
                 let home = scope_of(dev.element_ids[0]);
-                for &(_, _, p) in &dev.terminals {
+                for &(_, _, p, _) in &dev.terminals {
                     x.scopes.covering(p, &mut covering);
                     multi += (covering.len() > 1) as usize;
                 }

@@ -328,9 +328,10 @@ pub struct ScopeStats {
     /// Candidate element pairs it did not have to score because a
     /// stamped row already held their verdicts.
     pub conn_pairs_stamped: u64,
-    /// Candidate element pairs the interaction stage scored itself: each
-    /// row it filled (a row taken from a library session's shelf scores
-    /// none) and every pair of its loose scans.
+    /// Candidate element pairs the interaction stage scores: each row of
+    /// its plan (once, however many scopes it is stamped onto, and
+    /// counted alike whether this check derived it or took it from a
+    /// library session's shelf) and every pair of its loose scans.
     pub interact_pairs_scored: u64,
     /// Candidate element pairs a stamped interaction row handed to the
     /// net-reading half of the rules: the pairs whose outcome a net can

@@ -68,23 +68,23 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocator calls of the library batch below when this budget was
-/// set: 28 455 in a release build, 111 719 in a debug one (whose
+/// set: 28 107 in a release build, 113 304 in a debug one (whose
 /// oracles allocate, and derive every kept template, verdict and
 /// scored interaction row again). A batch may take 5 % more, no
 /// further.
 const LIBRARY_BATCH_CALLS: u64 = if cfg!(debug_assertions) {
-    111_719
+    113_304
 } else {
-    28_455
+    28_107
 };
 
 /// Allocator calls of the edit run below when this budget was set:
-/// 18 825 in a release build, 605 290 in a debug one (whose oracles
+/// 17 142 in a release build, 603 691 in a debug one (whose oracles
 /// re-check the chip). A run may take 5 % more, no further.
 const EDIT_RUN_CALLS: u64 = if cfg!(debug_assertions) {
-    605_290
+    603_691
 } else {
-    18_825
+    17_142
 };
 
 /// Allocator calls of the report read below when this budget was set:

@@ -40,11 +40,11 @@
 //! terminal and label points through the scope table (one index per
 //! definition) must assemble, at any worker count, the net list the
 //! direct binder (one index over every netted element) assembles.
-//! Alongside it, `interned_strings_round_trip` proves the `ChipView`
-//! string interner is a pure storage decision: every rendered
-//! `path` / `net_key` string resolves back to its own handle, a view
-//! built over a warm table renders the same strings as a cold one, and
-//! shared paths collapse to single interner entries.
+//! Alongside it, `interned_strings_round_trip` proves the `ChipView`'s
+//! names are a pure storage decision: every rendered `path` /
+//! `net_key` resolves back to its own name (a view holds one form per
+//! text), a view built over a warm string table renders the same text
+//! as a cold one, and elements of one instance share one path.
 //!
 //! (The eighth leg round-tripped the columnar element store through
 //! boxed `ChipElement` records, and was retired with that record: the
@@ -304,12 +304,12 @@ proptest! {
         }
     }
 
-    /// The interner round-trip oracle: interning `path` / `net_key` /
-    /// device-type strings behind `u32` handles must not change a
-    /// single rendered string. Every handle resolves back to itself
-    /// through a read-only lookup, a view built over a warm table (other
-    /// handle values) renders exactly the cold view's strings, and
-    /// elements sharing an instance share one interned path entry.
+    /// The name round-trip oracle: holding `path` / `net_key` as
+    /// hierarchical names and device types as interned handles must not
+    /// change a single rendered string. Every name resolves back to
+    /// itself through a read-only lookup, a view built over a warm table
+    /// (other handle values) renders exactly the cold view's strings,
+    /// and elements sharing an instance share one path.
     #[test]
     fn interned_strings_round_trip(
         nx in 2usize..5,
@@ -344,14 +344,14 @@ proptest! {
 
         let mut distinct = std::collections::HashSet::new();
         for e in &serial.elements {
-            // Round trip: the rendered string resolves back to the
-            // handle that rendered it (the interner stores one copy).
+            // Round trip: the rendered name resolves back to the name
+            // that rendered it (a view holds one form per text).
             prop_assert_eq!(
-                serial.strings.lookup(serial.str(e.net_key())),
+                serial.lookup_name(&serial.name_text(e.net_key())),
                 Some(e.net_key())
             );
-            prop_assert_eq!(serial.strings.lookup(serial.str(e.path())), Some(e.path()));
-            distinct.insert(serial.str(e.path()).to_string());
+            prop_assert_eq!(serial.lookup_name(&serial.name_text(e.path())), Some(e.path()));
+            distinct.insert(serial.name_text(e.path()).into_owned());
         }
         prop_assert!(
             distinct.len() < serial.elements.len() || serial.elements.len() <= 1,
@@ -361,11 +361,11 @@ proptest! {
         // device for device.
         prop_assert_eq!(serial.elements.len(), seeded.elements.len());
         for (a, b) in serial.elements.iter().zip(&seeded.elements) {
-            prop_assert_eq!(serial.str(a.net_key()), seeded.str(b.net_key()));
-            prop_assert_eq!(serial.str(a.path()), seeded.str(b.path()));
+            prop_assert_eq!(serial.name_text(a.net_key()), seeded.name_text(b.net_key()));
+            prop_assert_eq!(serial.name_text(a.path()), seeded.name_text(b.path()));
         }
         for (a, b) in serial.devices.iter().zip(&seeded.devices) {
-            prop_assert_eq!(serial.str(a.path), seeded.str(b.path));
+            prop_assert_eq!(serial.name_text(a.path), seeded.name_text(b.path));
             prop_assert_eq!(serial.str(a.device_type), seeded.str(b.device_type));
         }
     }

@@ -1048,3 +1048,105 @@ fn replacing_a_symbol_by_its_own_body_changes_nothing() {
     }
     assert_matches_full(&session, "after every no-op replace");
 }
+
+/// The aliases of the net device `device`'s terminal `terminal` is on.
+fn terminal_aliases(report: &CheckReport, device: &str, terminal: &str) -> Vec<String> {
+    let list = &report.netlist;
+    let dev = (list.devices())
+        .find(|d| d.name() == device)
+        .unwrap_or_else(|| panic!("device {device}"));
+    let (_, net) = (dev.terminals())
+        .find(|&(t, _)| t == terminal)
+        .unwrap_or_else(|| panic!("{device}.{terminal}"));
+    list.net(net).aliases().map(str::to_string).collect()
+}
+
+/// An enhancement transistor, and a cell holding it at `i0`.
+const TRANSISTOR_CELL: &str = "
+    DS 1; 9D NMOS_ENH; 9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+    L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF;
+    DS 2; C 1 T 0 0; DF;";
+
+#[test]
+fn top_level_names_spelling_an_instance_key_join_its_net() {
+    // A top-level `9N` and a top-level `9L`, each spelling a nested
+    // transistor's gate key, name that terminal's net: the box's strap
+    // and the label's box bring `OUT` and `IN` onto it.
+    let cif = format!(
+        "{TRANSISTOR_CELL}
+        C 2 T 0 0; C 2 T 20000 0; C 2 T 40000 0;
+        L NM; 9N i1.i0.G; B 2000 750 1000 20000; 9N OUT; B 2000 750 2200 20000;
+        L NM; 9N IN; B 2000 750 1000 30000;
+        9L i2.i0.G NM 1000 30000;
+        E"
+    );
+    let layout = diic::cif::parse(&cif).unwrap();
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let report = canonical_check(&layout, &tech, &options);
+    let gate = terminal_aliases(&report, "i1.i0", "G");
+    assert!(gate.contains(&"OUT".to_string()), "{gate:?}");
+    let gate = terminal_aliases(&report, "i2.i0", "G");
+    assert!(gate.contains(&"IN".to_string()), "{gate:?}");
+    let untouched = terminal_aliases(&report, "i0.i0", "G");
+    assert_eq!(untouched, ["i0.i0.G"]);
+}
+
+#[test]
+fn a_declared_name_inside_a_definition_joins_its_nested_terminal() {
+    // Inside the cell, `9N i1.G` spells the key of its second
+    // transistor's gate, and a strap to `X` shares that net — in every
+    // placement of the cell, stamped or walked.
+    let cif = "
+        DS 1; 9D NMOS_ENH; 9T G NP -375 0; 9T S ND 250 -1000; 9T D ND 250 1000;
+        L NP; B 1500 500 250 0; L ND; B 500 2500 250 0; DF;
+        DS 2; C 1 T 0 0; C 1 T 5000 0;
+        L NM; 9N i1.G; B 2000 750 1000 8000; 9N X; B 2000 750 2200 8000; DF;
+        DS 3; C 2 T 0 0; DF;
+        C 2 T 0 0; C 2 T 20000 0; C 3 T 40000 0;
+        E";
+    let layout = diic::cif::parse(cif).unwrap();
+    let tech = nmos_technology();
+    let report = canonical_check(&layout, &tech, &CheckOptions::default());
+    for (device, x) in [
+        ("i0.i1", "i0.X"),
+        ("i1.i1", "i1.X"),
+        ("i2.i0.i1", "i2.i0.X"),
+    ] {
+        let gate = terminal_aliases(&report, device, "G");
+        assert!(gate.contains(&x.to_string()), "{device}: {gate:?}");
+    }
+    let other = terminal_aliases(&report, "i0.i0", "G");
+    assert_eq!(other, ["i0.i0.G"]);
+}
+
+#[test]
+fn exact_duplicates_in_a_stamped_definition_keep_their_ordinals() {
+    // Two exact duplicate boxes in a cell placed twice: the second takes
+    // the `:1` ordinal in each placement, in a check and in a session
+    // after the call moves.
+    let cif = "DS 1; L NM; B 1000 750 0 0; B 1000 750 0 0; DF; C 1 T 0 0; C 1 T 10000 0; E";
+    let layout = diic::cif::parse(cif).unwrap();
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let ordinals = |report: &CheckReport| -> Vec<String> {
+        let mut aliases: Vec<String> = (report.netlist.nets())
+            .flat_map(|n| n.aliases().map(str::to_string).collect::<Vec<_>>())
+            .filter(|a| a.ends_with(":1"))
+            .collect();
+        aliases.sort();
+        aliases
+    };
+    let report = canonical_check(&layout, &tech, &options);
+    let want = ordinals(&report);
+    assert_eq!(want.len(), 2, "{:?}", report.netlist);
+    assert!(want[0].starts_with("#i0:") && want[1].starts_with("#i1:"));
+    let mut session = CheckSession::new(layout, &tech, &options);
+    let mut edits = EditSet::new();
+    edits.translate(0, 2500, 0);
+    session.apply(&edits).unwrap();
+    assert_matches_full(&session, "after the move");
+    assert_eq!(ordinals(session.report()), want);
+    let moved = canonical_check(session.layout(), &tech, &options);
+    assert_eq!(ordinals(&moved), want);
+}

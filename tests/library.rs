@@ -68,15 +68,9 @@ fn assert_batch_matches_standalone(
         let mut instantiated = s.instantiate_stats;
         instantiated.strings_interned = b.instantiate_stats.strings_interned;
         assert_eq!(b.instantiate_stats, instantiated, "cell {i}: instantiation");
-        // A scored interaction row taken from the session's shelf is no
-        // pair the cell scored itself; every other scope counter agrees.
-        let mut scoped = s.scope_stats;
-        scoped.interact_pairs_scored = b.scope_stats.interact_pairs_scored;
-        assert_eq!(b.scope_stats, scoped, "cell {i}: scope statistics");
-        assert!(
-            b.scope_stats.interact_pairs_scored <= s.scope_stats.interact_pairs_scored,
-            "cell {i}: a kept row scored pairs"
-        );
+        // A scored interaction row taken from the session's shelf counts
+        // as the cell's own, so every scope counter agrees.
+        assert_eq!(b.scope_stats, s.scope_stats, "cell {i}: scope statistics");
         assert_eq!(b.waived_devices, s.waived_devices, "cell {i}");
         assert_eq!(b.element_count, s.element_count, "cell {i}");
         assert_eq!(b.device_count, s.device_count, "cell {i}");
@@ -496,8 +490,12 @@ fn kept_rows_land_at_each_placement_and_per_metric() {
         let fills = batch.stats.fills;
         assert_eq!(fills.hits, hits + 1, "{metric:?}: {fills:?}");
         hits = fills.hits;
+        // The third cell took its row from the shelf, and counts it as
+        // its standalone check does.
         let last = &batch.reports[2];
-        assert_eq!(last.scope_stats.interact_pairs_scored, 0, "{metric:?}");
+        let alone = check(&cells[2], &tech, &options.cell);
+        assert!(alone.scope_stats.interact_pairs_scored > 0);
+        assert_eq!(last.scope_stats, alone.scope_stats, "{metric:?}");
         for ((report, cell), &(x, y)) in batch.reports.iter().zip(&cells).zip(&offsets) {
             let alone = check(cell, &tech, &options.cell);
             assert_eq!(
@@ -518,4 +516,30 @@ fn kept_rows_land_at_each_placement_and_per_metric() {
         }
     }
     assert_eq!(session.cache.fills().entries, 2, "one row per metric");
+}
+
+/// A cell's scope counters are its own, whichever cell of a wide batch
+/// derived a shared scored row first: five runs of one library at two
+/// workers give identical per-cell `ScopeStats`, each its standalone
+/// check's.
+#[test]
+fn wide_batches_count_each_cell_as_its_standalone_check() {
+    let tech = nmos_technology();
+    let layouts = parse_all(&cell_library(48, 3).cells);
+    let options = LibraryOptions {
+        cell: diic::core::CheckOptions {
+            parallelism: 1,
+            ..diic::core::CheckOptions::default()
+        },
+        parallelism: 2,
+    };
+    let alone: Vec<_> = (layouts.iter())
+        .map(|l| check(l, &tech, &options.cell).scope_stats)
+        .collect();
+    assert!(alone.iter().any(|s| s.interact_pairs_scored > 0));
+    for run in 0..5 {
+        let batch = check_library_buffered(&layouts, &tech, &options);
+        let stats: Vec<_> = batch.reports.iter().map(|r| r.scope_stats).collect();
+        assert_eq!(stats, alone, "run {run}");
+    }
 }

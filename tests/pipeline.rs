@@ -382,3 +382,56 @@ fn a_far_box_adds_only_its_own_candidates() {
         );
     }
 }
+
+/// Names stay hierarchical: instantiating a 10⁴-element array interns a
+/// string per instance (its path) and the templates hold their own local
+/// strings once — never one per element — and the net-list fold interns
+/// nothing per device terminal (a label's net and the name of a lone
+/// joining device's terminal at most).
+#[test]
+fn names_cost_instances_and_template_strings_not_elements() {
+    use diic::core::netgen::NetParts;
+    use diic::core::{
+        check_connections, instantiate, BoundTechnology, Definitions, LayerBinding, ScopeTable,
+    };
+    let tech = nmos_technology();
+    let chip = diic::gen::mega_chip(10_000);
+    let layout = diic::cif::parse(&chip.cif).unwrap();
+    let (binding, _) = LayerBinding::bind(&layout, &tech);
+    let definitions = Definitions::new(&layout, &binding, None);
+    let (mut view, runs) = instantiate(&layout, &tech, &binding, &definitions, Default::default());
+    let stats = view.instantiate_stats;
+    assert!(stats.instances_stamped > 0);
+    assert!(
+        stats.strings_interned <= stats.instances_stamped + stats.template_strings,
+        "{stats}: more strings than instances and template strings"
+    );
+    assert!(
+        stats.strings_interned + stats.template_strings < view.elements.len() / 8,
+        "{stats}: names grow with the {} elements",
+        view.elements.len()
+    );
+
+    let bound = BoundTechnology::new(&tech);
+    let scopes = ScopeTable::build(
+        &definitions,
+        layout.top_items(),
+        runs.iter().map(|&(elements, _)| elements),
+        view.elements.bboxes(),
+        bound.max_rule_range(),
+    );
+    let (conn, _) = check_connections(&view, &tech, &bound, &scopes, 1);
+    let labels: Vec<_> = (layout.labels().iter())
+        .map(|l| (l, binding.layer(l.layer)))
+        .collect();
+    let before = view.strings.len();
+    let terminals: usize = view.devices.iter().map(|d| d.terminals.len()).sum();
+    let (mut parts, _) = NetParts::build(&mut view, &bound, &conn.merges, &labels, &scopes, 1);
+    let fold = view.strings.len() - before;
+    assert!(terminals > 1000);
+    assert!(
+        fold <= labels.len() + 1,
+        "the fold interned {fold} strings over {terminals} terminals"
+    );
+    assert_eq!(parts.assemble(&view).device_count(), view.devices.len());
+}
